@@ -162,3 +162,25 @@ func TestLoopGroupCapsGoroutines(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestLoopGroupPopZeroesVacatedSlot pins that a popped event does not
+// stay reachable through the heap slice's slack: the slot the pop
+// vacates must be the zero value, or the event's switch and buffered
+// connection live on until some later push overwrites it.
+func TestLoopGroupPopZeroesVacatedSlot(t *testing.T) {
+	g := &LoopGroup{} // no loops started: only the heap is exercised
+	sw := &Switch{}
+	base := time.Unix(0, 0)
+	for i := 3; i > 0; i-- {
+		g.pushLocked(groupEvent{at: base.Add(time.Duration(i) * time.Second), sweep: true, sw: sw})
+	}
+	for want := 1; len(g.heap) > 0; want++ {
+		ev := g.popLocked()
+		if !ev.at.Equal(base.Add(time.Duration(want) * time.Second)) {
+			t.Fatalf("pop %d returned the event at %v", want, ev.at)
+		}
+		if slack := g.heap[:len(g.heap)+1][len(g.heap)]; slack != (groupEvent{}) {
+			t.Fatalf("after pop %d the vacated slot still holds %+v", want, slack)
+		}
+	}
+}

@@ -251,6 +251,9 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 		g.register(s, conn)
 		go func() {
 			defer close(done)
+			// The loop can end without Stop (the controller hung up):
+			// release loopCtx from its parent.
+			defer cancel()
 			defer g.unregister(s)
 			defer conn.Close() //nolint:errcheck // loop exit path
 			s.controlLoop(loopCtx, conn)
@@ -259,6 +262,8 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	}
 	go func() {
 		defer close(done)
+		// As above; also ends this connection's watcher and expiry loop.
+		defer cancel()
 		defer conn.Close() //nolint:errcheck // loop exit path
 		s.controlLoop(loopCtx, conn)
 	}()

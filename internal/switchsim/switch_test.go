@@ -1,0 +1,109 @@
+package switchsim
+
+import (
+	"context"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"tsu/internal/ofconn"
+	"tsu/internal/topo"
+)
+
+// childCountingCtx is a parent context that counts the contexts
+// currently derived from it: context.WithCancel registers with a
+// foreign parent through AfterFunc and calls the returned stop when the
+// child is cancelled.
+type childCountingCtx struct {
+	done chan struct{}
+
+	mu   sync.Mutex
+	live int
+}
+
+func (c *childCountingCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *childCountingCtx) Done() <-chan struct{}       { return c.done }
+func (c *childCountingCtx) Value(any) any               { return nil }
+
+func (c *childCountingCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+func (c *childCountingCtx) AfterFunc(func()) (stop func() bool) {
+	c.mu.Lock()
+	c.live++
+	c.mu.Unlock()
+	return func() bool {
+		c.mu.Lock()
+		c.live--
+		c.mu.Unlock()
+		return true
+	}
+}
+
+func (c *childCountingCtx) children() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live
+}
+
+// TestReconnectReleasesPreviousLoopContext: when the controller drops
+// the connection the control loop ends without Stop, and the loop's
+// child context must be released then — otherwise every reconnect of a
+// long-lived switch leaves one more dead child registered on the
+// caller's context.
+func TestReconnectReleasesPreviousLoopContext(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The controller hangs up on the first connection right after the
+	// handshake and keeps every later one.
+	go func() {
+		for first := true; ; first = false {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn := ofconn.New(nc)
+			if _, err := ofconn.HandshakeController(conn); err != nil || first {
+				conn.Close()
+				continue
+			}
+			defer conn.Close()
+		}
+	}()
+
+	g := topo.Fig1()
+	sw, err := NewSwitch(NewFabric(g), Config{Node: g.Nodes()[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Stop()
+	parent := &childCountingCtx{done: make(chan struct{})}
+
+	if err := sw.Connect(parent, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); sw.Connected(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("switch still connected after the controller hung up")
+		}
+	}
+	if n := parent.children(); n != 0 {
+		t.Fatalf("%d live child contexts after the control loop ended, want 0", n)
+	}
+	if err := sw.Connect(parent, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if n := parent.children(); n != 1 {
+		t.Fatalf("%d live child contexts after reconnecting, want 1 (the new loop's only)", n)
+	}
+}
