@@ -152,14 +152,23 @@ func TestDecentralizedDuplicateAcksIdempotent(t *testing.T) {
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(in.New) {
 		t.Fatalf("post-update probe = %+v", res)
 	}
-	dups := 0
-	for _, n := range topo.Fig1().Nodes() {
-		if _, _, d, ok := tb.fabric.Switch(n).PlanAckStats(job.ID); ok {
-			dups += d
+	// The job is done once every install reported, but the delayed
+	// duplicate of an ack can still be in flight then: wait for the
+	// agents to absorb all of them rather than reading mid-delivery.
+	want := crossSwitchEdges(p)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		dups := 0
+		for _, n := range topo.Fig1().Nodes() {
+			if _, _, d, ok := tb.fabric.Switch(n).PlanAckStats(job.ID); ok {
+				dups += d
+			}
 		}
-	}
-	if want := crossSwitchEdges(p); dups != want {
-		t.Fatalf("absorbed %d duplicate acks, want %d (every cross-switch edge doubled)", dups, want)
+		if dups == want {
+			break
+		}
+		if dups > want || time.Now().After(deadline) {
+			t.Fatalf("absorbed %d duplicate acks, want %d (every cross-switch edge doubled)", dups, want)
+		}
 	}
 	total, _ := job.Messages()
 	if want := 2 * crossSwitchEdges(p); total.Peer != want {
