@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tsu/internal/controller"
 	"tsu/internal/core"
 	"tsu/internal/experiments"
 	"tsu/internal/netem"
@@ -31,7 +32,7 @@ import (
 // execution alone, keeping the numbers comparable across revisions —
 // API-transport overhead is not part of the paper's metric.
 func runEngineUpdate(bed *experiments.Bed, in *core.Instance, sched *core.Schedule) error {
-	job, err := bed.Ctrl.Engine().Submit(in, sched, experiments.Match(), 0)
+	job, err := bed.Ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), experiments.Match(), controller.SubmitOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,249 @@
+package controller
+
+import (
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"tsu/internal/core"
+	"tsu/internal/openflow"
+	"tsu/internal/topo"
+)
+
+// dumpExecPlan renders an execution DAG one node per line, in node
+// order: index, switch, deps, layer, cleanup flag and every FlowMod's
+// command, match and actions.
+func dumpExecPlan(ep execPlan) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s depth=%d width=%d critical=%d sparse=%v\n", ep.dag.Algorithm, ep.depth, ep.width, ep.critical, ep.dag.Sparse)
+	for i, nd := range ep.dag.Nodes {
+		fmt.Fprintf(&b, "%d: s%d deps=%v layer=%d", i, nd.Switch, nd.Deps, ep.layers[i])
+		if ep.isCleanup(i) {
+			b.WriteString(" cleanup")
+		}
+		for _, fm := range ep.mods[i] {
+			fmt.Fprintf(&b, " | %v %v", fm.Command, net.IP(fm.Match.NWDstIP()))
+			if fm.Match.Wildcards&openflow.WildcardDLVLAN == 0 {
+				fmt.Fprintf(&b, " vlan=%d", fm.Match.DLVLAN)
+			}
+			if fm.Priority != 0 {
+				fmt.Fprintf(&b, " prio=%d", fm.Priority)
+			}
+			for _, a := range fm.Actions {
+				switch a := a.(type) {
+				case openflow.ActionOutput:
+					fmt.Fprintf(&b, " out:%d", a.Port)
+				case openflow.ActionSetVLAN:
+					fmt.Fprintf(&b, " setvlan:%d", a.VLAN)
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// fig1Cleanup is the cleanup suffix of every single-flow Fig. 1 job:
+// the old-only switches in old-path order, each deleting the flow's
+// rule once every sink of the update (the given deps) confirmed.
+func fig1Cleanup(first int, sinks string, layer int) string {
+	var b strings.Builder
+	for k, sw := range []int{2, 4, 5, 6} {
+		fmt.Fprintf(&b, "%d: s%d deps=[%s] layer=%d cleanup | DELETE 10.0.0.2\n", first+k, sw, sinks, layer)
+	}
+	return b.String()
+}
+
+// TestExecPlanFromEverySource pins what the single materializer builds
+// for every way an update enters the engine, on the Fig. 1 instance:
+// node switches, deps, layers, per-node FlowMods and the cleanup
+// suffix, with and without SubmitOptions.Cleanup — and that a
+// recoverable job rebuilt from its own admit record is the same plan.
+func TestExecPlanFromEverySource(t *testing.T) {
+	c, err := New(Config{Topology: topo.Fig1()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.engine
+	wp := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+	back := core.MustInstance(topo.Fig1NewPath, topo.Fig1OldPath, topo.Fig1Waypoint)
+	nowp := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	match := flowMatch("10.0.0.2")
+
+	wayup, err := core.WayUp(wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := core.PlanByName(nowp, core.AlgoPeacock, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ju, err := core.NewJointUpdate([]*core.Instance{wp, back}, core.MustScheduler(core.AlgoWayUp), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name        string
+		recoverable bool
+		build       func(SubmitOptions) (jobSpec, error)
+		shape       string // header without cleanup
+		shapeClean  string // header with cleanup
+		nodes       string
+		cleanup     string
+	}{
+		{
+			name:        "schedule",
+			recoverable: true,
+			build: func(o SubmitOptions) (jobSpec, error) {
+				return e.planSpec(wp, core.PlanFromSchedule(wayup), match, o)
+			},
+			shape:      "wayup depth=3 width=5 critical=2 sparse=false\n",
+			shapeClean: "wayup depth=4 width=5 critical=3 sparse=false\n",
+			nodes: `0: s7 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+1: s8 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:1
+2: s9 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+3: s10 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+4: s11 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+5: s3 deps=[0 1 2 3 4] layer=1 | MODIFY 10.0.0.2 prio=100 out:4
+6: s1 deps=[5] layer=2 | MODIFY 10.0.0.2 prio=100 out:2
+`,
+			cleanup: fig1Cleanup(7, "6", 3),
+		},
+		{
+			// One-shot's single round is not sorted by switch id: node
+			// order follows the scheduler, not ascending ids.
+			name:        "schedule-unsorted-round",
+			recoverable: true,
+			build: func(o SubmitOptions) (jobSpec, error) {
+				return e.planSpec(wp, core.PlanFromSchedule(core.OneShot(wp)), match, o)
+			},
+			shape:      "oneshot depth=1 width=7 critical=0 sparse=false\n",
+			shapeClean: "oneshot depth=2 width=7 critical=1 sparse=false\n",
+			nodes: `0: s1 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+1: s7 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+2: s8 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:1
+3: s3 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:4
+4: s9 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+5: s10 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+6: s11 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+`,
+			cleanup: fig1Cleanup(7, "0 1 2 3 4 5 6", 1),
+		},
+		{
+			name:        "sparse-plan",
+			recoverable: true,
+			build: func(o SubmitOptions) (jobSpec, error) {
+				return e.planSpec(nowp, sparse, match, o)
+			},
+			shape:      "peacock depth=2 width=5 critical=1 sparse=true\n",
+			shapeClean: "peacock depth=3 width=5 critical=2 sparse=true\n",
+			nodes: `0: s7 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+1: s8 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:1
+2: s9 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+3: s10 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+4: s11 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+5: s1 deps=[0 1] layer=1 | MODIFY 10.0.0.2 prio=100 out:2
+6: s3 deps=[2 3 4] layer=1 | MODIFY 10.0.0.2 prio=100 out:4
+`,
+			cleanup: fig1Cleanup(7, "5 6", 2),
+		},
+		{
+			name: "two-phase",
+			build: func(o SubmitOptions) (jobSpec, error) {
+				return e.twoPhaseSpec(wp, match, TwoPhaseTag, o)
+			},
+			shape:      "two-phase depth=2 width=6 critical=1 sparse=false\n",
+			shapeClean: "two-phase depth=3 width=6 critical=2 sparse=false\n",
+			nodes: `0: s7 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:2
+1: s8 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:1
+2: s3 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:4
+3: s9 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:2
+4: s10 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:2
+5: s11 deps=[] layer=0 | ADD 10.0.0.2 vlan=2016 prio=110 out:2
+6: s1 deps=[0 1 2 3 4 5] layer=1 | MODIFY 10.0.0.2 prio=100 setvlan:2016 out:2
+`,
+			cleanup: fig1Cleanup(7, "6", 2),
+		},
+		{
+			// Flow 10.0.0.2 moves old→new while 10.0.0.9 moves new→old: a
+			// shared switch is one node carrying both flows' FlowMods, and
+			// the cleanup layer has one node per stale switch.
+			name: "joint",
+			build: func(o SubmitOptions) (jobSpec, error) {
+				job, err := e.SubmitJoint(ju, []openflow.Match{match, flowMatch("10.0.0.9")}, o)
+				if err != nil {
+					return jobSpec{}, err
+				}
+				return jobSpec{plan: job.plan}, nil
+			},
+			shape:      "joint-wayup depth=3 width=9 critical=2 sparse=false\n",
+			shapeClean: "joint-wayup depth=4 width=9 critical=3 sparse=false\n",
+			nodes: `0: s2 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
+1: s4 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
+2: s5 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
+3: s6 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
+4: s7 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+5: s8 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:1
+6: s9 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+7: s10 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+8: s11 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
+9: s3 deps=[0 1 2 3 4 5 6 7 8] layer=1 | MODIFY 10.0.0.2 prio=100 out:4 | MODIFY 10.0.0.9 prio=100 out:2
+10: s1 deps=[9] layer=2 | MODIFY 10.0.0.2 prio=100 out:2 | MODIFY 10.0.0.9 prio=100 out:1
+`,
+			cleanup: `11: s2 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
+12: s4 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
+13: s5 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
+14: s6 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
+15: s7 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
+16: s8 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
+17: s9 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
+18: s10 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
+19: s11 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
+`,
+		},
+	}
+	for _, tc := range cases {
+		for _, cleanup := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cleanup=%v", tc.name, cleanup), func(t *testing.T) {
+				spec, err := tc.build(SubmitOptions{Cleanup: cleanup, Interval: 3 * time.Millisecond, Mode: ModeDecentralized})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := tc.shape + tc.nodes
+				if cleanup {
+					want = tc.shapeClean + tc.nodes + tc.cleanup
+				}
+				if got := dumpExecPlan(spec.plan); got != want {
+					t.Fatalf("exec plan:\n%s\nwant:\n%s", got, want)
+				}
+				if (spec.rollback != nil) != tc.recoverable {
+					t.Fatalf("rollback spec = %v, want recoverable=%v", spec.rollback, tc.recoverable)
+				}
+				if !tc.recoverable {
+					return
+				}
+				// Recovered from the journal: the admit record alone
+				// rebuilds the same plan, options and rollback spec.
+				job := newJob(spec)
+				job.ID = 41
+				re, err := e.rebuildJob(&recoveredJob{id: job.ID, admit: admitSpec(job)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := dumpExecPlan(re.plan); got != want {
+					t.Fatalf("rebuilt exec plan:\n%s\nwant:\n%s", got, want)
+				}
+				if re.ID != job.ID || !re.Recovered || re.Algorithm != job.Algorithm || re.Interval != job.Interval || re.Mode != job.Mode {
+					t.Fatalf("rebuilt job = %+v, want the identity of %+v", re, job)
+				}
+				if r, o := re.rollback, job.rollback; r.props != o.props || r.match != o.match ||
+					!r.in.Old.Equal(o.in.Old) || !r.in.New.Equal(o.in.New) || r.in.Waypoint != o.in.Waypoint {
+					t.Fatalf("rebuilt rollback spec = %+v, want %+v", r, o)
+				}
+			})
+		}
+	}
+}

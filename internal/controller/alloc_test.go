@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tsu/internal/core"
 	"tsu/internal/ofconn"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
@@ -120,9 +121,9 @@ func newAllocHarness(t *testing.T) *allocHarness {
 	// switches, each node released by the same switch's previous
 	// install — a deep plan that exercises wave journaling, shard
 	// coalescing and the deadline ring across many release cycles.
-	var ep execPlan
 	n := allocSwitches * allocLayers
-	ep.nodes = make([]execNode, 0, n)
+	p := &core.Plan{Algorithm: "alloc-pin", Nodes: make([]core.PlanNode, 0, n)}
+	mods := make([][]*openflow.FlowMod, 0, n)
 	for i := 0; i < n; i++ {
 		node := topo.NodeID(i%allocSwitches + 1)
 		fm := &openflow.FlowMod{
@@ -137,11 +138,11 @@ func newAllocHarness(t *testing.T) *allocHarness {
 		if i >= allocSwitches {
 			deps = []int{i - allocSwitches}
 		}
-		ep.nodes = append(ep.nodes, execNode{node: node, mods: []targetedMod{{node: node, fm: fm}}, deps: deps})
+		p.Nodes = append(p.Nodes, core.PlanNode{Switch: node, Deps: deps})
+		mods = append(mods, []*openflow.FlowMod{fm})
 	}
-	ep.finish()
 
-	h := &allocHarness{c: c, e: c.engine, plan: ep}
+	h := &allocHarness{c: c, e: c.engine, plan: newExecPlan(p, mods, n, nil)}
 	h.stop = func() {
 		close(done)
 		cancel()
@@ -152,14 +153,16 @@ func newAllocHarness(t *testing.T) *allocHarness {
 // runJob executes one full job on the dispatch path and waits for it.
 func (h *allocHarness) runJob(t *testing.T, id int) {
 	t.Helper()
-	job := &Job{ID: id, Algorithm: "alloc-pin", plan: h.plan, done: make(chan struct{})}
-	job.footprint()
-	h.e.execute(context.Background(), job)
+	job := newJob(jobSpec{plan: h.plan})
+	job.ID = id
+	h.e.begin(job)
+	report, err := h.e.execute(context.Background(), job)
+	h.e.finish(job, err, report)
 	if job.State() != JobDone {
 		t.Fatalf("job %d: state %v, err %v", id, job.State(), job.Err())
 	}
-	if got := len(job.Installs()); got != len(h.plan.nodes) {
-		t.Fatalf("job %d: %d installs confirmed, want %d", id, got, len(h.plan.nodes))
+	if got := len(job.Installs()); got != h.plan.len() {
+		t.Fatalf("job %d: %d installs confirmed, want %d", id, got, h.plan.len())
 	}
 }
 
@@ -187,7 +190,7 @@ func TestDispatchPathAllocs(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	delta := ms.Mallocs - before
 
-	n := uint64(len(h.plan.nodes))
+	n := uint64(h.plan.len())
 	// Per-job bookkeeping (job, trace slices, layer aggregates, timer
 	// re-arms) stays well under 512 mallocs; per-install leaks show up
 	// as >= 2048.

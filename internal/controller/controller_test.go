@@ -160,7 +160,7 @@ func TestUpdateJobWayUpFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), 0)
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestUpdateJobIntervalBetweenRounds(t *testing.T) {
 		t.Skipf("need >= 2 rounds, got %d", sched.NumRounds())
 	}
 	const interval = 20 * time.Millisecond
-	job, err := tb.ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), interval)
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Interval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEngineRejectsMismatchedSchedule(t *testing.T) {
 	tb := newTestbed(t, topo.Linear(4), nil)
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 2, 3, 4}, 0)
 	bad := &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{1}}}
-	if _, err := tb.ctrl.Engine().Submit(in, bad, flowMatch("10.0.0.2"), 0); err == nil {
+	if _, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(bad), flowMatch("10.0.0.2"), SubmitOptions{}); err == nil {
 		t.Fatal("mismatched schedule accepted")
 	}
 }
@@ -283,7 +283,7 @@ func TestJobFailsOnDisconnectedSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), 0)
+	job, err := ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

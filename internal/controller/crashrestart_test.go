@@ -184,7 +184,7 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := ctrl1.Engine().Submit(in, sched, flowMatch(ip), 0)
+		job, err := ctrl1.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch(ip), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

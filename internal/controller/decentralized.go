@@ -9,7 +9,6 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/journal"
-	"tsu/internal/openflow"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
@@ -109,7 +108,7 @@ type planProgress struct {
 }
 
 func newPlanProgress(job *Job) *planProgress {
-	n := len(job.plan.nodes)
+	n := job.plan.len()
 	p := &planProgress{
 		job:       job,
 		run:       core.NewPlanRun(job.plan.dag),
@@ -120,8 +119,8 @@ func newPlanProgress(job *Job) *planProgress {
 	for i := range p.layers {
 		p.layers[i] = RoundTiming{Round: i, Cleanup: true}
 	}
-	for _, nd := range job.plan.nodes {
-		p.layerLeft[nd.layer]++
+	for _, l := range job.plan.layers {
+		p.layerLeft[l]++
 	}
 	// Per-layer and per-job traces are preallocated to their exact
 	// final sizes, so the per-install hot path (confirm) never grows a
@@ -152,13 +151,18 @@ func (p *planProgress) start() []int {
 	return p.ready
 }
 
-// confirm records one confirmed install: publishes the install event,
-// aggregates it into its layer (a layer's RoundTiming publishes once
-// the layer and all earlier layers are fully confirmed, keeping round
-// events in order even when branches complete out of layer order), and
-// returns the node indices the confirmation releases.
+// confirm records one confirmed install — the caller supplies what it
+// observed (timing, FlowMod count, releasing predecessor), the node's
+// switch, layer and cleanup flag come from the plan: publishes the
+// install event, aggregates it into its layer (a layer's RoundTiming
+// publishes once the layer and all earlier layers are fully confirmed,
+// keeping round events in order even when branches complete out of
+// layer order), and returns the node indices the confirmation releases.
 func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 	job := p.job
+	install.Node = job.plan.sw(idx)
+	install.Layer = job.plan.layers[idx]
+	install.Cleanup = job.plan.isCleanup(idx)
 	job.mu.Lock()
 	// The published event points into the job's install trace rather
 	// than at the (escaping) parameter — with the trace preallocated,
@@ -167,18 +171,17 @@ func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 	publishLocked(job, JobEvent{Install: &job.installs[len(job.installs)-1], State: JobRunning})
 	job.mu.Unlock()
 
-	nd := &job.plan.nodes[idx]
-	lt := &p.layers[nd.layer]
-	lt.Switches = append(lt.Switches, nd.node)
+	lt := &p.layers[install.Layer]
+	lt.Switches = append(lt.Switches, install.Node)
 	lt.FlowMods += install.FlowMods
-	lt.Cleanup = lt.Cleanup && nd.cleanup
+	lt.Cleanup = lt.Cleanup && install.Cleanup
 	if lt.Started.IsZero() || install.Started.Before(lt.Started) {
 		lt.Started = install.Started
 	}
 	if install.Finished.After(lt.Finished) {
 		lt.Finished = install.Finished
 	}
-	p.layerLeft[nd.layer]--
+	p.layerLeft[install.Layer]--
 	for p.nextRound < len(p.layers) && p.layerLeft[p.nextRound] == 0 {
 		timing := p.layers[p.nextRound]
 		sort.Slice(timing.Switches, func(a, b int) bool { return timing.Switches[a] < timing.Switches[b] })
@@ -206,125 +209,91 @@ func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 // predecessor (as observed by the installing switch), layers still
 // publish in order, and PlanRun bookkeeping still cross-checks that
 // every reported install was actually released by its dependencies.
-func (e *Engine) executeDecentralized(ctx context.Context, job *Job) {
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
+func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureReport, error) {
+	plan := &job.plan
+	n := plan.len()
+	// Self-describing partitions: the plan carries the job's algorithm
+	// and shape, so a switch (or a debugger on the wire) can tell what
+	// it is executing.
+	parts := plan.dag.Partition()
 
-	nodes := job.plan.nodes
-	n := len(nodes)
-	if n > 0 {
-		// Self-describing partitions: the bookkeeping DAG plus the
-		// job's metadata, so a switch (or a debugger on the wire) can
-		// tell what it is executing.
-		dag := *job.plan.dag
-		dag.Algorithm = job.Algorithm
-		dag.Sparse = job.plan.sparse
-		parts := dag.Partition()
+	reports := make(chan *planwire.Report, len(parts))
+	e.c.registerPlanReports(job.ID, reports)
+	defer e.c.unregisterPlanReports(job.ID)
 
-		reports := make(chan *planwire.Report, len(parts))
-		e.c.registerPlanReports(job.ID, reports)
-		defer e.c.unregisterPlanReports(job.ID)
+	// A partition push hands the whole DAG to the switches at once:
+	// every node is journaled dispatched in one grouped write-ahead
+	// append (before any push leaves), so a recovering controller knows
+	// the entire plan may have taken effect and reconciles all of it
+	// against switch state.
+	allNodes := make([]int, n)
+	for i := range allNodes {
+		allNodes[i] = i
+	}
+	if !e.journalDispatchBatch(job.ID, allNodes) {
+		return nil, errJournalWriteAhead
+	}
 
-		// A partition push hands the whole DAG to the switches at once:
-		// every node is journaled dispatched in one grouped write-ahead
-		// append (before any push leaves), so a recovering controller
-		// knows the entire plan may have taken effect and reconciles all
-		// of it against switch state.
-		allNodes := make([]int, n)
-		for i := range allNodes {
-			allNodes[i] = i
+	// Node completion offsets in reports are relative to partition
+	// receipt; anchor them at the broadcast instant. The skew (one
+	// control-channel delivery) is the same for every switch.
+	broadcast := e.c.clock.Now()
+	for i := range parts {
+		part := &parts[i]
+		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
+		for _, pn := range part.Nodes {
+			push.Mods = append(push.Mods, plan.mods[pn.Index])
 		}
-		if !e.journalDispatchBatch(job.ID, allNodes) {
-			e.fail(job, errJournalWriteAhead)
-			return
+		data, err := planwire.EncodePush(push)
+		if err != nil {
+			return nil, fmt.Errorf("encoding partition for %d: %w", part.Switch, err)
 		}
-
-		// Node completion offsets in reports are relative to partition
-		// receipt; anchor them at the broadcast instant. The skew (one
-		// control-channel delivery) is the same for every switch.
-		broadcast := e.c.clock.Now()
-		for i := range parts {
-			part := &parts[i]
-			push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
-			for _, pn := range part.Nodes {
-				mods := make([]*openflow.FlowMod, 0, len(nodes[pn.Index].mods))
-				for _, tm := range nodes[pn.Index].mods {
-					mods = append(mods, tm.fm)
-				}
-				push.Mods = append(push.Mods, mods)
-			}
-			data, err := planwire.EncodePush(push)
-			if err != nil {
-				e.fail(job, fmt.Errorf("encoding partition for %d: %w", part.Switch, err))
-				return
-			}
-			if err := e.c.SendVendor(uint64(part.Switch), data); err != nil {
-				e.fail(job, fmt.Errorf("pushing partition to %d: %w", part.Switch, err))
-				return
-			}
-		}
-
-		prog := newPlanProgress(job)
-		prog.start()
-		confirmed := make([]bool, n)
-		for remaining := n; remaining > 0; {
-			var r *planwire.Report
-			select {
-			case r = <-reports:
-			case <-e.c.clock.After(e.c.cfg.RoundTimeout):
-				// No switch made terminal progress for a full timeout:
-				// a peer ack or a report is lost, or an install stalled.
-				// Roll back the down-closure of the confirmed set — a
-				// confirmed node's dependencies took effect at their
-				// switches even if their own reports were lost.
-				// Installs at unreported crashed switches are invisible
-				// to the controller and stay in place (see README).
-				e.abort(ctx, job, stallError(job, confirmed, e.c.cfg.RoundTimeout),
-					downClosure(job.plan.dag, confirmed), confirmed)
-				return
-			case <-ctx.Done():
-				e.fail(job, ctx.Err())
-				return
-			}
-			// Two control messages per switch, total: the partition
-			// push and this report. Peer acks are the switch's own.
-			job.addMessages(r.Switch, MessageStats{Ctrl: 2, Peer: r.AcksSent})
-			for i := range r.Nodes {
-				nr := &r.Nodes[i]
-				if nr.Index < 0 || nr.Index >= n || confirmed[nr.Index] || nodes[nr.Index].node != r.Switch {
-					e.abort(ctx, job, fmt.Errorf("malformed completion report from switch %d (node %d)", r.Switch, nr.Index),
-						downClosure(job.plan.dag, confirmed), confirmed)
-					return
-				}
-				confirmed[nr.Index] = true
-				e.journalDelta(journal.KindConfirmed, job.ID, nr.Index)
-				remaining--
-				nd := &nodes[nr.Index]
-				install := InstallTiming{
-					Node:       nd.node,
-					Layer:      nd.layer,
-					ReleasedBy: nr.ReleasedBy,
-					FlowMods:   nr.FlowMods,
-					Cleanup:    nd.cleanup,
-					Started:    broadcast.Add(nr.Started),
-					Finished:   broadcast.Add(nr.Finished),
-				}
-				prog.confirm(nr.Index, install)
-			}
+		if err := e.c.SendVendor(uint64(part.Switch), data); err != nil {
+			return nil, fmt.Errorf("pushing partition to %d: %w", part.Switch, err)
 		}
 	}
 
-	e.journalTerminal(job, nil)
-	job.mu.Lock()
-	job.state = JobDone
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobDone})
-	job.mu.Unlock()
-	close(job.done)
-	e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),
-		"installs", n, "depth", job.plan.depth, "sparse", job.plan.sparse)
+	prog := newPlanProgress(job)
+	prog.start()
+	confirmed := make([]bool, n)
+	for remaining := n; remaining > 0; {
+		var r *planwire.Report
+		select {
+		case r = <-reports:
+		case <-e.c.clock.After(e.c.cfg.RoundTimeout):
+			// No switch made terminal progress for a full timeout: a
+			// peer ack or a report is lost, or an install stalled. Roll
+			// back the down-closure of the confirmed set — a confirmed
+			// node's dependencies took effect at their switches even if
+			// their own reports were lost. Installs at unreported
+			// crashed switches are invisible to the controller and stay
+			// in place (see README).
+			return e.abort(ctx, job, stallError(job, confirmed, e.c.cfg.RoundTimeout),
+				downClosure(plan.dag, confirmed), confirmed)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		// Two control messages per switch, total: the partition push
+		// and this report. Peer acks are the switch's own.
+		job.addMessages(r.Switch, MessageStats{Ctrl: 2, Peer: r.AcksSent})
+		for i := range r.Nodes {
+			nr := &r.Nodes[i]
+			if nr.Index < 0 || nr.Index >= n || confirmed[nr.Index] || plan.sw(nr.Index) != r.Switch {
+				return e.abort(ctx, job, fmt.Errorf("malformed completion report from switch %d (node %d)", r.Switch, nr.Index),
+					downClosure(plan.dag, confirmed), confirmed)
+			}
+			confirmed[nr.Index] = true
+			e.journalDelta(journal.KindConfirmed, job.ID, nr.Index)
+			remaining--
+			prog.confirm(nr.Index, InstallTiming{
+				ReleasedBy: nr.ReleasedBy,
+				FlowMods:   nr.FlowMods,
+				Started:    broadcast.Add(nr.Started),
+				Finished:   broadcast.Add(nr.Finished),
+			})
+		}
+	}
+	return nil, nil
 }
 
 // stallError builds the failure report for a stalled decentralized
@@ -335,7 +304,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) {
 func stallError(job *Job, confirmed []bool, timeout time.Duration) error {
 	var stuck []string
 	missing := 0
-	for i := range job.plan.nodes {
+	for i, nd := range job.plan.dag.Nodes {
 		if confirmed[i] {
 			continue
 		}
@@ -343,19 +312,18 @@ func stallError(job *Job, confirmed []bool, timeout time.Duration) error {
 		if len(stuck) >= 8 {
 			continue // cap the report; the count still tells the scale
 		}
-		nd := &job.plan.nodes[i]
 		var waits []string
-		for _, d := range nd.deps {
+		for _, d := range nd.Deps {
 			if !confirmed[d] {
-				waits = append(waits, fmt.Sprintf("node %d@switch %d", d, job.plan.nodes[d].node))
+				waits = append(waits, fmt.Sprintf("node %d@switch %d", d, job.plan.sw(d)))
 			}
 		}
 		detail := "all dependencies confirmed — in-edge ack or completion report lost?"
 		if len(waits) > 0 {
 			detail = "awaiting " + strings.Join(waits, ", ")
 		}
-		stuck = append(stuck, fmt.Sprintf("node %d@switch %d (%s)", i, nd.node, detail))
+		stuck = append(stuck, fmt.Sprintf("node %d@switch %d (%s)", i, nd.Switch, detail))
 	}
 	return fmt.Errorf("decentralized execution stalled: no completion report within %v; %d/%d installs unconfirmed: %s: %w",
-		timeout, missing, len(job.plan.nodes), strings.Join(stuck, "; "), context.DeadlineExceeded)
+		timeout, missing, job.plan.len(), strings.Join(stuck, "; "), context.DeadlineExceeded)
 }

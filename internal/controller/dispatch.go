@@ -291,13 +291,12 @@ func (s *dispatchShard) gather(r shardReq) {
 		s.d.nack(r, false, context.Canceled)
 		return
 	}
-	nd := &r.job.plan.nodes[r.idx]
-	dpid := uint64(nd.node)
+	dpid := uint64(r.job.plan.sw(r.idx))
 	cb := s.conns[dpid]
 	if cb == nil {
 		dp, err := s.d.e.c.datapath(dpid)
 		if err != nil {
-			s.d.nack(r, true, fmt.Errorf("install at %d (layer %d): sending flowmod: %w", nd.node, nd.layer, err))
+			s.d.nack(r, true, installErr(r, "sending flowmod", err))
 			return
 		}
 		if n := len(s.freeCB); n > 0 {
@@ -346,18 +345,18 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 	cb.xids = cb.xids[:0]
 	k := 0
 	for _, r := range cb.reqs {
-		nd := &r.job.plan.nodes[r.idx]
+		mods := r.job.plan.mods[r.idx]
 		mark := cb.batch.Mark()
-		if err := s.encodeInstall(cb, dp, nd); err != nil {
+		if err := s.encodeInstall(cb, dp, mods); err != nil {
 			cb.batch.Truncate(mark)
-			s.d.nack(r, false, fmt.Errorf("install at %d (layer %d): sending flowmod: %w", nd.node, nd.layer, err))
+			s.d.nack(r, false, installErr(r, "sending flowmod", err))
 			continue
 		}
 		xid := dp.conn.NextXid()
 		s.barrier.SetXid(xid)
 		if err := cb.batch.Add(&s.barrier); err != nil {
 			cb.batch.Truncate(mark)
-			s.d.nack(r, false, fmt.Errorf("install at %d (layer %d): barrier: %w", nd.node, nd.layer, err))
+			s.d.nack(r, false, installErr(r, "barrier", err))
 			continue
 		}
 		dp.mu.Lock()
@@ -365,7 +364,7 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 			acks:     r.st.acks,
 			job:      r.job.ID,
 			idx:      int32(r.idx),
-			flowMods: int32(len(nd.mods)),
+			flowMods: int32(len(mods)),
 			started:  now,
 		}
 		dp.mu.Unlock()
@@ -385,21 +384,25 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 		}
 		dp.mu.Unlock()
 		for _, r := range cb.reqs {
-			nd := &r.job.plan.nodes[r.idx]
-			s.d.nack(r, true, fmt.Errorf("install at %d (layer %d): sending flowmod: %w", nd.node, nd.layer, err))
+			s.d.nack(r, true, installErr(r, "sending flowmod", err))
 		}
 	}
 }
 
 // encodeInstall appends one node's FlowMods to the batch.
-func (s *dispatchShard) encodeInstall(cb *connBatch, dp *datapath, nd *execNode) error {
-	for _, tm := range nd.mods {
-		tm.fm.SetXid(dp.conn.NextXid())
-		if err := cb.batch.Add(tm.fm); err != nil {
+func (s *dispatchShard) encodeInstall(cb *connBatch, dp *datapath, mods []*openflow.FlowMod) error {
+	for _, fm := range mods {
+		fm.SetXid(dp.conn.NextXid())
+		if err := cb.batch.Add(fm); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// installErr names the install a shard could not send.
+func installErr(r shardReq, what string, err error) error {
+	return fmt.Errorf("install at %d (layer %d): %s: %w", r.job.plan.sw(r.idx), r.job.plan.layers[r.idx], what, err)
 }
 
 // resizeBools returns a zeroed bool slice of length n, reusing b.

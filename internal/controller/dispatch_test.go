@@ -56,15 +56,15 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 		return s
 	}
 
-	jobA, err := tb.ctrl.Engine().Submit(inA, schedule(inA), flowMatch("10.0.0.2"), 0)
+	jobA, err := tb.ctrl.Engine().SubmitPlan(inA, core.PlanFromSchedule(schedule(inA)), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobA2, err := tb.ctrl.Engine().Submit(inA2, schedule(inA2), flowMatch("10.0.0.2"), 0)
+	jobA2, err := tb.ctrl.Engine().SubmitPlan(inA2, core.PlanFromSchedule(schedule(inA2)), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := tb.ctrl.Engine().Submit(inB, schedule(inB), flowMatch("10.0.0.9"), 0)
+	jobB, err := tb.ctrl.Engine().SubmitPlan(inB, core.PlanFromSchedule(schedule(inB)), flowMatch("10.0.0.9"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestEngineSerialWorkerPreservesCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobA, err := tb.ctrl.Engine().Submit(inA, sA, flowMatch("10.0.0.2"), 0)
+	jobA, err := tb.ctrl.Engine().SubmitPlan(inA, core.PlanFromSchedule(sA), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := tb.ctrl.Engine().Submit(inB, sB, flowMatch("10.0.0.9"), 0)
+	jobB, err := tb.ctrl.Engine().SubmitPlan(inB, core.PlanFromSchedule(sB), flowMatch("10.0.0.9"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), 0)
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

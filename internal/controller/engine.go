@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -29,11 +28,11 @@ const (
 	// JobQueued: admitted, waiting on conflicting predecessors or a
 	// worker slot.
 	JobQueued JobState = iota
-	// JobRunning: rounds in flight.
+	// JobRunning: installs in flight.
 	JobRunning
-	// JobDone: all rounds confirmed by barriers.
+	// JobDone: every install confirmed by its barrier.
 	JobDone
-	// JobFailed: a round failed (send error or barrier timeout).
+	// JobFailed: an install failed (send error or barrier timeout).
 	JobFailed
 )
 
@@ -108,109 +107,85 @@ type JobEvent struct {
 	Err     error // set on terminal failure
 }
 
-// targetedMod is one FlowMod addressed to one switch.
-type targetedMod struct {
-	node topo.NodeID
-	fm   *openflow.FlowMod
-}
-
-// execRound is a fully materialized round: the FlowMods to send and
-// the switches to barrier afterwards. Builders still assemble rounds
-// (schedules, joint updates and two-phase are naturally round-shaped);
-// layeredExecPlan converts them to the execution DAG the dispatcher
-// runs.
-type execRound struct {
-	mods    []targetedMod
-	cleanup bool
-}
-
-func (r *execRound) switches() []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(r.mods))
-	var out []topo.NodeID
-	for _, m := range r.mods {
-		if !seen[m.node] {
-			seen[m.node] = true
-			out = append(out, m.node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// execNode is one per-switch install of a job's execution DAG: the
-// FlowMods to send to one switch, the node indices whose barriers must
-// arrive first, and the node's layer (longest dependency chain) for
-// the aggregated round view.
-type execNode struct {
-	node    topo.NodeID
-	mods    []targetedMod
-	deps    []int
-	layer   int
-	cleanup bool
-}
-
-// execPlan is a job's materialized execution DAG plus its shape. dag
-// mirrors the nodes 1:1 as a bare core.Plan so the dispatcher reuses
-// core.PlanRun's allocation-free release bookkeeping.
+// execPlan is a job's execution DAG: a core.Plan — the switches, the
+// happens-before edges and, through core.Plan's own layering, the shape
+// — plus the FlowMods each node sends. dag is the single copy of the
+// structure: the dispatcher's release bookkeeping (core.PlanRun), the
+// journal's admit record, the decentralized partitions and the abort
+// path's reverse plan are all taken from it, so the plan that was
+// verified, the plan that is journaled and the plan that runs are one
+// value.
 type execPlan struct {
-	nodes    []execNode
+	dag  *core.Plan            // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
+	mods [][]*openflow.FlowMod // per node: what it sends before its barrier
+
+	// cleanupFrom is the index of the first stale-rule deletion node
+	// (len(dag.Nodes) when the job has none); cleanup nodes are always
+	// the DAG's suffix.
+	cleanupFrom int
+
+	layers   []int // per node: longest dependency chain ending at it
 	depth    int
 	width    int
 	critical int
-	sparse   bool
-	dag      *core.Plan
 }
 
-// finish builds the bookkeeping DAG from the nodes' deps and derives
-// the per-node layers and the shape from it — core.Plan's layering is
-// the single implementation.
-func (p *execPlan) finish() {
-	p.dag = &core.Plan{Nodes: make([]core.PlanNode, len(p.nodes))}
-	for i := range p.nodes {
-		p.dag.Nodes[i] = core.PlanNode{Switch: p.nodes[i].node, Deps: p.nodes[i].deps}
+func (p *execPlan) len() int             { return len(p.dag.Nodes) }
+func (p *execPlan) sw(i int) topo.NodeID { return p.dag.Nodes[i].Switch }
+func (p *execPlan) isCleanup(i int) bool { return i >= p.cleanupFrom }
+
+// newExecPlan is the engine's only materializer: every job — submitted
+// plan, schedule, two-phase, joint, or rebuilt from the journal —
+// becomes executable here. p is the update DAG and mods[i] the FlowMods
+// of node i. Nodes from cleanupFrom on delete stale rules: either they
+// are already part of p (a recovered job's journaled plan, replayed
+// with its recorded dependencies) or cleanupAt names their switches and
+// they are appended, each depending on every sink of p — strictly
+// after the whole update, which for a layered plan is exactly one more
+// round. p's nodes are shared, not copied; plans are immutable once
+// built.
+func newExecPlan(p *core.Plan, mods [][]*openflow.FlowMod, cleanupFrom int, cleanupAt []topo.NodeID) execPlan {
+	nodes := p.Nodes
+	if len(cleanupAt) > 0 {
+		sinks := planSinks(p.Nodes)
+		nodes = make([]core.PlanNode, len(p.Nodes), len(p.Nodes)+len(cleanupAt))
+		copy(nodes, p.Nodes)
+		for _, v := range cleanupAt {
+			nodes = append(nodes, core.PlanNode{Switch: v, Deps: sinks})
+		}
 	}
-	for i, l := range p.dag.NodeLayers() {
-		p.nodes[i].layer = l
+	ep := execPlan{
+		dag:         &core.Plan{Algorithm: p.Algorithm, Sparse: p.Sparse, Nodes: nodes},
+		mods:        mods,
+		cleanupFrom: cleanupFrom,
 	}
-	p.depth = p.dag.Depth()
-	p.width = p.dag.Width()
-	p.critical = p.dag.CriticalPath()
+	ep.layers = ep.dag.NodeLayers()
+	ep.depth = ep.dag.Depth()
+	ep.width = ep.dag.Width()
+	ep.critical = ep.dag.CriticalPath()
+	return ep
 }
 
-// layeredExecPlan converts barrier rounds to the equivalent layered
-// DAG — ack-driven dispatch of it is exactly the paper's round loop,
-// each round's sends released by the previous round's last barrier
-// reply. The dependency structure comes from core.PlanFromSchedule's
-// canonical conversion (one node per (round, switch)); this function
-// only attaches each node's FlowMods and cleanup flag.
-func layeredExecPlan(rounds []execRound) execPlan {
-	sched := &core.Schedule{Rounds: make([][]topo.NodeID, len(rounds))}
-	for r, round := range rounds {
-		sched.Rounds[r] = round.switches()
-	}
-	dag := core.PlanFromSchedule(sched)
-	var p execPlan
-	p.nodes = make([]execNode, len(dag.Nodes))
-	i := 0
-	for r, round := range rounds {
-		byNode := make(map[topo.NodeID]int, len(sched.Rounds[r]))
-		for range sched.Rounds[r] {
-			nd := dag.Nodes[i]
-			p.nodes[i] = execNode{node: nd.Switch, deps: nd.Deps, cleanup: round.cleanup}
-			byNode[nd.Switch] = i
-			i++
-		}
-		for _, m := range round.mods {
-			k := byNode[m.node]
-			p.nodes[k].mods = append(p.nodes[k].mods, m)
+// planSinks returns the indices of nodes no other node depends on.
+func planSinks(nodes []core.PlanNode) []int {
+	hasSucc := make([]bool, len(nodes))
+	for _, nd := range nodes {
+		for _, d := range nd.Deps {
+			hasSucc[d] = true
 		}
 	}
-	p.finish()
-	return p
+	var sinks []int
+	for i := range nodes {
+		if !hasSucc[i] {
+			sinks = append(sinks, i)
+		}
+	}
+	return sinks
 }
 
 // Job is one queued update: the REST message object of the paper,
-// carrying the per-switch OpenFlow messages for every round.
+// carrying the execution DAG and the per-switch OpenFlow messages of
+// every node.
 type Job struct {
 	ID        int
 	Algorithm string
@@ -268,24 +243,18 @@ func (j *Job) NumRounds() int { return j.plan.depth }
 
 // NumInstalls returns the number of per-switch installs of the job's
 // execution DAG.
-func (j *Job) NumInstalls() int { return len(j.plan.nodes) }
+func (j *Job) NumInstalls() int { return j.plan.len() }
 
 // NumEdges returns the number of happens-before edges of the job's
 // execution DAG.
-func (j *Job) NumEdges() int {
-	e := 0
-	for _, nd := range j.plan.nodes {
-		e += len(nd.deps)
-	}
-	return e
-}
+func (j *Job) NumEdges() int { return j.plan.dag.NumEdges() }
 
 // PlanShape reports the execution DAG's shape: depth (layers), width
 // (peak install parallelism), critical path (sequential barrier waits
 // on the longest chain), and whether the DAG is sparse (ack-driven
 // past layer barriers) rather than layered.
 func (j *Job) PlanShape() (depth, width, critical int, sparse bool) {
-	return j.plan.depth, j.plan.width, j.plan.critical, j.plan.sparse
+	return j.plan.depth, j.plan.width, j.plan.critical, j.plan.dag.Sparse
 }
 
 // State returns the job's current lifecycle state.
@@ -365,7 +334,7 @@ func (j *Job) Wait(ctx context.Context) error {
 func (j *Job) Subscribe() <-chan JobEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan JobEvent, len(j.plan.nodes)+j.plan.depth+2)
+	ch := make(chan JobEvent, j.plan.len()+j.plan.depth+2)
 	for _, ev := range j.events {
 		ch <- ev
 	}
@@ -382,10 +351,10 @@ func (j *Job) Subscribe() <-chan JobEvent {
 func (j *Job) footprint() {
 	j.nodes = make(map[topo.NodeID]struct{})
 	j.matches = make(map[openflow.Match]struct{})
-	for _, nd := range j.plan.nodes {
-		for _, m := range nd.mods {
-			j.nodes[m.node] = struct{}{}
-			j.matches[m.fm.Match] = struct{}{}
+	for i, nd := range j.plan.dag.Nodes {
+		j.nodes[nd.Switch] = struct{}{}
+		for _, fm := range j.plan.mods[i] {
+			j.matches[fm.Match] = struct{}{}
 		}
 	}
 }
@@ -437,17 +406,20 @@ type Engine struct {
 	active  []*Job // unfinished jobs in submission order
 	pending []*launch
 	queued  int // admitted, not yet executing
-	running int // executing rounds
+	running int // executing
 
 	// recovery holds the stats of the last Recover run (nil before).
 	recovery *RecoveryStats
 }
 
 // launch pairs an admitted job with the done channels of the earlier
-// conflicting jobs it must wait for.
+// conflicting jobs it must wait for and with what it does once its
+// turn comes: execute the plan, or — for a recovered job whose state
+// was not adoptable — go straight to the abort path.
 type launch struct {
 	job  *Job
 	deps []<-chan struct{}
+	run  func(context.Context, *Job) (*FailureReport, error)
 }
 
 func newEngine(c *Controller, workers int) *Engine {
@@ -494,18 +466,14 @@ func admitSpec(job *Job) *journal.Admit {
 	a.Waypoint = uint64(spec.in.Waypoint)
 	a.NWDst = spec.match.NWDst
 	a.Props = uint64(spec.props)
-	for i := range job.plan.nodes {
-		if job.plan.nodes[i].cleanup {
-			a.Cleanup = append(a.Cleanup, i)
-		}
+	for i := job.plan.cleanupFrom; i < job.plan.len(); i++ {
+		a.Cleanup = append(a.Cleanup, i)
 	}
 	// The journaled DAG is the job's full execution DAG — update and
 	// cleanup nodes alike — so recovery rebuilds exactly the plan that
 	// was running, not a re-derivation that could differ.
 	dag := *job.plan.dag
-	dag.Algorithm = job.Algorithm
 	dag.Guarantees = spec.props
-	dag.Sparse = job.plan.sparse
 	a.Plan = core.EncodePlan(&dag)
 	return a
 }
@@ -590,36 +558,31 @@ func (e *Engine) journalTerminal(job *Job, jobErr error) {
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// QueueDepth counts jobs admitted but not yet executing rounds.
+// QueueDepth counts jobs admitted but not yet executing.
 func (e *Engine) QueueDepth() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.queued
 }
 
-// RunningCount counts jobs currently executing rounds.
+// RunningCount counts jobs currently executing.
 func (e *Engine) RunningCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.running
 }
 
-// Submit enqueues a single-policy update job for the instance using
-// the given schedule; the flow is identified by match.
-func (e *Engine) Submit(in *core.Instance, s *core.Schedule, match openflow.Match, interval time.Duration) (*Job, error) {
-	return e.SubmitOpts(in, s, match, SubmitOptions{Interval: interval})
-}
-
 // SubmitOptions tunes job construction.
 type SubmitOptions struct {
-	// Interval pauses between rounds (the REST message's "interval").
+	// Interval pauses before every released non-root install — between
+	// rounds, for a layered plan (the REST message's "interval").
 	Interval time.Duration
 
-	// Cleanup appends a garbage-collection round after the update:
+	// Cleanup appends garbage-collection installs after the update:
 	// switches on the old path that are off the new path delete the
 	// flow's stale rule. Those switches are unreachable for the flow
-	// once the update completes, so the extra round cannot violate any
-	// transient property.
+	// once the update completes, so the extra installs cannot violate
+	// any transient property.
 	Cleanup bool
 
 	// Mode selects the dispatch path: ModeController (default) routes
@@ -629,127 +592,72 @@ type SubmitOptions struct {
 	Mode ExecMode
 }
 
-// SubmitOpts is Submit with full options.
-func (e *Engine) SubmitOpts(in *core.Instance, s *core.Schedule, match openflow.Match, opts SubmitOptions) (*Job, error) {
-	rounds, err := e.buildScheduleRounds(in, s, match, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.enqueue(jobSpec{
-		algorithm: s.Algorithm,
-		plan:      layeredExecPlan(rounds),
-		interval:  opts.Interval,
-		mode:      opts.Mode,
-		rollback:  &rollbackSpec{in: in, match: match, props: s.Guarantees},
-	})
-}
-
 // SubmitPlan enqueues a single-policy update job executing the given
 // dependency plan: each switch's FlowMod is issued the moment its
-// predecessors' barriers arrive. A layered plan behaves exactly like
-// SubmitOpts on the equivalent round schedule; a sparse plan lets
-// independent branches proceed past each other's stragglers.
+// predecessors' barriers arrive. A round schedule enters as
+// core.PlanFromSchedule(s) — its layered plan releases round r+1 on
+// round r's last barrier reply, exactly the paper's loop; a sparse plan
+// lets independent branches proceed past each other's stragglers. The
+// flow is identified by match. p must not be modified afterwards.
 func (e *Engine) SubmitPlan(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (*Job, error) {
-	ep, err := e.buildPlanNodes(in, p, match, opts)
+	spec, err := e.planSpec(in, p, match, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.enqueue(jobSpec{
-		algorithm: p.Algorithm,
-		plan:      ep,
-		interval:  opts.Interval,
-		mode:      opts.Mode,
-		rollback:  &rollbackSpec{in: in, match: match, props: p.Guarantees},
-	})
+	return e.enqueue(spec)
 }
 
-// buildPlanNodes materializes a dependency plan for one flow: one
-// execution node per plan node, plus cleanup nodes (depending on every
-// sink, so stale-rule deletion happens strictly after the update)
-// when requested. Building is pure — nothing is admitted.
-func (e *Engine) buildPlanNodes(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (execPlan, error) {
+// planSpec prepares a single-flow plan for admission; the job is
+// reversible mid-plan (see rollback.go). Building is pure — nothing is
+// admitted.
+func (e *Engine) planSpec(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (jobSpec, error) {
 	if err := p.Validate(in); err != nil {
-		return execPlan{}, fmt.Errorf("controller: plan does not fit instance: %w", err)
+		return jobSpec{}, fmt.Errorf("controller: plan does not fit instance: %w", err)
 	}
-	ep := execPlan{sparse: p.Sparse, nodes: make([]execNode, 0, len(p.Nodes))}
-	for _, nd := range p.Nodes {
-		fm, err := e.updateFlowMod(in, nd.Switch, match)
-		if err != nil {
-			return execPlan{}, err
-		}
-		deps := make([]int, len(nd.Deps))
-		copy(deps, nd.Deps)
-		ep.nodes = append(ep.nodes, execNode{
-			node: nd.Switch,
-			mods: []targetedMod{{node: nd.Switch, fm: fm}},
-			deps: deps,
-		})
-	}
+	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			sinks := planSinks(ep.nodes)
-			for _, m := range r.mods {
-				ep.nodes = append(ep.nodes, execNode{
-					node:    m.node,
-					mods:    []targetedMod{m},
-					deps:    sinks,
-					cleanup: true,
-				})
-			}
-		}
+		cleanupAt = staleSwitches(in)
 	}
-	ep.finish()
-	return ep, nil
+	ep, err := e.flowExecPlan(in, p, match, len(p.Nodes), cleanupAt)
+	if err != nil {
+		return jobSpec{}, err
+	}
+	return jobSpec{
+		plan:     ep,
+		interval: opts.Interval,
+		mode:     opts.Mode,
+		rollback: &rollbackSpec{in: in, match: match, props: p.Guarantees},
+	}, nil
 }
 
-// planSinks returns the indices of nodes no other node depends on.
-func planSinks(nodes []execNode) []int {
-	hasSucc := make([]bool, len(nodes))
-	for _, nd := range nodes {
-		for _, d := range nd.deps {
-			hasSucc[d] = true
-		}
-	}
-	var sinks []int
-	for i := range nodes {
-		if !hasSucc[i] {
-			sinks = append(sinks, i)
-		}
-	}
-	return sinks
-}
-
-// buildScheduleRounds materializes a schedule's rounds for one flow:
-// the per-switch FlowMods plus the optional cleanup round. Building is
-// pure — nothing is admitted.
-func (e *Engine) buildScheduleRounds(in *core.Instance, s *core.Schedule, match openflow.Match, opts SubmitOptions) ([]execRound, error) {
-	if err := s.Validate(in); err != nil {
-		return nil, fmt.Errorf("controller: schedule does not fit instance: %w", err)
-	}
-	rounds := make([]execRound, 0, s.NumRounds()+1)
-	for _, round := range s.Rounds {
-		var r execRound
-		for _, node := range round {
-			fm, err := e.updateFlowMod(in, node, match)
+// flowExecPlan materializes one flow's plan: every update node points
+// the flow at its switch's new-path successor, every cleanup node (see
+// newExecPlan for cleanupFrom/cleanupAt) deletes the flow's rule.
+func (e *Engine) flowExecPlan(in *core.Instance, p *core.Plan, match openflow.Match, cleanupFrom int, cleanupAt []topo.NodeID) (execPlan, error) {
+	n := len(p.Nodes) + len(cleanupAt)
+	fms := make([]*openflow.FlowMod, n) // one backing array for the n one-mod nodes
+	mods := make([][]*openflow.FlowMod, n)
+	for i := range fms {
+		if i >= cleanupFrom {
+			fms[i] = deleteFlowMod(match)
+		} else {
+			fm, err := e.updateFlowMod(in, p.Nodes[i].Switch, match)
 			if err != nil {
-				return nil, err
+				return execPlan{}, err
 			}
-			r.mods = append(r.mods, targetedMod{node: node, fm: fm})
+			fms[i] = fm
 		}
-		rounds = append(rounds, r)
+		mods[i] = fms[i : i+1 : i+1]
 	}
-	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			rounds = append(rounds, r)
-		}
-	}
-	return rounds, nil
+	return newExecPlan(p, mods, cleanupFrom, cleanupAt), nil
 }
 
 // SubmitJoint enqueues several policies as one job: per joint round,
 // every flow's FlowMods for that round are sent together (switches
-// shared by multiple flows receive their batch in one burst), then the
-// union of touched switches is barriered once.
+// shared by multiple flows receive their batch in one burst), and the
+// next round is released by the barriers of the union of touched
+// switches. As a plan, a joint round is a layer whose nodes carry
+// several FlowMods.
 func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opts SubmitOptions) (*Job, error) {
 	if len(matches) != len(ju.Instances) {
 		return nil, fmt.Errorf("controller: %d matches for %d policies", len(matches), len(ju.Instances))
@@ -759,44 +667,55 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 			return nil, fmt.Errorf("controller: policy %d: %w", f, err)
 		}
 	}
-	numRounds := ju.NumRounds()
-	rounds := make([]execRound, 0, numRounds+1)
-	for i := 0; i < numRounds; i++ {
-		var r execRound
+	sched := &core.Schedule{
+		Algorithm: "joint-" + ju.Schedules[0].Algorithm,
+		Rounds:    make([][]topo.NodeID, ju.NumRounds()),
+	}
+	var mods [][]*openflow.FlowMod
+	for i := range sched.Rounds {
 		// Deterministic order: by switch, then by flow.
 		byNode := ju.Round(i)
-		nodes := make([]topo.NodeID, 0, len(byNode))
 		for n := range byNode {
-			nodes = append(nodes, n)
+			sched.Rounds[i] = append(sched.Rounds[i], n)
 		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
-		for _, n := range nodes {
+		slices.Sort(sched.Rounds[i])
+		for _, n := range sched.Rounds[i] {
+			var burst []*openflow.FlowMod
 			for _, fu := range byNode[n] {
 				fm, err := e.updateFlowMod(ju.Instances[fu.Flow], n, matches[fu.Flow])
 				if err != nil {
 					return nil, err
 				}
-				r.mods = append(r.mods, targetedMod{node: n, fm: fm})
+				burst = append(burst, fm)
 			}
+			mods = append(mods, burst)
 		}
-		rounds = append(rounds, r)
 	}
+	p := core.PlanFromSchedule(sched)
+	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
-		var cr execRound
+		stale := make(map[topo.NodeID][]*openflow.FlowMod)
 		for f, in := range ju.Instances {
-			if r, ok := cleanupRound(in, matches[f]); ok {
-				cr.mods = append(cr.mods, r.mods...)
+			for _, n := range staleSwitches(in) {
+				stale[n] = append(stale[n], deleteFlowMod(matches[f]))
 			}
 		}
-		if len(cr.mods) > 0 {
-			cr.cleanup = true
-			rounds = append(rounds, cr)
+		for n := range stale {
+			cleanupAt = append(cleanupAt, n)
+		}
+		slices.Sort(cleanupAt)
+		for _, n := range cleanupAt {
+			mods = append(mods, stale[n])
 		}
 	}
-	return e.enqueue(jobSpec{algorithm: "joint-" + ju.Schedules[0].Algorithm, plan: layeredExecPlan(rounds), interval: opts.Interval, mode: opts.Mode})
+	return e.enqueue(jobSpec{
+		plan:     newExecPlan(p, mods, len(p.Nodes), cleanupAt),
+		interval: opts.Interval,
+		mode:     opts.Mode,
+	})
 }
 
-// updateFlowMod builds the round FlowMod for one switch of one flow:
+// updateFlowMod builds the update FlowMod for one switch of one flow:
 // point the flow at the switch's new-path successor. MODIFY is used
 // (the rule exists under the old policy); for new-path-only switches
 // the OF 1.0 MODIFY semantics insert the missing rule.
@@ -808,37 +727,49 @@ func (e *Engine) updateFlowMod(in *core.Instance, node topo.NodeID, match openfl
 	return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
 }
 
-// cleanupRound builds the garbage-collection round: delete the flow's
-// rule from old-path switches that are off the new path.
-func cleanupRound(in *core.Instance, match openflow.Match) (execRound, bool) {
-	var r execRound
+// staleSwitches lists the garbage-collection targets of an update: the
+// old-path switches that are off the new path, in old-path order.
+func staleSwitches(in *core.Instance) []topo.NodeID {
+	var out []topo.NodeID
 	for _, node := range in.Old {
-		if in.OnNew(node) {
-			continue
+		if !in.OnNew(node) {
+			out = append(out, node)
 		}
-		fm := &openflow.FlowMod{
-			Match:    match,
-			Command:  openflow.FlowDelete,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-		}
-		r.mods = append(r.mods, targetedMod{node: node, fm: fm})
 	}
-	if len(r.mods) == 0 {
-		return execRound{}, false
+	return out
+}
+
+// deleteFlowMod builds the FlowMod that removes a flow's rule.
+func deleteFlowMod(match openflow.Match) *openflow.FlowMod {
+	return &openflow.FlowMod{
+		Match:    match,
+		Command:  openflow.FlowDelete,
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
 	}
-	r.cleanup = true
-	return r, true
 }
 
 // jobSpec is one prepared submission: execution DAG built, not yet
-// admitted.
+// admitted. The job takes its algorithm name from the plan.
 type jobSpec struct {
-	algorithm string
-	plan      execPlan
-	interval  time.Duration
-	mode      ExecMode
-	rollback  *rollbackSpec
+	plan     execPlan
+	interval time.Duration
+	mode     ExecMode
+	rollback *rollbackSpec
+}
+
+// newJob turns a prepared submission into a queued job (no id yet).
+func newJob(s jobSpec) *Job {
+	job := &Job{
+		Algorithm: s.plan.dag.Algorithm,
+		Interval:  s.interval,
+		Mode:      s.mode,
+		plan:      s.plan,
+		rollback:  s.rollback,
+		done:      make(chan struct{}),
+	}
+	job.footprint()
+	return job
 }
 
 // enqueue admits a single job (see enqueueAll).
@@ -852,23 +783,13 @@ func (e *Engine) enqueue(spec jobSpec) (*Job, error) {
 
 // enqueueAll admits several jobs atomically: either the whole group
 // fits under the admission limit and every job is admitted in order
-// (consecutive ids), or nothing is and ErrQueueFull is returned. Per
-// job it records the done channels of every earlier unfinished
-// conflicting job — including earlier members of the same group — and
-// hands the job to a dispatcher goroutine. Disjoint jobs proceed
-// immediately, bounded only by the worker pool.
+// (consecutive ids), or nothing is and ErrQueueFull is returned. Every
+// submission path ends here. Disjoint jobs proceed immediately, bounded
+// only by the worker pool.
 func (e *Engine) enqueueAll(specs []jobSpec) ([]*Job, error) {
 	jobs := make([]*Job, len(specs))
 	for i, s := range specs {
-		jobs[i] = &Job{
-			Algorithm: s.algorithm,
-			Interval:  s.interval,
-			Mode:      s.mode,
-			plan:      s.plan,
-			rollback:  s.rollback,
-			done:      make(chan struct{}),
-		}
-		jobs[i].footprint()
+		jobs[i] = newJob(s)
 	}
 	e.mu.Lock()
 	if len(e.active)+len(jobs) > maxAdmitted {
@@ -880,37 +801,41 @@ func (e *Engine) enqueueAll(specs []jobSpec) ([]*Job, error) {
 	for i, job := range jobs {
 		e.nextID++
 		job.ID = e.nextID
-		e.jobs[job.ID] = job
-		var deps []<-chan struct{}
-		for _, prev := range e.active {
-			if prev.conflictsWith(job) {
-				deps = append(deps, prev.done)
-			}
-		}
-		e.active = append(e.active, job)
-		e.queued++
-		launches[i] = &launch{job: job, deps: deps}
+		launches[i] = &launch{job: job, deps: e.admitLocked(job), run: e.execute}
 	}
 	ctx := e.ctx
 	if ctx == nil {
 		e.pending = append(e.pending, launches...)
-		e.mu.Unlock()
-		for _, job := range jobs {
-			e.journalAdmit(job)
-		}
-		return jobs, nil
 	}
 	e.mu.Unlock()
-	// Admission is journaled (and synced) before any dispatcher
-	// goroutine launches: a job either never reached the journal (and
-	// sent nothing), or is durably recoverable.
+	// Admission is journaled (and synced) before any job goroutine
+	// launches: a job either never reached the journal (and sent
+	// nothing), or is durably recoverable.
 	for _, job := range jobs {
 		e.journalAdmit(job)
 	}
-	for _, l := range launches {
-		go e.runJob(ctx, l.job, l.deps)
+	if ctx != nil {
+		for _, l := range launches {
+			go e.runJob(ctx, l)
+		}
 	}
 	return jobs, nil
+}
+
+// admitLocked registers a job as active and returns the done channels
+// of every earlier unfinished job it conflicts with — including earlier
+// members of the same batch. Caller holds e.mu.
+func (e *Engine) admitLocked(job *Job) []<-chan struct{} {
+	e.jobs[job.ID] = job
+	var deps []<-chan struct{}
+	for _, prev := range e.active {
+		if prev.conflictsWith(job) {
+			deps = append(deps, prev.done)
+		}
+	}
+	e.active = append(e.active, job)
+	e.queued++
+	return deps
 }
 
 // Job looks a job up by ID.
@@ -936,7 +861,7 @@ func (e *Engine) Jobs() []*Job {
 
 // run starts the dispatcher: jobs admitted before the controller
 // started are launched now; later submissions launch directly from
-// enqueue.
+// enqueueAll.
 func (e *Engine) run(ctx context.Context) {
 	e.disp.start(ctx)
 	e.mu.Lock()
@@ -945,26 +870,18 @@ func (e *Engine) run(ctx context.Context) {
 	e.pending = nil
 	e.mu.Unlock()
 	for _, l := range pending {
-		go e.runJob(ctx, l.job, l.deps)
+		go e.runJob(ctx, l)
 	}
 }
 
-// runJob drives one job: wait for conflicting predecessors, claim a
-// worker slot, execute the rounds, release.
-func (e *Engine) runJob(ctx context.Context, job *Job, deps []<-chan struct{}) {
-	for _, d := range deps {
-		select {
-		case <-d:
-		case <-ctx.Done():
-			e.fail(job, ctx.Err())
-			e.retire(job, false)
-			return
-		}
-	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		e.fail(job, ctx.Err())
+// runJob is the one job lifecycle: wait for conflicting predecessors,
+// claim a worker slot, begin, run, finish, release. The pprof label
+// tags the job's event loop (and everything it blocks on) in CPU and
+// goroutine profiles.
+func (e *Engine) runJob(ctx context.Context, l *launch) {
+	job := l.job
+	if err := e.awaitTurn(ctx, l.deps); err != nil {
+		e.finish(job, err, nil)
 		e.retire(job, false)
 		return
 	}
@@ -972,21 +889,31 @@ func (e *Engine) runJob(ctx context.Context, job *Job, deps []<-chan struct{}) {
 	e.queued--
 	e.running++
 	e.mu.Unlock()
-	// An adopted decentralized job resumes controller-driven: the
-	// switches' plan agents lost their peer protocol state with the old
-	// controller process, but the update FlowMods are idempotent
-	// MODIFYs, so ack-driven dispatch from the recovered frontier is
-	// safe and makes progress. The pprof label tags the job's event
-	// loop (and everything it blocks on) in CPU and goroutine profiles.
+	e.begin(job)
 	pprof.Do(ctx, pprof.Labels("tsu_job", strconv.Itoa(job.ID)), func(ctx context.Context) {
-		if job.Mode == ModeDecentralized && !job.Adopted {
-			e.executeDecentralized(ctx, job)
-		} else {
-			e.execute(ctx, job)
-		}
+		report, err := l.run(ctx, job)
+		e.finish(job, err, report)
 	})
 	<-e.sem
 	e.retire(job, true)
+}
+
+// awaitTurn blocks until every conflicting predecessor finished and a
+// worker slot is claimed.
+func (e *Engine) awaitTurn(ctx context.Context, deps []<-chan struct{}) error {
+	for _, d := range deps {
+		select {
+		case <-d:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	select {
+	case e.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // retire removes a finished job from the active set and fixes the
@@ -1032,17 +959,42 @@ func publishLocked(j *Job, ev JobEvent) {
 	}
 }
 
-// fail marks the job failed and notifies waiters and subscribers.
-func (e *Engine) fail(job *Job, err error) {
-	e.journalTerminal(job, err)
+// begin moves a job to JobRunning.
+func (e *Engine) begin(job *Job) {
 	job.mu.Lock()
-	job.state = JobFailed
+	job.state = JobRunning
+	job.started = e.c.clock.Now()
+	job.mu.Unlock()
+}
+
+// finish is the only way a job reaches a terminal state: journal the
+// terminal phase, set the state (JobDone when err is nil, JobFailed
+// otherwise, with the abort path's structured report when there is
+// one), notify subscribers, release waiters, log.
+func (e *Engine) finish(job *Job, err error, report *FailureReport) {
+	e.journalTerminal(job, err)
+	state := JobDone
+	if err != nil {
+		state = JobFailed
+	}
+	job.mu.Lock()
+	job.state = state
 	job.err = err
+	job.failure = report
 	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobFailed, Err: err})
+	publishLocked(job, JobEvent{State: state, Err: err})
 	job.mu.Unlock()
 	close(job.done)
-	e.c.logger.Warn("update job failed", "job", job.ID, "err", err)
+	switch {
+	case err == nil:
+		e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),
+			"installs", job.plan.len(), "depth", job.plan.depth, "sparse", job.plan.dag.Sparse)
+	case report == nil:
+		e.c.logger.Warn("update job failed", "job", job.ID, "err", err)
+	default:
+		e.c.logger.Warn("update job aborted", "job", job.ID, "phase", report.Phase,
+			"installed", len(report.Installed), "rolledBack", len(report.RolledBack), "err", err)
+	}
 }
 
 // nodeAck is one install's outcome, delivered to the job's event loop
@@ -1064,7 +1016,26 @@ type nodeAck struct {
 	err      error
 }
 
-// execute runs one job's execution DAG ack-driven: every node whose
+// execute runs a job's execution DAG on the dispatch path its mode
+// selects and returns how it ended: (nil, nil) when every install
+// confirmed, otherwise the failure and — when the abort path ran — its
+// report. An adopted decentralized job resumes controller-driven: the
+// switches' plan agents lost their peer protocol state with the old
+// controller process, but the update FlowMods are idempotent MODIFYs,
+// so ack-driven dispatch from the recovered frontier is safe and makes
+// progress.
+func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) {
+	switch {
+	case job.plan.len() == 0:
+		return nil, nil
+	case job.Mode == ModeDecentralized && !job.Adopted:
+		return e.executeDecentralized(ctx, job)
+	default:
+		return e.runDAG(ctx, job)
+	}
+}
+
+// runDAG runs one job's execution DAG ack-driven: every node whose
 // dependencies are confirmed gets its FlowMod(s) sent followed by a
 // barrier request, and each barrier reply immediately releases the
 // installs it unblocks — per-node barriers instead of per-round
@@ -1075,41 +1046,16 @@ type nodeAck struct {
 // arrives; for a sparse DAG independent branches overtake each
 // other's stragglers.
 //
-// Dispatch runs on the engine's sharded path (see dispatch.go): the
-// job's single event loop releases nodes, journals each release wave
-// as one grouped write-ahead append, and hands sends to the shard
-// owning each switch connection; barrier replies come back as plain
-// values from the connection read loops. Steady state the loop spawns
-// no goroutines and allocates nothing per install.
-func (e *Engine) execute(ctx context.Context, job *Job) {
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
-
-	n := len(job.plan.nodes)
-	if n > 0 && !e.runDAG(ctx, job) {
-		return // terminal state already published by runDAG
-	}
-
-	e.journalTerminal(job, nil)
-	job.mu.Lock()
-	job.state = JobDone
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobDone})
-	job.mu.Unlock()
-	close(job.done)
-	e.c.logger.Info("update job done", "job", job.ID,
-		"installs", n, "depth", job.plan.depth, "sparse", job.plan.sparse)
-}
-
-// runDAG is the job's dispatch event loop. It returns true when every
-// install confirmed; false when the job reached a terminal failure
-// (already published). Single-threaded by construction: all release
-// bookkeeping, journaling decisions and timeout synthesis happen here,
-// with shards doing only coalesced I/O.
-func (e *Engine) runDAG(ctx context.Context, job *Job) bool {
-	n := len(job.plan.nodes)
+// Dispatch runs on the engine's sharded path (see dispatch.go): this
+// single event loop releases nodes, journals each release wave as one
+// grouped write-ahead append, and hands sends to the shard owning each
+// switch connection; barrier replies come back as plain values from
+// the connection read loops. Steady state the loop spawns no
+// goroutines and allocates nothing per install. Single-threaded by
+// construction: all release bookkeeping, journaling decisions and
+// timeout synthesis happen here, with shards doing only coalesced I/O.
+func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
+	n := job.plan.len()
 	st := e.disp.acquire(n)
 	prog := newPlanProgress(job)
 
@@ -1124,8 +1070,7 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) bool {
 		// to a shard: the switches saw none of this job, so fail plain
 		// instead of aborting.
 		e.disp.release(st)
-		e.fail(job, errJournalWriteAhead)
-		return false
+		return nil, errJournalWriteAhead
 	}
 	e.pump(ctx, job, st)
 
@@ -1171,8 +1116,7 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) bool {
 			// may still write to its ack channel) and fail the job, the
 			// exact semantics of the old per-goroutine path.
 			e.abandon(job, st)
-			e.fail(job, ctx.Err())
-			return false
+			return nil, ctx.Err()
 		}
 		// Coalesce: fold every ack already queued into the same release
 		// wave, so one journal append and one shard hand-off cycle cover
@@ -1197,13 +1141,11 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) bool {
 		}
 	}
 
+	defer e.disp.release(st)
 	if st.failing != nil {
-		e.abort(ctx, job, st.failing, st.dispatched, st.confirmed)
-		e.disp.release(st)
-		return false
+		return e.abort(ctx, job, st.failing, st.dispatched, st.confirmed)
 	}
-	e.disp.release(st)
-	return true
+	return nil, nil
 }
 
 // collectWave folds a just-released node set into the pending wave.
@@ -1223,15 +1165,8 @@ func (e *Engine) collectWave(job *Job, st *jobDispatch, prog *planProgress, rele
 			st.confirmed[i] = true
 			st.status[i] = nsDone
 			st.nDone++
-			nd := &job.plan.nodes[i]
 			now := e.c.clock.Now()
-			for _, s := range prog.confirm(i, InstallTiming{
-				Node:     nd.node,
-				Layer:    nd.layer,
-				Cleanup:  nd.cleanup,
-				Started:  now,
-				Finished: now,
-			}) {
+			for _, s := range prog.confirm(i, InstallTiming{Started: now, Finished: now}) {
 				st.releasedBy[s] = 0
 				st.ready.push(int32(s))
 			}
@@ -1263,7 +1198,7 @@ func (e *Engine) dispatchWave(job *Job, st *jobDispatch) bool {
 	for _, i := range st.wave {
 		st.dispatched[i] = true
 		st.status[i] = nsQueued
-		if job.Interval > 0 && job.plan.nodes[i].layer > 0 {
+		if job.Interval > 0 && job.plan.layers[i] > 0 {
 			st.sendq.push(int32(i), due)
 		} else {
 			st.sendNow.push(int32(i))
@@ -1309,10 +1244,9 @@ func (e *Engine) pump(ctx context.Context, job *Job, st *jobDispatch) {
 // RoundTimeout *virtual* time instead of hanging for 30 wall-clock
 // seconds.
 func (e *Engine) sendToShard(ctx context.Context, job *Job, st *jobDispatch, i int) {
-	nd := &job.plan.nodes[i]
 	st.status[i] = nsInflight
 	metrics.DispatchReadyDepth.Dec()
-	sh := e.disp.shardFor(uint64(nd.node))
+	sh := e.disp.shardFor(uint64(job.plan.sw(i)))
 	e.disp.inflight[sh].Inc()
 	st.deads.push(int32(i), e.c.clock.Now().Add(e.c.cfg.RoundTimeout))
 	select {
@@ -1340,10 +1274,10 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 	if st.status[i] != nsInflight {
 		return // duplicate: a reply racing a synthesized timeout or a write error
 	}
-	nd := &job.plan.nodes[i]
+	node := job.plan.sw(i)
 	st.status[i] = nsDone
 	st.nDone++
-	e.disp.inflight[e.disp.shardFor(uint64(nd.node))].Dec()
+	e.disp.inflight[e.disp.shardFor(uint64(node))].Dec()
 	if a.err != nil {
 		if !a.sent {
 			// Provably nothing left for the switch (skipped after the
@@ -1363,13 +1297,10 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 	e.journalDelta(journal.KindConfirmed, job.ID, i)
 	// Control messages per confirmed install: the FlowMods plus the
 	// barrier request and its reply.
-	job.addMessages(nd.node, MessageStats{Ctrl: a.flowMods + 2})
+	job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
 	rel := prog.confirm(i, InstallTiming{
-		Node:       nd.node,
-		Layer:      nd.layer,
 		ReleasedBy: st.releasedBy[i],
 		FlowMods:   a.flowMods,
-		Cleanup:    nd.cleanup,
 		Started:    a.started,
 		Finished:   a.finished,
 	})
@@ -1377,7 +1308,7 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 	// unless the job is aborting, in which case confirmations are only
 	// recorded, never acted on.
 	if st.failing == nil {
-		e.collectWave(job, st, prog, rel, nd.node)
+		e.collectWave(job, st, prog, rel, node)
 	}
 }
 
@@ -1398,11 +1329,10 @@ func (e *Engine) expireDeadlines(ctx context.Context, job *Job, st *jobDispatch,
 			return
 		}
 		st.deads.pop()
-		nd := &job.plan.nodes[i]
 		st.status[i] = nsDone
 		st.nDone++
-		e.disp.inflight[e.disp.shardFor(uint64(nd.node))].Dec()
-		e.noteFailure(ctx, job, st, fmt.Errorf("install at %d (layer %d): barrier reply: %w", nd.node, nd.layer, context.DeadlineExceeded))
+		e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
+		e.noteFailure(ctx, job, st, fmt.Errorf("install at %d (layer %d): barrier reply: %w", job.plan.sw(i), job.plan.layers[i], context.DeadlineExceeded))
 	}
 }
 
@@ -1445,7 +1375,7 @@ func (e *Engine) finalizeCancel(job *Job, st *jobDispatch) {
 		case nsInflight:
 			st.status[i] = nsDone
 			st.nDone++
-			e.disp.inflight[e.disp.shardFor(uint64(job.plan.nodes[i].node))].Dec()
+			e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
 		}
 	}
 }
@@ -1460,7 +1390,7 @@ func (e *Engine) abandon(job *Job, st *jobDispatch) {
 		case nsQueued:
 			metrics.DispatchReadyDepth.Dec()
 		case nsInflight:
-			e.disp.inflight[e.disp.shardFor(uint64(job.plan.nodes[i].node))].Dec()
+			e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
 		}
 	}
 }

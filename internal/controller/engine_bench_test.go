@@ -83,7 +83,7 @@ func benchmarkDisjointFlows(b *testing.B, flows, workers int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			job, err := tb.ctrl.Engine().Submit(in, sched, flowMatch(nwDst), 0)
+			job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch(nwDst), SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TestCleanupRoundRemovesStaleRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCleanupSkippedWhenNothingStale(t *testing.T) {
 	}
 	in := core.MustInstance(old, old, 0)
 	sched := core.OneShot(in) // zero rounds: nothing pending
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestEngineRoundTimeoutOnSilentSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().Submit(upd, sched, flowMatch("10.0.0.5"), 0)
+	job, err := tb.ctrl.Engine().SubmitPlan(upd, core.PlanFromSchedule(sched), flowMatch("10.0.0.5"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +263,11 @@ func TestEngineProcessesJobsSequentially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := tb.ctrl.Engine().Submit(forward, s1, flowMatch("10.0.0.2"), 0)
+	j1, err := tb.ctrl.Engine().SubmitPlan(forward, core.PlanFromSchedule(s1), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := tb.ctrl.Engine().Submit(backward, s2, flowMatch("10.0.0.2"), 0)
+	j2, err := tb.ctrl.Engine().SubmitPlan(backward, core.PlanFromSchedule(s2), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

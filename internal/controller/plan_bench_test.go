@@ -144,7 +144,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 		if sparse {
 			job, err = tb.ctrl.Engine().SubmitPlan(fwd, plan, match, SubmitOptions{Mode: mode})
 		} else {
-			job, err = tb.ctrl.Engine().SubmitOpts(fwd, sched, match, SubmitOptions{Mode: mode})
+			job, err = tb.ctrl.Engine().SubmitPlan(fwd, core.PlanFromSchedule(sched), match, SubmitOptions{Mode: mode})
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -156,7 +156,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 
 		// Roll back (unmeasured) so the next iteration updates again.
 		b.StopTimer()
-		undo, err := tb.ctrl.Engine().Submit(back, backSched, match, 0)
+		undo, err := tb.ctrl.Engine().SubmitPlan(back, core.PlanFromSchedule(backSched), match, SubmitOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

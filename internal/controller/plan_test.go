@@ -116,7 +116,7 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobS, err := tb.ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), 0)
+	jobS, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,7 @@ type recoveredJob struct {
 // relaunch is one live recovered job ready to run: either via the
 // normal dispatcher (requeued/adopted) or via the rollback path.
 type relaunch struct {
-	job  *Job
-	deps []<-chan struct{}
+	job *Job
 
 	// rollback, when set, routes the job to the abort path instead of
 	// the dispatcher, with the recovered dispatched/applied sets.
@@ -201,19 +200,22 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		compacted = append(compacted, liveRecords(rj, l)...)
 	}
 
-	// Admit the live jobs in id order, conflict deps recomputed exactly
-	// like a fresh admission (recovered jobs may conflict with each
-	// other or with jobs submitted since the restart).
+	// Admit the live jobs in id order, conflict deps recomputed by the
+	// same admission step as a fresh submission (recovered jobs may
+	// conflict with each other or with jobs submitted since the
+	// restart). A rollback job shares the lifecycle — dependency wait,
+	// worker slot, begin, finish — and only swaps execution for the
+	// abort path: the reverse plan is verified before it runs, exactly
+	// like any mid-plan abort.
+	runs := make([]*launch, len(launches))
 	e.mu.Lock()
-	for _, l := range launches {
-		e.jobs[l.job.ID] = l.job
-		for _, prev := range e.active {
-			if prev.conflictsWith(l.job) {
-				l.deps = append(l.deps, prev.done)
+	for i, l := range launches {
+		runs[i] = &launch{job: l.job, deps: e.admitLocked(l.job), run: e.execute}
+		if l.rollback {
+			runs[i].run = func(ctx context.Context, job *Job) (*FailureReport, error) {
+				return e.abort(ctx, job, l.cause, l.dispatched, l.applied)
 			}
 		}
-		e.active = append(e.active, l.job)
-		e.queued++
 	}
 	e.recovery = &stats
 	e.mu.Unlock()
@@ -224,12 +226,8 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		e.c.logger.Warn("recovery: journal compaction failed", "err", err)
 	}
 
-	for _, l := range launches {
-		if l.rollback {
-			go e.runRecoveryRollback(ctx, l)
-		} else {
-			go e.runJob(ctx, l.job, l.deps)
-		}
+	for _, l := range runs {
+		go e.runJob(ctx, l)
 	}
 	return stats, nil
 }
@@ -249,14 +247,13 @@ func (e *Engine) Recovery() (RecoveryStats, bool) {
 // the API keeps answering for it across the restart. A non-nil report
 // marks the job failed-by-restart regardless of its journaled outcome.
 func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
-	job := &Job{
-		ID:        rj.id,
-		Algorithm: rj.admit.Algorithm,
-		Interval:  rj.admit.Interval,
-		Mode:      ExecMode(rj.admit.Mode),
-		Recovered: true,
-		done:      make(chan struct{}),
-	}
+	job := newJob(jobSpec{
+		plan:     newExecPlan(&core.Plan{Algorithm: rj.admit.Algorithm}, nil, 0, nil),
+		interval: rj.admit.Interval,
+		mode:     ExecMode(rj.admit.Mode),
+	})
+	job.ID = rj.id
+	job.Recovered = true
 	switch {
 	case report != nil:
 		job.state = JobFailed
@@ -299,49 +296,30 @@ func (e *Engine) rebuildJob(rj *recoveredJob) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	cleanup := make(map[int]bool, len(a.Cleanup))
-	for _, i := range a.Cleanup {
-		cleanup[i] = true
-	}
-	// Rebuild the exec DAG directly from the journaled plan rather than
-	// re-running the schedule/plan builders: the journaled DAG covers
-	// the cleanup nodes with their recorded dependencies, so the
-	// recovered job executes exactly the plan that was running.
-	ep := execPlan{sparse: dag.Sparse, nodes: make([]execNode, 0, len(dag.Nodes))}
-	for i, nd := range dag.Nodes {
-		var fm *openflow.FlowMod
-		if cleanup[i] {
-			fm = &openflow.FlowMod{
-				Match:    match,
-				Command:  openflow.FlowDelete,
-				BufferID: openflow.NoBuffer,
-				OutPort:  openflow.PortNone,
-			}
-		} else {
-			fm, err = e.updateFlowMod(in, nd.Switch, match)
-			if err != nil {
-				return nil, err
-			}
+	// Cleanup nodes are the journaled DAG's suffix; anything else was
+	// not written by this engine.
+	cleanupFrom := len(dag.Nodes) - len(a.Cleanup)
+	for k, i := range a.Cleanup {
+		if cleanupFrom < 0 || i != cleanupFrom+k {
+			return nil, fmt.Errorf("cleanup set %v is not the suffix of the %d-node plan", a.Cleanup, len(dag.Nodes))
 		}
-		ep.nodes = append(ep.nodes, execNode{
-			node:    nd.Switch,
-			mods:    []targetedMod{{node: nd.Switch, fm: fm}},
-			deps:    append([]int(nil), nd.Deps...),
-			cleanup: cleanup[i],
-		})
 	}
-	ep.finish()
-	job := &Job{
-		ID:        rj.id,
-		Algorithm: a.Algorithm,
-		Interval:  a.Interval,
-		Mode:      ExecMode(a.Mode),
-		plan:      ep,
-		rollback:  &rollbackSpec{in: in, match: match, props: core.Property(a.Props)},
-		Recovered: true,
-		done:      make(chan struct{}),
+	// The journaled DAG goes through the same constructor as a fresh
+	// submission — with its cleanup nodes and their recorded
+	// dependencies as journaled, not re-derived — so the recovered job
+	// executes exactly the plan that was running.
+	ep, err := e.flowExecPlan(in, dag, match, cleanupFrom, nil)
+	if err != nil {
+		return nil, err
 	}
-	job.footprint()
+	job := newJob(jobSpec{
+		plan:     ep,
+		interval: a.Interval,
+		mode:     ExecMode(a.Mode),
+		rollback: &rollbackSpec{in: in, match: match, props: core.Property(a.Props)},
+	})
+	job.ID = rj.id
+	job.Recovered = true
 	return job, nil
 }
 
@@ -355,7 +333,7 @@ func nwDstIP(v uint32) net.IP {
 // or rollback (dispatched prefix + applied set for the abort path).
 func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
 	job := l.job
-	n := len(job.plan.nodes)
+	n := job.plan.len()
 	jdispatched := make([]bool, n)
 	jconfirmed := make([]bool, n)
 	for i := range jdispatched {
@@ -396,10 +374,10 @@ func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
 
 // planSwitches returns the distinct switches of a job's exec DAG.
 func planSwitches(job *Job) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(job.plan.nodes))
+	seen := make(map[topo.NodeID]bool, job.plan.len())
 	var out []topo.NodeID
-	for i := range job.plan.nodes {
-		n := job.plan.nodes[i].node
+	for _, nd := range job.plan.dag.Nodes {
+		n := nd.Switch
 		if !seen[n] {
 			seen[n] = true
 			out = append(out, n)
@@ -465,31 +443,30 @@ func (e *Engine) querySwitchState(ctx context.Context, job *Job) (map[topo.NodeI
 // runs). allReported is false when any plan switch never answered.
 func (e *Engine) appliedSet(job *Job, reports map[topo.NodeID]*planwire.StateReport) (applied, agentDone []bool, allReported bool) {
 	in := job.rollback.in
-	n := len(job.plan.nodes)
+	n := job.plan.len()
 	applied = make([]bool, n)
 	agentDone = make([]bool, n)
 	allReported = true
-	for i := range job.plan.nodes {
-		nd := &job.plan.nodes[i]
-		r, ok := reports[nd.node]
+	for i, nd := range job.plan.dag.Nodes {
+		r, ok := reports[nd.Switch]
 		if !ok {
 			allReported = false
 			continue
 		}
 		for _, idx := range r.AgentDone {
-			if idx >= 0 && idx < n && job.plan.nodes[idx].node == r.Switch {
+			if idx >= 0 && idx < n && job.plan.sw(idx) == r.Switch {
 				agentDone[idx] = true
 			}
 		}
-		if nd.cleanup {
+		if job.plan.isCleanup(i) {
 			applied[i] = !r.RulePresent
 			continue
 		}
-		succ, ok := in.NewSucc(nd.node)
+		succ, ok := in.NewSucc(nd.Switch)
 		if !ok {
 			continue
 		}
-		applied[i] = r.RulePresent && r.OutPort == e.c.ports.Port(nd.node, succ)
+		applied[i] = r.RulePresent && r.OutPort == e.c.ports.Port(nd.Switch, succ)
 	}
 	return applied, agentDone, allReported
 }
@@ -527,7 +504,7 @@ func countSet(set []bool) int {
 // frontier.
 func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
 	recs := []journal.Record{{Kind: journal.KindAdmit, Job: rj.id, Admit: rj.admit}}
-	n := len(l.job.plan.nodes)
+	n := l.job.plan.len()
 	var batch []int // dispatched frontier, ascending: one grouped record
 	for i := 0; i < n; i++ {
 		confirmed := i < len(l.job.preConfirmed) && l.job.preConfirmed[i]
@@ -547,39 +524,4 @@ func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
 		recs = append(recs, journal.Record{Kind: journal.KindDispatchedBatch, Job: rj.id, Nodes: batch})
 	}
 	return recs
-}
-
-// runRecoveryRollback drives a recovered job straight into the abort
-// path with the same dependency-wait and worker-slot discipline as a
-// normal run: the reverse plan is verified before execution, exactly
-// like any mid-plan abort.
-func (e *Engine) runRecoveryRollback(ctx context.Context, l *relaunch) {
-	job := l.job
-	for _, d := range l.deps {
-		select {
-		case <-d:
-		case <-ctx.Done():
-			e.fail(job, ctx.Err())
-			e.retire(job, false)
-			return
-		}
-	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		e.fail(job, ctx.Err())
-		e.retire(job, false)
-		return
-	}
-	e.mu.Lock()
-	e.queued--
-	e.running++
-	e.mu.Unlock()
-	job.mu.Lock()
-	job.state = JobRunning
-	job.started = e.c.clock.Now()
-	job.mu.Unlock()
-	e.abort(ctx, job, l.cause, l.dispatched, l.applied)
-	<-e.sem
-	e.retire(job, true)
 }

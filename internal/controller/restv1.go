@@ -35,9 +35,6 @@ import (
 //	POST /v1/policies         install a routing policy along a path
 //	GET  /v1/healthz          ops probe (switches, queue depth)
 //	GET  /v1/switches         connected datapath ids
-//
-// The legacy paper-schema routes in rest.go are thin adapters over the
-// same planning/submission core.
 
 // handlerError carries the HTTP status and machine-readable code a
 // failed request maps to; plan optionally attaches a best-so-far plan
@@ -65,21 +62,23 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, api.Error{Message: err.Error(), Code: api.CodeInternal})
 }
 
-// plannedUpdate is one validated batch entry with its computed
-// schedule and execution plan. Algo is "two-phase" (Sched and DAG
-// nil) or a registry name; Props is the entry's requested property
-// set (0 when unset). DAG is the execution plan: the schedule's
+// plannedUpdate is one validated batch entry with its execution plan.
+// Algo is "two-phase" (DAG nil) or a registry name; Props is the
+// entry's requested property set (0 when unset). DAG is the plan every
+// endpoint works on — what /v1/verify and /v1/explore check is, node
+// for node, what POST /v1/updates hands the engine: the schedule's
 // lossless layered conversion by default, the scheduler's sparse DAG
 // when the entry asked for plan "sparse" and the scheduler provides
-// one.
+// one. Rounds is only what the wire responses report as "rounds": the
+// scheduler's rounds, which for a sparse DAG are not its layers.
 type plannedUpdate struct {
-	In    *core.Instance
-	Match openflow.Match
-	Algo  string
-	Sched *core.Schedule
-	DAG   *core.Plan
-	Props core.Property
-	Mode  ExecMode
+	In     *core.Instance
+	Match  openflow.Match
+	Algo   string
+	DAG    *core.Plan
+	Rounds [][]topo.NodeID
+	Props  core.Property
+	Mode   ExecMode
 }
 
 // planUpdate validates one FlowUpdate and computes its schedule. All
@@ -149,8 +148,8 @@ func planUpdate(u api.FlowUpdate, forVerify bool) (*plannedUpdate, error) {
 			sched.Algorithm, sched.Guarantees, props)
 	}
 	p.Algo = sched.Algorithm
-	p.Sched = sched
-	// Execution plan: the lossless layered conversion by default; the
+	p.Rounds = sched.Rounds
+	// Execution plan: the schedule is converted here, once — the lossless layered conversion by default; the
 	// sparse DAG on request, derived from the schedule just computed
 	// (the PlanScheduler capability gates which algorithms' rounds
 	// justify the derivation — never re-running the scheduler, so the
@@ -200,13 +199,13 @@ func planSynthUpdate(p *plannedUpdate, in *core.Instance, u api.FlowUpdate, prop
 		return nil, errf(http.StatusBadRequest, api.CodeScheduleFailed, "synthesis failed: %v", err)
 	}
 	p.Algo = core.AlgoSynth
-	p.Sched = &core.Schedule{Rounds: plan.Layers(), Algorithm: core.AlgoSynth, Guarantees: plan.Guarantees}
+	p.Rounds = plan.Layers()
 	// The generic path re-derives a sparse DAG from the schedule; here
 	// the synthesized DAG itself is the artifact, so it executes as-is
 	// on request instead of being reconstructed.
-	p.DAG = core.PlanFromSchedule(p.Sched)
-	if u.Plan == "sparse" {
-		p.DAG = plan
+	p.DAG = plan
+	if u.Plan != "sparse" {
+		p.DAG = core.PlanFromSchedule(&core.Schedule{Rounds: p.Rounds, Algorithm: core.AlgoSynth, Guarantees: plan.Guarantees})
 	}
 	return p, nil
 }
@@ -258,10 +257,10 @@ func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
 	if job != nil {
 		out.ID = job.ID
 	}
-	if p.Sched != nil {
-		out.Rounds = api.FromRounds(p.Sched.Rounds)
-		out.Guarantees = p.Sched.Guarantees.String()
-		out.Compromise = p.Sched.LoopFreedomCompromised
+	if p.DAG != nil {
+		out.Rounds = api.FromRounds(p.Rounds)
+		out.Guarantees = p.DAG.Guarantees.String()
+		out.Compromise = p.DAG.LoopFreedomCompromised
 		out.Plan = planShape(p.DAG)
 	} else {
 		out.Guarantees = "PerPacketConsistency"
@@ -269,37 +268,19 @@ func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
 	return out
 }
 
-// prepareSpec builds one planned update's execution DAG (no
-// admission): two-phase and layered plans go through the round
-// builders, sparse plans through the per-node builder.
+// prepareSpec builds one planned update's job spec (no admission):
+// two-phase, or the plan.
 func (c *Controller) prepareSpec(p *plannedUpdate, opts SubmitOptions) (jobSpec, error) {
-	var ep execPlan
+	opts.Mode = p.Mode
+	var spec jobSpec
 	var err error
-	algo := p.Algo
-	switch {
-	case p.Sched == nil:
-		algo = "two-phase"
-		var rounds []execRound
-		if rounds, err = c.engine.buildTwoPhaseRounds(p.In, p.Match, TwoPhaseTag, opts); err == nil {
-			ep = layeredExecPlan(rounds)
-		}
-	case p.DAG != nil && p.DAG.Sparse:
-		ep, err = c.engine.buildPlanNodes(p.In, p.DAG, p.Match, opts)
-	default:
-		var rounds []execRound
-		if rounds, err = c.engine.buildScheduleRounds(p.In, p.Sched, p.Match, opts); err == nil {
-			ep = layeredExecPlan(rounds)
-		}
+	if p.DAG == nil {
+		spec, err = c.engine.twoPhaseSpec(p.In, p.Match, TwoPhaseTag, opts)
+	} else {
+		spec, err = c.engine.planSpec(p.In, p.DAG, p.Match, opts)
 	}
 	if err != nil {
 		return jobSpec{}, errf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-	}
-	spec := jobSpec{algorithm: algo, plan: ep, interval: opts.Interval, mode: p.Mode}
-	// Scheduled updates are reversible mid-plan (see SubmitOpts/
-	// SubmitPlan); two-phase jobs are not — their tagged mods have no
-	// reverse plan, matching SubmitTwoPhase.
-	if p.Sched != nil {
-		spec.rollback = &rollbackSpec{in: p.In, match: p.Match, props: p.Sched.Guarantees}
 	}
 	return spec, nil
 }
@@ -562,25 +543,28 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errf(http.StatusBadRequest, api.CodeUnknownProperty, "%v", err))
 		return
 	}
-	// Layered entries share one parallel round-verification pool;
-	// sparse entries are verified over their full ideal space (order
-	// ideals of the DAG) by verify.Plan instead — each update is
-	// checked exactly once, under the semantics of the plan it would
+	// Layered entries share one parallel round-verification pool (their
+	// position in it seeds the sampled checks), verified as the round
+	// view of the DAG itself; sparse entries are verified over their
+	// full ideal space (order ideals of the DAG) by verify.Plan instead
+	// — each update is checked exactly once, as the plan it would
 	// execute.
 	taskProps := make([]core.Property, len(plans))
 	taskIdx := make([]int, len(plans)) // plan index -> batch task index, -1 for sparse
 	var tasks []verify.Task
 	for i, p := range plans {
-		if p.Sched == nil {
+		if p.DAG == nil {
 			writeErr(w, errf(http.StatusBadRequest, api.CodeScheduleFailed,
 				"updates[%d]: two-phase has no round schedule to verify", i))
 			return
 		}
 		taskProps[i] = checkProps(p, reqProps)
 		taskIdx[i] = -1
-		if p.DAG == nil || !p.DAG.Sparse {
-			taskIdx[i] = len(tasks)
-			tasks = append(tasks, verify.Task{Instance: p.In, Schedule: p.Sched, Props: taskProps[i]})
+		if !p.DAG.Sparse {
+			if sched, ok := p.DAG.Schedule(); ok {
+				taskIdx[i] = len(tasks)
+				tasks = append(tasks, verify.Task{Instance: p.In, Schedule: sched, Props: taskProps[i]})
+			}
 		}
 	}
 	vopts := verify.Options{Samples: req.Samples, Seed: req.Seed}
@@ -597,8 +581,8 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	for i, rep := range reports {
 		res := api.VerifyResult{
 			Algorithm:  plans[i].Algo,
-			Rounds:     api.FromRounds(plans[i].Sched.Rounds),
-			Guarantees: plans[i].Sched.Guarantees.String(),
+			Rounds:     api.FromRounds(plans[i].Rounds),
+			Guarantees: plans[i].DAG.Guarantees.String(),
 			Properties: taskProps[i].String(),
 			OK:         rep.OK(),
 			Exact:      rep.Exact(),
@@ -634,7 +618,7 @@ func checkProps(p *plannedUpdate, reqProps core.Property) core.Property {
 		props = reqProps
 	}
 	if props == 0 {
-		props = p.Sched.Guarantees
+		props = p.DAG.Guarantees
 	}
 	if props == 0 {
 		props = core.NoBlackhole | core.RelaxedLoopFreedom
@@ -667,7 +651,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, p := range plans {
-		if p.Sched == nil {
+		if p.DAG == nil {
 			writeErr(w, errf(http.StatusBadRequest, api.CodeScheduleFailed,
 				"updates[%d]: two-phase has no round schedule to explore", i))
 			return
@@ -704,13 +688,10 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 					Seed:          req.Seed,
 					Workers:       1,
 				}
-				if p.DAG != nil && p.DAG.Sparse {
-					// Sparse plans: the adversary ranges over the
-					// DAG's order ideals, not round states.
-					reps[i], errs[i] = explore.Plan(p.In, p.DAG, eopts)
-				} else {
-					reps[i], errs[i] = explore.Schedule(p.In, p.Sched, eopts)
-				}
+				// The adversary ranges over the DAG's order ideals —
+				// for a layered plan exactly its round states, which
+				// explore.Plan hands to the round engine.
+				reps[i], errs[i] = explore.Plan(p.In, p.DAG, eopts)
 			}
 		}()
 	}
@@ -728,8 +709,8 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		rep := reps[i]
 		res := api.ExploreResult{
 			Algorithm:  p.Algo,
-			Rounds:     api.FromRounds(p.Sched.Rounds),
-			Guarantees: p.Sched.Guarantees.String(),
+			Rounds:     api.FromRounds(p.Rounds),
+			Guarantees: p.DAG.Guarantees.String(),
 			Properties: rep.Properties.String(),
 			OK:         rep.OK(),
 			Exhaustive: rep.Exhaustive(),

@@ -16,6 +16,47 @@ import (
 	"tsu/internal/topo"
 )
 
+func restTestbed(t *testing.T) (*testbed, *httptest.Server) {
+	t.Helper()
+	tb := newTestbed(t, topo.Fig1(), nil)
+	srv := httptest.NewServer(tb.ctrl.RESTHandler())
+	t.Cleanup(srv.Close)
+	return tb, srv
+}
+
+func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, out.Bytes()
+}
+
+func getJSON(t *testing.T, url string, into any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if into != nil {
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("decoding %s: %v", url, err)
+		}
+	}
+	return resp.StatusCode
+}
+
 func fig1Update(algorithm string) api.FlowUpdate {
 	return api.FlowUpdate{
 		OldPath:   []uint64{1, 2, 3, 4, 5, 6, 12},
@@ -517,6 +558,152 @@ func TestV1FailureReportRoundTrip(t *testing.T) {
 	for id := range installed {
 		if !rolledBack[id] {
 			t.Fatalf("installed switch %d missing from rolled back %v", id, f.RolledBack)
+		}
+	}
+}
+
+// TestV1Switches pins the one route rest.go still serves itself.
+func TestV1Switches(t *testing.T) {
+	_, srv := restTestbed(t)
+	var dpids []uint64
+	if code := getJSON(t, srv.URL+"/v1/switches", &dpids); code != http.StatusOK || len(dpids) != 12 {
+		t.Fatalf("switches: code %d, %v", code, dpids)
+	}
+}
+
+func TestV1PolicyInstall(t *testing.T) {
+	tb, srv := restTestbed(t)
+	req := api.PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
+	resp, body := postJSON(t, srv.URL+"/v1/policies", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("policy: %d %s", resp.StatusCode, body)
+	}
+	res := tb.fabric.Inject(1, nwDstOf(FlowIPForTest), 64)
+	if res.Outcome != switchsim.ProbeDelivered || res.Host != "h2" {
+		t.Fatalf("probe after policy install = %+v", res)
+	}
+	// Validation errors.
+	for name, bad := range map[string]api.PolicyRequest{
+		"bad-ip":    {Path: []uint64{1, 2}, NWDst: "x"},
+		"bad-path":  {Path: []uint64{1}, NWDst: FlowIPForTest},
+		"bad-host":  {Path: []uint64{1, 2}, NWDst: FlowIPForTest, Host: "nope"},
+		"bad-links": {Path: []uint64{1, 12}, NWDst: FlowIPForTest},
+	} {
+		resp, _ := postJSON(t, srv.URL+"/v1/policies", bad)
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+func TestV1TwoPhaseAndCleanup(t *testing.T) {
+	tb, srv := restTestbed(t)
+	req := api.PolicyRequest{Path: []uint64{1, 2, 3, 4, 5, 6, 12}, NWDst: FlowIPForTest, Host: "h2"}
+	if resp, body := postJSON(t, srv.URL+"/v1/policies", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("policy: %d %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, srv.URL+"/v1/updates", api.BatchUpdateRequest{
+		Updates: []api.FlowUpdate{fig1Update("two-phase")},
+		Cleanup: true,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("two-phase update: %d %s", resp.StatusCode, body)
+	}
+	var br api.BatchUpdateResponse
+	decodeInto(t, body, &br)
+	acc := br.Updates[0]
+	if acc.Algorithm != "two-phase" || acc.Guarantees != "PerPacketConsistency" || acc.Plan != nil || len(acc.Rounds) != 0 {
+		t.Fatalf("response = %+v", acc)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		var st api.JobStatus
+		if code := getJSON(t, fmt.Sprintf("%s/v1/updates/%d", srv.URL, acc.ID), &st); code != http.StatusOK {
+			t.Fatalf("status code %d", code)
+		}
+		if st.State == "done" {
+			if len(st.Rounds) != 3 { // prepare, commit, cleanup
+				t.Fatalf("rounds = %d, want 3", len(st.Rounds))
+			}
+			break
+		}
+		if st.State == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job state %q", st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	res := tb.fabric.Inject(1, nwDstOf(FlowIPForTest), 64)
+	if !res.Visited.Equal(topo.Fig1NewPath) {
+		t.Fatalf("final path = %v", res.Visited)
+	}
+	// Cleanup removed old-only rules.
+	for _, n := range []topo.NodeID{2, 4, 5, 6} {
+		if tb.fabric.Switch(n).Table().Len() != 0 {
+			t.Fatalf("stale rule on switch %d after REST cleanup", n)
+		}
+	}
+}
+
+// TestV1PlanShapeAndRoundsPinned pins the `rounds` and `plan` members
+// of the submit (dry run and live) and verify responses, byte for byte
+// after compaction, for every plan selector on a heuristic and on the
+// synthesizer: the wire reports the scheduler's rounds and the shape of
+// the DAG that executes, whichever form the server keeps internally.
+func TestV1PlanShapeAndRoundsPinned(t *testing.T) {
+	_, srv := restTestbed(t)
+	const (
+		rounds  = `[[7,8,9,10,11],[1,3]]`
+		layered = `{"nodes":7,"edges":10,"depth":2,"width":5,"critical_path":1}`
+		sparse  = `{"nodes":7,"edges":5,"depth":2,"width":5,"critical_path":1,"sparse":true}`
+	)
+	type wire struct {
+		Rounds json.RawMessage `json:"rounds"`
+		Plan   json.RawMessage `json:"plan"`
+	}
+	check := func(t *testing.T, what string, got wire, wantPlan string) {
+		t.Helper()
+		var r, p bytes.Buffer
+		if err := json.Compact(&r, got.Rounds); err != nil {
+			t.Fatalf("%s rounds: %v", what, err)
+		}
+		if err := json.Compact(&p, got.Plan); err != nil {
+			t.Fatalf("%s plan: %v", what, err)
+		}
+		if r.String() != rounds || p.String() != wantPlan {
+			t.Fatalf("%s: rounds %s plan %s, want %s and %s", what, &r, &p, rounds, wantPlan)
+		}
+	}
+	for _, algo := range []string{"peacock", "synth"} {
+		for plan, wantPlan := range map[string]string{"": layered, "layered": layered, "sparse": sparse} {
+			t.Run(fmt.Sprintf("%s/plan=%q", algo, plan), func(t *testing.T) {
+				u := fig1Update(algo)
+				u.Waypoint = 0
+				u.Plan = plan
+				for _, dry := range []bool{true, false} {
+					resp, body := postJSON(t, srv.URL+"/v1/updates", api.BatchUpdateRequest{Updates: []api.FlowUpdate{u}, DryRun: dry})
+					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+						t.Fatalf("submit dry_run=%v: %d %s", dry, resp.StatusCode, body)
+					}
+					var br struct {
+						Updates []wire `json:"updates"`
+					}
+					decodeInto(t, body, &br)
+					check(t, fmt.Sprintf("submit dry_run=%v", dry), br.Updates[0], wantPlan)
+				}
+				resp, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: []api.FlowUpdate{u}})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("verify: %d %s", resp.StatusCode, body)
+				}
+				var vr struct {
+					OK      bool   `json:"ok"`
+					Results []wire `json:"results"`
+				}
+				decodeInto(t, body, &vr)
+				if !vr.OK {
+					t.Fatalf("verify rejected the plan: %s", body)
+				}
+				check(t, "verify", vr.Results[0], wantPlan)
+			})
 		}
 	}
 }

@@ -104,8 +104,9 @@ func (s *rollbackSpec) rollbackProps() core.Property {
 // verify the reverse plan of the dispatched prefix, and either execute
 // the rollback or report the job stuck. dispatched marks nodes whose
 // FlowMods may have reached their switch (a down-closed superset of
-// confirmed); confirmed marks barrier-confirmed installs.
-func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, confirmed []bool) {
+// confirmed); confirmed marks barrier-confirmed installs. It returns
+// the job's failure report and terminal error for Engine.finish.
+func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, confirmed []bool) (*FailureReport, error) {
 	metrics.Aborts.Inc()
 	report := &FailureReport{
 		Phase:           PhaseAborted,
@@ -114,15 +115,13 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 	}
 	spec := job.rollback
 	if spec == nil || !anySet(dispatched) {
-		e.failWithReport(job, cause, report)
-		return
+		return report, cause
 	}
 	if err := e.verifyRollback(job, spec, dispatched); err != nil {
 		metrics.Stalls.Inc()
 		report.Phase = PhaseStuck
 		report.Stuck = stuckNodes(job, dispatched, nil)
-		e.failWithReport(job, fmt.Errorf("%w; rollback refused: %v", cause, err), report)
-		return
+		return report, fmt.Errorf("%w; rollback refused: %v", cause, err)
 	}
 	report.RollbackVerified = true
 	rolledBack, undone, rbErr := e.executeRollback(ctx, job, spec, dispatched)
@@ -131,11 +130,10 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 		metrics.Stalls.Inc()
 		report.Phase = PhaseRollbackFailed
 		report.Stuck = stuckNodes(job, dispatched, undone)
-		e.failWithReport(job, fmt.Errorf("%w; rollback failed: %v", cause, rbErr), report)
-		return
+		return report, fmt.Errorf("%w; rollback failed: %v", cause, rbErr)
 	}
 	report.Phase = PhaseRolledBack
-	e.failWithReport(job, cause, report)
+	return report, cause
 }
 
 // verifyRollback checks the reverse plan of the dispatched prefix of
@@ -146,18 +144,12 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 // unobservable — executeRollback undoes them first, restoring exactly
 // the state space this verification covers.
 func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool) error {
-	k := len(job.plan.nodes)
-	for i := range job.plan.nodes {
-		if job.plan.nodes[i].cleanup {
-			k = i
-			break
-		}
-	}
+	k := job.plan.cleanupFrom
 	props := spec.rollbackProps()
 	fwd := &core.Plan{
 		Algorithm:  job.Algorithm,
 		Guarantees: props,
-		Sparse:     job.plan.sparse,
+		Sparse:     job.plan.dag.Sparse,
 		Nodes:      job.plan.dag.Nodes[:k],
 	}
 	rev, _, err := fwd.Reverse(dispatched[:k])
@@ -194,7 +186,7 @@ func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSp
 	}
 	mods := make([]*openflow.FlowMod, n)
 	for j, fi := range fwd {
-		fm, err := e.undoFlowMod(spec.in, job.plan.nodes[fi].node, spec.match)
+		fm, err := e.undoFlowMod(spec.in, job.plan.sw(fi), spec.match)
 		if err != nil {
 			return nil, undone, err
 		}
@@ -273,28 +265,7 @@ func (e *Engine) undoFlowMod(in *core.Instance, node topo.NodeID, match openflow
 	if succ, ok := in.OldSucc(node); ok {
 		return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
 	}
-	return &openflow.FlowMod{
-		Match:    match,
-		Command:  openflow.FlowDelete,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}, nil
-}
-
-// failWithReport marks the job failed with a structured failure
-// report attached.
-func (e *Engine) failWithReport(job *Job, err error, report *FailureReport) {
-	e.journalTerminal(job, err)
-	job.mu.Lock()
-	job.state = JobFailed
-	job.err = err
-	job.failure = report
-	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: JobFailed, Err: err})
-	job.mu.Unlock()
-	close(job.done)
-	e.c.logger.Warn("update job aborted", "job", job.ID, "phase", report.Phase,
-		"installed", len(report.Installed), "rolledBack", len(report.RolledBack), "err", err)
+	return deleteFlowMod(match), nil
 }
 
 // stuckNodes lists the installed nodes left in place (installed minus
@@ -333,7 +304,7 @@ func planSetSwitches(job *Job, set []bool) []topo.NodeID {
 	var out []topo.NodeID
 	for i, ok := range set {
 		if ok {
-			out = append(out, job.plan.nodes[i].node)
+			out = append(out, job.plan.sw(i))
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })

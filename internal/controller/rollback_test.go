@@ -30,7 +30,7 @@ func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitOpts(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestVirtualTimeBarrierTimeout(t *testing.T) {
 	// lost. The unordered installed prefix admits unsafe sub-ideals, so
 	// the rollback must be refused and the job reported stuck.
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	job, err := tb.ctrl.Engine().Submit(in, core.OneShot(in), flowMatch("10.0.0.2"), 0)
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(core.OneShot(in)), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestChaosProbabilisticFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := tb.ctrl.Engine().Submit(in, sched, flowMatch("10.0.0.2"), 0)
+		job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

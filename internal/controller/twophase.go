@@ -5,6 +5,7 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/openflow"
+	"tsu/internal/topo"
 )
 
 // SubmitTwoPhase enqueues the update as a tagged two-phase commit —
@@ -29,22 +30,31 @@ import (
 // versions coexist during the transition) and the tag header bits —
 // the trade the update literature attributes to Reitblatt et al.'s
 // two-phase mechanism.
+//
+// As a plan this is two layers — every prepare install, then the
+// commit — plus the optional cleanup suffix. Two-phase jobs carry no
+// rollback spec: their tagged mods have no reverse plan, so a mid-plan
+// failure fails plain.
 func (e *Engine) SubmitTwoPhase(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
-	rounds, err := e.buildTwoPhaseRounds(in, match, tag, opts)
+	spec, err := e.twoPhaseSpec(in, match, tag, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.enqueue(jobSpec{algorithm: "two-phase", plan: layeredExecPlan(rounds), interval: opts.Interval, mode: opts.Mode})
+	return e.enqueue(spec)
 }
 
-// buildTwoPhaseRounds materializes the prepare/commit(/cleanup) rounds
-// without admitting anything.
-func (e *Engine) buildTwoPhaseRounds(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) ([]execRound, error) {
+// TwoPhaseTag is the VLAN id the REST layer uses to mark the new
+// policy version in two-phase updates.
+const TwoPhaseTag uint16 = 2016
+
+// twoPhaseSpec builds the prepare→commit(→cleanup) plan without
+// admitting anything.
+func (e *Engine) twoPhaseSpec(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (jobSpec, error) {
 	if tag == openflow.VLANNone {
-		return nil, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
+		return jobSpec{}, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
 	}
 	if match.Wildcards&openflow.WildcardDLVLAN == 0 {
-		return nil, fmt.Errorf("controller: the flow match must not already pin a VLAN")
+		return jobSpec{}, fmt.Errorf("controller: the flow match must not already pin a VLAN")
 	}
 	src := in.Src()
 
@@ -56,40 +66,47 @@ func (e *Engine) buildTwoPhaseRounds(in *core.Instance, match openflow.Match, ta
 	// switch except the ingress (the ingress tags-and-forwards in
 	// phase 2; a tagged rule there would never match, since packets
 	// arrive untagged).
-	var prepare execRound
-	for i := 1; i+1 < len(in.New); i++ {
-		node := in.New[i]
+	prepare := in.New[1 : len(in.New)-1]
+	var mods [][]*openflow.FlowMod
+	for _, node := range prepare {
 		succ, _ := in.NewSucc(node)
 		fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
 		if err != nil {
-			return nil, err
+			return jobSpec{}, err
 		}
 		fm.Priority = e.c.cfg.FlowPriority + 10
-		prepare.mods = append(prepare.mods, targetedMod{node: node, fm: fm})
+		mods = append(mods, []*openflow.FlowMod{fm})
 	}
 
 	// Phase 2: flip the ingress — tag, then forward toward the new
 	// path's first hop.
 	succ, ok := in.NewSucc(src)
 	if !ok {
-		return nil, fmt.Errorf("controller: source %d has no new-path successor", src)
+		return jobSpec{}, fmt.Errorf("controller: source %d has no new-path successor", src)
 	}
 	commit, err := e.c.PathFlowMod(src, succ, match, openflow.FlowModify)
 	if err != nil {
-		return nil, err
+		return jobSpec{}, err
 	}
 	commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: tag}}, commit.Actions...)
-	commitRound := execRound{mods: []targetedMod{{node: src, fm: commit}}}
+	mods = append(mods, []*openflow.FlowMod{commit})
 
-	rounds := []execRound{}
-	if len(prepare.mods) > 0 {
-		rounds = append(rounds, prepare)
-	}
-	rounds = append(rounds, commitRound)
+	// A two-hop new path has nothing to prepare; PlanFromSchedule skips
+	// the empty round and the commit is the plan's only layer.
+	p := core.PlanFromSchedule(&core.Schedule{
+		Algorithm: "two-phase",
+		Rounds:    [][]topo.NodeID{prepare, {src}},
+	})
+	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
-		if r, ok := cleanupRound(in, match); ok {
-			rounds = append(rounds, r)
+		cleanupAt = staleSwitches(in)
+		for range cleanupAt {
+			mods = append(mods, []*openflow.FlowMod{deleteFlowMod(match)})
 		}
 	}
-	return rounds, nil
+	return jobSpec{
+		plan:     newExecPlan(p, mods, len(p.Nodes), cleanupAt),
+		interval: opts.Interval,
+		mode:     opts.Mode,
+	}, nil
 }
