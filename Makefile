@@ -14,11 +14,16 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ (the BENCHMARK.json judge) is a module of its own, so ./...
+# does not reach it: vet and test it explicitly, or an internal/ API
+# change breaks the benchmark with no check noticing.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./... -race
+	$(GO) test -C bench ./...
 
 # The fault-injection suite under the race detector: seeded fault
 # models (netem), crash/loss switch faults (switchsim), reverse-plan
@@ -44,23 +49,30 @@ test-determinism:
 	$(GO) test -run Explore -count=2 ./...
 	$(GO) test -run Explore -count=2 -race ./...
 
+# Snapshot numbering: the newest checked-in BENCH_<n>.json is the
+# previous PR's, this PR writes the next one. Derived from git's index,
+# so re-running bench-json overwrites this PR's snapshot instead of
+# minting another, and committing it moves the window by itself.
+PREV := $(shell git ls-files 'BENCH_*.json' | tr -dc '0-9\n' | sort -n | tail -1)
+N ?= $(shell expr $(PREV) + 1)
+
 # Machine-readable benchmark trajectory: run every benchmark with
-# -benchmem and emit BENCH_10.json (name -> ns/op, allocs/op, domain
+# -benchmem and emit BENCH_$(N).json (name -> ns/op, allocs/op, domain
 # metrics) for future PRs to diff against. No pipe on the `go test`
 # line: a benchmark failure must fail the target, not vanish into
 # tee's exit status (bench.out is left behind for debugging).
 bench-json:
 	$(GO) test -bench . -benchmem -benchtime=$(BENCHTIME) -run '^$$' ./... > bench.out
 	@cat bench.out
-	$(GO) run ./cmd/benchjson -out BENCH_10.json < bench.out
+	$(GO) run ./cmd/benchjson -out BENCH_$(N).json < bench.out
 	@rm -f bench.out
-	@echo "wrote BENCH_10.json"
+	@echo "wrote BENCH_$(N).json"
 
 # Perf trajectory between the previous PR's snapshot and this one:
 # per-benchmark ns/op and allocs/op movement. Informational (CI runs
 # it non-gating); add -fail-on-regress locally to gate.
 bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchjson -diff BENCH_$(PREV).json BENCH_$(N).json
 
 # One iteration of every benchmark in the repo: catches benchmark rot
 # without paying for a measurement run.

@@ -8,12 +8,15 @@
 //
 // Execution is plan-shaped: core.Plan is a dependency DAG of
 // per-switch installs whose reachable transient states are the DAG's
-// order ideals. Round schedules convert losslessly to layered plans
-// (bit-identical to the paper's global-barrier rounds), while
+// order ideals, and it is the only update form the controller takes.
+// A round schedule is an input format: it converts losslessly, once,
+// at the boundary (core.PlanFromSchedule) to a layered plan that is
+// bit-identical to the paper's global-barrier rounds, while
 // PlanScheduler-capable algorithms (Peacock, GreedySLF) emit sparse
-// DAGs that the controller dispatches ack-driven — each FlowMod
-// issued the moment its dependencies' barriers arrive, so a slow
-// switch stalls only its own dependents.
+// DAGs. Either way the controller dispatches the plan ack-driven —
+// each FlowMod issued the moment its dependencies' barriers arrive, so
+// a slow switch stalls only its own dependents — and the plan that was
+// verified is, node for node, the plan that is journaled and run.
 //
 // Execution is also decentralizable: Plan.Partition slices the DAG
 // into per-switch partitions that the controller broadcasts once
@@ -72,7 +75,11 @@
 //     peer acks onto shared event loops for 100k-switch fleets
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
-//   - internal/controller— the controller: sharded ack-driven plan dispatch
+//   - internal/controller— the controller: one plan in, one job out — a single
+//     materializer turns a core.Plan plus per-node FlowMods into the
+//     execution DAG (two-phase and joint updates are small plan builders,
+//     recovery rebuilds through the same constructor) and a single job
+//     lifecycle runs it; sharded ack-driven plan dispatch
 //     (a fixed pool of event loops, goroutine- and allocation-free per
 //     install, batched write-ahead journaling) with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
