@@ -88,7 +88,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 	cases := []struct {
 		name        string
 		recoverable bool
-		build       func(SubmitOptions) (jobSpec, error)
+		build       func(SubmitOptions) (*Job, error)
 		shape       string // header without cleanup
 		shapeClean  string // header with cleanup
 		nodes       string
@@ -97,8 +97,8 @@ func TestExecPlanFromEverySource(t *testing.T) {
 		{
 			name:        "schedule",
 			recoverable: true,
-			build: func(o SubmitOptions) (jobSpec, error) {
-				return e.planSpec(wp, core.PlanFromSchedule(wayup), match, o)
+			build: func(o SubmitOptions) (*Job, error) {
+				return e.planJob(wp, core.PlanFromSchedule(wayup), match, o)
 			},
 			shape:      "wayup depth=3 width=5 critical=2 sparse=false\n",
 			shapeClean: "wayup depth=4 width=5 critical=3 sparse=false\n",
@@ -117,8 +117,8 @@ func TestExecPlanFromEverySource(t *testing.T) {
 			// order follows the scheduler, not ascending ids.
 			name:        "schedule-unsorted-round",
 			recoverable: true,
-			build: func(o SubmitOptions) (jobSpec, error) {
-				return e.planSpec(wp, core.PlanFromSchedule(core.OneShot(wp)), match, o)
+			build: func(o SubmitOptions) (*Job, error) {
+				return e.planJob(wp, core.PlanFromSchedule(core.OneShot(wp)), match, o)
 			},
 			shape:      "oneshot depth=1 width=7 critical=0 sparse=false\n",
 			shapeClean: "oneshot depth=2 width=7 critical=1 sparse=false\n",
@@ -135,8 +135,8 @@ func TestExecPlanFromEverySource(t *testing.T) {
 		{
 			name:        "sparse-plan",
 			recoverable: true,
-			build: func(o SubmitOptions) (jobSpec, error) {
-				return e.planSpec(nowp, sparse, match, o)
+			build: func(o SubmitOptions) (*Job, error) {
+				return e.planJob(nowp, sparse, match, o)
 			},
 			shape:      "peacock depth=2 width=5 critical=1 sparse=true\n",
 			shapeClean: "peacock depth=3 width=5 critical=2 sparse=true\n",
@@ -152,8 +152,8 @@ func TestExecPlanFromEverySource(t *testing.T) {
 		},
 		{
 			name: "two-phase",
-			build: func(o SubmitOptions) (jobSpec, error) {
-				return e.twoPhaseSpec(wp, match, TwoPhaseTag, o)
+			build: func(o SubmitOptions) (*Job, error) {
+				return e.twoPhaseJob(wp, match, TwoPhaseTag, o)
 			},
 			shape:      "two-phase depth=2 width=6 critical=1 sparse=false\n",
 			shapeClean: "two-phase depth=3 width=6 critical=2 sparse=false\n",
@@ -172,12 +172,8 @@ func TestExecPlanFromEverySource(t *testing.T) {
 			// shared switch is one node carrying both flows' FlowMods, and
 			// the cleanup layer has one node per stale switch.
 			name: "joint",
-			build: func(o SubmitOptions) (jobSpec, error) {
-				job, err := e.SubmitJoint(ju, []openflow.Match{match, flowMatch("10.0.0.9")}, o)
-				if err != nil {
-					return jobSpec{}, err
-				}
-				return jobSpec{plan: job.plan}, nil
+			build: func(o SubmitOptions) (*Job, error) {
+				return e.SubmitJoint(ju, []openflow.Match{match, flowMatch("10.0.0.9")}, o)
 			},
 			shape:      "joint-wayup depth=3 width=9 critical=2 sparse=false\n",
 			shapeClean: "joint-wayup depth=4 width=9 critical=3 sparse=false\n",
@@ -208,7 +204,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 	for _, tc := range cases {
 		for _, cleanup := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/cleanup=%v", tc.name, cleanup), func(t *testing.T) {
-				spec, err := tc.build(SubmitOptions{Cleanup: cleanup, Interval: 3 * time.Millisecond, Mode: ModeDecentralized})
+				job, err := tc.build(SubmitOptions{Cleanup: cleanup, Interval: 3 * time.Millisecond, Mode: ModeDecentralized})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,18 +212,17 @@ func TestExecPlanFromEverySource(t *testing.T) {
 				if cleanup {
 					want = tc.shapeClean + tc.nodes + tc.cleanup
 				}
-				if got := dumpExecPlan(spec.plan); got != want {
+				if got := dumpExecPlan(job.plan); got != want {
 					t.Fatalf("exec plan:\n%s\nwant:\n%s", got, want)
 				}
-				if (spec.rollback != nil) != tc.recoverable {
-					t.Fatalf("rollback spec = %v, want recoverable=%v", spec.rollback, tc.recoverable)
+				if (job.rollback != nil) != tc.recoverable {
+					t.Fatalf("rollback spec = %v, want recoverable=%v", job.rollback, tc.recoverable)
 				}
 				if !tc.recoverable {
 					return
 				}
 				// Recovered from the journal: the admit record alone
 				// rebuilds the same plan, options and rollback spec.
-				job := newJob(spec)
 				job.ID = 41
 				re, err := e.rebuildJob(&recoveredJob{id: job.ID, admit: admitSpec(job)})
 				if err != nil {

@@ -153,7 +153,7 @@ func newAllocHarness(t *testing.T) *allocHarness {
 // runJob executes one full job on the dispatch path and waits for it.
 func (h *allocHarness) runJob(t *testing.T, id int) {
 	t.Helper()
-	job := newJob(jobSpec{plan: h.plan})
+	job := newJob(h.plan, SubmitOptions{}, nil)
 	job.ID = id
 	h.e.begin(job)
 	report, err := h.e.execute(context.Background(), job)

@@ -600,19 +600,19 @@ type SubmitOptions struct {
 // lets independent branches proceed past each other's stragglers. The
 // flow is identified by match. p must not be modified afterwards.
 func (e *Engine) SubmitPlan(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (*Job, error) {
-	spec, err := e.planSpec(in, p, match, opts)
+	job, err := e.planJob(in, p, match, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.enqueue(spec)
+	return e.enqueue(job)
 }
 
-// planSpec prepares a single-flow plan for admission; the job is
+// planJob prepares a single-flow plan for admission; the job is
 // reversible mid-plan (see rollback.go). Building is pure — nothing is
 // admitted.
-func (e *Engine) planSpec(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (jobSpec, error) {
+func (e *Engine) planJob(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (*Job, error) {
 	if err := p.Validate(in); err != nil {
-		return jobSpec{}, fmt.Errorf("controller: plan does not fit instance: %w", err)
+		return nil, fmt.Errorf("controller: plan does not fit instance: %w", err)
 	}
 	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
@@ -620,14 +620,9 @@ func (e *Engine) planSpec(in *core.Instance, p *core.Plan, match openflow.Match,
 	}
 	ep, err := e.flowExecPlan(in, p, match, len(p.Nodes), cleanupAt)
 	if err != nil {
-		return jobSpec{}, err
+		return nil, err
 	}
-	return jobSpec{
-		plan:     ep,
-		interval: opts.Interval,
-		mode:     opts.Mode,
-		rollback: &rollbackSpec{in: in, match: match, props: p.Guarantees},
-	}, nil
+	return newJob(ep, opts, &rollbackSpec{in: in, match: match, props: p.Guarantees}), nil
 }
 
 // flowExecPlan materializes one flow's plan: every update node points
@@ -708,11 +703,7 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 			mods = append(mods, stale[n])
 		}
 	}
-	return e.enqueue(jobSpec{
-		plan:     newExecPlan(p, mods, len(p.Nodes), cleanupAt),
-		interval: opts.Interval,
-		mode:     opts.Mode,
-	})
+	return e.enqueue(newJob(newExecPlan(p, mods, len(p.Nodes), cleanupAt), opts, nil))
 }
 
 // updateFlowMod builds the update FlowMod for one switch of one flow:
@@ -749,23 +740,16 @@ func deleteFlowMod(match openflow.Match) *openflow.FlowMod {
 	}
 }
 
-// jobSpec is one prepared submission: execution DAG built, not yet
-// admitted. The job takes its algorithm name from the plan.
-type jobSpec struct {
-	plan     execPlan
-	interval time.Duration
-	mode     ExecMode
-	rollback *rollbackSpec
-}
-
-// newJob turns a prepared submission into a queued job (no id yet).
-func newJob(s jobSpec) *Job {
+// newJob wraps an execution DAG as a job that is built but not yet
+// admitted (no id). The job takes its algorithm name from the plan; a
+// nil rollback marks a shape the engine cannot reverse.
+func newJob(plan execPlan, opts SubmitOptions, rollback *rollbackSpec) *Job {
 	job := &Job{
-		Algorithm: s.plan.dag.Algorithm,
-		Interval:  s.interval,
-		Mode:      s.mode,
-		plan:      s.plan,
-		rollback:  s.rollback,
+		Algorithm: plan.dag.Algorithm,
+		Interval:  opts.Interval,
+		Mode:      opts.Mode,
+		plan:      plan,
+		rollback:  rollback,
 		done:      make(chan struct{}),
 	}
 	job.footprint()
@@ -773,28 +757,23 @@ func newJob(s jobSpec) *Job {
 }
 
 // enqueue admits a single job (see enqueueAll).
-func (e *Engine) enqueue(spec jobSpec) (*Job, error) {
-	jobs, err := e.enqueueAll([]jobSpec{spec})
-	if err != nil {
+func (e *Engine) enqueue(job *Job) (*Job, error) {
+	if err := e.enqueueAll([]*Job{job}); err != nil {
 		return nil, err
 	}
-	return jobs[0], nil
+	return job, nil
 }
 
-// enqueueAll admits several jobs atomically: either the whole group
-// fits under the admission limit and every job is admitted in order
-// (consecutive ids), or nothing is and ErrQueueFull is returned. Every
-// submission path ends here. Disjoint jobs proceed immediately, bounded
-// only by the worker pool.
-func (e *Engine) enqueueAll(specs []jobSpec) ([]*Job, error) {
-	jobs := make([]*Job, len(specs))
-	for i, s := range specs {
-		jobs[i] = newJob(s)
-	}
+// enqueueAll admits several built jobs atomically: either the whole
+// group fits under the admission limit and every job is admitted in
+// order (consecutive ids), or nothing is and ErrQueueFull is returned.
+// Every submission path ends here. Disjoint jobs proceed immediately,
+// bounded only by the worker pool.
+func (e *Engine) enqueueAll(jobs []*Job) error {
 	e.mu.Lock()
 	if len(e.active)+len(jobs) > maxAdmitted {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d active + %d submitted > %d",
+		return fmt.Errorf("%w: %d active + %d submitted > %d",
 			ErrQueueFull, len(e.active), len(jobs), maxAdmitted)
 	}
 	launches := make([]*launch, len(jobs))
@@ -819,7 +798,7 @@ func (e *Engine) enqueueAll(specs []jobSpec) ([]*Job, error) {
 			go e.runJob(ctx, l)
 		}
 	}
-	return jobs, nil
+	return nil
 }
 
 // admitLocked registers a job as active and returns the done channels

@@ -247,11 +247,8 @@ func (e *Engine) Recovery() (RecoveryStats, bool) {
 // the API keeps answering for it across the restart. A non-nil report
 // marks the job failed-by-restart regardless of its journaled outcome.
 func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
-	job := newJob(jobSpec{
-		plan:     newExecPlan(&core.Plan{Algorithm: rj.admit.Algorithm}, nil, 0, nil),
-		interval: rj.admit.Interval,
-		mode:     ExecMode(rj.admit.Mode),
-	})
+	job := newJob(newExecPlan(&core.Plan{Algorithm: rj.admit.Algorithm}, nil, 0, nil),
+		SubmitOptions{Interval: rj.admit.Interval, Mode: ExecMode(rj.admit.Mode)}, nil)
 	job.ID = rj.id
 	job.Recovered = true
 	switch {
@@ -312,12 +309,8 @@ func (e *Engine) rebuildJob(rj *recoveredJob) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	job := newJob(jobSpec{
-		plan:     ep,
-		interval: a.Interval,
-		mode:     ExecMode(a.Mode),
-		rollback: &rollbackSpec{in: in, match: match, props: core.Property(a.Props)},
-	})
+	job := newJob(ep, SubmitOptions{Interval: a.Interval, Mode: ExecMode(a.Mode)},
+		&rollbackSpec{in: in, match: match, props: core.Property(a.Props)})
 	job.ID = rj.id
 	job.Recovered = true
 	return job, nil

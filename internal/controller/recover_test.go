@@ -84,11 +84,11 @@ func TestAdmitSpecMatchesParentEncoding(t *testing.T) {
 		{1, nowp, core.PlanFromSchedule(peacock), "10.0.0.3", SubmitOptions{}},
 		{5, nowp, sparse, "10.0.0.7", SubmitOptions{Cleanup: true}},
 	} {
-		spec, err := c.engine.planSpec(tc.in, tc.plan, flowMatch(tc.nwDst), tc.opts)
+		job, err := c.engine.planJob(tc.in, tc.plan, flowMatch(tc.nwDst), tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := admitSpec(newJob(spec)), recs[tc.rec].Admit; !reflect.DeepEqual(got, want) {
+		if got, want := admitSpec(job), recs[tc.rec].Admit; !reflect.DeepEqual(got, want) {
 			t.Fatalf("admit record of fixture job %d:\n got %+v\nwant %+v", recs[tc.rec].Job, got, want)
 		}
 	}

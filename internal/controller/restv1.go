@@ -268,39 +268,27 @@ func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
 	return out
 }
 
-// prepareSpec builds one planned update's job spec (no admission):
-// two-phase, or the plan.
-func (c *Controller) prepareSpec(p *plannedUpdate, opts SubmitOptions) (jobSpec, error) {
-	opts.Mode = p.Mode
-	var spec jobSpec
-	var err error
-	if p.DAG == nil {
-		spec, err = c.engine.twoPhaseSpec(p.In, p.Match, TwoPhaseTag, opts)
-	} else {
-		spec, err = c.engine.planSpec(p.In, p.DAG, p.Match, opts)
-	}
-	if err != nil {
-		return jobSpec{}, errf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-	}
-	return spec, nil
-}
-
 // submitPlanned builds and admits a group of planned updates
-// atomically: either every update becomes a job or none does.
+// atomically: either every update becomes a job or none does. An entry
+// is two-phase or a plan; nothing else reaches the engine.
 func (c *Controller) submitPlanned(plans []*plannedUpdate, opts SubmitOptions) ([]*Job, error) {
-	specs := make([]jobSpec, len(plans))
+	jobs := make([]*Job, len(plans))
 	for i, p := range plans {
-		spec, err := c.prepareSpec(p, opts)
-		if err != nil {
-			if he, ok := err.(*handlerError); ok && len(plans) > 1 {
-				return nil, errf(he.status, he.code, "updates[%d]: %s", i, he.msg)
-			}
-			return nil, err
+		var err error
+		opts.Mode = p.Mode
+		if p.DAG == nil {
+			jobs[i], err = c.engine.twoPhaseJob(p.In, p.Match, TwoPhaseTag, opts)
+		} else {
+			jobs[i], err = c.engine.planJob(p.In, p.DAG, p.Match, opts)
 		}
-		specs[i] = spec
+		if err != nil {
+			if len(plans) > 1 {
+				return nil, errf(http.StatusBadRequest, api.CodeBadRequest, "updates[%d]: %v", i, err)
+			}
+			return nil, errf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		}
 	}
-	jobs, err := c.engine.enqueueAll(specs)
-	if err != nil {
+	if err := c.engine.enqueueAll(jobs); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			return nil, errf(http.StatusServiceUnavailable, api.CodeQueueFull, "%v", err)
 		}

@@ -36,25 +36,25 @@ import (
 // rollback spec: their tagged mods have no reverse plan, so a mid-plan
 // failure fails plain.
 func (e *Engine) SubmitTwoPhase(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
-	spec, err := e.twoPhaseSpec(in, match, tag, opts)
+	job, err := e.twoPhaseJob(in, match, tag, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.enqueue(spec)
+	return e.enqueue(job)
 }
 
 // TwoPhaseTag is the VLAN id the REST layer uses to mark the new
 // policy version in two-phase updates.
 const TwoPhaseTag uint16 = 2016
 
-// twoPhaseSpec builds the prepare→commit(→cleanup) plan without
+// twoPhaseJob builds the prepare→commit(→cleanup) plan without
 // admitting anything.
-func (e *Engine) twoPhaseSpec(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (jobSpec, error) {
+func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
 	if tag == openflow.VLANNone {
-		return jobSpec{}, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
+		return nil, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
 	}
 	if match.Wildcards&openflow.WildcardDLVLAN == 0 {
-		return jobSpec{}, fmt.Errorf("controller: the flow match must not already pin a VLAN")
+		return nil, fmt.Errorf("controller: the flow match must not already pin a VLAN")
 	}
 	src := in.Src()
 
@@ -72,7 +72,7 @@ func (e *Engine) twoPhaseSpec(in *core.Instance, match openflow.Match, tag uint1
 		succ, _ := in.NewSucc(node)
 		fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
 		if err != nil {
-			return jobSpec{}, err
+			return nil, err
 		}
 		fm.Priority = e.c.cfg.FlowPriority + 10
 		mods = append(mods, []*openflow.FlowMod{fm})
@@ -82,11 +82,11 @@ func (e *Engine) twoPhaseSpec(in *core.Instance, match openflow.Match, tag uint1
 	// path's first hop.
 	succ, ok := in.NewSucc(src)
 	if !ok {
-		return jobSpec{}, fmt.Errorf("controller: source %d has no new-path successor", src)
+		return nil, fmt.Errorf("controller: source %d has no new-path successor", src)
 	}
 	commit, err := e.c.PathFlowMod(src, succ, match, openflow.FlowModify)
 	if err != nil {
-		return jobSpec{}, err
+		return nil, err
 	}
 	commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: tag}}, commit.Actions...)
 	mods = append(mods, []*openflow.FlowMod{commit})
@@ -104,9 +104,5 @@ func (e *Engine) twoPhaseSpec(in *core.Instance, match openflow.Match, tag uint1
 			mods = append(mods, []*openflow.FlowMod{deleteFlowMod(match)})
 		}
 	}
-	return jobSpec{
-		plan:     newExecPlan(p, mods, len(p.Nodes), cleanupAt),
-		interval: opts.Interval,
-		mode:     opts.Mode,
-	}, nil
+	return newJob(newExecPlan(p, mods, len(p.Nodes), cleanupAt), opts, nil), nil
 }
