@@ -4,10 +4,6 @@
 // probes. The server (internal/controller) and the typed SDK
 // (internal/client) share these types, so a request marshalled by the
 // client is by construction the request the server decodes.
-//
-// The legacy paper-schema routes (POST /update, GET /update/{id}, ...)
-// remain available as thin adapters over the same v1 core; their types
-// live with the server.
 package api
 
 import (

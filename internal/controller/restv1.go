@@ -149,13 +149,13 @@ func planUpdate(u api.FlowUpdate, forVerify bool) (*plannedUpdate, error) {
 	}
 	p.Algo = sched.Algorithm
 	p.Rounds = sched.Rounds
-	// Execution plan: the schedule is converted here, once — the lossless layered conversion by default; the
-	// sparse DAG on request, derived from the schedule just computed
-	// (the PlanScheduler capability gates which algorithms' rounds
-	// justify the derivation — never re-running the scheduler, so the
-	// reported rounds and the executed DAG come from the same run).
-	// Schedulers without a sparse form fall back to layered —
-	// PlanShape.Sparse reports what ran.
+	// Execution plan: the schedule is converted here, once — to the
+	// lossless layered plan by default; to the sparse DAG on request,
+	// derived from the schedule just computed (the PlanScheduler
+	// capability gates which algorithms' rounds justify the derivation —
+	// never re-running the scheduler, so the reported rounds and the
+	// executed DAG come from the same run). Schedulers without a sparse
+	// form fall back to layered — PlanShape.Sparse reports what ran.
 	p.DAG = core.PlanFromSchedule(sched)
 	if u.Plan == "sparse" {
 		if sch, err := core.Lookup(p.Algo); err == nil {
