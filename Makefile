@@ -53,7 +53,7 @@ test-determinism:
 # previous PR's, this PR writes the next one. Derived from git's index,
 # so re-running bench-json overwrites this PR's snapshot instead of
 # minting another, and committing it moves the window by itself.
-PREV := $(shell git ls-files 'BENCH_*.json' | tr -dc '0-9\n' | sort -n | tail -1)
+PREV = $(shell git ls-files 'BENCH_*.json' | tr -dc '0-9\n' | sort -n | tail -1)
 N ?= $(shell expr $(PREV) + 1)
 
 # Machine-readable benchmark trajectory: run every benchmark with
