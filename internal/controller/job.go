@@ -1,0 +1,316 @@
+package controller
+
+import (
+	"context"
+	"sync"
+	"time"
+
+	"tsu/internal/openflow"
+	"tsu/internal/topo"
+)
+
+// JobState is the lifecycle of an update job.
+type JobState int
+
+const (
+	// JobQueued: admitted, waiting on conflicting predecessors or a
+	// worker slot.
+	JobQueued JobState = iota
+	// JobRunning: installs in flight.
+	JobRunning
+	// JobDone: every install confirmed by its barrier.
+	JobDone
+	// JobFailed: an install failed (send error or barrier timeout).
+	JobFailed
+)
+
+func (s JobState) String() string {
+	switch s {
+	case JobQueued:
+		return "queued"
+	case JobRunning:
+		return "running"
+	case JobDone:
+		return "done"
+	case JobFailed:
+		return "failed"
+	}
+	return "unknown"
+}
+
+// ParseJobState maps a state name back to its JobState.
+func ParseJobState(s string) (JobState, bool) {
+	for _, st := range []JobState{JobQueued, JobRunning, JobDone, JobFailed} {
+		if st.String() == s {
+			return st, true
+		}
+	}
+	return 0, false
+}
+
+// RoundTiming records one executed round: which switches were touched
+// and how long the round took from first FlowMod sent to last barrier
+// reply received — the paper's "update time of flow tables" metric,
+// measured per round.
+type RoundTiming struct {
+	Round    int
+	Switches []topo.NodeID
+	FlowMods int
+	Cleanup  bool // true for the stale-rule garbage-collection round
+	Started  time.Time
+	Finished time.Time
+}
+
+// Duration returns the round's wall-clock time.
+func (rt RoundTiming) Duration() time.Duration { return rt.Finished.Sub(rt.Started) }
+
+// InstallTiming records one confirmed install of the ack-driven
+// dispatcher: which switch was updated, the dependency edge that
+// released it (the predecessor whose barrier reply arrived last —
+// zero for installs dispatched immediately), and the span from first
+// FlowMod sent to barrier reply received. The sequence of
+// InstallTimings is the job's execution trace at per-node-barrier
+// granularity; RoundTimings aggregate it per layer for the round view.
+type InstallTiming struct {
+	Node       topo.NodeID
+	Layer      int
+	ReleasedBy topo.NodeID // 0 when the install had no dependencies
+	FlowMods   int
+	Cleanup    bool
+	Started    time.Time
+	Finished   time.Time
+}
+
+// Duration returns the install's wall-clock time.
+func (it InstallTiming) Duration() time.Duration { return it.Finished.Sub(it.Started) }
+
+// JobEvent is one progress notification delivered to Subscribe
+// channels: a confirmed install (Install non-nil), a completed layer
+// (Round non-nil, State JobRunning), or the terminal state (both nil,
+// State JobDone/JobFailed).
+type JobEvent struct {
+	Round   *RoundTiming
+	Install *InstallTiming
+	State   JobState
+	Err     error // set on terminal failure
+}
+
+// Job is one queued update: the REST message object of the paper,
+// carrying the execution DAG and the per-switch OpenFlow messages of
+// every node.
+type Job struct {
+	ID        int
+	Algorithm string
+	Interval  time.Duration // pause before a released non-root install (REST "interval")
+	Mode      ExecMode      // dispatch path (controller-driven or decentralized)
+
+	plan execPlan
+
+	// Conflict footprint, immutable after construction: the switches
+	// this job touches and the flow matches it programs. Two jobs
+	// conflict when either set intersects; the dispatcher serializes
+	// conflicting jobs in submission order and runs disjoint jobs
+	// concurrently.
+	nodes   map[topo.NodeID]struct{}
+	matches map[openflow.Match]struct{}
+
+	// rollback, immutable after construction, carries what the abort
+	// path needs to build and verify a reverse plan. Nil for jobs the
+	// engine cannot roll back (joint updates, two-phase), which fail
+	// plain on mid-plan errors.
+	rollback *rollbackSpec
+
+	// Recovered marks a job reconstructed from the journal after a
+	// controller restart; Adopted additionally marks a mid-flight job
+	// whose journal and switch state agreed, so execution resumed from
+	// the recovered frontier instead of rolling back. Both are set
+	// before the job launches and immutable after.
+	Recovered bool
+	Adopted   bool
+
+	// preConfirmed, set only on adopted jobs, marks the plan nodes the
+	// reconciliation proved already applied: execute confirms them
+	// synthetically and resumes dispatch from the frontier they
+	// release.
+	preConfirmed []bool
+
+	mu       sync.Mutex
+	state    JobState
+	err      error
+	failure  *FailureReport
+	timings  []RoundTiming
+	installs []InstallTiming
+	msgs     map[topo.NodeID]MessageStats
+	events   []JobEvent // publish log, replayed to late subscribers
+	started  time.Time
+	finished time.Time
+	done     chan struct{}
+	subs     []chan JobEvent
+}
+
+// NumRounds returns the number of layers the job's execution DAG has
+// (including a cleanup layer, when requested) — for a round schedule,
+// exactly its round count.
+func (j *Job) NumRounds() int { return j.plan.depth }
+
+// NumInstalls returns the number of per-switch installs of the job's
+// execution DAG.
+func (j *Job) NumInstalls() int { return j.plan.len() }
+
+// NumEdges returns the number of happens-before edges of the job's
+// execution DAG.
+func (j *Job) NumEdges() int { return j.plan.dag.NumEdges() }
+
+// PlanShape reports the execution DAG's shape: depth (layers), width
+// (peak install parallelism), critical path (sequential barrier waits
+// on the longest chain), and whether the DAG is sparse (ack-driven
+// past layer barriers) rather than layered.
+func (j *Job) PlanShape() (depth, width, critical int, sparse bool) {
+	return j.plan.depth, j.plan.width, j.plan.critical, j.plan.dag.Sparse
+}
+
+// State returns the job's current lifecycle state.
+func (j *Job) State() JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
+// Err returns the failure cause for JobFailed jobs.
+func (j *Job) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
+}
+
+// Failure returns the structured failure report of a JobFailed job
+// that aborted mid-plan (nil otherwise): the recovery phase reached,
+// the triggering fault, and the installed/rolled-back node sets.
+func (j *Job) Failure() *FailureReport {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.failure == nil {
+		return nil
+	}
+	f := *j.failure
+	return &f
+}
+
+// Timings returns the per-round (per-layer) timings recorded so far.
+func (j *Job) Timings() []RoundTiming {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]RoundTiming, len(j.timings))
+	copy(out, j.timings)
+	return out
+}
+
+// Installs returns the per-switch install trace recorded so far, in
+// barrier-confirmation order: each entry names the dependency edge
+// that released the install.
+func (j *Job) Installs() []InstallTiming {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]InstallTiming, len(j.installs))
+	copy(out, j.installs)
+	return out
+}
+
+// TotalDuration returns the job's wall-clock time from first round
+// start to last barrier (zero while unfinished).
+func (j *Job) TotalDuration() time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.started.IsZero() || j.finished.IsZero() {
+		return 0
+	}
+	return j.finished.Sub(j.started)
+}
+
+// Wait blocks until the job reaches JobDone or JobFailed (or ctx ends).
+func (j *Job) Wait(ctx context.Context) error {
+	select {
+	case <-j.done:
+		return j.Err()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Subscribe returns a channel of progress events: installs and rounds
+// already executed are replayed first (in publish order), then live
+// events stream as barriers arrive, and the channel ends with a
+// terminal JobDone/JobFailed event before closing. The channel is
+// buffered for the job's full event count, so a slow reader never
+// blocks the engine.
+func (j *Job) Subscribe() <-chan JobEvent {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ch := make(chan JobEvent, j.plan.len()+j.plan.depth+2)
+	for _, ev := range j.events {
+		ch <- ev
+	}
+	if j.state == JobDone || j.state == JobFailed {
+		ch <- JobEvent{State: j.state, Err: j.err}
+		close(ch)
+		return ch
+	}
+	j.subs = append(j.subs, ch)
+	return ch
+}
+
+// footprint fills the job's conflict sets from its execution DAG.
+func (j *Job) footprint() {
+	j.nodes = make(map[topo.NodeID]struct{})
+	j.matches = make(map[openflow.Match]struct{})
+	for i, nd := range j.plan.dag.Nodes {
+		j.nodes[nd.Switch] = struct{}{}
+		for _, fm := range j.plan.mods[i] {
+			j.matches[fm.Match] = struct{}{}
+		}
+	}
+}
+
+// conflictsWith reports whether the two jobs may not execute
+// concurrently: they touch a common switch or program a common flow.
+func (j *Job) conflictsWith(other *Job) bool {
+	a, b := j.nodes, other.nodes
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	for n := range a {
+		if _, ok := b[n]; ok {
+			return true
+		}
+	}
+	ma, mb := j.matches, other.matches
+	if len(mb) < len(ma) {
+		ma, mb = mb, ma
+	}
+	for m := range ma {
+		if _, ok := mb[m]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// publish delivers an event to every subscriber; on terminal events
+// the subscriber channels are closed and dropped. Non-terminal events
+// are appended to the job's publish log for late-subscriber replay.
+// Caller must hold j.mu.
+func publishLocked(j *Job, ev JobEvent) {
+	terminal := ev.State == JobDone || ev.State == JobFailed
+	if !terminal {
+		j.events = append(j.events, ev)
+	}
+	for _, ch := range j.subs {
+		ch <- ev // buffered for the full event count, never blocks
+		if terminal {
+			close(ch)
+		}
+	}
+	if terminal {
+		j.subs = nil
+	}
+}
