@@ -340,7 +340,7 @@ func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
 	}
 	applied, agentDone, allReported := e.appliedSet(job, reports)
 
-	if allReported && adoptable(job.plan.dag, applied, jconfirmed, jdispatched, agentDone) {
+	if allReported && Adoptable(job.plan.dag, applied, jconfirmed, jdispatched, agentDone) {
 		job.Adopted = true
 		job.preConfirmed = applied
 		e.c.logger.Info("recovery: adopting job", "job", job.ID,
@@ -464,9 +464,9 @@ func (e *Engine) appliedSet(job *Job, reports map[topo.NodeID]*planwire.StateRep
 	return applied, agentDone, allReported
 }
 
-// adoptable decides whether a mid-flight job's recovered state is safe
+// Adoptable decides whether a mid-flight job's recovered state is safe
 // to resume from (see the file comment for the argument).
-func adoptable(dag *core.Plan, applied, jconfirmed, jdispatched, agentDone []bool) bool {
+func Adoptable(dag *core.Plan, applied, jconfirmed, jdispatched, agentDone []bool) bool {
 	closure := downClosure(dag, applied)
 	for i := range applied {
 		if applied[i] != closure[i] {

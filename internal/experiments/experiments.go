@@ -9,6 +9,17 @@
 // algorithms (waypoint enforcement always preserved; relaxed loop
 // freedom needs far fewer rounds than strong; violations of the
 // one-shot baseline grow with channel asynchrony).
+//
+// E1, E2, E6 and E7 drive a live Bed — controller, switch fleet over
+// loopback TCP — through the API client; E3–E5, E9 and E12 call the
+// schedulers, verifier and synthesizer directly. E10 and E13–E15 are
+// analytic models on virtual time: no Engine, journal or switch is
+// constructed. E10 replays schedules on explore.Timed's event clock;
+// E13–E15 replay one peacock plan per reroute arithmetically from
+// seeded per-node draws (replay.go). The timing arithmetic is the
+// model's own, every fault decision is the engine's: the rollback plan
+// is core.Plan.Reverse checked by verify.Plan, and adopt-or-rollback
+// after a crash is controller.Adoptable.
 package experiments
 
 import (
@@ -18,7 +29,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"tsu/internal/api"
@@ -245,9 +255,7 @@ func E1Fig1(seed int64) (*metrics.Table, error) {
 // update time per algorithm across rule-install latency regimes, on the
 // Figure 1 scenario, averaged over reps runs.
 func E2UpdateTime(reps int, seed int64) (*metrics.Table, error) {
-	if reps <= 0 {
-		reps = 3
-	}
+	reps = orDefault(reps, 3)
 	regimes := []struct {
 		name    string
 		install netem.Latency
@@ -302,9 +310,7 @@ func E2UpdateTime(reps int, seed int64) (*metrics.Table, error) {
 // Columns: n, instances, one-shot unsafe fraction, wayup unsafe
 // fraction (always 0).
 func E3Violations(instances int, seed int64) (*metrics.Table, error) {
-	if instances <= 0 {
-		instances = 50
-	}
+	instances = orDefault(instances, 50)
 	tbl := metrics.NewTable("n", "instances", "oneshot_unsafe", "wayup_unsafe")
 	props := core.NoBlackhole | core.WaypointEnforcement
 	for _, n := range []int{8, 16, 24, 32} {
@@ -576,31 +582,15 @@ type E10Result struct {
 // seconds of wall-clock time. Columns: algorithm, policies, events,
 // violating events, affected policies, mean virtual makespan.
 func E10VirtualFatTree(k, policies int, seed int64) (*E10Result, error) {
-	if k <= 0 {
-		k = 90 // 5k²/4 = 10125 switches
+	k, policies = orDefault(k, 90), orDefault(policies, 200) // 5k²/4 = 10125 switches
+	// One policy set; both algorithms replay the same instances under
+	// the same per-policy latency seeds.
+	switches, instances, err := fleet(k, policies, seed)
+	if err != nil {
+		return nil, err
 	}
-	if policies <= 0 {
-		policies = 200
-	}
-	g := topo.FatTree(k)
 	tbl := metrics.NewTable("algorithm", "policies", "events", "violating_events", "affected_policies", "mean_makespan")
-	res := &E10Result{Table: tbl, Switches: g.NumNodes(), Violations: make(map[string]int)}
-
-	// Draw the policy set once; both algorithms replay the same
-	// instances under the same per-policy latency seeds.
-	rng := rand.New(rand.NewSource(seed))
-	instances := make([]*core.Instance, 0, policies)
-	for len(instances) < policies {
-		ti, err := topo.RandomFatTreePolicy(rng, g)
-		if err != nil {
-			return nil, err
-		}
-		in := core.MustInstance(ti.Old, ti.New, 0)
-		if in.NumPending() == 0 {
-			continue
-		}
-		instances = append(instances, in)
-	}
+	res := &E10Result{Table: tbl, Switches: switches, Violations: make(map[string]int)}
 	props := core.NoBlackhole | core.RelaxedLoopFreedom
 	for _, algo := range []string{core.AlgoPeacock, core.AlgoOneShot} {
 		events, violations, affected := 0, 0, 0
@@ -611,9 +601,9 @@ func E10VirtualFatTree(k, policies int, seed int64) (*E10Result, error) {
 				return nil, err
 			}
 			rep, err := explore.Timed(in, sched, explore.TimedOptions{
-				Ctrl:    netem.Uniform{Min: 0, Max: 3 * time.Millisecond},
-				Install: netem.Pareto{Scale: time.Millisecond, Alpha: 1.5, Cap: 20 * time.Millisecond},
-				Barrier: netem.Fixed(500 * time.Microsecond),
+				Ctrl:    ctrlDist,
+				Install: installDist,
+				Barrier: barrierDist,
 				Props:   props,
 				Seed:    seed ^ int64(p+1)<<20,
 			})
@@ -690,133 +680,45 @@ type E13Result struct {
 	Violations int
 }
 
-// e13Sample is one update's replay outcome; aggregation over samples
-// in instance-index order makes the result worker-count independent.
-type e13Sample struct {
-	events, faults, rolledBack, stuck, violations int
-	aborted                                       bool
-	makespan                                      time.Duration
-}
-
-// e13Replay executes one reroute on the virtual clock under a seeded
-// loss model: per-node control/install/barrier latencies and a
-// per-node confirmation-loss draw, all taken in node-index order so
-// the replay is a pure function of instSeed. A lost confirmation
-// aborts the update RoundTimeout after the node's dispatch; the
-// dispatched prefix is then reversed, the reverse plan verified, and
-// the rollback replayed on the same clock.
-func e13Replay(in *core.Instance, instSeed int64, faultRate float64) (e13Sample, error) {
-	const roundTimeout = 100 * time.Millisecond
-	var (
-		ctrlDist    = netem.Uniform{Min: 0, Max: 3 * time.Millisecond}
-		installDist = netem.Pareto{Scale: time.Millisecond, Alpha: 1.5, Cap: 20 * time.Millisecond}
-		barrierDist = netem.Fixed(500 * time.Microsecond)
-	)
-	var s e13Sample
-	sched, err := core.Peacock(in)
+// e13Replay executes one controller-driven reroute under a seeded loss
+// model: per node a control+install+barrier latency and a
+// confirmation-loss draw, taken in node-index order so the replay is a
+// pure function of seed. On an abort the dispatched prefix is reversed
+// and verified, and the rollback replayed on the same clock.
+func e13Replay(in *core.Instance, seed int64, faultRate float64) (outcome, error) {
+	var o outcome
+	r, err := newReplay(in, seed, func(rng *rand.Rand) draw {
+		return draw{latency: roundTrip(rng), lost: rng.Float64() < faultRate}
+	})
 	if err != nil {
-		return s, err
+		return o, err
 	}
-	plan := core.PlanFromSchedule(sched)
-	rng := rand.New(rand.NewSource(instSeed))
-	n := len(plan.Nodes)
-	latency := make([]time.Duration, n)
-	lost := make([]bool, n)
-	for i := 0; i < n; i++ {
-		latency[i] = ctrlDist.Sample(rng) + installDist.Sample(rng) + barrierDist.Sample(rng)
-		lost[i] = rng.Float64() < faultRate
-	}
-
-	// Ack-driven forward pass: a node dispatches when all its
-	// dependencies have confirmed (plan nodes are topologically
-	// ordered, so one ascending sweep suffices).
-	dispatchT := make([]time.Duration, n)
-	confirmT := make([]time.Duration, n)
-	reachable := make([]bool, n) // all deps confirm eventually
-	abortAt := time.Duration(-1)
-	for i := 0; i < n; i++ {
-		ready, t := true, time.Duration(0)
-		for _, d := range plan.Nodes[i].Deps {
-			if !reachable[d] || lost[d] {
-				ready = false
-				break
-			}
-			if confirmT[d] > t {
-				t = confirmT[d]
-			}
-		}
-		if !ready {
-			continue
-		}
-		reachable[i] = true
-		dispatchT[i] = t
-		if lost[i] {
-			if abortAt < 0 || t+roundTimeout < abortAt {
-				abortAt = t + roundTimeout
-			}
-			continue
-		}
-		confirmT[i] = t + latency[i]
-	}
-
-	if abortAt < 0 { // fault-free run: everything confirms
-		s.events = n
-		for i := 0; i < n; i++ {
-			if confirmT[i] > s.makespan {
-				s.makespan = confirmT[i]
-			}
-		}
-		return s, nil
-	}
-
-	// The engine stops releasing at the first timeout: the installed
-	// prefix is every node dispatched before the abort (down-closed by
-	// construction — its deps confirmed even earlier).
-	s.aborted = true
-	dispatched := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if reachable[i] && dispatchT[i] <= abortAt {
-			dispatched[i] = true
-			s.events++
-			if lost[i] {
-				s.faults++
+	for i, d := range r.dispatched {
+		if d {
+			o.events++
+			if r.node[i].lost {
+				o.faults++
 			}
 		}
 	}
-	rev, _, err := plan.Reverse(dispatched)
-	if err != nil {
-		return s, fmt.Errorf("reversing dispatched prefix: %w", err)
+	if r.abortAt < 0 {
+		o.makespan.Record(r.end)
+		return o, nil
 	}
-	if rep := verify.Plan(in, rev, sched.Guarantees, verify.Options{}); !rep.OK() {
-		s.violations++
-		for i := range dispatched {
-			if dispatched[i] {
-				s.stuck++
-			}
-		}
-		s.makespan = abortAt
-		return s, nil
+	o.aborts = 1
+	rev, err := r.reverse(&o, r.dispatched, &o.lossUndone)
+	if err != nil || rev == nil {
+		o.makespan.Record(r.abortAt)
+		return o, err
 	}
 	// Rollback replay: fresh per-node draws in reverse-plan index
 	// order, no losses (the controller keeps barriering undos).
-	s.rolledBack = len(rev.Nodes)
-	s.events += len(rev.Nodes)
-	rbT := make([]time.Duration, len(rev.Nodes))
-	var rbEnd time.Duration
-	for j := range rev.Nodes {
-		t := time.Duration(0)
-		for _, d := range rev.Nodes[j].Deps {
-			if rbT[d] > t {
-				t = rbT[d]
-			}
-		}
-		rbT[j] = t + ctrlDist.Sample(rng) + installDist.Sample(rng) + barrierDist.Sample(rng)
-		if rbT[j] > rbEnd {
-			rbEnd = rbT[j]
-		}
+	undo := make([]draw, len(rev.Nodes))
+	for j := range undo {
+		undo[j].latency = roundTrip(r.rng)
 	}
-	s.makespan = abortAt + rbEnd
-	return s, nil
+	o.makespan.Record(r.abortAt + forward(rev, undo, nil).end)
+	return o, nil
 }
 
 // E13FaultedRollback stress-tests recovery at datacenter scale:
@@ -830,84 +732,30 @@ func e13Replay(in *core.Instance, instSeed int64, faultRate float64) (e13Sample,
 // rolled back, stuck installs, verifier refusals, mean virtual
 // makespan.
 func E13FaultedRollback(k, policies int, seed int64, workers int) (*E13Result, error) {
-	if k <= 0 {
-		k = 90 // 5k²/4 = 10125 switches
+	k, policies = orDefault(k, 90), orDefault(policies, 200) // 5k²/4 = 10125 switches
+	switches, instances, err := fleet(k, policies, seed)
+	if err != nil {
+		return nil, err
 	}
-	if policies <= 0 {
-		policies = 200
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	g := topo.FatTree(k)
 	tbl := metrics.NewTable("fault_rate", "updates", "faulted", "aborts", "events",
 		"faults", "rolled_back", "stuck", "violations", "mean_makespan")
-	res := &E13Result{Table: tbl, Switches: g.NumNodes()}
-
-	// One policy set, shared across rates: higher rates face the same
-	// reroutes, only the fault draws differ.
-	rng := rand.New(rand.NewSource(seed))
-	instances := make([]*core.Instance, 0, policies)
-	for len(instances) < policies {
-		ti, err := topo.RandomFatTreePolicy(rng, g)
-		if err != nil {
-			return nil, err
-		}
-		in := core.MustInstance(ti.Old, ti.New, 0)
-		if in.NumPending() == 0 {
-			continue
-		}
-		instances = append(instances, in)
-	}
-
+	res := &E13Result{Table: tbl, Switches: switches}
 	for ri, rate := range []float64{0, 0.02, 0.10} {
-		samples := make([]e13Sample, len(instances))
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < len(instances); p += workers {
-					instSeed := seed ^ int64(p+1)<<20 ^ int64(ri+1)<<40
-					s, err := e13Replay(instances[p], instSeed, rate)
-					if err != nil {
-						errs[w] = fmt.Errorf("policy %d at rate %.2f: %w", p, rate, err)
-						return
-					}
-					samples[p] = s
-				}
-			}(w)
+		row, err := sweep(instances, seed, ri, workers, func(in *core.Instance, s int64) (outcome, error) {
+			return e13Replay(in, s, rate)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fault rate %.2f: %w", rate, err)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		events, faults, aborts, faulted, rolledBack, stuck, violations := 0, 0, 0, 0, 0, 0, 0
-		var makespan metrics.Histogram
-		for _, s := range samples { // index order: worker-count independent
-			events += s.events
-			faults += s.faults
-			rolledBack += s.rolledBack
-			stuck += s.stuck
-			violations += s.violations
-			if s.aborted {
-				aborts++
-			}
-			if s.faults > 0 {
-				faulted++
-			}
-			makespan.Record(s.makespan)
-		}
-		res.Events += events
-		res.Faults += faults
-		res.Aborts += aborts
-		res.RolledBack += rolledBack
-		res.Violations += violations
-		tbl.AddRow(fmt.Sprintf("%.2f", rate), len(instances), faulted, aborts, events,
-			faults, rolledBack, stuck, violations, makespan.Mean())
+		res.Events += row.events
+		res.Faults += row.faults
+		res.Aborts += row.aborts
+		res.RolledBack += row.lossUndone
+		res.Violations += row.violations
+		// faulted = aborts: a dispatched node that loses its confirmation
+		// always times the update out.
+		tbl.AddRow(fmt.Sprintf("%.2f", rate), len(instances), row.aborts, row.aborts, row.events,
+			row.faults, row.lossUndone, row.stuck, row.violations, row.makespan.Mean())
 	}
 	return res, nil
 }
@@ -938,162 +786,29 @@ type E14Result struct {
 	Violations int
 }
 
-// e14Sample is one update's crash-sweep outcome; aggregation over
-// samples in instance-index order keeps the result worker-count
-// independent.
-type e14Sample struct {
-	boundaries, requeued, adopted, rolledBack int
-	events, undone, violations, stuck         int
-	resumeMakespan                            metrics.Histogram
-}
-
-// e14Replay sweeps one reroute's crash boundaries analytically. The
-// forward pass replays the peacock plan ack-driven on seeded latencies
-// (node-index order, a pure function of instSeed). For every boundary
-// k — the engine dying the instant the k-th dispatched record hits the
-// journal — the journal is the event-order prefix up to that record,
-// and switch state is the journaled dispatched set minus a seeded
-// per-node wipe draw (switches that died with the controller and lost
-// their rules, the WipeTableOnCrash analog). The restarted controller
-// then decides exactly as Engine.Recover does: adopt iff the surviving
-// applied set is an order ideal that covers every journaled confirm,
-// resuming forward from the frontier; otherwise reverse the journaled
-// dispatched set, which must verify.
-func e14Replay(in *core.Instance, instSeed int64, wipeRate float64) (e14Sample, error) {
-	var (
-		ctrlDist    = netem.Uniform{Min: 0, Max: 3 * time.Millisecond}
-		installDist = netem.Pareto{Scale: time.Millisecond, Alpha: 1.5, Cap: 20 * time.Millisecond}
-		barrierDist = netem.Fixed(500 * time.Microsecond)
-	)
-	var s e14Sample
-	sched, err := core.Peacock(in)
+// e14Replay sweeps one controller-driven reroute's crash boundaries:
+// a fault-free forward pass on seeded latencies (node-index order, a
+// pure function of seed), then the engine dying the instant each
+// dispatched record hits the journal — one record per node, appended
+// in release order.
+func e14Replay(in *core.Instance, seed int64, wipeRate float64) (outcome, error) {
+	var o outcome
+	r, err := newReplay(in, seed, func(rng *rand.Rand) draw { return draw{latency: roundTrip(rng)} })
 	if err != nil {
-		return s, err
+		return o, err
 	}
-	plan := core.PlanFromSchedule(sched)
-	rng := rand.New(rand.NewSource(instSeed))
-	n := len(plan.Nodes)
-	latency := make([]time.Duration, n)
-	for i := range latency {
-		latency[i] = ctrlDist.Sample(rng) + installDist.Sample(rng) + barrierDist.Sample(rng)
+	// Journal append order: release instants, node index breaking ties.
+	records := make([][]int, len(r.plan.Nodes))
+	for i := range records {
+		records[i] = []int{i}
 	}
-
-	// Fault-free ack-driven forward pass (plan nodes are topologically
-	// ordered): dispatch when the slowest dependency confirms.
-	dispatchT := make([]time.Duration, n)
-	confirmT := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		t := time.Duration(0)
-		for _, d := range plan.Nodes[i].Deps {
-			if confirmT[d] > t {
-				t = confirmT[d]
-			}
-		}
-		dispatchT[i] = t
-		confirmT[i] = t + latency[i]
-	}
-	// Journal append order: dispatch instants, node index breaking ties.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if dispatchT[order[a]] != dispatchT[order[b]] {
-			return dispatchT[order[a]] < dispatchT[order[b]]
-		}
-		return order[a] < order[b]
+	sort.SliceStable(records, func(a, b int) bool {
+		return r.releaseT[records[a][0]] < r.releaseT[records[b][0]]
 	})
-
-	// Boundary 0: the crash lands before any dispatched record. The
-	// journal holds only the admit — recovery re-admits and the whole
-	// plan re-runs.
-	s.boundaries++
-	s.requeued++
-	s.events += n
-	s.resumeMakespan.Record(confirmT[order[n-1]])
-
-	dispatched := make([]bool, n)
-	applied := make([]bool, n)
-	resumeT := make([]time.Duration, n)
-	for k := 1; k <= n; k++ {
-		s.boundaries++
-		crashAt := dispatchT[order[k-1]]
-		// The journaled dispatched set is the append-order prefix; every
-		// journaled confirm precedes the crash instant, and confirms
-		// always trail their own dispatch, so the confirm set needs no
-		// separate bookkeeping beyond confirmT < crashAt.
-		for i := range dispatched {
-			dispatched[i] = false
-		}
-		for _, i := range order[:k] {
-			dispatched[i] = true
-		}
-		// In-flight mods had left the wire: every journaled dispatch is
-		// applied on its switch unless the wipe draw killed that switch
-		// with the controller. Draws go in node-index order per boundary.
-		wipeRng := rand.New(rand.NewSource(instSeed ^ int64(k)<<32))
-		adoptable := true
-		for i := 0; i < n; i++ {
-			applied[i] = dispatched[i] && !(wipeRng.Float64() < wipeRate)
-			if dispatched[i] && !applied[i] && confirmT[i] < crashAt {
-				// A journaled confirm vanished from the data plane.
-				adoptable = false
-			}
-		}
-		for i := 0; i < n && adoptable; i++ {
-			if !applied[i] {
-				continue
-			}
-			for _, d := range plan.Nodes[i].Deps {
-				if !applied[d] { // a hole under the frontier: not an ideal
-					adoptable = false
-					break
-				}
-			}
-		}
-		s.events += k
-		if adoptable {
-			// Adopt-and-resume: applied nodes are pre-confirmed at the
-			// restart instant, everything else re-dispatches ack-driven.
-			s.adopted++
-			var end time.Duration
-			for i := 0; i < n; i++ {
-				if applied[i] {
-					resumeT[i] = 0
-					continue
-				}
-				t := time.Duration(0)
-				for _, d := range plan.Nodes[i].Deps {
-					if resumeT[d] > t {
-						t = resumeT[d]
-					}
-				}
-				resumeT[i] = t + latency[i]
-				s.events++
-				if resumeT[i] > end {
-					end = resumeT[i]
-				}
-			}
-			s.resumeMakespan.Record(end)
-			continue
-		}
-		// Reconciliation rollback: reverse the journaled dispatched set —
-		// an order ideal by construction (a node dispatches only after
-		// its dependencies confirmed) — and verify the reverse plan.
-		s.rolledBack++
-		rev, _, err := plan.Reverse(dispatched)
-		if err != nil {
-			return s, fmt.Errorf("reversing boundary %d: %w", k, err)
-		}
-		if rep := verify.Plan(in, rev, sched.Guarantees, verify.Options{}); !rep.OK() {
-			s.violations++
-			s.stuck += k
-			continue
-		}
-		s.undone += len(rev.Nodes)
-		s.events += len(rev.Nodes)
-	}
-	return s, nil
+	// The re-run after the requeue ends when the last-released node confirms.
+	o.resume.Record(r.confirmT[records[len(records)-1][0]])
+	err = r.crashSweep(&o, records, wipeRate)
+	return o, err
 }
 
 // E14CrashRecovery quantifies crash-restart recovery at fat-tree
@@ -1108,83 +823,29 @@ func e14Replay(in *core.Instance, instSeed int64, wipeRate float64) (e14Sample, 
 // rollbacks, installs undone, delivery events, verifier refusals,
 // stuck installs, mean resumed makespan.
 func E14CrashRecovery(k, policies int, seed int64, workers int) (*E14Result, error) {
-	if k <= 0 {
-		k = 40 // 5k²/4 = 2000 switches
+	k, policies = orDefault(k, 40), orDefault(policies, 100) // 5k²/4 = 2000 switches
+	switches, instances, err := fleet(k, policies, seed)
+	if err != nil {
+		return nil, err
 	}
-	if policies <= 0 {
-		policies = 100
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	g := topo.FatTree(k)
 	tbl := metrics.NewTable("wipe_rate", "updates", "boundaries", "requeued", "adopted",
 		"rolled_back", "undone", "events", "violations", "stuck", "mean_resume_makespan")
-	res := &E14Result{Table: tbl, Switches: g.NumNodes()}
-
-	// One policy set shared across wipe rates: higher rates crash the
-	// same reroutes at the same boundaries, only the wipe draws differ.
-	rng := rand.New(rand.NewSource(seed))
-	instances := make([]*core.Instance, 0, policies)
-	for len(instances) < policies {
-		ti, err := topo.RandomFatTreePolicy(rng, g)
-		if err != nil {
-			return nil, err
-		}
-		in := core.MustInstance(ti.Old, ti.New, 0)
-		if in.NumPending() == 0 {
-			continue
-		}
-		instances = append(instances, in)
-	}
-
+	res := &E14Result{Table: tbl, Switches: switches}
 	for ri, rate := range []float64{0, 0.10, 0.25} {
-		samples := make([]e14Sample, len(instances))
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < len(instances); p += workers {
-					instSeed := seed ^ int64(p+1)<<20 ^ int64(ri+1)<<40
-					s, err := e14Replay(instances[p], instSeed, rate)
-					if err != nil {
-						errs[w] = fmt.Errorf("policy %d at wipe rate %.2f: %w", p, rate, err)
-						return
-					}
-					samples[p] = s
-				}
-			}(w)
+		row, err := sweep(instances, seed, ri, workers, func(in *core.Instance, s int64) (outcome, error) {
+			return e14Replay(in, s, rate)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("wipe rate %.2f: %w", rate, err)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		boundaries, requeued, adopted, rolledBack := 0, 0, 0, 0
-		events, undone, violations, stuck := 0, 0, 0, 0
-		var makespan metrics.Histogram
-		for _, s := range samples { // index order: worker-count independent
-			boundaries += s.boundaries
-			requeued += s.requeued
-			adopted += s.adopted
-			rolledBack += s.rolledBack
-			events += s.events
-			undone += s.undone
-			violations += s.violations
-			stuck += s.stuck
-			makespan.Merge(&s.resumeMakespan)
-		}
-		res.Boundaries += boundaries
-		res.Requeued += requeued
-		res.Adopted += adopted
-		res.RolledBack += rolledBack
-		res.Events += events
-		res.Violations += violations
-		tbl.AddRow(fmt.Sprintf("%.2f", rate), len(instances), boundaries, requeued, adopted,
-			rolledBack, undone, events, violations, stuck, makespan.Mean())
+		res.Boundaries += row.boundaries
+		res.Requeued += row.requeued
+		res.Adopted += row.adopted
+		res.RolledBack += row.rolledBack
+		res.Events += row.events
+		res.Violations += row.violations
+		tbl.AddRow(fmt.Sprintf("%.2f", rate), len(instances), row.boundaries, row.requeued, row.adopted,
+			row.rolledBack, row.crashUndone, row.events, row.violations, row.stuck, row.resume.Mean())
 	}
 	return res, nil
 }
@@ -1228,237 +889,60 @@ type E15Result struct {
 	Violations int
 }
 
-// e15Sample is one update's soak outcome; aggregation over samples in
-// instance-index order keeps the result worker-count independent.
-type e15Sample struct {
-	events, peerAcks, lossRolledBack          int
-	boundaries, requeued, adopted, crashRB    int
-	crashEvents, journalRecords, journalNodes int
-	violations                                int
-	aborted                                   bool
-	makespan                                  time.Duration
-}
-
-// e15Replay soaks one reroute through the full PR-10 dispatch model on
-// virtual time: a decentralized forward pass (peer acks release DAG
-// successors switch-to-switch, paying data-plane latency instead of a
-// controller round trip) under the E13 confirmation-loss model, then —
-// when the forward pass survives — an E14 crash-boundary sweep whose
-// boundaries are the *batched* write-ahead records of the sharded
-// dispatcher: each release wave journals as one grouped
-// dispatched-delta, so the controller can only die between waves, and
-// the journaled dispatched set at every boundary is a union of whole
-// waves (an order ideal by construction). All randomness is drawn in
-// node-index order from instSeed, so the sample is a pure function of
-// its seed.
-func e15Replay(in *core.Instance, instSeed int64, lossRate, wipeRate float64) (e15Sample, error) {
-	const progressTimeout = 100 * time.Millisecond
-	var (
-		pushDist    = netem.Uniform{Min: 0, Max: 3 * time.Millisecond}
-		installDist = netem.Pareto{Scale: time.Millisecond, Alpha: 1.5, Cap: 20 * time.Millisecond}
-		peerDist    = netem.Uniform{Min: 100 * time.Microsecond, Max: 500 * time.Microsecond}
-	)
-	var s e15Sample
-	sched, err := core.Peacock(in)
+// e15Replay soaks one reroute through the decentralized dispatch model:
+// peer acks release DAG successors switch-to-switch (a data-plane hop
+// instead of a controller round trip; intra-switch releases are free)
+// under the E13 confirmation-loss model, then — when the forward pass
+// survives — the E14 crash sweep over the *batched* write-ahead records
+// of the sharded dispatcher: each release wave journals as one grouped
+// dispatched-delta, so the controller can only die between waves. All
+// randomness is drawn in node-index order from seed.
+func e15Replay(in *core.Instance, seed int64, lossRate, wipeRate float64) (outcome, error) {
+	var o outcome
+	r, err := newReplay(in, seed, func(rng *rand.Rand) draw {
+		return draw{
+			start:   ctrlDist.Sample(rng), // partition-push arrival
+			latency: installDist.Sample(rng),
+			hop:     peerDist.Sample(rng),
+			lost:    rng.Float64() < lossRate, // agent stall
+		}
+	})
 	if err != nil {
-		return s, err
-	}
-	plan := core.PlanFromSchedule(sched)
-	rng := rand.New(rand.NewSource(instSeed))
-	n := len(plan.Nodes)
-	push := make([]time.Duration, n)   // partition-push arrival per node
-	inst := make([]time.Duration, n)   // install latency
-	ackLat := make([]time.Duration, n) // latency of the acks this node sends
-	lost := make([]bool, n)            // confirmation/acks lost (agent stall)
-	for i := 0; i < n; i++ {
-		push[i] = pushDist.Sample(rng)
-		inst[i] = installDist.Sample(rng)
-		ackLat[i] = peerDist.Sample(rng)
-		lost[i] = rng.Float64() < lossRate
-	}
-
-	// Decentralized forward pass (plan nodes are topologically ordered):
-	// a node installs when every in-edge ack has arrived; cross-switch
-	// acks pay the sender's data-plane hop latency, intra-switch
-	// releases are free.
-	dispatchT := make([]time.Duration, n)
-	confirmT := make([]time.Duration, n)
-	reachable := make([]bool, n)
-	abortAt := time.Duration(-1)
-	for i := 0; i < n; i++ {
-		ready, t := true, push[i]
-		for _, d := range plan.Nodes[i].Deps {
-			if !reachable[d] || lost[d] {
-				ready = false
-				break
-			}
-			at := confirmT[d]
-			if plan.Nodes[d].Switch != plan.Nodes[i].Switch {
-				at += ackLat[d]
-			}
-			if at > t {
-				t = at
-			}
-		}
-		if !ready {
-			continue
-		}
-		reachable[i] = true
-		dispatchT[i] = t
-		if lost[i] {
-			// Installed but never confirmed: the controller's progress
-			// timeout fires relative to the node's release.
-			if abortAt < 0 || t+progressTimeout < abortAt {
-				abortAt = t + progressTimeout
-			}
-			continue
-		}
-		confirmT[i] = t + inst[i]
-	}
-
-	dispatched := make([]bool, n)
-	for i := 0; i < n; i++ {
-		dispatched[i] = reachable[i] && (abortAt < 0 || dispatchT[i] <= abortAt)
-		if dispatched[i] {
-			s.events++
-		}
-	}
-	// Peer acks: one per cross-switch edge whose producer confirmed and
-	// whose consumer was released before any abort.
-	for i := 0; i < n; i++ {
-		if !dispatched[i] {
-			continue
-		}
-		for _, d := range plan.Nodes[i].Deps {
-			if !lost[d] && plan.Nodes[d].Switch != plan.Nodes[i].Switch {
-				s.peerAcks++
-			}
-		}
+		return o, err
 	}
 	// Batched write-ahead accounting: every release wave (plan layer)
 	// with at least one dispatched node is one grouped journal record.
-	layers := plan.NodeLayers()
-	waveSize := make([]int, plan.Depth())
-	for i := 0; i < n; i++ {
-		if dispatched[i] {
-			waveSize[layers[i]]++
-		}
-	}
-	for _, w := range waveSize {
-		if w > 0 {
-			s.journalRecords++
-			s.journalNodes += w
-		}
-	}
-
-	if abortAt >= 0 {
-		// Loss-triggered abort: reverse the dispatched prefix (an order
-		// ideal — a node releases only after its deps confirm) and verify.
-		s.aborted = true
-		rev, _, err := plan.Reverse(dispatched)
-		if err != nil {
-			return s, fmt.Errorf("reversing dispatched prefix: %w", err)
-		}
-		if rep := verify.Plan(in, rev, sched.Guarantees, verify.Options{}); !rep.OK() {
-			s.violations++
-			s.makespan = abortAt
-			return s, nil
-		}
-		s.lossRolledBack = len(rev.Nodes)
-		s.events += len(rev.Nodes)
-		s.makespan = abortAt
-		return s, nil
-	}
-	for i := 0; i < n; i++ {
-		if confirmT[i] > s.makespan {
-			s.makespan = confirmT[i]
-		}
-	}
-
-	// Crash-boundary sweep on the clean run. Boundary 0: the crash lands
-	// before the first batch record — recovery re-admits, the plan
-	// re-runs in full.
-	s.boundaries++
-	s.requeued++
-	s.crashEvents += n
-	waves := plan.Depth()
-	crashDispatched := make([]bool, n)
-	applied := make([]bool, n)
-	resumeT := make([]time.Duration, n)
-	for b := 1; b <= waves; b++ {
-		s.boundaries++
-		// The journal holds whole waves 0..b-1 (each one batched append,
-		// written ahead of the wire); the crash instant is the moment
-		// wave b-1's record landed.
-		var crashAt time.Duration
-		for i := 0; i < n; i++ {
-			crashDispatched[i] = layers[i] < b
-			if crashDispatched[i] && dispatchT[i] > crashAt {
-				crashAt = dispatchT[i]
-			}
-		}
-		// Wipe draws per boundary in node-index order: switches that died
-		// with the controller lost their rules.
-		wipeRng := rand.New(rand.NewSource(instSeed ^ int64(b)<<32))
-		adoptable := true
-		for i := 0; i < n; i++ {
-			applied[i] = crashDispatched[i] && !(wipeRng.Float64() < wipeRate)
-			if crashDispatched[i] && !applied[i] && confirmT[i] < crashAt {
-				adoptable = false // a journaled confirm vanished
-			}
-		}
-		for i := 0; i < n && adoptable; i++ {
-			if !applied[i] {
-				continue
-			}
-			for _, d := range plan.Nodes[i].Deps {
-				if !applied[d] { // a hole under the frontier: not an ideal
-					adoptable = false
-					break
-				}
-			}
-		}
-		s.crashEvents += countTrue(crashDispatched)
-		if adoptable {
-			s.adopted++
-			for i := 0; i < n; i++ {
-				if applied[i] {
-					resumeT[i] = 0
-					continue
-				}
-				t := time.Duration(0)
-				for _, d := range plan.Nodes[i].Deps {
-					if resumeT[d] > t {
-						t = resumeT[d]
-					}
-				}
-				resumeT[i] = t + inst[i]
-				s.crashEvents++
-			}
+	// Peer acks: one per cross-switch edge whose producer confirmed and
+	// whose consumer was released.
+	nodes, layers := r.plan.Nodes, r.plan.NodeLayers()
+	waves := make([][]int, r.plan.Depth())
+	for i, d := range r.dispatched {
+		if !d {
 			continue
 		}
-		s.crashRB++
-		rev, _, err := plan.Reverse(crashDispatched)
-		if err != nil {
-			return s, fmt.Errorf("reversing boundary %d: %w", b, err)
-		}
-		if rep := verify.Plan(in, rev, sched.Guarantees, verify.Options{}); !rep.OK() {
-			s.violations++
-			continue
-		}
-		s.crashEvents += len(rev.Nodes)
-	}
-	return s, nil
-}
-
-func countTrue(bs []bool) int {
-	c := 0
-	for _, b := range bs {
-		if b {
-			c++
+		o.events++
+		waves[layers[i]] = append(waves[layers[i]], i)
+		for _, d := range nodes[i].Deps {
+			if !r.node[d].lost && nodes[d].Switch != nodes[i].Switch {
+				o.peerAcks++
+			}
 		}
 	}
-	return c
+	for _, w := range waves {
+		if len(w) > 0 {
+			o.journalRecords++
+			o.journalNodes += len(w)
+		}
+	}
+	if r.abortAt < 0 {
+		o.makespan.Record(r.end)
+		err = r.crashSweep(&o, waves, wipeRate)
+		return o, err
+	}
+	o.aborts = 1
+	o.makespan.Record(r.abortAt)
+	_, err = r.reverse(&o, r.dispatched, &o.lossUndone)
+	return o, err
 }
 
 // E15Soak is the 100k-switch soak tier: `policies` random valley-free
@@ -1474,155 +958,38 @@ func countTrue(bs []bool) int {
 // boundaries, requeues, adoptions, crash rollbacks, delivery events,
 // verifier refusals, mean virtual makespan.
 func E15Soak(k, policies int, seed int64, workers int) (*E15Result, error) {
-	if k <= 0 {
-		k = 284 // 5k²/4 = 100,820 switches: the 100k soak tier
+	k, policies = orDefault(k, 284), orDefault(policies, 100) // 5k²/4 = 100,820 switches: the 100k soak tier
+	switches, instances, err := fleet(k, policies, seed)
+	if err != nil {
+		return nil, err
 	}
-	if policies <= 0 {
-		policies = 100
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	g := topo.FatTree(k)
 	tbl := metrics.NewTable("loss_rate", "wipe_rate", "updates", "aborts", "peer_acks",
 		"journal_batches", "journal_nodes", "boundaries", "requeued", "adopted",
 		"crash_rolled_back", "events", "violations", "mean_makespan")
-	res := &E15Result{Table: tbl, Switches: g.NumNodes(), Updates: policies}
-
-	// One policy set shared across rate combinations: every tier soaks
-	// the same reroutes, only the fault draws differ.
-	rng := rand.New(rand.NewSource(seed))
-	instances := make([]*core.Instance, 0, policies)
-	for len(instances) < policies {
-		ti, err := topo.RandomFatTreePolicy(rng, g)
-		if err != nil {
-			return nil, err
-		}
-		in := core.MustInstance(ti.Old, ti.New, 0)
-		if in.NumPending() == 0 {
-			continue
-		}
-		instances = append(instances, in)
-	}
-
+	res := &E15Result{Table: tbl, Switches: switches, Updates: policies}
 	combos := []struct{ loss, wipe float64 }{{0, 0}, {0.02, 0.10}, {0.05, 0.25}}
 	for ri, cb := range combos {
-		samples := make([]e15Sample, len(instances))
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for p := w; p < len(instances); p += workers {
-					instSeed := seed ^ int64(p+1)<<20 ^ int64(ri+1)<<40
-					s, err := e15Replay(instances[p], instSeed, cb.loss, cb.wipe)
-					if err != nil {
-						errs[w] = fmt.Errorf("policy %d at combo %d: %w", p, ri, err)
-						return
-					}
-					samples[p] = s
-				}
-			}(w)
+		row, err := sweep(instances, seed, ri, workers, func(in *core.Instance, s int64) (outcome, error) {
+			return e15Replay(in, s, cb.loss, cb.wipe)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("combo %d: %w", ri, err)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		events, peerAcks, aborts, lossRB := 0, 0, 0, 0
-		boundaries, requeued, adopted, crashRB := 0, 0, 0, 0
-		jRecords, jNodes, violations := 0, 0, 0
-		var makespan metrics.Histogram
-		for _, s := range samples { // index order: worker-count independent
-			events += s.events + s.crashEvents
-			peerAcks += s.peerAcks
-			lossRB += s.lossRolledBack
-			boundaries += s.boundaries
-			requeued += s.requeued
-			adopted += s.adopted
-			crashRB += s.crashRB
-			jRecords += s.journalRecords
-			jNodes += s.journalNodes
-			violations += s.violations
-			if s.aborted {
-				aborts++
-			}
-			makespan.Record(s.makespan)
-		}
-		res.Events += events
-		res.PeerAcks += peerAcks
-		res.Aborts += aborts
-		res.LossRolledBack += lossRB
-		res.Boundaries += boundaries
-		res.Requeued += requeued
-		res.Adopted += adopted
-		res.CrashRolledBack += crashRB
-		res.JournalRecords += jRecords
-		res.JournalNodes += jNodes
-		res.Violations += violations
+		res.Events += row.events
+		res.PeerAcks += row.peerAcks
+		res.Aborts += row.aborts
+		res.LossRolledBack += row.lossUndone
+		res.Boundaries += row.boundaries
+		res.Requeued += row.requeued
+		res.Adopted += row.adopted
+		res.CrashRolledBack += row.rolledBack
+		res.JournalRecords += row.journalRecords
+		res.JournalNodes += row.journalNodes
+		res.Violations += row.violations
 		tbl.AddRow(fmt.Sprintf("%.2f", cb.loss), fmt.Sprintf("%.2f", cb.wipe),
-			len(instances), aborts, peerAcks, jRecords, jNodes, boundaries, requeued,
-			adopted, crashRB, events, violations, makespan.Mean())
+			len(instances), row.aborts, row.peerAcks, row.journalRecords, row.journalNodes,
+			row.boundaries, row.requeued, row.adopted, row.rolledBack, row.events,
+			row.violations, row.makespan.Mean())
 	}
 	return res, nil
-}
-
-// All runs every experiment (E8, the codec microbenchmark, lives in
-// the bench harness only) and returns the tables keyed by id.
-func All(seed int64) (map[string]*metrics.Table, error) {
-	out := make(map[string]*metrics.Table)
-	type exp struct {
-		id  string
-		run func() (*metrics.Table, error)
-	}
-	for _, e := range []exp{
-		{"E1", func() (*metrics.Table, error) { return E1Fig1(seed) }},
-		{"E2", func() (*metrics.Table, error) { return E2UpdateTime(3, seed) }},
-		{"E3", func() (*metrics.Table, error) { return E3Violations(50, seed) }},
-		{"E4", func() (*metrics.Table, error) { return E4Rounds(seed) }},
-		{"E5", func() (*metrics.Table, error) { return E5Compute(seed) }},
-		{"E6", func() (*metrics.Table, error) { return E6UpdateTimeVsN(seed) }},
-		{"E7", func() (*metrics.Table, error) { return E7JitterDose(seed) }},
-		{"E9", func() (*metrics.Table, error) { return E9MultiPolicy(seed) }},
-		{"E10", func() (*metrics.Table, error) {
-			res, err := E10VirtualFatTree(0, 0, seed)
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		}},
-		{"E12", func() (*metrics.Table, error) { return E12SynthGap(seed) }},
-		{"E13", func() (*metrics.Table, error) {
-			res, err := E13FaultedRollback(0, 0, seed, 4)
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		}},
-		{"E14", func() (*metrics.Table, error) {
-			res, err := E14CrashRecovery(0, 0, seed, 4)
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		}},
-		{"E15", func() (*metrics.Table, error) {
-			// The quick table runs the 2000-switch tier; the full
-			// 100,820-switch soak is BenchmarkE15Soak's job.
-			res, err := E15Soak(40, 50, seed, 4)
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		}},
-	} {
-		tbl, err := e.run()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.id, err)
-		}
-		out[e.id] = tbl
-	}
-	return out, nil
 }
