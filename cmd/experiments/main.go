@@ -1,11 +1,13 @@
 // Command experiments regenerates the reproduction's experiment tables
 // (see README.md for the experiment index). Each experiment spins up the
-// full stack — controller, switch fleet over loopback TCP, probes — or the pure
-// algorithm harness, and prints its table.
+// full stack — controller, switch fleet over loopback TCP, probes — or
+// calls the algorithms directly, or (E10, E13–E15) replays an analytic
+// model on virtual time, and prints its table. The experiments, their
+// order and their descriptions come from experiments.Registry.
 //
 // Usage:
 //
-//	experiments            # run everything
+//	experiments            # run everything, in index order
 //	experiments -run E4    # one experiment
 //	experiments -seed 7    # change the deterministic seed
 //
@@ -20,27 +22,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
 	"tsu/internal/experiments"
-	"tsu/internal/metrics"
 )
-
-var descriptions = map[string]string{
-	"E1":  "Figure 1 demo: WayUp vs one-shot under asynchrony, live probes",
-	"E2":  "update time of flow tables (paper's stated evaluation)",
-	"E3":  "transient-security violations on random waypoint instances",
-	"E4":  "rounds vs n: relaxed (Peacock) vs strong (greedy) loop freedom",
-	"E5":  "scheduler computation time vs instance size",
-	"E6":  "live update time vs number of switches",
-	"E7":  "violation dose-response vs control-channel jitter",
-	"E9":  "multi-policy updates: joint vs sequential rounds",
-	"E12": "optimality gaps: heuristics vs counterexample-guided synthesis",
-	"E14": "crash-restart recovery: adopt vs verified rollback at every dispatch boundary",
-	"E15": "100k-switch soak: decentralized dispatch under combined loss + crash stress",
-}
 
 func main() {
 	// realMain keeps the profile-flushing defers ahead of os.Exit,
@@ -88,63 +74,38 @@ func realMain() int {
 		}()
 	}
 
-	runners := map[string]func() (*metrics.Table, error){
-		"E1":  func() (*metrics.Table, error) { return experiments.E1Fig1(*seed) },
-		"E2":  func() (*metrics.Table, error) { return experiments.E2UpdateTime(*reps, *seed) },
-		"E3":  func() (*metrics.Table, error) { return experiments.E3Violations(50, *seed) },
-		"E4":  func() (*metrics.Table, error) { return experiments.E4Rounds(*seed) },
-		"E5":  func() (*metrics.Table, error) { return experiments.E5Compute(*seed) },
-		"E6":  func() (*metrics.Table, error) { return experiments.E6UpdateTimeVsN(*seed) },
-		"E7":  func() (*metrics.Table, error) { return experiments.E7JitterDose(*seed) },
-		"E9":  func() (*metrics.Table, error) { return experiments.E9MultiPolicy(*seed) },
-		"E12": func() (*metrics.Table, error) { return experiments.E12SynthGap(*seed) },
-		"E14": func() (*metrics.Table, error) {
-			res, err := experiments.E14CrashRecovery(0, 0, *seed, 4)
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		},
-		"E15": func() (*metrics.Table, error) {
-			// The CLI runs the full 100,820-switch tier (about ten
-			// seconds); `-run E15` with a coffee in hand.
-			res, err := experiments.E15Soak(0, 0, *seed, runtime.GOMAXPROCS(0))
-			if err != nil {
-				return nil, err
-			}
-			return res.Table, nil
-		},
+	byID := make(map[string]experiments.Experiment, len(experiments.Registry))
+	var known []string
+	for _, e := range experiments.Registry {
+		byID[e.ID] = e
+		known = append(known, e.ID)
 	}
-
-	var ids []string
-	if *run == "" {
-		for id := range runners {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-	} else {
+	selected := experiments.Registry
+	if *run != "" {
+		selected = nil
 		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := runners[id]; !ok {
-				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have E1-E7, E9, E12, E14, E15; E8 is the codec benchmark: go test -bench=E8)\n", id)
+			e, ok := byID[strings.TrimSpace(id)]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have %s; E8 is the codec benchmark: go test -bench=E8)\n",
+					id, strings.Join(known, ", "))
 				return 2
 			}
-			ids = append(ids, id)
+			selected = append(selected, e)
 		}
 	}
 
 	failed := false
-	for _, id := range ids {
-		fmt.Printf("=== %s — %s (seed %d)\n", id, descriptions[id], *seed)
+	for _, e := range selected {
+		fmt.Printf("=== %s — %s (seed %d)\n", e.ID, e.Description, *seed)
 		start := time.Now()
-		tbl, err := runners[id]()
+		tbl, err := e.Run(*seed, *reps)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
 		fmt.Print(tbl.String())
-		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		return 1

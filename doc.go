@@ -94,7 +94,11 @@
 //     (admit/dispatched/confirmed/terminal), torn-tail-tolerant replay,
 //     snapshot compaction — the durability base for crash-restart recovery
 //   - internal/trace     — live probe/violation measurement (wall or virtual clock)
-//   - internal/experiments — the experiment harness (E1..E10, E12..E15)
+//   - internal/experiments — the experiment harness (E1..E10, E12..E15): E1,
+//     E2, E6, E7 drive the live stack through the API client; E10 and
+//     E13..E15 are analytic models on virtual time that construct no
+//     engine or switch and take their fault decisions from Plan.Reverse,
+//     verify.Plan and controller.Adoptable
 //
 // See README.md for the package tour, quickstart, and the Performance
 // section (incremental-walk design, Gray-code/order-state duality,

@@ -136,14 +136,12 @@ func admitSpec(job *Job) *journal.Admit {
 // journalAdmit makes an admitted job durable before anything can be
 // dispatched for it. Recovered jobs are already in the journal and are
 // not re-admitted.
-func (e *Engine) journalAdmit(job *Job) {
+func (e *Engine) journalAdmit(job *Job) error {
 	jl := e.c.cfg.Journal
 	if jl == nil || job.Recovered {
-		return
+		return nil
 	}
-	if err := jl.Append(journal.Record{Kind: journal.KindAdmit, Job: job.ID, Admit: admitSpec(job)}); err != nil {
-		e.c.logger.Warn("journal admit failed", "job", job.ID, "err", err)
-	}
+	return jl.Append(journal.Record{Kind: journal.KindAdmit, Job: job.ID, Admit: admitSpec(job)})
 }
 
 // SubmitOptions tunes job construction.
@@ -356,19 +354,29 @@ func (e *Engine) enqueueAll(jobs []*Job) error {
 		job.ID = e.nextID
 		launches[i] = &launch{job: job, deps: e.admitLocked(job), run: e.execute}
 	}
-	ctx := e.ctx
-	if ctx == nil {
-		e.pending = append(e.pending, launches...)
-	}
 	e.mu.Unlock()
 	// Admission is journaled (and synced) before any job goroutine
 	// launches: a job either never reached the journal (and sent
-	// nothing), or is durably recoverable.
-	for _, job := range jobs {
-		e.journalAdmit(job)
+	// nothing), or is durably recoverable. A job whose admit append
+	// fails ends here, on its own — later dispatch appends must not
+	// leave deltas of a job the journal never admitted.
+	durable := launches[:0]
+	for _, l := range launches {
+		if err := e.journalAdmit(l.job); err != nil {
+			e.finish(l.job, fmt.Errorf("%w: admit: %v", errJournalWriteAhead, err), nil)
+			e.retire(l.job, false)
+			continue
+		}
+		durable = append(durable, l)
 	}
+	e.mu.Lock()
+	ctx := e.ctx
+	if ctx == nil {
+		e.pending = append(e.pending, durable...)
+	}
+	e.mu.Unlock()
 	if ctx != nil {
-		for _, l := range launches {
+		for _, l := range durable {
 			go e.runJob(ctx, l)
 		}
 	}

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"tsu/internal/core"
+	"tsu/internal/journal"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
 )
@@ -240,5 +243,52 @@ func TestExecPlanFromEverySource(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdmitAppendFailureFailsJob kills the journal before a submit: the
+// admit record cannot be written, so the job must end failed on the
+// write-ahead error without ever being launched — a job the journal
+// never admitted may not leave dispatched deltas in it later.
+func TestAdmitAppendFailureFailsJob(t *testing.T) {
+	jl, err := journal.Open(t.TempDir() + "/journal.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	g := topo.Fig1()
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil)
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+	sched, err := core.WayUp(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	jl.Crash()
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	if err != nil {
+		t.Fatalf("SubmitPlan: %v (the job fails, the submit does not)", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := job.Wait(ctx); !errors.Is(err, errJournalWriteAhead) {
+		t.Fatalf("job error = %v, want errJournalWriteAhead", err)
+	}
+	if job.State() != JobFailed {
+		t.Fatalf("job state = %v, want failed", job.State())
+	}
+	job.mu.Lock()
+	started := job.started
+	job.mu.Unlock()
+	if !started.IsZero() {
+		t.Fatal("job was launched although its admit record never reached the journal")
+	}
+	for _, n := range g.Nodes() {
+		if applied := tb.fabric.Switch(n).FlowModsApplied(); applied != 0 {
+			t.Fatalf("switch %d applied %d FlowMods", n, applied)
+		}
+	}
+	if q, r := tb.ctrl.Engine().QueueDepth(), tb.ctrl.Engine().RunningCount(); q != 0 || r != 0 {
+		t.Fatalf("engine counters after the failed admit: queued %d, running %d", q, r)
 	}
 }

@@ -465,7 +465,12 @@ func (e *Engine) appliedSet(job *Job, reports map[topo.NodeID]*planwire.StateRep
 }
 
 // Adoptable decides whether a mid-flight job's recovered state is safe
-// to resume from (see the file comment for the argument).
+// to resume from (see the file comment for the argument). The four sets
+// are indexed by plan node: applied is what the switches report in
+// effect, jconfirmed and jdispatched what the journal recorded, and
+// agentDone what the plan agents report completed. Exported so that
+// the crash model in internal/experiments asks this decision rather
+// than restating it.
 func Adoptable(dag *core.Plan, applied, jconfirmed, jdispatched, agentDone []bool) bool {
 	closure := downClosure(dag, applied)
 	for i := range applied {

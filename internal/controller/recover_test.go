@@ -191,3 +191,35 @@ func TestRecoverParentJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptable pins the adopt-or-rollback decision on a four-node
+// plan (0 → 1 → 3, 0 → 2 → 3): recovered state is adopted only when it
+// is an order ideal that covers every journaled confirm and holds
+// nothing that neither the journal nor an agent report ordered.
+func TestAdoptable(t *testing.T) {
+	dag := &core.Plan{Nodes: []core.PlanNode{
+		{Switch: 1}, {Switch: 2, Deps: []int{0}}, {Switch: 3, Deps: []int{0}}, {Switch: 4, Deps: []int{1, 2}},
+	}}
+	set := func(idx ...int) []bool {
+		s := make([]bool, len(dag.Nodes))
+		for _, i := range idx {
+			s[i] = true
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name                                        string
+		applied, jconfirmed, jdispatched, agentDone []bool
+		want                                        bool
+	}{
+		{"ideal covering the journaled confirms", set(0, 1), set(0), set(0, 1, 2), set(), true},
+		{"hole under the frontier", set(1), set(), set(0, 1), set(), false},
+		{"journaled confirm the switch denies", set(0), set(0, 1), set(0, 1), set(), false},
+		{"applied state nothing ordered", set(0, 1), set(0), set(0), set(), false},
+		{"applied state only an agent reported", set(0, 1), set(0), set(0), set(1), true},
+	} {
+		if got := Adoptable(dag, tc.applied, tc.jconfirmed, tc.jdispatched, tc.agentDone); got != tc.want {
+			t.Errorf("%s: Adoptable = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
