@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,23 +75,22 @@ func realMain() int {
 		}()
 	}
 
-	byID := make(map[string]experiments.Experiment, len(experiments.Registry))
-	var known []string
-	for _, e := range experiments.Registry {
-		byID[e.ID] = e
-		known = append(known, e.ID)
-	}
 	selected := experiments.Registry
 	if *run != "" {
 		selected = nil
 		for _, id := range strings.Split(*run, ",") {
-			e, ok := byID[strings.TrimSpace(id)]
-			if !ok {
+			id = strings.TrimSpace(id)
+			i := slices.IndexFunc(experiments.Registry, func(e experiments.Experiment) bool { return e.ID == id })
+			if i < 0 {
+				var known []string
+				for _, e := range experiments.Registry {
+					known = append(known, e.ID)
+				}
 				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have %s; E8 is the codec benchmark: go test -bench=E8)\n",
 					id, strings.Join(known, ", "))
 				return 2
 			}
-			selected = append(selected, e)
+			selected = append(selected, experiments.Registry[i])
 		}
 	}
 

@@ -278,6 +278,9 @@ func (r *replay) crashSweep(o *outcome, records [][]int, wipeRate float64) error
 	o.requeued++
 	o.events += n
 	journaled, k, crashAt := make([]bool, n), 0, time.Duration(0)
+	// The journaled set only grows, so one applied and one jconfirmed
+	// slice serve every boundary: each is rewritten wherever it can be set.
+	applied, jconfirmed, noAgent := make([]bool, n), make([]bool, n), make([]bool, n)
 	for b, nodes := range records {
 		for _, i := range nodes {
 			journaled[i] = true
@@ -287,14 +290,13 @@ func (r *replay) crashSweep(o *outcome, records [][]int, wipeRate float64) error
 		o.boundaries++
 		o.events += k
 		wipeRng := rand.New(rand.NewSource(r.seed ^ int64(b+1)<<32))
-		applied, jconfirmed := make([]bool, n), make([]bool, n)
 		for i, j := range journaled {
 			if j {
 				applied[i] = !(wipeRng.Float64() < wipeRate)
 				jconfirmed[i] = r.confirmT[i] < crashAt
 			}
 		}
-		if !controller.Adoptable(r.plan, applied, jconfirmed, journaled, make([]bool, n)) {
+		if !controller.Adoptable(r.plan, applied, jconfirmed, journaled, noAgent) {
 			o.rolledBack++
 			if _, err := r.reverse(o, journaled, &o.crashUndone); err != nil {
 				return fmt.Errorf("boundary %d: %w", b+1, err)
