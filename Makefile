@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet test test-determinism chaos bench bench-json bench-diff bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound test test-determinism chaos bench bench-json bench-diff bench-smoke fuzz-smoke build loc
 
-ci: fmt vet test test-determinism
+ci: fmt vet guard-southbound test test-determinism
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,18 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
+# One southbound path: every FlowMod+barrier pair the controller sends
+# goes through Engine.walk and the dispatch shards, and the shards'
+# re-stamped request in dispatch.go is the one BarrierRequest the
+# package builds. Anything else naming the type outside tests is a
+# second path coming back.
+guard-southbound:
+	@out="$$(grep -n 'BarrierRequest' internal/controller/*.go | grep -v -e '_test\.go:' -e '/dispatch\.go:')"; \
+	if [ -n "$$out" ] || [ "$$(grep -c 'BarrierRequest' internal/controller/dispatch.go)" != 1 ]; then \
+		echo "BarrierRequest outside the dispatch shards' one site (internal/controller/dispatch.go):"; \
+		echo "$$out"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./... -race
 	$(GO) test -C bench ./...
@@ -37,11 +49,12 @@ test:
 # The fault-injection suite under the race detector: seeded fault
 # models (netem), crash/loss switch faults (switchsim), reverse-plan
 # safety (core/verify/explore), the controller's abort→verified-
-# rollback path in both dispatch modes including the chaos soak, and
-# the crash-restart sweeps (journal torn-tail recovery plus the engine
-# killed at every dispatch boundary).
+# rollback path in both dispatch modes including the chaos soak and the
+# sink lifecycle of timed-out installs, and the crash-restart sweeps
+# (journal torn-tail recovery plus the engine killed at every dispatch
+# boundary).
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut' \
 		./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal

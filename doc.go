@@ -79,9 +79,11 @@
 //     materializer turns a core.Plan plus per-node FlowMods into the
 //     execution DAG (two-phase and joint updates are small plan builders,
 //     recovery rebuilds through the same constructor) and a single job
-//     lifecycle runs it; sharded ack-driven plan dispatch
-//     (a fixed pool of event loops, goroutine- and allocation-free per
-//     install, batched write-ahead journaling) with
+//     lifecycle runs it; one southbound walker (Engine.walk) on a sharded
+//     ack-driven dispatch path (a fixed pool of event loops, goroutine-
+//     and allocation-free per install, batched write-ahead journaling)
+//     executes every FlowMod+barrier the controller sends — forward
+//     plans, verified rollbacks, policy installs and bare barriers — with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
 //     decentralized partition broadcast (ModeDecentralized),
 //     REST API (/v1/verify and /v1/explore are the dry-run surfaces; jobs

@@ -201,9 +201,7 @@ func (e *Engine) planJob(in *core.Instance, p *core.Plan, match openflow.Match, 
 // the flow at its switch's new-path successor, every cleanup node (see
 // newExecPlan for cleanupFrom/cleanupAt) deletes the flow's rule.
 func (e *Engine) flowExecPlan(in *core.Instance, p *core.Plan, match openflow.Match, cleanupFrom int, cleanupAt []topo.NodeID) (execPlan, error) {
-	n := len(p.Nodes) + len(cleanupAt)
-	fms := make([]*openflow.FlowMod, n) // one backing array for the n one-mod nodes
-	mods := make([][]*openflow.FlowMod, n)
+	fms := make([]*openflow.FlowMod, len(p.Nodes)+len(cleanupAt))
 	for i := range fms {
 		if i >= cleanupFrom {
 			fms[i] = deleteFlowMod(match)
@@ -214,9 +212,18 @@ func (e *Engine) flowExecPlan(in *core.Instance, p *core.Plan, match openflow.Ma
 			}
 			fms[i] = fm
 		}
+	}
+	return newExecPlan(p, oneModNodes(fms), cleanupFrom, cleanupAt), nil
+}
+
+// oneModNodes gives each node its one FlowMod as a one-element window
+// of fms — one backing array for all n nodes.
+func oneModNodes(fms []*openflow.FlowMod) [][]*openflow.FlowMod {
+	mods := make([][]*openflow.FlowMod, len(fms))
+	for i := range fms {
 		mods[i] = fms[i : i+1 : i+1]
 	}
-	return newExecPlan(p, mods, cleanupFrom, cleanupAt), nil
+	return mods
 }
 
 // SubmitJoint enqueues several policies as one job: per joint round,

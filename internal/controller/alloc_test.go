@@ -74,7 +74,6 @@ func newAllocHarness(t *testing.T) *allocHarness {
 		c.datapaths[d] = &datapath{
 			dpid:      d,
 			conn:      ofconn.New(newDiscardConn()),
-			barriers:  make(map[uint32]chan struct{}),
 			sinks:     make(map[uint32]barrierSink),
 			statsWait: make(map[uint32]chan []openflow.FlowStats),
 		}
@@ -203,4 +202,40 @@ func TestDispatchPathAllocs(t *testing.T) {
 			goroutines, after)
 	}
 	t.Logf("%d installs: %d mallocs (%.3f/install)", n, delta, float64(delta)/float64(n))
+
+	// Rollback arm: undoing all 2048 installs is one more walk on the
+	// same path. Building the reverse plan costs two mallocs per undo —
+	// its dependency list and its undo FlowMod — and walking it must add
+	// nothing per undo on top.
+	spec := &rollbackSpec{
+		in:    core.MustInstance(topo.Path{1, 2}, topo.Path{1, 9, 10, 2}, 0),
+		match: flowMatch("10.9.0.2"),
+	}
+	job := newJob(h.plan, SubmitOptions{}, spec)
+	all := make([]bool, h.plan.len())
+	for i := range all {
+		all[i] = true
+	}
+	undo := func() {
+		t.Helper()
+		rolledBack, _, err := h.e.runRollback(context.Background(), job, spec, all)
+		if err != nil || len(rolledBack) != len(all) {
+			t.Fatalf("rollback undid %d of %d installs: %v", len(rolledBack), len(all), err)
+		}
+	}
+	undo() // warm: the reverse plan's shapes
+	goroutines = runtime.NumGoroutine()
+	runtime.ReadMemStats(&ms)
+	before = ms.Mallocs
+	undo()
+	runtime.ReadMemStats(&ms)
+	delta = ms.Mallocs - before
+	if delta >= 2*n+n/4 {
+		t.Fatalf("rolling back %d installs cost %d mallocs (%.2f/undo), want < %d total",
+			n, delta, float64(delta)/float64(n), 2*n+n/4)
+	}
+	if after := runtime.NumGoroutine(); after > goroutines {
+		t.Fatalf("rolling back grew the goroutine count %d -> %d", goroutines, after)
+	}
+	t.Logf("%d undos: %d mallocs (%.3f/undo)", n, delta, float64(delta)/float64(n))
 }

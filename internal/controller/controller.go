@@ -16,8 +16,6 @@
 //	[...]. If the message object does not have a next round, the SDN
 //	controller deletes the message from the queue and starts
 //	processing the next message."
-//
-// The REST API (rest.go) accepts the paper's update message schema.
 package controller
 
 import (
@@ -27,6 +25,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,9 +44,6 @@ type Config struct {
 	// actions are derived from its canonical port map.
 	Topology *topo.Graph
 
-	// FlowPriority is the priority used for policy rules (default 100).
-	FlowPriority uint16
-
 	// RoundTimeout bounds one round's barrier collection (default 30s).
 	RoundTimeout time.Duration
 
@@ -55,13 +51,6 @@ type Config struct {
 	// concurrently (default 8); 1 restores the strictly serial engine
 	// of the paper's demo.
 	EngineWorkers int
-
-	// DispatchShards sets the size of the engine's dispatch-shard pool
-	// (default GOMAXPROCS). Each shard owns a stable subset of switch
-	// connections (dpid mod shards) and coalesces the FlowMods and
-	// barriers of concurrently released installs on the same connection
-	// into single buffered writes.
-	DispatchShards int
 
 	// Clock is the time base for round timings and inter-round pauses.
 	// Nil selects the wall clock; a simclock.Sim (driven by
@@ -80,6 +69,10 @@ type Config struct {
 	// Logger receives lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
+
+// flowPriority is the priority of every policy rule the controller
+// installs.
+const flowPriority = 100
 
 // Controller accepts switch connections and executes update jobs.
 type Controller struct {
@@ -114,8 +107,7 @@ type datapath struct {
 	conn *ofconn.Conn
 
 	mu        sync.Mutex
-	barriers  map[uint32]chan struct{}
-	sinks     map[uint32]barrierSink // engine installs, resolved by xid
+	sinks     map[uint32]barrierSink // in-flight barriers, resolved by xid
 	statsWait map[uint32]chan []openflow.FlowStats
 }
 
@@ -123,9 +115,6 @@ type datapath struct {
 func New(cfg Config) (*Controller, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("controller: topology required")
-	}
-	if cfg.FlowPriority == 0 {
-		cfg.FlowPriority = 100
 	}
 	if cfg.RoundTimeout <= 0 {
 		cfg.RoundTimeout = 30 * time.Second
@@ -167,7 +156,7 @@ func (c *Controller) Start(ctx context.Context, addr string) (string, error) {
 		ln.Close() //nolint:errcheck // unblocking accept
 	}()
 	go c.acceptLoop(ctx, ln)
-	go c.engine.run(ctx)
+	c.engine.run(ctx)
 	return ln.Addr().String(), nil
 }
 
@@ -195,7 +184,6 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	dp := &datapath{
 		dpid:      features.DatapathID,
 		conn:      conn,
-		barriers:  make(map[uint32]chan struct{}),
 		sinks:     make(map[uint32]barrierSink),
 		statsWait: make(map[uint32]chan []openflow.FlowStats),
 	}
@@ -238,23 +226,17 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 		}
 		switch msg := m.(type) {
 		case *openflow.BarrierReply:
-			// Engine installs resolve through barrier sinks: the reply
-			// becomes a plain ack value in the owning job's channel — no
-			// goroutine ever waits per barrier. Everything else (rollback,
-			// recovery, InstallPath) still uses the channel-close barriers.
+			// Every barrier resolves through its sink: the reply becomes a
+			// plain ack value in the owning walk's channel — no goroutine
+			// ever waits per barrier. A reply nobody waits for anymore (its
+			// walk timed out or was cancelled) finds no sink and is ignored.
 			xid := msg.Xid()
 			dp.mu.Lock()
-			if s, ok := dp.sinks[xid]; ok {
-				delete(dp.sinks, xid)
-				dp.mu.Unlock()
-				c.engine.disp.deliver(s, c.clock.Now())
-				continue
-			}
-			ch := dp.barriers[xid]
-			delete(dp.barriers, xid)
+			s, ok := dp.sinks[xid]
+			delete(dp.sinks, xid)
 			dp.mu.Unlock()
-			if ch != nil {
-				close(ch)
+			if ok {
+				c.engine.disp.deliver(s, c.clock.Now())
 			}
 		case *openflow.StatsReply:
 			dp.mu.Lock()
@@ -335,11 +317,7 @@ func (c *Controller) Datapaths() []uint64 {
 	for dpid := range c.datapaths {
 		out = append(out, dpid)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -433,42 +411,14 @@ func (c *Controller) unregisterStateReports(job int) {
 }
 
 // Barrier sends a BARRIER_REQUEST to the switch and blocks until its
-// reply arrives (or ctx expires) — the synchronization primitive that
-// ends an update round.
+// reply arrives (or ctx or RoundTimeout expires) — the synchronization
+// primitive that ends an update round, as a one-node walk that sends no
+// FlowMods.
 func (c *Controller) Barrier(ctx context.Context, dpid uint64) error {
-	done, err := c.BarrierAsync(dpid)
-	if err != nil {
-		return err
+	if err := c.engine.walkFlat(ctx, []topo.NodeID{topo.NodeID(dpid)}, [][]*openflow.FlowMod{nil}); err != nil {
+		return fmt.Errorf("controller: barrier to %d: %w", dpid, err)
 	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("controller: barrier to %d: %w", dpid, ctx.Err())
-	}
-}
-
-// BarrierAsync sends a BARRIER_REQUEST and returns a channel closed
-// when the reply arrives. The engine fans these out to all switches of
-// a round and then waits.
-func (c *Controller) BarrierAsync(dpid uint64) (<-chan struct{}, error) {
-	dp, err := c.datapath(dpid)
-	if err != nil {
-		return nil, err
-	}
-	req := &openflow.BarrierRequest{}
-	req.SetXid(dp.conn.NextXid())
-	done := make(chan struct{})
-	dp.mu.Lock()
-	dp.barriers[req.Xid()] = done
-	dp.mu.Unlock()
-	if err := dp.conn.WriteMessage(req); err != nil {
-		dp.mu.Lock()
-		delete(dp.barriers, req.Xid())
-		dp.mu.Unlock()
-		return nil, err
-	}
-	return done, nil
+	return nil
 }
 
 // FlowStats fetches the switch's flow table contents.
@@ -517,7 +467,7 @@ func (c *Controller) PathFlowMod(node, succ topo.NodeID, match openflow.Match, c
 	return &openflow.FlowMod{
 		Match:    match,
 		Command:  cmd,
-		Priority: c.cfg.FlowPriority,
+		Priority: flowPriority,
 		BufferID: openflow.NoBuffer,
 		OutPort:  openflow.PortNone,
 		Actions:  []openflow.Action{openflow.ActionOutput{Port: port}},
@@ -534,7 +484,7 @@ func (c *Controller) HostFlowMod(node topo.NodeID, host string, match openflow.M
 	return &openflow.FlowMod{
 		Match:    match,
 		Command:  cmd,
-		Priority: c.cfg.FlowPriority,
+		Priority: flowPriority,
 		BufferID: openflow.NoBuffer,
 		OutPort:  openflow.PortNone,
 		Actions:  []openflow.Action{openflow.ActionOutput{Port: port}},
@@ -542,37 +492,32 @@ func (c *Controller) HostFlowMod(node topo.NodeID, host string, match openflow.M
 }
 
 // InstallPath installs the flow's rules along a path: every switch
-// forwards to its successor and the final switch delivers to host. It
-// barriers every touched switch before returning, so the policy is
-// fully active afterwards.
+// forwards to its successor and the final switch delivers to host. The
+// path is walked as a plan without edges — every switch gets its
+// FlowAdd and a barrier at once — and the policy is fully active when
+// the last barrier reply is in.
 func (c *Controller) InstallPath(ctx context.Context, path topo.Path, match openflow.Match, host string) error {
 	if err := path.Validate(); err != nil {
 		return err
 	}
-	for i := 0; i+1 < len(path); i++ {
-		fm, err := c.PathFlowMod(path[i], path[i+1], match, openflow.FlowAdd)
+	mods := make([][]*openflow.FlowMod, len(path))
+	for i := range path {
+		var fm *openflow.FlowMod
+		var err error
+		switch {
+		case i+1 < len(path):
+			fm, err = c.PathFlowMod(path[i], path[i+1], match, openflow.FlowAdd)
+		case host != "":
+			fm, err = c.HostFlowMod(path[i], host, match, openflow.FlowAdd)
+		default:
+			continue // the destination only barriers
+		}
 		if err != nil {
 			return err
 		}
-		if err := c.SendFlowMod(uint64(path[i]), fm); err != nil {
-			return err
-		}
+		mods[i] = []*openflow.FlowMod{fm}
 	}
-	if host != "" {
-		fm, err := c.HostFlowMod(path.Dst(), host, match, openflow.FlowAdd)
-		if err != nil {
-			return err
-		}
-		if err := c.SendFlowMod(uint64(path.Dst()), fm); err != nil {
-			return err
-		}
-	}
-	for _, n := range path {
-		if err := c.Barrier(ctx, uint64(n)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.engine.walkFlat(ctx, path, mods)
 }
 
 // Engine returns the update engine (job queue).

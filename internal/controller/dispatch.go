@@ -23,51 +23,60 @@ import (
 // goroutine, a timer, and one write syscall per message. The sharded
 // path removes all three:
 //
-//   - A fixed pool of dispatch shards (default GOMAXPROCS), each
+//   - A fixed pool of dispatch shards (GOMAXPROCS of them), each
 //     owning a stable subset of switch connections (dpid % shards).
 //     A shard drains its request channel, groups the ready installs
 //     by connection, and writes each connection's FlowMods+barriers
 //     as ONE coalesced buffered write (ofconn.Batch).
 //   - Barrier replies are routed by the connection's read loop
-//     straight into the owning job's ack channel as plain values
+//     straight into the owning walk's ack channel as plain values
 //     (datapath.sinks) — no goroutine ever waits per barrier.
-//   - Per-job dispatch state (ack channel, rings, node-state bytes)
+//   - Per-walk dispatch state (ack channel, rings, node-state bytes)
 //     recycles through a pool, and barrier timeouts are synthesized
-//     by the job's event loop from a FIFO deadline ring with a single
+//     by the walk's event loop from a FIFO deadline ring with a single
 //     re-armed clock timer.
 //
 // Steady state the path runs zero goroutines and zero allocations per
-// install (pinned by TestDispatchPathAllocs).
+// install (pinned by TestDispatchPathAllocs). Every FlowMod+barrier
+// pair the package sends goes through it (Engine.walk): a job's forward
+// pass, its rollback, a policy install and a bare Barrier alike.
 
 // fenceIdx marks a shardReq as a fence: the shard bounces it back
-// through the job's ack channel after its current flush cycle. A
-// failing job fences every shard before aborting — shards process
+// through the walk's ack channel after its current flush cycle. A
+// failing walk fences every shard before it ends — shards process
 // requests in order, so once each fence returns, no FlowMod of the
-// job can reach a wire anymore and the dispatched set is exact.
+// walk can reach a wire anymore and the dispatched set is exact.
 const fenceIdx = -1
 
 // shardReq hands one ready install (or a fence) to the dispatch shard
 // owning its switch connection. Plain values only: enqueueing never
-// allocates.
+// allocates. plan and seq are the walk's own, carried by value: a write
+// error can surface after the install's reply already ended the walk
+// and st went back to the pool, and the nack must still name the right
+// install and be filtered as stale.
 type shardReq struct {
-	job *Job
-	st  *jobDispatch
-	idx int
+	plan *execPlan
+	st   *jobDispatch
+	seq  uint64
+	idx  int
 }
 
 // barrierSink routes one in-flight install's BarrierReply from the
-// connection read loop into the owning job's ack channel, as a value.
+// connection read loop into the owning walk's ack channel, as a value.
 // Registered under datapath.mu keyed by the barrier xid, removed on
-// delivery (or deregistered when the coalesced write fails).
+// delivery, when the coalesced write fails, or when the walk ends
+// without the reply (Engine.dropSinks). seq is the walk's sequence
+// number, not a job id: a job walks twice when it rolls back, and a
+// policy install walks with no job at all.
 type barrierSink struct {
 	acks     chan<- nodeAck
-	job      int
+	seq      uint64
 	idx      int32
 	flowMods int32
 	started  time.Time
 }
 
-// Node dispatch states, tracked per plan node by the job event loop.
+// Node dispatch states, tracked per plan node by the walk's event loop.
 // Acks are accepted only for nsInflight nodes, which dedupes the
 // (rare) double ack: a write error racing a partial-write reply, or a
 // reply racing a synthesized timeout.
@@ -78,18 +87,17 @@ const (
 	nsDone          // ack consumed (confirmed, failed, or abandoned)
 )
 
-// dispatcher is the engine's shard pool plus the job-state recycler.
+// dispatcher is the engine's shard pool plus the walk-state recycler.
 type dispatcher struct {
 	e        *Engine
 	shards   []*dispatchShard
 	inflight []metrics.Gauge // per-shard in-flight installs
 	pool     sync.Pool       // *jobDispatch
+	seq      atomic.Uint64   // last walk sequence number handed out
 }
 
-func newDispatcher(e *Engine, nshards int) *dispatcher {
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
+func newDispatcher(e *Engine) *dispatcher {
+	nshards := runtime.GOMAXPROCS(0)
 	d := &dispatcher{e: e, inflight: make([]metrics.Gauge, nshards)}
 	for i := 0; i < nshards; i++ {
 		d.shards = append(d.shards, &dispatchShard{
@@ -135,13 +143,16 @@ func (d *dispatcher) stats() DispatchStats {
 	return s
 }
 
-// acquire returns a recycled (or fresh) per-job dispatch state sized
-// for an n-node plan. The ack channel is sized so every live source —
-// at most two acks per in-flight node plus one fence per shard — fits
-// without blocking; leftover stale acks from a previous owner are
-// drained here and ignored by the new owner's job-ID filter.
-func (d *dispatcher) acquire(n int) *jobDispatch {
+// acquire returns a recycled (or fresh) dispatch state for one walk of
+// an n-node plan, stamped with a fresh sequence number. The ack channel
+// is sized so every live source — at most two acks per in-flight node
+// plus one fence per shard — fits without blocking; leftover stale acks
+// from a previous owner are drained here and ignored by the new owner's
+// sequence filter.
+func (d *dispatcher) acquire(n int, w walkSpec) *jobDispatch {
 	st := d.pool.Get().(*jobDispatch)
+	st.walkSpec = w
+	st.seq = d.seq.Add(1)
 	if need := 2*n + len(d.shards) + 16; cap(st.acks) < need {
 		st.acks = make(chan nodeAck, need)
 	}
@@ -154,11 +165,10 @@ drain:
 		}
 	}
 	st.cancelled.Store(false)
-	st.abandoned = false
-	st.dispatched = resizeBools(st.dispatched, n)
-	st.confirmed = resizeBools(st.confirmed, n)
-	st.status = resizeBytes(st.status, n)
-	st.releasedBy = resizeNodes(st.releasedBy, n)
+	st.dispatched = resize(st.dispatched, n)
+	st.confirmed = resize(st.confirmed, n)
+	st.status = resize(st.status, n)
+	st.releasedBy = resize(st.releasedBy, n)
 	st.wave = st.wave[:0]
 	st.ready.reset()
 	st.sendNow.reset()
@@ -170,57 +180,56 @@ drain:
 	return st
 }
 
-// release recycles a job's dispatch state unless the job abandoned it
-// mid-flight (engine shutdown with acks still pending).
+// release recycles a finished walk's dispatch state (an abandoned one
+// is never released: late acks may still arrive on its channel). The
+// pool must not keep the plan or the hooks' captures alive.
 func (d *dispatcher) release(st *jobDispatch) {
-	if st.abandoned {
-		return
-	}
+	st.walkSpec = walkSpec{}
 	d.pool.Put(st)
 }
 
 // deliver is called from a connection read loop when a BarrierReply
-// resolves a registered sink: the ack goes to the owning job as a
+// resolves a registered sink: the ack goes to the owning walk as a
 // value. Non-blocking — the ack channel is sized for every live
-// source, so a full channel means the job is gone (stale reply) or
+// source, so a full channel means the walk is gone (stale reply) or
 // wedged; either way a drop is safe (a live node would later fail on
 // its deadline) and counted.
 func (d *dispatcher) deliver(s barrierSink, now time.Time) {
 	select {
-	case s.acks <- nodeAck{job: s.job, idx: int(s.idx), flowMods: int(s.flowMods), sent: true, started: s.started, finished: now}:
+	case s.acks <- nodeAck{seq: s.seq, idx: int(s.idx), flowMods: int(s.flowMods), sent: true, started: s.started, finished: now}:
 	default:
 		metrics.DispatchAcksDropped.Inc()
 	}
 }
 
-// nack reports a failed (or skipped) install back to its job. sent
-// follows the same rule as the old per-node goroutine: true unless
-// provably nothing hit the wire for this node.
+// nack reports a failed (or skipped) install back to its walk. sent is
+// true unless provably nothing hit the wire for this node.
 func (d *dispatcher) nack(r shardReq, sent bool, err error) {
 	select {
-	case r.st.acks <- nodeAck{job: r.job.ID, idx: r.idx, sent: sent, err: err}:
+	case r.st.acks <- nodeAck{seq: r.seq, idx: r.idx, sent: sent, err: err}:
 	default:
 		metrics.DispatchAcksDropped.Inc()
 	}
 }
 
-// jobDispatch is one job's pooled dispatch state, owned by the job's
-// event loop (runDAG) except where noted.
+// jobDispatch is one walk's pooled dispatch state, owned by the walk's
+// event loop (Engine.walk) except where noted.
 type jobDispatch struct {
+	walkSpec
+	seq       uint64
 	acks      chan nodeAck
 	cancelled atomic.Bool // set on failure; shards skip queued requests
-	abandoned bool        // do not recycle (acks may still arrive)
 
 	dispatched []bool // FlowMods possibly reached the switch
 	confirmed  []bool // barrier reply received
 	status     []byte // ns* per node
 	releasedBy []topo.NodeID
 
-	wave    []int     // current release wave (one grouped journal append)
-	ready   intRing   // release-traversal scratch (see collectWave)
-	sendNow intRing   // journaled, sendable immediately
-	sendq   timedRing // journaled, paused until its interval due time
-	deads   timedRing // in-flight barrier deadlines, FIFO
+	wave    []int       // current release wave (one grouped journal append)
+	ready   ring[int32] // release-traversal scratch (see collectWave)
+	sendNow ring[int32] // journaled, sendable immediately
+	sendq   ring[timed] // journaled, paused until its interval due time
+	deads   ring[timed] // in-flight barrier deadlines, FIFO
 
 	nDone   int   // nodes that reached nsDone
 	fences  int   // fences still out after a failure
@@ -286,12 +295,12 @@ func (s *dispatchShard) gather(r shardReq) {
 		return
 	}
 	if r.st.cancelled.Load() {
-		// The job failed after queueing this install: skip it without
+		// The walk failed after queueing this install: skip it without
 		// touching a wire. sent=false — it cannot have taken effect.
 		s.d.nack(r, false, context.Canceled)
 		return
 	}
-	dpid := uint64(r.job.plan.sw(r.idx))
+	dpid := uint64(r.plan.sw(r.idx))
 	cb := s.conns[dpid]
 	if cb == nil {
 		dp, err := s.d.e.c.datapath(dpid)
@@ -326,7 +335,7 @@ func (s *dispatchShard) flush(ctx context.Context) {
 	s.order = s.order[:0]
 	for _, f := range s.fences {
 		select {
-		case f.st.acks <- nodeAck{job: f.job.ID, idx: fenceIdx}:
+		case f.st.acks <- nodeAck{seq: f.seq, idx: fenceIdx}:
 		case <-ctx.Done():
 		}
 	}
@@ -345,7 +354,7 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 	cb.xids = cb.xids[:0]
 	k := 0
 	for _, r := range cb.reqs {
-		mods := r.job.plan.mods[r.idx]
+		mods := r.plan.mods[r.idx]
 		mark := cb.batch.Mark()
 		if err := s.encodeInstall(cb, dp, mods); err != nil {
 			cb.batch.Truncate(mark)
@@ -362,7 +371,7 @@ func (s *dispatchShard) flushConn(cb *connBatch, now time.Time) {
 		dp.mu.Lock()
 		dp.sinks[xid] = barrierSink{
 			acks:     r.st.acks,
-			job:      r.job.ID,
+			seq:      r.seq,
 			idx:      int32(r.idx),
 			flowMods: int32(len(mods)),
 			started:  now,
@@ -402,125 +411,54 @@ func (s *dispatchShard) encodeInstall(cb *connBatch, dp *datapath, mods []*openf
 
 // installErr names the install a shard could not send.
 func installErr(r shardReq, what string, err error) error {
-	return fmt.Errorf("install at %d (layer %d): %s: %w", r.job.plan.sw(r.idx), r.job.plan.layers[r.idx], what, err)
+	return fmt.Errorf("install at %d (layer %d): %s: %w", r.plan.sw(r.idx), r.plan.layers[r.idx], what, err)
 }
 
-// resizeBools returns a zeroed bool slice of length n, reusing b.
-func resizeBools(b []bool, n int) []bool {
+// resize returns a zeroed slice of length n, reusing b's array.
+func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
+	clear(b)
 	return b
 }
 
-func resizeBytes(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-func resizeNodes(b []topo.NodeID, n int) []topo.NodeID {
-	if cap(b) < n {
-		return make([]topo.NodeID, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-// intRing is a growable FIFO of node indices, pooled with its job
-// state: steady-state pushes and pops do not allocate.
-type intRing struct {
-	buf  []int32
+// ring is a growable FIFO, pooled with its walk state: steady-state
+// pushes and pops do not allocate.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *intRing) reset()   { r.head, r.n = 0, 0 }
-func (r *intRing) len() int { return r.n }
+func (r *ring[T]) reset()   { r.head, r.n = 0, 0 }
+func (r *ring[T]) len() int { return r.n }
+func (r *ring[T]) peek() T  { return r.buf[r.head] }
 
-func (r *intRing) push(v int32) {
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
-		r.grow()
+		buf := make([]T, max(64, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = buf, 0
 	}
 	r.buf[(r.head+r.n)%len(r.buf)] = v
 	r.n++
 }
 
-func (r *intRing) pop() int32 {
+func (r *ring[T]) pop() T {
 	v := r.buf[r.head]
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return v
 }
 
-func (r *intRing) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 64
-	}
-	buf := make([]int32, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf, r.head = buf, 0
-}
-
-// timedRing is a growable FIFO of (node, instant) pairs — the send
-// queue (due instants) and the barrier deadline queue. Both queues are
-// pushed in nondecreasing instant order, so the head is always the
-// earliest.
-type timedRing struct {
-	idx  []int32
-	at   []time.Time
-	head int
-	n    int
-}
-
-func (r *timedRing) reset()   { r.head, r.n = 0, 0 }
-func (r *timedRing) len() int { return r.n }
-
-func (r *timedRing) push(v int32, t time.Time) {
-	if r.n == len(r.idx) {
-		r.grow()
-	}
-	p := (r.head + r.n) % len(r.idx)
-	r.idx[p], r.at[p] = v, t
-	r.n++
-}
-
-func (r *timedRing) peek() (int32, time.Time) {
-	return r.idx[r.head], r.at[r.head]
-}
-
-func (r *timedRing) pop() (int32, time.Time) {
-	v, t := r.idx[r.head], r.at[r.head]
-	r.head = (r.head + 1) % len(r.idx)
-	r.n--
-	return v, t
-}
-
-func (r *timedRing) grow() {
-	size := 2 * len(r.idx)
-	if size == 0 {
-		size = 64
-	}
-	idx := make([]int32, size)
-	at := make([]time.Time, size)
-	for i := 0; i < r.n; i++ {
-		p := (r.head + i) % len(r.idx)
-		idx[i], at[i] = r.idx[p], r.at[p]
-	}
-	r.idx, r.at, r.head = idx, at, 0
+// timed is a node with an instant: its send slot's due time, or its
+// barrier deadline. Both queues are pushed in nondecreasing instant
+// order, so a ring's head is always the earliest.
+type timed struct {
+	idx int32
+	at  time.Time
 }

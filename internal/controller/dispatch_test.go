@@ -2,11 +2,16 @@ package controller
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tsu/internal/core"
+	"tsu/internal/metrics"
 	"tsu/internal/netem"
+	"tsu/internal/simclock"
 	"tsu/internal/switchsim"
 	"tsu/internal/topo"
 )
@@ -186,6 +191,215 @@ func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 		}
 		if terminal == nil || terminal.State != JobDone {
 			t.Fatalf("%s: terminal event = %+v", name, terminal)
+		}
+	}
+}
+
+// registeredSinks counts the barrier sinks registered across every
+// connected datapath.
+func registeredSinks(c *Controller) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, dp := range c.datapaths {
+		dp.mu.Lock()
+		n += len(dp.sinks)
+		dp.mu.Unlock()
+	}
+	return n
+}
+
+// TestTimedOutInstallDeregistersSink pins the sink lifecycle on the
+// fault path: an install whose barrier deadline expires (forward and
+// again in the rollback walk) must not leave its sink registered on a
+// switch that stays connected, and a reply that shows up after its walk
+// gave up is ignored — not routed to whoever owns the pooled ack
+// channel by then.
+func TestTimedOutInstallDeregistersSink(t *testing.T) {
+	const roundTimeout = 300 * time.Millisecond
+	const lateBy = 3 * roundTimeout
+	for name, fault := range map[string]switchsim.Faults{
+		"dropped": {DropBarriers: true},
+		"late":    {BarrierFaults: netem.Faults{ReorderProb: 1, ReorderDelay: netem.Fixed(lateBy)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := topo.Fig1()
+			tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: roundTimeout},
+				func(n topo.NodeID) switchsim.Config {
+					cfg := switchsim.Config{Node: n}
+					if n == 7 {
+						cfg.Faults = fault
+					}
+					return cfg
+				})
+			job, _ := submitAbortJob(t, tb, ModeController)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := job.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("job error = %v, want a barrier deadline", err)
+			}
+			if f := job.Failure(); f == nil || f.Phase != PhaseRollbackFailed {
+				t.Fatalf("failure = %+v, want phase %q (7 answers no barrier in time, forward or back)", f, PhaseRollbackFailed)
+			}
+			if n := registeredSinks(tb.ctrl); n != 0 {
+				t.Fatalf("%d barrier sinks still registered after both walks timed out at 7", n)
+			}
+			// A direct Barrier that gives up on its ctx cleans up the same way.
+			bctx, bcancel := context.WithTimeout(ctx, 20*time.Millisecond)
+			err := tb.ctrl.Barrier(bctx, 7)
+			bcancel()
+			if err == nil {
+				t.Fatal("barrier to 7 answered in time")
+			}
+			if n := registeredSinks(tb.ctrl); n != 0 {
+				t.Fatalf("%d barrier sinks still registered after a cancelled Barrier", n)
+			}
+			// Let every held-back reply arrive: nobody waits for them anymore.
+			dropped := metrics.DispatchAcksDropped.Value()
+			time.Sleep(lateBy + 100*time.Millisecond)
+			if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+				t.Fatalf("barrier on a healthy switch after the late replies: %v", err)
+			}
+			if n := registeredSinks(tb.ctrl); n != 0 {
+				t.Fatalf("%d barrier sinks registered at rest", n)
+			}
+			if got := metrics.DispatchAcksDropped.Value(); got != dropped {
+				t.Fatalf("late replies reached an ack channel: %d acks dropped", got-dropped)
+			}
+			for i, v := range tb.ctrl.Engine().disp.stats().InFlight {
+				if v != 0 {
+					t.Fatalf("shard %d in-flight gauge = %d at rest", i, v)
+				}
+			}
+		})
+	}
+}
+
+// rollbackOnSlowSwitches aborts a fully dispatched comb reroute the way
+// recovery does for a job it cannot adopt — no forward pass, every node
+// handed to the abort path as dispatched — on switches that take 10 ms
+// per control message, and returns the number of undos and the peak
+// goroutine growth while the rollback ran.
+func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
+	t.Helper()
+	ti := topo.Comb(k, chain)
+	tb := newTestbedWithConfig(t, ti.Graph, Config{Topology: ti.Graph},
+		func(n topo.NodeID) switchsim.Config {
+			return switchsim.Config{Node: n, CtrlLatency: netem.Fixed(10 * time.Millisecond)}
+		})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := tb.ctrl.InstallPath(ctx, ti.Old, flowMatch("10.0.0.2"), ""); err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustInstance(ti.Old, ti.New, 0)
+	sched, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := tb.ctrl.Engine()
+	job, err := e.planJob(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	undos = job.NumInstalls()
+	all := make([]bool, undos)
+	for i := range all {
+		all[i] = true
+	}
+
+	batched := metrics.DispatchBatchMsgs.Sum()
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(500 * time.Microsecond):
+				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+					peak.Store(n)
+				}
+			}
+		}
+	}()
+	report, err := e.abort(ctx, job, errors.New("injected"), all, all)
+	close(stop)
+	<-stopped
+	if err == nil || report.Phase != PhaseRolledBack || len(report.RolledBack) != undos {
+		t.Fatalf("abort = %+v, %v; want %d undos rolled back", report, err, undos)
+	}
+	// Every undo is a FlowMod and a barrier, both in a coalesced write.
+	if got := metrics.DispatchBatchMsgs.Sum() - batched; got < int64(2*undos) {
+		t.Fatalf("%d undos put %d messages through the dispatch shards, want >= %d", undos, got, 2*undos)
+	}
+	for i, v := range e.disp.stats().InFlight {
+		if v != 0 {
+			t.Fatalf("shard %d in-flight gauge = %d after the rollback", i, v)
+		}
+	}
+	return undos, int(peak.Load()) - base
+}
+
+// TestRollbackRunsOnDispatchPath pins the rollback walk to the sharded
+// dispatch path: its undos go out as coalesced shard writes, the shard
+// gauges return to zero, and the goroutine count while undos are in
+// flight does not depend on how many there are.
+func TestRollbackRunsOnDispatchPath(t *testing.T) {
+	_, small := rollbackOnSlowSwitches(t, 1, 1)
+	undos, big := rollbackOnSlowSwitches(t, 8, 4)
+	if undos < 32 {
+		t.Fatalf("big rollback has %d undos, want >= 32", undos)
+	}
+	if big > small+2 {
+		t.Fatalf("goroutines grew by %d during a %d-undo rollback but by %d during a small one: rollback must not spawn per-undo goroutines",
+			big, undos, small)
+	}
+}
+
+// TestInstallPathOneRoundTrip pins the policy install as a walk of a
+// plan without edges: every hop gets its FlowAdd and barrier at once,
+// so a k-hop path costs about what one switch costs, not k barrier
+// round trips in a row.
+func TestInstallPathOneRoundTrip(t *testing.T) {
+	const hops = 12
+	sim := simclock.NewSim(time.Time{})
+	stop := sim.AutoAdvance(300 * time.Microsecond)
+	t.Cleanup(stop)
+	g := topo.Linear(hops)
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Clock: sim},
+		func(n topo.NodeID) switchsim.Config {
+			return switchsim.Config{Node: n, CtrlLatency: netem.Fixed(100 * time.Millisecond), Clock: sim}
+		})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	start := sim.Now()
+	if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	rtt := sim.Now().Sub(start)
+
+	path := make(topo.Path, hops)
+	for i := range path {
+		path[i] = topo.NodeID(i + 1)
+	}
+	start = sim.Now()
+	if err := tb.ctrl.InstallPath(ctx, path, flowMatch("10.0.0.2"), ""); err != nil {
+		t.Fatal(err)
+	}
+	took := sim.Now().Sub(start)
+	// A FlowAdd and the barrier behind it: two control messages where
+	// the bare barrier is one. Serial barriers took hops+1.
+	if took > rtt*hops/2 {
+		t.Fatalf("installing a %d-hop path took %v virtual time with a %v barrier round trip: hops are barriered one after another",
+			hops, took, rtt)
+	}
+	for n := 1; n < hops; n++ {
+		if l := tb.fabric.Switch(topo.NodeID(n)).Table().Len(); l != 1 {
+			t.Fatalf("switch %d holds %d rules after InstallPath, want 1", n, l)
 		}
 	}
 }

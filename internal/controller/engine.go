@@ -10,8 +10,10 @@ import (
 	"sync"
 	"time"
 
+	"tsu/internal/core"
 	"tsu/internal/journal"
 	"tsu/internal/metrics"
+	"tsu/internal/openflow"
 	"tsu/internal/topo"
 )
 
@@ -60,7 +62,7 @@ func newEngine(c *Controller, workers int) *Engine {
 		sem:     make(chan struct{}, workers),
 		jobs:    make(map[int]*Job),
 	}
-	e.disp = newDispatcher(e, c.cfg.DispatchShards)
+	e.disp = newDispatcher(e)
 	return e
 }
 
@@ -289,17 +291,15 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	}
 }
 
-// nodeAck is one install's outcome, delivered to the job's event loop
-// as a value: by a connection read loop resolving a barrier sink, by a
-// dispatch shard reporting a write failure or a fence bounce, or (in
-// executeRollback, which keeps its own private channel) by a rollback
-// goroutine. sent reports whether any FlowMod may have left for the
-// switch before the error — such a node may have taken effect even
-// without a barrier reply, so the rollback prefix must include it.
-// job filters stale acks on the pooled ack channels; rollback's
-// private channels leave it zero.
+// nodeAck is one install's outcome, delivered to the walk's event loop
+// as a value: by a connection read loop resolving a barrier sink, or by
+// a dispatch shard reporting a write failure or a fence bounce. sent
+// reports whether any FlowMod may have left for the switch before the
+// error — such a node may have taken effect even without a barrier
+// reply, so the rollback prefix must include it. seq filters stale acks
+// on the pooled ack channels.
 type nodeAck struct {
-	job      int
+	seq      uint64
 	idx      int
 	flowMods int
 	started  time.Time
@@ -327,7 +327,57 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 	}
 }
 
-// runDAG runs one job's execution DAG ack-driven: every node whose
+// runDAG walks one job's execution DAG forward: each release wave is
+// journaled write-ahead as one grouped dispatched delta, each confirmed
+// install is journaled, counted and published on the job's trace, and a
+// walk that failed after anything was dispatched goes to the abort
+// path. On an adopted job the reconciliation's pre-confirmed ideal is
+// confirmed synthetically — nothing journaled or counted for it — and
+// real dispatch resumes from the frontier it releases.
+func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
+	prog := newPlanProgress(job)
+	prog.start()
+	dispatched, confirmed, err := e.walk(ctx, walkSpec{
+		plan:     &job.plan,
+		interval: job.Interval,
+		pre:      job.preConfirmed,
+		journal:  func(nodes []int) bool { return e.journalDispatchBatch(job.ID, nodes) },
+		confirm: func(i int, t InstallTiming) []int {
+			if i >= len(job.preConfirmed) || !job.preConfirmed[i] {
+				e.journalDelta(journal.KindConfirmed, job.ID, i)
+				// Control messages per confirmed install: the FlowMods
+				// plus the barrier request and its reply.
+				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: t.FlowMods + 2})
+			}
+			return prog.confirm(i, t)
+		},
+	})
+	if dispatched == nil {
+		return nil, err
+	}
+	return e.abort(ctx, job, err, dispatched, confirmed)
+}
+
+// walkSpec is what one walk of an execution DAG is parameterised by —
+// data only: the walker never asks who is walking. A job's forward
+// pass, the undo of its dispatched prefix, a policy install and a bare
+// barrier are all walks.
+type walkSpec struct {
+	plan     *execPlan
+	interval time.Duration // pause before a released non-root install
+	pre      []bool        // nodes already in effect: confirmed synthetically, never sent
+
+	// journal, when non-nil, makes a release wave (ascending node
+	// indices) durable before any of it is handed to a shard; false
+	// refuses the wave.
+	journal func(nodes []int) bool
+	// confirm, when non-nil, is told every confirmed install in
+	// confirmation order and returns the nodes it releases. Nil releases
+	// nothing (a plan without edges).
+	confirm func(i int, t InstallTiming) []int
+}
+
+// walk runs one execution DAG ack-driven: every node whose
 // dependencies are confirmed gets its FlowMod(s) sent followed by a
 // barrier request, and each barrier reply immediately releases the
 // installs it unblocks — per-node barriers instead of per-round
@@ -346,25 +396,33 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 // goroutines and allocates nothing per install. Single-threaded by
 // construction: all release bookkeeping, journaling decisions and
 // timeout synthesis happen here, with shards doing only coalesced I/O.
-func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
-	n := job.plan.len()
-	st := e.disp.acquire(n)
-	prog := newPlanProgress(job)
+// It is the only code in the package that puts a FlowMod+barrier pair
+// on a wire.
+//
+// A nil error means every node confirmed. Otherwise err is the first
+// failure, and dispatched/confirmed are non-nil exactly when the walk
+// failed after something may have reached a switch: dispatched marks
+// nodes whose FlowMods may have (a down-closed superset of confirmed),
+// final because every shard was fenced first. A walk the journal
+// refused before its first send, or one cut off by ctx, returns nil
+// sets — there is nothing (or no engine left) to undo with.
+func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []bool, err error) {
+	n := w.plan.len()
+	st := e.disp.acquire(n, w)
 
-	// Release the roots. On a fresh job this is exactly the roots; on
-	// an adopted job the reconciliation's pre-confirmed ideal (down-
-	// closed, so its members release in dependency order from the
-	// roots) is confirmed synthetically inside collectWave, and real
-	// dispatch resumes from the frontier it releases.
-	e.collectWave(job, st, prog, prog.start(), 0)
-	if !e.dispatchWave(job, st) {
-		// The initial wave never became durable and nothing was handed
-		// to a shard: the switches saw none of this job, so fail plain
-		// instead of aborting.
-		e.disp.release(st)
-		return nil, errJournalWriteAhead
+	for i, nd := range w.plan.dag.Nodes {
+		if len(nd.Deps) == 0 {
+			st.ready.push(int32(i))
+		}
 	}
-	e.pump(ctx, job, st)
+	e.collectWave(st, nil, 0)
+	if !e.dispatchWave(st) {
+		// The initial wave never became durable and nothing was handed
+		// to a shard: the switches saw none of this plan.
+		e.disp.release(st)
+		return nil, nil, errJournalWriteAhead
+	}
+	e.pump(ctx, st)
 
 	// Timers are single re-armed channels over FIFO queues, not one
 	// timer per install: deadlines (sendq dues) are pushed in
@@ -374,22 +432,22 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 	var timerC, dueC <-chan time.Time
 	var timerAt, dueAt time.Time
 
-	for st.nDone < n {
-		for st.deads.len() > 0 {
-			if i, _ := st.deads.peek(); st.status[int(i)] != nsInflight {
-				st.deads.pop()
-				continue
-			}
-			break
+	// A failing walk waits for nothing but its fences, and for every one
+	// of them even with no node left in flight: only once each shard
+	// bounced its fence is the dispatched set final and the pooled state
+	// safe to hand on.
+	for (st.failing == nil && st.nDone < n) || st.fences > 0 {
+		for st.deads.len() > 0 && st.status[st.deads.peek().idx] != nsInflight {
+			st.deads.pop()
 		}
 		if st.deads.len() > 0 {
-			if _, dl := st.deads.peek(); timerC == nil || timerAt.After(dl) {
+			if dl := st.deads.peek().at; timerC == nil || timerAt.After(dl) {
 				timerC = e.c.clock.After(dl.Sub(e.c.clock.Now()))
 				timerAt = dl
 			}
 		}
 		if st.sendq.len() > 0 && st.failing == nil {
-			if _, due := st.sendq.peek(); dueC == nil || dueAt.After(due) {
+			if due := st.sendq.peek().at; dueC == nil || dueAt.After(due) {
 				dueC = e.c.clock.After(due.Sub(e.c.clock.Now()))
 				dueAt = due
 			}
@@ -397,18 +455,15 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 
 		select {
 		case a := <-st.acks:
-			e.handleAck(ctx, job, st, prog, a)
+			e.handleAck(ctx, st, a)
 		case <-timerC:
 			timerC = nil
-			e.expireDeadlines(ctx, job, st, e.c.clock.Now())
+			e.expireDeadlines(ctx, st, e.c.clock.Now())
 		case <-dueC:
 			dueC = nil // pump below releases the due installs
 		case <-ctx.Done():
-			// Engine shutdown: abandon the dispatch state (stragglers
-			// may still write to its ack channel) and fail the job, the
-			// exact semantics of the old per-goroutine path.
-			e.abandon(job, st)
-			return nil, ctx.Err()
+			e.abandon(st)
+			return nil, nil, ctx.Err()
 		}
 		// Coalesce: fold every ack already queued into the same release
 		// wave, so one journal append and one shard hand-off cycle cover
@@ -417,48 +472,46 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 		for {
 			select {
 			case a := <-st.acks:
-				e.handleAck(ctx, job, st, prog, a)
+				e.handleAck(ctx, st, a)
 			default:
 				break drained
 			}
 		}
 		if st.failing == nil {
-			if !e.dispatchWave(job, st) {
-				e.noteFailure(ctx, job, st, errJournalWriteAhead)
+			if !e.dispatchWave(st) {
+				e.noteFailure(ctx, st, errJournalWriteAhead)
 			}
-			e.pump(ctx, job, st)
-		}
-		if st.failing != nil && st.fences == 0 {
-			break // every shard bounced its fence: the dispatched set is final
+			e.pump(ctx, st)
 		}
 	}
 
-	defer e.disp.release(st)
 	if st.failing != nil {
-		return e.abort(ctx, job, st.failing, st.dispatched, st.confirmed)
+		e.dropSinks(st)
+		dispatched, confirmed, err = slices.Clone(st.dispatched), slices.Clone(st.confirmed), st.failing
 	}
-	return nil, nil
+	e.disp.release(st)
+	return dispatched, confirmed, err
 }
 
-// collectWave folds a just-released node set into the pending wave.
-// Pre-confirmed nodes (adopted jobs) are confirmed synthetically with
-// zero-duration installs and their releases folded recursively; the
-// scratch ring owns the traversal because prog.confirm reuses the
-// released slice's backing array across calls.
-func (e *Engine) collectWave(job *Job, st *jobDispatch, prog *planProgress, released []int, by topo.NodeID) {
+// collectWave folds a just-released node set (plus whatever the caller
+// already pushed on the scratch ring) into the pending wave.
+// Pre-confirmed nodes are confirmed synthetically with zero-duration
+// installs and their releases folded recursively; the scratch ring owns
+// the traversal because the confirm hook may reuse the released slice's
+// backing array across calls.
+func (e *Engine) collectWave(st *jobDispatch, released []int, by topo.NodeID) {
 	for _, s := range released {
 		st.releasedBy[s] = by
 		st.ready.push(int32(s))
 	}
 	for st.ready.len() > 0 {
 		i := int(st.ready.pop())
-		if i < len(job.preConfirmed) && job.preConfirmed[i] {
+		if i < len(st.pre) && st.pre[i] {
 			st.dispatched[i] = true
-			st.confirmed[i] = true
 			st.status[i] = nsDone
 			st.nDone++
 			now := e.c.clock.Now()
-			for _, s := range prog.confirm(i, InstallTiming{Started: now, Finished: now}) {
+			for _, s := range e.confirmNode(st, i, InstallTiming{Started: now, Finished: now}) {
 				st.releasedBy[s] = 0
 				st.ready.push(int32(s))
 			}
@@ -468,30 +521,39 @@ func (e *Engine) collectWave(job *Job, st *jobDispatch, prog *planProgress, rele
 	}
 }
 
+// confirmNode records node i as confirmed and returns what the walk's
+// confirm hook says that releases.
+func (e *Engine) confirmNode(st *jobDispatch, i int, t InstallTiming) []int {
+	st.confirmed[i] = true
+	if st.confirm == nil {
+		return nil
+	}
+	return st.confirm(i, t)
+}
+
 // dispatchWave makes the pending wave durable as one grouped
 // dispatched-delta append, then queues every node for its send slot:
-// immediately, or after the job's interval pause for non-root layers
-// (the same pause the old per-goroutine path slept before sending). A
-// false return means the journal refused the write-ahead — nothing of
+// immediately, or after the walk's interval pause for non-root layers.
+// A false return means the journal refused the write-ahead — nothing of
 // the wave may be dispatched.
-func (e *Engine) dispatchWave(job *Job, st *jobDispatch) bool {
+func (e *Engine) dispatchWave(st *jobDispatch) bool {
 	if len(st.wave) == 0 {
 		return true
 	}
 	slices.Sort(st.wave) // the batch codec wants ascending node order
-	if !e.journalDispatchBatch(job.ID, st.wave) {
+	if st.journal != nil && !st.journal(st.wave) {
 		st.wave = st.wave[:0]
 		return false
 	}
 	var due time.Time
-	if job.Interval > 0 {
-		due = e.c.clock.Now().Add(job.Interval)
+	if st.interval > 0 {
+		due = e.c.clock.Now().Add(st.interval)
 	}
 	for _, i := range st.wave {
 		st.dispatched[i] = true
 		st.status[i] = nsQueued
-		if job.Interval > 0 && job.plan.layers[i] > 0 {
-			st.sendq.push(int32(i), due)
+		if st.interval > 0 && st.plan.layers[i] > 0 {
+			st.sendq.push(timed{int32(i), due})
 		} else {
 			st.sendNow.push(int32(i))
 		}
@@ -504,10 +566,10 @@ func (e *Engine) dispatchWave(job *Job, st *jobDispatch) bool {
 // pump hands queued installs to their shards: everything released
 // without a pause immediately, plus any paused install whose due time
 // arrived.
-func (e *Engine) pump(ctx context.Context, job *Job, st *jobDispatch) {
+func (e *Engine) pump(ctx context.Context, st *jobDispatch) {
 	for st.sendNow.len() > 0 {
 		if i := int(st.sendNow.pop()); st.status[i] == nsQueued {
-			e.sendToShard(ctx, job, st, i)
+			e.sendToShard(ctx, st, i)
 		}
 	}
 	if st.sendq.len() == 0 {
@@ -515,17 +577,14 @@ func (e *Engine) pump(ctx context.Context, job *Job, st *jobDispatch) {
 	}
 	now := e.c.clock.Now()
 	for st.sendq.len() > 0 {
-		i32, due := st.sendq.peek()
-		i := int(i32)
-		if st.status[i] != nsQueued {
-			st.sendq.pop()
-			continue
-		}
-		if due.After(now) {
-			return
+		next := st.sendq.peek()
+		if st.status[next.idx] == nsQueued {
+			if next.at.After(now) {
+				return
+			}
+			e.sendToShard(ctx, st, int(next.idx))
 		}
 		st.sendq.pop()
-		e.sendToShard(ctx, job, st, i)
 	}
 }
 
@@ -535,30 +594,30 @@ func (e *Engine) pump(ctx context.Context, job *Job, st *jobDispatch) {
 // every other engine wait, so virtual-clock runs time out at
 // RoundTimeout *virtual* time instead of hanging for 30 wall-clock
 // seconds.
-func (e *Engine) sendToShard(ctx context.Context, job *Job, st *jobDispatch, i int) {
+func (e *Engine) sendToShard(ctx context.Context, st *jobDispatch, i int) {
 	st.status[i] = nsInflight
 	metrics.DispatchReadyDepth.Dec()
-	sh := e.disp.shardFor(uint64(job.plan.sw(i)))
+	sh := e.disp.shardFor(uint64(st.plan.sw(i)))
 	e.disp.inflight[sh].Inc()
-	st.deads.push(int32(i), e.c.clock.Now().Add(e.c.cfg.RoundTimeout))
+	st.deads.push(timed{int32(i), e.c.clock.Now().Add(e.c.cfg.RoundTimeout)})
 	select {
-	case e.disp.shards[sh].reqs <- shardReq{job: job, st: st, idx: i}:
+	case e.disp.shards[sh].reqs <- shardReq{plan: st.plan, st: st, seq: st.seq, idx: i}:
 	case <-ctx.Done():
 		// Shutdown: the shard loops may be gone; the event loop's ctx
-		// branch abandons the job on its next turn.
+		// branch abandons the walk on its next turn.
 	}
 }
 
 // handleAck processes one install outcome (or fence bounce) from the
-// job's ack channel.
-func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog *planProgress, a nodeAck) {
-	if a.job != job.ID {
+// walk's ack channel.
+func (e *Engine) handleAck(ctx context.Context, st *jobDispatch, a nodeAck) {
+	if a.seq != st.seq {
 		return // stale ack from the pooled channel's previous owner
 	}
 	if a.idx == fenceIdx {
 		st.fences--
 		if st.fences == 0 {
-			e.finalizeCancel(job, st)
+			e.finalizeCancel(st)
 		}
 		return
 	}
@@ -566,10 +625,7 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 	if st.status[i] != nsInflight {
 		return // duplicate: a reply racing a synthesized timeout or a write error
 	}
-	node := job.plan.sw(i)
-	st.status[i] = nsDone
-	st.nDone++
-	e.disp.inflight[e.disp.shardFor(uint64(node))].Dec()
+	e.settle(st, i)
 	if a.err != nil {
 		if !a.sent {
 			// Provably nothing left for the switch (skipped after the
@@ -579,60 +635,60 @@ func (e *Engine) handleAck(ctx context.Context, job *Job, st *jobDispatch, prog 
 			// undo FlowMods are idempotent, so over-covering is safe.
 			st.dispatched[i] = false
 		}
-		e.noteFailure(ctx, job, st, a.err)
+		e.noteFailure(ctx, st, a.err)
 		return
 	}
 	// A successful install is recorded even when it lands after the
 	// first failure: the rollback prefix must be exact, and a node that
 	// confirmed between the error and the fence did take effect.
-	st.confirmed[i] = true
-	e.journalDelta(journal.KindConfirmed, job.ID, i)
-	// Control messages per confirmed install: the FlowMods plus the
-	// barrier request and its reply.
-	job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
-	rel := prog.confirm(i, InstallTiming{
+	rel := e.confirmNode(st, i, InstallTiming{
 		ReleasedBy: st.releasedBy[i],
 		FlowMods:   a.flowMods,
 		Started:    a.started,
 		Finished:   a.finished,
 	})
 	// Release: every install the ack unblocks joins the next wave —
-	// unless the job is aborting, in which case confirmations are only
+	// unless the walk is failing, in which case confirmations are only
 	// recorded, never acted on.
 	if st.failing == nil {
-		e.collectWave(job, st, prog, rel, node)
+		e.collectWave(st, rel, st.plan.sw(i))
 	}
 }
 
+// settle takes an in-flight install off the books: its barrier was
+// answered, failed, timed out or is given up on.
+func (e *Engine) settle(st *jobDispatch, i int) {
+	st.status[i] = nsDone
+	st.nDone++
+	e.disp.inflight[e.disp.shardFor(uint64(st.plan.sw(i)))].Dec()
+}
+
 // expireDeadlines synthesizes barrier-timeout failures for every
-// in-flight install whose deadline passed — the event-loop equivalent
-// of the old per-goroutine clock.After race against the barrier reply.
-// The dead entry's sink stays registered; a late reply finds the node
-// already done and is dropped.
-func (e *Engine) expireDeadlines(ctx context.Context, job *Job, st *jobDispatch, now time.Time) {
+// in-flight install whose deadline passed. A late reply finds the node
+// already done and is dropped — or, once the walk has ended, finds no
+// sink at all (dropSinks).
+func (e *Engine) expireDeadlines(ctx context.Context, st *jobDispatch, now time.Time) {
 	for st.deads.len() > 0 {
-		i32, dl := st.deads.peek()
-		i := int(i32)
+		next := st.deads.peek()
+		i := int(next.idx)
 		if st.status[i] != nsInflight {
 			st.deads.pop()
 			continue
 		}
-		if dl.After(now) {
+		if next.at.After(now) {
 			return
 		}
 		st.deads.pop()
-		st.status[i] = nsDone
-		st.nDone++
-		e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
-		e.noteFailure(ctx, job, st, fmt.Errorf("install at %d (layer %d): barrier reply: %w", job.plan.sw(i), job.plan.layers[i], context.DeadlineExceeded))
+		e.settle(st, i)
+		e.noteFailure(ctx, st, fmt.Errorf("install at %d (layer %d): barrier reply: %w", st.plan.sw(i), st.plan.layers[i], context.DeadlineExceeded))
 	}
 }
 
-// noteFailure records the job's first failure and fences every shard:
+// noteFailure records the walk's first failure and fences every shard:
 // shards process their queues in order, so once each fence bounces
-// back, no FlowMod of this job can reach a wire anymore — only then is
-// the dispatched set final and the abort safe to start.
-func (e *Engine) noteFailure(ctx context.Context, job *Job, st *jobDispatch, err error) {
+// back, no FlowMod of this walk can reach a wire anymore — only then is
+// the dispatched set final and an abort safe to start.
+func (e *Engine) noteFailure(ctx context.Context, st *jobDispatch, err error) {
 	if st.failing != nil {
 		return
 	}
@@ -641,22 +697,21 @@ func (e *Engine) noteFailure(ctx context.Context, job *Job, st *jobDispatch, err
 	st.fences = len(e.disp.shards)
 	for _, sh := range e.disp.shards {
 		select {
-		case sh.reqs <- shardReq{job: job, st: st, idx: fenceIdx}:
+		case sh.reqs <- shardReq{st: st, seq: st.seq, idx: fenceIdx}:
 		case <-ctx.Done():
 			st.fences-- // the shard loop exited; it cannot write anything anyway
 		}
 	}
 	if st.fences == 0 {
-		e.finalizeCancel(job, st)
+		e.finalizeCancel(st)
 	}
 }
 
 // finalizeCancel runs once the last fence bounced: every still-queued
-// node provably never reached a wire (dispatched reverts to false —
-// matching the old path's cancelled-during-pause semantics), and every
-// in-flight node may have (dispatched stays true) but gets no further
-// barrier wait — the prompt equivalent of the old cancel-drain.
-func (e *Engine) finalizeCancel(job *Job, st *jobDispatch) {
+// node provably never reached a wire (dispatched reverts to false), and
+// every in-flight node may have (dispatched stays true) but gets no
+// further barrier wait.
+func (e *Engine) finalizeCancel(st *jobDispatch) {
 	for i := range st.status {
 		switch st.status[i] {
 		case nsQueued:
@@ -665,24 +720,64 @@ func (e *Engine) finalizeCancel(job *Job, st *jobDispatch) {
 			st.dispatched[i] = false
 			metrics.DispatchReadyDepth.Dec()
 		case nsInflight:
-			st.status[i] = nsDone
-			st.nDone++
-			e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
+			e.settle(st, i)
 		}
 	}
 }
 
-// abandon corrects the dispatch gauges for a job cut off by engine
-// shutdown and marks its state unrecyclable (late acks may still
-// arrive on its channel).
-func (e *Engine) abandon(job *Job, st *jobDispatch) {
-	st.abandoned = true
-	for i := range st.status {
-		switch st.status[i] {
-		case nsQueued:
-			metrics.DispatchReadyDepth.Dec()
-		case nsInflight:
-			e.disp.inflight[e.disp.shardFor(uint64(job.plan.sw(i)))].Dec()
+// abandon ends a walk its ctx cut off: the dispatch gauges are
+// corrected, requests still queued at a shard are skipped, the sinks
+// already registered go, and the state is never recycled (late acks may
+// still arrive on its channel).
+func (e *Engine) abandon(st *jobDispatch) {
+	st.cancelled.Store(true)
+	e.finalizeCancel(st)
+	e.dropSinks(st)
+}
+
+// dropSinks deregisters the barrier sinks a failed or abandoned walk
+// still has out: an install whose deadline expired, or that
+// finalizeCancel gave up on, must not leave its sink behind for the
+// life of the connection — a switch that drops barriers would
+// accumulate one per timed-out install.
+func (e *Engine) dropSinks(st *jobDispatch) {
+	for i, sent := range st.dispatched {
+		if !sent || st.confirmed[i] {
+			continue
 		}
+		dp, err := e.c.datapath(uint64(st.plan.sw(i)))
+		if err != nil {
+			continue
+		}
+		dp.mu.Lock()
+		for xid, s := range dp.sinks {
+			if s.seq == st.seq {
+				delete(dp.sinks, xid)
+			}
+		}
+		dp.mu.Unlock()
 	}
+}
+
+// walkFlat walks a plan without edges — one node per switch, mods[i]
+// sent to nodes[i] ahead of its barrier — outside any job: unjournaled,
+// every switch written and barriered concurrently. It ends with ctx or
+// with the engine, whichever comes first.
+func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, mods [][]*openflow.FlowMod) error {
+	e.mu.Lock()
+	ectx := e.ctx
+	e.mu.Unlock()
+	if ectx == nil {
+		return errors.New("controller: not started")
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(ectx, cancel)()
+	p := &core.Plan{Nodes: make([]core.PlanNode, len(nodes))}
+	for i, n := range nodes {
+		p.Nodes[i].Switch = n
+	}
+	plan := newExecPlan(p, mods, len(nodes), nil)
+	_, _, err := e.walk(ctx, walkSpec{plan: &plan})
+	return err
 }

@@ -124,7 +124,7 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 		return report, fmt.Errorf("%w; rollback refused: %v", cause, err)
 	}
 	report.RollbackVerified = true
-	rolledBack, undone, rbErr := e.executeRollback(ctx, job, spec, dispatched)
+	rolledBack, undone, rbErr := e.runRollback(ctx, job, spec, dispatched)
 	report.RolledBack = rolledBack
 	if rbErr != nil {
 		metrics.Stalls.Inc()
@@ -141,7 +141,7 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 // verified plan: they sit past every update node, so a dispatched
 // cleanup node implies the network is fully on the new path, where
 // re-adding a stale old-path rule at an unreachable switch is
-// unobservable — executeRollback undoes them first, restoring exactly
+// unobservable — runRollback undoes them first, restoring exactly
 // the state space this verification covers.
 func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool) error {
 	k := job.plan.cleanupFrom
@@ -169,12 +169,14 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool)
 	return nil
 }
 
-// executeRollback undoes the dispatched prefix ack-driven along the
-// full reverse DAG (cleanup undos first — they are the reverse plan's
-// roots). Undo FlowMods are idempotent, so nodes that were dispatched
-// but never took effect are harmless to "undo". Returns the switches
-// undone in confirmation order and the per-node undone set.
-func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSpec, dispatched []bool) (rolledBack []topo.NodeID, undone []bool, err error) {
+// runRollback undoes the dispatched prefix: the full reverse DAG
+// (cleanup undos first — they are the reverse plan's roots) with each
+// node's undo FlowMod is one more execution DAG, walked unjournaled on
+// the same dispatch path as the forward pass. Undo FlowMods are
+// idempotent, so nodes that were dispatched but never took effect are
+// harmless to "undo". Returns the switches undone in confirmation order
+// and the per-node undone set.
+func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, dispatched []bool) (rolledBack []topo.NodeID, undone []bool, err error) {
 	rev, fwd, err := job.plan.dag.Reverse(dispatched)
 	if err != nil {
 		return nil, nil, err
@@ -184,75 +186,28 @@ func (e *Engine) executeRollback(ctx context.Context, job *Job, spec *rollbackSp
 	if n == 0 {
 		return nil, undone, nil
 	}
-	mods := make([]*openflow.FlowMod, n)
+	fms := make([]*openflow.FlowMod, n)
 	for j, fi := range fwd {
-		fm, err := e.undoFlowMod(spec.in, job.plan.sw(fi), spec.match)
-		if err != nil {
+		if fms[j], err = e.undoFlowMod(spec.in, job.plan.sw(fi), spec.match); err != nil {
 			return nil, undone, err
 		}
-		mods[j] = fm
 	}
-
-	rbCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	acks := make(chan nodeAck, n) // buffered: stragglers never leak
-	dispatch := func(j int) {
-		go func() {
-			node := rev.Nodes[j].Switch
-			if err := e.c.SendFlowMod(uint64(node), mods[j]); err != nil {
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: sending flowmod: %w", node, err)}
-				return
-			}
-			done, err := e.c.BarrierAsync(uint64(node))
-			if err != nil {
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier: %w", node, err)}
-				return
-			}
-			select {
-			case <-done:
-			case <-e.c.clock.After(e.c.cfg.RoundTimeout):
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier reply: %w", node, context.DeadlineExceeded)}
-				return
-			case <-rbCtx.Done():
-				acks <- nodeAck{idx: j, err: fmt.Errorf("rollback at %d: barrier reply: %w", node, rbCtx.Err())}
-				return
-			}
-			acks <- nodeAck{idx: j, flowMods: 1}
-		}()
-	}
-
+	plan := newExecPlan(rev, oneModNodes(fms), n, nil)
 	run := core.NewPlanRun(rev)
 	ready := run.Reset(make([]int, 0, n))
-	inflight := 0
-	for _, j := range ready {
-		inflight++
-		dispatch(j)
-	}
-	var failure error
-	for inflight > 0 {
-		a := <-acks
-		inflight--
-		if a.err != nil {
-			if failure == nil {
-				failure = a.err
-				cancel()
-			}
-			continue // drain
-		}
-		node := rev.Nodes[a.idx].Switch
-		job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
-		metrics.InstallsRolledBack.Inc()
-		rolledBack = append(rolledBack, node)
-		undone[fwd[a.idx]] = true
-		for _, s := range run.Complete(a.idx, ready[:0]) {
-			if failure != nil {
-				continue
-			}
-			inflight++
-			dispatch(s)
-		}
-	}
-	return rolledBack, undone, failure
+	_, _, err = e.walk(ctx, walkSpec{
+		plan: &plan,
+		confirm: func(j int, t InstallTiming) []int {
+			node := plan.sw(j)
+			job.addMessages(node, MessageStats{Ctrl: t.FlowMods + 2})
+			metrics.InstallsRolledBack.Inc()
+			rolledBack = append(rolledBack, node)
+			undone[fwd[j]] = true
+			ready = run.Complete(j, ready[:0])
+			return ready
+		},
+	})
+	return rolledBack, undone, err
 }
 
 // undoFlowMod builds the FlowMod that reverses one switch's update:

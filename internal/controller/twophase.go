@@ -74,7 +74,7 @@ func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, tag uint16
 		if err != nil {
 			return nil, err
 		}
-		fm.Priority = e.c.cfg.FlowPriority + 10
+		fm.Priority = flowPriority + 10
 		mods = append(mods, []*openflow.FlowMod{fm})
 	}
 
