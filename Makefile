@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound test test-determinism chaos bench bench-json bench-diff bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
 ci: fmt vet guard-southbound test test-determinism
 
@@ -50,11 +50,12 @@ test:
 # models (netem), crash/loss switch faults (switchsim), reverse-plan
 # safety (core/verify/explore), the controller's abort→verified-
 # rollback path in both dispatch modes including the chaos soak and the
-# sink lifecycle of timed-out installs, and the crash-restart sweeps
+# sink lifecycle of timed-out installs, the crash-restart sweeps
 # (journal torn-tail recovery plus the engine killed at every dispatch
-# boundary).
+# boundary), and the engine's admission and conflict-queue lifecycle
+# (launch on release, shutdown of queued jobs, recovery order).
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission' \
 		./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal
@@ -95,6 +96,33 @@ bench-json:
 # it non-gating); add -fail-on-regress locally to gate.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff BENCH_$(PREV).json BENCH_$(N).json
+
+# The paired-run protocol a perf claim is judged by, as one command:
+# BASE is exported into a temporary directory, then PAIRS times both
+# trees run one BENCHMARK.json workload (seed = pair index, alternating
+# which side goes first), each run's result line is kept, and benchjson
+# prints per metric each side's quartiles and the pairs the working
+# tree won. ~1 min per pair; a failed run (or a failed correctness
+# gate) stops it.
+#
+#	make bench-pairs BASE=HEAD~1 WORKLOAD=wan-epochs PAIRS=10
+BASE ?= HEAD~1
+WORKLOAD ?= wan-epochs
+PAIRS ?= 10
+bench-pairs:
+	@set -e; base="$$(mktemp -d)"; out="$$(mktemp -d)"; trap 'rm -rf "$$base"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$base"; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base change"; [ $$((i % 2)) = 0 ] && order="change base"; \
+		for side in $$order; do \
+			tree=.; [ $$side = base ] && tree="$$base"; \
+			echo "pair $$i: $$side" >&2; \
+			$(GO) run -C "$$tree/bench" ./tsubench --workload $(WORKLOAD) --seconds 20 --trace 0 --seed $$i > "$$out/last.log"; \
+			grep '^{' "$$out/last.log" | tail -1 >> "$$out/$$side.jsonl"; \
+		done; \
+	done; \
+	echo "runs kept in $$out" >&2; \
+	$(GO) run ./cmd/benchjson -pairs "$$out/base.jsonl" "$$out/change.jsonl"
 
 # One iteration of every benchmark in the repo: catches benchmark rot
 # without paying for a measurement run.

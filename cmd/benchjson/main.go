@@ -15,6 +15,12 @@
 //
 //	benchjson -diff BENCH_4.json BENCH_5.json
 //	benchjson -diff -threshold 0.25 -fail-on-regress old.json new.json
+//
+// With -pairs, it reads the paired `tsubench` runs `make bench-pairs`
+// collected (one result line per run; line i of each file is pair i)
+// and reports each side's quartiles and the pairs the change won:
+//
+//	benchjson -pairs base.jsonl change.jsonl
 package main
 
 import (
@@ -56,7 +62,20 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two BENCH files: benchjson -diff old.json new.json")
 	threshold := flag.Float64("threshold", 0.15, "with -diff: relative ns/op movement below this is reported as noise")
 	failOnRegress := flag.Bool("fail-on-regress", false, "with -diff: exit non-zero when a regression exceeds the threshold")
+	pairs := flag.Bool("pairs", false, "compare paired tsubench runs: benchjson -pairs base.jsonl change.jsonl")
+	decl := flag.String("benchmark", "BENCHMARK.json", "with -pairs: the benchmark declaration naming the end-to-end metrics and which way is better")
 	flag.Parse()
+	if *pairs {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchjson: -pairs wants exactly two files: base.jsonl change.jsonl")
+			os.Exit(2)
+		}
+		if err := pairFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *decl); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if *diff {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff wants exactly two files: old.json new.json")

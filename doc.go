@@ -79,7 +79,9 @@
 //     materializer turns a core.Plan plus per-node FlowMods into the
 //     execution DAG (two-phase and joint updates are small plan builders,
 //     recovery rebuilds through the same constructor) and a single job
-//     lifecycle runs it; one southbound walker (Engine.walk) on a sharded
+//     lifecycle runs it — no worker pool: a job launches when the last
+//     earlier conflicting job finishes (a counter, not a parked
+//     goroutine), at admission if there is none; one southbound walker (Engine.walk) on a sharded
 //     ack-driven dispatch path (a fixed pool of event loops, goroutine-
 //     and allocation-free per install, batched write-ahead journaling)
 //     executes every FlowMod+barrier the controller sends — forward

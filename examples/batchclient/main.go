@@ -125,5 +125,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("healthz: %d switches, queue depth %d, %d workers\n", h.Switches, h.QueueDepth, h.Workers)
+	fmt.Printf("healthz: %d switches, queue depth %d, %d running\n", h.Switches, h.QueueDepth, h.Running)
 }

@@ -452,8 +452,6 @@ type Healthz struct {
 	QueueDepth int `json:"queue_depth"`
 	// Running counts jobs currently executing rounds.
 	Running int `json:"running"`
-	// Workers is the engine's concurrency limit.
-	Workers int `json:"workers"`
 	// UptimeMicros is how long the controller has been running, on its
 	// own clock (virtual under simulated time).
 	UptimeMicros int64 `json:"uptime_us,omitempty"`

@@ -282,7 +282,7 @@ func (c *Client) Watch(ctx context.Context, id int) (<-chan api.WatchEvent, erro
 		defer close(events)
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+		sc.Buffer(nil, 1<<20) // starts at bufio's 4 KB, grows to a 1 MB line
 		var data bytes.Buffer
 		flush := func() bool {
 			if data.Len() == 0 {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -508,5 +510,71 @@ func TestClientWaitPollFallback(t *testing.T) {
 	}
 	if n := watches.Load(); n < 2 {
 		t.Fatalf("watch attempts = %d, want the retry budget consumed", n)
+	}
+}
+
+// sseServer serves one job's watch stream: the given events, then EOF.
+func sseServer(t *testing.T, events ...api.WatchEvent) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		for _, ev := range events {
+			b, _ := json.Marshal(ev)
+			fmt.Fprintf(w, "data: %s\n\n", b)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestClientWatchAllocatesLittle pins what one watch stream costs: a
+// batch client opens one per job, so a fixed 64 KB line buffer per
+// stream was most of what an op allocated. The figure is the whole
+// process's — client, transport and the test server's handler.
+func TestClientWatchAllocatesLittle(t *testing.T) {
+	srv := sseServer(t, api.WatchEvent{Type: api.EventDone, Job: 7})
+	c := client.New(srv.URL)
+	watch := func() {
+		events, err := c.Watch(context.Background(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ev := range events {
+			if n++; ev.Type != api.EventDone {
+				t.Fatalf("event %+v", ev)
+			}
+		}
+		if n != 1 {
+			t.Fatalf("%d events, want 1", n)
+		}
+	}
+	watch() // the connection and the transport's pools exist from here on
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		watch()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= 16<<10 {
+		t.Fatalf("one Watch of a finished job allocates %d bytes, want < 16 KB", perCall)
+	} else {
+		t.Logf("%d bytes per Watch", perCall)
+	}
+}
+
+// TestClientWatchLongLine: an event longer than the scanner's starting
+// buffer — and than the 64 KB it used to start with — still decodes.
+func TestClientWatchLongLine(t *testing.T) {
+	long := strings.Repeat("x", 100<<10)
+	srv := sseServer(t, api.WatchEvent{Type: api.EventFailed, Job: 7, Error: long})
+	events, err := client.New(srv.URL).Watch(context.Background(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, ok := <-events
+	if !ok || ev.Type != api.EventFailed || ev.Error != long {
+		t.Fatalf("got event type %q with a %d-byte error (ok=%v), want the %d-byte one", ev.Type, len(ev.Error), ok, len(long))
 	}
 }

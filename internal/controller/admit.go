@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -346,8 +347,9 @@ func (e *Engine) enqueue(job *Job) (*Job, error) {
 // enqueueAll admits several built jobs atomically: either the whole
 // group fits under the admission limit and every job is admitted in
 // order (consecutive ids), or nothing is and ErrQueueFull is returned.
-// Every submission path ends here. Disjoint jobs proceed immediately,
-// bounded only by the worker pool.
+// Every submission path ends here. A job no earlier unfinished job
+// conflicts with starts its walk as soon as its admission is durable;
+// maxAdmitted is the only bound on how many run at once.
 func (e *Engine) enqueueAll(jobs []*Job) error {
 	e.mu.Lock()
 	if len(e.active)+len(jobs) > maxAdmitted {
@@ -355,53 +357,47 @@ func (e *Engine) enqueueAll(jobs []*Job) error {
 		return fmt.Errorf("%w: %d active + %d submitted > %d",
 			ErrQueueFull, len(e.active), len(jobs), maxAdmitted)
 	}
-	launches := make([]*launch, len(jobs))
-	for i, job := range jobs {
+	for _, job := range jobs {
 		e.nextID++
 		job.ID = e.nextID
-		launches[i] = &launch{job: job, deps: e.admitLocked(job), run: e.execute}
+		e.admitLocked(job, e.execute)
 	}
 	e.mu.Unlock()
-	// Admission is journaled (and synced) before any job goroutine
-	// launches: a job either never reached the journal (and sent
-	// nothing), or is durably recoverable. A job whose admit append
+	// Admission is journaled (and synced) before the blocker that stands
+	// for it is released: a job either never reached the journal (and
+	// sent nothing), or is durably recoverable. A job whose admit append
 	// fails ends here, on its own — later dispatch appends must not
-	// leave deltas of a job the journal never admitted.
-	durable := launches[:0]
-	for _, l := range launches {
-		if err := e.journalAdmit(l.job); err != nil {
-			e.finish(l.job, fmt.Errorf("%w: admit: %v", errJournalWriteAhead, err), nil)
-			e.retire(l.job, false)
-			continue
-		}
-		durable = append(durable, l)
-	}
-	e.mu.Lock()
-	ctx := e.ctx
-	if ctx == nil {
-		e.pending = append(e.pending, durable...)
-	}
-	e.mu.Unlock()
-	if ctx != nil {
-		for _, l := range durable {
-			go e.runJob(ctx, l)
+	// leave deltas of a job the journal never admitted — and the release
+	// below passes it by.
+	for _, job := range jobs {
+		if err := e.journalAdmit(job); err != nil {
+			e.failQueued(fmt.Errorf("%w: admit: %v", errJournalWriteAhead, err), job)
 		}
 	}
+	e.release(jobs)
 	return nil
 }
 
-// admitLocked registers a job as active and returns the done channels
-// of every earlier unfinished job it conflicts with — including earlier
-// members of the same batch. Caller holds e.mu.
-func (e *Engine) admitLocked(job *Job) []<-chan struct{} {
+// admitLocked registers a job as active, to do run once launched, and
+// counts what blocks its launch: every earlier unfinished job it
+// conflicts with — earlier members of the same batch included — each of
+// which notes it as a successor to release when it finishes; its
+// admission, until the caller made that durable and releases it; and
+// the engine not having started, which run releases. Conflicting jobs
+// therefore launch in exactly their submission order. Caller holds e.mu.
+func (e *Engine) admitLocked(job *Job, run func(context.Context, *Job) (*FailureReport, error)) {
 	e.jobs[job.ID] = job
-	var deps []<-chan struct{}
+	job.run = run
+	job.blockers = 1
 	for _, prev := range e.active {
 		if prev.conflictsWith(job) {
-			deps = append(deps, prev.done)
+			prev.succs = append(prev.succs, job)
+			job.blockers++
 		}
+	}
+	if e.ctx == nil {
+		job.blockers++
 	}
 	e.active = append(e.active, job)
 	e.queued++
-	return deps
 }

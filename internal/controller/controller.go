@@ -47,11 +47,6 @@ type Config struct {
 	// RoundTimeout bounds one round's barrier collection (default 30s).
 	RoundTimeout time.Duration
 
-	// EngineWorkers bounds how many conflict-free update jobs execute
-	// concurrently (default 8); 1 restores the strictly serial engine
-	// of the paper's demo.
-	EngineWorkers int
-
 	// Clock is the time base for round timings and inter-round pauses.
 	// Nil selects the wall clock; a simclock.Sim (driven by
 	// Sim.AutoAdvance, with the switches on the same clock) runs
@@ -130,7 +125,7 @@ func New(cfg Config) (*Controller, error) {
 		datapaths: make(map[uint64]*datapath),
 	}
 	c.started = c.clock.Now()
-	c.engine = newEngine(c, cfg.EngineWorkers)
+	c.engine = newEngine(c)
 	return c, nil
 }
 

@@ -106,48 +106,6 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestEngineSerialWorkerPreservesCorrectness pins the workers=1
-// configuration: everything still completes (the serial baseline the
-// benchmark compares against).
-func TestEngineSerialWorkerPreservesCorrectness(t *testing.T) {
-	g := topo.Grid(4, 4)
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, EngineWorkers: 1}, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	inA, _ := gridFlowA()
-	inB := gridFlowB()
-	sA, err := core.Peacock(inA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sB, err := core.Peacock(inB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobA, err := tb.ctrl.Engine().SubmitPlan(inA, core.PlanFromSchedule(sA), flowMatch("10.0.0.2"), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobB, err := tb.ctrl.Engine().SubmitPlan(inB, core.PlanFromSchedule(sB), flowMatch("10.0.0.9"), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jobA.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := jobB.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// One worker slot: the two executions never overlapped.
-	tA, tB := jobA.Timings(), jobB.Timings()
-	aEnd := tA[len(tA)-1].Finished
-	bEnd := tB[len(tB)-1].Finished
-	if tB[0].Started.Before(aEnd) && tA[0].Started.Before(bEnd) {
-		t.Fatal("jobs overlapped despite EngineWorkers=1")
-	}
-}
-
 // TestJobSubscribeReplaysAndTerminates pins the watch contract the SSE
 // endpoint builds on: a late subscriber sees every round exactly once
 // in order, then the terminal event, then the channel closes.

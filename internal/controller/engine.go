@@ -20,56 +20,33 @@ import (
 // Engine is the controller's update dispatcher. The paper's demo
 // processes its message queue strictly FIFO; this engine keeps that
 // ordering exactly where it matters — jobs that touch a common switch
-// or program a common flow execute in submission order — and runs
-// conflict-free jobs concurrently on a bounded worker pool, so
-// independent flows no longer wait behind each other's barriers.
+// or program a common flow execute in submission order — and starts
+// every other job the moment it is admitted and journaled, so
+// independent flows never wait behind each other's barriers. There is
+// no worker pool: a running job only waits on barrier replies, so the
+// one bound is maxAdmitted, and a job that waits on conflicting
+// predecessors holds a counter, not a goroutine.
 type Engine struct {
-	c       *Controller
-	workers int
-	sem     chan struct{} // worker-pool slots
-	disp    *dispatcher   // sharded southbound dispatch path
+	c    *Controller
+	disp *dispatcher // sharded southbound dispatch path
 
 	mu      sync.Mutex
 	ctx     context.Context // set by run; jobs launch once available
 	nextID  int
 	jobs    map[int]*Job
 	active  []*Job // unfinished jobs in submission order
-	pending []*launch
-	queued  int // admitted, not yet executing
-	running int // executing
+	queued  int    // admitted, not yet executing
+	running int    // executing
 
 	// recovery holds the stats of the last Recover run (nil before).
 	recovery *RecoveryStats
 }
 
-// launch pairs an admitted job with the done channels of the earlier
-// conflicting jobs it must wait for and with what it does once its
-// turn comes: execute the plan, or — for a recovered job whose state
-// was not adoptable — go straight to the abort path.
-type launch struct {
-	job  *Job
-	deps []<-chan struct{}
-	run  func(context.Context, *Job) (*FailureReport, error)
-}
-
-func newEngine(c *Controller, workers int) *Engine {
-	if workers <= 0 {
-		workers = defaultEngineWorkers
-	}
-	e := &Engine{
-		c:       c,
-		workers: workers,
-		sem:     make(chan struct{}, workers),
-		jobs:    make(map[int]*Job),
-	}
+func newEngine(c *Controller) *Engine {
+	e := &Engine{c: c, jobs: make(map[int]*Job)}
 	e.disp = newDispatcher(e)
 	return e
 }
-
-// defaultEngineWorkers is the engine's default concurrency: update
-// execution is barrier-bound (network waits), not CPU-bound, so the
-// default does not track GOMAXPROCS.
-const defaultEngineWorkers = 8
 
 // errJournalWriteAhead fails a job whose next dispatch could not be
 // made durable first. The switches never saw the undispatched mods, so
@@ -135,9 +112,6 @@ func (e *Engine) journalTerminal(job *Job, jobErr error) {
 	}
 }
 
-// Workers returns the worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // QueueDepth counts jobs admitted but not yet executing.
 func (e *Engine) QueueDepth() int {
 	e.mu.Lock()
@@ -173,84 +147,81 @@ func (e *Engine) Jobs() []*Job {
 	return out
 }
 
-// run starts the dispatcher: jobs admitted before the controller
-// started are launched now; later submissions launch directly from
-// enqueueAll.
+// run starts the dispatcher, releases the jobs admitted before the
+// controller started — every unfinished job so far holds one blocker
+// for that — and arranges the shutdown verdict of jobs that are still
+// queued when ctx ends: they fail with ctx.Err() without having sent
+// anything. Running jobs hear of ctx in their walks.
 func (e *Engine) run(ctx context.Context) {
 	e.disp.start(ctx)
 	e.mu.Lock()
 	e.ctx = ctx
-	pending := e.pending
-	e.pending = nil
+	early := slices.Clone(e.active)
 	e.mu.Unlock()
-	for _, l := range pending {
-		go e.runJob(ctx, l)
-	}
+	e.release(early)
+	context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		unfinished := slices.Clone(e.active)
+		e.mu.Unlock()
+		e.failQueued(ctx.Err(), unfinished...)
+	})
 }
 
-// runJob is the one job lifecycle: wait for conflicting predecessors,
-// claim a worker slot, begin, run, finish, release. The pprof label
-// tags the job's event loop (and everything it blocks on) in CPU and
-// goroutine profiles.
-func (e *Engine) runJob(ctx context.Context, l *launch) {
-	job := l.job
-	if err := e.awaitTurn(ctx, l.deps); err != nil {
-		e.finish(job, err, nil)
-		e.retire(job, false)
+// release takes one blocker off each job and gives the jobs left with
+// none their goroutine: a job starts its walk the moment nothing blocks
+// it, and until then costs no goroutine.
+func (e *Engine) release(jobs []*Job) {
+	if len(jobs) == 0 {
 		return
 	}
 	e.mu.Lock()
-	e.queued--
-	e.running++
+	ctx := e.ctx
+	var ready []*Job
+	for _, job := range jobs {
+		if job.blockers--; job.blockers == 0 {
+			e.queued--
+			e.running++
+			ready = append(ready, job)
+		}
+	}
 	e.mu.Unlock()
+	for _, job := range ready {
+		go e.runJob(ctx, job)
+	}
+}
+
+// failQueued ends, with err, those of jobs that never launched: the
+// shutdown verdict, or an admission the journal refused. Taking a job
+// voids its blocker count, so a release that arrives later passes it by
+// and a second verdict finds nothing to take.
+func (e *Engine) failQueued(err error, jobs ...*Job) {
+	e.mu.Lock()
+	var taken []*Job
+	for _, job := range jobs {
+		if job.blockers > 0 {
+			job.blockers = -1
+			taken = append(taken, job)
+		}
+	}
+	e.mu.Unlock()
+	for _, job := range taken {
+		e.finish(job, err, nil)
+	}
+}
+
+// runJob is a launched job's life: begin, run, finish. A job launched
+// into a shutdown sends nothing. The pprof label tags the job's event
+// loop (and everything it blocks on) in CPU and goroutine profiles.
+func (e *Engine) runJob(ctx context.Context, job *Job) {
+	if err := ctx.Err(); err != nil {
+		e.finish(job, err, nil)
+		return
+	}
 	e.begin(job)
 	pprof.Do(ctx, pprof.Labels("tsu_job", strconv.Itoa(job.ID)), func(ctx context.Context) {
-		report, err := l.run(ctx, job)
+		report, err := job.run(ctx, job)
 		e.finish(job, err, report)
 	})
-	<-e.sem
-	e.retire(job, true)
-}
-
-// awaitTurn blocks until every conflicting predecessor finished and a
-// worker slot is claimed.
-func (e *Engine) awaitTurn(ctx context.Context, deps []<-chan struct{}) error {
-	for _, d := range deps {
-		select {
-		case <-d:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	select {
-	case e.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// retire removes a finished job from the active set and fixes the
-// queue counters. started reports whether the job consumed a worker
-// slot (reached execute).
-func (e *Engine) retire(job *Job, started bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, j := range e.active {
-		if j == job {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			break
-		}
-	}
-	// The job stays queryable in e.jobs, but it can no longer be a
-	// conflict predecessor — drop the footprint so long-lived
-	// controllers don't accumulate it for every job ever submitted.
-	job.nodes, job.matches = nil, nil
-	if started {
-		e.running--
-	} else {
-		e.queued--
-	}
 }
 
 // begin moves a job to JobRunning.
@@ -261,12 +232,32 @@ func (e *Engine) begin(job *Job) {
 	job.mu.Unlock()
 }
 
-// finish is the only way a job reaches a terminal state: journal the
-// terminal phase, set the state (JobDone when err is nil, JobFailed
-// otherwise, with the abort path's structured report when there is
-// one), notify subscribers, release waiters, log.
+// finish is the only way a job reaches a terminal state, and one step:
+// journal the terminal phase; stop counting against admission and
+// conflicts (leave active, fix the counters, drop the footprint); set
+// the state (JobDone when err is nil, JobFailed otherwise, with the
+// abort path's structured report when there is one) and notify
+// subscribers; release waiters; release the conflicting successors,
+// which launch if this was their last blocker; log. Whoever sees the
+// job terminal therefore sees the engine without it.
 func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	e.journalTerminal(job, err)
+	e.mu.Lock()
+	if i := slices.Index(e.active, job); i >= 0 {
+		e.active = slices.Delete(e.active, i, i+1)
+		if job.blockers == 0 {
+			e.running--
+		} else {
+			e.queued--
+		}
+	}
+	// The job stays queryable in e.jobs, but it can no longer be a
+	// conflict predecessor — drop the footprint so long-lived
+	// controllers don't accumulate it for every job ever submitted.
+	job.nodes, job.matches = nil, nil
+	succs := job.succs
+	job.succs, job.run = nil, nil
+	e.mu.Unlock()
 	state := JobDone
 	if err != nil {
 		state = JobFailed
@@ -279,6 +270,7 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	publishLocked(job, JobEvent{State: state, Err: err})
 	job.mu.Unlock()
 	close(job.done)
+	e.release(succs)
 	switch {
 	case err == nil:
 		e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),

@@ -13,8 +13,7 @@ import (
 type JobState int
 
 const (
-	// JobQueued: admitted, waiting on conflicting predecessors or a
-	// worker slot.
+	// JobQueued: admitted, waiting on conflicting predecessors.
 	JobQueued JobState = iota
 	// JobRunning: installs in flight.
 	JobRunning
@@ -110,9 +109,20 @@ type Job struct {
 	// this job touches and the flow matches it programs. Two jobs
 	// conflict when either set intersects; the dispatcher serializes
 	// conflicting jobs in submission order and runs disjoint jobs
-	// concurrently.
+	// concurrently. The engine drops both when the job finishes.
 	nodes   map[topo.NodeID]struct{}
 	matches map[openflow.Match]struct{}
+
+	// Launch bookkeeping, guarded by Engine.mu. run is what the job does
+	// once launched (Engine.execute, or the abort path for a recovered
+	// job that was not adoptable). blockers counts what still keeps it
+	// from launching — see admitLocked; the job gets its goroutine when
+	// the count reaches zero, and a negative count marks a job that was
+	// failed while it waited. succs are the later conflicting jobs that
+	// count this one as a blocker.
+	run      func(context.Context, *Job) (*FailureReport, error)
+	blockers int
+	succs    []*Job
 
 	// rollback, immutable after construction, carries what the abort
 	// path needs to build and verify a reverse plan. Nil for jobs the

@@ -98,8 +98,9 @@ type relaunch struct {
 // after Start (the dispatcher must be running) and after the plan's
 // switches have reconnected; switches that stay unreachable push their
 // jobs onto the rollback path, which reports them stuck if they still
-// cannot be reached. Recovered jobs finish asynchronously; Wait on
-// them (or watch /v1/updates) for outcomes. The journal is compacted
+// cannot be reached. ctx bounds the reconciliation only: recovered jobs
+// run on the engine's context and finish asynchronously; Wait on them
+// (or watch /v1/updates) for outcomes. The journal is compacted
 // to the folded live state before any recovered job re-executes.
 func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	var stats RecoveryStats
@@ -200,22 +201,24 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		compacted = append(compacted, liveRecords(rj, l)...)
 	}
 
-	// Admit the live jobs in id order, conflict deps recomputed by the
-	// same admission step as a fresh submission (recovered jobs may
-	// conflict with each other or with jobs submitted since the
-	// restart). A rollback job shares the lifecycle — dependency wait,
-	// worker slot, begin, finish — and only swaps execution for the
-	// abort path: the reverse plan is verified before it runs, exactly
-	// like any mid-plan abort.
-	runs := make([]*launch, len(launches))
+	// Admit the live jobs in id order, through the same admission step
+	// as a fresh submission: the blocker counts are recomputed (recovered
+	// jobs may conflict with each other or with jobs submitted since the
+	// restart), so two recovered jobs on one flow run in journal order.
+	// A rollback job shares the lifecycle — blockers, begin, finish —
+	// and only swaps execution for the abort path: the reverse plan is
+	// verified before it runs, exactly like any mid-plan abort.
+	live := make([]*Job, len(launches))
 	e.mu.Lock()
 	for i, l := range launches {
-		runs[i] = &launch{job: l.job, deps: e.admitLocked(l.job), run: e.execute}
+		run := e.execute
 		if l.rollback {
-			runs[i].run = func(ctx context.Context, job *Job) (*FailureReport, error) {
+			run = func(ctx context.Context, job *Job) (*FailureReport, error) {
 				return e.abort(ctx, job, l.cause, l.dispatched, l.applied)
 			}
 		}
+		e.admitLocked(l.job, run)
+		live[i] = l.job
 	}
 	e.recovery = &stats
 	e.mu.Unlock()
@@ -226,9 +229,7 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		e.c.logger.Warn("recovery: journal compaction failed", "err", err)
 	}
 
-	for _, l := range runs {
-		go e.runJob(ctx, l)
-	}
+	e.release(live)
 	return stats, nil
 }
 

@@ -753,7 +753,6 @@ func (c *Controller) handleV1Healthz(w http.ResponseWriter, _ *http.Request) {
 		Switches:     len(c.Datapaths()),
 		QueueDepth:   c.engine.QueueDepth(),
 		Running:      c.engine.RunningCount(),
-		Workers:      c.engine.Workers(),
 		UptimeMicros: c.Uptime().Microseconds(),
 	}
 	if jl := c.cfg.Journal; jl != nil {

@@ -162,7 +162,7 @@ func TestV1BatchSubmitListAndHealthz(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/healthz", &h); code != http.StatusOK {
 		t.Fatalf("healthz code %d", code)
 	}
-	if h.Status != "ok" || h.Switches != 12 || h.QueueDepth != 0 || h.Workers != defaultEngineWorkers {
+	if h.Status != "ok" || h.Switches != 12 || h.QueueDepth != 0 || h.Running != 0 {
 		t.Fatalf("healthz = %+v", h)
 	}
 	if h.Dispatch == nil {

@@ -35,9 +35,11 @@ type Conn struct {
 	closeErr  error
 }
 
-// New wraps a network connection.
+// New wraps a network connection. The read buffer is bufio's 4 KB
+// default — some 50 FlowMods per read syscall; ReadMessage reads with
+// io.ReadFull, so a larger frame is read straight from the socket.
 func New(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	return &Conn{nc: nc, br: bufio.NewReader(nc)}
 }
 
 // NextXid allocates a fresh non-zero transaction id.

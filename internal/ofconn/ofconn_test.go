@@ -1,6 +1,7 @@
 package ofconn
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -247,5 +248,41 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadMessageLargerThanReadBuffer(t *testing.T) {
+	// A frame bigger than the connection's read buffer, queued behind
+	// and ahead of small ones: each comes out whole and in order.
+	ca, cb := pipePair(t)
+	big := make([]byte, 20000)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	sent := []openflow.Message{
+		&openflow.EchoRequest{Data: []byte("a")},
+		&openflow.BarrierRequest{},
+		&openflow.EchoRequest{Data: []byte("b")},
+		&openflow.Vendor{Vendor: 0x5453, Data: big},
+		&openflow.BarrierReply{},
+		&openflow.EchoRequest{Data: []byte("c")},
+	}
+	go func() {
+		for i, m := range sent {
+			m.SetXid(uint32(i + 1))
+			ca.WriteMessage(m) //nolint:errcheck // test writer
+		}
+	}()
+	for i, want := range sent {
+		got, err := cb.ReadMessage()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if got.MsgType() != want.MsgType() || got.Xid() != uint32(i+1) {
+			t.Fatalf("message %d: %s xid %d, want %s xid %d", i, got.MsgType(), got.Xid(), want.MsgType(), i+1)
+		}
+		if v, ok := got.(*openflow.Vendor); ok && !bytes.Equal(v.Data, big) {
+			t.Fatalf("vendor payload of %d bytes came back changed (%d bytes)", len(big), len(v.Data))
+		}
 	}
 }
