@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound test test-determinism
+ci: fmt vet guard-southbound guard-one-checker test test-determinism
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,22 @@ guard-southbound:
 	@out="$$(grep -n 'BarrierRequest' internal/controller/*.go | grep -v -e '_test\.go:' -e '/dispatch\.go:')"; \
 	if [ -n "$$out" ] || [ "$$(grep -c 'BarrierRequest' internal/controller/dispatch.go)" != 1 ]; then \
 		echo "BarrierRequest outside the dispatch shards' one site (internal/controller/dispatch.go):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One checker per package: verify and explore decide a core.Plan stage
+# by stage and the controller hands them plans. A function or field
+# typed core.Schedule in those packages (explore's timed.go aside: the
+# paper's round-barrier clock), or a Schedule entry point, is the
+# round-typed twin coming back. A schedule is still an input format: a
+# &core.Schedule{...} literal handed to core.PlanFromSchedule at the
+# boundary is allowed.
+guard-one-checker:
+	@out="$$(grep -n -e 'core\.Schedule\b' -e '^func Schedule(' \
+			internal/verify/*.go internal/explore/*.go internal/controller/*.go \
+		| grep -v -e '_test\.go:' -e '^internal/explore/timed\.go:' -e '&core\.Schedule{')"; \
+	if [ -n "$$out" ]; then \
+		echo "a core.Schedule-typed path into verify / explore / controller:"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -137,14 +137,14 @@ func BenchmarkE3WaypointViolations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ti := topo.RandomTwoPath(rng, 16, true)
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
-		if !verify.Schedule(in, core.OneShot(in), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, core.PlanFromSchedule(core.OneShot(in)), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
 			unsafe++
 		}
 		w, err := core.WayUp(in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !verify.Schedule(in, w, props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, core.PlanFromSchedule(w), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
 			b.Fatal("wayup produced an unsafe schedule")
 		}
 	}
@@ -528,6 +528,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	const flows = 256
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.StrongLoopFreedom
 	var tasks []verify.Task
+	var scheds []*core.Schedule // the map reference still reads rounds
 	for len(tasks) < flows {
 		ti, err := topo.RandomFatTreePolicy(rng, g)
 		if err != nil {
@@ -541,7 +542,8 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tasks = append(tasks, verify.Task{Instance: in, Schedule: sched, Props: props})
+		tasks = append(tasks, verify.Task{Instance: in, Plan: core.PlanFromSchedule(sched), Props: props})
+		scheds = append(scheds, sched)
 	}
 	b.Run("bitset-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -563,8 +565,8 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	})
 	b.Run("map-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, task := range tasks {
-				ok, exact := mapVerify(task.Instance, task.Schedule, task.Props)
+			for k, task := range tasks {
+				ok, exact := mapVerify(task.Instance, scheds[k], task.Props)
 				if !exact {
 					b.Fatal("map verifier exhausted its budget; comparison would not be work-equivalent")
 				}

@@ -134,12 +134,9 @@ func run() error {
 			// One-shot guarantees nothing; verify it against what the
 			// consistent schedulers provide, so the dry run shows what
 			// would break.
-			checkProps = core.NoBlackhole | core.RelaxedLoopFreedom
-			if in.Waypoint != 0 {
-				checkProps |= core.WaypointEnforcement
-			}
+			checkProps = in.NaturalProps()
 		}
-		report := verify.Schedule(in, sched, checkProps, verify.Options{})
+		report := verify.Plan(in, core.PlanFromSchedule(sched), checkProps, verify.Options{})
 		fmt.Printf("            %s\n", report)
 		if cex := report.FirstViolation(); cex != nil {
 			fmt.Printf("            counterexample walk: %v\n", cex.Walk)

@@ -42,25 +42,31 @@
 // The library lives under internal/:
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
-//     and the plan layer: Plan/PlanFromSchedule/SparsePlan, the order-ideal
-//     enumeration, PlanRun (allocation-free ack-dispatch bookkeeping), and
-//     the canonical plan wire codec; core.Walker is the incremental,
-//     allocation-free state-check primitive under the explorer and verifier
+//     and the plan layer: Plan/PlanFromSchedule/SparsePlan, Plan.Stages (the
+//     split at series cuts that both checkers work through), the
+//     order-ideal enumeration, PlanRun (allocation-free ack-dispatch
+//     bookkeeping), and the canonical plan wire codec; core.Walker is the
+//     incremental, allocation-free state-check primitive under the explorer
+//     and verifier, and carries the ideal check / extension sampler
+//     (CheckIdeals, SampleExtensions) SparsePlan's self-check shares with
+//     the verifier
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows
 //     a minimal-depth sparse DAG edge by edge from explorer/verifier
 //     counterexample ideals, with budgets, a refinement transcript, a
 //     heuristic portfolio fallback, and the optimality-gap report
 //     (synth.Compare) quantifying how far each heuristic is from optimum
 //   - internal/verify    — exact transient-state verification (fast safe/unsafe
-//     verdicts) over round states and plan ideals (verify.Plan); the
-//     PlanCounterexample entry returns the violating order ideal for the
-//     synthesizer's refinement loop
-//   - internal/explore   — adversarial interleaving explorer: exhaustive
-//     Gray-code enumeration with incremental walks and a transposition
-//     table, sampled FlowMod delivery orders, per-event checks, minimized
-//     counterexample traces, parallel rounds with deterministic merge,
-//     timed virtual-clock replay; explore.Plan ranges over a sparse plan's
-//     ideals and linear extensions
+//     verdicts): one engine, verify.Plan / verify.Batch, deciding a plan's
+//     order ideals stage by stage (a layered plan's stages are its rounds);
+//     the PlanCounterexample entry returns the violating order ideal for
+//     the synthesizer's refinement loop
+//   - internal/explore   — adversarial interleaving explorer: one engine,
+//     explore.Plan, attacking a plan stage by stage — exhaustive
+//     enumeration (Gray code on an edge-free stage, ideal DFS otherwise)
+//     with incremental walks and a transposition table, sampled FlowMod
+//     delivery orders (linear extensions), per-event checks, minimized
+//     counterexample traces, parallel stages with deterministic merge —
+//     plus the timed virtual-clock replay of a round schedule
 //   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
 //     scheduler with deterministic (time, seq) ordering and AutoAdvance
 //   - internal/topo      — topologies, update families, the Figure 1 scenario

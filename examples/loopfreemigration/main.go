@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep := verify.Guarantees(in, sched, verify.Options{}); !rep.OK() {
+	if rep := verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}); !rep.OK() {
 		log.Fatalf("schedule failed verification: %v", rep)
 	}
 

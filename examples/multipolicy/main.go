@@ -41,7 +41,7 @@ func main() {
 		s := joint.Schedules[f]
 		fmt.Printf("flow %d (10.0.%d.2): %d pending switches, %d rounds — %v\n",
 			f, f, in.NumPending(), s.NumRounds(), s.Rounds)
-		if rep := verify.Guarantees(in, s, verify.Options{}); !rep.OK() {
+		if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
 			log.Fatalf("flow %d failed verification: %v", f, rep)
 		}
 	}

@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := verify.Schedule(instance, oneShot,
+	report := verify.Plan(instance, core.PlanFromSchedule(oneShot),
 		core.NoBlackhole|core.WaypointEnforcement|core.RelaxedLoopFreedom, verify.Options{})
 	fmt.Println(report)
 	if cex := report.FirstViolation(); cex != nil {
@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(schedule)
-	report = verify.Guarantees(instance, schedule, verify.Options{})
+	report = verify.Plan(instance, core.PlanFromSchedule(schedule), schedule.Guarantees, verify.Options{})
 	fmt.Println(report)
 
 	// Peacock: relaxed loop freedom when there is no waypoint to guard.
@@ -53,5 +53,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(peacock)
-	fmt.Println(verify.Guarantees(instance, peacock, verify.Options{}))
+	fmt.Println(verify.Plan(instance, core.PlanFromSchedule(peacock), peacock.Guarantees, verify.Options{}))
 }

@@ -38,7 +38,7 @@ func main() {
 
 	// The naive one-shot update.
 	oneShot := core.OneShot(in)
-	report := verify.Schedule(in, oneShot, props, verify.Options{})
+	report := verify.Plan(in, core.PlanFromSchedule(oneShot), props, verify.Options{})
 	fmt.Println("one-shot:", report)
 	if cex := report.FirstViolation(); cex != nil {
 		fmt.Printf("  interleaving: switches %v updated first\n", in.StateNodes(cex.Updated))
@@ -51,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("wayup:", sched)
-	fmt.Println("      ", verify.Guarantees(in, sched, verify.Options{}))
+	fmt.Println("      ", verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}))
 
 	// A harder instance: switch 2 sits before the firewall on the old
 	// path but after it on the new one (the "dangerous" class) — WayUp
@@ -64,7 +64,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("wayup:", hardSched)
-	fmt.Println("      ", verify.Guarantees(hard, hardSched, verify.Options{}))
+	fmt.Println("      ", verify.Plan(hard, core.PlanFromSchedule(hardSched), hardSched.Guarantees, verify.Options{}))
 	if hardSched.LoopFreedomCompromised {
 		fmt.Println("       loop freedom was infeasible alongside waypoint enforcement (HotNets'14);")
 		fmt.Println("       waypoint enforcement is preserved throughout")
@@ -86,7 +86,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("optimal:", opt)
-		fmt.Println("        ", verify.Schedule(hard, opt, jointProps, verify.Options{}))
+		fmt.Println("        ", verify.Plan(hard, core.PlanFromSchedule(opt), jointProps, verify.Options{}))
 	}
 }
 

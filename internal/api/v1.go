@@ -299,16 +299,21 @@ type VerifyRequest struct {
 	// the consistent schedulers' properties so the dry run shows what
 	// would break).
 	Properties []string `json:"properties,omitempty"`
-	// Samples per round when the exact subset search exceeds its
+	// Samples per stage (a round of a layered plan; a block between
+	// series cuts of a sparse one) when the exact search exceeds its
 	// budget (0 = verifier default).
 	Samples int `json:"samples,omitempty"`
-	// Seed makes sampled verification reproducible.
+	// Seed makes sampled verification reproducible; an update's
+	// position in the batch is mixed in.
 	Seed int64 `json:"seed,omitempty"`
 }
 
 // Violation is a found counterexample: a reachable transient state
 // whose forwarding walk violates a property.
 type Violation struct {
+	// Round is the stage of the plan that was in flight: the round for
+	// a layered plan, the block between two series cuts for a sparse
+	// one (not necessarily 0).
 	Round    int      `json:"round"`
 	Property string   `json:"property"`
 	Walk     []uint64 `json:"walk"`
@@ -342,7 +347,7 @@ type VerifyResponse struct {
 // a pure dry run, nothing reaches the switches. Where /v1/verify
 // answers "is this schedule safe?", /v1/explore answers "show me the
 // FlowMod delivery trace that breaks it": it enumerates every
-// delivery interleaving of small rounds (exhaustively, a proof) and
+// delivery interleaving of small stages (exhaustively, a proof) and
 // samples seeded uniform plus heavy-tail-biased delivery orders for
 // large ones, checking transient security after every single event.
 type ExploreRequest struct {
@@ -353,11 +358,12 @@ type ExploreRequest struct {
 	// the schedule's own guarantees (one-shot gets the consistent
 	// schedulers' properties, so the dry run shows what breaks).
 	Properties []string `json:"properties,omitempty"`
-	// MaxExhaustive bounds the round size explored exhaustively
-	// (0 = explorer default, 18; capped at 20).
+	// MaxExhaustive bounds the stages explored exhaustively: those
+	// whose reachable states fit 1<<MaxExhaustive — rounds of up to
+	// that many switches (0 = explorer default, 18; capped at 20).
 	MaxExhaustive int `json:"max_exhaustive,omitempty"`
 	// Samples is the number of delivery orders replayed per
-	// larger-than-exhaustive round (0 = explorer default, 256).
+	// larger-than-exhaustive stage (0 = explorer default, 256).
 	Samples int `json:"samples,omitempty"`
 	// Seed makes sampled exploration reproducible.
 	Seed int64 `json:"seed,omitempty"`
@@ -372,11 +378,13 @@ type TraceEvent struct {
 // TraceViolation is a found counterexample: a minimized FlowMod
 // delivery trace whose replay violates a property.
 type TraceViolation struct {
+	// Round is the stage of the plan that was in flight, as in
+	// Violation.Round; a TraceEvent's Round is the node's layer.
 	Round    int    `json:"round"`
 	Property string `json:"property"`
 	// Trace is the minimized delivery sequence: replaying exactly
-	// these events after the earlier rounds still violates, and
-	// dropping any single event makes it pass.
+	// these events after the earlier stages still violates, and
+	// dropping any single event no other depends on makes it pass.
 	Trace []TraceEvent `json:"trace"`
 	Walk  []uint64     `json:"walk"`
 	// Updated lists the violating state's in-flight switches.

@@ -531,47 +531,27 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errf(http.StatusBadRequest, api.CodeUnknownProperty, "%v", err))
 		return
 	}
-	// Layered entries share one parallel round-verification pool (their
-	// position in it seeds the sampled checks), verified as the round
-	// view of the DAG itself; sparse entries are verified over their
-	// full ideal space (order ideals of the DAG) by verify.Plan instead
-	// — each update is checked exactly once, as the plan it would
-	// execute.
-	taskProps := make([]core.Property, len(plans))
-	taskIdx := make([]int, len(plans)) // plan index -> batch task index, -1 for sparse
-	var tasks []verify.Task
+	// One parallel verification pool for the whole request: every
+	// update is checked exactly once, as the plan it would execute,
+	// stage by stage (an entry's position in the batch seeds its
+	// sampled checks).
+	tasks := make([]verify.Task, len(plans))
 	for i, p := range plans {
 		if p.DAG == nil {
 			writeErr(w, errf(http.StatusBadRequest, api.CodeScheduleFailed,
 				"updates[%d]: two-phase has no round schedule to verify", i))
 			return
 		}
-		taskProps[i] = checkProps(p, reqProps)
-		taskIdx[i] = -1
-		if !p.DAG.Sparse {
-			if sched, ok := p.DAG.Schedule(); ok {
-				taskIdx[i] = len(tasks)
-				tasks = append(tasks, verify.Task{Instance: p.In, Schedule: sched, Props: taskProps[i]})
-			}
-		}
+		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: checkProps(p, reqProps)}
 	}
-	vopts := verify.Options{Samples: req.Samples, Seed: req.Seed}
-	batched := verify.Batch(tasks, vopts)
-	reports := make([]*verify.Report, len(plans))
-	for i, p := range plans {
-		if taskIdx[i] >= 0 {
-			reports[i] = batched[taskIdx[i]]
-		} else {
-			reports[i] = verify.Plan(p.In, p.DAG, taskProps[i], vopts)
-		}
-	}
+	reports := verify.Batch(tasks, verify.Options{Samples: req.Samples, Seed: req.Seed})
 	resp := api.VerifyResponse{OK: true, Results: make([]api.VerifyResult, 0, len(reports))}
 	for i, rep := range reports {
 		res := api.VerifyResult{
 			Algorithm:  plans[i].Algo,
 			Rounds:     api.FromRounds(plans[i].Rounds),
 			Guarantees: plans[i].DAG.Guarantees.String(),
-			Properties: taskProps[i].String(),
+			Properties: tasks[i].Props.String(),
 			OK:         rep.OK(),
 			Exact:      rep.Exact(),
 			Plan:       planShape(plans[i].DAG),
@@ -609,10 +589,7 @@ func checkProps(p *plannedUpdate, reqProps core.Property) core.Property {
 		props = p.DAG.Guarantees
 	}
 	if props == 0 {
-		props = core.NoBlackhole | core.RelaxedLoopFreedom
-		if p.In.Waypoint != 0 {
-			props |= core.WaypointEnforcement
-		}
+		props = p.In.NaturalProps()
 	}
 	return props
 }
@@ -667,7 +644,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 				}
 				p := plans[i]
 				// Workers: 1 — this loop already fans out across
-				// updates; nesting explore's own round pool would
+				// updates; nesting explore's own stage pool would
 				// oversubscribe the CPUs.
 				eopts := explore.Options{
 					Props:         checkProps(p, reqProps),
@@ -676,9 +653,9 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 					Seed:          req.Seed,
 					Workers:       1,
 				}
-				// The adversary ranges over the DAG's order ideals —
-				// for a layered plan exactly its round states, which
-				// explore.Plan hands to the round engine.
+				// The adversary ranges over the DAG's order ideals,
+				// stage by stage — for a layered plan exactly its
+				// round states.
 				reps[i], errs[i] = explore.Plan(p.In, p.DAG, eopts)
 			}
 		}()

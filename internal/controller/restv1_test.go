@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -266,6 +267,61 @@ func TestV1Verify(t *testing.T) {
 	decodeInto(t, body, &vr)
 	if got := vr.Results[0].Properties; got != "NoBlackhole|WaypointEnforcement" {
 		t.Fatalf("checked properties = %q", got)
+	}
+}
+
+// TestV1MixedBatchMatchesSolo sends /v1/verify and /v1/explore one
+// request mixing the three plan shapes the stage engine decides — a
+// layered update, a plan "sparse" update (a DAG stage, then a one-node
+// stage) and a one-shot update checked against waypoint enforcement
+// and blackhole freedom —
+// and requires every entry of the batched answer to equal the answer
+// to the same update sent alone: one verify.Batch call serves the whole
+// request, whatever the shapes. Fig. 1-sized stages are all decided
+// exactly, so no position-seeded sampling runs.
+func TestV1MixedBatchMatchesSolo(t *testing.T) {
+	_, srv := restTestbed(t)
+	layered, sparse, oneshot := fig1Update("wayup"), fig1Update("greedy-slf"), fig1Update("oneshot")
+	sparse.Plan, sparse.NWDst = "sparse", "10.0.0.3"
+	oneshot.Properties, oneshot.NWDst = []string{"no-blackhole", "waypoint"}, "10.0.0.4"
+	updates := []api.FlowUpdate{layered, sparse, oneshot}
+
+	var batch, solo api.VerifyResponse
+	resp, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: updates, Seed: 5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("verify batch: %d %s", resp.StatusCode, body)
+	}
+	decodeInto(t, body, &batch)
+	if batch.OK || len(batch.Results) != 3 || !batch.Results[0].OK || !batch.Results[1].OK ||
+		!batch.Results[1].Plan.Sparse || batch.Results[2].Violation == nil {
+		t.Fatalf("verify batch = %s", body)
+	}
+	for i, u := range updates {
+		_, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: []api.FlowUpdate{u}, Seed: 5})
+		solo = api.VerifyResponse{}
+		decodeInto(t, body, &solo)
+		if len(solo.Results) != 1 || !solo.Results[0].Exact || !reflect.DeepEqual(solo.Results[0], batch.Results[i]) {
+			t.Fatalf("verify updates[%d]: alone %+v, in the batch %+v", i, solo.Results, batch.Results[i])
+		}
+	}
+
+	var ebatch, esolo api.ExploreResponse
+	resp, body = postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: updates, Seed: 5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explore batch: %d %s", resp.StatusCode, body)
+	}
+	decodeInto(t, body, &ebatch)
+	if ebatch.OK || len(ebatch.Results) != 3 || !ebatch.Results[0].OK || !ebatch.Results[1].OK ||
+		ebatch.Results[2].Violation == nil || ebatch.Results[2].Properties != "NoBlackhole|WaypointEnforcement" {
+		t.Fatalf("explore batch = %s", body)
+	}
+	for i, u := range updates {
+		_, body := postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: []api.FlowUpdate{u}, Seed: 5})
+		esolo = api.ExploreResponse{}
+		decodeInto(t, body, &esolo)
+		if len(esolo.Results) != 1 || !esolo.Results[0].Exhaustive || !reflect.DeepEqual(esolo.Results[0], ebatch.Results[i]) {
+			t.Fatalf("explore updates[%d]: alone %+v, in the batch %+v", i, esolo.Results, ebatch.Results[i])
+		}
 	}
 }
 

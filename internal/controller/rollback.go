@@ -93,11 +93,7 @@ func (s *rollbackSpec) rollbackProps() core.Property {
 	if s.props != 0 {
 		return s.props
 	}
-	p := core.NoBlackhole | core.RelaxedLoopFreedom
-	if s.in.Waypoint != 0 {
-		p |= core.WaypointEnforcement
-	}
-	return p
+	return s.in.NaturalProps()
 }
 
 // abort handles a mid-plan failure: record the exact installed set,

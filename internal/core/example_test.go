@@ -17,7 +17,7 @@ func ExampleWayUp() {
 	)
 	sched, _ := core.WayUp(in)
 	fmt.Println(sched)
-	fmt.Println(verify.Guarantees(in, sched, verify.Options{}).OK())
+	fmt.Println(verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}).OK())
 	// Output:
 	// wayup[3 rounds: {6 7} {3} {1}]
 	// true
@@ -38,7 +38,7 @@ func ExamplePeacock() {
 // verifier exhibits a reachable transient state that loops.
 func ExampleOneShot() {
 	in, _ := core.NewInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
-	report := verify.Schedule(in, core.OneShot(in), core.RelaxedLoopFreedom, verify.Options{})
+	report := verify.Plan(in, core.PlanFromSchedule(core.OneShot(in)), core.RelaxedLoopFreedom, verify.Options{})
 	fmt.Println(report.OK())
 	fmt.Println(report.FirstViolation().Violated)
 	// Output:

@@ -227,6 +227,18 @@ func (in *Instance) NewOnly(v topo.NodeID) bool {
 	return in.OnNew(v) && !in.OnOld(v)
 }
 
+// NaturalProps returns the instance's natural property set: blackhole
+// freedom and relaxed loop freedom, plus waypoint enforcement when the
+// policy has a waypoint — what a caller that names no properties (or a
+// plan that promises none) is scheduled, synthesized and checked
+// against.
+func (in *Instance) NaturalProps() Property {
+	if in.Waypoint != 0 {
+		return NoBlackhole | RelaxedLoopFreedom | WaypointEnforcement
+	}
+	return NoBlackhole | RelaxedLoopFreedom
+}
+
 // Nodes returns the union of both paths' switches in ascending ID order.
 func (in *Instance) Nodes() []topo.NodeID {
 	out := make([]topo.NodeID, len(in.nodeOf))

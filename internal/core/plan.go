@@ -30,10 +30,17 @@ import (
 // effect, and D ∪ (subset of frontier) is again down-closed;
 // conversely any down-closed S is reached by confirming S minus its
 // maximal elements and letting exactly max(S) — an antichain cut —
-// take effect. For a layered plan the ideals are "all earlier layers
-// plus any subset of the current layer": precisely the round
-// semantics, which is why layered-plan verification and exploration
-// are bit-identical to the round machinery.
+// take effect.
+//
+// A *series cut* splits the node list into a prefix and a suffix such
+// that every suffix node has every prefix node in its dependency
+// closure: nothing of the suffix is issued before the whole prefix is
+// confirmed. Stages splits the plan at all of its series cuts, and the
+// order ideals are then "all earlier stages plus an ideal of the
+// current stage". For a layered plan the stages are the rounds and each
+// is an antichain — the round semantics verbatim; a rollback plan reads
+// the same over BaseState with bits cleared. A stage is the work item
+// of internal/verify and internal/explore.
 //
 // Nodes are stored in topological order: every dependency index is
 // strictly smaller than the node's own index (Validate enforces this,
@@ -92,7 +99,7 @@ type PlanScheduler interface {
 // every switch of round r depends on every switch of round r-1
 // (transitively, on all earlier rounds). The conversion is lossless —
 // the plan's order ideals are exactly the schedule's reachable round
-// states, and Rounds recovers the original rounds.
+// states, and Rounds (like Stages) recovers the original rounds.
 func PlanFromSchedule(s *Schedule) *Plan {
 	p := &Plan{
 		Algorithm:              s.Algorithm,
@@ -212,70 +219,99 @@ func (p *Plan) Layers() [][]topo.NodeID {
 	return out
 }
 
-// Rounds reports whether the plan is layered — its dependency closure
-// equals the all-earlier-layers closure, so its order ideals are
-// exactly round states — and, when it is, returns the rounds. Sparse
-// plans return (nil, false).
-func (p *Plan) Rounds() ([][]topo.NodeID, bool) {
+// cuts marks the plan's series cuts: cut[k] reports that every node at
+// or after k has all of [0, k) in its dependency closure, so a stage
+// starts at k. cut[0] holds for every non-empty plan.
+func (p *Plan) cuts() []bool {
 	n := len(p.Nodes)
-	if n == 0 {
-		return nil, true
-	}
-	layer, depth := p.layerOf()
 	words := (n + 63) / 64
-	// closure[i] = the set of nodes reachable through deps from i.
-	closure := make([]uint64, n*words)
+	closure := make([]uint64, n*words) // one row of ancestor bits per node
 	for i, nd := range p.Nodes {
 		ci := closure[i*words : (i+1)*words]
 		for _, d := range nd.Deps {
-			cd := closure[d*words : (d+1)*words]
-			for w := range ci {
-				ci[w] |= cd[w]
+			for w, cd := range closure[d*words : (d+1)*words] {
+				ci[w] |= cd
 			}
 			ci[d>>6] |= 1 << (uint(d) & 63)
 		}
 	}
-	// prefix[l] = all nodes in layers < l.
-	prefix := make([]uint64, words)
-	for l := 0; l < depth; l++ {
-		for i := range p.Nodes {
-			if layer[i] != l {
-				continue
-			}
-			ci := closure[i*words : (i+1)*words]
-			for w := range prefix {
-				if ci[w]&prefix[w] != prefix[w] {
-					return nil, false
-				}
+	// gap = the first index that is not an ancestor of node k (k itself
+	// when all of [0, k) are). k is a cut iff no node at or after it has
+	// a gap below k; gap(j) <= j bounds that suffix minimum by k, so the
+	// test is equality.
+	cut := make([]bool, n)
+	for k, low := n-1, n; k >= 0; k-- {
+		for w, c := range closure[k*words : (k+1)*words] {
+			if c != ^uint64(0) {
+				low = min(low, w<<6+bits.TrailingZeros64(^c))
+				break
 			}
 		}
-		for i := range p.Nodes {
-			if layer[i] == l {
-				prefix[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
+		cut[k] = low == k
 	}
-	rounds := make([][]topo.NodeID, depth)
-	for i, nd := range p.Nodes {
-		rounds[layer[i]] = append(rounds[layer[i]], nd.Switch)
-	}
-	return rounds, true
+	return cut
 }
 
-// Schedule returns the round-schedule view of a layered plan, or
-// (nil, false) for a sparse plan. It is the inverse of
-// PlanFromSchedule.
-func (p *Plan) Schedule() (*Schedule, bool) {
-	rounds, ok := p.Rounds()
-	if !ok {
-		return nil, false
+// Stages splits the plan at its series cuts (see Plan) — the finest
+// split into consecutive blocks such that every node of a block has
+// every node of all earlier blocks in its dependency closure — and
+// returns each block as a plan of its own: its nodes in order,
+// re-indexed, keeping the dependencies inside the block (those into
+// earlier blocks are what the cut implies). A stage is not a plan for
+// Validate, which wants the whole pending set. A layered plan's stages
+// are its rounds, each without an edge; a plan without a cut is its
+// own single stage.
+func (p *Plan) Stages() []*Plan {
+	cut := p.cuts()
+	m := 0
+	for _, c := range cut {
+		if c {
+			m++
+		}
 	}
-	return &Schedule{
-		Rounds:                 rounds,
-		Algorithm:              p.Algorithm,
-		Guarantees:             p.Guarantees,
-		LoopFreedomCompromised: p.LoopFreedomCompromised,
-	}, true
+	if m <= 1 {
+		return []*Plan{p}[:m] // itself; an empty plan has no stage
+	}
+	// One backing array each for the stage headers and their nodes.
+	plans, nodes := make([]Plan, m), make([]PlanNode, len(p.Nodes))
+	stages := make([]*Plan, 0, m)
+	lo := 0
+	for i, nd := range p.Nodes {
+		if cut[i] {
+			lo = i
+			plans[len(stages)] = *p
+			stages = append(stages, &plans[len(stages)])
+		}
+		nodes[i].Switch = nd.Switch
+		for _, d := range nd.Deps {
+			if d >= lo {
+				nodes[i].Deps = append(nodes[i].Deps, d-lo)
+			}
+		}
+		stages[len(stages)-1].Nodes = nodes[lo : i+1]
+	}
+	return stages
+}
+
+// Rounds reports whether the plan is layered — every stage is an
+// antichain, so its order ideals are exactly round states — and, when
+// it is, returns the rounds. Sparse plans return (nil, false).
+func (p *Plan) Rounds() ([][]topo.NodeID, bool) {
+	cut := p.cuts()
+	var rounds [][]topo.NodeID
+	lo := 0
+	for i, nd := range p.Nodes {
+		if cut[i] {
+			lo = i
+			rounds = append(rounds, nil)
+		}
+		// Deps ascend: the last one decides whether any lies inside.
+		if len(nd.Deps) > 0 && nd.Deps[len(nd.Deps)-1] >= lo {
+			return nil, false
+		}
+		rounds[len(rounds)-1] = append(rounds[len(rounds)-1], nd.Switch)
+	}
+	return rounds, true
 }
 
 // String renders the plan shape compactly, e.g.
@@ -619,7 +655,6 @@ func SparsePlan(in *Instance, s *Schedule) *Plan {
 		Nodes:                  make([]PlanNode, 0, n),
 	}
 	idxOf := make(map[topo.NodeID]int, n)
-	onOld := func(v topo.NodeID) bool { return in.OnOld(v) }
 	// prevWalk tracks the node indices of the last round that
 	// contained walk-relevant switches.
 	var prevWalk, curWalk []int
@@ -629,7 +664,7 @@ func SparsePlan(in *Instance, s *Schedule) *Plan {
 			i := len(sparse.Nodes)
 			idxOf[v] = i
 			var deps []int
-			if onOld(v) {
+			if in.OnOld(v) {
 				deps = append(deps, prevWalk...)
 				// Rule-availability: follow v's new-rule chain through
 				// new-only pending switches.
@@ -674,13 +709,14 @@ func sparseSafe(in *Instance, p *Plan, s *Schedule) bool {
 	if walkProps == 0 {
 		return true
 	}
-	if ok, complete := planWalkCheck(in, p, walkProps, maxSparseCheckStates); complete {
-		return ok
+	w := in.NewWalker()
+	if cex, exact := w.CheckIdeals(nil, p, walkProps, maxSparseCheckStates); exact {
+		return cex == nil
 	}
 	// Ideal space past the exhaustive budget: soundness rests on the
 	// walk-projection argument; the seeded spot-check guards the
 	// implementation.
-	return planSpotCheck(in, p, walkProps)
+	return w.SampleExtensions(nil, p, walkProps, sparseSpotSamples, rand.New(rand.NewSource(1))) == nil
 }
 
 // sparseStrongLFSafe runs the polynomial double-edge test per
@@ -734,59 +770,65 @@ func sortedUniqueInts(xs *[]int) {
 	*xs = out
 }
 
-// planWalkCheck exhaustively checks props in every order ideal of the
-// plan, up to budget states. complete reports whether the verdict is
-// decisive: either a violation was found (ok false) or the full ideal
-// space was enumerated clean (ok true); complete false means the
-// budget ran out first.
-func planWalkCheck(in *Instance, p *Plan, props Property, budget int) (ok, complete bool) {
-	w := in.NewWalker()
+// planNodeIndex returns the dense instance index of every plan node's
+// switch, aligned with p.Nodes — what Flip takes.
+func (w *Walker) planNodeIndex(p *Plan) []int {
 	idx := make([]int, len(p.Nodes))
 	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
+		idx[i] = w.in.NodeIndex(nd.Switch)
 	}
-	states := 0
-	violated := false
-	finished := p.VisitIdeals(
-		func(node int, _ bool) { w.Flip(idx[node]) },
-		func() bool {
-			states++
-			if states > budget {
-				return false
-			}
-			if w.Check(props) != 0 {
-				violated = true
-				return false
-			}
-			return true
-		})
-	if violated {
-		return false, true
-	}
-	if !finished {
-		return false, false
-	}
-	return true, true
+	return idx
 }
 
-// planSpotCheck replays sparseSpotSamples seeded linear extensions of
-// the plan, checking props after every event (each prefix is an order
-// ideal). It is the cheap insurance behind the structural soundness
-// argument for plans whose ideal space exceeds the exhaustive budget.
-func planSpotCheck(in *Instance, p *Plan, props Property) bool {
-	w := in.NewWalker()
-	idx := make([]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
+// counterExample evaluates props in the walker's current state and
+// materializes the violation, nil when the state is clean.
+func (w *Walker) counterExample(props Property) *CounterExample {
+	violated := w.Check(props)
+	if violated == 0 {
+		return nil
 	}
-	rng := rand.New(rand.NewSource(1))
+	return &CounterExample{Updated: w.in.CloneState(w.st), Walk: w.Path(), Violated: violated}
+}
+
+// CheckIdeals decides props over every order ideal of p — a whole plan
+// or one of its Stages — on top of the state pre (nil: the old
+// configuration), enumerating them with single-switch flips; an install
+// *toggles* its switch, so a rollback plan runs on the same code from
+// its BaseState. exact reports a decisive verdict: cex is the first
+// violating ideal met, or every ideal was enumerated clean within
+// budget states; exact false means the budget ran out first.
+func (w *Walker) CheckIdeals(pre State, p *Plan, props Property, budget int) (cex *CounterExample, exact bool) {
+	idx := w.planNodeIndex(p)
+	w.Reset(pre)
+	states := 0
+	complete := p.VisitIdeals(
+		func(node int, _ bool) { w.Flip(idx[node]) },
+		func() bool {
+			if states++; states > budget {
+				return false
+			}
+			cex = w.counterExample(props)
+			return cex == nil
+		})
+	return cex, complete || cex != nil
+}
+
+// SampleExtensions replays samples random linear extensions of p on
+// top of pre — each step picks uniformly among the released nodes, so
+// every prefix is an order ideal — checking props after every install,
+// and returns the first counterexample met, or nil. It is the fallback
+// behind CheckIdeals for ideal spaces past the budget; the draws come
+// from rng alone.
+func (w *Walker) SampleExtensions(pre State, p *Plan, props Property, samples int, rng *rand.Rand) *CounterExample {
+	idx := w.planNodeIndex(p)
 	run := NewPlanRun(p)
 	ready := make([]int, 0, len(p.Nodes))
-	for s := 0; s < sparseSpotSamples; s++ {
-		w.Reset(nil)
-		if w.Check(props) != 0 {
-			return false
-		}
+	w.Reset(pre)
+	if cex := w.counterExample(props); cex != nil { // the empty ideal
+		return cex
+	}
+	for s := 0; s < samples; s++ {
+		w.Reset(pre)
 		ready = run.Reset(ready[:0])
 		for len(ready) > 0 {
 			k := rng.Intn(len(ready))
@@ -794,12 +836,12 @@ func planSpotCheck(in *Instance, p *Plan, props Property) bool {
 			ready[k] = ready[len(ready)-1]
 			ready = run.Complete(i, ready[:len(ready)-1])
 			w.Flip(idx[i])
-			if w.Check(props) != 0 {
-				return false
+			if cex := w.counterExample(props); cex != nil {
+				return cex
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // sparsePlanner wraps a Scheduler whose round construction justifies

@@ -15,7 +15,7 @@ func fig1Instance(t *testing.T) *Instance {
 
 // TestPlanFromScheduleRoundTrip pins the lossless conversion: every
 // registered scheduler's rounds convert to a layered plan whose
-// Rounds()/Schedule() views reproduce the original schedule, with the
+// Rounds() view reproduces the original schedule, with the
 // expected shape.
 func TestPlanFromScheduleRoundTrip(t *testing.T) {
 	in := fig1Instance(t)
@@ -38,9 +38,8 @@ func TestPlanFromScheduleRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(rounds, s.Rounds) {
 			t.Fatalf("%s: rounds round-trip: got %v want %v", name, rounds, s.Rounds)
 		}
-		back, ok := p.Schedule()
-		if !ok || back.Algorithm != s.Algorithm || back.Guarantees != s.Guarantees {
-			t.Fatalf("%s: schedule view = %+v ok=%t", name, back, ok)
+		if p.Algorithm != s.Algorithm || p.Guarantees != s.Guarantees {
+			t.Fatalf("%s: plan header = %q %s", name, p.Algorithm, p.Guarantees)
 		}
 		if p.Depth() != s.NumRounds() {
 			t.Fatalf("%s: depth %d, want round count %d", name, p.Depth(), s.NumRounds())
@@ -60,55 +59,163 @@ func TestPlanFromScheduleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLayeredPlanIdealsAreRoundStates pins the state-space equivalence
-// the whole plan layer rests on: the order ideals of a layered plan
-// are exactly the schedule's reachable round states (completed rounds
-// plus any subset of one in-flight round).
-func TestLayeredPlanIdealsAreRoundStates(t *testing.T) {
-	in := fig1Instance(t)
-	s, err := WayUp(in)
-	if err != nil {
-		t.Fatal(err)
+// assertStageIdeals holds Stages against the reference enumerator: the
+// plan's order ideals (IdealStates) are exactly "all earlier stages
+// plus an ideal of stage k", over all k, with each stage-boundary state
+// met once per side. It returns the stage count.
+func assertStageIdeals(t *testing.T, in *Instance, p *Plan) int {
+	t.Helper()
+	want := map[string]bool{}
+	for _, st := range p.IdealStates(in) {
+		want[stateKey(st)] = true
 	}
-	p := PlanFromSchedule(s)
-	ideals := p.IdealStates(in)
-
-	// Enumerate round states directly.
-	var want []State
-	seen := map[string]bool{}
-	add := func(st State) {
-		k := stateKey(st)
-		if !seen[k] {
-			seen[k] = true
-			want = append(want, st)
+	stages := p.Stages()
+	got, total, nodes := map[string]bool{}, 0, 0
+	earlier := in.NewState()
+	for _, sub := range stages {
+		for _, st := range sub.IdealStates(in) {
+			for w := range st {
+				st[w] |= earlier[w]
+			}
+			got[stateKey(st)] = true
+			total++
+		}
+		for _, nd := range sub.Nodes {
+			in.Mark(earlier, nd.Switch)
+		}
+		nodes += len(sub.Nodes)
+	}
+	if nodes != len(p.Nodes) || total != len(want)+len(stages)-1 || len(got) != len(want) {
+		t.Fatalf("%s: %d stages hold %d nodes and %d ideals (%d distinct), want %d nodes and %d ideals + one per cut",
+			p, len(stages), nodes, total, len(got), len(p.Nodes), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s: an order ideal is no stage's", p)
 		}
 	}
-	done := in.NewState()
-	for _, round := range s.Rounds {
-		for mask := 0; mask < 1<<len(round); mask++ {
-			st := in.CloneState(done)
-			for j, v := range round {
-				if mask&(1<<j) != 0 {
-					in.Mark(st, v)
+	return len(stages)
+}
+
+// TestStagesOfLayeredPlansAreRounds pins the state-space equivalence
+// the whole plan layer rests on, for every registry scheduler on Fig.1,
+// a comb and 200 seeded random two-path instances: the stages of a
+// schedule's layered plan are its rounds, none with an inner edge — so
+// its order ideals are exactly the reachable round states (completed
+// rounds plus any subset of one in-flight round), which the small
+// instances also check against the reference enumerator.
+func TestStagesOfLayeredPlansAreRounds(t *testing.T) {
+	comb := topo.Comb(3, 4)
+	ins := []*Instance{
+		fig1Instance(t),
+		MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0),
+		MustInstance(comb.Old, comb.New, 0),
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 200; i++ {
+		ti := topo.RandomTwoPath(rng, 4+rng.Intn(20), i%2 == 0)
+		ins = append(ins, MustInstance(ti.Old, ti.New, ti.Waypoint))
+	}
+	checked := 0
+	for _, in := range ins {
+		for _, name := range Names() {
+			sch := MustScheduler(name)
+			if in.NumPending() == 0 || !sch.Applicable(in) {
+				continue
+			}
+			s, err := sch.Schedule(in, 0)
+			if err != nil {
+				continue // the scheduler declined the instance
+			}
+			p := PlanFromSchedule(s)
+			var got [][]topo.NodeID
+			for _, sub := range p.Stages() {
+				if sub.NumEdges() != 0 || sub.Algorithm != s.Algorithm || sub.Guarantees != s.Guarantees {
+					t.Fatalf("%s on %v: stage %s of a layered plan", name, in, sub)
+				}
+				var round []topo.NodeID
+				for _, nd := range sub.Nodes {
+					round = append(round, nd.Switch)
+				}
+				got = append(got, round)
+			}
+			if !reflect.DeepEqual(got, s.Rounds) {
+				t.Fatalf("%s on %v: stages %v, want the rounds %v", name, in, got, s.Rounds)
+			}
+			if in.NumPending() <= 12 {
+				assertStageIdeals(t, in, p)
+			}
+			checked++
+		}
+	}
+	if checked < 600 {
+		t.Fatalf("only %d schedules checked", checked)
+	}
+}
+
+// TestStagesCoverIdeals property-tests Stages on 200 random DAGs built
+// through PlanDraft.AddEdge (n ≤ 12; half of them with a random series
+// composition forced in, so cuts are common) and on the Reverse of a
+// random installed prefix of each: stage by stage they enumerate
+// exactly the plan's order ideals.
+func TestStagesCoverIdeals(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	plans, cut, cutRev := 0, 0, 0
+	for plans < 200 {
+		ti := topo.RandomTwoPath(rng, 4+rng.Intn(12), false)
+		in := MustInstance(ti.Old, ti.New, 0)
+		n := in.NumPending()
+		if n < 2 || n > 12 {
+			continue
+		}
+		plans++
+		d := NewPlanDraft(in)
+		if plans%2 == 0 {
+			// Everything in a random block A before everything else.
+			inA := make([]bool, n)
+			for i := range inA {
+				inA[i] = rng.Intn(2) == 0
+			}
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if inA[u] && !inA[v] {
+						_ = d.AddEdge(u, v)
+					}
 				}
 			}
-			add(st)
 		}
-		in.Mark(done, round...)
-	}
-	add(in.CloneState(done))
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			_ = d.AddEdge(rng.Intn(n), rng.Intn(n)) // loops, duplicates and cycles are refused
+		}
+		p := d.Plan("random", 0)
+		if err := p.Validate(in); err != nil {
+			t.Fatal(err)
+		}
+		if assertStageIdeals(t, in, p) > 1 {
+			cut++
+		}
 
-	if len(ideals) != len(want) {
-		t.Fatalf("ideal count %d, want %d round states", len(ideals), len(want))
-	}
-	got := map[string]bool{}
-	for _, st := range ideals {
-		got[stateKey(st)] = true
-	}
-	for _, st := range want {
-		if !got[stateKey(st)] {
-			t.Fatalf("round state %v missing from plan ideals", in.StateNodes(st))
+		// A random installed prefix: some steps of a random extension.
+		installed := make([]bool, n)
+		run := NewPlanRun(p)
+		ready := run.Reset(nil)
+		for steps := rng.Intn(n + 1); steps > 0; steps-- {
+			k := rng.Intn(len(ready))
+			i := ready[k]
+			ready[k] = ready[len(ready)-1]
+			ready = run.Complete(i, ready[:len(ready)-1])
+			installed[i] = true
 		}
+		rev, _, err := p.Reverse(installed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rev.Nodes) > 0 && assertStageIdeals(t, in, rev) > 1 {
+			cutRev++
+		}
+	}
+	if cut < 50 || cutRev < 50 {
+		t.Fatalf("only %d plans and %d rollbacks with a series cut — the property was barely exercised", cut, cutRev)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestQuickExploreSchedulerInterleavings(t *testing.T) {
 			}
 			// Check the full property lattice, exhaustively: rounds at
 			// these sizes always fit MaxExhaustive.
-			rep, err := explore.Schedule(in, s, explore.Options{Props: props, MaxExhaustive: 14})
+			rep, err := explore.Plan(in, core.PlanFromSchedule(s), explore.Options{Props: props, MaxExhaustive: 14})
 			if err != nil {
 				t.Logf("explore failed on %s %v: %v", name, in, err)
 				return false

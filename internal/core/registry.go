@@ -147,28 +147,6 @@ func ScheduleByName(in *Instance, name string, props Property) (*Schedule, error
 	return s.Schedule(in, props)
 }
 
-// walkPropsOr returns props, defaulting to the walk-based pair the
-// cautious baselines target.
-func walkPropsOr(props Property) Property {
-	if props != 0 {
-		return props
-	}
-	return NoBlackhole | RelaxedLoopFreedom
-}
-
-// optimalPropsOr returns props, defaulting to blackhole and loop
-// freedom plus waypoint enforcement when the instance has one.
-func optimalPropsOr(in *Instance, props Property) Property {
-	if props != 0 {
-		return props
-	}
-	p := NoBlackhole | RelaxedLoopFreedom
-	if in.Waypoint != 0 {
-		p |= WaypointEnforcement
-	}
-	return p
-}
-
 func init() {
 	Register(AlgoWayUp, condScheduler{
 		schedule:   func(in *Instance, _ Property) (*Schedule, error) { return WayUp(in) },
@@ -185,14 +163,20 @@ func init() {
 		return GreedySLF(in)
 	})})
 	Register(AlgoSequential, SchedulerFunc(func(in *Instance, props Property) (*Schedule, error) {
-		return Sequential(in, walkPropsOr(props))
+		if props == 0 { // the walk-based pair the cautious baseline targets
+			props = NoBlackhole | RelaxedLoopFreedom
+		}
+		return Sequential(in, props)
 	}))
 	Register(AlgoOneShot, SchedulerFunc(func(in *Instance, _ Property) (*Schedule, error) {
 		return OneShot(in), nil
 	}))
 	Register(AlgoOptimal, condScheduler{
 		schedule: func(in *Instance, props Property) (*Schedule, error) {
-			return Optimal(in, optimalPropsOr(in, props))
+			if props == 0 {
+				props = in.NaturalProps()
+			}
+			return Optimal(in, props)
 		},
 		applicable: func(in *Instance) bool { return in.NumPending() <= MaxOptimalPending },
 	})

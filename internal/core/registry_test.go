@@ -140,7 +140,7 @@ func TestRegistryOutputsVerify(t *testing.T) {
 				if s.Algorithm != name {
 					t.Fatalf("schedule reports algorithm %q, registered as %q", s.Algorithm, name)
 				}
-				if rep := verify.Guarantees(in, s, verify.Options{}); !rep.OK() {
+				if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
 					t.Fatalf("%s schedule failed verification: %v", name, rep)
 				}
 			})

@@ -327,7 +327,7 @@ func E3Violations(instances int, seed int64) (*metrics.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				tasks = append(tasks, verify.Task{Instance: in, Schedule: s, Props: props})
+				tasks = append(tasks, verify.Task{Instance: in, Plan: core.PlanFromSchedule(s), Props: props})
 			}
 		}
 		reports := verify.Batch(tasks, verify.Options{Budget: 1 << 18, Samples: 512, Seed: seed})

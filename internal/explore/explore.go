@@ -1,79 +1,84 @@
-// Package explore is the adversarial interleaving explorer: for a
-// schedule and instance it plays the paper's adversary — the
-// asynchronous control channel that delivers a round's FlowMods in any
-// order — and checks transient security (loop freedom, waypoint
-// enforcement, blackhole freedom) after every single delivery event,
-// reporting minimized counterexample event traces.
+// Package explore is the adversarial interleaving explorer: for a plan
+// and instance it plays the paper's adversary — the asynchronous
+// control channel that lets every issued-but-not-yet-confirmed FlowMod
+// take effect in any order, constrained only by the plan's
+// happens-before edges — and checks transient security (loop freedom,
+// waypoint enforcement, blackhole freedom) after every single delivery
+// event, reporting minimized counterexample event traces.
 //
 // # Order/state duality
 //
-// Within one round, barriers constrain nothing: the adversary picks an
-// arbitrary delivery order, and a property is violated iff some
-// *prefix* of some order produces a violating rule state. The rule
-// state after a prefix is exactly the set of switches delivered so
-// far, so the states reachable by all orders of a round R on top of
-// the completed set D are exactly {D ∪ S : S ⊆ R}. Exhaustively
-// checking every subset therefore covers every delivery order of the
-// round — n! orders collapse to 2^n states. The explorer walks those
-// subsets in binary-reflected Gray-code order, in which successive
-// subsets differ by exactly one switch: each check is then an
-// incremental one-flip re-walk (core.Walker) instead of a fresh walk
-// from the source, and an ascending-(size, mask) post-pass over the
-// violating subsets recovers the same minimum-size counterexample the
-// old ascending-size enumeration reported first. Rounds larger than
-// MaxExhaustive fall back to sampling delivery orders: seeded uniform
-// permutations plus heavy-tail-biased orders, where per-switch
-// delivery times are drawn from a bounded Pareto distribution (the
-// PAM'15 rule-install stall model) and the order is their sort — the
-// adversary the paper's measurements say hardware actually implements.
-// A per-worker transposition table short-circuits states already
-// checked by another order, prefix, or round, and rounds themselves
-// fan out over Options.Workers with a deterministic merge.
+// A property is violated iff some *prefix* of some delivery order
+// produces a violating rule state, and the rule state after a prefix is
+// exactly the set of nodes delivered so far — an order ideal of the
+// plan's DAG (see core.Plan). Checking every ideal therefore covers
+// every delivery order. The explorer has one engine and its work item
+// is a *stage* (core.Plan.Stages): the plan is split at its series
+// cuts, and the ideals are "all earlier stages plus an ideal of the
+// stage in flight". For a layered plan the stages are the rounds:
+// within one round barriers constrain nothing, the n! orders of a
+// round collapse to its 2^n subsets, and the explorer walks those in
+// binary-reflected Gray-code order; a stage with internal edges is
+// walked by a DFS over include/exclude decisions (Plan.VisitIdeals).
+// Either way successive states differ by exactly one switch, so each
+// check is an incremental one-flip re-walk (core.Walker) instead of a
+// fresh walk from the source, and the minimum violating ideal by
+// ascending (size, mask) is reported — minimum-size, and therefore
+// 1-minimal. A stage whose ideal space exceeds 1<<MaxExhaustive states
+// falls back to sampling delivery orders: seeded uniform linear
+// extensions plus heavy-tail-biased ones, where the ack-driven dispatch
+// is simulated with per-node install latencies drawn from a bounded
+// Pareto distribution (the PAM'15 rule-install stall model) and the
+// order is completion time — the adversary the paper's measurements
+// say hardware actually implements. A per-worker transposition table
+// short-circuits states already checked by another order, prefix, or
+// stage, and stages themselves fan out over Options.Workers with a
+// deterministic merge. Rollback plans (core.Plan.Reverse) are explored
+// over the shifted state space base∖ideal — the walker starts from the
+// installed set and flips clear bits — so the same adversary that
+// attacks a forward plan attacks its rollback.
 //
-// explore complements internal/verify: verify answers "is this
-// schedule safe?" as fast as possible (branching walk search, subset
-// sampling); explore answers "show me the event trace that breaks it"
-// — it produces ordered, minimized delivery traces suitable for
-// replay, plus per-event coverage counters, and its timed mode replays
-// a schedule on a simclock.Sim under sampled latency distributions so
-// a 10k-switch scenario runs in virtual time with a reproducible event
+// explore complements internal/verify: verify answers "is this plan
+// safe?" as fast as possible (branching walk search, subset sampling);
+// explore answers "show me the event trace that breaks it" — it
+// produces ordered, minimized delivery traces suitable for replay,
+// plus per-event coverage counters, and its timed mode replays a
+// schedule on a simclock.Sim under sampled latency distributions so a
+// 10k-switch scenario runs in virtual time with a reproducible event
 // count.
 package explore
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tsu/internal/core"
-	"tsu/internal/netem"
 	"tsu/internal/topo"
 )
 
 // Options configures an exploration.
 type Options struct {
 	// Props is the property set checked after every event. Zero
-	// selects the schedule's own guarantees; for schedules that
-	// guarantee nothing (one-shot) it selects blackhole + relaxed loop
-	// freedom, plus waypoint enforcement when the instance has a
-	// waypoint — the explorer's purpose being to show what the
-	// baseline breaks.
+	// selects the plan's own guarantees; for plans that guarantee
+	// nothing (one-shot) it selects the instance's natural property
+	// set (core.Instance.NaturalProps) — the explorer's purpose being
+	// to show what the baseline breaks.
 	Props core.Property
 
-	// MaxExhaustive bounds the round size explored exhaustively (all
-	// 2^n reachable states, enumerated in Gray-code order so each
-	// check is an incremental one-switch re-walk). Larger rounds are
-	// sampled. Default 18; capped at 20.
+	// MaxExhaustive bounds the stages explored exhaustively: a stage
+	// is enumerated when its ideal space fits 1<<MaxExhaustive states.
+	// For an edge-free stage (a round) that is its size — n switches
+	// have 2^n subsets, so rounds of up to MaxExhaustive switches are
+	// enumerated; for a DAG stage it is the count of its order ideals,
+	// which its edges keep below 2^n. Larger stages, and stages of
+	// more than 64 nodes, are sampled. Default 18; capped at 20.
 	MaxExhaustive int
 
 	// Samples is the number of delivery orders drawn per sampled
-	// round. Default 256.
+	// stage. Default 256.
 	Samples int
 
 	// HeavyTailBias is the fraction of sampled orders whose delivery
@@ -97,9 +102,9 @@ type Options struct {
 	// off; only which sampled orders get replayed differs.
 	PeerDelays bool
 
-	// Workers bounds the round-exploration worker pool. Rounds are
-	// independent work items (each round's pre-state is a function of
-	// the schedule alone), so they fan out and merge back by index;
+	// Workers bounds the stage-exploration worker pool. Stages are
+	// independent work items (each stage's pre-state is a function of
+	// the plan alone), so they fan out and merge back by index;
 	// the report — including its Fingerprint — is identical for every
 	// worker count. Zero selects runtime.GOMAXPROCS(0); 1 forces
 	// serial execution.
@@ -128,13 +133,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// defaultProps resolves the checked property set (see Options.Props).
-func defaultProps(in *core.Instance, s *core.Schedule, props core.Property) core.Property {
-	return defaultPropsFor(in, s.Guarantees, props)
+// resolveProps resolves the checked property set: explicit props, then
+// the plan's guarantees, then the instance's natural property set (see
+// Options.Props).
+func resolveProps(in *core.Instance, guarantees, props core.Property) core.Property {
+	if props != 0 {
+		return props
+	}
+	if guarantees != 0 {
+		return guarantees
+	}
+	return in.NaturalProps()
 }
 
-// Event is one FlowMod taking effect: switch Switch's rule flips from
-// old to new during round Round.
+// Event is one FlowMod taking effect: switch Switch's rule flips (old
+// to new; back, in a rollback), and Round is the node's layer in the
+// plan — for a layered plan its round.
 type Event struct {
 	Round  int
 	Switch topo.NodeID
@@ -166,17 +180,21 @@ func (t Trace) String() string {
 }
 
 // Violation is a found counterexample: a minimized delivery trace
-// whose replay (on top of the completed earlier rounds) produces a
+// whose replay (on top of the completed earlier stages) produces a
 // rule state violating Violated.
 type Violation struct {
-	// Round is the in-flight round the adversary attacked.
+	// Round is the stage that was in flight (its index in
+	// core.Plan.Stages; the round, for a layered plan) — not
+	// necessarily 0 for a sparse plan. Event.Round, in Trace, is the
+	// node's layer instead.
 	Round int
 	// Violated is the property set broken by the minimized trace's
 	// final state.
 	Violated core.Property
-	// Trace is the minimized delivery sequence: replaying exactly
-	// these events after rounds < Round still violates, and dropping
-	// any single event does not (1-minimality).
+	// Trace is the minimized delivery sequence, an order ideal of the
+	// stage: replaying exactly these events after stages < Round still
+	// violates, and dropping any single event that no other depends on
+	// does not (1-minimality over reachable states).
 	Trace Trace
 	// Walk is the offending forwarding walk in the violating state.
 	Walk topo.Path
@@ -189,11 +207,12 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("violation{round %d, %s, trace %s, walk %v}", v.Round, v.Violated, v.Trace, v.Walk)
 }
 
-// RoundReport is the exploration verdict for one round.
+// RoundReport is the exploration verdict for one stage — one round of
+// a layered plan.
 type RoundReport struct {
-	Round int
-	Size  int
-	// Exhaustive: every reachable intra-round state was checked (the
+	Round int // the stage's index in Plan.Stages
+	Size  int // nodes in the stage
+	// Exhaustive: every reachable intra-stage state was checked (the
 	// verdict is a proof); otherwise Orders sampled orders were
 	// replayed event by event.
 	Exhaustive bool
@@ -201,13 +220,13 @@ type RoundReport struct {
 	States int
 	// Orders counts delivery orders replayed (sampled mode).
 	Orders int
-	// Events counts per-event property checks performed in this round.
+	// Events counts per-event property checks performed in this stage.
 	Events int
 	// Violation is the minimized counterexample, nil when none found.
 	Violation *Violation
 }
 
-// Report is the outcome of exploring a schedule.
+// Report is the outcome of exploring a plan.
 type Report struct {
 	Algorithm  string
 	Properties core.Property
@@ -216,7 +235,7 @@ type Report struct {
 	// MemoHits counts state checks answered from the transposition
 	// tables instead of recomputed. Verdicts are pure per state, so
 	// hits never change any result — but the count depends on how
-	// rounds were partitioned across workers, so it is diagnostic
+	// stages were partitioned across workers, so it is diagnostic
 	// only and deliberately excluded from Fingerprint.
 	MemoHits int64
 }
@@ -231,7 +250,7 @@ func (r *Report) OK() bool {
 	return true
 }
 
-// Exhaustive reports whether every round was explored exhaustively.
+// Exhaustive reports whether every stage was explored exhaustively.
 func (r *Report) Exhaustive() bool {
 	for _, rr := range r.Rounds {
 		if !rr.Exhaustive {
@@ -250,7 +269,7 @@ func (r *Report) Events() int {
 	return n
 }
 
-// FirstViolation returns the earliest round's counterexample, or nil.
+// FirstViolation returns the earliest stage's counterexample, or nil.
 func (r *Report) FirstViolation() *Violation {
 	for _, rr := range r.Rounds {
 		if rr.Violation != nil {
@@ -260,7 +279,7 @@ func (r *Report) FirstViolation() *Violation {
 	return nil
 }
 
-// Fingerprint renders the full verdict — per-round mode, coverage
+// Fingerprint renders the full verdict — per-stage mode, coverage
 // counters and minimized traces — as one canonical string. Two
 // explorations with equal fingerprints made identical decisions; the
 // determinism tests compare these across runs.
@@ -290,307 +309,59 @@ func (r *Report) String() string {
 	return fmt.Sprintf("explore %s %s: FAIL (%v)", r.Algorithm, r.Properties, r.FirstViolation())
 }
 
-// Schedule explores every round of s against the adversary and
-// returns the per-round verdicts. The schedule must fit the instance.
+// Plan explores every stage of p against the adversary and returns the
+// per-stage verdicts. The plan must fit the instance.
 //
-// Rounds fan out over Options.Workers goroutines: a round's pre-state
-// is determined by the schedule alone, so rounds are independent work
+// Stages fan out over Options.Workers goroutines: a stage's pre-state
+// is determined by the plan alone, so stages are independent work
 // items and their reports merge back by index — the report (and its
 // Fingerprint) is bit-identical for every worker count.
-func Schedule(in *core.Instance, s *core.Schedule, opts Options) (*Report, error) {
-	if err := s.Validate(in); err != nil {
+func Plan(in *core.Instance, p *core.Plan, opts Options) (*Report, error) {
+	if err := p.Validate(in); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
 	opts = opts.withDefaults()
-	props := defaultProps(in, s, opts.Props)
-	rep := &Report{Algorithm: s.Algorithm, Properties: props, Rounds: make([]RoundReport, len(s.Rounds))}
+	props := resolveProps(in, p.Guarantees, opts.Props)
 
-	// Materialize each round's (deterministic) pre-round state.
-	dones := make([]core.State, len(s.Rounds))
-	done := in.NewState()
-	for i, round := range s.Rounds {
-		dones[i] = in.CloneState(done)
-		in.Mark(done, round...)
+	// Materialize each stage with its (deterministic) pre-state and the
+	// layer its roots sit on.
+	subs := p.Stages()
+	stages := make([]stage, len(subs))
+	pre, layer := startState(in, p), 0
+	for k, sub := range subs {
+		stages[k] = stage{idx: k, plan: sub, pre: in.CloneState(pre), layer: layer}
+		for _, nd := range sub.Nodes {
+			deliver(in, pre, nd.Switch)
+		}
+		layer += sub.Depth()
 	}
+	rep := &Report{Algorithm: p.Algorithm, Properties: props, Rounds: make([]RoundReport, len(stages))}
 
-	workers := opts.Workers
-	if workers > len(s.Rounds) {
-		workers = len(s.Rounds)
-	}
-	var memoHits atomic.Int64
-	runWorker := func(next *atomic.Int64) {
+	var memoHits, next atomic.Int64
+	runWorker := func() {
 		sc := newScratch(in)
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(s.Rounds) {
+			if i >= len(stages) {
 				break
 			}
-			rep.Rounds[i] = sc.exploreRound(dones[i], i, s.Rounds[i], props, opts)
+			rep.Rounds[i] = sc.exploreStage(&stages[i], props, opts)
 		}
 		memoHits.Add(sc.mt.hits)
 	}
-	var next atomic.Int64
-	if workers <= 1 {
-		runWorker(&next)
+	if workers := min(opts.Workers, len(stages)); workers <= 1 {
+		runWorker()
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				runWorker(&next)
+				runWorker()
 			}()
 		}
 		wg.Wait()
 	}
 	rep.MemoHits = memoHits.Load()
 	return rep, nil
-}
-
-// scratch is one worker's reusable exploration context: an incremental
-// walker, a transposition table shared across all rounds the worker
-// handles, and the per-round buffers. Nothing in it escapes to the
-// report except freshly allocated violation records.
-type scratch struct {
-	in    *core.Instance
-	w     *core.Walker
-	mt    *memo
-	idx   []int         // dense node index per round element
-	order []topo.NodeID // delivery-order buffer (sampled mode)
-	ds    []delivery    // heavy-tail delivery-time buffer
-	trace Trace         // running event trace (sampled mode)
-}
-
-type delivery struct {
-	node topo.NodeID
-	at   time.Duration
-}
-
-func newScratch(in *core.Instance) *scratch {
-	return &scratch{in: in, w: in.NewWalker(), mt: newMemo(in)}
-}
-
-// check evaluates props in the walker's current state, through the
-// transposition table: a state seen before — by another order, another
-// prefix, or another round — is answered from the table.
-func (sc *scratch) check(props core.Property) core.Property {
-	if v, ok := sc.mt.lookup(sc.w.State()); ok {
-		return v
-	}
-	v := sc.w.Check(props)
-	sc.mt.store(sc.w.State(), v)
-	return v
-}
-
-// memoExhaustiveMax bounds the round size whose exhaustive scan feeds
-// the transposition table. Within one Gray-code scan every state is
-// distinct — the enumeration itself is the transposition across the
-// round's n! delivery orders — so the table only pays off across
-// rounds and sampled replays; populating it with 2^n entries from a
-// large round would cost more in inserts and memory than cross-round
-// hits recover. Small rounds (the common case for the consistent
-// schedulers) stay in the table; large ones check directly.
-const memoExhaustiveMax = 12
-
-// exploreRound attacks one round: exhaustive Gray-code enumeration
-// when it fits the budget, sampled delivery orders otherwise.
-func (sc *scratch) exploreRound(done core.State, roundIdx int, round []topo.NodeID, props core.Property, opts Options) RoundReport {
-	rr := RoundReport{Round: roundIdx, Size: len(round)}
-	if len(round) <= opts.MaxExhaustive {
-		rr.Exhaustive = true
-		sc.exploreExhaustive(done, roundIdx, round, props, &rr)
-		return rr
-	}
-	sc.exploreSampled(done, roundIdx, round, props, opts, &rr)
-	return rr
-}
-
-// grayVisit enumerates all 2^n n-bit masks in binary-reflected
-// Gray-code order: gray(k) = k XOR k>>1, and successive masks differ
-// in exactly one bit — bit trailingZeros(k) on step k. visit receives
-// each mask together with the flipped bit (-1 for the initial empty
-// mask). n must be at most 30.
-func grayVisit(n int, visit func(mask uint32, flipped int)) {
-	visit(0, -1)
-	for k := uint32(1); k < 1<<uint(n); k++ {
-		visit(k^(k>>1), bits.TrailingZeros32(k))
-	}
-}
-
-// exploreExhaustive checks every subset of round exactly once, walking
-// the subset lattice in Gray-code order so each successive state
-// differs from the previous by a single switch — which the incremental
-// walker repairs in O(changed suffix) instead of a fresh walk from the
-// source. Violating masks are collected during the scan and the
-// minimum one — ascending (size, mask), the same order the old
-// ascending-size enumerator visited — is reported, so the reported
-// counterexample is still minimum-size (and therefore 1-minimal: every
-// strictly smaller subset was checked and found clean).
-func (sc *scratch) exploreExhaustive(done core.State, roundIdx int, round []topo.NodeID, props core.Property, rr *RoundReport) {
-	in := sc.in
-	n := len(round)
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	sc.idx = sc.idx[:n]
-	for j, v := range round {
-		sc.idx[j] = in.NodeIndex(v)
-	}
-	sc.w.Reset(done)
-	useMemo := n <= memoExhaustiveMax
-	var (
-		found        bool
-		bestMask     uint32
-		bestSize     int
-		bestViolated core.Property
-	)
-	grayVisit(n, func(mask uint32, flipped int) {
-		if flipped >= 0 {
-			sc.w.Flip(sc.idx[flipped])
-		}
-		rr.States++
-		rr.Events++
-		var violated core.Property
-		if useMemo {
-			violated = sc.check(props)
-		} else {
-			violated = sc.w.Check(props)
-		}
-		if violated == 0 {
-			return
-		}
-		size := bits.OnesCount32(mask)
-		if !found || size < bestSize || (size == bestSize && mask < bestMask) {
-			found, bestMask, bestSize, bestViolated = true, mask, size, violated
-		}
-	})
-	if !found {
-		return
-	}
-	st := in.CloneState(done)
-	trace := make(Trace, 0, bestSize)
-	for j, v := range round {
-		if bestMask&(1<<uint(j)) != 0 {
-			in.Mark(st, v)
-			trace = append(trace, Event{Round: roundIdx, Switch: v})
-		}
-	}
-	walk, _ := in.Walk(st)
-	rr.Violation = &Violation{
-		Round:    roundIdx,
-		Violated: bestViolated,
-		Trace:    trace,
-		Walk:     walk,
-		Updated:  in.StateNodes(in.StateOf(trace.Switches()...)),
-	}
-}
-
-// exploreSampled replays sampled delivery orders of round event by
-// event on the incremental walker. The first
-// opts.Samples×HeavyTailBias orders are heavy-tail-biased (delivery
-// time per switch from a bounded Pareto, order = time sort), the rest
-// uniform permutations; all orders derive from opts.Seed and the round
-// index alone — never from the worker the round landed on. The first
-// violating prefix is minimized before reporting.
-func (sc *scratch) exploreSampled(done core.State, roundIdx int, round []topo.NodeID, props core.Property, opts Options, rr *RoundReport) {
-	in := sc.in
-	rng := rand.New(rand.NewSource(opts.Seed ^ (int64(roundIdx)+1)*0x5851F42D4C957F2D))
-	heavy := int(float64(opts.Samples) * opts.HeavyTailBias)
-	tail := netem.Pareto{Scale: time.Millisecond, Alpha: 1.1, Cap: 500 * time.Millisecond}
-	if cap(sc.order) < len(round) {
-		sc.order = make([]topo.NodeID, len(round))
-		sc.ds = make([]delivery, len(round))
-	}
-	order := sc.order[:len(round)]
-	// The empty prefix (no event delivered yet) is common to every
-	// order; check it once.
-	rr.Events++
-	sc.w.Reset(done)
-	if violated := sc.check(props); violated != 0 {
-		rr.Violation = &Violation{Round: roundIdx, Violated: violated, Trace: Trace{}, Walk: sc.w.Path()}
-		return
-	}
-	for s := 0; s < opts.Samples; s++ {
-		copy(order, round)
-		if s < heavy {
-			// Heavy-tail adversary: one stalled switch delivers long
-			// after the rest — the orders real switches produce.
-			ds := sc.ds[:len(order)]
-			for i, v := range order {
-				ds[i] = delivery{node: v, at: tail.Sample(rng)}
-			}
-			sort.SliceStable(ds, func(a, b int) bool { return ds[a].at < ds[b].at })
-			for i, d := range ds {
-				order[i] = d.node
-			}
-		} else {
-			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-		}
-		rr.Orders++
-		sc.w.Reset(done)
-		sc.trace = sc.trace[:0]
-		for _, v := range order {
-			sc.w.Flip(in.NodeIndex(v))
-			sc.trace = append(sc.trace, Event{Round: roundIdx, Switch: v})
-			rr.Events++
-			if violated := sc.check(props); violated != 0 {
-				min, minViolated := Minimize(in, done, sc.trace, props)
-				walk := violatingWalk(in, done, min)
-				rr.Violation = &Violation{
-					Round:    roundIdx,
-					Violated: minViolated,
-					Trace:    min,
-					Walk:     walk,
-					Updated:  in.StateNodes(in.StateOf(min.Switches()...)),
-				}
-				return
-			}
-		}
-	}
-}
-
-// violatingWalk returns the forwarding walk in the state reached by
-// replaying trace on top of done.
-func violatingWalk(in *core.Instance, done core.State, trace Trace) topo.Path {
-	st := in.CloneState(done)
-	for _, e := range trace {
-		in.Mark(st, e.Switch)
-	}
-	walk, _ := in.Walk(st)
-	return walk
-}
-
-// Minimize shrinks a violating trace to a 1-minimal one: replaying the
-// result on top of done still violates props, and removing any single
-// event makes it pass. It returns the minimized trace and the property
-// set its replay violates (which may differ from the original trace's
-// — shrinking a loop can surface a blackhole first). The input trace
-// must violate; Minimize returns it unchanged (with its violation set)
-// when it somehow does not.
-func Minimize(in *core.Instance, done core.State, trace Trace, props core.Property) (Trace, core.Property) {
-	replay := func(tr Trace) core.Property {
-		st := in.CloneState(done)
-		for _, e := range tr {
-			in.Mark(st, e.Switch)
-		}
-		return in.CheckState(st, props)
-	}
-	cur := append(Trace(nil), trace...)
-	violated := replay(cur)
-	if violated == 0 {
-		return cur, 0
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(cur); i++ {
-			cand := make(Trace, 0, len(cur)-1)
-			cand = append(cand, cur[:i]...)
-			cand = append(cand, cur[i+1:]...)
-			if v := replay(cand); v != 0 {
-				cur, violated, changed = cand, v, true
-				break
-			}
-		}
-	}
-	return cur, violated
 }

@@ -57,7 +57,7 @@ func TestExploreFig1Pinned(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.WaypointEnforcement
 
-	oneshot, err := Schedule(in, mustSchedule(t, in, core.AlgoOneShot), Options{Props: props})
+	oneshot, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoOneShot)), Options{Props: props})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExploreFig1Pinned(t *testing.T) {
 	// The safe schedule on the same instance: no interleaving of any
 	// round violates its guarantees (waypoint enforcement, blackhole
 	// freedom).
-	wayup, err := Schedule(in, mustSchedule(t, in, core.AlgoWayUp), Options{})
+	wayup, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoWayUp)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExploreTransientLoopPinned(t *testing.T) {
 	ti := topo.Reversal(6) // old 1..6, new 1,5,4,3,2,6
 	in := core.MustInstance(ti.Old, ti.New, 0)
 
-	oneshot, err := Schedule(in, mustSchedule(t, in, core.AlgoOneShot), Options{Props: core.RelaxedLoopFreedom})
+	oneshot, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoOneShot)), Options{Props: core.RelaxedLoopFreedom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExploreTransientLoopPinned(t *testing.T) {
 	}
 	assertOneMinimal(t, in, in.NewState(), v.Trace, core.RelaxedLoopFreedom)
 
-	peacock, err := Schedule(in, mustSchedule(t, in, core.AlgoPeacock), Options{})
+	peacock, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoPeacock)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExploreSampledFindsViolation(t *testing.T) {
 	if sched.NumRounds() != 1 || len(sched.Rounds[0]) <= 8 {
 		t.Fatalf("unexpected one-shot shape: %s", sched)
 	}
-	rep, err := Schedule(in, sched, Options{
+	rep, err := Plan(in, core.PlanFromSchedule(sched), Options{
 		Props:         core.RelaxedLoopFreedom,
 		MaxExhaustive: 8,
 		Samples:       128,
@@ -201,11 +201,11 @@ func TestExploreSeededDeterminism(t *testing.T) {
 			}
 			sched := mustSchedule(t, in, tc.algo)
 			opts := Options{MaxExhaustive: 6, Samples: 64, Seed: tc.seed}
-			rep1, err := Schedule(in, sched, opts)
+			rep1, err := Plan(in, core.PlanFromSchedule(sched), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep2, err := Schedule(in, sched, opts)
+			rep2, err := Plan(in, core.PlanFromSchedule(sched), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestExploreSeededDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 				wopts := opts
 				wopts.Workers = workers
-				repW, err := Schedule(in, sched, wopts)
+				repW, err := Plan(in, core.PlanFromSchedule(sched), wopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +306,7 @@ func TestExploreTimedFig1(t *testing.T) {
 func TestExploreRejectsBadSchedule(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 	bad := &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{2}}}
-	if _, err := Schedule(in, bad, Options{}); err == nil {
+	if _, err := Plan(in, core.PlanFromSchedule(bad), Options{}); err == nil {
 		t.Fatal("explore accepted a schedule that does not fit the instance")
 	}
 	if _, err := Timed(in, bad, TimedOptions{}); err == nil {

@@ -55,6 +55,10 @@ func FuzzExploreTrace(f *testing.F) {
 		}
 		sort.SliceStable(order, func(a, b int) bool { return key(a) < key(b) })
 
+		// Any order of the pending set is a delivery order of the
+		// one-shot plan: a single stage without an edge.
+		oneshot := core.PlanFromSchedule(core.OneShot(in))
+
 		// Replay event by event: the walk/check must never panic, on
 		// this or any prefix state.
 		st := in.NewState()
@@ -70,7 +74,7 @@ func FuzzExploreTrace(f *testing.F) {
 				continue
 			}
 			// A violating prefix: minimization must be sound.
-			min, minViolated := Minimize(in, in.NewState(), trace, props)
+			min, minViolated := Minimize(in, in.NewState(), oneshot, trace, props)
 			if minViolated == 0 {
 				t.Fatalf("minimized trace of %s reports no violation", trace)
 			}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tsu/internal/core"
@@ -96,7 +97,8 @@ func ascendingExhaustive(in *core.Instance, done core.State, roundIdx int, round
 	return states, violation
 }
 
-// TestGrayExhaustiveMatchesAscending compares the Gray-code explorer
+// TestGrayExhaustiveMatchesAscending compares the explorer's exhaustive
+// routine on an edge-free stage — where it is the Gray-code scan —
 // against the ascending-size reference on random one-round instances
 // (n ≤ 12): identical verdicts, and when a violation exists, the
 // identical minimum counterexample — same trace, same size, same walk
@@ -123,7 +125,7 @@ func TestGrayExhaustiveMatchesAscending(t *testing.T) {
 		round := sched.Rounds[0]
 
 		_, want := ascendingExhaustive(in, in.NewState(), 0, round, props)
-		rep, err := Schedule(in, sched, Options{Props: props, MaxExhaustive: 12})
+		rep, err := Plan(in, core.PlanFromSchedule(sched), Options{Props: props, MaxExhaustive: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +166,73 @@ func TestGrayExhaustiveMatchesAscending(t *testing.T) {
 	}
 }
 
+// TestExhaustiveSparseStageMatchesReference drives the same exhaustive
+// routine on stages with inner edges — where it is the ideal DFS — on
+// random DAGs over random instances (n ≤ 10), against the reference
+// enumerator core.Plan.IdealStates, which lists the order ideals in
+// ascending (size, node mask): the same state count, and the first
+// violating ideal of that order as the counterexample, delivered in
+// node order.
+func TestExhaustiveSparseStageMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	checked, violating := 0, 0
+	for checked < 60 {
+		ti := topo.RandomTwoPath(rng, 4+rng.Intn(10), checked%2 == 0)
+		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
+		n := in.NumPending()
+		if n < 3 || n > 10 {
+			continue
+		}
+		d := core.NewPlanDraft(in)
+		for e := 1 + rng.Intn(n); e > 0; e-- {
+			_ = d.AddEdge(rng.Intn(n), rng.Intn(n)) // loops, duplicates and cycles are refused
+		}
+		p := d.Plan("random", 0)
+		if p.NumEdges() == 0 {
+			continue
+		}
+		checked++
+		props := in.NaturalProps()
+		ideals := p.IdealStates(in)
+		var want core.State
+		for _, st := range ideals {
+			if in.CheckState(st, props) != 0 {
+				want = st
+				break
+			}
+		}
+		rr := newScratch(in).exploreStage(&stage{plan: p, pre: in.NewState()}, props, Options{}.withDefaults())
+		if !rr.Exhaustive || rr.States != len(ideals) || rr.Events != len(ideals) {
+			t.Fatalf("%s on %v: %+v, want all %d ideals", p, in, rr, len(ideals))
+		}
+		if (rr.Violation == nil) != (want == nil) {
+			t.Fatalf("%s on %v: violation %v, reference state %v", p, in, rr.Violation, want)
+		}
+		if want == nil {
+			continue
+		}
+		violating++
+		v := rr.Violation
+		walk, _ := in.Walk(want)
+		if v.Violated != in.CheckState(want, props) || !v.Walk.Equal(walk) ||
+			!reflect.DeepEqual(v.Updated, in.StateNodes(want)) {
+			t.Fatalf("%s on %v: %s over %v, reference %v", p, in, v, v.Updated, in.StateNodes(want))
+		}
+		at := 0 // the trace is the ideal in node order
+		for _, nd := range p.Nodes {
+			if in.Updated(want, nd.Switch) {
+				if at >= len(v.Trace) || v.Trace[at].Switch != nd.Switch {
+					t.Fatalf("%s on %v: trace %s is not %v in node order", p, in, v.Trace, in.StateNodes(want))
+				}
+				at++
+			}
+		}
+	}
+	if violating == 0 {
+		t.Fatal("test never exercised a violating plan")
+	}
+}
+
 // exploreBenchInstance builds the BenchmarkExploreExhaustive workload:
 // a single-policy update whose one-shot schedule is one round of
 // exactly 16 pending switches (the old path's ingress plus 15 fresh
@@ -194,12 +263,13 @@ func exploreBenchInstance(b *testing.B) (*core.Instance, *core.Schedule) {
 // for graycode-incremental over ascending-clone-reference.
 func BenchmarkExploreExhaustive(b *testing.B) {
 	in, sched := exploreBenchInstance(b)
+	plan := core.PlanFromSchedule(sched)
 	props := core.RelaxedLoopFreedom
 	states := 1 << 16
 	b.Run("graycode-incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := Schedule(in, sched, Options{Props: props, MaxExhaustive: 16, Workers: 1})
+			rep, err := Plan(in, plan, Options{Props: props, MaxExhaustive: 16, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

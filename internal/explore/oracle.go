@@ -29,7 +29,7 @@ type IdealCounterexample struct {
 
 	// Exact marks counterexamples from exhaustive enumeration: the
 	// ideal is the minimum violating one by (size, node mask).
-	// Sampled counterexamples are 1-minimal (MinimizePlan) but not
+	// Sampled counterexamples are 1-minimal (Minimize) but not
 	// necessarily minimum.
 	Exact bool
 }
@@ -39,22 +39,21 @@ func (c *IdealCounterexample) String() string {
 }
 
 // PlanCounterexample is the synthesizer's oracle entry point: it
-// attacks the plan's DAG directly — never delegating layered plans to
-// the round machinery, so the violating state always comes back as an
-// ideal over plan-node indices — and returns the first violating
-// ideal found, or (nil, exhaustive) when the adversary found nothing.
+// attacks the plan's DAG as one stage — never splitting it at its
+// series cuts, so the violating state always comes back as an ideal
+// over plan-node indices — and returns the first violating ideal
+// found, or (nil, exhaustive) when the adversary found nothing.
 // exhaustive true means every reachable ideal was enumerated clean (a
 // proof); false means only sampled linear extensions were clean.
-// Deterministic in (plan, Options); Workers is ignored (the DAG path
-// is serial).
+// Deterministic in (plan, Options); Workers is ignored (one stage is
+// one work item).
 func PlanCounterexample(in *core.Instance, p *core.Plan, opts Options) (cex *IdealCounterexample, exhaustive bool, err error) {
 	if err := p.Validate(in); err != nil {
 		return nil, false, fmt.Errorf("explore: %w", err)
 	}
 	opts = opts.withDefaults()
-	props := defaultPropsFor(in, p.Guarantees, opts.Props)
-	sc := newScratch(in)
-	rr := sc.explorePlan(p, props, opts)
+	props := resolveProps(in, p.Guarantees, opts.Props)
+	rr := newScratch(in).exploreStage(&stage{plan: p, pre: startState(in, p)}, props, opts)
 	if rr.Violation == nil {
 		return nil, rr.Exhaustive, nil
 	}

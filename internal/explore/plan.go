@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -12,247 +11,231 @@ import (
 	"tsu/internal/topo"
 )
 
-// Plan explores a dependency plan against the ack-driven adversary:
-// the asynchronous control channel that lets every issued-but-not-yet-
-// confirmed FlowMod take effect in any order, constrained only by the
-// plan's happens-before edges. The reachable transient states are
-// exactly the DAG's order ideals (down-closed node sets; see
-// core.Plan), so:
-//
-//   - A layered plan's ideals are precisely the round states of its
-//     schedule view, and Plan delegates to the round machinery —
-//     reports, counters and fingerprints are bit-identical to
-//     Schedule on the equivalent round schedule.
-//   - A sparse plan is explored as one DAG: every order ideal is
-//     enumerated (a DFS over include/exclude decisions whose steps
-//     are single-switch flips, driven through the incremental
-//     core.Walker) when the ideal space fits the 1<<MaxExhaustive
-//     state budget; otherwise sampled linear extensions are replayed
-//     event by event — seeded uniform extensions plus heavy-tail-
-//     biased ones, where each node's install latency is drawn from
-//     the bounded-Pareto stall model and deliveries happen in
-//     completion-time order of the simulated ack-driven dispatch.
-//
-// Violation traces use the node's layer as the Event.Round, and
-// minimization removes only maximal elements so every shrunken trace
-// stays a reachable (down-closed) state.
-// Rollback plans (core.Plan.Reverse) are explored over the shifted
-// state space base∖ideal — the walker starts from the installed set
-// and flips clear bits — so the same adversary that attacks a forward
-// plan attacks its rollback; see verify.Plan for the correspondence.
-func Plan(in *core.Instance, p *core.Plan, opts Options) (*Report, error) {
-	if err := p.Validate(in); err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
-	if !p.Rollback {
-		if s, ok := p.Schedule(); ok {
-			return Schedule(in, s, opts)
-		}
-	}
-	opts = opts.withDefaults()
-	props := defaultPropsFor(in, p.Guarantees, opts.Props)
-	rep := &Report{Algorithm: p.Algorithm, Properties: props, Rounds: make([]RoundReport, 1)}
-	sc := newScratch(in)
-	rep.Rounds[0] = sc.explorePlan(p, props, opts)
-	rep.MemoHits = sc.mt.hits
-	return rep, nil
+// stage is the explorer's one work item: a block of the plan between
+// two series cuts (core.Plan.Stages) together with the state all
+// earlier stages leave behind. A whole plan taken as one stage (idx 0,
+// pre = startState) is what PlanCounterexample decides.
+type stage struct {
+	idx   int        // position in Plan.Stages — the Round of reports
+	plan  *core.Plan // the stage's sub-DAG
+	pre   core.State // all earlier stages delivered
+	layer int        // layer, in the whole plan, of the stage's roots
 }
 
-// defaultPropsFor resolves the checked property set from explicit
-// props, falling back to the plan/schedule guarantees and then the
-// instance's natural property set (see Options.Props).
-func defaultPropsFor(in *core.Instance, guarantees, props core.Property) core.Property {
-	if props != 0 {
-		return props
-	}
-	if guarantees != 0 {
-		return guarantees
-	}
-	p := core.NoBlackhole | core.RelaxedLoopFreedom
-	if in.Waypoint != 0 {
-		p |= core.WaypointEnforcement
-	}
-	return p
-}
-
-// explorePlan attacks a sparse plan's whole DAG as one round report:
-// exhaustive ideal enumeration when it fits the budget, sampled
-// linear extensions otherwise.
-func (sc *scratch) explorePlan(p *core.Plan, props core.Property, opts Options) RoundReport {
-	rr := RoundReport{Round: 0, Size: p.NumNodes()}
-	if p.NumNodes() <= 64 && sc.explorePlanExhaustive(p, props, opts, &rr) {
-		rr.Exhaustive = true
-		return rr
-	}
-	// Budget exceeded (or >64 nodes): discard partial counters and
-	// fall back to sampling.
-	rr = RoundReport{Round: 0, Size: p.NumNodes()}
-	sc.explorePlanSampled(p, props, opts, &rr)
-	return rr
-}
-
-// explorePlanExhaustive enumerates every order ideal of the plan,
-// checking the walker after each single-node step, and reports the
-// minimum violating ideal by ascending (size, node-index mask). A
-// minimum-size violating ideal is 1-minimal among reachable states:
-// every strictly smaller ideal was checked clean, and removing a
-// maximal element yields exactly such an ideal. It reports false when
-// the 1<<MaxExhaustive state budget was exceeded (rr is then partial
-// and must be discarded).
-func (sc *scratch) explorePlanExhaustive(p *core.Plan, props core.Property, opts Options, rr *RoundReport) bool {
-	in := sc.in
-	n := p.NumNodes()
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-	}
-	sc.idx = sc.idx[:n]
-	for i, nd := range p.Nodes {
-		sc.idx[i] = in.NodeIndex(nd.Switch)
-	}
-	var base core.State // nil for forward plans
+// startState returns the state no node of p has been delivered in: the
+// old configuration, or for a rollback plan the installed set.
+func startState(in *core.Instance, p *core.Plan) core.State {
 	if p.Rollback {
-		base = p.BaseState(in)
+		return p.BaseState(in)
 	}
-	sc.w.Reset(base)
-	budget := 1 << uint(opts.MaxExhaustive)
-	useMemo := n <= memoExhaustiveMax
-	var (
-		cur          uint64
-		found        bool
-		bestMask     uint64
-		bestSize     int
-		bestViolated core.Property
-	)
-	complete := p.VisitIdeals(
-		func(node int, on bool) {
-			sc.w.Flip(sc.idx[node])
-			if on {
-				cur |= 1 << uint(node)
-			} else {
-				cur &^= 1 << uint(node)
-			}
-		},
-		func() bool {
-			if rr.States >= budget {
-				return false
-			}
-			rr.States++
-			rr.Events++
-			var violated core.Property
-			if useMemo {
-				violated = sc.check(props)
-			} else {
-				violated = sc.w.Check(props)
-			}
-			if violated != 0 {
-				size := bits.OnesCount64(cur)
-				if !found || size < bestSize || (size == bestSize && cur < bestMask) {
-					found, bestMask, bestSize, bestViolated = true, cur, size, violated
-				}
-			}
-			return true
-		})
-	if !complete {
-		return false
-	}
-	if found {
-		rr.Violation = planViolation(in, p, bestMask, bestViolated)
-	}
-	return true
+	return in.NewState()
 }
 
-// planViolation materializes the violating ideal given by mask: the
-// trace delivers its nodes in topological (index) order, each event
-// tagged with the node's layer.
-func planViolation(in *core.Instance, p *core.Plan, mask uint64, violated core.Property) *Violation {
-	layers := planLayers(p)
-	trace := make(Trace, 0, bits.OnesCount64(mask))
-	sw := make([]topo.NodeID, 0, bits.OnesCount64(mask))
-	for i, nd := range p.Nodes {
-		if mask&(1<<uint(i)) != 0 {
-			sw = append(sw, nd.Switch)
-			trace = append(trace, Event{Round: layers[i], Switch: nd.Switch})
-		}
-	}
-	st := planTraceState(in, p, sw)
-	walk, _ := in.Walk(st)
-	return &Violation{
-		Round:    0,
-		Violated: violated,
-		Trace:    trace,
-		Walk:     walk,
-		Updated:  in.StateNodes(st),
-	}
-}
-
-// planTraceState returns the network state after delivering the given
-// switches: marked for a forward plan, base minus the switches for a
-// rollback plan (whose ideals count *uninstalled* nodes).
-func planTraceState(in *core.Instance, p *core.Plan, sw []topo.NodeID) core.State {
-	if !p.Rollback {
-		return in.StateOf(sw...)
-	}
-	st := p.BaseState(in)
-	for _, v := range sw {
-		if i := in.NodeIndex(v); i >= 0 {
+// deliver applies the given switches' FlowMods to st in place. A
+// delivery toggles its switch: sets it on the way forward, clears it in
+// a rollback.
+func deliver(in *core.Instance, st core.State, switches ...topo.NodeID) core.State {
+	for _, v := range switches {
+		if i := in.NodeIndex(v); i < 0 {
+			continue
+		} else if st.Has(i) {
 			st.Clear(i)
+		} else {
+			st.Set(i)
 		}
 	}
 	return st
 }
 
-// planLayers returns each node's layer (longest dependency chain).
-func planLayers(p *core.Plan) []int {
-	layers := make([]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
-		l := 0
-		for _, d := range nd.Deps {
-			if layers[d]+1 > l {
-				l = layers[d] + 1
-			}
-		}
-		layers[i] = l
+// violation materializes the counterexample reached by delivering
+// trace on top of the stage's pre-state.
+func (st *stage) violation(in *core.Instance, trace Trace, violated core.Property) *Violation {
+	switches := trace.Switches()
+	walk, _ := in.Walk(deliver(in, in.CloneState(st.pre), switches...))
+	return &Violation{
+		Round:    st.idx,
+		Violated: violated,
+		Trace:    trace,
+		Walk:     walk,
+		Updated:  in.StateNodes(in.StateOf(switches...)),
 	}
-	return layers
 }
 
-// explorePlanSampled replays sampled linear extensions of the plan on
-// the incremental walker, checking after every event. The first
-// Samples×HeavyTailBias extensions are heavy-tail-biased: the
-// ack-driven dispatch is simulated with per-node install latencies
-// from the bounded Pareto stall model (issue = latest dependency ack,
-// delivery order = completion-time order); the rest draw uniformly
-// random ready nodes via core.PlanRun. All draws derive from
-// opts.Seed alone.
-func (sc *scratch) explorePlanSampled(p *core.Plan, props core.Property, opts Options, rr *RoundReport) {
-	in := sc.in
-	n := p.NumNodes()
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5E3779B97F4A7C15))
-	heavy := int(float64(opts.Samples) * opts.HeavyTailBias)
-	tail := netem.Pareto{Scale: time.Millisecond, Alpha: 1.1, Cap: 500 * time.Millisecond}
-	layers := planLayers(p)
+// scratch is one worker's reusable exploration context: an incremental
+// walker, a transposition table shared across all stages the worker
+// handles, and the per-stage buffers. Nothing in it escapes to the
+// report except freshly allocated violation records.
+type scratch struct {
+	in    *core.Instance
+	w     *core.Walker
+	mt    *memo
+	idx   []int // dense instance index per stage node
+	trace Trace // running event trace (sampled mode)
+}
+
+func newScratch(in *core.Instance) *scratch {
+	return &scratch{in: in, w: in.NewWalker(), mt: newMemo(in)}
+}
+
+// check evaluates props in the walker's current state, through the
+// transposition table: a state seen before — by another order, another
+// prefix, or another stage — is answered from the table.
+func (sc *scratch) check(props core.Property) core.Property {
+	if v, ok := sc.mt.lookup(sc.w.State()); ok {
+		return v
+	}
+	v := sc.w.Check(props)
+	sc.mt.store(sc.w.State(), v)
+	return v
+}
+
+// memoExhaustiveMax bounds the stage size whose exhaustive scan feeds
+// the transposition table. Within one scan every state is distinct —
+// the enumeration itself is the transposition across the stage's
+// delivery orders — so the table only pays off across stages and
+// sampled replays; populating it with 2^n entries from a large stage
+// would cost more in inserts and memory than cross-stage hits recover.
+// Small stages (the common case for the consistent schedulers) stay in
+// the table; large ones check directly.
+const memoExhaustiveMax = 12
+
+// exploreStage attacks one stage: exhaustive enumeration of its order
+// ideals when they fit the budget, sampled delivery orders otherwise.
+func (sc *scratch) exploreStage(st *stage, props core.Property, opts Options) RoundReport {
+	n := st.plan.NumNodes()
 	if cap(sc.idx) < n {
 		sc.idx = make([]int, n)
 	}
 	sc.idx = sc.idx[:n]
-	for i, nd := range p.Nodes {
-		sc.idx[i] = in.NodeIndex(nd.Switch)
+	for i, nd := range st.plan.Nodes {
+		sc.idx[i] = sc.in.NodeIndex(nd.Switch)
 	}
+	rr := RoundReport{Round: st.idx, Size: n, Exhaustive: true}
+	if !sc.exhaustive(st, props, opts, &rr) {
+		// Budget exceeded (or >64 nodes): discard partial counters and
+		// fall back to sampling.
+		rr = RoundReport{Round: st.idx, Size: n}
+		sc.sampled(st, props, opts, &rr)
+	}
+	return rr
+}
 
+// grayVisit enumerates all 2^n n-bit masks in binary-reflected
+// Gray-code order: gray(k) = k XOR k>>1, and successive masks differ
+// in exactly one bit — bit trailingZeros(k) on step k. visit receives
+// each mask together with the flipped bit (-1 for the initial empty
+// mask). n must be at most 30.
+func grayVisit(n int, visit func(mask uint32, flipped int)) {
+	visit(0, -1)
+	for k := uint32(1); k < 1<<uint(n); k++ {
+		visit(k^(k>>1), bits.TrailingZeros32(k))
+	}
+}
+
+// exhaustive checks every order ideal of the stage exactly once, the
+// walker following the enumeration one flip at a time, and reports the
+// minimum violating ideal by ascending (size, node-index mask). The
+// enumerator is read off the stage: the Gray-code scan of all subsets
+// when it has no internal edge (6× cheaper per state than the DFS),
+// Plan.VisitIdeals otherwise. A minimum-size violating ideal is
+// 1-minimal among reachable states: every strictly smaller ideal was
+// checked clean, and removing a maximal element yields exactly such an
+// ideal. It reports false when the stage does not fit the
+// 1<<MaxExhaustive state budget (rr is then partial and must be
+// discarded).
+func (sc *scratch) exhaustive(st *stage, props core.Property, opts Options, rr *RoundReport) bool {
+	p := st.plan
+	n := p.NumNodes()
+	antichain := p.NumEdges() == 0
+	if n > 64 || antichain && n > opts.MaxExhaustive {
+		return false
+	}
+	sc.w.Reset(st.pre)
+	budget := 1 << uint(opts.MaxExhaustive)
+	useMemo := n <= memoExhaustiveMax
+	var (
+		cur, bestMask uint64
+		found         bool
+		bestSize      int
+		bestViolated  core.Property
+	)
+	visit := func() bool {
+		if rr.States >= budget {
+			return false
+		}
+		rr.States++
+		rr.Events++
+		var violated core.Property
+		if useMemo {
+			violated = sc.check(props)
+		} else {
+			violated = sc.w.Check(props)
+		}
+		if violated != 0 {
+			size := bits.OnesCount64(cur)
+			if !found || size < bestSize || (size == bestSize && cur < bestMask) {
+				found, bestMask, bestSize, bestViolated = true, cur, size, violated
+			}
+		}
+		return true
+	}
+	if antichain {
+		grayVisit(n, func(mask uint32, flipped int) {
+			if flipped >= 0 {
+				sc.w.Flip(sc.idx[flipped])
+			}
+			cur = uint64(mask)
+			visit()
+		})
+	} else if !p.VisitIdeals(func(node int, _ bool) {
+		sc.w.Flip(sc.idx[node])
+		cur ^= 1 << uint(node)
+	}, visit) {
+		return false
+	}
+	if found {
+		// The trace delivers the ideal's nodes in topological (index)
+		// order, each event tagged with the node's layer.
+		layers := p.NodeLayers()
+		trace := make(Trace, 0, bestSize)
+		for i, nd := range p.Nodes {
+			if bestMask&(1<<uint(i)) != 0 {
+				trace = append(trace, Event{Round: st.layer + layers[i], Switch: nd.Switch})
+			}
+		}
+		rr.Violation = st.violation(sc.in, trace, bestViolated)
+	}
+	return true
+}
+
+// sampled replays sampled linear extensions of the stage on the
+// incremental walker, checking after every event. The first
+// Samples×HeavyTailBias extensions are heavy-tail-biased: the
+// ack-driven dispatch is simulated with per-node install latencies
+// from the bounded Pareto stall model (issue = latest dependency ack,
+// delivery order = completion-time order) — in a stage without edges,
+// one stalled switch delivering long after the rest. The others draw
+// uniformly random ready nodes via core.PlanRun, which on an antichain
+// is a uniform permutation. All draws derive from opts.Seed and the
+// stage index alone — never from the worker the stage landed on. The
+// first violating prefix is minimized before reporting.
+func (sc *scratch) sampled(st *stage, props core.Property, opts Options, rr *RoundReport) {
+	p := st.plan
+	n := p.NumNodes()
+	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5E3779B97F4A7C15 ^ int64(st.idx)*0x5851F42D4C957F2D))
+	heavy := int(float64(opts.Samples) * opts.HeavyTailBias)
+	tail := netem.Pareto{Scale: time.Millisecond, Alpha: 1.1, Cap: 500 * time.Millisecond}
+	layers := p.NodeLayers()
 	run := core.NewPlanRun(p)
 	ready := make([]int, 0, n)
 	order := make([]int, 0, n)
 	finish := make([]time.Duration, n)
-	var base core.State // nil for forward plans
-	if p.Rollback {
-		base = p.BaseState(in)
-	}
 
 	// The empty ideal is common to every extension; check it once.
 	rr.Events++
-	sc.w.Reset(base)
+	sc.w.Reset(st.pre)
 	if violated := sc.check(props); violated != 0 {
-		rr.Violation = &Violation{Round: 0, Violated: violated, Trace: Trace{}, Walk: sc.w.Path()}
+		rr.Violation = st.violation(sc.in, Trace{}, violated)
 		return
 	}
 	for s := 0; s < opts.Samples; s++ {
@@ -293,46 +276,40 @@ func (sc *scratch) explorePlanSampled(p *core.Plan, props core.Property, opts Op
 			}
 		}
 		rr.Orders++
-		sc.w.Reset(base)
+		sc.w.Reset(st.pre)
 		sc.trace = sc.trace[:0]
 		for _, i := range order {
 			sc.w.Flip(sc.idx[i])
-			sc.trace = append(sc.trace, Event{Round: layers[i], Switch: p.Nodes[i].Switch})
+			sc.trace = append(sc.trace, Event{Round: st.layer + layers[i], Switch: p.Nodes[i].Switch})
 			rr.Events++
-			if violated := sc.check(props); violated != 0 {
-				min, minViolated := MinimizePlan(in, p, sc.trace, props)
-				st := planTraceState(in, p, min.Switches())
-				walk, _ := in.Walk(st)
-				rr.Violation = &Violation{
-					Round:    0,
-					Violated: minViolated,
-					Trace:    min,
-					Walk:     walk,
-					Updated:  in.StateNodes(st),
-				}
+			if sc.check(props) != 0 {
+				min, minViolated := Minimize(sc.in, st.pre, p, sc.trace, props)
+				rr.Violation = st.violation(sc.in, min, minViolated)
 				return
 			}
 		}
 	}
 }
 
-// MinimizePlan shrinks a violating plan trace while keeping it a
-// reachable state: only events that are maximal within the trace — no
-// later kept event depends on them — may be dropped, so the surviving
-// set stays down-closed. The result still violates props, and
-// dropping any single maximal event makes it pass (1-minimality over
-// the plan's reachable states).
-func MinimizePlan(in *core.Instance, p *core.Plan, trace Trace, props core.Property) (Trace, core.Property) {
-	nodeIdx := make(map[topo.NodeID]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
+// Minimize shrinks a violating trace of the stage sub (a whole plan, or
+// one of core.Plan.Stages) while keeping it a reachable state: only
+// events that are maximal within the trace — no other kept event
+// depends on them — may be dropped, so the surviving set stays
+// down-closed; in a stage without edges that is every event. Replaying
+// the result on top of pre (all earlier stages delivered) still
+// violates props, and dropping any single maximal event makes it pass
+// (1-minimality over the plan's reachable states). It returns the
+// minimized trace and the property set its replay violates (which may
+// differ from the original trace's — shrinking a loop can surface a
+// blackhole first). The input trace must violate; Minimize returns it
+// unchanged (with a zero violation set) when it somehow does not.
+func Minimize(in *core.Instance, pre core.State, sub *core.Plan, trace Trace, props core.Property) (Trace, core.Property) {
+	nodeIdx := make(map[topo.NodeID]int, len(sub.Nodes))
+	for i, nd := range sub.Nodes {
 		nodeIdx[nd.Switch] = i
 	}
 	replay := func(tr Trace) core.Property {
-		sw := make([]topo.NodeID, len(tr))
-		for i, e := range tr {
-			sw[i] = e.Switch
-		}
-		return in.CheckState(planTraceState(in, p, sw), props)
+		return in.CheckState(deliver(in, in.CloneState(pre), tr.Switches()...), props)
 	}
 	cur := append(Trace(nil), trace...)
 	violated := replay(cur)
@@ -345,7 +322,7 @@ func MinimizePlan(in *core.Instance, p *core.Plan, trace Trace, props core.Prope
 			if j == i {
 				continue
 			}
-			for _, d := range p.Nodes[nodeIdx[e.Switch]].Deps {
+			for _, d := range sub.Nodes[nodeIdx[e.Switch]].Deps {
 				if d == v {
 					return false
 				}

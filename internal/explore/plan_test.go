@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tsu/internal/core"
@@ -31,12 +32,14 @@ func planTestInstances(t *testing.T) map[string]*core.Instance {
 	}
 }
 
-// TestLayeredPlanBitIdentical is the plan↔schedule equivalence
-// contract, pinned for every registered scheduler on Fig.1 and a
-// fat-tree instance: converting the scheduler's rounds to a layered
-// plan must yield (a) the identical reachable-state set, (b) the
-// identical verifier report, and (c) the bit-identical explorer
-// fingerprint — layered plans ARE round semantics.
+// TestLayeredPlanBitIdentical is the layered-plan contract, pinned for
+// every registered scheduler on Fig.1 and a fat-tree instance: the
+// scheduler's rounds, converted to a layered plan, must yield (a) the
+// round states as the reachable-state set, (b) one verifier result per
+// round whose verdict is the one the round states give, and (c) one
+// explorer report per round that is bit-identical to the reference
+// round enumerator's (ascendingExhaustive) — layered plans ARE round
+// semantics, with one engine behind them.
 func TestLayeredPlanBitIdentical(t *testing.T) {
 	for caseName, in := range planTestInstances(t) {
 		for _, name := range core.Names() {
@@ -50,13 +53,16 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 					t.Skipf("%s declined: %v", name, err)
 				}
 				p := core.PlanFromSchedule(s)
+				props := in.NaturalProps()
 
 				// (a) Reachable states: the plan's order ideals are the
 				// schedule's round states.
 				wantStates := roundStates(in, s)
 				gotStates := map[string]bool{}
+				clean := true
 				for _, st := range p.IdealStates(in) {
 					gotStates[stateKey(st)] = true
+					clean = clean && in.CheckState(st, props) == 0
 				}
 				if len(gotStates) != len(wantStates) {
 					t.Fatalf("reachable states: %d ideals vs %d round states", len(gotStates), len(wantStates))
@@ -67,27 +73,37 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 					}
 				}
 
-				// (b) Verifier verdicts: bit-identical reports.
-				vopts := verify.Options{Seed: 7}
-				vs := verify.Schedule(in, s, s.Guarantees, vopts)
-				vp := verify.Plan(in, p, s.Guarantees, vopts)
-				if vs.String() != vp.String() || vs.OK() != vp.OK() || vs.Exact() != vp.Exact() {
-					t.Fatalf("verifier diverged:\n schedule %s\n plan     %s", vs, vp)
+				// (b) Verifier: a result per round, exact at these
+				// sizes, and the verdict the round states give.
+				vp := verify.Plan(in, p, props, verify.Options{Seed: 7})
+				if len(vp.Rounds) != len(s.Rounds) || !vp.Exact() || vp.OK() != clean {
+					t.Fatalf("verifier: %s (%d results for %d rounds), round states clean=%t", vp, len(vp.Rounds), len(s.Rounds), clean)
+				}
+				for i, rr := range vp.Rounds {
+					if rr.Round != i || rr.Size != len(s.Rounds[i]) {
+						t.Fatalf("verifier result %d = %+v, want round %d of size %d", i, rr, i, len(s.Rounds[i]))
+					}
 				}
 
-				// (c) Explorer fingerprints: bit-identical.
-				eopts := Options{Seed: 11, MaxExhaustive: 14}
-				rs, err := Schedule(in, s, eopts)
+				// (c) Explorer: per round, the reference enumerator's
+				// state count and minimum counterexample.
+				rp, err := Plan(in, p, Options{Props: props, Seed: 11, MaxExhaustive: 14})
 				if err != nil {
 					t.Fatal(err)
 				}
-				rp, err := Plan(in, p, eopts)
-				if err != nil {
-					t.Fatal(err)
+				if len(rp.Rounds) != len(s.Rounds) {
+					t.Fatalf("explorer: %d reports for %d rounds", len(rp.Rounds), len(s.Rounds))
 				}
-				if rs.Fingerprint() != rp.Fingerprint() {
-					t.Fatalf("explorer fingerprint diverged:\n schedule:\n%s\n plan:\n%s",
-						rs.Fingerprint(), rp.Fingerprint())
+				for i, round := range s.Rounds {
+					rr := rp.Rounds[i]
+					_, want := ascendingExhaustive(in, s.StateAfter(in, i), i, round, props)
+					if rr.Round != i || rr.Size != len(round) || !rr.Exhaustive ||
+						rr.States != 1<<len(round) || rr.Events != rr.States || rr.Orders != 0 {
+						t.Fatalf("explorer report %d = %+v, want the full 2^%d scan of round %d", i, rr, len(round), i)
+					}
+					if !reflect.DeepEqual(rr.Violation, want) {
+						t.Fatalf("round %d: violation %v, reference %v", i, rr.Violation, want)
+					}
 				}
 			})
 		}
@@ -123,52 +139,6 @@ func stateKey(st core.State) string {
 		}
 	}
 	return string(b)
-}
-
-// TestQuickPlanScheduleEquivalence property-tests the same contract
-// over random two-path instances and every registered scheduler,
-// including the waypoint-carrying ones.
-func TestQuickPlanScheduleEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	trials := 60
-	if testing.Short() {
-		trials = 10
-	}
-	for trial := 0; trial < trials; trial++ {
-		ti := topo.RandomTwoPath(rng, 4+rng.Intn(8), trial%2 == 0)
-		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
-		if in.NumPending() == 0 {
-			continue
-		}
-		for _, name := range core.Names() {
-			scheduler := core.MustScheduler(name)
-			if !scheduler.Applicable(in) {
-				continue
-			}
-			s, err := scheduler.Schedule(in, 0)
-			if err != nil {
-				continue
-			}
-			p := core.PlanFromSchedule(s)
-			eopts := Options{Seed: int64(trial), MaxExhaustive: 14}
-			rs, err := Schedule(in, s, eopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rp, err := Plan(in, p, eopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Fingerprint() != rp.Fingerprint() {
-				t.Fatalf("%s on %v: fingerprint diverged", name, in)
-			}
-			vs := verify.Schedule(in, s, s.Guarantees, verify.Options{Seed: int64(trial)})
-			vp := verify.Plan(in, p, s.Guarantees, verify.Options{Seed: int64(trial)})
-			if vs.String() != vp.String() {
-				t.Fatalf("%s on %v: verifier diverged:\n %s\n %s", name, in, vs, vp)
-			}
-		}
-	}
 }
 
 // TestExploreSparsePlanFig1 pins the sparse-plan explorer on the
@@ -243,12 +213,12 @@ func TestExploreSparsePlanFindsViolation(t *testing.T) {
 	}
 }
 
-// TestMinimizePlanKeepsIdeals pins MinimizePlan's reachability
-// contract: shrinking only removes maximal events, so the minimized
-// trace stays down-closed under the plan's dependencies — an event a
-// kept event depends on survives even when the unconstrained
-// minimizer would have dropped it.
-func TestMinimizePlanKeepsIdeals(t *testing.T) {
+// TestMinimizeKeepsIdeals pins Minimize's reachability contract:
+// shrinking only removes maximal events, so the minimized trace stays
+// down-closed under the plan's dependencies — an event a kept event
+// depends on survives even when an edgeless stage would have let it
+// go.
+func TestMinimizeKeepsIdeals(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
 	// Hand-built plan: schedule order [7 8 9 10 11 1 3], the only edge
 	// 9 → 3. The trace [9 3] blackholes (3 routes into the rule-less
@@ -264,17 +234,77 @@ func TestMinimizePlanKeepsIdeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := Trace{{Switch: 9}, {Switch: 3}}
-	min, violated := MinimizePlan(in, p, trace, core.NoBlackhole)
+	min, violated := Minimize(in, in.NewState(), p, trace, core.NoBlackhole)
 	if !violated.Has(core.NoBlackhole) {
 		t.Fatalf("violated = %s, want NoBlackhole", violated)
 	}
 	if len(min) != 2 || min[0].Switch != 9 || min[1].Switch != 3 {
 		t.Fatalf("minimized = %v, want [9 3] (9 must survive: 3 depends on it)", min)
 	}
-	// The unconstrained subset minimizer would shrink to the
-	// unreachable {3}; pin that MinimizePlan did not.
-	unconstrained, _ := Minimize(in, in.NewState(), trace, core.NoBlackhole)
+	// Without the edge every event is maximal and the minimizer
+	// shrinks to {3}, unreachable under p; pin that the edge is what
+	// kept 9.
+	edgeless := core.PlanFromSchedule(core.OneShot(in))
+	unconstrained, _ := Minimize(in, in.NewState(), edgeless, trace, core.NoBlackhole)
 	if len(unconstrained) != 1 {
 		t.Fatalf("premise broken: unconstrained minimum = %v", unconstrained)
+	}
+}
+
+// seriesCutPlan is a hand-built sparse Fig.1 plan with exactly one
+// series cut: stage 0 = {7, 8} (no edge), stage 1 = {1, 9, 10, 11, 3},
+// every node of which waits for both 7 and 8, with the single inner
+// edge 9 → 3. The one reachable blackhole — 3 flipped onto the new
+// path while 10 has no rule yet — lies past the cut: its minimum ideal
+// is {7, 8} ∪ {9, 3}.
+func seriesCutPlan(t *testing.T, in *core.Instance) *core.Plan {
+	t.Helper()
+	p := &core.Plan{Algorithm: "handmade", Sparse: true, Nodes: []core.PlanNode{
+		{Switch: 7}, {Switch: 8},
+		{Switch: 1, Deps: []int{0, 1}},
+		{Switch: 9, Deps: []int{0, 1}},
+		{Switch: 10, Deps: []int{0, 1}},
+		{Switch: 11, Deps: []int{0, 1}},
+		{Switch: 3, Deps: []int{3}},
+	}}
+	if err := p.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestExploreReportsStageInFlight pins Violation.Round on a sparse plan
+// whose only violating ideals lie past its series cut: stage 0 is
+// explored exhaustively and clean, the counterexample names stage 1,
+// and its trace is an order ideal of stage 1's sub-DAG (3 only after
+// 9), tagged with node layers.
+func TestExploreReportsStageInFlight(t *testing.T) {
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	p := seriesCutPlan(t, in)
+	for name, opts := range map[string]Options{
+		"exhaustive": {Props: core.NoBlackhole},
+		"sampled":    {Props: core.NoBlackhole, MaxExhaustive: 2, Samples: 64, Seed: 1},
+	} {
+		rep, err := Plan(in, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Rounds) != 2 || rep.Rounds[0].Size != 2 || rep.Rounds[1].Size != 5 {
+			t.Fatalf("%s: stages = %+v, want {7 8} then the other five", name, rep.Rounds)
+		}
+		if r0 := rep.Rounds[0]; !r0.Exhaustive || r0.States != 4 || r0.Violation != nil {
+			t.Fatalf("%s: stage 0 = %+v, want 4 states, exhaustive and clean", name, r0)
+		}
+		v := rep.FirstViolation()
+		if v == nil || v != rep.Rounds[1].Violation {
+			t.Fatalf("%s: no violation in stage 1: %s", name, rep)
+		}
+		if v.Round != 1 || v.Violated != core.NoBlackhole {
+			t.Fatalf("%s: violation %s, want stage 1, NoBlackhole", name, v)
+		}
+		want := Trace{{Round: 1, Switch: 9}, {Round: 2, Switch: 3}}
+		if !reflect.DeepEqual(v.Trace, want) || !v.Walk.Equal(topo.Path{1, 2, 3, 9, 10}) {
+			t.Fatalf("%s: trace %s walk %v, want %s via [1 2 3 9 10]", name, v.Trace, v.Walk, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"tsu/internal/core"
 	"tsu/internal/netem"
 	"tsu/internal/simclock"
+	"tsu/internal/topo"
 )
 
 // TimedOptions configures a timed virtual-time replay.
@@ -62,7 +63,7 @@ func Timed(in *core.Instance, s *core.Schedule, opts TimedOptions) (*TimedReport
 	if err := s.Validate(in); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
-	props := defaultProps(in, s, opts.Props)
+	props := resolveProps(in, s.Guarantees, opts.Props)
 	sim := simclock.NewSim(time.Time{})
 	src := netem.NewSourceClock(opts.Seed, sim)
 	rep := &TimedReport{Algorithm: s.Algorithm, Properties: props, Rounds: s.NumRounds()}
@@ -86,23 +87,19 @@ func Timed(in *core.Instance, s *core.Schedule, opts TimedOptions) (*TimedReport
 				if violated != 0 {
 					rep.Violations++
 					if rep.First == nil {
-						done := s.StateAfter(in, r)
 						// The in-flight set at this instant is the
-						// violating trace; minimize it for the report.
+						// violating trace; minimize it for the report,
+						// as a delivery order of the stage round r is.
+						stg := stage{idx: r, pre: s.StateAfter(in, r)}
 						var trace Trace
 						for _, w := range round {
-							if in.Updated(st, w) && !in.Updated(done, w) {
+							if in.Updated(st, w) && !in.Updated(stg.pre, w) {
 								trace = append(trace, Event{Round: r, Switch: w})
 							}
 						}
-						min, minViolated := Minimize(in, done, trace, props)
-						rep.First = &Violation{
-							Round:    r,
-							Violated: minViolated,
-							Trace:    min,
-							Walk:     violatingWalk(in, done, min),
-							Updated:  in.StateNodes(in.StateOf(min.Switches()...)),
-						}
+						antichain := core.PlanFromSchedule(&core.Schedule{Rounds: [][]topo.NodeID{round}})
+						min, minViolated := Minimize(in, stg.pre, antichain, trace, props)
+						rep.First = stg.violation(in, min, minViolated)
 					}
 				}
 				if opts.RecordLog {

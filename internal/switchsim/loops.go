@@ -234,7 +234,7 @@ func (g *LoopGroup) popLocked() groupEvent {
 	last := len(g.heap) - 1
 	g.heap[0] = g.heap[last]
 	// Zero the vacated slot: the slice's slack would otherwise keep the
-	// popped event — its switch and 64 KB-buffered connection —
+	// popped event — its switch and 4 KB-buffered connection —
 	// reachable until a later push happens to overwrite it.
 	g.heap[last] = groupEvent{}
 	g.heap = g.heap[:last]

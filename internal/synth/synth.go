@@ -191,17 +191,12 @@ func (t *Transcript) String() string {
 }
 
 // DefaultProps resolves the synthesis target: props itself when
-// non-zero, else blackhole freedom and relaxed loop freedom, plus
-// waypoint enforcement when the instance has a waypoint.
+// non-zero, else the instance's natural property set.
 func DefaultProps(in *core.Instance, props core.Property) core.Property {
 	if props != 0 {
 		return props
 	}
-	p := core.NoBlackhole | core.RelaxedLoopFreedom
-	if in.Waypoint != 0 {
-		p |= core.WaypointEnforcement
-	}
-	return p
+	return in.NaturalProps()
 }
 
 // Synthesize runs the CEGIS loop on its own (no heuristic portfolio)

@@ -199,7 +199,7 @@ func TestSynthRegistered(t *testing.T) {
 	if s.Guarantees == 0 {
 		t.Fatal("synth schedule guarantees nothing")
 	}
-	if rep := verify.Guarantees(in, s, verify.Options{}); !rep.OK() {
+	if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
 		t.Fatalf("synth schedule unsafe: %v", rep.FirstViolation())
 	}
 	p, err := core.PlanByName(in, core.AlgoSynth, 0, true)

@@ -1,61 +1,11 @@
 package verify
 
-import (
-	"math/rand"
-
-	"tsu/internal/core"
-)
-
-// Plan verifies a dependency plan: props must hold in every reachable
-// transient state, which for a plan means every order ideal
-// (down-closed node set) of its DAG — see core.Plan for the
-// equivalence argument.
-//
-// A layered plan's ideals are exactly the round states of its
-// schedule view, so layered plans delegate to the round engine and
-// the report is bit-identical to Schedule on the equivalent schedule.
-// Sparse plans are decided as one DAG: the ideal space is enumerated
-// exhaustively (single-flip DFS on the incremental walker) while it
-// fits Options.Budget states; past the budget the verifier falls back
-// to sampled linear extensions — every prefix of a seeded random
-// extension is an ideal — and marks the round inexact.
-// Rollback plans (core.Plan.Reverse) reuse the same machinery over a
-// shifted state space: an ideal I of the rollback DAG is the set of
-// switches already *uninstalled*, so the network state is base∖I where
-// base marks every switch the plan covers. The walker starts from base
-// and the single-flip enumeration clears bits instead of setting them;
-// the final state (everything undone) must recover the old path.
-func Plan(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
-	if !p.Rollback {
-		if s, ok := p.Schedule(); ok {
-			return Schedule(in, s, props, opts)
-		}
-	}
-	opts = opts.withDefaults()
-	r := &Report{Algorithm: p.Algorithm, Properties: props}
-	if err := p.Validate(in); err != nil {
-		r.StructureErr = err
-		return r
-	}
-	if p.Rollback {
-		walk, outcome := in.Walk(in.NewState())
-		r.FinalStateOK = outcome == core.Reached && walk.Equal(in.Old)
-	} else {
-		full := in.NewState()
-		for _, nd := range p.Nodes {
-			in.Mark(full, nd.Switch)
-		}
-		walk, outcome := in.Walk(full)
-		r.FinalStateOK = outcome == core.Reached && walk.Equal(in.New)
-	}
-	r.Rounds = []RoundResult{planIdeals(in, p, props, opts)}
-	return r
-}
+import "tsu/internal/core"
 
 // PlanCounterexample is the synthesizer's certificate oracle: it
-// decides the plan's ideal space directly — never delegating layered
-// plans to the round engine, so a violating state always comes back
-// as an ideal over plan-node indices — and returns the violating
+// decides the plan's ideal space as one stage — never splitting it at
+// its series cuts, so a violating state always comes back as an ideal
+// over plan-node indices — and returns the violating
 // ideal (ascending node indices), the properties broken there, and
 // whether the verdict is exact (exhaustive enumeration within
 // Options.Budget rather than sampled extensions). nodes == nil means
@@ -67,93 +17,21 @@ func PlanCounterexample(in *core.Instance, p *core.Plan, props core.Property, op
 	if err := p.Validate(in); err != nil {
 		return nil, 0, false
 	}
-	rr := planIdeals(in, p, props, opts)
-	if rr.Violation == nil {
-		return nil, 0, rr.Exact
+	var base core.State // nil for forward plans: the empty ideal is the old state
+	if p.Rollback {
+		base = p.BaseState(in)
+	}
+	cex, exact := checkDAG(in.NewWalker(), base, p, props, opts, 0, 0)
+	if cex == nil {
+		return nil, 0, exact
 	}
 	for i, nd := range p.Nodes {
 		// Forward plans: a node is in the violating ideal when its
 		// switch is updated. Rollback plans invert: the ideal is the
 		// uninstalled set (state = base∖ideal).
-		if in.Updated(rr.Violation.Updated, nd.Switch) != p.Rollback {
+		if in.Updated(cex.Updated, nd.Switch) != p.Rollback {
 			nodes = append(nodes, i)
 		}
 	}
-	return nodes, rr.Violation.Violated, rr.Exact
-}
-
-// planIdeals decides one plan's whole ideal space as a single round
-// result: exhaustive single-flip DFS within Options.Budget states,
-// sampled linear extensions past it.
-func planIdeals(in *core.Instance, p *core.Plan, props core.Property, opts Options) RoundResult {
-	rr := RoundResult{Round: 0, Size: p.NumNodes()}
-	w := in.NewWalker()
-	var base core.State // nil for forward plans: the empty ideal is the old state
-	if p.Rollback {
-		base = p.BaseState(in)
-		w.Reset(base)
-	}
-	idx := make([]int, p.NumNodes())
-	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
-	}
-	states := 0
-	complete := p.VisitIdeals(
-		func(node int, _ bool) { w.Flip(idx[node]) },
-		func() bool {
-			states++
-			if states > opts.Budget {
-				return false
-			}
-			if violated := w.Check(props); violated != 0 {
-				rr.Violation = &core.CounterExample{
-					Updated:  in.CloneState(w.State()),
-					Walk:     w.Path(),
-					Violated: violated,
-				}
-				return false
-			}
-			return true
-		})
-	rr.Exact = complete || rr.Violation != nil
-	if !rr.Exact {
-		rr.Violation = samplePlan(in, p, w, base, idx, props, opts)
-	}
-	return rr
-}
-
-// samplePlan replays Options.Samples seeded random linear extensions
-// of the plan on the walker, checking every prefix (each prefix is an
-// order ideal), and returns the first counterexample found. base is
-// the state of the empty ideal: nil for forward plans, the plan's
-// BaseState for rollback plans.
-func samplePlan(in *core.Instance, p *core.Plan, w *core.Walker, base core.State, idx []int, props core.Property, opts Options) *core.CounterExample {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7F4A7C159E3779B9))
-	run := core.NewPlanRun(p)
-	ready := make([]int, 0, p.NumNodes())
-	check := func() *core.CounterExample {
-		if violated := w.Check(props); violated != 0 {
-			return &core.CounterExample{Updated: in.CloneState(w.State()), Walk: w.Path(), Violated: violated}
-		}
-		return nil
-	}
-	w.Reset(base)
-	if cex := check(); cex != nil { // the empty ideal
-		return cex
-	}
-	for s := 0; s < opts.Samples; s++ {
-		w.Reset(base)
-		ready = run.Reset(ready[:0])
-		for len(ready) > 0 {
-			k := rng.Intn(len(ready))
-			i := ready[k]
-			ready[k] = ready[len(ready)-1]
-			ready = run.Complete(i, ready[:len(ready)-1])
-			w.Flip(idx[i])
-			if cex := check(); cex != nil {
-				return cex
-			}
-		}
-	}
-	return nil
+	return nodes, cex.Violated, exact
 }

@@ -1,23 +1,28 @@
-// Package verify checks transient consistency of update schedules.
+// Package verify checks transient consistency of update plans.
 //
-// A schedule is transiently consistent for a property set when the
-// property holds in every reachable intermediate state: every prefix of
-// completed rounds plus every subset of the in-flight round (barriers
-// order rounds; asynchrony makes intra-round subsets arbitrary). The
-// verifier decides this exactly per round via the core package's
-// branching walk search and the polynomial double-edge test for strong
-// loop freedom; when a round is too large for the exact search budget
-// it falls back to randomized subset sampling and marks the result
-// inexact.
+// A plan is transiently consistent for a property set when the property
+// holds in every reachable intermediate state — every order ideal of
+// its dependency DAG (see core.Plan). The verifier has one engine and
+// its work item is a *stage* (core.Plan.Stages): the plan is split at
+// its series cuts, and the ideals are "all earlier stages applied plus
+// an ideal of the stage in flight". A stage without an internal edge on
+// a forward plan — every round of a layered plan — is a set of switches
+// of which any subset may have taken effect: it is decided exactly by
+// the core package's branching walk search and the polynomial
+// double-edge test for strong loop freedom, and by randomized subset
+// sampling when the search exhausts its budget. Any other stage (a
+// sparse DAG, a rollback) is decided by enumerating its order ideals
+// with single-switch flips, and by sampled linear extensions past the
+// budget. A sampled stage is marked inexact.
 //
-// The engine is parallel: rounds are independent work items (the state
-// a round starts from is determined by the schedule alone, not by
-// earlier verdicts), so they fan out over a worker pool sized by
-// Options.Workers, and sampling fallbacks split into fixed-size chunks
-// that fan out the same way. Results merge deterministically — the
-// report is identical for every worker count, including 1. Batch
-// verifies many (instance, schedule) pairs in one pool, which is how
-// the experiment harness amortizes across thousands of instances.
+// The engine is parallel: stages are independent work items (the state
+// a stage starts from is determined by the plan alone, not by earlier
+// verdicts), so they fan out over a worker pool sized by
+// Options.Workers, and subset-sampling fallbacks split into fixed-size
+// chunks that fan out the same way. Results merge deterministically —
+// the report is identical for every worker count, including 1. Batch
+// verifies many (instance, plan) pairs in one pool, which is how the
+// experiment harness amortizes across thousands of instances.
 //
 // The verifier is algorithm-agnostic: every scheduler in this
 // repository is validated against it in tests, and the experiment
@@ -38,12 +43,16 @@ import (
 
 // Options configures verification.
 type Options struct {
-	// Budget bounds the exact per-round subset search (walk steps).
-	// Zero selects core.DefaultCheckBudget.
+	// Budget bounds the exact search of one stage: walk steps of the
+	// branching subset search for an edge-free forward stage, order
+	// ideals enumerated for a DAG or rollback stage. Zero selects
+	// core.DefaultCheckBudget.
 	Budget int
 
-	// Samples is the number of random subsets checked per round when
-	// the exact search exhausts its budget. Zero selects 1024.
+	// Samples is the number of random draws checked per stage when the
+	// exact search exhausts its budget — subsets of an edge-free
+	// forward stage, linear extensions (every prefix checked) of a DAG
+	// or rollback stage. Zero selects 1024.
 	Samples int
 
 	// Seed seeds the sampling RNGs. Verification is deterministic in
@@ -68,33 +77,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// RoundResult records the verdict for one round.
+// RoundResult records the verdict for one stage — one round of a
+// layered plan.
 type RoundResult struct {
-	Round     int
-	Size      int
-	Exact     bool                 // exhaustive over all subsets vs sampled
+	Round     int                  // the stage's index in Plan.Stages
+	Size      int                  // nodes in the stage
+	Exact     bool                 // exhaustive over all of the stage's ideals vs sampled
 	Violation *core.CounterExample // nil when no violation found
 }
 
-// Report is the outcome of verifying a schedule.
+// Report is the outcome of verifying a plan.
 type Report struct {
 	Algorithm  string
 	Properties core.Property
 	Rounds     []RoundResult
 
-	// FinalStateOK reports whether applying every round yields exactly
-	// the new path as the forwarding walk.
+	// FinalStateOK reports whether applying every node yields exactly
+	// the new path as the forwarding walk — the old path for a rollback
+	// plan.
 	FinalStateOK bool
 
-	// StructureErr holds the schedule-structure failure, if any
-	// (rounds not partitioning the pending set).
+	// StructureErr holds the plan-structure failure, if any (nodes not
+	// covering the pending set, dependencies out of order).
 	StructureErr error
 }
 
-// OK reports whether the schedule passed: valid structure, no
-// violations in any round, and a correct final state. An inexact
-// (sampled) round without violations still counts as passing; check
-// Exact per round when exhaustiveness matters.
+// OK reports whether the plan passed: valid structure, no violation in
+// any stage, and a correct final state. An inexact (sampled) stage
+// without violations still counts as passing; check Exact per stage
+// when exhaustiveness matters.
 func (r *Report) OK() bool {
 	if r.StructureErr != nil || !r.FinalStateOK {
 		return false
@@ -107,7 +118,7 @@ func (r *Report) OK() bool {
 	return true
 }
 
-// Exact reports whether every round was verified exhaustively.
+// Exact reports whether every stage was verified exhaustively.
 func (r *Report) Exact() bool {
 	for _, rr := range r.Rounds {
 		if !rr.Exact {
@@ -144,82 +155,113 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Task is one (instance, schedule, properties) verification job for
-// Batch.
+// Task is one (instance, plan, properties) verification job for Batch.
 type Task struct {
 	Instance *core.Instance
-	Schedule *core.Schedule
+	Plan     *core.Plan
 	Props    core.Property
 }
 
-// Schedule verifies a schedule against props in every reachable
-// transient state, fanning the per-round work over Options.Workers.
-func Schedule(in *core.Instance, s *core.Schedule, props core.Property, opts Options) *Report {
-	return Batch([]Task{{Instance: in, Schedule: s, Props: props}}, opts)[0]
+// Plan verifies a dependency plan against props in every reachable
+// transient state — every order ideal of its DAG — fanning the
+// per-stage work over Options.Workers. Rollback plans
+// (core.Plan.Reverse) are the same work over a shifted state space: an
+// ideal I of the rollback DAG is the set of switches already
+// *uninstalled*, so the network state is base∖I where base marks every
+// switch the plan covers; stages start from base with bits cleared,
+// and the final state (everything undone) must recover the old path.
+func Plan(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
+	return Batch([]Task{{Instance: in, Plan: p, Props: props}}, opts)[0]
 }
 
-// Guarantees verifies a schedule against its own declared guarantee
-// set — the contract check used throughout the tests and examples.
-func Guarantees(in *core.Instance, s *core.Schedule, opts Options) *Report {
-	return Schedule(in, s, s.Guarantees, opts)
+// checkDAG decides one DAG or rollback stage on w: its order ideals
+// exhaustively within Options.Budget, sampled linear extensions past
+// it. PlanCounterexample, which decides a whole plan as task 0 /
+// stage 0, shares it — and so the sampler's seed.
+func checkDAG(w *core.Walker, pre core.State, p *core.Plan, props core.Property, opts Options, task, stage int) (cex *core.CounterExample, exact bool) {
+	if cex, exact = w.CheckIdeals(pre, p, props, opts.Budget); !exact {
+		rng := rand.New(rand.NewSource(opts.Seed ^ 0x7F4A7C159E3779B9 ^ int64(task)<<40 ^ int64(stage)<<20))
+		cex = w.SampleExtensions(pre, p, props, opts.Samples, rng)
+	}
+	return cex, exact
 }
 
-// Batch verifies many schedules in one worker pool. Per-round work
-// items from every task interleave freely across workers; results are
-// merged back per task, so reports[i] corresponds to tasks[i] and is
+// Batch verifies many plans in one worker pool. Per-stage work items
+// from every task interleave freely across workers; results are merged
+// back per task, so reports[i] corresponds to tasks[i] and is
 // bit-identical to a serial run.
 func Batch(tasks []Task, opts Options) []*Report {
 	opts = opts.withDefaults()
 	reports := make([]*Report, len(tasks))
 
-	// Materialize every round work item with its (deterministic)
-	// pre-round state. The final-state check is cheap and serial.
+	// Materialize every stage work item with its (deterministic)
+	// pre-stage state. The final-state check is cheap and serial.
 	type item struct {
 		task  int
-		round int
-		done  core.State
+		stage int
+		plan  *core.Plan // the stage's sub-DAG
+		pre   core.State // all earlier stages applied
+		round bool       // edge-free and forward: any subset of its switches may be in effect
 	}
 	var items []item
 	for t, task := range tasks {
-		r := &Report{Algorithm: task.Schedule.Algorithm, Properties: task.Props}
+		in, p := task.Instance, task.Plan
+		r := &Report{Algorithm: p.Algorithm, Properties: task.Props}
 		reports[t] = r
-		if err := task.Schedule.Validate(task.Instance); err != nil {
+		if err := p.Validate(in); err != nil {
 			r.StructureErr = err
 			continue
 		}
-		r.Rounds = make([]RoundResult, len(task.Schedule.Rounds))
-		done := task.Instance.NewState()
-		for i, round := range task.Schedule.Rounds {
-			items = append(items, item{task: t, round: i, done: done.Clone()})
-			task.Instance.Mark(done, round...)
+		stages := p.Stages()
+		r.Rounds = make([]RoundResult, len(stages))
+		state, want := in.NewState(), in.New
+		if p.Rollback {
+			state, want = p.BaseState(in), in.Old
 		}
-		walk, outcome := task.Instance.Walk(done)
-		r.FinalStateOK = outcome == core.Reached && walk.Equal(task.Instance.New)
+		pres := make(core.State, len(state)*len(stages)) // every stage's pre-state, one array
+		for k, st := range stages {
+			pre := pres[k*len(state) : (k+1)*len(state)]
+			copy(pre, state)
+			items = append(items, item{task: t, stage: k, plan: st, pre: pre,
+				round: !p.Rollback && st.NumEdges() == 0})
+			for _, nd := range st.Nodes {
+				if j := in.NodeIndex(nd.Switch); p.Rollback {
+					state.Clear(j)
+				} else {
+					state.Set(j)
+				}
+			}
+		}
+		walk, outcome := in.Walk(state)
+		r.FinalStateOK = outcome == core.Reached && walk.Equal(want)
 	}
 
 	// Per-worker scratch: the branching search's bitset buffers and
-	// the sampling fallback's incremental walker are reused across
-	// every work item a worker handles (they rebind per instance), so
-	// steady-state verification does not allocate per round.
+	// the incremental walker are reused across every work item a
+	// worker handles (they rebind per instance), so steady-state
+	// verification does not allocate per stage.
 	scratches := make([]*workerScratch, opts.Workers)
 	for w := range scratches {
 		scratches[w] = &workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}
 	}
 
-	// Phase 1: exact subset search, one work item per round.
+	// Phase 1: exact search, one work item per stage. A DAG or rollback
+	// stage that runs out of budget samples its extensions right here.
 	parallelFor(opts.Workers, len(items), func(w, k int) {
 		it := items[k]
-		task := tasks[it.task]
-		round := task.Schedule.Rounds[it.round]
-		cex, exact := scratches[w].rc.Check(task.Instance, it.done, round, task.Props, opts.Budget)
-		reports[it.task].Rounds[it.round] = RoundResult{
-			Round: it.round, Size: len(round), Exact: exact, Violation: cex,
+		in, props := tasks[it.task].Instance, tasks[it.task].Props
+		rr := RoundResult{Round: it.stage, Size: len(it.plan.Nodes)}
+		if it.round {
+			rr.Violation, rr.Exact = scratches[w].rc.Check(in, it.pre, scratches[w].switches(it.plan), props, opts.Budget)
+		} else {
+			rr.Violation, rr.Exact = checkDAG(scratches[w].walker.Bind(in), it.pre, it.plan, props, opts, it.task, it.stage)
 		}
+		reports[it.task].Rounds[it.stage] = rr
 	})
 
-	// Phase 2: sampling fallback for rounds the exact search could not
-	// exhaust, split into fixed-size chunks (chunking is independent of
-	// the worker count, so results are too).
+	// Phase 2: subset sampling for the edge-free stages the exact
+	// search could not exhaust, split into fixed-size chunks (chunking
+	// is independent of the worker count, so results are too).
 	type chunk struct {
 		item   int // index into items
 		offset int // first sample of the chunk
@@ -229,8 +271,8 @@ func Batch(tasks []Task, opts Options) []*Report {
 	var chunks []chunk
 	chunkCex := make(map[int][]*core.CounterExample) // item -> per-chunk result
 	for k, it := range items {
-		rr := &reports[it.task].Rounds[it.round]
-		if rr.Exact || rr.Violation != nil {
+		rr := &reports[it.task].Rounds[it.stage]
+		if !it.round || rr.Exact || rr.Violation != nil {
 			continue
 		}
 		n := (opts.Samples + chunkSamples - 1) / chunkSamples
@@ -247,15 +289,14 @@ func Batch(tasks []Task, opts Options) []*Report {
 		ch := chunks[j]
 		it := items[ch.item]
 		task := tasks[it.task]
-		round := task.Schedule.Rounds[it.round]
-		seed := opts.Seed ^ (int64(it.task)+1)<<40 ^ (int64(it.round)+1)<<20 ^ int64(ch.offset)
+		seed := opts.Seed ^ (int64(it.task)+1)<<40 ^ (int64(it.stage)+1)<<20 ^ int64(ch.offset)
 		rng := rand.New(rand.NewSource(seed))
 		chunkCex[ch.item][ch.offset/chunkSamples] = scratches[w].sampleChunk(
-			task.Instance, it.done, round, task.Props, ch.count, rng, ch.offset == 0)
+			task.Instance, it.pre, scratches[w].switches(it.plan), task.Props, ch.count, rng, ch.offset == 0)
 	})
 	for k, cexs := range chunkCex {
 		it := items[k]
-		rr := &reports[it.task].Rounds[it.round]
+		rr := &reports[it.task].Rounds[it.stage]
 		for _, cex := range cexs { // lowest chunk wins: deterministic
 			if cex != nil {
 				rr.Violation = cex
@@ -267,14 +308,25 @@ func Batch(tasks []Task, opts Options) []*Report {
 }
 
 // workerScratch is one verification worker's reusable state: the
-// branching search's bitset buffers and the sampling fallback's
-// incremental walker plus subset bookkeeping. Buffers grow to the
+// branching search's bitset buffers and the incremental walker (ideal
+// enumeration, both sampling fallbacks) plus subset bookkeeping. Buffers grow to the
 // largest instance seen and rebind per work item.
 type workerScratch struct {
 	rc     *core.RoundChecker
 	walker *core.Walker
-	cur    []bool // sampling: current subset membership per round element
-	idx    []int  // sampling: dense node index per round element
+	round  []topo.NodeID // an edge-free stage as the switch set the searches take
+	cur    []bool        // sampling: current subset membership per round element
+	idx    []int         // sampling: dense node index per round element
+}
+
+// switches lists the stage's switches, in node order, in the worker's
+// buffer.
+func (ws *workerScratch) switches(st *core.Plan) []topo.NodeID {
+	ws.round = ws.round[:0]
+	for _, nd := range st.Nodes {
+		ws.round = append(ws.round, nd.Switch)
+	}
+	return ws.round
 }
 
 // sampleChunk draws count random subsets of round on top of done and

@@ -18,7 +18,7 @@ func TestScheduleAcceptsCorrectSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Guarantees(in, w, Options{})
+		r := Plan(in, core.PlanFromSchedule(w), w.Guarantees, Options{})
 		if !r.OK() {
 			t.Fatalf("wayup rejected: %v", r)
 		}
@@ -27,7 +27,7 @@ func TestScheduleAcceptsCorrectSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r = Guarantees(in, p, Options{})
+		r = Plan(in, core.PlanFromSchedule(p), p.Guarantees, Options{})
 		if !r.OK() {
 			t.Fatalf("peacock rejected: %v", r)
 		}
@@ -38,7 +38,7 @@ func TestScheduleRejectsOneShotOnAdversarial(t *testing.T) {
 	ti := topo.Reversal(10)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s := core.OneShot(in)
-	r := Schedule(in, s, core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
+	r := Plan(in, core.PlanFromSchedule(s), core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
 	if r.OK() {
 		t.Fatal("one-shot on reversal(10) must fail relaxed loop freedom")
 	}
@@ -54,7 +54,7 @@ func TestScheduleRejectsOneShotOnAdversarial(t *testing.T) {
 func TestScheduleRejectsWaypointBypass(t *testing.T) {
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 2)
 	s := core.OneShot(in)
-	r := Schedule(in, s, core.WaypointEnforcement, Options{})
+	r := Plan(in, core.PlanFromSchedule(s), core.WaypointEnforcement, Options{})
 	if r.OK() {
 		t.Fatal("one-shot bypass not detected")
 	}
@@ -66,7 +66,7 @@ func TestScheduleRejectsWaypointBypass(t *testing.T) {
 func TestScheduleStructureErrors(t *testing.T) {
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
 	bad := &core.Schedule{Algorithm: "bad", Rounds: [][]topo.NodeID{{1}}}
-	r := Schedule(in, bad, core.NoBlackhole, Options{})
+	r := Plan(in, core.PlanFromSchedule(bad), core.NoBlackhole, Options{})
 	if r.OK() || r.StructureErr == nil {
 		t.Fatalf("structure error not reported: %v", r)
 	}
@@ -80,7 +80,7 @@ func TestScheduleFinalState(t *testing.T) {
 	// new path; synthesize one manually and check FinalStateOK.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
 	s := &core.Schedule{Algorithm: "manual", Rounds: [][]topo.NodeID{{4}, {1}}}
-	r := Schedule(in, s, core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
+	r := Plan(in, core.PlanFromSchedule(s), core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
 	if !r.OK() || !r.FinalStateOK {
 		t.Fatalf("manual schedule rejected: %v", r)
 	}
@@ -96,7 +96,7 @@ func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Schedule(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 32, Samples: 200, Seed: 1})
+	r := Plan(in, core.PlanFromSchedule(s), core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 32, Samples: 200, Seed: 1})
 	if r.Exact() {
 		t.Fatal("expected sampled verification with budget 32")
 	}
@@ -111,7 +111,7 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 	ti := topo.Reversal(40)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s := core.OneShot(in)
-	r := Schedule(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64, Samples: 500, Seed: 1})
+	r := Plan(in, core.PlanFromSchedule(s), core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64, Samples: 500, Seed: 1})
 	if r.OK() {
 		t.Fatal("one-shot violation missed on reversal(40)")
 	}
@@ -135,7 +135,7 @@ func TestReportExactAndOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Guarantees(in, p, Options{})
+	r := Plan(in, core.PlanFromSchedule(p), p.Guarantees, Options{})
 	if !r.OK() || !r.Exact() {
 		t.Fatalf("peacock on tiny instance must verify exactly: %v", r)
 	}
@@ -197,9 +197,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			// A small budget forces the sampling fallback on larger draws,
 			// covering the chunked path too.
 			opts := Options{Budget: 1 << 10, Samples: 300, Seed: int64(trial)}
-			serial := Schedule(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
+			serial := Plan(in, core.PlanFromSchedule(s), props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
-				par := Schedule(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: workers})
+				par := Plan(in, core.PlanFromSchedule(s), props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: workers})
 				reportsEqual(t, serial, par)
 			}
 		}
@@ -229,8 +229,8 @@ func TestBatchMatchesIndividualSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks = append(tasks,
-			Task{Instance: in, Schedule: core.OneShot(in), Props: core.NoBlackhole | core.RelaxedLoopFreedom},
-			Task{Instance: in, Schedule: p, Props: core.NoBlackhole | core.RelaxedLoopFreedom})
+			Task{Instance: in, Plan: core.PlanFromSchedule(core.OneShot(in)), Props: core.NoBlackhole | core.RelaxedLoopFreedom},
+			Task{Instance: in, Plan: core.PlanFromSchedule(p), Props: core.NoBlackhole | core.RelaxedLoopFreedom})
 	}
 	opts := Options{Seed: 3}
 	batched := Batch(tasks, opts)
@@ -238,10 +238,10 @@ func TestBatchMatchesIndividualSchedules(t *testing.T) {
 		t.Fatalf("Batch returned %d reports for %d tasks", len(batched), len(tasks))
 	}
 	for i, task := range tasks {
-		solo := Schedule(task.Instance, task.Schedule, task.Props, opts)
+		solo := Plan(task.Instance, task.Plan, task.Props, opts)
 		reportsEqual(t, solo, batched[i])
-		if batched[i].Algorithm != task.Schedule.Algorithm {
-			t.Fatalf("report %d algorithm %q, want %q", i, batched[i].Algorithm, task.Schedule.Algorithm)
+		if batched[i].Algorithm != task.Plan.Algorithm {
+			t.Fatalf("report %d algorithm %q, want %q", i, batched[i].Algorithm, task.Plan.Algorithm)
 		}
 	}
 }
