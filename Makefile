@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-one-heap test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker test test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-one-heap test test-determinism
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,26 @@ guard-one-checker:
 		echo "$$out"; exit 1; \
 	fi
 
+# One timer heap: every delay under internal/ is an event on
+# simclock's (time, seq) queue or a runtime timer behind Clock, and a
+# switch has one layout. A second container/heap (or a hand-rolled
+# pushLocked / popLocked pair) outside internal/simclock is a private
+# scheduler coming back; LoopGroup, or Loops inside switchsim, named
+# outside the inert shim (loops.go), the deprecated Config field's own
+# line and bench/ is the layout knob coming back — a Loops: setting
+# elsewhere needs a LoopGroup to hold, which is caught by name.
+guard-one-heap:
+	@out="$$( { grep -rn --include='*.go' -e '"container/heap"' -e 'func .*\b\(pushLocked\|popLocked\)(' internal \
+			| grep -v '^internal/simclock/'; \
+		grep -rn --include='*.go' 'LoopGroup' cmd examples internal *.go; \
+		grep -nw 'Loops' internal/switchsim/*.go; } \
+		| grep -v -e '_test\.go:' -e '^internal/switchsim/loops\.go:' \
+			-e '^internal/switchsim/switch\.go:[0-9]*:	Loops \*LoopGroup$$' | sort -u)"; \
+	if [ -n "$$out" ]; then \
+		echo "a second timer heap or switch layout (see guard-one-heap in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./... -race
 	$(GO) test -C bench ./...
@@ -68,13 +88,15 @@ test:
 # rollback path in both dispatch modes including the chaos soak and the
 # sink lifecycle of timed-out installs, the crash-restart sweeps
 # (journal torn-tail recovery plus the engine killed at every dispatch
-# boundary), and the engine's admission and conflict-queue lifecycle
-# (launch on release, shutdown of queued jobs, recovery order).
+# boundary), the engine's admission and conflict-queue lifecycle
+# (launch on release, shutdown of queued jobs, recovery order), and the
+# clock's AfterFunc timers with the switch duties that ride them (the
+# expiry sweep chain, the one-reader goroutine budgets).
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|Sweep|Goroutine' \
 		./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
-		./internal/journal
+		./internal/journal ./internal/simclock
 	$(GO) test -run '^$$' -bench '^BenchmarkE15Soak$$' -benchtime=1x .
 
 bench:

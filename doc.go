@@ -68,7 +68,8 @@
 //     counterexample traces, parallel stages with deterministic merge —
 //     plus the timed virtual-clock replay of a round schedule
 //   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
-//     scheduler with deterministic (time, seq) ordering and AutoAdvance
+//     scheduler with deterministic (time, seq) ordering and AutoAdvance;
+//     AfterFunc for timer-driven duties — the tree's one timer heap
 //   - internal/topo      — topologies, update families, the Figure 1 scenario
 //   - internal/openflow  — OpenFlow 1.0-subset wire protocol
 //   - internal/planwire  — vendor-message payloads for decentralized execution
@@ -77,8 +78,8 @@
 //   - internal/switchsim — simulated switches, data-plane fabric and the
 //     decentralized plan agent (clock-parameterized); fault injection:
 //     crash-after-N-FlowMods with optional table wipe, per-class
-//     drop/duplicate/reorder; LoopGroup multiplexes fleet timers and
-//     peer acks onto shared event loops for 100k-switch fleets
+//     drop/duplicate/reorder; one layout: expiry sweeps and peer acks
+//     are Clock.AfterFunc timers, a switch at rest costs its reader
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
 //   - internal/controller— the controller: one plan in, one job out — a single

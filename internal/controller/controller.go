@@ -195,10 +195,10 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	}
 	c.logger.Info("switch connected", "dpid", ofconn.FormatDpid(dp.dpid))
 
-	go func() {
-		<-ctx.Done()
-		conn.Close() //nolint:errcheck // unblocking the reader
-	}()
+	// Shutdown unblocks the reader from a context callback, not from a
+	// goroutine parked per connection.
+	stop := context.AfterFunc(ctx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
+	defer stop()
 	c.readLoop(ctx, dp)
 
 	c.mu.Lock()

@@ -3,7 +3,6 @@ package controller
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -267,7 +266,7 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 	}
 
 	batched := metrics.DispatchBatchMsgs.Sum()
-	base := runtime.NumGoroutine()
+	base := steadyGoroutines()
 	var peak atomic.Int64
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -276,8 +275,8 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 			select {
 			case <-stop:
 				return
-			case <-time.After(500 * time.Microsecond):
-				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+			default:
+				if n := int64(steadyGoroutines()); n > peak.Load() {
 					peak.Store(n)
 				}
 			}

@@ -35,6 +35,19 @@ func jobGoroutines() int {
 	}
 }
 
+// steadyGoroutines is the goroutine count that holds for a few
+// milliseconds: the least of eight samples 500 µs apart. A fleet's
+// expiry sweeps are timers that each fire on a momentary goroutine; a
+// parked goroutine — what these tests count — outlasts the window.
+func steadyGoroutines() int {
+	least := runtime.NumGoroutine()
+	for i := 1; i < 8; i++ {
+		time.Sleep(500 * time.Microsecond)
+		least = min(least, runtime.NumGoroutine())
+	}
+	return least
+}
+
 // waitFor polls cond until it holds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -198,7 +211,7 @@ func TestQueuedChainRunsInOrderWithoutGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the slow job's first round", func() bool { return len(alone[0].Timings()) > 0 })
-	oneJob := runtime.NumGoroutine()
+	oneJob := steadyGoroutines()
 	if err := e.enqueueAll(alone[1:]); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +230,7 @@ func TestQueuedChainRunsInOrderWithoutGoroutines(t *testing.T) {
 	if got := jobGoroutines(); got != 1 {
 		t.Fatalf("%d job goroutines while 19 jobs are queued, want the running job's only", got)
 	}
-	if got := runtime.NumGoroutine(); got > oneJob+3 {
+	if got := steadyGoroutines(); got > oneJob+3 {
 		t.Fatalf("%d goroutines with 19 jobs queued, %d with the slow job alone", got, oneJob)
 	}
 	for _, job := range jobs {

@@ -5,8 +5,8 @@ import "sync/atomic"
 // Counter is a process-wide monotonic event counter, safe for
 // concurrent use. The fault-and-recovery layer increments the package
 // counters below from the controller engine and the fault injectors;
-// tests and experiments read (or Swap-reset) them to assert how often
-// each recovery path fired.
+// tests and experiments read them to assert how often each recovery
+// path fired.
 type Counter struct {
 	v atomic.Int64
 }
@@ -19,10 +19,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Swap resets the counter to zero and returns the previous count —
-// the idiom for per-run deltas in tests and experiments.
-func (c *Counter) Swap() int64 { return c.v.Swap(0) }
 
 // Fault-and-recovery counters, incremented across the repository:
 var (

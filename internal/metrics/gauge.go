@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Gauge is a process-wide level indicator, safe for concurrent use:
 // unlike a Counter it goes down as well as up. The sharded dispatcher
@@ -28,20 +25,14 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// atomicHistBuckets bounds the power-of-two bucket range: bucket i
-// counts observations whose bit length is i (0, 1, 2-3, 4-7, ...), and
-// the last bucket absorbs everything beyond 2^18.
-const atomicHistBuckets = 20
-
-// AtomicHist is a concurrency-safe size histogram with power-of-two
-// buckets — the cheap shape for "how wide are the coalesced batches"
+// AtomicHist is a concurrency-safe size summary — count, sum and
+// maximum — the cheap shape for "how wide are the coalesced batches"
 // style questions asked from many goroutines at once. Observe is a
 // handful of atomic adds; there is no lock and no allocation. For the
 // offline, full-resolution analysis path use Histogram instead.
 type AtomicHist struct {
-	n, sum  atomic.Int64
-	max     atomic.Int64
-	buckets [atomicHistBuckets]atomic.Int64
+	n, sum atomic.Int64
+	max    atomic.Int64
 }
 
 // Observe records one value (negatives clamp to zero).
@@ -57,11 +48,6 @@ func (h *AtomicHist) Observe(v int64) {
 			break
 		}
 	}
-	i := bits.Len64(uint64(v))
-	if i >= atomicHistBuckets {
-		i = atomicHistBuckets - 1
-	}
-	h.buckets[i].Add(1)
 }
 
 // Count returns the number of observations.
@@ -80,16 +66,6 @@ func (h *AtomicHist) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) / float64(n)
-}
-
-// Buckets returns a snapshot of the power-of-two bucket counts: index
-// i holds the number of observations v with bits.Len64(v) == i.
-func (h *AtomicHist) Buckets() []int64 {
-	out := make([]int64, atomicHistBuckets)
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
 }
 
 // Dispatch-path instruments, fed by the controller's sharded

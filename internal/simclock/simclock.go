@@ -1,7 +1,7 @@
 // Package simclock provides the virtual time base of the repository: a
-// Clock interface over Now/Sleep/After with two implementations — the
-// real wall clock, and Sim, a discrete-event scheduler whose time
-// advances only when events fire.
+// Clock interface over Now/Sleep/After/AfterFunc with two
+// implementations — the real wall clock, and Sim, a discrete-event
+// scheduler whose time advances only when events fire.
 //
 // The paper's entire problem is that FlowMods "take effect out of
 // order" across asynchronous switches; modelling that asynchrony with
@@ -11,7 +11,7 @@
 // 10k-switch scenario runs as fast as the events can be processed, and
 // the same seed pins the same event order, run after run.
 //
-// Two usage styles, with different determinism guarantees:
+// Three usage styles, with different determinism guarantees:
 //
 //   - Event callbacks (Schedule + Advance/Run): everything happens in
 //     the driving goroutine, in exact (time, seq) order. This is fully
@@ -28,6 +28,15 @@
 //     AutoAdvance drives such a deployment: whenever no event has
 //     fired for an idle window of real time, the next pending event is
 //     released, so virtual delays cost (almost) no wall-clock time.
+//
+//   - Timer-driven duties (AfterFunc): a recurring or delayed duty — a
+//     switch's flow-expiry sweep, a peer ack in flight — is one queue
+//     event that starts its function on a goroutine of its own when it
+//     fires, so nothing is parked while it waits and the function may
+//     block or use the clock, as under time.AfterFunc. Fire times are
+//     deterministic; what the function does races like any waiter.
+//     There is no stop handle: a duty checks at fire time whether it
+//     is still wanted, and re-arms itself if it recurs.
 package simclock
 
 import (
@@ -47,6 +56,9 @@ type Clock interface {
 	// After returns a channel that delivers the clock's time once d has
 	// elapsed.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc starts fn on its own goroutine once d has elapsed. It
+	// cannot be stopped: fn checks at fire time whether it still applies.
+	AfterFunc(d time.Duration, fn func())
 }
 
 // realClock forwards to package time.
@@ -59,6 +71,7 @@ func (realClock) Sleep(d time.Duration) {
 	}
 }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) AfterFunc(d time.Duration, fn func())   { time.AfterFunc(d, fn) }
 
 // Real is the wall clock. It is the default everywhere a nil Clock is
 // accepted.
@@ -214,6 +227,13 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// AfterFunc starts fn on its own goroutine once d has elapsed: one
+// ordinary queue event, so fn — unlike a Schedule callback — may block
+// or use the clock without stalling the driver.
+func (s *Sim) AfterFunc(d time.Duration, fn func()) {
+	s.Schedule(d, func() { go fn() })
+}
+
 // pop removes and returns the earliest event if its time is <= limit,
 // advancing now to the event's time.
 func (s *Sim) pop(limit time.Time) *event {
@@ -304,16 +324,6 @@ func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.queue)
-}
-
-// NextAt returns the earliest pending event's timestamp.
-func (s *Sim) NextAt() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return time.Time{}, false
-	}
-	return s.queue[0].at, true
 }
 
 // Fired returns the total number of events executed so far — the

@@ -135,3 +135,96 @@ func TestOrDefaultsToReal(t *testing.T) {
 		t.Fatal("Or(s) != s")
 	}
 }
+
+// await fails the test unless ch is closed within a generous wall-clock
+// bound.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+func TestRealAfterFuncRunsOffTheCaller(t *testing.T) {
+	done := make(chan struct{})
+	Real.AfterFunc(time.Millisecond, func() { close(done) })
+	await(t, done, "Real.AfterFunc")
+}
+
+// TestSimAfterFuncIsAnOrdinaryEvent: an AfterFunc timer sits in the
+// same (time, seq) queue as Schedule'd callbacks and is counted by
+// Fired. The callbacks around it read Fired() as they run, which pins
+// the timer's slot between them whatever its goroutine does.
+func TestSimAfterFuncIsAnOrdinaryEvent(t *testing.T) {
+	s := NewSim(time.Time{})
+	var firedAt []uint64
+	note := func() { firedAt = append(firedAt, s.Fired()) }
+	ran := make(chan struct{})
+	var ranAt time.Duration
+
+	s.Schedule(2*time.Millisecond, note) // fires 4th, after the timer
+	s.Schedule(time.Millisecond, note)   // 1st
+	s.AfterFunc(time.Millisecond, func() {})
+	s.Schedule(time.Millisecond, note) // 3rd: same instant, scheduled after the timer
+	s.AfterFunc(2*time.Millisecond, func() { ranAt = s.Now().Sub(Epoch); close(ran) })
+	if s.Pending() != 5 {
+		t.Fatalf("pending = %d, want 5", s.Pending())
+	}
+	if n := s.Step(); n != 3 {
+		t.Fatalf("first instant fired %d events, want 3", n)
+	}
+	if n := s.Run(); n != 2 || s.Fired() != 5 {
+		t.Fatalf("Run fired %d (total %d), want 2 (5)", n, s.Fired())
+	}
+	if got, want := fmt.Sprint(firedAt), "[1 3 4]"; got != want {
+		t.Fatalf("callbacks saw Fired() = %s, want %s", got, want)
+	}
+	await(t, ran, "the 2ms timer's function")
+	if ranAt != 2*time.Millisecond {
+		t.Fatalf("timer function saw +%v, want +2ms", ranAt)
+	}
+}
+
+// TestSimAfterFuncMayBlockOnTheClock: the function runs on a goroutine
+// of its own, so — unlike a Schedule callback — it may Sleep on the
+// clock that fired it without deadlocking Step or AutoAdvance.
+func TestSimAfterFuncMayBlockOnTheClock(t *testing.T) {
+	s := NewSim(time.Time{})
+	done := make(chan struct{})
+	s.AfterFunc(time.Millisecond, func() {
+		s.Sleep(time.Millisecond)
+		close(done)
+	})
+	if n := s.Step(); n != 1 {
+		t.Fatalf("Step fired %d events, want 1", n)
+	}
+	for s.Pending() == 0 { // the function's Sleep registering
+		time.Sleep(50 * time.Microsecond)
+	}
+	s.Step()
+	await(t, done, "a sleeping timer function under Step")
+	if got := s.Now().Sub(Epoch); got != 2*time.Millisecond {
+		t.Fatalf("clock at +%v, want +2ms", got)
+	}
+
+	stop := s.AutoAdvance(100 * time.Microsecond)
+	defer stop()
+	done = make(chan struct{})
+	var tick func()
+	ticks := 0
+	tick = func() { // a self re-arming duty, as switchsim's expiry sweep
+		s.Sleep(time.Second)
+		if ticks++; ticks == 5 {
+			close(done)
+			return
+		}
+		s.AfterFunc(time.Second, tick)
+	}
+	s.AfterFunc(time.Second, tick)
+	await(t, done, "a re-arming, sleeping timer chain under AutoAdvance")
+	if got := s.Now().Sub(Epoch); got != 2*time.Millisecond+10*time.Second {
+		t.Fatalf("clock at +%v, want +10.002s", got)
+	}
+}

@@ -111,29 +111,19 @@ func (f *Fabric) Switch(n topo.NodeID) *Switch {
 }
 
 // deliverPeerAck carries one plan-agent ack from one switch to
-// another: a goroutine pays the sender's PeerLatency on the sender's
-// clock (a data-plane hop, not a controller round trip) plus any
-// injected extra delay (fault reordering), then hands the ack to the
-// target's agent. Delivery order across concurrent acks is whatever
-// the latencies produce — the receiving agent is built to absorb
-// reordering and duplication.
+// another: the sender's PeerLatency (a data-plane hop, not a controller
+// round trip) is drawn now, in send order, and together with any
+// injected extra delay (fault reordering) becomes one timer on the
+// sender's clock that hands the ack to the target's agent. Delivery
+// order across concurrent acks is whatever the latencies produce — the
+// receiving agent is built to absorb reordering and duplication.
 func (f *Fabric) deliverPeerAck(from *Switch, to topo.NodeID, ack PeerAck, extra time.Duration) {
-	if g := from.cfg.Loops; g != nil {
-		// Shared event loops: draw the hop latency now and queue a timed
-		// delivery instead of parking a goroutine on a sleep.
-		delay := from.src.Sample(from.cfg.PeerLatency) + extra
-		g.schedule(from.clock.Now().Add(delay), from, to, ack)
-		return
-	}
-	go func() {
-		from.src.Sleep(from.cfg.PeerLatency)
-		if extra > 0 {
-			from.clock.Sleep(extra)
-		}
+	delay := from.src.Sample(from.cfg.PeerLatency) + extra
+	from.clock.AfterFunc(delay, func() {
 		if tgt := f.Switch(to); tgt != nil {
 			tgt.agent.deliver(ack)
 		}
-	}()
+	})
 }
 
 // probeSize is the byte size accounted per probe packet.

@@ -87,7 +87,8 @@ type Config struct {
 
 	// PeerLatency delays each switch-to-switch plan-agent message (the
 	// acks of decentralized execution) — a data-plane hop, typically
-	// orders of magnitude below CtrlLatency. Nil means none.
+	// orders of magnitude below CtrlLatency. It is drawn at send time,
+	// in the sender's send order, and elapses on Clock. Nil means none.
 	PeerLatency netem.Latency
 
 	// Source provides the deterministic randomness for the latency
@@ -108,15 +109,14 @@ type Config struct {
 	// timeout expiry. Nil selects the wall clock; a simclock.Sim puts
 	// the whole switch on virtual time (its latencies then elapse only
 	// when the simulation advances). When Source is also set, the
-	// source's own clock wins for latency sleeps.
+	// source's own clock wins for latency sleeps. The switch's timed
+	// duties — expiry sweeps, peer acks in flight — are AfterFunc
+	// timers on this clock, so a connected switch at rest costs one
+	// goroutine: its blocking connection reader.
 	Clock simclock.Clock
 
-	// Loops optionally multiplexes this switch's timed background
-	// duties (expiry sweeps, delayed peer acks, close-on-cancel) onto a
-	// shared event-loop pool, capping the per-switch goroutine cost at
-	// the one blocking connection reader. Large fleets should share a
-	// single group built on the same clock and context. Nil keeps the
-	// classic goroutine-per-duty layout.
+	// Deprecated: ignored, there is one switch layout. The field stays
+	// until bench/tsubench stops setting it.
 	Loops *LoopGroup
 
 	// Logger receives connection lifecycle events; nil discards them.
@@ -135,7 +135,6 @@ type Switch struct {
 
 	flowModsApplied atomic.Uint64
 	barriersSeen    atomic.Uint64
-	packetOutsSeen  atomic.Uint64
 	crashed         atomic.Bool
 
 	mu     sync.Mutex
@@ -186,9 +185,6 @@ func (s *Switch) FlowModsApplied() uint64 { return s.flowModsApplied.Load() }
 
 // BarriersSeen returns how many barrier requests were answered.
 func (s *Switch) BarriersSeen() uint64 { return s.barriersSeen.Load() }
-
-// PacketOutsSeen returns how many packet-out injections were started.
-func (s *Switch) PacketOutsSeen() uint64 { return s.packetOutsSeen.Load() }
 
 // features builds the switch's FEATURES_REPLY body from the fabric's
 // port map.
@@ -245,35 +241,20 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	s.done = done
 	s.mu.Unlock()
 
-	if g := s.cfg.Loops; g != nil {
-		// Shared event loops own the expiry sweeps and close-on-cancel;
-		// the blocking reader is the switch's only goroutine.
-		g.register(s, conn)
-		go func() {
-			defer close(done)
-			// The loop can end without Stop (the controller hung up):
-			// release loopCtx from its parent.
-			defer cancel()
-			defer g.unregister(s)
-			defer conn.Close() //nolint:errcheck // loop exit path
-			s.controlLoop(loopCtx, conn)
-		}()
-		return nil
-	}
+	// The blocking reader is the switch's only goroutine: cancellation
+	// closes the connection from a context callback, and the expiry
+	// sweep is a self re-arming timer on the clock.
+	stopClose := context.AfterFunc(loopCtx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
+	s.startSweeps(loopCtx, conn)
 	go func() {
 		defer close(done)
-		// As above; also ends this connection's watcher and expiry loop.
+		// The loop can end without Stop (the controller hung up):
+		// release loopCtx from its parent, which also ends the sweeps.
 		defer cancel()
 		defer conn.Close() //nolint:errcheck // loop exit path
+		defer stopClose()
 		s.controlLoop(loopCtx, conn)
 	}()
-	// Tear the connection down when the context dies so the blocking
-	// read returns.
-	go func() {
-		<-loopCtx.Done()
-		conn.Close() //nolint:errcheck // unblocking the reader
-	}()
-	go s.expiryLoop(loopCtx, conn)
 	return nil
 }
 
@@ -325,24 +306,23 @@ func (s *Switch) sweepExpiry(conn *ofconn.Conn, now time.Time) error {
 	return nil
 }
 
-// expiryLoop sweeps the flow table for idle/hard-timeout expiry and
-// emits FLOW_REMOVED for entries that asked for it (per-switch layout;
-// a LoopGroup runs the same sweep from its shared timing loop).
-func (s *Switch) expiryLoop(ctx context.Context, conn *ofconn.Conn) {
+// startSweeps arms conn's expiry sweep on the switch's clock; each
+// sweep re-arms the next. The chain dies at fire time once ctx is done,
+// conn is no longer the switch's current connection, or a FLOW_REMOVED
+// could not be sent.
+func (s *Switch) startSweeps(ctx context.Context, conn *ofconn.Conn) {
 	period := s.expiryPeriod()
-	// The sweep paces itself on the switch's clock: on the wall clock
-	// this behaves like the former ticker; on a simclock.Sim the sweep
-	// fires as virtual time crosses each period boundary.
-	for {
-		select {
-		case <-ctx.Done():
+	var sweep func()
+	sweep = func() {
+		s.mu.Lock()
+		current := s.conn == conn
+		s.mu.Unlock()
+		if ctx.Err() != nil || !current || s.sweepExpiry(conn, s.clock.Now()) != nil {
 			return
-		case now := <-s.clock.After(period):
-			if s.sweepExpiry(conn, now) != nil {
-				return
-			}
 		}
+		s.clock.AfterFunc(period, sweep)
 	}
+	s.clock.AfterFunc(period, sweep)
 }
 
 // crashIfDue fires the DisconnectAfterFlowMods crash once the applied
@@ -402,15 +382,10 @@ func (s *Switch) Connected() bool {
 // call multiple times or before Connect.
 func (s *Switch) Stop() {
 	s.mu.Lock()
-	cancel, done, conn := s.cancel, s.done, s.conn
+	cancel, done := s.cancel, s.done
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
-	}
-	if s.cfg.Loops != nil && conn != nil {
-		// No per-switch context watcher in group mode: unblock the
-		// reader directly.
-		conn.Close() //nolint:errcheck // stop path
 	}
 	if done != nil {
 		<-done
@@ -533,7 +508,6 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		// Walk asynchronously: a packet in flight must not stall the
 		// control loop (and hence barrier ordering).
 		go s.fabric.Inject(start, nwDst, 4*s.fabric.Graph().NumNodes())
-		s.packetOutsSeen.Add(1)
 		return nil
 	case *openflow.Vendor:
 		// Decentralized execution: the controller pushes this switch's

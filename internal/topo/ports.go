@@ -49,8 +49,3 @@ func NewPortMap(g *Graph) *PortMap {
 
 // Port returns the port on switch s facing neighbor n (0 when absent).
 func (pm *PortMap) Port(s, n NodeID) uint16 { return pm.NeighborPort[s][n] }
-
-// NumPorts returns how many ports switch s exposes.
-func (pm *PortMap) NumPorts(s NodeID) int {
-	return len(pm.PortNeighbor[s]) + len(pm.PortHost[s])
-}
