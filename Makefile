@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-one-heap test test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-one-heap test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-one-heap test test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-one-heap test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,14 @@ guard-one-heap:
 test:
 	$(GO) test ./... -race
 	$(GO) test -C bench ./...
+
+# What the controller remembers: a finished job is stripped to its
+# trace and only the newest retainTerminal stay known. Five times under
+# the race detector: the strip runs in Engine.finish while dispatch
+# shards may still hold the job's install requests, and eviction while
+# watch streams hold the job.
+test-retention:
+	$(GO) test -race -count=5 -run 'Retain|Evict|Strip' ./internal/controller ./internal/client
 
 # The fault-injection suite under the race detector: seeded fault
 # models (netem), crash/loss switch faults (switchsim), reverse-plan

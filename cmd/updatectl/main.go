@@ -207,6 +207,7 @@ func printHealthz(ctx context.Context, c *client.Client) error {
 	fmt.Printf("status: %s\n", h.Status)
 	fmt.Printf("switches: %d\n", h.Switches)
 	fmt.Printf("uptime: %s\n", h.Uptime().Round(time.Millisecond))
+	fmt.Printf("finished jobs: %d retained, %d evicted\n", h.JobsRetained, h.JobsEvicted)
 	switch {
 	case h.Journal == nil || !h.Journal.Enabled:
 		fmt.Println("journal: disabled (in-memory)")

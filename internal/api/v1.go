@@ -44,7 +44,8 @@ const (
 	// CodeScheduleFailed: the scheduler rejected the instance (e.g.
 	// wayup without a waypoint).
 	CodeScheduleFailed = 1008
-	// CodeUnknownJob: no job with the requested id.
+	// CodeUnknownJob: no job with the requested id — never issued, or
+	// finished and no longer retained (see JobStatus).
 	CodeUnknownJob = 1009
 	// CodeBadRequest: other malformed request input (bad job id, bad
 	// dpid, unknown filter value, ...).
@@ -225,6 +226,13 @@ type FailureReport struct {
 }
 
 // JobStatus reports a job's progress (GET /v1/updates/{id}).
+//
+// The controller remembers a bounded number of finished jobs (the newest
+// 1024, each kept as exactly what this status and a late watch replay
+// carry; Healthz counts them). The id of an older one answers 404 with
+// CodeUnknownJob and a message saying so — the same code as an id never
+// issued, and the same answer a finished job gives after a controller
+// restart has compacted it out of the journal.
 type JobStatus struct {
 	ID          int           `json:"id"`
 	State       string        `json:"state"` // queued | running | done | failed
@@ -460,6 +468,11 @@ type Healthz struct {
 	QueueDepth int `json:"queue_depth"`
 	// Running counts jobs currently executing rounds.
 	Running int `json:"running"`
+	// JobsRetained counts the finished jobs the controller still answers
+	// for, JobsEvicted those it has forgotten since it started (see
+	// JobStatus).
+	JobsRetained int `json:"jobs_retained"`
+	JobsEvicted  int `json:"jobs_evicted"`
 	// UptimeMicros is how long the controller has been running, on its
 	// own clock (virtual under simulated time).
 	UptimeMicros int64 `json:"uptime_us,omitempty"`

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -346,7 +347,11 @@ func (c *Client) WaitRounds(ctx context.Context, id int, onRound func(api.RoundS
 // install). Consecutive fruitless reconnects are bounded by the
 // WithRetry budget (default 3), sleeping the retry backoff between
 // attempts; each delivered event resets the budget. Only after the
-// budget is exhausted does it fall back to status polling.
+// budget is exhausted does it fall back to status polling. A job the
+// server does not know (api.CodeUnknownJob: never issued, or finished
+// long enough ago to have been evicted) ends the wait at once with that
+// *APIError — also while a restarted controller has not yet replayed its
+// journal; a caller riding a restart retries on that code itself.
 func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.RoundStatus), onInstall func(api.InstallStatus)) (*api.JobStatus, error) {
 	retries := c.retries
 	if retries == 0 {
@@ -358,6 +363,9 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
+			}
+			if unknownJob(err) {
+				return nil, err
 			}
 			failures++
 			if !c.sleepBackoff(ctx) {
@@ -426,6 +434,9 @@ func (c *Client) pollTerminal(ctx context.Context, id int) (*api.JobStatus, erro
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
+			if unknownJob(err) {
+				return nil, err
+			}
 			failures++
 			lastErr = err
 			if failures > 10 {
@@ -442,6 +453,15 @@ func (c *Client) pollTerminal(ctx context.Context, id int) (*api.JobStatus, erro
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// unknownJob reports whether err is the server's verdict that it holds
+// no such job — never issued, or finished and since evicted (the
+// controller keeps a bounded number of finished jobs). No retry changes
+// that answer, so the waiters return it at once.
+func unknownJob(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Code == api.CodeUnknownJob
 }
 
 // sleepBackoff pauses for the retry backoff; false means ctx ended.

@@ -513,6 +513,53 @@ func TestClientWaitPollFallback(t *testing.T) {
 	}
 }
 
+// TestClientWaitEvictedJob: the controller keeps a bounded number of
+// finished jobs, so "unknown job" is an answer real waiters get — and a
+// final one. Wait hands it back at once from either leg, where it used
+// to spend four watch attempts and eleven polls (≈ 1 s) on it: from the
+// watch when the job is already gone, from the status poll when the job
+// is evicted between its terminal event and the GET that follows.
+func TestClientWaitEvictedJob(t *testing.T) {
+	const gone = `{"error":"job 7 finished; the controller keeps the last 1024 finished jobs","code":1009}`
+	for _, tc := range []struct {
+		name      string
+		watchGone bool
+		calls     int32
+	}{
+		{"watch", true, 1},
+		{"poll", false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				if r.URL.Path == "/v1/updates/7/watch" && !tc.watchGone {
+					w.Header().Set("Content-Type", "text/event-stream")
+					fmt.Fprint(w, "data: {\"type\":\"done\",\"job\":7}\n\n")
+					return
+				}
+				http.Error(w, gone, http.StatusNotFound)
+			}))
+			defer srv.Close()
+
+			start := time.Now()
+			st, err := client.New(srv.URL).Wait(context.Background(), 7)
+			elapsed := time.Since(start)
+			var apiErr *client.APIError
+			if st != nil || !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound ||
+				apiErr.Code != api.CodeUnknownJob || !strings.Contains(apiErr.Message, "keeps the last 1024") {
+				t.Fatalf("Wait = %+v, %v; want the server's 404 unknown-job verdict", st, err)
+			}
+			if n := calls.Load(); n != tc.calls {
+				t.Fatalf("%d HTTP calls, want %d: no retry changes that answer", n, tc.calls)
+			}
+			if elapsed >= 50*time.Millisecond {
+				t.Fatalf("Wait took %v to report an unknown job, want < 50 ms (one poll pause is 50 ms, one watch backoff 100)", elapsed)
+			}
+		})
+	}
+}
+
 // sseServer serves one job's watch stream: the given events, then EOF.
 func sseServer(t *testing.T, events ...api.WatchEvent) *httptest.Server {
 	t.Helper()

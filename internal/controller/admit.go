@@ -24,7 +24,9 @@ var ErrQueueFull = errors.New("controller: update queue full")
 // journal's admit record, the decentralized partitions and the abort
 // path's reverse plan are all taken from it, so the plan that was
 // verified, the plan that is journaled and the plan that runs are one
-// value.
+// value. An execPlan is immutable once built: walks and the dispatch
+// shards hold it by pointer, and a job lets go of it — never empties it —
+// when it finishes.
 type execPlan struct {
 	dag  *core.Plan            // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
 	mods [][]*openflow.FlowMod // per node: what it sends before its barrier
@@ -34,10 +36,19 @@ type execPlan struct {
 	// the DAG's suffix.
 	cleanupFrom int
 
-	layers   []int // per node: longest dependency chain ending at it
+	layers []int // per node: longest dependency chain ending at it
+	dagShape
+}
+
+// dagShape is what a job keeps of its plan for life: the numbers job
+// status reports and the size of a subscriber's replay.
+type dagShape struct {
+	installs int
+	edges    int
 	depth    int
 	width    int
 	critical int
+	sparse   bool
 }
 
 func (p *execPlan) len() int             { return len(p.dag.Nodes) }
@@ -70,9 +81,14 @@ func newExecPlan(p *core.Plan, mods [][]*openflow.FlowMod, cleanupFrom int, clea
 		cleanupFrom: cleanupFrom,
 	}
 	ep.layers = ep.dag.NodeLayers()
-	ep.depth = ep.dag.Depth()
-	ep.width = ep.dag.Width()
-	ep.critical = ep.dag.CriticalPath()
+	ep.dagShape = dagShape{
+		installs: len(nodes),
+		edges:    ep.dag.NumEdges(),
+		depth:    ep.dag.Depth(),
+		width:    ep.dag.Width(),
+		critical: ep.dag.CriticalPath(),
+		sparse:   p.Sparse,
+	}
 	return ep
 }
 
@@ -96,6 +112,12 @@ func planSinks(nodes []core.PlanNode) []int {
 // maxAdmitted bounds the number of unfinished jobs the engine accepts
 // (the successor of the seed's 128-slot FIFO queue).
 const maxAdmitted = 128
+
+// retainTerminal is how many finished jobs the engine keeps answering
+// for (see Engine.retireLocked): the newest ones, each stripped to its
+// trace. An older id answers 404, as any finished job does after a
+// restart and the compaction that follows it.
+const retainTerminal = 8 * maxAdmitted
 
 // admitSpec builds a job's journal admission record: identity always,
 // plus — for recoverable jobs — everything Recover needs to rebuild
@@ -328,7 +350,8 @@ func newJob(plan execPlan, opts SubmitOptions, rollback *rollbackSpec) *Job {
 		Algorithm: plan.dag.Algorithm,
 		Interval:  opts.Interval,
 		Mode:      opts.Mode,
-		plan:      plan,
+		shape:     plan.dagShape,
+		plan:      &plan,
 		rollback:  rollback,
 		done:      make(chan struct{}),
 	}

@@ -18,7 +18,7 @@ import (
 // dumpExecPlan renders an execution DAG one node per line, in node
 // order: index, switch, deps, layer, cleanup flag and every FlowMod's
 // command, match and actions.
-func dumpExecPlan(ep execPlan) string {
+func dumpExecPlan(ep *execPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s depth=%d width=%d critical=%d sparse=%v\n", ep.dag.Algorithm, ep.depth, ep.width, ep.critical, ep.dag.Sparse)
 	for i, nd := range ep.dag.Nodes {

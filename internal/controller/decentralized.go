@@ -210,7 +210,7 @@ func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 // publish in order, and PlanRun bookkeeping still cross-checks that
 // every reported install was actually released by its dependencies.
 func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureReport, error) {
-	plan := &job.plan
+	plan := job.plan
 	n := plan.len()
 	// Self-describing partitions: the plan carries the job's algorithm
 	// and shape, so a switch (or a debugger on the wire) can tell what

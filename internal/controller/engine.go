@@ -25,18 +25,23 @@ import (
 // independent flows never wait behind each other's barriers. There is
 // no worker pool: a running job only waits on barrier replies, so the
 // one bound is maxAdmitted, and a job that waits on conflicting
-// predecessors holds a counter, not a goroutine.
+// predecessors holds a counter, not a goroutine. What the engine holds
+// is bounded by what is in flight, not by what it has served: a finished
+// job is stripped to its trace and only the newest retainTerminal of
+// them stay known.
 type Engine struct {
 	c    *Controller
 	disp *dispatcher // sharded southbound dispatch path
 
-	mu      sync.Mutex
-	ctx     context.Context // set by run; jobs launch once available
-	nextID  int
-	jobs    map[int]*Job
-	active  []*Job // unfinished jobs in submission order
-	queued  int    // admitted, not yet executing
-	running int    // executing
+	mu       sync.Mutex
+	ctx      context.Context // set by run; jobs launch once available
+	nextID   int
+	jobs     map[int]*Job // active and terminal
+	active   []*Job       // unfinished jobs in submission order
+	terminal ring[*Job]   // finished jobs, oldest first, at most retainTerminal
+	evicted  int          // finished jobs terminal has let go of
+	queued   int          // admitted, not yet executing
+	running  int          // executing
 
 	// recovery holds the stats of the last Recover run (nil before).
 	recovery *RecoveryStats
@@ -134,17 +139,48 @@ func (e *Engine) Job(id int) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns all known jobs in submission order.
+// Jobs returns all known jobs — the unfinished ones and the finished
+// ones still retained — in submission order.
 func (e *Engine) Jobs() []*Job {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]*Job, 0, len(e.jobs))
-	for id := 1; id <= e.nextID; id++ {
-		if j, ok := e.jobs[id]; ok {
-			out = append(out, j)
-		}
+	for _, j := range e.jobs {
+		out = append(out, j)
 	}
+	e.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return a.ID - b.ID })
 	return out
+}
+
+// Retention reports how many finished jobs the engine still answers for
+// and how many it has forgotten since it started.
+func (e *Engine) Retention() (retained, evicted int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.terminal.len(), e.evicted
+}
+
+// issued reports whether id was ever handed out: such an id the engine
+// no longer knows belongs to a finished job that was evicted.
+func (e *Engine) issued(id int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return id >= 1 && id <= e.nextID
+}
+
+// retireLocked files a terminal job among the retained ones; at
+// capacity the oldest of them leaves the engine for good — unless its id
+// names another job by now: one submitted between Start and Recover
+// shares its id with a journaled job, which then took its place in
+// e.jobs. Caller holds e.mu.
+func (e *Engine) retireLocked(job *Job) {
+	if e.terminal.len() == retainTerminal {
+		if old := e.terminal.pop(); e.jobs[old.ID] == old {
+			delete(e.jobs, old.ID)
+		}
+		e.evicted++
+	}
+	e.terminal.push(job)
 }
 
 // run starts the dispatcher, releases the jobs admitted before the
@@ -234,12 +270,21 @@ func (e *Engine) begin(job *Job) {
 
 // finish is the only way a job reaches a terminal state, and one step:
 // journal the terminal phase; stop counting against admission and
-// conflicts (leave active, fix the counters, drop the footprint); set
-// the state (JobDone when err is nil, JobFailed otherwise, with the
-// abort path's structured report when there is one) and notify
-// subscribers; release waiters; release the conflicting successors,
-// which launch if this was their last blocker; log. Whoever sees the
-// job terminal therefore sees the engine without it.
+// conflicts (leave active for the retained ring, fix the counters, strip
+// the job to its trace); set the state (JobDone when err is nil,
+// JobFailed otherwise, with the abort path's structured report when
+// there is one) and notify subscribers; release waiters; release the
+// conflicting successors, which launch if this was their last blocker;
+// log. Whoever sees the job terminal therefore sees the engine without
+// it.
+//
+// Stripping lets go of the plan, never empties it: a dispatch shard may
+// still hold an install request of a walk that has ended — queued when
+// ctx cut the walk off, or nacked after its reply — and reads the plan
+// the request carries. A job cut off by shutdown is left whole: it is
+// not terminal to the journal either (see journalTerminal), and
+// enqueueAll may still be journaling its admission from the plan when
+// the shutdown verdict overtakes it.
 func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	e.journalTerminal(job, err)
 	e.mu.Lock()
@@ -251,10 +296,10 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 			e.queued--
 		}
 	}
-	// The job stays queryable in e.jobs, but it can no longer be a
-	// conflict predecessor — drop the footprint so long-lived
-	// controllers don't accumulate it for every job ever submitted.
-	job.nodes, job.matches = nil, nil
+	e.retireLocked(job)
+	if !errors.Is(err, context.Canceled) {
+		job.plan, job.nodes, job.matches, job.rollback, job.preConfirmed = nil, nil, nil, nil, nil
+	}
 	succs := job.succs
 	job.succs, job.run = nil, nil
 	e.mu.Unlock()
@@ -274,7 +319,7 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	switch {
 	case err == nil:
 		e.c.logger.Info("update job done", "job", job.ID, "mode", job.Mode.String(),
-			"installs", job.plan.len(), "depth", job.plan.depth, "sparse", job.plan.dag.Sparse)
+			"installs", job.shape.installs, "depth", job.shape.depth, "sparse", job.shape.sparse)
 	case report == nil:
 		e.c.logger.Warn("update job failed", "job", job.ID, "err", err)
 	default:
@@ -330,7 +375,7 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 	prog := newPlanProgress(job)
 	prog.start()
 	dispatched, confirmed, err := e.walk(ctx, walkSpec{
-		plan:     &job.plan,
+		plan:     job.plan,
 		interval: job.Interval,
 		pre:      job.preConfirmed,
 		journal:  func(nodes []int) bool { return e.journalDispatchBatch(job.ID, nodes) },

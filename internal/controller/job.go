@@ -103,15 +103,26 @@ type Job struct {
 	Interval  time.Duration // pause before a released non-root install (REST "interval")
 	Mode      ExecMode      // dispatch path (controller-driven or decentralized)
 
-	plan execPlan
+	shape dagShape // of plan; kept for life
 
-	// Conflict footprint, immutable after construction: the switches
-	// this job touches and the flow matches it programs. Two jobs
-	// conflict when either set intersects; the dispatcher serializes
-	// conflicting jobs in submission order and runs disjoint jobs
-	// concurrently. The engine drops both when the job finishes.
-	nodes   map[topo.NodeID]struct{}
-	matches map[openflow.Match]struct{}
+	// What only admission, execution and rollback read: immutable after
+	// construction, and dropped by Engine.finish — a finished job is its
+	// shape and its trace, not its plan. nodes and matches are the
+	// conflict footprint: the switches the job touches and the flow
+	// matches it programs; two jobs conflict when either set intersects,
+	// and the engine runs conflicting jobs in submission order and
+	// disjoint jobs concurrently. rollback carries what the abort path
+	// needs to build and verify a reverse plan; nil for jobs the engine
+	// cannot roll back (joint updates, two-phase), which fail plain on
+	// mid-plan errors. preConfirmed, set only on adopted jobs, marks the
+	// plan nodes the reconciliation proved already applied: execute
+	// confirms them synthetically and resumes dispatch from the frontier
+	// they release.
+	plan         *execPlan
+	nodes        map[topo.NodeID]struct{}
+	matches      map[openflow.Match]struct{}
+	rollback     *rollbackSpec
+	preConfirmed []bool
 
 	// Launch bookkeeping, guarded by Engine.mu. run is what the job does
 	// once launched (Engine.execute, or the abort path for a recovered
@@ -124,12 +135,6 @@ type Job struct {
 	blockers int
 	succs    []*Job
 
-	// rollback, immutable after construction, carries what the abort
-	// path needs to build and verify a reverse plan. Nil for jobs the
-	// engine cannot roll back (joint updates, two-phase), which fail
-	// plain on mid-plan errors.
-	rollback *rollbackSpec
-
 	// Recovered marks a job reconstructed from the journal after a
 	// controller restart; Adopted additionally marks a mid-flight job
 	// whose journal and switch state agreed, so execution resumed from
@@ -137,12 +142,6 @@ type Job struct {
 	// before the job launches and immutable after.
 	Recovered bool
 	Adopted   bool
-
-	// preConfirmed, set only on adopted jobs, marks the plan nodes the
-	// reconciliation proved already applied: execute confirms them
-	// synthetically and resumes dispatch from the frontier they
-	// release.
-	preConfirmed []bool
 
 	mu       sync.Mutex
 	state    JobState
@@ -161,22 +160,22 @@ type Job struct {
 // NumRounds returns the number of layers the job's execution DAG has
 // (including a cleanup layer, when requested) — for a round schedule,
 // exactly its round count.
-func (j *Job) NumRounds() int { return j.plan.depth }
+func (j *Job) NumRounds() int { return j.shape.depth }
 
 // NumInstalls returns the number of per-switch installs of the job's
 // execution DAG.
-func (j *Job) NumInstalls() int { return j.plan.len() }
+func (j *Job) NumInstalls() int { return j.shape.installs }
 
 // NumEdges returns the number of happens-before edges of the job's
 // execution DAG.
-func (j *Job) NumEdges() int { return j.plan.dag.NumEdges() }
+func (j *Job) NumEdges() int { return j.shape.edges }
 
 // PlanShape reports the execution DAG's shape: depth (layers), width
 // (peak install parallelism), critical path (sequential barrier waits
 // on the longest chain), and whether the DAG is sparse (ack-driven
 // past layer barriers) rather than layered.
 func (j *Job) PlanShape() (depth, width, critical int, sparse bool) {
-	return j.plan.depth, j.plan.width, j.plan.critical, j.plan.dag.Sparse
+	return j.shape.depth, j.shape.width, j.shape.critical, j.shape.sparse
 }
 
 // State returns the job's current lifecycle state.
@@ -256,7 +255,7 @@ func (j *Job) Wait(ctx context.Context) error {
 func (j *Job) Subscribe() <-chan JobEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan JobEvent, j.plan.len()+j.plan.depth+2)
+	ch := make(chan JobEvent, j.shape.installs+j.shape.depth+2)
 	for _, ev := range j.events {
 		ch <- ev
 	}

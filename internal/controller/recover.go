@@ -244,14 +244,20 @@ func (e *Engine) Recovery() (RecoveryStats, bool) {
 	return *e.recovery, true
 }
 
-// addStub registers a terminal job reconstructed from the journal so
-// the API keeps answering for it across the restart. A non-nil report
-// marks the job failed-by-restart regardless of its journaled outcome.
+// addStub registers a terminal job reconstructed from the journal — no
+// plan, no trace — so the API keeps answering for it across the restart:
+// among the retained finished jobs, so of a long journal the newest
+// retainTerminal stay. A non-nil report marks the job failed-by-restart
+// regardless of its journaled outcome.
 func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
-	job := newJob(newExecPlan(&core.Plan{Algorithm: rj.admit.Algorithm}, nil, 0, nil),
-		SubmitOptions{Interval: rj.admit.Interval, Mode: ExecMode(rj.admit.Mode)}, nil)
-	job.ID = rj.id
-	job.Recovered = true
+	job := &Job{
+		ID:        rj.id,
+		Algorithm: rj.admit.Algorithm,
+		Interval:  rj.admit.Interval,
+		Mode:      ExecMode(rj.admit.Mode),
+		Recovered: true,
+		done:      make(chan struct{}),
+	}
 	switch {
 	case report != nil:
 		job.state = JobFailed
@@ -267,6 +273,7 @@ func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
 	e.mu.Lock()
 	if _, exists := e.jobs[job.ID]; !exists {
 		e.jobs[job.ID] = job
+		e.retireLocked(job)
 	}
 	e.mu.Unlock()
 }

@@ -24,9 +24,7 @@ func (c *Controller) RESTHandler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // response writer errors are the client's problem
+	_ = json.NewEncoder(w).Encode(v) // response writer errors are the client's problem
 }
 
 func (c *Controller) handleSwitches(w http.ResponseWriter, _ *http.Request) {

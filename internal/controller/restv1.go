@@ -428,10 +428,14 @@ func (c *Controller) jobFromPath(r *http.Request) (*Job, error) {
 		return nil, errf(http.StatusBadRequest, api.CodeBadRequest, "bad job id %q", r.PathValue("id"))
 	}
 	job, ok := c.engine.Job(id)
-	if !ok {
-		return nil, errf(http.StatusNotFound, api.CodeUnknownJob, "job %d unknown", id)
+	switch {
+	case ok:
+		return job, nil
+	case c.engine.issued(id):
+		return nil, errf(http.StatusNotFound, api.CodeUnknownJob,
+			"job %d finished; the controller keeps the last %d finished jobs", id, retainTerminal)
 	}
-	return job, nil
+	return nil, errf(http.StatusNotFound, api.CodeUnknownJob, "job %d unknown", id)
 }
 
 func (c *Controller) handleV1Jobs(w http.ResponseWriter, r *http.Request) {
@@ -455,7 +459,11 @@ func (c *Controller) handleV1Jobs(w http.ResponseWriter, r *http.Request) {
 
 // handleV1Watch streams a job's progress as Server-Sent Events:
 // already-executed rounds replay first, live rounds follow, and the
-// stream always ends with a terminal done/failed event.
+// stream always ends with a terminal done/failed event. The response is
+// flushed whenever nothing more is queued — the headers alone when there
+// is nothing to replay, a replayed history as one write, a live event
+// the moment it is published. The stream holds its job: one evicted
+// meanwhile still ends here with its terminal event.
 func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 	job, err := c.jobFromPath(r)
 	if err != nil {
@@ -470,9 +478,11 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	events := job.Subscribe()
+	if len(events) == 0 {
+		fl.Flush()
+	}
 	for {
 		select {
 		case ev, open := <-events:
@@ -505,7 +515,9 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", we.Type, data); err != nil {
 				return
 			}
-			fl.Flush()
+			if len(events) == 0 {
+				fl.Flush()
+			}
 		case <-r.Context().Done():
 			return
 		}
@@ -735,6 +747,7 @@ func (c *Controller) handleV1Healthz(w http.ResponseWriter, _ *http.Request) {
 	if jl := c.cfg.Journal; jl != nil {
 		h.Journal = &api.JournalStatus{Enabled: true, Path: jl.Path(), SizeBytes: jl.Size()}
 	}
+	h.JobsRetained, h.JobsEvicted = c.engine.Retention()
 	if stats, ok := c.engine.Recovery(); ok {
 		h.RecoveredJobs = stats.Recovered()
 		h.AdoptedJobs = stats.Adopted
