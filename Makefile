@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-one-heap test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-one-heap test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,21 @@ guard-one-checker:
 		| grep -v -e '_test\.go:' -e '^internal/explore/timed\.go:' -e '&core\.Schedule{')"; \
 	if [ -n "$$out" ]; then \
 		echo "a core.Schedule-typed path into verify / explore / controller:"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One index: internal/core keeps every per-switch fact of an update in
+# arrays and State bitsets over Instance's dense index, and resolves a
+# NodeID with one binary search (Instance.idx). A map[topo.NodeID] in a
+# non-test file there is the second representation coming back — it did
+# once already, beside the index. Allowed: multipolicy.go's cross-flow
+# tables (keyed across instances, which share no index) and
+# partition.go's per-switch wire view.
+guard-dense-core:
+	@out="$$(grep -n 'map\[topo\.NodeID\]' internal/core/*.go \
+		| grep -v -e '_test\.go:' -e '^internal/core/multipolicy\.go:' -e '^internal/core/partition\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a NodeID-keyed map in internal/core (see guard-dense-core in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"tsu/internal/api"
@@ -155,11 +156,30 @@ func (c *Client) do(ctx context.Context, method, path string, body, into any) er
 			return decodeAPIError(resp)
 		}
 		if into != nil {
-			return json.NewDecoder(resp.Body).Decode(into)
+			return decodeBody(resp.Body, into)
 		}
 		return nil
 	}
 	return fmt.Errorf("client: %s %s: %w", method, path, lastErr)
+}
+
+// bodies holds the buffers response bodies are read into before they
+// are decoded.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a JSON response to its end and decodes it into into.
+func decodeBody(body io.Reader, into any) error {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 { // a rare huge listing is not worth keeping
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return fmt.Errorf("client: reading response: %w", err)
+	}
+	return json.Unmarshal(buf.Bytes(), into)
 }
 
 func decodeAPIError(resp *http.Response) error {
@@ -265,6 +285,28 @@ func (c *Client) InstallPolicy(ctx context.Context, req api.PolicyRequest) error
 // watching; the channel also closes if the stream breaks (callers
 // needing a guaranteed verdict should fall back to Job, as Wait does).
 func (c *Client) Watch(ctx context.Context, id int) (<-chan api.WatchEvent, error) {
+	body, err := c.openWatch(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	events := make(chan api.WatchEvent, 16) // lets the reader run a burst ahead of the consumer
+	go func() {
+		defer close(events)
+		readWatch(body, func(ev api.WatchEvent) bool {
+			select {
+			case events <- ev:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
+	}()
+	return events, nil
+}
+
+// openWatch opens a job's progress stream; the caller reads it with
+// readWatch, which closes it.
+func (c *Client) openWatch(ctx context.Context, id int) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/updates/%d/watch", c.base, id), nil)
 	if err != nil {
 		return nil, err
@@ -278,46 +320,43 @@ func (c *Client) Watch(ctx context.Context, id int) (<-chan api.WatchEvent, erro
 		defer resp.Body.Close()
 		return nil, decodeAPIError(resp)
 	}
-	events := make(chan api.WatchEvent, 16)
-	go func() {
-		defer close(events)
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(nil, 1<<20) // starts at bufio's 4 KB, grows to a 1 MB line
-		var data bytes.Buffer
-		flush := func() bool {
-			if data.Len() == 0 {
-				return true
-			}
-			var ev api.WatchEvent
-			err := json.Unmarshal(data.Bytes(), &ev)
-			data.Reset()
-			if err != nil {
-				return false
-			}
-			select {
-			case events <- ev:
-				return true
-			case <-ctx.Done():
-				return false
-			}
+	return resp.Body, nil
+}
+
+// readWatch is the one reader of a progress stream: it hands every
+// event to emit, in order, until the stream ends, an event does not
+// decode or emit returns false, and closes the stream. A stream read
+// to its end leaves its connection reusable.
+func readWatch(body io.ReadCloser, emit func(api.WatchEvent) bool) {
+	defer body.Close()
+	sc := bufio.NewScanner(body)
+	// An event line is a few hundred bytes; a long one grows the buffer,
+	// up to a 1 MB line.
+	sc.Buffer(make([]byte, 0, 512), 1<<20)
+	var data bytes.Buffer
+	flush := func() bool {
+		if data.Len() == 0 {
+			return true
 		}
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if !flush() {
-					return
-				}
-			case strings.HasPrefix(line, "data:"):
-				data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-				// "event:" lines are redundant — the type rides in the data
-				// payload; other SSE fields (id, retry, comments) are ignored.
+		var ev api.WatchEvent
+		err := json.Unmarshal(data.Bytes(), &ev)
+		data.Reset()
+		return err == nil && emit(ev)
+	}
+	for sc.Scan() {
+		line := sc.Bytes()
+		switch {
+		case len(line) == 0:
+			if !flush() {
+				return
 			}
+		case bytes.HasPrefix(line, []byte("data:")):
+			data.Write(bytes.TrimSpace(line[len("data:"):]))
+			// "event:" lines are redundant — the type rides in the data
+			// payload; other SSE fields (id, retry, comments) are ignored.
 		}
-		flush()
-	}()
-	return events, nil
+	}
+	flush()
 }
 
 // Wait blocks until the job finishes and returns its final status. It
@@ -359,7 +398,7 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 	}
 	var roundsSeen, installsSeen int
 	for failures := 0; failures <= retries; {
-		events, err := c.Watch(ctx, id)
+		body, err := c.openWatch(ctx, id)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -374,15 +413,17 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 			continue
 		}
 		var rounds, installs int
-		progressed := false
-		for ev := range events {
+		progressed, terminal := false, false
+		// Read inline, on to the stream's end: the server closes it right
+		// after the terminal event, and ctx cuts a read that hangs.
+		readWatch(body, func(ev api.WatchEvent) bool {
 			switch ev.Type {
 			case api.EventRound:
 				if ev.Round == nil {
-					continue
+					break
 				}
 				if rounds++; rounds <= roundsSeen {
-					continue // replayed prefix of a reconnect
+					break // replayed prefix of a reconnect
 				}
 				roundsSeen, progressed = rounds, true
 				if onRound != nil {
@@ -390,20 +431,24 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 				}
 			case api.EventInstall:
 				if ev.Install == nil {
-					continue
+					break
 				}
 				if installs++; installs <= installsSeen {
-					continue
+					break
 				}
 				installsSeen, progressed = installs, true
 				if onInstall != nil {
 					onInstall(*ev.Install)
 				}
 			case api.EventDone, api.EventFailed:
-				// Terminal: the job endpoint is authoritative (it
-				// carries timings and the full failure report).
-				return c.pollTerminal(ctx, id)
+				terminal = true
 			}
+			return true
+		})
+		if terminal {
+			// The job endpoint is authoritative (it carries timings and
+			// the full failure report).
+			return c.pollTerminal(ctx, id)
 		}
 		// Stream broke before a terminal event (controller restart,
 		// proxy hiccup): reconnect, unless the caller gave up.

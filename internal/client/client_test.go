@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -623,5 +624,51 @@ func TestClientWatchLongLine(t *testing.T) {
 	ev, ok := <-events
 	if !ok || ev.Type != api.EventFailed || ev.Error != long {
 		t.Fatalf("got event type %q with a %d-byte error (ok=%v), want the %d-byte one", ev.Type, len(ev.Error), ok, len(long))
+	}
+}
+
+// TestClientWaitReadsInlineOnOneConnection: WaitProgress reads the
+// watch stream on the caller's goroutine, fires each callback once, and
+// reads the stream to its end — so the status request that follows, and
+// every later Wait, rides the same connection.
+func TestClientWaitReadsInlineOnOneConnection(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/updates/7/watch", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		for _, ev := range []api.WatchEvent{
+			{Type: api.EventInstall, Job: 7, Install: &api.InstallStatus{Switch: 3}},
+			{Type: api.EventRound, Job: 7, Round: &api.RoundStatus{Switches: []uint64{3}}},
+			{Type: api.EventDone, Job: 7},
+		} {
+			b, _ := json.Marshal(ev)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
+			w.(http.Flusher).Flush() // the terminal event and the stream's end arrive apart
+		}
+	})
+	mux.HandleFunc("GET /v1/updates/7", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.JobStatus{ID: 7, State: "done"}) //nolint:errcheck // test server
+	})
+	srv := httptest.NewUnstartedServer(mux)
+	var conns atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	c := client.New(srv.URL)
+	for i := 0; i < 5; i++ {
+		rounds, installs := 0, 0
+		st, err := c.WaitProgress(context.Background(), 7,
+			func(api.RoundStatus) { rounds++ },
+			func(api.InstallStatus) { installs++ })
+		if err != nil || st.State != "done" || rounds != 1 || installs != 1 {
+			t.Fatalf("wait %d: %+v, %v; %d rounds, %d installs", i, st, err, rounds, installs)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("5 waits (10 requests) opened %d connections, want 1", n)
 	}
 }

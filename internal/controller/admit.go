@@ -81,15 +81,24 @@ func newExecPlan(p *core.Plan, mods [][]*openflow.FlowMod, cleanupFrom int, clea
 		cleanupFrom: cleanupFrom,
 	}
 	ep.layers = ep.dag.NodeLayers()
-	ep.dagShape = dagShape{
-		installs: len(nodes),
-		edges:    ep.dag.NumEdges(),
-		depth:    ep.dag.Depth(),
-		width:    ep.dag.Width(),
-		critical: ep.dag.CriticalPath(),
-		sparse:   p.Sparse,
-	}
+	ep.dagShape = shapeOf(ep.dag, ep.layers)
 	return ep
+}
+
+// shapeOf measures a plan from its node layering (p.NodeLayers()),
+// derived once by the caller.
+func shapeOf(p *core.Plan, layers []int) dagShape {
+	sh := dagShape{installs: len(layers), edges: p.NumEdges(), sparse: p.Sparse}
+	for _, l := range layers {
+		sh.depth = max(sh.depth, l+1)
+	}
+	perLayer := make([]int, sh.depth)
+	for _, l := range layers {
+		perLayer[l]++
+		sh.width = max(sh.width, perLayer[l])
+	}
+	sh.critical = max(sh.depth-1, 0)
+	return sh
 }
 
 // planSinks returns the indices of nodes no other node depends on.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -290,5 +291,61 @@ func TestAdmitAppendFailureFailsJob(t *testing.T) {
 	}
 	if q, r := tb.ctrl.Engine().QueueDepth(), tb.ctrl.Engine().RunningCount(); q != 0 || r != 0 {
 		t.Fatalf("engine counters after the failed admit: queued %d, running %d", q, r)
+	}
+}
+
+// TestConflictsWithMatchesMapReference: on random footprints — plans
+// over a few switches programming a few matches, most pairs disjoint,
+// many sharing exactly one switch or one match, repeats inside a job —
+// the merge-intersection of the sorted footprint slices agrees with the
+// set intersection of map-based footprints, in both directions.
+func TestConflictsWithMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	matches := []openflow.Match{
+		flowMatch("10.0.0.1"), flowMatch("10.0.0.2"), flowMatch("10.0.1.1"),
+		openflow.ExactNWDstVLAN(net.ParseIP("10.0.0.1"), 7), openflow.ExactNWDstVLAN(net.ParseIP("10.0.0.1"), 8),
+		{Wildcards: openflow.WildcardAll}, {InPort: 3}, {DLSrc: [6]byte{0, 0, 0, 0, 0, 1}}, {DLDst: [6]byte{1}}, {TPDst: 80}, {TPSrc: 80},
+	}
+	randomJob := func() (*Job, map[topo.NodeID]bool, map[openflow.Match]bool) {
+		p := &core.Plan{Algorithm: "footprint"}
+		var mods [][]*openflow.FlowMod
+		nodes, ms := map[topo.NodeID]bool{}, map[openflow.Match]bool{}
+		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+			sw := topo.NodeID(1 + rng.Intn(24))
+			p.Nodes = append(p.Nodes, core.PlanNode{Switch: sw})
+			nodes[sw] = true
+			var fms []*openflow.FlowMod
+			for k, nm := 0, rng.Intn(3); k < nm; k++ {
+				m := matches[rng.Intn(len(matches))]
+				fms = append(fms, &openflow.FlowMod{Match: m})
+				ms[m] = true
+			}
+			mods = append(mods, fms)
+		}
+		return newJob(newExecPlan(p, mods, len(p.Nodes), nil), SubmitOptions{}, nil), nodes, ms
+	}
+	conflicts, total := 0, 2000
+	for trial := 0; trial < total; trial++ {
+		a, an, am := randomJob()
+		b, bn, bm := randomJob()
+		want := false
+		for n := range an {
+			want = want || bn[n]
+		}
+		for m := range am {
+			want = want || bm[m]
+		}
+		if got, rev := a.conflictsWith(b), b.conflictsWith(a); got != want || rev != want {
+			t.Fatalf("trial %d: conflictsWith = %v / %v, want %v\n a: %v %v\n b: %v %v", trial, got, rev, want, a.nodes, a.matches, b.nodes, b.matches)
+		}
+		if len(a.nodes) != len(an) || len(a.matches) != len(am) {
+			t.Fatalf("trial %d: footprint %v %v keeps repeats of %v %v", trial, a.nodes, a.matches, an, am)
+		}
+		if want {
+			conflicts++
+		}
+	}
+	if conflicts < total/10 || conflicts > 9*total/10 {
+		t.Fatalf("%d of %d random pairs conflict: the draw exercises one side only", conflicts, total)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tsu/internal/api"
 	"tsu/internal/core"
 	"tsu/internal/topo"
 )
@@ -84,4 +85,29 @@ func TestDispatchPathAllocs(t *testing.T) {
 		t.Fatalf("rolling back grew the goroutine count %d -> %d", goroutines, after)
 	}
 	t.Logf("%d undos: %d mallocs (%.3f/undo)", n, delta, float64(delta)/float64(n))
+}
+
+// TestPlanUpdateAllocs pins what planning one REST update entry costs
+// before anything is admitted: a 34-hop ladder reroute (32 switches
+// along one row to 34 through the next, as tsubench's durable-bigplan
+// submits them), peacock, plan "sparse". With the NodeID maps of
+// core.Instance and the schedulers it was 110 allocations.
+func TestPlanUpdateAllocs(t *testing.T) {
+	u := api.FlowUpdate{NWDst: "10.0.0.2", Algorithm: "peacock", Plan: "sparse", NewPath: []uint64{1}}
+	for c := uint64(1); c <= 32; c++ {
+		u.OldPath = append(u.OldPath, c)
+		u.NewPath = append(u.NewPath, 32+c)
+	}
+	u.NewPath = append(u.NewPath, 32)
+	p, err := planUpdate(u, false)
+	if err != nil || p.DAG.NumNodes() != 33 {
+		t.Fatalf("planUpdate: %v, %v", p, err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := planUpdate(u, false); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 45 {
+		t.Fatalf("planUpdate = %.1f allocs/op, want <= 45", got)
+	}
 }

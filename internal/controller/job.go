@@ -1,7 +1,10 @@
 package controller
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -119,8 +122,8 @@ type Job struct {
 	// confirms them synthetically and resumes dispatch from the frontier
 	// they release.
 	plan         *execPlan
-	nodes        map[topo.NodeID]struct{}
-	matches      map[openflow.Match]struct{}
+	nodes        []topo.NodeID    // ascending, distinct
+	matches      []openflow.Match // ascending by compareMatch, distinct
 	rollback     *rollbackSpec
 	preConfirmed []bool
 
@@ -270,35 +273,61 @@ func (j *Job) Subscribe() <-chan JobEvent {
 
 // footprint fills the job's conflict sets from its execution DAG.
 func (j *Job) footprint() {
-	j.nodes = make(map[topo.NodeID]struct{})
-	j.matches = make(map[openflow.Match]struct{})
+	j.nodes = make([]topo.NodeID, 0, len(j.plan.dag.Nodes))
 	for i, nd := range j.plan.dag.Nodes {
-		j.nodes[nd.Switch] = struct{}{}
+		j.nodes = append(j.nodes, nd.Switch)
 		for _, fm := range j.plan.mods[i] {
-			j.matches[fm.Match] = struct{}{}
+			// A flow's mods all carry its one match: skip the repeats
+			// here and leave few for the sort.
+			if n := len(j.matches); n == 0 || j.matches[n-1] != fm.Match {
+				j.matches = append(j.matches, fm.Match)
+			}
 		}
 	}
+	slices.Sort(j.nodes)
+	j.nodes = slices.Compact(j.nodes)
+	slices.SortFunc(j.matches, compareMatch)
+	j.matches = slices.Compact(j.matches)
+}
+
+// compareMatch is a total order on flow matches (any one, consistent
+// with ==): what keeps a footprint's matches sorted.
+func compareMatch(a, b openflow.Match) int {
+	return cmp.Or(
+		cmp.Compare(a.NWDst, b.NWDst),
+		cmp.Compare(a.NWSrc, b.NWSrc),
+		cmp.Compare(a.Wildcards, b.Wildcards),
+		cmp.Compare(a.DLVLAN, b.DLVLAN),
+		cmp.Compare(a.InPort, b.InPort),
+		bytes.Compare(a.DLSrc[:], b.DLSrc[:]),
+		bytes.Compare(a.DLDst[:], b.DLDst[:]),
+		cmp.Compare(a.DLVLANPCP, b.DLVLANPCP),
+		cmp.Compare(a.DLType, b.DLType),
+		cmp.Compare(a.NWTOS, b.NWTOS),
+		cmp.Compare(a.NWProto, b.NWProto),
+		cmp.Compare(a.TPSrc, b.TPSrc),
+		cmp.Compare(a.TPDst, b.TPDst),
+	)
 }
 
 // conflictsWith reports whether the two jobs may not execute
 // concurrently: they touch a common switch or program a common flow.
 func (j *Job) conflictsWith(other *Job) bool {
-	a, b := j.nodes, other.nodes
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for n := range a {
-		if _, ok := b[n]; ok {
+	return intersects(j.nodes, other.nodes, cmp.Compare[topo.NodeID]) ||
+		intersects(j.matches, other.matches, compareMatch)
+}
+
+// intersects reports whether two slices sorted by compare share an
+// element: one merge pass.
+func intersects[T any](a, b []T, compare func(T, T) int) bool {
+	for i, k := 0, 0; i < len(a) && k < len(b); {
+		switch c := compare(a[i], b[k]); {
+		case c == 0:
 			return true
-		}
-	}
-	ma, mb := j.matches, other.matches
-	if len(mb) < len(ma) {
-		ma, mb = mb, ma
-	}
-	for m := range ma {
-		if _, ok := mb[m]; ok {
-			return true
+		case c < 0:
+			i++
+		default:
+			k++
 		}
 	}
 	return false

@@ -1,0 +1,115 @@
+package controller
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"net/http"
+	"os"
+	"testing"
+	"time"
+
+	"tsu/internal/topo"
+)
+
+var updateRESTGolden = flag.Bool("update-rest-golden", false, "rewrite testdata/jobstatus.golden from the current tree")
+
+// goldenJob is a finished job built by hand, every field fixed: what
+// the status and watch handlers render of it depends on the rendering
+// code alone. failed selects the other terminal shape (error, failure
+// report, no messages).
+func goldenJob(id int, failed bool) *Job {
+	epoch := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(us int) time.Time { return epoch.Add(time.Duration(us) * time.Microsecond) }
+	job := &Job{
+		ID:        id,
+		Algorithm: "peacock",
+		Mode:      ModeDecentralized,
+		shape:     dagShape{installs: 5, edges: 4, depth: 3, width: 2, critical: 2, sparse: true},
+		state:     JobDone,
+		started:   at(0),
+		finished:  at(9876),
+		done:      make(chan struct{}),
+		installs: []InstallTiming{
+			{Node: 7, Layer: 0, FlowMods: 1, Started: at(10), Finished: at(4310)},
+			{Node: 8, Layer: 0, FlowMods: 1, Started: at(12), Finished: at(4350)},
+			{Node: 1, Layer: 1, ReleasedBy: 8, FlowMods: 1, Started: at(4400), Finished: at(8700)},
+			{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: at(4410), Finished: at(8800)},
+			{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: at(8810), Finished: at(9870)},
+		},
+		timings: []RoundTiming{
+			{Round: 0, Switches: []topo.NodeID{7, 8}, FlowMods: 2, Started: at(10), Finished: at(4350)},
+			{Round: 1, Switches: []topo.NodeID{1, 3}, FlowMods: 3, Started: at(4400), Finished: at(8800)},
+			{Round: 2, Switches: []topo.NodeID{2}, FlowMods: 1, Cleanup: true, Started: at(8810), Finished: at(9870)},
+		},
+		msgs: map[topo.NodeID]MessageStats{7: {Ctrl: 2, Peer: 1}, 8: {Ctrl: 2, Peer: 1}, 1: {Ctrl: 2}, 3: {Ctrl: 3, Peer: 2}, 2: {Ctrl: 2}},
+	}
+	if failed {
+		job.Mode = ModeController
+		job.state = JobFailed
+		job.err = errors.New(`install at 3 (layer 1): barrier reply: <timeout> & "quotes"`)
+		job.failure = &FailureReport{
+			Phase:            PhaseRolledBack,
+			TriggeringFault:  job.err.Error(),
+			Installed:        []topo.NodeID{7, 8, 1},
+			RolledBack:       []topo.NodeID{1, 8, 7},
+			RollbackVerified: true,
+			Stuck:            []StuckNode{{Switch: 2, WaitingOn: []topo.NodeID{3}}},
+		}
+		job.installs, job.timings, job.msgs = job.installs[:3], job.timings[:1], nil
+	}
+	// The publish log a late subscriber replays: installs as confirmed,
+	// a round after its last install.
+	round := 0
+	for i := range job.installs {
+		job.events = append(job.events, JobEvent{Install: &job.installs[i], State: JobRunning})
+		if round < len(job.timings) && (i+1 == len(job.installs) || job.installs[i+1].Layer != job.installs[i].Layer) {
+			job.events = append(job.events, JobEvent{Round: &job.timings[round], State: JobRunning})
+			round++
+		}
+	}
+	close(job.done)
+	return job
+}
+
+// TestJobStatusGolden pins the bytes of a finished job's
+// GET /v1/updates/{id} body and of its watch replay, for a done and a
+// failed job (testdata/jobstatus.golden, written by the tree before the
+// status render was presized and the watch stream got its one buffer).
+func TestJobStatusGolden(t *testing.T) {
+	c, err := New(Config{Topology: topo.Grid(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for id, failed := range []bool{false, true} {
+		job := goldenJob(id+1, failed)
+		c.engine.mu.Lock()
+		c.engine.jobs[job.ID] = job
+		c.engine.mu.Unlock()
+		for _, path := range []string{fmt.Sprintf("/v1/updates/%d", job.ID), fmt.Sprintf("/v1/updates/%d/watch", job.ID)} {
+			code, body := serveGET(t, c, path, nil)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", path, code, body)
+			}
+			got += "== GET " + path + "\n" + body
+		}
+	}
+	const golden = "testdata/jobstatus.golden"
+	if *updateRESTGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("status / watch bytes changed (-update-rest-golden rewrites %s only when that is the point):\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}

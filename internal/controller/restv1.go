@@ -1,13 +1,15 @@
 package controller
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -156,13 +158,15 @@ func planUpdate(u api.FlowUpdate, forVerify bool) (*plannedUpdate, error) {
 	// never re-running the scheduler, so the reported rounds and the
 	// executed DAG come from the same run). Schedulers without a sparse
 	// form fall back to layered — PlanShape.Sparse reports what ran.
-	p.DAG = core.PlanFromSchedule(sched)
 	if u.Plan == "sparse" {
 		if sch, err := core.Lookup(p.Algo); err == nil {
 			if _, capable := sch.(core.PlanScheduler); capable {
 				p.DAG = core.SparsePlan(in, sched)
 			}
 		}
+	}
+	if p.DAG == nil {
+		p.DAG = core.PlanFromSchedule(sched)
 	}
 	return p, nil
 }
@@ -215,13 +219,14 @@ func planShape(p *core.Plan) *api.PlanShape {
 	if p == nil {
 		return nil
 	}
+	sh := shapeOf(p, p.NodeLayers())
 	return &api.PlanShape{
-		Nodes:        p.NumNodes(),
-		Edges:        p.NumEdges(),
-		Depth:        p.Depth(),
-		Width:        p.Width(),
-		CriticalPath: p.CriticalPath(),
-		Sparse:       p.Sparse,
+		Nodes:        sh.installs,
+		Edges:        sh.edges,
+		Depth:        sh.depth,
+		Width:        sh.width,
+		CriticalPath: sh.critical,
+		Sparse:       sh.sparse,
 	}
 }
 
@@ -337,7 +342,6 @@ func v1JobStatus(job *Job) api.JobStatus {
 		Algorithm:   job.Algorithm,
 		Mode:        job.Mode.String(),
 		TotalMicros: job.TotalDuration().Microseconds(),
-		Rounds:      []api.RoundStatus{},
 		Plan: &api.PlanShape{
 			Nodes:        job.NumInstalls(),
 			Edges:        job.NumEdges(),
@@ -355,23 +359,24 @@ func v1JobStatus(job *Job) api.JobStatus {
 	if f := job.Failure(); f != nil {
 		st.Failure = v1FailureReport(f)
 	}
-	for _, t := range job.Timings() {
-		st.Rounds = append(st.Rounds, v1RoundStatus(t))
+	timings, installs := job.Timings(), job.Installs()
+	st.Rounds = make([]api.RoundStatus, len(timings)) // "rounds" is never null
+	for i, t := range timings {
+		st.Rounds[i] = v1RoundStatus(t)
 	}
-	for _, it := range job.Installs() {
-		st.Installs = append(st.Installs, v1InstallStatus(it))
+	if len(installs) > 0 {
+		st.Installs = make([]api.InstallStatus, len(installs))
+		for i, it := range installs {
+			st.Installs[i] = v1InstallStatus(it)
+		}
 	}
 	if total, per := job.Messages(); total.Ctrl > 0 || total.Peer > 0 {
 		st.Messages = &api.MessageCount{Ctrl: total.Ctrl, Peer: total.Peer}
-		switches := make([]topo.NodeID, 0, len(per))
-		for n := range per {
-			switches = append(switches, n)
+		st.MessagesPerSwitch = make([]api.MessageCount, 0, len(per))
+		for n, m := range per {
+			st.MessagesPerSwitch = append(st.MessagesPerSwitch, api.MessageCount{Switch: uint64(n), Ctrl: m.Ctrl, Peer: m.Peer})
 		}
-		sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
-		for _, n := range switches {
-			st.MessagesPerSwitch = append(st.MessagesPerSwitch,
-				api.MessageCount{Switch: uint64(n), Ctrl: per[n].Ctrl, Peer: per[n].Peer})
-		}
+		slices.SortFunc(st.MessagesPerSwitch, func(a, b api.MessageCount) int { return cmp.Compare(a.Switch, b.Switch) })
 	}
 	return st
 }
@@ -483,6 +488,10 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 	if len(events) == 0 {
 		fl.Flush()
 	}
+	// Every event of the stream is framed in, and written from, one
+	// buffer.
+	var frame bytes.Buffer
+	enc := json.NewEncoder(&frame)
 	for {
 		select {
 		case ev, open := <-events:
@@ -508,11 +517,15 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 					we.Error = ev.Err.Error()
 				}
 			}
-			data, err := json.Marshal(we)
-			if err != nil {
+			frame.Reset()
+			frame.WriteString("event: ")
+			frame.WriteString(we.Type)
+			frame.WriteString("\ndata: ")
+			if err := enc.Encode(we); err != nil { // ends the data line
 				return
 			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", we.Type, data); err != nil {
+			frame.WriteByte('\n')
+			if _, err := w.Write(frame.Bytes()); err != nil {
 				return
 			}
 			if len(events) == 0 {

@@ -20,6 +20,13 @@
 // after Ludwig et al., PODC'15), a strong-loop-freedom greedy, the
 // one-shot baseline, and exact minimal-round solvers for small
 // instances.
+//
+// An Instance has one representation: a dense index over the switches
+// of both paths, with successors, positions and the pending set as
+// arrays and a bitset over it. Schedulers, walks, checkers and plan
+// derivations keep their working sets the same way — never a map keyed
+// by switch (make guard-dense-core) — and a switch ID enters through
+// Instance.idx, a binary search.
 package core
 
 import (

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tsu/internal/topo"
-)
+import "fmt"
 
 // GreedySLF schedules the update under strong loop freedom: in every
 // reachable transient state the full rule graph — including rules at
@@ -31,34 +27,22 @@ import (
 // Peacock or Optimal.
 func GreedySLF(in *Instance) (*Schedule, error) {
 	s := &Schedule{Algorithm: AlgoGreedySLF, Guarantees: NoBlackhole | StrongLoopFreedom | RelaxedLoopFreedom}
-	done := in.NewState()
-	pending := in.Pending()
-	remaining := make(map[topo.NodeID]bool, len(pending))
-	for _, v := range pending {
-		remaining[v] = true
-	}
-	for len(remaining) > 0 {
-		var round []topo.NodeID
-		for _, v := range pending { // deterministic new-path order
-			if !remaining[v] {
-				continue
+	b := in.newBatcher(s)
+	pending := in.pendingIdx()
+	for left := len(pending); left > 0; {
+		// pick grows the round at the tail of b.pool: the trial is that
+		// tail plus the candidate.
+		start := len(b.pool)
+		round := b.pick(pending, func(i int32) bool {
+			if !in.hasGuaranteedRule(in.newSuccIdx[i], b.done) {
+				return false // successor could still be rule-less mid-round
 			}
-			if !in.hasGuaranteedRule(in.newSucc[v], done) {
-				continue // successor could still be rule-less mid-round
-			}
-			trial := append(round, v)
-			if in.RoundSafeStrongLF(done, trial) {
-				round = trial
-			}
-		}
+			return in.RoundSafeStrongLF(b.done, append(b.pool[start:], in.nodeOf[i]))
+		})
 		if len(round) == 0 {
-			return nil, fmt.Errorf("core: greedy-slf stalled with %d pending switches on %v", len(remaining), in)
+			return nil, fmt.Errorf("core: greedy-slf stalled with %d pending switches on %v", left, in)
 		}
-		s.Rounds = append(s.Rounds, round)
-		for _, v := range round {
-			in.Mark(done, v)
-			delete(remaining, v)
-		}
+		left -= b.commit(round)
 	}
 	return s, nil
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tsu/internal/topo"
 )
@@ -24,6 +24,15 @@ var ErrWaypoint = errors.New("waypoint not strictly interior")
 // successor. Switches whose old and new successors coincide need no
 // FlowMod and are treated as already final.
 //
+// There is one index: every switch of Old ∪ New gets a dense index in
+// [0, NumNodes), ascending by switch ID, and every fact about a switch
+// — successors, path positions, whether it needs a FlowMod — is an
+// array or bitset entry at that index. Walk, CheckState, the round
+// checkers and the schedulers run on indices and State bitsets only;
+// the NodeID-typed methods (OldSucc, NewIndex, NeedsUpdate, ...) are
+// one idx lookup — a binary search over nodeOf, O(log NumNodes), no
+// hashing — on top of the same arrays.
+//
 // An Instance is immutable after construction and safe for concurrent
 // use; the parallel verifier relies on this.
 type Instance struct {
@@ -31,21 +40,13 @@ type Instance struct {
 	New      topo.Path
 	Waypoint topo.NodeID // 0 when the policy has no waypoint
 
-	oldSucc map[topo.NodeID]topo.NodeID
-	newSucc map[topo.NodeID]topo.NodeID
-	oldPos  map[topo.NodeID]int
-	newPos  map[topo.NodeID]int
-	pending map[topo.NodeID]bool // switches that need a FlowMod
-
-	// Dense index layer: every switch of Old ∪ New gets an index in
-	// [0, NumNodes), ascending by switch ID. The hot paths — Walk,
-	// CheckState, CheckRound's subset search, RoundSafeStrongLF — run
-	// entirely on these arrays and State bitsets.
-	nodeOf      []topo.NodeID
-	idxOf       map[topo.NodeID]int32
-	oldSuccIdx  []int32 // -1 when v has no old-path successor
-	newSuccIdx  []int32 // -1 when v has no new-path successor
-	pendingBits State
+	nodeOf      []topo.NodeID // index -> switch, ascending
+	oldSuccIdx  []int32       // -1 when v has no old-path successor
+	newSuccIdx  []int32       // -1 when v has no new-path successor
+	oldPos      []int32       // position on Old, -1 when off it
+	newPos      []int32       // position on New, -1 when off it
+	pendingBits State         // switches that need a FlowMod
+	numPending  int
 	srcIdx      int32
 	dstIdx      int32
 	wpIdx       int32 // -1 when the policy has no waypoint
@@ -66,83 +67,96 @@ func NewInstance(old, newPath topo.Path, waypoint topo.NodeID) (*Instance, error
 		return nil, fmt.Errorf("core: endpoint mismatch: old %v vs new %v", old, newPath)
 	}
 	if waypoint != 0 {
-		for _, p := range []topo.Path{old, newPath} {
+		for _, p := range [...]topo.Path{old, newPath} {
 			i := p.Index(waypoint)
 			if i <= 0 || i >= len(p)-1 {
 				return nil, fmt.Errorf("core: waypoint %d not strictly interior to path %v: %w", waypoint, p, ErrWaypoint)
 			}
 		}
 	}
+	// One NodeID array holds the two path copies and, behind them, the
+	// sorted union; one int32 array the four per-node tables.
+	lo, ln := len(old), len(newPath)
+	ids := make([]topo.NodeID, 2*(lo+ln))
 	in := &Instance{
-		Old:      old.Clone(),
-		New:      newPath.Clone(),
+		Old:      ids[:lo:lo],
+		New:      ids[lo : lo+ln : lo+ln],
 		Waypoint: waypoint,
-		oldSucc:  make(map[topo.NodeID]topo.NodeID, len(old)),
-		newSucc:  make(map[topo.NodeID]topo.NodeID, len(newPath)),
-		oldPos:   make(map[topo.NodeID]int, len(old)),
-		newPos:   make(map[topo.NodeID]int, len(newPath)),
-		pending:  make(map[topo.NodeID]bool),
 	}
-	for i, v := range in.Old {
-		in.oldPos[v] = i
-		if i+1 < len(in.Old) {
-			in.oldSucc[v] = in.Old[i+1]
+	copy(in.Old, old)
+	copy(in.New, newPath)
+	union := ids[lo+ln:]
+	copy(union, ids[:lo+ln])
+	slices.Sort(union)
+	in.nodeOf = slices.Compact(union)
+	n := len(in.nodeOf)
+	in.nodeOf = in.nodeOf[:n:n]
+
+	tables := make([]int32, 4*n)
+	for i := range tables {
+		tables[i] = -1
+	}
+	in.oldSuccIdx, in.newSuccIdx = tables[:n:n], tables[n:2*n:2*n]
+	in.oldPos, in.newPos = tables[2*n:3*n:3*n], tables[3*n:]
+	in.index(in.Old, in.oldPos, in.oldSuccIdx)
+	in.index(in.New, in.newPos, in.newSuccIdx)
+
+	in.words = (n + 63) / 64
+	in.pendingBits = in.NewState()
+	for i, next := range in.newSuccIdx {
+		if next >= 0 && next != in.oldSuccIdx[i] {
+			in.pendingBits.Set(i)
+			in.numPending++
 		}
 	}
-	for i, v := range in.New {
-		in.newPos[v] = i
-		if i+1 < len(in.New) {
-			in.newSucc[v] = in.New[i+1]
-		}
+	in.srcIdx = in.idx(in.Old.Src())
+	in.dstIdx = in.idx(in.Old.Dst())
+	in.wpIdx = -1
+	if waypoint != 0 {
+		in.wpIdx = in.idx(waypoint)
 	}
-	for _, v := range in.New[:len(in.New)-1] {
-		oldNext, onOld := in.oldSucc[v]
-		if !onOld || oldNext != in.newSucc[v] {
-			in.pending[v] = true
-		}
-	}
-	in.buildIndex()
 	return in, nil
 }
 
-// buildIndex materializes the dense index layer from the path maps.
-func (in *Instance) buildIndex() {
-	seen := make(map[topo.NodeID]bool, len(in.Old)+len(in.New))
-	for _, p := range []topo.Path{in.Old, in.New} {
-		for _, v := range p {
-			if !seen[v] {
-				seen[v] = true
-				in.nodeOf = append(in.nodeOf, v)
-			}
+// index records path p's positions and successors in the per-node
+// tables.
+func (in *Instance) index(p topo.Path, pos, succ []int32) {
+	prev := int32(-1)
+	for k, v := range p {
+		i := in.idx(v)
+		pos[i] = int32(k)
+		if prev >= 0 {
+			succ[prev] = i
 		}
+		prev = i
 	}
-	sort.Slice(in.nodeOf, func(i, j int) bool { return in.nodeOf[i] < in.nodeOf[j] })
-	in.words = (len(in.nodeOf) + 63) / 64
-	in.idxOf = make(map[topo.NodeID]int32, len(in.nodeOf))
-	for i, v := range in.nodeOf {
-		in.idxOf[v] = int32(i)
+}
+
+// idx returns v's dense index, or -1 when v lies on neither path: a
+// binary search over the sorted nodeOf.
+func (in *Instance) idx(v topo.NodeID) int32 {
+	if i, ok := slices.BinarySearch(in.nodeOf, v); ok {
+		return int32(i)
 	}
-	in.oldSuccIdx = make([]int32, len(in.nodeOf))
-	in.newSuccIdx = make([]int32, len(in.nodeOf))
-	in.pendingBits = in.NewState()
-	for i, v := range in.nodeOf {
-		in.oldSuccIdx[i], in.newSuccIdx[i] = -1, -1
-		if n, ok := in.oldSucc[v]; ok {
-			in.oldSuccIdx[i] = in.idxOf[n]
-		}
-		if n, ok := in.newSucc[v]; ok {
-			in.newSuccIdx[i] = in.idxOf[n]
-		}
-		if in.pending[v] {
-			in.pendingBits.Set(i)
-		}
+	return -1
+}
+
+// at is idx for table reads: tbl[idx(v)], or -1 when v lies on neither
+// path.
+func (in *Instance) at(tbl []int32, v topo.NodeID) int32 {
+	if i := in.idx(v); i >= 0 {
+		return tbl[i]
 	}
-	in.srcIdx = in.idxOf[in.Old.Src()]
-	in.dstIdx = in.idxOf[in.Old.Dst()]
-	in.wpIdx = -1
-	if in.Waypoint != 0 {
-		in.wpIdx = in.idxOf[in.Waypoint]
+	return -1
+}
+
+// node maps a dense index back to its switch; a negative index (no
+// successor) reads as (0, false).
+func (in *Instance) node(i int32) (topo.NodeID, bool) {
+	if i < 0 {
+		return 0, false
 	}
+	return in.nodeOf[i], true
 }
 
 // MustInstance is NewInstance for statically known-good inputs; it
@@ -163,69 +177,67 @@ func (in *Instance) Dst() topo.NodeID { return in.Old.Dst() }
 
 // NeedsUpdate reports whether v requires a FlowMod (it is on the new
 // path, is not the destination, and its forwarding rule changes).
-func (in *Instance) NeedsUpdate(v topo.NodeID) bool { return in.pending[v] }
+func (in *Instance) NeedsUpdate(v topo.NodeID) bool { return in.pendingBits.Has(int(in.idx(v))) }
+
+// pendingIdx returns the dense indices of all switches needing updates,
+// ordered by new-path position.
+func (in *Instance) pendingIdx() []int32 {
+	out := make([]int32, 0, in.numPending)
+	for i := in.srcIdx; i >= 0; i = in.newSuccIdx[i] {
+		if in.pendingBits.Has(int(i)) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // Pending returns all switches needing updates, ordered by new-path
 // position (deterministic).
 func (in *Instance) Pending() []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(in.pending))
-	for v := range in.pending {
-		out = append(out, v)
+	out := make([]topo.NodeID, 0, in.numPending)
+	for i := in.srcIdx; i >= 0; i = in.newSuccIdx[i] {
+		if in.pendingBits.Has(int(i)) {
+			out = append(out, in.nodeOf[i])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return in.newPos[out[i]] < in.newPos[out[j]] })
 	return out
 }
 
 // NumPending returns the number of switches needing updates.
-func (in *Instance) NumPending() int { return len(in.pending) }
+func (in *Instance) NumPending() int { return in.numPending }
 
 // OldSucc returns v's old-path successor, if v is a non-final old-path
 // switch.
 func (in *Instance) OldSucc(v topo.NodeID) (topo.NodeID, bool) {
-	n, ok := in.oldSucc[v]
-	return n, ok
+	return in.node(in.at(in.oldSuccIdx, v))
 }
 
 // NewSucc returns v's new-path successor, if v is a non-final new-path
 // switch.
 func (in *Instance) NewSucc(v topo.NodeID) (topo.NodeID, bool) {
-	n, ok := in.newSucc[v]
-	return n, ok
+	return in.node(in.at(in.newSuccIdx, v))
 }
 
 // OnOld reports whether v lies on the old path.
-func (in *Instance) OnOld(v topo.NodeID) bool {
-	_, ok := in.oldPos[v]
-	return ok
-}
+func (in *Instance) OnOld(v topo.NodeID) bool { return in.at(in.oldPos, v) >= 0 }
 
 // OnNew reports whether v lies on the new path.
-func (in *Instance) OnNew(v topo.NodeID) bool {
-	_, ok := in.newPos[v]
-	return ok
-}
+func (in *Instance) OnNew(v topo.NodeID) bool { return in.at(in.newPos, v) >= 0 }
 
 // OldIndex returns v's position on the old path, or -1.
-func (in *Instance) OldIndex(v topo.NodeID) int {
-	if i, ok := in.oldPos[v]; ok {
-		return i
-	}
-	return -1
-}
+func (in *Instance) OldIndex(v topo.NodeID) int { return int(in.at(in.oldPos, v)) }
 
 // NewIndex returns v's position on the new path, or -1.
-func (in *Instance) NewIndex(v topo.NodeID) int {
-	if i, ok := in.newPos[v]; ok {
-		return i
-	}
-	return -1
-}
+func (in *Instance) NewIndex(v topo.NodeID) int { return int(in.at(in.newPos, v)) }
 
 // NewOnly reports whether v lies on the new path but not the old path
 // (such switches carry no rule at all until updated).
 func (in *Instance) NewOnly(v topo.NodeID) bool {
-	return in.OnNew(v) && !in.OnOld(v)
+	i := in.idx(v)
+	return i >= 0 && in.newOnlyIdx(i)
 }
+
+func (in *Instance) newOnlyIdx(i int32) bool { return in.oldPos[i] < 0 }
 
 // NaturalProps returns the instance's natural property set: blackhole
 // freedom and relaxed loop freedom, plus waypoint enforcement when the

@@ -38,10 +38,6 @@ func Optimal(in *Instance, props Property) (*Schedule, error) {
 	if k == 0 {
 		return s, nil
 	}
-	idx := make(map[topo.NodeID]int, k)
-	for i, v := range pending {
-		idx[v] = i
-	}
 	maskNodes := func(mask uint32) []topo.NodeID {
 		out := make([]topo.NodeID, 0, bits.OnesCount32(mask))
 		for i, v := range pending {

@@ -106,25 +106,23 @@ func PlanFromSchedule(s *Schedule) *Plan {
 		Guarantees:             s.Guarantees,
 		LoopFreedomCompromised: s.LoopFreedomCompromised,
 	}
-	total := 0
-	for _, r := range s.Rounds {
-		total += len(r)
-	}
-	p.Nodes = make([]PlanNode, 0, total)
-	prevStart, prevEnd := 0, 0
+	p.Nodes = make([]PlanNode, 0, s.NumUpdates())
+	// A round's nodes all wait for the same set, the previous round:
+	// they share one deps slice (plans are immutable once built).
+	prev := 0 // where the previous round starts
 	for _, round := range s.Rounds {
 		start := len(p.Nodes)
-		for _, v := range round {
-			var deps []int
-			if prevEnd > prevStart {
-				deps = make([]int, 0, prevEnd-prevStart)
-				for d := prevStart; d < prevEnd; d++ {
-					deps = append(deps, d)
-				}
+		var deps []int
+		if start > prev {
+			deps = make([]int, start-prev)
+			for k := range deps {
+				deps[k] = prev + k
 			}
+		}
+		for _, v := range round {
 			p.Nodes = append(p.Nodes, PlanNode{Switch: v, Deps: deps})
 		}
-		prevStart, prevEnd = start, len(p.Nodes)
+		prev = start
 	}
 	return p
 }
@@ -334,14 +332,10 @@ func (p *Plan) String() string {
 // relax the last check to a subset — they uninstall only the prefix
 // that had been installed when the forward plan aborted.
 func (p *Plan) Validate(in *Instance) error {
-	seen := make(map[topo.NodeID]bool, len(p.Nodes))
+	seen := in.NewState()
 	for i, n := range p.Nodes {
-		if seen[n.Switch] {
-			return fmt.Errorf("core: switch %d planned twice", n.Switch)
-		}
-		seen[n.Switch] = true
-		if !in.NeedsUpdate(n.Switch) {
-			return fmt.Errorf("core: switch %d planned but needs no update", n.Switch)
+		if err := in.cover(seen, n.Switch, "planned"); err != nil {
+			return err
 		}
 		prev := -1
 		for _, d := range n.Deps {
@@ -354,8 +348,8 @@ func (p *Plan) Validate(in *Instance) error {
 			prev = d
 		}
 	}
-	if !p.Rollback && len(seen) != in.NumPending() {
-		return fmt.Errorf("core: plan covers %d of %d pending switches", len(seen), in.NumPending())
+	if !p.Rollback && len(p.Nodes) != in.NumPending() {
+		return fmt.Errorf("core: plan covers %d of %d pending switches", len(p.Nodes), in.NumPending())
 	}
 	return nil
 }
@@ -642,10 +636,19 @@ const sparseSpotSamples = 64
 // Any failed or refuted check falls back to the layered plan, so
 // SparsePlan never weakens the schedule's contract.
 func SparsePlan(in *Instance, s *Schedule) *Plan {
-	layered := PlanFromSchedule(s)
-	n := len(layered.Nodes)
+	if sparse := deriveSparse(in, s); sparse != nil {
+		return sparse
+	}
+	return PlanFromSchedule(s)
+}
+
+// deriveSparse is SparsePlan's derivation and proof; nil when the
+// schedule has no sparse plan that is valid, prunes an edge and is
+// provably safe.
+func deriveSparse(in *Instance, s *Schedule) *Plan {
+	n := s.NumUpdates()
 	if n == 0 {
-		return layered
+		return nil
 	}
 	sparse := &Plan{
 		Algorithm:              s.Algorithm,
@@ -654,28 +657,44 @@ func SparsePlan(in *Instance, s *Schedule) *Plan {
 		Sparse:                 true,
 		Nodes:                  make([]PlanNode, 0, n),
 	}
-	idxOf := make(map[topo.NodeID]int, n)
+	// nodeAt is the plan node of each scheduled switch, by dense
+	// instance index; -1 until its round came up.
+	nodeAt := make([]int32, in.NumNodes())
+	for i := range nodeAt {
+		nodeAt[i] = -1
+	}
+	// Every node's deps are cut from one arena (earlier cuts stay valid
+	// when it grows).
+	arena := make([]int, 0, 2*n)
 	// prevWalk tracks the node indices of the last round that
 	// contained walk-relevant switches.
 	var prevWalk, curWalk []int
 	for _, round := range s.Rounds {
 		curWalk = curWalk[:0]
 		for _, v := range round {
-			i := len(sparse.Nodes)
-			idxOf[v] = i
-			var deps []int
-			if in.OnOld(v) {
-				deps = append(deps, prevWalk...)
+			i, vi := len(sparse.Nodes), in.idx(v)
+			if vi < 0 {
+				return nil // not this instance's schedule
+			}
+			nodeAt[vi] = int32(i)
+			start := len(arena)
+			if !in.newOnlyIdx(vi) {
+				arena = append(arena, prevWalk...)
 				// Rule-availability: follow v's new-rule chain through
 				// new-only pending switches.
-				for w, ok := in.NewSucc(v); ok && in.NewOnly(w) && in.NeedsUpdate(w); w, ok = in.NewSucc(w) {
-					if j, scheduled := idxOf[w]; scheduled {
-						deps = append(deps, j)
+				for w := in.newSuccIdx[vi]; w >= 0 && in.newOnlyIdx(w) && in.pendingBits.Has(int(w)); w = in.newSuccIdx[w] {
+					if j := nodeAt[w]; j >= 0 {
+						arena = append(arena, int(j))
 					}
 				}
 				curWalk = append(curWalk, i)
 			}
+			deps := arena[start:]
 			sortedUniqueInts(&deps)
+			arena = arena[:start+len(deps)]
+			if deps = deps[:len(deps):len(deps)]; len(deps) == 0 {
+				deps = nil
+			}
 			sparse.Nodes = append(sparse.Nodes, PlanNode{Switch: v, Deps: deps})
 		}
 		if len(curWalk) > 0 {
@@ -683,14 +702,14 @@ func SparsePlan(in *Instance, s *Schedule) *Plan {
 		}
 	}
 	if err := sparse.Validate(in); err != nil {
-		return layered
+		return nil
 	}
 	if _, layeredAlready := sparse.Rounds(); layeredAlready {
 		// No edge was actually pruned; keep the canonical layered form.
-		return layered
+		return nil
 	}
 	if !sparseSafe(in, sparse, s) {
-		return layered
+		return nil
 	}
 	return sparse
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tsu/internal/topo"
 )
@@ -24,7 +25,6 @@ import (
 type PlanDraft struct {
 	in    *Instance
 	nodes []topo.NodeID
-	idx   map[topo.NodeID]int
 	pred  [][]int // pred[v]: draft indices that must complete before v
 	succ  [][]int
 	edges int
@@ -33,17 +33,12 @@ type PlanDraft struct {
 // NewPlanDraft returns the edgeless draft over in's pending switches.
 func NewPlanDraft(in *Instance) *PlanDraft {
 	nodes := in.Pending()
-	d := &PlanDraft{
+	return &PlanDraft{
 		in:    in,
 		nodes: nodes,
-		idx:   make(map[topo.NodeID]int, len(nodes)),
 		pred:  make([][]int, len(nodes)),
 		succ:  make([][]int, len(nodes)),
 	}
-	for i, v := range nodes {
-		d.idx[v] = i
-	}
-	return d
 }
 
 // NumNodes returns the number of draft nodes (pending switches).
@@ -57,12 +52,7 @@ func (d *PlanDraft) Switch(i int) topo.NodeID { return d.nodes[i] }
 
 // IndexOf returns the draft index of switch v, or -1 when v is not a
 // pending switch.
-func (d *PlanDraft) IndexOf(v topo.NodeID) int {
-	if i, ok := d.idx[v]; ok {
-		return i
-	}
-	return -1
-}
+func (d *PlanDraft) IndexOf(v topo.NodeID) int { return slices.Index(d.nodes, v) }
 
 // HasEdge reports whether the direct edge u→v is present.
 func (d *PlanDraft) HasEdge(u, v int) bool {

@@ -174,7 +174,7 @@ func (rc *RoundChecker) Check(in *Instance, done State, round []topo.NodeID, pro
 	}
 	c := &rc.c
 	for _, v := range round {
-		if i, ok := in.idxOf[v]; ok && in.pendingBits.Has(int(i)) && !done.Has(int(i)) {
+		if i := in.idx(v); in.pendingBits.Has(int(i)) && !done.Has(int(i)) {
 			c.inRound.Set(int(i))
 		}
 	}
@@ -340,14 +340,11 @@ func (c *roundChecker) advance(i int32) bool {
 	return c.step(next)
 }
 
-// hasGuaranteedRule reports whether switch v is guaranteed to have a
-// forwarding rule installed in every state from done onward (it is the
-// destination, is non-pending, already done, or carries an old rule).
-// Only untouched new-path-only switches lack rules. Schedulers use this
-// to avoid transient blackholes.
-func (in *Instance) hasGuaranteedRule(v topo.NodeID, done State) bool {
-	if v == in.Dst() || !in.pending[v] || in.Updated(done, v) {
-		return true
-	}
-	return in.OnOld(v)
+// hasGuaranteedRule reports whether the switch at index i is guaranteed
+// to have a forwarding rule installed in every state from done onward
+// (it is the destination, is non-pending, already done, or carries an
+// old rule). Only untouched new-path-only switches lack rules.
+// Schedulers use this to avoid transient blackholes.
+func (in *Instance) hasGuaranteedRule(i int32, done State) bool {
+	return i == in.dstIdx || !in.pendingBits.Has(int(i)) || done.Has(int(i)) || !in.newOnlyIdx(i)
 }

@@ -69,24 +69,35 @@ func (s *Schedule) String() string {
 // instance: rounds are non-empty, no switch appears twice, and the
 // union of all rounds is exactly the instance's pending set.
 func (s *Schedule) Validate(in *Instance) error {
-	seen := make(map[topo.NodeID]bool)
+	seen := in.NewState()
 	for i, r := range s.Rounds {
 		if len(r) == 0 {
 			return fmt.Errorf("core: schedule round %d is empty", i)
 		}
 		for _, v := range r {
-			if seen[v] {
-				return fmt.Errorf("core: switch %d scheduled twice", v)
-			}
-			seen[v] = true
-			if !in.NeedsUpdate(v) {
-				return fmt.Errorf("core: switch %d scheduled but needs no update", v)
+			if err := in.cover(seen, v, "scheduled"); err != nil {
+				return err
 			}
 		}
 	}
-	if len(seen) != in.NumPending() {
-		return fmt.Errorf("core: schedule covers %d of %d pending switches", len(seen), in.NumPending())
+	if n := s.NumUpdates(); n != in.NumPending() {
+		return fmt.Errorf("core: schedule covers %d of %d pending switches", n, in.NumPending())
 	}
+	return nil
+}
+
+// cover marks pending switch v in seen for a Validate; verb names what
+// the caller did with it. A repeated switch or one that needs no update
+// is an error.
+func (in *Instance) cover(seen State, v topo.NodeID, verb string) error {
+	i := int(in.idx(v))
+	if seen.Has(i) {
+		return fmt.Errorf("core: switch %d %s twice", v, verb)
+	}
+	if !in.pendingBits.Has(i) {
+		return fmt.Errorf("core: switch %d %s but needs no update", v, verb)
+	}
+	seen.Set(i)
 	return nil
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tsu/internal/topo"
-)
+import "fmt"
 
 // Sequential schedules the update one switch per round under the given
 // walk-based properties, picking at each step the first individually
@@ -18,32 +14,14 @@ import (
 // loop-freedom combinations that are jointly infeasible).
 func Sequential(in *Instance, props Property) (*Schedule, error) {
 	s := &Schedule{Algorithm: AlgoSequential, Guarantees: props}
-	pending := in.Pending()
-	remaining := make(map[topo.NodeID]bool, len(pending))
-	for _, v := range pending {
-		remaining[v] = true
-	}
-	done := in.NewState()
-	for len(remaining) > 0 {
-		var pick topo.NodeID
-		found := false
-		for _, v := range pending {
-			if !remaining[v] {
-				continue
-			}
-			cex, exact := in.CheckRound(done, []topo.NodeID{v}, props, 0)
-			if exact && cex == nil {
-				pick = v
-				found = true
-				break
-			}
+	b := in.newBatcher(s)
+	pending := in.pendingIdx()
+	for left := len(pending); left > 0; left-- {
+		round := b.firstSafe(pending, props)
+		if len(round) == 0 {
+			return nil, fmt.Errorf("core: sequential stalled with %d pending switches on %v (props %s)", left, in, props)
 		}
-		if !found {
-			return nil, fmt.Errorf("core: sequential stalled with %d pending switches on %v (props %s)", len(remaining), in, props)
-		}
-		s.Rounds = append(s.Rounds, []topo.NodeID{pick})
-		in.Mark(done, pick)
-		delete(remaining, pick)
+		b.commit(round)
 	}
 	return s, nil
 }

@@ -73,7 +73,7 @@ func (in *Instance) StateOf(nodes ...topo.NodeID) State {
 // path are ignored.
 func (in *Instance) Mark(s State, nodes ...topo.NodeID) {
 	for _, v := range nodes {
-		if i, ok := in.idxOf[v]; ok {
+		if i := in.idx(v); i >= 0 {
 			s.Set(int(i))
 		}
 	}
@@ -81,8 +81,7 @@ func (in *Instance) Mark(s State, nodes ...topo.NodeID) {
 
 // Updated reports whether switch v is in the state.
 func (in *Instance) Updated(s State, v topo.NodeID) bool {
-	i, ok := in.idxOf[v]
-	return ok && s.Has(int(i))
+	return s.Has(int(in.idx(v)))
 }
 
 // StateNodes lists the switches in the state, ascending by ID.
@@ -101,12 +100,7 @@ func (in *Instance) NumNodes() int { return len(in.nodeOf) }
 
 // NodeIndex returns v's dense index in [0, NumNodes), or -1 when v lies
 // on neither path.
-func (in *Instance) NodeIndex(v topo.NodeID) int {
-	if i, ok := in.idxOf[v]; ok {
-		return int(i)
-	}
-	return -1
-}
+func (in *Instance) NodeIndex(v topo.NodeID) int { return int(in.idx(v)) }
 
 // NodeAt returns the switch with dense index i (the inverse of
 // NodeIndex).

@@ -37,21 +37,19 @@ func (o Outcome) String() string {
 // its old rule (if any) before; a non-pending switch uses its only
 // rule — the new successor when on the new path, otherwise the old one.
 func (in *Instance) NextHop(v topo.NodeID, updated func(topo.NodeID) bool) (topo.NodeID, bool) {
-	if v == in.Dst() {
+	i := in.idx(v)
+	if i < 0 || i == in.dstIdx {
 		return 0, false
 	}
-	if in.pending[v] {
-		if updated != nil && updated(v) {
-			return in.newSucc[v], true
+	next := in.newSuccIdx[i]
+	if in.pendingBits.Has(int(i)) {
+		if updated == nil || !updated(v) {
+			next = in.oldSuccIdx[i]
 		}
-		n, ok := in.oldSucc[v]
-		return n, ok
+	} else if next < 0 {
+		next = in.oldSuccIdx[i]
 	}
-	if n, ok := in.newSucc[v]; ok {
-		return n, true
-	}
-	n, ok := in.oldSucc[v]
-	return n, ok
+	return in.node(next)
 }
 
 // nextHopIdx is NextHop over dense indices with a State updated-set:
@@ -115,7 +113,7 @@ func (in *Instance) WalkFunc(updated func(topo.NodeID) bool) (topo.Path, Outcome
 		if v == in.Dst() {
 			return path, Reached
 		}
-		i := int(in.idxOf[v])
+		i := int(in.idx(v))
 		if seen.Has(i) {
 			return path, Looped
 		}

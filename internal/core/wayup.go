@@ -58,25 +58,24 @@ func WayUp(in *Instance) (*Schedule, error) {
 		Algorithm:  AlgoWayUp,
 		Guarantees: NoBlackhole | WaypointEnforcement,
 	}
-	wOld := in.OldIndex(in.Waypoint)
-	wNew := in.NewIndex(in.Waypoint)
-	done := in.NewState()
+	wOld, wNew := in.oldPos[in.wpIdx], in.newPos[in.wpIdx]
+	b := in.newBatcher(s)
 
-	var phaseA, phaseB, phaseC []topo.NodeID
-	for _, v := range in.Pending() { // new-path order, deterministic
+	var phaseA, phaseB, phaseC []int32
+	for _, i := range in.pendingIdx() { // new-path order, deterministic
 		switch {
-		case in.NewOnly(v) || in.OldIndex(v) >= wOld:
-			phaseA = append(phaseA, v)
-		case in.NewIndex(v) < wNew:
-			phaseB = append(phaseB, v)
+		case in.newOnlyIdx(i) || in.oldPos[i] >= wOld:
+			phaseA = append(phaseA, i)
+		case in.newPos[i] < wNew:
+			phaseB = append(phaseB, i)
 		default:
-			phaseC = append(phaseC, v)
+			phaseC = append(phaseC, i)
 		}
 	}
 
 	compromised := false
-	for _, phase := range [][]topo.NodeID{phaseA, phaseB, phaseC} {
-		compromised = in.appendLoopFreeBatches(s, done, phase) || compromised
+	for _, phase := range [][]int32{phaseA, phaseB, phaseC} {
+		compromised = b.appendLoopFree(phase) || compromised
 	}
 
 	s.LoopFreedomCompromised = compromised
@@ -86,87 +85,56 @@ func WayUp(in *Instance) (*Schedule, error) {
 	return s, nil
 }
 
-// appendLoopFreeBatches partitions nodes into rounds that keep the
-// forwarding walk loop-free and blackhole-free in every reachable
-// state, appending them to the schedule and updating done. When even
-// single-switch rounds would loop (waypoint enforcement and loop
-// freedom jointly infeasible), the remaining switches are flushed —
-// new-path-only switches first so no transient blackhole appears — and
-// the function reports the compromise.
+// appendLoopFree partitions nodes into rounds that keep the forwarding
+// walk loop-free and blackhole-free in every reachable state and
+// appends them to the schedule. When even single-switch rounds would
+// loop (waypoint enforcement and loop freedom jointly infeasible), the
+// remaining switches are flushed — new-path-only switches first so no
+// transient blackhole appears — and the function reports the
+// compromise.
 //
 // Batch construction mirrors Peacock's constructive lemmas (off-walk
 // and forward-landing sets, see peacock.go); when the lemmas yield
 // nothing it falls back to individually verified switches via the
 // exact subset checker.
-func (in *Instance) appendLoopFreeBatches(s *Schedule, done State, nodes []topo.NodeID) (compromised bool) {
-	remaining := make(map[topo.NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		remaining[v] = true
-	}
-	for len(remaining) > 0 {
+func (b *batcher) appendLoopFree(nodes []int32) (compromised bool) {
+	in := b.in
+	for left := len(nodes); left > 0; {
 		var round []topo.NodeID
-		walk, outcome := in.Walk(done)
-		if outcome == Reached {
-			walkPos := make(map[topo.NodeID]int, len(walk))
-			for i, v := range walk {
-				walkPos[v] = i
-			}
-			for _, v := range nodes {
-				if !remaining[v] {
-					continue
-				}
-				if _, onWalk := walkPos[v]; !onWalk {
-					round = append(round, v)
-					continue
-				}
-				if land, ok := in.forwardLanding(v, done, walkPos); ok && land > walkPos[v] {
-					round = append(round, v)
-				}
-			}
+		if in.walkPositions(b.done, b.walkPos) == Reached {
+			round = b.pick(nodes, b.lemmaSafe)
 		}
 		if len(round) == 0 {
 			// Lemma-based batching found nothing (or the walk already
 			// loops because an earlier phase was compromised). Try
 			// individually verified single-switch rounds.
-			for _, v := range nodes {
-				if !remaining[v] {
-					continue
-				}
-				cex, exact := in.CheckRound(done, []topo.NodeID{v}, NoBlackhole|RelaxedLoopFreedom, 0)
-				if exact && cex == nil {
-					round = []topo.NodeID{v}
-					break
-				}
-			}
+			round = b.firstSafe(nodes, NoBlackhole|RelaxedLoopFreedom)
 		}
 		if len(round) == 0 {
 			// Loop freedom is infeasible from here; preserve waypoint
 			// enforcement and blackhole freedom and flush the
 			// remainder.
-			var newOnly, rest []topo.NodeID
-			for _, v := range nodes {
-				if !remaining[v] {
-					continue
-				}
-				if in.NewOnly(v) {
-					newOnly = append(newOnly, v)
-				} else {
-					rest = append(rest, v)
-				}
-			}
-			for _, flush := range [][]topo.NodeID{newOnly, rest} {
-				if len(flush) > 0 {
-					s.Rounds = append(s.Rounds, flush)
-					in.Mark(done, flush...)
-				}
-			}
+			b.commit(b.pick(nodes, in.newOnlyIdx))
+			b.commit(b.pick(nodes, func(int32) bool { return true }))
 			return true
 		}
-		s.Rounds = append(s.Rounds, round)
-		in.Mark(done, round...)
-		for _, v := range round {
-			delete(remaining, v)
-		}
+		left -= b.commit(round)
 	}
 	return false
+}
+
+// firstSafe returns, as a one-switch round, the first candidate not yet
+// done that the exact subset checker proves individually safe for
+// props; nil when there is none.
+func (b *batcher) firstSafe(cand []int32, props Property) []topo.NodeID {
+	for _, i := range cand {
+		if b.done.Has(int(i)) {
+			continue
+		}
+		if cex, exact := b.in.CheckRound(b.done, b.in.nodeOf[i:i+1], props, 0); exact && cex == nil {
+			b.pool = append(b.pool, b.in.nodeOf[i])
+			return b.pool[len(b.pool)-1 : len(b.pool) : len(b.pool)]
+		}
+	}
+	return nil
 }

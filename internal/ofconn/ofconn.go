@@ -35,11 +35,18 @@ type Conn struct {
 	closeErr  error
 }
 
-// New wraps a network connection. The read buffer is bufio's 4 KB
-// default — some 50 FlowMods per read syscall; ReadMessage reads with
-// io.ReadFull, so a larger frame is read straight from the socket.
+// readBufSize is the read buffer of one end of a control channel: a
+// FlowMod + barrier burst is 88 bytes and a FeaturesReply a few hundred,
+// so 512 holds what one read usually brings; a fleet pays it twice per
+// switch.
+const readBufSize = 512
+
+// New wraps a network connection. A burst longer than the read buffer
+// costs one read syscall per readBufSize bytes (six FlowMods), and
+// ReadMessage reads with io.ReadFull, so a frame larger than the buffer
+// is read straight from the socket.
 func New(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReader(nc)}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
 }
 
 // NextXid allocates a fresh non-zero transaction id.

@@ -286,3 +286,47 @@ func TestReadMessageLargerThanReadBuffer(t *testing.T) {
 		}
 	}
 }
+
+func TestReadMessageBurstLargerThanReadBuffer(t *testing.T) {
+	// 50 FlowMods and their barrier in one write — eight read buffers'
+	// worth, frames straddling every refill: each comes out whole and in
+	// order.
+	ca, cb := pipePair(t)
+	var batch Batch
+	for i := 0; i < 50; i++ {
+		fm := &openflow.FlowMod{
+			Match:    openflow.Match{NWDst: uint32(i)},
+			Cookie:   uint64(i) << 32,
+			Priority: uint16(i),
+			BufferID: openflow.NoBuffer,
+			Actions:  []openflow.Action{openflow.ActionOutput{Port: uint16(i + 1)}},
+		}
+		fm.SetXid(uint32(i + 1))
+		if err := batch.Add(fm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier := &openflow.BarrierRequest{}
+	barrier.SetXid(51)
+	if err := batch.Add(barrier); err != nil {
+		t.Fatal(err)
+	}
+	if batch.Bytes() <= 4*readBufSize {
+		t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", batch.Bytes(), readBufSize)
+	}
+	go ca.WriteBatch(&batch) //nolint:errcheck // test writer
+	for i := 0; i < 50; i++ {
+		got, err := cb.ReadMessage()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		fm, ok := got.(*openflow.FlowMod)
+		if !ok || fm.Xid() != uint32(i+1) || fm.Match.NWDst != uint32(i) || fm.Cookie != uint64(i)<<32 ||
+			fm.Priority != uint16(i) || len(fm.Actions) != 1 {
+			t.Fatalf("message %d came back as %+v", i, got)
+		}
+	}
+	if got, err := cb.ReadMessage(); err != nil || got.MsgType() != openflow.TypeBarrierRequest || got.Xid() != 51 {
+		t.Fatalf("after the burst: %v, %v", got, err)
+	}
+}

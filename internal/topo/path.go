@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -68,12 +69,15 @@ func (p Path) Simple() bool {
 	if len(p) == 0 {
 		return false
 	}
-	seen := make(map[NodeID]bool, len(p))
-	for _, n := range p {
-		if seen[n] {
+	// Sort a copy and look for equal neighbours; paths of up to 64
+	// nodes are copied to the stack.
+	var buf [64]NodeID
+	sorted := append(buf[:0], p...)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
 			return false
 		}
-		seen[n] = true
 	}
 	return true
 }
