@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,18 @@ guard-one-heap:
 			-e '^internal/switchsim/switch\.go:[0-9]*:	Loops \*LoopGroup$$' | sort -u)"; \
 	if [ -n "$$out" ]; then \
 		echo "a second timer heap or switch layout (see guard-one-heap in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One trace: a job's install log is the one record of its progress, and
+# rounds, the event stream and the status body are views of it that a
+# Cursor derives. A channel or a slice of JobEvents in a non-test file of
+# internal/controller is a second record — a publish log, or a buffer per
+# watcher — coming back.
+guard-one-trace:
+	@out="$$(grep -n -e 'chan JobEvent' -e '\[\]JobEvent' internal/controller/*.go | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then \
+		echo "a second progress trace in internal/controller (see guard-one-trace in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
 

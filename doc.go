@@ -100,12 +100,12 @@
 //     and the structured failure report of the abort/rollback path);
 //     with a journal configured, Engine.Recover replays job state after a
 //     crash and adopts or rolls back mid-flight frontiers by reconciling
-//     against live switch state. What the controller remembers is bounded
-//     by what is in flight: a finished job is stripped to its trace (status,
-//     timings, installs, messages, events — not its plan, FlowMods or
-//     rollback spec) and the newest 1024 of them stay known; an older id
-//     answers 404 unknown-job, as after a restart. The journal file still
-//     grows until a restart compacts it
+//     against live switch state. A job's install log is the one record of
+//     its progress: rounds, status and every watcher (a cursor) are views
+//     of it. What the controller remembers is bounded by what is in flight:
+//     a finished job keeps that log, its status and message counts and the
+//     newest 1024 stay known; an older id answers 404, as after a restart.
+//     The journal file still grows until a restart compacts it
 //   - internal/journal   — write-ahead job journal: CRC-framed record log
 //     (admit/dispatched/confirmed/terminal), torn-tail-tolerant replay,
 //     snapshot compaction — the durability base for crash-restart recovery

@@ -228,8 +228,8 @@ type FailureReport struct {
 // JobStatus reports a job's progress (GET /v1/updates/{id}).
 //
 // The controller remembers a bounded number of finished jobs (the newest
-// 1024, each kept as exactly what this status and a late watch replay
-// carry; Healthz counts them). The id of an older one answers 404 with
+// 1024, each kept as its install log, which this status and a late watch
+// replay are views of; Healthz counts them). An older id answers 404 with
 // CodeUnknownJob and a message saying so — the same code as an id never
 // issued, and the same answer a finished job gives after a controller
 // restart has compacted it out of the journal.
@@ -286,7 +286,8 @@ const (
 // WatchEvent is one Server-Sent Event of GET /v1/updates/{id}/watch.
 // A watch replays the installs and rounds already executed, then
 // streams live progress, and always ends with a terminal done/failed
-// event.
+// event. The "event:" line names the Type ahead of the "data:" payload,
+// so a reader may skip the payload of a type it does not use.
 type WatchEvent struct {
 	Type        string         `json:"type"`
 	Job         int            `json:"job"`

@@ -15,12 +15,15 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -30,7 +33,8 @@ import (
 
 // Client talks to one controller.
 type Client struct {
-	base    string
+	base    *url.URL     // resolved once; a request sets its path on a copy
+	baseErr error        // why base is nil
 	hc      *http.Client // request-scoped calls (honors timeout)
 	stream  *http.Client // watch streams (no overall timeout)
 	retries int
@@ -67,10 +71,8 @@ func WithRetry(n int, backoff time.Duration) Option {
 // New creates a client for the controller at baseURL (scheme + host,
 // e.g. "http://127.0.0.1:8080").
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{
-		base:    strings.TrimRight(baseURL, "/"),
-		backoff: 100 * time.Millisecond,
-	}
+	c := &Client{backoff: 100 * time.Millisecond}
+	c.base, c.baseErr = url.Parse(strings.TrimRight(baseURL, "/"))
 	for _, o := range opts {
 		o(c)
 	}
@@ -107,6 +109,17 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("api error %d: %s", e.Status, e.Message)
 }
 
+// newRequest builds a request for path (and "?query") on a copy of the base URL: nothing is parsed.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, "", body)
+	if err = cmp.Or(c.baseErr, err); err != nil {
+		return nil, err
+	}
+	*req.URL, req.Host = *c.base, c.base.Host
+	req.URL.Path, req.URL.RawQuery, _ = strings.Cut(c.base.Path+path, "?")
+	return req, nil
+}
+
 // do runs one request; GETs are retried per WithRetry.
 func (c *Client) do(ctx context.Context, method, path string, body, into any) error {
 	var payload []byte
@@ -134,7 +147,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, into any) er
 		if payload != nil {
 			rd = bytes.NewReader(payload)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		req, err := c.newRequest(ctx, method, path, rd)
 		if err != nil {
 			return err
 		}
@@ -233,8 +246,18 @@ func (c *Client) Explore(ctx context.Context, req api.ExploreRequest) (*api.Expl
 
 // Job fetches one job's status (GET /v1/updates/{id}).
 func (c *Client) Job(ctx context.Context, id int) (*api.JobStatus, error) {
-	var st api.JobStatus
-	if err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/updates/%d", id), nil, &st); err != nil {
+	return c.job(ctx, id, 0, 0)
+}
+
+// job is Job for a caller that knows how many installs and rounds the
+// status will list: the arrays are decoded at that size, not grown to it.
+func (c *Client) job(ctx context.Context, id, installs, rounds int) (*api.JobStatus, error) {
+	st := api.JobStatus{
+		Installs:          make([]api.InstallStatus, 0, installs),
+		MessagesPerSwitch: make([]api.MessageCount, 0, installs),
+		Rounds:            make([]api.RoundStatus, 0, rounds),
+	}
+	if err := c.do(ctx, http.MethodGet, "/v1/updates/"+strconv.Itoa(id), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -292,7 +315,7 @@ func (c *Client) Watch(ctx context.Context, id int) (<-chan api.WatchEvent, erro
 	events := make(chan api.WatchEvent, 16) // lets the reader run a burst ahead of the consumer
 	go func() {
 		defer close(events)
-		readWatch(body, func(ev api.WatchEvent) bool {
+		readWatch(body, true, true, func(ev api.WatchEvent) bool {
 			select {
 			case events <- ev:
 				return true
@@ -307,7 +330,7 @@ func (c *Client) Watch(ctx context.Context, id int) (<-chan api.WatchEvent, erro
 // openWatch opens a job's progress stream; the caller reads it with
 // readWatch, which closes it.
 func (c *Client) openWatch(ctx context.Context, id int) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/updates/%d/watch", c.base, id), nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/updates/"+strconv.Itoa(id)+"/watch", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,23 +348,31 @@ func (c *Client) openWatch(ctx context.Context, id int) (io.ReadCloser, error) {
 
 // readWatch is the one reader of a progress stream: it hands every
 // event to emit, in order, until the stream ends, an event does not
-// decode or emit returns false, and closes the stream. A stream read
-// to its end leaves its connection reusable.
-func readWatch(body io.ReadCloser, emit func(api.WatchEvent) bool) {
+// decode or emit returns false, and closes the stream. A round or
+// install event is decoded only if rounds or installs says so: otherwise
+// emit gets the type its "event:" line names and nothing else. A stream
+// read to its end leaves its connection reusable.
+func readWatch(body io.ReadCloser, rounds, installs bool, emit func(api.WatchEvent) bool) {
 	defer body.Close()
 	sc := bufio.NewScanner(body)
 	// An event line is a few hundred bytes; a long one grows the buffer,
 	// up to a 1 MB line.
 	sc.Buffer(make([]byte, 0, 512), 1<<20)
 	var data bytes.Buffer
+	var ev api.WatchEvent // decoded into: one for the whole stream
+	skip := false         // ev.Type is all of the event being read that is wanted
 	flush := func() bool {
-		if data.Len() == 0 {
+		switch {
+		case skip:
+		case data.Len() == 0:
 			return true
+		case json.Unmarshal(data.Bytes(), &ev) != nil:
+			return false
 		}
-		var ev api.WatchEvent
-		err := json.Unmarshal(data.Bytes(), &ev)
 		data.Reset()
-		return err == nil && emit(ev)
+		ok := emit(ev)
+		ev, skip = api.WatchEvent{}, false
+		return ok
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -350,10 +381,16 @@ func readWatch(body io.ReadCloser, emit func(api.WatchEvent) bool) {
 			if !flush() {
 				return
 			}
-		case bytes.HasPrefix(line, []byte("data:")):
+		case bytes.HasPrefix(line, []byte("event:")):
+			switch string(bytes.TrimSpace(line[len("event:"):])) {
+			case api.EventRound:
+				ev.Type, skip = api.EventRound, !rounds
+			case api.EventInstall:
+				ev.Type, skip = api.EventInstall, !installs
+			}
+		case bytes.HasPrefix(line, []byte("data:")) && !skip:
 			data.Write(bytes.TrimSpace(line[len("data:"):]))
-			// "event:" lines are redundant — the type rides in the data
-			// payload; other SSE fields (id, retry, comments) are ignored.
+			// Other SSE fields (id, retry, comments) are ignored.
 		}
 	}
 	flush()
@@ -416,28 +453,23 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 		progressed, terminal := false, false
 		// Read inline, on to the stream's end: the server closes it right
 		// after the terminal event, and ctx cuts a read that hangs.
-		readWatch(body, func(ev api.WatchEvent) bool {
+		// An event nobody is called back for is counted, not decoded.
+		readWatch(body, onRound != nil, onInstall != nil, func(ev api.WatchEvent) bool {
 			switch ev.Type {
 			case api.EventRound:
-				if ev.Round == nil {
-					break
-				}
 				if rounds++; rounds <= roundsSeen {
 					break // replayed prefix of a reconnect
 				}
 				roundsSeen, progressed = rounds, true
-				if onRound != nil {
+				if onRound != nil && ev.Round != nil {
 					onRound(*ev.Round)
 				}
 			case api.EventInstall:
-				if ev.Install == nil {
-					break
-				}
 				if installs++; installs <= installsSeen {
 					break
 				}
 				installsSeen, progressed = installs, true
-				if onInstall != nil {
+				if onInstall != nil && ev.Install != nil {
 					onInstall(*ev.Install)
 				}
 			case api.EventDone, api.EventFailed:
@@ -448,7 +480,7 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 		if terminal {
 			// The job endpoint is authoritative (it carries timings and
 			// the full failure report).
-			return c.pollTerminal(ctx, id)
+			return c.pollTerminal(ctx, id, installsSeen, roundsSeen)
 		}
 		// Stream broke before a terminal event (controller restart,
 		// proxy hiccup): reconnect, unless the caller gave up.
@@ -464,16 +496,16 @@ func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.Roun
 			return nil, ctx.Err()
 		}
 	}
-	return c.pollTerminal(ctx, id)
+	return c.pollTerminal(ctx, id, installsSeen, roundsSeen)
 }
 
 // pollTerminal polls the job until it reaches a terminal state,
 // tolerating a bounded run of transient errors (a restarting
 // controller answers with connection refused for a moment).
-func (c *Client) pollTerminal(ctx context.Context, id int) (*api.JobStatus, error) {
+func (c *Client) pollTerminal(ctx context.Context, id, installs, rounds int) (*api.JobStatus, error) {
 	var lastErr error
 	for failures := 0; ; {
-		st, err := c.Job(ctx, id)
+		st, err := c.job(ctx, id, installs, rounds)
 		switch {
 		case err != nil:
 			if ctx.Err() != nil {

@@ -672,3 +672,62 @@ func TestClientWaitReadsInlineOnOneConnection(t *testing.T) {
 		t.Fatalf("5 waits (10 requests) opened %d connections, want 1", n)
 	}
 }
+
+// TestClientWaitCountsSkippedEvents: WaitProgress de-duplicates a
+// reconnect's replayed prefix by count, and an event it does not decode
+// — nobody is called back for it — still counts. The stream is cut
+// after 2 events, then 3 (one more install), then twice after 4 (one
+// more round, then nothing new), then replayed in full: with a retry
+// budget of one fruitless reconnect the waiter only reaches the terminal
+// event on the stream if both the installs and the round counted as
+// progress. Same calls with and without callbacks; with them every
+// install and round is delivered exactly once.
+func TestClientWaitCountsSkippedEvents(t *testing.T) {
+	var stream []api.WatchEvent
+	for i := 0; i < 6; i++ {
+		stream = append(stream, api.WatchEvent{Type: api.EventInstall, Job: 7, Install: &api.InstallStatus{Switch: uint64(10 + i), Layer: i / 3}})
+		if i%3 == 2 {
+			stream = append(stream, api.WatchEvent{Type: api.EventRound, Job: 7, Round: &api.RoundStatus{Round: i / 3, Switches: []uint64{1}}})
+		}
+	}
+	stream = append(stream, api.WatchEvent{Type: api.EventDone, Job: 7})
+	for _, callbacks := range []bool{false, true} {
+		var watches, statuses atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/updates/7/watch", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/event-stream")
+			cut := map[int32]int{1: 2, 2: 3, 3: 4, 4: 4}[watches.Add(1)] // events before the stream dies; then all of it
+			for i, ev := range stream {
+				if cut > 0 && i == cut {
+					return
+				}
+				b, _ := json.Marshal(ev)
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
+			}
+		})
+		mux.HandleFunc("GET /v1/updates/7", func(w http.ResponseWriter, r *http.Request) {
+			statuses.Add(1)
+			json.NewEncoder(w).Encode(api.JobStatus{ID: 7, State: "done", Installs: make([]api.InstallStatus, 6)}) //nolint:errcheck // test server
+		})
+		srv := httptest.NewServer(mux)
+		var installs []uint64
+		var rounds []int
+		var onRound func(api.RoundStatus)
+		var onInstall func(api.InstallStatus)
+		if callbacks {
+			onRound = func(r api.RoundStatus) { rounds = append(rounds, r.Round) }
+			onInstall = func(i api.InstallStatus) { installs = append(installs, i.Switch) }
+		}
+		st, err := client.New(srv.URL, client.WithRetry(1, time.Millisecond)).WaitProgress(context.Background(), 7, onRound, onInstall)
+		srv.Close()
+		if err != nil || st.State != "done" || len(st.Installs) != 6 {
+			t.Fatalf("callbacks=%v: %+v, %v", callbacks, st, err)
+		}
+		if watches.Load() != 5 || statuses.Load() != 1 {
+			t.Fatalf("callbacks=%v: %d watch and %d status calls, want 5 and 1 (a cut that delivered new events is progress)", callbacks, watches.Load(), statuses.Load())
+		}
+		if callbacks && (fmt.Sprint(installs) != "[10 11 12 13 14 15]" || fmt.Sprint(rounds) != "[0 1]") {
+			t.Fatalf("installs %v, rounds %v: want each delivered once, in order", installs, rounds)
+		}
+	}
+}

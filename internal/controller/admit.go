@@ -40,8 +40,8 @@ type execPlan struct {
 	dagShape
 }
 
-// dagShape is what a job keeps of its plan for life: the numbers job
-// status reports and the size of a subscriber's replay.
+// dagShape is what a job keeps of its plan for life: the numbers status
+// reports and the layer sizes that place each round in the install log.
 type dagShape struct {
 	installs int
 	edges    int
@@ -49,6 +49,7 @@ type dagShape struct {
 	width    int
 	critical int
 	sparse   bool
+	perLayer []int // installs per layer; shared, never written
 }
 
 func (p *execPlan) len() int             { return len(p.dag.Nodes) }
@@ -92,10 +93,10 @@ func shapeOf(p *core.Plan, layers []int) dagShape {
 	for _, l := range layers {
 		sh.depth = max(sh.depth, l+1)
 	}
-	perLayer := make([]int, sh.depth)
+	sh.perLayer = make([]int, sh.depth)
 	for _, l := range layers {
-		perLayer[l]++
-		sh.width = max(sh.width, perLayer[l])
+		sh.perLayer[l]++
+		sh.width = max(sh.width, sh.perLayer[l])
 	}
 	sh.critical = max(sh.depth-1, 0)
 	return sh

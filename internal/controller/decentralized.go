@@ -1,13 +1,13 @@
 package controller
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
-	"tsu/internal/core"
 	"tsu/internal/journal"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
@@ -65,18 +65,26 @@ type MessageStats struct {
 	Peer int
 }
 
-// add accumulates message counts for one switch. Safe for the
+// switchMessages is one switch's tally in a job's message counts.
+type switchMessages struct {
+	sw topo.NodeID
+	MessageStats
+}
+
+// addMessages accumulates message counts for one switch. Safe for the
 // dispatcher goroutine; readers go through Messages.
 func (j *Job) addMessages(n topo.NodeID, ms MessageStats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.msgs == nil {
-		j.msgs = make(map[topo.NodeID]MessageStats)
+	i, found := slices.BinarySearchFunc(j.msgs, n, func(m switchMessages, n topo.NodeID) int { return cmp.Compare(m.sw, n) })
+	if !found {
+		if j.msgs == nil {
+			j.msgs = make([]switchMessages, 0, len(j.nodes))
+		}
+		j.msgs = slices.Insert(j.msgs, i, switchMessages{sw: n})
 	}
-	cur := j.msgs[n]
-	cur.Ctrl += ms.Ctrl
-	cur.Peer += ms.Peer
-	j.msgs[n] = cur
+	j.msgs[i].Ctrl += ms.Ctrl
+	j.msgs[i].Peer += ms.Peer
 }
 
 // Messages returns the job's message-count breakdown: the total over
@@ -85,115 +93,31 @@ func (j *Job) Messages() (total MessageStats, perSwitch map[topo.NodeID]MessageS
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	perSwitch = make(map[topo.NodeID]MessageStats, len(j.msgs))
-	for n, ms := range j.msgs {
-		perSwitch[n] = ms
-		total.Ctrl += ms.Ctrl
-		total.Peer += ms.Peer
+	for _, m := range j.msgs {
+		perSwitch[m.sw] = m.MessageStats
+		total.Ctrl += m.Ctrl
+		total.Peer += m.Peer
 	}
 	return total, perSwitch
 }
 
-// planProgress turns a stream of confirmed installs — in whatever
-// order the dispatch path produces them — into the job's public trace:
-// install events, per-layer RoundTimings published in layer order, and
-// release bookkeeping on core.PlanRun. Both dispatch paths share it,
-// so job status, SSE events and round timings are mode-agnostic.
-type planProgress struct {
-	job       *Job
-	run       *core.PlanRun
-	layers    []RoundTiming
-	layerLeft []int
-	nextRound int
-	ready     []int
-}
-
-func newPlanProgress(job *Job) *planProgress {
-	n := job.plan.len()
-	p := &planProgress{
-		job:       job,
-		run:       core.NewPlanRun(job.plan.dag),
-		layers:    make([]RoundTiming, job.plan.depth),
-		layerLeft: make([]int, job.plan.depth),
-		ready:     make([]int, 0, n),
+// confirmed appends plan node idx's confirmed install to the job's log
+// (sized for the whole plan at once) and wakes the readers waiting for
+// it: the caller supplies what it observed (timing, FlowMod count,
+// releasing predecessor), the plan the node's switch, layer and cleanup
+// flag. Both dispatch paths end here, in whatever order they confirm, so
+// job status, SSE events and round timings are mode-agnostic.
+func (j *Job) confirmed(idx int, install InstallTiming) {
+	install.Node = j.plan.sw(idx)
+	install.Layer = j.plan.layers[idx]
+	install.Cleanup = j.plan.isCleanup(idx)
+	j.mu.Lock()
+	if j.installs == nil {
+		j.installs = make([]InstallTiming, 0, j.plan.len())
 	}
-	for i := range p.layers {
-		p.layers[i] = RoundTiming{Round: i, Cleanup: true}
-	}
-	for _, l := range job.plan.layers {
-		p.layerLeft[l]++
-	}
-	// Per-layer and per-job traces are preallocated to their exact
-	// final sizes, so the per-install hot path (confirm) never grows a
-	// slice or rehashes a map.
-	for i := range p.layers {
-		p.layers[i].Switches = make([]topo.NodeID, 0, p.layerLeft[i])
-	}
-	job.mu.Lock()
-	if job.installs == nil {
-		job.installs = make([]InstallTiming, 0, n)
-	}
-	if job.timings == nil {
-		job.timings = make([]RoundTiming, 0, job.plan.depth)
-	}
-	if job.events == nil {
-		job.events = make([]JobEvent, 0, n+job.plan.depth+2)
-	}
-	if job.msgs == nil {
-		job.msgs = make(map[topo.NodeID]MessageStats, len(job.nodes))
-	}
-	job.mu.Unlock()
-	return p
-}
-
-// start resets the release bookkeeping and returns the root nodes.
-func (p *planProgress) start() []int {
-	p.ready = p.run.Reset(p.ready[:0])
-	return p.ready
-}
-
-// confirm records one confirmed install — the caller supplies what it
-// observed (timing, FlowMod count, releasing predecessor), the node's
-// switch, layer and cleanup flag come from the plan: publishes the
-// install event, aggregates it into its layer (a layer's RoundTiming
-// publishes once the layer and all earlier layers are fully confirmed,
-// keeping round events in order even when branches complete out of
-// layer order), and returns the node indices the confirmation releases.
-func (p *planProgress) confirm(idx int, install InstallTiming) []int {
-	job := p.job
-	install.Node = job.plan.sw(idx)
-	install.Layer = job.plan.layers[idx]
-	install.Cleanup = job.plan.isCleanup(idx)
-	job.mu.Lock()
-	// The published event points into the job's install trace rather
-	// than at the (escaping) parameter — with the trace preallocated,
-	// appending a confirm is allocation-free.
-	job.installs = append(job.installs, install)
-	publishLocked(job, JobEvent{Install: &job.installs[len(job.installs)-1], State: JobRunning})
-	job.mu.Unlock()
-
-	lt := &p.layers[install.Layer]
-	lt.Switches = append(lt.Switches, install.Node)
-	lt.FlowMods += install.FlowMods
-	lt.Cleanup = lt.Cleanup && install.Cleanup
-	if lt.Started.IsZero() || install.Started.Before(lt.Started) {
-		lt.Started = install.Started
-	}
-	if install.Finished.After(lt.Finished) {
-		lt.Finished = install.Finished
-	}
-	p.layerLeft[install.Layer]--
-	for p.nextRound < len(p.layers) && p.layerLeft[p.nextRound] == 0 {
-		timing := p.layers[p.nextRound]
-		sort.Slice(timing.Switches, func(a, b int) bool { return timing.Switches[a] < timing.Switches[b] })
-		job.mu.Lock()
-		job.timings = append(job.timings, timing)
-		publishLocked(job, JobEvent{Round: &timing, State: JobRunning})
-		job.mu.Unlock()
-		p.nextRound++
-	}
-
-	p.ready = p.run.Complete(idx, p.ready[:0])
-	return p.ready
+	j.installs = append(j.installs, install)
+	j.wakeLocked()
+	j.mu.Unlock()
 }
 
 // executeDecentralized runs one job by delegation: partition the
@@ -204,11 +128,9 @@ func (p *planProgress) confirm(idx int, install InstallTiming) []int {
 // channel round trips — so the controller's contribution to the
 // critical path collapses to the initial push plus the final report.
 //
-// Reported installs flow through the same planProgress as the
-// controller-driven path: install events still carry the releasing
-// predecessor (as observed by the installing switch), layers still
-// publish in order, and PlanRun bookkeeping still cross-checks that
-// every reported install was actually released by its dependencies.
+// Reported installs enter the job's log as the controller-driven path's
+// do: install events still carry the releasing predecessor (as observed
+// by the installing switch) and rounds still complete in order.
 func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureReport, error) {
 	plan := job.plan
 	n := plan.len()
@@ -253,8 +175,6 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 		}
 	}
 
-	prog := newPlanProgress(job)
-	prog.start()
 	confirmed := make([]bool, n)
 	for remaining := n; remaining > 0; {
 		var r *planwire.Report
@@ -285,7 +205,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 			confirmed[nr.Index] = true
 			e.journalDelta(journal.KindConfirmed, job.ID, nr.Index)
 			remaining--
-			prog.confirm(nr.Index, InstallTiming{
+			job.confirmed(nr.Index, InstallTiming{
 				ReleasedBy: nr.ReleasedBy,
 				FlowMods:   nr.FlowMods,
 				Started:    broadcast.Add(nr.Started),

@@ -107,7 +107,7 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 
 // TestJobSubscribeReplaysAndTerminates pins the watch contract the SSE
 // endpoint builds on: a late subscriber sees every round exactly once
-// in order, then the terminal event, then the channel closes.
+// in order, then the terminal event, then the stream ends.
 func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 	tb := newTestbed(t, topo.Fig1(), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -127,16 +127,18 @@ func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 	}
 	late := job.Subscribe() // after completion: pure replay
 
-	for name, ch := range map[string]<-chan JobEvent{"early": early, "late": late} {
+	for name, cur := range map[string]*Cursor{"early": early, "late": late} {
 		var rounds []int
 		var terminal *JobEvent
-		for ev := range ch {
-			if ev.Round != nil {
+		for ev, more, ok := cur.poll(); ok || more != nil; ev, more, ok = cur.poll() {
+			switch {
+			case !ok:
+				t.Fatalf("%s: the stream of a finished job waits for more", name)
+			case ev.Round != nil:
 				rounds = append(rounds, ev.Round.Round)
-				continue
+			case ev.Install == nil:
+				terminal = &ev
 			}
-			ev := ev
-			terminal = &ev
 		}
 		if len(rounds) != sched.NumRounds() {
 			t.Fatalf("%s: saw %d round events, want %d", name, len(rounds), sched.NumRounds())

@@ -273,7 +273,7 @@ func (e *Engine) begin(job *Job) {
 // conflicts (leave active for the retained ring, fix the counters, strip
 // the job to its trace); set the state (JobDone when err is nil,
 // JobFailed otherwise, with the abort path's structured report when
-// there is one) and notify subscribers; release waiters; release the
+// there is one) and wake the stream's readers; release waiters; release the
 // conflicting successors, which launch if this was their last blocker;
 // log. Whoever sees the job terminal therefore sees the engine without
 // it.
@@ -312,7 +312,7 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	job.err = err
 	job.failure = report
 	job.finished = e.c.clock.Now()
-	publishLocked(job, JobEvent{State: state, Err: err})
+	job.wakeLocked()
 	job.mu.Unlock()
 	close(job.done)
 	e.release(succs)
@@ -372,8 +372,8 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 // confirmed synthetically — nothing journaled or counted for it — and
 // real dispatch resumes from the frontier it releases.
 func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
-	prog := newPlanProgress(job)
-	prog.start()
+	run := core.NewPlanRun(job.plan.dag)
+	ready := run.Reset(make([]int, 0, job.plan.len()))
 	dispatched, confirmed, err := e.walk(ctx, walkSpec{
 		plan:     job.plan,
 		interval: job.Interval,
@@ -386,7 +386,9 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 				// plus the barrier request and its reply.
 				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: t.FlowMods + 2})
 			}
-			return prog.confirm(i, t)
+			job.confirmed(i, t)
+			ready = run.Complete(i, ready[:0])
+			return ready
 		},
 	})
 	if dispatched == nil {

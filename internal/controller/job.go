@@ -86,10 +86,11 @@ type InstallTiming struct {
 // Duration returns the install's wall-clock time.
 func (it InstallTiming) Duration() time.Duration { return it.Finished.Sub(it.Started) }
 
-// JobEvent is one progress notification delivered to Subscribe
-// channels: a confirmed install (Install non-nil), a completed layer
+// JobEvent is one event of a job's progress stream, as a Cursor
+// delivers it: a confirmed install (Install non-nil), a completed layer
 // (Round non-nil, State JobRunning), or the terminal state (both nil,
-// State JobDone/JobFailed).
+// State JobDone/JobFailed). Install points into the job's log and Round
+// at the cursor's scratch: read-only, Round until the cursor's next event.
 type JobEvent struct {
 	Round   *RoundTiming
 	Install *InstallTiming
@@ -150,14 +151,12 @@ type Job struct {
 	state    JobState
 	err      error
 	failure  *FailureReport
-	timings  []RoundTiming
-	installs []InstallTiming
-	msgs     map[topo.NodeID]MessageStats
-	events   []JobEvent // publish log, replayed to late subscribers
+	installs []InstallTiming  // confirmation order: the one record of progress (see Cursor)
+	msgs     []switchMessages // ascending by switch
+	wake     chan struct{}    // closed and dropped as installs grows or the job ends; nil while no reader waits
 	started  time.Time
 	finished time.Time
 	done     chan struct{}
-	subs     []chan JobEvent
 }
 
 // NumRounds returns the number of layers the job's execution DAG has
@@ -172,14 +171,6 @@ func (j *Job) NumInstalls() int { return j.shape.installs }
 // NumEdges returns the number of happens-before edges of the job's
 // execution DAG.
 func (j *Job) NumEdges() int { return j.shape.edges }
-
-// PlanShape reports the execution DAG's shape: depth (layers), width
-// (peak install parallelism), critical path (sequential barrier waits
-// on the longest chain), and whether the DAG is sparse (ack-driven
-// past layer barriers) rather than layered.
-func (j *Job) PlanShape() (depth, width, critical int, sparse bool) {
-	return j.shape.depth, j.shape.width, j.shape.critical, j.shape.sparse
-}
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() JobState {
@@ -208,12 +199,19 @@ func (j *Job) Failure() *FailureReport {
 	return &f
 }
 
-// Timings returns the per-round (per-layer) timings recorded so far.
+// Timings returns the per-round (per-layer) timings of the rounds
+// completed so far.
 func (j *Job) Timings() []RoundTiming {
+	out := make([]RoundTiming, 0, j.shape.depth)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]RoundTiming, len(j.timings))
-	copy(out, j.timings)
+	c := j.Subscribe()
+	for ev, ok := c.nextLocked(); ok; ev, ok = c.nextLocked() {
+		if ev.Round != nil {
+			out = append(out, *ev.Round)
+			out[len(out)-1].Switches = slices.Clone(ev.Round.Switches)
+		}
+	}
 	return out
 }
 
@@ -223,9 +221,7 @@ func (j *Job) Timings() []RoundTiming {
 func (j *Job) Installs() []InstallTiming {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]InstallTiming, len(j.installs))
-	copy(out, j.installs)
-	return out
+	return slices.Clone(j.installs)
 }
 
 // TotalDuration returns the job's wall-clock time from first round
@@ -233,6 +229,10 @@ func (j *Job) Installs() []InstallTiming {
 func (j *Job) TotalDuration() time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.totalLocked()
+}
+
+func (j *Job) totalLocked() time.Duration {
 	if j.started.IsZero() || j.finished.IsZero() {
 		return 0
 	}
@@ -249,26 +249,89 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Subscribe returns a channel of progress events: installs and rounds
-// already executed are replayed first (in publish order), then live
-// events stream as barriers arrive, and the channel ends with a
-// terminal JobDone/JobFailed event before closing. The channel is
-// buffered for the job's full event count, so a slow reader never
-// blocks the engine.
-func (j *Job) Subscribe() <-chan JobEvent {
+// Cursor is one reader's place in a job's progress stream: the installs
+// of the log in confirmation order, each round right after the install
+// that completed it and every earlier round, then the terminal event. It
+// holds a position, never a copy — the job keeps nothing per reader.
+type Cursor struct {
+	job    *Job
+	seen   int         // installs delivered
+	left   []int       // per layer: installs not yet delivered
+	round  int         // rounds delivered
+	ended  bool        // terminal event delivered
+	timing RoundTiming // the round last delivered
+}
+
+// Subscribe returns a cursor at the start of the job's progress stream.
+func (j *Job) Subscribe() *Cursor {
+	return &Cursor{job: j, left: slices.Clone(j.shape.perLayer)}
+}
+
+// poll returns the stream's next event if the log already holds it;
+// otherwise more closes when it will (nil past the terminal event).
+func (c *Cursor) poll() (ev JobEvent, more <-chan struct{}, ok bool) {
+	j := c.job
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan JobEvent, j.shape.installs+j.shape.depth+2)
-	for _, ev := range j.events {
-		ch <- ev
+	if ev, ok = c.nextLocked(); ok || c.ended {
+		return ev, nil, ok
 	}
-	if j.state == JobDone || j.state == JobFailed {
-		ch <- JobEvent{State: j.state, Err: j.err}
-		close(ch)
-		return ch
+	if j.wake == nil {
+		j.wake = make(chan struct{})
 	}
-	j.subs = append(j.subs, ch)
-	return ch
+	return ev, j.wake, false
+}
+
+// nextLocked is poll's step. Caller holds the job's mu.
+func (c *Cursor) nextLocked() (JobEvent, bool) {
+	j := c.job
+	switch {
+	case c.ended:
+	case c.round < len(c.left) && c.left[c.round] == 0:
+		c.timing.aggregate(j.installs[:c.seen], c.round, j.shape.perLayer[c.round])
+		c.round++
+		return JobEvent{Round: &c.timing, State: JobRunning}, true
+	case c.seen < len(j.installs):
+		it := &j.installs[c.seen]
+		c.seen++
+		c.left[it.Layer]--
+		return JobEvent{Install: it, State: JobRunning}, true
+	case j.state == JobDone || j.state == JobFailed:
+		c.ended = true
+		return JobEvent{State: j.state, Err: j.err}, true
+	}
+	return JobEvent{}, false
+}
+
+// aggregate makes rt round r as its barrier reads: the size installs of
+// layer r, found from log's end back, switches ascending, from the first
+// start to the last finish, cleanup if all are. Switches' array is reused.
+func (rt *RoundTiming) aggregate(log []InstallTiming, r, size int) {
+	*rt = RoundTiming{Round: r, Cleanup: true, Switches: slices.Grow(rt.Switches[:0], size)}
+	for i := len(log) - 1; len(rt.Switches) < size; i-- {
+		it := &log[i]
+		if it.Layer != r {
+			continue
+		}
+		rt.Switches = append(rt.Switches, it.Node)
+		rt.FlowMods += it.FlowMods
+		rt.Cleanup = rt.Cleanup && it.Cleanup
+		if rt.Started.IsZero() || it.Started.Before(rt.Started) {
+			rt.Started = it.Started
+		}
+		if it.Finished.After(rt.Finished) {
+			rt.Finished = it.Finished
+		}
+	}
+	slices.Sort(rt.Switches)
+}
+
+// wakeLocked tells waiting readers there is more. Caller holds j.mu.
+func (j *Job) wakeLocked() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
 }
 
 // footprint fills the job's conflict sets from its execution DAG.
@@ -331,24 +394,4 @@ func intersects[T any](a, b []T, compare func(T, T) int) bool {
 		}
 	}
 	return false
-}
-
-// publish delivers an event to every subscriber; on terminal events
-// the subscriber channels are closed and dropped. Non-terminal events
-// are appended to the job's publish log for late-subscriber replay.
-// Caller must hold j.mu.
-func publishLocked(j *Job, ev JobEvent) {
-	terminal := ev.State == JobDone || ev.State == JobFailed
-	if !terminal {
-		j.events = append(j.events, ev)
-	}
-	for _, ch := range j.subs {
-		ch <- ev // buffered for the full event count, never blocks
-		if terminal {
-			close(ch)
-		}
-	}
-	if terminal {
-		j.subs = nil
-	}
 }

@@ -44,7 +44,7 @@ func TestSubmitPlanSparseDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	depth, width, critical, sparse := job.PlanShape()
+	depth, width, critical, sparse := job.shape.depth, job.shape.width, job.shape.critical, job.shape.sparse
 	if !sparse || depth != plan.Depth() || width != plan.Width() || critical != plan.CriticalPath() {
 		t.Fatalf("job shape = (%d,%d,%d,%t), want plan's (%d,%d,%d,true)",
 			depth, width, critical, sparse, plan.Depth(), plan.Width(), plan.CriticalPath())
@@ -136,7 +136,7 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 		t.Fatalf("rounds: schedule %d/%d, plan %d/%d",
 			jobS.NumRounds(), len(jobS.Timings()), jobP.NumRounds(), len(jobP.Timings()))
 	}
-	if _, _, _, sparse := jobP.PlanShape(); sparse {
+	if jobP.shape.sparse {
 		t.Fatal("layered plan reported sparse")
 	}
 }

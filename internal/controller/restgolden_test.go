@@ -25,7 +25,7 @@ func goldenJob(id int, failed bool) *Job {
 		ID:        id,
 		Algorithm: "peacock",
 		Mode:      ModeDecentralized,
-		shape:     dagShape{installs: 5, edges: 4, depth: 3, width: 2, critical: 2, sparse: true},
+		shape:     dagShape{installs: 5, edges: 4, depth: 3, width: 2, critical: 2, sparse: true, perLayer: []int{2, 2, 1}},
 		state:     JobDone,
 		started:   at(0),
 		finished:  at(9876),
@@ -37,12 +37,7 @@ func goldenJob(id int, failed bool) *Job {
 			{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: at(4410), Finished: at(8800)},
 			{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: at(8810), Finished: at(9870)},
 		},
-		timings: []RoundTiming{
-			{Round: 0, Switches: []topo.NodeID{7, 8}, FlowMods: 2, Started: at(10), Finished: at(4350)},
-			{Round: 1, Switches: []topo.NodeID{1, 3}, FlowMods: 3, Started: at(4400), Finished: at(8800)},
-			{Round: 2, Switches: []topo.NodeID{2}, FlowMods: 1, Cleanup: true, Started: at(8810), Finished: at(9870)},
-		},
-		msgs: map[topo.NodeID]MessageStats{7: {Ctrl: 2, Peer: 1}, 8: {Ctrl: 2, Peer: 1}, 1: {Ctrl: 2}, 3: {Ctrl: 3, Peer: 2}, 2: {Ctrl: 2}},
+		msgs: []switchMessages{{1, MessageStats{Ctrl: 2}}, {2, MessageStats{Ctrl: 2}}, {3, MessageStats{Ctrl: 3, Peer: 2}}, {7, MessageStats{Ctrl: 2, Peer: 1}}, {8, MessageStats{Ctrl: 2, Peer: 1}}},
 	}
 	if failed {
 		job.Mode = ModeController
@@ -56,17 +51,7 @@ func goldenJob(id int, failed bool) *Job {
 			RollbackVerified: true,
 			Stuck:            []StuckNode{{Switch: 2, WaitingOn: []topo.NodeID{3}}},
 		}
-		job.installs, job.timings, job.msgs = job.installs[:3], job.timings[:1], nil
-	}
-	// The publish log a late subscriber replays: installs as confirmed,
-	// a round after its last install.
-	round := 0
-	for i := range job.installs {
-		job.events = append(job.events, JobEvent{Install: &job.installs[i], State: JobRunning})
-		if round < len(job.timings) && (i+1 == len(job.installs) || job.installs[i+1].Layer != job.installs[i].Layer) {
-			job.events = append(job.events, JobEvent{Round: &job.timings[round], State: JobRunning})
-			round++
-		}
+		job.installs, job.msgs = job.installs[:3], nil
 	}
 	close(job.done)
 	return job

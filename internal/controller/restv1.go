@@ -2,7 +2,6 @@ package controller
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,7 +218,10 @@ func planShape(p *core.Plan) *api.PlanShape {
 	if p == nil {
 		return nil
 	}
-	sh := shapeOf(p, p.NodeLayers())
+	return shapeOf(p, p.NodeLayers()).wire()
+}
+
+func (sh dagShape) wire() *api.PlanShape {
 	return &api.PlanShape{
 		Nodes:        sh.installs,
 		Edges:        sh.edges,
@@ -333,50 +335,46 @@ func (c *Controller) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// v1JobStatus converts a Job to the wire shape.
+// v1JobStatus converts a Job to the wire shape: one pass over the
+// install log under the job's lock, straight into the response.
 func v1JobStatus(job *Job) api.JobStatus {
-	depth, width, critical, sparse := job.PlanShape()
 	st := api.JobStatus{
-		ID:          job.ID,
-		State:       job.State().String(),
-		Algorithm:   job.Algorithm,
-		Mode:        job.Mode.String(),
-		TotalMicros: job.TotalDuration().Microseconds(),
-		Plan: &api.PlanShape{
-			Nodes:        job.NumInstalls(),
-			Edges:        job.NumEdges(),
-			Depth:        depth,
-			Width:        width,
-			CriticalPath: critical,
-			Sparse:       sparse,
-		},
+		ID:        job.ID,
+		Algorithm: job.Algorithm,
+		Mode:      job.Mode.String(),
+		Plan:      job.shape.wire(),
+		Recovered: job.Recovered,
+		Adopted:   job.Adopted,
+		Rounds:    make([]api.RoundStatus, 0, job.shape.depth), // "rounds" is never null
 	}
-	st.Recovered = job.Recovered
-	st.Adopted = job.Adopted
-	if err := job.Err(); err != nil {
-		st.Error = err.Error()
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	st.Installs = make([]api.InstallStatus, 0, len(job.installs))
+	st.State = job.state.String()
+	st.TotalMicros = job.totalLocked().Microseconds()
+	if job.err != nil {
+		st.Error = job.err.Error()
 	}
-	if f := job.Failure(); f != nil {
-		st.Failure = v1FailureReport(f)
+	if job.failure != nil {
+		st.Failure = v1FailureReport(job.failure)
 	}
-	timings, installs := job.Timings(), job.Installs()
-	st.Rounds = make([]api.RoundStatus, len(timings)) // "rounds" is never null
-	for i, t := range timings {
-		st.Rounds[i] = v1RoundStatus(t)
-	}
-	if len(installs) > 0 {
-		st.Installs = make([]api.InstallStatus, len(installs))
-		for i, it := range installs {
-			st.Installs[i] = v1InstallStatus(it)
+	c := job.Subscribe()
+	for ev, ok := c.nextLocked(); ok; ev, ok = c.nextLocked() {
+		switch {
+		case ev.Install != nil:
+			st.Installs = append(st.Installs, v1InstallStatus(ev.Install))
+		case ev.Round != nil:
+			st.Rounds = append(st.Rounds, v1RoundStatus(ev.Round, nil))
 		}
 	}
-	if total, per := job.Messages(); total.Ctrl > 0 || total.Peer > 0 {
-		st.Messages = &api.MessageCount{Ctrl: total.Ctrl, Peer: total.Peer}
-		st.MessagesPerSwitch = make([]api.MessageCount, 0, len(per))
-		for n, m := range per {
-			st.MessagesPerSwitch = append(st.MessagesPerSwitch, api.MessageCount{Switch: uint64(n), Ctrl: m.Ctrl, Peer: m.Peer})
+	if len(job.msgs) > 0 {
+		st.Messages = &api.MessageCount{}
+		st.MessagesPerSwitch = make([]api.MessageCount, len(job.msgs))
+		for i, m := range job.msgs {
+			st.MessagesPerSwitch[i] = api.MessageCount{Switch: uint64(m.sw), Ctrl: m.Ctrl, Peer: m.Peer}
+			st.Messages.Ctrl += m.Ctrl
+			st.Messages.Peer += m.Peer
 		}
-		slices.SortFunc(st.MessagesPerSwitch, func(a, b api.MessageCount) int { return cmp.Compare(a.Switch, b.Switch) })
 	}
 	return st
 }
@@ -399,7 +397,7 @@ func v1FailureReport(f *FailureReport) *api.FailureReport {
 	return out
 }
 
-func v1InstallStatus(it InstallTiming) api.InstallStatus {
+func v1InstallStatus(it *InstallTiming) api.InstallStatus {
 	return api.InstallStatus{
 		Switch:     uint64(it.Node),
 		Layer:      it.Layer,
@@ -410,10 +408,11 @@ func v1InstallStatus(it InstallTiming) api.InstallStatus {
 	}
 }
 
-func v1RoundStatus(t RoundTiming) api.RoundStatus {
-	sw := make([]uint64, len(t.Switches))
-	for i, n := range t.Switches {
-		sw[i] = uint64(n)
+// v1RoundStatus converts a round to the wire shape, reusing sw's array.
+func v1RoundStatus(t *RoundTiming, sw []uint64) api.RoundStatus {
+	sw = slices.Grow(sw[:0], len(t.Switches))
+	for _, n := range t.Switches {
+		sw = append(sw, uint64(n))
 	}
 	return api.RoundStatus{Round: t.Round, Switches: sw, Micros: t.Duration().Microseconds(), Cleanup: t.Cleanup}
 }
@@ -464,11 +463,12 @@ func (c *Controller) handleV1Jobs(w http.ResponseWriter, r *http.Request) {
 
 // handleV1Watch streams a job's progress as Server-Sent Events:
 // already-executed rounds replay first, live rounds follow, and the
-// stream always ends with a terminal done/failed event. The response is
-// flushed whenever nothing more is queued — the headers alone when there
-// is nothing to replay, a replayed history as one write, a live event
-// the moment it is published. The stream holds its job: one evicted
-// meanwhile still ends here with its terminal event.
+// stream always ends with a terminal done/failed event. It is a cursor on
+// the job's install log — a client that hangs up leaves nothing behind —
+// and the response is flushed whenever the cursor has caught up: the
+// headers alone when there is nothing to replay, a finished job's whole
+// history at once, a live event the moment it is confirmed. It holds its
+// job: one evicted meanwhile still ends here with its terminal event.
 func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 	job, err := c.jobFromPath(r)
 	if err != nil {
@@ -484,54 +484,55 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	events := job.Subscribe()
-	if len(events) == 0 {
-		fl.Flush()
-	}
-	// Every event of the stream is framed in, and written from, one
-	// buffer.
-	var frame bytes.Buffer
+	// Every event of the stream is built in the same three values and
+	// framed in, and written from, the one buffer.
+	var (
+		frame   bytes.Buffer
+		ev      = api.WatchEvent{Job: job.ID}
+		install api.InstallStatus
+		round   api.RoundStatus
+	)
 	enc := json.NewEncoder(&frame)
-	for {
-		select {
-		case ev, open := <-events:
-			if !open {
+	for cur := job.Subscribe(); ; {
+		je, more, ok := cur.poll()
+		if !ok {
+			fl.Flush()
+			select {
+			case <-more:
+				continue
+			case <-r.Context().Done():
 				return
 			}
-			we := api.WatchEvent{Job: job.ID}
-			switch {
-			case ev.Install != nil:
-				we.Type = api.EventInstall
-				is := v1InstallStatus(*ev.Install)
-				we.Install = &is
-			case ev.Round != nil:
-				we.Type = api.EventRound
-				rs := v1RoundStatus(*ev.Round)
-				we.Round = &rs
-			case ev.State == JobDone:
-				we.Type = api.EventDone
-				we.TotalMicros = job.TotalDuration().Microseconds()
-			default:
-				we.Type = api.EventFailed
-				if ev.Err != nil {
-					we.Error = ev.Err.Error()
-				}
+		}
+		ev.Install, ev.Round = nil, nil
+		switch {
+		case je.Install != nil:
+			install = v1InstallStatus(je.Install)
+			ev.Type, ev.Install = api.EventInstall, &install
+		case je.Round != nil:
+			round = v1RoundStatus(je.Round, round.Switches)
+			ev.Type, ev.Round = api.EventRound, &round
+		case je.State == JobDone:
+			ev.Type, ev.TotalMicros = api.EventDone, job.TotalDuration().Microseconds()
+		default:
+			ev.Type = api.EventFailed
+			if je.Err != nil {
+				ev.Error = je.Err.Error()
 			}
-			frame.Reset()
-			frame.WriteString("event: ")
-			frame.WriteString(we.Type)
-			frame.WriteString("\ndata: ")
-			if err := enc.Encode(we); err != nil { // ends the data line
-				return
-			}
-			frame.WriteByte('\n')
-			if _, err := w.Write(frame.Bytes()); err != nil {
-				return
-			}
-			if len(events) == 0 {
-				fl.Flush()
-			}
-		case <-r.Context().Done():
+		}
+		frame.Reset()
+		frame.WriteString("event: ")
+		frame.WriteString(ev.Type)
+		frame.WriteString("\ndata: ")
+		if err := enc.Encode(&ev); err != nil { // ends the data line
+			return
+		}
+		frame.WriteByte('\n')
+		if _, err := w.Write(frame.Bytes()); err != nil {
+			return
+		}
+		if ev.Install == nil && ev.Round == nil {
+			fl.Flush()
 			return
 		}
 	}

@@ -132,25 +132,22 @@ func TestRetainRingBounded(t *testing.T) {
 	t.Logf("live heap: %d KB after %d jobs, %d KB after %d", after1>>10, retainTerminal, after3>>10, 3*retainTerminal)
 }
 
-// drainEvents reads everything buffered on a subscription, rendered.
-func drainEvents(ch <-chan JobEvent) (evs []string, closed bool) {
+// drainEvents reads everything a cursor can deliver without waiting,
+// rendered; closed reports that the terminal event was among it.
+func drainEvents(cur *Cursor) (evs []string, closed bool) {
 	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return evs, true
-			}
-			s := fmt.Sprintf("state=%v err=%v", ev.State, ev.Err)
-			if ev.Install != nil {
-				s += fmt.Sprintf(" install=%+v", *ev.Install)
-			}
-			if ev.Round != nil {
-				s += fmt.Sprintf(" round=%+v", *ev.Round)
-			}
-			evs = append(evs, s)
-		default:
-			return evs, false
+		ev, more, ok := cur.poll()
+		if !ok {
+			return evs, more == nil
 		}
+		s := fmt.Sprintf("state=%v err=%v", ev.State, ev.Err)
+		if ev.Install != nil {
+			s += fmt.Sprintf(" install=%+v", *ev.Install)
+		}
+		if ev.Round != nil {
+			s += fmt.Sprintf(" round=%+v", *ev.Round)
+		}
+		evs = append(evs, s)
 	}
 }
 
