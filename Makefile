@@ -30,16 +30,22 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
-# One southbound path: every FlowMod+barrier pair the controller sends
-# goes through Engine.walk and the dispatch shards, and the shards'
-# re-stamped request in dispatch.go is the one BarrierRequest the
-# package builds. Anything else naming the type outside tests is a
-# second path coming back.
+# One southbound path, one writer per walk: every FlowMod+barrier pair
+# the controller sends goes through Engine.walk, which writes its own
+# installs — the walk's re-stamped request in dispatch.go is the one
+# BarrierRequest the package builds, and its one WriteBatch call there
+# the one install write. Anything else naming the type outside tests is
+# a second path coming back; a second WriteBatch call is a second
+# install writer, and a go statement in dispatch.go a writer goroutine.
 guard-southbound:
 	@out="$$(grep -n 'BarrierRequest' internal/controller/*.go | grep -v -e '_test\.go:' -e '/dispatch\.go:')"; \
 	if [ -n "$$out" ] || [ "$$(grep -c 'BarrierRequest' internal/controller/dispatch.go)" != 1 ]; then \
-		echo "BarrierRequest outside the dispatch shards' one site (internal/controller/dispatch.go):"; \
+		echo "BarrierRequest outside the walk's one site (internal/controller/dispatch.go):"; \
 		echo "$$out"; exit 1; \
+	fi; \
+	if [ "$$(grep -c 'WriteBatch(' internal/controller/dispatch.go)" != 1 ] || grep -nE '^[[:space:]]*go[[:space:]]' internal/controller/dispatch.go; then \
+		echo "internal/controller/dispatch.go must hold exactly one WriteBatch( call and no go statement: one writer per walk"; \
+		exit 1; \
 	fi
 
 # One checker per package: verify and explore decide a core.Plan stage
@@ -111,9 +117,8 @@ test:
 
 # What the controller remembers: a finished job is stripped to its
 # trace and only the newest retainTerminal stay known. Five times under
-# the race detector: the strip runs in Engine.finish while dispatch
-# shards may still hold the job's install requests, and eviction while
-# watch streams hold the job.
+# the race detector: the strip runs in Engine.finish while REST readers
+# may still hold the job, and eviction while watch streams do.
 test-retention:
 	$(GO) test -race -count=5 -run 'Retain|Evict|Strip' ./internal/controller ./internal/client
 

@@ -445,7 +445,7 @@ func BenchmarkE14CrashRecovery(b *testing.B) {
 
 // BenchmarkE15Soak is the 100k-switch soak tier: 100 random reroutes
 // on FatTree(284) — 100,820 switches — each replayed through the
-// decentralized sharded-dispatch model on virtual time under the E13
+// decentralized dispatch model on virtual time under the E13
 // confirmation-loss model, with surviving runs swept across E14-style
 // crash boundaries placed at the batched write-ahead records (one
 // grouped dispatched-delta per release wave). The acceptance bar is a

@@ -88,10 +88,11 @@
 //     recovery rebuilds through the same constructor) and a single job
 //     lifecycle runs it — no worker pool: a job launches when the last
 //     earlier conflicting job finishes (a counter, not a parked
-//     goroutine), at admission if there is none; one southbound walker (Engine.walk) on a sharded
-//     ack-driven dispatch path (a fixed pool of event loops, goroutine-
-//     and allocation-free per install, batched write-ahead journaling)
-//     executes every FlowMod+barrier the controller sends — forward
+//     goroutine), at admission if there is none; one southbound walker
+//     (Engine.walk), ack-driven and the only writer of its own installs
+//     (no dispatch pool, goroutine- and allocation-free per install,
+//     batched write-ahead journaling), executes every FlowMod+barrier
+//     the controller sends — forward
 //     plans, verified rollbacks, policy installs and bare barriers — with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
 //     decentralized partition broadcast (ModeDecentralized),

@@ -485,23 +485,21 @@ type Healthz struct {
 	// subset resumed from their recovered frontier.
 	RecoveredJobs int `json:"recovered_jobs,omitempty"`
 	AdoptedJobs   int `json:"adopted_jobs,omitempty"`
-	// Dispatch reports the sharded dispatch path's live state.
+	// Dispatch reports the dispatch path's live state.
 	Dispatch *DispatchHealth `json:"dispatch,omitempty"`
 }
 
-// DispatchHealth describes the sharded ack-driven dispatch path: how
-// deep the ready queue is, how many installs each shard currently has
-// on the wire, and how well writes and journal appends are batching.
+// DispatchHealth describes the ack-driven dispatch path, where every
+// walk writes its own installs: how many installs wait for their send
+// slot, how many are on the wire, and what writes and journal appends
+// carry.
 type DispatchHealth struct {
-	// Shards is the number of dispatch event loops (switch connections
-	// map to shards by dpid).
-	Shards int `json:"shards"`
 	// ReadyDepth counts installs journaled and released but not yet
-	// handed to a shard.
+	// written.
 	ReadyDepth int64 `json:"ready_depth"`
-	// InFlight is the per-shard count of installs written to a switch
-	// and awaiting a barrier reply.
-	InFlight []int64 `json:"in_flight"`
+	// InFlight counts installs written to a switch and awaiting a
+	// barrier reply.
+	InFlight int64 `json:"in_flight"`
 	// BatchedWrites counts coalesced buffered writes; BatchMeanMsgs and
 	// BatchMaxMsgs describe how many OpenFlow messages each carried.
 	BatchedWrites uint64  `json:"batched_writes"`

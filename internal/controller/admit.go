@@ -24,9 +24,8 @@ var ErrQueueFull = errors.New("controller: update queue full")
 // journal's admit record, the decentralized partitions and the abort
 // path's reverse plan are all taken from it, so the plan that was
 // verified, the plan that is journaled and the plan that runs are one
-// value. An execPlan is immutable once built: walks and the dispatch
-// shards hold it by pointer, and a job lets go of it — never empties it —
-// when it finishes.
+// value. An execPlan is immutable once built: walks hold it by pointer,
+// and a job lets go of it — never empties it — when it finishes.
 type execPlan struct {
 	dag  *core.Plan            // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
 	mods [][]*openflow.FlowMod // per node: what it sends before its barrier

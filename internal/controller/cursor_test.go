@@ -247,7 +247,7 @@ func TestDerivedRoundsEqualReference(t *testing.T) {
 // fake fleet and cancelled: every handler returns, the job holds no
 // channel for any of them, and it still finishes and replays in full.
 func TestWatchHangUpLeavesNothing(t *testing.T) {
-	h := newFakeFleet(t, false)
+	h := newFakeFleet(t, true)
 	defer h.stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -255,7 +255,7 @@ func TestWatchHangUpLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := takeParked(t, h.e, 6) // the first wave: the job runs, and waits
+	h.held(t, 6) // the first wave: the job runs, and waits
 
 	var watching atomic.Int32
 	rest := h.c.RESTHandler()
@@ -286,17 +286,9 @@ func TestWatchHangUpLeavesNothing(t *testing.T) {
 		}
 	}
 
-	for wave := 0; wave < 2; wave++ {
-		for sh, reqs := range parked {
-			for _, r := range reqs {
-				sh.gather(r)
-			}
-			sh.flush(ctx)
-		}
-		if wave == 0 {
-			parked = takeParked(t, h.e, 6)
-		}
-	}
+	h.answer()
+	h.held(t, 6) // the second wave
+	h.answer()
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}

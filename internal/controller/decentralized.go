@@ -143,6 +143,21 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	e.c.registerPlanReports(job.ID, reports)
 	defer e.c.unregisterPlanReports(job.ID)
 
+	// Every push is encoded before anything is journaled or sent, so an
+	// encoding error leaves nothing on the wire.
+	pushes := make([][]byte, len(parts))
+	for i := range parts {
+		part := &parts[i]
+		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
+		for _, pn := range part.Nodes {
+			push.Mods = append(push.Mods, plan.mods[pn.Index])
+		}
+		var err error
+		if pushes[i], err = planwire.EncodePush(push); err != nil {
+			return nil, fmt.Errorf("encoding partition for %d: %w", part.Switch, err)
+		}
+	}
+
 	// A partition push hands the whole DAG to the switches at once:
 	// every node is journaled dispatched in one grouped write-ahead
 	// append (before any push leaves), so a recovering controller knows
@@ -160,27 +175,36 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	// receipt; anchor them at the broadcast instant. The skew (one
 	// control-channel delivery) is the same for every switch.
 	broadcast := e.c.clock.Now()
-	for i := range parts {
-		part := &parts[i]
-		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
-		for _, pn := range part.Nodes {
-			push.Mods = append(push.Mods, plan.mods[pn.Index])
-		}
-		data, err := planwire.EncodePush(push)
-		if err != nil {
-			return nil, fmt.Errorf("encoding partition for %d: %w", part.Switch, err)
-		}
-		if err := e.c.SendVendor(uint64(part.Switch), data); err != nil {
-			return nil, fmt.Errorf("pushing partition to %d: %w", part.Switch, err)
+	confirmed := make([]bool, n)
+	var pushErr error
+	for i, data := range pushes {
+		sw := parts[i].Switch
+		if err := e.c.SendVendor(uint64(sw), data); err != nil {
+			pushErr = fmt.Errorf("pushing partition to %d: %w", sw, err)
+			if i == 0 {
+				return nil, pushErr // nothing went out
+			}
+			// The switches pushed to so far execute their partitions, some
+			// nodes waiting on peer acks: no undo may reach them while they
+			// do. Take the stall path below.
+			break
 		}
 	}
 
-	confirmed := make([]bool, n)
 	for remaining := n; remaining > 0; {
 		var r *planwire.Report
 		select {
 		case r = <-reports:
 		case <-e.c.clock.After(e.c.cfg.RoundTimeout):
+			if pushErr != nil {
+				// The pushed switches have gone quiet. Any node may have
+				// taken effect, all are journaled dispatched: undo every one.
+				all := make([]bool, n)
+				for k := range all {
+					all[k] = true
+				}
+				return e.abort(ctx, job, pushErr, all, confirmed)
+			}
 			// No switch made terminal progress for a full timeout: a
 			// peer ack or a report is lost, or an install stalled. Roll
 			// back the down-closure of the confirmed set — a confirmed

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -226,5 +228,71 @@ func TestDecentralizedReorderedAcksConverge(t *testing.T) {
 	res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(in.New) {
 		t.Fatalf("post-update probe = %+v", res)
+	}
+}
+
+// TestDecentralizedPushFailsPartway: a partition push that fails after
+// earlier ones went out leaves those switches executing their
+// partitions, nodes waiting on peer acks installing later, so the job
+// takes the stall path — wait until no switch reports for a full
+// timeout, then abort over every node, all journaled dispatched — and
+// ends with a FailureReport, not a bare error. No undo reaches a switch
+// before its deferred installs: every switch counted undone holds the
+// rules it held before the job.
+func TestDecentralizedPushFailsPartway(t *testing.T) {
+	in := fig1Instance(t)
+	p, err := core.PlanByName(in, "peacock", 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := p.Partition()
+	victim := parts[len(parts)-1].Switch // pushed last: the others went out
+	const peer = 30 * time.Millisecond
+	g := topo.Fig1()
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 300 * time.Millisecond},
+		func(n topo.NodeID) switchsim.Config {
+			return switchsim.Config{Node: n, PeerLatency: netem.Fixed(peer)}
+		})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := tb.ctrl.InstallPath(ctx, in.Old, flowMatch("10.0.0.2"), "h2"); err != nil {
+		t.Fatal(err)
+	}
+	rules := func(n topo.NodeID) string {
+		var rs []string
+		for _, e := range tb.fabric.Switch(n).Table().Snapshot() {
+			rs = append(rs, fmt.Sprint(e.Match, e.Priority, e.Actions))
+		}
+		slices.Sort(rs)
+		return strings.Join(rs, "; ")
+	}
+	before := map[topo.NodeID]string{}
+	for _, n := range g.Nodes() {
+		before[n] = rules(n)
+	}
+	tb.fabric.Switch(victim).Stop()
+	waitFor(t, "the stopped switch to disconnect", func() bool { return !slices.Contains(tb.ctrl.Datapaths(), uint64(victim)) })
+
+	job, err := tb.ctrl.Engine().SubmitPlan(in, p, flowMatch("10.0.0.2"), SubmitOptions{Mode: ModeDecentralized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(ctx); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pushing partition to %d", victim)) {
+		t.Fatalf("job error = %v, want the failed push to %d", err, victim)
+	}
+	f := job.Failure()
+	if f == nil {
+		t.Fatal("a job whose push failed partway has no failure report")
+	}
+	// The rollback covers every node, and its undo at the disconnected
+	// switch fails too.
+	if !f.RollbackVerified || f.Phase != PhaseRollbackFailed || len(f.RolledBack) == 0 {
+		t.Fatalf("failure report = %+v, want a verified rollback failing at %d in phase %q", f, victim, PhaseRollbackFailed)
+	}
+	time.Sleep(10 * peer) // any install still owed would land by now
+	for _, n := range f.RolledBack {
+		if got := rules(n); got != before[n] {
+			t.Fatalf("switch %d counted undone holds [%s], held [%s] before the job", n, got, before[n])
+		}
 	}
 }

@@ -3,6 +3,10 @@ package controller
 import (
 	"context"
 	"errors"
+	"io"
+	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,10 +229,8 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 			if got := metrics.DispatchAcksDropped.Value(); got != dropped {
 				t.Fatalf("late replies reached an ack channel: %d acks dropped", got-dropped)
 			}
-			for i, v := range tb.ctrl.Engine().disp.stats().InFlight {
-				if v != 0 {
-					t.Fatalf("shard %d in-flight gauge = %d at rest", i, v)
-				}
+			if v := tb.ctrl.Engine().disp.inflight.Value(); v != 0 {
+				t.Fatalf("in-flight gauge = %d at rest", v)
 			}
 		})
 	}
@@ -238,7 +240,7 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 // recovery does for a job it cannot adopt — no forward pass, every node
 // handed to the abort path as dispatched — on switches that take 10 ms
 // per control message, and returns the number of undos and the peak
-// goroutine growth while the rollback ran.
+// goroutine growth while the abort (verify, then the rollback walk) ran.
 func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 	t.Helper()
 	ti := topo.Comb(k, chain)
@@ -287,34 +289,34 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 	report, err := e.abort(ctx, job, errors.New("injected"), all, all)
 	close(stop)
 	<-stopped
-	if err == nil || report.Phase != PhaseRolledBack || len(report.RolledBack) != undos {
+	if err == nil || report.Phase != PhaseRolledBack || !report.RollbackVerified || len(report.RolledBack) != undos {
 		t.Fatalf("abort = %+v, %v; want %d undos rolled back", report, err, undos)
 	}
-	// Every undo is a FlowMod and a barrier, both in a coalesced write.
+	// Every undo is a FlowMod and a barrier, both in one batched write.
 	if got := metrics.DispatchBatchMsgs.Sum() - batched; got < int64(2*undos) {
-		t.Fatalf("%d undos put %d messages through the dispatch shards, want >= %d", undos, got, 2*undos)
+		t.Fatalf("%d undos put %d messages through batched writes, want >= %d", undos, got, 2*undos)
 	}
-	for i, v := range e.disp.stats().InFlight {
-		if v != 0 {
-			t.Fatalf("shard %d in-flight gauge = %d after the rollback", i, v)
-		}
+	if v := e.disp.inflight.Value(); v != 0 {
+		t.Fatalf("in-flight gauge = %d after the rollback", v)
 	}
 	return undos, int(peak.Load()) - base
 }
 
-// TestRollbackRunsOnDispatchPath pins the rollback walk to the sharded
-// dispatch path: its undos go out as coalesced shard writes, the shard
-// gauges return to zero, and the goroutine count while undos are in
-// flight does not depend on how many there are.
+// TestRollbackRunsOnDispatchPath pins the rollback walk to the dispatch
+// path: its undos go out as batched writes, the in-flight gauge returns
+// to zero, and the goroutine count while undos are in flight does not
+// depend on how many there are. The one pool abort may start is
+// verify.Plan's, at most GOMAXPROCS workers for the whole plan, and a
+// small plan may not fill it; that is the allowance beyond noise.
 func TestRollbackRunsOnDispatchPath(t *testing.T) {
 	_, small := rollbackOnSlowSwitches(t, 1, 1)
 	undos, big := rollbackOnSlowSwitches(t, 8, 4)
 	if undos < 32 {
 		t.Fatalf("big rollback has %d undos, want >= 32", undos)
 	}
-	if big > small+2 {
-		t.Fatalf("goroutines grew by %d during a %d-undo rollback but by %d during a small one: rollback must not spawn per-undo goroutines",
-			big, undos, small)
+	if verifyPool := runtime.GOMAXPROCS(0); big > small+2+verifyPool {
+		t.Fatalf("goroutines grew by %d during a %d-undo abort but by %d during a small one (verify pool allowance %d): rollback must not spawn per-undo goroutines",
+			big, undos, small, verifyPool)
 	}
 }
 
@@ -360,5 +362,90 @@ func TestInstallPathOneRoundTrip(t *testing.T) {
 		if l := tb.fabric.Switch(topo.NodeID(n)).Table().Len(); l != 1 {
 			t.Fatalf("switch %d holds %d rules after InstallPath, want 1", n, l)
 		}
+	}
+}
+
+// TestWriteFailureSettlesOnTheSpot: a connection whose write fails
+// mid-wave leaves exactly that install dispatched beside the ones
+// written before it, and the wave's later queued installs not — the
+// walk ends the instant it fails, with nothing left to fence. The
+// rollback then covers exactly the dispatched set, and no barrier sink
+// outlives either walk.
+func TestWriteFailureSettlesOnTheSpot(t *testing.T) {
+	h := newFakeFleet(t, true)
+	defer h.stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	h.conns[3].onWrite = func() error { return io.ErrClosedPipe } // switch 4
+
+	plan := fakePlan("10.9.6.1", 1, 6, 2) // first wave: nodes 0..5 on switches 1..6
+	dispatched, confirmed, err := h.e.walk(ctx, walkSpec{plan: &plan})
+	if !errors.Is(err, io.ErrClosedPipe) || !strings.HasPrefix(err.Error(), "install at 4 (layer 0): sending flowmod: ") {
+		t.Fatalf("walk error = %v, want the failed write at switch 4", err)
+	}
+	want := make([]bool, plan.len())
+	for i := 0; i <= 3; i++ {
+		want[i] = true // 0..2 written and held, 3 failed on the wire
+	}
+	if !slices.Equal(dispatched, want) || slices.Contains(confirmed, true) {
+		t.Fatalf("dispatched %v confirmed %v, want %v and none", dispatched, confirmed, want)
+	}
+	if n := registeredSinks(h.c); n != 0 {
+		t.Fatalf("%d barrier sinks registered after the failed walk", n)
+	}
+	if r, f := h.e.disp.ready.Value(), h.e.disp.inflight.Value(); r != 0 || f != 0 {
+		t.Fatalf("ready gauge %d, in-flight gauge %d after the walk", r, f)
+	}
+
+	h.conns[3].onWrite = nil
+	spec := &rollbackSpec{in: core.MustInstance(topo.Path{1, 2}, topo.Path{1, 9, 10, 2}, 0), match: flowMatch("10.9.6.1")}
+	var undone []bool
+	rolled := make(chan error, 1)
+	go func() {
+		var err error
+		_, undone, err = h.e.runRollback(ctx, newJob(plan, SubmitOptions{}, spec), spec, dispatched)
+		rolled <- err
+	}()
+	h.held(t, 4) // the undos of 0..3, one wave
+	h.answer()
+	if err := <-rolled; err != nil || !slices.Equal(undone, want) {
+		t.Fatalf("rollback undid %v (%v), want %v", undone, err, want)
+	}
+	if n := registeredSinks(h.c); n != 0 {
+		t.Fatalf("%d barrier sinks registered after the rollback", n)
+	}
+}
+
+// TestCancelledWalkWritesNothingMore: once a walk's ctx has ended, no
+// further byte of it reaches any switch — here ctx ends inside the third
+// install's write, and the wave's other three are never written.
+func TestCancelledWalkWritesNothingMore(t *testing.T) {
+	h := newFakeFleet(t, true)
+	defer h.stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	writes := 0
+	for _, c := range h.conns {
+		c.onWrite = func() error {
+			if writes++; writes == 3 {
+				cancel()
+			}
+			return nil
+		}
+	}
+
+	plan := fakePlan("10.9.6.2", 1, 6, 2)
+	dispatched, confirmed, err := h.e.walk(ctx, walkSpec{plan: &plan})
+	if !errors.Is(err, context.Canceled) || dispatched != nil || confirmed != nil {
+		t.Fatalf("walk = %v, %v, %v; want context.Canceled and no sets", dispatched, confirmed, err)
+	}
+	if writes != 3 {
+		t.Fatalf("%d writes reached the fleet, want 3: the walk wrote on after its ctx ended", writes)
+	}
+	if n := registeredSinks(h.c); n != 0 {
+		t.Fatalf("%d barrier sinks registered after the walk was cut off", n)
+	}
+	if r, f := h.e.disp.ready.Value(), h.e.disp.inflight.Value(); r != 0 || f != 0 {
+		t.Fatalf("ready gauge %d, in-flight gauge %d after the walk", r, f)
 	}
 }

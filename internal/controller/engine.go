@@ -31,7 +31,7 @@ import (
 // them stay known.
 type Engine struct {
 	c    *Controller
-	disp *dispatcher // sharded southbound dispatch path
+	disp dispatcher // walk-state recycler and dispatch gauges
 
 	mu       sync.Mutex
 	ctx      context.Context // set by run; jobs launch once available
@@ -48,9 +48,7 @@ type Engine struct {
 }
 
 func newEngine(c *Controller) *Engine {
-	e := &Engine{c: c, jobs: make(map[int]*Job)}
-	e.disp = newDispatcher(e)
-	return e
+	return &Engine{c: c, jobs: make(map[int]*Job)}
 }
 
 // errJournalWriteAhead fails a job whose next dispatch could not be
@@ -183,13 +181,12 @@ func (e *Engine) retireLocked(job *Job) {
 	e.terminal.push(job)
 }
 
-// run starts the dispatcher, releases the jobs admitted before the
-// controller started — every unfinished job so far holds one blocker
-// for that — and arranges the shutdown verdict of jobs that are still
-// queued when ctx ends: they fail with ctx.Err() without having sent
-// anything. Running jobs hear of ctx in their walks.
+// run releases the jobs admitted before the controller started — every
+// unfinished job so far holds one blocker for that — and arranges the
+// shutdown verdict of jobs that are still queued when ctx ends: they
+// fail with ctx.Err() without having sent anything. Running jobs hear
+// of ctx in their walks.
 func (e *Engine) run(ctx context.Context) {
-	e.disp.start(ctx)
 	e.mu.Lock()
 	e.ctx = ctx
 	early := slices.Clone(e.active)
@@ -278,13 +275,10 @@ func (e *Engine) begin(job *Job) {
 // log. Whoever sees the job terminal therefore sees the engine without
 // it.
 //
-// Stripping lets go of the plan, never empties it: a dispatch shard may
-// still hold an install request of a walk that has ended — queued when
-// ctx cut the walk off, or nacked after its reply — and reads the plan
-// the request carries. A job cut off by shutdown is left whole: it is
-// not terminal to the journal either (see journalTerminal), and
-// enqueueAll may still be journaling its admission from the plan when
-// the shutdown verdict overtakes it.
+// A job cut off by shutdown is left whole: it is not terminal to the
+// journal either (see journalTerminal), and enqueueAll may still be
+// journaling its admission from the plan when the shutdown verdict
+// overtakes it.
 func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	e.journalTerminal(job, err)
 	e.mu.Lock()
@@ -328,13 +322,12 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 	}
 }
 
-// nodeAck is one install's outcome, delivered to the walk's event loop
-// as a value: by a connection read loop resolving a barrier sink, or by
-// a dispatch shard reporting a write failure or a fence bounce. sent
-// reports whether any FlowMod may have left for the switch before the
-// error — such a node may have taken effect even without a barrier
-// reply, so the rollback prefix must include it. seq filters stale acks
-// on the pooled ack channels.
+// nodeAck is one install's outcome, handed to the walk's event loop as
+// a value: by a connection read loop resolving a barrier sink, or by the
+// walk itself settling a failed write. sent reports whether any FlowMod
+// may have left for the switch before the error — such a node may have
+// taken effect even without a barrier reply, so the rollback prefix must
+// include it. seq filters stale acks on the pooled ack channels.
 type nodeAck struct {
 	seq      uint64
 	idx      int
@@ -407,8 +400,8 @@ type walkSpec struct {
 	pre      []bool        // nodes already in effect: confirmed synthetically, never sent
 
 	// journal, when non-nil, makes a release wave (ascending node
-	// indices) durable before any of it is handed to a shard; false
-	// refuses the wave.
+	// indices) durable before any of it is written; false refuses the
+	// wave.
 	journal func(nodes []int) bool
 	// confirm, when non-nil, is told every confirmed install in
 	// confirmation order and returns the nodes it releases. Nil releases
@@ -427,27 +420,28 @@ type walkSpec struct {
 // arrives; for a sparse DAG independent branches overtake each
 // other's stragglers.
 //
-// Dispatch runs on the engine's sharded path (see dispatch.go): this
-// single event loop releases nodes, journals each release wave as one
-// grouped write-ahead append, and hands sends to the shard owning each
-// switch connection; barrier replies come back as plain values from
-// the connection read loops. Steady state the loop spawns no
-// goroutines and allocates nothing per install. Single-threaded by
-// construction: all release bookkeeping, journaling decisions and
-// timeout synthesis happen here, with shards doing only coalesced I/O.
-// It is the only code in the package that puts a FlowMod+barrier pair
-// on a wire.
+// One event loop on the caller's goroutine does all of it (see
+// dispatch.go): it releases nodes, journals each release wave as one
+// grouped write-ahead append, and writes every released install itself;
+// barrier replies come back as plain values from the connection read
+// loops. Steady state the loop spawns no goroutines and allocates
+// nothing per install. Single-threaded by construction: release
+// bookkeeping, journaling decisions, writes and timeout synthesis all
+// happen here. It is the only code in the package that puts a
+// FlowMod+barrier pair on a wire.
 //
 // A nil error means every node confirmed. Otherwise err is the first
 // failure, and dispatched/confirmed are non-nil exactly when the walk
 // failed after something may have reached a switch: dispatched marks
 // nodes whose FlowMods may have (a down-closed superset of confirmed),
-// final because every shard was fenced first. A walk the journal
-// refused before its first send, or one cut off by ctx, returns nil
-// sets — there is nothing (or no engine left) to undo with.
+// final the instant the walk fails — no one else holds its installs. A
+// walk the journal refused before its first send, or one cut off by
+// ctx, returns nil sets — there is nothing (or no engine left) to undo
+// with.
 func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []bool, err error) {
 	n := w.plan.len()
 	st := e.disp.acquire(n, w)
+	defer e.disp.release(st)
 
 	for i, nd := range w.plan.dag.Nodes {
 		if len(nd.Deps) == 0 {
@@ -456,9 +450,8 @@ func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []
 	}
 	e.collectWave(st, nil, 0)
 	if !e.dispatchWave(st) {
-		// The initial wave never became durable and nothing was handed
-		// to a shard: the switches saw none of this plan.
-		e.disp.release(st)
+		// The initial wave never became durable and nothing was
+		// written: the switches saw none of this plan.
 		return nil, nil, errJournalWriteAhead
 	}
 	e.pump(ctx, st)
@@ -471,11 +464,7 @@ func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []
 	var timerC, dueC <-chan time.Time
 	var timerAt, dueAt time.Time
 
-	// A failing walk waits for nothing but its fences, and for every one
-	// of them even with no node left in flight: only once each shard
-	// bounced its fence is the dispatched set final and the pooled state
-	// safe to hand on.
-	for (st.failing == nil && st.nDone < n) || st.fences > 0 {
+	for st.failing == nil && st.nDone < n {
 		for st.deads.len() > 0 && st.status[st.deads.peek().idx] != nsInflight {
 			st.deads.pop()
 		}
@@ -485,7 +474,7 @@ func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []
 				timerAt = dl
 			}
 		}
-		if st.sendq.len() > 0 && st.failing == nil {
+		if st.sendq.len() > 0 {
 			if due := st.sendq.peek().at; dueC == nil || dueAt.After(due) {
 				dueC = e.c.clock.After(due.Sub(e.c.clock.Now()))
 				dueAt = due
@@ -494,42 +483,40 @@ func (e *Engine) walk(ctx context.Context, w walkSpec) (dispatched, confirmed []
 
 		select {
 		case a := <-st.acks:
-			e.handleAck(ctx, st, a)
+			e.handleAck(st, a)
 		case <-timerC:
 			timerC = nil
-			e.expireDeadlines(ctx, st, e.c.clock.Now())
+			e.expireDeadlines(st, e.c.clock.Now())
 		case <-dueC:
 			dueC = nil // pump below releases the due installs
 		case <-ctx.Done():
-			e.abandon(st)
+			e.withdraw(st)
 			return nil, nil, ctx.Err()
 		}
 		// Coalesce: fold every ack already queued into the same release
-		// wave, so one journal append and one shard hand-off cycle cover
-		// all of them.
+		// wave, so one journal append covers all of them.
 	drained:
 		for {
 			select {
 			case a := <-st.acks:
-				e.handleAck(ctx, st, a)
+				e.handleAck(st, a)
 			default:
 				break drained
 			}
 		}
 		if st.failing == nil {
 			if !e.dispatchWave(st) {
-				e.noteFailure(ctx, st, errJournalWriteAhead)
+				st.noteFailure(errJournalWriteAhead)
 			}
 			e.pump(ctx, st)
 		}
 	}
 
-	if st.failing != nil {
-		e.dropSinks(st)
-		dispatched, confirmed, err = slices.Clone(st.dispatched), slices.Clone(st.confirmed), st.failing
+	if st.failing == nil {
+		return nil, nil, nil
 	}
-	e.disp.release(st)
-	return dispatched, confirmed, err
+	e.withdraw(st)
+	return slices.Clone(st.dispatched), slices.Clone(st.confirmed), st.failing
 }
 
 // collectWave folds a just-released node set (plus whatever the caller
@@ -597,68 +584,41 @@ func (e *Engine) dispatchWave(st *jobDispatch) bool {
 			st.sendNow.push(int32(i))
 		}
 	}
-	metrics.DispatchReadyDepth.Add(int64(len(st.wave)))
+	e.disp.ready.Add(int64(len(st.wave)))
 	st.wave = st.wave[:0]
 	return true
 }
 
-// pump hands queued installs to their shards: everything released
-// without a pause immediately, plus any paused install whose due time
-// arrived.
+// pump writes queued installs: everything released without a pause
+// immediately, plus any paused install whose due time arrived. It stops
+// at the walk's first failure, and a walk whose ctx has ended writes
+// nothing more.
 func (e *Engine) pump(ctx context.Context, st *jobDispatch) {
-	for st.sendNow.len() > 0 {
+	for st.sendNow.len() > 0 && st.failing == nil && ctx.Err() == nil {
 		if i := int(st.sendNow.pop()); st.status[i] == nsQueued {
-			e.sendToShard(ctx, st, i)
+			e.send(st, i)
 		}
 	}
 	if st.sendq.len() == 0 {
 		return
 	}
 	now := e.c.clock.Now()
-	for st.sendq.len() > 0 {
+	for st.sendq.len() > 0 && st.failing == nil && ctx.Err() == nil {
 		next := st.sendq.peek()
 		if st.status[next.idx] == nsQueued {
 			if next.at.After(now) {
 				return
 			}
-			e.sendToShard(ctx, st, int(next.idx))
+			e.send(st, int(next.idx))
 		}
 		st.sendq.pop()
 	}
 }
 
-// sendToShard marks one install in flight, arms its barrier deadline,
-// and hands it to the shard owning its switch connection. The
-// RoundTimeout deadline runs on the controller's injected clock, like
-// every other engine wait, so virtual-clock runs time out at
-// RoundTimeout *virtual* time instead of hanging for 30 wall-clock
-// seconds.
-func (e *Engine) sendToShard(ctx context.Context, st *jobDispatch, i int) {
-	st.status[i] = nsInflight
-	metrics.DispatchReadyDepth.Dec()
-	sh := e.disp.shardFor(uint64(st.plan.sw(i)))
-	e.disp.inflight[sh].Inc()
-	st.deads.push(timed{int32(i), e.c.clock.Now().Add(e.c.cfg.RoundTimeout)})
-	select {
-	case e.disp.shards[sh].reqs <- shardReq{plan: st.plan, st: st, seq: st.seq, idx: i}:
-	case <-ctx.Done():
-		// Shutdown: the shard loops may be gone; the event loop's ctx
-		// branch abandons the walk on its next turn.
-	}
-}
-
-// handleAck processes one install outcome (or fence bounce) from the
-// walk's ack channel.
-func (e *Engine) handleAck(ctx context.Context, st *jobDispatch, a nodeAck) {
+// handleAck settles one install's outcome.
+func (e *Engine) handleAck(st *jobDispatch, a nodeAck) {
 	if a.seq != st.seq {
 		return // stale ack from the pooled channel's previous owner
-	}
-	if a.idx == fenceIdx {
-		st.fences--
-		if st.fences == 0 {
-			e.finalizeCancel(st)
-		}
-		return
 	}
 	i := a.idx
 	if st.status[i] != nsInflight {
@@ -667,19 +627,19 @@ func (e *Engine) handleAck(ctx context.Context, st *jobDispatch, a nodeAck) {
 	e.settle(st, i)
 	if a.err != nil {
 		if !a.sent {
-			// Provably nothing left for the switch (skipped after the
-			// cancel, or its encoding failed): it cannot have taken
-			// effect. Everything else stays dispatched — a write error
-			// does not prove the switch never saw the message, and the
-			// undo FlowMods are idempotent, so over-covering is safe.
+			// Provably nothing left for the switch (its encoding failed):
+			// it cannot have taken effect. Everything else stays
+			// dispatched — a write error does not prove the switch never
+			// saw the message, and the undo FlowMods are idempotent, so
+			// over-covering is safe.
 			st.dispatched[i] = false
 		}
-		e.noteFailure(ctx, st, a.err)
+		st.noteFailure(a.err)
 		return
 	}
 	// A successful install is recorded even when it lands after the
-	// first failure: the rollback prefix must be exact, and a node that
-	// confirmed between the error and the fence did take effect.
+	// first failure: the rollback prefix must be exact, and a node whose
+	// reply was already queued when the walk failed did take effect.
 	rel := e.confirmNode(st, i, InstallTiming{
 		ReleasedBy: st.releasedBy[i],
 		FlowMods:   a.flowMods,
@@ -699,14 +659,14 @@ func (e *Engine) handleAck(ctx context.Context, st *jobDispatch, a nodeAck) {
 func (e *Engine) settle(st *jobDispatch, i int) {
 	st.status[i] = nsDone
 	st.nDone++
-	e.disp.inflight[e.disp.shardFor(uint64(st.plan.sw(i)))].Dec()
+	e.disp.inflight.Dec()
 }
 
 // expireDeadlines synthesizes barrier-timeout failures for every
 // in-flight install whose deadline passed. A late reply finds the node
 // already done and is dropped — or, once the walk has ended, finds no
 // sink at all (dropSinks).
-func (e *Engine) expireDeadlines(ctx context.Context, st *jobDispatch, now time.Time) {
+func (e *Engine) expireDeadlines(st *jobDispatch, now time.Time) {
 	for st.deads.len() > 0 {
 		next := st.deads.peek()
 		i := int(next.idx)
@@ -719,65 +679,31 @@ func (e *Engine) expireDeadlines(ctx context.Context, st *jobDispatch, now time.
 		}
 		st.deads.pop()
 		e.settle(st, i)
-		e.noteFailure(ctx, st, fmt.Errorf("install at %d (layer %d): barrier reply: %w", st.plan.sw(i), st.plan.layers[i], context.DeadlineExceeded))
+		st.noteFailure(fmt.Errorf("install at %d (layer %d): barrier reply: %w", st.plan.sw(i), st.plan.layers[i], context.DeadlineExceeded))
 	}
 }
 
-// noteFailure records the walk's first failure and fences every shard:
-// shards process their queues in order, so once each fence bounces
-// back, no FlowMod of this walk can reach a wire anymore — only then is
-// the dispatched set final and an abort safe to start.
-func (e *Engine) noteFailure(ctx context.Context, st *jobDispatch, err error) {
-	if st.failing != nil {
-		return
-	}
-	st.failing = err
-	st.cancelled.Store(true)
-	st.fences = len(e.disp.shards)
-	for _, sh := range e.disp.shards {
-		select {
-		case sh.reqs <- shardReq{st: st, seq: st.seq, idx: fenceIdx}:
-		case <-ctx.Done():
-			st.fences-- // the shard loop exited; it cannot write anything anyway
-		}
-	}
-	if st.fences == 0 {
-		e.finalizeCancel(st)
-	}
-}
-
-// finalizeCancel runs once the last fence bounced: every still-queued
-// node provably never reached a wire (dispatched reverts to false), and
-// every in-flight node may have (dispatched stays true) but gets no
-// further barrier wait.
-func (e *Engine) finalizeCancel(st *jobDispatch) {
+// withdraw ends a walk that stops short — failed, or cut off by its ctx:
+// every still-queued node provably never reached a wire (dispatched
+// reverts to false), every in-flight node may have (dispatched stays
+// true) but gets no further barrier wait, and the sinks still out go.
+func (e *Engine) withdraw(st *jobDispatch) {
 	for i := range st.status {
 		switch st.status[i] {
 		case nsQueued:
-			st.status[i] = nsDone
-			st.nDone++
 			st.dispatched[i] = false
-			metrics.DispatchReadyDepth.Dec()
+			e.disp.ready.Dec()
 		case nsInflight:
-			e.settle(st, i)
+			e.disp.inflight.Dec()
 		}
 	}
-}
-
-// abandon ends a walk its ctx cut off: the dispatch gauges are
-// corrected, requests still queued at a shard are skipped, the sinks
-// already registered go, and the state is never recycled (late acks may
-// still arrive on its channel).
-func (e *Engine) abandon(st *jobDispatch) {
-	st.cancelled.Store(true)
-	e.finalizeCancel(st)
 	e.dropSinks(st)
 }
 
 // dropSinks deregisters the barrier sinks a failed or abandoned walk
-// still has out: an install whose deadline expired, or that
-// finalizeCancel gave up on, must not leave its sink behind for the
-// life of the connection — a switch that drops barriers would
+// still has out: an install whose deadline expired, or that withdraw
+// gave up on, must not leave its sink behind for the life of the
+// connection — a switch that drops barriers would
 // accumulate one per timed-out install.
 func (e *Engine) dropSinks(st *jobDispatch) {
 	for i, sent := range st.dispatched {

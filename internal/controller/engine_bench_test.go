@@ -15,7 +15,7 @@ import (
 // iteration is the wall-clock until all complete. Every job launches at
 // admission, so an iteration costs about one job's rounds × the 3 ms
 // install whatever the batch size: the 64-flow arm (640 switches, 64
-// simultaneous walks over the fixed shard pool) reads what 60 more
+// simultaneous walks, each writing its own installs) reads what 60 more
 // jobs add in CPU and scheduling on top of the 4-flow arm's waiting.
 //
 //	go test ./internal/controller -bench EngineDisjointFlows -benchtime 5x

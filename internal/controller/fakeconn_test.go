@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -15,14 +16,24 @@ import (
 
 // discardConn is a net.Conn whose writes vanish and whose reads block
 // until Close: the cheapest possible "switch" for exercising the
-// dispatch path without I/O latency or a read loop.
+// dispatch path without I/O latency or a read loop. onWrite, when set
+// (before the conn is written to), sees every Write first and fails it
+// with what it returns.
 type discardConn struct {
-	closed chan struct{}
+	closed  chan struct{}
+	onWrite func() error
 }
 
 func newDiscardConn() *discardConn { return &discardConn{closed: make(chan struct{})} }
 
-func (c *discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *discardConn) Write(p []byte) (int, error) {
+	if c.onWrite != nil {
+		if err := c.onWrite(); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
+}
 func (c *discardConn) Read(p []byte) (int, error) {
 	<-c.closed
 	return 0, net.ErrClosed
@@ -51,19 +62,21 @@ const (
 // every registered barrier sink — the dispatch path end to end with
 // zero network.
 type allocHarness struct {
-	c    *Controller
-	e    *Engine
-	plan execPlan
-	stop func()
+	c       *Controller
+	e       *Engine
+	plan    execPlan
+	conns   []*discardConn // conns[d-1] is switch d's
+	dps     []*datapath
+	scratch []barrierSink // answer's, reused
+	stop    func()
 }
 
-func newAllocHarness(t *testing.T) *allocHarness { return newFakeFleet(t, true) }
+func newAllocHarness(t *testing.T) *allocHarness { return newFakeFleet(t, false) }
 
-// newFakeFleet builds the harness. With shards false the dispatch
-// shards are not started: the engine admits and launches jobs, whose
-// install requests then sit in the shards' queues until the test plays
-// the shard — gather and flush — by hand.
-func newFakeFleet(t *testing.T, shards bool) *allocHarness {
+// newFakeFleet builds the harness. With hold set no responder runs: a
+// launched job writes its first wave and waits, its barriers held until
+// the test answers them (held, answer).
+func newFakeFleet(t *testing.T, hold bool) *allocHarness {
 	t.Helper()
 	g := topo.Grid(8, 8)
 	c, err := New(Config{Topology: g})
@@ -71,70 +84,82 @@ func newFakeFleet(t *testing.T, shards bool) *allocHarness {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if shards {
-		c.engine.run(ctx)
-	} else {
-		c.engine.mu.Lock()
-		c.engine.ctx = ctx
-		c.engine.mu.Unlock()
-	}
+	c.engine.run(ctx)
 
+	// The execution DAG: allocLayers update waves over allocSwitches
+	// switches — a deep plan that exercises wave journaling, batched
+	// writes and the deadline ring across many release cycles.
+	h := &allocHarness{c: c, e: c.engine, plan: fakePlan("10.9.0.2", 1, allocSwitches, allocLayers), scratch: make([]barrierSink, 0, 256)}
 	c.mu.Lock()
 	for d := uint64(1); d <= allocSwitches; d++ {
-		c.datapaths[d] = &datapath{
+		conn := newDiscardConn()
+		dp := &datapath{
 			dpid:      d,
-			conn:      ofconn.New(newDiscardConn()),
+			conn:      ofconn.New(conn),
 			sinks:     make(map[uint32]barrierSink),
 			statsWait: make(map[uint32]chan []openflow.FlowStats),
 		}
-	}
-	dps := make([]*datapath, 0, allocSwitches)
-	for _, dp := range c.datapaths {
-		dps = append(dps, dp)
+		c.datapaths[d] = dp
+		h.conns = append(h.conns, conn)
+		h.dps = append(h.dps, dp)
 	}
 	c.mu.Unlock()
 
 	// Responder: what the per-connection read loop would do on each
-	// BarrierReply, minus the wire. Scratch slice reused — the responder
-	// allocates nothing in steady state, so it cannot pollute the pin.
+	// BarrierReply, minus the wire. It allocates nothing in steady state,
+	// so it cannot pollute the pin.
 	done := make(chan struct{})
-	go func() {
-		scratch := make([]barrierSink, 0, 256)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			for _, dp := range dps {
-				dp.mu.Lock()
-				for xid, s := range dp.sinks {
-					delete(dp.sinks, xid)
-					scratch = append(scratch, s)
+	if !hold {
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
 				}
-				dp.mu.Unlock()
+				if h.answer() == 0 {
+					runtime.Gosched()
+				}
 			}
-			if len(scratch) == 0 {
-				runtime.Gosched()
-				continue
-			}
-			now := c.clock.Now()
-			for _, s := range scratch {
-				c.engine.disp.deliver(s, now)
-			}
-			scratch = scratch[:0]
-		}
-	}()
-
-	// The execution DAG: allocLayers update waves over allocSwitches
-	// switches — a deep plan that exercises wave journaling, shard
-	// coalescing and the deadline ring across many release cycles.
-	h := &allocHarness{c: c, e: c.engine, plan: fakePlan("10.9.0.2", 1, allocSwitches, allocLayers)}
+		}()
+	}
 	h.stop = func() {
 		close(done)
 		cancel()
 	}
 	return h
+}
+
+// answer replies to every barrier the fleet holds, as the read loops
+// would, and returns how many that was.
+func (h *allocHarness) answer() int {
+	for _, dp := range h.dps {
+		dp.mu.Lock()
+		for xid, s := range dp.sinks {
+			delete(dp.sinks, xid)
+			h.scratch = append(h.scratch, s)
+		}
+		dp.mu.Unlock()
+	}
+	n := len(h.scratch)
+	if n > 0 {
+		now := h.c.clock.Now()
+		for _, s := range h.scratch {
+			h.e.disp.deliver(s, now)
+		}
+		h.scratch = h.scratch[:0]
+	}
+	return n
+}
+
+// held waits until the fleet holds n unanswered barriers: the installs
+// a walk has written and now waits on.
+func (h *allocHarness) held(t *testing.T, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d barriers written", n), func() bool { return registeredSinks(h.c) >= n })
+	if got := registeredSinks(h.c); got != n {
+		t.Fatalf("the fleet holds %d barriers, want %d", got, n)
+	}
 }
 
 // fakePlan is layers update waves for flow ip over the width switches

@@ -109,11 +109,14 @@ func TestDecentralizedVirtualClockFleet(t *testing.T) {
 	}
 }
 
-// TestControllerGoroutinesPerSwitch pins the controller's cost of a
-// connected switch at one goroutine, its blocking reader: shutdown
-// closes the connections from a context callback, not from a watcher
-// parked per connection. The switches here are bare handshaken sockets
-// held by the test, so every goroutine counted is the controller's.
+// TestControllerGoroutinesPerSwitch pins the controller's whole
+// goroutine budget: one per connected switch, its blocking reader, plus
+// the accept loop and the listener's closer — counted from before
+// Start, so no pool the engine starts can hide in the baseline.
+// Shutdown closes the connections from a context callback, not from a
+// watcher parked per connection. The switches here are bare handshaken
+// sockets held by the test, so every goroutine counted is the
+// controller's.
 func TestControllerGoroutinesPerSwitch(t *testing.T) {
 	const n = 32
 	ctx, cancel := context.WithCancel(context.Background())
@@ -122,11 +125,11 @@ func TestControllerGoroutinesPerSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := steadyGoroutines()
 	addr, err := ctrl.Start(ctx, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := steadyGoroutines()
 
 	conns := make([]*ofconn.Conn, n)
 	for i := range conns {
@@ -146,7 +149,7 @@ func TestControllerGoroutinesPerSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := steadyGoroutines() - base; got > n+2 {
-		t.Fatalf("%d connected switches cost the controller %d goroutines, want <= %d", n, got, n+2)
+		t.Fatalf("a started controller with %d connected switches runs %d goroutines, want <= %d", n, got, n+2)
 	}
 
 	cancel()

@@ -36,7 +36,6 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/journal"
-	"tsu/internal/metrics"
 	"tsu/internal/openflow"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
@@ -181,7 +180,6 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 			})
 			continue
 		}
-		metrics.JobsRecovered.Inc()
 		l := &relaunch{job: job}
 		if len(rj.dispatched) == 0 {
 			// Write-ahead discipline: no dispatched record means no
@@ -191,10 +189,8 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 			e.reconcile(ctx, rj, l)
 			if l.rollback {
 				stats.RolledBack++
-				metrics.RecoveryRollbacks.Inc()
 			} else {
 				stats.Adopted++
-				metrics.JobsAdopted.Inc()
 			}
 		}
 		launches = append(launches, l)

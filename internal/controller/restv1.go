@@ -766,11 +766,9 @@ func (c *Controller) handleV1Healthz(w http.ResponseWriter, _ *http.Request) {
 		h.RecoveredJobs = stats.Recovered()
 		h.AdoptedJobs = stats.Adopted
 	}
-	ds := c.engine.disp.stats()
 	h.Dispatch = &api.DispatchHealth{
-		Shards:           ds.Shards,
-		ReadyDepth:       ds.ReadyDepth,
-		InFlight:         ds.InFlight,
+		ReadyDepth:       c.engine.disp.ready.Value(),
+		InFlight:         c.engine.disp.inflight.Value(),
 		BatchedWrites:    uint64(metrics.DispatchBatchMsgs.Count()),
 		BatchMeanMsgs:    metrics.DispatchBatchMsgs.Mean(),
 		BatchMaxMsgs:     uint64(metrics.DispatchBatchMsgs.Max()),

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -219,91 +218,27 @@ func TestStripKeepsTrace(t *testing.T) {
 	}
 }
 
-// takeParked collects the n install requests a launched job's walk has
-// queued at shards nobody runs.
-func takeParked(t *testing.T, e *Engine, n int) map[*dispatchShard][]shardReq {
-	t.Helper()
-	got := make(map[*dispatchShard][]shardReq)
-	deadline := time.Now().Add(10 * time.Second)
-	for n > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d install requests never reached a shard", n)
-		}
-		for _, sh := range e.disp.shards {
-			select {
-			case r := <-sh.reqs:
-				got[sh] = append(got[sh], r)
-				n--
-			default:
-			}
-		}
-		runtime.Gosched()
-	}
-	return got
-}
-
-// TestStripLeavesParkedInstallsTheirPlan is the hazard of stripping at
-// terminal: a dispatch shard reads an install request's plan after the
-// job that queued it has finished. Both ways there are run with the
-// test playing the shard. Cancelled arm: the shard has gathered a
-// wave's installs when shutdown cuts the walk off; the job finishes —
-// left whole, as the journal leaves it live — and only then does the
-// shard flush, encoding FlowMods from the plan each request carries.
-// Done arm: the job runs to the end and is stripped, and a request the
-// shard still holds (a write error surfacing after the reply) must
-// still name its install.
+// TestStripLeavesParkedInstallsTheirPlan: a job cut off by shutdown is
+// not stripped. Its first wave is written and parked on held barrier
+// replies when shutdown ends its walk; the job finishes cancelled and
+// keeps its plan — it is not terminal to the journal either, and the
+// restarted controller runs it again — and the walk leaves no barrier
+// sink behind.
 func TestStripLeavesParkedInstallsTheirPlan(t *testing.T) {
-	h := newFakeFleet(t, false)
+	h := newFakeFleet(t, true)
 	defer h.stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Done arm. One wave of 6 installs, flushed by hand; the responder
-	// acks them and the job ends done.
-	job, err := h.e.enqueue(newJob(fakePlan("10.9.2.1", 1, 6, 1), SubmitOptions{}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var held []shardReq
-	for sh, reqs := range takeParked(t, h.e, 6) {
-		for _, r := range reqs {
-			sh.gather(r)
-		}
-		sh.flush(ctx)
-		held = append(held, reqs...)
-	}
-	if err := job.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if job.plan != nil {
-		t.Fatal("a done job kept its plan")
-	}
-	for _, r := range held {
-		if len(r.plan.mods[r.idx]) != 1 {
-			t.Fatalf("install %d lost its FlowMods with the job's strip", r.idx)
-		}
-		want := fmt.Sprintf("install at %d (layer 0): sending flowmod: ", r.plan.sw(r.idx))
-		if got := installErr(r, "sending flowmod", io.ErrClosedPipe).Error(); !strings.HasPrefix(got, want) {
-			t.Fatalf("late nack reads %q, want %q…", got, want)
-		}
-	}
-
-	// Cancelled arm, on a fresh engine context: gathered, then shutdown,
-	// then finish, then the flush.
 	ectx, shutdown := context.WithCancel(context.Background())
 	h.e.mu.Lock()
 	h.e.ctx = ectx
 	h.e.mu.Unlock()
-	job, err = h.e.enqueue(newJob(fakePlan("10.9.2.2", 1, 6, 2), SubmitOptions{}, nil))
+	job, err := h.e.enqueue(newJob(fakePlan("10.9.2.2", 1, 6, 2), SubmitOptions{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := takeParked(t, h.e, 6)
-	for sh, reqs := range parked {
-		for _, r := range reqs {
-			sh.gather(r)
-		}
-	}
+	h.held(t, 6) // the first wave: the job runs, and waits
 	shutdown()
 	if err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("job cut off by shutdown ended %v, want context.Canceled", err)
@@ -311,18 +246,11 @@ func TestStripLeavesParkedInstallsTheirPlan(t *testing.T) {
 	if job.plan == nil || len(job.plan.mods) != 12 {
 		t.Fatal("a job cut off by shutdown was stripped: the restarted controller runs it again")
 	}
-	wrote := 0
-	for sh := range parked {
-		for _, cb := range sh.conns {
-			wrote += len(cb.reqs)
-		}
-		sh.flush(ctx) // reads r.plan.mods[r.idx] of every gathered install
+	if n := registeredSinks(h.c); n != 0 {
+		t.Fatalf("%d barrier sinks still registered after the walk was cut off", n)
 	}
-	if wrote != 6 {
-		t.Fatalf("the shards had gathered %d installs before the shutdown, want 6", wrote)
-	}
-	if retained, _ := h.e.Retention(); retained != 2 {
-		t.Fatalf("retained %d finished jobs, want both", retained)
+	if retained, _ := h.e.Retention(); retained != 1 {
+		t.Fatalf("retained %d finished jobs, want 1", retained)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tsu/internal/core"
-	"tsu/internal/metrics"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
 	"tsu/internal/verify"
@@ -103,7 +102,6 @@ func (s *rollbackSpec) rollbackProps() core.Property {
 // confirmed); confirmed marks barrier-confirmed installs. It returns
 // the job's failure report and terminal error for Engine.finish.
 func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, confirmed []bool) (*FailureReport, error) {
-	metrics.Aborts.Inc()
 	report := &FailureReport{
 		Phase:           PhaseAborted,
 		TriggeringFault: cause.Error(),
@@ -114,7 +112,6 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 		return report, cause
 	}
 	if err := e.verifyRollback(job, spec, dispatched); err != nil {
-		metrics.Stalls.Inc()
 		report.Phase = PhaseStuck
 		report.Stuck = stuckNodes(job, dispatched, nil)
 		return report, fmt.Errorf("%w; rollback refused: %v", cause, err)
@@ -123,7 +120,6 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, c
 	rolledBack, undone, rbErr := e.runRollback(ctx, job, spec, dispatched)
 	report.RolledBack = rolledBack
 	if rbErr != nil {
-		metrics.Stalls.Inc()
 		report.Phase = PhaseRollbackFailed
 		report.Stuck = stuckNodes(job, dispatched, undone)
 		return report, fmt.Errorf("%w; rollback failed: %v", cause, rbErr)
@@ -196,7 +192,6 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 		confirm: func(j int, t InstallTiming) []int {
 			node := plan.sw(j)
 			job.addMessages(node, MessageStats{Ctrl: t.FlowMods + 2})
-			metrics.InstallsRolledBack.Inc()
 			rolledBack = append(rolledBack, node)
 			undone[fwd[j]] = true
 			ready = run.Complete(j, ready[:0])

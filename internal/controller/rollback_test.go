@@ -43,7 +43,6 @@ func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Sched
 // lost barrier, verify the reverse plan of the dispatched prefix safe,
 // execute it, and leave the data plane on the old path.
 func TestCrashMidPlanRollsBackVerified(t *testing.T) {
-	aborts, rolledBack := metrics.Aborts.Value(), metrics.InstallsRolledBack.Value()
 	faults := map[topo.NodeID]switchsim.Faults{
 		8: {DisconnectAfterFlowMods: 1, WipeTableOnCrash: true},
 	}
@@ -104,12 +103,6 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 			t.Fatalf("switch %d still holds %d rules after rollback", n, l)
 		}
 	}
-	if metrics.Aborts.Value() <= aborts {
-		t.Fatal("abort not counted")
-	}
-	if metrics.InstallsRolledBack.Value() <= rolledBack {
-		t.Fatal("rolled-back installs not counted")
-	}
 }
 
 // TestAbortReportsExactSetsAndStuckNodes pins the bookkeeping: with
@@ -118,7 +111,6 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 // but fails at 7, and the report lists exactly what stayed installed,
 // what was undone, and what is stuck.
 func TestAbortReportsExactSetsAndStuckNodes(t *testing.T) {
-	stalls := metrics.Stalls.Value()
 	faults := map[topo.NodeID]switchsim.Faults{7: {DropBarriers: true}}
 	g := topo.Fig1()
 	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 400 * time.Millisecond},
@@ -170,9 +162,6 @@ func TestAbortReportsExactSetsAndStuckNodes(t *testing.T) {
 	assertSet("rolled back", f.RolledBack)
 	if len(f.Stuck) != 1 || f.Stuck[0].Switch != 7 {
 		t.Fatalf("stuck = %+v, want exactly switch 7", f.Stuck)
-	}
-	if metrics.Stalls.Value() <= stalls {
-		t.Fatal("stuck job not counted")
 	}
 }
 

@@ -880,7 +880,7 @@ type E15Result struct {
 	// JournalRecords counts batched dispatched-delta appends the replays
 	// modelled; JournalNodes counts the plan nodes those records carried.
 	// Their ratio is the write-ahead batching factor — the compaction
-	// pressure relief the sharded dispatcher buys (nodes-per-append; the
+	// pressure relief the dispatcher's wave batching buys (nodes-per-append; the
 	// per-append cost itself is BenchmarkJournalCompaction's number).
 	JournalRecords int
 	JournalNodes   int
@@ -894,7 +894,7 @@ type E15Result struct {
 // instead of a controller round trip; intra-switch releases are free)
 // under the E13 confirmation-loss model, then — when the forward pass
 // survives — the E14 crash sweep over the *batched* write-ahead records
-// of the sharded dispatcher: each release wave journals as one grouped
+// of the dispatcher: each release wave journals as one grouped
 // dispatched-delta, so the controller can only die between waves. All
 // randomness is drawn in node-index order from seed.
 func e15Replay(in *core.Instance, seed int64, lossRate, wipeRate float64) (outcome, error) {
@@ -947,7 +947,7 @@ func e15Replay(in *core.Instance, seed int64, lossRate, wipeRate float64) (outco
 
 // E15Soak is the 100k-switch soak tier: `policies` random valley-free
 // reroutes on a k-ary fat-tree, each replayed through the decentralized
-// sharded-dispatch model on virtual time under combined stress — the
+// dispatch model on virtual time under combined stress — the
 // E13 confirmation-loss model on the forward pass and the E14
 // crash-boundary sweep on surviving runs, with crash points at the
 // *batched* write-ahead records the PR-10 dispatcher appends (one per

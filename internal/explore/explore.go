@@ -81,11 +81,6 @@ type Options struct {
 	// stage. Default 256.
 	Samples int
 
-	// HeavyTailBias is the fraction of sampled orders whose delivery
-	// times are drawn from the heavy-tailed install-latency model
-	// (sorted by time) rather than uniform permutations. Default 0.5.
-	HeavyTailBias float64
-
 	// Seed pins the sampling RNG; exploration is deterministic in
 	// (Seed, Options).
 	Seed int64
@@ -120,12 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Samples <= 0 {
 		o.Samples = 256
-	}
-	if o.HeavyTailBias <= 0 {
-		o.HeavyTailBias = 0.5
-	}
-	if o.HeavyTailBias > 1 {
-		o.HeavyTailBias = 1
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

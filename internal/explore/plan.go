@@ -208,9 +208,14 @@ func (sc *scratch) exhaustive(st *stage, props core.Property, opts Options, rr *
 	return true
 }
 
+// heavyTailBias is the fraction of sampled orders whose delivery times
+// are drawn from the heavy-tailed install-latency model (sorted by time)
+// rather than uniform permutations.
+const heavyTailBias = 0.5
+
 // sampled replays sampled linear extensions of the stage on the
 // incremental walker, checking after every event. The first
-// Samples×HeavyTailBias extensions are heavy-tail-biased: the
+// Samples×heavyTailBias extensions are heavy-tail-biased: the
 // ack-driven dispatch is simulated with per-node install latencies
 // from the bounded Pareto stall model (issue = latest dependency ack,
 // delivery order = completion-time order) — in a stage without edges,
@@ -223,7 +228,7 @@ func (sc *scratch) sampled(st *stage, props core.Property, opts Options, rr *Rou
 	p := st.plan
 	n := p.NumNodes()
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5E3779B97F4A7C15 ^ int64(st.idx)*0x5851F42D4C957F2D))
-	heavy := int(float64(opts.Samples) * opts.HeavyTailBias)
+	heavy := int(float64(opts.Samples) * heavyTailBias)
 	tail := netem.Pareto{Scale: time.Millisecond, Alpha: 1.1, Cap: 500 * time.Millisecond}
 	layers := p.NodeLayers()
 	run := core.NewPlanRun(p)

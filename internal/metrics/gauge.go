@@ -2,10 +2,10 @@ package metrics
 
 import "sync/atomic"
 
-// Gauge is a process-wide level indicator, safe for concurrent use:
-// unlike a Counter it goes down as well as up. The sharded dispatcher
-// tracks its queue depths and in-flight installs with gauges; the
-// /v1/healthz probe reads them live.
+// Gauge is a level indicator, safe for concurrent use: unlike a Counter
+// it goes down as well as up. The controller's dispatcher tracks its
+// ready and in-flight installs with gauges; the /v1/healthz probe reads
+// them live.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -18,9 +18,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec decrements the gauge by one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set forces the gauge to n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -68,16 +65,11 @@ func (h *AtomicHist) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Dispatch-path instruments, fed by the controller's sharded
-// dispatcher and surfaced on /v1/healthz:
+// Dispatch-path instruments, fed by the controller's dispatch path and
+// surfaced on /v1/healthz:
 var (
-	// DispatchReadyDepth gauges how many journaled installs are queued
-	// (released and write-ahead logged, waiting for their send slot or
-	// interval pause) across all running jobs.
-	DispatchReadyDepth Gauge
-
-	// DispatchBatchMsgs sizes the coalesced southbound writes: OpenFlow
-	// messages (FlowMods plus barriers) per buffered connection write.
+	// DispatchBatchMsgs sizes the southbound writes: OpenFlow messages
+	// (FlowMods plus barriers) per buffered connection write.
 	DispatchBatchMsgs AtomicHist
 
 	// JournalBatchWidth sizes the grouped dispatched-delta appends:

@@ -110,7 +110,7 @@ func (c *Conn) WriteMessage(m openflow.Message) error {
 // coalesced write. The zero value is ready to use; a Batch retained
 // across flushes keeps its grown buffer, so steady-state batched
 // writes do not allocate. A Batch is not safe for concurrent use —
-// the dispatcher owns one per connection per shard.
+// each of the controller's walks owns one.
 type Batch struct {
 	buf []byte
 	n   int
@@ -124,18 +124,6 @@ func (b *Batch) Len() int { return b.n }
 
 // Bytes returns the accumulated wire size.
 func (b *Batch) Bytes() int { return len(b.buf) }
-
-// BatchMark is a snapshot of a Batch's fill state, taken with Mark
-// and restored with Truncate.
-type BatchMark struct{ off, n int }
-
-// Mark snapshots the batch state; Truncate(m) discards everything
-// added after the snapshot — the idiom for dropping one logical group
-// (a node's FlowMods plus barrier) whose encoding failed partway.
-func (b *Batch) Mark() BatchMark { return BatchMark{len(b.buf), b.n} }
-
-// Truncate rewinds the batch to a Mark snapshot.
-func (b *Batch) Truncate(m BatchMark) { b.buf, b.n = b.buf[:m.off], m.n }
 
 // Add appends one message's encoding to the batch. The message is
 // encoded immediately, so the caller may reuse it (e.g. re-stamping a

@@ -23,8 +23,7 @@
 // within k·(k-1)/2 refinements for k pending switches; Options.Budget
 // cuts it off earlier, returning *BudgetError with the best plan so
 // far. Every refinement is recorded in a Transcript whose Fingerprint
-// is deterministic in (instance, properties, Options.Seed) and
-// independent of Options.Workers.
+// is deterministic in (instance, properties, Options.Seed).
 //
 // Plan is the portfolio entry point: it runs Synthesize and also every
 // registered heuristic whose guarantees cover the requested
@@ -54,6 +53,9 @@ import (
 // pending count, not its square), while still bounding a runaway loop.
 const DefaultBudget = 4096
 
+// maxCandidates caps the blocking-edge candidates scored per refinement.
+const maxCandidates = 256
+
 // Options configures a synthesis run. The zero value is ready to use.
 type Options struct {
 	// Budget caps accepted counterexamples — equivalently, added
@@ -70,23 +72,9 @@ type Options struct {
 	// full explorer pass and the verify cross-check. Zero selects 256.
 	Samples int
 
-	// MaxExhaustive bounds the explorer's exhaustive ideal enumeration
-	// (2^MaxExhaustive states); see explore.Options.MaxExhaustive.
-	// Zero selects the explorer default (18).
-	MaxExhaustive int
-
-	// MaxCandidates caps the blocking-edge candidates scored per
-	// refinement. Zero selects 256.
-	MaxCandidates int
-
 	// Seed derives every oracle seed. Synthesis is deterministic in
 	// (instance, props, Options with the same Seed).
 	Seed int64
-
-	// Workers is forwarded to the verify cross-check; plan-path
-	// verdicts are worker-independent, so it never changes the result
-	// or the transcript fingerprint.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -98,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Samples <= 0 {
 		o.Samples = 256
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 256
 	}
 	return o
 }
@@ -164,8 +149,8 @@ type Transcript struct {
 
 // Fingerprint returns a stable hash of everything decision-relevant in
 // the transcript — every counterexample, every chosen edge, the final
-// plan — excluding wall-clock times. Identical across Workers settings
-// and across runs with the same (instance, props, Options).
+// plan — excluding wall-clock times. Identical across runs with the
+// same (instance, props, Options).
 func (t *Transcript) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%s|%s|%d|%d|%t", t.Props, t.Seed, t.Source, t.Final, t.Iters, t.Checked, t.Exact)
@@ -253,7 +238,7 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 		for i, pn := range o.ideal {
 			ideal[i] = draft.IndexOf(plan.Nodes[pn].Switch)
 		}
-		cands := draft.BlockingEdges(ideal, opts.MaxCandidates)
+		cands := draft.BlockingEdges(ideal, maxCandidates)
 		if len(cands) == 0 {
 			tr.Final = plan.String()
 			return nil, tr, fmt.Errorf("counterexample %v admits no acyclic blocking edge: %w",
@@ -307,11 +292,10 @@ func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, 
 	base := opts.Seed ^ (int64(iter+1) * 0x5E3779B97F4A7C15)
 
 	eo := explore.Options{
-		Props:         props,
-		MaxExhaustive: opts.MaxExhaustive,
-		Samples:       opts.QuickSamples,
-		Seed:          base + 1,
-		Workers:       1,
+		Props:   props,
+		Samples: opts.QuickSamples,
+		Seed:    base + 1,
+		Workers: 1,
 	}
 	cex, exhaustive, err := explore.PlanCounterexample(in, p, eo)
 	r.level = "explore-quick"
@@ -348,7 +332,6 @@ func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, 
 	nodes, violated, exact := verify.PlanCounterexample(in, p, props, verify.Options{
 		Samples: opts.Samples,
 		Seed:    base + 3,
-		Workers: opts.Workers,
 	})
 	r.level = "verify"
 	if nodes != nil {
