@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,24 @@ guard-one-trace:
 		echo "$$out"; exit 1; \
 	fi
 
+# One fault model: every abort and every restart learns what took effect
+# from the switches themselves, through reconcile in
+# internal/controller/recover.go. A downClosure( call outside recover.go
+# is an abort site computing its own undo set again; a querySwitchState
+# call from anywhere but reconcile is a second way of asking; pushErr is
+# the decentralized push failure's wait-it-out path coming back.
+guard-one-reconcile:
+	@out="$$( { grep -n 'downClosure(' internal/controller/*.go \
+			| grep -v -e '_test\.go:' -e '^internal/controller/recover\.go:'; \
+		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
+			/querySwitchState\(/ && !/^func / && fn !~ /\) reconcile\(/ { print FILENAME ":" FNR ": " $$0 }' \
+			internal/controller/*.go | grep -v '_test\.go:'; \
+		grep -rn --include='*.go' 'pushErr' . | grep -v '_test\.go:'; } )"; \
+	if [ -n "$$out" ]; then \
+		echo "a second fault model (see guard-one-reconcile in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
 test:
 	$(GO) test ./... -race
 	$(GO) test -C bench ./...
@@ -128,12 +146,14 @@ test-retention:
 # rollback path in both dispatch modes including the chaos soak and the
 # sink lifecycle of timed-out installs, the crash-restart sweeps
 # (journal torn-tail recovery plus the engine killed at every dispatch
-# boundary), the engine's admission and conflict-queue lifecycle
+# boundary), the switch's halt-and-barrier answer to a state query and
+# the decentralized report the switches must be asked about, the
+# engine's admission and conflict-queue lifecycle
 # (launch on release, shutdown of queued jobs, recovery order), and the
 # clock's AfterFunc timers with the switch duties that ride them (the
 # expiry sweep chain, the one-reader goroutine budgets).
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|Sweep|Goroutine' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|Sweep|Goroutine|StateQuery|LostReport' \
 		./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal ./internal/simclock

@@ -31,9 +31,10 @@
 // Execution is also recoverable: netem.Faults injects seeded
 // drop/duplicate/reorder faults per message class and switchsim
 // crashes switches mid-plan (optionally wiping their tables). On a
-// barrier timeout or stall the engine aborts, reverses the
-// dispatched prefix (Plan.Reverse — the rollback's transient states
-// are forward sub-ideals, so verified plans roll back safe),
+// barrier timeout, stall or failed push the engine aborts, asks every
+// plan switch what took effect (the reconcile a restart runs too),
+// reverses exactly that ideal (Plan.Reverse — the rollback's transient
+// states are forward sub-ideals, so verified plans roll back safe),
 // re-verifies the reverse plan, and executes it only on a safe
 // verdict; otherwise the job reports itself stuck with the precise
 // unmet dependencies. The structured failure report rides the /v1
@@ -73,7 +74,7 @@
 //   - internal/topo      — topologies, update families, the Figure 1 scenario
 //   - internal/openflow  — OpenFlow 1.0-subset wire protocol
 //   - internal/planwire  — vendor-message payloads for decentralized execution
-//     (partition push, completion report, recovery state query/report)
+//     (partition push, completion report, state query/report)
 //   - internal/ofconn    — framing, handshake, xid management
 //   - internal/switchsim — simulated switches, data-plane fabric and the
 //     decentralized plan agent (clock-parameterized); fault injection:
@@ -101,7 +102,7 @@
 //     and the structured failure report of the abort/rollback path);
 //     with a journal configured, Engine.Recover replays job state after a
 //     crash and adopts or rolls back mid-flight frontiers by reconciling
-//     against live switch state. A job's install log is the one record of
+//     against live switch state — the reconcile every live abort runs. A job's install log is the one record of
 //     its progress: rounds, status and every watcher (a cursor) are views
 //     of it. What the controller remembers is bounded by what is in flight:
 //     a finished job keeps that log, its status and message counts and the

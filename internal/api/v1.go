@@ -202,19 +202,18 @@ type StuckNode struct {
 
 // FailureReport is the structured outcome of a job that aborted
 // mid-plan, attached to JobStatus when State is "failed". Phase tells
-// how far recovery got: "aborted" (nothing to roll back, or a job
-// shape the engine cannot reverse), "rolled-back" (the reverse plan
-// verified safe and every installed node was undone), "rollback-
-// failed" (verified but execution failed partway), or "stuck" (the
-// reverse plan did not verify safe; rules were left in place).
+// how far recovery got: "aborted" (a job shape the engine cannot
+// reverse), "rolled-back" (the reverse plan verified safe and every
+// installed node was undone), "rollback-failed" (verified but execution
+// failed partway), or "stuck" (the reverse plan did not verify safe;
+// rules were left in place).
 type FailureReport struct {
 	Phase string `json:"phase"`
 	// TriggeringFault describes the failure that aborted the plan.
 	TriggeringFault string `json:"triggering_fault,omitempty"`
-	// Installed lists the switches whose installs were confirmed
-	// before the abort; RolledBack lists the switches undone (it may
-	// exceed Installed — dispatched-but-unconfirmed nodes are reversed
-	// too, with idempotent undo mods).
+	// Installed lists the switches whose installs were in effect when
+	// the controller asked the switches after the abort — exactly what
+	// the rollback reverses; RolledBack lists those undone, a subset.
 	Installed  []uint64 `json:"installed,omitempty"`
 	RolledBack []uint64 `json:"rolled_back,omitempty"`
 	// RollbackVerified reports whether the reverse plan passed

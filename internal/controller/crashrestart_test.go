@@ -281,6 +281,7 @@ func assertCrashRestartInvariants(t *testing.T, boundary int, jobs []*Job) {
 		if f == nil {
 			continue
 		}
+		assertRolledBackInstalled(t, f)
 		switch f.Phase {
 		case PhaseStuck, PhaseRollbackFailed:
 			t.Fatalf("boundary %d: job %d ended %q (report %+v) — property violation", boundary, job.ID, f.Phase, f)

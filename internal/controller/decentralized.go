@@ -175,45 +175,36 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	// receipt; anchor them at the broadcast instant. The skew (one
 	// control-channel delivery) is the same for every switch.
 	broadcast := e.c.clock.Now()
-	confirmed := make([]bool, n)
-	var pushErr error
+	pushed := make([]bool, n)
 	for i, data := range pushes {
-		sw := parts[i].Switch
-		if err := e.c.SendVendor(uint64(sw), data); err != nil {
-			pushErr = fmt.Errorf("pushing partition to %d: %w", sw, err)
+		part := &parts[i]
+		if err := e.c.SendVendor(uint64(part.Switch), data); err != nil {
+			err = fmt.Errorf("pushing partition to %d: %w", part.Switch, err)
 			if i == 0 {
-				return nil, pushErr // nothing went out
+				return nil, err // nothing went out
 			}
-			// The switches pushed to so far execute their partitions, some
-			// nodes waiting on peer acks: no undo may reach them while they
-			// do. Take the stall path below.
-			break
+			// A push that failed did not reach its switch whole; the
+			// switches pushed to so far are running their partitions, and
+			// reconcile halts them before it reads what took effect.
+			return e.abort(ctx, job, err, e.reconcile(ctx, job, pushed).undo)
+		}
+		for _, pn := range part.Nodes {
+			pushed[pn.Index] = true
 		}
 	}
 
+	confirmed := make([]bool, n)
 	for remaining := n; remaining > 0; {
 		var r *planwire.Report
 		select {
 		case r = <-reports:
 		case <-e.c.clock.After(e.c.cfg.RoundTimeout):
-			if pushErr != nil {
-				// The pushed switches have gone quiet. Any node may have
-				// taken effect, all are journaled dispatched: undo every one.
-				all := make([]bool, n)
-				for k := range all {
-					all[k] = true
-				}
-				return e.abort(ctx, job, pushErr, all, confirmed)
-			}
-			// No switch made terminal progress for a full timeout: a
-			// peer ack or a report is lost, or an install stalled. Roll
-			// back the down-closure of the confirmed set — a confirmed
-			// node's dependencies took effect at their switches even if
-			// their own reports were lost. Installs at unreported
-			// crashed switches are invisible to the controller and stay
-			// in place (see README).
+			// No switch made terminal progress for a full timeout: a peer
+			// ack or a report is lost, or an install stalled. A report
+			// says what completed, not what took effect: a switch that
+			// crashed after installing never sends one. Ask the switches.
 			return e.abort(ctx, job, stallError(job, confirmed, e.c.cfg.RoundTimeout),
-				downClosure(plan.dag, confirmed), confirmed)
+				e.reconcile(ctx, job, pushed).undo)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -224,7 +215,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 			nr := &r.Nodes[i]
 			if nr.Index < 0 || nr.Index >= n || confirmed[nr.Index] || plan.sw(nr.Index) != r.Switch {
 				return e.abort(ctx, job, fmt.Errorf("malformed completion report from switch %d (node %d)", r.Switch, nr.Index),
-					downClosure(plan.dag, confirmed), confirmed)
+					e.reconcile(ctx, job, pushed).undo)
 			}
 			confirmed[nr.Index] = true
 			e.journalDelta(journal.KindConfirmed, job.ID, nr.Index)

@@ -203,6 +203,9 @@ func TestDecentralizedLostAckTimesOut(t *testing.T) {
 	if !strings.Contains(msg, "awaiting") && !strings.Contains(msg, "ack or completion report lost") {
 		t.Fatalf("failure report lacks dependency detail: %v", msg)
 	}
+	if f := job.Failure(); f != nil {
+		assertRolledBackInstalled(t, f)
+	}
 }
 
 // TestDecentralizedReorderedAcksConverge randomizes peer latency so
@@ -231,14 +234,36 @@ func TestDecentralizedReorderedAcksConverge(t *testing.T) {
 	}
 }
 
+// tableRules renders switch n's flow table, sorted, for before/after
+// comparisons.
+func tableRules(tb *testbed, n topo.NodeID) string {
+	var rs []string
+	for _, e := range tb.fabric.Switch(n).Table().Snapshot() {
+		rs = append(rs, fmt.Sprint(e.Match, e.Priority, e.Actions))
+	}
+	slices.Sort(rs)
+	return strings.Join(rs, "; ")
+}
+
+// allTableRules renders every switch's flow table.
+func allTableRules(tb *testbed) map[topo.NodeID]string {
+	out := map[topo.NodeID]string{}
+	for _, n := range tb.fabric.Graph().Nodes() {
+		out[n] = tableRules(tb, n)
+	}
+	return out
+}
+
 // TestDecentralizedPushFailsPartway: a partition push that fails after
 // earlier ones went out leaves those switches executing their
-// partitions, nodes waiting on peer acks installing later, so the job
-// takes the stall path — wait until no switch reports for a full
-// timeout, then abort over every node, all journaled dispatched — and
-// ends with a FailureReport, not a bare error. No undo reaches a switch
-// before its deferred installs: every switch counted undone holds the
-// rules it held before the job.
+// partitions, nodes waiting on peer acks. The job aborts at once, with
+// a FailureReport: reconcile's query halts every pushed switch's agent
+// before it answers, so no deferred install can land after an undo. It
+// ends rolled-back, not rollback-failed: the switch the push never
+// reached has nothing dispatched and stays silent, so no undo is sent
+// to it. And it ends in less than RoundTimeout — nothing waits for the
+// switches to go quiet — with every switch back on the rules it held
+// before the job.
 func TestDecentralizedPushFailsPartway(t *testing.T) {
 	in := fig1Instance(t)
 	p, err := core.PlanByName(in, "peacock", 0, true)
@@ -247,9 +272,10 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	}
 	parts := p.Partition()
 	victim := parts[len(parts)-1].Switch // pushed last: the others went out
-	const peer = 30 * time.Millisecond
+	const peer = 10 * time.Millisecond
+	const roundTimeout = 300 * time.Millisecond
 	g := topo.Fig1()
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 300 * time.Millisecond},
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: roundTimeout},
 		func(n topo.NodeID) switchsim.Config {
 			return switchsim.Config{Node: n, PeerLatency: netem.Fixed(peer)}
 		})
@@ -258,18 +284,7 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	if err := tb.ctrl.InstallPath(ctx, in.Old, flowMatch("10.0.0.2"), "h2"); err != nil {
 		t.Fatal(err)
 	}
-	rules := func(n topo.NodeID) string {
-		var rs []string
-		for _, e := range tb.fabric.Switch(n).Table().Snapshot() {
-			rs = append(rs, fmt.Sprint(e.Match, e.Priority, e.Actions))
-		}
-		slices.Sort(rs)
-		return strings.Join(rs, "; ")
-	}
-	before := map[topo.NodeID]string{}
-	for _, n := range g.Nodes() {
-		before[n] = rules(n)
-	}
+	before := allTableRules(tb)
 	tb.fabric.Switch(victim).Stop()
 	waitFor(t, "the stopped switch to disconnect", func() bool { return !slices.Contains(tb.ctrl.Datapaths(), uint64(victim)) })
 
@@ -284,15 +299,67 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	if f == nil {
 		t.Fatal("a job whose push failed partway has no failure report")
 	}
-	// The rollback covers every node, and its undo at the disconnected
-	// switch fails too.
-	if !f.RollbackVerified || f.Phase != PhaseRollbackFailed || len(f.RolledBack) == 0 {
-		t.Fatalf("failure report = %+v, want a verified rollback failing at %d in phase %q", f, victim, PhaseRollbackFailed)
+	if !f.RollbackVerified || f.Phase != PhaseRolledBack || len(f.RolledBack) == 0 {
+		t.Fatalf("failure report = %+v, want a verified rollback in phase %q", f, PhaseRolledBack)
+	}
+	if slices.Contains(f.RolledBack, victim) {
+		t.Fatalf("rolled back %v includes %d, which the push never reached", f.RolledBack, victim)
+	}
+	assertRolledBackInstalled(t, f)
+	if d := job.TotalDuration(); d >= roundTimeout {
+		t.Fatalf("job took %v, want < RoundTimeout %v: the abort waited instead of asking", d, roundTimeout)
 	}
 	time.Sleep(10 * peer) // any install still owed would land by now
-	for _, n := range f.RolledBack {
-		if got := rules(n); got != before[n] {
-			t.Fatalf("switch %d counted undone holds [%s], held [%s] before the job", n, got, before[n])
+	for n, rules := range allTableRules(tb) {
+		if rules != before[n] {
+			t.Fatalf("switch %d holds [%s] after the rollback, held [%s] before the job", n, rules, before[n])
+		}
+	}
+}
+
+// TestDecentralizedLostReportUndone: switch 8 crashes right after its
+// plan agent applies its one FlowMod — no peer ack, no completion
+// report — and comes back with its table intact. The job stalls, and
+// the rule 8 installed is one no report mentions: only asking the
+// switch finds it. After the stall's abort every switch holds exactly
+// the rules it held before the job.
+func TestDecentralizedLostReportUndone(t *testing.T) {
+	faults := map[topo.NodeID]switchsim.Faults{8: {DisconnectAfterFlowMods: 1}}
+	g := topo.Fig1()
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 300 * time.Millisecond},
+		func(n topo.NodeID) switchsim.Config {
+			return switchsim.Config{Node: n, Faults: faults[n]}
+		})
+	reconnectAfterCrash(t, tb, 8)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := tb.ctrl.InstallPath(ctx, topo.Fig1OldPath, flowMatch("10.0.0.2"), "h2"); err != nil {
+		t.Fatal(err)
+	}
+	before := allTableRules(tb)
+	in := fig1Instance(t)
+	sched, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: ModeDecentralized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(ctx); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("job error = %v, want a stall", err)
+	}
+	f := job.Failure()
+	if f == nil || f.Phase != PhaseRolledBack || !f.RollbackVerified {
+		t.Fatalf("failure = %+v, want a verified rollback", f)
+	}
+	if !slices.Contains(f.Installed, 8) || !slices.Contains(f.RolledBack, 8) {
+		t.Fatalf("installed %v / rolled back %v miss switch 8, whose rule took effect unreported", f.Installed, f.RolledBack)
+	}
+	assertRolledBackInstalled(t, f)
+	for n, rules := range allTableRules(tb) {
+		if rules != before[n] {
+			t.Fatalf("switch %d holds [%s] after the rollback, held [%s] before the job", n, rules, before[n])
 		}
 	}
 }

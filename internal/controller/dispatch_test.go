@@ -201,9 +201,11 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 			if err := job.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("job error = %v, want a barrier deadline", err)
 			}
-			if f := job.Failure(); f == nil || f.Phase != PhaseRollbackFailed {
+			f := job.Failure()
+			if f == nil || f.Phase != PhaseRollbackFailed {
 				t.Fatalf("failure = %+v, want phase %q (7 answers no barrier in time, forward or back)", f, PhaseRollbackFailed)
 			}
+			assertRolledBackInstalled(t, f)
 			if n := registeredSinks(tb.ctrl); n != 0 {
 				t.Fatalf("%d barrier sinks still registered after both walks timed out at 7", n)
 			}
@@ -238,7 +240,7 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 
 // rollbackOnSlowSwitches aborts a fully dispatched comb reroute the way
 // recovery does for a job it cannot adopt — no forward pass, every node
-// handed to the abort path as dispatched — on switches that take 10 ms
+// handed to the abort path as its undo set — on switches that take 10 ms
 // per control message, and returns the number of undos and the peak
 // goroutine growth while the abort (verify, then the rollback walk) ran.
 func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
@@ -286,12 +288,13 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 			}
 		}
 	}()
-	report, err := e.abort(ctx, job, errors.New("injected"), all, all)
+	report, err := e.abort(ctx, job, errors.New("injected"), all)
 	close(stop)
 	<-stopped
 	if err == nil || report.Phase != PhaseRolledBack || !report.RollbackVerified || len(report.RolledBack) != undos {
 		t.Fatalf("abort = %+v, %v; want %d undos rolled back", report, err, undos)
 	}
+	assertRolledBackInstalled(t, report)
 	// Every undo is a FlowMod and a barrier, both in one batched write.
 	if got := metrics.DispatchBatchMsgs.Sum() - batched; got < int64(2*undos) {
 		t.Fatalf("%d undos put %d messages through batched writes, want >= %d", undos, got, 2*undos)

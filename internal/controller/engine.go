@@ -326,8 +326,9 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 // a value: by a connection read loop resolving a barrier sink, or by the
 // walk itself settling a failed write. sent reports whether any FlowMod
 // may have left for the switch before the error — such a node may have
-// taken effect even without a barrier reply, so the rollback prefix must
-// include it. seq filters stale acks on the pooled ack channels.
+// taken effect even without a barrier reply, so it stays dispatched, and
+// reconcile counts it in effect should its switch not answer. seq
+// filters stale acks on the pooled ack channels.
 type nodeAck struct {
 	seq      uint64
 	idx      int
@@ -360,14 +361,14 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 // runDAG walks one job's execution DAG forward: each release wave is
 // journaled write-ahead as one grouped dispatched delta, each confirmed
 // install is journaled, counted and published on the job's trace, and a
-// walk that failed after anything was dispatched goes to the abort
-// path. On an adopted job the reconciliation's pre-confirmed ideal is
+// walk that failed after anything was dispatched goes to the abort path
+// with what reconcile finds in effect. On an adopted job the reconciliation's pre-confirmed ideal is
 // confirmed synthetically — nothing journaled or counted for it — and
 // real dispatch resumes from the frontier it releases.
 func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 	run := core.NewPlanRun(job.plan.dag)
 	ready := run.Reset(make([]int, 0, job.plan.len()))
-	dispatched, confirmed, err := e.walk(ctx, walkSpec{
+	dispatched, _, err := e.walk(ctx, walkSpec{
 		plan:     job.plan,
 		interval: job.Interval,
 		pre:      job.preConfirmed,
@@ -387,7 +388,7 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 	if dispatched == nil {
 		return nil, err
 	}
-	return e.abort(ctx, job, err, dispatched, confirmed)
+	return e.abort(ctx, job, err, e.reconcile(ctx, job, dispatched).undo)
 }
 
 // walkSpec is what one walk of an execution DAG is parameterised by —
@@ -630,16 +631,15 @@ func (e *Engine) handleAck(st *jobDispatch, a nodeAck) {
 			// Provably nothing left for the switch (its encoding failed):
 			// it cannot have taken effect. Everything else stays
 			// dispatched — a write error does not prove the switch never
-			// saw the message, and the undo FlowMods are idempotent, so
-			// over-covering is safe.
+			// saw the message.
 			st.dispatched[i] = false
 		}
 		st.noteFailure(a.err)
 		return
 	}
 	// A successful install is recorded even when it lands after the
-	// first failure: the rollback prefix must be exact, and a node whose
-	// reply was already queued when the walk failed did take effect.
+	// first failure: a node whose reply was already queued when the walk
+	// failed did take effect, and the job's trace says so.
 	rel := e.confirmNode(st, i, InstallTiming{
 		ReleasedBy: st.releasedBy[i],
 		FlowMods:   a.flowMods,

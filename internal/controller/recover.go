@@ -1,17 +1,17 @@
 package controller
 
-// This file is the engine's crash-restart recovery path. The journal
-// gives the restarted controller an exact, write-ahead record of every
-// job's admission, dispatched/confirmed frontier, and terminal phase —
-// but the network moved on without it: FlowMods that were in flight at
-// the crash may or may not have landed. Per-switch local state is
-// sufficient to close that gap (the insight of the local-verification
-// line of work): each switch reports whether the flow's rule is
-// installed and where it forwards, plus which plan nodes its plan
-// agent completed, and from those local answers Recover reconstructs
-// the job's global order ideal.
+// This file is the engine's one model of what took effect — reconcile,
+// which every abort and every restart asks — and the crash-restart
+// recovery path built on it. The controller's own records never settle
+// that question: a barrier reply or a completion report can be lost
+// while its FlowMod landed, and after a restart the journal knows what
+// was sent, not what arrived. Per-switch local state is sufficient to
+// close that gap (the insight of the local-verification line of work):
+// each switch reports whether the flow's rule is installed and where it
+// forwards, plus which plan nodes its plan agent completed, and from
+// those local answers the engine reconstructs the job's order ideal.
 //
-// The reconciliation decision per mid-flight job:
+// The recovery decision per mid-flight job:
 //
 //   - adopt, when every plan switch reported, the applied set is
 //     down-closed (an order ideal — a prefix the plan itself could
@@ -23,11 +23,11 @@ package controller
 //     pre-confirmed; re-sent FlowMods are idempotent MODIFYs.
 //
 //   - roll back, otherwise: switches unreachable, or the local
-//     evidence contradicts the journal. The job falls into the
-//     existing abort path with the down-closure of (journaled ∪
-//     applied) as the dispatched prefix — the reverse plan is verified
-//     against the same base∖I safety argument as any mid-plan abort,
-//     so recovery is verified, never assumed.
+//     evidence contradicts the journal. The job takes the abort path
+//     with the undo set of the same reconcile — what a live abort
+//     would reverse — and the reverse plan is verified against the
+//     same base∖I safety argument, so recovery is verified, never
+//     assumed.
 
 import (
 	"context"
@@ -77,16 +77,12 @@ type recoveredJob struct {
 }
 
 // relaunch is one live recovered job ready to run: either via the
-// normal dispatcher (requeued/adopted) or via the rollback path.
+// normal dispatcher (requeued/adopted) or, when undo is set, via the
+// abort path reversing undo with cause.
 type relaunch struct {
-	job *Job
-
-	// rollback, when set, routes the job to the abort path instead of
-	// the dispatcher, with the recovered dispatched/applied sets.
-	rollback   bool
-	dispatched []bool
-	applied    []bool
-	cause      error
+	job   *Job
+	undo  []bool
+	cause error
 }
 
 // Recover replays the configured journal and brings every journaled
@@ -95,12 +91,13 @@ type relaunch struct {
 // state — adopted and resumed when journal and switches agree, rolled
 // back through the verified reverse-plan path when they don't. Call it
 // after Start (the dispatcher must be running) and after the plan's
-// switches have reconnected; switches that stay unreachable push their
-// jobs onto the rollback path, which reports them stuck if they still
-// cannot be reached. ctx bounds the reconciliation only: recovered jobs
-// run on the engine's context and finish asynchronously; Wait on them
-// (or watch /v1/updates) for outcomes. The journal is compacted
-// to the folded live state before any recovered job re-executes.
+// switches have reconnected (WaitForSwitches): each switch is asked
+// once, and one that is not connected counts as silent, which pushes
+// its job onto the rollback path. ctx bounds the reconciliation only:
+// recovered jobs run on the engine's context and finish asynchronously;
+// Wait on them (or watch /v1/updates) for outcomes. The journal is
+// compacted to the folded live state before any recovered job
+// re-executes.
 func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	var stats RecoveryStats
 	jl := e.c.cfg.Journal
@@ -181,17 +178,15 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 			continue
 		}
 		l := &relaunch{job: job}
-		if len(rj.dispatched) == 0 {
+		switch {
+		case len(rj.dispatched) == 0:
 			// Write-ahead discipline: no dispatched record means no
 			// FlowMod left for this job. Re-admit it untouched.
 			stats.Requeued++
-		} else {
-			e.reconcile(ctx, rj, l)
-			if l.rollback {
-				stats.RolledBack++
-			} else {
-				stats.Adopted++
-			}
+		case e.adoptOrRollback(ctx, rj, l):
+			stats.Adopted++
+		default:
+			stats.RolledBack++
 		}
 		launches = append(launches, l)
 		compacted = append(compacted, liveRecords(rj, l)...)
@@ -208,9 +203,9 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	e.mu.Lock()
 	for i, l := range launches {
 		run := e.execute
-		if l.rollback {
+		if l.undo != nil {
 			run = func(ctx context.Context, job *Job) (*FailureReport, error) {
-				return e.abort(ctx, job, l.cause, l.dispatched, l.applied)
+				return e.abort(ctx, job, l.cause, l.undo)
 			}
 		}
 		e.admitLocked(l.job, run)
@@ -325,10 +320,10 @@ func nwDstIP(v uint32) net.IP {
 	return net.IPv4(byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// reconcile decides a mid-flight job's fate by querying its switches
-// and fills the relaunch accordingly: adopt (preConfirmed frontier)
-// or rollback (dispatched prefix + applied set for the abort path).
-func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
+// adoptOrRollback decides a mid-flight job's fate from one reconcile
+// against its journaled dispatched set: adopt, with the applied ideal
+// pre-confirmed, or roll back exactly the undo set (filled into l).
+func (e *Engine) adoptOrRollback(ctx context.Context, rj *recoveredJob, l *relaunch) (adopted bool) {
 	job := l.job
 	n := job.plan.len()
 	jdispatched := make([]bool, n)
@@ -337,135 +332,123 @@ func (e *Engine) reconcile(ctx context.Context, rj *recoveredJob, l *relaunch) {
 		jdispatched[i] = rj.dispatched[i]
 		jconfirmed[i] = rj.confirmed[i]
 	}
-
-	reports, err := e.querySwitchState(ctx, job)
-	if err != nil {
-		e.c.logger.Warn("recovery: state query failed", "job", job.ID, "err", err)
-	}
-	applied, agentDone, allReported := e.appliedSet(job, reports)
-
-	if allReported && Adoptable(job.plan.dag, applied, jconfirmed, jdispatched, agentDone) {
+	r := e.reconcile(ctx, job, jdispatched)
+	if r.silent == 0 && Adoptable(job.plan.dag, r.applied, jconfirmed, jdispatched, r.agentDone) {
 		job.Adopted = true
-		job.preConfirmed = applied
+		job.preConfirmed = r.applied
 		e.c.logger.Info("recovery: adopting job", "job", job.ID,
-			"applied", countSet(applied), "installs", n)
-		return
+			"applied", countSet(r.applied), "installs", n)
+		return true
 	}
-
-	// The rollback prefix over-covers on purpose: everything the
-	// journal dispatched plus everything the switches show applied,
-	// down-closed. Undo mods are idempotent, so over-covering is safe;
-	// under-covering would leave unrecorded state behind.
-	union := make([]bool, n)
-	for i := range union {
-		union[i] = jdispatched[i] || applied[i] || agentDone[i]
-	}
-	l.rollback = true
-	l.dispatched = downClosure(job.plan.dag, union)
-	l.applied = applied
-	l.cause = fmt.Errorf("controller restart: mid-flight state not adoptable (%d/%d switches reported, %d applied)",
-		len(reports), len(planSwitches(job)), countSet(applied))
+	l.undo = r.undo
+	l.cause = fmt.Errorf("controller restart: mid-flight state not adoptable (%d of %d nodes on silent switches, %d applied)",
+		r.silent, n, countSet(r.applied))
 	e.c.logger.Info("recovery: rolling back job", "job", job.ID,
-		"reported", len(reports), "applied", countSet(applied))
+		"silent", r.silent, "applied", countSet(r.applied), "undo", countSet(r.undo))
+	return false
 }
 
-// planSwitches returns the distinct switches of a job's exec DAG.
-func planSwitches(job *Job) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, job.plan.len())
-	var out []topo.NodeID
-	for _, nd := range job.plan.dag.Nodes {
-		n := nd.Switch
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// reconciled is what one reconcile learned, per plan node: undo, the
+// set an abort reverses; applied, the node's switch shows its new
+// state; agentDone, the switch's plan agent reported the node
+// completed. silent counts nodes whose switch did not answer.
+type reconciled struct {
+	undo, applied, agentDone []bool
+	silent                   int
+}
+
+// reconcile is the engine's one answer to "what took effect", asked by
+// every abort and by Recover alike. It sends one StateQuery to every
+// switch of the job's plan — which halts the job's plan agent there and
+// is answered only after every earlier message on that connection took
+// effect — and returns, as undo, the down-closure of:
+//
+//   - every node whose switch answered and does not show the node's old
+//     state. "Not old" rather than "applied": a switch that crashed and
+//     wiped its table shows neither, and only its undo MODIFY puts the
+//     old rule back;
+//   - every dispatched node whose switch stayed silent.
+//
+// Undos are idempotent, so the closure over-covers safely. A job
+// without a rollback spec (joint, two-phase) names no one flow to ask
+// about: every dispatched node counts, and nothing is asked.
+func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) reconciled {
+	dag := job.plan.dag
+	n := len(dag.Nodes)
+	r := reconciled{applied: make([]bool, n), agentDone: make([]bool, n)}
+	spec := job.rollback
+	if spec == nil {
+		r.undo = dispatched
+		return r
+	}
+	reports := e.querySwitchState(ctx, job)
+	for _, rep := range reports {
+		for _, idx := range rep.AgentDone {
+			if idx >= 0 && idx < n && dag.Nodes[idx].Switch == rep.Switch {
+				r.agentDone[idx] = true
+			}
 		}
 	}
-	return out
+	took := make([]bool, n)
+	for i, nd := range dag.Nodes {
+		rep := reports[nd.Switch]
+		if rep == nil {
+			r.silent++
+			took[i] = dispatched[i]
+			continue
+		}
+		oldSucc, onOld := spec.in.OldSucc(nd.Switch)
+		took[i] = !e.shows(rep, oldSucc, onOld)
+		// An update node points the flow at its new-path successor; a
+		// cleanup node deletes the rule.
+		newSucc, onNew := spec.in.NewSucc(nd.Switch)
+		r.applied[i] = e.shows(rep, newSucc, onNew && !job.plan.isCleanup(i))
+	}
+	r.undo = downClosure(dag, took)
+	return r
 }
 
-// stateQueryAttempts bounds the query rounds per job; each round waits
-// up to the controller's RoundTimeout on its clock.
-const stateQueryAttempts = 3
+// shows reports whether a switch's answer is the flow's rule forwarding
+// to succ — or, when there is no successor (hasSucc false), no rule.
+func (e *Engine) shows(rep *planwire.StateReport, succ topo.NodeID, hasSucc bool) bool {
+	if !hasSucc {
+		return !rep.RulePresent
+	}
+	return rep.RulePresent && rep.OutPort == e.c.ports.Port(rep.Switch, succ)
+}
 
-// querySwitchState asks every switch of the job's plan for its local
-// view of the flow, retrying switches that have not answered (they may
-// still be reconnecting). Missing entries in the returned map mark
-// switches that never answered.
-func (e *Engine) querySwitchState(ctx context.Context, job *Job) (map[topo.NodeID]*planwire.StateReport, error) {
-	switches := planSwitches(job)
-	ch := make(chan *planwire.StateReport, len(switches))
+// querySwitchState sends one StateQuery to each switch of the job's
+// plan and collects the answers for up to one RoundTimeout, waiting only
+// for queries that went out: a switch the controller cannot reach is
+// silent at once. A switch missing from the result stayed silent.
+func (e *Engine) querySwitchState(ctx context.Context, job *Job) map[topo.NodeID]*planwire.StateReport {
+	ch := make(chan *planwire.StateReport, job.plan.len()) // an answer per switch, at most one per node
 	e.c.registerStateReports(job.ID, ch)
 	defer e.c.unregisterStateReports(job.ID)
 
-	want := make(map[topo.NodeID]bool, len(switches))
-	for _, s := range switches {
-		want[s] = true
-	}
-	reports := make(map[topo.NodeID]*planwire.StateReport, len(switches))
 	data := (&planwire.StateQuery{Job: job.ID, NWDst: job.rollback.match.NWDst}).Encode()
-	for attempt := 0; attempt < stateQueryAttempts && len(reports) < len(switches); attempt++ {
-		for _, s := range switches {
-			if reports[s] != nil {
-				continue
-			}
-			if err := e.c.SendVendor(uint64(s), data); err != nil {
-				// Not connected right now; it may reconnect before the
-				// deadline or a later attempt.
-				continue
-			}
-		}
-		timeout := e.c.clock.After(e.c.cfg.RoundTimeout)
-	collect:
-		for len(reports) < len(switches) {
-			select {
-			case r := <-ch:
-				if want[r.Switch] && reports[r.Switch] == nil {
-					reports[r.Switch] = r
-				}
-			case <-timeout:
-				break collect
-			case <-ctx.Done():
-				return reports, ctx.Err()
-			}
+	asked := make(map[topo.NodeID]bool, job.plan.len())
+	for _, nd := range job.plan.dag.Nodes {
+		if !asked[nd.Switch] && e.c.SendVendor(uint64(nd.Switch), data) == nil {
+			asked[nd.Switch] = true
 		}
 	}
-	return reports, nil
-}
-
-// appliedSet derives, from the switches' local answers, which plan
-// nodes have taken effect: an update node is applied iff the flow's
-// rule is present and forwards to the node's new-path successor; a
-// cleanup node is applied iff the rule is gone. agentDone marks nodes
-// the owning switch's plan agent reported completed (decentralized
-// runs). allReported is false when any plan switch never answered.
-func (e *Engine) appliedSet(job *Job, reports map[topo.NodeID]*planwire.StateReport) (applied, agentDone []bool, allReported bool) {
-	in := job.rollback.in
-	n := job.plan.len()
-	applied = make([]bool, n)
-	agentDone = make([]bool, n)
-	allReported = true
-	for i, nd := range job.plan.dag.Nodes {
-		r, ok := reports[nd.Switch]
-		if !ok {
-			allReported = false
-			continue
-		}
-		for _, idx := range r.AgentDone {
-			if idx >= 0 && idx < n && job.plan.sw(idx) == r.Switch {
-				agentDone[idx] = true
+	reports := make(map[topo.NodeID]*planwire.StateReport, len(asked))
+	timeout := e.c.clock.After(e.c.cfg.RoundTimeout)
+	for len(asked) > 0 {
+		select {
+		case r := <-ch:
+			if asked[r.Switch] {
+				delete(asked, r.Switch)
+				reports[r.Switch] = r
 			}
+		case <-timeout:
+			return reports
+		case <-ctx.Done():
+			return reports
 		}
-		if job.plan.isCleanup(i) {
-			applied[i] = !r.RulePresent
-			continue
-		}
-		succ, ok := in.NewSucc(nd.Switch)
-		if !ok {
-			continue
-		}
-		applied[i] = r.RulePresent && r.OutPort == e.c.ports.Port(nd.Switch, succ)
 	}
-	return applied, agentDone, allReported
+	return reports
 }
 
 // Adoptable decides whether a mid-flight job's recovered state is safe
@@ -503,19 +486,18 @@ func countSet(set []bool) int {
 
 // liveRecords builds a live job's compacted journal records: its
 // admission plus the dispatched/confirmed deltas of its recovered
-// frontier.
+// frontier — the applied ideal of an adopted job, the undo set of one
+// rolling back.
 func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
 	recs := []journal.Record{{Kind: journal.KindAdmit, Job: rj.id, Admit: rj.admit}}
-	n := l.job.plan.len()
+	front := l.job.preConfirmed
+	if l.undo != nil {
+		front = l.undo
+	}
 	var batch []int // dispatched frontier, ascending: one grouped record
-	for i := 0; i < n; i++ {
-		confirmed := i < len(l.job.preConfirmed) && l.job.preConfirmed[i]
-		if l.rollback {
-			confirmed = i < len(l.applied) && l.applied[i]
-		}
-		dispatched := rj.dispatched[i] || confirmed ||
-			(l.rollback && i < len(l.dispatched) && l.dispatched[i])
-		if dispatched {
+	for i := 0; i < l.job.plan.len(); i++ {
+		confirmed := i < len(front) && front[i]
+		if rj.dispatched[i] || confirmed {
 			batch = append(batch, i)
 		}
 		if confirmed {
@@ -526,4 +508,21 @@ func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
 		recs = append(recs, journal.Record{Kind: journal.KindDispatchedBatch, Job: rj.id, Nodes: batch})
 	}
 	return recs
+}
+
+// downClosure returns the down-closed cover of set: a node that took
+// effect had its dependencies take effect first, at their switches,
+// whatever those switches say now.
+func downClosure(p *core.Plan, set []bool) []bool {
+	closed := make([]bool, len(set))
+	copy(closed, set)
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		if !closed[i] {
+			continue
+		}
+		for _, d := range p.Nodes[i].Deps {
+			closed[d] = true
+		}
+	}
+	return closed
 }

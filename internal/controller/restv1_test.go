@@ -530,7 +530,7 @@ func TestV1WatchStreamsRounds(t *testing.T) {
 // its blocking dependency list — in the wire shape the SDK decodes.
 func TestV1FailureReportRoundTrip(t *testing.T) {
 	g := topo.Fig1()
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 400 * time.Millisecond},
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 300 * time.Millisecond},
 		func(n topo.NodeID) switchsim.Config {
 			cfg := switchsim.Config{Node: n}
 			if n == 7 {
@@ -605,15 +605,18 @@ func TestV1FailureReportRoundTrip(t *testing.T) {
 	if len(installed) == 0 {
 		t.Fatal("failure report lists no installed switches")
 	}
-	if installed[7] || rolledBack[7] {
-		t.Fatalf("switch 7 never confirmed: installed %v rolled back %v", f.Installed, f.RolledBack)
+	// 7's FlowMod applied although its barrier reply never came: the
+	// switch says so when asked after the abort, so it is installed, and
+	// it is the one install the rollback could not undo.
+	if !installed[7] || rolledBack[7] {
+		t.Fatalf("switch 7 applied but never confirmed: installed %v rolled back %v", f.Installed, f.RolledBack)
 	}
-	if len(installed) != len(rolledBack) {
-		t.Fatalf("installed %v and rolled back %v differ", f.Installed, f.RolledBack)
+	if len(installed) != len(rolledBack)+1 {
+		t.Fatalf("installed %v is not rolled back %v plus switch 7", f.Installed, f.RolledBack)
 	}
-	for id := range installed {
-		if !rolledBack[id] {
-			t.Fatalf("installed switch %d missing from rolled back %v", id, f.RolledBack)
+	for id := range rolledBack {
+		if !installed[id] {
+			t.Fatalf("rolled back switch %d missing from installed %v", id, f.Installed)
 		}
 	}
 }

@@ -13,15 +13,15 @@ import (
 
 // This file is the engine's abort-and-recover path. When a job fails
 // mid-plan — a barrier timeout, a dead switch, a stalled decentralized
-// run — the already-installed nodes form an order ideal of the
-// execution DAG (nodes only dispatch after their dependencies
-// confirm). The engine reverses exactly that prefix with
-// core.Plan.Reverse, re-verifies the reverse plan's order ideals with
-// verify.Plan like any forward plan, and only when that check passes
-// executes the rollback: every transient state on the way back down is
-// then a state the forward plan could already reach on its way up, so
-// a verified-safe update stays safe through its own abort. When the
-// reverse plan does not verify (one-shot plans whose installed prefix
+// run — reconcile (recover.go) asks the plan's switches what took
+// effect, and the answer is an order ideal of the execution DAG. The
+// engine reverses exactly that ideal with core.Plan.Reverse,
+// re-verifies the reverse plan's order ideals with verify.Plan like
+// any forward plan, and only when that check passes executes the
+// rollback: every transient state on the way back down is then a state
+// the forward plan could already reach on its way up, so a
+// verified-safe update stays safe through its own abort. When the
+// reverse plan does not verify (one-shot plans whose installed ideal
 // admits unsafe sub-ideals), the job instead reports a stuck state
 // with the precise per-node unmet dependencies and leaves the rules in
 // place — a wrong rollback is worse than a frozen, diagnosable one.
@@ -29,8 +29,8 @@ import (
 // Failure-report phases, in escalation order.
 const (
 	// PhaseAborted: the job failed mid-plan and no rollback was
-	// attempted (nothing installed, or a job shape — joint, two-phase
-	// — the engine cannot reverse).
+	// attempted: a job shape — joint, two-phase — the engine cannot
+	// reverse, or one a controller restart cannot recover.
 	PhaseAborted = "aborted"
 	// PhaseRolledBack: the reverse plan verified safe and every
 	// installed node was undone; the network is back on the old
@@ -53,12 +53,13 @@ type FailureReport struct {
 	Phase string
 	// TriggeringFault describes the failure that aborted the plan.
 	TriggeringFault string
-	// Installed lists the switches whose installs were confirmed
-	// before the abort (the exact barrier-confirmed set).
+	// Installed lists the switches whose installs the switches
+	// themselves showed in effect when asked after the abort (with every
+	// dependency of those, and the dispatched installs of switches that
+	// did not answer): exactly the set the rollback reverses.
 	Installed []topo.NodeID
-	// RolledBack lists the switches whose installs were undone. It may
-	// exceed Installed: nodes whose FlowMods were sent but never
-	// confirmed are rolled back too (the undo mods are idempotent).
+	// RolledBack lists the switches whose installs were undone, a
+	// subset of Installed.
 	RolledBack []topo.NodeID
 	// RollbackVerified reports whether the reverse plan passed
 	// verification (true even when its execution later failed).
@@ -95,47 +96,46 @@ func (s *rollbackSpec) rollbackProps() core.Property {
 	return s.in.NaturalProps()
 }
 
-// abort handles a mid-plan failure: record the exact installed set,
-// verify the reverse plan of the dispatched prefix, and either execute
-// the rollback or report the job stuck. dispatched marks nodes whose
-// FlowMods may have reached their switch (a down-closed superset of
-// confirmed); confirmed marks barrier-confirmed installs. It returns
-// the job's failure report and terminal error for Engine.finish.
-func (e *Engine) abort(ctx context.Context, job *Job, cause error, dispatched, confirmed []bool) (*FailureReport, error) {
+// abort handles a mid-plan failure: report undo — the set reconcile
+// found in effect, an order ideal of the plan — as installed, verify
+// its reverse plan, and either execute the rollback or report the job
+// stuck. It returns the job's failure report and terminal error for
+// Engine.finish.
+func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) (*FailureReport, error) {
 	report := &FailureReport{
 		Phase:           PhaseAborted,
 		TriggeringFault: cause.Error(),
-		Installed:       planSetSwitches(job, confirmed),
+		Installed:       planSetSwitches(job, undo),
 	}
 	spec := job.rollback
-	if spec == nil || !anySet(dispatched) {
+	if spec == nil {
 		return report, cause
 	}
-	if err := e.verifyRollback(job, spec, dispatched); err != nil {
+	if err := e.verifyRollback(job, spec, undo); err != nil {
 		report.Phase = PhaseStuck
-		report.Stuck = stuckNodes(job, dispatched, nil)
+		report.Stuck = stuckNodes(job, undo, nil)
 		return report, fmt.Errorf("%w; rollback refused: %v", cause, err)
 	}
 	report.RollbackVerified = true
-	rolledBack, undone, rbErr := e.runRollback(ctx, job, spec, dispatched)
+	rolledBack, undone, rbErr := e.runRollback(ctx, job, spec, undo)
 	report.RolledBack = rolledBack
 	if rbErr != nil {
 		report.Phase = PhaseRollbackFailed
-		report.Stuck = stuckNodes(job, dispatched, undone)
+		report.Stuck = stuckNodes(job, undo, undone)
 		return report, fmt.Errorf("%w; rollback failed: %v", cause, rbErr)
 	}
 	report.Phase = PhaseRolledBack
 	return report, cause
 }
 
-// verifyRollback checks the reverse plan of the dispatched prefix of
-// the job's update nodes. Cleanup nodes are excluded from the
-// verified plan: they sit past every update node, so a dispatched
-// cleanup node implies the network is fully on the new path, where
-// re-adding a stale old-path rule at an unreachable switch is
-// unobservable — runRollback undoes them first, restoring exactly
-// the state space this verification covers.
-func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool) error {
+// verifyRollback checks the reverse plan of the undo ideal's update
+// nodes. Cleanup nodes are excluded from the verified plan: they sit
+// past every update node, so a cleanup node in the ideal implies the
+// network is fully on the new path, where re-adding a stale old-path
+// rule at an unreachable switch is unobservable — runRollback undoes
+// them first, restoring exactly the state space this verification
+// covers.
+func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error {
 	k := job.plan.cleanupFrom
 	props := spec.rollbackProps()
 	fwd := &core.Plan{
@@ -144,7 +144,7 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool)
 		Sparse:     job.plan.dag.Sparse,
 		Nodes:      job.plan.dag.Nodes[:k],
 	}
-	rev, _, err := fwd.Reverse(dispatched[:k])
+	rev, _, err := fwd.Reverse(undo[:k])
 	if err != nil {
 		return err
 	}
@@ -161,20 +161,20 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, dispatched []bool)
 	return nil
 }
 
-// runRollback undoes the dispatched prefix: the full reverse DAG
-// (cleanup undos first — they are the reverse plan's roots) with each
-// node's undo FlowMod is one more execution DAG, walked unjournaled on
-// the same dispatch path as the forward pass. Undo FlowMods are
-// idempotent, so nodes that were dispatched but never took effect are
-// harmless to "undo". Returns the switches undone in confirmation order
-// and the per-node undone set.
-func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, dispatched []bool) (rolledBack []topo.NodeID, undone []bool, err error) {
-	rev, fwd, err := job.plan.dag.Reverse(dispatched)
+// runRollback undoes an installed ideal: the full reverse DAG (cleanup
+// undos first — they are the reverse plan's roots) with each node's
+// undo FlowMod is one more execution DAG, walked unjournaled on the
+// same dispatch path as the forward pass. Undo FlowMods are idempotent,
+// so nodes in the ideal that never took effect are harmless to "undo".
+// Returns the switches undone in confirmation order and the per-node
+// undone set.
+func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, installed []bool) (rolledBack []topo.NodeID, undone []bool, err error) {
+	rev, fwd, err := job.plan.dag.Reverse(installed)
 	if err != nil {
 		return nil, nil, err
 	}
 	n := len(rev.Nodes)
-	undone = make([]bool, len(dispatched))
+	undone = make([]bool, len(installed))
 	if n == 0 {
 		return nil, undone, nil
 	}
@@ -255,32 +255,4 @@ func planSetSwitches(job *Job, set []bool) []topo.NodeID {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// anySet reports whether any element is true.
-func anySet(set []bool) bool {
-	for _, ok := range set {
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-// downClosure returns the down-closed cover of confirmed: a confirmed
-// node's dependencies must have taken effect at their switches (a
-// switch only installs after its in-edge acks) even when their own
-// completion reports were lost, so the rollback prefix includes them.
-func downClosure(p *core.Plan, confirmed []bool) []bool {
-	closed := make([]bool, len(confirmed))
-	copy(closed, confirmed)
-	for i := len(p.Nodes) - 1; i >= 0; i-- {
-		if !closed[i] {
-			continue
-		}
-		for _, d := range p.Nodes[i].Deps {
-			closed[d] = true
-		}
-	}
-	return closed
 }

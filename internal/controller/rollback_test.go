@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,29 +48,11 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 		8: {DisconnectAfterFlowMods: 1, WipeTableOnCrash: true},
 	}
 	g := topo.Fig1()
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 700 * time.Millisecond},
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 400 * time.Millisecond},
 		func(n topo.NodeID) switchsim.Config {
 			return switchsim.Config{Node: n, Faults: faults[n]}
 		})
-
-	// The crashed switch comes back: reconnect as soon as the fault has
-	// fired, well inside the round timeout, so the rollback finds it.
-	reconnCtx, reconnCancel := context.WithCancel(context.Background())
-	defer reconnCancel()
-	sw8 := tb.fabric.Switch(8)
-	go func() {
-		for sw8.FlowModsApplied() < 1 {
-			select {
-			case <-reconnCtx.Done():
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-		time.Sleep(20 * time.Millisecond) // let the dying control loop exit
-		if err := sw8.Connect(reconnCtx, tb.addr); err != nil && reconnCtx.Err() == nil {
-			t.Errorf("reconnecting crashed switch: %v", err)
-		}
-	}()
+	reconnectAfterCrash(t, tb, 8)
 
 	job, _ := submitAbortJob(t, tb, ModeController)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -90,6 +73,7 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 	if len(f.RolledBack) == 0 {
 		t.Fatal("rolled-back phase with empty rolled-back set")
 	}
+	assertRolledBackInstalled(t, f)
 	// The data plane is back on the old configuration.
 	res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(topo.Fig1OldPath) {
@@ -105,15 +89,38 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 	}
 }
 
+// reconnectAfterCrash brings switch n back once its crash fault has
+// fired, well inside any round timeout, so reconcile and the rollback
+// find it.
+func reconnectAfterCrash(t *testing.T, tb *testbed, n topo.NodeID) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	sw := tb.fabric.Switch(n)
+	go func() {
+		for sw.FlowModsApplied() < 1 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // let the dying control loop exit
+		if err := sw.Connect(ctx, tb.addr); err != nil && ctx.Err() == nil {
+			t.Errorf("reconnecting crashed switch %d: %v", n, err)
+		}
+	}()
+}
+
 // TestAbortReportsExactSetsAndStuckNodes pins the bookkeeping: with
 // switch 7 dropping every barrier (forward and rollback), the sibling
-// installs of round 1 confirm and are recorded, the rollback verifies
-// but fails at 7, and the report lists exactly what stayed installed,
-// what was undone, and what is stuck.
+// installs of round 1 confirm, 7's FlowMod applies unconfirmed, the
+// rollback verifies but fails at 7, and the report lists exactly what
+// was in effect, what was undone, and what is stuck.
 func TestAbortReportsExactSetsAndStuckNodes(t *testing.T) {
 	faults := map[topo.NodeID]switchsim.Faults{7: {DropBarriers: true}}
 	g := topo.Fig1()
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 400 * time.Millisecond},
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, RoundTimeout: 300 * time.Millisecond},
 		func(n topo.NodeID) switchsim.Config {
 			return switchsim.Config{Node: n, Faults: faults[n]}
 		})
@@ -137,31 +144,36 @@ func TestAbortReportsExactSetsAndStuckNodes(t *testing.T) {
 	if !f.RollbackVerified {
 		t.Fatal("rollback executed without verification")
 	}
-	// Installed is the exact confirmed set: every round-1 sibling of the
-	// dropper confirmed (even though the job was already failing), 7
-	// never did, later rounds were never released. Those siblings were
-	// then successfully undone, and only 7 is left stuck.
-	want := map[topo.NodeID]bool{}
-	for _, n := range sched.Rounds[0] {
-		if n != 7 {
-			want[n] = true
-		}
-	}
-	assertSet := func(name string, got []topo.NodeID) {
+	// Installed is what the switches showed in effect when asked after
+	// the abort: all of round 1 — 7 too, whose FlowMod applied although
+	// its barrier reply never came, and the query (answered after that
+	// FlowMod, like a barrier) says so. Later rounds were never released.
+	// 7's siblings were then undone, and only 7 is left stuck.
+	assertSet := func(name string, got []topo.NodeID, want []topo.NodeID) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s = %v, want round-1 siblings of 7 from %v", name, got, sched.Rounds[0])
-		}
-		for _, n := range got {
-			if !want[n] {
-				t.Fatalf("%s = %v contains unexpected switch %d", name, got, n)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v (round 1: %v)", name, got, want, sched.Rounds[0])
 		}
 	}
-	assertSet("installed", f.Installed)
-	assertSet("rolled back", f.RolledBack)
+	round1 := slices.Sorted(slices.Values(sched.Rounds[0]))
+	assertSet("installed", f.Installed, round1)
+	rolledBack := slices.Sorted(slices.Values(f.RolledBack))
+	assertSet("rolled back", rolledBack, slices.DeleteFunc(slices.Clone(round1), func(n topo.NodeID) bool { return n == 7 }))
+	assertRolledBackInstalled(t, f)
 	if len(f.Stuck) != 1 || f.Stuck[0].Switch != 7 {
 		t.Fatalf("stuck = %+v, want exactly switch 7", f.Stuck)
+	}
+}
+
+// assertRolledBackInstalled checks RolledBack ⊆ Installed: an abort
+// reverses exactly the set reconcile found in effect, which Installed
+// reports.
+func assertRolledBackInstalled(t *testing.T, f *FailureReport) {
+	t.Helper()
+	for _, n := range f.RolledBack {
+		if !slices.Contains(f.Installed, n) {
+			t.Fatalf("rolled back %v not within installed %v", f.RolledBack, f.Installed)
+		}
 	}
 }
 
@@ -233,13 +245,14 @@ func TestVirtualTimeBarrierTimeout(t *testing.T) {
 	if len(f.Stuck) == 0 {
 		t.Fatal("stuck job reports no stuck nodes")
 	}
+	assertRolledBackInstalled(t, f)
 }
 
 // TestVirtualTimeDecentralizedStallRollback is the decentralized twin:
 // a switch that installs but never releases its peers stalls the run;
-// the controller times out on virtual time, rolls back the down-closed
-// confirmed set, and restores the old path — still at near-zero wall
-// cost.
+// the controller times out on virtual time, rolls back what the
+// switches show in effect, and restores the old path — still at
+// near-zero wall cost.
 func TestVirtualTimeDecentralizedStallRollback(t *testing.T) {
 	const roundTimeout = 20 * time.Second
 	tb := newVirtualTestbed(t, roundTimeout, map[topo.NodeID]switchsim.Faults{
@@ -273,6 +286,7 @@ func TestVirtualTimeDecentralizedStallRollback(t *testing.T) {
 	if !f.RollbackVerified {
 		t.Fatal("rollback executed without verification")
 	}
+	assertRolledBackInstalled(t, f)
 	res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(topo.Fig1OldPath) {
 		t.Fatalf("post-rollback probe = %+v, want delivery along %v", res, topo.Fig1OldPath)
@@ -342,6 +356,7 @@ func TestChaosProbabilisticFaults(t *testing.T) {
 			default:
 				t.Fatalf("chaos job %d reports unknown phase %q", i, f.Phase)
 			}
+			assertRolledBackInstalled(t, f)
 		}
 	}
 	if metrics.FaultsInjected.Value() <= injected {

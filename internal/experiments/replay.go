@@ -239,7 +239,10 @@ func newReplay(in *core.Instance, seed int64, node func(rng *rand.Rand) draw) (*
 // reverse rolls an installed set back the way the engine's abort path
 // does — Plan.Reverse, then verify.Plan on the result — and counts the
 // undo installs delivered, or the violation and the installs left stuck
-// when the verifier refuses (the returned plan is then nil).
+// when the verifier refuses (the returned plan is then nil). In this
+// model a lost confirmation is a FlowMod that applied, so the dispatched
+// set a loss hands here is exactly the set the engine's reconcile finds
+// in effect.
 func (r *replay) reverse(o *outcome, installed []bool, undone *int) (*core.Plan, error) {
 	rev, _, err := r.plan.Reverse(installed)
 	if err != nil {

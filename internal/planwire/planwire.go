@@ -259,13 +259,18 @@ func IsStateReport(data []byte) bool {
 }
 
 // StateQuery (controller → switch) asks a switch what it knows about a
-// flow after a controller restart: whether a rule for the flow is
-// installed (and where it forwards), and — in decentralized mode —
-// which plan nodes the switch's plan agent has completed. The answer
-// lets the recovered engine reconstruct the global order ideal from
-// purely local switch state.
+// job's flow, after an abort or a controller restart: whether a rule
+// for the flow is installed (and where it forwards), and — in
+// decentralized mode — which plan nodes the switch's plan agent has
+// completed. The answer lets the engine reconstruct the global order
+// ideal from purely local switch state. Before it answers, a switch
+// halts the job's plan agent (no node starts after the answer, installs
+// in flight finish before it, late peer acks are absorbed), and it
+// answers only after every earlier message on that connection took
+// effect: on a controller-driven connection the query is also the
+// barrier for every FlowMod already written.
 type StateQuery struct {
-	// Job is the recovering job's id, echoed in the StateReport.
+	// Job is the queried job's id, echoed in the StateReport.
 	Job int
 
 	// NWDst identifies the flow (exact-match IPv4 destination).

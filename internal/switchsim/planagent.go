@@ -56,6 +56,12 @@ type agentJob struct {
 	done                     int
 	reports                  []planwire.NodeReport
 	finished                 bool
+
+	// halted is set by a StateQuery for the job: no node of it starts
+	// any more. running counts released nodes whose install has not
+	// finished; the query's answer waits for it to drain.
+	halted  bool
+	running sync.WaitGroup
 }
 
 // agentNode tracks one owned plan node.
@@ -110,6 +116,7 @@ func (a *planAgent) start(push *planwire.Push, send func(*planwire.Report) error
 	for i := range j.nodes {
 		if len(j.nodes[i].pending) == 0 {
 			j.nodes[i].started = true
+			j.running.Add(1)
 			starts = append(starts, i)
 		}
 	}
@@ -152,11 +159,11 @@ func (a *planAgent) deliver(ack PeerAck) {
 }
 
 // applyAckLocked records one ack and returns the node it released (its
-// last in-edge confirmed), or nil. Duplicates and acks for unknown
-// edges are absorbed. Caller holds a.mu.
+// last in-edge confirmed), or nil. Duplicates, acks for unknown edges
+// and acks for a halted job are absorbed. Caller holds a.mu.
 func (a *planAgent) applyAckLocked(j *agentJob, ack PeerAck) *agentNode {
 	pos, ok := j.byIdx[ack.ToNode]
-	if !ok {
+	if !ok || j.halted {
 		return nil
 	}
 	nd := &j.nodes[pos]
@@ -172,6 +179,7 @@ func (a *planAgent) applyAckLocked(j *agentJob, ack PeerAck) *agentNode {
 	if len(nd.pending) == 0 && !nd.started {
 		nd.started = true
 		nd.releasedBy = ack.From
+		j.running.Add(1)
 		return nd
 	}
 	return nil
@@ -193,6 +201,7 @@ func (a *planAgent) reset() {
 // install latency), then the out-edge acks, and — when it was the
 // switch's last node — the completion report.
 func (a *planAgent) install(j *agentJob, pos int) {
+	defer j.running.Done()
 	pn := j.push.Part.Nodes[pos]
 	if j.push.Interval > 0 && len(pn.InEdges) > 0 {
 		a.s.clock.Sleep(j.push.Interval)
@@ -318,10 +327,27 @@ func (a *planAgent) report(j *agentJob) {
 	}
 }
 
+// halt stops job at this switch — no node of it starts from now on, a
+// late peer ack is absorbed — and returns once every install already
+// released has finished. A job the agent does not know (never pushed
+// here, or forgotten in a crash) has nothing to halt: a push travels the
+// connection ahead of any query about it.
+func (a *planAgent) halt(job int) {
+	a.mu.Lock()
+	j := a.jobs[job]
+	if j != nil {
+		j.halted = true
+	}
+	a.mu.Unlock()
+	if j != nil {
+		j.running.Wait()
+	}
+}
+
 // doneNodes returns the global plan-node indices the agent has
 // completed for a job, ascending — the agent's contribution to a
-// recovery StateReport. A job the agent has no memory of (never
-// pushed, or wiped by a crash reset) yields nil.
+// StateReport. A job the agent has no memory of (never pushed, or
+// wiped by a crash reset) yields nil.
 func (a *planAgent) doneNodes(job int) []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

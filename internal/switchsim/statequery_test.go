@@ -1,0 +1,164 @@
+package switchsim
+
+import (
+	"context"
+	"net"
+	"slices"
+	"testing"
+	"time"
+
+	"tsu/internal/core"
+	"tsu/internal/netem"
+	"tsu/internal/ofconn"
+	"tsu/internal/openflow"
+	"tsu/internal/planwire"
+	"tsu/internal/topo"
+)
+
+// queryBed is one switch on a live control connection whose controller
+// end the test drives: it writes messages and reads the switch's state
+// reports.
+type queryBed struct {
+	sw      *Switch
+	conn    *ofconn.Conn
+	reports chan *planwire.StateReport
+}
+
+func newQueryBed(t *testing.T, cfg Config) *queryBed {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan *ofconn.Conn, 1)
+	go func() {
+		defer close(accepted)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn := ofconn.New(nc)
+		if _, err := ofconn.HandshakeController(conn); err != nil {
+			conn.Close()
+			return
+		}
+		accepted <- conn
+	}()
+	sw, err := NewSwitch(NewFabric(topo.Fig1()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if err := sw.Connect(ctx, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sw.Stop)
+	conn := <-accepted
+	if conn == nil {
+		t.Fatal("controller-side handshake failed")
+	}
+	t.Cleanup(func() { conn.Close() })
+	// Room for more answers than any test asks for: the reader never blocks.
+	b := &queryBed{sw: sw, conn: conn, reports: make(chan *planwire.StateReport, 8)}
+	go func() {
+		for {
+			m, err := conn.ReadMessage()
+			if err != nil {
+				return
+			}
+			if v, ok := m.(*openflow.Vendor); ok && planwire.IsStateReport(v.Data) {
+				if r, err := planwire.DecodeStateReport(v.Data); err == nil {
+					b.reports <- r
+				}
+			}
+		}
+	}()
+	return b
+}
+
+// send writes one message on the controller end.
+func (b *queryBed) send(t *testing.T, m openflow.Message) {
+	t.Helper()
+	if _, err := b.conn.Send(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// query asks the switch about job's flow ip and returns its answer.
+func (b *queryBed) query(t *testing.T, job int, ip string) *planwire.StateReport {
+	t.Helper()
+	b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: (&planwire.StateQuery{Job: job, NWDst: nwDst(ip)}).Encode()})
+	select {
+	case r := <-b.reports:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("no state report")
+		return nil
+	}
+}
+
+// TestStateQueryHaltsAgent: a query stops the job's plan agent. The
+// partition's root node, still installing when the query arrives,
+// finishes before the answer goes out; the node whose last in-edge ack
+// arrives after the query never installs, and the agent's completed set
+// stays what the answer said.
+func TestStateQueryHaltsAgent(t *testing.T) {
+	const sw, peer = 7, 1
+	b := newQueryBed(t, Config{Node: sw, InstallLatency: netem.Fixed(20 * time.Millisecond)})
+	push, err := planwire.EncodePush(&planwire.Push{
+		Job: 1,
+		Part: &core.SwitchPartition{Switch: sw, NumNodes: 3, Nodes: []core.PartitionNode{
+			{Index: 0},
+			{Index: 2, InEdges: []core.PartitionEdge{{Switch: peer, Index: 1}}},
+		}},
+		Mods: [][]*openflow.FlowMod{
+			{fm(openflow.FlowAdd, "10.0.0.9", 100, 1)},
+			{fm(openflow.FlowAdd, "10.0.0.2", 100, 1)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: push})
+
+	r := b.query(t, 1, "10.0.0.2")
+	if !slices.Equal(r.AgentDone, []int{0}) || r.RulePresent {
+		t.Fatalf("answer = %+v, want the in-flight root done and no rule for the flow", r)
+	}
+	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.9"), 64); !ok {
+		t.Fatal("the root node answered done but its rule is not installed")
+	}
+
+	// The last in-edge ack of node 2 arrives after the query.
+	b.sw.agent.deliver(PeerAck{Job: 1, From: peer, FromNode: 1, ToNode: 2})
+	// A second answer waits for every install under way, as the first did.
+	if r := b.query(t, 1, "10.0.0.2"); !slices.Equal(r.AgentDone, []int{0}) || r.RulePresent {
+		t.Fatalf("answer after a late ack = %+v, want nothing more done", r)
+	}
+	if got := b.sw.agent.doneNodes(1); !slices.Equal(got, []int{0}) {
+		t.Fatalf("doneNodes = %v after the query, want [0]", got)
+	}
+	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.2"), 64); ok {
+		t.Fatal("a node released after the query installed")
+	}
+}
+
+// TestStateQueryIsABarrier: a FlowMod written on the same connection
+// before the query shows in the answer — also when the FlowMod is held
+// back by a reorder delay.
+func TestStateQueryIsABarrier(t *testing.T) {
+	for name, faults := range map[string]Faults{
+		"plain":     {},
+		"reordered": {FlowModFaults: netem.Faults{ReorderProb: 1, ReorderDelay: netem.Fixed(50 * time.Millisecond)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := newQueryBed(t, Config{Node: 7, Faults: faults})
+			b.send(t, fm(openflow.FlowModify, "10.0.0.2", 100, 3))
+			if r := b.query(t, 4, "10.0.0.2"); !r.RulePresent || r.OutPort != 3 {
+				t.Fatalf("answer = %+v, want the rule written before the query (out port 3)", r)
+			}
+		})
+	}
+}

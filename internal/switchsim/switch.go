@@ -393,8 +393,8 @@ func (s *Switch) Stop() {
 }
 
 // controlLoop processes control messages strictly in order — the
-// property that gives BARRIER_REQUEST its semantics: when the reply is
-// sent, every earlier FlowMod has been applied.
+// property that gives BARRIER_REQUEST (and a StateQuery) its semantics:
+// when the reply is sent, every earlier FlowMod has been applied.
 func (s *Switch) controlLoop(ctx context.Context, conn *ofconn.Conn) {
 	for {
 		m, err := conn.ReadMessage()
@@ -516,9 +516,11 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 			s.logger.Warn("unknown vendor message", "vendor", msg.Vendor)
 			return nil
 		}
-		// Recovery handshake: a restarted controller asks what this
-		// switch knows about a flow; answer from the live flow table
-		// and the plan agent's memory.
+		// The controller asks what took effect for a job (after an
+		// abort, or a restart): halt the job's plan agent here, then
+		// answer from the live flow table and the agent's memory. The
+		// loop is serial, so every earlier message on this connection
+		// has taken effect by now: the answer is their barrier too.
 		if planwire.IsStateQuery(msg.Data) {
 			q, err := planwire.DecodeStateQuery(msg.Data)
 			if err != nil {
@@ -527,6 +529,7 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 				e.SetXid(msg.Xid())
 				return conn.WriteMessage(e)
 			}
+			s.agent.halt(q.Job)
 			rep := s.stateReport(q)
 			v := &openflow.Vendor{Vendor: planwire.VendorID, Data: rep.Encode()}
 			_, err = conn.Send(v)
@@ -558,11 +561,11 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 	}
 }
 
-// stateReport answers a recovery StateQuery from local state only: the
-// flow table (is a rule for the queried flow installed, and out which
-// port does it forward?) and the plan agent's per-job completion
-// memory. This local view is all a restarted controller needs to
-// reconstruct the job's global order ideal.
+// stateReport answers a StateQuery from local state only: the flow
+// table (is a rule for the queried flow installed, and out which port
+// does it forward?) and the plan agent's per-job completion memory.
+// This local view is all the controller needs to reconstruct the job's
+// global order ideal.
 func (s *Switch) stateReport(q *planwire.StateQuery) *planwire.StateReport {
 	rep := &planwire.StateReport{
 		Job:       q.Job,
