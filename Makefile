@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,26 @@ guard-one-reconcile:
 		grep -rn --include='*.go' 'pushErr' . | grep -v '_test\.go:'; } )"; \
 	if [ -n "$$out" ]; then \
 		echo "a second fault model (see guard-one-reconcile in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One fsync site, one record per wave: every append's fsync runs in the
+# journal's commit, where concurrent appends share it (group commit),
+# and Compact syncs its snapshot and the directory. A .Sync() anywhere
+# else in internal/journal — other than j.Sync(), a call of Journal.Sync,
+# which goes through commit — is a private fsync coming back. The engine
+# writes admit, dispatched-batch and terminal records only: KindDispatched
+# or KindConfirmed in non-test controller code is a record per node
+# coming back, and Replayed( the record slice a restart used to hold
+# instead of Open's fold.
+guard-one-fsync:
+	@out="$$( { awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
+			/\.Sync\(\)/ && !/^func / && !/(^|[^.[:alnum:]_])j\.Sync\(\)/ && fn !~ /\) (commit|Compact)\(/ { print FILENAME ":" FNR ": " $$0 }' \
+			internal/journal/*.go | grep -v '_test\.go:'; \
+		grep -n 'journal\.Kind\(Dispatched\|Confirmed\)\b' internal/controller/*.go | grep -v '_test\.go:'; \
+		grep -rn --include='*.go' 'Replayed(' . | grep -v '_test\.go:'; } )"; \
+	if [ -n "$$out" ]; then \
+		echo "a second fsync site or a record per node (see guard-one-fsync in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
 

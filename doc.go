@@ -40,6 +40,31 @@
 // unmet dependencies. The structured failure report rides the /v1
 // job status into the SDK and updatectl.
 //
+// Execution is also durable, against two kinds of controller failure.
+// Process death (kill -9; Journal.Crash in tests) keeps every byte the
+// engine appended to its journal, and a release wave's dispatched
+// record is appended before any of its FlowMods leave, so nothing took
+// effect that no record names: a restart requeues a job with no
+// dispatched record, and adopts or rolls back the others from one
+// reconcile. Power loss (Journal.PowerLoss) keeps only what an fsync
+// covered. Admit and terminal records are committed before the engine
+// goes on, so every admitted and every finished job is still known;
+// the dispatched records since the last fsync (fewer than syncEvery =
+// 32 nodes) may be gone while their FlowMods landed. What the switches
+// applied is still an order ideal of the plan — a node leaves only
+// once its dependencies confirmed — so a job left with no dispatched
+// record re-runs its plan through unions of two ideals, which are
+// ideals, and a job whose surviving records name fewer nodes than its
+// switches applied is not adoptable (state took effect that nothing on
+// record ordered) and rolls back exactly what the switches report.
+// Confirms are lower bounds under both. Recovery
+// rolls back rather than adopts or requeues only on a switch that
+// contradicts the journal (a wiped table, silence) or after a power
+// loss. Out of the model: a disk that acknowledges an fsync it did not
+// perform, and a lost journal file. TestCrashRestartRecovery and
+// TestCrashRestartPowerLoss kill the engine at every dispatch boundary
+// of each.
+//
 // The library lives under internal/:
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
@@ -92,7 +117,7 @@
 //     goroutine), at admission if there is none; one southbound walker
 //     (Engine.walk), ack-driven and the only writer of its own installs
 //     (no dispatch pool, goroutine- and allocation-free per install,
-//     batched write-ahead journaling), executes every FlowMod+barrier
+//     one write-ahead journal record per release wave), executes every FlowMod+barrier
 //     the controller sends — forward
 //     plans, verified rollbacks, policy installs and bare barriers — with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
@@ -109,8 +134,11 @@
 //     newest 1024 stay known; an older id answers 404, as after a restart.
 //     The journal file still grows until a restart compacts it
 //   - internal/journal   — write-ahead job journal: CRC-framed record log
-//     (admit/dispatched/confirmed/terminal), torn-tail-tolerant replay,
-//     snapshot compaction — the durability base for crash-restart recovery
+//     (admit, one dispatched-batch per release wave carrying the confirms
+//     since the job's last record, terminal), group commit through one
+//     fsync site, torn-tail-tolerant replay that Open folds into per-job
+//     state as it reads, snapshot compaction — the durability base for
+//     crash-restart recovery
 //   - internal/trace     — live probe/violation measurement (wall or virtual clock)
 //   - internal/experiments — the experiment harness (E1..E10, E12..E15): E1,
 //     E2, E6, E7 drive the live stack through the API client; E10 and

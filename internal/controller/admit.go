@@ -125,8 +125,10 @@ const maxAdmitted = 128
 // retainTerminal is how many finished jobs the engine keeps answering
 // for (see Engine.retireLocked): the newest ones, each stripped to its
 // trace. An older id answers 404, as any finished job does after a
-// restart and the compaction that follows it.
-const retainTerminal = 8 * maxAdmitted
+// restart and the compaction that follows it. It is the number of
+// finished jobs the journal's fold keeps (8 × maxAdmitted), so a
+// restart answers for the jobs the engine did.
+const retainTerminal = journal.RetainFinished
 
 // admitSpec builds a job's journal admission record: identity always,
 // plus — for recoverable jobs — everything Recover needs to rebuild
@@ -165,15 +167,19 @@ func admitSpec(job *Job) *journal.Admit {
 	return a
 }
 
-// journalAdmit makes an admitted job durable before anything can be
-// dispatched for it. Recovered jobs are already in the journal and are
-// not re-admitted.
-func (e *Engine) journalAdmit(job *Job) error {
+// journalAdmits makes admitted jobs durable before anything can be
+// dispatched for them: their admit records in one write, committed by
+// one fsync.
+func (e *Engine) journalAdmits(jobs []*Job) error {
 	jl := e.c.cfg.Journal
-	if jl == nil || job.Recovered {
+	if jl == nil {
 		return nil
 	}
-	return jl.Append(journal.Record{Kind: journal.KindAdmit, Job: job.ID, Admit: admitSpec(job)})
+	recs := make([]journal.Record, 0, 16) // on the stack up to 16 jobs
+	for _, job := range jobs {
+		recs = append(recs, journal.Record{Kind: journal.KindAdmit, Job: job.ID, Admit: admitSpec(job)})
+	}
+	return jl.AppendAll(recs)
 }
 
 // SubmitOptions tunes job construction.
@@ -397,14 +403,12 @@ func (e *Engine) enqueueAll(jobs []*Job) error {
 	e.mu.Unlock()
 	// Admission is journaled (and synced) before the blocker that stands
 	// for it is released: a job either never reached the journal (and
-	// sent nothing), or is durably recoverable. A job whose admit append
-	// fails ends here, on its own — later dispatch appends must not
-	// leave deltas of a job the journal never admitted — and the release
-	// below passes it by.
-	for _, job := range jobs {
-		if err := e.journalAdmit(job); err != nil {
-			e.failQueued(fmt.Errorf("%w: admit: %v", errJournalWriteAhead, err), job)
-		}
+	// sent nothing), or is durably recoverable. When the batch's admit
+	// append fails, its jobs end here, on their own — later dispatch
+	// appends must not leave deltas of a job the journal never admitted
+	// — and the release below passes them by.
+	if err := e.journalAdmits(jobs); err != nil {
+		e.failQueued(fmt.Errorf("%w: admit: %v", errJournalWriteAhead, err), jobs...)
 	}
 	e.release(jobs)
 	return nil

@@ -228,7 +228,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 				// Recovered from the journal: the admit record alone
 				// rebuilds the same plan, options and rollback spec.
 				job.ID = 41
-				re, err := e.rebuildJob(&recoveredJob{id: job.ID, admit: admitSpec(job)})
+				re, err := e.rebuildJob(job.ID, admitSpec(job))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,10 +15,15 @@ package controller
 //   - write-ahead holds: a job with no dispatched record recovers by
 //     plain re-admission.
 //
-// Two sweeps share the runner. The virtual-clock sweep runs the
+// Three sweeps share the runner. The virtual-clock sweep runs the
 // workload fault-free under simclock/AutoAdvance — the controller
 // crash is the injected fault — and exercises adopt-and-resume plus
-// requeue. The wall-clock sweep adds the E13-style switch fault (a
+// requeue. The power-loss sweep is that run one switch per wave, with
+// the machine dying instead of the process: the journal also loses
+// every byte appended since its last fsync, so the dispatched records
+// of the waves since then are gone while their FlowMods may have
+// landed, and recovery exercises requeue, adoption and rollback. The
+// wall-clock sweep adds the E13-style switch fault (a
 // new-path-only switch crashes after its first FlowMod and wipes its
 // table, then reconnects), so recovery composes with the verified
 // reverse-plan rollback of PR 8; it runs on the wall clock because a
@@ -53,8 +58,10 @@ var (
 const crashFaultSwitch topo.NodeID = 8
 
 type crashRestartOpts struct {
-	virtual bool // simclock + AutoAdvance, no switch fault
-	faulted bool // wall clock + switch crash-wipe fault and reconnect
+	virtual   bool // simclock + AutoAdvance, no switch fault
+	faulted   bool // wall clock + switch crash-wipe fault and reconnect
+	powerLoss bool // the crash also drops the journal's unsynced tail
+	oneByOne  bool // one switch per round: a job journals a wave per switch
 }
 
 // crashRestartRun executes one boundary of a sweep: run the workload,
@@ -119,9 +126,21 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		default:
 			return
 		}
-		if now := dispatched.Add(w); int(now) >= boundary && int(now-w) < boundary {
-			jl.Crash()
+		now := dispatched.Add(w)
+		switch {
+		case int(now) >= boundary && int(now-w) < boundary:
+			if opts.powerLoss {
+				jl.PowerLoss()
+			} else {
+				jl.Crash()
+			}
 			cancel1()
+		case opts.powerLoss && now == w:
+			// The run's first wave reaches the disk, as a delta sync does
+			// every 32 nodes on a larger plan: a later power loss keeps it
+			// and drops the waves after it, so its job comes back with
+			// fewer dispatched nodes than its switches may have applied.
+			jl.Sync() //nolint:errcheck // a failed sync only shrinks what survives
 		}
 	})
 
@@ -183,6 +202,17 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		sched, err := core.Peacock(in)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if opts.oneByOne {
+			// Peacock's order, one switch at a time: every state this
+			// reaches is one Peacock's rounds reach, so it is as safe.
+			var rounds [][]topo.NodeID
+			for _, r := range sched.Rounds {
+				for _, n := range r {
+					rounds = append(rounds, []topo.NodeID{n})
+				}
+			}
+			sched.Rounds = rounds
 		}
 		job, err := ctrl1.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch(ip), SubmitOptions{})
 		if err != nil {
@@ -359,6 +389,27 @@ func TestCrashRestartRecovery(t *testing.T) {
 	}
 	if total.Adopted+total.RolledBack == 0 {
 		t.Errorf("sweep never reconciled a mid-flight job: %+v", total)
+	}
+}
+
+// TestCrashRestartPowerLoss sweeps a power loss across every dispatch
+// boundary under simclock, one switch per wave: the journal keeps only
+// what an fsync covered — the admits, terminals, and the run's first
+// wave, which the hook syncs — so a mid-flight job comes back with no
+// dispatched record, or with fewer dispatched nodes than its switches
+// applied. The first is requeued; the second is not adoptable (an
+// applied node nothing on record ordered) and takes the verified
+// rollback. The invariants are those of the process-death sweep.
+func TestCrashRestartPowerLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-restart sweep is not short")
+	}
+	total := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, oneByOne: true})
+	if total.Requeued == 0 {
+		t.Errorf("power-loss sweep never requeued a job whose waves were all lost: %+v", total)
+	}
+	if total.RolledBack == 0 {
+		t.Errorf("power-loss sweep never rolled back a job whose journal undercounts its switches: %+v", total)
 	}
 }
 

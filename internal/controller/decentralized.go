@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"tsu/internal/journal"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
@@ -159,15 +158,15 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	}
 
 	// A partition push hands the whole DAG to the switches at once:
-	// every node is journaled dispatched in one grouped write-ahead
-	// append (before any push leaves), so a recovering controller knows
-	// the entire plan may have taken effect and reconciles all of it
-	// against switch state.
+	// every node is journaled dispatched in one write-ahead record
+	// (before any push leaves), so a recovering controller knows the
+	// entire plan may have taken effect and reconciles all of it against
+	// switch state. The reported installs ride the terminal record.
 	allNodes := make([]int, n)
 	for i := range allNodes {
 		allNodes[i] = i
 	}
-	if !e.journalDispatchBatch(job.ID, allNodes) {
+	if !e.journalWave(job, allNodes) {
 		return nil, errJournalWriteAhead
 	}
 
@@ -218,7 +217,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 					e.reconcile(ctx, job, pushed).undo)
 			}
 			confirmed[nr.Index] = true
-			e.journalDelta(journal.KindConfirmed, job.ID, nr.Index)
+			e.noteConfirmed(job, nr.Index)
 			remaining--
 			job.confirmed(nr.Index, InstallTiming{
 				ReleasedBy: nr.ReleasedBy,

@@ -65,6 +65,7 @@ const (
 // dispatcher recycles walk state and gauges what the walks hold.
 type dispatcher struct {
 	pool     sync.Pool     // *jobDispatch
+	confirms sync.Pool     // *confirmList
 	seq      atomic.Uint64 // last walk sequence number handed out
 	ready    metrics.Gauge // journaled installs waiting for their send slot
 	inflight metrics.Gauge // installs written, barrier reply pending

@@ -56,62 +56,83 @@ func newEngine(c *Controller) *Engine {
 // the already-dispatched prefix aborts through the normal path.
 var errJournalWriteAhead = errors.New("journal write-ahead append failed; refusing to dispatch")
 
-// journalDelta records one write-behind per-node transition (confirmed
-// deltas): a failed append costs restart efficiency, never safety, so
-// it is logged and tolerated.
-func (e *Engine) journalDelta(kind journal.Kind, job, node int) {
-	jl := e.c.cfg.Journal
-	if jl == nil {
+// confirmList is a job's confirmed installs that no journal record
+// carries yet, recycled through the dispatcher's pool.
+type confirmList struct{ nodes []int }
+
+// noteConfirmed puts a confirmed install on the job's pending list, for
+// the job's next journal record to carry. A confirm is write-behind: it
+// only bounds from below what a restart finds in effect (reconcile asks
+// the switches), so it costs no record of its own.
+func (e *Engine) noteConfirmed(job *Job, node int) {
+	if e.c.cfg.Journal == nil {
 		return
 	}
-	if err := jl.Append(journal.Record{Kind: kind, Job: job, Node: node}); err != nil {
-		e.c.logger.Warn("journal delta failed", "job", job, "node", node, "err", err)
+	if job.pending == nil {
+		job.pending, _ = e.disp.confirms.Get().(*confirmList)
+		if job.pending == nil {
+			job.pending = &confirmList{}
+		}
 	}
+	job.pending.nodes = append(job.pending.nodes, node)
 }
 
-// journalDispatchBatch write-aheads one released wave as a single
-// grouped dispatched-delta record (one append and one fsync window for
-// the whole wave; a lone node journals as a plain dispatched delta). A
-// false return means the wave could not be made durable — the caller
-// MUST NOT dispatch any of it: the journal's dispatched set has to
-// stay a superset of what any switch can have seen, or a restarted
-// controller would never reconcile that switch's state. nodes must be
-// strictly ascending (the batch codec delta-encodes the gaps).
-func (e *Engine) journalDispatchBatch(job int, nodes []int) bool {
+// takeConfirms returns the job's pending confirms, ascending (the codec
+// delta-encodes them); the list stays the job's until journalTerminal
+// recycles it.
+func (job *Job) takeConfirms() []int {
+	if job.pending == nil {
+		return nil
+	}
+	slices.Sort(job.pending.nodes)
+	return job.pending.nodes
+}
+
+// journalWave write-aheads one released wave as a dispatched-batch
+// record — one append for the whole wave — which also carries the job's
+// pending confirms. A false return means the wave could not be made
+// durable — the caller MUST NOT dispatch any of it: the journal's
+// dispatched set has to stay a superset of what any switch can have
+// seen, or a restarted controller would never reconcile that switch's
+// state. nodes must be strictly ascending (the batch codec
+// delta-encodes the gaps).
+func (e *Engine) journalWave(job *Job, nodes []int) bool {
 	jl := e.c.cfg.Journal
 	if jl == nil {
 		return true
 	}
 	metrics.JournalBatchWidth.Observe(int64(len(nodes)))
-	rec := journal.Record{Kind: journal.KindDispatched, Job: job}
-	if len(nodes) == 1 {
-		rec.Node = nodes[0]
-	} else {
-		rec.Kind = journal.KindDispatchedBatch
-		rec.Nodes = nodes
-	}
+	rec := journal.Record{Kind: journal.KindDispatchedBatch, Job: job.ID, Nodes: nodes, Confirmed: job.takeConfirms()}
 	if err := jl.Append(rec); err != nil {
-		e.c.logger.Warn("journal write-ahead failed; wave not dispatched", "job", job, "nodes", len(nodes), "err", err)
+		e.c.logger.Warn("journal write-ahead failed; wave not dispatched", "job", job.ID, "nodes", len(nodes), "err", err)
 		return false
+	}
+	if job.pending != nil {
+		job.pending.nodes = job.pending.nodes[:0]
 	}
 	return true
 }
 
-// journalTerminal records a job's terminal phase. A shutdown
-// cancellation is deliberately NOT journaled as terminal: a cancelled
-// job is live state the restarted controller must recover; marking it
-// finished would defeat recovery.
+// journalTerminal records a job's terminal phase, with the confirms no
+// earlier record carried, and recycles the job's pending list. A
+// shutdown cancellation is deliberately NOT journaled as terminal: a
+// cancelled job is live state the restarted controller must recover;
+// marking it finished would defeat recovery.
 func (e *Engine) journalTerminal(job *Job, jobErr error) {
 	jl := e.c.cfg.Journal
-	if jl == nil || errors.Is(jobErr, context.Canceled) {
-		return
+	if jl != nil && !errors.Is(jobErr, context.Canceled) {
+		rec := journal.Record{Kind: journal.KindTerminal, Job: job.ID, Done: jobErr == nil, Confirmed: job.takeConfirms()}
+		if jobErr != nil {
+			rec.Error = jobErr.Error()
+		}
+		if err := jl.Append(rec); err != nil {
+			e.c.logger.Warn("journal terminal failed", "job", job.ID, "err", err)
+		}
 	}
-	rec := journal.Record{Kind: journal.KindTerminal, Job: job.ID, Done: jobErr == nil}
-	if jobErr != nil {
-		rec.Error = jobErr.Error()
-	}
-	if err := jl.Append(rec); err != nil {
-		e.c.logger.Warn("journal terminal failed", "job", job.ID, "err", err)
+	if job.pending != nil {
+		job.pending.nodes = job.pending.nodes[:0]
+		e.disp.confirms.Put(job.pending)
+		job.pending = nil
 	}
 }
 
@@ -359,10 +380,11 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 }
 
 // runDAG walks one job's execution DAG forward: each release wave is
-// journaled write-ahead as one grouped dispatched delta, each confirmed
-// install is journaled, counted and published on the job's trace, and a
-// walk that failed after anything was dispatched goes to the abort path
-// with what reconcile finds in effect. On an adopted job the reconciliation's pre-confirmed ideal is
+// journaled write-ahead as one dispatched-batch record, each confirmed
+// install is counted, published on the job's trace and pending for the
+// job's next record, and a walk that failed after anything was
+// dispatched goes to the abort path with what reconcile finds in
+// effect. On an adopted job the reconciliation's pre-confirmed ideal is
 // confirmed synthetically — nothing journaled or counted for it — and
 // real dispatch resumes from the frontier it releases.
 func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
@@ -372,10 +394,10 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 		plan:     job.plan,
 		interval: job.Interval,
 		pre:      job.preConfirmed,
-		journal:  func(nodes []int) bool { return e.journalDispatchBatch(job.ID, nodes) },
+		journal:  func(nodes []int) bool { return e.journalWave(job, nodes) },
 		confirm: func(i int, t InstallTiming) []int {
 			if i >= len(job.preConfirmed) || !job.preConfirmed[i] {
-				e.journalDelta(journal.KindConfirmed, job.ID, i)
+				e.noteConfirmed(job, i)
 				// Control messages per confirmed install: the FlowMods
 				// plus the barrier request and its reply.
 				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: t.FlowMods + 2})
@@ -558,8 +580,8 @@ func (e *Engine) confirmNode(st *jobDispatch, i int, t InstallTiming) []int {
 	return st.confirm(i, t)
 }
 
-// dispatchWave makes the pending wave durable as one grouped
-// dispatched-delta append, then queues every node for its send slot:
+// dispatchWave makes the pending wave durable as one dispatched-batch
+// append, then queues every node for its send slot:
 // immediately, or after the walk's interval pause for non-root layers.
 // A false return means the journal refused the write-ahead — nothing of
 // the wave may be dispatched.

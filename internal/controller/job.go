@@ -128,6 +128,13 @@ type Job struct {
 	rollback     *rollbackSpec
 	preConfirmed []bool
 
+	// pending holds the installs the job confirmed that no journal
+	// record carries yet: its next dispatched-batch record takes them,
+	// its terminal record the rest. Only the job's own goroutine touches
+	// it (the walk, then Engine.finish). A pointer, not a slice: the
+	// field keeps a Job in its allocation size class.
+	pending *confirmList
+
 	// Launch bookkeeping, guarded by Engine.mu. run is what the job does
 	// once launched (Engine.execute, or the abort path for a recovered
 	// job that was not adoptable). blockers counts what still keeps it

@@ -31,8 +31,10 @@ package controller
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 
 	"tsu/internal/core"
 	"tsu/internal/journal"
@@ -65,17 +67,6 @@ type RecoveryStats struct {
 // brought back to a live engine (every one reaches a terminal phase).
 func (s RecoveryStats) Recovered() int { return s.Requeued + s.Adopted + s.RolledBack }
 
-// recoveredJob is one journaled job folded from the replayed records.
-type recoveredJob struct {
-	id         int
-	admit      *journal.Admit
-	dispatched map[int]bool
-	confirmed  map[int]bool
-	terminal   bool
-	done       bool
-	errMsg     string
-}
-
 // relaunch is one live recovered job ready to run: either via the
 // normal dispatcher (requeued/adopted) or, when undo is set, via the
 // abort path reversing undo with cause.
@@ -85,111 +76,82 @@ type relaunch struct {
 	cause error
 }
 
-// Recover replays the configured journal and brings every journaled
-// job back: terminal jobs become queryable stubs, untouched jobs are
-// re-admitted, and mid-flight jobs are reconciled against live switch
-// state — adopted and resumed when journal and switches agree, rolled
-// back through the verified reverse-plan path when they don't. Call it
-// after Start (the dispatcher must be running) and after the plan's
-// switches have reconnected (WaitForSwitches): each switch is asked
-// once, and one that is not connected counts as silent, which pushes
-// its job onto the rollback path. ctx bounds the reconciliation only:
-// recovered jobs run on the engine's context and finish asynchronously;
-// Wait on them (or watch /v1/updates) for outcomes. The journal is
-// compacted to the folded live state before any recovered job
-// re-executes.
+// Recover brings back every job of the configured journal, as Open
+// folded it: finished jobs become queryable stubs (the newest
+// retainTerminal of them), untouched jobs are re-admitted, and
+// mid-flight jobs are reconciled against live switch state — adopted
+// and resumed when journal and switches agree, rolled back through the
+// verified reverse-plan path when they don't. Call it after Start (the
+// dispatcher must be running) and after the plan's switches have
+// reconnected (WaitForSwitches): each switch is asked once, and one
+// that is not connected counts as silent, which pushes its job onto the
+// rollback path. ctx bounds the reconciliation only: recovered jobs run
+// on the engine's context and finish asynchronously; Wait on them (or
+// watch /v1/updates) for outcomes. The journal is compacted to the live
+// state before any recovered job re-executes.
 func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	var stats RecoveryStats
 	jl := e.c.cfg.Journal
 	if jl == nil {
 		return stats, nil
 	}
-	recs := jl.Replayed()
-	stats.Replayed = len(recs)
-
-	// Fold the record stream into per-job state.
-	byID := make(map[int]*recoveredJob)
-	var order []*recoveredJob
-	maxID := 0
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Job > maxID {
-			maxID = rec.Job
-		}
-		rj := byID[rec.Job]
-		if rj == nil {
-			rj = &recoveredJob{id: rec.Job, dispatched: make(map[int]bool), confirmed: make(map[int]bool)}
-			byID[rec.Job] = rj
-			order = append(order, rj)
-		}
-		switch rec.Kind {
-		case journal.KindAdmit:
-			rj.admit = rec.Admit
-		case journal.KindDispatched:
-			rj.dispatched[rec.Node] = true
-		case journal.KindDispatchedBatch:
-			for _, n := range rec.Nodes {
-				rj.dispatched[n] = true
-			}
-		case journal.KindConfirmed:
-			rj.confirmed[rec.Node] = true
-		case journal.KindTerminal:
-			rj.terminal = true
-			rj.done = rec.Done
-			rj.errMsg = rec.Error
-		}
-	}
+	st := jl.TakeState()
+	stats.Replayed = st.Frames
+	stats.Terminal = len(st.Finished) + st.Forgotten
 
 	e.mu.Lock()
-	if e.nextID < maxID {
-		e.nextID = maxID
-	}
+	e.nextID = max(e.nextID, st.LastJob)
+	e.evicted += st.Forgotten
 	e.mu.Unlock()
+	for _, f := range st.Finished {
+		var err error
+		if !f.Done {
+			err = errors.New(f.Error)
+		}
+		e.addStub(f.ID, f.Admit, err, nil)
+	}
 
 	var launches []*relaunch
 	var compacted []journal.Record
-	for _, rj := range order {
-		if rj.admit == nil {
-			continue // deltas for a job whose admit record was lost: nothing to rebuild
-		}
-		if rj.terminal {
-			stats.Terminal++
-			e.addStub(rj, nil)
-			continue
-		}
-		if !rj.admit.Recoverable {
+	for i := range st.Live {
+		lj := &st.Live[i]
+		if !lj.Admit.Recoverable {
 			// Joint and two-phase jobs journal no recovery spec; caught
 			// non-terminal they can only be reported failed.
 			stats.Failed++
-			e.addStub(rj, &FailureReport{
+			e.addStub(lj.ID, lj.Admit, nil, &FailureReport{
 				Phase:           PhaseAborted,
 				TriggeringFault: "controller restart: job shape is not recoverable",
 			})
 			continue
 		}
-		job, err := e.rebuildJob(rj)
+		job, err := e.rebuildJob(lj.ID, lj.Admit)
 		if err != nil {
 			stats.Failed++
-			e.c.logger.Warn("recovery: rebuilding job failed", "job", rj.id, "err", err)
-			e.addStub(rj, &FailureReport{
+			e.c.logger.Warn("recovery: rebuilding job failed", "job", lj.ID, "err", err)
+			e.addStub(lj.ID, lj.Admit, nil, &FailureReport{
 				Phase:           PhaseAborted,
 				TriggeringFault: fmt.Sprintf("controller restart: rebuild failed: %v", err),
 			})
 			continue
 		}
 		l := &relaunch{job: job}
+		dispatched := make([]bool, job.plan.len())
+		copy(dispatched, lj.Dispatched)
 		switch {
-		case len(rj.dispatched) == 0:
+		case !slices.Contains(dispatched, true):
 			// Write-ahead discipline: no dispatched record means no
-			// FlowMod left for this job. Re-admit it untouched.
+			// FlowMod left for this job — or, after a power loss, that
+			// what left is an ideal of the plan, which a re-run passes
+			// through again. Re-admit it untouched.
 			stats.Requeued++
-		case e.adoptOrRollback(ctx, rj, l):
+		case e.adoptOrRollback(ctx, l, dispatched, lj.Confirmed):
 			stats.Adopted++
 		default:
 			stats.RolledBack++
 		}
 		launches = append(launches, l)
-		compacted = append(compacted, liveRecords(rj, l)...)
+		compacted = append(compacted, liveRecords(lj, dispatched, l)...)
 	}
 
 	// Admit the live jobs in id order, through the same admission step
@@ -236,29 +198,27 @@ func (e *Engine) Recovery() (RecoveryStats, bool) {
 }
 
 // addStub registers a terminal job reconstructed from the journal — no
-// plan, no trace — so the API keeps answering for it across the restart:
-// among the retained finished jobs, so of a long journal the newest
-// retainTerminal stay. A non-nil report marks the job failed-by-restart
-// regardless of its journaled outcome.
-func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
+// plan, no trace — so the API keeps answering for it across the restart,
+// among the retained finished jobs: JobDone when err is nil, JobFailed
+// with err otherwise. A non-nil report marks the job failed by the
+// restart instead.
+func (e *Engine) addStub(id int, a *journal.Admit, err error, report *FailureReport) {
+	if report != nil {
+		err = fmt.Errorf("controller restart: %s", report.TriggeringFault)
+	}
 	job := &Job{
-		ID:        rj.id,
-		Algorithm: rj.admit.Algorithm,
-		Interval:  rj.admit.Interval,
-		Mode:      ExecMode(rj.admit.Mode),
+		ID:        id,
+		Algorithm: a.Algorithm,
+		Interval:  a.Interval,
+		Mode:      ExecMode(a.Mode),
 		Recovered: true,
+		state:     JobDone,
+		err:       err,
+		failure:   report,
 		done:      make(chan struct{}),
 	}
-	switch {
-	case report != nil:
+	if err != nil {
 		job.state = JobFailed
-		job.err = fmt.Errorf("controller restart: %s", report.TriggeringFault)
-		job.failure = report
-	case rj.done:
-		job.state = JobDone
-	default:
-		job.state = JobFailed
-		job.err = fmt.Errorf("%s", rj.errMsg)
 	}
 	close(job.done)
 	e.mu.Lock()
@@ -273,8 +233,7 @@ func (e *Engine) addStub(rj *recoveredJob, report *FailureReport) {
 // the update instance, the flow match, the journaled execution DAG
 // (update and cleanup nodes alike, with their original dependencies),
 // and the rollback spec.
-func (e *Engine) rebuildJob(rj *recoveredJob) (*Job, error) {
-	a := rj.admit
+func (e *Engine) rebuildJob(id int, a *journal.Admit) (*Job, error) {
 	old := make(topo.Path, len(a.Old))
 	for i, v := range a.Old {
 		old[i] = topo.NodeID(v)
@@ -310,7 +269,7 @@ func (e *Engine) rebuildJob(rj *recoveredJob) (*Job, error) {
 	}
 	job := newJob(ep, SubmitOptions{Interval: a.Interval, Mode: ExecMode(a.Mode)},
 		&rollbackSpec{in: in, match: match, props: core.Property(a.Props)})
-	job.ID = rj.id
+	job.ID = id
 	job.Recovered = true
 	return job, nil
 }
@@ -321,17 +280,14 @@ func nwDstIP(v uint32) net.IP {
 }
 
 // adoptOrRollback decides a mid-flight job's fate from one reconcile
-// against its journaled dispatched set: adopt, with the applied ideal
-// pre-confirmed, or roll back exactly the undo set (filled into l).
-func (e *Engine) adoptOrRollback(ctx context.Context, rj *recoveredJob, l *relaunch) (adopted bool) {
+// against its journaled dispatched set (dense over the plan) and
+// confirmed set: adopt, with the applied ideal pre-confirmed, or roll
+// back exactly the undo set (filled into l).
+func (e *Engine) adoptOrRollback(ctx context.Context, l *relaunch, jdispatched, confirmed []bool) (adopted bool) {
 	job := l.job
 	n := job.plan.len()
-	jdispatched := make([]bool, n)
 	jconfirmed := make([]bool, n)
-	for i := range jdispatched {
-		jdispatched[i] = rj.dispatched[i]
-		jconfirmed[i] = rj.confirmed[i]
-	}
+	copy(jconfirmed, confirmed)
 	r := e.reconcile(ctx, job, jdispatched)
 	if r.silent == 0 && Adoptable(job.plan.dag, r.applied, jconfirmed, jdispatched, r.agentDone) {
 		job.Adopted = true
@@ -485,27 +441,28 @@ func countSet(set []bool) int {
 }
 
 // liveRecords builds a live job's compacted journal records: its
-// admission plus the dispatched/confirmed deltas of its recovered
-// frontier — the applied ideal of an adopted job, the undo set of one
-// rolling back.
-func liveRecords(rj *recoveredJob, l *relaunch) []journal.Record {
-	recs := []journal.Record{{Kind: journal.KindAdmit, Job: rj.id, Admit: rj.admit}}
+// admission plus one dispatched-batch record of its journaled
+// dispatched set and its recovered frontier — the applied ideal of an
+// adopted job, the undo set of one rolling back — with that frontier as
+// its confirmed list.
+func liveRecords(lj *journal.LiveJob, dispatched []bool, l *relaunch) []journal.Record {
+	recs := []journal.Record{{Kind: journal.KindAdmit, Job: lj.ID, Admit: lj.Admit}}
 	front := l.job.preConfirmed
 	if l.undo != nil {
 		front = l.undo
 	}
-	var batch []int // dispatched frontier, ascending: one grouped record
-	for i := 0; i < l.job.plan.len(); i++ {
-		confirmed := i < len(front) && front[i]
-		if rj.dispatched[i] || confirmed {
-			batch = append(batch, i)
+	var nodes, confirmed []int
+	for i := range dispatched {
+		c := i < len(front) && front[i]
+		if dispatched[i] || c {
+			nodes = append(nodes, i)
 		}
-		if confirmed {
-			recs = append(recs, journal.Record{Kind: journal.KindConfirmed, Job: rj.id, Node: i})
+		if c {
+			confirmed = append(confirmed, i)
 		}
 	}
-	if len(batch) > 0 {
-		recs = append(recs, journal.Record{Kind: journal.KindDispatchedBatch, Job: rj.id, Nodes: batch})
+	if len(nodes) > 0 {
+		recs = append(recs, journal.Record{Kind: journal.KindDispatchedBatch, Job: lj.ID, Nodes: nodes, Confirmed: confirmed})
 	}
 	return recs
 }

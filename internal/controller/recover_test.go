@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"os"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,5 +223,82 @@ func TestAdoptable(t *testing.T) {
 		if got := Adoptable(dag, tc.applied, tc.jconfirmed, tc.jdispatched, tc.agentDone); got != tc.want {
 			t.Errorf("%s: Adoptable = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestJournalOneRecordPerWave: a journaled job writes its admit, one
+// dispatched-batch record per release wave and its terminal — no record
+// per confirm — and every confirm rides a later record than the one that
+// dispatched its node: the next wave's, or the terminal. Decentralized,
+// the one wave is the whole plan and every confirm rides the terminal.
+func TestJournalOneRecordPerWave(t *testing.T) {
+	for _, mode := range []ExecMode{ModeController, ModeDecentralized} {
+		t.Run(mode.String(), func(t *testing.T) {
+			jl, err := journal.Open(t.TempDir() + "/journal.wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { jl.Close() })
+			var mu sync.Mutex
+			var recs []journal.Record
+			jl.SetOnAppend(func(r journal.Record) {
+				// The engine reuses the lists' arrays once the append returns.
+				r.Nodes, r.Confirmed = slices.Clone(r.Nodes), slices.Clone(r.Confirmed)
+				mu.Lock()
+				recs = append(recs, r)
+				mu.Unlock()
+			})
+			g := topo.Fig1()
+			tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := tb.ctrl.InstallPath(ctx, topo.Fig1OldPath, flowMatch("10.0.0.2"), "h2"); err != nil {
+				t.Fatal(err)
+			}
+			in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+			sched, err := core.WayUp(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			waves := job.NumRounds()
+			if mode == ModeDecentralized {
+				waves = 1
+			}
+			if len(recs) != waves+2 || recs[0].Kind != journal.KindAdmit || recs[len(recs)-1].Kind != journal.KindTerminal {
+				t.Fatalf("journaled %d records %v, want admit, %d waves, terminal", len(recs), recs, waves)
+			}
+			dispatchedAt := make(map[int]int) // node -> index of its dispatched record
+			confirmed := 0
+			for k, r := range recs[1:] {
+				if k < waves && r.Kind != journal.KindDispatchedBatch {
+					t.Fatalf("record %d is %v, want a dispatched batch", k+1, r.Kind)
+				}
+				for _, i := range r.Confirmed {
+					if at, ok := dispatchedAt[i]; !ok || at >= k+1 {
+						t.Fatalf("node %d confirmed in record %d, dispatched in %v", i, k+1, at)
+					}
+					confirmed++
+				}
+				for _, i := range r.Nodes {
+					dispatchedAt[i] = k + 1
+				}
+			}
+			if n := job.NumInstalls(); len(dispatchedAt) != n || confirmed != n {
+				t.Fatalf("%d nodes dispatched and %d confirms journaled, want %d each", len(dispatchedAt), confirmed, n)
+			}
+			if mode == ModeDecentralized && len(recs[2].Confirmed) != job.NumInstalls() {
+				t.Fatalf("decentralized terminal carries %d confirms, want all %d", len(recs[2].Confirmed), job.NumInstalls())
+			}
+		})
 	}
 }

@@ -4,21 +4,26 @@
 // were queued, which were mid-flight (and how far their dispatched and
 // confirmed frontiers had advanced), and which had already retired.
 //
-// The record taxonomy mirrors the engine's lifecycle:
+// The engine writes three records per job, whatever its size:
 //
 //   - admit: the job's full recovery spec, written before anything is
 //     dispatched — id, algorithm, interval, mode, and (for recoverable
 //     single-flow jobs) the update instance, the flow match, the
 //     property set, and the execution DAG in the canonical plan codec,
 //     plus which DAG nodes are cleanup nodes.
-//   - dispatched / confirmed: one per-node delta each, appended the
-//     moment the engine marks the node dispatched (write-ahead: the
-//     record hits the file before the FlowMod leaves) or confirmed.
-//     When one barrier reply releases a whole frontier, the engine
-//     groups the newly-ready nodes into a single dispatched-batch
-//     record — one append and one fsync window instead of k — that
-//     replays exactly like k per-node dispatched deltas.
-//   - terminal: the job retired (done, or failed with an error).
+//   - dispatched-batch: one per release wave, appended before any of
+//     the wave's FlowMods leave (write-ahead), naming the wave's nodes.
+//     It also carries, as an optional trailing list, the installs the
+//     job confirmed since its previous record: a confirm is only a lower
+//     bound on what took effect (a restart asks the switches), so it
+//     rides the next record instead of costing one of its own. At the
+//     instant a dispatched record lands, the journal holds exactly the
+//     confirms that arrived before it.
+//   - terminal: the job retired (done, or failed with an error), with
+//     the confirms no earlier record carried.
+//
+// The per-node dispatched and confirmed records of older journals still
+// decode, and fold like a batch of one.
 //
 // Framing follows the house codec style (canonical uvarints, strict
 // decoding): each record is `uvarint(len(payload)) || payload ||
@@ -26,12 +31,23 @@
 // the longest valid prefix — a torn tail (truncated frame, bad CRC,
 // malformed payload) ends replay without error, exactly the state a
 // kill -9 mid-append leaves behind — and Open truncates the tail so
-// new appends continue from the last intact record.
+// new appends continue from the last intact record. An append that
+// fails partway is cut off the same way before anything follows it.
 //
-// Appends are fsync-batched: admit and terminal records sync
-// immediately (they gate correctness decisions on restart), per-node
-// deltas sync every syncEvery appends. The delta append path is
-// allocation-free in steady state (see the alloc pin in the tests).
+// Durability: admit and terminal records are on disk before Append
+// returns; deltas are fsynced once syncEvery plan nodes have been
+// appended since the last fsync. Every append's fsync runs in one
+// function, commit, one at a time and without the append lock: a
+// committer queued behind an fsync often finds its bytes covered by
+// it, and otherwise syncs for everyone queued behind it — group commit,
+// without a goroutine of its own. The delta append path allocates
+// nothing in steady state.
+//
+// Open folds as it reads: it checks every frame and folds the records
+// straight into per-job State — the live jobs with their dispatched and
+// confirmed sets, and the newest RetainFinished finished jobs — so what
+// a restart allocates beyond the file's bytes grows with live jobs, not
+// with history.
 package journal
 
 import (
@@ -41,6 +57,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -55,14 +73,17 @@ var magic = [5]byte{'T', 'S', 'U', 'J', 1}
 type Kind uint8
 
 const (
-	KindAdmit      Kind = 1
+	KindAdmit Kind = 1
+	// KindDispatched and KindConfirmed are the per-node deltas of older
+	// journals; they decode and fold, and the engine no longer writes
+	// them.
 	KindDispatched Kind = 2
 	KindConfirmed  Kind = 3
 	KindTerminal   Kind = 4
-	// KindDispatchedBatch is a grouped dispatched delta: one record (and
-	// one fsync window) covering every node a single barrier reply
-	// released, semantically identical to that many KindDispatched
-	// records in ascending node order.
+	// KindDispatchedBatch is a release wave's write-ahead record: its
+	// nodes, semantically identical to that many KindDispatched records
+	// in ascending node order, plus the confirms since the job's
+	// previous record.
 	KindDispatchedBatch Kind = 5
 )
 
@@ -125,10 +146,15 @@ type Record struct {
 	// Node is the plan-node index of dispatched/confirmed deltas.
 	Node int
 
-	// Nodes are the plan-node indices of a grouped dispatched delta,
-	// strictly ascending (the codec delta-encodes gaps, like
-	// Admit.Cleanup).
+	// Nodes are the plan-node indices of a dispatched batch, strictly
+	// ascending (the codec delta-encodes gaps, like Admit.Cleanup).
 	Nodes []int
+
+	// Confirmed are the plan-node indices the job confirmed since its
+	// previous record, strictly ascending. Dispatched-batch and terminal
+	// records carry them, as a trailing list written only when
+	// non-empty.
+	Confirmed []int
 
 	// Done and Error describe terminal records.
 	Done  bool
@@ -138,74 +164,100 @@ type Record struct {
 	Admit *Admit
 }
 
-// syncEvery batches fsyncs on the delta path: at most this many
-// dispatched/confirmed appends ride between two syncs. Admit and
-// terminal records always sync.
+// syncEvery batches fsyncs on the delta path: at most this many plan
+// nodes, dispatched or confirmed, are appended between two syncs. Admit
+// and terminal records always sync.
 const syncEvery = 32
 
 // Journal is an open write-ahead journal. Safe for concurrent use.
 type Journal struct {
-	mu       sync.Mutex
+	// syncMu is held across every fsync of the file and by Compact and
+	// Close, and is taken before mu. mu guards the fields below and is
+	// never held across an append's fsync, so appends go on during one.
+	syncMu sync.Mutex
+	mu     sync.Mutex
+
 	f        *os.File
 	path     string
+	gen      int    // bumped by each Compact: which file size and durable measure
 	buf      []byte // reused append scratch: frame head + payload + crc
-	size     int64
-	unsynced int
+	size     int64  // the file's length: every byte appended
+	durable  int64  // the file's length when the last completed fsync began
+	unsynced int    // delta nodes appended since the last fsync began
+	syncs    int    // fsyncs commit has run
+	err      error  // a failure no later append can outlive (see write, commit, Compact)
 	crashed  bool
-	replayed []Record
+	state    State // what Open folded, until TakeState
 	onAppend func(Record)
 }
 
-// Open opens (or creates) the journal at path, replays the longest
-// valid record prefix, and truncates any torn tail so appends continue
-// from the last intact record. The replayed records are available via
-// Replayed.
+// errCompacted is returned for records a Compact replaced before an
+// fsync reached them: they are not in the file a restart reads.
+var errCompacted = errors.New("journal: records replaced by a compaction before they were synced")
+
+// dirSync makes a rename in a directory durable; a variable, so tests
+// can make it fail as some filesystems do.
+var dirSync = (*os.File).Sync
+
+// Open opens (or creates) the journal at path, folds the longest valid
+// record prefix into State (see TakeState), and truncates any torn
+// tail so appends continue from the last intact record.
 func Open(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
+	fail := func(err error) (*Journal, error) {
 		f.Close() //nolint:errcheck // already failing
-		return nil, fmt.Errorf("journal: read: %w", err)
+		return nil, err
+	}
+	data, err := readFile(f)
+	if err != nil {
+		return fail(fmt.Errorf("journal: read: %w", err))
 	}
 	j := &Journal{f: f, path: path}
 	if len(data) == 0 {
 		if _, err := f.Write(magic[:]); err != nil {
-			f.Close() //nolint:errcheck // already failing
-			return nil, fmt.Errorf("journal: writing header: %w", err)
+			return fail(fmt.Errorf("journal: writing header: %w", err))
 		}
-		j.size = int64(len(magic))
+		j.size, j.durable = int64(len(magic)), int64(len(magic))
 		return j, nil
 	}
-	recs, valid, err := Replay(data)
+	st, valid, err := fold(data)
 	if err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return nil, err
+		return fail(err)
 	}
 	if valid < len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close() //nolint:errcheck // already failing
-			return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+			return fail(fmt.Errorf("journal: truncating torn tail: %w", err))
 		}
 	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return nil, fmt.Errorf("journal: seek: %w", err)
-	}
-	j.size = int64(valid)
-	j.replayed = recs
+	j.size, j.durable = int64(valid), int64(valid)
+	j.state = st
 	return j, nil
 }
 
-// Replay decodes records from raw journal bytes, returning the decoded
-// records and the byte length of the valid prefix. A short or corrupt
-// header is an error; a torn tail after a valid header is not — replay
-// simply stops there. Replay never panics on adversarial input.
-func Replay(data []byte) (recs []Record, valid int, err error) {
+// readFile reads f whole into one buffer of the file's size.
+func readFile(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, data)
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		err = nil // the file shrank under us: what was read is the file
+	}
+	return data[:n], err
+}
+
+// frames walks the records after data's header, handing each intact
+// frame's payload to fn, and returns the byte length of the valid
+// prefix: the walk stops at a torn length, payload or CRC, and at a
+// payload fn refuses. A short or corrupt header is an error.
+func frames(data []byte, fn func(payload []byte) bool) (valid int, err error) {
 	if len(data) < len(magic) || [5]byte(data[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("journal: bad header: %w", ErrJournal)
+		return 0, fmt.Errorf("journal: bad header: %w", ErrJournal)
 	}
 	off := len(magic)
 	for off < len(data) {
@@ -218,26 +270,32 @@ func Replay(data []byte) (recs []Record, valid int, err error) {
 			break // torn payload or CRC
 		}
 		payload := data[head : head+int(n)]
-		want := binary.BigEndian.Uint32(data[head+int(n):])
-		if crc32.ChecksumIEEE(payload) != want {
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[head+int(n):]) {
 			break // corrupt frame
 		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
+		if !fn(payload) {
 			break // well-framed garbage: still a torn tail, not a panic
 		}
-		recs = append(recs, rec)
 		off = head + int(n) + 4
 	}
-	return recs, off, nil
+	return off, nil
 }
 
-// Replayed returns the records Open recovered from the file, in append
-// order. The slice is owned by the journal; do not mutate.
-func (j *Journal) Replayed() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replayed
+// Replay decodes records from raw journal bytes, returning the decoded
+// records and the byte length of the valid prefix. A short or corrupt
+// header is an error; a torn tail after a valid header is not — replay
+// simply stops there. Replay never panics on adversarial input. It is
+// the record-by-record view of what Open folds.
+func Replay(data []byte) (recs []Record, valid int, err error) {
+	valid, err = frames(data, func(payload []byte) bool {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return false
+		}
+		recs = append(recs, rec)
+		return true
+	})
+	return recs, valid, err
 }
 
 // Path returns the journal's file path.
@@ -248,6 +306,16 @@ func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
+}
+
+// TakeState returns what Open folded the file's records into, once:
+// the journal lets go of it, and a later call returns the zero State.
+func (j *Journal) TakeState() State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := j.state
+	j.state = State{}
+	return st
 }
 
 // SetOnAppend installs a hook invoked after each record is appended,
@@ -278,48 +346,143 @@ func (j *Journal) Crash() {
 	j.crashed = true
 }
 
-// Append journals one record. Admit and terminal records sync to disk
-// before returning; per-node deltas are write-through to the OS but
+// PowerLoss simulates the machine losing power at this instant: Crash,
+// and the file also loses every byte appended after the last completed
+// fsync began — what the OS may still have held in its page cache. Test
+// instrumentation, like Crash.
+func (j *Journal) PowerLoss() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.crashed = true
+	j.f.Truncate(j.durable) //nolint:errcheck // the simulated machine is gone either way
+	j.size = j.durable
+}
+
+// Append journals one record. Admit and terminal records are on disk
+// before it returns; deltas are write-through to the OS but
 // fsync-batched. The delta path reuses the journal's scratch buffer
 // and allocates nothing in steady state.
 func (j *Journal) Append(rec Record) error {
+	return j.AppendAll([]Record{rec})
+}
+
+// AppendAll journals recs in one write, as Append would one by one:
+// the whole group is committed by one fsync when any of it must be,
+// and the append hook sees each record in order.
+func (j *Journal) AppendAll(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	j.mu.Lock()
-	if j.crashed {
-		j.mu.Unlock()
-		return ErrCrashed
-	}
-	j.buf = appendRecord(j.buf[:0], rec)
-	if _, err := j.f.Write(j.buf); err != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	j.size += int64(len(j.buf))
-	j.unsynced++
-	if rec.Kind == KindAdmit || rec.Kind == KindTerminal || j.unsynced >= syncEvery {
-		if err := j.f.Sync(); err != nil {
-			j.mu.Unlock()
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-		j.unsynced = 0
-	}
-	fn := j.onAppend
+	commit, err := j.write(recs)
+	gen, end, fn := j.gen, j.size, j.onAppend
 	j.mu.Unlock()
+	if commit && err == nil {
+		err = j.commit(gen, end)
+	}
+	if err != nil {
+		return err
+	}
 	if fn != nil {
-		fn(rec)
+		for i := range recs {
+			fn(recs[i])
+		}
 	}
 	return nil
 }
 
-// Sync flushes batched delta appends to disk.
-func (j *Journal) Sync() error {
+// write appends recs to the file and reports whether they must be
+// committed before the append returns: an admit or terminal is among
+// them, or syncEvery delta nodes were appended since the last fsync.
+// Caller holds j.mu.
+func (j *Journal) write(recs []Record) (commit bool, err error) {
+	if err := j.usable(j.gen); err != nil {
+		return false, err
+	}
+	j.buf = j.buf[:0]
+	durable, nodes := false, 0
+	for i := range recs {
+		j.buf = appendRecord(j.buf, recs[i])
+		switch rec := &recs[i]; rec.Kind {
+		case KindAdmit, KindTerminal:
+			durable = true
+		case KindDispatchedBatch:
+			nodes += len(rec.Nodes) + len(rec.Confirmed)
+		default:
+			nodes++
+		}
+	}
+	if _, err := j.f.Write(j.buf); err != nil {
+		// A short write leaves part of a frame behind, and replay stops
+		// at a torn frame: whatever was appended after it would be lost.
+		// Cut the file back to its last whole record — or, failing that,
+		// append nothing more.
+		if terr := j.f.Truncate(j.size); terr != nil {
+			j.err = fmt.Errorf("journal: cutting off a failed append: %w", terr)
+		}
+		return false, fmt.Errorf("journal: append: %w", err)
+	}
+	j.size += int64(len(j.buf))
+	j.unsynced += nodes
+	return durable || j.unsynced >= syncEvery, nil
+}
+
+// usable returns why nothing more can be appended to or committed on
+// generation gen of the file, if anything. Caller holds j.mu.
+func (j *Journal) usable(gen int) error {
+	switch {
+	case j.crashed:
+		return ErrCrashed
+	case j.err != nil:
+		return j.err
+	case j.gen != gen:
+		return errCompacted
+	}
+	return nil
+}
+
+// commit returns once the first end bytes of generation gen of the file
+// are on disk. It is the only place an append's fsync runs, and fsyncs
+// run one at a time, under syncMu: each covers every byte written before
+// it began, so a committer that queued behind one usually finds its
+// bytes covered and returns, and otherwise syncs all that is written so
+// far, for the committers queued behind it. Caller holds neither lock.
+// A failed fsync fails every later append: after one, the OS may have
+// dropped the pages it could not write, and no retry can tell.
+func (j *Journal) commit(gen int, end int64) error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	if err := j.usable(gen); err != nil || j.durable >= end {
+		j.mu.Unlock()
+		return err
+	}
+	f, upTo := j.f, j.size
+	j.unsynced = 0
+	j.syncs++
+	j.mu.Unlock()
+	err := f.Sync()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.crashed || j.unsynced == 0 {
-		return nil
+	switch {
+	case err != nil:
+		j.err = fmt.Errorf("journal: sync: %w", err)
+		return j.err
+	case j.crashed:
+		return ErrCrashed // the machine died mid-fsync: nothing it covered counts
 	}
-	j.unsynced = 0
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+	j.durable = upTo
+	return nil
+}
+
+// Sync flushes batched delta appends to disk. After Crash it does
+// nothing.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	gen, end := j.gen, j.size
+	j.mu.Unlock()
+	if err := j.commit(gen, end); !errors.Is(err, ErrCrashed) {
+		return err
 	}
 	return nil
 }
@@ -328,15 +491,20 @@ func (j *Journal) Sync() error {
 // records — the snapshot+truncate step a recovered controller runs
 // once the replayed state has been folded, so the file stays
 // proportional to live state instead of total history. The replacement
-// is crash-safe: records are written to a temp file, synced, and
-// renamed over the journal.
+// survives a power loss: records are written to a temp file, synced,
+// renamed over the journal, and the rename is made durable by syncing
+// the directory. Records appended before Compact and not yet synced are
+// replaced with the rest: the commit waiting for them fails.
 func (j *Journal) Compact(recs []Record) error {
+	j.syncMu.Lock() // no fsync in flight on the file about to be replaced
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.crashed {
 		return nil
 	}
-	tmp, err := os.CreateTemp(dirOf(j.path), ".journal-compact-*")
+	dir := filepath.Dir(j.path)
+	tmp, err := os.CreateTemp(dir, ".journal-compact-*")
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
@@ -359,35 +527,41 @@ func (j *Journal) Compact(recs []Record) error {
 	if err := os.Rename(tmp.Name(), j.path); err != nil {
 		return fmt.Errorf("journal: compact rename: %w", err)
 	}
+	// From here on the path names the compacted file. An append to the
+	// old one would land in a file no restart reads, so every failure
+	// below fails all later appends.
 	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: compact reopen: %w", err)
+		j.err = fmt.Errorf("journal: compact reopen: %w", err)
+		return j.err
 	}
 	j.f.Close() //nolint:errcheck // superseded by the compacted file
-	j.f = f
-	j.size = int64(len(buf))
+	j.f, j.gen = f, j.gen+1
+	j.size, j.durable = int64(len(buf)), int64(len(buf))
 	j.unsynced = 0
-	return nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
+	// Until the directory is on disk, a power loss can bring the old
+	// file back — without the appends made after this compaction.
+	d, err := os.Open(dir)
+	if err == nil {
+		err = dirSync(d)
+		d.Close() //nolint:errcheck // read-only handle
 	}
-	return "."
+	if err != nil {
+		j.err = fmt.Errorf("journal: compact dir sync: %w", err)
+		return j.err
+	}
+	return nil
 }
 
 // Close flushes and closes the journal.
 func (j *Journal) Close() error {
+	j.Sync() //nolint:errcheck // best effort on close
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
-	}
-	if !j.crashed && j.unsynced > 0 {
-		j.f.Sync() //nolint:errcheck // best effort on close
 	}
 	err := j.f.Close()
 	j.f = nil
@@ -403,7 +577,7 @@ func appendRecord(buf []byte, rec Record) []byte {
 	// pass, no second buffer.
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	payloadStart := len(buf)
-	buf = appendPayload(buf, rec)
+	buf = appendPayload(buf, &rec)
 	payload := buf[payloadStart:]
 	var head [10]byte
 	hn := binary.PutUvarint(head[:], uint64(len(payload)))
@@ -416,23 +590,15 @@ func appendRecord(buf []byte, rec Record) []byte {
 }
 
 // appendPayload encodes a record's payload (kind byte first).
-func appendPayload(buf []byte, rec Record) []byte {
+func appendPayload(buf []byte, rec *Record) []byte {
 	buf = append(buf, byte(rec.Kind))
 	buf = binary.AppendUvarint(buf, uint64(rec.Job))
 	switch rec.Kind {
 	case KindDispatched, KindConfirmed:
 		buf = binary.AppendUvarint(buf, uint64(rec.Node))
 	case KindDispatchedBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Nodes)))
-		prev := -1
-		for _, idx := range rec.Nodes {
-			if prev < 0 {
-				buf = binary.AppendUvarint(buf, uint64(idx))
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(idx-prev-1))
-			}
-			prev = idx
-		}
+		buf = appendIndices(buf, rec.Nodes)
+		buf = appendTrailing(buf, rec.Confirmed)
 	case KindTerminal:
 		done := byte(0)
 		if rec.Done {
@@ -441,6 +607,7 @@ func appendPayload(buf []byte, rec Record) []byte {
 		buf = append(buf, done)
 		buf = binary.AppendUvarint(buf, uint64(len(rec.Error)))
 		buf = append(buf, rec.Error...)
+		buf = appendTrailing(buf, rec.Confirmed)
 	case KindAdmit:
 		a := rec.Admit
 		buf = binary.AppendUvarint(buf, uint64(len(a.Algorithm)))
@@ -464,18 +631,7 @@ func appendPayload(buf []byte, rec Record) []byte {
 			buf = binary.AppendUvarint(buf, a.Waypoint)
 			buf = binary.BigEndian.AppendUint32(buf, a.NWDst)
 			buf = binary.AppendUvarint(buf, a.Props)
-			// Cleanup indices delta-encoded like the plan codec's deps:
-			// first absolute, then gaps minus one.
-			buf = binary.AppendUvarint(buf, uint64(len(a.Cleanup)))
-			prev := -1
-			for _, idx := range a.Cleanup {
-				if prev < 0 {
-					buf = binary.AppendUvarint(buf, uint64(idx))
-				} else {
-					buf = binary.AppendUvarint(buf, uint64(idx-prev-1))
-				}
-				prev = idx
-			}
+			buf = appendIndices(buf, a.Cleanup)
 			buf = binary.AppendUvarint(buf, uint64(len(a.Plan)))
 			buf = append(buf, a.Plan...)
 		}
@@ -483,88 +639,108 @@ func appendPayload(buf []byte, rec Record) []byte {
 	return buf
 }
 
-// maxList bounds decoded list lengths (paths, cleanup sets, plan and
+// appendIndices encodes an ascending index list like the plan codec's
+// deps: its length, then the first index absolute and every later one
+// as its gap to the previous minus one.
+func appendIndices(buf []byte, idx []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(idx)))
+	for k, i := range idx {
+		if k > 0 {
+			i -= idx[k-1] + 1
+		}
+		buf = binary.AppendUvarint(buf, uint64(i))
+	}
+	return buf
+}
+
+// appendTrailing encodes an optional trailing index list: nothing at
+// all when it is empty, so a record without one keeps its old bytes.
+func appendTrailing(buf []byte, idx []int) []byte {
+	if len(idx) == 0 {
+		return buf
+	}
+	return appendIndices(buf, idx)
+}
+
+// maxList bounds decoded list lengths (paths, index lists, plan and
 // error byte lengths) against adversarial payloads.
 const maxList = 1 << 26
 
-// decodeRecord parses one record payload with the house sticky-cursor
-// discipline: canonical uvarints only, trailing bytes rejected.
+// decodeRecord parses one record payload into a Record of its own.
 func decodeRecord(payload []byte) (Record, error) {
+	var rec Record
+	err := decodeInto(&rec, payload, true)
+	return rec, err
+}
+
+// decodeInto parses one record payload into rec with the house
+// sticky-cursor discipline: canonical uvarints only, every flag byte
+// one of its encodings, trailing bytes rejected — so every record has
+// exactly one byte representation (decode→encode identity). With own
+// set, rec gets lists and strings of its own. Without, decodeInto
+// allocates nothing once rec's lists have grown: they reuse rec's
+// arrays, and rec.Admit, whatever the kind (fields another kind has
+// keep their arrays and mean nothing); Admit.Plan aliases the payload;
+// Error and Admit.Algorithm stay empty — a fold decodes the payloads it
+// keeps again, with own set.
+func decodeInto(rec *Record, payload []byte, own bool) error {
 	d := decoder{buf: payload}
-	rec := Record{Kind: Kind(d.byte())}
-	rec.Job = int(d.uvarint())
+	if own {
+		*rec = Record{}
+	}
+	*rec = Record{Kind: Kind(d.byte()), Job: int(d.uvarint()),
+		Nodes: rec.Nodes[:0], Confirmed: rec.Confirmed[:0], Admit: rec.Admit}
 	switch rec.Kind {
 	case KindDispatched, KindConfirmed:
 		rec.Node = int(d.uvarint())
 	case KindDispatchedBatch:
-		n := d.uvarint()
-		if n > maxList {
-			return rec, fmt.Errorf("journal: %d-node dispatch batch: %w", n, ErrJournal)
-		}
-		prev := -1
-		for i := 0; i < int(n) && d.err == nil; i++ {
-			// Wrapping int arithmetic on both sides keeps decode→encode
-			// identity even for adversarial out-of-range gaps.
-			prev += int(d.uvarint()) + 1
-			rec.Nodes = append(rec.Nodes, prev)
-		}
+		rec.Nodes = d.indices(rec.Nodes)
+		rec.Confirmed = d.trailing(rec.Confirmed)
 	case KindTerminal:
-		rec.Done = d.byte() == 1
-		n := d.uvarint()
-		if n > maxList {
-			return rec, fmt.Errorf("journal: %d-byte error string: %w", n, ErrJournal)
+		rec.Done = d.flag()
+		msg := d.take(d.length())
+		if own {
+			rec.Error = string(msg)
 		}
-		rec.Error = string(d.take(int(n)))
+		rec.Confirmed = d.trailing(rec.Confirmed)
 	case KindAdmit:
-		a := &Admit{}
-		n := d.uvarint()
-		if n > maxList {
-			return rec, fmt.Errorf("journal: %d-byte algorithm: %w", n, ErrJournal)
+		a := rec.Admit
+		if a == nil {
+			a = &Admit{}
+		} else {
+			*a = Admit{Old: a.Old[:0], New: a.New[:0], Cleanup: a.Cleanup[:0]}
 		}
-		a.Algorithm = string(d.take(int(n)))
+		alg := d.take(d.length())
+		if own {
+			a.Algorithm = string(alg)
+		}
 		a.Interval = time.Duration(d.uvarint())
 		a.Mode = d.byte()
-		flags := d.byte()
-		a.Recoverable = flags&1 != 0
-		if a.Recoverable {
-			a.Old = d.idList()
-			a.New = d.idList()
+		if a.Recoverable = d.flag(); a.Recoverable {
+			a.Old = d.ids(a.Old)
+			a.New = d.ids(a.New)
 			a.Waypoint = d.uvarint()
 			if b := d.take(4); b != nil {
 				a.NWDst = binary.BigEndian.Uint32(b)
 			}
 			a.Props = d.uvarint()
-			cn := d.uvarint()
-			if cn > maxList {
-				return rec, fmt.Errorf("journal: %d cleanup nodes: %w", cn, ErrJournal)
+			a.Cleanup = d.indices(a.Cleanup)
+			a.Plan = d.take(d.length())
+			if own {
+				a.Plan = append([]byte(nil), a.Plan...)
 			}
-			prev := -1
-			for i := 0; i < int(cn) && d.err == nil; i++ {
-				v := int(d.uvarint())
-				if prev < 0 {
-					prev = v
-				} else {
-					prev += v + 1
-				}
-				a.Cleanup = append(a.Cleanup, prev)
-			}
-			pn := d.uvarint()
-			if pn > maxList {
-				return rec, fmt.Errorf("journal: %d-byte plan: %w", pn, ErrJournal)
-			}
-			a.Plan = append([]byte(nil), d.take(int(pn))...)
 		}
 		rec.Admit = a
 	default:
-		return rec, fmt.Errorf("journal: record kind %d: %w", rec.Kind, ErrJournal)
+		return fmt.Errorf("journal: record kind %d: %w", rec.Kind, ErrJournal)
 	}
 	if d.err != nil {
-		return rec, d.err
+		return d.err
 	}
 	if d.off != len(d.buf) {
-		return rec, fmt.Errorf("journal: %d trailing bytes: %w", len(d.buf)-d.off, ErrJournal)
+		return fmt.Errorf("journal: %d trailing bytes: %w", len(d.buf)-d.off, ErrJournal)
 	}
-	return rec, nil
+	return nil
 }
 
 // decoder is the sticky-error cursor of the house codec style. Unlike
@@ -600,6 +776,15 @@ func (d *decoder) byte() byte {
 	return b[0]
 }
 
+// flag reads a boolean byte: 0 or 1, nothing else.
+func (d *decoder) flag() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail()
+	}
+	return b == 1
+}
+
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -613,15 +798,218 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) idList() []uint64 {
+// length reads a list or byte-string length, bounded by maxList.
+func (d *decoder) length() int {
 	n := d.uvarint()
 	if n > maxList {
 		d.fail()
-		return nil
+		return 0
 	}
-	var out []uint64
-	for i := 0; i < int(n) && d.err == nil; i++ {
-		out = append(out, d.uvarint())
+	return int(n)
+}
+
+// ids decodes a length-prefixed uvarint list onto dst.
+func (d *decoder) ids(dst []uint64) []uint64 {
+	n := d.length()
+	for i := 0; i < n && d.err == nil; i++ {
+		dst = append(dst, d.uvarint())
 	}
-	return out
+	return dst
+}
+
+// indices decodes an appendIndices list onto dst. Wrapping int
+// arithmetic on both sides keeps decode→encode identity even for
+// adversarial out-of-range gaps.
+func (d *decoder) indices(dst []int) []int {
+	n := d.length()
+	prev := -1
+	for i := 0; i < n && d.err == nil; i++ {
+		prev += int(d.uvarint()) + 1
+		dst = append(dst, prev)
+	}
+	return dst
+}
+
+// trailing decodes an appendTrailing list onto dst: absent when the
+// payload ends here, and never empty when present.
+func (d *decoder) trailing(dst []int) []int {
+	if d.err != nil || d.off == len(d.buf) {
+		return dst
+	}
+	if d.buf[d.off] == 0 {
+		d.fail() // an empty list is written as no list
+		return dst
+	}
+	return d.indices(dst)
+}
+
+// RetainFinished is how many finished jobs a fold keeps: the newest,
+// the ones a restarted controller keeps answering for.
+const RetainFinished = 1024
+
+// maxNode bounds the plan-node indices a fold keeps sets of: no plan
+// the codec decodes has more nodes, so a larger index names none.
+const maxNode = 1 << 20
+
+// State is what Open folded a journal's records into.
+type State struct {
+	// Frames counts the intact records read.
+	Frames int
+	// LastJob is the highest job id any record names.
+	LastJob int
+	// Live lists the admitted jobs with no terminal record, by id.
+	Live []LiveJob
+	// Finished lists the newest RetainFinished jobs with a terminal
+	// record, in the order they finished.
+	Finished []FinishedJob
+	// Forgotten counts the finished jobs older than those.
+	Forgotten int
+}
+
+// LiveJob is an unfinished job as its records left it.
+type LiveJob struct {
+	ID    int
+	Admit *Admit
+	// Dispatched and Confirmed are the journaled node sets, indexed by
+	// plan node and as long as their highest member plus one.
+	Dispatched, Confirmed []bool
+}
+
+// FinishedJob is a job whose terminal record was read.
+type FinishedJob struct {
+	ID    int
+	Admit *Admit
+	Done  bool
+	Error string
+}
+
+// folder is one fold's state. Records name jobs by id; a job exists
+// from its admit record on — records of a job not admitted (or
+// finished) before them are dropped — and leaves the live set on its
+// terminal record. Payloads alias the file's bytes and are decoded for
+// good only for the jobs the fold returns.
+type folder struct {
+	st   State
+	live map[int]*liveFold
+	free []*liveFold    // finished jobs' states, for reuse
+	done []finishedFold // ring of the newest finished jobs
+	head int            // done's oldest entry once it is full
+	rec  Record         // decode scratch
+}
+
+type liveFold struct {
+	id                    int
+	admit                 []byte // the admit record's payload
+	dispatched, confirmed []bool
+}
+
+type finishedFold struct {
+	id              int
+	admit, terminal []byte // payloads
+}
+
+// fold folds data's valid record prefix (see frames) into State.
+func fold(data []byte) (State, int, error) {
+	f := folder{live: make(map[int]*liveFold)}
+	valid, err := frames(data, f.add)
+	if err != nil {
+		return State{}, 0, err
+	}
+	return f.result(), valid, nil
+}
+
+// add folds one payload, or refuses it as malformed.
+func (f *folder) add(payload []byte) bool {
+	rec := &f.rec
+	if decodeInto(rec, payload, false) != nil {
+		return false
+	}
+	f.st.Frames++
+	f.st.LastJob = max(f.st.LastJob, rec.Job)
+	lj := f.live[rec.Job]
+	switch {
+	case rec.Kind == KindAdmit:
+		if lj == nil {
+			lj = f.admit(rec.Job)
+		}
+		lj.admit = payload
+	case lj == nil:
+	case rec.Kind == KindDispatched:
+		lj.dispatched = mark(lj.dispatched, rec.Node)
+	case rec.Kind == KindConfirmed:
+		lj.confirmed = mark(lj.confirmed, rec.Node)
+	case rec.Kind == KindDispatchedBatch:
+		for _, i := range rec.Nodes {
+			lj.dispatched = mark(lj.dispatched, i)
+		}
+		for _, i := range rec.Confirmed {
+			lj.confirmed = mark(lj.confirmed, i)
+		}
+	case rec.Kind == KindTerminal:
+		f.finish(lj, payload)
+	}
+	return true
+}
+
+// admit makes job id live, on a finished job's recycled state if any.
+func (f *folder) admit(id int) *liveFold {
+	var lj *liveFold
+	if n := len(f.free); n > 0 {
+		lj, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		lj = &liveFold{}
+	}
+	lj.id = id
+	f.live[id] = lj
+	return lj
+}
+
+// finish moves a live job to the ring of finished ones, where it
+// replaces the oldest once the ring is full.
+func (f *folder) finish(lj *liveFold, terminal []byte) {
+	fin := finishedFold{id: lj.id, admit: lj.admit, terminal: terminal}
+	if len(f.done) < RetainFinished {
+		f.done = append(f.done, fin)
+	} else {
+		f.done[f.head] = fin
+		f.head = (f.head + 1) % len(f.done)
+		f.st.Forgotten++
+	}
+	delete(f.live, lj.id)
+	clear(lj.dispatched)
+	clear(lj.confirmed)
+	lj.dispatched, lj.confirmed = lj.dispatched[:0], lj.confirmed[:0]
+	f.free = append(f.free, lj)
+}
+
+// mark adds plan node i to set, growing it as needed.
+func mark(set []bool, i int) []bool {
+	if i < 0 || i >= maxNode {
+		return set
+	}
+	if i >= len(set) {
+		set = slices.Grow(set, i+1-len(set))[:i+1]
+	}
+	set[i] = true
+	return set
+}
+
+// result decodes the kept jobs' payloads for good. They were decoded
+// once already, so they cannot fail now.
+func (f *folder) result() State {
+	st := f.st
+	st.Live = make([]LiveJob, 0, len(f.live))
+	for _, lj := range f.live {
+		a, _ := decodeRecord(lj.admit) //nolint:errcheck // see above
+		st.Live = append(st.Live, LiveJob{ID: lj.id, Admit: a.Admit, Dispatched: lj.dispatched, Confirmed: lj.confirmed})
+	}
+	slices.SortFunc(st.Live, func(a, b LiveJob) int { return a.ID - b.ID })
+	st.Finished = make([]FinishedJob, len(f.done))
+	for i := range st.Finished {
+		fin := &f.done[(f.head+i)%len(f.done)]
+		a, _ := decodeRecord(fin.admit)    //nolint:errcheck // see above
+		t, _ := decodeRecord(fin.terminal) //nolint:errcheck // see above
+		st.Finished[i] = FinishedJob{ID: fin.id, Admit: a.Admit, Done: t.Done, Error: t.Error}
+	}
+	return st
 }
