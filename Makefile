@@ -1,21 +1,28 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-checker guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync loc test test-retention test-determinism
 
 build:
 	$(GO) build ./...
 
 # Non-test Go lines outside bench/ (the judge is not the system), per
 # internal/ package and in total: the size ROADMAP and CHANGES quote.
+# Every internal/ package has a line cap in loc-caps.txt; loc fails
+# when a package exceeds its cap or has none. A PR that raises a cap
+# edits loc-caps.txt in the same diff.
 loc:
-	@for d in internal/*/; do \
-		printf '%7d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$${d%/}"; \
-	done
-	@printf '%7d  total, non-test Go outside bench/\n' \
-		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+	@fail=0; for d in internal/*/; do \
+		d=$${d%/}; n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		cap=$$(awk -v d=$$d '$$1 == d { print $$2 }' loc-caps.txt); \
+		printf '%7d  %-22s cap %s\n' "$$n" "$$d" "$${cap:-none}"; \
+		if [ -z "$$cap" ] || [ "$$n" -gt "$$cap" ]; then echo "$$d is over its cap in loc-caps.txt"; fail=1; fi; \
+	done; \
+	printf '%7d  total, non-test Go outside bench/\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"; \
+	exit $$fail
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -48,20 +55,28 @@ guard-southbound:
 		exit 1; \
 	fi
 
-# One checker per package: verify and explore decide a core.Plan stage
-# by stage and the controller hands them plans. A function or field
-# typed core.Schedule in those packages (explore's timed.go aside: the
-# paper's round-barrier clock), or a Schedule entry point, is the
-# round-typed twin coming back. A schedule is still an input format: a
-# &core.Schedule{...} literal handed to core.PlanFromSchedule at the
-# boundary is allowed.
-guard-one-checker:
-	@out="$$(grep -n -e 'core\.Schedule\b' -e '^func Schedule(' \
-			internal/verify/*.go internal/explore/*.go internal/controller/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/explore/timed\.go:' -e '&core\.Schedule{')"; \
+# One plan IR: every scheduler returns a *core.Plan, and rounds are
+# only a view of a layered plan (core.Layered). Outside bench/, test
+# files included, nothing names a round schedule or the capability
+# that once converted between the two. The one exception is
+# internal/core/deprecated.go, whose code is pinned to the three
+# aliases bench/ still compiles against, with no logic of their own.
+guard-one-plan:
+	@out="$$( { grep -rn --include='*.go' -e 'core\.Schedule\b' -e 'ScheduleByName' -e 'PlanFromSchedule' -e 'PlanScheduler' . \
+			| grep -v '^\./bench/'; \
+		grep -nw 'Schedule' internal/core/*.go | sed 's|^|./|'; } | sort -u \
+		| grep -v '^\./internal/core/deprecated\.go:')"; \
 	if [ -n "$$out" ]; then \
-		echo "a core.Schedule-typed path into verify / explore / controller:"; \
+		echo "a second plan IR (see guard-one-plan in the Makefile):"; \
 		echo "$$out"; exit 1; \
+	fi; \
+	if [ "$$(grep -v -e '^//' -e '^$$' internal/core/deprecated.go)" != "$$(printf '%s\n' 'package core' \
+			'type Schedule = Plan' \
+			'func ScheduleByName(in *Instance, name string, props Property) (*Plan, error) {' \
+			'	return PlanByName(in, name, props, false)' '}' \
+			'func PlanFromSchedule(p *Plan) *Plan { return p }')" ]; then \
+		echo "internal/core/deprecated.go holds more than the three aliases bench/ names (see guard-one-plan in the Makefile)"; \
+		exit 1; \
 	fi
 
 # One index: internal/core keeps every per-switch fact of an update in

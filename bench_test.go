@@ -31,8 +31,8 @@ import (
 // HTTP): the timed benchmark regions measure barrier-confirmed update
 // execution alone, keeping the numbers comparable across revisions —
 // API-transport overhead is not part of the paper's metric.
-func runEngineUpdate(bed *experiments.Bed, in *core.Instance, sched *core.Schedule) error {
-	job, err := bed.Ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), experiments.Match(), controller.SubmitOptions{})
+func runEngineUpdate(bed *experiments.Bed, in *core.Instance, sched *core.Plan) error {
+	job, err := bed.Ctrl.Engine().SubmitPlan(in, sched, experiments.Match(), controller.SubmitOptions{})
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func BenchmarkE1Fig1WayUp(b *testing.B) {
 		}
 		st := stop()
 		violations += st.Violations()
-		rounds = sched.NumRounds()
+		rounds = sched.Depth()
 		bed.Close()
 	}
 	b.ReportMetric(float64(violations)/float64(b.N), "violations/op")
@@ -105,7 +105,7 @@ func BenchmarkE2UpdateTime(b *testing.B) {
 					b.Fatal(err)
 				}
 				in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-				sched, err := scheduleByName(in, algo)
+				sched, err := core.PlanByName(in, algo, 0, false)
 				if err != nil {
 					bed.Close()
 					b.Fatal(err)
@@ -115,17 +115,13 @@ func BenchmarkE2UpdateTime(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				totalRounds = sched.NumRounds()
+				totalRounds = sched.Depth()
 				bed.Close()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(totalRounds), "rounds")
 		})
 	}
-}
-
-func scheduleByName(in *core.Instance, algo string) (*core.Schedule, error) {
-	return core.ScheduleByName(in, algo, 0)
 }
 
 // BenchmarkE3WaypointViolations verifies one-shot vs wayup on a random
@@ -137,14 +133,14 @@ func BenchmarkE3WaypointViolations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ti := topo.RandomTwoPath(rng, 16, true)
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
-		if !verify.Plan(in, core.PlanFromSchedule(core.OneShot(in)), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, core.OneShot(in), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
 			unsafe++
 		}
 		w, err := core.WayUp(in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !verify.Plan(in, core.PlanFromSchedule(w), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, w, props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
 			b.Fatal("wayup produced an unsafe schedule")
 		}
 	}
@@ -164,7 +160,7 @@ func BenchmarkE4Rounds(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = s.NumRounds()
+				rounds = s.Depth()
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})
@@ -175,7 +171,7 @@ func BenchmarkE4Rounds(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = s.NumRounds()
+				rounds = s.Depth()
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})
@@ -528,7 +524,6 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	const flows = 256
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.StrongLoopFreedom
 	var tasks []verify.Task
-	var scheds []*core.Schedule // the map reference still reads rounds
 	for len(tasks) < flows {
 		ti, err := topo.RandomFatTreePolicy(rng, g)
 		if err != nil {
@@ -538,12 +533,11 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		if in.NumPending() == 0 {
 			continue
 		}
-		sched, err := scheduleByName(in, core.AlgoGreedySLF)
+		sched, err := core.PlanByName(in, core.AlgoGreedySLF, 0, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tasks = append(tasks, verify.Task{Instance: in, Plan: core.PlanFromSchedule(sched), Props: props})
-		scheds = append(scheds, sched)
+		tasks = append(tasks, verify.Task{Instance: in, Plan: sched, Props: props})
 	}
 	b.Run("bitset-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -565,8 +559,8 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	})
 	b.Run("map-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for k, task := range tasks {
-				ok, exact := mapVerify(task.Instance, scheds[k], task.Props)
+			for _, task := range tasks {
+				ok, exact := mapVerify(task.Instance, task.Plan, task.Props)
 				if !exact {
 					b.Fatal("map verifier exhausted its budget; comparison would not be work-equivalent")
 				}
@@ -609,9 +603,9 @@ func mapWalk(in *core.Instance, upd map[topo.NodeID]bool) (topo.Path, core.Outco
 // completed (the real engine would fall back to sampling there, so the
 // benchmark refuses the comparison). Baseline for
 // BenchmarkVerifyParallel.
-func mapVerify(in *core.Instance, s *core.Schedule, props core.Property) (ok, exact bool) {
+func mapVerify(in *core.Instance, s *core.Plan, props core.Property) (ok, exact bool) {
 	done := make(map[topo.NodeID]bool)
-	for _, round := range s.Rounds {
+	for _, round := range s.Layers() {
 		if props.Has(core.StrongLoopFreedom) && !mapRoundSafeStrongLF(in, done, round) {
 			return false, true
 		}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -96,51 +97,7 @@ func run() error {
 	}
 
 	for _, algo := range algos {
-		sched, err := core.ScheduleByName(in, algo, props)
-		if err != nil {
-			fmt.Printf("%-11s %v\n", algo+":", err)
-			continue
-		}
-		fmt.Printf("%-11s %s\n", algo+":", sched)
-		// Plan shape next to the rounds, matching what -submit with
-		// the current -plan flag would execute: the layered conversion
-		// by default, the scheduler's sparse DAG with -plan sparse.
-		if plan, err := core.PlanByName(in, algo, props, *planFlag == "sparse"); err == nil {
-			fmt.Printf("            plan: depth=%d width=%d critical=%d nodes=%d edges=%d sparse=%t\n",
-				plan.Depth(), plan.Width(), plan.CriticalPath(), plan.NumNodes(), plan.NumEdges(), plan.Sparse)
-			// Per-switch message counts for what -submit with the
-			// current -mode would exchange: decentralized collapses the
-			// control channel to push + report per switch, with the
-			// dependency acks travelling switch-to-switch.
-			if *modeFlag == "decentralized" {
-				for _, part := range plan.Partition() {
-					peer := 0
-					for _, pn := range part.Nodes {
-						for _, e := range pn.OutEdges {
-							if e.Switch != part.Switch {
-								peer++
-							}
-						}
-					}
-					fmt.Printf("            messages sw=%d: ctrl=2 peer=%d\n", part.Switch, peer)
-				}
-			}
-		}
-		checkProps := props
-		if checkProps == 0 {
-			checkProps = sched.Guarantees
-		}
-		if checkProps == 0 {
-			// One-shot guarantees nothing; verify it against what the
-			// consistent schedulers provide, so the dry run shows what
-			// would break.
-			checkProps = in.NaturalProps()
-		}
-		report := verify.Plan(in, core.PlanFromSchedule(sched), checkProps, verify.Options{})
-		fmt.Printf("            %s\n", report)
-		if cex := report.FirstViolation(); cex != nil {
-			fmt.Printf("            counterexample walk: %v\n", cex.Walk)
-		}
+		dryRun(os.Stdout, in, algo, props, *planFlag == "sparse", *modeFlag == "decentralized")
 	}
 
 	if *submit {
@@ -203,6 +160,73 @@ func submitUpdate(in *core.Instance, algorithm, propsFlag, planFlag, modeFlag, s
 		}
 	}
 	return nil
+}
+
+// dryRun prints one algorithm's rounds, the shape of the plan -submit
+// with the same -plan and -mode would execute, and that plan's
+// verification. The scheduler runs once: the rounds are its plan's
+// layered view, the executed plan that view or, when sparse is set,
+// core.SparsePlan of the scheduler's plan (a synthesized DAG as is).
+func dryRun(w io.Writer, in *core.Instance, algo string, props core.Property, sparse, decentralized bool) {
+	sch, err := core.Lookup(algo)
+	var p *core.Plan
+	if err == nil {
+		p, err = sch.Plan(in, props)
+	}
+	if err != nil {
+		fmt.Fprintf(w, "%-11s %v\n", algo+":", err)
+		return
+	}
+	plan := p.LayeredView()
+	fmt.Fprintf(w, "%-11s %s\n", algo+":", roundsString(plan))
+	if sparse {
+		plan = core.SparsePlan(in, p)
+	}
+	fmt.Fprintf(w, "            plan: depth=%d width=%d critical=%d nodes=%d edges=%d sparse=%t\n",
+		plan.Depth(), plan.Width(), plan.CriticalPath(), plan.NumNodes(), plan.NumEdges(), plan.Sparse)
+	// Per-switch message counts for what -submit with the current
+	// -mode would exchange: decentralized collapses the control
+	// channel to push + report per switch, with the dependency acks
+	// travelling switch-to-switch.
+	if decentralized {
+		for _, part := range plan.Partition() {
+			peer := 0
+			for _, pn := range part.Nodes {
+				for _, e := range pn.OutEdges {
+					if e.Switch != part.Switch {
+						peer++
+					}
+				}
+			}
+			fmt.Fprintf(w, "            messages sw=%d: ctrl=2 peer=%d\n", part.Switch, peer)
+		}
+	}
+	checkProps := props
+	if checkProps == 0 {
+		checkProps = plan.Guarantees
+	}
+	if checkProps == 0 {
+		// One-shot guarantees nothing; verify it against what the
+		// consistent schedulers provide, so the dry run shows what
+		// would break.
+		checkProps = in.NaturalProps()
+	}
+	report := verify.Plan(in, plan, checkProps, verify.Options{})
+	fmt.Fprintf(w, "            %s\n", report)
+	if cex := report.FirstViolation(); cex != nil {
+		fmt.Fprintf(w, "            counterexample walk: %v\n", cex.Walk)
+	}
+}
+
+// roundsString renders a layered plan's rounds, e.g.
+// "wayup[3 rounds: {6 7} {3} {1}]".
+func roundsString(p *core.Plan) string {
+	layers := p.Layers()
+	s := fmt.Sprintf("%s[%d rounds:", p.Algorithm, len(layers))
+	for _, r := range layers {
+		s += " {" + strings.Trim(fmt.Sprint(r), "[]") + "}"
+	}
+	return s + "]"
 }
 
 func buildInstance(family, oldStr, newStr string, wp topo.NodeID) (*core.Instance, error) {

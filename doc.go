@@ -8,12 +8,12 @@
 //
 // Execution is plan-shaped: core.Plan is a dependency DAG of
 // per-switch installs whose reachable transient states are the DAG's
-// order ideals, and it is the only update form the controller takes.
-// A round schedule is an input format: it converts losslessly, once,
-// at the boundary (core.PlanFromSchedule) to a layered plan that is
-// bit-identical to the paper's global-barrier rounds, while
-// PlanScheduler-capable algorithms (Peacock, GreedySLF) emit sparse
-// DAGs. Either way the controller dispatches the plan ack-driven —
+// order ideals, and it is the one update form: every scheduler returns
+// one. A round scheduler returns the layered plan of its rounds
+// (core.Layered), bit-identical to the paper's global-barrier rounds;
+// core.SparsePlan prunes a Peacock or GreedySLF one to the edges its
+// safety argument needs, and synthesis returns its DAG. Either way the
+// controller dispatches the plan ack-driven —
 // each FlowMod issued the moment its dependencies' barriers arrive, so
 // a slow switch stalls only its own dependents — and the plan that was
 // verified is, node for node, the plan that is journaled and run.
@@ -68,7 +68,7 @@
 // The library lives under internal/:
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
-//     and the plan layer: Plan/PlanFromSchedule/SparsePlan, Plan.Stages (the
+//     and the plan layer: Plan/Layered/SparsePlan, Plan.Stages (the
 //     split at series cuts that both checkers work through), the
 //     order-ideal enumeration, PlanRun (allocation-free ack-dispatch
 //     bookkeeping), and the canonical plan wire codec; core.Walker is the
@@ -92,7 +92,7 @@
 //     with incremental walks and a transposition table, sampled FlowMod
 //     delivery orders (linear extensions), per-event checks, minimized
 //     counterexample traces, parallel stages with deterministic merge —
-//     plus the timed virtual-clock replay of a round schedule
+//     plus the timed virtual-clock replay of a plan, stage by stage
 //   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
 //     scheduler with deterministic (time, seq) ordering and AutoAdvance;
 //     AfterFunc for timer-driven duties — the tree's one timer heap

@@ -64,13 +64,13 @@ func runOnce(algo string) error {
 	if algo == "two-phase" {
 		fmt.Printf("%s: prepare tagged rules, commit ingress\n", algo)
 	} else {
-		var sched *core.Schedule
-		sched, err = core.ScheduleByName(in, algo, 0)
+		var plan *core.Plan
+		plan, err = core.PlanByName(in, algo, 0, false)
 		if err != nil {
 			stop()
 			return err
 		}
-		fmt.Printf("%s: %d round(s)\n", algo, sched.NumRounds())
+		fmt.Printf("%s: %d round(s)\n", algo, plan.Depth())
 	}
 	job, err := bed.RunUpdateAlgorithm(in, algo, 0)
 	if err != nil {

@@ -26,27 +26,27 @@ func main() {
 	for _, n := range []int{10, 22, 46, 94, 190} {
 		ti := topo.Nested(n)
 		in := core.MustInstance(ti.Old, ti.New, 0)
-		p, err := core.ScheduleByName(in, core.AlgoPeacock, 0)
+		p, err := core.PlanByName(in, core.AlgoPeacock, 0, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := core.ScheduleByName(in, core.AlgoGreedySLF, 0)
+		g, err := core.PlanByName(in, core.AlgoGreedySLF, 0, false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tbl.AddRow(n, p.NumRounds(), g.NumRounds())
+		tbl.AddRow(n, p.Depth(), g.Depth())
 	}
 	fmt.Println(tbl)
 
 	// Execute the n=22 migration live.
 	ti := topo.Nested(22)
 	in := core.MustInstance(ti.Old, ti.New, 0)
-	sched, err := core.ScheduleByName(in, core.AlgoPeacock, 0)
+	plan, err := core.PlanByName(in, core.AlgoPeacock, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rep := verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}); !rep.OK() {
-		log.Fatalf("schedule failed verification: %v", rep)
+	if rep := verify.Plan(in, plan, plan.Guarantees, verify.Options{}); !rep.OK() {
+		log.Fatalf("plan failed verification: %v", rep)
 	}
 
 	bed, err := experiments.NewBed(ti.Graph, experiments.BedConfig{
@@ -61,11 +61,11 @@ func main() {
 	if err := bed.InstallOldPolicy(ti.Old); err != nil {
 		log.Fatal(err)
 	}
-	job, err := bed.RunUpdateAlgorithm(in, sched.Algorithm, 0)
+	job, err := bed.RunUpdateAlgorithm(in, plan.Algorithm, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("live migration of %d switches (n=22) with %s:\n", in.NumPending(), sched.Algorithm)
+	fmt.Printf("live migration of %d switches (n=22) with %s:\n", in.NumPending(), plan.Algorithm)
 	for _, rt := range job.Rounds {
 		fmt.Printf("  round %d: %2d switches in %v\n", rt.Round, len(rt.Switches), rt.Duration().Round(10*time.Microsecond))
 	}

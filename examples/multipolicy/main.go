@@ -38,10 +38,10 @@ func main() {
 	}
 
 	for f, in := range joint.Instances {
-		s := joint.Schedules[f]
+		p := joint.Plans[f]
 		fmt.Printf("flow %d (10.0.%d.2): %d pending switches, %d rounds — %v\n",
-			f, f, in.NumPending(), s.NumRounds(), s.Rounds)
-		if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
+			f, f, in.NumPending(), p.Depth(), p.Layers())
+		if rep := verify.Plan(in, p, p.Guarantees, verify.Options{}); !rep.OK() {
 			log.Fatalf("flow %d failed verification: %v", f, rep)
 		}
 	}

@@ -1,5 +1,5 @@
-// Quickstart: compute and verify a transiently consistent update
-// schedule with the core library — no network involved.
+// Quickstart: compute and verify a transiently consistent update plan
+// with the core library — no network involved.
 //
 //	go run ./examples/quickstart
 package main
@@ -24,11 +24,11 @@ func main() {
 	}
 
 	// One-shot (what a naive controller does): provably unsafe.
-	oneShot, err := core.ScheduleByName(instance, core.AlgoOneShot, 0)
+	oneShot, err := core.PlanByName(instance, core.AlgoOneShot, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := verify.Plan(instance, core.PlanFromSchedule(oneShot),
+	report := verify.Plan(instance, oneShot,
 		core.NoBlackhole|core.WaypointEnforcement|core.RelaxedLoopFreedom, verify.Options{})
 	fmt.Println(report)
 	if cex := report.FirstViolation(); cex != nil {
@@ -38,20 +38,21 @@ func main() {
 
 	// WayUp: rounds separated by barriers, transiently secure. An empty
 	// algorithm name picks the instance's default (wayup here — the
-	// policy has a waypoint).
-	schedule, err := core.ScheduleByName(instance, "", 0)
+	// policy has a waypoint). A round scheduler's plan is layered: its
+	// layers are its rounds.
+	wayup, err := core.PlanByName(instance, "", 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(schedule)
-	report = verify.Plan(instance, core.PlanFromSchedule(schedule), schedule.Guarantees, verify.Options{})
+	fmt.Println(wayup.Algorithm, "rounds:", wayup.Layers())
+	report = verify.Plan(instance, wayup, wayup.Guarantees, verify.Options{})
 	fmt.Println(report)
 
 	// Peacock: relaxed loop freedom when there is no waypoint to guard.
-	peacock, err := core.ScheduleByName(instance, core.AlgoPeacock, 0)
+	peacock, err := core.PlanByName(instance, core.AlgoPeacock, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(peacock)
-	fmt.Println(verify.Plan(instance, core.PlanFromSchedule(peacock), peacock.Guarantees, verify.Options{}))
+	fmt.Println(peacock.Algorithm, "rounds:", peacock.Layers())
+	fmt.Println(verify.Plan(instance, peacock, peacock.Guarantees, verify.Options{}))
 }

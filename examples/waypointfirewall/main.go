@@ -38,7 +38,7 @@ func main() {
 
 	// The naive one-shot update.
 	oneShot := core.OneShot(in)
-	report := verify.Plan(in, core.PlanFromSchedule(oneShot), props, verify.Options{})
+	report := verify.Plan(in, oneShot, props, verify.Options{})
 	fmt.Println("one-shot:", report)
 	if cex := report.FirstViolation(); cex != nil {
 		fmt.Printf("  interleaving: switches %v updated first\n", in.StateNodes(cex.Updated))
@@ -46,12 +46,12 @@ func main() {
 	}
 
 	// WayUp.
-	sched, err := core.WayUp(in)
+	wayup, err := core.WayUp(in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("wayup:", sched)
-	fmt.Println("      ", verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}))
+	fmt.Println("wayup:", wayup.Layers())
+	fmt.Println("      ", verify.Plan(in, wayup, wayup.Guarantees, verify.Options{}))
 
 	// A harder instance: switch 2 sits before the firewall on the old
 	// path but after it on the new one (the "dangerous" class) — WayUp
@@ -59,13 +59,13 @@ func main() {
 	fmt.Println()
 	hard := core.MustInstance(topo.Path{1, 2, 4, 6, 8}, topo.Path{1, 4, 2, 6, 8}, 4)
 	fmt.Printf("dangerous-switch instance: %v\n", hard)
-	hardSched, err := core.WayUp(hard)
+	hardWayUp, err := core.WayUp(hard)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("wayup:", hardSched)
-	fmt.Println("      ", verify.Plan(hard, core.PlanFromSchedule(hardSched), hardSched.Guarantees, verify.Options{}))
-	if hardSched.LoopFreedomCompromised {
+	fmt.Println("wayup:", hardWayUp.Layers())
+	fmt.Println("      ", verify.Plan(hard, hardWayUp, hardWayUp.Guarantees, verify.Options{}))
+	if hardWayUp.LoopFreedomCompromised {
 		fmt.Println("       loop freedom was infeasible alongside waypoint enforcement (HotNets'14);")
 		fmt.Println("       waypoint enforcement is preserved throughout")
 	}
@@ -80,13 +80,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("exact solver: waypoint+loop-freedom jointly feasible? %v\n", feasible)
-	if feasible && hardSched.LoopFreedomCompromised {
+	if feasible && hardWayUp.LoopFreedomCompromised {
 		opt, err := core.Optimal(hard, jointProps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("optimal:", opt)
-		fmt.Println("        ", verify.Plan(hard, core.PlanFromSchedule(opt), jointProps, verify.Options{}))
+		fmt.Println("optimal:", opt.Layers())
+		fmt.Println("        ", verify.Plan(hard, opt, jointProps, verify.Options{}))
 	}
 }
 

@@ -450,15 +450,6 @@ func ToPath(ids []uint64) topo.Path {
 	return p
 }
 
-// FromRounds converts a schedule's rounds to their wire form.
-func FromRounds(rounds [][]topo.NodeID) [][]uint64 {
-	out := make([][]uint64, len(rounds))
-	for i, r := range rounds {
-		out[i] = FromPath(topo.Path(r))
-	}
-	return out
-}
-
 // Healthz answers GET /v1/healthz — the load-balancer/ops probe.
 type Healthz struct {
 	Status string `json:"status"` // always "ok" when the handler answers

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -204,9 +205,9 @@ type SubmitOptions struct {
 
 // SubmitPlan enqueues a single-policy update job executing the given
 // dependency plan: each switch's FlowMod is issued the moment its
-// predecessors' barriers arrive. A round schedule enters as
-// core.PlanFromSchedule(s) — its layered plan releases round r+1 on
-// round r's last barrier reply, exactly the paper's loop; a sparse plan
+// predecessors' barriers arrive. A layered plan (core.Layered) releases
+// round r+1 on round r's last barrier reply, exactly the paper's loop; a
+// sparse plan
 // lets independent branches proceed past each other's stragglers. The
 // flow is identified by match. p must not be modified afterwards.
 func (e *Engine) SubmitPlan(in *core.Instance, p *core.Plan, match openflow.Match, opts SubmitOptions) (*Job, error) {
@@ -275,23 +276,17 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 		return nil, fmt.Errorf("controller: %d matches for %d policies", len(matches), len(ju.Instances))
 	}
 	for f, in := range ju.Instances {
-		if err := ju.Schedules[f].Validate(in); err != nil {
+		if err := ju.Plans[f].Validate(in); err != nil {
 			return nil, fmt.Errorf("controller: policy %d: %w", f, err)
 		}
 	}
-	sched := &core.Schedule{
-		Algorithm: "joint-" + ju.Schedules[0].Algorithm,
-		Rounds:    make([][]topo.NodeID, ju.NumRounds()),
-	}
+	rounds := make([][]topo.NodeID, ju.NumRounds())
 	var mods [][]*openflow.FlowMod
-	for i := range sched.Rounds {
+	for i := range rounds {
 		// Deterministic order: by switch, then by flow.
 		byNode := ju.Round(i)
-		for n := range byNode {
-			sched.Rounds[i] = append(sched.Rounds[i], n)
-		}
-		slices.Sort(sched.Rounds[i])
-		for _, n := range sched.Rounds[i] {
+		rounds[i] = slices.Sorted(maps.Keys(byNode))
+		for _, n := range rounds[i] {
 			var burst []*openflow.FlowMod
 			for _, fu := range byNode[n] {
 				fm, err := e.updateFlowMod(ju.Instances[fu.Flow], n, matches[fu.Flow])
@@ -303,7 +298,7 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 			mods = append(mods, burst)
 		}
 	}
-	p := core.PlanFromSchedule(sched)
+	p := core.Layered("joint-"+ju.Plans[0].Algorithm, 0, rounds)
 	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
 		stale := make(map[topo.NodeID][]*openflow.FlowMod)
@@ -312,10 +307,7 @@ func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opt
 				stale[n] = append(stale[n], deleteFlowMod(matches[f]))
 			}
 		}
-		for n := range stale {
-			cleanupAt = append(cleanupAt, n)
-		}
-		slices.Sort(cleanupAt)
+		cleanupAt = slices.Sorted(maps.Keys(stale))
 		for _, n := range cleanupAt {
 			mods = append(mods, stale[n])
 		}

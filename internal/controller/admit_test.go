@@ -102,7 +102,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 			name:        "schedule",
 			recoverable: true,
 			build: func(o SubmitOptions) (*Job, error) {
-				return e.planJob(wp, core.PlanFromSchedule(wayup), match, o)
+				return e.planJob(wp, wayup, match, o)
 			},
 			shape:      "wayup depth=3 width=5 critical=2 sparse=false\n",
 			shapeClean: "wayup depth=4 width=5 critical=3 sparse=false\n",
@@ -122,7 +122,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 			name:        "schedule-unsorted-round",
 			recoverable: true,
 			build: func(o SubmitOptions) (*Job, error) {
-				return e.planJob(wp, core.PlanFromSchedule(core.OneShot(wp)), match, o)
+				return e.planJob(wp, core.OneShot(wp), match, o)
 			},
 			shape:      "oneshot depth=1 width=7 critical=0 sparse=false\n",
 			shapeClean: "oneshot depth=2 width=7 critical=1 sparse=false\n",
@@ -266,7 +266,7 @@ func TestAdmitAppendFailureFailsJob(t *testing.T) {
 	}
 
 	jl.Crash()
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatalf("SubmitPlan: %v (the job fails, the submit does not)", err)
 	}

@@ -63,7 +63,7 @@ func TestChaosUpdatesUnderRandomFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.7"), SubmitOptions{})
+		job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.7"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestChaosUpdatesUnderRandomFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+		job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,7 +160,7 @@ func TestUpdateJobWayUpFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestUpdateJobWayUpFig1(t *testing.T) {
 		t.Fatalf("job state = %v", job.State())
 	}
 	timings := job.Timings()
-	if len(timings) != sched.NumRounds() {
-		t.Fatalf("timings for %d rounds, want %d", len(timings), sched.NumRounds())
+	if len(timings) != sched.Depth() {
+		t.Fatalf("timings for %d rounds, want %d", len(timings), sched.Depth())
 	}
 	for _, rt := range timings {
 		if rt.Duration() <= 0 {
@@ -198,7 +198,7 @@ func TestUpdateJobWayUpFig1(t *testing.T) {
 	// Barrier accounting: every updated switch saw at least one
 	// barrier from its rounds (plus one from InstallPath for old-path
 	// switches).
-	for _, n := range sched.Rounds[0] {
+	for _, n := range sched.Layers()[0] {
 		if tb.fabric.Switch(n).BarriersSeen() == 0 {
 			t.Fatalf("switch %d saw no barrier", n)
 		}
@@ -218,18 +218,18 @@ func TestUpdateJobIntervalBetweenRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched.NumRounds() < 2 {
-		t.Skipf("need >= 2 rounds, got %d", sched.NumRounds())
+	if sched.Depth() < 2 {
+		t.Skipf("need >= 2 rounds, got %d", sched.Depth())
 	}
 	const interval = 20 * time.Millisecond
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Interval: interval})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Interval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want := time.Duration(sched.NumRounds()-1) * interval
+	want := time.Duration(sched.Depth()-1) * interval
 	if job.TotalDuration() < want {
 		t.Fatalf("total %v < %v: interval not honored", job.TotalDuration(), want)
 	}
@@ -238,8 +238,8 @@ func TestUpdateJobIntervalBetweenRounds(t *testing.T) {
 func TestEngineRejectsMismatchedSchedule(t *testing.T) {
 	tb := newTestbed(t, topo.Linear(4), nil)
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 2, 3, 4}, 0)
-	bad := &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{1}}}
-	if _, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(bad), flowMatch("10.0.0.2"), SubmitOptions{}); err == nil {
+	bad := core.Layered("bogus", 0, [][]topo.NodeID{{1}})
+	if _, err := tb.ctrl.Engine().SubmitPlan(in, bad, flowMatch("10.0.0.2"), SubmitOptions{}); err == nil {
 		t.Fatal("mismatched schedule accepted")
 	}
 }
@@ -283,7 +283,7 @@ func TestJobFailsOnDisconnectedSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

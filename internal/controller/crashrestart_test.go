@@ -207,14 +207,12 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 			// Peacock's order, one switch at a time: every state this
 			// reaches is one Peacock's rounds reach, so it is as safe.
 			var rounds [][]topo.NodeID
-			for _, r := range sched.Rounds {
-				for _, n := range r {
-					rounds = append(rounds, []topo.NodeID{n})
-				}
+			for _, nd := range sched.Nodes {
+				rounds = append(rounds, []topo.NodeID{nd.Switch})
 			}
-			sched.Rounds = rounds
+			sched = core.Layered(sched.Algorithm, sched.Guarantees, rounds)
 		}
-		job, err := ctrl1.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch(ip), SubmitOptions{})
+		job, err := ctrl1.Engine().SubmitPlan(in, sched, flowMatch(ip), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func randomExecPlan(rng *rand.Rand, ip string) execPlan {
 			}
 			rounds[len(rounds)-1] = append(rounds[len(rounds)-1], topo.NodeID(sw[i]+1))
 		}
-		p = core.PlanFromSchedule(&core.Schedule{Algorithm: "random", Rounds: rounds})
+		p = core.Layered("random", 0, rounds)
 	}
 	var cleanupAt []topo.NodeID
 	if rng.Intn(2) == 0 {

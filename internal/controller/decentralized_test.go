@@ -342,7 +342,7 @@ func TestDecentralizedLostReportUndone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: ModeDecentralized})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Mode: ModeDecentralized})
 	if err != nil {
 		t.Fatal(err)
 	}

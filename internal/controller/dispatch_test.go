@@ -56,7 +56,7 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 
 	inA, inA2 := gridFlowA()
 	inB := gridFlowB()
-	schedule := func(in *core.Instance) *core.Schedule {
+	schedule := func(in *core.Instance) *core.Plan {
 		s, err := core.Peacock(in)
 		if err != nil {
 			t.Fatal(err)
@@ -64,15 +64,15 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 		return s
 	}
 
-	jobA, err := tb.ctrl.Engine().SubmitPlan(inA, core.PlanFromSchedule(schedule(inA)), flowMatch("10.0.0.2"), SubmitOptions{})
+	jobA, err := tb.ctrl.Engine().SubmitPlan(inA, schedule(inA), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobA2, err := tb.ctrl.Engine().SubmitPlan(inA2, core.PlanFromSchedule(schedule(inA2)), flowMatch("10.0.0.2"), SubmitOptions{})
+	jobA2, err := tb.ctrl.Engine().SubmitPlan(inA2, schedule(inA2), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobB, err := tb.ctrl.Engine().SubmitPlan(inB, core.PlanFromSchedule(schedule(inB)), flowMatch("10.0.0.9"), SubmitOptions{})
+	jobB, err := tb.ctrl.Engine().SubmitPlan(inB, schedule(inB), flowMatch("10.0.0.9"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestJobSubscribeReplaysAndTerminates(t *testing.T) {
 				terminal = &ev
 			}
 		}
-		if len(rounds) != sched.NumRounds() {
-			t.Fatalf("%s: saw %d round events, want %d", name, len(rounds), sched.NumRounds())
+		if len(rounds) != sched.Depth() {
+			t.Fatalf("%s: saw %d round events, want %d", name, len(rounds), sched.Depth())
 		}
 		for i, r := range rounds {
 			if r != i {
@@ -261,7 +261,7 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 		t.Fatal(err)
 	}
 	e := tb.ctrl.Engine()
-	job, err := e.planJob(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := e.planJob(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

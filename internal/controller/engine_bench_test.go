@@ -68,7 +68,7 @@ func benchmarkDisjointFlows(b *testing.B, flows int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch(nwDst), SubmitOptions{})
+			job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch(nwDst), SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -128,7 +128,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 	} else if mode == ModeDecentralized {
 		// The depth target of the decentralized arm: a genuinely deep
 		// dependency chain, so the win cannot come from plan shape.
-		if d := core.PlanFromSchedule(sched).Depth(); d < 5 {
+		if d := sched.Depth(); d < 5 {
 			b.Fatalf("comb layered plan depth = %d, want >= 5", d)
 		}
 	}
@@ -144,7 +144,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 		if sparse {
 			job, err = tb.ctrl.Engine().SubmitPlan(fwd, plan, match, SubmitOptions{Mode: mode})
 		} else {
-			job, err = tb.ctrl.Engine().SubmitPlan(fwd, core.PlanFromSchedule(sched), match, SubmitOptions{Mode: mode})
+			job, err = tb.ctrl.Engine().SubmitPlan(fwd, sched, match, SubmitOptions{Mode: mode})
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -156,7 +156,7 @@ func benchmarkPlanDispatch(b *testing.B, sparse bool, mode ExecMode) {
 
 		// Roll back (unmeasured) so the next iteration updates again.
 		b.StopTimer()
-		undo, err := tb.ctrl.Engine().SubmitPlan(back, core.PlanFromSchedule(backSched), match, SubmitOptions{})
+		undo, err := tb.ctrl.Engine().SubmitPlan(back, backSched, match, SubmitOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

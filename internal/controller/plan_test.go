@@ -116,7 +116,7 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobS, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+	jobS, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobP, err := tb.ctrl.Engine().SubmitPlan(core.MustInstance(in.New, in.Old, topo.Fig1Waypoint),
-		core.PlanFromSchedule(mustSchedule(t, core.MustInstance(in.New, in.Old, topo.Fig1Waypoint))),
+		mustPlan(t, core.MustInstance(in.New, in.Old, topo.Fig1Waypoint)),
 		flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 	}
 }
 
-func mustSchedule(t *testing.T, in *core.Instance) *core.Schedule {
+func mustPlan(t *testing.T, in *core.Instance) *core.Plan {
 	t.Helper()
 	s, err := core.WayUp(in)
 	if err != nil {

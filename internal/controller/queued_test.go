@@ -77,7 +77,7 @@ func fig1Flips(t *testing.T, e *Engine, n int, ip string, first SubmitOptions) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		if jobs[i], err = e.planJob(in, core.PlanFromSchedule(sched), flowMatch(ip), opts); err != nil {
+		if jobs[i], err = e.planJob(in, sched, flowMatch(ip), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestAdmissionWindowFreeOnceJobsAreDone(t *testing.T) {
 		jobs := make([]*Job, maxAdmitted)
 		for i := range jobs {
 			var err error
-			if jobs[i], err = e.planJob(in, core.PlanFromSchedule(core.OneShot(in)), flowMatch("10.0.0.2"), SubmitOptions{}); err != nil {
+			if jobs[i], err = e.planJob(in, core.OneShot(in), flowMatch("10.0.0.2"), SubmitOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,7 +161,7 @@ func TestAdmissionDisjointJobsLaunchTogether(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if jobs[k], err = e.planJob(in, core.PlanFromSchedule(sched), flowMatch(ip), SubmitOptions{}); err != nil {
+			if jobs[k], err = e.planJob(in, sched, flowMatch(ip), SubmitOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -398,7 +398,7 @@ func TestQueuedBeforeStartLaunchOnRun(t *testing.T) {
 	in := core.MustInstance(path, path, 0) // nothing to update: no switch needed
 	jobs := make([]*Job, 3)
 	for i := range jobs {
-		if jobs[i], err = e.SubmitPlan(in, core.PlanFromSchedule(core.OneShot(in)), flowMatch("10.0.0.2"), SubmitOptions{}); err != nil {
+		if jobs[i], err = e.SubmitPlan(in, core.OneShot(in), flowMatch("10.0.0.2"), SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -82,8 +82,8 @@ func TestAdmitSpecMatchesParentEncoding(t *testing.T) {
 		nwDst string
 		opts  SubmitOptions
 	}{
-		{0, wp, core.PlanFromSchedule(wayup), "10.0.0.2", SubmitOptions{Cleanup: true}},
-		{1, nowp, core.PlanFromSchedule(peacock), "10.0.0.3", SubmitOptions{}},
+		{0, wp, wayup, "10.0.0.2", SubmitOptions{Cleanup: true}},
+		{1, nowp, peacock, "10.0.0.3", SubmitOptions{}},
 		{5, nowp, sparse, "10.0.0.7", SubmitOptions{Cleanup: true}},
 	} {
 		job, err := c.engine.planJob(tc.in, tc.plan, flowMatch(tc.nwDst), tc.opts)
@@ -260,7 +260,7 @@ func TestJournalOneRecordPerWave(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
+			job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,11 +15,9 @@ import (
 	"time"
 
 	"tsu/internal/api"
-	"tsu/internal/core"
 	"tsu/internal/explore"
 	"tsu/internal/metrics"
 	"tsu/internal/openflow"
-	"tsu/internal/synth"
 	"tsu/internal/topo"
 	"tsu/internal/verify"
 )
@@ -63,164 +61,6 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusInternalServerError, api.Error{Message: err.Error(), Code: api.CodeInternal})
 }
 
-// plannedUpdate is one validated batch entry with its execution plan.
-// Algo is "two-phase" (DAG nil) or a registry name; Props is the
-// entry's requested property set (0 when unset). DAG is the plan every
-// endpoint works on — what /v1/verify and /v1/explore check is, node
-// for node, what POST /v1/updates hands the engine: the schedule's
-// lossless layered conversion by default, the scheduler's sparse DAG
-// when the entry asked for plan "sparse" and the scheduler provides
-// one. Rounds is only what the wire responses report as "rounds": the
-// scheduler's rounds, which for a sparse DAG are not its layers.
-type plannedUpdate struct {
-	In     *core.Instance
-	Match  openflow.Match
-	Algo   string
-	DAG    *core.Plan
-	Rounds [][]topo.NodeID
-	Props  core.Property
-	Mode   ExecMode
-}
-
-// planUpdate validates one FlowUpdate and computes its schedule. All
-// request validation the engine used to discover mid-job lives here:
-// malformed paths, off-path waypoints, bad matches and unknown
-// algorithms are rejected before anything is admitted.
-//
-// forVerify relaxes the property contract: on the execution path a
-// scheduler that cannot guarantee the requested properties is a 400,
-// but on the dry-run verify path those properties are exactly what the
-// caller wants checked (reporting what a baseline would break is the
-// endpoint's purpose).
-func planUpdate(u api.FlowUpdate, forVerify bool) (*plannedUpdate, error) {
-	ip := net.ParseIP(u.NWDst)
-	if ip == nil || ip.To4() == nil {
-		return nil, errf(http.StatusBadRequest, api.CodeInvalidMatch, "nw_dst %q is not an IPv4 address", u.NWDst)
-	}
-	in, err := core.NewInstance(api.ToPath(u.OldPath), api.ToPath(u.NewPath), topo.NodeID(u.Waypoint))
-	if err != nil {
-		code := api.CodeInvalidPath
-		if errors.Is(err, core.ErrWaypoint) {
-			code = api.CodeInvalidWaypoint
-		}
-		return nil, errf(http.StatusBadRequest, code, "invalid update: %v", err)
-	}
-	props, err := core.ParseProperties(u.Properties)
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, api.CodeUnknownProperty, "%v", err)
-	}
-	switch u.Plan {
-	case "", "layered", "sparse":
-	default:
-		return nil, errf(http.StatusBadRequest, api.CodeBadRequest,
-			"plan %q unknown (want layered or sparse)", u.Plan)
-	}
-	mode, ok := ParseExecMode(u.Mode)
-	if !ok {
-		return nil, errf(http.StatusBadRequest, api.CodeBadRequest,
-			"mode %q unknown (want controller or decentralized)", u.Mode)
-	}
-	p := &plannedUpdate{In: in, Match: openflow.ExactNWDst(ip), Algo: u.Algorithm, Props: props, Mode: mode}
-	if u.Algorithm == "two-phase" {
-		// Per-packet consistency: every packet rides exactly one
-		// policy end to end, which subsumes all four per-flow
-		// transient properties — any request is satisfied.
-		return p, nil
-	}
-	if u.Algorithm != "" {
-		if _, err := core.Lookup(u.Algorithm); err != nil {
-			return nil, errf(http.StatusBadRequest, api.CodeUnknownAlgorithm, "%v", err)
-		}
-	}
-	if u.Algorithm == core.AlgoSynth {
-		return planSynthUpdate(p, in, u, props)
-	}
-	sched, err := core.ScheduleByName(in, u.Algorithm, props)
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, api.CodeScheduleFailed, "scheduling failed: %v", err)
-	}
-	// On the execution path, requested properties are a contract, not
-	// a hint: schedulers with fixed guarantees (peacock, oneshot, ...)
-	// ignore the props argument, so reject rather than execute an
-	// update that does not preserve what the client demanded.
-	if !forVerify && props != 0 && !sched.Guarantees.Has(props) {
-		return nil, errf(http.StatusBadRequest, api.CodeScheduleFailed,
-			"scheduler %q guarantees %s, which does not cover the requested %s",
-			sched.Algorithm, sched.Guarantees, props)
-	}
-	p.Algo = sched.Algorithm
-	p.Rounds = sched.Rounds
-	// Execution plan: the schedule is converted here, once — to the
-	// lossless layered plan by default; to the sparse DAG on request,
-	// derived from the schedule just computed (the PlanScheduler
-	// capability gates which algorithms' rounds justify the derivation —
-	// never re-running the scheduler, so the reported rounds and the
-	// executed DAG come from the same run). Schedulers without a sparse
-	// form fall back to layered — PlanShape.Sparse reports what ran.
-	if u.Plan == "sparse" {
-		if sch, err := core.Lookup(p.Algo); err == nil {
-			if _, capable := sch.(core.PlanScheduler); capable {
-				p.DAG = core.SparsePlan(in, sched)
-			}
-		}
-	}
-	if p.DAG == nil {
-		p.DAG = core.PlanFromSchedule(sched)
-	}
-	return p, nil
-}
-
-// planSynthUpdate plans an update through the CEGIS synthesizer,
-// honoring the per-request refinement budget: a positive SynthBudget
-// runs pure synthesis and surfaces a budget overrun as a structured
-// 400/CodeSynthBudget carrying the best-so-far plan shape; zero runs
-// the heuristic-backed portfolio with server defaults. The synthesized
-// sparse DAG executes directly when the entry asked for plan "sparse";
-// the layered view of its layers otherwise.
-func planSynthUpdate(p *plannedUpdate, in *core.Instance, u api.FlowUpdate, props core.Property) (*plannedUpdate, error) {
-	if u.SynthBudget < 0 {
-		return nil, errf(http.StatusBadRequest, api.CodeBadRequest, "synth_budget %d is negative", u.SynthBudget)
-	}
-	sprops := synth.DefaultProps(in, props)
-	var (
-		plan *core.Plan
-		err  error
-	)
-	if u.SynthBudget > 0 {
-		plan, _, err = synth.Synthesize(in, sprops, synth.Options{Budget: u.SynthBudget})
-	} else {
-		plan, _, err = synth.Plan(in, sprops, synth.Options{})
-	}
-	if err != nil {
-		var be *synth.BudgetError
-		if errors.As(err, &be) {
-			he := errf(http.StatusBadRequest, api.CodeSynthBudget,
-				"synthesis budget of %d refinements exceeded after %d counterexamples", be.Budget, be.Transcript.Iters)
-			he.plan = planShape(be.Best)
-			return nil, he
-		}
-		return nil, errf(http.StatusBadRequest, api.CodeScheduleFailed, "synthesis failed: %v", err)
-	}
-	p.Algo = core.AlgoSynth
-	p.Rounds = plan.Layers()
-	// The generic path re-derives a sparse DAG from the schedule; here
-	// the synthesized DAG itself is the artifact, so it executes as-is
-	// on request instead of being reconstructed.
-	p.DAG = plan
-	if u.Plan != "sparse" {
-		p.DAG = core.PlanFromSchedule(&core.Schedule{Rounds: p.Rounds, Algorithm: core.AlgoSynth, Guarantees: plan.Guarantees})
-	}
-	return p, nil
-}
-
-// planShape converts a plan's DAG shape to the wire form.
-func planShape(p *core.Plan) *api.PlanShape {
-	if p == nil {
-		return nil
-	}
-	return shapeOf(p, p.NodeLayers()).wire()
-}
-
 func (sh dagShape) wire() *api.PlanShape {
 	return &api.PlanShape{
 		Nodes:        sh.installs,
@@ -232,31 +72,6 @@ func (sh dagShape) wire() *api.PlanShape {
 	}
 }
 
-// planBatch validates a whole batch atomically: the first invalid
-// entry rejects the batch and nothing is submitted.
-func planBatch(req api.BatchUpdateRequest, forVerify bool) ([]*plannedUpdate, error) {
-	if req.Interval < 0 {
-		return nil, errf(http.StatusBadRequest, api.CodeInvalidInterval, "interval %d ms is negative", req.Interval)
-	}
-	if len(req.Updates) == 0 {
-		return nil, errf(http.StatusBadRequest, api.CodeEmptyBatch, "batch contains no updates")
-	}
-	plans := make([]*plannedUpdate, len(req.Updates))
-	for i, u := range req.Updates {
-		p, err := planUpdate(u, forVerify)
-		if err != nil {
-			if he, ok := err.(*handlerError); ok {
-				wrapped := errf(he.status, he.code, "updates[%d]: %s", i, he.msg)
-				wrapped.plan = he.plan
-				return nil, wrapped
-			}
-			return nil, err
-		}
-		plans[i] = p
-	}
-	return plans, nil
-}
-
 // accepted converts a plan (and its job, nil on dry-run) to the wire
 // shape.
 func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
@@ -265,7 +80,7 @@ func accepted(p *plannedUpdate, job *Job) api.AcceptedUpdate {
 		out.ID = job.ID
 	}
 	if p.DAG != nil {
-		out.Rounds = api.FromRounds(p.Rounds)
+		out.Rounds = wireRounds(p.Layered)
 		out.Guarantees = p.DAG.Guarantees.String()
 		out.Compromise = p.DAG.LoopFreedomCompromised
 		out.Plan = planShape(p.DAG)
@@ -547,14 +362,9 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
 		return
 	}
-	plans, err := planBatch(api.BatchUpdateRequest{Updates: req.Updates}, true)
+	plans, err := planDryRun(req.Updates, req.Properties, "verify")
 	if err != nil {
 		writeErr(w, err)
-		return
-	}
-	reqProps, err := core.ParseProperties(req.Properties)
-	if err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeUnknownProperty, "%v", err))
 		return
 	}
 	// One parallel verification pool for the whole request: every
@@ -563,19 +373,14 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	// sampled checks).
 	tasks := make([]verify.Task, len(plans))
 	for i, p := range plans {
-		if p.DAG == nil {
-			writeErr(w, errf(http.StatusBadRequest, api.CodeScheduleFailed,
-				"updates[%d]: two-phase has no round schedule to verify", i))
-			return
-		}
-		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: checkProps(p, reqProps)}
+		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: p.Props}
 	}
 	reports := verify.Batch(tasks, verify.Options{Samples: req.Samples, Seed: req.Seed})
 	resp := api.VerifyResponse{OK: true, Results: make([]api.VerifyResult, 0, len(reports))}
 	for i, rep := range reports {
 		res := api.VerifyResult{
 			Algorithm:  plans[i].Algo,
-			Rounds:     api.FromRounds(plans[i].Rounds),
+			Rounds:     wireRounds(plans[i].Layered),
 			Guarantees: plans[i].DAG.Guarantees.String(),
 			Properties: tasks[i].Props.String(),
 			OK:         rep.OK(),
@@ -601,25 +406,6 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// checkProps resolves the property set a dry-run endpoint checks for
-// one planned update. Precedence: the entry's own properties, then the
-// request-level set, then the schedule's guarantees; schedules that
-// guarantee nothing (one-shot) are checked against what the consistent
-// schedulers provide, so the dry run shows what would break.
-func checkProps(p *plannedUpdate, reqProps core.Property) core.Property {
-	props := p.Props
-	if props == 0 {
-		props = reqProps
-	}
-	if props == 0 {
-		props = p.DAG.Guarantees
-	}
-	if props == 0 {
-		props = p.In.NaturalProps()
-	}
-	return props
-}
-
 // handleV1Explore plans the batch and runs the adversarial
 // interleaving explorer against every schedule — like /v1/verify a
 // pure dry run, but answering with minimized FlowMod delivery traces
@@ -631,32 +417,17 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
 		return
 	}
-	plans, err := planBatch(api.BatchUpdateRequest{Updates: req.Updates}, true)
+	plans, err := planDryRun(req.Updates, req.Properties, "explore")
 	if err != nil {
 		writeErr(w, err)
 		return
-	}
-	reqProps, err := core.ParseProperties(req.Properties)
-	if err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeUnknownProperty, "%v", err))
-		return
-	}
-	for i, p := range plans {
-		if p.DAG == nil {
-			writeErr(w, errf(http.StatusBadRequest, api.CodeScheduleFailed,
-				"updates[%d]: two-phase has no round schedule to explore", i))
-			return
-		}
 	}
 	// Fan the per-update explorations over the CPUs (like verify.Batch
 	// does for the sibling endpoint); each exploration is independent
 	// and deterministic, so results merge back in index order.
 	reps := make([]*explore.Report, len(plans))
 	errs := make([]error, len(plans))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(plans) {
-		workers = len(plans)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(plans))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -673,7 +444,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 				// updates; nesting explore's own stage pool would
 				// oversubscribe the CPUs.
 				eopts := explore.Options{
-					Props:         checkProps(p, reqProps),
+					Props:         p.Props,
 					MaxExhaustive: req.MaxExhaustive,
 					Samples:       req.Samples,
 					Seed:          req.Seed,
@@ -700,7 +471,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		rep := reps[i]
 		res := api.ExploreResult{
 			Algorithm:  p.Algo,
-			Rounds:     api.FromRounds(p.Rounds),
+			Rounds:     wireRounds(p.Layered),
 			Guarantees: p.DAG.Guarantees.String(),
 			Properties: rep.Properties.String(),
 			OK:         rep.OK(),

@@ -274,7 +274,7 @@ func TestRecoverRetainsNewestStubs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := planner.engine.planJob(in, core.PlanFromSchedule(wayup), flowMatch("10.0.0.2"), SubmitOptions{})
+	live, err := planner.engine.planJob(in, wayup, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

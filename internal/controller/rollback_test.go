@@ -19,7 +19,7 @@ import (
 // The abort tests migrate the Fig. 1 flow from the old route onto the
 // new one. Switches 7..11 are new-path-only (their undo is a
 // FlowDelete); 1 and 3 divert and are updated last.
-func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Schedule) {
+func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Plan) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -31,7 +31,7 @@ func submitAbortJob(t *testing.T, tb *testbed, mode ExecMode) (*Job, *core.Sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,10 @@ func TestAbortReportsExactSetsAndStuckNodes(t *testing.T) {
 	assertSet := func(name string, got []topo.NodeID, want []topo.NodeID) {
 		t.Helper()
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s = %v, want %v (round 1: %v)", name, got, want, sched.Rounds[0])
+			t.Fatalf("%s = %v, want %v (round 1: %v)", name, got, want, sched.Layers()[0])
 		}
 	}
-	round1 := slices.Sorted(slices.Values(sched.Rounds[0]))
+	round1 := slices.Sorted(slices.Values(sched.Layers()[0]))
 	assertSet("installed", f.Installed, round1)
 	rolledBack := slices.Sorted(slices.Values(f.RolledBack))
 	assertSet("rolled back", rolledBack, slices.DeleteFunc(slices.Clone(round1), func(n topo.NodeID) bool { return n == 7 }))
@@ -211,7 +211,7 @@ func TestVirtualTimeBarrierTimeout(t *testing.T) {
 	// lost. The unordered installed prefix admits unsafe sub-ideals, so
 	// the rollback must be refused and the job reported stuck.
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(core.OneShot(in)), flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := tb.ctrl.Engine().SubmitPlan(in, core.OneShot(in), flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestChaosProbabilisticFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := tb.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), flowMatch("10.0.0.2"), SubmitOptions{})
+		job, err := tb.ctrl.Engine().SubmitPlan(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func TestVirtualClockUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), match, SubmitOptions{})
+	job, err := ctrl.Engine().SubmitPlan(in, sched, match, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,12 +91,9 @@ func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, tag uint16
 	commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: tag}}, commit.Actions...)
 	mods = append(mods, []*openflow.FlowMod{commit})
 
-	// A two-hop new path has nothing to prepare; PlanFromSchedule skips
-	// the empty round and the commit is the plan's only layer.
-	p := core.PlanFromSchedule(&core.Schedule{
-		Algorithm: "two-phase",
-		Rounds:    [][]topo.NodeID{prepare, {src}},
-	})
+	// A two-hop new path has nothing to prepare; Layered skips the
+	// empty round and the commit is the plan's only layer.
+	p := core.Layered("two-phase", 0, [][]topo.NodeID{prepare, {src}})
 	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
 		cleanupAt = staleSwitches(in)

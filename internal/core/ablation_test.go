@@ -19,8 +19,8 @@ func TestSequentialCorrectOnFamilies(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		verifyScheduleBrute(t, in, s, props)
-		if s.NumRounds() != in.NumPending() {
-			t.Fatalf("%s: sequential rounds %d != pending %d", name, s.NumRounds(), in.NumPending())
+		if s.Depth() != in.NumPending() {
+			t.Fatalf("%s: sequential rounds %d != pending %d", name, s.Depth(), in.NumPending())
 		}
 	}
 }
@@ -78,11 +78,11 @@ func TestBatchingGain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.NumRounds() > 3 {
-			t.Fatalf("n=%d: peacock %d rounds", n, p.NumRounds())
+		if p.Depth() > 3 {
+			t.Fatalf("n=%d: peacock %d rounds", n, p.Depth())
 		}
-		if s.NumRounds() != n-1 { // reversal(n) has n-1 pending switches
-			t.Fatalf("n=%d: sequential %d rounds, want %d", n, s.NumRounds(), n-1)
+		if s.Depth() != n-1 { // reversal(n) has n-1 pending switches
+			t.Fatalf("n=%d: sequential %d rounds, want %d", n, s.Depth(), n-1)
 		}
 	}
 }
@@ -106,11 +106,11 @@ func TestGreedySLFOptimalOnReversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NumRounds() != opt.NumRounds() {
-			t.Fatalf("n=%d: greedy %d rounds vs optimal %d", n, g.NumRounds(), opt.NumRounds())
+		if g.Depth() != opt.Depth() {
+			t.Fatalf("n=%d: greedy %d rounds vs optimal %d", n, g.Depth(), opt.Depth())
 		}
-		if opt.NumRounds() != n-2 {
-			t.Fatalf("n=%d: optimal %d rounds, want %d", n, opt.NumRounds(), n-2)
+		if opt.Depth() != n-2 {
+			t.Fatalf("n=%d: optimal %d rounds, want %d", n, opt.Depth(), n-2)
 		}
 	}
 }
@@ -137,11 +137,11 @@ func TestPeacockOptimalityGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.NumRounds() < opt.NumRounds() {
-			t.Fatalf("peacock %d < optimal %d on %v — optimal solver unsound", p.NumRounds(), opt.NumRounds(), in)
+		if p.Depth() < opt.Depth() {
+			t.Fatalf("peacock %d < optimal %d on %v — optimal solver unsound", p.Depth(), opt.Depth(), in)
 		}
-		if p.NumRounds() > opt.NumRounds()+2 {
-			t.Fatalf("peacock %d rounds vs optimal %d on %v — gap too large", p.NumRounds(), opt.NumRounds(), in)
+		if p.Depth() > opt.Depth()+2 {
+			t.Fatalf("peacock %d rounds vs optimal %d on %v — gap too large", p.Depth(), opt.Depth(), in)
 		}
 	}
 	if checked < 20 {
@@ -162,7 +162,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds = s.NumRounds()
+			rounds = s.Depth()
 		}
 		b.ReportMetric(float64(rounds), "rounds")
 	})
@@ -173,7 +173,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds = s.NumRounds()
+			rounds = s.Depth()
 		}
 		b.ReportMetric(float64(rounds), "rounds")
 	})
@@ -184,7 +184,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds = s.NumRounds()
+			rounds = s.Depth()
 		}
 		b.ReportMetric(float64(rounds), "rounds")
 	})

@@ -42,10 +42,10 @@ func TestWalkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := in.NewState()
-	rc.Check(in, done, s.Rounds[0], NoBlackhole|RelaxedLoopFreedom, 0) // warm the buffers
+	done, round := in.NewState(), s.Layers()[0]
+	rc.Check(in, done, round, NoBlackhole|RelaxedLoopFreedom, 0) // warm the buffers
 	if got := testing.AllocsPerRun(200, func() {
-		rc.Check(in, done, s.Rounds[0], NoBlackhole|RelaxedLoopFreedom, 0)
+		rc.Check(in, done, round, NoBlackhole|RelaxedLoopFreedom, 0)
 	}); got != 0 {
 		t.Fatalf("RoundChecker.Check (safe round) = %.1f allocs/op, want 0", got)
 	}

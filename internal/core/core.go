@@ -5,15 +5,21 @@
 // to a destination, optionally through a waypoint) with a new one. The
 // controller cannot install the new rules atomically: FlowMod commands
 // travel over an asynchronous control channel and take effect in
-// arbitrary order. A schedule therefore partitions the switches into
-// rounds; within a round updates commute in any order, and rounds are
-// separated by OpenFlow barrier request/reply exchanges (see
+// arbitrary order. A round schedule therefore partitions the switches
+// into rounds; within a round updates commute in any order, and rounds
+// are separated by OpenFlow barrier request/reply exchanges (see
 // internal/controller). A schedule is transiently consistent for a
 // property when the property holds in every reachable intermediate
 // state — i.e. for every prefix of completed rounds plus every subset
 // of the in-flight round.
 //
-// The package provides the update model (Instance, Schedule), the
+// Every scheduler returns a Plan, a dependency DAG of per-switch
+// updates whose reachable states are its order ideals. Rounds are one
+// shape of it, the layered plan (Layered); SparsePlan prunes a layered
+// Peacock or GreedySLF plan to the edges its safety argument needs, and
+// synthesis returns its DAG directly.
+//
+// The package provides the update model (Instance, Plan), the
 // per-state forwarding walk, exact round-safety primitives, and the
 // schedulers demonstrated by the paper: WayUp (waypoint enforcement,
 // after Ludwig et al., HotNets'14), Peacock (relaxed loop freedom,

@@ -15,11 +15,11 @@ func ExampleWayUp() {
 		topo.Path{1, 6, 3, 7, 5}, // new route, same firewall
 		3,
 	)
-	sched, _ := core.WayUp(in)
-	fmt.Println(sched)
-	fmt.Println(verify.Plan(in, core.PlanFromSchedule(sched), sched.Guarantees, verify.Options{}).OK())
+	plan, _ := core.WayUp(in)
+	fmt.Println(plan.Algorithm, plan.Layers())
+	fmt.Println(verify.Plan(in, plan, plan.Guarantees, verify.Options{}).OK())
 	// Output:
-	// wayup[3 rounds: {6 7} {3} {1}]
+	// wayup [[6 7] [3] [1]]
 	// true
 }
 
@@ -28,8 +28,8 @@ func ExampleWayUp() {
 func ExamplePeacock() {
 	inst := topo.Reversal(16)
 	in, _ := core.NewInstance(inst.Old, inst.New, 0)
-	sched, _ := core.Peacock(in)
-	fmt.Println(sched.NumRounds(), "rounds for", in.NumPending(), "switches")
+	plan, _ := core.Peacock(in)
+	fmt.Println(plan.Depth(), "rounds for", in.NumPending(), "switches")
 	// Output:
 	// 3 rounds for 15 switches
 }
@@ -38,7 +38,7 @@ func ExamplePeacock() {
 // verifier exhibits a reachable transient state that loops.
 func ExampleOneShot() {
 	in, _ := core.NewInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
-	report := verify.Plan(in, core.PlanFromSchedule(core.OneShot(in)), core.RelaxedLoopFreedom, verify.Options{})
+	report := verify.Plan(in, core.OneShot(in), core.RelaxedLoopFreedom, verify.Options{})
 	fmt.Println(report.OK())
 	fmt.Println(report.FirstViolation().Violated)
 	// Output:
@@ -50,8 +50,8 @@ func ExampleOneShot() {
 // instance.
 func ExampleOptimal() {
 	in, _ := core.NewInstance(topo.Path{1, 2, 3, 4, 5}, topo.Path{1, 4, 3, 2, 5}, 0)
-	sched, _ := core.Optimal(in, core.NoBlackhole|core.RelaxedLoopFreedom)
-	fmt.Println(sched.NumRounds())
+	plan, _ := core.Optimal(in, core.NoBlackhole|core.RelaxedLoopFreedom)
+	fmt.Println(plan.Depth())
 	// Output:
 	// 3
 }

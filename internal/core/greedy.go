@@ -25,9 +25,8 @@ import "fmt"
 // fortiori here only when the landing is forward), but adversarial
 // instances can stall the *global-graph* variant; callers fall back to
 // Peacock or Optimal.
-func GreedySLF(in *Instance) (*Schedule, error) {
-	s := &Schedule{Algorithm: AlgoGreedySLF, Guarantees: NoBlackhole | StrongLoopFreedom | RelaxedLoopFreedom}
-	b := in.newBatcher(s)
+func GreedySLF(in *Instance) (*Plan, error) {
+	b := in.newBatcher()
 	pending := in.pendingIdx()
 	for left := len(pending); left > 0; {
 		// pick grows the round at the tail of b.pool: the trial is that
@@ -44,5 +43,5 @@ func GreedySLF(in *Instance) (*Schedule, error) {
 		}
 		left -= b.commit(round)
 	}
-	return s, nil
+	return Layered(AlgoGreedySLF, NoBlackhole|StrongLoopFreedom|RelaxedLoopFreedom, b.rounds), nil
 }

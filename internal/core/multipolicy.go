@@ -17,30 +17,30 @@ import (
 // a switch is touched as few times as possible.
 type JointUpdate struct {
 	Instances []*Instance
-	Schedules []*Schedule
+	Plans     []*Plan // each flow's layered plan: its layers are its rounds
 }
 
 // FlowUpdate identifies one switch update of one flow within a joint
 // round.
 type FlowUpdate struct {
-	Flow   int // index into Instances/Schedules
+	Flow   int // index into Instances/Plans
 	Switch topo.NodeID
 }
 
-// NewJointUpdate schedules every instance with the provided scheduler
-// (see Register / Lookup for dispatch by name). props == 0 selects the
-// scheduler's default property set.
+// NewJointUpdate plans every instance with the provided scheduler (see
+// Register / Lookup for dispatch by name) and keeps the plan's layered
+// view. props == 0 selects the scheduler's default property set.
 func NewJointUpdate(instances []*Instance, scheduler Scheduler, props Property) (*JointUpdate, error) {
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("core: joint update needs at least one policy")
 	}
 	j := &JointUpdate{Instances: instances}
 	for i, in := range instances {
-		s, err := scheduler.Schedule(in, props)
+		p, err := scheduler.Plan(in, props)
 		if err != nil {
 			return nil, fmt.Errorf("core: joint update: policy %d: %w", i, err)
 		}
-		j.Schedules = append(j.Schedules, s)
+		j.Plans = append(j.Plans, p.LayeredView())
 	}
 	return j, nil
 }
@@ -48,21 +48,19 @@ func NewJointUpdate(instances []*Instance, scheduler Scheduler, props Property) 
 // NumRounds returns the joint (left-aligned) round count: the maximum
 // per-flow round count, since independent flows share barrier rounds.
 func (j *JointUpdate) NumRounds() int {
-	max := 0
-	for _, s := range j.Schedules {
-		if s.NumRounds() > max {
-			max = s.NumRounds()
-		}
+	n := 0
+	for _, p := range j.Plans {
+		n = max(n, p.Depth())
 	}
-	return max
+	return n
 }
 
 // SequentialRounds returns the round count of the naive alternative
 // that updates one policy after another: the sum of per-flow rounds.
 func (j *JointUpdate) SequentialRounds() int {
 	total := 0
-	for _, s := range j.Schedules {
-		total += s.NumRounds()
+	for _, p := range j.Plans {
+		total += p.Depth()
 	}
 	return total
 }
@@ -74,11 +72,12 @@ func (j *JointUpdate) SequentialRounds() int {
 // returned slice.
 func (j *JointUpdate) Round(i int) map[topo.NodeID][]FlowUpdate {
 	out := make(map[topo.NodeID][]FlowUpdate)
-	for f, s := range j.Schedules {
-		if i >= s.NumRounds() {
+	for f, p := range j.Plans {
+		layers := p.Layers()
+		if i >= len(layers) {
 			continue
 		}
-		for _, v := range s.Round(i) {
+		for _, v := range layers[i] {
 			out[v] = append(out[v], FlowUpdate{Flow: f, Switch: v})
 		}
 	}
@@ -103,29 +102,26 @@ func (j *JointUpdate) SwitchTouches() map[topo.NodeID]int {
 // flows.
 func (j *JointUpdate) TotalFlowMods() int {
 	total := 0
-	for _, s := range j.Schedules {
-		total += s.NumUpdates()
+	for _, p := range j.Plans {
+		total += p.NumNodes()
 	}
 	return total
+}
+
+// SwitchTouch is one row of TouchSummary.
+type SwitchTouch struct {
+	Switch  topo.NodeID
+	Touches int
 }
 
 // TouchSummary returns the switches sorted by descending touch count,
 // ties by ascending switch ID — the table the multi-policy experiment
 // prints.
-func (j *JointUpdate) TouchSummary() []struct {
-	Switch  topo.NodeID
-	Touches int
-} {
+func (j *JointUpdate) TouchSummary() []SwitchTouch {
 	touches := j.SwitchTouches()
-	out := make([]struct {
-		Switch  topo.NodeID
-		Touches int
-	}, 0, len(touches))
+	out := make([]SwitchTouch, 0, len(touches))
 	for sw, t := range touches {
-		out = append(out, struct {
-			Switch  topo.NodeID
-			Touches int
-		}{sw, t})
+		out = append(out, SwitchTouch{sw, t})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Touches != out[b].Touches {

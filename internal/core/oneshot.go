@@ -2,16 +2,12 @@ package core
 
 import "tsu/internal/topo"
 
-// OneShot returns the baseline schedule a consistency-oblivious
+// OneShot returns the baseline plan a consistency-oblivious
 // controller produces: every FlowMod in a single round, no barriers in
 // between. Under an asynchronous control channel the transient states
 // are arbitrary rule mixtures, so no property is guaranteed — this is
 // the comparator that exhibits transient loops and waypoint bypasses in
 // the experiments.
-func OneShot(in *Instance) *Schedule {
-	s := &Schedule{Algorithm: AlgoOneShot, Guarantees: 0}
-	if pending := in.Pending(); len(pending) > 0 {
-		s.Rounds = [][]topo.NodeID{pending}
-	}
-	return s
+func OneShot(in *Instance) *Plan {
+	return Layered(AlgoOneShot, 0, [][]topo.NodeID{in.Pending()})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"tsu/internal/topo"
 )
@@ -16,7 +17,7 @@ const MaxOptimalPending = 12
 // memoises over 2^k done-sets.
 const MaxFeasiblePending = 20
 
-// Optimal computes a schedule with the provably minimal number of
+// Optimal computes a layered plan with the provably minimal number of
 // rounds satisfying props in every reachable transient state, via
 // breadth-first search over done-sets with exact round-safety as the
 // transition oracle. It returns an error when the instance exceeds
@@ -28,15 +29,11 @@ const MaxFeasiblePending = 20
 // violating subset of every superset round), which the search exploits:
 // any round containing an individually unsafe switch is skipped without
 // re-checking.
-func Optimal(in *Instance, props Property) (*Schedule, error) {
+func Optimal(in *Instance, props Property) (*Plan, error) {
 	pending := in.Pending()
 	k := len(pending)
 	if k > MaxOptimalPending {
 		return nil, fmt.Errorf("core: optimal solver limited to %d pending switches, instance has %d", MaxOptimalPending, k)
-	}
-	s := &Schedule{Algorithm: AlgoOptimal, Guarantees: props}
-	if k == 0 {
-		return s, nil
 	}
 	maskNodes := func(mask uint32) []topo.NodeID {
 		out := make([]topo.NodeID, 0, bits.OnesCount32(mask))
@@ -108,11 +105,8 @@ func Optimal(in *Instance, props Property) (*Schedule, error) {
 		rounds = append(rounds, maskNodes(p.round))
 		m = p.state
 	}
-	for i, j := 0, len(rounds)-1; i < j; i, j = i+1, j-1 {
-		rounds[i], rounds[j] = rounds[j], rounds[i]
-	}
-	s.Rounds = rounds
-	return s, nil
+	slices.Reverse(rounds)
+	return Layered(AlgoOptimal, props, rounds), nil
 }
 
 // Feasible decides whether any schedule satisfies props in every

@@ -33,9 +33,8 @@ import (
 // earliest pending switch on W always gains a forward landing once its
 // chain is final, and any chain blocker is itself off-walk and flips in
 // the current round.
-func Peacock(in *Instance) (*Schedule, error) {
-	s := &Schedule{Algorithm: AlgoPeacock, Guarantees: NoBlackhole | RelaxedLoopFreedom}
-	b := in.newBatcher(s)
+func Peacock(in *Instance) (*Plan, error) {
+	b := in.newBatcher()
 	pending := in.pendingIdx()
 
 	// Round 1: all new-path-only switches. They are off the old-path
@@ -55,27 +54,26 @@ func Peacock(in *Instance) (*Schedule, error) {
 		}
 		left -= b.commit(round)
 	}
-	return s, nil
+	return Layered(AlgoPeacock, NoBlackhole|RelaxedLoopFreedom, b.rounds), nil
 }
 
-// batcher is the working state of a round scheduler: the schedule under
-// construction, the switches its rounds have covered so far, and the
-// scratch the batching lemmas read. Candidates are dense indices; a
+// batcher is the working state of a round scheduler: the rounds built
+// so far, the switches they cover, and the scratch the batching lemmas
+// read. Candidates are dense indices; a
 // candidate is still to be scheduled exactly while it is not in done.
 // Rounds are cut from one backing array sized for the whole pending
 // set.
 type batcher struct {
 	in      *Instance
-	s       *Schedule
+	rounds  [][]topo.NodeID
 	done    State
 	walkPos []int32 // per node: position on the inter-round walk, -1 off it
 	pool    []topo.NodeID
 }
 
-func (in *Instance) newBatcher(s *Schedule) *batcher {
+func (in *Instance) newBatcher() *batcher {
 	return &batcher{
 		in:      in,
-		s:       s,
 		done:    in.NewState(),
 		walkPos: make([]int32, len(in.nodeOf)),
 		pool:    make([]topo.NodeID, 0, in.numPending),
@@ -98,11 +96,11 @@ func (b *batcher) pick(cand []int32, ok func(i int32) bool) []topo.NodeID {
 	return b.pool[start:len(b.pool):len(b.pool)]
 }
 
-// commit appends the round to the schedule, marks its switches done and
+// commit appends the round to the rounds, marks its switches done and
 // returns its size. An empty round is not a round: nothing happens.
 func (b *batcher) commit(round []topo.NodeID) int {
 	if len(round) > 0 {
-		b.s.Rounds = append(b.s.Rounds, round)
+		b.rounds = append(b.rounds, round)
 		b.in.Mark(b.done, round...)
 	}
 	return len(round)

@@ -11,13 +11,12 @@ import (
 
 // Plan is a dependency DAG of per-switch updates: node i's FlowMod may
 // be issued as soon as every dependency's barrier reply has arrived —
-// per-node barriers instead of per-round barriers. It is the
-// generalization of Schedule's global-barrier rounds: a round schedule
-// converts losslessly to a *layered* plan (every switch of round r
-// depends on every switch of round r-1, see PlanFromSchedule), while a
-// sparse plan keeps only the edges a property proof needs, so a single
-// slow switch stalls just its own dependents instead of the whole
-// update.
+// per-node barriers instead of per-round barriers. It is what every
+// scheduler returns. The paper's global-barrier rounds are one shape
+// of it, the *layered* plan (every switch of round r depends on every
+// switch of round r-1, see Layered), while a sparse plan keeps only the
+// edges a property proof needs, so a single slow switch stalls just its
+// own dependents instead of the whole update.
 //
 // # Reachable transient states
 //
@@ -46,18 +45,22 @@ import (
 // strictly smaller than the node's own index (Validate enforces this,
 // and the wire codec relies on it).
 type Plan struct {
-	// Algorithm names the scheduler that produced the plan.
+	// Algorithm names the scheduler that produced the plan (one of
+	// the registered names, see Names).
 	Algorithm string
 
 	// Guarantees is the property set promised to hold in every
 	// reachable transient state (every order ideal) of this plan.
 	Guarantees Property
 
-	// LoopFreedomCompromised mirrors Schedule.LoopFreedomCompromised.
+	// LoopFreedomCompromised is set by WayUp when waypoint enforcement
+	// and loop freedom were jointly infeasible for the instance
+	// (HotNets'14 shows such instances exist); waypoint enforcement is
+	// preserved, transient loops may occur in the flagged rounds.
 	LoopFreedomCompromised bool
 
 	// Sparse marks plans whose edge set was pruned below the layered
-	// closure (emitted by a PlanScheduler).
+	// closure (SparsePlan, synthesis).
 	Sparse bool
 
 	// Rollback marks reverse plans produced by Reverse: nodes *undo*
@@ -85,39 +88,37 @@ type PlanNode struct {
 	Deps []int
 }
 
-// PlanScheduler is the optional scheduler capability of emitting a
-// genuinely sparse dependency plan — edges only where the scheduler's
-// own safety argument needs ordering. Schedulers without it are
-// covered by PlanFromSchedule's lossless layered conversion.
-type PlanScheduler interface {
-	// Plan computes a dependency plan for the instance; props as in
-	// Scheduler.Schedule.
-	Plan(in *Instance, props Property) (*Plan, error)
-}
-
-// PlanFromSchedule converts a round schedule to its layered plan:
-// every switch of round r depends on every switch of round r-1
-// (transitively, on all earlier rounds). The conversion is lossless —
-// the plan's order ideals are exactly the schedule's reachable round
-// states, and Rounds (like Stages) recovers the original rounds.
-func PlanFromSchedule(s *Schedule) *Plan {
-	p := &Plan{
-		Algorithm:              s.Algorithm,
-		Guarantees:             s.Guarantees,
-		LoopFreedomCompromised: s.LoopFreedomCompromised,
+// Layered builds the layered plan of a round schedule: every switch of
+// round r depends on every switch of round r-1 (transitively, on all
+// earlier rounds), so the plan's order ideals are exactly the round
+// states — all earlier rounds applied plus any subset of the current
+// one — and Layers (like Stages) gives the rounds back. Empty rounds
+// are skipped. It is the one way a round scheduler returns its rounds.
+func Layered(algorithm string, guarantees Property, rounds [][]topo.NodeID) *Plan {
+	n := 0
+	for _, r := range rounds {
+		n += len(r)
 	}
-	p.Nodes = make([]PlanNode, 0, s.NumUpdates())
-	// A round's nodes all wait for the same set, the previous round:
-	// they share one deps slice (plans are immutable once built).
+	p := &Plan{Algorithm: algorithm, Guarantees: guarantees, Nodes: make([]PlanNode, 0, n)}
+	// A round's nodes all wait for the previous round, a run of
+	// consecutive indices: every deps slice is a window of one 0..n-1
+	// array (plans are immutable once built).
+	var ident []int
 	prev := 0 // where the previous round starts
-	for _, round := range s.Rounds {
+	for _, round := range rounds {
+		if len(round) == 0 {
+			continue
+		}
 		start := len(p.Nodes)
 		var deps []int
-		if start > prev {
-			deps = make([]int, start-prev)
-			for k := range deps {
-				deps[k] = prev + k
+		if start > 0 {
+			if ident == nil {
+				ident = make([]int, n)
+				for i := range ident {
+					ident[i] = i
+				}
 			}
+			deps = ident[prev:start:start]
 		}
 		for _, v := range round {
 			p.Nodes = append(p.Nodes, PlanNode{Switch: v, Deps: deps})
@@ -125,6 +126,48 @@ func PlanFromSchedule(s *Schedule) *Plan {
 		prev = start
 	}
 	return p
+}
+
+// OpensRound reports whether node i of a layered plan (one Layered
+// built, see LayeredView) is the first of its round: node 0, or a node
+// that depends on node i-1, the last of the round before.
+func (p *Plan) OpensRound(i int) bool {
+	deps := p.Nodes[i].Deps
+	return i == 0 || len(deps) > 0 && deps[len(deps)-1] == i-1
+}
+
+// isLayered reports whether p has the form Layered builds: every node
+// of a round depends on exactly the nodes of the round before.
+func (p *Plan) isLayered() bool {
+	prev, start := 0, 0
+	for i, nd := range p.Nodes {
+		if p.OpensRound(i) {
+			prev, start = start, i
+		}
+		if len(nd.Deps) != start-prev {
+			return false
+		}
+		for k, d := range nd.Deps {
+			if d != prev+k {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// LayeredView returns p's layered form: p itself when Layered built it
+// (what every round scheduler returns), otherwise the layered plan of
+// p's layers. The view only adds constraints — each node's dependencies
+// lie in lower layers — so its order ideals are ideals of p and it
+// keeps p's guarantees.
+func (p *Plan) LayeredView() *Plan {
+	if !p.Sparse && p.isLayered() {
+		return p
+	}
+	v := Layered(p.Algorithm, p.Guarantees, p.Layers())
+	v.LoopFreedomCompromised = p.LoopFreedomCompromised
+	return v
 }
 
 // NumNodes returns the number of per-switch updates in the plan.
@@ -145,16 +188,10 @@ func (p *Plan) layerOf() ([]int, int) {
 	layer := make([]int, len(p.Nodes))
 	depth := 0
 	for i, n := range p.Nodes {
-		l := 0
 		for _, d := range n.Deps {
-			if layer[d]+1 > l {
-				l = layer[d] + 1
-			}
+			layer[i] = max(layer[i], layer[d]+1)
 		}
-		layer[i] = l
-		if l+1 > depth {
-			depth = l + 1
-		}
+		depth = max(depth, layer[i]+1)
 	}
 	return layer, depth
 }
@@ -178,18 +215,10 @@ func (p *Plan) NodeLayers() []int {
 // install parallelism.
 func (p *Plan) Width() int {
 	layer, depth := p.layerOf()
-	if depth == 0 {
-		return 0
-	}
-	counts := make([]int, depth)
+	counts, w := make([]int, depth), 0
 	for _, l := range layer {
 		counts[l]++
-	}
-	w := 0
-	for _, c := range counts {
-		if c > w {
-			w = c
-		}
+		w = max(w, counts[l])
 	}
 	return w
 }
@@ -198,12 +227,7 @@ func (p *Plan) Width() int {
 // dependency chain — Depth()-1, the count of sequential
 // ack-before-issue hops before the last install of the chain can be
 // sent. Zero for plans whose installs all dispatch immediately.
-func (p *Plan) CriticalPath() int {
-	if d := p.Depth(); d > 0 {
-		return d - 1
-	}
-	return 0
-}
+func (p *Plan) CriticalPath() int { return max(p.Depth()-1, 0) }
 
 // Layers groups the switches by layer (longest-path depth), each layer
 // in node order. For a layered plan this reproduces the rounds; for a
@@ -291,25 +315,21 @@ func (p *Plan) Stages() []*Plan {
 	return stages
 }
 
-// Rounds reports whether the plan is layered — every stage is an
-// antichain, so its order ideals are exactly round states — and, when
-// it is, returns the rounds. Sparse plans return (nil, false).
-func (p *Plan) Rounds() ([][]topo.NodeID, bool) {
-	cut := p.cuts()
-	var rounds [][]topo.NodeID
-	lo := 0
+// roundShaped reports whether every stage of p is an antichain, so
+// that its order ideals are exactly the round states of its stages: a
+// layered plan in all but, possibly, its edge list.
+func (p *Plan) roundShaped() bool {
+	cut, lo := p.cuts(), 0
 	for i, nd := range p.Nodes {
 		if cut[i] {
 			lo = i
-			rounds = append(rounds, nil)
 		}
 		// Deps ascend: the last one decides whether any lies inside.
 		if len(nd.Deps) > 0 && nd.Deps[len(nd.Deps)-1] >= lo {
-			return nil, false
+			return false
 		}
-		rounds[len(rounds)-1] = append(rounds[len(rounds)-1], nd.Switch)
 	}
-	return rounds, true
+	return true
 }
 
 // String renders the plan shape compactly, e.g.
@@ -351,6 +371,21 @@ func (p *Plan) Validate(in *Instance) error {
 	if !p.Rollback && len(p.Nodes) != in.NumPending() {
 		return fmt.Errorf("core: plan covers %d of %d pending switches", len(p.Nodes), in.NumPending())
 	}
+	return nil
+}
+
+// cover marks pending switch v in seen for a Validate; verb names what
+// the caller did with it. A repeated switch or one that needs no update
+// is an error.
+func (in *Instance) cover(seen State, v topo.NodeID, verb string) error {
+	i := int(in.idx(v))
+	if seen.Has(i) {
+		return fmt.Errorf("core: switch %d %s twice", v, verb)
+	}
+	if !in.pendingBits.Has(i) {
+		return fmt.Errorf("core: switch %d %s but needs no update", v, verb)
+	}
+	seen.Set(i)
 	return nil
 }
 
@@ -594,9 +629,10 @@ const maxSparseCheckStates = 1 << 20
 // budget.
 const sparseSpotSamples = 64
 
-// SparsePlan derives a sparse dependency plan from a round schedule
-// using the dependency reasoning the walk-based schedulers (Peacock,
-// GreedySLF) already encode, then proves it safe before returning it:
+// SparsePlan derives a sparse dependency plan from the layered plan of
+// a round schedule, using the dependency reasoning the walk-based
+// schedulers (Peacock, GreedySLF) already encode, then proves it safe
+// before returning it:
 //
 //   - Rule-availability edges: a switch v that is on the old path
 //     depends on every new-path-only switch along its new-rule chain
@@ -606,54 +642,61 @@ const sparseSpotSamples = 64
 //     into them — nothing else ever reaches them, so no other
 //     ordering involving them is needed (Peacock's L1).
 //   - Ordering edges: the walk-relevant switches (those on the old
-//     path) keep exactly the relative order the schedule gave them —
+//     path) keep exactly the relative order the rounds gave them —
 //     each depends on every walk-relevant switch of the previous
 //     walk-relevant round. Projected onto these switches, the plan's
-//     order ideals are therefore precisely the schedule's round
-//     states, so the scheduler's own per-round safety argument (L2's
-//     forward landings, GreedySLF's double-edge test) carries over.
+//     order ideals are therefore precisely the round states, so the
+//     scheduler's own per-round safety argument (L2's forward
+//     landings, GreedySLF's double-edge test) carries over.
 //
 // What the derivation drops is the global barrier: a new-only switch
 // no longer gates unrelated branches, only the consumer whose chain
 // needs its rule.
 //
 // Soundness. In any order ideal S of the derived DAG the forwarding
-// walk equals the walk of a schedule-reachable round state: the walk
-// enters a new-only chain only through its flipped consumer, whose
-// chain edges force the whole chain into S (down-closure), so the
-// walk is a function of S's walk-relevant projection — and the
-// ordering edges make that projection exactly a round prefix plus a
-// subset of one round. Every walk-based guarantee (blackhole, relaxed
-// loop freedom, waypoint) therefore carries over from the schedule.
-// Strong loop freedom additionally constrains rules at unreachable
-// switches, where early new-only flips add edges round semantics
-// delayed; SparsePlan decides it with the polynomial double-edge test
-// per walk-relevant round, with every new-only switch modelled as
-// permanently in flight (a superset of the reachable rule graphs).
-// The walk properties are additionally proven exhaustively — every
-// order ideal through Walker.Check — whenever the ideal space fits
-// the budget, and spot-checked over seeded linear extensions past it.
-// Any failed or refuted check falls back to the layered plan, so
-// SparsePlan never weakens the schedule's contract.
-func SparsePlan(in *Instance, s *Schedule) *Plan {
-	if sparse := deriveSparse(in, s); sparse != nil {
+// walk equals the walk of a reachable round state: the walk enters a
+// new-only chain only through its flipped consumer, whose chain edges
+// force the whole chain into S (down-closure), so the walk is a
+// function of S's walk-relevant projection — and the ordering edges
+// make that projection exactly a round prefix plus a subset of one
+// round. Every walk-based guarantee (blackhole, relaxed loop freedom,
+// waypoint) therefore carries over from the rounds. Strong loop
+// freedom additionally constrains rules at unreachable switches, where
+// early new-only flips add edges round semantics delayed; SparsePlan
+// decides it with the polynomial double-edge test per walk-relevant
+// round, with every new-only switch modelled as permanently in flight
+// (a superset of the reachable rule graphs). The walk properties are
+// additionally proven exhaustively — every order ideal through
+// Walker.Check — whenever the ideal space fits the budget, and
+// spot-checked over seeded linear extensions past it.
+//
+// SparsePlan is the one place that decides which rounds justify the
+// derivation: only a layered Peacock or GreedySLF plan is pruned. Any
+// other plan comes back unchanged, and so does a layered one whose
+// derivation prunes nothing or fails a check — SparsePlan never
+// weakens the plan's contract.
+func SparsePlan(in *Instance, p *Plan) *Plan {
+	if p.Algorithm != AlgoPeacock && p.Algorithm != AlgoGreedySLF || !p.isLayered() {
+		return p
+	}
+	if sparse := deriveSparse(in, p); sparse != nil {
 		return sparse
 	}
-	return PlanFromSchedule(s)
+	return p
 }
 
-// deriveSparse is SparsePlan's derivation and proof; nil when the
-// schedule has no sparse plan that is valid, prunes an edge and is
-// provably safe.
-func deriveSparse(in *Instance, s *Schedule) *Plan {
-	n := s.NumUpdates()
+// deriveSparse is SparsePlan's derivation and proof on the layered
+// plan p; nil when p has no sparse plan that is valid, prunes an edge
+// and is provably safe.
+func deriveSparse(in *Instance, p *Plan) *Plan {
+	n := len(p.Nodes)
 	if n == 0 {
 		return nil
 	}
 	sparse := &Plan{
-		Algorithm:              s.Algorithm,
-		Guarantees:             s.Guarantees,
-		LoopFreedomCompromised: s.LoopFreedomCompromised,
+		Algorithm:              p.Algorithm,
+		Guarantees:             p.Guarantees,
+		LoopFreedomCompromised: p.LoopFreedomCompromised,
 		Sparse:                 true,
 		Nodes:                  make([]PlanNode, 0, n),
 	}
@@ -669,59 +712,60 @@ func deriveSparse(in *Instance, s *Schedule) *Plan {
 	// prevWalk tracks the node indices of the last round that
 	// contained walk-relevant switches.
 	var prevWalk, curWalk []int
-	for _, round := range s.Rounds {
-		curWalk = curWalk[:0]
-		for _, v := range round {
-			i, vi := len(sparse.Nodes), in.idx(v)
-			if vi < 0 {
-				return nil // not this instance's schedule
+	for i, nd := range p.Nodes {
+		if p.OpensRound(i) {
+			if len(curWalk) > 0 {
+				prevWalk = append(prevWalk[:0], curWalk...)
 			}
-			nodeAt[vi] = int32(i)
-			start := len(arena)
-			if !in.newOnlyIdx(vi) {
-				arena = append(arena, prevWalk...)
-				// Rule-availability: follow v's new-rule chain through
-				// new-only pending switches.
-				for w := in.newSuccIdx[vi]; w >= 0 && in.newOnlyIdx(w) && in.pendingBits.Has(int(w)); w = in.newSuccIdx[w] {
-					if j := nodeAt[w]; j >= 0 {
-						arena = append(arena, int(j))
-					}
+			curWalk = curWalk[:0]
+		}
+		v := nd.Switch
+		vi := in.idx(v)
+		if vi < 0 {
+			return nil // not this instance's plan
+		}
+		nodeAt[vi] = int32(i)
+		start := len(arena)
+		if !in.newOnlyIdx(vi) {
+			arena = append(arena, prevWalk...)
+			// Rule-availability: follow v's new-rule chain through
+			// new-only pending switches.
+			for w := in.newSuccIdx[vi]; w >= 0 && in.newOnlyIdx(w) && in.pendingBits.Has(int(w)); w = in.newSuccIdx[w] {
+				if j := nodeAt[w]; j >= 0 {
+					arena = append(arena, int(j))
 				}
-				curWalk = append(curWalk, i)
 			}
-			deps := arena[start:]
-			sortedUniqueInts(&deps)
-			arena = arena[:start+len(deps)]
-			if deps = deps[:len(deps):len(deps)]; len(deps) == 0 {
-				deps = nil
-			}
-			sparse.Nodes = append(sparse.Nodes, PlanNode{Switch: v, Deps: deps})
+			curWalk = append(curWalk, i)
 		}
-		if len(curWalk) > 0 {
-			prevWalk = append(prevWalk[:0], curWalk...)
+		deps := arena[start:]
+		sortedUniqueInts(&deps)
+		arena = arena[:start+len(deps)]
+		if deps = deps[:len(deps):len(deps)]; len(deps) == 0 {
+			deps = nil
 		}
+		sparse.Nodes = append(sparse.Nodes, PlanNode{Switch: v, Deps: deps})
 	}
 	if err := sparse.Validate(in); err != nil {
 		return nil
 	}
-	if _, layeredAlready := sparse.Rounds(); layeredAlready {
+	if sparse.roundShaped() {
 		// No edge was actually pruned; keep the canonical layered form.
 		return nil
 	}
-	if !sparseSafe(in, sparse, s) {
+	if !sparseSafe(in, sparse, p) {
 		return nil
 	}
 	return sparse
 }
 
 // sparseSafe decides whether the derived sparse plan provably keeps
-// the schedule's guarantees (see the soundness note on SparsePlan).
-func sparseSafe(in *Instance, p *Plan, s *Schedule) bool {
-	props := s.Guarantees
+// the layered plan's guarantees (see the soundness note on SparsePlan).
+func sparseSafe(in *Instance, sparse, layered *Plan) bool {
+	props := layered.Guarantees
 	if props == 0 {
 		return true
 	}
-	if props.Has(StrongLoopFreedom) && !sparseStrongLFSafe(in, s) {
+	if props.Has(StrongLoopFreedom) && !sparseStrongLFSafe(in, layered) {
 		return false
 	}
 	walkProps := props &^ StrongLoopFreedom
@@ -729,21 +773,22 @@ func sparseSafe(in *Instance, p *Plan, s *Schedule) bool {
 		return true
 	}
 	w := in.NewWalker()
-	if cex, exact := w.CheckIdeals(nil, p, walkProps, maxSparseCheckStates); exact {
+	if cex, exact := w.CheckIdeals(nil, sparse, walkProps, maxSparseCheckStates); exact {
 		return cex == nil
 	}
 	// Ideal space past the exhaustive budget: soundness rests on the
 	// walk-projection argument; the seeded spot-check guards the
 	// implementation.
-	return w.SampleExtensions(nil, p, walkProps, sparseSpotSamples, rand.New(rand.NewSource(1))) == nil
+	return w.SampleExtensions(nil, sparse, walkProps, sparseSpotSamples, rand.New(rand.NewSource(1))) == nil
 }
 
 // sparseStrongLFSafe runs the polynomial double-edge test per
-// walk-relevant round with every new-only pending switch modelled as
-// permanently in flight — a superset of the rule graphs any sparse
-// ideal can produce (removing a new-only switch's rule only removes
-// edges), so passing proves strong loop freedom for the sparse plan.
-func sparseStrongLFSafe(in *Instance, s *Schedule) bool {
+// walk-relevant round of the layered plan p with every new-only
+// pending switch modelled as permanently in flight — a superset of the
+// rule graphs any sparse ideal can produce (removing a new-only
+// switch's rule only removes edges), so passing proves strong loop
+// freedom for the sparse plan.
+func sparseStrongLFSafe(in *Instance, p *Plan) bool {
 	var newOnly []topo.NodeID
 	for _, v := range in.Pending() {
 		if in.NewOnly(v) {
@@ -752,13 +797,18 @@ func sparseStrongLFSafe(in *Instance, s *Schedule) bool {
 	}
 	done := in.NewState()
 	inflight := make([]topo.NodeID, 0, in.NumPending())
-	for _, round := range s.Rounds {
+	for lo := 0; lo < len(p.Nodes); {
+		hi := lo + 1
+		for hi < len(p.Nodes) && !p.OpensRound(hi) {
+			hi++
+		}
 		inflight = inflight[:0]
-		for _, v := range round {
-			if !in.NewOnly(v) {
-				inflight = append(inflight, v)
+		for _, nd := range p.Nodes[lo:hi] {
+			if !in.NewOnly(nd.Switch) {
+				inflight = append(inflight, nd.Switch)
 			}
 		}
+		lo = hi
 		if len(inflight) == 0 {
 			continue
 		}
@@ -861,43 +911,6 @@ func (w *Walker) SampleExtensions(pre State, p *Plan, props Property, samples in
 		}
 	}
 	return nil
-}
-
-// sparsePlanner wraps a Scheduler whose round construction justifies
-// the SparsePlan derivation, adding the PlanScheduler capability.
-type sparsePlanner struct{ Scheduler }
-
-// Plan implements PlanScheduler via the scheduler's own rounds.
-func (sp sparsePlanner) Plan(in *Instance, props Property) (*Plan, error) {
-	s, err := sp.Schedule(in, props)
-	if err != nil {
-		return nil, err
-	}
-	return SparsePlan(in, s), nil
-}
-
-// PlanByName resolves name through the registry ("" selects
-// DefaultAlgorithm) and computes an execution plan. When sparse is set
-// and the scheduler implements PlanScheduler the sparse DAG is
-// returned; otherwise the schedule's lossless layered plan.
-func PlanByName(in *Instance, name string, props Property, sparse bool) (*Plan, error) {
-	if name == "" {
-		name = DefaultAlgorithm(in)
-	}
-	sch, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if sparse {
-		if ps, ok := sch.(PlanScheduler); ok {
-			return ps.Plan(in, props)
-		}
-	}
-	s, err := sch.Schedule(in, props)
-	if err != nil {
-		return nil, err
-	}
-	return PlanFromSchedule(s), nil
 }
 
 // IdealStates enumerates the plan's reachable transient states as

@@ -13,48 +13,45 @@ func fig1Instance(t *testing.T) *Instance {
 	return MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 }
 
-// TestPlanFromScheduleRoundTrip pins the lossless conversion: every
-// registered scheduler's rounds convert to a layered plan whose
-// Rounds() view reproduces the original schedule, with the
-// expected shape.
-func TestPlanFromScheduleRoundTrip(t *testing.T) {
+// TestLayeredRoundTrip pins rounds as a lossless view of a layered
+// plan: every registered scheduler's plan is layered (round-shaped,
+// in Layered's form, its own layered view), Layers() gives its rounds
+// back, Layered rebuilds the same plan from them, and the plan's shape
+// is the rounds'.
+func TestLayeredRoundTrip(t *testing.T) {
 	in := fig1Instance(t)
 	for _, name := range Names() {
-		s, err := MustScheduler(name).Schedule(in, 0)
+		p, err := MustScheduler(name).Plan(in, 0)
 		if err != nil {
 			if name == AlgoGreedySLF {
 				continue // may stall; not under test here
 			}
 			t.Fatalf("%s: %v", name, err)
 		}
-		p := PlanFromSchedule(s)
 		if err := p.Validate(in); err != nil {
 			t.Fatalf("%s: layered plan invalid: %v", name, err)
 		}
-		rounds, layered := p.Rounds()
-		if !layered {
+		if !p.roundShaped() || !p.isLayered() || p.LayeredView() != p {
 			t.Fatalf("%s: layered plan not detected as layered", name)
 		}
-		if !reflect.DeepEqual(rounds, s.Rounds) {
-			t.Fatalf("%s: rounds round-trip: got %v want %v", name, rounds, s.Rounds)
+		rounds := p.Layers()
+		q := Layered(p.Algorithm, p.Guarantees, rounds)
+		q.LoopFreedomCompromised = p.LoopFreedomCompromised
+		if !reflect.DeepEqual(q, p) {
+			t.Fatalf("%s: Layered(rounds) = %+v, want %+v", name, q, p)
 		}
-		if p.Algorithm != s.Algorithm || p.Guarantees != s.Guarantees {
-			t.Fatalf("%s: plan header = %q %s", name, p.Algorithm, p.Guarantees)
-		}
-		if p.Depth() != s.NumRounds() {
-			t.Fatalf("%s: depth %d, want round count %d", name, p.Depth(), s.NumRounds())
+		if p.Depth() != len(rounds) {
+			t.Fatalf("%s: depth %d, want round count %d", name, p.Depth(), len(rounds))
 		}
 		wantWidth := 0
-		for _, r := range s.Rounds {
-			if len(r) > wantWidth {
-				wantWidth = len(r)
-			}
+		for _, r := range rounds {
+			wantWidth = max(wantWidth, len(r))
 		}
 		if p.Width() != wantWidth {
 			t.Fatalf("%s: width %d, want %d", name, p.Width(), wantWidth)
 		}
-		if p.CriticalPath() != s.NumRounds()-1 {
-			t.Fatalf("%s: critical path %d, want %d", name, p.CriticalPath(), s.NumRounds()-1)
+		if p.CriticalPath() != len(rounds)-1 {
+			t.Fatalf("%s: critical path %d, want %d", name, p.CriticalPath(), len(rounds)-1)
 		}
 	}
 }
@@ -123,14 +120,13 @@ func TestStagesOfLayeredPlansAreRounds(t *testing.T) {
 			if in.NumPending() == 0 || !sch.Applicable(in) {
 				continue
 			}
-			s, err := sch.Schedule(in, 0)
+			p, err := sch.Plan(in, 0)
 			if err != nil {
 				continue // the scheduler declined the instance
 			}
-			p := PlanFromSchedule(s)
 			var got [][]topo.NodeID
 			for _, sub := range p.Stages() {
-				if sub.NumEdges() != 0 || sub.Algorithm != s.Algorithm || sub.Guarantees != s.Guarantees {
+				if sub.NumEdges() != 0 || sub.Algorithm != p.Algorithm || sub.Guarantees != p.Guarantees {
 					t.Fatalf("%s on %v: stage %s of a layered plan", name, in, sub)
 				}
 				var round []topo.NodeID
@@ -139,8 +135,8 @@ func TestStagesOfLayeredPlansAreRounds(t *testing.T) {
 				}
 				got = append(got, round)
 			}
-			if !reflect.DeepEqual(got, s.Rounds) {
-				t.Fatalf("%s on %v: stages %v, want the rounds %v", name, in, got, s.Rounds)
+			if !reflect.DeepEqual(got, p.Layers()) {
+				t.Fatalf("%s on %v: stages %v, want the rounds %v", name, in, got, p.Layers())
 			}
 			if in.NumPending() <= 12 {
 				assertStageIdeals(t, in, p)
@@ -278,7 +274,7 @@ func TestSparsePlanFig1(t *testing.T) {
 
 // TestSparsePlanNeverWeakensGuarantees property-tests the SparsePlan
 // backstop: for random two-path instances, every sparse plan emitted
-// by a PlanScheduler keeps its guarantees in every order ideal.
+// by PlanByName keeps its guarantees in every order ideal.
 func TestSparsePlanNeverWeakensGuarantees(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -288,11 +284,7 @@ func TestSparsePlanNeverWeakensGuarantees(t *testing.T) {
 			continue
 		}
 		for _, name := range []string{AlgoPeacock, AlgoGreedySLF} {
-			ps, ok := MustScheduler(name).(PlanScheduler)
-			if !ok {
-				t.Fatalf("%s does not implement PlanScheduler", name)
-			}
-			p, err := ps.Plan(in, 0)
+			p, err := PlanByName(in, name, 0, true)
 			if err != nil {
 				continue // scheduler declined the instance
 			}
@@ -330,9 +322,9 @@ func TestSparsePlanComb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.NumRounds() != tc.chainLen+1 {
+		if s.Depth() != tc.chainLen+1 {
 			t.Fatalf("Comb(%d,%d): greedy rounds = %d, want %d",
-				tc.k, tc.chainLen, s.NumRounds(), tc.chainLen+1)
+				tc.k, tc.chainLen, s.Depth(), tc.chainLen+1)
 		}
 		p := SparsePlan(in, s)
 		if !p.Sparse {
@@ -386,11 +378,11 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 	in := fig1Instance(t)
 	var plans []*Plan
 	for _, name := range Names() {
-		s, err := MustScheduler(name).Schedule(in, 0)
+		s, err := MustScheduler(name).Plan(in, 0)
 		if err != nil {
 			continue
 		}
-		plans = append(plans, PlanFromSchedule(s))
+		plans = append(plans, s)
 		if p, err := PlanByName(in, name, 0, true); err == nil {
 			plans = append(plans, p)
 		}
@@ -434,7 +426,7 @@ func TestPlanCodecRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := EncodePlan(PlanFromSchedule(s))
+	good := EncodePlan(s)
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad magic":    []byte("NOPE"),

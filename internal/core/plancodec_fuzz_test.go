@@ -14,8 +14,8 @@ import (
 func FuzzPlanRoundTrip(f *testing.F) {
 	in := MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 	for _, name := range Names() {
-		if s, err := MustScheduler(name).Schedule(in, 0); err == nil {
-			f.Add(EncodePlan(PlanFromSchedule(s)))
+		if s, err := MustScheduler(name).Plan(in, 0); err == nil {
+			f.Add(EncodePlan(s))
 		}
 		if p, err := PlanByName(in, name, 0, true); err == nil {
 			f.Add(EncodePlan(p))

@@ -211,7 +211,7 @@ func (d *PlanDraft) Plan(algorithm string, guarantees Property) *Plan {
 		}
 		p.Nodes[k] = PlanNode{Switch: d.nodes[v], Deps: deps}
 	}
-	if _, layered := p.Rounds(); layered {
+	if p.roundShaped() {
 		p.Sparse = false
 	}
 	return p

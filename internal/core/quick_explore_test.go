@@ -17,7 +17,7 @@ import (
 // suite against the exhaustive interleaving explorer: for random small
 // instances, every registered scheduler's output either survives *all*
 // FlowMod delivery interleavings the explorer enumerates, or its
-// property contract (Schedule.Guarantees) correctly declares the
+// property contract (Plan.Guarantees) correctly declares the
 // violated property absent — i.e. the explorer may only ever break
 // properties the scheduler never promised.
 func TestQuickExploreSchedulerInterleavings(t *testing.T) {
@@ -40,7 +40,7 @@ func TestQuickExploreSchedulerInterleavings(t *testing.T) {
 			if !scheduler.Applicable(in) {
 				continue
 			}
-			s, err := scheduler.Schedule(in, 0)
+			s, err := scheduler.Plan(in, 0)
 			if err != nil {
 				// A scheduler may decline an instance (e.g. jointly
 				// infeasible property targets); declining is not a
@@ -53,7 +53,7 @@ func TestQuickExploreSchedulerInterleavings(t *testing.T) {
 			}
 			// Check the full property lattice, exhaustively: rounds at
 			// these sizes always fit MaxExhaustive.
-			rep, err := explore.Plan(in, core.PlanFromSchedule(s), explore.Options{Props: props, MaxExhaustive: 14})
+			rep, err := explore.Plan(in, s, explore.Options{Props: props, MaxExhaustive: 14})
 			if err != nil {
 				t.Logf("explore failed on %s %v: %v", name, in, err)
 				return false

@@ -19,10 +19,10 @@ func TestQuickSchedulerContract(t *testing.T) {
 		ti := topo.RandomTwoPath(rng, n, withWaypoint)
 		in := MustInstance(ti.Old, ti.New, ti.Waypoint)
 
-		schedulers := []func(*Instance) (*Schedule, error){
+		schedulers := []func(*Instance) (*Plan, error){
 			Peacock,
 			GreedySLF,
-			func(in *Instance) (*Schedule, error) { return Sequential(in, NoBlackhole|RelaxedLoopFreedom) },
+			func(in *Instance) (*Plan, error) { return Sequential(in, NoBlackhole|RelaxedLoopFreedom) },
 		}
 		if withWaypoint {
 			schedulers = append(schedulers, WayUp)
@@ -37,7 +37,7 @@ func TestQuickSchedulerContract(t *testing.T) {
 			}
 			props := s.Guarantees
 			done := in.NewState()
-			for _, round := range s.Rounds {
+			for _, round := range s.Layers() {
 				if len(round) > 16 {
 					return true // exhaustive check infeasible; sizes here keep rounds small
 				}

@@ -28,40 +28,41 @@ const (
 
 // Scheduler is the uniform interface over every update algorithm.
 //
-// Schedule computes a transiently consistent schedule for the instance.
-// props requests the property set for parameterized schedulers
-// (Sequential, Optimal); fixed-property algorithms (WayUp, Peacock,
-// GreedySLF, OneShot) ignore it. props == 0 selects the scheduler's
-// default property set.
+// Plan computes a transiently consistent plan for the instance: a
+// round scheduler returns its rounds as a layered plan (Layered), the
+// synthesizer its DAG. props requests the property set for
+// parameterized schedulers (Sequential, Optimal); fixed-property
+// algorithms (WayUp, Peacock, GreedySLF, OneShot) ignore it. props == 0
+// selects the scheduler's default property set.
 //
 // Applicable is a cheap structural precheck (e.g. WayUp needs a
-// waypoint, Optimal a small pending set); Schedule may still fail on an
+// waypoint, Optimal a small pending set); Plan may still fail on an
 // applicable instance when the requested properties are infeasible.
 type Scheduler interface {
-	Schedule(in *Instance, props Property) (*Schedule, error)
+	Plan(in *Instance, props Property) (*Plan, error)
 	Applicable(in *Instance) bool
 }
 
-// SchedulerFunc adapts a plain scheduling function to the Scheduler
+// SchedulerFunc adapts a plain planning function to the Scheduler
 // interface; it reports every instance as applicable.
-type SchedulerFunc func(in *Instance, props Property) (*Schedule, error)
+type SchedulerFunc func(in *Instance, props Property) (*Plan, error)
 
-// Schedule implements Scheduler.
-func (f SchedulerFunc) Schedule(in *Instance, props Property) (*Schedule, error) {
+// Plan implements Scheduler.
+func (f SchedulerFunc) Plan(in *Instance, props Property) (*Plan, error) {
 	return f(in, props)
 }
 
 // Applicable implements Scheduler; always true.
 func (f SchedulerFunc) Applicable(*Instance) bool { return true }
 
-// condScheduler pairs a scheduling function with an applicability test.
+// condScheduler pairs a planning function with an applicability test.
 type condScheduler struct {
-	schedule   func(in *Instance, props Property) (*Schedule, error)
+	plan       func(in *Instance, props Property) (*Plan, error)
 	applicable func(in *Instance) bool
 }
 
-func (c condScheduler) Schedule(in *Instance, props Property) (*Schedule, error) {
-	return c.schedule(in, props)
+func (c condScheduler) Plan(in *Instance, props Property) (*Plan, error) {
+	return c.plan(in, props)
 }
 
 func (c condScheduler) Applicable(in *Instance) bool { return c.applicable(in) }
@@ -133,10 +134,12 @@ func DefaultAlgorithm(in *Instance) string {
 	return AlgoPeacock
 }
 
-// ScheduleByName resolves name through the registry ("" selects
-// DefaultAlgorithm) and computes the schedule. props == 0 selects the
-// scheduler's default property set.
-func ScheduleByName(in *Instance, name string, props Property) (*Schedule, error) {
+// PlanByName resolves name through the registry ("" selects
+// DefaultAlgorithm) and computes an execution plan. props == 0 selects
+// the scheduler's default property set. With sparse set the result is
+// SparsePlan of the scheduler's plan — the pruned DAG for Peacock and
+// GreedySLF, the synthesized DAG itself — otherwise its layered view.
+func PlanByName(in *Instance, name string, props Property, sparse bool) (*Plan, error) {
 	if name == "" {
 		name = DefaultAlgorithm(in)
 	}
@@ -144,35 +147,32 @@ func ScheduleByName(in *Instance, name string, props Property) (*Schedule, error
 	if err != nil {
 		return nil, err
 	}
-	return s.Schedule(in, props)
+	p, err := s.Plan(in, props)
+	if err != nil {
+		return nil, err
+	}
+	if sparse {
+		return SparsePlan(in, p), nil
+	}
+	return p.LayeredView(), nil
 }
 
 func init() {
 	Register(AlgoWayUp, condScheduler{
-		schedule:   func(in *Instance, _ Property) (*Schedule, error) { return WayUp(in) },
+		plan:       func(in *Instance, _ Property) (*Plan, error) { return WayUp(in) },
 		applicable: func(in *Instance) bool { return in.Waypoint != 0 },
 	})
-	// Peacock and GreedySLF carry the PlanScheduler capability: their
-	// round constructions are exactly the dependency reasoning
-	// SparsePlan prunes edges with (L1/L2 walk arguments, the
-	// double-edge test), so they emit genuinely sparse DAGs.
-	Register(AlgoPeacock, sparsePlanner{SchedulerFunc(func(in *Instance, _ Property) (*Schedule, error) {
-		return Peacock(in)
-	})})
-	Register(AlgoGreedySLF, sparsePlanner{SchedulerFunc(func(in *Instance, _ Property) (*Schedule, error) {
-		return GreedySLF(in)
-	})})
-	Register(AlgoSequential, SchedulerFunc(func(in *Instance, props Property) (*Schedule, error) {
+	Register(AlgoPeacock, SchedulerFunc(func(in *Instance, _ Property) (*Plan, error) { return Peacock(in) }))
+	Register(AlgoGreedySLF, SchedulerFunc(func(in *Instance, _ Property) (*Plan, error) { return GreedySLF(in) }))
+	Register(AlgoSequential, SchedulerFunc(func(in *Instance, props Property) (*Plan, error) {
 		if props == 0 { // the walk-based pair the cautious baseline targets
 			props = NoBlackhole | RelaxedLoopFreedom
 		}
 		return Sequential(in, props)
 	}))
-	Register(AlgoOneShot, SchedulerFunc(func(in *Instance, _ Property) (*Schedule, error) {
-		return OneShot(in), nil
-	}))
+	Register(AlgoOneShot, SchedulerFunc(func(in *Instance, _ Property) (*Plan, error) { return OneShot(in), nil }))
 	Register(AlgoOptimal, condScheduler{
-		schedule: func(in *Instance, props Property) (*Schedule, error) {
+		plan: func(in *Instance, props Property) (*Plan, error) {
 			if props == 0 {
 				props = in.NaturalProps()
 			}

@@ -17,8 +17,8 @@ func TestLookupUnknownName(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("error %v does not name the unknown scheduler", err)
 	}
-	if _, err := core.ScheduleByName(core.MustInstance(topo.Path{1, 2}, topo.Path{1, 2}, 0), "nope", 0); err == nil {
-		t.Fatal("ScheduleByName accepted an unknown name")
+	if _, err := core.PlanByName(core.MustInstance(topo.Path{1, 2}, topo.Path{1, 2}, 0), "nope", 0, false); err == nil {
+		t.Fatal("PlanByName accepted an unknown name")
 	}
 }
 
@@ -88,14 +88,14 @@ func TestDefaultAlgorithm(t *testing.T) {
 	if got := core.DefaultAlgorithm(noWP); got != core.AlgoPeacock {
 		t.Fatalf("default without waypoint = %q", got)
 	}
-	s, err := core.ScheduleByName(withWP, "", 0)
+	s, err := core.PlanByName(withWP, "", 0, false)
 	if err != nil || s.Algorithm != core.AlgoWayUp {
-		t.Fatalf("ScheduleByName(\"\") = %v, %v", s, err)
+		t.Fatalf("PlanByName(\"\", false) = %v, %v", s, err)
 	}
 }
 
 func TestSchedulerFuncApplicable(t *testing.T) {
-	f := core.SchedulerFunc(func(in *core.Instance, _ core.Property) (*core.Schedule, error) {
+	f := core.SchedulerFunc(func(in *core.Instance, _ core.Property) (*core.Plan, error) {
 		return core.OneShot(in), nil
 	})
 	if !f.Applicable(nil) {
@@ -133,14 +133,14 @@ func TestRegistryOutputsVerify(t *testing.T) {
 				if !sched.Applicable(in) {
 					t.Skipf("%s not applicable to %v", name, in)
 				}
-				s, err := sched.Schedule(in, 0)
+				s, err := sched.Plan(in, 0)
 				if err != nil {
 					t.Fatalf("%s failed on %v: %v", name, in, err)
 				}
 				if s.Algorithm != name {
 					t.Fatalf("schedule reports algorithm %q, registered as %q", s.Algorithm, name)
 				}
-				if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
+				if rep := verify.Plan(in, s, s.Guarantees, verify.Options{}); !rep.OK() {
 					t.Fatalf("%s schedule failed verification: %v", name, rep)
 				}
 			})

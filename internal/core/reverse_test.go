@@ -15,7 +15,7 @@ func fig1Plan(t *testing.T) (*Instance, *Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in, PlanFromSchedule(sched)
+	return in, sched
 }
 
 func TestReverseFullPlan(t *testing.T) {

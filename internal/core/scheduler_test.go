@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tsu/internal/topo"
@@ -11,13 +12,13 @@ import (
 // checks props over every reachable transient state (all subsets of
 // every round on top of the completed prefix). Rounds above 2^18
 // subsets would be too slow; the instances used here keep rounds small.
-func verifyScheduleBrute(t *testing.T, in *Instance, s *Schedule, props Property) {
+func verifyScheduleBrute(t *testing.T, in *Instance, s *Plan, props Property) {
 	t.Helper()
 	if err := s.Validate(in); err != nil {
 		t.Fatalf("%s: invalid schedule: %v", s.Algorithm, err)
 	}
 	done := in.NewState()
-	for i, round := range s.Rounds {
+	for i, round := range s.Layers() {
 		if len(round) > 18 {
 			t.Fatalf("%s: round %d too large for brute force (%d)", s.Algorithm, i, len(round))
 		}
@@ -42,7 +43,7 @@ func randomInstance(rng *rand.Rand, n int, waypoint bool) *Instance {
 func TestOneShotStructure(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
 	s := OneShot(in)
-	if s.NumRounds() != 1 || s.NumUpdates() != in.NumPending() {
+	if s.Depth() != 1 || s.NumNodes() != in.NumPending() {
 		t.Fatalf("oneshot = %v", s)
 	}
 	if err := s.Validate(in); err != nil {
@@ -56,8 +57,8 @@ func TestOneShotStructure(t *testing.T) {
 func TestOneShotNoPending(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 2, 3}, 0)
 	s := OneShot(in)
-	if s.NumRounds() != 0 {
-		t.Fatalf("no-op update got %d rounds", s.NumRounds())
+	if s.Depth() != 0 {
+		t.Fatalf("no-op update got %d rounds", s.Depth())
 	}
 	if err := s.Validate(in); err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestOneShotViolatesOnAdversarialInstance(t *testing.T) {
 	inst := topo.Reversal(8)
 	in := MustInstance(inst.Old, inst.New, 0)
 	s := OneShot(in)
-	violated := bruteForceRound(in, nil, s.Rounds[0], RelaxedLoopFreedom|NoBlackhole)
+	violated := bruteForceRound(in, nil, s.Layers()[0], RelaxedLoopFreedom|NoBlackhole)
 	if violated == 0 {
 		t.Fatal("one-shot on reversal(8) should violate transient consistency")
 	}
@@ -156,8 +157,8 @@ func TestPeacockReversalRoundsConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.NumRounds() > 3 {
-			t.Fatalf("peacock reversal(%d) used %d rounds, want <= 3", n, s.NumRounds())
+		if s.Depth() > 3 {
+			t.Fatalf("peacock reversal(%d) used %d rounds, want <= 3", n, s.Depth())
 		}
 	}
 }
@@ -176,8 +177,8 @@ func TestPeacockFewerOrEqualRoundsThanGreedySLF(t *testing.T) {
 		}
 		// Not a theorem per instance, but grossly inverted results
 		// would indicate a regression; allow slack of one round.
-		if p.NumRounds() > g.NumRounds()+1 {
-			t.Fatalf("peacock %d rounds vs greedy-slf %d on %v", p.NumRounds(), g.NumRounds(), in)
+		if p.Depth() > g.Depth()+1 {
+			t.Fatalf("peacock %d rounds vs greedy-slf %d on %v", p.Depth(), g.Depth(), in)
 		}
 	}
 }
@@ -231,7 +232,7 @@ func TestWayUpDangerousSwitchLast(t *testing.T) {
 	// Switch 2 must come strictly after switch 1's round (1 routes
 	// through w first).
 	roundOf := map[topo.NodeID]int{}
-	for i, r := range s.Rounds {
+	for i, r := range s.Layers() {
 		for _, v := range r {
 			roundOf[v] = i
 		}
@@ -260,8 +261,8 @@ func TestOptimalMinimalAndSafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.NumRounds() < opt.NumRounds() {
-			t.Fatalf("peacock (%d rounds) beat optimal (%d) on %v", p.NumRounds(), opt.NumRounds(), in)
+		if p.Depth() < opt.Depth() {
+			t.Fatalf("peacock (%d rounds) beat optimal (%d) on %v", p.Depth(), opt.Depth(), in)
 		}
 	}
 }
@@ -277,7 +278,7 @@ func TestOptimalRejectsOversizedInstance(t *testing.T) {
 func TestOptimalNoPending(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 2, 3}, 0)
 	s, err := Optimal(in, NoBlackhole|RelaxedLoopFreedom)
-	if err != nil || s.NumRounds() != 0 {
+	if err != nil || s.Depth() != 0 {
 		t.Fatalf("no-op optimal = %v, %v", s, err)
 	}
 }
@@ -320,11 +321,13 @@ func TestFeasibleMatchesOptimalExistence(t *testing.T) {
 
 func TestScheduleValidateCatchesBadSchedules(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
-	cases := map[string]*Schedule{
-		"empty-round":   {Rounds: [][]topo.NodeID{{1}, {}, {3, 2}}},
-		"dup-switch":    {Rounds: [][]topo.NodeID{{1, 3}, {3, 2}}},
-		"not-pending":   {Rounds: [][]topo.NodeID{{1, 3}, {2, 4}}},
-		"missing-nodes": {Rounds: [][]topo.NodeID{{1}}},
+	cases := map[string]*Plan{
+		"dup-switch":    Layered("x", 0, [][]topo.NodeID{{1, 3}, {3, 2}}),
+		"not-pending":   Layered("x", 0, [][]topo.NodeID{{1, 3}, {2, 4}}),
+		"missing-nodes": Layered("x", 0, [][]topo.NodeID{{1}}),
+		"not-topological": {Nodes: []PlanNode{
+			{Switch: 1, Deps: []int{1}}, {Switch: 3}, {Switch: 2},
+		}},
 	}
 	for name, s := range cases {
 		if err := s.Validate(in); err == nil {
@@ -333,28 +336,36 @@ func TestScheduleValidateCatchesBadSchedules(t *testing.T) {
 	}
 }
 
-func TestScheduleStateAfterAndString(t *testing.T) {
+// TestLayeredRoundsView pins rounds as a view of a layered plan: empty
+// rounds are not rounds, OpensRound marks where each round starts, and
+// LayeredView is the plan itself for a layered plan and the layered
+// plan of the layers otherwise.
+func TestLayeredRoundsView(t *testing.T) {
 	// Old 1→2→3→4, new 1→3→2→4: pending = {1, 3, 2}.
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
-	s := &Schedule{Algorithm: "x", Rounds: [][]topo.NodeID{{1, 2}, {3}}}
-	st := s.StateAfter(in, 1)
-	if !in.Updated(st, 1) || !in.Updated(st, 2) || in.Updated(st, 3) {
-		t.Fatalf("StateAfter(1) = %v", in.StateNodes(st))
+	p := Layered("x", NoBlackhole, [][]topo.NodeID{{}, {1, 2}, {}, {3}})
+	if err := p.Validate(in); err != nil {
+		t.Fatal(err)
 	}
-	if s.StateAfter(in, 0).Count() != 0 {
-		t.Fatal("StateAfter(0) must be empty")
+	if got := p.Layers(); !reflect.DeepEqual(got, [][]topo.NodeID{{1, 2}, {3}}) {
+		t.Fatalf("layers = %v", got)
 	}
-	if s.StateAfter(in, 5).Count() != 3 {
-		t.Fatal("StateAfter beyond rounds must include everything")
+	for i, want := range []bool{true, false, true} {
+		if p.OpensRound(i) != want {
+			t.Fatalf("OpensRound(%d) = %t", i, !want)
+		}
 	}
-	if s.String() != "x[2 rounds: {1 2} {3}]" {
-		t.Fatalf("String = %q", s.String())
+	if p.LayeredView() != p {
+		t.Fatal("LayeredView of a layered plan is not the plan itself")
 	}
-	if s.NumUpdates() != 3 {
-		t.Fatal("NumUpdates wrong")
-	}
-	if len(s.Round(1)) != 1 {
-		t.Fatal("Round accessor wrong")
+	// The same order with a redundant edge 0→2: the view drops it.
+	q := &Plan{Algorithm: "x", Guarantees: NoBlackhole, Sparse: true, Nodes: []PlanNode{
+		{Switch: 1}, {Switch: 2}, {Switch: 3, Deps: []int{0, 1}}, {Switch: 4, Deps: []int{0, 2}},
+	}}
+	v := q.LayeredView()
+	want := Layered("x", NoBlackhole, [][]topo.NodeID{{1, 2}, {3}, {4}})
+	if !reflect.DeepEqual(v, want) {
+		t.Fatalf("LayeredView = %+v, want %+v", v, want)
 	}
 }
 

@@ -12,9 +12,8 @@ import "fmt"
 //
 // It fails when no individually safe switch exists (for waypoint-plus-
 // loop-freedom combinations that are jointly infeasible).
-func Sequential(in *Instance, props Property) (*Schedule, error) {
-	s := &Schedule{Algorithm: AlgoSequential, Guarantees: props}
-	b := in.newBatcher(s)
+func Sequential(in *Instance, props Property) (*Plan, error) {
+	b := in.newBatcher()
 	pending := in.pendingIdx()
 	for left := len(pending); left > 0; left-- {
 		round := b.firstSafe(pending, props)
@@ -23,5 +22,5 @@ func Sequential(in *Instance, props Property) (*Schedule, error) {
 		}
 		b.commit(round)
 	}
-	return s, nil
+	return Layered(AlgoSequential, props, b.rounds), nil
 }

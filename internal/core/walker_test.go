@@ -97,12 +97,12 @@ func TestRoundCheckerReuse(t *testing.T) {
 	rc := NewRoundChecker()
 	for _, in := range walkerTestInstances(t) {
 		for _, algo := range []string{AlgoOneShot, AlgoPeacock} {
-			s, err := ScheduleByName(in, algo, 0)
+			s, err := PlanByName(in, algo, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			done := in.NewState()
-			for _, round := range s.Rounds {
+			for _, round := range s.Layers() {
 				wantCex, wantExact := in.CheckRound(done, round, props, 0)
 				gotCex, gotExact := rc.Check(in, done, round, props, 0)
 				if gotExact != wantExact {

@@ -50,16 +50,12 @@ import (
 // blackhole appears) and the schedule is flagged. Worst-case round
 // count is O(n), matching the HotNets'14 lower bound for waypoint
 // enforcement.
-func WayUp(in *Instance) (*Schedule, error) {
+func WayUp(in *Instance) (*Plan, error) {
 	if in.Waypoint == 0 {
 		return nil, fmt.Errorf("core: wayup requires a waypoint in %v", in)
 	}
-	s := &Schedule{
-		Algorithm:  AlgoWayUp,
-		Guarantees: NoBlackhole | WaypointEnforcement,
-	}
 	wOld, wNew := in.oldPos[in.wpIdx], in.newPos[in.wpIdx]
-	b := in.newBatcher(s)
+	b := in.newBatcher()
 
 	var phaseA, phaseB, phaseC []int32
 	for _, i := range in.pendingIdx() { // new-path order, deterministic
@@ -78,16 +74,18 @@ func WayUp(in *Instance) (*Schedule, error) {
 		compromised = b.appendLoopFree(phase) || compromised
 	}
 
-	s.LoopFreedomCompromised = compromised
+	guarantees := NoBlackhole | WaypointEnforcement
 	if !compromised {
-		s.Guarantees |= RelaxedLoopFreedom
+		guarantees |= RelaxedLoopFreedom
 	}
-	return s, nil
+	p := Layered(AlgoWayUp, guarantees, b.rounds)
+	p.LoopFreedomCompromised = compromised
+	return p, nil
 }
 
 // appendLoopFree partitions nodes into rounds that keep the forwarding
 // walk loop-free and blackhole-free in every reachable state and
-// appends them to the schedule. When even single-switch rounds would
+// appends them to the rounds. When even single-switch rounds would
 // loop (waypoint enforcement and loop freedom jointly infeasible), the
 // remaining switches are flushed — new-path-only switches first so no
 // transient blackhole appears — and the function reports the

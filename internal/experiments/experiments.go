@@ -14,7 +14,7 @@
 // loopback TCP — through the API client; E3–E5, E9 and E12 call the
 // schedulers, verifier and synthesizer directly. E10 and E13–E15 are
 // analytic models on virtual time: no Engine, journal or switch is
-// constructed. E10 replays schedules on explore.Timed's event clock;
+// constructed. E10 replays plans on explore.Timed's event clock;
 // E13–E15 replay one peacock plan per reroute arithmetically from
 // seeded per-node draws (replay.go). The timing arithmetic is the
 // model's own, every fault decision is the engine's: the rollback plan
@@ -203,11 +203,6 @@ func fig1Bed(cfg BedConfig) (*Bed, error) {
 	return bed, nil
 }
 
-// scheduleByName builds a schedule through the core scheduler registry.
-func scheduleByName(in *core.Instance, algo string) (*core.Schedule, error) {
-	return core.ScheduleByName(in, algo, 0)
-}
-
 // E1Fig1 reproduces the paper's demo scenario (Figure 1): the WayUp
 // update on the 12-switch topology under an asynchronous control
 // channel, with continuous probes, against the one-shot baseline.
@@ -225,7 +220,7 @@ func E1Fig1(seed int64) (*metrics.Table, error) {
 			return nil, err
 		}
 		in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-		sched, err := scheduleByName(in, algo)
+		plan, err := core.PlanByName(in, algo, 0, false)
 		if err != nil {
 			bed.Close()
 			return nil, err
@@ -237,14 +232,14 @@ func E1Fig1(seed int64) (*metrics.Table, error) {
 			Interval: 50 * time.Microsecond,
 		})
 		stop := prober.Start(context.Background())
-		job, err := bed.RunUpdateAlgorithm(in, sched.Algorithm, 0)
+		job, err := bed.RunUpdateAlgorithm(in, plan.Algorithm, 0)
 		if err != nil {
 			stop()
 			bed.Close()
 			return nil, err
 		}
 		st := stop()
-		tbl.AddRow(algo, sched.NumRounds(), job.TotalDuration(), st.Sent, st.Bypasses, st.Loops, st.Drops)
+		tbl.AddRow(algo, plan.Depth(), job.TotalDuration(), st.Sent, st.Bypasses, st.Loops, st.Drops)
 		bed.Close()
 	}
 	return tbl, nil
@@ -280,13 +275,13 @@ func E2UpdateTime(reps int, seed int64) (*metrics.Table, error) {
 					return nil, err
 				}
 				in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-				sched, err := scheduleByName(in, algo)
+				plan, err := core.PlanByName(in, algo, 0, false)
 				if err != nil {
 					bed.Close()
 					return nil, err
 				}
-				rounds = sched.NumRounds()
-				job, err := bed.RunUpdateAlgorithm(in, sched.Algorithm, 0)
+				rounds = plan.Depth()
+				job, err := bed.RunUpdateAlgorithm(in, plan.Algorithm, 0)
 				if err != nil {
 					bed.Close()
 					return nil, err
@@ -323,11 +318,11 @@ func E3Violations(instances int, seed int64) (*metrics.Table, error) {
 				continue
 			}
 			for _, algo := range []string{core.AlgoOneShot, core.AlgoWayUp} {
-				s, err := scheduleByName(in, algo)
+				s, err := core.PlanByName(in, algo, 0, false)
 				if err != nil {
 					return nil, err
 				}
-				tasks = append(tasks, verify.Task{Instance: in, Plan: core.PlanFromSchedule(s), Props: props})
+				tasks = append(tasks, verify.Task{Instance: in, Plan: s, Props: props})
 			}
 		}
 		reports := verify.Batch(tasks, verify.Options{Budget: 1 << 18, Samples: 512, Seed: seed})
@@ -376,7 +371,7 @@ func E4Rounds(seed int64) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tbl.AddRow(family, n, p.NumRounds(), g.NumRounds())
+			tbl.AddRow(family, n, p.Depth(), g.Depth())
 		}
 	}
 	return tbl, nil
@@ -436,17 +431,17 @@ func E6UpdateTimeVsN(seed int64) (*metrics.Table, error) {
 			return nil, err
 		}
 		in := core.MustInstance(ti.Old, ti.New, 0)
-		sched, err := core.Peacock(in)
+		plan, err := core.Peacock(in)
 		if err != nil {
 			bed.Close()
 			return nil, err
 		}
-		job, err := bed.RunUpdateAlgorithm(in, sched.Algorithm, 0)
+		job, err := bed.RunUpdateAlgorithm(in, plan.Algorithm, 0)
 		if err != nil {
 			bed.Close()
 			return nil, err
 		}
-		tbl.AddRow(n, in.NumPending(), sched.NumRounds(), job.TotalDuration())
+		tbl.AddRow(n, in.NumPending(), plan.Depth(), job.TotalDuration())
 		bed.Close()
 	}
 	return tbl, nil
@@ -478,7 +473,7 @@ func E7JitterDose(seed int64) (*metrics.Table, error) {
 					return nil, err
 				}
 				in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-				sched, err := scheduleByName(in, algo)
+				plan, err := core.PlanByName(in, algo, 0, false)
 				if err != nil {
 					bed.Close()
 					return nil, err
@@ -488,7 +483,7 @@ func E7JitterDose(seed int64) (*metrics.Table, error) {
 					Interval: 50 * time.Microsecond,
 				})
 				stop := prober.Start(context.Background())
-				if _, err := bed.RunUpdateAlgorithm(in, sched.Algorithm, 0); err != nil {
+				if _, err := bed.RunUpdateAlgorithm(in, plan.Algorithm, 0); err != nil {
 					stop()
 					bed.Close()
 					return nil, err
@@ -596,11 +591,11 @@ func E10VirtualFatTree(k, policies int, seed int64) (*E10Result, error) {
 		events, violations, affected := 0, 0, 0
 		var makespan metrics.Histogram
 		for p, in := range instances {
-			sched, err := core.ScheduleByName(in, algo, 0)
+			plan, err := core.PlanByName(in, algo, 0, false)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := explore.Timed(in, sched, explore.TimedOptions{
+			rep, err := explore.Timed(in, plan, explore.TimedOptions{
 				Ctrl:    ctrlDist,
 				Install: installDist,
 				Barrier: barrierDist,

@@ -182,9 +182,7 @@ func forward(plan *core.Plan, node []draw, done []bool) run {
 			if nodes[d].Switch != nodes[i].Switch {
 				at += node[d].hop
 			}
-			if at > t {
-				t = at
-			}
+			t = max(t, at)
 		}
 		if !ready {
 			continue
@@ -223,11 +221,11 @@ type replay struct {
 // order — the order of draws inside one node is the experiment's own —
 // and runs the forward pass.
 func newReplay(in *core.Instance, seed int64, node func(rng *rand.Rand) draw) (*replay, error) {
-	sched, err := core.Peacock(in)
+	plan, err := core.Peacock(in)
 	if err != nil {
 		return nil, err
 	}
-	r := &replay{in: in, props: sched.Guarantees, plan: core.PlanFromSchedule(sched), seed: seed, rng: rand.New(rand.NewSource(seed))}
+	r := &replay{in: in, props: plan.Guarantees, plan: plan, seed: seed, rng: rand.New(rand.NewSource(seed))}
 	r.node = make([]draw, len(r.plan.Nodes))
 	for i := range r.node {
 		r.node[i] = node(r.rng)

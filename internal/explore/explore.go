@@ -43,7 +43,7 @@
 // explore answers "show me the event trace that breaks it" — it
 // produces ordered, minimized delivery traces suitable for replay,
 // plus per-event coverage counters, and its timed mode replays a
-// schedule on a simclock.Sim under sampled latency distributions so a
+// plan on a simclock.Sim under sampled latency distributions so a
 // 10k-switch scenario runs in virtual time with a reproducible event
 // count.
 package explore
@@ -110,9 +110,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxExhaustive <= 0 {
 		o.MaxExhaustive = 18
 	}
-	if o.MaxExhaustive > 20 {
-		o.MaxExhaustive = 20
-	}
+	o.MaxExhaustive = min(o.MaxExhaustive, 20)
 	if o.Samples <= 0 {
 		o.Samples = 256
 	}
@@ -312,18 +310,7 @@ func Plan(in *core.Instance, p *core.Plan, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	props := resolveProps(in, p.Guarantees, opts.Props)
 
-	// Materialize each stage with its (deterministic) pre-state and the
-	// layer its roots sit on.
-	subs := p.Stages()
-	stages := make([]stage, len(subs))
-	pre, layer := startState(in, p), 0
-	for k, sub := range subs {
-		stages[k] = stage{idx: k, plan: sub, pre: in.CloneState(pre), layer: layer}
-		for _, nd := range sub.Nodes {
-			deliver(in, pre, nd.Switch)
-		}
-		layer += sub.Depth()
-	}
+	stages := planStages(in, p)
 	rep := &Report{Algorithm: p.Algorithm, Properties: props, Rounds: make([]RoundReport, len(stages))}
 
 	var memoHits, next atomic.Int64

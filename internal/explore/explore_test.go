@@ -11,10 +11,10 @@ import (
 	"tsu/internal/topo"
 )
 
-// mustSchedule builds a schedule through the registry.
-func mustSchedule(t *testing.T, in *core.Instance, algo string) *core.Schedule {
+// mustPlan builds a layered plan through the registry.
+func mustPlan(t *testing.T, in *core.Instance, algo string) *core.Plan {
 	t.Helper()
-	s, err := core.ScheduleByName(in, algo, 0)
+	s, err := core.PlanByName(in, algo, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExploreFig1Pinned(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.WaypointEnforcement
 
-	oneshot, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoOneShot)), Options{Props: props})
+	oneshot, err := Plan(in, mustPlan(t, in, core.AlgoOneShot), Options{Props: props})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExploreFig1Pinned(t *testing.T) {
 	// The safe schedule on the same instance: no interleaving of any
 	// round violates its guarantees (waypoint enforcement, blackhole
 	// freedom).
-	wayup, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoWayUp)), Options{})
+	wayup, err := Plan(in, mustPlan(t, in, core.AlgoWayUp), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExploreTransientLoopPinned(t *testing.T) {
 	ti := topo.Reversal(6) // old 1..6, new 1,5,4,3,2,6
 	in := core.MustInstance(ti.Old, ti.New, 0)
 
-	oneshot, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoOneShot)), Options{Props: core.RelaxedLoopFreedom})
+	oneshot, err := Plan(in, mustPlan(t, in, core.AlgoOneShot), Options{Props: core.RelaxedLoopFreedom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExploreTransientLoopPinned(t *testing.T) {
 	}
 	assertOneMinimal(t, in, in.NewState(), v.Trace, core.RelaxedLoopFreedom)
 
-	peacock, err := Plan(in, core.PlanFromSchedule(mustSchedule(t, in, core.AlgoPeacock)), Options{})
+	peacock, err := Plan(in, mustPlan(t, in, core.AlgoPeacock), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestExploreTransientLoopPinned(t *testing.T) {
 func TestExploreSampledFindsViolation(t *testing.T) {
 	ti := topo.Reversal(30)
 	in := core.MustInstance(ti.Old, ti.New, 0)
-	sched := mustSchedule(t, in, core.AlgoOneShot)
-	if sched.NumRounds() != 1 || len(sched.Rounds[0]) <= 8 {
+	sched := mustPlan(t, in, core.AlgoOneShot)
+	if sched.Depth() != 1 || len(sched.Layers()[0]) <= 8 {
 		t.Fatalf("unexpected one-shot shape: %s", sched)
 	}
-	rep, err := Plan(in, core.PlanFromSchedule(sched), Options{
+	rep, err := Plan(in, sched, Options{
 		Props:         core.RelaxedLoopFreedom,
 		MaxExhaustive: 8,
 		Samples:       128,
@@ -199,13 +199,13 @@ func TestExploreSeededDeterminism(t *testing.T) {
 			if in.NumPending() == 0 {
 				t.Skip("degenerate instance")
 			}
-			sched := mustSchedule(t, in, tc.algo)
+			sched := mustPlan(t, in, tc.algo)
 			opts := Options{MaxExhaustive: 6, Samples: 64, Seed: tc.seed}
-			rep1, err := Plan(in, core.PlanFromSchedule(sched), opts)
+			rep1, err := Plan(in, sched, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep2, err := Plan(in, core.PlanFromSchedule(sched), opts)
+			rep2, err := Plan(in, sched, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestExploreSeededDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 				wopts := opts
 				wopts.Workers = workers
-				repW, err := Plan(in, core.PlanFromSchedule(sched), wopts)
+				repW, err := Plan(in, sched, wopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +276,7 @@ func TestExploreTimedFig1(t *testing.T) {
 		Props:   props,
 		Seed:    3,
 	}
-	one, err := Timed(in, mustSchedule(t, in, core.AlgoOneShot), opts)
+	one, err := Timed(in, mustPlan(t, in, core.AlgoOneShot), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestExploreTimedFig1(t *testing.T) {
 		t.Fatalf("timed replay has non-positive makespan %v", one.Makespan)
 	}
 
-	way, err := Timed(in, mustSchedule(t, in, core.AlgoWayUp), TimedOptions{
+	way, err := Timed(in, mustPlan(t, in, core.AlgoWayUp), TimedOptions{
 		Ctrl:    opts.Ctrl,
 		Install: opts.Install,
 		Seed:    3,
@@ -305,8 +305,8 @@ func TestExploreTimedFig1(t *testing.T) {
 // errors, not as explorations of nonsense.
 func TestExploreRejectsBadSchedule(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	bad := &core.Schedule{Algorithm: "bogus", Rounds: [][]topo.NodeID{{2}}}
-	if _, err := Plan(in, core.PlanFromSchedule(bad), Options{}); err == nil {
+	bad := core.Layered("bogus", 0, [][]topo.NodeID{{2}})
+	if _, err := Plan(in, bad, Options{}); err == nil {
 		t.Fatal("explore accepted a schedule that does not fit the instance")
 	}
 	if _, err := Timed(in, bad, TimedOptions{}); err == nil {

@@ -57,7 +57,7 @@ func FuzzExploreTrace(f *testing.F) {
 
 		// Any order of the pending set is a delivery order of the
 		// one-shot plan: a single stage without an edge.
-		oneshot := core.PlanFromSchedule(core.OneShot(in))
+		oneshot := core.OneShot(in)
 
 		// Replay event by event: the walk/check must never panic, on
 		// this or any prefix state.

@@ -122,10 +122,10 @@ func TestGrayExhaustiveMatchesAscending(t *testing.T) {
 		}
 		checked++
 		sched := core.OneShot(in)
-		round := sched.Rounds[0]
+		round := sched.Layers()[0]
 
 		_, want := ascendingExhaustive(in, in.NewState(), 0, round, props)
-		rep, err := Plan(in, core.PlanFromSchedule(sched), Options{Props: props, MaxExhaustive: 12})
+		rep, err := Plan(in, sched, Options{Props: props, MaxExhaustive: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestExhaustiveSparseStageMatchesReference(t *testing.T) {
 // new-path switches), on which relaxed loop freedom can never be
 // violated — so both enumerators must cover the full 2^16 state
 // lattice, making the comparison work-equivalent.
-func exploreBenchInstance(b *testing.B) (*core.Instance, *core.Schedule) {
+func exploreBenchInstance(b *testing.B) (*core.Instance, *core.Plan) {
 	b.Helper()
 	old := topo.Path{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	newPath := topo.Path{1}
@@ -249,7 +249,7 @@ func exploreBenchInstance(b *testing.B) (*core.Instance, *core.Schedule) {
 	newPath = append(newPath, 10)
 	in := core.MustInstance(old, newPath, 0)
 	sched := core.OneShot(in)
-	if sched.NumRounds() != 1 || len(sched.Rounds[0]) != 16 {
+	if sched.Depth() != 1 || len(sched.Layers()[0]) != 16 {
 		b.Fatalf("unexpected one-shot shape: %s", sched)
 	}
 	return in, sched
@@ -263,7 +263,7 @@ func exploreBenchInstance(b *testing.B) (*core.Instance, *core.Schedule) {
 // for graycode-incremental over ascending-clone-reference.
 func BenchmarkExploreExhaustive(b *testing.B) {
 	in, sched := exploreBenchInstance(b)
-	plan := core.PlanFromSchedule(sched)
+	plan := sched
 	props := core.RelaxedLoopFreedom
 	states := 1 << 16
 	b.Run("graycode-incremental", func(b *testing.B) {
@@ -283,7 +283,7 @@ func BenchmarkExploreExhaustive(b *testing.B) {
 		b.ReportAllocs()
 		done := in.NewState()
 		for i := 0; i < b.N; i++ {
-			n, violation := ascendingExhaustive(in, done, 0, sched.Rounds[0], props)
+			n, violation := ascendingExhaustive(in, done, 0, sched.Layers()[0], props)
 			if violation != nil || n != states {
 				b.Fatalf("reference enumerator: %d states, violation %v", n, violation)
 			}

@@ -31,6 +31,22 @@ func startState(in *core.Instance, p *core.Plan) core.State {
 	return in.NewState()
 }
 
+// planStages materializes each of p's stages with its (deterministic)
+// pre-state and the layer its roots sit on.
+func planStages(in *core.Instance, p *core.Plan) []stage {
+	subs := p.Stages()
+	stages := make([]stage, len(subs))
+	pre, layer := startState(in, p), 0
+	for k, sub := range subs {
+		stages[k] = stage{idx: k, plan: sub, pre: in.CloneState(pre), layer: layer}
+		for _, nd := range sub.Nodes {
+			deliver(in, pre, nd.Switch)
+		}
+		layer += sub.Depth()
+	}
+	return stages
+}
+
 // deliver applies the given switches' FlowMods to st in place. A
 // delivery toggles its switch: sets it on the way forward, clears it in
 // a rollback.
@@ -262,9 +278,7 @@ func (sc *scratch) sampled(st *stage, props core.Property, opts Options, rr *Rou
 					if opts.PeerDelays && p.Nodes[d].Switch != nd.Switch {
 						at += tail.Sample(rng)
 					}
-					if at > issue {
-						issue = at
-					}
+					issue = max(issue, at)
 				}
 				finish[i] = issue + tail.Sample(rng)
 				order = append(order, i)

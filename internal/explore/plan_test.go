@@ -48,16 +48,16 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 				if !scheduler.Applicable(in) {
 					t.Skipf("%s not applicable", name)
 				}
-				s, err := scheduler.Schedule(in, 0)
+				p, err := core.PlanByName(in, name, 0, false)
 				if err != nil {
 					t.Skipf("%s declined: %v", name, err)
 				}
-				p := core.PlanFromSchedule(s)
+				rounds := p.Layers()
 				props := in.NaturalProps()
 
-				// (a) Reachable states: the plan's order ideals are the
-				// schedule's round states.
-				wantStates := roundStates(in, s)
+				// (a) Reachable states: the plan's order ideals are its
+				// round states.
+				wantStates := roundStates(in, rounds)
 				gotStates := map[string]bool{}
 				clean := true
 				for _, st := range p.IdealStates(in) {
@@ -76,12 +76,12 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 				// (b) Verifier: a result per round, exact at these
 				// sizes, and the verdict the round states give.
 				vp := verify.Plan(in, p, props, verify.Options{Seed: 7})
-				if len(vp.Rounds) != len(s.Rounds) || !vp.Exact() || vp.OK() != clean {
-					t.Fatalf("verifier: %s (%d results for %d rounds), round states clean=%t", vp, len(vp.Rounds), len(s.Rounds), clean)
+				if len(vp.Rounds) != len(rounds) || !vp.Exact() || vp.OK() != clean {
+					t.Fatalf("verifier: %s (%d results for %d rounds), round states clean=%t", vp, len(vp.Rounds), len(rounds), clean)
 				}
 				for i, rr := range vp.Rounds {
-					if rr.Round != i || rr.Size != len(s.Rounds[i]) {
-						t.Fatalf("verifier result %d = %+v, want round %d of size %d", i, rr, i, len(s.Rounds[i]))
+					if rr.Round != i || rr.Size != len(rounds[i]) {
+						t.Fatalf("verifier result %d = %+v, want round %d of size %d", i, rr, i, len(rounds[i]))
 					}
 				}
 
@@ -91,12 +91,14 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(rp.Rounds) != len(s.Rounds) {
-					t.Fatalf("explorer: %d reports for %d rounds", len(rp.Rounds), len(s.Rounds))
+				if len(rp.Rounds) != len(rounds) {
+					t.Fatalf("explorer: %d reports for %d rounds", len(rp.Rounds), len(rounds))
 				}
-				for i, round := range s.Rounds {
+				done := in.NewState()
+				for i, round := range rounds {
 					rr := rp.Rounds[i]
-					_, want := ascendingExhaustive(in, s.StateAfter(in, i), i, round, props)
+					_, want := ascendingExhaustive(in, in.CloneState(done), i, round, props)
+					in.Mark(done, round...)
 					if rr.Round != i || rr.Size != len(round) || !rr.Exhaustive ||
 						rr.States != 1<<len(round) || rr.Events != rr.States || rr.Orders != 0 {
 						t.Fatalf("explorer report %d = %+v, want the full 2^%d scan of round %d", i, rr, len(round), i)
@@ -110,12 +112,12 @@ func TestLayeredPlanBitIdentical(t *testing.T) {
 	}
 }
 
-// roundStates enumerates a schedule's reachable round states keyed by
+// roundStates enumerates the reachable round states of rounds keyed by
 // stateKey.
-func roundStates(in *core.Instance, s *core.Schedule) map[string]bool {
+func roundStates(in *core.Instance, rounds [][]topo.NodeID) map[string]bool {
 	out := map[string]bool{}
 	done := in.NewState()
-	for _, round := range s.Rounds {
+	for _, round := range rounds {
 		for mask := 0; mask < 1<<len(round); mask++ {
 			st := in.CloneState(done)
 			for j, v := range round {
@@ -183,7 +185,7 @@ func TestExploreSparsePlanFindsViolation(t *testing.T) {
 	// Nodes in schedule order, no edges at all except one (so the plan
 	// is not layered and takes the DAG path).
 	broken := &core.Plan{Algorithm: "broken", Guarantees: s.Guarantees, Sparse: true}
-	for _, round := range s.Rounds {
+	for _, round := range s.Layers() {
 		for _, v := range round {
 			broken.Nodes = append(broken.Nodes, core.PlanNode{Switch: v})
 		}
@@ -244,7 +246,7 @@ func TestMinimizeKeepsIdeals(t *testing.T) {
 	// Without the edge every event is maximal and the minimizer
 	// shrinks to {3}, unreachable under p; pin that the edge is what
 	// kept 9.
-	edgeless := core.PlanFromSchedule(core.OneShot(in))
+	edgeless := core.OneShot(in)
 	unconstrained, _ := Minimize(in, in.NewState(), edgeless, trace, core.NoBlackhole)
 	if len(unconstrained) != 1 {
 		t.Fatalf("premise broken: unconstrained minimum = %v", unconstrained)

@@ -17,7 +17,7 @@ func TestExploreRollbackPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.PlanFromSchedule(sched)
+	p := sched
 	for _, prefix := range []int{len(p.Nodes), len(p.Nodes) / 2} {
 		installed := make([]bool, len(p.Nodes))
 		for i := 0; i < prefix; i++ {
@@ -42,7 +42,7 @@ func TestExploreRollbackPlan(t *testing.T) {
 	// One-shot: the unordered rollback must break under some
 	// interleaving, with a minimized trace over rollback switches.
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.WaypointEnforcement
-	os := core.PlanFromSchedule(core.OneShot(in))
+	os := core.OneShot(in)
 	installed := make([]bool, len(os.Nodes))
 	for i := range installed {
 		installed[i] = true

@@ -7,7 +7,6 @@ import (
 	"tsu/internal/core"
 	"tsu/internal/netem"
 	"tsu/internal/simclock"
-	"tsu/internal/topo"
 )
 
 // TimedOptions configures a timed virtual-time replay.
@@ -38,7 +37,7 @@ type TimedReport struct {
 	Properties core.Property
 	// Events counts delivery events executed (= property checks).
 	Events int
-	// Rounds is the schedule's round count.
+	// Rounds is the plan's stage count (a layered plan's rounds).
 	Rounds int
 	// Makespan is the virtual time from first FlowMod to last barrier.
 	Makespan time.Duration
@@ -51,37 +50,45 @@ type TimedReport struct {
 	Log []string
 }
 
-// Timed replays the schedule on a virtual clock: per round, every
-// switch's FlowMod takes effect at now + ctrl + install (sampled per
-// switch from the seeded source); the round's barrier closes at the
-// slowest delivery plus the barrier latency, and the next round starts
-// there — the controller loop of §2 of the paper, in virtual time.
-// Transient security is checked after every single delivery event.
-// The whole run costs no wall-clock waiting: a 10k-switch scenario is
-// bounded by event processing, not by its modelled latencies.
-func Timed(in *core.Instance, s *core.Schedule, opts TimedOptions) (*TimedReport, error) {
-	if err := s.Validate(in); err != nil {
+// Timed replays the plan on a virtual clock, stage by stage (see
+// core.Plan.Stages; a layered plan's stages are its rounds): every
+// switch's FlowMod takes effect at its issue time + ctrl + install
+// (sampled per switch, in node order, from the seeded source), where a
+// stage's roots issue at the stage start and any other node once its
+// dependencies inside the stage have taken effect. The stage's barrier
+// closes at the slowest delivery plus the barrier latency, and the next
+// stage starts there — the controller loop of §2 of the paper, in
+// virtual time. Transient security is checked after every single
+// delivery event. The whole run costs no wall-clock waiting: a
+// 10k-switch scenario is bounded by event processing, not by its
+// modelled latencies.
+func Timed(in *core.Instance, p *core.Plan, opts TimedOptions) (*TimedReport, error) {
+	if err := p.Validate(in); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
-	props := resolveProps(in, s.Guarantees, opts.Props)
+	props := resolveProps(in, p.Guarantees, opts.Props)
 	sim := simclock.NewSim(time.Time{})
 	src := netem.NewSourceClock(opts.Seed, sim)
-	rep := &TimedReport{Algorithm: s.Algorithm, Properties: props, Rounds: s.NumRounds()}
+	stages := planStages(in, p)
+	rep := &TimedReport{Algorithm: p.Algorithm, Properties: props, Rounds: len(stages)}
 
-	st := in.NewState()
+	st := startState(in, p)
 	start := sim.Now()
 	base := time.Duration(0)
-	for r, round := range s.Rounds {
-		roundEnd := base
-		for _, v := range round {
-			v := v
-			at := base + src.Sample(opts.Ctrl) + src.Sample(opts.Install)
-			if at > roundEnd {
-				roundEnd = at
+	for r := range stages {
+		stg := &stages[r]
+		at := make([]time.Duration, len(stg.plan.Nodes))
+		stageEnd := base
+		for i, nd := range stg.plan.Nodes {
+			issue := base
+			for _, d := range nd.Deps {
+				issue = max(issue, at[d])
 			}
-			r := r
-			sim.Schedule(at, func() {
-				in.Mark(st, v)
+			at[i] = issue + src.Sample(opts.Ctrl) + src.Sample(opts.Install)
+			stageEnd = max(stageEnd, at[i])
+			v := nd.Switch
+			sim.Schedule(at[i], func() {
+				deliver(in, st, v)
 				rep.Events++
 				violated := in.CheckState(st, props)
 				if violated != 0 {
@@ -89,16 +96,14 @@ func Timed(in *core.Instance, s *core.Schedule, opts TimedOptions) (*TimedReport
 					if rep.First == nil {
 						// The in-flight set at this instant is the
 						// violating trace; minimize it for the report,
-						// as a delivery order of the stage round r is.
-						stg := stage{idx: r, pre: s.StateAfter(in, r)}
+						// as a delivery order of stage r is.
 						var trace Trace
-						for _, w := range round {
-							if in.Updated(st, w) && !in.Updated(stg.pre, w) {
-								trace = append(trace, Event{Round: r, Switch: w})
+						for _, nd := range stg.plan.Nodes {
+							if in.Updated(st, nd.Switch) != in.Updated(stg.pre, nd.Switch) {
+								trace = append(trace, Event{Round: r, Switch: nd.Switch})
 							}
 						}
-						antichain := core.PlanFromSchedule(&core.Schedule{Rounds: [][]topo.NodeID{round}})
-						min, minViolated := Minimize(in, stg.pre, antichain, trace, props)
+						min, minViolated := Minimize(in, stg.pre, stg.plan, trace, props)
 						rep.First = stg.violation(in, min, minViolated)
 					}
 				}
@@ -108,7 +113,7 @@ func Timed(in *core.Instance, s *core.Schedule, opts TimedOptions) (*TimedReport
 				}
 			})
 		}
-		base = roundEnd + src.Sample(opts.Barrier)
+		base = stageEnd + src.Sample(opts.Barrier)
 	}
 	sim.Run()
 	rep.Makespan = sim.Now().Sub(start)

@@ -74,9 +74,9 @@ type CompareReport struct {
 // applies to the instance and guarantees a non-empty property set, a
 // plan targeting exactly that scheduler's guarantees (synthesis runs
 // once per distinct property set), and tabulates the heuristic's gaps
-// against it. The heuristic side uses the scheduler's sparse DAG when
-// it offers one, its layered plan otherwise. Schedulers that fail to
-// schedule, and the guarantee-free one-shot baseline, are skipped.
+// against it. The heuristic side is core.SparsePlan of the scheduler's
+// plan. Schedulers that fail to plan, and the guarantee-free one-shot
+// baseline, are skipped.
 func Compare(in *core.Instance, opts Options) (*CompareReport, error) {
 	rep := &CompareReport{Instance: in.String()}
 	type synthResult struct {
@@ -92,29 +92,25 @@ func Compare(in *core.Instance, opts Options) (*CompareReport, error) {
 		if err != nil || !sch.Applicable(in) {
 			continue
 		}
-		s, err := sch.Schedule(in, 0)
-		if err != nil || s.Guarantees == 0 {
+		hp, err := sch.Plan(in, 0)
+		if err != nil || hp.Guarantees == 0 {
 			continue
 		}
-		hp := core.PlanFromSchedule(s)
-		if ps, ok := sch.(core.PlanScheduler); ok {
-			if sp, err := ps.Plan(in, 0); err == nil {
-				hp = sp
-			}
-		}
-		res, ok := cache[s.Guarantees]
+		props := hp.Guarantees
+		hp = core.SparsePlan(in, hp)
+		res, ok := cache[props]
 		if !ok {
-			plan, tr, err := Plan(in, s.Guarantees, opts)
+			plan, tr, err := Plan(in, props, opts)
 			if err != nil {
 				return nil, fmt.Errorf("synth: comparing against %s: %w", name, err)
 			}
 			res = synthResult{plan: plan, tr: tr}
-			cache[s.Guarantees] = res
+			cache[props] = res
 		}
 		hm, sm := MetricsOf(hp), MetricsOf(res.plan)
 		rep.Rows = append(rep.Rows, GapRow{
 			Algorithm:   name,
-			Guarantees:  s.Guarantees,
+			Guarantees:  props,
 			Heuristic:   hm,
 			Synth:       sm,
 			DepthGap:    hm.Depth - sm.Depth,

@@ -417,8 +417,8 @@ func Plan(in *core.Instance, props core.Property, opts Options) (*core.Plan, *Tr
 }
 
 // bestHeuristic returns the best registered non-synth plan whose
-// schedule guarantees cover props, preferring sparse DAGs where the
-// scheduler offers them; ("", nil) when no heuristic qualifies.
+// guarantees cover props, preferring the sparse DAG core.SparsePlan
+// derives from it; ("", nil) when no heuristic qualifies.
 func bestHeuristic(in *core.Instance, props core.Property) (string, *core.Plan) {
 	var bestName string
 	var best *core.Plan
@@ -430,16 +430,11 @@ func bestHeuristic(in *core.Instance, props core.Property) (string, *core.Plan) 
 		if err != nil || !sch.Applicable(in) {
 			continue
 		}
-		s, err := sch.Schedule(in, props)
-		if err != nil || !s.Guarantees.Has(props) {
+		hp, err := sch.Plan(in, props)
+		if err != nil || !hp.Guarantees.Has(props) {
 			continue
 		}
-		hp := core.PlanFromSchedule(s)
-		if ps, ok := sch.(core.PlanScheduler); ok {
-			if sp, err := ps.Plan(in, props); err == nil {
-				hp = sp
-			}
-		}
+		hp = core.SparsePlan(in, hp)
 		if best == nil || hp.Depth() < best.Depth() ||
 			(hp.Depth() == best.Depth() && hp.NumEdges() < best.NumEdges()) {
 			bestName, best = name, hp
@@ -451,23 +446,7 @@ func bestHeuristic(in *core.Instance, props core.Property) (string, *core.Plan) 
 // scheduler registers the portfolio under core.AlgoSynth.
 type scheduler struct{}
 
-// Schedule returns the synthesized plan's layered view: rounds are the
-// plan's longest-path layers. Safe because the layered closure of a
-// plan's layers only adds constraints — its ideal space is a subset of
-// the verified plan's.
-func (scheduler) Schedule(in *core.Instance, props core.Property) (*core.Schedule, error) {
-	p, _, err := Plan(in, props, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &core.Schedule{
-		Rounds:     p.Layers(),
-		Algorithm:  core.AlgoSynth,
-		Guarantees: p.Guarantees,
-	}, nil
-}
-
-// Plan implements core.PlanScheduler with the synthesized sparse DAG.
+// Plan implements core.Scheduler with the synthesized DAG.
 func (scheduler) Plan(in *core.Instance, props core.Property) (*core.Plan, error) {
 	p, _, err := Plan(in, props, Options{})
 	return p, err

@@ -179,8 +179,8 @@ func TestSynthBudgetError(t *testing.T) {
 }
 
 // TestSynthRegistered checks the first-class scheduler surface: synth
-// resolves through the registry, schedules layered rounds that verify
-// clean, and offers a sparse DAG via the PlanScheduler capability.
+// resolves through the registry, and both its layered view and its
+// synthesized DAG verify clean.
 func TestSynthRegistered(t *testing.T) {
 	in := fig1(t)
 	found := false
@@ -192,14 +192,14 @@ func TestSynthRegistered(t *testing.T) {
 	if !found {
 		t.Fatalf("%q not in registry: %v", core.AlgoSynth, core.Names())
 	}
-	s, err := core.ScheduleByName(in, core.AlgoSynth, 0)
+	s, err := core.PlanByName(in, core.AlgoSynth, 0, false)
 	if err != nil {
-		t.Fatalf("ScheduleByName: %v", err)
+		t.Fatalf("PlanByName: %v", err)
 	}
 	if s.Guarantees == 0 {
 		t.Fatal("synth schedule guarantees nothing")
 	}
-	if rep := verify.Plan(in, core.PlanFromSchedule(s), s.Guarantees, verify.Options{}); !rep.OK() {
+	if rep := verify.Plan(in, s, s.Guarantees, verify.Options{}); !rep.OK() {
 		t.Fatalf("synth schedule unsafe: %v", rep.FirstViolation())
 	}
 	p, err := core.PlanByName(in, core.AlgoSynth, 0, true)

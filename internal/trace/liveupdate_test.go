@@ -68,7 +68,7 @@ func newLiveBed(t *testing.T, jitter netem.Latency, install netem.Latency) *live
 
 // runUpdateUnderProbes executes the schedule while probing, returning
 // the probe stats collected strictly during the update window.
-func runUpdateUnderProbes(t *testing.T, bed *liveBed, sched *core.Schedule, in *core.Instance) Stats {
+func runUpdateUnderProbes(t *testing.T, bed *liveBed, sched *core.Plan, in *core.Instance) Stats {
 	t.Helper()
 	match := openflow.ExactNWDst(net.ParseIP("10.0.0.2"))
 	prober := NewProber(bed.fabric, Config{
@@ -78,7 +78,7 @@ func runUpdateUnderProbes(t *testing.T, bed *liveBed, sched *core.Schedule, in *
 		Interval: 50 * time.Microsecond,
 	})
 	stop := prober.Start(context.Background())
-	job, err := bed.ctrl.Engine().SubmitPlan(in, core.PlanFromSchedule(sched), match, controller.SubmitOptions{})
+	job, err := bed.ctrl.Engine().SubmitPlan(in, sched, match, controller.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func runVirtualLiveUpdate(t *testing.T, seed int64) (Stats, string) {
 	// deterministic round order); rounds barrier on the previous
 	// round's slowest install.
 	base := time.Duration(0)
-	for r, round := range sched.Rounds {
+	for r, round := range sched.Layers() {
 		roundEnd := base
 		for _, v := range round {
 			v := v

@@ -41,7 +41,7 @@ func TestVerifyPlanSampledFallback(t *testing.T) {
 	// A dependency-free plan (with one token edge so it is not
 	// layered): old-path switches can flip before their chains.
 	broken := &core.Plan{Algorithm: "broken", Guarantees: s.Guarantees, Sparse: true}
-	for _, round := range s.Rounds {
+	for _, round := range s.Layers() {
 		for _, v := range round {
 			broken.Nodes = append(broken.Nodes, core.PlanNode{Switch: v})
 		}

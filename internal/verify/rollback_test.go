@@ -18,7 +18,7 @@ func TestRollbackOfVerifiedPlanIsSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.PlanFromSchedule(sched)
+	p := sched
 	if rep := Plan(in, p, sched.Guarantees, Options{}); !rep.OK() {
 		t.Fatalf("forward plan does not verify: %v", rep)
 	}
@@ -47,7 +47,7 @@ func TestRollbackOfVerifiedPlanIsSafe(t *testing.T) {
 // the verifier must refuse such a rollback rather than bless it.
 func TestRollbackOfOneShotPrefixCanFail(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	p := core.PlanFromSchedule(core.OneShot(in))
+	p := core.OneShot(in)
 	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.WaypointEnforcement
 
 	// The forward one-shot plan already violates the natural
@@ -87,7 +87,7 @@ func TestRollbackFinalStateRestoresOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.PlanFromSchedule(sched)
+	p := sched
 	installed := make([]bool, len(p.Nodes))
 	for i := range installed {
 		installed[i] = true

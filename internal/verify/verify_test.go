@@ -18,7 +18,7 @@ func TestScheduleAcceptsCorrectSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Plan(in, core.PlanFromSchedule(w), w.Guarantees, Options{})
+		r := Plan(in, w, w.Guarantees, Options{})
 		if !r.OK() {
 			t.Fatalf("wayup rejected: %v", r)
 		}
@@ -27,7 +27,7 @@ func TestScheduleAcceptsCorrectSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r = Plan(in, core.PlanFromSchedule(p), p.Guarantees, Options{})
+		r = Plan(in, p, p.Guarantees, Options{})
 		if !r.OK() {
 			t.Fatalf("peacock rejected: %v", r)
 		}
@@ -38,7 +38,7 @@ func TestScheduleRejectsOneShotOnAdversarial(t *testing.T) {
 	ti := topo.Reversal(10)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s := core.OneShot(in)
-	r := Plan(in, core.PlanFromSchedule(s), core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
+	r := Plan(in, s, core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
 	if r.OK() {
 		t.Fatal("one-shot on reversal(10) must fail relaxed loop freedom")
 	}
@@ -54,7 +54,7 @@ func TestScheduleRejectsOneShotOnAdversarial(t *testing.T) {
 func TestScheduleRejectsWaypointBypass(t *testing.T) {
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 2)
 	s := core.OneShot(in)
-	r := Plan(in, core.PlanFromSchedule(s), core.WaypointEnforcement, Options{})
+	r := Plan(in, s, core.WaypointEnforcement, Options{})
 	if r.OK() {
 		t.Fatal("one-shot bypass not detected")
 	}
@@ -65,8 +65,8 @@ func TestScheduleRejectsWaypointBypass(t *testing.T) {
 
 func TestScheduleStructureErrors(t *testing.T) {
 	in := core.MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
-	bad := &core.Schedule{Algorithm: "bad", Rounds: [][]topo.NodeID{{1}}}
-	r := Plan(in, core.PlanFromSchedule(bad), core.NoBlackhole, Options{})
+	bad := core.Layered("bad", 0, [][]topo.NodeID{{1}})
+	r := Plan(in, bad, core.NoBlackhole, Options{})
 	if r.OK() || r.StructureErr == nil {
 		t.Fatalf("structure error not reported: %v", r)
 	}
@@ -79,8 +79,8 @@ func TestScheduleFinalState(t *testing.T) {
 	// A structurally valid, per-round safe schedule always ends in the
 	// new path; synthesize one manually and check FinalStateOK.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
-	s := &core.Schedule{Algorithm: "manual", Rounds: [][]topo.NodeID{{4}, {1}}}
-	r := Plan(in, core.PlanFromSchedule(s), core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
+	s := core.Layered("manual", 0, [][]topo.NodeID{{4}, {1}})
+	r := Plan(in, s, core.NoBlackhole|core.RelaxedLoopFreedom, Options{})
 	if !r.OK() || !r.FinalStateOK {
 		t.Fatalf("manual schedule rejected: %v", r)
 	}
@@ -96,7 +96,7 @@ func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Plan(in, core.PlanFromSchedule(s), core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 32, Samples: 200, Seed: 1})
+	r := Plan(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 32, Samples: 200, Seed: 1})
 	if r.Exact() {
 		t.Fatal("expected sampled verification with budget 32")
 	}
@@ -111,7 +111,7 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 	ti := topo.Reversal(40)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s := core.OneShot(in)
-	r := Plan(in, core.PlanFromSchedule(s), core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64, Samples: 500, Seed: 1})
+	r := Plan(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64, Samples: 500, Seed: 1})
 	if r.OK() {
 		t.Fatal("one-shot violation missed on reversal(40)")
 	}
@@ -135,7 +135,7 @@ func TestReportExactAndOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Plan(in, core.PlanFromSchedule(p), p.Guarantees, Options{})
+	r := Plan(in, p, p.Guarantees, Options{})
 	if !r.OK() || !r.Exact() {
 		t.Fatalf("peacock on tiny instance must verify exactly: %v", r)
 	}
@@ -193,20 +193,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 		ti := topo.RandomTwoPath(rng, 6+rng.Intn(24), true)
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
 		props := core.NoBlackhole | core.WaypointEnforcement | core.RelaxedLoopFreedom
-		for _, s := range []*core.Schedule{core.OneShot(in), mustWayUp(t, in)} {
+		for _, s := range []*core.Plan{core.OneShot(in), mustWayUp(t, in)} {
 			// A small budget forces the sampling fallback on larger draws,
 			// covering the chunked path too.
 			opts := Options{Budget: 1 << 10, Samples: 300, Seed: int64(trial)}
-			serial := Plan(in, core.PlanFromSchedule(s), props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
+			serial := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
-				par := Plan(in, core.PlanFromSchedule(s), props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: workers})
+				par := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: workers})
 				reportsEqual(t, serial, par)
 			}
 		}
 	}
 }
 
-func mustWayUp(t *testing.T, in *core.Instance) *core.Schedule {
+func mustWayUp(t *testing.T, in *core.Instance) *core.Plan {
 	t.Helper()
 	s, err := core.WayUp(in)
 	if err != nil {
@@ -229,8 +229,8 @@ func TestBatchMatchesIndividualSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks = append(tasks,
-			Task{Instance: in, Plan: core.PlanFromSchedule(core.OneShot(in)), Props: core.NoBlackhole | core.RelaxedLoopFreedom},
-			Task{Instance: in, Plan: core.PlanFromSchedule(p), Props: core.NoBlackhole | core.RelaxedLoopFreedom})
+			Task{Instance: in, Plan: core.OneShot(in), Props: core.NoBlackhole | core.RelaxedLoopFreedom},
+			Task{Instance: in, Plan: p, Props: core.NoBlackhole | core.RelaxedLoopFreedom})
 	}
 	opts := Options{Seed: 3}
 	batched := Batch(tasks, opts)
