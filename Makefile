@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync loc test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api loc test test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -163,6 +163,13 @@ guard-one-fsync:
 		echo "a second fsync site or a record per node (see guard-one-fsync in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
+
+# No dead API: every exported identifier under internal/ has a reference
+# outside tests somewhere in the tree (bench/, cmd/ and examples/
+# included) or a line with its reason in deadapi-allow.txt, and no line
+# there is stale (cmd/deadapi: go/parser + go/types, stdlib, offline).
+guard-dead-api:
+	$(GO) run ./cmd/deadapi
 
 test:
 	$(GO) test ./... -race

@@ -13,6 +13,7 @@ package tsu_test
 import (
 	"context"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ import (
 // execution alone, keeping the numbers comparable across revisions —
 // API-transport overhead is not part of the paper's metric.
 func runEngineUpdate(bed *experiments.Bed, in *core.Instance, sched *core.Plan) error {
-	job, err := bed.Ctrl.Engine().SubmitPlan(in, sched, experiments.Match(), controller.SubmitOptions{})
+	job, err := bed.Ctrl.Engine().SubmitPlan(in, sched, openflow.ExactNWDst(net.ParseIP(experiments.FlowIP)), controller.SubmitOptions{})
 	if err != nil {
 		return err
 	}
@@ -581,14 +582,14 @@ func mapWalk(in *core.Instance, upd map[topo.NodeID]bool) (topo.Path, core.Outco
 	v := in.Src()
 	for {
 		path = append(path, v)
-		if v == in.Dst() {
+		if v == in.Old.Dst() {
 			return path, core.Reached
 		}
 		if seen[v] {
 			return path, core.Looped
 		}
 		seen[v] = true
-		next, ok := in.NextHop(v, func(n topo.NodeID) bool { return upd[n] })
+		next, ok := nextHop(in, v, func(n topo.NodeID) bool { return upd[n] })
 		if !ok {
 			return path, core.Dropped
 		}
@@ -619,7 +620,7 @@ func mapVerify(in *core.Instance, s *core.Plan, props core.Property) (ok, exact 
 			onWalk:   make(map[topo.NodeID]bool),
 		}
 		for _, v := range round {
-			if in.NeedsUpdate(v) && !done[v] {
+			if needsUpdate(in, v) && !done[v] {
 				c.inRound[v] = true
 			}
 		}
@@ -661,7 +662,7 @@ func (c *mapChecker) step(v topo.NodeID) bool {
 	if c.budget < 0 {
 		return false
 	}
-	if v == c.in.Dst() {
+	if v == c.in.Old.Dst() {
 		return c.props.Has(core.WaypointEnforcement) && c.in.Waypoint != 0 && !c.onWalk[c.in.Waypoint]
 	}
 	if c.onWalk[v] {
@@ -685,7 +686,7 @@ func (c *mapChecker) step(v topo.NodeID) bool {
 }
 
 func (c *mapChecker) advance(v topo.NodeID) bool {
-	next, ok := c.in.NextHop(v, c.updated)
+	next, ok := nextHop(c.in, v, c.updated)
 	if !ok {
 		return c.props.Has(core.NoBlackhole)
 	}
@@ -702,12 +703,12 @@ func mapRoundSafeStrongLF(in *core.Instance, done map[topo.NodeID]bool, round []
 		inRound[v] = true
 	}
 	edges := func(v topo.NodeID) []topo.NodeID {
-		if v == in.Dst() {
+		if v == in.Old.Dst() {
 			return nil
 		}
 		var out []topo.NodeID
-		if !in.NeedsUpdate(v) {
-			if n, ok := in.NextHop(v, nil); ok {
+		if !needsUpdate(in, v) {
+			if n, ok := nextHop(in, v, nil); ok {
 				out = append(out, n)
 			}
 			return out
@@ -746,7 +747,7 @@ func mapRoundSafeStrongLF(in *core.Instance, done map[topo.NodeID]bool, round []
 		color[v] = black
 		return false
 	}
-	for _, v := range in.Nodes() {
+	for _, v := range append(append(topo.Path(nil), in.Old...), in.New...) {
 		if color[v] == white && visit(v) {
 			return false
 		}
@@ -825,4 +826,25 @@ func reportWorstGap(b *testing.B, in *core.Instance) {
 	}
 	b.ReportMetric(float64(depthGap), "max-depth-gap")
 	b.ReportMetric(float64(edgeGap), "max-edge-gap")
+}
+
+// needsUpdate reports whether v's rule changes: it has a new-path
+// successor that is not its old one.
+func needsUpdate(in *core.Instance, v topo.NodeID) bool {
+	n, ok := in.NewSucc(v)
+	o, onOld := in.OldSucc(v)
+	return ok && (!onOld || n != o)
+}
+
+// nextHop is the seed's rule resolution: a switch whose rule changes
+// forwards on its new rule once updated and on its old rule (if any)
+// before; any other switch on its only rule. False means no rule (a drop)
+// or the destination.
+func nextHop(in *core.Instance, v topo.NodeID, updated func(topo.NodeID) bool) (topo.NodeID, bool) {
+	n, onNew := in.NewSucc(v)
+	o, onOld := in.OldSucc(v)
+	if !onNew || (!onOld || n != o) && (updated == nil || !updated(v)) {
+		return o, onOld
+	}
+	return n, true
 }

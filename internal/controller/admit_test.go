@@ -303,7 +303,7 @@ func TestConflictsWithMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	matches := []openflow.Match{
 		flowMatch("10.0.0.1"), flowMatch("10.0.0.2"), flowMatch("10.0.1.1"),
-		openflow.ExactNWDstVLAN(net.ParseIP("10.0.0.1"), 7), openflow.ExactNWDstVLAN(net.ParseIP("10.0.0.1"), 8),
+		vlanMatch(net.ParseIP("10.0.0.1"), 7), vlanMatch(net.ParseIP("10.0.0.1"), 8),
 		{Wildcards: openflow.WildcardAll}, {InPort: 3}, {DLSrc: [6]byte{0, 0, 0, 0, 0, 1}}, {DLDst: [6]byte{1}}, {TPDst: 80}, {TPSrc: 80},
 	}
 	randomJob := func() (*Job, map[topo.NodeID]bool, map[openflow.Match]bool) {

@@ -100,12 +100,12 @@ func TestChaosUpdatesUnderRandomFaults(t *testing.T) {
 		}
 	}
 
-	// Registry consistency: every remaining datapath answers stats.
+	// Registry consistency: every remaining datapath answers a barrier.
 	for _, dpid := range tb.ctrl.Datapaths() {
 		sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-		_, err := tb.ctrl.FlowStats(sctx, dpid)
+		err := barrier(sctx, tb.ctrl, dpid)
 		scancel()
-		if err != nil && dpid != 5 { // switch 5 answers stats (only barriers are dropped)
+		if err != nil && dpid != 5 { // switch 5 drops barriers
 			t.Fatalf("datapath %d unresponsive after chaos: %v", dpid, err)
 		}
 	}

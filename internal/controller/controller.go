@@ -27,7 +27,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsu/internal/journal"
@@ -88,8 +87,6 @@ type Controller struct {
 	planReports  map[int]chan<- *planwire.Report
 	stateReports map[int]chan<- *planwire.StateReport
 
-	flowRemoved atomic.Uint64
-
 	// started anchors the /v1/healthz uptime report.
 	started time.Time
 
@@ -101,9 +98,8 @@ type datapath struct {
 	dpid uint64
 	conn *ofconn.Conn
 
-	mu        sync.Mutex
-	sinks     map[uint32]barrierSink // in-flight barriers, resolved by xid
-	statsWait map[uint32]chan []openflow.FlowStats
+	mu    sync.Mutex
+	sinks map[uint32]barrierSink // in-flight barriers, resolved by xid
 }
 
 // New creates a controller for a topology.
@@ -177,10 +173,9 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 		return
 	}
 	dp := &datapath{
-		dpid:      features.DatapathID,
-		conn:      conn,
-		sinks:     make(map[uint32]barrierSink),
-		statsWait: make(map[uint32]chan []openflow.FlowStats),
+		dpid:  features.DatapathID,
+		conn:  conn,
+		sinks: make(map[uint32]barrierSink),
 	}
 	c.mu.Lock()
 	if old, dup := c.datapaths[dp.dpid]; dup {
@@ -233,14 +228,6 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 			if ok {
 				c.engine.disp.deliver(s, c.clock.Now())
 			}
-		case *openflow.StatsReply:
-			dp.mu.Lock()
-			ch := dp.statsWait[msg.Xid()]
-			delete(dp.statsWait, msg.Xid())
-			dp.mu.Unlock()
-			if ch != nil {
-				ch <- msg.Flows
-			}
 		case *openflow.EchoRequest:
 			reply := &openflow.EchoReply{Data: msg.Data}
 			reply.SetXid(msg.Xid())
@@ -248,7 +235,6 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 				return
 			}
 		case *openflow.FlowRemoved:
-			c.flowRemoved.Add(1)
 			c.logger.Info("flow removed", "dpid", dp.dpid,
 				"nw_dst", msg.Match.NWDstIP().String(), "reason", msg.Reason)
 		case *openflow.PortStatus:
@@ -348,17 +334,6 @@ func (c *Controller) datapath(dpid uint64) (*datapath, error) {
 	return dp, nil
 }
 
-// SendFlowMod sends a FlowMod to a switch (fire and forget; ordering
-// and completion are enforced with Barrier).
-func (c *Controller) SendFlowMod(dpid uint64, fm *openflow.FlowMod) error {
-	dp, err := c.datapath(dpid)
-	if err != nil {
-		return err
-	}
-	_, err = dp.conn.Send(fm)
-	return err
-}
-
 // SendVendor sends a vendor/experimenter message carrying an opaque
 // planwire payload to a switch — the decentralized engine's partition
 // push channel.
@@ -403,53 +378,6 @@ func (c *Controller) unregisterStateReports(job int) {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
 	delete(c.stateReports, job)
-}
-
-// Barrier sends a BARRIER_REQUEST to the switch and blocks until its
-// reply arrives (or ctx or RoundTimeout expires) — the synchronization
-// primitive that ends an update round, as a one-node walk that sends no
-// FlowMods.
-func (c *Controller) Barrier(ctx context.Context, dpid uint64) error {
-	if err := c.engine.walkFlat(ctx, []topo.NodeID{topo.NodeID(dpid)}, [][]*openflow.FlowMod{nil}); err != nil {
-		return fmt.Errorf("controller: barrier to %d: %w", dpid, err)
-	}
-	return nil
-}
-
-// FlowStats fetches the switch's flow table contents.
-func (c *Controller) FlowStats(ctx context.Context, dpid uint64) ([]openflow.FlowStats, error) {
-	dp, err := c.datapath(dpid)
-	if err != nil {
-		return nil, err
-	}
-	req := &openflow.StatsRequest{
-		Kind: openflow.StatsFlow,
-		Flow: &openflow.FlowStatsRequest{
-			Match:   openflow.Match{Wildcards: openflow.WildcardAll},
-			TableID: 0xff,
-			OutPort: openflow.PortNone,
-		},
-	}
-	req.SetXid(dp.conn.NextXid())
-	ch := make(chan []openflow.FlowStats, 1)
-	dp.mu.Lock()
-	dp.statsWait[req.Xid()] = ch
-	dp.mu.Unlock()
-	if err := dp.conn.WriteMessage(req); err != nil {
-		dp.mu.Lock()
-		delete(dp.statsWait, req.Xid())
-		dp.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case flows := <-ch:
-		return flows, nil
-	case <-ctx.Done():
-		dp.mu.Lock()
-		delete(dp.statsWait, req.Xid())
-		dp.mu.Unlock()
-		return nil, fmt.Errorf("controller: flow stats from %d: %w", dpid, ctx.Err())
-	}
 }
 
 // PathFlowMod builds the FlowMod that makes switch `node` forward the
@@ -517,10 +445,3 @@ func (c *Controller) InstallPath(ctx context.Context, path topo.Path, match open
 
 // Engine returns the update engine (job queue).
 func (c *Controller) Engine() *Engine { return c.engine }
-
-// Ports exposes the canonical port map.
-func (c *Controller) Ports() *topo.PortMap { return c.ports }
-
-// FlowRemovedCount returns how many FLOW_REMOVED notifications have
-// arrived across all switches (entries expiring by idle/hard timeout).
-func (c *Controller) FlowRemovedCount() uint64 { return c.flowRemoved.Load() }

@@ -2,12 +2,14 @@ package controller
 
 import (
 	"context"
+	"log/slog"
 	"net"
 	"testing"
 	"time"
 
 	"tsu/internal/core"
 	"tsu/internal/netem"
+	"tsu/internal/ofconn"
 	"tsu/internal/openflow"
 	"tsu/internal/switchsim"
 	"tsu/internal/topo"
@@ -126,10 +128,10 @@ func TestBarrierWaitsForSlowInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := tb.ctrl.SendFlowMod(1, fmod); err != nil {
+	if err := sendFlowMod(tb.ctrl, 1, fmod); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, tb.ctrl, 1); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -170,7 +172,7 @@ func TestUpdateJobWayUpFig1(t *testing.T) {
 	if job.State() != JobDone {
 		t.Fatalf("job state = %v", job.State())
 	}
-	timings := job.Timings()
+	timings := job.timings()
 	if len(timings) != sched.Depth() {
 		t.Fatalf("timings for %d rounds, want %d", len(timings), sched.Depth())
 	}
@@ -304,15 +306,61 @@ func TestFlowStatsRoundTrip(t *testing.T) {
 	if err := tb.ctrl.InstallPath(ctx, topo.Path{1, 2, 3}, flowMatch("10.0.0.2"), ""); err != nil {
 		t.Fatal(err)
 	}
-	flows, err := tb.ctrl.FlowStats(ctx, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flows) != 1 {
-		t.Fatalf("flows = %+v", flows)
+	defer ln.Close()
+	conns := make(chan *ofconn.Conn, 1)
+	go func() {
+		defer close(conns)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn := ofconn.New(nc)
+		if _, err := ofconn.HandshakeController(conn); err != nil {
+			conn.Close()
+			return
+		}
+		conns <- conn
+	}()
+	sw := tb.fabric.Switch(1)
+	sw.Stop()
+	if err := sw.Connect(ctx, ln.Addr().String()); err != nil {
+		t.Fatal(err)
 	}
-	if flows[0].Match.NWDstIP().String() != "10.0.0.2" {
-		t.Fatalf("flow match = %v", flows[0].Match.NWDstIP())
+	conn, ok := <-conns
+	if !ok {
+		t.Fatal("bare controller: handshake failed")
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	req := &openflow.StatsRequest{Kind: openflow.StatsFlow, Flow: &openflow.FlowStatsRequest{
+		Match: openflow.Match{Wildcards: openflow.WildcardAll}, TableID: 0xff, OutPort: openflow.PortNone,
+	}}
+	req.SetXid(77)
+	if err := conn.WriteMessage(req); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, ok := m.(*openflow.StatsReply)
+		if !ok {
+			continue
+		}
+		if rep.Xid() != 77 || len(rep.Flows) != 1 {
+			t.Fatalf("reply xid %d, flows %+v", rep.Xid(), rep.Flows)
+		}
+		if got := rep.Flows[0].Match.NWDstIP().String(); got != "10.0.0.2" {
+			t.Fatalf("flow match = %v", got)
+		}
+		return
 	}
 }
 
@@ -347,7 +395,8 @@ func TestFlowRemovedNotification(t *testing.T) {
 	// A rule with a hard timeout and the send-flow-removed flag expires
 	// on the switch and surfaces as a FLOW_REMOVED at the controller.
 	g := topo.Linear(2)
-	tb := newTestbed(t, g, func(n topo.NodeID) switchsim.Config {
+	removed := &flowRemovedLog{}
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Logger: slog.New(removed)}, func(n topo.NodeID) switchsim.Config {
 		return switchsim.Config{Node: n, TimeoutUnit: 20 * time.Millisecond}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -358,17 +407,17 @@ func TestFlowRemovedNotification(t *testing.T) {
 	}
 	fmod.HardTimeout = 2 // 2 × 20ms
 	fmod.Flags = openflow.FlagSendFlowRem
-	if err := tb.ctrl.SendFlowMod(1, fmod); err != nil {
+	if err := sendFlowMod(tb.ctrl, 1, fmod); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, tb.ctrl, 1); err != nil {
 		t.Fatal(err)
 	}
 	if tb.fabric.Switch(1).Table().Len() != 1 {
 		t.Fatal("rule not installed")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tb.ctrl.FlowRemovedCount() == 0 {
+	for removed.n.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no FLOW_REMOVED after expiry (table len %d)", tb.fabric.Switch(1).Table().Len())
 		}
@@ -381,7 +430,8 @@ func TestFlowRemovedNotification(t *testing.T) {
 
 func TestFlowExpiryWithoutFlagStaysSilent(t *testing.T) {
 	g := topo.Linear(2)
-	tb := newTestbed(t, g, func(n topo.NodeID) switchsim.Config {
+	removed := &flowRemovedLog{}
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Logger: slog.New(removed)}, func(n topo.NodeID) switchsim.Config {
 		return switchsim.Config{Node: n, TimeoutUnit: 10 * time.Millisecond}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -391,10 +441,10 @@ func TestFlowExpiryWithoutFlagStaysSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmod.HardTimeout = 1
-	if err := tb.ctrl.SendFlowMod(1, fmod); err != nil {
+	if err := sendFlowMod(tb.ctrl, 1, fmod); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, tb.ctrl, 1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -404,7 +454,7 @@ func TestFlowExpiryWithoutFlagStaysSilent(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := tb.ctrl.FlowRemovedCount(); got != 0 {
+	if got := removed.n.Load(); got != 0 {
 		t.Fatalf("unexpected FLOW_REMOVED count %d without the flag", got)
 	}
 }

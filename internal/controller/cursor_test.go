@@ -86,7 +86,7 @@ func checkDerived(t *testing.T, what string, job *Job, layerOf []int) {
 	if !reflect.DeepEqual(got, ref.events) {
 		t.Fatalf("%s: derived stream differs from the reference:\n got %q\nwant %q", what, got, ref.events)
 	}
-	if got := job.Timings(); !reflect.DeepEqual(got, ref.timings) && len(got)+len(ref.timings) > 0 {
+	if got := job.timings(); !reflect.DeepEqual(got, ref.timings) && len(got)+len(ref.timings) > 0 {
 		t.Fatalf("%s: derived timings differ from the reference:\n got %+v\nwant %+v", what, got, ref.timings)
 	}
 }

@@ -100,7 +100,7 @@ func TestDecentralizedMatchesControllerMode(t *testing.T) {
 	if got, want := len(dec.job.Installs()), len(p.Nodes); got != want {
 		t.Fatalf("decentralized installs = %d, want %d", got, want)
 	}
-	if got, want := len(dec.job.Timings()), len(ctrl.job.Timings()); got != want {
+	if got, want := len(dec.job.timings()), len(ctrl.job.timings()); got != want {
 		t.Fatalf("decentralized rounds = %d, controller rounds = %d", got, want)
 	}
 	for i, inst := range dec.job.Installs() {

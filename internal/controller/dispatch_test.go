@@ -95,7 +95,7 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 
 	// Per-flow FIFO: A2's first round starts only after A's last
 	// barrier.
-	tA, tA2 := jobA.Timings(), jobA2.Timings()
+	tA, tA2 := jobA.timings(), jobA2.timings()
 	if len(tA) == 0 || len(tA2) == 0 {
 		t.Fatal("missing timings")
 	}
@@ -211,7 +211,7 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 			}
 			// A direct Barrier that gives up on its ctx cleans up the same way.
 			bctx, bcancel := context.WithTimeout(ctx, 20*time.Millisecond)
-			err := tb.ctrl.Barrier(bctx, 7)
+			err := barrier(bctx, tb.ctrl, 7)
 			bcancel()
 			if err == nil {
 				t.Fatal("barrier to 7 answered in time")
@@ -222,7 +222,7 @@ func TestTimedOutInstallDeregistersSink(t *testing.T) {
 			// Let every held-back reply arrive: nobody waits for them anymore.
 			dropped := metrics.DispatchAcksDropped.Value()
 			time.Sleep(lateBy + 100*time.Millisecond)
-			if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+			if err := barrier(ctx, tb.ctrl, 1); err != nil {
 				t.Fatalf("barrier on a healthy switch after the late replies: %v", err)
 			}
 			if n := registeredSinks(tb.ctrl); n != 0 {
@@ -341,7 +341,7 @@ func TestInstallPathOneRoundTrip(t *testing.T) {
 	defer cancel()
 
 	start := sim.Now()
-	if err := tb.ctrl.Barrier(ctx, 1); err != nil {
+	if err := barrier(ctx, tb.ctrl, 1); err != nil {
 		t.Fatal(err)
 	}
 	rtt := sim.Now().Sub(start)

@@ -28,8 +28,8 @@ func TestCleanupRoundRemovesStaleRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.NumRounds() != sched.Depth()+1 {
-		t.Fatalf("rounds = %d, want %d + cleanup", job.NumRounds(), sched.Depth())
+	if job.shape.depth != sched.Depth()+1 {
+		t.Fatalf("rounds = %d, want %d + cleanup", job.shape.depth, sched.Depth())
 	}
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCleanupRoundRemovesStaleRules(t *testing.T) {
 	}
 
 	// The cleanup round is flagged in the timings.
-	timings := job.Timings()
+	timings := job.timings()
 	last := timings[len(timings)-1]
 	if !last.Cleanup {
 		t.Fatal("last round not flagged as cleanup")
@@ -81,8 +81,8 @@ func TestCleanupSkippedWhenNothingStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.NumRounds() != 0 {
-		t.Fatalf("no-op update with cleanup got %d rounds", job.NumRounds())
+	if job.shape.depth != 0 {
+		t.Fatalf("no-op update with cleanup got %d rounds", job.shape.depth)
 	}
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func TestSubmitJointTwoFlows(t *testing.T) {
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if want := ju.NumRounds() + 1; job.NumRounds() != want {
-		t.Fatalf("joint rounds = %d, want %d (incl cleanup)", job.NumRounds(), want)
+	if want := ju.NumRounds() + 1; job.shape.depth != want {
+		t.Fatalf("joint rounds = %d, want %d (incl cleanup)", job.shape.depth, want)
 	}
 
 	// Each flow forwards along its own new path.
@@ -134,7 +134,7 @@ func TestSubmitJointTwoFlows(t *testing.T) {
 
 	// Round FlowMod counts cover both flows.
 	total := 0
-	for _, rt := range job.Timings() {
+	for _, rt := range job.timings() {
 		total += rt.FlowMods
 	}
 	if want := ju.TotalFlowMods(); total < want {
@@ -173,12 +173,12 @@ func TestEngineRoundTimeoutOnSilentSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.ctrl.SendFlowMod(2, fmod); err != nil {
+	if err := sendFlowMod(tb.ctrl, 2, fmod); err != nil {
 		t.Fatal(err)
 	}
 	bctx, bcancel := context.WithTimeout(ctx, 500*time.Millisecond)
 	defer bcancel()
-	if err := tb.ctrl.Barrier(bctx, 2); err == nil {
+	if err := barrier(bctx, tb.ctrl, 2); err == nil {
 		t.Fatal("barrier to a barrier-dropping switch succeeded")
 	}
 
@@ -223,7 +223,7 @@ func TestFaultDisconnectMidUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.ctrl.SendFlowMod(2, fmod); err != nil {
+	if err := sendFlowMod(tb.ctrl, 2, fmod); err != nil {
 		t.Fatal(err)
 	}
 	// The switch processes the FlowMod then disconnects; wait for
@@ -238,7 +238,7 @@ func TestFaultDisconnectMidUpdate(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := tb.ctrl.Barrier(ctx, 2); err == nil {
+	if err := barrier(ctx, tb.ctrl, 2); err == nil {
 		t.Fatal("barrier to a disconnected switch succeeded")
 	}
 }
@@ -278,8 +278,8 @@ func TestEngineProcessesJobsSequentially(t *testing.T) {
 		t.Fatalf("job 1 state %v after job 2 done", j1.State())
 	}
 	// Strict ordering: job 1 finished before job 2 started its rounds.
-	t1 := j1.Timings()
-	t2 := j2.Timings()
+	t1 := j1.timings()
+	t2 := j2.timings()
 	if len(t1) == 0 || len(t2) == 0 {
 		t.Fatal("missing timings")
 	}

@@ -94,10 +94,9 @@ func newFakeFleet(t *testing.T, hold bool) *allocHarness {
 	for d := uint64(1); d <= allocSwitches; d++ {
 		conn := newDiscardConn()
 		dp := &datapath{
-			dpid:      d,
-			conn:      ofconn.New(conn),
-			sinks:     make(map[uint32]barrierSink),
-			statsWait: make(map[uint32]chan []openflow.FlowStats),
+			dpid:  d,
+			conn:  ofconn.New(conn),
+			sinks: make(map[uint32]barrierSink),
 		}
 		c.datapaths[d] = dp
 		h.conns = append(h.conns, conn)

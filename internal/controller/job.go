@@ -166,18 +166,9 @@ type Job struct {
 	done     chan struct{}
 }
 
-// NumRounds returns the number of layers the job's execution DAG has
-// (including a cleanup layer, when requested) — for a round schedule,
-// exactly its round count.
-func (j *Job) NumRounds() int { return j.shape.depth }
-
 // NumInstalls returns the number of per-switch installs of the job's
 // execution DAG.
 func (j *Job) NumInstalls() int { return j.shape.installs }
-
-// NumEdges returns the number of happens-before edges of the job's
-// execution DAG.
-func (j *Job) NumEdges() int { return j.shape.edges }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() JobState {
@@ -204,22 +195,6 @@ func (j *Job) Failure() *FailureReport {
 	}
 	f := *j.failure
 	return &f
-}
-
-// Timings returns the per-round (per-layer) timings of the rounds
-// completed so far.
-func (j *Job) Timings() []RoundTiming {
-	out := make([]RoundTiming, 0, j.shape.depth)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	c := j.Subscribe()
-	for ev, ok := c.nextLocked(); ok; ev, ok = c.nextLocked() {
-		if ev.Round != nil {
-			out = append(out, *ev.Round)
-			out[len(out)-1].Switches = slices.Clone(ev.Round.Switches)
-		}
-	}
-	return out
 }
 
 // Installs returns the per-switch install trace recorded so far, in

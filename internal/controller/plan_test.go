@@ -93,7 +93,7 @@ func TestSubmitPlanSparseDispatch(t *testing.T) {
 		}
 	}
 
-	timings := job.Timings()
+	timings := job.timings()
 	if len(timings) != plan.Depth() {
 		t.Fatalf("%d layer timings, want %d", len(timings), plan.Depth())
 	}
@@ -132,9 +132,9 @@ func TestSubmitPlanLayeredMatchesSchedule(t *testing.T) {
 	if err := jobP.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if jobS.NumRounds() != len(jobS.Timings()) || jobP.NumRounds() != len(jobP.Timings()) {
+	if jobS.shape.depth != len(jobS.timings()) || jobP.shape.depth != len(jobP.timings()) {
 		t.Fatalf("rounds: schedule %d/%d, plan %d/%d",
-			jobS.NumRounds(), len(jobS.Timings()), jobP.NumRounds(), len(jobP.Timings()))
+			jobS.shape.depth, len(jobS.timings()), jobP.shape.depth, len(jobP.timings()))
 	}
 	if jobP.shape.sparse {
 		t.Fatal("layered plan reported sparse")

@@ -89,7 +89,7 @@ func fig1Flips(t *testing.T, e *Engine, n int, ip string, first SubmitOptions) [
 func assertInOrder(t *testing.T, jobs []*Job) {
 	t.Helper()
 	for i := 1; i < len(jobs); i++ {
-		prev, next := jobs[i-1].Timings(), jobs[i].Timings()
+		prev, next := jobs[i-1].timings(), jobs[i].timings()
 		if len(prev) == 0 || len(next) == 0 {
 			t.Fatalf("job %d or %d recorded no rounds", jobs[i-1].ID, jobs[i].ID)
 		}
@@ -210,7 +210,7 @@ func TestQueuedChainRunsInOrderWithoutGoroutines(t *testing.T) {
 	if err := e.enqueueAll(alone[:1]); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the slow job's first round", func() bool { return len(alone[0].Timings()) > 0 })
+	waitFor(t, "the slow job's first round", func() bool { return len(alone[0].timings()) > 0 })
 	oneJob := steadyGoroutines()
 	if err := e.enqueueAll(alone[1:]); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestQueuedChainRunsInOrderWithoutGoroutines(t *testing.T) {
 	if err := e.enqueueAll(jobs); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the slow job's first round", func() bool { return len(jobs[0].Timings()) > 0 })
+	waitFor(t, "the slow job's first round", func() bool { return len(jobs[0].timings()) > 0 })
 	if q, r := e.QueueDepth(), e.RunningCount(); q != 19 || r != 1 {
 		t.Fatalf("behind the slow job: %d queued, %d running, want 19 and 1", q, r)
 	}
@@ -276,7 +276,7 @@ func TestQueuedJobsFailOnShutdown(t *testing.T) {
 	if err := e.enqueueAll(jobs); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the slow job's first round", func() bool { return len(jobs[0].Timings()) > 0 })
+	waitFor(t, "the slow job's first round", func() bool { return len(jobs[0].timings()) > 0 })
 	if q := e.QueueDepth(); q != 5 {
 		t.Fatalf("%d jobs queued, want 5", q)
 	}

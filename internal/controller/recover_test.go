@@ -162,7 +162,7 @@ func TestRecoverParentJournal(t *testing.T) {
 	}
 	for _, job := range jobs {
 		_ = job.Wait(ctx) //nolint:errcheck // failed outcomes are asserted below
-		got := outcome{state: job.State(), adopted: job.Adopted, rounds: job.NumRounds()}
+		got := outcome{state: job.State(), adopted: job.Adopted, rounds: job.shape.depth}
 		if f := job.Failure(); f != nil {
 			got.phase = f.Phase
 			if f.Phase == PhaseRolledBack && !f.RollbackVerified {
@@ -270,7 +270,7 @@ func TestJournalOneRecordPerWave(t *testing.T) {
 
 			mu.Lock()
 			defer mu.Unlock()
-			waves := job.NumRounds()
+			waves := job.shape.depth
 			if mode == ModeDecentralized {
 				waves = 1
 			}

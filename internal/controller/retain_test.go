@@ -205,8 +205,8 @@ func TestStripKeepsTrace(t *testing.T) {
 	if total, per := job.Messages(); total != beforeTotal || !reflect.DeepEqual(per, beforePer) {
 		t.Fatalf("messages changed by the strip: %+v, had %+v", total, beforeTotal)
 	}
-	if job.NumInstalls() != 32 || job.NumRounds() != 4 || job.NumEdges() != 24 {
-		t.Fatalf("shape = %d installs, %d rounds, %d edges", job.NumInstalls(), job.NumRounds(), job.NumEdges())
+	if job.NumInstalls() != 32 || job.shape.depth != 4 || job.shape.edges != 24 {
+		t.Fatalf("shape = %d installs, %d rounds, %d edges", job.NumInstalls(), job.shape.depth, job.shape.edges)
 	}
 	if job.TotalDuration() <= 0 {
 		t.Fatalf("TotalDuration = %v", job.TotalDuration())

@@ -92,7 +92,7 @@ func TestVirtualClockUpdate(t *testing.T) {
 	if got := job.TotalDuration(); got < ctrlLat+installLat {
 		t.Fatalf("virtual total duration %v, want >= %v", got, ctrlLat+installLat)
 	}
-	for _, rt := range job.Timings() {
+	for _, rt := range job.timings() {
 		if rt.Duration() <= 0 {
 			t.Fatalf("round %d has non-positive virtual duration %v", rt.Round, rt.Duration())
 		}

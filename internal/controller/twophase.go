@@ -8,7 +8,7 @@ import (
 	"tsu/internal/topo"
 )
 
-// SubmitTwoPhase enqueues the update as a tagged two-phase commit —
+// A two-phase update runs as a tagged two-phase commit —
 // the fallback HotNets'14 proposes for instances where waypoint
 // enforcement and loop freedom cannot be reconciled by scheduling
 // alone, and the strongest consistency available (per-packet
@@ -35,14 +35,6 @@ import (
 // commit — plus the optional cleanup suffix. Two-phase jobs carry no
 // rollback spec: their tagged mods have no reverse plan, so a mid-plan
 // failure fails plain.
-func (e *Engine) SubmitTwoPhase(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
-	job, err := e.twoPhaseJob(in, match, tag, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.enqueue(job)
-}
-
 // TwoPhaseTag is the VLAN id the REST layer uses to mark the new
 // policy version in two-phase updates.
 const TwoPhaseTag uint16 = 2016

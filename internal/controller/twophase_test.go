@@ -30,12 +30,12 @@ func TestTwoPhaseEndToEnd(t *testing.T) {
 	}
 
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	job, err := tb.ctrl.Engine().SubmitTwoPhase(in, flowMatch("10.0.0.2"), 2016, SubmitOptions{})
+	job, err := submitTwoPhase(tb.ctrl.Engine(), in, flowMatch("10.0.0.2"), 2016, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.NumRounds() != 2 {
-		t.Fatalf("two-phase rounds = %d, want 2 (prepare, commit)", job.NumRounds())
+	if job.shape.depth != 2 {
+		t.Fatalf("two-phase rounds = %d, want 2 (prepare, commit)", job.shape.depth)
 	}
 
 	// Probe continuously during the update: every delivered probe's
@@ -97,12 +97,12 @@ func TestTwoPhaseCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	job, err := tb.ctrl.Engine().SubmitTwoPhase(in, flowMatch("10.0.0.2"), 7, SubmitOptions{Cleanup: true})
+	job, err := submitTwoPhase(tb.ctrl.Engine(), in, flowMatch("10.0.0.2"), 7, SubmitOptions{Cleanup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.NumRounds() != 3 {
-		t.Fatalf("rounds = %d, want 3", job.NumRounds())
+	if job.shape.depth != 3 {
+		t.Fatalf("rounds = %d, want 3", job.shape.depth)
 	}
 	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
@@ -117,11 +117,11 @@ func TestTwoPhaseCleanup(t *testing.T) {
 func TestTwoPhaseValidation(t *testing.T) {
 	tb := newTestbed(t, topo.Linear(3), nil)
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 2, 3}, 0)
-	if _, err := tb.ctrl.Engine().SubmitTwoPhase(in, flowMatch("10.0.0.2"), openflow.VLANNone, SubmitOptions{}); err == nil {
+	if _, err := submitTwoPhase(tb.ctrl.Engine(), in, flowMatch("10.0.0.2"), openflow.VLANNone, SubmitOptions{}); err == nil {
 		t.Fatal("reserved tag accepted")
 	}
-	pinned := openflow.ExactNWDstVLAN([]byte{10, 0, 0, 2}, 5)
-	if _, err := tb.ctrl.Engine().SubmitTwoPhase(in, pinned, 7, SubmitOptions{}); err == nil {
+	pinned := vlanMatch([]byte{10, 0, 0, 2}, 5)
+	if _, err := submitTwoPhase(tb.ctrl.Engine(), in, pinned, 7, SubmitOptions{}); err == nil {
 		t.Fatal("vlan-pinned match accepted")
 	}
 }

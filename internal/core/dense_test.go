@@ -176,27 +176,27 @@ func TestDenseInstanceMatchesMapReference(t *testing.T) {
 			if !onNew {
 				wantNew = -1
 			}
-			if got := in.OldIndex(v); got != wantOld {
+			if got := oldPathIndex(in, v); got != wantOld {
 				t.Fatalf("trial %d: OldIndex(%d) = %d, want %d", trial, v, got, wantOld)
 			}
-			if got := in.NewIndex(v); got != wantNew {
+			if got := newPathIndex(in, v); got != wantNew {
 				t.Fatalf("trial %d: NewIndex(%d) = %d, want %d", trial, v, got, wantNew)
 			}
-			if in.OnOld(v) != onOld || in.OnNew(v) != onNew || in.NewOnly(v) != (onNew && !onOld) {
+			if onOldPath(in, v) != onOld || in.OnNew(v) != onNew || in.NewOnly(v) != (onNew && !onOld) {
 				t.Fatalf("trial %d: OnOld/OnNew/NewOnly(%d) = %v/%v/%v, want %v/%v/%v",
-					trial, v, in.OnOld(v), in.OnNew(v), in.NewOnly(v), onOld, onNew, onNew && !onOld)
+					trial, v, onOldPath(in, v), in.OnNew(v), in.NewOnly(v), onOld, onNew, onNew && !onOld)
 			}
-			if in.NeedsUpdate(v) != ref.pending[v] {
-				t.Fatalf("trial %d: NeedsUpdate(%d) = %v, want %v", trial, v, in.NeedsUpdate(v), ref.pending[v])
+			if pendingAt(in, v) != ref.pending[v] {
+				t.Fatalf("trial %d: NeedsUpdate(%d) = %v, want %v", trial, v, pendingAt(in, v), ref.pending[v])
 			}
 			if in.Updated(st, v) != updated[v] {
 				t.Fatalf("trial %d: Updated(StateOf(...), %d) = %v, want %v", trial, v, in.Updated(st, v), updated[v])
 			}
 			wantHop, wantOK := ref.nextHop(v, updated)
-			if got, ok := in.NextHop(v, func(u topo.NodeID) bool { return updated[u] }); got != wantHop || ok != wantOK {
+			if got, ok := nextHop(in, v, st); got != wantHop || ok != wantOK {
 				t.Fatalf("trial %d: NextHop(%d) = %d, %v, want %d, %v", trial, v, got, ok, wantHop, wantOK)
 			}
-			if i := in.NodeIndex(v); (i >= 0) != (onOld || onNew) || (i >= 0 && in.NodeAt(i) != v) {
+			if i := in.NodeIndex(v); (i >= 0) != (onOld || onNew) || (i >= 0 && in.nodeOf[i] != v) {
 				t.Fatalf("trial %d: NodeIndex(%d) = %d", trial, v, i)
 			}
 		}
@@ -222,7 +222,14 @@ func TestDenseInstanceOwnsItsPaths(t *testing.T) {
 	old[1], newPath[1] = 99, 98
 	_ = append(in.Old, 77)
 	_ = append(in.New, 78)
-	if !in.Old.Equal(topo.Path{1, 2, 3, 4}) || !in.New.Equal(topo.Path{1, 3, 2, 4}) || !topo.Path(in.Nodes()).Equal(topo.Path{1, 2, 3, 4}) {
-		t.Fatalf("instance changed under its caller: old %v new %v nodes %v", in.Old, in.New, in.Nodes())
+	if !in.Old.Equal(topo.Path{1, 2, 3, 4}) || !in.New.Equal(topo.Path{1, 3, 2, 4}) || !topo.Path(in.nodeOf).Equal(topo.Path{1, 2, 3, 4}) {
+		t.Fatalf("instance changed under its caller: old %v new %v nodes %v", in.Old, in.New, in.nodeOf)
 	}
 }
+
+// pendingAt, onOldPath, oldPathIndex and newPathIndex read one switch's
+// entries of the instance's tables.
+func pendingAt(in *Instance, v topo.NodeID) bool   { return in.pendingBits.Has(int(in.idx(v))) }
+func onOldPath(in *Instance, v topo.NodeID) bool   { return in.at(in.oldPos, v) >= 0 }
+func oldPathIndex(in *Instance, v topo.NodeID) int { return int(in.at(in.oldPos, v)) }
+func newPathIndex(in *Instance, v topo.NodeID) int { return int(in.at(in.newPos, v)) }

@@ -29,7 +29,7 @@ var ErrWaypoint = errors.New("waypoint not strictly interior")
 // — successors, path positions, whether it needs a FlowMod — is an
 // array or bitset entry at that index. Walk, CheckState, the round
 // checkers and the schedulers run on indices and State bitsets only;
-// the NodeID-typed methods (OldSucc, NewIndex, NeedsUpdate, ...) are
+// the NodeID-typed methods (OldSucc, OnNew, NewOnly, ...) are
 // one idx lookup — a binary search over nodeOf, O(log NumNodes), no
 // hashing — on top of the same arrays.
 //
@@ -172,13 +172,6 @@ func MustInstance(old, newPath topo.Path, waypoint topo.NodeID) *Instance {
 // Src returns the common source of both paths.
 func (in *Instance) Src() topo.NodeID { return in.Old.Src() }
 
-// Dst returns the common destination of both paths.
-func (in *Instance) Dst() topo.NodeID { return in.Old.Dst() }
-
-// NeedsUpdate reports whether v requires a FlowMod (it is on the new
-// path, is not the destination, and its forwarding rule changes).
-func (in *Instance) NeedsUpdate(v topo.NodeID) bool { return in.pendingBits.Has(int(in.idx(v))) }
-
 // pendingIdx returns the dense indices of all switches needing updates,
 // ordered by new-path position.
 func (in *Instance) pendingIdx() []int32 {
@@ -218,17 +211,8 @@ func (in *Instance) NewSucc(v topo.NodeID) (topo.NodeID, bool) {
 	return in.node(in.at(in.newSuccIdx, v))
 }
 
-// OnOld reports whether v lies on the old path.
-func (in *Instance) OnOld(v topo.NodeID) bool { return in.at(in.oldPos, v) >= 0 }
-
 // OnNew reports whether v lies on the new path.
 func (in *Instance) OnNew(v topo.NodeID) bool { return in.at(in.newPos, v) >= 0 }
-
-// OldIndex returns v's position on the old path, or -1.
-func (in *Instance) OldIndex(v topo.NodeID) int { return int(in.at(in.oldPos, v)) }
-
-// NewIndex returns v's position on the new path, or -1.
-func (in *Instance) NewIndex(v topo.NodeID) int { return int(in.at(in.newPos, v)) }
 
 // NewOnly reports whether v lies on the new path but not the old path
 // (such switches carry no rule at all until updated).
@@ -249,13 +233,6 @@ func (in *Instance) NaturalProps() Property {
 		return NoBlackhole | RelaxedLoopFreedom | WaypointEnforcement
 	}
 	return NoBlackhole | RelaxedLoopFreedom
-}
-
-// Nodes returns the union of both paths' switches in ascending ID order.
-func (in *Instance) Nodes() []topo.NodeID {
-	out := make([]topo.NodeID, len(in.nodeOf))
-	copy(out, in.nodeOf)
-	return out
 }
 
 func (in *Instance) String() string {

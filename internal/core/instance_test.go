@@ -64,10 +64,10 @@ func TestPendingComputation(t *testing.T) {
 	if in.NumPending() != 2 {
 		t.Fatalf("NumPending = %d", in.NumPending())
 	}
-	if !in.NeedsUpdate(1) || !in.NeedsUpdate(5) {
+	if !pendingAt(in, 1) || !pendingAt(in, 5) {
 		t.Fatal("NeedsUpdate wrong for 1/5")
 	}
-	if in.NeedsUpdate(2) || in.NeedsUpdate(3) || in.NeedsUpdate(4) {
+	if pendingAt(in, 2) || pendingAt(in, 3) || pendingAt(in, 4) {
 		t.Fatal("NeedsUpdate wrong for 2/3/4")
 	}
 }
@@ -86,7 +86,7 @@ func TestPendingOrderIsNewPathOrder(t *testing.T) {
 
 func TestInstanceAccessors(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 5, 3, 4}, 3)
-	if in.Src() != 1 || in.Dst() != 4 {
+	if in.Src() != 1 || in.Old.Dst() != 4 {
 		t.Fatal("Src/Dst wrong")
 	}
 	if n, ok := in.OldSucc(2); !ok || n != 3 {
@@ -101,7 +101,7 @@ func TestInstanceAccessors(t *testing.T) {
 	if n, ok := in.NewSucc(5); !ok || n != 3 {
 		t.Fatal("NewSucc(5) wrong")
 	}
-	if !in.OnOld(2) || in.OnOld(5) {
+	if !onOldPath(in, 2) || onOldPath(in, 5) {
 		t.Fatal("OnOld wrong")
 	}
 	if !in.OnNew(5) || in.OnNew(2) {
@@ -110,13 +110,13 @@ func TestInstanceAccessors(t *testing.T) {
 	if !in.NewOnly(5) || in.NewOnly(3) || in.NewOnly(2) {
 		t.Fatal("NewOnly wrong")
 	}
-	if in.OldIndex(3) != 2 || in.OldIndex(5) != -1 {
+	if oldPathIndex(in, 3) != 2 || oldPathIndex(in, 5) != -1 {
 		t.Fatal("OldIndex wrong")
 	}
-	if in.NewIndex(3) != 2 || in.NewIndex(2) != -1 {
+	if newPathIndex(in, 3) != 2 || newPathIndex(in, 2) != -1 {
 		t.Fatal("NewIndex wrong")
 	}
-	nodes := in.Nodes()
+	nodes := in.nodeOf
 	if len(nodes) != 5 {
 		t.Fatalf("Nodes = %v", nodes)
 	}

@@ -479,64 +479,6 @@ func (p *Plan) BaseState(in *Instance) State {
 	return s
 }
 
-// VisitIdeals enumerates every order ideal (down-closed node set) of
-// the plan exactly once — the plan's reachable transient states. The
-// enumeration is a DFS over include/exclude decisions on minimal
-// elements, so consecutive callbacks change the current set one node
-// at a time: flip(i, on) reports each single-node change (pair it with
-// Walker.Flip for incremental re-walks), and visit is called once per
-// ideal, with the current set equal to that ideal. visit returning
-// false aborts; VisitIdeals reports whether the enumeration ran to
-// completion. The DFS is deterministic: branches always pick the
-// smallest eligible node index.
-func (p *Plan) VisitIdeals(flip func(node int, on bool), visit func() bool) bool {
-	n := len(p.Nodes)
-	words := (n + 63) / 64
-	scratch := make([]uint64, 2*words)
-	included, excluded := scratch[:words], scratch[words:]
-	has := func(s []uint64, i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-	set := func(s []uint64, i int) { s[i>>6] |= 1 << (uint(i) & 63) }
-	unset := func(s []uint64, i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
-	eligible := func(i int) bool {
-		if has(included, i) || has(excluded, i) {
-			return false
-		}
-		for _, d := range p.Nodes[i].Deps {
-			if !has(included, d) {
-				return false
-			}
-		}
-		return true
-	}
-	var rec func() bool
-	rec = func() bool {
-		m := -1
-		for i := 0; i < n; i++ {
-			if eligible(i) {
-				m = i
-				break
-			}
-		}
-		if m == -1 {
-			return visit()
-		}
-		set(included, m)
-		flip(m, true)
-		if !rec() {
-			return false
-		}
-		flip(m, false)
-		unset(included, m)
-		set(excluded, m)
-		if !rec() {
-			return false
-		}
-		unset(excluded, m)
-		return true
-	}
-	return rec()
-}
-
 // PlanRun is the reusable bookkeeping of an ack-driven dispatcher over
 // a plan's DAG: it tracks per-node unmet-dependency counts and hands
 // out newly released nodes as completions arrive. The successor
@@ -552,7 +494,6 @@ type PlanRun struct {
 	succStart []int32
 	succ      []int32
 	indeg     []int32
-	remaining int
 }
 
 // NewPlanRun builds dispatch bookkeeping for the plan. The returned
@@ -585,18 +526,11 @@ func NewPlanRun(p *Plan) *PlanRun {
 	return r
 }
 
-// NumNodes returns the number of plan nodes the run tracks.
-func (r *PlanRun) NumNodes() int { return len(r.numDeps) }
-
-// Remaining returns how many nodes have not yet completed.
-func (r *PlanRun) Remaining() int { return r.remaining }
-
 // Reset re-arms the run and appends the initially released nodes (no
 // dependencies) to ready, returning the extended slice. With a
 // pre-grown buffer it does not allocate.
 func (r *PlanRun) Reset(ready []int) []int {
 	copy(r.indeg, r.numDeps)
-	r.remaining = len(r.numDeps)
 	for i, d := range r.indeg {
 		if d == 0 {
 			ready = append(ready, i)
@@ -609,7 +543,6 @@ func (r *PlanRun) Reset(ready []int) []int {
 // releases (dependencies now all confirmed) to ready, returning the
 // extended slice. With a pre-grown buffer it does not allocate.
 func (r *PlanRun) Complete(i int, ready []int) []int {
-	r.remaining--
 	for _, s := range r.succ[r.succStart[i]:r.succStart[i+1]] {
 		r.indeg[s]--
 		if r.indeg[s] == 0 {

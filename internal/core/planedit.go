@@ -27,7 +27,6 @@ type PlanDraft struct {
 	nodes []topo.NodeID
 	pred  [][]int // pred[v]: draft indices that must complete before v
 	succ  [][]int
-	edges int
 }
 
 // NewPlanDraft returns the edgeless draft over in's pending switches.
@@ -40,12 +39,6 @@ func NewPlanDraft(in *Instance) *PlanDraft {
 		succ:  make([][]int, len(nodes)),
 	}
 }
-
-// NumNodes returns the number of draft nodes (pending switches).
-func (d *PlanDraft) NumNodes() int { return len(d.nodes) }
-
-// NumEdges returns the number of happens-before edges added so far.
-func (d *PlanDraft) NumEdges() int { return d.edges }
 
 // Switch returns the switch at draft index i.
 func (d *PlanDraft) Switch(i int) topo.NodeID { return d.nodes[i] }
@@ -107,7 +100,6 @@ func (d *PlanDraft) AddEdge(u, v int) error {
 	}
 	d.pred[v] = append(d.pred[v], u)
 	d.succ[u] = append(d.succ[u], v)
-	d.edges++
 	return nil
 }
 

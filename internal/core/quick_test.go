@@ -78,7 +78,7 @@ func TestQuickWalkDeterminism(t *testing.T) {
 		if o1 != o2 || !w1.Equal(w2) {
 			return false
 		}
-		return len(w1) <= len(in.Nodes())+1
+		return len(w1) <= len(in.nodeOf)+1
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

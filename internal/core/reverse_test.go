@@ -138,7 +138,7 @@ func TestReverseIdealCorrespondence(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := rev.BaseState(in)
-		cur := base.Clone()
+		cur := in.CloneState(base)
 		ideals := 0
 		rev.VisitIdeals(
 			func(node int, on bool) {

@@ -137,7 +137,7 @@ func TestCheckRoundDetectsBypass(t *testing.T) {
 	if !exact || cex == nil || cex.Violated != WaypointEnforcement {
 		t.Fatalf("cex = %v, want bypass", cex)
 	}
-	if cex.Walk[len(cex.Walk)-1] != in.Dst() {
+	if cex.Walk[len(cex.Walk)-1] != in.Old.Dst() {
 		t.Fatalf("bypass walk = %v, must end at destination", cex.Walk)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // State is the set of switches whose update has taken effect, stored as
 // a dense bitset with one bit per node of the owning Instance (bit i
-// corresponds to Instance.NodeAt(i)). States are created through
+// corresponds to the instance's i-th switch by ID). States are created through
 // Instance.NewState / Instance.StateOf and are only meaningful for the
 // instance that produced them. A nil State is the empty set.
 //
@@ -31,16 +31,6 @@ func (s State) Set(i int) { s[uint(i)>>6] |= 1 << (uint(i) & 63) }
 // Clear clears bit i.
 func (s State) Clear(i int) { s[uint(i)>>6] &^= 1 << (uint(i) & 63) }
 
-// Clone returns a copy of the state.
-func (s State) Clone() State {
-	if s == nil {
-		return nil
-	}
-	c := make(State, len(s))
-	copy(c, s)
-	return c
-}
-
 // Count returns the number of set bits.
 func (s State) Count() int {
 	n := 0
@@ -54,7 +44,7 @@ func (s State) Count() int {
 func (in *Instance) NewState() State { return make(State, in.words) }
 
 // CloneState returns a full-width copy of s; a nil s yields an empty
-// state (unlike State.Clone, the result is always writable via Set).
+// state (the result is always writable via Set).
 func (in *Instance) CloneState(s State) State {
 	c := make(State, in.words)
 	copy(c, s)
@@ -101,7 +91,3 @@ func (in *Instance) NumNodes() int { return len(in.nodeOf) }
 // NodeIndex returns v's dense index in [0, NumNodes), or -1 when v lies
 // on neither path.
 func (in *Instance) NodeIndex(v topo.NodeID) int { return int(in.idx(v)) }
-
-// NodeAt returns the switch with dense index i (the inverse of
-// NodeIndex).
-func (in *Instance) NodeAt(i int) topo.NodeID { return in.nodeOf[i] }

@@ -29,31 +29,13 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// NextHop returns the switch v forwards to under the given updated-set,
-// and false when v has no matching rule (packets are dropped) or v is
-// the destination.
+// nextHopIdx returns the switch i forwards to under the given
+// updated-set, and false when i has no matching rule (packets are
+// dropped) or i is the destination. Shift-and-mask only, no map lookups.
 //
 // Rule resolution: a pending switch uses its new rule once updated and
 // its old rule (if any) before; a non-pending switch uses its only
 // rule — the new successor when on the new path, otherwise the old one.
-func (in *Instance) NextHop(v topo.NodeID, updated func(topo.NodeID) bool) (topo.NodeID, bool) {
-	i := in.idx(v)
-	if i < 0 || i == in.dstIdx {
-		return 0, false
-	}
-	next := in.newSuccIdx[i]
-	if in.pendingBits.Has(int(i)) {
-		if updated == nil || !updated(v) {
-			next = in.oldSuccIdx[i]
-		}
-	} else if next < 0 {
-		next = in.oldSuccIdx[i]
-	}
-	return in.node(next)
-}
-
-// nextHopIdx is NextHop over dense indices with a State updated-set:
-// shift-and-mask only, no map lookups.
 func (in *Instance) nextHopIdx(i int32, updated State) (int32, bool) {
 	if i == in.dstIdx {
 		return -1, false
@@ -100,29 +82,6 @@ func (in *Instance) Walk(updated State) (topo.Path, Outcome) {
 			return path, Dropped
 		}
 		i = next
-	}
-}
-
-// WalkFunc is Walk with a predicate instead of a State set.
-func (in *Instance) WalkFunc(updated func(topo.NodeID) bool) (topo.Path, Outcome) {
-	var path topo.Path
-	seen := in.NewState()
-	v := in.Src()
-	for {
-		path = append(path, v)
-		if v == in.Dst() {
-			return path, Reached
-		}
-		i := int(in.idx(v))
-		if seen.Has(i) {
-			return path, Looped
-		}
-		seen.Set(i)
-		next, ok := in.NextHop(v, updated)
-		if !ok {
-			return path, Dropped
-		}
-		v = next
 	}
 }
 

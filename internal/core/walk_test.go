@@ -59,43 +59,40 @@ func TestWalkFuncMatchesWalk(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
 	st := in.StateOf(1, 3)
 	w1, o1 := in.Walk(st)
-	w2, o2 := in.WalkFunc(func(v topo.NodeID) bool { return in.Updated(st, v) })
+	w2, o2 := newMapInstance(in.Old, in.New).walk(map[topo.NodeID]bool{1: true, 3: true})
 	if o1 != o2 || !w1.Equal(w2) {
-		t.Fatalf("Walk = %v (%v), WalkFunc = %v (%v)", w1, o1, w2, o2)
+		t.Fatalf("Walk = %v (%v), map walk = %v (%v)", w1, o1, w2, o2)
 	}
 }
 
 func TestNextHopResolution(t *testing.T) {
 	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 5, 3, 4}, 0)
-	upd := func(updated ...topo.NodeID) func(topo.NodeID) bool {
-		st := in.StateOf(updated...)
-		return func(v topo.NodeID) bool { return in.Updated(st, v) }
-	}
+	upd := in.StateOf
 	// Pending switch before update: old rule.
-	if n, ok := in.NextHop(1, upd()); !ok || n != 2 {
+	if n, ok := nextHop(in, 1, upd()); !ok || n != 2 {
 		t.Fatalf("NextHop(1, pre) = %d,%v", n, ok)
 	}
 	// Pending switch after update: new rule.
-	if n, ok := in.NextHop(1, upd(1)); !ok || n != 5 {
+	if n, ok := nextHop(in, 1, upd(1)); !ok || n != 5 {
 		t.Fatalf("NextHop(1, post) = %d,%v", n, ok)
 	}
 	// New-only switch before update: no rule.
-	if _, ok := in.NextHop(5, upd()); ok {
+	if _, ok := nextHop(in, 5, upd()); ok {
 		t.Fatal("NextHop(5, pre) should drop")
 	}
-	if n, ok := in.NextHop(5, upd(5)); !ok || n != 3 {
+	if n, ok := nextHop(in, 5, upd(5)); !ok || n != 3 {
 		t.Fatalf("NextHop(5, post) = %d,%v", n, ok)
 	}
 	// Non-pending shared switch: single rule regardless.
-	if n, ok := in.NextHop(3, upd()); !ok || n != 4 {
+	if n, ok := nextHop(in, 3, upd()); !ok || n != 4 {
 		t.Fatalf("NextHop(3) = %d,%v", n, ok)
 	}
 	// Old-only switch: old rule always.
-	if n, ok := in.NextHop(2, upd(1, 5)); !ok || n != 3 {
+	if n, ok := nextHop(in, 2, upd(1, 5)); !ok || n != 3 {
 		t.Fatalf("NextHop(2) = %d,%v", n, ok)
 	}
 	// Destination: terminal.
-	if _, ok := in.NextHop(4, upd()); ok {
+	if _, ok := nextHop(in, 4, upd()); ok {
 		t.Fatal("NextHop(dst) should be terminal")
 	}
 }
@@ -195,7 +192,7 @@ func TestStateHelpers(t *testing.T) {
 	if got := in.StateNodes(s); len(got) != 2 || got[0] != 1 || got[1] != 5 {
 		t.Fatalf("StateNodes = %v", got)
 	}
-	c := s.Clone()
+	c := in.CloneState(s)
 	in.Mark(c, 3)
 	if in.Updated(s, 3) {
 		t.Fatal("Clone aliases")
@@ -210,7 +207,7 @@ func TestStateHelpers(t *testing.T) {
 		t.Fatal("unknown switch marked")
 	}
 	// A nil State is the empty set.
-	if State(nil).Has(7) || State(nil).Count() != 0 || State(nil).Clone() != nil {
+	if State(nil).Has(7) || State(nil).Count() != 0 {
 		t.Fatal("nil State semantics wrong")
 	}
 }
@@ -221,8 +218,8 @@ func TestNodeIndexRoundTrip(t *testing.T) {
 		t.Fatalf("NumNodes = %d", in.NumNodes())
 	}
 	for i := 0; i < in.NumNodes(); i++ {
-		if in.NodeIndex(in.NodeAt(i)) != i {
-			t.Fatalf("NodeIndex(NodeAt(%d)) = %d", i, in.NodeIndex(in.NodeAt(i)))
+		if in.NodeIndex(in.nodeOf[i]) != i {
+			t.Fatalf("NodeIndex(NodeAt(%d)) = %d", i, in.NodeIndex(in.nodeOf[i]))
 		}
 	}
 	if in.NodeIndex(77) != -1 {
@@ -236,4 +233,18 @@ func TestOutcomeString(t *testing.T) {
 			t.Fatalf("Outcome(%d).String() = %q, want %q", o, o.String(), want)
 		}
 	}
+}
+
+// nextHop resolves v's rule under updated through the dense table Walk
+// follows.
+func nextHop(in *Instance, v topo.NodeID, updated State) (topo.NodeID, bool) {
+	i := in.idx(v)
+	if i < 0 {
+		return 0, false
+	}
+	n, ok := in.nextHopIdx(i, updated)
+	if !ok {
+		return 0, false
+	}
+	return in.node(n)
 }

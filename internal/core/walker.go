@@ -140,18 +140,11 @@ func (w *Walker) Flip(i int) {
 	w.resume(int32(i))
 }
 
-// Outcome returns the current walk's classification.
-func (w *Walker) Outcome() Outcome { return w.outcome }
-
 // State returns the walker's current rule state. The returned bitset
 // aliases the walker's scratch: treat it as read-only and copy it
 // (Instance.CloneState) before the next Flip or Reset if it must
 // outlive them.
 func (w *Walker) State() State { return w.st }
-
-// Len returns the current walk's length in switches (excluding the
-// repeated tail of a looped walk).
-func (w *Walker) Len() int { return len(w.path) }
 
 // Path materializes the current walk, following the same convention as
 // Instance.Walk: a looped walk ends with the first repeated switch

@@ -46,7 +46,7 @@ func TestWalkerMatchesWalk(t *testing.T) {
 				st.Set(i)
 			}
 			wantPath, wantOutcome := in.Walk(st)
-			if got := w.Outcome(); got != wantOutcome {
+			if got := w.outcome; got != wantOutcome {
 				t.Fatalf("%v after flips: walker outcome %v, walk says %v (state %v)", in, got, wantOutcome, in.StateNodes(st))
 			}
 			if got := w.Path(); !got.Equal(wantPath) {
@@ -78,8 +78,8 @@ func TestWalkerReset(t *testing.T) {
 			}
 			w.Reset(done)
 			wantPath, wantOutcome := in.Walk(done)
-			if w.Outcome() != wantOutcome || !w.Path().Equal(wantPath) {
-				t.Fatalf("%v: reset walker (%v, %v) != walk (%v, %v)", in, w.Outcome(), w.Path(), wantOutcome, wantPath)
+			if w.outcome != wantOutcome || !w.Path().Equal(wantPath) {
+				t.Fatalf("%v: reset walker (%v, %v) != walk (%v, %v)", in, w.outcome, w.Path(), wantOutcome, wantPath)
 			}
 			if got, want := w.Check(props), in.CheckState(done, props); got != want {
 				t.Fatalf("%v: reset check %s != %s", in, got, want)

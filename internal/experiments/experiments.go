@@ -38,7 +38,6 @@ import (
 	"tsu/internal/explore"
 	"tsu/internal/metrics"
 	"tsu/internal/netem"
-	"tsu/internal/openflow"
 	"tsu/internal/switchsim"
 	"tsu/internal/synth"
 	"tsu/internal/topo"
@@ -139,9 +138,6 @@ func (b *Bed) Close() {
 		}
 	}
 }
-
-// Match returns the demo flow's match.
-func Match() openflow.Match { return openflow.ExactNWDst(net.ParseIP(FlowIP)) }
 
 // InstallOldPolicy programs the old path through the REST API
 // (delivering to host when the destination switch has one attached).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/netem"
+	"tsu/internal/openflow"
 	"tsu/internal/topo"
 )
 
@@ -230,7 +232,7 @@ func TestE10VirtualFatTreeExploreReproducible(t *testing.T) {
 }
 
 func TestMatchAndConstants(t *testing.T) {
-	m := Match()
+	m := openflow.ExactNWDst(net.ParseIP(FlowIP))
 	if m.NWDstIP().String() != FlowIP {
 		t.Fatalf("match dst = %s", m.NWDstIP())
 	}

@@ -25,8 +25,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // AtomicHist is a concurrency-safe size summary — count, sum and
 // maximum — the cheap shape for "how wide are the coalesced batches"
 // style questions asked from many goroutines at once. Observe is a
-// handful of atomic adds; there is no lock and no allocation. For the
-// offline, full-resolution analysis path use Histogram instead.
+// handful of atomic adds; there is no lock and no allocation. The
+// experiment tables, one goroutine each, use Histogram instead.
 type AtomicHist struct {
 	n, sum atomic.Int64
 	max    atomic.Int64

@@ -1,104 +1,43 @@
 // Package metrics provides the small measurement toolkit the
-// experiment harness uses: duration histograms with percentile
-// summaries and fixed-width text tables matching the repository's
+// experiment harness uses: duration histograms summarized by their mean
+// and fixed-width text tables matching the repository's
 // experiment output format.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
 
-// Histogram accumulates duration samples. The zero value is ready to
-// use. Not safe for concurrent use; callers aggregate per goroutine.
+// Histogram accumulates duration samples; the experiment tables read
+// their mean. The zero value is ready to use. Not safe for concurrent
+// use; callers aggregate per goroutine.
 type Histogram struct {
-	samples []time.Duration
-	sorted  bool
+	sum time.Duration
+	n   int
 }
 
 // Record adds a sample.
 func (h *Histogram) Record(d time.Duration) {
-	h.samples = append(h.samples, d)
-	h.sorted = false
+	h.sum += d
+	h.n++
 }
-
-// N returns the sample count.
-func (h *Histogram) N() int { return len(h.samples) }
 
 // Merge folds another histogram's samples into h — the aggregation
 // step when workers accumulate per-shard histograms.
 func (h *Histogram) Merge(o *Histogram) {
-	h.samples = append(h.samples, o.samples...)
-	h.sorted = false
-}
-
-func (h *Histogram) sortSamples() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) using
-// nearest-rank; zero when empty.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortSamples()
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	rank := int(p/100*float64(len(h.samples))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(h.samples) {
-		rank = len(h.samples) - 1
-	}
-	return h.samples[rank]
-}
-
-// Min returns the smallest sample (zero when empty).
-func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortSamples()
-	return h.samples[0]
-}
-
-// Max returns the largest sample (zero when empty).
-func (h *Histogram) Max() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortSamples()
-	return h.samples[len(h.samples)-1]
+	h.sum += o.sum
+	h.n += o.n
 }
 
 // Mean returns the arithmetic mean (zero when empty).
 func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
-}
-
-// Summary renders "n=… mean=… p50=… p95=… max=…".
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s max=%s",
-		h.N(), Round(h.Mean()), Round(h.Percentile(50)), Round(h.Percentile(95)), Round(h.Max()))
+	return h.sum / time.Duration(h.n)
 }
 
 // Round trims a duration to a readable precision (10µs granularity

@@ -7,37 +7,30 @@ import (
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.N() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
-		t.Fatal("empty histogram must be all zeros")
-	}
-	if h.Summary() == "" {
-		t.Fatal("summary empty")
+	var h, o Histogram
+	h.Merge(&o)
+	if h.Mean() != 0 {
+		t.Fatal("empty histogram must have mean zero")
 	}
 }
 
 func TestHistogramStats(t *testing.T) {
-	var h Histogram
+	var h, lo, hi Histogram
 	for i := 1; i <= 100; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
-	}
-	if h.N() != 100 {
-		t.Fatalf("n = %d", h.N())
-	}
-	if h.Min() != time.Millisecond || h.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+		d := time.Duration(i) * time.Millisecond
+		h.Record(d)
+		if i <= 50 {
+			lo.Record(d)
+		} else {
+			hi.Record(d)
+		}
 	}
 	if got := h.Mean(); got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v", got)
 	}
-	if got := h.Percentile(50); got < 49*time.Millisecond || got > 51*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := h.Percentile(95); got < 94*time.Millisecond || got > 96*time.Millisecond {
-		t.Fatalf("p95 = %v", got)
-	}
-	if h.Percentile(0) != h.Min() || h.Percentile(100) != h.Max() {
-		t.Fatal("percentile extremes wrong")
+	lo.Merge(&hi)
+	if got := lo.Mean(); got != h.Mean() {
+		t.Fatalf("merged halves: mean = %v, want %v", got, h.Mean())
 	}
 }
 
@@ -46,13 +39,13 @@ func TestHistogramUnsortedInsertions(t *testing.T) {
 	for _, ms := range []int{50, 10, 90, 30, 70} {
 		h.Record(time.Duration(ms) * time.Millisecond)
 	}
-	if h.Min() != 10*time.Millisecond || h.Max() != 90*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Mean() != 50*time.Millisecond {
+		t.Fatalf("mean = %v", h.Mean())
 	}
-	// Interleave recording and querying: sorted flag must reset.
+	// Interleave recording and querying: the mean follows every Record.
 	h.Record(5 * time.Millisecond)
-	if h.Min() != 5*time.Millisecond {
-		t.Fatal("sorted flag stale after Record")
+	if h.Mean() != 42500*time.Microsecond {
+		t.Fatalf("mean after Record = %v", h.Mean())
 	}
 }
 

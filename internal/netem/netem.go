@@ -167,13 +167,6 @@ func (s *Source) Sleep(dist Latency) time.Duration {
 	return d
 }
 
-// Float64 draws a uniform float in [0, 1) using the guarded RNG.
-func (s *Source) Float64() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Float64()
-}
-
 // Faults is a seeded probabilistic fault model for one message class
 // of the control channel (FlowMods toward switches, acks back, peer
 // releases between switches). Each message independently draws its

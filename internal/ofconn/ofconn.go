@@ -122,9 +122,6 @@ func (b *Batch) Reset() { b.buf, b.n = b.buf[:0], 0 }
 // Len returns the number of messages accumulated.
 func (b *Batch) Len() int { return b.n }
 
-// Bytes returns the accumulated wire size.
-func (b *Batch) Bytes() int { return len(b.buf) }
-
 // Add appends one message's encoding to the batch. The message is
 // encoded immediately, so the caller may reuse it (e.g. re-stamping a
 // shared BarrierRequest's xid between Adds). On error the batch is
@@ -166,9 +163,6 @@ func (c *Conn) Send(m openflow.Message) (uint32, error) {
 
 // SetReadDeadline bounds the next ReadMessage.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // Close closes the underlying connection once.
 func (c *Conn) Close() error {

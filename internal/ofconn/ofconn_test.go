@@ -311,8 +311,8 @@ func TestReadMessageBurstLargerThanReadBuffer(t *testing.T) {
 	if err := batch.Add(barrier); err != nil {
 		t.Fatal(err)
 	}
-	if batch.Bytes() <= 4*readBufSize {
-		t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", batch.Bytes(), readBufSize)
+	if len(batch.buf) <= 4*readBufSize {
+		t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", len(batch.buf), readBufSize)
 	}
 	go ca.WriteBatch(&batch) //nolint:errcheck // test writer
 	for i := 0; i < 50; i++ {

@@ -22,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 	seed(&EchoRequest{Data: []byte("ping")})
 	seed(&FeaturesReply{DatapathID: 3, Ports: []PhyPort{{PortNo: 1, Name: "e1"}}})
 	seed(&FlowMod{
-		Match:   ExactNWDstVLAN(net.IPv4(10, 0, 0, 2), 9),
+		Match:   taggedMatch(net.IPv4(10, 0, 0, 2), 9),
 		Actions: []Action{ActionSetVLAN{VLAN: 9}, ActionOutput{Port: 2}},
 	})
 	seed(&StatsReply{Kind: StatsFlow, Flows: []FlowStats{{Match: ExactNWDst(net.IPv4(10, 0, 0, 2))}}})

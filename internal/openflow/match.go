@@ -97,12 +97,6 @@ func UntaggedPacket(nwDst uint32) PacketKey {
 	return PacketKey{NWDst: nwDst, VLAN: VLANNone}
 }
 
-// Covers reports whether the match accepts an untagged packet with the
-// given destination IPv4 address.
-func (m *Match) Covers(nwDst uint32) bool {
-	return m.CoversKey(UntaggedPacket(nwDst))
-}
-
 // CoversKey reports whether the match accepts the packet under this
 // subset's semantics: the nw_dst prefix wildcard and the dl_vlan field
 // are consulted; the remaining fields are assumed wildcarded by the
@@ -118,15 +112,6 @@ func (m *Match) CoversKey(k PacketKey) bool {
 	maskBits := 32 - prefixWild
 	mask := uint32(0xffffffff) << (32 - maskBits)
 	return m.NWDst&mask == k.NWDst&mask
-}
-
-// ExactNWDstVLAN returns a match on destination IPv4 address and VLAN
-// id — the tagged-rule key of two-phase updates.
-func ExactNWDstVLAN(ip net.IP, vlan uint16) Match {
-	m := ExactNWDst(ip)
-	m.Wildcards &^= WildcardDLVLAN
-	m.DLVLAN = vlan
-	return m
 }
 
 func (m *Match) encode(b []byte) {

@@ -330,14 +330,14 @@ func TestMatchCovers(t *testing.T) {
 	m := ExactNWDst(net.IPv4(10, 0, 0, 2))
 	dst := binary.BigEndian.Uint32(net.IPv4(10, 0, 0, 2).To4())
 	other := binary.BigEndian.Uint32(net.IPv4(10, 0, 0, 3).To4())
-	if !m.Covers(dst) {
+	if !m.CoversKey(UntaggedPacket(dst)) {
 		t.Fatal("exact match misses its own address")
 	}
-	if m.Covers(other) {
+	if m.CoversKey(UntaggedPacket(other)) {
 		t.Fatal("exact match covers a different address")
 	}
 	all := Match{Wildcards: WildcardAll}
-	if !all.Covers(dst) || !all.Covers(other) {
+	if !all.CoversKey(UntaggedPacket(dst)) || !all.CoversKey(UntaggedPacket(other)) {
 		t.Fatal("wildcard-all match must cover everything")
 	}
 	if got := m.NWDstIP().String(); got != "10.0.0.2" {
@@ -436,7 +436,7 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 
 func TestVLANActionsRoundTrip(t *testing.T) {
 	fm := &FlowMod{
-		Match:    ExactNWDstVLAN(net.IPv4(10, 0, 0, 2), 2016),
+		Match:    taggedMatch(net.IPv4(10, 0, 0, 2), 2016),
 		Command:  FlowAdd,
 		Priority: 110,
 		BufferID: NoBuffer,
@@ -471,7 +471,7 @@ func TestVLANActionGoldenBytes(t *testing.T) {
 func TestCoversKeyVLANSemantics(t *testing.T) {
 	dst := binary.BigEndian.Uint32(net.IPv4(10, 0, 0, 2).To4())
 	untaggedRule := ExactNWDst(net.IPv4(10, 0, 0, 2))
-	taggedRule := ExactNWDstVLAN(net.IPv4(10, 0, 0, 2), 7)
+	taggedRule := taggedMatch(net.IPv4(10, 0, 0, 2), 7)
 
 	// The untagged rule wildcards dl_vlan: matches tagged and untagged.
 	if !untaggedRule.CoversKey(UntaggedPacket(dst)) {
@@ -537,4 +537,13 @@ func TestFlowRemovedRejectsBadLength(t *testing.T) {
 	if _, err := Decode(good[:len(good)-4]); err == nil {
 		t.Fatal("truncated flow removed accepted")
 	}
+}
+
+// taggedMatch is the tagged-rule key of a two-phase update: nw_dst ip
+// and dl_vlan vlan, both exact.
+func taggedMatch(ip net.IP, vlan uint16) Match {
+	m := ExactNWDst(ip)
+	m.Wildcards &^= WildcardDLVLAN
+	m.DLVLAN = vlan
+	return m
 }

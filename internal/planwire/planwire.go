@@ -240,14 +240,6 @@ func DecodeReport(data []byte) (*Report, error) {
 	return r, nil
 }
 
-// Kind peeks a payload's discriminator without decoding it.
-func Kind(data []byte) (push, report bool) {
-	if len(data) == 0 {
-		return false, false
-	}
-	return data[0] == kindPush, data[0] == kindReport
-}
-
 // IsStateQuery peeks whether a payload is a StateQuery.
 func IsStateQuery(data []byte) bool {
 	return len(data) > 0 && data[0] == kindStateQuery

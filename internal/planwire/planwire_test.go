@@ -59,7 +59,7 @@ func TestPushRoundTrip(t *testing.T) {
 			t.Fatalf("node %d mods mismatch: %+v", i, got.Mods[i])
 		}
 	}
-	if isPush, isReport := Kind(data); !isPush || isReport {
+	if isPush, isReport := kindOf(data); !isPush || isReport {
 		t.Fatal("push payload misclassified")
 	}
 }
@@ -83,7 +83,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, r) {
 		t.Fatalf("report mismatch:\n got %+v\nwant %+v", got, r)
 	}
-	if isPush, isReport := Kind(r.Encode()); isPush || !isReport {
+	if isPush, isReport := kindOf(r.Encode()); isPush || !isReport {
 		t.Fatal("report payload misclassified")
 	}
 }
@@ -127,7 +127,7 @@ func TestStateQueryRoundTrip(t *testing.T) {
 	if !IsStateQuery(data) || IsStateReport(data) {
 		t.Fatalf("kind peek wrong for state query")
 	}
-	if push, report := Kind(data); push || report {
+	if push, report := kindOf(data); push || report {
 		t.Fatalf("state query misidentified as push/report")
 	}
 	got, err := DecodeStateQuery(data)
@@ -169,4 +169,9 @@ func TestStateReportRoundTrip(t *testing.T) {
 			t.Fatal("truncated report accepted")
 		}
 	}
+}
+
+// kindOf peeks a payload's discriminator without decoding it.
+func kindOf(data []byte) (push, report bool) {
+	return len(data) > 0 && data[0] == kindPush, len(data) > 0 && data[0] == kindReport
 }

@@ -180,18 +180,6 @@ func (s *Sim) Now() time.Time {
 	return s.now
 }
 
-// ScheduleAt enqueues fn to run when virtual time reaches t. Times in
-// the past clamp to now (virtual time is monotonic). Events scheduled
-// for the same instant fire in scheduling order.
-func (s *Sim) ScheduleAt(t time.Time, fn func()) {
-	s.mu.Lock()
-	if t.Before(s.now) {
-		t = s.now
-	}
-	heap.Push(&s.queue, s.newEventLocked(t, fn))
-	s.mu.Unlock()
-}
-
 // Schedule enqueues fn to run d from now (d <= 0 means at the current
 // instant, on the next Advance/Run/Step). Fired events are recycled
 // into subsequent Schedule calls, so a schedule/fire cycle does not

@@ -197,8 +197,11 @@ func TestFabricTaggedWalk(t *testing.T) {
 		},
 	}
 	f.Switch(1).Table().Apply(ingress)
+	taggedMatch := openflow.ExactNWDst(net.ParseIP("10.0.0.2"))
+	taggedMatch.Wildcards &^= openflow.WildcardDLVLAN
+	taggedMatch.DLVLAN = 5
 	tagged := &openflow.FlowMod{
-		Match:    openflow.ExactNWDstVLAN(net.ParseIP("10.0.0.2"), 5),
+		Match:    taggedMatch,
 		Command:  openflow.FlowAdd,
 		Priority: 110,
 		Actions:  []openflow.Action{openflow.ActionOutput{Port: pm.Port(2, 3)}},

@@ -27,7 +27,7 @@ func FuzzSynthRefine(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		plan, _, err := Synthesize(in, 0, Options{Budget: 64, Seed: seed, QuickSamples: 8, Samples: 32})
+		plan, _, err := Synthesize(in, 0, Options{Budget: 64, Seed: seed})
 		if err != nil {
 			var be *BudgetError
 			switch {

@@ -56,21 +56,20 @@ const DefaultBudget = 4096
 // maxCandidates caps the blocking-edge candidates scored per refinement.
 const maxCandidates = 256
 
+// The oracle's sample counts per candidate plan: a cheap first pass
+// and, only after a clean one, the full pass both the explorer and the
+// verify cross-check run.
+const (
+	quickSamples = 32
+	fullSamples  = 256
+)
+
 // Options configures a synthesis run. The zero value is ready to use.
 type Options struct {
 	// Budget caps accepted counterexamples — equivalently, added
 	// happens-before edges. Exceeding it returns *BudgetError carrying
 	// the best plan so far. Zero selects DefaultBudget.
 	Budget int
-
-	// QuickSamples is the cheap first-pass oracle sample count per
-	// candidate plan; only a clean quick pass pays for the full pass.
-	// Zero selects 32.
-	QuickSamples int
-
-	// Samples is the confirmation-pass sample count, used by both the
-	// full explorer pass and the verify cross-check. Zero selects 256.
-	Samples int
 
 	// Seed derives every oracle seed. Synthesis is deterministic in
 	// (instance, props, Options with the same Seed).
@@ -80,12 +79,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Budget <= 0 {
 		o.Budget = DefaultBudget
-	}
-	if o.QuickSamples <= 0 {
-		o.QuickSamples = 32
-	}
-	if o.Samples <= 0 {
-		o.Samples = 256
 	}
 	return o
 }
@@ -127,7 +120,6 @@ type Step struct {
 	EdgeTo      topo.NodeID // chosen edge: EdgeFrom's barrier before EdgeTo's FlowMod
 	Repaired    bool        // adding EdgeFrom to the ideal repairs its state
 	DepthAfter  int
-	OracleNanos int64 // wall clock; excluded from Fingerprint
 }
 
 // Transcript is the full refinement history of one synthesis run.
@@ -263,7 +255,6 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 			EdgeTo:      draft.Switch(v),
 			Repaired:    repaired,
 			DepthAfter:  draft.Depth(),
-			OracleNanos: o.nanos,
 		})
 	}
 }
@@ -278,7 +269,6 @@ type oracleResult struct {
 	level    string
 	exact    bool
 	checked  int
-	nanos    int64
 }
 
 // oracle asks for a counterexample with escalating effort: a quick
@@ -287,13 +277,11 @@ type oracleResult struct {
 // An exhaustive clean verdict at any level short-circuits.
 func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, iter int) (oracleResult, error) {
 	var r oracleResult
-	start := time.Now()
-	defer func() { r.nanos = time.Since(start).Nanoseconds() }()
 	base := opts.Seed ^ (int64(iter+1) * 0x5E3779B97F4A7C15)
 
 	eo := explore.Options{
 		Props:   props,
-		Samples: opts.QuickSamples,
+		Samples: quickSamples,
 		Seed:    base + 1,
 		Workers: 1,
 	}
@@ -314,7 +302,7 @@ func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, 
 		return r, nil
 	}
 
-	eo.Samples = opts.Samples
+	eo.Samples = fullSamples
 	eo.Seed = base + 2
 	cex, _, err = explore.PlanCounterexample(in, p, eo)
 	r.level = "explore-full"
@@ -330,7 +318,7 @@ func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, 
 	}
 
 	nodes, violated, exact := verify.PlanCounterexample(in, p, props, verify.Options{
-		Samples: opts.Samples,
+		Samples: fullSamples,
 		Seed:    base + 3,
 	})
 	r.level = "verify"

@@ -13,10 +13,10 @@ func TestFatTreeStructure(t *testing.T) {
 	}
 	// Links: core-agg 4 pods × 2 agg × 2 cores = 16; agg-edge 4 pods ×
 	// 2×2 = 16. Total 32.
-	if g.NumLinks() != 32 {
-		t.Fatalf("links = %d, want 32", g.NumLinks())
+	if numLinks(g) != 32 {
+		t.Fatalf("links = %d, want 32", numLinks(g))
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("fat-tree disconnected")
 	}
 	// One host per edge switch: 8 hosts.
@@ -25,14 +25,14 @@ func TestFatTreeStructure(t *testing.T) {
 	}
 	// Cores (1..4) have degree k (one uplink from one agg per pod).
 	for c := NodeID(1); c <= 4; c++ {
-		if g.Degree(c) != 4 {
-			t.Fatalf("core %d degree = %d, want 4", c, g.Degree(c))
+		if len(g.Neighbors(c)) != 4 {
+			t.Fatalf("core %d degree = %d, want 4", c, len(g.Neighbors(c)))
 		}
 	}
 	// Edge switches neighbor exactly the half aggs of their pod.
 	for _, e := range FatTreeEdges(g) {
-		if g.Degree(e) != 2 {
-			t.Fatalf("edge %d degree = %d, want 2", e, g.Degree(e))
+		if len(g.Neighbors(e)) != 2 {
+			t.Fatalf("edge %d degree = %d, want 2", e, len(g.Neighbors(e)))
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestRandomFatTreePolicy(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if !g.ContainsPath(p) {
+			if !containsPath(g, p) {
 				t.Fatalf("trial %d: route %v not in graph", trial, p)
 			}
 		}

@@ -82,23 +82,6 @@ func (p Path) Simple() bool {
 	return true
 }
 
-// Successor returns the node following n on the path and true, or 0 and
-// false when n is the last node or absent.
-func (p Path) Successor(n NodeID) (NodeID, bool) {
-	i := p.Index(n)
-	if i < 0 || i+1 >= len(p) {
-		return 0, false
-	}
-	return p[i+1], true
-}
-
-// Clone returns a copy of the path.
-func (p Path) Clone() Path {
-	c := make(Path, len(p))
-	copy(c, p)
-	return c
-}
-
 // Equal reports whether p and q are the same sequence.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {

@@ -1,6 +1,6 @@
 // Package topo provides the network topology substrate for transiently
-// secure update scheduling: node and link identities, undirected
-// switch graphs, simple-path utilities, and the topology generators
+// secure update scheduling: switch identities, undirected switch
+// graphs, simple-path utilities, and the topology generators
 // used throughout the experiments (including the paper's Figure 1
 // twelve-switch demo topology).
 //
@@ -18,37 +18,6 @@ import (
 // NodeID identifies a switch by its OpenFlow datapath ID. Hosts are not
 // nodes; they attach to edge switches (see Host).
 type NodeID uint64
-
-// Link is an undirected edge between two switches. Links are stored
-// with A < B so that a Link value is canonical and usable as a map key.
-type Link struct {
-	A, B NodeID
-}
-
-// NewLink returns the canonical (ordered) link between a and b.
-func NewLink(a, b NodeID) Link {
-	if b < a {
-		a, b = b, a
-	}
-	return Link{A: a, B: b}
-}
-
-// Has reports whether n is one of the link's endpoints.
-func (l Link) Has(n NodeID) bool { return l.A == n || l.B == n }
-
-// Other returns the endpoint of l that is not n. It panics if n is not
-// an endpoint; callers are expected to have checked Has.
-func (l Link) Other(n NodeID) NodeID {
-	switch n {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	}
-	panic(fmt.Sprintf("topo: node %d not on link %v", n, l))
-}
-
-func (l Link) String() string { return fmt.Sprintf("%d-%d", l.A, l.B) }
 
 // Host is an end host attached to an edge switch, as in the demo setup
 // (h1 on s1, h2 on s12).
@@ -117,20 +86,8 @@ func (g *Graph) Hosts() []Host {
 // HasNode reports whether n is a switch of the graph.
 func (g *Graph) HasNode(n NodeID) bool { return g.nodes[n] }
 
-// HasLink reports whether an undirected link a-b exists.
-func (g *Graph) HasLink(a, b NodeID) bool { return g.adj[a][b] }
-
 // NumNodes returns the switch count.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumLinks returns the undirected link count.
-func (g *Graph) NumLinks() int {
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	return total / 2
-}
 
 // Nodes returns all switches in ascending ID order.
 func (g *Graph) Nodes() []NodeID {
@@ -150,123 +107,4 @@ func (g *Graph) Neighbors(n NodeID) []NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Links returns all links in canonical order (sorted by A, then B).
-func (g *Graph) Links() []Link {
-	seen := make(map[Link]bool)
-	out := make([]Link, 0, g.NumLinks())
-	for a, nb := range g.adj {
-		for b := range nb {
-			l := NewLink(a, b)
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// Degree returns the number of neighbors of n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
-
-// Connected reports whether the graph is connected (the empty graph is
-// considered connected).
-func (g *Graph) Connected() bool {
-	if len(g.nodes) == 0 {
-		return true
-	}
-	var start NodeID
-	for n := range g.nodes {
-		start = n
-		break
-	}
-	seen := map[NodeID]bool{start: true}
-	stack := []NodeID{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for m := range g.adj[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return len(seen) == len(g.nodes)
-}
-
-// ShortestPath returns one shortest path from src to dst by hop count
-// (BFS, deterministic tie-break by ascending neighbor ID), or an error
-// if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst NodeID) (Path, error) {
-	if !g.nodes[src] || !g.nodes[dst] {
-		return nil, fmt.Errorf("topo: shortest path %d→%d: unknown endpoint", src, dst)
-	}
-	if src == dst {
-		return Path{src}, nil
-	}
-	prev := map[NodeID]NodeID{src: src}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, m := range g.Neighbors(n) {
-			if _, ok := prev[m]; ok {
-				continue
-			}
-			prev[m] = n
-			if m == dst {
-				var rev Path
-				for at := dst; at != src; at = prev[at] {
-					rev = append(rev, at)
-				}
-				rev = append(rev, src)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev, nil
-			}
-			queue = append(queue, m)
-		}
-	}
-	return nil, fmt.Errorf("topo: no path %d→%d", src, dst)
-}
-
-// ContainsPath reports whether every consecutive pair of p is a link of
-// the graph.
-func (g *Graph) ContainsPath(p Path) bool {
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasLink(p[i], p[i+1]) {
-			return false
-		}
-	}
-	for _, n := range p {
-		if !g.HasNode(n) {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	for n := range g.nodes {
-		c.AddNode(n)
-	}
-	for a, nb := range g.adj {
-		for b := range nb {
-			c.adj[a][b] = true
-		}
-	}
-	c.hosts = append(c.hosts, g.hosts...)
-	return c
 }

@@ -34,8 +34,8 @@ type Config struct {
 	TTL int
 	// Clock paces the probes. Nil selects the wall clock; a
 	// simclock.Sim makes probing elapse in virtual time (pair Run with
-	// another goroutine advancing the clock, or use ScheduleOn for the
-	// fully deterministic event-driven form).
+	// another goroutine advancing the clock, or schedule Probe calls as sim
+	// events for the fully deterministic event-driven form).
 	Clock simclock.Clock
 }
 
@@ -146,24 +146,6 @@ func (p *Prober) Run(ctx context.Context) Stats {
 			runtime.Gosched()
 		}
 	}
-}
-
-// ScheduleOn runs the prober in event-driven form on a virtual clock:
-// one probe event every Interval, from the sim's current instant until
-// `until` (inclusive start, exclusive end). The probes fire inside the
-// sim's event loop in deterministic (time, seq) order against every
-// other scheduled event — this is the form the reproducibility tests
-// and the virtual experiment harness use. ScheduleOn returns
-// immediately; drive the sim and then read Stats.
-func (p *Prober) ScheduleOn(sim *simclock.Sim, until time.Time) {
-	var tick func()
-	tick = func() {
-		p.Probe()
-		if sim.Now().Add(p.cfg.Interval).Before(until) {
-			sim.Schedule(p.cfg.Interval, tick)
-		}
-	}
-	sim.Schedule(0, tick)
 }
 
 // Start launches Run in a goroutine; the returned stop function halts

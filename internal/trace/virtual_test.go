@@ -163,7 +163,15 @@ func TestVirtualProberScheduleOn(t *testing.T) {
 			Interval: 100 * time.Microsecond,
 			Clock:    sim,
 		})
-		p.ScheduleOn(sim, sim.Now().Add(5*time.Millisecond))
+		until := sim.Now().Add(5 * time.Millisecond)
+		var tick func()
+		tick = func() {
+			p.Probe()
+			if sim.Now().Add(p.cfg.Interval).Before(until) {
+				sim.Schedule(p.cfg.Interval, tick)
+			}
+		}
+		sim.Schedule(0, tick)
 		sim.Run()
 		return p.Stats()
 	}

@@ -384,15 +384,6 @@ func (ws *workerScratch) sampleChunk(in *core.Instance, done core.State, round [
 	return nil
 }
 
-// SampleRound draws random subsets of round on top of done and returns
-// the first counterexample found, or nil. It always includes the empty
-// and full subsets. This is the serial primitive behind the engine's
-// chunked sampling fallback.
-func SampleRound(in *core.Instance, done core.State, round []topo.NodeID, props core.Property, samples int, rng *rand.Rand) *core.CounterExample {
-	ws := &workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}
-	return ws.sampleChunk(in, done, round, props, samples, rng, true)
-}
-
 // parallelFor runs f(worker, 0..n-1) over at most workers goroutines.
 // Work is handed out via an atomic counter; the worker index lets
 // callers give each goroutine private scratch. With workers <= 1 it

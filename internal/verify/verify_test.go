@@ -123,7 +123,7 @@ func TestSampleRoundFindsFullSubsetViolation(t *testing.T) {
 	// are always included in the sample.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
 	rng := rand.New(rand.NewSource(2))
-	cex := SampleRound(in, nil, []topo.NodeID{1}, core.NoBlackhole, 0, rng)
+	cex := (&workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}).sampleChunk(in, nil, []topo.NodeID{1}, core.NoBlackhole, 0, rng, true)
 	if cex == nil || !cex.Violated.Has(core.NoBlackhole) {
 		t.Fatalf("cex = %v, want blackhole", cex)
 	}
