@@ -400,7 +400,7 @@ func (c *Controller) PathFlowMod(node, succ topo.NodeID, match openflow.Match, c
 // HostFlowMod builds the FlowMod that makes the destination switch
 // deliver the flow to its attached host.
 func (c *Controller) HostFlowMod(node topo.NodeID, host string, match openflow.Match, cmd openflow.FlowModCommand) (*openflow.FlowMod, error) {
-	port, ok := c.ports.HostPort[node][host]
+	port, ok := c.ports.HostPort(node, host)
 	if !ok {
 		return nil, fmt.Errorf("controller: host %q not attached to switch %d", host, node)
 	}

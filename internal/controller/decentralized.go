@@ -64,10 +64,11 @@ type MessageStats struct {
 	Peer int
 }
 
-// switchMessages is one switch's tally in a job's message counts.
+// switchMessages is one switch's tally in a job's message counts, kept
+// at 16 bytes: a finished job holds one per switch it touched.
 type switchMessages struct {
-	sw topo.NodeID
-	MessageStats
+	sw         topo.NodeID
+	ctrl, peer int32
 }
 
 // addMessages accumulates message counts for one switch. Safe for the
@@ -82,8 +83,8 @@ func (j *Job) addMessages(n topo.NodeID, ms MessageStats) {
 		}
 		j.msgs = slices.Insert(j.msgs, i, switchMessages{sw: n})
 	}
-	j.msgs[i].Ctrl += ms.Ctrl
-	j.msgs[i].Peer += ms.Peer
+	j.msgs[i].ctrl += int32(ms.Ctrl)
+	j.msgs[i].peer += int32(ms.Peer)
 }
 
 // Messages returns the job's message-count breakdown: the total over
@@ -93,24 +94,31 @@ func (j *Job) Messages() (total MessageStats, perSwitch map[topo.NodeID]MessageS
 	defer j.mu.Unlock()
 	perSwitch = make(map[topo.NodeID]MessageStats, len(j.msgs))
 	for _, m := range j.msgs {
-		perSwitch[m.sw] = m.MessageStats
-		total.Ctrl += m.Ctrl
-		total.Peer += m.Peer
+		perSwitch[m.sw] = MessageStats{Ctrl: int(m.ctrl), Peer: int(m.peer)}
+		total.Ctrl += int(m.ctrl)
+		total.Peer += int(m.peer)
 	}
 	return total, perSwitch
 }
 
 // confirmed appends plan node idx's confirmed install to the job's log
 // (sized for the whole plan at once) and wakes the readers waiting for
-// it: the caller supplies what it observed (timing, FlowMod count,
-// releasing predecessor), the plan the node's switch, layer and cleanup
-// flag. Both dispatch paths end here, in whatever order they confirm, so
-// job status, SSE events and round timings are mode-agnostic.
-func (j *Job) confirmed(idx int, install InstallTiming) {
-	install.Node = j.plan.sw(idx)
-	install.Layer = j.plan.layers[idx]
-	install.Cleanup = j.plan.isCleanup(idx)
+// it: the caller supplies what it observed (the releasing predecessor,
+// the FlowMod count, the instants the install started and finished),
+// the plan the node's switch, layer and cleanup flag, and the job's
+// start turns the instants into the log's offsets. Both dispatch paths
+// end here, in whatever order they confirm, so job status, SSE events
+// and round timings are mode-agnostic.
+func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished time.Time) {
+	install := InstallTiming{
+		Node:       j.plan.sw(idx),
+		ReleasedBy: by,
+		Layer:      int32(j.plan.layers[idx]),
+		FlowMods:   int32(flowMods),
+		Cleanup:    j.plan.isCleanup(idx),
+	}
 	j.mu.Lock()
+	install.Started, install.Finished = started.Sub(j.started), finished.Sub(j.started)
 	if j.installs == nil {
 		j.installs = make([]InstallTiming, 0, j.plan.len())
 	}
@@ -219,12 +227,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 			confirmed[nr.Index] = true
 			e.noteConfirmed(job, nr.Index)
 			remaining--
-			job.confirmed(nr.Index, InstallTiming{
-				ReleasedBy: nr.ReleasedBy,
-				FlowMods:   nr.FlowMods,
-				Started:    broadcast.Add(nr.Started),
-				Finished:   broadcast.Add(nr.Finished),
-			})
+			job.confirmed(nr.Index, nr.ReleasedBy, nr.FlowMods, broadcast.Add(nr.Started), broadcast.Add(nr.Finished))
 		}
 	}
 	return nil, nil

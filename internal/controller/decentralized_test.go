@@ -107,7 +107,7 @@ func TestDecentralizedMatchesControllerMode(t *testing.T) {
 		if inst.Layer > 0 && inst.ReleasedBy == 0 {
 			t.Fatalf("install %d (layer %d at switch %d) has no releasing predecessor", i, inst.Layer, inst.Node)
 		}
-		if inst.Finished.Before(inst.Started) {
+		if inst.Finished < inst.Started {
 			t.Fatalf("install %d finished before it started", i)
 		}
 	}

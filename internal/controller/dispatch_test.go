@@ -99,7 +99,7 @@ func TestEngineDisjointJobsRunConcurrently(t *testing.T) {
 	if len(tA) == 0 || len(tA2) == 0 {
 		t.Fatal("missing timings")
 	}
-	if tA2[0].Started.Before(tA[len(tA)-1].Finished) {
+	if jobA2.at(tA2[0].Started).Before(jobA.at(tA[len(tA)-1].Finished)) {
 		t.Fatal("overlapping job A2 started before job A's last barrier")
 	}
 	// Submission order is preserved in the listing.

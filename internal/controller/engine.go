@@ -395,14 +395,14 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 		interval: job.Interval,
 		pre:      job.preConfirmed,
 		journal:  func(nodes []int) bool { return e.journalWave(job, nodes) },
-		confirm: func(i int, t InstallTiming) []int {
+		confirm: func(i int, by topo.NodeID, a nodeAck) []int {
 			if i >= len(job.preConfirmed) || !job.preConfirmed[i] {
 				e.noteConfirmed(job, i)
 				// Control messages per confirmed install: the FlowMods
 				// plus the barrier request and its reply.
-				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: t.FlowMods + 2})
+				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: a.flowMods + 2})
 			}
-			job.confirmed(i, t)
+			job.confirmed(i, by, a.flowMods, a.started, a.finished)
 			ready = run.Complete(i, ready[:0])
 			return ready
 		},
@@ -427,9 +427,10 @@ type walkSpec struct {
 	// wave.
 	journal func(nodes []int) bool
 	// confirm, when non-nil, is told every confirmed install in
-	// confirmation order and returns the nodes it releases. Nil releases
-	// nothing (a plan without edges).
-	confirm func(i int, t InstallTiming) []int
+	// confirmation order — the predecessor that released it and its ack,
+	// whose instants the walk's clock read — and returns the nodes it
+	// releases. Nil releases nothing (a plan without edges).
+	confirm func(i int, by topo.NodeID, a nodeAck) []int
 }
 
 // walk runs one execution DAG ack-driven: every node whose
@@ -560,7 +561,7 @@ func (e *Engine) collectWave(st *jobDispatch, released []int, by topo.NodeID) {
 			st.status[i] = nsDone
 			st.nDone++
 			now := e.c.clock.Now()
-			for _, s := range e.confirmNode(st, i, InstallTiming{Started: now, Finished: now}) {
+			for _, s := range e.confirmNode(st, i, 0, nodeAck{started: now, finished: now}) {
 				st.releasedBy[s] = 0
 				st.ready.push(int32(s))
 			}
@@ -570,14 +571,14 @@ func (e *Engine) collectWave(st *jobDispatch, released []int, by topo.NodeID) {
 	}
 }
 
-// confirmNode records node i as confirmed and returns what the walk's
-// confirm hook says that releases.
-func (e *Engine) confirmNode(st *jobDispatch, i int, t InstallTiming) []int {
+// confirmNode records node i, released by by, as confirmed by ack a and
+// returns what the walk's confirm hook says that releases.
+func (e *Engine) confirmNode(st *jobDispatch, i int, by topo.NodeID, a nodeAck) []int {
 	st.confirmed[i] = true
 	if st.confirm == nil {
 		return nil
 	}
-	return st.confirm(i, t)
+	return st.confirm(i, by, a)
 }
 
 // dispatchWave makes the pending wave durable as one dispatched-batch
@@ -662,12 +663,7 @@ func (e *Engine) handleAck(st *jobDispatch, a nodeAck) {
 	// A successful install is recorded even when it lands after the
 	// first failure: a node whose reply was already queued when the walk
 	// failed did take effect, and the job's trace says so.
-	rel := e.confirmNode(st, i, InstallTiming{
-		ReleasedBy: st.releasedBy[i],
-		FlowMods:   a.flowMods,
-		Started:    a.started,
-		Finished:   a.finished,
-	})
+	rel := e.confirmNode(st, i, st.releasedBy[i], a)
 	// Release: every install the ack unblocks joins the next wave —
 	// unless the walk is failing, in which case confirmations are only
 	// recorded, never acted on.

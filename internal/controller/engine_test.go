@@ -283,7 +283,7 @@ func TestEngineProcessesJobsSequentially(t *testing.T) {
 	if len(t1) == 0 || len(t2) == 0 {
 		t.Fatal("missing timings")
 	}
-	if t2[0].Started.Before(t1[len(t1)-1].Finished) {
+	if j2.at(t2[0].Started).Before(j1.at(t1[len(t1)-1].Finished)) {
 		t.Fatal("job 2 started before job 1's last barrier")
 	}
 	// Net effect: back on the old path.

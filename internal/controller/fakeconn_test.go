@@ -11,6 +11,7 @@ import (
 	"tsu/internal/core"
 	"tsu/internal/ofconn"
 	"tsu/internal/openflow"
+	"tsu/internal/simclock"
 	"tsu/internal/topo"
 )
 
@@ -76,10 +77,14 @@ func newAllocHarness(t *testing.T) *allocHarness { return newFakeFleet(t, false)
 // newFakeFleet builds the harness. With hold set no responder runs: a
 // launched job writes its first wave and waits, its barriers held until
 // the test answers them (held, answer).
-func newFakeFleet(t *testing.T, hold bool) *allocHarness {
+func newFakeFleet(t *testing.T, hold bool) *allocHarness { return newFakeFleetOn(t, hold, nil) }
+
+// newFakeFleetOn is newFakeFleet with the controller on clock (nil: the
+// real one).
+func newFakeFleetOn(t *testing.T, hold bool, clock simclock.Clock) *allocHarness {
 	t.Helper()
 	g := topo.Grid(8, 8)
-	c, err := New(Config{Topology: g})
+	c, err := New(Config{Topology: g, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"tsu/internal/core"
 	"tsu/internal/openflow"
@@ -46,6 +47,13 @@ func vlanMatch(ip net.IP, vlan uint16) openflow.Match {
 	m.Wildcards &^= openflow.WildcardDLVLAN
 	m.DLVLAN = vlan
 	return m
+}
+
+// at returns the instant an offset of the job's log stands for.
+func (j *Job) at(offset time.Duration) time.Time {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.started.Add(offset)
 }
 
 // timings returns the rounds the job completed so far, read off its

@@ -53,38 +53,42 @@ func ParseJobState(s string) (JobState, bool) {
 // RoundTiming records one executed round: which switches were touched
 // and how long the round took from first FlowMod sent to last barrier
 // reply received — the paper's "update time of flow tables" metric,
-// measured per round.
+// measured per round. Started and Finished are offsets from the job's
+// start, as its installs' are.
 type RoundTiming struct {
 	Round    int
 	Switches []topo.NodeID
 	FlowMods int
 	Cleanup  bool // true for the stale-rule garbage-collection round
-	Started  time.Time
-	Finished time.Time
+	Started  time.Duration
+	Finished time.Duration
 }
 
 // Duration returns the round's wall-clock time.
-func (rt RoundTiming) Duration() time.Duration { return rt.Finished.Sub(rt.Started) }
+func (rt RoundTiming) Duration() time.Duration { return rt.Finished - rt.Started }
 
 // InstallTiming records one confirmed install of the ack-driven
 // dispatcher: which switch was updated, the dependency edge that
 // released it (the predecessor whose barrier reply arrived last —
 // zero for installs dispatched immediately), and the span from first
-// FlowMod sent to barrier reply received. The sequence of
+// FlowMod sent to barrier reply received, as offsets from the job's
+// start (offset 0 is the instant the job began). The sequence of
 // InstallTimings is the job's execution trace at per-node-barrier
 // granularity; RoundTimings aggregate it per layer for the round view.
+// A finished job keeps one per install, so the record is kept at 48
+// bytes.
 type InstallTiming struct {
 	Node       topo.NodeID
-	Layer      int
 	ReleasedBy topo.NodeID // 0 when the install had no dependencies
-	FlowMods   int
+	Started    time.Duration
+	Finished   time.Duration
+	Layer      int32
+	FlowMods   int32
 	Cleanup    bool
-	Started    time.Time
-	Finished   time.Time
 }
 
 // Duration returns the install's wall-clock time.
-func (it InstallTiming) Duration() time.Duration { return it.Finished.Sub(it.Started) }
+func (it InstallTiming) Duration() time.Duration { return it.Finished - it.Started }
 
 // JobEvent is one event of a job's progress stream, as a Cursor
 // delivers it: a confirmed install (Install non-nil), a completed layer
@@ -161,7 +165,7 @@ type Job struct {
 	installs []InstallTiming  // confirmation order: the one record of progress (see Cursor)
 	msgs     []switchMessages // ascending by switch
 	wake     chan struct{}    // closed and dropped as installs grows or the job ends; nil while no reader waits
-	started  time.Time
+	started  time.Time        // set by Engine.begin, before any install: what installs' offsets count from
 	finished time.Time
 	done     chan struct{}
 }
@@ -288,20 +292,23 @@ func (c *Cursor) nextLocked() (JobEvent, bool) {
 // aggregate makes rt round r as its barrier reads: the size installs of
 // layer r, found from log's end back, switches ascending, from the first
 // start to the last finish, cleanup if all are. Switches' array is reused.
+// Offset 0 is a real start (the job's first instant), so the first
+// install found sets both ends.
 func (rt *RoundTiming) aggregate(log []InstallTiming, r, size int) {
 	*rt = RoundTiming{Round: r, Cleanup: true, Switches: slices.Grow(rt.Switches[:0], size)}
 	for i := len(log) - 1; len(rt.Switches) < size; i-- {
 		it := &log[i]
-		if it.Layer != r {
+		if int(it.Layer) != r {
 			continue
 		}
+		first := len(rt.Switches) == 0
 		rt.Switches = append(rt.Switches, it.Node)
-		rt.FlowMods += it.FlowMods
+		rt.FlowMods += int(it.FlowMods)
 		rt.Cleanup = rt.Cleanup && it.Cleanup
-		if rt.Started.IsZero() || it.Started.Before(rt.Started) {
+		if first || it.Started < rt.Started {
 			rt.Started = it.Started
 		}
-		if it.Finished.After(rt.Finished) {
+		if first || it.Finished > rt.Finished {
 			rt.Finished = it.Finished
 		}
 	}

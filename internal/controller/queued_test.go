@@ -93,7 +93,7 @@ func assertInOrder(t *testing.T, jobs []*Job) {
 		if len(prev) == 0 || len(next) == 0 {
 			t.Fatalf("job %d or %d recorded no rounds", jobs[i-1].ID, jobs[i].ID)
 		}
-		if next[0].Started.Before(prev[len(prev)-1].Finished) {
+		if jobs[i].at(next[0].Started).Before(jobs[i-1].at(prev[len(prev)-1].Finished)) {
 			t.Fatalf("job %d started before job %d's last barrier", jobs[i].ID, jobs[i-1].ID)
 		}
 	}

@@ -21,6 +21,7 @@ var updateRESTGolden = flag.Bool("update-rest-golden", false, "rewrite testdata/
 func goldenJob(id int, failed bool) *Job {
 	epoch := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	at := func(us int) time.Time { return epoch.Add(time.Duration(us) * time.Microsecond) }
+	off := func(us int) time.Duration { return time.Duration(us) * time.Microsecond }
 	job := &Job{
 		ID:        id,
 		Algorithm: "peacock",
@@ -31,13 +32,13 @@ func goldenJob(id int, failed bool) *Job {
 		finished:  at(9876),
 		done:      make(chan struct{}),
 		installs: []InstallTiming{
-			{Node: 7, Layer: 0, FlowMods: 1, Started: at(10), Finished: at(4310)},
-			{Node: 8, Layer: 0, FlowMods: 1, Started: at(12), Finished: at(4350)},
-			{Node: 1, Layer: 1, ReleasedBy: 8, FlowMods: 1, Started: at(4400), Finished: at(8700)},
-			{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: at(4410), Finished: at(8800)},
-			{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: at(8810), Finished: at(9870)},
+			{Node: 7, Layer: 0, FlowMods: 1, Started: off(10), Finished: off(4310)},
+			{Node: 8, Layer: 0, FlowMods: 1, Started: off(12), Finished: off(4350)},
+			{Node: 1, Layer: 1, ReleasedBy: 8, FlowMods: 1, Started: off(4400), Finished: off(8700)},
+			{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: off(4410), Finished: off(8800)},
+			{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: off(8810), Finished: off(9870)},
 		},
-		msgs: []switchMessages{{1, MessageStats{Ctrl: 2}}, {2, MessageStats{Ctrl: 2}}, {3, MessageStats{Ctrl: 3, Peer: 2}}, {7, MessageStats{Ctrl: 2, Peer: 1}}, {8, MessageStats{Ctrl: 2, Peer: 1}}},
+		msgs: []switchMessages{{1, 2, 0}, {2, 2, 0}, {3, 3, 2}, {7, 2, 1}, {8, 2, 1}},
 	}
 	if failed {
 		job.Mode = ModeController

@@ -186,9 +186,9 @@ func v1JobStatus(job *Job) api.JobStatus {
 		st.Messages = &api.MessageCount{}
 		st.MessagesPerSwitch = make([]api.MessageCount, len(job.msgs))
 		for i, m := range job.msgs {
-			st.MessagesPerSwitch[i] = api.MessageCount{Switch: uint64(m.sw), Ctrl: m.Ctrl, Peer: m.Peer}
-			st.Messages.Ctrl += m.Ctrl
-			st.Messages.Peer += m.Peer
+			st.MessagesPerSwitch[i] = api.MessageCount{Switch: uint64(m.sw), Ctrl: int(m.ctrl), Peer: int(m.peer)}
+			st.Messages.Ctrl += int(m.ctrl)
+			st.Messages.Peer += int(m.peer)
 		}
 	}
 	return st
@@ -215,9 +215,9 @@ func v1FailureReport(f *FailureReport) *api.FailureReport {
 func v1InstallStatus(it *InstallTiming) api.InstallStatus {
 	return api.InstallStatus{
 		Switch:     uint64(it.Node),
-		Layer:      it.Layer,
+		Layer:      int(it.Layer),
 		ReleasedBy: uint64(it.ReleasedBy),
-		FlowMods:   it.FlowMods,
+		FlowMods:   int(it.FlowMods),
 		Cleanup:    it.Cleanup,
 		Micros:     it.Duration().Microseconds(),
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tsu/internal/api"
 	"tsu/internal/core"
@@ -400,5 +401,35 @@ func TestWatchFlushesPerBurst(t *testing.T) {
 	}
 	if w.flushes != 1 {
 		t.Fatalf("replay took %d flushes, want 1:\n%s", w.flushes, body)
+	}
+}
+
+// TestRetainedBytesPerInstall fills the retained ring with 32-install
+// jobs, each over 32 switches: what a finished job holds — its install
+// log, its per-switch message tally and the Job itself — stays under
+// 3 KB, and the two per-install records under 48 and 16 bytes.
+func TestRetainedBytesPerInstall(t *testing.T) {
+	if got := unsafe.Sizeof(InstallTiming{}); got > 48 {
+		t.Errorf("InstallTiming is %d bytes, want <= 48", got)
+	}
+	if got := unsafe.Sizeof(switchMessages{}); got > 16 {
+		t.Errorf("switchMessages is %d bytes, want <= 16", got)
+	}
+
+	h := newAllocHarness(t)
+	defer h.stop()
+	plans := []execPlan{fakePlan("10.9.7.1", 1, 32, 1), fakePlan("10.9.7.2", 33, 32, 1)}
+	const warm = 64 // pools and the job table grown, the ring part full
+	h.serve(t, warm, plans...)
+	before := liveHeap()
+	h.serve(t, retainTerminal, plans...)
+	after := liveHeap()
+	if retained, _ := h.e.Retention(); retained != retainTerminal {
+		t.Fatalf("retained %d jobs, want %d", retained, retainTerminal)
+	}
+	perJob := (int64(after) - int64(before)) / (retainTerminal - warm)
+	t.Logf("%d B per retained 32-install job", perJob)
+	if perJob > 3<<10 {
+		t.Fatalf("a retained 32-install job holds %d B, want <= %d", perJob, 3<<10)
 	}
 }

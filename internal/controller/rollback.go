@@ -189,9 +189,9 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 	ready := run.Reset(make([]int, 0, n))
 	_, _, err = e.walk(ctx, walkSpec{
 		plan: &plan,
-		confirm: func(j int, t InstallTiming) []int {
+		confirm: func(j int, _ topo.NodeID, a nodeAck) []int {
 			node := plan.sw(j)
-			job.addMessages(node, MessageStats{Ctrl: t.FlowMods + 2})
+			job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
 			rolledBack = append(rolledBack, node)
 			undone[fwd[j]] = true
 			ready = run.Complete(j, ready[:0])

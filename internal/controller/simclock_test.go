@@ -2,7 +2,9 @@ package controller
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +102,68 @@ func TestVirtualClockUpdate(t *testing.T) {
 	res := fabric.Inject(1, 0x0a000002, 64)
 	if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(topo.Fig1NewPath) {
 		t.Fatalf("final path after virtual-time update = %+v", res)
+	}
+}
+
+// TestZeroOffsetRound: on a virtual clock that only the test moves, a
+// job's first wave leaves at the instant the job begins — offset 0 of
+// its log, a real start and not an unset one. Round 0 starts there,
+// and its length, its installs' and the job's total read the same in
+// the round view, the status body and the watch replay.
+func TestZeroOffsetRound(t *testing.T) {
+	sim := simclock.NewSim(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC))
+	h := newFakeFleetOn(t, true, sim)
+	defer h.stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	job, err := h.e.enqueue(newJob(fakePlan("10.9.8.1", 1, 2, 2), SubmitOptions{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.held(t, 2) // round 0, sent at the job's first instant
+	sim.Advance(3 * time.Millisecond)
+	h.answer()
+	h.held(t, 2) // round 1, released 3 ms in
+	sim.Advance(4 * time.Millisecond)
+	h.answer()
+	if err := job.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	ms := time.Millisecond
+	rounds := job.timings()
+	if len(rounds) != 2 || rounds[0].Started != 0 || rounds[0].Finished != 3*ms || rounds[1].Started != 3*ms || rounds[1].Finished != 7*ms {
+		t.Fatalf("rounds %+v, want [0, 3ms] and [3ms, 7ms]", rounds)
+	}
+	for _, it := range job.Installs() {
+		if want := time.Duration(it.Layer) * 3 * ms; it.Started != want {
+			t.Fatalf("install %+v: started at %v, want %v", it, it.Started, want)
+		}
+	}
+	st := v1JobStatus(job)
+	if st.TotalMicros != 7000 || len(st.Rounds) != 2 || st.Rounds[0].Micros != 3000 || st.Rounds[1].Micros != 4000 {
+		t.Fatalf("status: total %d us, rounds %+v", st.TotalMicros, st.Rounds)
+	}
+	for _, in := range st.Installs {
+		if want := int64(3000 + 1000*in.Layer); in.Micros != want {
+			t.Fatalf("status install %+v: %d us, want %d", in, in.Micros, want)
+		}
+	}
+	_, body := serveGET(t, h.c, fmt.Sprintf("/v1/updates/%d/watch", job.ID), nil)
+	for _, want := range []string{
+		`"install":{"switch":1,"layer":0,"flowmods":1,"us":3000}`,
+		`"install":{"switch":2,"layer":0,"flowmods":1,"us":3000}`,
+		`"round":{"round":0,"switches":[1,2],"us":3000}`,
+		`"install":{"switch":1,"layer":1,"released_by":1,"flowmods":1,"us":4000}`,
+		`"install":{"switch":2,"layer":1,"released_by":2,"flowmods":1,"us":4000}`,
+		`"round":{"round":1,"switches":[1,2],"us":4000}`,
+		`{"type":"done","job":1,"total_us":7000}`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("watch replay lacks %s:\n%s", want, body)
+		}
+	}
+	if n := strings.Count(body, "event: "); n != 7 {
+		t.Fatalf("watch replay has %d events, want 7:\n%s", n, body)
 	}
 }

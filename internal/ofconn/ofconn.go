@@ -174,11 +174,21 @@ func (c *Conn) Close() error {
 const handshakeTimeout = 10 * time.Second
 
 // HandshakeController runs the controller side of the OpenFlow
-// handshake: exchange HELLO, then request features; returns the
-// switch's features reply (datapath id and ports).
+// handshake: HELLO and FEATURES_REQUEST go out as one write (pipelined:
+// the request does not wait for the peer's HELLO), then the peer's
+// HELLO and its features reply are read; returns the switch's features
+// reply (datapath id and ports).
 func HandshakeController(c *Conn) (*openflow.FeaturesReply, error) {
-	if _, err := c.Send(&openflow.Hello{}); err != nil {
-		return nil, fmt.Errorf("ofconn: sending hello: %w", err)
+	var b Batch
+	req := &openflow.FeaturesRequest{}
+	for _, m := range []openflow.Message{&openflow.Hello{}, req} {
+		m.SetXid(c.NextXid())
+		if err := b.Add(m); err != nil {
+			return nil, fmt.Errorf("ofconn: encoding %s: %w", m.MsgType(), err)
+		}
+	}
+	if err := c.WriteBatch(&b); err != nil {
+		return nil, fmt.Errorf("ofconn: sending hello and features request: %w", err)
 	}
 	if err := c.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return nil, err
@@ -191,10 +201,6 @@ func HandshakeController(c *Conn) (*openflow.FeaturesReply, error) {
 	if _, ok := m.(*openflow.Hello); !ok {
 		return nil, fmt.Errorf("ofconn: expected HELLO, got %s", m.MsgType())
 	}
-	reqXid, err := c.Send(&openflow.FeaturesRequest{})
-	if err != nil {
-		return nil, fmt.Errorf("ofconn: sending features request: %w", err)
-	}
 	for {
 		m, err := c.ReadMessage()
 		if err != nil {
@@ -202,8 +208,8 @@ func HandshakeController(c *Conn) (*openflow.FeaturesReply, error) {
 		}
 		switch fr := m.(type) {
 		case *openflow.FeaturesReply:
-			if fr.Xid() != reqXid {
-				return nil, fmt.Errorf("ofconn: features reply xid %d, want %d", fr.Xid(), reqXid)
+			if fr.Xid() != req.Xid() {
+				return nil, fmt.Errorf("ofconn: features reply xid %d, want %d", fr.Xid(), req.Xid())
 			}
 			return fr, nil
 		case *openflow.EchoRequest:

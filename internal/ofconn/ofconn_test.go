@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,15 @@ import (
 // write HELLO before reading — fine with kernel socket buffers,
 // deadlock on an unbuffered in-memory pipe.
 func pipePair(t *testing.T) (*Conn, *Conn) {
+	t.Helper()
+	a, b := tcpPair(t)
+	ca, cb := New(a), New(b)
+	t.Cleanup(func() { ca.Close(); cb.Close() })
+	return ca, cb
+}
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,9 +48,7 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 	if acc.err != nil {
 		t.Fatal(acc.err)
 	}
-	ca, cb := New(a), New(acc.c)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	return ca, cb
+	return a, acc.c
 }
 
 func TestReadWriteMessage(t *testing.T) {
@@ -171,6 +179,39 @@ func TestHandshakeBothSides(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeCounter counts the writes made on a connection.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
+// TestHandshakeControllerPipelined: the controller's HELLO and
+// FEATURES_REQUEST leave in one write, so the handshake costs the
+// controller one write and the switch's reply one round trip.
+func TestHandshakeControllerPipelined(t *testing.T) {
+	a, b := tcpPair(t)
+	wc := &writeCounter{Conn: a}
+	ca, cb := New(wc), New(b)
+	t.Cleanup(func() { ca.Close(); cb.Close() })
+	errc := make(chan error, 1)
+	go func() { errc <- HandshakeSwitch(cb, &openflow.FeaturesReply{DatapathID: 7}) }()
+	fr, err := HandshakeController(ca)
+	if err != nil || fr.DatapathID != 7 {
+		t.Fatalf("handshake: %+v, %v", fr, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if n := wc.writes.Load(); n != 1 {
+		t.Fatalf("the controller wrote %d times before the features reply, want 1", n)
 	}
 }
 

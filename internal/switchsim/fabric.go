@@ -159,12 +159,12 @@ func (f *Fabric) Inject(at topo.NodeID, nwDst uint32, ttl int) ProbeResult {
 			res.Outcome = ProbeDropped
 			return res
 		}
-		if host, isHost := f.ports.PortHost[cur][port]; isHost {
+		if host, isHost := f.ports.Host(cur, port); isHost {
 			res.Outcome = ProbeDelivered
 			res.Host = host
 			return res
 		}
-		next, ok := f.ports.PortNeighbor[cur][port]
+		next, ok := f.ports.Neighbor(cur, port)
 		if !ok {
 			res.Outcome = ProbeDropped
 			return res

@@ -34,7 +34,7 @@ func programPath(t *testing.T, f *Fabric, path topo.Path, ip string, host string
 		f.Switch(path[i]).Table().Apply(fm(openflow.FlowAdd, ip, 100, port))
 	}
 	if host != "" {
-		port, ok := pm.HostPort[path.Dst()][host]
+		port, ok := pm.HostPort(path.Dst(), host)
 		if !ok {
 			t.Fatalf("no host port for %q on %d", host, path.Dst())
 		}

@@ -187,30 +187,25 @@ func (s *Switch) FlowModsApplied() uint64 { return s.flowModsApplied.Load() }
 func (s *Switch) BarriersSeen() uint64 { return s.barriersSeen.Load() }
 
 // features builds the switch's FEATURES_REPLY body from the fabric's
-// port map.
+// port map, ports in PortNo order.
 func (s *Switch) features() *openflow.FeaturesReply {
 	fr := &openflow.FeaturesReply{
 		DatapathID: s.DatapathID(),
 		NBuffers:   256,
 		NTables:    1,
 	}
-	pm := s.fabric.Ports()
-	for port, nb := range pm.PortNeighbor[s.cfg.Node] {
-		fr.Ports = append(fr.Ports, openflow.PhyPort{
-			PortNo: port,
-			Name:   fmt.Sprintf("s%d-eth%d", s.cfg.Node, port),
-			HWAddr: portHWAddr(s.DatapathID(), port),
-			Peer:   uint32(nb),
-		})
+	pm, node := s.fabric.Ports(), s.cfg.Node
+	for port := uint16(1); ; port++ {
+		pp := openflow.PhyPort{PortNo: port, HWAddr: portHWAddr(s.DatapathID(), port)}
+		if nb, ok := pm.Neighbor(node, port); ok {
+			pp.Name, pp.Peer = fmt.Sprintf("s%d-eth%d", node, port), uint32(nb)
+		} else if host, ok := pm.Host(node, port); ok {
+			pp.Name = fmt.Sprintf("s%d-%s", node, host)
+		} else {
+			return fr
+		}
+		fr.Ports = append(fr.Ports, pp)
 	}
-	for port, host := range pm.PortHost[s.cfg.Node] {
-		fr.Ports = append(fr.Ports, openflow.PhyPort{
-			PortNo: port,
-			Name:   fmt.Sprintf("s%d-%s", s.cfg.Node, host),
-			HWAddr: portHWAddr(s.DatapathID(), port),
-		})
-	}
-	return fr
 }
 
 func portHWAddr(dpid uint64, port uint16) [6]byte {
@@ -499,7 +494,7 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		nwDst := uint32(msg.Data[0])<<24 | uint32(msg.Data[1])<<16 | uint32(msg.Data[2])<<8 | uint32(msg.Data[3])
 		start := s.cfg.Node
 		if port, ok := outputPort(msg.Actions); ok && port != openflow.PortTable {
-			next, isSwitch := s.fabric.Ports().PortNeighbor[s.cfg.Node][port]
+			next, isSwitch := s.fabric.Ports().Neighbor(s.cfg.Node, port)
 			if !isSwitch {
 				return nil // host port or invalid: nothing to walk
 			}

@@ -2,7 +2,9 @@ package switchsim
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -105,5 +107,41 @@ func TestReconnectReleasesPreviousLoopContext(t *testing.T) {
 	}
 	if n := parent.children(); n != 1 {
 		t.Fatalf("%d live child contexts after reconnecting, want 1 (the new loop's only)", n)
+	}
+}
+
+// TestFeaturesPortOrder: a switch's FEATURES_REPLY lists its ports in
+// PortNo order — its neighbors ascending from port 1, then its hosts in
+// insertion order — and the same list on every connect.
+func TestFeaturesPortOrder(t *testing.T) {
+	g := topo.NewGraph()
+	for n := topo.NodeID(7); n >= 2; n-- {
+		if err := g.AddLink(1, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range []string{"hb", "ha"} {
+		if err := g.AddHost(topo.Host{Name: h, Attach: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw, err := NewSwitch(NewFabric(g), Config{Node: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := sw.features(), sw.features()
+	if !reflect.DeepEqual(first.Ports, second.Ports) {
+		t.Fatalf("two FEATURES_REPLYs differ:\n%+v\n%+v", first.Ports, second.Ports)
+	}
+	var got []string
+	for i, p := range first.Ports {
+		if p.PortNo != uint16(i+1) {
+			t.Fatalf("port %d of the reply has PortNo %d", i, p.PortNo)
+		}
+		got = append(got, fmt.Sprintf("%s>%d", p.Name, p.Peer))
+	}
+	want := []string{"s1-eth1>2", "s1-eth2>3", "s1-eth3>4", "s1-eth4>5", "s1-eth5>6", "s1-eth6>7", "s1-hb>0", "s1-ha>0"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ports %v, want %v", got, want)
 	}
 }

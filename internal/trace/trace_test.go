@@ -44,7 +44,8 @@ func fig1Fabric(t *testing.T) *switchsim.Fabric {
 	for i := 0; i+1 < len(path); i++ {
 		addRule(t, f, path[i], "10.0.0.2", pm.Port(path[i], path[i+1]))
 	}
-	addRule(t, f, 12, "10.0.0.2", pm.HostPort[12]["h2"])
+	h2, _ := pm.HostPort(12, "h2")
+	addRule(t, f, 12, "10.0.0.2", h2)
 	return f
 }
 

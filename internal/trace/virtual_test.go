@@ -33,7 +33,8 @@ func virtualFig1Fabric(t *testing.T, sim *simclock.Sim) *switchsim.Fabric {
 	for i := 0; i+1 < len(path); i++ {
 		applyMod(t, fabric, path[i], match, ports.Port(path[i], path[i+1]))
 	}
-	applyMod(t, fabric, path.Dst(), match, ports.HostPort[path.Dst()]["h2"])
+	h2, _ := ports.HostPort(path.Dst(), "h2")
+	applyMod(t, fabric, path.Dst(), match, h2)
 	return fabric
 }
 
