@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api test test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api loc test test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api loc test test-allocs test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -174,6 +174,12 @@ guard-dead-api:
 test:
 	$(GO) test ./... -race
 	$(GO) test -C bench ./...
+
+# The allocation and footprint pins (alloc_test.go, footprint_test.go)
+# are built with !race: the race detector allocates on its own, so the
+# race pass of test never runs them. They run here, without it.
+test-allocs:
+	$(GO) test -count=1 -run 'Allocs|Footprint' ./...
 
 # What the controller remembers: a finished job is stripped to its
 # trace and only the newest retainTerminal stay known. Five times under

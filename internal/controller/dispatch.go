@@ -99,10 +99,10 @@ drain:
 	st.status = resize(st.status, n)
 	st.releasedBy = resize(st.releasedBy, n)
 	st.wave = st.wave[:0]
-	st.ready.reset()
-	st.sendNow.reset()
-	st.sendq.reset()
-	st.deads.reset()
+	st.ready.reset(n)
+	st.sendNow.reset(n)
+	st.sendq.reset(n)
+	st.deads.reset(n)
 	st.nDone = 0
 	st.failing = nil
 	return st
@@ -240,7 +240,16 @@ type ring[T any] struct {
 	n    int
 }
 
-func (r *ring[T]) reset()   { r.head, r.n = 0, 0 }
+// reset empties the ring with room for n entries: a walk pushes each of
+// its n nodes at most once per ring, so a fresh ring is sized to the
+// walk instead of growing, and a pooled one keeps what it has.
+func (r *ring[T]) reset(n int) {
+	r.head, r.n = 0, 0
+	if len(r.buf) < n {
+		r.buf = make([]T, n)
+	}
+}
+
 func (r *ring[T]) len() int { return r.n }
 func (r *ring[T]) peek() T  { return r.buf[r.head] }
 

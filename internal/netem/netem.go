@@ -122,11 +122,36 @@ func (p Pareto) String() string {
 // goroutines (switches sample concurrently). Delays elapse on the
 // source's clock: the wall clock by default, or a simclock.Sim so that
 // sampled latencies cost virtual instead of wall-clock time.
+//
+// The generator is seeded at the first draw, not at construction: a
+// switch whose latencies are all Fixed and which injects no fault
+// never draws, and never pays math/rand's 4.9 KB of state.
 type Source struct {
 	mu    sync.Mutex
-	rng   *rand.Rand
+	lazy  lazySource
+	rng   *rand.Rand // draws from lazy
 	clock simclock.Clock
 }
+
+// lazySource is a rand.Source64 that builds rand.NewSource(seed) at its
+// first Int63 or Uint64 call. rand.Rand calls its source only to draw,
+// and every draw runs under Source.mu, so the stream is the eagerly
+// seeded one, value for value.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) gen() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.gen().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.gen().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 // NewSource returns a deterministic source for the seed, sleeping on
 // the wall clock.
@@ -137,7 +162,9 @@ func NewSource(seed int64) *Source {
 // NewSourceClock returns a deterministic source whose Sleep elapses on
 // the given clock (nil selects the wall clock).
 func NewSourceClock(seed int64, c simclock.Clock) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed)), clock: simclock.Or(c)}
+	s := &Source{lazy: lazySource{seed: seed}, clock: simclock.Or(c)}
+	s.rng = rand.New(&s.lazy)
+	return s
 }
 
 // Sample draws from dist using the guarded RNG.

@@ -234,3 +234,49 @@ func TestFaultZeroModelInjectsNothing(t *testing.T) {
 		t.Fatal("zero model reports active")
 	}
 }
+
+// TestSourceStreamMatchesEagerSeed: a Source seeds its generator at the
+// first draw, and every stream it yields — Int63n, each Latency kind,
+// Fault with all three probabilities set — is the stream of a source
+// seeded eagerly with rand.New(rand.NewSource(seed)), including when
+// the first draw comes after many Fixed samples and inactive faults
+// that draw nothing.
+func TestSourceStreamMatchesEagerSeed(t *testing.T) {
+	faults := Faults{DropProb: 0.2, DupProb: 0.3, ReorderProb: 0.4, ReorderDelay: Uniform{Min: time.Microsecond, Max: time.Millisecond}}
+	dists := []Latency{
+		Fixed(3 * time.Millisecond),
+		Uniform{Min: time.Millisecond, Max: 9 * time.Millisecond},
+		Normal{Mean: 5 * time.Millisecond, Stddev: 2 * time.Millisecond},
+		Pareto{Scale: time.Millisecond, Alpha: 1.2},
+	}
+	for _, tc := range []struct {
+		seed   int64
+		idle   int // Fixed samples and inactive faults before the first draw
+		rounds int
+	}{{1, 0, 200}, {42, 1, 200}, {-7, 1000, 200}, {1 << 40, 37, 50}} {
+		lazy := NewSource(tc.seed)
+		eager := &Source{rng: rand.New(rand.NewSource(tc.seed)), clock: lazy.clock}
+		for i := 0; i < tc.idle; i++ {
+			for _, s := range []*Source{lazy, eager} {
+				s.Sample(Fixed(time.Duration(i)))
+				s.Fault(Faults{ReorderDelay: Uniform{Max: time.Second}})
+			}
+		}
+		if lazy.lazy.src != nil {
+			t.Fatalf("seed %d: generator built before the first draw", tc.seed)
+		}
+		for r := 0; r < tc.rounds; r++ {
+			if a, b := lazy.Int63n(1000+int64(r)), eager.Int63n(1000+int64(r)); a != b {
+				t.Fatalf("seed %d round %d: Int63n %d, eager %d", tc.seed, r, a, b)
+			}
+			for _, d := range dists {
+				if a, b := lazy.Sample(d), eager.Sample(d); a != b {
+					t.Fatalf("seed %d round %d: %v sampled %v, eager %v", tc.seed, r, d, a, b)
+				}
+			}
+			if a, b := lazy.Fault(faults), eager.Fault(faults); a != b {
+				t.Fatalf("seed %d round %d: fault %+v, eager %+v", tc.seed, r, a, b)
+			}
+		}
+	}
+}

@@ -42,9 +42,8 @@ type Conn struct {
 const readBufSize = 512
 
 // New wraps a network connection. A burst longer than the read buffer
-// costs one read syscall per readBufSize bytes (six FlowMods), and
-// ReadMessage reads with io.ReadFull, so a frame larger than the buffer
-// is read straight from the socket.
+// costs one read syscall per readBufSize bytes (six FlowMods), and a
+// frame larger than the buffer is read straight from the socket.
 func New(nc net.Conn) *Conn {
 	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
 }
@@ -58,22 +57,46 @@ func (c *Conn) NextXid() uint32 {
 	}
 }
 
-// ReadMessage reads and decodes exactly one message.
+// ReadMessage reads and decodes exactly one message. A frame that fits
+// the read buffer is decoded where it lies in the buffer and then
+// discarded, so reading it allocates only the decoded message: every
+// decoder copies the bytes it keeps.
 func (c *Conn) ReadMessage() (openflow.Message, error) {
-	var hdr [openflow.HeaderLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	h, err := openflow.ParseHeader(hdr[:])
+	hdr, err := c.br.Peek(openflow.HeaderLen)
 	if err != nil {
+		return nil, unexpectedEOF(err, len(hdr) > 0)
+	}
+	h, err := openflow.ParseHeader(hdr)
+	if err != nil {
+		c.br.Discard(openflow.HeaderLen) //nolint:errcheck // peeked above
 		return nil, err
 	}
-	buf := make([]byte, h.Length)
-	copy(buf, hdr[:])
+	n := int(h.Length)
+	if n <= c.br.Size() {
+		frame, err := c.br.Peek(n)
+		if err != nil {
+			return nil, fmt.Errorf("ofconn: reading %s body: %w", h.Type, unexpectedEOF(err, len(frame) > openflow.HeaderLen))
+		}
+		m, err := openflow.Decode(frame)
+		c.br.Discard(n) //nolint:errcheck // peeked above
+		return m, err
+	}
+	buf := make([]byte, n)
+	copy(buf, hdr)
+	c.br.Discard(openflow.HeaderLen) //nolint:errcheck // peeked above
 	if _, err := io.ReadFull(c.br, buf[openflow.HeaderLen:]); err != nil {
 		return nil, fmt.Errorf("ofconn: reading %s body: %w", h.Type, err)
 	}
 	return openflow.Decode(buf)
+}
+
+// unexpectedEOF reports an end of stream the way io.ReadFull does: EOF
+// only if none of the part being read had arrived.
+func unexpectedEOF(err error, partial bool) error {
+	if partial && err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // wirePool recycles encode buffers across connections: the live

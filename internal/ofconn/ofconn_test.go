@@ -2,7 +2,10 @@ package ofconn
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,5 +372,130 @@ func TestReadMessageBurstLargerThanReadBuffer(t *testing.T) {
 	}
 	if got, err := cb.ReadMessage(); err != nil || got.MsgType() != openflow.TypeBarrierRequest || got.Xid() != 51 {
 		t.Fatalf("after the burst: %v, %v", got, err)
+	}
+}
+
+// streamConn is a net.Conn whose reads drain stream; nothing else of
+// net.Conn is used.
+type streamConn struct {
+	net.Conn
+	stream []byte
+}
+
+func (s *streamConn) Read(p []byte) (int, error) {
+	if len(s.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.stream)
+	s.stream = s.stream[n:]
+	return n, nil
+}
+
+// everyMessage holds one message of each type the decoder knows, every
+// byte field and port name set.
+func everyMessage() []openflow.Message {
+	fm := &openflow.FlowMod{
+		Match:    openflow.ExactNWDst([]byte{10, 0, 0, 2}),
+		Cookie:   7 << 32,
+		Command:  openflow.FlowModify,
+		Priority: 100,
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
+		Actions:  []openflow.Action{openflow.ActionOutput{Port: 3}},
+	}
+	port := openflow.PhyPort{PortNo: 2, HWAddr: [6]byte{2, 0, 0, 0, 1, 2}, Name: "s1-eth2", Peer: 4}
+	return []openflow.Message{
+		&openflow.Hello{Elements: []byte{0, 1, 0, 8, 0, 0, 0, 2}},
+		&openflow.Error{ErrType: openflow.ErrTypeBadRequest, Code: openflow.ErrCodeBadLen, Data: []byte("offending")},
+		&openflow.EchoRequest{Data: []byte("ping")},
+		&openflow.EchoReply{Data: []byte("pong")},
+		&openflow.Vendor{Vendor: 0x5453, Data: []byte("plan partition")},
+		&openflow.FeaturesRequest{},
+		&openflow.FeaturesReply{DatapathID: 1, NBuffers: 256, NTables: 1, Ports: []openflow.PhyPort{port, {PortNo: 3, Name: "s1-h1"}}},
+		&openflow.PacketIn{BufferID: openflow.NoBuffer, TotalLen: 4, InPort: 1, Reason: openflow.PacketInReasonAction, Data: []byte{10, 0, 0, 2}},
+		&openflow.FlowRemoved{Match: fm.Match, Cookie: 9, Priority: 100, Reason: openflow.FlowRemovedHardTimeout, DurationSec: 3, PacketCount: 5, ByteCount: 320},
+		&openflow.PortStatus{Reason: 2, Port: port},
+		&openflow.PacketOut{BufferID: openflow.NoBuffer, InPort: openflow.PortNone, Actions: []openflow.Action{openflow.ActionOutput{Port: openflow.PortTable}}, Data: []byte{10, 0, 0, 3}},
+		fm,
+		&openflow.StatsRequest{Kind: openflow.StatsFlow, Flow: &openflow.FlowStatsRequest{Match: fm.Match, TableID: 0xff, OutPort: openflow.PortNone}},
+		&openflow.StatsReply{Kind: openflow.StatsFlow, Flows: []openflow.FlowStats{{Match: fm.Match, Priority: 100, Cookie: 1, Actions: fm.Actions}}},
+		&openflow.BarrierRequest{},
+		&openflow.BarrierReply{},
+	}
+}
+
+// TestReadMessageOwnsItsBytes: a frame that fits the read buffer is
+// decoded where it lies there, so a decoded message must own every byte
+// field and port name. Each message type goes through a Conn; frames
+// read after it overwrite the whole read buffer; the message still
+// equals a decoding of its own pristine copy.
+func TestReadMessageOwnsItsBytes(t *testing.T) {
+	msgs := everyMessage()
+	sc := &streamConn{}
+	var want []openflow.Message
+	for i, m := range msgs {
+		m.SetXid(uint32(i + 1))
+		wire, err := openflow.Encode(m)
+		if err != nil {
+			t.Fatalf("%s: %v", m.MsgType(), err)
+		}
+		if len(wire) > readBufSize {
+			t.Fatalf("%s: %d-byte frame does not fit the read buffer", m.MsgType(), len(wire))
+		}
+		back, err := openflow.Decode(bytes.Clone(wire))
+		if err != nil {
+			t.Fatalf("%s: %v", m.MsgType(), err)
+		}
+		want = append(want, back)
+		sc.stream = append(sc.stream, wire...)
+	}
+	junk := &openflow.EchoRequest{Data: bytes.Repeat([]byte{0xa5}, 100)}
+	junkWire, err := openflow.Encode(junk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const junkFrames = 4 * readBufSize / 100
+	for i := 0; i < junkFrames; i++ {
+		sc.stream = append(sc.stream, junkWire...)
+	}
+
+	c := New(sc)
+	got := make([]openflow.Message, len(msgs))
+	for i := range got {
+		if got[i], err = c.ReadMessage(); err != nil {
+			t.Fatalf("message %d (%s): %v", i, msgs[i].MsgType(), err)
+		}
+	}
+	for i := 0; i < junkFrames; i++ {
+		if _, err := c.ReadMessage(); err != nil {
+			t.Fatalf("junk frame %d: %v", i, err)
+		}
+	}
+	if _, err := c.ReadMessage(); err != io.EOF {
+		t.Fatalf("after the stream: %v, want EOF", err)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s changed once the read buffer was reused:\n got %+v\nwant %+v", msgs[i].MsgType(), got[i], want[i])
+		}
+	}
+}
+
+// TestReadMessageTruncatedFrame: a stream that ends inside a frame
+// reports io.ErrUnexpectedEOF, in the header or in the body, and one
+// that ends between frames io.EOF.
+func TestReadMessageTruncatedFrame(t *testing.T) {
+	wire, err := openflow.Encode(&openflow.EchoRequest{Data: []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n    int
+		want error
+	}{{0, io.EOF}, {3, io.ErrUnexpectedEOF}, {openflow.HeaderLen, io.EOF}, {len(wire) - 1, io.ErrUnexpectedEOF}} {
+		_, err := New(&streamConn{stream: bytes.Clone(wire[:tc.n])}).ReadMessage()
+		if !errors.Is(err, tc.want) || (tc.want == io.EOF && errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Fatalf("stream cut after %d of %d bytes: %v, want %v", tc.n, len(wire), err, tc.want)
+		}
 	}
 }

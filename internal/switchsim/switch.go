@@ -138,7 +138,8 @@ type Switch struct {
 	crashed         atomic.Bool
 
 	mu     sync.Mutex
-	conn   *ofconn.Conn
+	conn   *ofconn.Conn // the live connection: nil once its loop has ended
+	gen    uint64       // bumped by every Connect; a sweep chain keys on it
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -232,6 +233,8 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 
 	s.mu.Lock()
 	s.conn = conn
+	s.gen++
+	gen := s.gen
 	s.cancel = cancel
 	s.done = done
 	s.mu.Unlock()
@@ -240,9 +243,10 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	// closes the connection from a context callback, and the expiry
 	// sweep is a self re-arming timer on the clock.
 	stopClose := context.AfterFunc(loopCtx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
-	s.startSweeps(loopCtx, conn)
+	s.startSweeps(loopCtx, gen)
 	go func() {
 		defer close(done)
+		defer s.release(conn)
 		// The loop can end without Stop (the controller hung up):
 		// release loopCtx from its parent, which also ends the sweeps.
 		defer cancel()
@@ -301,18 +305,35 @@ func (s *Switch) sweepExpiry(conn *ofconn.Conn, now time.Time) error {
 	return nil
 }
 
-// startSweeps arms conn's expiry sweep on the switch's clock; each
-// sweep re-arms the next. The chain dies at fire time once ctx is done,
-// conn is no longer the switch's current connection, or a FLOW_REMOVED
-// could not be sent.
-func (s *Switch) startSweeps(ctx context.Context, conn *ofconn.Conn) {
+// release drops the switch's hold on conn once its control loop has
+// ended, unless a keeper already redialed: a stopped switch keeps
+// nothing of a dead connection.
+func (s *Switch) release(conn *ofconn.Conn) {
+	s.mu.Lock()
+	if s.conn == conn {
+		s.conn, s.cancel, s.done = nil, nil, nil
+	}
+	s.mu.Unlock()
+}
+
+// startSweeps arms the expiry sweep of connection generation gen on the
+// switch's clock; each sweep re-arms the next. A sweep reads the
+// connection at fire time rather than capturing it: a clock timer
+// cannot be stopped, and one pending after Stop must not pin the
+// socket. The chain dies at fire time once ctx is done, gen is no
+// longer the switch's live connection, or a FLOW_REMOVED could not be
+// sent.
+func (s *Switch) startSweeps(ctx context.Context, gen uint64) {
 	period := s.expiryPeriod()
 	var sweep func()
 	sweep = func() {
 		s.mu.Lock()
-		current := s.conn == conn
+		conn := s.conn
+		if s.gen != gen {
+			conn = nil
+		}
 		s.mu.Unlock()
-		if ctx.Err() != nil || !current || s.sweepExpiry(conn, s.clock.Now()) != nil {
+		if ctx.Err() != nil || conn == nil || s.sweepExpiry(conn, s.clock.Now()) != nil {
 			return
 		}
 		s.clock.AfterFunc(period, sweep)
@@ -360,17 +381,8 @@ func (s *Switch) dropConnection() {
 // keepers poll this to know when to redial.
 func (s *Switch) Connected() bool {
 	s.mu.Lock()
-	done := s.done
-	s.mu.Unlock()
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return false
-	default:
-		return true
-	}
+	defer s.mu.Unlock()
+	return s.conn != nil
 }
 
 // Stop terminates the control loop and waits for it to exit. Safe to

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"tsu/internal/ofconn"
+	"tsu/internal/simclock"
 	"tsu/internal/topo"
 )
 
@@ -143,5 +146,61 @@ func TestFeaturesPortOrder(t *testing.T) {
 	want := []string{"s1-eth1>2", "s1-eth2>3", "s1-eth3>4", "s1-eth4>5", "s1-eth5>6", "s1-eth6>7", "s1-hb>0", "s1-ha>0"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ports %v, want %v", got, want)
+	}
+}
+
+// TestStoppedSwitchSweepReleasesConnection: a clock timer cannot be
+// stopped, so a stopped switch's last expiry sweep stays pending — on a
+// virtual clock, until the simulation next steps. That sweep reads the
+// connection at fire time instead of capturing it, and the ended loop
+// clears the switch's own reference, so the dead connection (socket,
+// read buffer, contexts) is collectable while the sweep still waits.
+func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn := ofconn.New(nc)
+			if _, err := ofconn.HandshakeController(conn); err != nil {
+				conn.Close()
+				continue
+			}
+			defer conn.Close()
+		}
+	}()
+
+	sim := simclock.NewSim(time.Time{})
+	g := topo.Fig1()
+	sw, err := NewSwitch(NewFabric(g), Config{Node: g.Nodes()[0], Clock: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Connect(context.Background(), ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	wp := func() weak.Pointer[ofconn.Conn] {
+		sw.mu.Lock()
+		defer sw.mu.Unlock()
+		return weak.Make(sw.conn)
+	}()
+	sw.Stop()
+	if n := sim.Pending(); n != 1 {
+		t.Fatalf("%d timers pending after Stop, want 1 (the last sweep)", n)
+	}
+	for i := 0; i < 4 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("a stopped switch with a sweep pending still holds its connection")
+	}
+	if n := sim.Pending(); n != 1 {
+		t.Fatalf("%d timers pending, want the last sweep still armed", n)
 	}
 }
