@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-dead-api loc test test-allocs test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-dead-api loc test test-allocs test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -161,6 +161,20 @@ guard-one-fsync:
 		grep -rn --include='*.go' 'Replayed(' . | grep -v '_test\.go:'; } )"; \
 	if [ -n "$$out" ]; then \
 		echo "a second fsync site or a record per node (see guard-one-fsync in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One HTTP client: the SDK sends every request and opens every watch
+# stream through one *http.Client, and WithTimeout is a context deadline
+# per request attempt. A second http.Client in non-test code of
+# internal/client is a client per call kind coming back; a Timeout set
+# on one puts every call through a wrapping RoundTripper on net/http's
+# legacy cancel path (a goroutine, a timer and a request copy each).
+guard-one-client:
+	@files="$$(ls internal/client/*.go | grep -v '_test\.go$$')"; \
+	out="$$(grep -n -e 'Timeout *=' -e 'Timeout:' $$files)"; \
+	if [ -n "$$out" ] || [ "$$(cat $$files | grep -c 'http\.Client{')" != 1 ]; then \
+		echo "internal/client must build exactly one http.Client and never set its Timeout (see guard-one-client in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
 

@@ -25,7 +25,7 @@ type Error struct {
 
 // Machine-readable error codes carried in Error.Code.
 const (
-	// CodeInvalidJSON: the request body is not valid JSON.
+	// CodeInvalidJSON: the request body is not one valid JSON value.
 	CodeInvalidJSON = 1001
 	// CodeInvalidPath: a path is malformed (shorter than 2 nodes,
 	// repeated nodes, endpoint mismatch between old and new).

@@ -33,32 +33,33 @@ import (
 
 // Client talks to one controller.
 type Client struct {
-	base    *url.URL     // resolved once; a request sets its path on a copy
-	baseErr error        // why base is nil
-	hc      *http.Client // request-scoped calls (honors timeout)
-	stream  *http.Client // watch streams (no overall timeout)
+	base    *url.URL      // resolved once; a request sets its path on a copy
+	baseErr error         // why base is nil
+	hc      *http.Client  // every request and watch stream
+	timeout time.Duration // per request attempt, as a context deadline; 0 is none
 	retries int
 	backoff time.Duration
-
-	custom  *http.Client   // set by WithHTTPClient, never mutated
-	timeout *time.Duration // set by WithTimeout
 }
 
 // Option tunes a Client.
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying HTTP client (proxies, TLS,
-// test doubles). The given client is copied, never mutated; the watch
-// stream uses the same configuration without the overall timeout.
-// Composes with WithTimeout in either order.
+// test doubles). The given client is used as it is, never mutated, for
+// requests and watch streams alike; leave its Timeout zero, since it
+// would cut watch streams too. WithTimeout applies on top of it, as a
+// context deadline per request attempt.
 func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.custom = hc }
+	return func(c *Client) { c.hc = hc }
 }
 
-// WithTimeout bounds each non-streaming request (default 30s; zero
-// disables). Composes with WithHTTPClient in either order.
+// WithTimeout bounds each attempt of a non-streaming request, reading
+// its response included (default 30s; zero disables). It is a context
+// deadline on the attempt, set only when the caller's context does not
+// end sooner; with WithRetry every attempt gets the full timeout.
+// Composes with WithHTTPClient in either order.
 func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.timeout = &d }
+	return func(c *Client) { c.timeout = d }
 }
 
 // WithRetry retries idempotent (GET) requests up to n extra times on
@@ -71,23 +72,14 @@ func WithRetry(n int, backoff time.Duration) Option {
 // New creates a client for the controller at baseURL (scheme + host,
 // e.g. "http://127.0.0.1:8080").
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{backoff: 100 * time.Millisecond}
+	c := &Client{timeout: 30 * time.Second, backoff: 100 * time.Millisecond}
 	c.base, c.baseErr = url.Parse(strings.TrimRight(baseURL, "/"))
 	for _, o := range opts {
 		o(c)
 	}
-	hc := &http.Client{Timeout: 30 * time.Second}
-	if c.custom != nil {
-		cp := *c.custom
-		hc = &cp
+	if c.hc == nil {
+		c.hc = &http.Client{}
 	}
-	if c.timeout != nil {
-		hc.Timeout = *c.timeout
-	}
-	c.hc = hc
-	stream := *hc
-	stream.Timeout = 0
-	c.stream = &stream
 	return c
 }
 
@@ -143,52 +135,70 @@ func (c *Client) do(ctx context.Context, method, path string, body, into any) er
 				return ctx.Err()
 			}
 		}
-		var rd io.Reader
-		if payload != nil {
-			rd = bytes.NewReader(payload)
-		}
-		req, err := c.newRequest(ctx, method, path, rd)
-		if err != nil {
+		retry, err := c.attempt(ctx, method, path, payload, into, try < attempts-1)
+		if !retry {
 			return err
 		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= 500 && method == http.MethodGet && try < attempts-1 {
-			lastErr = decodeAPIError(resp)
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			return decodeAPIError(resp)
-		}
-		if into != nil {
-			return decodeBody(resp.Body, into)
-		}
-		return nil
+		lastErr = err
 	}
 	return fmt.Errorf("client: %s %s: %w", method, path, lastErr)
 }
 
-// bodies holds the buffers response bodies are read into before they
-// are decoded.
+// attempt makes one try of a request within the client's timeout, a
+// deadline on ctx that also bounds reading the response. retry means
+// the failure is one a later attempt (retriable says there is one) may
+// get past: a transport error, or a 5xx while another attempt is left.
+func (c *Client) attempt(ctx context.Context, method, path string, payload []byte, into any, retriable bool) (retry bool, err error) {
+	if c.timeout > 0 {
+		end := time.Now().Add(c.timeout)
+		if d, ok := ctx.Deadline(); !ok || d.After(end) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, end)
+			defer cancel()
+		}
+	}
+	var rd io.Reader
+	if payload != nil {
+		rd = bytes.NewReader(payload)
+	}
+	req, err := c.newRequest(ctx, method, path, rd)
+	if err != nil {
+		return false, err
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return true, err
+	}
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode >= 500 && retriable:
+		return true, decodeAPIError(resp)
+	case resp.StatusCode >= 300:
+		return false, decodeAPIError(resp)
+	case into != nil:
+		return false, decodeBody(resp.Body, into)
+	}
+	return false, nil
+}
+
+// bodies holds the buffers response bodies and watch lines are read
+// into. One grown past 1 MB (a rare huge listing) is not worth keeping.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= 1<<20 {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
 
 // decodeBody reads a JSON response to its end and decodes it into into.
 func decodeBody(body io.Reader, into any) error {
 	buf := bodies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= 1<<20 { // a rare huge listing is not worth keeping
-			buf.Reset()
-			bodies.Put(buf)
-		}
-	}()
+	defer putBody(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
 		return fmt.Errorf("client: reading response: %w", err)
 	}
@@ -335,7 +345,7 @@ func (c *Client) openWatch(ctx context.Context, id int) (io.ReadCloser, error) {
 		return nil, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.stream.Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -354,11 +364,14 @@ func (c *Client) openWatch(ctx context.Context, id int) (io.ReadCloser, error) {
 // read to its end leaves its connection reusable.
 func readWatch(body io.ReadCloser, rounds, installs bool, emit func(api.WatchEvent) bool) {
 	defer body.Close()
+	lines, data := bodies.Get().(*bytes.Buffer), bodies.Get().(*bytes.Buffer)
+	defer putBody(lines)
+	defer putBody(data)
 	sc := bufio.NewScanner(body)
 	// An event line is a few hundred bytes; a long one grows the buffer,
-	// up to a 1 MB line.
-	sc.Buffer(make([]byte, 0, 512), 1<<20)
-	var data bytes.Buffer
+	// past the pooled one, up to a 1 MB line.
+	lines.Grow(512)
+	sc.Buffer(lines.AvailableBuffer(), 1<<20)
 	var ev api.WatchEvent // decoded into: one for the whole stream
 	skip := false         // ev.Type is all of the event being read that is wanted
 	flush := func() bool {

@@ -731,3 +731,126 @@ func TestClientWaitCountsSkippedEvents(t *testing.T) {
 		}
 	}
 }
+
+// passThrough forwards every request to rt: net/http cannot tell it
+// from a RoundTripper that needs the legacy cancel path.
+type passThrough struct{ rt http.RoundTripper }
+
+func (p passThrough) RoundTrip(r *http.Request) (*http.Response, error) { return p.rt.RoundTrip(r) }
+
+// hungServer answers nothing until the client hangs up (or the test
+// ends); calls counts the requests it got.
+func hungServer(t *testing.T, calls *atomic.Int32) *httptest.Server {
+	t.Helper()
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(release) }) // runs first: no handler outlives the test
+	return srv
+}
+
+// TestClientTimeoutHungRequest: WithTimeout fails a GET and a POST that
+// get no answer at about the timeout, through the bare transport and
+// through a RoundTripper that wraps it.
+func TestClientTimeoutHungRequest(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	for _, wrapped := range []bool{false, true} {
+		var calls atomic.Int32
+		srv := hungServer(t, &calls)
+		opts := []client.Option{client.WithTimeout(timeout)}
+		if wrapped {
+			opts = append(opts, client.WithHTTPClient(&http.Client{Transport: passThrough{http.DefaultTransport}}))
+		}
+		c := client.New(srv.URL, opts...)
+		for _, call := range []struct {
+			name string
+			do   func() error
+		}{
+			{"GET", func() error { _, err := c.Healthz(context.Background()); return err }},
+			{"POST", func() error { return c.InstallPolicy(context.Background(), api.PolicyRequest{Path: []uint64{1, 2}}) }},
+		} {
+			start := time.Now()
+			err := call.do()
+			if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took < timeout || took > 20*timeout {
+				t.Errorf("wrapped=%v %s: %v after %v, want a deadline error after about %v", wrapped, call.name, err, took, timeout)
+			}
+		}
+		if calls.Load() != 2 {
+			t.Errorf("wrapped=%v: the server got %d requests, want 2", wrapped, calls.Load())
+		}
+	}
+}
+
+// TestClientTimeoutPerAttempt: with WithRetry each attempt gets the
+// whole timeout. The first attempt hangs; the second answers after half
+// of the timeout, which a deadline shared by the attempts would cut.
+func TestClientTimeoutPerAttempt(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			<-r.Context().Done()
+			return
+		}
+		time.Sleep(timeout / 2)
+		w.Write([]byte(`{"status":"ok","switches":3}`)) //nolint:errcheck // test write
+	}))
+	defer srv.Close()
+	h, err := client.New(srv.URL, client.WithTimeout(timeout), client.WithRetry(1, time.Millisecond)).Healthz(context.Background())
+	if err != nil || h.Switches != 3 || calls.Load() != 2 {
+		t.Fatalf("healthz = %+v, %v after %d calls; want the second attempt's answer", h, err, calls.Load())
+	}
+}
+
+// TestClientTimeoutCallerDeadlineWins: a caller's context that ends
+// before the timeout ends the request then.
+func TestClientTimeoutCallerDeadlineWins(t *testing.T) {
+	var calls atomic.Int32
+	srv := hungServer(t, &calls)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := client.New(srv.URL, client.WithTimeout(time.Minute)).Healthz(ctx)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > 10*time.Second {
+		t.Fatalf("%v after %v, want the caller's deadline error after about 100ms", err, took)
+	}
+}
+
+// TestClientTimeoutSparesWatchStream: the timeout bounds requests, not
+// watch streams — a Wait whose stream stays open past it reads on to the
+// terminal event over the one stream and returns the status.
+func TestClientTimeoutSparesWatchStream(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	var watches atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/updates/7/watch", func(w http.ResponseWriter, r *http.Request) {
+		watches.Add(1)
+		w.Header().Set("Content-Type", "text/event-stream")
+		for i, ev := range []api.WatchEvent{
+			{Type: api.EventInstall, Job: 7, Install: &api.InstallStatus{Switch: 3}},
+			{Type: api.EventDone, Job: 7},
+		} {
+			if i > 0 {
+				time.Sleep(3 * timeout)
+			}
+			b, _ := json.Marshal(ev)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
+			w.(http.Flusher).Flush()
+		}
+	})
+	mux.HandleFunc("GET /v1/updates/7", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.JobStatus{ID: 7, State: "done"}) //nolint:errcheck // test server
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	st, err := client.New(srv.URL, client.WithTimeout(timeout)).Wait(context.Background(), 7)
+	if err != nil || st.State != "done" || watches.Load() != 1 {
+		t.Fatalf("Wait = %+v, %v over %d watch streams; want done over 1", st, err, watches.Load())
+	}
+}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -119,10 +120,27 @@ func (c *Controller) submitPlanned(plans []*plannedUpdate, opts SubmitOptions) (
 	return jobs, nil
 }
 
+// bodies holds the buffers request bodies are read into to be decoded.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeRequest decodes r's body into req. A body that is not one JSON
+// value, trailing data included, is answered 400 CodeInvalidJSON.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
+	buf := bodies.Get().(*bytes.Buffer)
+	_, err := buf.ReadFrom(r.Body) // a read error is the one reported, whatever a partial body decodes to
+	if err = cmp.Or(err, json.Unmarshal(buf.Bytes(), req)); err != nil {
+		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
+	}
+	if buf.Cap() <= 1<<20 { // a rare huge batch is not worth keeping
+		buf.Reset()
+		bodies.Put(buf)
+	}
+	return err == nil
+}
+
 func (c *Controller) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	plans, err := planBatch(req, false)
@@ -358,8 +376,7 @@ func (c *Controller) handleV1Watch(w http.ResponseWriter, r *http.Request) {
 // engine or the switches.
 func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	var req api.VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	plans, err := planDryRun(req.Updates, req.Properties, "verify")
@@ -413,8 +430,7 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 // order/state duality that makes the exhaustive mode a proof).
 func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 	var req api.ExploreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	plans, err := planDryRun(req.Updates, req.Properties, "explore")
@@ -500,8 +516,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 
 func (c *Controller) handleV1Policies(w http.ResponseWriter, r *http.Request) {
 	var req api.PolicyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, api.CodeInvalidJSON, "invalid JSON: %v", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	ip := net.ParseIP(req.NWDst)

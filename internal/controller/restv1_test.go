@@ -328,6 +328,7 @@ func TestV1MixedBatchMatchesSolo(t *testing.T) {
 func TestV1ErrorTable(t *testing.T) {
 	_, srv := restTestbed(t)
 	good := fig1Update("")
+	batch, _ := json.Marshal(api.BatchUpdateRequest{Updates: []api.FlowUpdate{good}})
 	cases := []struct {
 		name       string
 		url        string
@@ -336,6 +337,7 @@ func TestV1ErrorTable(t *testing.T) {
 		wantCode   int
 	}{
 		{"bad-json", "/v1/updates", "{", http.StatusBadRequest, api.CodeInvalidJSON},
+		{"trailing-data", "/v1/updates", string(batch) + "garbage", http.StatusBadRequest, api.CodeInvalidJSON},
 		{"empty-batch", "/v1/updates", api.BatchUpdateRequest{}, http.StatusBadRequest, api.CodeEmptyBatch},
 		{"negative-interval", "/v1/updates", api.BatchUpdateRequest{
 			Updates: []api.FlowUpdate{good}, Interval: -5,

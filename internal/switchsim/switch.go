@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,23 +191,27 @@ func (s *Switch) BarriersSeen() uint64 { return s.barriersSeen.Load() }
 // features builds the switch's FEATURES_REPLY body from the fabric's
 // port map, ports in PortNo order.
 func (s *Switch) features() *openflow.FeaturesReply {
+	pm, node := s.fabric.Ports(), s.cfg.Node
 	fr := &openflow.FeaturesReply{
 		DatapathID: s.DatapathID(),
 		NBuffers:   256,
 		NTables:    1,
+		Ports:      make([]openflow.PhyPort, pm.NumPorts(node)),
 	}
-	pm, node := s.fabric.Ports(), s.cfg.Node
-	for port := uint16(1); ; port++ {
-		pp := openflow.PhyPort{PortNo: port, HWAddr: portHWAddr(s.DatapathID(), port)}
+	// "s<node>-eth<port>" facing a switch, "s<node>-<host>" facing a
+	// host: one allocation per name.
+	sw := strconv.FormatUint(uint64(node), 10)
+	for i := range fr.Ports {
+		pp, port := &fr.Ports[i], uint16(i+1)
+		pp.PortNo, pp.HWAddr = port, portHWAddr(s.DatapathID(), port)
 		if nb, ok := pm.Neighbor(node, port); ok {
-			pp.Name, pp.Peer = fmt.Sprintf("s%d-eth%d", node, port), uint32(nb)
-		} else if host, ok := pm.Host(node, port); ok {
-			pp.Name = fmt.Sprintf("s%d-%s", node, host)
+			pp.Name, pp.Peer = "s"+sw+"-eth"+strconv.Itoa(int(port)), uint32(nb)
 		} else {
-			return fr
+			host, _ := pm.Host(node, port)
+			pp.Name = "s" + sw + "-" + host
 		}
-		fr.Ports = append(fr.Ports, pp)
 	}
+	return fr
 }
 
 func portHWAddr(dpid uint64, port uint16) [6]byte {

@@ -58,6 +58,12 @@ func (pm *PortMap) at(s NodeID) switchPorts {
 	return switchPorts{}
 }
 
+// NumPorts returns how many ports switch s has: 1..NumPorts(s) are in use.
+func (pm *PortMap) NumPorts(s NodeID) int {
+	sp := pm.at(s)
+	return len(sp.neighbors) + len(sp.hosts)
+}
+
 // Port returns the port on switch s facing neighbor n (0 when absent).
 func (pm *PortMap) Port(s, n NodeID) uint16 {
 	i, ok := slices.BinarySearch(pm.at(s).neighbors, n)
