@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-one-decider guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-dead-api loc test test-allocs test-retention test-determinism
+ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-one-decider guard-dead-api loc test test-allocs test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -175,6 +175,24 @@ guard-one-client:
 	out="$$(grep -n -e 'Timeout *=' -e 'Timeout:' $$files)"; \
 	if [ -n "$$out" ] || [ "$$(cat $$files | grep -c 'http\.Client{')" != 1 ]; then \
 		echo "internal/client must build exactly one http.Client and never set its Timeout (see guard-one-client in the Makefile):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One decider: internal/verify is the only stage engine, and the
+# explorer, the synthesizer and /v1/explore are views over it. One
+# exhaustive enumerator (core.Walker.CheckStage) is the only caller of
+# Plan.VisitIdeals beside the IdealStates test reference. A second
+# PlanCounterexample, or a goroutine, an RNG, an ideal DFS or a map
+# (the old transposition table) in non-test code of internal/explore,
+# is a second decider coming back.
+guard-one-decider:
+	@out="$$( { defs="$$(grep -rnE --include='*.go' '^func (\([^)]*\) )?PlanCounterexample\(' . | grep -v '_test\.go:')"; \
+		[ "$$(printf '%s' "$$defs" | grep -c .)" -gt 1 ] && echo "$$defs"; \
+		grep -nE -e '^[[:space:]]*go[[:space:]]' -e 'rand\.New' -e 'VisitIdeals\(' -e 'map\[' internal/explore/*.go | grep -v '_test\.go:'; \
+		calls="$$(grep -rn --include='*.go' 'VisitIdeals(' . | grep -v -e '_test\.go:' -e 'func (p \*Plan) VisitIdeals(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//')"; \
+		[ "$$(printf '%s' "$$calls" | grep -c .)" -gt 2 ] && echo "$$calls"; } )"; \
+	if [ -n "$$out" ]; then \
+		echo "a second decider (see guard-one-decider in the Makefile):"; \
 		echo "$$out"; exit 1; \
 	fi
 

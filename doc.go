@@ -69,30 +69,32 @@
 //
 //   - internal/core      — update model, schedulers (the paper's contribution),
 //     and the plan layer: Plan/Layered/SparsePlan, Plan.Stages (the
-//     split at series cuts that both checkers work through), the
+//     split at series cuts the stage engine works through), the
 //     order-ideal enumeration, PlanRun (allocation-free ack-dispatch
 //     bookkeeping), and the canonical plan wire codec; core.Walker is the
-//     incremental, allocation-free state-check primitive under the explorer
-//     and verifier, and carries the ideal check / extension sampler
-//     (CheckIdeals, SampleExtensions) SparsePlan's self-check shares with
-//     the verifier
+//     incremental, allocation-free state-check primitive, and carries the
+//     one stage check (Walker.CheckStage: ideal enumeration within budget,
+//     sampled minimized extensions past it) that the verify engine and
+//     SparsePlan's self-check share, beside RoundChecker's branching
+//     subset search
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows
-//     a minimal-depth sparse DAG edge by edge from explorer/verifier
-//     counterexample ideals, with budgets, a refinement transcript, a
-//     heuristic portfolio fallback, and the optimality-gap report
-//     (synth.Compare) quantifying how far each heuristic is from optimum
-//   - internal/verify    — exact transient-state verification (fast safe/unsafe
-//     verdicts): one engine, verify.Plan / verify.Batch, deciding a plan's
-//     order ideals stage by stage (a layered plan's stages are its rounds);
-//     the PlanCounterexample entry returns the violating order ideal for
+//     a minimal-depth sparse DAG edge by edge from the counterexample
+//     ideals verify.PlanCounterexample returns at three budgets, with
+//     budgets, a refinement transcript, a heuristic portfolio fallback,
+//     and the optimality-gap report (synth.Compare) quantifying how far
+//     each heuristic is from optimum
+//   - internal/verify    — the one decider: a stage engine (verify.Plan /
+//     verify.Batch for verdicts, verify.Traces for minimum traces) that
+//     materializes each stage of a plan once with its pre-state and
+//     decides it in one worker pool — a round asked for a verdict by the
+//     branching subset search, any other stage by CheckStage; the
+//     PlanCounterexample entry returns the violating order ideal for
 //     the synthesizer's refinement loop
-//   - internal/explore   — adversarial interleaving explorer: one engine,
-//     explore.Plan, attacking a plan stage by stage — exhaustive
-//     enumeration (Gray code on an edge-free stage, ideal DFS otherwise)
-//     with incremental walks and a transposition table, sampled FlowMod
-//     delivery orders (linear extensions), per-event checks, minimized
-//     counterexample traces, parallel stages with deterministic merge —
-//     plus the timed virtual-clock replay of a plan, stage by stage
+//   - internal/explore   — adversarial interleaving explorer, a view over
+//     the verify engine: explore.Plan renders each stage's minimum
+//     counterexample as a FlowMod delivery trace tagged with node layers,
+//     with coverage counters and a Fingerprint — plus the timed
+//     virtual-clock replay of a plan, stage by stage
 //   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
 //     scheduler with deterministic (time, seq) ordering and AutoAdvance;
 //     AfterFunc for timer-driven duties — the tree's one timer heap
@@ -148,7 +150,7 @@
 //
 // See README.md for the package tour, quickstart, and the Performance
 // section (incremental-walk design, Gray-code/order-state duality,
-// memo-table memory bounds, and how to read the BENCH_*.json
+// why the explorer keeps no memo table, and how to read the BENCH_*.json
 // trajectory emitted by `make bench-json`). The benchmarks in
 // bench_test.go regenerate every experiment table.
 package tsu

@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsu/internal/api"
@@ -387,7 +385,7 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	// One parallel verification pool for the whole request: every
 	// update is checked exactly once, as the plan it would execute,
 	// stage by stage (an entry's position in the batch seeds its
-	// sampled checks).
+	// sampled round subsets).
 	tasks := make([]verify.Task, len(plans))
 	for i, p := range plans {
 		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: p.Props}
@@ -438,53 +436,23 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// Fan the per-update explorations over the CPUs (like verify.Batch
-	// does for the sibling endpoint); each exploration is independent
-	// and deterministic, so results merge back in index order.
-	reps := make([]*explore.Report, len(plans))
-	errs := make([]error, len(plans))
-	workers := min(runtime.GOMAXPROCS(0), len(plans))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(plans) {
-					return
-				}
-				p := plans[i]
-				// Workers: 1 — this loop already fans out across
-				// updates; nesting explore's own stage pool would
-				// oversubscribe the CPUs.
-				eopts := explore.Options{
-					Props:         p.Props,
-					MaxExhaustive: req.MaxExhaustive,
-					Samples:       req.Samples,
-					Seed:          req.Seed,
-					Workers:       1,
-				}
-				// The adversary ranges over the DAG's order ideals,
-				// stage by stage — for a layered plan exactly its
-				// round states.
-				reps[i], errs[i] = explore.Plan(p.In, p.DAG, eopts)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	resp := api.ExploreResponse{OK: true, Results: make([]api.ExploreResult, 0, len(plans))}
+	for i, p := range plans {
+		// The adversary ranges over the DAG's order ideals, stage by
+		// stage — for a layered plan exactly its round states — in the
+		// engine's one worker pool.
+		rep, err := explore.Plan(p.In, p.DAG, explore.Options{
+			Props:         p.Props,
+			MaxExhaustive: req.MaxExhaustive,
+			Samples:       req.Samples,
+			Seed:          req.Seed,
+		})
 		if err != nil {
 			// The schedule came from the server's own planner; a
 			// structural mismatch here is a server bug, not bad input.
 			writeErr(w, errf(http.StatusInternalServerError, api.CodeInternal, "updates[%d]: %v", i, err))
 			return
 		}
-	}
-	resp := api.ExploreResponse{OK: true, Results: make([]api.ExploreResult, 0, len(plans))}
-	for i, p := range plans {
-		rep := reps[i]
 		res := api.ExploreResult{
 			Algorithm:  p.Algo,
 			Rounds:     wireRounds(p.Layered),

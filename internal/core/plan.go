@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"strings"
 
 	"tsu/internal/topo"
@@ -705,14 +704,10 @@ func sparseSafe(in *Instance, sparse, layered *Plan) bool {
 	if walkProps == 0 {
 		return true
 	}
-	w := in.NewWalker()
-	if cex, exact := w.CheckIdeals(nil, sparse, walkProps, maxSparseCheckStates); exact {
-		return cex == nil
-	}
-	// Ideal space past the exhaustive budget: soundness rests on the
+	// Past the exhaustive budget, soundness rests on the
 	// walk-projection argument; the seeded spot-check guards the
 	// implementation.
-	return w.SampleExtensions(nil, sparse, walkProps, sparseSpotSamples, rand.New(rand.NewSource(1))) == nil
+	return in.NewWalker().CheckStage(nil, sparse, walkProps, maxSparseCheckStates, sparseSpotSamples, 1).Violation == nil
 }
 
 // sparseStrongLFSafe runs the polynomial double-edge test per
@@ -770,80 +765,6 @@ func sortedUniqueInts(xs *[]int) {
 		}
 	}
 	*xs = out
-}
-
-// planNodeIndex returns the dense instance index of every plan node's
-// switch, aligned with p.Nodes — what Flip takes.
-func (w *Walker) planNodeIndex(p *Plan) []int {
-	idx := make([]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
-		idx[i] = w.in.NodeIndex(nd.Switch)
-	}
-	return idx
-}
-
-// counterExample evaluates props in the walker's current state and
-// materializes the violation, nil when the state is clean.
-func (w *Walker) counterExample(props Property) *CounterExample {
-	violated := w.Check(props)
-	if violated == 0 {
-		return nil
-	}
-	return &CounterExample{Updated: w.in.CloneState(w.st), Walk: w.Path(), Violated: violated}
-}
-
-// CheckIdeals decides props over every order ideal of p — a whole plan
-// or one of its Stages — on top of the state pre (nil: the old
-// configuration), enumerating them with single-switch flips; an install
-// *toggles* its switch, so a rollback plan runs on the same code from
-// its BaseState. exact reports a decisive verdict: cex is the first
-// violating ideal met, or every ideal was enumerated clean within
-// budget states; exact false means the budget ran out first.
-func (w *Walker) CheckIdeals(pre State, p *Plan, props Property, budget int) (cex *CounterExample, exact bool) {
-	idx := w.planNodeIndex(p)
-	w.Reset(pre)
-	states := 0
-	complete := p.VisitIdeals(
-		func(node int, _ bool) { w.Flip(idx[node]) },
-		func() bool {
-			if states++; states > budget {
-				return false
-			}
-			cex = w.counterExample(props)
-			return cex == nil
-		})
-	return cex, complete || cex != nil
-}
-
-// SampleExtensions replays samples random linear extensions of p on
-// top of pre — each step picks uniformly among the released nodes, so
-// every prefix is an order ideal — checking props after every install,
-// and returns the first counterexample met, or nil. It is the fallback
-// behind CheckIdeals for ideal spaces past the budget; the draws come
-// from rng alone.
-func (w *Walker) SampleExtensions(pre State, p *Plan, props Property, samples int, rng *rand.Rand) *CounterExample {
-	idx := w.planNodeIndex(p)
-	run := NewPlanRun(p)
-	ready := make([]int, 0, len(p.Nodes))
-	w.Reset(pre)
-	if cex := w.counterExample(props); cex != nil { // the empty ideal
-		return cex
-	}
-	for s := 0; s < samples; s++ {
-		w.Reset(pre)
-		ready = run.Reset(ready[:0])
-		for len(ready) > 0 {
-			k := rng.Intn(len(ready))
-			i := ready[k]
-			ready[k] = ready[len(ready)-1]
-			ready = run.Complete(i, ready[:len(ready)-1])
-			w.Flip(idx[i])
-			if cex := w.counterExample(props); cex != nil {
-				return cex
-			}
-		}
-	}
-	return nil
 }
 
 // IdealStates enumerates the plan's reachable transient states as

@@ -31,6 +31,10 @@ func (s State) Set(i int) { s[uint(i)>>6] |= 1 << (uint(i) & 63) }
 // Clear clears bit i.
 func (s State) Clear(i int) { s[uint(i)>>6] &^= 1 << (uint(i) & 63) }
 
+// Toggle flips bit i — a delivery: set on the way forward, cleared in
+// a rollback.
+func (s State) Toggle(i int) { s[uint(i)>>6] ^= 1 << (uint(i) & 63) }
+
 // Count returns the number of set bits.
 func (s State) Count() int {
 	n := 0

@@ -20,11 +20,8 @@ import (
 //	    states (order ideals) are unchanged by decentralization.
 //	(b) The verifier's verdict on the reassembled plan is bit-identical
 //	    to the original's.
-//	(c) The explorer's fingerprint is bit-identical with the peer-delay
-//	    adversary armed or not: exhaustively, because the ideal space
-//	    is delay-independent; sampled, because delayed acks only select
-//	    different linear extensions of the same partial order, every
-//	    one of which a clean plan survives.
+//	(c) The explorer's fingerprint on the reassembled plan is
+//	    bit-identical to the original's, exhaustive and sampled.
 func TestDecentralizedBitIdentical(t *testing.T) {
 	for caseName, in := range planTestInstances(t) {
 		for _, name := range core.Names() {
@@ -57,11 +54,10 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 						t.Fatalf("verifier diverged:\n original    %s\n reassembled %s", va, vb)
 					}
 
-					// (c) Explorer fingerprints, exhaustive: the peer-delay
-					// adversary cannot change the enumerated ideal space.
+					// (c) Explorer fingerprints, exhaustive: reassembly cannot
+					// change the enumerated ideal space.
 					base := Options{Seed: 11, MaxExhaustive: 14}
 					adv := base
-					adv.PeerDelays = true
 					ra, err := Plan(in, p, base)
 					if err != nil {
 						t.Fatal(err)
@@ -79,7 +75,6 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 					// exhaustive budget; verdict and counters must agree.
 					sbase := Options{Seed: 11, MaxExhaustive: 1, Samples: 64}
 					sadv := sbase
-					sadv.PeerDelays = true
 					sa, err := Plan(in, p, sbase)
 					if err != nil {
 						t.Fatal(err)

@@ -2,9 +2,8 @@
 // and instance it plays the paper's adversary — the asynchronous
 // control channel that lets every issued-but-not-yet-confirmed FlowMod
 // take effect in any order, constrained only by the plan's
-// happens-before edges — and checks transient security (loop freedom,
-// waypoint enforcement, blackhole freedom) after every single delivery
-// event, reporting minimized counterexample event traces.
+// happens-before edges — and reports, per stage, the minimum
+// counterexample as a delivery event trace.
 //
 // # Order/state duality
 //
@@ -12,51 +11,34 @@
 // produces a violating rule state, and the rule state after a prefix is
 // exactly the set of nodes delivered so far — an order ideal of the
 // plan's DAG (see core.Plan). Checking every ideal therefore covers
-// every delivery order. The explorer has one engine and its work item
-// is a *stage* (core.Plan.Stages): the plan is split at its series
-// cuts, and the ideals are "all earlier stages plus an ideal of the
-// stage in flight". For a layered plan the stages are the rounds:
-// within one round barriers constrain nothing, the n! orders of a
-// round collapse to its 2^n subsets, and the explorer walks those in
-// binary-reflected Gray-code order; a stage with internal edges is
-// walked by a DFS over include/exclude decisions (Plan.VisitIdeals).
-// Either way successive states differ by exactly one switch, so each
-// check is an incremental one-flip re-walk (core.Walker) instead of a
-// fresh walk from the source, and the minimum violating ideal by
-// ascending (size, mask) is reported — minimum-size, and therefore
-// 1-minimal. A stage whose ideal space exceeds 1<<MaxExhaustive states
-// falls back to sampling delivery orders: seeded uniform linear
-// extensions plus heavy-tail-biased ones, where the ack-driven dispatch
-// is simulated with per-node install latencies drawn from a bounded
-// Pareto distribution (the PAM'15 rule-install stall model) and the
-// order is completion time — the adversary the paper's measurements
-// say hardware actually implements. A per-worker transposition table
-// short-circuits states already checked by another order, prefix, or
-// stage, and stages themselves fan out over Options.Workers with a
-// deterministic merge. Rollback plans (core.Plan.Reverse) are explored
-// over the shifted state space base∖ideal — the walker starts from the
-// installed set and flips clear bits — so the same adversary that
-// attacks a forward plan attacks its rollback.
+// every delivery order, and the minimum violating ideal, delivered in
+// node order, is a minimum delivery trace.
 //
-// explore complements internal/verify: verify answers "is this plan
-// safe?" as fast as possible (branching walk search, subset sampling);
-// explore answers "show me the event trace that breaks it" — it
-// produces ordered, minimized delivery traces suitable for replay,
-// plus per-event coverage counters, and its timed mode replays a
-// plan on a simclock.Sim under sampled latency distributions so a
-// 10k-switch scenario runs in virtual time with a reproducible event
-// count.
+// The explorer decides nothing itself: Plan is one call into
+// internal/verify's stage engine (verify.Traces), which enumerates
+// each stage's ideals within 1<<MaxExhaustive states — Gray code on an
+// edge-free stage, the ideal DFS otherwise, one-flip incremental walks
+// either way — and past it replays sampled delivery orders: seeded
+// uniform linear extensions plus heavy-tail-biased ones, where the
+// ack-driven dispatch is simulated with per-node install latencies
+// drawn from a bounded Pareto distribution (the PAM'15 rule-install
+// stall model). This package renders the engine's verdicts as event
+// traces tagged with each node's layer, and adds the timed mode
+// (Timed), which replays a plan on a simclock.Sim under sampled
+// latency distributions so a 10k-switch scenario runs in virtual time
+// with a reproducible event count. Rollback plans
+// (core.Plan.Reverse) are explored over the shifted state space
+// base∖ideal, so the same adversary that attacks a forward plan
+// attacks its rollback.
 package explore
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tsu/internal/core"
 	"tsu/internal/topo"
+	"tsu/internal/verify"
 )
 
 // Options configures an exploration.
@@ -73,8 +55,8 @@ type Options struct {
 	// For an edge-free stage (a round) that is its size — n switches
 	// have 2^n subsets, so rounds of up to MaxExhaustive switches are
 	// enumerated; for a DAG stage it is the count of its order ideals,
-	// which its edges keep below 2^n. Larger stages, and stages of
-	// more than 64 nodes, are sampled. Default 18; capped at 20.
+	// which its edges keep below 2^n. Larger stages are sampled.
+	// Default 18; capped at 20.
 	MaxExhaustive int
 
 	// Samples is the number of delivery orders drawn per sampled
@@ -85,24 +67,9 @@ type Options struct {
 	// (Seed, Options).
 	Seed int64
 
-	// PeerDelays arms the decentralized-execution adversary in the
-	// sampled heavy-tail dispatch: every happens-before edge whose
-	// endpoints live on different switches pays an additional
-	// adversary-chosen peer-ack delay (bounded Pareto, like the install
-	// stalls), so acks overtake each other and installs reorder beyond
-	// what install latencies alone produce. The reachable state space
-	// is unchanged — delayed acks only pick different linear extensions
-	// of the same partial order — so exhaustive verdicts and
-	// fingerprint state counts are identical with the adversary on or
-	// off; only which sampled orders get replayed differs.
-	PeerDelays bool
-
-	// Workers bounds the stage-exploration worker pool. Stages are
-	// independent work items (each stage's pre-state is a function of
-	// the plan alone), so they fan out and merge back by index;
+	// Workers bounds the engine's worker pool (verify.Options.Workers);
 	// the report — including its Fingerprint — is identical for every
-	// worker count. Zero selects runtime.GOMAXPROCS(0); 1 forces
-	// serial execution.
+	// worker count.
 	Workers int
 }
 
@@ -114,10 +81,12 @@ func (o Options) withDefaults() Options {
 	if o.Samples <= 0 {
 		o.Samples = 256
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
+}
+
+// engine is the verify.Options the explorer runs with.
+func (o Options) engine() verify.Options {
+	return verify.Options{Budget: 1 << o.MaxExhaustive, Samples: o.Samples, Seed: o.Seed, Workers: o.Workers}
 }
 
 // resolveProps resolves the checked property set: explicit props, then
@@ -218,13 +187,6 @@ type Report struct {
 	Algorithm  string
 	Properties core.Property
 	Rounds     []RoundReport
-
-	// MemoHits counts state checks answered from the transposition
-	// tables instead of recomputed. Verdicts are pure per state, so
-	// hits never change any result — but the count depends on how
-	// stages were partitioned across workers, so it is diagnostic
-	// only and deliberately excluded from Fingerprint.
-	MemoHits int64
 }
 
 // OK reports whether no interleaving violated the checked properties.
@@ -297,47 +259,48 @@ func (r *Report) String() string {
 }
 
 // Plan explores every stage of p against the adversary and returns the
-// per-stage verdicts. The plan must fit the instance.
-//
-// Stages fan out over Options.Workers goroutines: a stage's pre-state
-// is determined by the plan alone, so stages are independent work
-// items and their reports merge back by index — the report (and its
-// Fingerprint) is bit-identical for every worker count.
+// per-stage verdicts — verify.Traces, rendered as delivery traces. The
+// plan must fit the instance. The report (and its Fingerprint) is
+// bit-identical for every worker count.
 func Plan(in *core.Instance, p *core.Plan, opts Options) (*Report, error) {
 	if err := p.Validate(in); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
 	opts = opts.withDefaults()
 	props := resolveProps(in, p.Guarantees, opts.Props)
-
-	stages := planStages(in, p)
-	rep := &Report{Algorithm: p.Algorithm, Properties: props, Rounds: make([]RoundReport, len(stages))}
-
-	var memoHits, next atomic.Int64
-	runWorker := func() {
-		sc := newScratch(in)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(stages) {
-				break
-			}
-			rep.Rounds[i] = sc.exploreStage(&stages[i], props, opts)
-		}
-		memoHits.Add(sc.mt.hits)
+	vr := verify.Traces(in, p, props, opts.engine())
+	rep := &Report{Algorithm: p.Algorithm, Properties: props, Rounds: make([]RoundReport, len(vr.Rounds))}
+	layers := p.NodeLayers()
+	for k, rr := range vr.Rounds {
+		rep.Rounds[k] = roundReport(in, p, layers, rr)
 	}
-	if workers := min(opts.Workers, len(stages)); workers <= 1 {
-		runWorker()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				runWorker()
-			}()
-		}
-		wg.Wait()
-	}
-	rep.MemoHits = memoHits.Load()
 	return rep, nil
+}
+
+// roundReport renders the engine's verdict on one stage of p.
+func roundReport(in *core.Instance, p *core.Plan, layers []int, rr verify.RoundResult) RoundReport {
+	return RoundReport{
+		Round:      rr.Round,
+		Size:       rr.Size,
+		Exhaustive: rr.Exact,
+		States:     rr.States,
+		Orders:     rr.Orders,
+		Events:     rr.Events,
+		Violation:  violation(in, p, layers, rr.Round, rr.First, rr.Trace, rr.Violation),
+	}
+}
+
+// violation renders a counterexample of the stage that starts at node
+// first of p — trace lists stage node indices in delivery order — with
+// each event tagged with its node's layer; nil when cex is.
+func violation(in *core.Instance, p *core.Plan, layers []int, round, first int, trace []int, cex *core.CounterExample) *Violation {
+	if cex == nil {
+		return nil
+	}
+	v := &Violation{Round: round, Violated: cex.Violated, Trace: make(Trace, len(trace)), Walk: cex.Walk}
+	for k, i := range trace {
+		v.Trace[k] = Event{Round: layers[first+i], Switch: p.Nodes[first+i].Switch}
+	}
+	v.Updated = in.StateNodes(in.StateOf(v.Trace.Switches()...))
+	return v
 }

@@ -313,3 +313,37 @@ func TestExploreRejectsBadSchedule(t *testing.T) {
 		t.Fatal("timed replay accepted a schedule that does not fit the instance")
 	}
 }
+
+// TestExploreTimedTraceLayers pins Event.Round in Timed's traces: it is
+// the node's layer in the plan, as in Plan's. On a sparse Fig.1 plan
+// with the chain 8 → 1 → 3, seed 7 lets 1 flip before 7 has its rule;
+// both report the violation as [r0:8 r1:1], 1 sitting on layer 1.
+func TestExploreTimedTraceLayers(t *testing.T) {
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+	props := core.NoBlackhole | core.RelaxedLoopFreedom | core.WaypointEnforcement
+	p := &core.Plan{Algorithm: "chain", Sparse: true, Nodes: []core.PlanNode{
+		{Switch: 7}, {Switch: 8}, {Switch: 9}, {Switch: 10}, {Switch: 11},
+		{Switch: 1, Deps: []int{1}},
+		{Switch: 3, Deps: []int{5}},
+	}}
+	timed, err := Timed(in, p, TimedOptions{
+		Ctrl:    netem.Uniform{Min: 0, Max: 3 * time.Millisecond},
+		Install: netem.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond},
+		Props:   props,
+		Seed:    7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Plan(in, p, Options{Props: props})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[r0:8 r1:1]"
+	if v := rep.FirstViolation(); v == nil || v.Trace.String() != want {
+		t.Fatalf("Plan's violation %v, want trace %s", v, want)
+	}
+	if v := timed.First; v == nil || v.Trace.String() != want {
+		t.Fatalf("Timed's violation %v, want trace %s", v, want)
+	}
+}

@@ -35,8 +35,7 @@ func FuzzExploreTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator produced an invalid instance: %v", err)
 		}
-		pending := in.Pending()
-		if len(pending) == 0 {
+		if in.NumPending() == 0 {
 			return
 		}
 		props := core.Property(rawProps) & allProps
@@ -44,9 +43,15 @@ func FuzzExploreTrace(f *testing.F) {
 			props = core.NoBlackhole | core.RelaxedLoopFreedom
 		}
 
-		// Derive a delivery order from the fuzzed key bytes (stable
-		// sort keeps it a permutation whatever the bytes are).
-		order := append([]topo.NodeID(nil), pending...)
+		// Any order of the pending set is a delivery order of the
+		// one-shot plan: a single stage without an edge. Derive one
+		// from the fuzzed key bytes (stable sort keeps it a permutation
+		// whatever the bytes are).
+		oneshot := core.OneShot(in)
+		order := make([]int, len(oneshot.Nodes))
+		for i := range order {
+			order[i] = i
+		}
 		key := func(i int) byte {
 			if len(orderKeys) == 0 {
 				return 0
@@ -54,18 +59,20 @@ func FuzzExploreTrace(f *testing.F) {
 			return orderKeys[i%len(orderKeys)]
 		}
 		sort.SliceStable(order, func(a, b int) bool { return key(a) < key(b) })
-
-		// Any order of the pending set is a delivery order of the
-		// one-shot plan: a single stage without an edge.
-		oneshot := core.OneShot(in)
+		replay := func(nodes []int, skip int) core.State {
+			st := in.NewState()
+			for j, i := range nodes {
+				if j != skip {
+					in.Mark(st, oneshot.Nodes[i].Switch)
+				}
+			}
+			return st
+		}
 
 		// Replay event by event: the walk/check must never panic, on
 		// this or any prefix state.
-		st := in.NewState()
-		var trace Trace
-		for _, v := range order {
-			in.Mark(st, v)
-			trace = append(trace, Event{Round: 0, Switch: v})
+		for k := range order {
+			st := replay(order[:k+1], -1)
 			violated := in.CheckState(st, props)
 			if walk, _ := in.Walk(st); len(walk) > in.NumNodes()+1 {
 				t.Fatalf("walk longer than node count + 1: %v", walk)
@@ -74,33 +81,23 @@ func FuzzExploreTrace(f *testing.F) {
 				continue
 			}
 			// A violating prefix: minimization must be sound.
-			min, minViolated := Minimize(in, in.NewState(), oneshot, trace, props)
-			if minViolated == 0 {
-				t.Fatalf("minimized trace of %s reports no violation", trace)
+			min, cex := in.Minimize(in.NewState(), oneshot, order[:k+1], props)
+			if cex == nil || cex.Violated == 0 {
+				t.Fatalf("minimized order of %v reports no violation", order[:k+1])
 			}
-			if len(min) > len(trace) {
-				t.Fatalf("minimization grew the trace: %d -> %d events", len(trace), len(min))
+			if len(min) > k+1 {
+				t.Fatalf("minimization grew the order: %d -> %d events", k+1, len(min))
 			}
-			replay := in.NewState()
-			for _, e := range min {
-				in.Mark(replay, e.Switch)
-			}
-			got := in.CheckState(replay, props)
+			got := in.CheckState(replay(min, -1), props)
 			if got == 0 {
-				t.Fatalf("replaying minimized trace %s is clean (original %s violated %s)", min, trace, violated)
+				t.Fatalf("replaying minimized order %v is clean (original %v violated %s)", min, order[:k+1], violated)
 			}
-			if got != minViolated {
-				t.Fatalf("minimize reported %s but replay violates %s", minViolated, got)
+			if got != cex.Violated {
+				t.Fatalf("minimize reported %s but replay violates %s", cex.Violated, got)
 			}
 			for i := range min {
-				reduced := in.NewState()
-				for j, e := range min {
-					if j != i {
-						in.Mark(reduced, e.Switch)
-					}
-				}
-				if in.CheckState(reduced, props) != 0 {
-					t.Fatalf("minimized trace %s is not 1-minimal at event %d", min, i)
+				if in.CheckState(replay(min, i), props) != 0 {
+					t.Fatalf("minimized order %v is not 1-minimal at event %d", min, i)
 				}
 			}
 			return

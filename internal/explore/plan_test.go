@@ -215,7 +215,8 @@ func TestExploreSparsePlanFindsViolation(t *testing.T) {
 	}
 }
 
-// TestMinimizeKeepsIdeals pins Minimize's reachability contract:
+// TestMinimizeKeepsIdeals pins core.Instance.Minimize's reachability
+// contract, which the explorer's sampled traces rest on:
 // shrinking only removes maximal events, so the minimized trace stays
 // down-closed under the plan's dependencies — an event a kept event
 // depends on survives even when an edgeless stage would have let it
@@ -235,19 +236,22 @@ func TestMinimizeKeepsIdeals(t *testing.T) {
 	if err := p.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	trace := Trace{{Switch: 9}, {Switch: 3}}
-	min, violated := Minimize(in, in.NewState(), p, trace, core.NoBlackhole)
-	if !violated.Has(core.NoBlackhole) {
-		t.Fatalf("violated = %s, want NoBlackhole", violated)
+	trace := []int{2, 6} // [9 3]
+	min, cex := in.Minimize(in.NewState(), p, trace, core.NoBlackhole)
+	if cex == nil || !cex.Violated.Has(core.NoBlackhole) {
+		t.Fatalf("counterexample = %v, want NoBlackhole", cex)
 	}
-	if len(min) != 2 || min[0].Switch != 9 || min[1].Switch != 3 {
+	if len(min) != 2 || p.Nodes[min[0]].Switch != 9 || p.Nodes[min[1]].Switch != 3 {
 		t.Fatalf("minimized = %v, want [9 3] (9 must survive: 3 depends on it)", min)
 	}
 	// Without the edge every event is maximal and the minimizer
 	// shrinks to {3}, unreachable under p; pin that the edge is what
 	// kept 9.
-	edgeless := core.OneShot(in)
-	unconstrained, _ := Minimize(in, in.NewState(), edgeless, trace, core.NoBlackhole)
+	edgeless := &core.Plan{Algorithm: "edgeless", Nodes: make([]core.PlanNode, len(p.Nodes))}
+	for i, nd := range p.Nodes {
+		edgeless.Nodes[i].Switch = nd.Switch
+	}
+	unconstrained, _ := in.Minimize(in.NewState(), edgeless, trace, core.NoBlackhole)
 	if len(unconstrained) != 1 {
 		t.Fatalf("premise broken: unconstrained minimum = %v", unconstrained)
 	}
@@ -308,5 +312,33 @@ func TestExploreReportsStageInFlight(t *testing.T) {
 		if !reflect.DeepEqual(v.Trace, want) || !v.Walk.Equal(topo.Path{1, 2, 3, 9, 10}) {
 			t.Fatalf("%s: trace %s walk %v, want %s via [1 2 3 9 10]", name, v.Trace, v.Walk, want)
 		}
+	}
+}
+
+// TestExploreEnumeratesWideDAG pins that a stage of more than 64 nodes
+// is enumerated, not sampled, when its ideals fit the budget: two
+// interleaved chains over reversal(72)'s 71 pending switches have
+// 36·37 = 1332 ideals, and the minimum violating one is the lone root
+// 71, whose flip loops the walk back at 70.
+func TestExploreEnumeratesWideDAG(t *testing.T) {
+	ti := topo.Reversal(72)
+	in := core.MustInstance(ti.Old, ti.New, 0)
+	p := &core.Plan{Algorithm: "twochains", Sparse: true}
+	for i, v := range in.Pending() {
+		p.Nodes = append(p.Nodes, core.PlanNode{Switch: v})
+		if i >= 2 {
+			p.Nodes[i].Deps = []int{i - 2}
+		}
+	}
+	rep, err := Plan(in, p, Options{Props: core.RelaxedLoopFreedom, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := rep.Rounds[0]
+	if len(rep.Rounds) != 1 || rr.Size != 71 || !rr.Exhaustive || rr.States != 1332 {
+		t.Fatalf("rounds = %+v, want one exhaustive stage of 71 nodes and 1332 ideals", rep.Rounds)
+	}
+	if v := rr.Violation; v == nil || v.Trace.String() != "[r0:71]" || v.Violated != core.RelaxedLoopFreedom {
+		t.Fatalf("violation %v, want the loop behind [r0:71]", v)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"tsu/internal/core"
 	"tsu/internal/netem"
 	"tsu/internal/simclock"
+	"tsu/internal/verify"
 )
 
 // TimedOptions configures a timed virtual-time replay.
@@ -69,17 +70,20 @@ func Timed(in *core.Instance, p *core.Plan, opts TimedOptions) (*TimedReport, er
 	props := resolveProps(in, p.Guarantees, opts.Props)
 	sim := simclock.NewSim(time.Time{})
 	src := netem.NewSourceClock(opts.Seed, sim)
-	stages := planStages(in, p)
+	stages, _ := verify.Stages(in, p)
+	layers := p.NodeLayers()
 	rep := &TimedReport{Algorithm: p.Algorithm, Properties: props, Rounds: len(stages)}
 
-	st := startState(in, p)
+	var st core.State // the live state: every delivery so far
+	if len(stages) > 0 {
+		st = in.CloneState(stages[0].Pre)
+	}
 	start := sim.Now()
 	base := time.Duration(0)
-	for r := range stages {
-		stg := &stages[r]
-		at := make([]time.Duration, len(stg.plan.Nodes))
+	for r, stg := range stages {
+		at := make([]time.Duration, len(stg.Plan.Nodes))
 		stageEnd := base
-		for i, nd := range stg.plan.Nodes {
+		for i, nd := range stg.Plan.Nodes {
 			issue := base
 			for _, d := range nd.Deps {
 				issue = max(issue, at[d])
@@ -88,23 +92,23 @@ func Timed(in *core.Instance, p *core.Plan, opts TimedOptions) (*TimedReport, er
 			stageEnd = max(stageEnd, at[i])
 			v := nd.Switch
 			sim.Schedule(at[i], func() {
-				deliver(in, st, v)
+				st.Toggle(in.NodeIndex(v))
 				rep.Events++
 				violated := in.CheckState(st, props)
 				if violated != 0 {
 					rep.Violations++
 					if rep.First == nil {
 						// The in-flight set at this instant is the
-						// violating trace; minimize it for the report,
-						// as a delivery order of stage r is.
-						var trace Trace
-						for _, nd := range stg.plan.Nodes {
-							if in.Updated(st, nd.Switch) != in.Updated(stg.pre, nd.Switch) {
-								trace = append(trace, Event{Round: r, Switch: nd.Switch})
+						// violating delivery order; minimize it for the
+						// report, as a sampled order of stage r is.
+						var order []int
+						for k, nd := range stg.Plan.Nodes {
+							if in.Updated(st, nd.Switch) != in.Updated(stg.Pre, nd.Switch) {
+								order = append(order, k)
 							}
 						}
-						min, minViolated := Minimize(in, stg.pre, stg.plan, trace, props)
-						rep.First = stg.violation(in, min, minViolated)
+						min, cex := in.Minimize(stg.Pre, stg.Plan, order, props)
+						rep.First = violation(in, p, layers, r, stg.First, min, cex)
 					}
 				}
 				if opts.RecordLog {

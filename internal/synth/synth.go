@@ -3,7 +3,7 @@
 //
 // The loop proposes the least-constrained candidate first — the
 // empty-edge plan, installing every pending switch concurrently — and
-// asks the adversary for a reason it is wrong: explore.PlanCounterexample
+// asks the adversary for a reason it is wrong: verify.PlanCounterexample
 // returns a violating order ideal (a reachable transient state of the
 // candidate DAG), exhaustively for small ideal spaces and via sampled,
 // minimized linear extensions past the budget. The violating ideal S
@@ -12,11 +12,9 @@
 // makes every ideal containing the violation unreachable, permanently.
 // Candidates are scored by whether u's install repairs the violating
 // state and by the depth the draft would grow to; the best edge is
-// added and the loop repeats. A candidate that survives the sampled
-// explorer is cross-checked against verify.PlanCounterexample (a
-// different seed and a larger exhaustive budget) before it is
-// accepted, so the synthesizer's certificate is at least as strong as
-// the repo's verifier.
+// added and the loop repeats. The oracle escalates: a candidate that
+// survives a quick sampled pass faces a full one, then a larger
+// exhaustive budget under another seed, before it is accepted.
 //
 // Progress is monotone — each accepted counterexample adds a new edge
 // and shrinks the reachable ideal space — so synthesis terminates
@@ -39,11 +37,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"time"
 
 	"tsu/internal/core"
-	"tsu/internal/explore"
 	"tsu/internal/topo"
 	"tsu/internal/verify"
 )
@@ -55,14 +53,6 @@ const DefaultBudget = 4096
 
 // maxCandidates caps the blocking-edge candidates scored per refinement.
 const maxCandidates = 256
-
-// The oracle's sample counts per candidate plan: a cheap first pass
-// and, only after a clean one, the full pass both the explorer and the
-// verify cross-check run.
-const (
-	quickSamples = 32
-	fullSamples  = 256
-)
 
 // Options configures a synthesis run. The zero value is ready to use.
 type Options struct {
@@ -201,12 +191,8 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 	st := in.NewState() // scratch for repair scoring
 	for iter := 0; ; iter++ {
 		plan := draft.Plan(core.AlgoSynth, props)
-		o, err := oracle(in, plan, props, opts, iter)
+		o := oracle(in, plan, props, opts, iter)
 		tr.Checked += o.checked
-		if err != nil {
-			tr.Final = plan.String()
-			return nil, tr, err
-		}
 		if o.ideal == nil {
 			tr.Exact = o.exact
 			tr.Iters = len(tr.Steps)
@@ -271,63 +257,44 @@ type oracleResult struct {
 	checked  int
 }
 
-// oracle asks for a counterexample with escalating effort: a quick
-// sampled explorer pass, then the full sampled pass, then the verify
-// cross-check under a different seed and a larger exhaustive budget.
-// An exhaustive clean verdict at any level short-circuits.
-func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, iter int) (oracleResult, error) {
+// oracleLevels are the oracle's escalating efforts: a quick sampled
+// pass, then the full one, then a larger exhaustive budget under
+// another seed. Their names are part of every transcript's
+// Fingerprint (Step.OracleLevel).
+var oracleLevels = [...]struct {
+	name            string
+	budget, samples int
+}{
+	{"explore-quick", 1 << 18, 32},
+	{"explore-full", 1 << 18, 256},
+	{"verify", core.DefaultCheckBudget, 256},
+}
+
+// oracle asks verify.PlanCounterexample for a counterexample at each
+// of oracleLevels in turn. A counterexample, or an exhaustive clean
+// verdict, at any level short-circuits.
+func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, iter int) oracleResult {
 	var r oracleResult
 	base := opts.Seed ^ (int64(iter+1) * 0x5E3779B97F4A7C15)
-
-	eo := explore.Options{
-		Props:   props,
-		Samples: quickSamples,
-		Seed:    base + 1,
-		Workers: 1,
-	}
-	cex, exhaustive, err := explore.PlanCounterexample(in, p, eo)
-	r.level = "explore-quick"
-	if err != nil {
-		return r, err
-	}
-	if cex != nil {
-		r.ideal, r.violated, r.exact, r.checked = cex.Nodes, cex.Violated, cex.Exact, cex.Checked
-		if r.ideal == nil {
-			r.ideal = []int{}
+	for k, l := range oracleLevels {
+		rr := verify.PlanCounterexample(in, p, props, verify.Options{
+			Budget:  l.budget,
+			Samples: l.samples,
+			Seed:    base + int64(k+1),
+			Workers: 1,
+		})
+		r.level, r.exact = l.name, rr.Exact
+		if rr.Violation != nil {
+			r.ideal = append([]int{}, rr.Trace...)
+			slices.Sort(r.ideal)
+			r.violated, r.checked = rr.Violation.Violated, rr.Events
+			return r
 		}
-		return r, nil
-	}
-	if exhaustive {
-		r.exact = true
-		return r, nil
-	}
-
-	eo.Samples = fullSamples
-	eo.Seed = base + 2
-	cex, _, err = explore.PlanCounterexample(in, p, eo)
-	r.level = "explore-full"
-	if err != nil {
-		return r, err
-	}
-	if cex != nil {
-		r.ideal, r.violated, r.exact, r.checked = cex.Nodes, cex.Violated, cex.Exact, cex.Checked
-		if r.ideal == nil {
-			r.ideal = []int{}
+		if rr.Exact {
+			return r
 		}
-		return r, nil
 	}
-
-	nodes, violated, exact := verify.PlanCounterexample(in, p, props, verify.Options{
-		Samples: fullSamples,
-		Seed:    base + 3,
-	})
-	r.level = "verify"
-	if nodes != nil {
-		r.ideal, r.violated = nodes, violated
-		return r, nil
-	}
-	r.exact = exact
-	return r, nil
+	return r
 }
 
 // chooseEdge scores the blocking-edge candidates and returns the

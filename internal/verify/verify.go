@@ -1,32 +1,31 @@
-// Package verify checks transient consistency of update plans.
+// Package verify decides transient consistency of update plans. It is
+// the repository's one decider: internal/explore and internal/synth are
+// views over its stage engine.
 //
 // A plan is transiently consistent for a property set when the property
 // holds in every reachable intermediate state — every order ideal of
-// its dependency DAG (see core.Plan). The verifier has one engine and
-// its work item is a *stage* (core.Plan.Stages): the plan is split at
-// its series cuts, and the ideals are "all earlier stages applied plus
-// an ideal of the stage in flight". A stage without an internal edge on
-// a forward plan — every round of a layered plan — is a set of switches
-// of which any subset may have taken effect: it is decided exactly by
-// the core package's branching walk search and the polynomial
-// double-edge test for strong loop freedom, and by randomized subset
-// sampling when the search exhausts its budget. Any other stage (a
-// sparse DAG, a rollback) is decided by enumerating its order ideals
-// with single-switch flips, and by sampled linear extensions past the
-// budget. A sampled stage is marked inexact.
+// its dependency DAG (see core.Plan). The engine's work item is a
+// *stage* (Stages): the plan split at its series cuts, each block on
+// top of every earlier one applied. A stage is decided in one of three
+// ways:
 //
-// The engine is parallel: stages are independent work items (the state
-// a stage starts from is determined by the plan alone, not by earlier
-// verdicts), so they fan out over a worker pool sized by
-// Options.Workers, and subset-sampling fallbacks split into fixed-size
-// chunks that fan out the same way. Results merge deterministically —
-// the report is identical for every worker count, including 1. Batch
-// verifies many (instance, plan) pairs in one pool, which is how the
-// experiment harness amortizes across thousands of instances.
+//   - an edge-free stage of a forward plan (every round of a layered
+//     plan), asked for a verdict by Plan or Batch: the core package's
+//     branching walk search and double-edge test for strong loop
+//     freedom, and subset sampling when the search exhausts its budget;
+//   - any other stage within Options.Budget ideals: exhaustive
+//     enumeration, reporting the minimum violating ideal
+//     (core.Walker.CheckStage);
+//   - past the budget: sampled linear extensions, the first violating
+//     prefix minimized; the stage is marked inexact.
 //
-// The verifier is algorithm-agnostic: every scheduler in this
-// repository is validated against it in tests, and the experiment
-// harness uses it to count violations of the one-shot baseline.
+// Traces takes the second and third ways on every stage — the
+// explorer's view. Stages are independent work items (a stage's
+// pre-state is determined by the plan alone), so they fan out over one
+// worker pool sized by Options.Workers, as do the subset-sampling
+// chunks, and merge deterministically: the report is identical for
+// every worker count. Batch verifies many (instance, plan) pairs in
+// one pool.
 package verify
 
 import (
@@ -45,14 +44,14 @@ import (
 type Options struct {
 	// Budget bounds the exact search of one stage: walk steps of the
 	// branching subset search for an edge-free forward stage, order
-	// ideals enumerated for a DAG or rollback stage. Zero selects
+	// ideals enumerated for any other. Zero selects
 	// core.DefaultCheckBudget.
 	Budget int
 
 	// Samples is the number of random draws checked per stage when the
 	// exact search exhausts its budget — subsets of an edge-free
-	// forward stage, linear extensions (every prefix checked) of a DAG
-	// or rollback stage. Zero selects 1024.
+	// forward stage, linear extensions (every prefix checked) of any
+	// other. Zero selects 1024.
 	Samples int
 
 	// Seed seeds the sampling RNGs. Verification is deterministic in
@@ -78,12 +77,14 @@ func (o Options) withDefaults() Options {
 }
 
 // RoundResult records the verdict for one stage — one round of a
-// layered plan.
+// layered plan. A stage the branching search decides sets Exact and
+// Violation only; an enumerated or sampled one also its coverage
+// counters and the violating state's Trace.
 type RoundResult struct {
-	Round     int                  // the stage's index in Plan.Stages
-	Size      int                  // nodes in the stage
-	Exact     bool                 // exhaustive over all of the stage's ideals vs sampled
-	Violation *core.CounterExample // nil when no violation found
+	Round int // the stage's index in Plan.Stages
+	Size  int // nodes in the stage
+	First int // index, in the whole plan, of the stage's first node
+	core.StageVerdict
 }
 
 // Report is the outcome of verifying a plan.
@@ -174,16 +175,12 @@ func Plan(in *core.Instance, p *core.Plan, props core.Property, opts Options) *R
 	return Batch([]Task{{Instance: in, Plan: p, Props: props}}, opts)[0]
 }
 
-// checkDAG decides one DAG or rollback stage on w: its order ideals
-// exhaustively within Options.Budget, sampled linear extensions past
-// it. PlanCounterexample, which decides a whole plan as task 0 /
-// stage 0, shares it — and so the sampler's seed.
-func checkDAG(w *core.Walker, pre core.State, p *core.Plan, props core.Property, opts Options, task, stage int) (cex *core.CounterExample, exact bool) {
-	if cex, exact = w.CheckIdeals(pre, p, props, opts.Budget); !exact {
-		rng := rand.New(rand.NewSource(opts.Seed ^ 0x7F4A7C159E3779B9 ^ int64(task)<<40 ^ int64(stage)<<20))
-		cex = w.SampleExtensions(pre, p, props, opts.Samples, rng)
-	}
-	return cex, exact
+// Traces is Plan for a caller that wants every stage's minimum
+// violating delivery trace rather than the fastest verdict: every
+// stage, edge-free or not, is enumerated within Options.Budget ideals
+// and sampled past it, and reports its coverage counters.
+func Traces(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
+	return run([]Task{{Instance: in, Plan: p, Props: props}}, opts, false)[0]
 }
 
 // Batch verifies many plans in one worker pool. Per-stage work items
@@ -191,17 +188,84 @@ func checkDAG(w *core.Walker, pre core.State, p *core.Plan, props core.Property,
 // back per task, so reports[i] corresponds to tasks[i] and is
 // bit-identical to a serial run.
 func Batch(tasks []Task, opts Options) []*Report {
+	return run(tasks, opts, true)
+}
+
+// PlanCounterexample is the synthesizer's certificate oracle: it
+// decides the plan's ideal space as one stage — never splitting it at
+// its series cuts, so a violating state always comes back as an order
+// ideal over plan-node indices — by exhaustive enumeration within
+// Options.Budget ideals and by sampled linear extensions past it
+// (core.Walker.CheckStage). The result's Trace is the violating ideal,
+// Violation nil when none was found; a structurally invalid plan
+// reports neither and is inexact (callers build plans via PlanDraft,
+// which cannot emit one).
+func PlanCounterexample(in *core.Instance, p *core.Plan, props core.Property, opts Options) RoundResult {
+	opts = opts.withDefaults()
+	rr := RoundResult{Size: len(p.Nodes)}
+	if err := p.Validate(in); err != nil {
+		return rr
+	}
+	var pre core.State // nil for forward plans: the empty ideal is the old state
+	if p.Rollback {
+		pre = p.BaseState(in)
+	}
+	rr.StageVerdict = in.NewWalker().CheckStage(pre, p, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, 0))
+	return rr
+}
+
+// Stage is the engine's work item: one block of a plan between two
+// series cuts (core.Plan.Stages) and the state every earlier block
+// leaves behind.
+type Stage struct {
+	Plan  *core.Plan // the block as a plan of its own, re-indexed from 0
+	First int        // index, in the whole plan, of the block's first node
+	Pre   core.State // every earlier block applied
+}
+
+// Stages materializes p's stages with their pre-states and returns the
+// state after the last: every switch updated, or for a rollback plan
+// every one undone.
+func Stages(in *core.Instance, p *core.Plan) ([]Stage, core.State) {
+	subs := p.Stages()
+	state := in.NewState()
+	if p.Rollback {
+		state = p.BaseState(in)
+	}
+	w := len(state)
+	pres := make(core.State, w*len(subs))
+	stages := make([]Stage, len(subs))
+	first := 0
+	for k, sub := range subs {
+		pre := pres[k*w : (k+1)*w : (k+1)*w]
+		copy(pre, state)
+		stages[k] = Stage{Plan: sub, First: first, Pre: pre}
+		for _, nd := range sub.Nodes {
+			state.Toggle(in.NodeIndex(nd.Switch))
+		}
+		first += len(sub.Nodes)
+	}
+	return stages, state
+}
+
+// stageSeed derives the extension sampler's seed of stage k from
+// Options.Seed — never from the task or the worker it landed on.
+func stageSeed(seed int64, k int) int64 {
+	return seed ^ 0x5E3779B97F4A7C15 ^ int64(k)*0x5851F42D4C957F2D
+}
+
+// run is the engine behind Batch (verdict set: edge-free forward
+// stages go to the branching search) and Traces.
+func run(tasks []Task, opts Options, verdict bool) []*Report {
 	opts = opts.withDefaults()
 	reports := make([]*Report, len(tasks))
 
 	// Materialize every stage work item with its (deterministic)
 	// pre-stage state. The final-state check is cheap and serial.
 	type item struct {
-		task  int
-		stage int
-		plan  *core.Plan // the stage's sub-DAG
-		pre   core.State // all earlier stages applied
-		round bool       // edge-free and forward: any subset of its switches may be in effect
+		task, stage int
+		Stage
+		round bool // decided by the branching search and subset sampling
 	}
 	var items []item
 	for t, task := range tasks {
@@ -212,53 +276,39 @@ func Batch(tasks []Task, opts Options) []*Report {
 			r.StructureErr = err
 			continue
 		}
-		stages := p.Stages()
+		stages, final := Stages(in, p)
 		r.Rounds = make([]RoundResult, len(stages))
-		state, want := in.NewState(), in.New
-		if p.Rollback {
-			state, want = p.BaseState(in), in.Old
-		}
-		pres := make(core.State, len(state)*len(stages)) // every stage's pre-state, one array
 		for k, st := range stages {
-			pre := pres[k*len(state) : (k+1)*len(state)]
-			copy(pre, state)
-			items = append(items, item{task: t, stage: k, plan: st, pre: pre,
-				round: !p.Rollback && st.NumEdges() == 0})
-			for _, nd := range st.Nodes {
-				if j := in.NodeIndex(nd.Switch); p.Rollback {
-					state.Clear(j)
-				} else {
-					state.Set(j)
-				}
-			}
+			items = append(items, item{task: t, stage: k, Stage: st,
+				round: verdict && !p.Rollback && st.Plan.NumEdges() == 0})
 		}
-		walk, outcome := in.Walk(state)
+		want := in.New
+		if p.Rollback {
+			want = in.Old
+		}
+		walk, outcome := in.Walk(final)
 		r.FinalStateOK = outcome == core.Reached && walk.Equal(want)
 	}
 
-	// Per-worker scratch: the branching search's bitset buffers and
-	// the incremental walker are reused across every work item a
-	// worker handles (they rebind per instance), so steady-state
-	// verification does not allocate per stage.
+	// Per-worker scratch, rebound per work item.
 	scratches := make([]*workerScratch, opts.Workers)
 	for w := range scratches {
 		scratches[w] = &workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}
 	}
 
-	// Phase 1: exact search, one work item per stage. A DAG or rollback
-	// stage that runs out of budget samples its extensions right here.
+	// Phase 1: one work item per stage. The branching search leaves
+	// the stages it could not exhaust to phase 2.
 	parallelFor(opts.Workers, len(items), func(w, k int) {
 		it := items[k]
 		in, props := tasks[it.task].Instance, tasks[it.task].Props
-		rr := RoundResult{Round: it.stage, Size: len(it.plan.Nodes)}
+		rr := &reports[it.task].Rounds[it.stage]
+		rr.Round, rr.Size, rr.First = it.stage, len(it.Plan.Nodes), it.First
 		if it.round {
-			rr.Violation, rr.Exact = scratches[w].rc.Check(in, it.pre, scratches[w].switches(it.plan), props, opts.Budget)
+			rr.Violation, rr.Exact = scratches[w].rc.Check(in, it.Pre, scratches[w].switches(it.Plan), props, opts.Budget)
 		} else {
-			rr.Violation, rr.Exact = checkDAG(scratches[w].walker.Bind(in), it.pre, it.plan, props, opts, it.task, it.stage)
+			rr.StageVerdict = scratches[w].walker.Bind(in).CheckStage(it.Pre, it.Plan, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, it.stage))
 		}
-		reports[it.task].Rounds[it.stage] = rr
 	})
-
 	// Phase 2: subset sampling for the edge-free stages the exact
 	// search could not exhaust, split into fixed-size chunks (chunking
 	// is independent of the worker count, so results are too).
@@ -292,7 +342,7 @@ func Batch(tasks []Task, opts Options) []*Report {
 		seed := opts.Seed ^ (int64(it.task)+1)<<40 ^ (int64(it.stage)+1)<<20 ^ int64(ch.offset)
 		rng := rand.New(rand.NewSource(seed))
 		chunkCex[ch.item][ch.offset/chunkSamples] = scratches[w].sampleChunk(
-			task.Instance, it.pre, scratches[w].switches(it.plan), task.Props, ch.count, rng, ch.offset == 0)
+			task.Instance, it.Pre, scratches[w].switches(it.Plan), task.Props, ch.count, rng, ch.offset == 0)
 	})
 	for k, cexs := range chunkCex {
 		it := items[k]
@@ -307,10 +357,8 @@ func Batch(tasks []Task, opts Options) []*Report {
 	return reports
 }
 
-// workerScratch is one verification worker's reusable state: the
-// branching search's bitset buffers and the incremental walker (ideal
-// enumeration, both sampling fallbacks) plus subset bookkeeping. Buffers grow to the
-// largest instance seen and rebind per work item.
+// workerScratch is one worker's reusable state: the branching search,
+// the incremental walker and subset-sampling bookkeeping.
 type workerScratch struct {
 	rc     *core.RoundChecker
 	walker *core.Walker
@@ -332,13 +380,8 @@ func (ws *workerScratch) switches(st *core.Plan) []topo.NodeID {
 // sampleChunk draws count random subsets of round on top of done and
 // returns the first counterexample, or nil. When endpoints is set the
 // empty and full subsets are checked first (once per round, by chunk 0).
-//
-// Successive samples run on the incremental walker: only the switches
-// whose membership changed between one random subset and the next are
-// flipped (re-walking just the changed suffix), instead of cloning the
-// state and re-walking from the source per sample. The subsets drawn —
-// one rng.Intn(2) per round element per sample — are unchanged, so
-// verdicts are identical to the clone-per-sample implementation.
+// Between samples the walker flips only the switches whose membership
+// changed.
 func (ws *workerScratch) sampleChunk(in *core.Instance, done core.State, round []topo.NodeID, props core.Property, count int, rng *rand.Rand, endpoints bool) *core.CounterExample {
 	w := ws.walker.Bind(in)
 	w.Reset(done)
