@@ -82,7 +82,7 @@ func run() error {
 		}
 		switches = append(switches, sw)
 	}
-	fmt.Printf("switchd: %d switches connected to %s (topology %s)\n", len(switches), *ctrlAddr, *topoSpec)
+	fmt.Printf("switchd: %d switches dialed %s (topology %s)\n", len(switches), *ctrlAddr, *topoSpec)
 
 	<-ctx.Done()
 	for _, sw := range switches {

@@ -142,9 +142,17 @@ func (c *Controller) Start(ctx context.Context, addr string) (string, error) {
 	c.listener = ln
 	c.mu.Unlock()
 
+	// The one shutdown hook: it unblocks accept and every registered
+	// datapath's reader. A handshake that finishes later sees ctx done
+	// when it registers, and closes itself.
 	go func() {
 		<-ctx.Done()
 		ln.Close() //nolint:errcheck // unblocking accept
+		c.mu.Lock()
+		for _, dp := range c.datapaths {
+			dp.conn.Close() //nolint:errcheck // unblocking the reader
+		}
+		c.mu.Unlock()
 	}()
 	go c.acceptLoop(ctx, ln)
 	c.engine.run(ctx)
@@ -166,10 +174,11 @@ func (c *Controller) acceptLoop(ctx context.Context, ln net.Listener) {
 
 func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	conn := ofconn.New(nc)
+	defer conn.Release()
+	defer conn.Close() //nolint:errcheck // loop exit
 	features, err := ofconn.HandshakeController(conn)
 	if err != nil {
 		c.logger.Warn("handshake failed", "peer", nc.RemoteAddr().String(), "err", err)
-		conn.Close() //nolint:errcheck // already failing
 		return
 	}
 	dp := &datapath{
@@ -178,6 +187,12 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 		sinks: make(map[uint32]barrierSink),
 	}
 	c.mu.Lock()
+	if ctx.Err() != nil {
+		// Start's shutdown hook has run or is about to, and it closes
+		// only registered datapaths: this one closes itself.
+		c.mu.Unlock()
+		return
+	}
 	if old, dup := c.datapaths[dp.dpid]; dup {
 		old.conn.Close() //nolint:errcheck // superseded connection
 	}
@@ -190,10 +205,6 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 	}
 	c.logger.Info("switch connected", "dpid", ofconn.FormatDpid(dp.dpid))
 
-	// Shutdown unblocks the reader from a context callback, not from a
-	// goroutine parked per connection.
-	stop := context.AfterFunc(ctx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
-	defer stop()
 	c.readLoop(ctx, dp)
 
 	c.mu.Lock()
@@ -201,7 +212,6 @@ func (c *Controller) serveSwitch(ctx context.Context, nc net.Conn) {
 		delete(c.datapaths, dp.dpid)
 	}
 	c.mu.Unlock()
-	conn.Close() //nolint:errcheck // loop exit
 	c.logger.Info("switch disconnected", "dpid", ofconn.FormatDpid(dp.dpid))
 }
 

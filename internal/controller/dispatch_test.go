@@ -295,6 +295,11 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 		t.Fatalf("abort = %+v, %v; want %d undos rolled back", report, err, undos)
 	}
 	assertRolledBackInstalled(t, report)
+	// The reverse plan's stages are edge-free undo stages, decided by
+	// the branching search: its verdict is exact, not sampled.
+	if rep, err := reverseReport(job, job.rollback, all); err != nil || !rep.Exact() {
+		t.Fatalf("the %d-undo reverse plan was not decided exactly (%v)", undos, err)
+	}
 	// Every undo is a FlowMod and a barrier, both in one batched write.
 	if got := metrics.DispatchBatchMsgs.Sum() - batched; got < int64(2*undos) {
 		t.Fatalf("%d undos put %d messages through batched writes, want >= %d", undos, got, 2*undos)

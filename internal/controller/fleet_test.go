@@ -3,9 +3,11 @@ package controller
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,8 +115,8 @@ func TestDecentralizedVirtualClockFleet(t *testing.T) {
 // goroutine budget: one per connected switch, its blocking reader, plus
 // the accept loop and the listener's closer — counted from before
 // Start, so no pool the engine starts can hide in the baseline.
-// Shutdown closes the connections from a context callback, not from a
-// watcher parked per connection. The switches here are bare handshaken
+// Shutdown closes the connections from Start's one shutdown hook, not
+// from a watcher or a context callback per connection. The switches here are bare handshaken
 // sockets held by the test, so every goroutine counted is the
 // controller's.
 func TestControllerGoroutinesPerSwitch(t *testing.T) {
@@ -160,4 +162,80 @@ func TestControllerGoroutinesPerSwitch(t *testing.T) {
 		}
 	}
 	waitFor(t, "the controller's readers to exit", func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// TestShutdownClosesHandshakingAndRegistered: cancelling the
+// controller's context closes a registered switch's connection from
+// Start's shutdown hook, and a handshake still in progress then closes
+// its own connection when it finishes instead of registering. Both
+// serveSwitch goroutines exit.
+func TestShutdownClosesHandshakingAndRegistered(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := topo.Fig1()
+	ctrl, err := New(Config{Topology: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := ctrl.Start(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Registered: a simulated switch on a context of its own, so only
+	// the controller can close its connection.
+	sw, err := switchsim.NewSwitch(switchsim.NewFabric(g), switchsim.Config{Node: g.Nodes()[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Stop()
+	if err := sw.Connect(context.Background(), addr); err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer waitCancel()
+	if err := ctrl.WaitForSwitches(waitCtx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Mid-handshake: a bare socket that has read the controller's HELLO
+	// and FEATURES_REQUEST and not yet answered.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	peer := ofconn.New(nc)
+	peer.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // test socket
+	var req openflow.Message
+	for _, want := range []openflow.MsgType{openflow.TypeHello, openflow.TypeFeaturesRequest} {
+		m, err := peer.ReadMessage()
+		if err != nil || m.MsgType() != want {
+			t.Fatalf("read %v (%v) from the controller, want %s", m, err, want)
+		}
+		req = m
+	}
+
+	cancel()
+	fr := &openflow.FeaturesReply{DatapathID: uint64(g.Nodes()[1])}
+	fr.SetXid(req.Xid())
+	if _, err := peer.Send(&openflow.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.WriteMessage(fr); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := peer.ReadMessage(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection whose handshake finished after shutdown is still open (read %v, %v)", m, err)
+	}
+	waitFor(t, "the registered switch's connection to close", func() bool { return !sw.Connected() })
+
+	serving := fmt.Sprintf("(*Controller).serveSwitch(%p", ctrl)
+	waitFor(t, "both serveSwitch goroutines to exit", func() bool {
+		buf := make([]byte, 1<<20)
+		return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), serving)
+	})
+	if dps := ctrl.Datapaths(); len(dps) != 0 {
+		t.Fatalf("datapaths %v registered after shutdown", dps)
+	}
 }

@@ -136,19 +136,10 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) 
 // them first, restoring exactly the state space this verification
 // covers.
 func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error {
-	k := job.plan.cleanupFrom
-	props := spec.rollbackProps()
-	fwd := &core.Plan{
-		Algorithm:  job.Algorithm,
-		Guarantees: props,
-		Sparse:     job.plan.dag.Sparse,
-		Nodes:      job.plan.dag.Nodes[:k],
-	}
-	rev, _, err := fwd.Reverse(undo[:k])
+	rep, err := reverseReport(job, spec, undo)
 	if err != nil {
 		return err
 	}
-	rep := verify.Plan(spec.in, rev, props, verify.Options{})
 	if !rep.OK() {
 		if cex := rep.FirstViolation(); cex != nil {
 			return fmt.Errorf("reverse plan admits a transient %v violation", cex.Violated)
@@ -159,6 +150,24 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error
 		return fmt.Errorf("reverse plan does not restore the old configuration")
 	}
 	return nil
+}
+
+// reverseReport verifies the reverse plan of the undo ideal's update
+// nodes (see verifyRollback) against the rollback's properties.
+func reverseReport(job *Job, spec *rollbackSpec, undo []bool) (*verify.Report, error) {
+	k := job.plan.cleanupFrom
+	props := spec.rollbackProps()
+	fwd := &core.Plan{
+		Algorithm:  job.Algorithm,
+		Guarantees: props,
+		Sparse:     job.plan.dag.Sparse,
+		Nodes:      job.plan.dag.Nodes[:k],
+	}
+	rev, _, err := fwd.Reverse(undo[:k])
+	if err != nil {
+		return nil, err
+	}
+	return verify.Plan(spec.in, rev, props, verify.Options{}), nil
 }
 
 // runRollback undoes an installed ideal: the full reverse DAG (cleanup

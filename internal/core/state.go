@@ -73,6 +73,19 @@ func (in *Instance) Mark(s State, nodes ...topo.NodeID) {
 	}
 }
 
+// Without returns a copy of s with every switch of p cleared. An undo
+// stage p run from s reaches (s∖p) ∪ (p∖U) for every U ⊆ p it has
+// undone: exactly the states of a forward round of p over s∖p.
+func (in *Instance) Without(s State, p *Plan) State {
+	c := in.CloneState(s)
+	for _, nd := range p.Nodes {
+		if i := in.idx(nd.Switch); i >= 0 {
+			c.Clear(int(i))
+		}
+	}
+	return c
+}
+
 // Updated reports whether switch v is in the state.
 func (in *Instance) Updated(s State, v topo.NodeID) bool {
 	return s.Has(int(in.idx(v)))

@@ -56,3 +56,14 @@ func TestReadMessageAllocs(t *testing.T) {
 			read, decoded, read-decoded)
 	}
 }
+
+// TestNewAfterReleaseAllocs: a connection opened after another released
+// its read buffer takes that buffer from the pool and allocates only
+// itself.
+func TestNewAfterReleaseAllocs(t *testing.T) {
+	sc := &streamConn{}
+	New(sc).Release()
+	if got := testing.AllocsPerRun(200, func() { New(sc).Release() }); got > 1 {
+		t.Fatalf("New after a Release = %.1f allocs, want 1 (the Conn)", got)
+	}
+}

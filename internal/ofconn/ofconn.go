@@ -23,7 +23,8 @@ import (
 )
 
 // Conn frames OpenFlow messages over a net.Conn. Reads must come from a
-// single goroutine; writes may come from many.
+// single goroutine; writes may come from many. The reading goroutine
+// calls Release after its last ReadMessage.
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -41,11 +42,34 @@ type Conn struct {
 // switch.
 const readBufSize = 512
 
+// readerPool recycles read buffers across connections, as net/http's
+// server does: a fleet that reconnects takes back the buffers its dead
+// connections released instead of allocating new ones.
+var readerPool sync.Pool
+
 // New wraps a network connection. A burst longer than the read buffer
 // costs one read syscall per readBufSize bytes (six FlowMods), and a
 // frame larger than the buffer is read straight from the socket.
 func New(nc net.Conn) *Conn {
-	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
+	br, _ := readerPool.Get().(*bufio.Reader)
+	if br == nil {
+		br = bufio.NewReaderSize(nc, readBufSize)
+	} else {
+		br.Reset(nc)
+	}
+	return &Conn{nc: nc, br: br}
+}
+
+// Release returns the read buffer to the pool. Only the goroutine that
+// reads may call it, and only after its last ReadMessage; the Conn can
+// still write and Close. Calling it again does nothing.
+func (c *Conn) Release() {
+	if c.br == nil {
+		return
+	}
+	c.br.Reset(nil) // pin neither the socket nor unread bytes
+	readerPool.Put(c.br)
+	c.br = nil
 }
 
 // NextXid allocates a fresh non-zero transaction id.

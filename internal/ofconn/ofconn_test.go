@@ -499,3 +499,35 @@ func TestReadMessageTruncatedFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestReconnectReadsNothingOfTheReleasedConn: a connection released
+// with unread bytes in its buffer hands the next connection a clean
+// buffer — whether the pool gives that buffer back or a new one — and
+// a second Release does nothing.
+func TestReconnectReadsNothingOfTheReleasedConn(t *testing.T) {
+	frame := func(xid uint32) []byte {
+		m := &openflow.EchoRequest{Data: []byte("ping")}
+		m.SetXid(xid)
+		wire, err := openflow.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	for i := 0; i < 8; i++ {
+		old := New(&streamConn{stream: append(frame(1), frame(2)...)})
+		if m, err := old.ReadMessage(); err != nil || m.Xid() != 1 {
+			t.Fatalf("first read = %v, %v", m, err)
+		}
+		old.Release() // frame 2 is still buffered
+		old.Release()
+		next := New(&streamConn{stream: frame(3)})
+		if m, err := next.ReadMessage(); err != nil || m.Xid() != 3 {
+			t.Fatalf("the next connection read %v, %v; want its own frame (xid 3)", m, err)
+		}
+		if m, err := next.ReadMessage(); err != io.EOF {
+			t.Fatalf("the next connection read %v, %v past its stream; want EOF", m, err)
+		}
+		next.Release()
+	}
+}

@@ -138,11 +138,10 @@ type Switch struct {
 	barriersSeen    atomic.Uint64
 	crashed         atomic.Bool
 
-	mu     sync.Mutex
-	conn   *ofconn.Conn // the live connection: nil once its loop has ended
-	gen    uint64       // bumped by every Connect; a sweep chain keys on it
-	cancel context.CancelFunc
-	done   chan struct{}
+	mu   sync.Mutex
+	conn *ofconn.Conn // the live connection: nil once its loop has ended
+	gen  uint64       // bumped by every Connect; a sweep chain keys on it
+	done chan struct{}
 }
 
 // NewSwitch creates a switch and registers it on the fabric.
@@ -218,10 +217,12 @@ func portHWAddr(dpid uint64, port uint16) [6]byte {
 	return [6]byte{0x02, byte(dpid >> 16), byte(dpid >> 8), byte(dpid), byte(port >> 8), byte(port)}
 }
 
-// Connect dials the controller, runs the switch-side handshake, and
-// starts the control loop in a background goroutine. It returns once
-// the handshake completed. Stop (or ctx cancellation) terminates the
-// loop.
+// Connect dials the controller and returns once the dial succeeded.
+// The switch-side handshake, then the expiry sweeps and the control
+// loop, run on the switch's own goroutine, as a real switch's
+// connection manager runs them: dialing a fleet does not wait for each
+// handshake in turn. A failed handshake is logged and ends the loop,
+// which Connected then reports. Stop, or ctx cancellation, ends it too.
 func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", controllerAddr)
@@ -229,35 +230,33 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 		return fmt.Errorf("switchsim: dialing controller: %w", err)
 	}
 	conn := ofconn.New(nc)
-	if err := ofconn.HandshakeSwitch(conn, s.features()); err != nil {
-		conn.Close() //nolint:errcheck // already failing
-		return fmt.Errorf("switchsim: handshake: %w", err)
-	}
-	loopCtx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
 
 	s.mu.Lock()
 	s.conn = conn
 	s.gen++
 	gen := s.gen
-	s.cancel = cancel
 	s.done = done
 	s.mu.Unlock()
 
-	// The blocking reader is the switch's only goroutine: cancellation
-	// closes the connection from a context callback, and the expiry
-	// sweep is a self re-arming timer on the clock.
-	stopClose := context.AfterFunc(loopCtx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
-	s.startSweeps(loopCtx, gen)
+	// The blocking reader is the switch's only goroutine: Stop closes
+	// the connection itself, ctx cancellation closes it from one
+	// context callback, and the expiry sweep is a self re-arming timer
+	// on the clock.
+	stopClose := context.AfterFunc(ctx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
 	go func() {
 		defer close(done)
 		defer s.release(conn)
-		// The loop can end without Stop (the controller hung up):
-		// release loopCtx from its parent, which also ends the sweeps.
-		defer cancel()
 		defer conn.Close() //nolint:errcheck // loop exit path
 		defer stopClose()
-		s.controlLoop(loopCtx, conn)
+		if err := ofconn.HandshakeSwitch(conn, s.features()); err != nil {
+			if ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
+				s.logger.Warn("handshake failed", "err", err)
+			}
+			return
+		}
+		s.startSweeps(ctx, gen)
+		s.controlLoop(ctx, conn)
 	}()
 	return nil
 }
@@ -311,14 +310,15 @@ func (s *Switch) sweepExpiry(conn *ofconn.Conn, now time.Time) error {
 }
 
 // release drops the switch's hold on conn once its control loop has
-// ended, unless a keeper already redialed: a stopped switch keeps
-// nothing of a dead connection.
+// ended, unless a keeper already redialed, and returns the connection's
+// read buffer: a stopped switch keeps nothing of a dead connection.
 func (s *Switch) release(conn *ofconn.Conn) {
 	s.mu.Lock()
 	if s.conn == conn {
-		s.conn, s.cancel, s.done = nil, nil, nil
+		s.conn, s.done = nil, nil
 	}
 	s.mu.Unlock()
+	conn.Release()
 }
 
 // startSweeps arms the expiry sweep of connection generation gen on the
@@ -382,22 +382,23 @@ func (s *Switch) dropConnection() {
 
 // Connected reports whether the control loop from the most recent
 // Connect is still running. False before the first Connect, after
-// Stop, and once the controller side drops the connection — switch
-// keepers poll this to know when to redial.
+// Stop, once the handshake failed and once the controller side drops
+// the connection — switch keepers poll this to know when to redial.
 func (s *Switch) Connected() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.conn != nil
 }
 
-// Stop terminates the control loop and waits for it to exit. Safe to
-// call multiple times or before Connect.
+// Stop closes the connection, which ends its handshake or control
+// loop, and waits for the loop to exit. Safe to call multiple times or
+// before Connect.
 func (s *Switch) Stop() {
 	s.mu.Lock()
-	cancel, done := s.cancel, s.done
+	conn, done := s.conn, s.done
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if conn != nil {
+		conn.Close() //nolint:errcheck // unblocking the reader
 	}
 	if done != nil {
 		<-done

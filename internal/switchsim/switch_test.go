@@ -12,14 +12,15 @@ import (
 	"weak"
 
 	"tsu/internal/ofconn"
+	"tsu/internal/openflow"
 	"tsu/internal/simclock"
 	"tsu/internal/topo"
 )
 
-// childCountingCtx is a parent context that counts the contexts
-// currently derived from it: context.WithCancel registers with a
-// foreign parent through AfterFunc and calls the returned stop when the
-// child is cancelled.
+// childCountingCtx is a parent context that counts what is currently
+// registered on it: context.AfterFunc and context.WithCancel register
+// with a foreign parent through its AfterFunc method and call the
+// returned stop when the callback is stopped or the child cancelled.
 type childCountingCtx struct {
 	done chan struct{}
 
@@ -60,9 +61,9 @@ func (c *childCountingCtx) children() int {
 
 // TestReconnectReleasesPreviousLoopContext: when the controller drops
 // the connection the control loop ends without Stop, and the loop's
-// child context must be released then — otherwise every reconnect of a
-// long-lived switch leaves one more dead child registered on the
-// caller's context.
+// close-on-cancel callback must be unregistered from the caller's
+// context then — otherwise every reconnect of a long-lived switch
+// leaves one more dead entry registered there.
 func TestReconnectReleasesPreviousLoopContext(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,13 +104,13 @@ func TestReconnectReleasesPreviousLoopContext(t *testing.T) {
 		}
 	}
 	if n := parent.children(); n != 0 {
-		t.Fatalf("%d live child contexts after the control loop ended, want 0", n)
+		t.Fatalf("%d callbacks live on the caller's context after the control loop ended, want 0", n)
 	}
 	if err := sw.Connect(parent, ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	if n := parent.children(); n != 1 {
-		t.Fatalf("%d live child contexts after reconnecting, want 1 (the new loop's only)", n)
+		t.Fatalf("%d callbacks live on the caller's context after reconnecting, want 1 (the new loop's only)", n)
 	}
 }
 
@@ -185,6 +186,13 @@ func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
 	if err := sw.Connect(context.Background(), ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
+	// The handshake runs on the switch's goroutine, which arms the
+	// first sweep once it completes.
+	for deadline := time.Now().Add(10 * time.Second); sim.Pending() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers pending after the handshake, want 1 (the first sweep)", sim.Pending())
+		}
+	}
 	wp := func() weak.Pointer[ofconn.Conn] {
 		sw.mu.Lock()
 		defer sw.mu.Unlock()
@@ -202,5 +210,88 @@ func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
 	}
 	if n := sim.Pending(); n != 1 {
 		t.Fatalf("%d timers pending, want the last sweep still armed", n)
+	}
+}
+
+// TestHandshakeRejectedEndsLoop: Connect returns once dialed, so a
+// controller that answers with something other than HELLO fails the
+// handshake on the switch's goroutine. That ends the loop: Connected
+// turns false and the connection's read buffer goes back to the pool.
+// A keeper's redial then gets a working connection.
+func TestHandshakeRejectedEndsLoop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The first connection gets an ECHO_REQUEST where HELLO belongs,
+	// once the test holds the loop's handles; every later one a full
+	// handshake.
+	answer := make(chan struct{})
+	handshaked := make(chan uint64, 1)
+	go func() {
+		for first := true; ; first = false {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn := ofconn.New(nc)
+			if first {
+				<-answer
+				conn.Send(&openflow.EchoRequest{}) //nolint:errcheck // the switch hangs up either way
+				defer conn.Close()
+				continue
+			}
+			fr, err := ofconn.HandshakeController(conn)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			defer conn.Close()
+			handshaked <- fr.DatapathID
+		}
+	}()
+
+	g := topo.Fig1()
+	sw, err := NewSwitch(NewFabric(g), Config{Node: g.Nodes()[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	if err := sw.Connect(ctx, ln.Addr().String()); err != nil {
+		t.Fatalf("Connect returned %v, want nil: the handshake is not its to fail", err)
+	}
+	sw.mu.Lock()
+	conn, done := sw.conn, sw.done
+	sw.mu.Unlock()
+	close(answer)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the loop still runs after the controller answered without HELLO")
+	}
+	if sw.Connected() {
+		t.Fatal("Connected() after a failed handshake")
+	}
+	if !reflect.ValueOf(conn).Elem().FieldByName("br").IsNil() {
+		t.Fatal("the failed connection kept its read buffer")
+	}
+
+	if err := sw.Connect(ctx, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case dpid := <-handshaked:
+		if dpid != sw.DatapathID() {
+			t.Fatalf("redial handshaked as datapath %d, want %d", dpid, sw.DatapathID())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the redial never completed its handshake")
+	}
+	if !sw.Connected() {
+		t.Fatal("not Connected() after the redial's handshake")
 	}
 }

@@ -43,15 +43,14 @@ import (
 // Options configures verification.
 type Options struct {
 	// Budget bounds the exact search of one stage: walk steps of the
-	// branching subset search for an edge-free forward stage, order
-	// ideals enumerated for any other. Zero selects
-	// core.DefaultCheckBudget.
+	// branching subset search for an edge-free stage, order ideals
+	// enumerated for any other. Zero selects core.DefaultCheckBudget.
 	Budget int
 
 	// Samples is the number of random draws checked per stage when the
 	// exact search exhausts its budget — subsets of an edge-free
-	// forward stage, linear extensions (every prefix checked) of any
-	// other. Zero selects 1024.
+	// stage, linear extensions (every prefix checked) of any other.
+	// Zero selects 1024.
 	Samples int
 
 	// Seed seeds the sampling RNGs. Verification is deterministic in
@@ -254,8 +253,9 @@ func stageSeed(seed int64, k int) int64 {
 	return seed ^ 0x5E3779B97F4A7C15 ^ int64(k)*0x5851F42D4C957F2D
 }
 
-// run is the engine behind Batch (verdict set: edge-free forward
-// stages go to the branching search) and Traces.
+// run is the engine behind Batch (verdict set: edge-free stages go to
+// the branching search, an undo stage over its pre-state less the
+// stage) and Traces.
 func run(tasks []Task, opts Options, verdict bool) []*Report {
 	opts = opts.withDefaults()
 	reports := make([]*Report, len(tasks))
@@ -279,8 +279,11 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 		stages, final := Stages(in, p)
 		r.Rounds = make([]RoundResult, len(stages))
 		for k, st := range stages {
-			items = append(items, item{task: t, stage: k, Stage: st,
-				round: verdict && !p.Rollback && st.Plan.NumEdges() == 0})
+			round := verdict && st.Plan.NumEdges() == 0
+			if round && p.Rollback {
+				st.Pre = in.Without(st.Pre, st.Plan) // see Instance.Without
+			}
+			items = append(items, item{task: t, stage: k, Stage: st, round: round})
 		}
 		want := in.New
 		if p.Rollback {
