@@ -230,13 +230,14 @@ test-retention:
 # the decentralized report the switches must be asked about, the
 # engine's admission and conflict-queue lifecycle
 # (launch on release, shutdown of queued jobs, recovery order), and the
-# clock's AfterFunc timers with the switch duties that ride them (the
-# expiry sweep chain, the one-reader goroutine budgets), and the
-# connection lifecycle: handshakes on the switch's own goroutine,
-# redials, read buffers returned to the pool and the controller's one
-# shutdown hook.
+# clock's AfterFunc timers, a fleet at rest that leaves none pending
+# and its one-reader goroutine budgets, the message types a switch or
+# controller answers without hanging up (unsupported types, refused
+# timeouts), and the connection lifecycle: handshakes on the switch's
+# own goroutine, redials, read buffers returned to the pool and the
+# controller's one shutdown hook.
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|Sweep|Goroutine|StateQuery|LostReport|Reconnect|Handshake|Shutdown' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Reconnect|Handshake|Shutdown' \
 		./internal/ofconn ./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal ./internal/simclock

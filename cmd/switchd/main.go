@@ -4,6 +4,13 @@
 // topology spec), mirroring how the demo's Mininet script and Ryu app
 // share the topology.
 //
+// The switches serve this repository's controller, not an arbitrary
+// one. They speak the seven OpenFlow 1.0 message types it uses — HELLO,
+// ERROR, ECHO, VENDOR (plan pushes, reports and state queries),
+// FEATURES, FLOW_MOD and BARRIER — and answer any other type with
+// BAD_REQUEST/BAD_TYPE, keeping the connection. A FlowMod asking for a
+// timeout or for FLOW_REMOVED is refused: rules never expire.
+//
 // Usage:
 //
 //	switchd -topo fig1 -controller 127.0.0.1:6633 \

@@ -106,8 +106,8 @@
 //   - internal/switchsim — simulated switches, data-plane fabric and the
 //     decentralized plan agent (clock-parameterized); fault injection:
 //     crash-after-N-FlowMods with optional table wipe, per-class
-//     drop/duplicate/reorder; one layout: expiry sweeps and peer acks
-//     are Clock.AfterFunc timers, a switch at rest costs its reader
+//     drop/duplicate/reorder; one layout: peer acks are Clock.AfterFunc
+//     timers, a switch at rest costs its reader and arms no timer
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
 //   - internal/controller— the controller: one plan in, one job out — a single

@@ -244,12 +244,6 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 			if err := dp.conn.WriteMessage(reply); err != nil {
 				return
 			}
-		case *openflow.FlowRemoved:
-			c.logger.Info("flow removed", "dpid", dp.dpid,
-				"nw_dst", msg.Match.NWDstIP().String(), "reason", msg.Reason)
-		case *openflow.PortStatus:
-			c.logger.Info("port status", "dpid", dp.dpid,
-				"port", msg.Port.PortNo, "reason", msg.Reason)
 		case *openflow.Vendor:
 			if msg.Vendor != planwire.VendorID {
 				c.logger.Warn("unknown vendor message", "dpid", dp.dpid, "vendor", msg.Vendor)
@@ -295,6 +289,7 @@ func (c *Controller) readLoop(ctx context.Context, dp *datapath) {
 		case *openflow.Error:
 			c.logger.Warn("switch reported error", "dpid", dp.dpid, "err", msg.Error())
 		default:
+			// An Unsupported too: logged, and the datapath stays up.
 			c.logger.Warn("unexpected message", "dpid", dp.dpid, "type", m.MsgType().String())
 		}
 	}

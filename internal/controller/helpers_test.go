@@ -2,10 +2,8 @@ package controller
 
 import (
 	"context"
-	"log/slog"
 	"net"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"tsu/internal/core"
@@ -71,17 +69,3 @@ func (j *Job) timings() []RoundTiming {
 	}
 	return out
 }
-
-// flowRemovedLog counts the controller's "flow removed" log records:
-// what the controller does with a FLOW_REMOVED.
-type flowRemovedLog struct{ n atomic.Int64 }
-
-func (h *flowRemovedLog) Enabled(context.Context, slog.Level) bool { return true }
-func (h *flowRemovedLog) Handle(_ context.Context, r slog.Record) error {
-	if r.Message == "flow removed" {
-		h.n.Add(1)
-	}
-	return nil
-}
-func (h *flowRemovedLog) WithAttrs([]slog.Attr) slog.Handler { return h }
-func (h *flowRemovedLog) WithGroup(string) slog.Handler      { return h }

@@ -36,9 +36,9 @@ func jobGoroutines() int {
 }
 
 // steadyGoroutines is the goroutine count that holds for a few
-// milliseconds: the least of eight samples 500 µs apart. A fleet's
-// expiry sweeps are timers that each fire on a momentary goroutine; a
-// parked goroutine — what these tests count — outlasts the window.
+// milliseconds: the least of eight samples 500 µs apart. A goroutine
+// on its way out is gone within the window; a parked goroutine — what
+// these tests count — outlasts it.
 func steadyGoroutines() int {
 	least := runtime.NumGoroutine()
 	for i := 1; i < 8; i++ {

@@ -391,8 +391,8 @@ func (s *streamConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// everyMessage holds one message of each type the decoder knows, every
-// byte field and port name set.
+// everyMessage holds one message of each type the decoder knows, and
+// an Unsupported, every byte field and port name set.
 func everyMessage() []openflow.Message {
 	fm := &openflow.FlowMod{
 		Match:    openflow.ExactNWDst([]byte{10, 0, 0, 2}),
@@ -412,13 +412,8 @@ func everyMessage() []openflow.Message {
 		&openflow.Vendor{Vendor: 0x5453, Data: []byte("plan partition")},
 		&openflow.FeaturesRequest{},
 		&openflow.FeaturesReply{DatapathID: 1, NBuffers: 256, NTables: 1, Ports: []openflow.PhyPort{port, {PortNo: 3, Name: "s1-h1"}}},
-		&openflow.PacketIn{BufferID: openflow.NoBuffer, TotalLen: 4, InPort: 1, Reason: openflow.PacketInReasonAction, Data: []byte{10, 0, 0, 2}},
-		&openflow.FlowRemoved{Match: fm.Match, Cookie: 9, Priority: 100, Reason: openflow.FlowRemovedHardTimeout, DurationSec: 3, PacketCount: 5, ByteCount: 320},
-		&openflow.PortStatus{Reason: 2, Port: port},
-		&openflow.PacketOut{BufferID: openflow.NoBuffer, InPort: openflow.PortNone, Actions: []openflow.Action{openflow.ActionOutput{Port: openflow.PortTable}}, Data: []byte{10, 0, 0, 3}},
 		fm,
-		&openflow.StatsRequest{Kind: openflow.StatsFlow, Flow: &openflow.FlowStatsRequest{Match: fm.Match, TableID: 0xff, OutPort: openflow.PortNone}},
-		&openflow.StatsReply{Kind: openflow.StatsFlow, Flows: []openflow.FlowStats{{Match: fm.Match, Priority: 100, Cookie: 1, Actions: fm.Actions}}},
+		&openflow.Unsupported{Type: 10, Body: []byte{0xff, 0xff, 0xff, 0xff, 0, 4, 0, 1, 0, 0, 10, 0, 0, 2}},
 		&openflow.BarrierRequest{},
 		&openflow.BarrierReply{},
 	}

@@ -25,9 +25,9 @@ func FuzzDecode(f *testing.F) {
 		Match:   taggedMatch(net.IPv4(10, 0, 0, 2), 9),
 		Actions: []Action{ActionSetVLAN{VLAN: 9}, ActionOutput{Port: 2}},
 	})
-	seed(&StatsReply{Kind: StatsFlow, Flows: []FlowStats{{Match: ExactNWDst(net.IPv4(10, 0, 0, 2))}}})
-	seed(&FlowRemoved{Match: ExactNWDst(net.IPv4(10, 0, 0, 2)), Reason: FlowRemovedIdleTimeout})
-	seed(&PortStatus{Reason: PortAdd, Port: PhyPort{PortNo: 2}})
+	seed(&Unsupported{Type: 9, Body: []byte{0, 0, 0xff, 0xe5}}) // SET_CONFIG
+	seed(&Unsupported{Type: 10, Body: []byte{0xff, 0xff, 0xff, 0xff, 0, 4, 0, 1, 0, 0, 10, 0, 0, 2}})
+	seed(&Unsupported{Type: 0x63})
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x0e, 0x00, 0x08, 0, 0, 0, 0})
 

@@ -253,6 +253,7 @@ const (
 	ErrCodeBadType       uint16 = 1
 	ErrCodeBadLen        uint16 = 2
 	ErrCodeAllTablesFull uint16 = 0
+	ErrCodeUnsupported   uint16 = 5 // OFPFMFC_UNSUPPORTED: a FlowMod flag or timeout the switch lacks
 )
 
 // Error reports a failure back to the message's sender; Data carries at
@@ -285,4 +286,26 @@ func (m *Error) decodeBody(b []byte) error {
 
 func (m *Error) Error() string {
 	return fmt.Sprintf("openflow error type=%d code=%d", m.ErrType, m.Code)
+}
+
+// Unsupported is a well-framed message of a type outside the supported
+// subset (PACKET_IN, SET_CONFIG, STATS_REQUEST, ...). Its body is kept
+// verbatim, so it re-encodes byte-identically. A switch answers one
+// with BAD_REQUEST/BAD_TYPE; the controller logs it and reads on.
+type Unsupported struct {
+	xid
+	Type MsgType
+	Body []byte
+}
+
+// MsgType returns the message's wire type.
+func (m *Unsupported) MsgType() MsgType { return m.Type }
+func (m *Unsupported) bodyLen() int     { return len(m.Body) }
+func (m *Unsupported) encodeBody(b []byte) error {
+	copy(b, m.Body)
+	return nil
+}
+func (m *Unsupported) decodeBody(b []byte) error {
+	m.Body = append([]byte(nil), b...)
+	return nil
 }

@@ -1,15 +1,18 @@
 // Package openflow implements the OpenFlow 1.0 wire protocol subset the
 // prototype uses: the controller↔switch handshake (HELLO, FEATURES),
-// rule installation (FLOW_MOD with OUTPUT actions), the barrier
-// exchange that delimits update rounds (BARRIER_REQUEST/REPLY), flow
-// statistics (STATS_REQUEST/REPLY, used to measure flow-table update
-// time), liveness (ECHO), and error reporting.
+// rule installation (FLOW_MOD with OUTPUT and VLAN actions), the
+// barrier exchange that delimits update rounds (BARRIER_REQUEST/REPLY),
+// liveness (ECHO), error reporting, and VENDOR, which carries package
+// planwire's plan pushes, completion reports and state queries.
 //
 // All encoding is big-endian per the specification, with strict length
 // validation on decode: a malformed message yields an error, never a
-// partially populated struct. Messages are plain structs; Encode and
-// Decode translate between them and wire bytes. Framing over a stream
-// (reading exactly one message) lives in package ofconn.
+// partially populated struct. A well-framed message of any other type
+// decodes to an Unsupported that keeps its body verbatim, so a peer
+// speaking more of the protocol does not end the connection. Messages
+// are plain structs; Encode and Decode translate between them and wire
+// bytes. Framing over a stream (reading exactly one message) lives in
+// package ofconn.
 package openflow
 
 import (
@@ -40,11 +43,7 @@ const (
 	TypeVendor          MsgType = 4
 	TypeFeaturesRequest MsgType = 5
 	TypeFeaturesReply   MsgType = 6
-	TypePacketIn        MsgType = 10
-	TypePacketOut       MsgType = 13
 	TypeFlowMod         MsgType = 14
-	TypeStatsRequest    MsgType = 16
-	TypeStatsReply      MsgType = 17
 	TypeBarrierRequest  MsgType = 18
 	TypeBarrierReply    MsgType = 19
 )
@@ -65,20 +64,8 @@ func (t MsgType) String() string {
 		return "FEATURES_REQUEST"
 	case TypeFeaturesReply:
 		return "FEATURES_REPLY"
-	case TypePacketIn:
-		return "PACKET_IN"
-	case TypeFlowRemoved:
-		return "FLOW_REMOVED"
-	case TypePortStatus:
-		return "PORT_STATUS"
-	case TypePacketOut:
-		return "PACKET_OUT"
 	case TypeFlowMod:
 		return "FLOW_MOD"
-	case TypeStatsRequest:
-		return "STATS_REQUEST"
-	case TypeStatsReply:
-		return "STATS_REPLY"
 	case TypeBarrierRequest:
 		return "BARRIER_REQUEST"
 	case TypeBarrierReply:
@@ -123,9 +110,10 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Message is any OpenFlow message of the supported subset. Xid returns
-// the transaction id; SetXid is provided by all implementations via the
-// embedded field, so the connection layer can allocate ids uniformly.
+// Message is any OpenFlow message: one of the supported subset, or an
+// Unsupported. Xid returns the transaction id; SetXid is provided by all
+// implementations via the embedded field, so the connection layer can
+// allocate ids uniformly.
 type Message interface {
 	MsgType() MsgType
 	Xid() uint32
@@ -136,6 +124,8 @@ type Message interface {
 	// encodeBody writes the body into b, which has exactly bodyLen()
 	// bytes.
 	encodeBody(b []byte) error
+	// decodeBody parses the body, copying out every byte it keeps.
+	decodeBody(b []byte) error
 }
 
 // xid provides the Xid accessors every message embeds.
@@ -176,7 +166,8 @@ func AppendTo(buf []byte, m Message) ([]byte, error) {
 }
 
 // Decode parses exactly one complete message. The input must contain
-// the entire message and nothing more (framing is the caller's job).
+// the entire message and nothing more (framing is the caller's job). A
+// type outside the supported subset decodes to an Unsupported.
 func Decode(b []byte) (Message, error) {
 	h, err := ParseHeader(b)
 	if err != nil {
@@ -202,43 +193,18 @@ func Decode(b []byte) (Message, error) {
 		m = &FeaturesRequest{}
 	case TypeFeaturesReply:
 		m = &FeaturesReply{}
-	case TypePacketIn:
-		m = &PacketIn{}
-	case TypeFlowRemoved:
-		m = &FlowRemoved{}
-	case TypePortStatus:
-		m = &PortStatus{}
-	case TypePacketOut:
-		m = &PacketOut{}
 	case TypeFlowMod:
 		m = &FlowMod{}
-	case TypeStatsRequest:
-		m = &StatsRequest{}
-	case TypeStatsReply:
-		m = &StatsReply{}
 	case TypeBarrierRequest:
 		m = &BarrierRequest{}
 	case TypeBarrierReply:
 		m = &BarrierReply{}
 	default:
-		return nil, fmt.Errorf("openflow: unsupported message type %s", h.Type)
+		m = &Unsupported{Type: h.Type}
 	}
-	if err := decodeBodyInto(m, body); err != nil {
+	if err := m.decodeBody(body); err != nil {
 		return nil, fmt.Errorf("openflow: decoding %s: %w", h.Type, err)
 	}
 	m.SetXid(h.Xid)
 	return m, nil
-}
-
-// bodyDecoder is implemented by every message to parse its body.
-type bodyDecoder interface {
-	decodeBody(b []byte) error
-}
-
-func decodeBodyInto(m Message, body []byte) error {
-	d, ok := m.(bodyDecoder)
-	if !ok {
-		return fmt.Errorf("message type %s lacks a decoder", m.MsgType())
-	}
-	return d.decodeBody(body)
 }

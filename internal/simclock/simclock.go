@@ -26,11 +26,11 @@
 //     to put live TCP deployments (switch control loops, the engine's
 //     inter-round pauses) on virtual time, not to pin interleavings.
 //     AutoAdvance drives such a deployment: whenever no event has
-//     fired for an idle window of real time, the next pending event is
-//     released, so virtual delays cost (almost) no wall-clock time.
+//     fired for an idle window of real time, the clock moves toward the
+//     next pending event, so virtual delays cost little wall-clock time.
 //
 //   - Timer-driven duties (AfterFunc): a recurring or delayed duty — a
-//     switch's flow-expiry sweep, a peer ack in flight — is one queue
+//     peer ack in flight between two switches — is one queue
 //     event that starts its function on a goroutine of its own when it
 //     fires, so nothing is parked while it waits and the function may
 //     block or use the clock, as under time.AfterFunc. Fire times are
@@ -322,14 +322,21 @@ func (s *Sim) Fired() uint64 {
 	return s.fired
 }
 
+// autoStep bounds how far one idle window of AutoAdvance moves the
+// clock: a message in flight on a real socket looks idle, and jumping
+// to a far event (a 30 s round timeout) would fire it before the reply
+// lands.
+const autoStep = 50 * time.Millisecond
+
 // AutoAdvance starts a background driver for live deployments on
 // virtual time: whenever no event has fired for an idle window of real
-// time and events are pending, it releases the next pending timestamp
-// (Step). Goroutines blocked in Sleep/After thus wake as soon as the
-// system is otherwise quiescent, so virtual delays cost roughly one
-// idle window of wall-clock time each instead of their face value.
-// idle <= 0 selects 500µs. The returned stop function halts the driver
-// (idempotent).
+// time and events are pending, it moves the clock toward the next
+// pending timestamp by at most autoStep, firing that timestamp's events
+// once it is reached. Goroutines blocked in Sleep/After thus wake as
+// soon as the system is otherwise quiescent, so virtual delays cost
+// about one idle window of wall-clock time per autoStep instead of
+// their face value. idle <= 0 selects 500µs. The returned stop function
+// halts the driver (idempotent).
 func (s *Sim) AutoAdvance(idle time.Duration) (stop func()) {
 	if idle <= 0 {
 		idle = 500 * time.Microsecond
@@ -348,7 +355,15 @@ func (s *Sim) AutoAdvance(idle time.Duration) (stop func()) {
 				last = cur // progress without us; give it another window
 				continue
 			}
-			s.Step()
+			s.mu.Lock()
+			limit, pending := s.now.Add(autoStep), len(s.queue) > 0
+			if pending && s.queue[0].at.Before(limit) {
+				limit = s.queue[0].at
+			}
+			s.mu.Unlock()
+			if pending {
+				s.AdvanceTo(limit)
+			}
 			last = s.Fired()
 		}
 	}()

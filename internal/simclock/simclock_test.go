@@ -214,7 +214,7 @@ func TestSimAfterFuncMayBlockOnTheClock(t *testing.T) {
 	done = make(chan struct{})
 	var tick func()
 	ticks := 0
-	tick = func() { // a self re-arming duty, as switchsim's expiry sweep
+	tick = func() { // a self re-arming duty
 		s.Sleep(time.Second)
 		if ticks++; ticks == 5 {
 			close(done)

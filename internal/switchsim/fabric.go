@@ -53,13 +53,6 @@ func (r *ProbeResult) VisitedBefore(w topo.NodeID) bool {
 	return false
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fabric is the in-memory data plane: it wires simulated switches
 // according to the topology's canonical port map and walks probe
 // packets hop by hop. Each hop reads the current flow table of the
@@ -126,9 +119,6 @@ func (f *Fabric) deliverPeerAck(from *Switch, to topo.NodeID, ack PeerAck, extra
 	})
 }
 
-// probeSize is the byte size accounted per probe packet.
-const probeSize = 64
-
 // Inject walks an untagged probe for flow nwDst starting at switch
 // `at` with the given hop budget. The walk is performed in the caller's
 // goroutine; every hop consults the live flow table of the switch it
@@ -149,7 +139,7 @@ func (f *Fabric) Inject(at topo.NodeID, nwDst uint32, ttl int) ProbeResult {
 			res.Outcome = ProbeTTLExceeded
 			return res
 		}
-		actions, ok := sw.Table().LookupKey(pkt, probeSize)
+		actions, ok := sw.Table().LookupKey(pkt)
 		if !ok {
 			res.Outcome = ProbeDropped
 			return res
@@ -185,17 +175,6 @@ func applyActions(actions []openflow.Action, pkt *openflow.PacketKey) (uint16, b
 			pkt.VLAN = openflow.VLANNone
 		case openflow.ActionOutput:
 			return act.Port, true
-		}
-	}
-	return 0, false
-}
-
-// outputPort extracts the first OUTPUT action's port without applying
-// field rewrites (used where only the forwarding target matters).
-func outputPort(actions []openflow.Action) (uint16, bool) {
-	for _, a := range actions {
-		if out, ok := a.(openflow.ActionOutput); ok {
-			return out.Port, true
 		}
 	}
 	return 0, false

@@ -9,8 +9,7 @@ import (
 )
 
 // TestWipeEmptiesTable pins the crash semantics of the flow table: a
-// wipe forgets every entry silently (no FLOW_REMOVED), and wiping an
-// empty table is a no-op.
+// wipe forgets every entry, and wiping an empty table is a no-op.
 func TestWipeEmptiesTable(t *testing.T) {
 	tbl := &FlowTable{}
 	tbl.Apply(fm(openflow.FlowAdd, "10.0.0.1", 100, 1))

@@ -1,11 +1,13 @@
 // Package switchsim simulates OpenFlow software switches (the OVS
-// stand-in of the reproduction): each switch speaks the OpenFlow 1.0
-// subset over a real TCP control connection, processes control messages
-// strictly in order (which is what makes barrier replies meaningful),
-// delays rule installation per a configurable latency distribution
-// (after the PAM'15 measurements the paper cites), and forwards
-// data-plane probe packets across an in-memory fabric wired from the
-// shared topology.
+// stand-in of the reproduction): each switch speaks what the controller
+// sends — HELLO, ECHO, FEATURES, FLOW_MOD, BARRIER and planwire's
+// VENDOR messages — over a real TCP control connection, answers any
+// other message type with BAD_TYPE, processes control messages strictly
+// in order (which is what makes barrier replies meaningful), delays
+// rule installation per a configurable latency distribution (after the
+// PAM'15 measurements the paper cites), and forwards data-plane probe
+// packets across an in-memory fabric wired from the shared topology.
+// Rules never expire and keep no counters.
 //
 // The paper's footnote limits the demo's claims to "the asynchronicity
 // of the control channel" — exactly what this simulator reproduces:
@@ -16,27 +18,17 @@ package switchsim
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"tsu/internal/openflow"
 )
 
-// FlowEntry is one installed rule.
+// FlowEntry is one installed rule. It never expires and counts no
+// hits: nothing in the system asks for either.
 type FlowEntry struct {
 	Match    openflow.Match
 	Priority uint16
 	Cookie   uint64
 	Actions  []openflow.Action
-
-	IdleTimeout uint16 // seconds of TimeoutUnit without a hit (0 = never)
-	HardTimeout uint16 // seconds of TimeoutUnit since install (0 = never)
-	Flags       uint16
-
-	PacketCount uint64
-	ByteCount   uint64
-
-	installed time.Time
-	lastHit   time.Time
 }
 
 // FlowTable is a single OpenFlow 1.0 flow table with priority matching.
@@ -46,25 +38,6 @@ type FlowEntry struct {
 type FlowTable struct {
 	mu      sync.RWMutex
 	entries []*FlowEntry
-	nowFn   func() time.Time // nil = time.Now (wall clock)
-}
-
-// SetNow points the table's entry timestamps (install time, last hit)
-// at a different time source — a simclock's Now for virtual-time
-// simulations. Call before the table is in use.
-func (t *FlowTable) SetNow(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nowFn = now
-}
-
-// now reads the table's time source. Caller must hold t.mu (read or
-// write).
-func (t *FlowTable) now() time.Time {
-	if t.nowFn != nil {
-		return t.nowFn()
-	}
-	return time.Now()
 }
 
 // Len returns the number of installed entries.
@@ -75,8 +48,7 @@ func (t *FlowTable) Len() int {
 }
 
 // Wipe removes every entry — the flow table of a switch that lost
-// power. No FLOW_REMOVED messages are generated; a crashed switch
-// cannot report what it forgot.
+// power.
 func (t *FlowTable) Wipe() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -94,8 +66,15 @@ func (t *FlowTable) Wipe() {
 //     also requires equal priority).
 //
 // It returns an Error message to send back when the FlowMod is
-// unacceptable, or nil.
+// unacceptable, or nil. A FlowMod asking for an idle or hard timeout,
+// or for FLOW_REMOVED, is refused with FLOW_MOD_FAILED/UNSUPPORTED and
+// changes nothing: this table never expires a rule and never reports a
+// removal, and installing the rule anyway would drop that request
+// silently.
 func (t *FlowTable) Apply(fm *openflow.FlowMod) *openflow.Error {
+	if fm.IdleTimeout != 0 || fm.HardTimeout != 0 || fm.Flags&openflow.FlagSendFlowRem != 0 {
+		return flowModFailed(fm, openflow.ErrCodeUnsupported)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch fm.Command {
@@ -119,25 +98,24 @@ func (t *FlowTable) Apply(fm *openflow.FlowMod) *openflow.Error {
 		strict := fm.Command == openflow.FlowDeleteStrict
 		t.removeLocked(fm.Match, fm.Priority, strict)
 	default:
-		e := &openflow.Error{ErrType: openflow.ErrTypeFlowModFail, Code: openflow.ErrCodeBadType}
-		e.SetXid(fm.Xid())
-		return e
+		return flowModFailed(fm, openflow.ErrCodeBadType)
 	}
 	return nil
 }
 
+// flowModFailed is the FLOW_MOD_FAILED error answering fm.
+func flowModFailed(fm *openflow.FlowMod, code uint16) *openflow.Error {
+	e := &openflow.Error{ErrType: openflow.ErrTypeFlowModFail, Code: code}
+	e.SetXid(fm.Xid())
+	return e
+}
+
 func (t *FlowTable) insertLocked(fm *openflow.FlowMod) {
-	now := t.now()
 	t.entries = append(t.entries, &FlowEntry{
-		Match:       fm.Match,
-		Priority:    fm.Priority,
-		Cookie:      fm.Cookie,
-		Actions:     fm.Actions,
-		IdleTimeout: fm.IdleTimeout,
-		HardTimeout: fm.HardTimeout,
-		Flags:       fm.Flags,
-		installed:   now,
-		lastHit:     now,
+		Match:    fm.Match,
+		Priority: fm.Priority,
+		Cookie:   fm.Cookie,
+		Actions:  fm.Actions,
 	})
 	// Highest priority first; stable order by insertion for ties.
 	sort.SliceStable(t.entries, func(i, j int) bool {
@@ -157,82 +135,23 @@ func (t *FlowTable) removeLocked(m openflow.Match, prio uint16, strict bool) {
 }
 
 // Lookup returns the actions of the highest-priority entry covering an
-// untagged packet to nwDst, counting the hit; ok is false on a miss.
-func (t *FlowTable) Lookup(nwDst uint32, packetBytes uint64) (actions []openflow.Action, ok bool) {
-	return t.LookupKey(openflow.UntaggedPacket(nwDst), packetBytes)
+// untagged packet to nwDst; ok is false on a miss.
+func (t *FlowTable) Lookup(nwDst uint32) (actions []openflow.Action, ok bool) {
+	return t.LookupKey(openflow.UntaggedPacket(nwDst))
 }
 
 // LookupKey returns the actions of the highest-priority entry covering
-// the packet, counting the hit; ok is false on a table miss.
-func (t *FlowTable) LookupKey(k openflow.PacketKey, packetBytes uint64) (actions []openflow.Action, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// the packet; ok is false on a table miss. It only reads, so probes
+// walking the same switch do not serialize on it.
+func (t *FlowTable) LookupKey(k openflow.PacketKey) (actions []openflow.Action, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for _, e := range t.entries {
 		if e.Match.CoversKey(k) {
-			e.PacketCount++
-			e.ByteCount += packetBytes
-			e.lastHit = t.now()
 			return e.Actions, true
 		}
 	}
 	return nil, false
-}
-
-// ExpireEntries removes entries whose idle or hard timeout elapsed,
-// measuring timeouts in units of `unit` (the OpenFlow spec uses
-// seconds; simulations shrink the unit for testability). It returns
-// the expired entries and their reasons so the switch can emit
-// FLOW_REMOVED notifications for entries flagged with FlagSendFlowRem.
-func (t *FlowTable) ExpireEntries(now time.Time, unit time.Duration) (expired []FlowEntry, reasons []uint8) {
-	if unit <= 0 {
-		unit = time.Second
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		switch {
-		case e.HardTimeout > 0 && now.Sub(e.installed) >= time.Duration(e.HardTimeout)*unit:
-			expired = append(expired, *e)
-			reasons = append(reasons, openflow.FlowRemovedHardTimeout)
-		case e.IdleTimeout > 0 && now.Sub(e.lastHit) >= time.Duration(e.IdleTimeout)*unit:
-			expired = append(expired, *e)
-			reasons = append(reasons, openflow.FlowRemovedIdleTimeout)
-		default:
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	return expired, reasons
-}
-
-// Age returns how long the entry has been installed, for FLOW_REMOVED
-// duration reporting.
-func (e *FlowEntry) Age(now time.Time) time.Duration { return now.Sub(e.installed) }
-
-// Stats snapshots the table as flow-stats entries (highest priority
-// first).
-func (t *FlowTable) Stats() []openflow.FlowStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	now := t.now()
-	out := make([]openflow.FlowStats, 0, len(t.entries))
-	for _, e := range t.entries {
-		age := e.Age(now)
-		out = append(out, openflow.FlowStats{
-			Match:        e.Match,
-			Priority:     e.Priority,
-			Cookie:       e.Cookie,
-			IdleTimeout:  e.IdleTimeout,
-			HardTimeout:  e.HardTimeout,
-			DurationSec:  uint32(age / time.Second),
-			DurationNsec: uint32(age % time.Second),
-			PacketCount:  e.PacketCount,
-			ByteCount:    e.ByteCount,
-			Actions:      e.Actions,
-		})
-	}
-	return out
 }
 
 // Snapshot returns copies of the current entries (for assertions in

@@ -25,11 +25,11 @@ func nwDst(ip string) uint32 {
 
 func lookupPort(t *testing.T, tbl *FlowTable, ip string) uint16 {
 	t.Helper()
-	actions, ok := tbl.Lookup(nwDst(ip), 64)
+	actions, ok := tbl.Lookup(nwDst(ip))
 	if !ok {
 		t.Fatalf("lookup %s missed", ip)
 	}
-	port, ok := outputPort(actions)
+	port, ok := applyActions(actions, &openflow.PacketKey{})
 	if !ok {
 		t.Fatalf("entry for %s has no output action", ip)
 	}
@@ -47,7 +47,7 @@ func TestFlowTableAddAndLookup(t *testing.T) {
 	if got := lookupPort(t, &tbl, "10.0.0.2"); got != 3 {
 		t.Fatalf("port = %d", got)
 	}
-	if _, ok := tbl.Lookup(nwDst("10.0.0.9"), 64); ok {
+	if _, ok := tbl.Lookup(nwDst("10.0.0.9")); ok {
 		t.Fatal("miss expected for other flow")
 	}
 }
@@ -123,7 +123,7 @@ func TestFlowTableDelete(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("len = %d", tbl.Len())
 	}
-	if _, ok := tbl.Lookup(nwDst("10.0.0.2"), 64); ok {
+	if _, ok := tbl.Lookup(nwDst("10.0.0.2")); ok {
 		t.Fatal("deleted entry still matches")
 	}
 	if got := lookupPort(t, &tbl, "10.0.0.3"); got != 4 {
@@ -157,25 +157,6 @@ func TestFlowTableBadCommand(t *testing.T) {
 	}
 }
 
-func TestFlowTableCounters(t *testing.T) {
-	var tbl FlowTable
-	tbl.Apply(fm(openflow.FlowAdd, "10.0.0.2", 100, 3))
-	for i := 0; i < 5; i++ {
-		tbl.Lookup(nwDst("10.0.0.2"), 100)
-	}
-	stats := tbl.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("stats len = %d", len(stats))
-	}
-	if stats[0].PacketCount != 5 || stats[0].ByteCount != 500 {
-		t.Fatalf("counters = %d/%d", stats[0].PacketCount, stats[0].ByteCount)
-	}
-	snap := tbl.Snapshot()
-	if len(snap) != 1 || snap[0].PacketCount != 5 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 func TestFlowTableConcurrentAccess(t *testing.T) {
 	var tbl FlowTable
 	done := make(chan bool)
@@ -187,8 +168,8 @@ func TestFlowTableConcurrentAccess(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 500; i++ {
-			tbl.Lookup(nwDst("10.0.0.2"), 64)
-			tbl.Stats()
+			tbl.Lookup(nwDst("10.0.0.2"))
+			tbl.Snapshot()
 		}
 		done <- true
 	}()

@@ -17,11 +17,13 @@ import (
 
 // queryBed is one switch on a live control connection whose controller
 // end the test drives: it writes messages and reads the switch's state
-// reports.
+// reports, and every other message the switch sends.
 type queryBed struct {
 	sw      *Switch
+	nc      net.Conn // under conn: for frames the codec does not build
 	conn    *ofconn.Conn
 	reports chan *planwire.StateReport
+	replies chan openflow.Message // closed once the switch hangs up
 }
 
 func newQueryBed(t *testing.T, cfg Config) *queryBed {
@@ -32,17 +34,19 @@ func newQueryBed(t *testing.T, cfg Config) *queryBed {
 	}
 	t.Cleanup(func() { ln.Close() })
 	accepted := make(chan *ofconn.Conn, 1)
+	var nc net.Conn
 	go func() {
 		defer close(accepted)
-		nc, err := ln.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		conn := ofconn.New(nc)
+		conn := ofconn.New(c)
 		if _, err := ofconn.HandshakeController(conn); err != nil {
 			conn.Close()
 			return
 		}
+		nc = c
 		accepted <- conn
 	}()
 	sw, err := NewSwitch(NewFabric(topo.Fig1()), cfg)
@@ -60,9 +64,11 @@ func newQueryBed(t *testing.T, cfg Config) *queryBed {
 		t.Fatal("controller-side handshake failed")
 	}
 	t.Cleanup(func() { conn.Close() })
-	// Room for more answers than any test asks for: the reader never blocks.
-	b := &queryBed{sw: sw, conn: conn, reports: make(chan *planwire.StateReport, 8)}
+	// Room for more answers than any test asks for: the reader never
+	// blocks, and drops replies past 64 that no test reads.
+	b := &queryBed{sw: sw, nc: nc, conn: conn, reports: make(chan *planwire.StateReport, 8), replies: make(chan openflow.Message, 64)}
 	go func() {
+		defer close(b.replies)
 		for {
 			m, err := conn.ReadMessage()
 			if err != nil {
@@ -72,10 +78,28 @@ func newQueryBed(t *testing.T, cfg Config) *queryBed {
 				if r, err := planwire.DecodeStateReport(v.Data); err == nil {
 					b.reports <- r
 				}
+				continue
+			}
+			select {
+			case b.replies <- m:
+			default: // unread by this test
 			}
 		}
 	}()
 	return b
+}
+
+// next returns the switch's next message other than a state report,
+// or nil once the switch has hung up.
+func (b *queryBed) next(t *testing.T) openflow.Message {
+	t.Helper()
+	select {
+	case m := <-b.replies:
+		return m
+	case <-time.After(10 * time.Second):
+		t.Fatal("the switch sent nothing")
+		return nil
+	}
 }
 
 // send writes one message on the controller end.
@@ -127,7 +151,7 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	if !slices.Equal(r.AgentDone, []int{0}) || r.RulePresent {
 		t.Fatalf("answer = %+v, want the in-flight root done and no rule for the flow", r)
 	}
-	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.9"), 64); !ok {
+	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.9")); !ok {
 		t.Fatal("the root node answered done but its rule is not installed")
 	}
 
@@ -140,7 +164,7 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	if got := b.sw.agent.doneNodes(1); !slices.Equal(got, []int{0}) {
 		t.Fatalf("doneNodes = %v after the query, want [0]", got)
 	}
-	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.2"), 64); ok {
+	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.2")); ok {
 		t.Fatal("a node released after the query installed")
 	}
 }

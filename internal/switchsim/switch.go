@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tsu/internal/metrics"
 	"tsu/internal/netem"
@@ -101,19 +100,14 @@ type Config struct {
 	// mid-update disconnects).
 	Faults Faults
 
-	// TimeoutUnit scales flow-entry idle/hard timeouts (the OpenFlow
-	// spec counts them in seconds; simulations shrink the unit). Zero
-	// selects one second.
-	TimeoutUnit time.Duration
-
-	// Clock is the time base for latencies, flow-entry timestamps and
-	// timeout expiry. Nil selects the wall clock; a simclock.Sim puts
-	// the whole switch on virtual time (its latencies then elapse only
-	// when the simulation advances). When Source is also set, the
-	// source's own clock wins for latency sleeps. The switch's timed
-	// duties — expiry sweeps, peer acks in flight — are AfterFunc
-	// timers on this clock, so a connected switch at rest costs one
-	// goroutine: its blocking connection reader.
+	// Clock is the time base for latencies and peer acks. Nil selects
+	// the wall clock; a simclock.Sim puts the whole switch on virtual
+	// time (its latencies then elapse only when the simulation
+	// advances). When Source is also set, the source's own clock wins
+	// for latency sleeps. A peer ack in flight is an AfterFunc timer on
+	// this clock, and nothing else is: a connected switch at rest costs
+	// one goroutine, its blocking connection reader, and leaves no event
+	// pending.
 	Clock simclock.Clock
 
 	// Deprecated: ignored, there is one switch layout. The field stays
@@ -140,7 +134,6 @@ type Switch struct {
 
 	mu   sync.Mutex
 	conn *ofconn.Conn // the live connection: nil once its loop has ended
-	gen  uint64       // bumped by every Connect; a sweep chain keys on it
 	done chan struct{}
 }
 
@@ -155,12 +148,10 @@ func NewSwitch(f *Fabric, cfg Config) (*Switch, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	table := &FlowTable{}
-	table.SetNow(clock.Now)
 	s := &Switch{
 		cfg:    cfg,
 		fabric: f,
-		table:  table,
+		table:  &FlowTable{},
 		src:    src,
 		clock:  clock,
 		logger: logger.With("dpid", uint64(cfg.Node)),
@@ -218,10 +209,9 @@ func portHWAddr(dpid uint64, port uint16) [6]byte {
 }
 
 // Connect dials the controller and returns once the dial succeeded.
-// The switch-side handshake, then the expiry sweeps and the control
-// loop, run on the switch's own goroutine, as a real switch's
-// connection manager runs them: dialing a fleet does not wait for each
-// handshake in turn. A failed handshake is logged and ends the loop,
+// The switch-side handshake, then the control loop, run on the switch's
+// own goroutine, as a real switch's connection manager runs them:
+// dialing a fleet does not wait for each handshake in turn. A failed handshake is logged and ends the loop,
 // which Connected then reports. Stop, or ctx cancellation, ends it too.
 func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 	var d net.Dialer
@@ -234,15 +224,12 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 
 	s.mu.Lock()
 	s.conn = conn
-	s.gen++
-	gen := s.gen
 	s.done = done
 	s.mu.Unlock()
 
 	// The blocking reader is the switch's only goroutine: Stop closes
-	// the connection itself, ctx cancellation closes it from one
-	// context callback, and the expiry sweep is a self re-arming timer
-	// on the clock.
+	// the connection itself, and ctx cancellation closes it from one
+	// context callback.
 	stopClose := context.AfterFunc(ctx, func() { conn.Close() }) //nolint:errcheck // unblocking the reader
 	go func() {
 		defer close(done)
@@ -255,57 +242,8 @@ func (s *Switch) Connect(ctx context.Context, controllerAddr string) error {
 			}
 			return
 		}
-		s.startSweeps(ctx, gen)
 		s.controlLoop(ctx, conn)
 	}()
-	return nil
-}
-
-// timeoutUnit returns the configured flow-timeout unit (one second by
-// default).
-func (s *Switch) timeoutUnit() time.Duration {
-	if s.cfg.TimeoutUnit > 0 {
-		return s.cfg.TimeoutUnit
-	}
-	return time.Second
-}
-
-// expiryPeriod is the sweep cadence derived from the timeout unit.
-func (s *Switch) expiryPeriod() time.Duration {
-	period := s.timeoutUnit() / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
-	return period
-}
-
-// sweepExpiry runs one idle/hard-timeout sweep at the given instant
-// and emits FLOW_REMOVED for expired entries that asked for it.
-func (s *Switch) sweepExpiry(conn *ofconn.Conn, now time.Time) error {
-	expired, reasons := s.table.ExpireEntries(now, s.timeoutUnit())
-	for i, e := range expired {
-		if e.Flags&openflow.FlagSendFlowRem == 0 {
-			continue
-		}
-		age := e.Age(now)
-		fr := &openflow.FlowRemoved{
-			Match:        e.Match,
-			Cookie:       e.Cookie,
-			Priority:     e.Priority,
-			Reason:       reasons[i],
-			DurationSec:  uint32(age / time.Second),
-			DurationNsec: uint32(age % time.Second),
-			IdleTimeout:  e.IdleTimeout,
-			PacketCount:  e.PacketCount,
-			ByteCount:    e.ByteCount,
-		}
-		if _, err := conn.Send(fr); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -319,31 +257,6 @@ func (s *Switch) release(conn *ofconn.Conn) {
 	}
 	s.mu.Unlock()
 	conn.Release()
-}
-
-// startSweeps arms the expiry sweep of connection generation gen on the
-// switch's clock; each sweep re-arms the next. A sweep reads the
-// connection at fire time rather than capturing it: a clock timer
-// cannot be stopped, and one pending after Stop must not pin the
-// socket. The chain dies at fire time once ctx is done, gen is no
-// longer the switch's live connection, or a FLOW_REMOVED could not be
-// sent.
-func (s *Switch) startSweeps(ctx context.Context, gen uint64) {
-	period := s.expiryPeriod()
-	var sweep func()
-	sweep = func() {
-		s.mu.Lock()
-		conn := s.conn
-		if s.gen != gen {
-			conn = nil
-		}
-		s.mu.Unlock()
-		if ctx.Err() != nil || conn == nil || s.sweepExpiry(conn, s.clock.Now()) != nil {
-			return
-		}
-		s.clock.AfterFunc(period, sweep)
-	}
-	s.clock.AfterFunc(period, sweep)
 }
 
 // crashIfDue fires the DisconnectAfterFlowMods crash once the applied
@@ -497,31 +410,6 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		reply := &openflow.EchoReply{Data: msg.Data}
 		reply.SetXid(msg.Xid())
 		return conn.WriteMessage(reply)
-	case *openflow.StatsRequest:
-		reply := &openflow.StatsReply{Kind: openflow.StatsFlow, Flows: s.table.Stats()}
-		reply.SetXid(msg.Xid())
-		return conn.WriteMessage(reply)
-	case *openflow.PacketOut:
-		// The payload's first four bytes carry the flow's nw_dst (the
-		// probe convention of this repository). OFPP_TABLE means "run
-		// through my own flow table", i.e. start the data-plane walk
-		// here; a concrete port starts it at that port's neighbor.
-		if len(msg.Data) < 4 {
-			return nil
-		}
-		nwDst := uint32(msg.Data[0])<<24 | uint32(msg.Data[1])<<16 | uint32(msg.Data[2])<<8 | uint32(msg.Data[3])
-		start := s.cfg.Node
-		if port, ok := outputPort(msg.Actions); ok && port != openflow.PortTable {
-			next, isSwitch := s.fabric.Ports().Neighbor(s.cfg.Node, port)
-			if !isSwitch {
-				return nil // host port or invalid: nothing to walk
-			}
-			start = next
-		}
-		// Walk asynchronously: a packet in flight must not stall the
-		// control loop (and hence barrier ordering).
-		go s.fabric.Inject(start, nwDst, 4*s.fabric.Graph().NumNodes())
-		return nil
 	case *openflow.Vendor:
 		// Decentralized execution: the controller pushes this switch's
 		// plan partition once; the agent takes over from there.
@@ -568,6 +456,8 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		s.logger.Warn("unexpected reply on switch", "type", m.MsgType().String())
 		return nil
 	default:
+		// Any type the switch does not speak, Unsupported included: OF
+		// 1.0's answer, and the connection stays up.
 		e := &openflow.Error{ErrType: openflow.ErrTypeBadRequest, Code: openflow.ErrCodeBadType}
 		e.SetXid(m.Xid())
 		return conn.WriteMessage(e)

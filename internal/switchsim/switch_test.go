@@ -11,9 +11,10 @@ import (
 	"time"
 	"weak"
 
+	"tsu/internal/core"
 	"tsu/internal/ofconn"
 	"tsu/internal/openflow"
-	"tsu/internal/simclock"
+	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
 
@@ -150,18 +151,16 @@ func TestFeaturesPortOrder(t *testing.T) {
 	}
 }
 
-// TestStoppedSwitchSweepReleasesConnection: a clock timer cannot be
-// stopped, so a stopped switch's last expiry sweep stays pending — on a
-// virtual clock, until the simulation next steps. That sweep reads the
-// connection at fire time instead of capturing it, and the ended loop
-// clears the switch's own reference, so the dead connection (socket,
-// read buffer, contexts) is collectable while the sweep still waits.
-func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
+// TestStoppedSwitchReleasesConnection: the ended loop clears the
+// switch's own reference, so a stopped switch's dead connection
+// (socket, read buffer, contexts) is collectable.
+func TestStoppedSwitchReleasesConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	handshaked := make(chan struct{}, 1)
 	go func() {
 		for {
 			nc, err := ln.Accept()
@@ -174,24 +173,22 @@ func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
 				continue
 			}
 			defer conn.Close()
+			handshaked <- struct{}{}
 		}
 	}()
 
-	sim := simclock.NewSim(time.Time{})
 	g := topo.Fig1()
-	sw, err := NewSwitch(NewFabric(g), Config{Node: g.Nodes()[0], Clock: sim})
+	sw, err := NewSwitch(NewFabric(g), Config{Node: g.Nodes()[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Connect(context.Background(), ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
-	// The handshake runs on the switch's goroutine, which arms the
-	// first sweep once it completes.
-	for deadline := time.Now().Add(10 * time.Second); sim.Pending() != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d timers pending after the handshake, want 1 (the first sweep)", sim.Pending())
-		}
+	select {
+	case <-handshaked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handshake never completed")
 	}
 	wp := func() weak.Pointer[ofconn.Conn] {
 		sw.mu.Lock()
@@ -199,17 +196,93 @@ func TestStoppedSwitchSweepReleasesConnection(t *testing.T) {
 		return weak.Make(sw.conn)
 	}()
 	sw.Stop()
-	if n := sim.Pending(); n != 1 {
-		t.Fatalf("%d timers pending after Stop, want 1 (the last sweep)", n)
-	}
 	for i := 0; i < 4 && wp.Value() != nil; i++ {
 		runtime.GC()
 	}
 	if wp.Value() != nil {
-		t.Fatal("a stopped switch with a sweep pending still holds its connection")
+		t.Fatal("a stopped switch still holds its connection")
 	}
-	if n := sim.Pending(); n != 1 {
-		t.Fatalf("%d timers pending, want the last sweep still armed", n)
+}
+
+// TestSwitchAnswersUnsupportedType: a message type the switch does not
+// speak — the SET_CONFIG and GET_CONFIG_REQUEST a controller such as
+// Ryu sends on connect — is answered with BAD_REQUEST/BAD_TYPE and its
+// xid, and the connection stays up: a barrier behind them is answered.
+func TestSwitchAnswersUnsupportedType(t *testing.T) {
+	b := newQueryBed(t, Config{Node: 7})
+	frames := []byte{
+		1, 9, 0, 12, 0, 0, 0, 42, 0, 0, 0xff, 0xe5, // SET_CONFIG, xid 42
+		1, 7, 0, 8, 0, 0, 0, 43, // GET_CONFIG_REQUEST, xid 43
+	}
+	if _, err := b.nc.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	barrier := &openflow.BarrierRequest{}
+	barrier.SetXid(44)
+	if err := b.conn.WriteMessage(barrier); err != nil {
+		t.Fatal(err)
+	}
+	for _, xid := range []uint32{42, 43} {
+		m := b.next(t)
+		if e, ok := m.(*openflow.Error); !ok || e.ErrType != openflow.ErrTypeBadRequest || e.Code != openflow.ErrCodeBadType || e.Xid() != xid {
+			t.Fatalf("answer %#v, want BAD_REQUEST/BAD_TYPE with xid %d", m, xid)
+		}
+	}
+	if m, ok := b.next(t).(*openflow.BarrierReply); !ok || m.Xid() != 44 {
+		t.Fatalf("answer %#v, want the barrier reply with xid 44", m)
+	}
+}
+
+// TestFlowModTimeoutRefused: the table never expires a rule and never
+// reports a removal, so a FlowMod asking for a timeout or for
+// FLOW_REMOVED installs nothing — on the control channel, where it is
+// answered with FLOW_MOD_FAILED/UNSUPPORTED and its xid, and in a
+// pushed plan, whose node then stalls.
+func TestFlowModTimeoutRefused(t *testing.T) {
+	for name, set := range map[string]func(*openflow.FlowMod){
+		"idle":         func(f *openflow.FlowMod) { f.IdleTimeout = 5 },
+		"hard":         func(f *openflow.FlowMod) { f.HardTimeout = 5 },
+		"flow-removed": func(f *openflow.FlowMod) { f.Flags = openflow.FlagSendFlowRem },
+	} {
+		mod := func() *openflow.FlowMod {
+			f := fm(openflow.FlowAdd, "10.0.0.2", 100, 3)
+			set(f)
+			return f
+		}
+		t.Run("control/"+name, func(t *testing.T) {
+			b := newQueryBed(t, Config{Node: 7})
+			f := mod()
+			f.SetXid(9)
+			barrier := &openflow.BarrierRequest{}
+			barrier.SetXid(10)
+			for _, m := range []openflow.Message{f, barrier} {
+				if err := b.conn.WriteMessage(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := b.next(t)
+			if e, ok := m.(*openflow.Error); !ok || e.ErrType != openflow.ErrTypeFlowModFail || e.Code != openflow.ErrCodeUnsupported || e.Xid() != 9 {
+				t.Fatalf("answer %#v, want FLOW_MOD_FAILED/UNSUPPORTED with xid 9", m)
+			}
+			if r := b.query(t, 1, "10.0.0.2"); r.RulePresent {
+				t.Fatal("the refused rule is installed")
+			}
+		})
+		t.Run("agent/"+name, func(t *testing.T) {
+			b := newQueryBed(t, Config{Node: 7})
+			push, err := planwire.EncodePush(&planwire.Push{
+				Job:  1,
+				Part: &core.SwitchPartition{Switch: 7, NumNodes: 1, Nodes: []core.PartitionNode{{Index: 0}}},
+				Mods: [][]*openflow.FlowMod{{mod()}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: push})
+			if r := b.query(t, 1, "10.0.0.2"); r.RulePresent || len(r.AgentDone) != 0 {
+				t.Fatalf("answer = %+v, want the node stalled and no rule", r)
+			}
+		})
 	}
 }
 
