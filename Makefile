@@ -180,15 +180,18 @@ guard-one-client:
 
 # One decider: internal/verify is the only stage engine, and the
 # explorer, the synthesizer and /v1/explore are views over it. One
-# exhaustive enumerator (core.Walker.CheckStage) is the only caller of
-# Plan.VisitIdeals beside the IdealStates test reference. A second
-# PlanCounterexample, or a goroutine, an RNG, an ideal DFS or a map
-# (the old transposition table) in non-test code of internal/explore,
-# is a second decider coming back.
+# exhaustive enumerator and one sampler (core.Walker.CheckStage); the
+# enumerator is the only caller of Plan.VisitIdeals beside the
+# IdealStates test reference. A second PlanCounterexample, an RNG in
+# non-test code of internal/verify (its old subset sampler), or a
+# goroutine, an RNG, an ideal DFS or a map (the old transposition
+# table) in non-test code of internal/explore, is a second decider
+# coming back.
 guard-one-decider:
 	@out="$$( { defs="$$(grep -rnE --include='*.go' '^func (\([^)]*\) )?PlanCounterexample\(' . | grep -v '_test\.go:')"; \
 		[ "$$(printf '%s' "$$defs" | grep -c .)" -gt 1 ] && echo "$$defs"; \
 		grep -nE -e '^[[:space:]]*go[[:space:]]' -e 'rand\.New' -e 'VisitIdeals\(' -e 'map\[' internal/explore/*.go | grep -v '_test\.go:'; \
+		grep -nE -e '"math/rand' -e 'rand\.New' internal/verify/*.go | grep -v '_test\.go:'; \
 		calls="$$(grep -rn --include='*.go' 'VisitIdeals(' . | grep -v -e '_test\.go:' -e 'func (p \*Plan) VisitIdeals(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//')"; \
 		[ "$$(printf '%s' "$$calls" | grep -c .)" -gt 2 ] && echo "$$calls"; } )"; \
 	if [ -n "$$out" ]; then \

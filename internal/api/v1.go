@@ -307,12 +307,12 @@ type VerifyRequest struct {
 	// the consistent schedulers' properties so the dry run shows what
 	// would break).
 	Properties []string `json:"properties,omitempty"`
-	// Samples per stage (a round of a layered plan; a block between
-	// series cuts of a sparse one) when the exact search exceeds its
-	// budget (0 = verifier default).
+	// Samples: delivery orders replayed per stage (a round of a layered
+	// plan; a block between series cuts of a sparse one) that the exact
+	// search cannot decide within its budget (0 = verifier default).
 	Samples int `json:"samples,omitempty"`
-	// Seed makes sampled verification reproducible; an update's
-	// position in the batch is mixed in.
+	// Seed makes sampled verification reproducible; a stage's index
+	// within its plan is mixed in.
 	Seed int64 `json:"seed,omitempty"`
 }
 

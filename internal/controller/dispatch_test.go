@@ -328,6 +328,51 @@ func TestRollbackRunsOnDispatchPath(t *testing.T) {
 	}
 }
 
+// TestRollbackRefusedWhenSampled aborts a fully dispatched sparse
+// Peacock reroute of a 12-tooth comb, every node handed to the abort
+// path as its undo set, as rollbackOnSlowSwitches does. The reverse
+// plan passes its sampled stages but has one past the verify budget,
+// so it is not decided: the abort must refuse it — stuck, not
+// verified, nothing undone, no FlowMod sent.
+func TestRollbackRefusedWhenSampled(t *testing.T) {
+	ti := topo.Comb(12, 8)
+	tb := newTestbed(t, ti.Graph, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := tb.ctrl.InstallPath(ctx, ti.Old, flowMatch("10.0.0.2"), ""); err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustInstance(ti.Old, ti.New, 0)
+	sched, err := core.PlanByName(in, core.AlgoPeacock, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := tb.ctrl.Engine()
+	job, err := e.planJob(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]bool, job.NumInstalls())
+	for i := range all {
+		all[i] = true
+	}
+	if rep, err := reverseReport(job, job.rollback, all); err != nil || !rep.OK() || rep.Exact() {
+		t.Fatalf("reverse plan = %v (%v), want ok but sampled", rep, err)
+	}
+
+	batched := metrics.DispatchBatchMsgs.Sum()
+	report, err := e.abort(ctx, job, errors.New("injected"), all)
+	if err == nil || !strings.Contains(err.Error(), "rollback refused") {
+		t.Fatalf("abort error = %v, want the refusal", err)
+	}
+	if report.Phase != PhaseStuck || report.RollbackVerified || len(report.RolledBack) != 0 || len(report.Stuck) == 0 {
+		t.Fatalf("abort = %+v, want stuck, unverified, nothing undone", report)
+	}
+	if got := metrics.DispatchBatchMsgs.Sum() - batched; got != 0 {
+		t.Fatalf("a refused rollback put %d messages on the wire", got)
+	}
+}
+
 // TestInstallPathOneRoundTrip pins the policy install as a walk of a
 // plan without edges: every hop gets its FlowAdd and barrier at once,
 // so a k-hop path costs about what one switch costs, not k barrier

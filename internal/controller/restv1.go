@@ -384,8 +384,7 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	}
 	// One parallel verification pool for the whole request: every
 	// update is checked exactly once, as the plan it would execute,
-	// stage by stage (an entry's position in the batch seeds its
-	// sampled round subsets).
+	// stage by stage.
 	tasks := make([]verify.Task, len(plans))
 	for i, p := range plans {
 		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: p.Props}

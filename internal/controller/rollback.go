@@ -21,8 +21,8 @@ import (
 // rollback: every transient state on the way back down is then a state
 // the forward plan could already reach on its way up, so a
 // verified-safe update stays safe through its own abort. When the
-// reverse plan does not verify (one-shot plans whose installed ideal
-// admits unsafe sub-ideals), the job instead reports a stuck state
+// reverse plan fails (one-shot plans whose installed ideal admits
+// unsafe sub-ideals) or is only sampled, the job reports a stuck state
 // with the precise per-node unmet dependencies and leaves the rules in
 // place — a wrong rollback is worse than a frozen, diagnosable one.
 
@@ -40,9 +40,9 @@ const (
 	// execution failed partway; Installed minus RolledBack is still in
 	// effect.
 	PhaseRollbackFailed = "rollback-failed"
-	// PhaseStuck: the reverse plan did not verify safe; nothing was
-	// undone and Stuck lists each installed node's unmet rollback
-	// dependencies.
+	// PhaseStuck: the reverse plan did not verify safe, or was only
+	// sampled; nothing was undone and Stuck lists each installed node's
+	// unmet rollback dependencies.
 	PhaseStuck = "stuck"
 )
 
@@ -61,8 +61,8 @@ type FailureReport struct {
 	// RolledBack lists the switches whose installs were undone, a
 	// subset of Installed.
 	RolledBack []topo.NodeID
-	// RollbackVerified reports whether the reverse plan passed
-	// verification (true even when its execution later failed).
+	// RollbackVerified reports whether the reverse plan was decided
+	// safe (true even when its execution later failed).
 	RollbackVerified bool
 	// Stuck, for PhaseStuck/PhaseRollbackFailed, lists installed nodes
 	// left in place with the dependencies blocking their uninstall.
@@ -128,26 +128,26 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) 
 	return report, cause
 }
 
-// verifyRollback checks the reverse plan of the undo ideal's update
-// nodes. Cleanup nodes are excluded from the verified plan: they sit
-// past every update node, so a cleanup node in the ideal implies the
-// network is fully on the new path, where re-adding a stale old-path
-// rule at an unreachable switch is unobservable — runRollback undoes
-// them first, restoring exactly the state space this verification
-// covers.
+// verifyRollback passes the reverse plan of the undo ideal's update
+// nodes only on a decided, clean verdict. Cleanup nodes are excluded
+// from the verified plan: they sit past every update node, so a
+// cleanup node in the ideal implies the network is fully on the new
+// path, where re-adding a stale old-path rule at an unreachable switch
+// is unobservable — runRollback undoes them first, restoring exactly
+// the state space this verification covers.
 func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error {
 	rep, err := reverseReport(job, spec, undo)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	if !rep.OK() {
-		if cex := rep.FirstViolation(); cex != nil {
-			return fmt.Errorf("reverse plan admits a transient %v violation", cex.Violated)
-		}
-		if rep.StructureErr != nil {
-			return fmt.Errorf("reverse plan invalid: %w", rep.StructureErr)
-		}
+	case rep.StructureErr != nil:
+		return fmt.Errorf("reverse plan invalid: %w", rep.StructureErr)
+	case rep.FirstViolation() != nil:
+		return fmt.Errorf("reverse plan admits a transient %v violation", rep.FirstViolation().Violated)
+	case !rep.FinalStateOK:
 		return fmt.Errorf("reverse plan does not restore the old configuration")
+	case !rep.Exact():
+		return fmt.Errorf("reverse plan only sampled: a stage lies past the verify budget")
 	}
 	return nil
 }

@@ -40,75 +40,106 @@ const DefaultCheckBudget = 1 << 20
 // subset realizing the cycle. Hence: all subsets safe ⇔ the double-edge
 // graph is acyclic.
 func (in *Instance) RoundSafeStrongLF(done State, round []topo.NodeID) bool {
-	inRound := in.StateOf(round...)
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
+	return !in.ruleCycle(done, in.StateOf(round...), nil)
+}
+
+// ruleCycle searches the double-edge graph of done and inFlight (see
+// RoundSafeStrongLF) for a directed cycle; with inFlight empty that is
+// the rule graph of the state done. When it finds one and witness is
+// non-nil, *witness becomes a state whose rule graph contains that
+// cycle: done plus every in-flight switch whose edge on the cycle is its
+// new one. It allocates only a witness, and scratch past 128 switches.
+func (in *Instance) ruleCycle(done, inFlight State, witness *State) bool {
 	n := len(in.nodeOf)
 	var colorBuf [128]uint8
-	var color []uint8
+	s := cycleSearch{in: in, done: done, inFlight: inFlight, witness: witness}
 	if n <= len(colorBuf) {
-		color = colorBuf[:n]
+		s.color = colorBuf[:n]
 	} else {
-		color = make([]uint8, n)
-	}
-	var visit func(i int32) bool
-	visit = func(i int32) bool {
-		color[i] = grey
-		var succ [2]int32 // per-frame: the double-edge successors of i
-		ns := 0
-		if i != in.dstIdx {
-			switch {
-			case !in.pendingBits.Has(int(i)):
-				if s := in.newSuccIdx[i]; s >= 0 {
-					succ[ns] = s
-					ns++
-				} else if s := in.oldSuccIdx[i]; s >= 0 {
-					succ[ns] = s
-					ns++
-				}
-			case done.Has(int(i)):
-				succ[ns] = in.newSuccIdx[i]
-				ns++
-			default:
-				if inRound.Has(int(i)) {
-					succ[ns] = in.newSuccIdx[i]
-					ns++
-				}
-				if s := in.oldSuccIdx[i]; s >= 0 {
-					succ[ns] = s
-					ns++
-				}
-			}
-		}
-		for k := 0; k < ns; k++ {
-			switch color[succ[k]] {
-			case grey:
-				return true
-			case white:
-				if visit(succ[k]) {
-					return true
-				}
-			}
-		}
-		color[i] = black
-		return false
+		s.color = make([]uint8, n)
 	}
 	for i := 0; i < n; i++ {
-		if color[i] == white && visit(int32(i)) {
-			return false
+		if s.color[i] == white && s.visit(int32(i)) != noCycle {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// DFS colors of cycleSearch, and the two results of visit that are not
+// a node index.
+const (
+	white = 0
+	grey  = 1
+	black = 2
+
+	noCycle       = -1 // no cycle reachable
+	cycleRecorded = -2 // a cycle was found and every switch on it recorded
+)
+
+// cycleSearch is ruleCycle's depth-first search.
+type cycleSearch struct {
+	in             *Instance
+	done, inFlight State
+	witness        *State
+	color          []uint8
+}
+
+// visit explores the double edges out of i. While a found cycle unwinds
+// through the switches on it, visit returns the grey switch that closes
+// it, and each of them records its cycle edge in the witness.
+func (s *cycleSearch) visit(i int32) int32 {
+	in := s.in
+	s.color[i] = grey
+	// The double-edge successors of i, -1 for none: nw is the new edge
+	// of an in-flight or done switch, old every other single rule.
+	old, nw := in.oldSuccIdx[i], in.newSuccIdx[i]
+	switch {
+	case !in.pendingBits.Has(int(i)):
+		if nw >= 0 {
+			old = nw
+		}
+		nw = -1
+	case s.done.Has(int(i)):
+		old = -1
+	case !s.inFlight.Has(int(i)):
+		nw = -1
+	}
+	for k, t := range [2]int32{nw, old} {
+		g := int32(noCycle)
+		switch {
+		case t < 0:
+			continue
+		case s.color[t] == grey:
+			g = t
+		case s.color[t] == white:
+			g = s.visit(t)
+		}
+		if g >= 0 && s.witness != nil { // i is on the cycle, leaving it along t
+			if *s.witness == nil {
+				*s.witness = in.CloneState(s.done)
+			}
+			if k == 0 {
+				s.witness.Set(int(i))
+			}
+		}
+		if g == i {
+			g = cycleRecorded
+		}
+		if g != noCycle {
+			return g
+		}
+	}
+	s.color[i] = black
+	return noCycle
 }
 
 // CheckRound exactly decides whether some subset of round, applied on
 // top of done, violates one of the walk-based properties (NoBlackhole,
 // RelaxedLoopFreedom, WaypointEnforcement). It returns the first
 // counterexample found, or nil when all subsets are safe. StrongLoopFreedom
-// in props is delegated to RoundSafeStrongLF.
+// in props is decided by RoundSafeStrongLF's cycle search, whose cycle
+// is the witness.
 //
 // The search walks from the source, branching (updated / not yet) only
 // at in-flight switches the walk actually visits, so the cost is
@@ -143,11 +174,12 @@ func (rc *RoundChecker) Check(in *Instance, done State, round []topo.NodeID, pro
 	if budget <= 0 {
 		budget = DefaultCheckBudget
 	}
-	if props.Has(StrongLoopFreedom) && !in.RoundSafeStrongLF(done, round) {
-		// Recover a concrete violating subset by testing singleton
-		// growth; as a fallback report the full round.
-		cex := in.strongLFCounterExample(done, round)
-		return cex, true
+	if props.Has(StrongLoopFreedom) {
+		var st State
+		if in.ruleCycle(done, in.StateOf(round...), &st) {
+			walk, _ := in.Walk(st)
+			return &CounterExample{Updated: st, Walk: walk, Violated: StrongLoopFreedom}, true
+		}
 	}
 	walkProps := props &^ StrongLoopFreedom
 	if walkProps == 0 {
@@ -180,41 +212,6 @@ func (rc *RoundChecker) Check(in *Instance, done State, round []topo.NodeID, pro
 	}
 	c.step(in.srcIdx)
 	return c.cex, !c.exhausted
-}
-
-// strongLFCounterExample finds a concrete subset of round whose rule
-// graph contains a cycle. RoundSafeStrongLF already established one
-// exists.
-func (in *Instance) strongLFCounterExample(done State, round []topo.NodeID) *CounterExample {
-	// Greedily grow a subset: adding switches one at a time, the first
-	// addition that makes the single-state rule graph cyclic is a
-	// witness. If no single growth order exhibits it (cycle needs
-	// several specific switches in specific rule states), fall back to
-	// enumerating subsets for small rounds, else report the full round.
-	st := in.CloneState(done)
-	for _, v := range round {
-		in.Mark(st, v)
-		if in.hasRuleCycle(st) {
-			walk, _ := in.Walk(st)
-			return &CounterExample{Updated: st, Walk: walk, Violated: StrongLoopFreedom}
-		}
-	}
-	if len(round) <= 16 {
-		for mask := 0; mask < 1<<len(round); mask++ {
-			sub := in.CloneState(done)
-			for i, v := range round {
-				if mask&(1<<i) != 0 {
-					in.Mark(sub, v)
-				}
-			}
-			if in.hasRuleCycle(sub) {
-				walk, _ := in.Walk(sub)
-				return &CounterExample{Updated: sub, Walk: walk, Violated: StrongLoopFreedom}
-			}
-		}
-	}
-	walk, _ := in.Walk(st)
-	return &CounterExample{Updated: st, Walk: walk, Violated: StrongLoopFreedom}
 }
 
 // roundChecker performs the branching walk search of CheckRound over

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tsu/internal/topo"
@@ -58,7 +59,55 @@ func TestRoundSafeStrongLFMatchesBruteForce(t *testing.T) {
 			t.Fatalf("instance %v done %v round %v: double-edge says safe=%v, brute force says %v",
 				in, in.StateNodes(done), round, fast, brute)
 		}
+		if !fast {
+			assertStrongLFWitness(t, in, done, round)
+		}
 	}
+}
+
+// assertStrongLFWitness pins CheckRound's strong-loop-freedom witness on
+// an unsafe round: done plus a subset of round, whose rule graph has a
+// cycle.
+func assertStrongLFWitness(t *testing.T, in *Instance, done State, round []topo.NodeID) {
+	t.Helper()
+	cex, exact := in.CheckRound(done, round, StrongLoopFreedom, 0)
+	if !exact || cex == nil || cex.Violated != StrongLoopFreedom {
+		t.Fatalf("instance %v done %v round %v: CheckRound = %v (exact %v), want a strong-LF witness",
+			in, in.StateNodes(done), round, cex, exact)
+	}
+	for _, v := range in.StateNodes(cex.Updated) {
+		if !in.Updated(done, v) && !slices.Contains(round, v) {
+			t.Fatalf("witness updates switch %d outside done ∪ round %v", v, round)
+		}
+	}
+	for _, v := range in.StateNodes(done) {
+		if !in.Updated(cex.Updated, v) {
+			t.Fatalf("witness %v drops done switch %d", in.StateNodes(cex.Updated), v)
+		}
+	}
+	if got := in.CheckState(cex.Updated, StrongLoopFreedom); got != StrongLoopFreedom {
+		t.Fatalf("instance %v done %v round %v: witness %v has no rule cycle",
+			in, in.StateNodes(done), round, in.StateNodes(cex.Updated))
+	}
+}
+
+// TestStrongLFWitnessOnLargeRound pins a witness that neither growing
+// the round one switch at a time nor a 2^16 subset scan finds: an
+// 18-switch round whose rule cycle needs several of its switches on
+// their new rule and the others on their old one. The cycle search
+// reads the witness off the double-edge cycle it finds.
+func TestStrongLFWitnessOnLargeRound(t *testing.T) {
+	var old topo.Path
+	for v := topo.NodeID(1); v <= 29; v++ {
+		old = append(old, v)
+	}
+	in := MustInstance(old, topo.Path{1, 15, 4, 16, 6, 8, 18, 22, 25, 12, 21, 14, 17, 19, 11, 3, 9, 13, 23, 10, 20, 24, 7, 28, 2, 29}, 0)
+	done := in.StateOf(2, 3, 6, 7, 14, 24, 28)
+	round := []topo.NodeID{18, 25, 21, 15, 13, 19, 20, 17, 10, 22, 8, 9, 23, 11, 1, 16, 12, 4}
+	if in.RoundSafeStrongLF(done, round) {
+		t.Fatal("round must be strong-LF unsafe")
+	}
+	assertStrongLFWitness(t, in, done, round)
 }
 
 func TestCheckRoundMatchesBruteForce(t *testing.T) {

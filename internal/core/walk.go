@@ -103,48 +103,8 @@ func (in *Instance) CheckState(updated State, props Property) Property {
 			violated |= WaypointEnforcement
 		}
 	}
-	if props.Has(StrongLoopFreedom) && in.hasRuleCycle(updated) {
+	if props.Has(StrongLoopFreedom) && in.ruleCycle(updated, nil, nil) {
 		violated |= StrongLoopFreedom
 	}
 	return violated
-}
-
-// hasRuleCycle reports whether the full rule graph (every switch with
-// its single current rule) contains a directed cycle.
-func (in *Instance) hasRuleCycle(updated State) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	n := len(in.nodeOf)
-	var colorBuf [128]uint8
-	var color []uint8
-	if n <= len(colorBuf) {
-		color = colorBuf[:n]
-	} else {
-		color = make([]uint8, n)
-	}
-	var visit func(i int32) bool
-	visit = func(i int32) bool {
-		color[i] = grey
-		if next, ok := in.nextHopIdx(i, updated); ok {
-			switch color[next] {
-			case grey:
-				return true
-			case white:
-				if visit(next) {
-					return true
-				}
-			}
-		}
-		color[i] = black
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if color[i] == white && visit(int32(i)) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,14 +1,10 @@
 package core
 
-import (
-	"tsu/internal/topo"
-)
-
 // Walker is a reusable scratch context for checking many related rule
 // states of one instance without allocating: it owns a rule-state
 // bitset, the current forwarding walk, and the per-node bookkeeping the
-// incremental re-walk needs. The explorer's Gray-code enumeration and
-// the verifier's sampling fallback drive it with Flip — toggling one
+// incremental re-walk needs. CheckStage's Gray-code enumeration and
+// its extension sampler drive it with Flip — toggling one
 // switch and re-walking only from the first position whose next hop
 // changed — so the amortized cost per checked state is a handful of
 // steps instead of a full walk from the source.
@@ -140,29 +136,9 @@ func (w *Walker) Flip(i int) {
 	w.resume(int32(i))
 }
 
-// State returns the walker's current rule state. The returned bitset
-// aliases the walker's scratch: treat it as read-only and copy it
-// (Instance.CloneState) before the next Flip or Reset if it must
-// outlive them.
-func (w *Walker) State() State { return w.st }
-
-// Path materializes the current walk, following the same convention as
-// Instance.Walk: a looped walk ends with the first repeated switch
-// included twice. Path allocates — it is for reporting, not hot loops.
-func (w *Walker) Path() topo.Path {
-	out := make(topo.Path, 0, len(w.path)+1)
-	for _, i := range w.path {
-		out = append(out, w.in.nodeOf[i])
-	}
-	if w.outcome == Looped {
-		out = append(out, w.in.nodeOf[w.loopAt])
-	}
-	return out
-}
-
 // Check evaluates the requested properties in the walker's current rule
 // state without allocating — the scratch-buffered equivalent of
-// Instance.CheckState on Walker.State().
+// Instance.CheckState on that state.
 func (w *Walker) Check(props Property) Property {
 	var violated Property
 	switch w.outcome {
@@ -186,18 +162,13 @@ func (w *Walker) Check(props Property) Property {
 }
 
 // ruleCycle reports whether the full rule graph of the walker's current
-// state contains a directed cycle — Instance.hasRuleCycle over the
-// walker's scratch, iterative so it never allocates. The rule graph is
-// functional (at most one successor per switch), so each white chain is
-// followed once, marking grey on the way down; reaching a grey node is
-// a cycle, reaching black or a dead end is not, and the visited chain
-// is blackened either way.
+// state contains a directed cycle — Instance.ruleCycle with nothing in
+// flight, over the walker's scratch, iterative so it never allocates.
+// The rule graph is functional (at most one successor per switch), so
+// each white chain is followed once, marking grey on the way down;
+// reaching a grey node is a cycle, reaching black or a dead end is not,
+// and the visited chain is blackened either way.
 func (w *Walker) ruleCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
 	in := w.in
 	n := len(in.nodeOf)
 	for i := range w.color {

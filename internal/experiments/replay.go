@@ -235,9 +235,9 @@ func newReplay(in *core.Instance, seed int64, node func(rng *rand.Rand) draw) (*
 }
 
 // reverse rolls an installed set back the way the engine's abort path
-// does — Plan.Reverse, then verify.Plan on the result — and counts the
-// undo installs delivered, or the violation and the installs left stuck
-// when the verifier refuses (the returned plan is then nil). In this
+// does — Plan.Reverse, then verify.Plan, which must pass exactly — and
+// counts the undo installs delivered, or the refusal and the installs
+// left stuck (the returned plan is then nil). In this
 // model a lost confirmation is a FlowMod that applied, so the dispatched
 // set a loss hands here is exactly the set the engine's reconcile finds
 // in effect.
@@ -246,7 +246,7 @@ func (r *replay) reverse(o *outcome, installed []bool, undone *int) (*core.Plan,
 	if err != nil {
 		return nil, fmt.Errorf("reversing the installed set: %w", err)
 	}
-	if !verify.Plan(r.in, rev, r.props, verify.Options{}).OK() {
+	if rep := verify.Plan(r.in, rev, r.props, verify.Options{}); !rep.OK() || !rep.Exact() {
 		o.violations++
 		for _, in := range installed {
 			if in {

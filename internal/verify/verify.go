@@ -9,10 +9,11 @@
 // top of every earlier one applied. A stage is decided in one of three
 // ways:
 //
-//   - an edge-free stage of a forward plan (every round of a layered
-//     plan), asked for a verdict by Plan or Batch: the core package's
-//     branching walk search and double-edge test for strong loop
-//     freedom, and subset sampling when the search exhausts its budget;
+//   - an edge-free stage (every round of a layered plan), asked for a
+//     verdict by Plan or Batch: the core package's branching walk search
+//     and double-edge cycle search for strong loop freedom; a stage the
+//     walk search cannot exhaust within Options.Budget steps falls
+//     through to the next two ways;
 //   - any other stage within Options.Budget ideals: exhaustive
 //     enumeration, reporting the minimum violating ideal
 //     (core.Walker.CheckStage);
@@ -21,16 +22,15 @@
 //
 // Traces takes the second and third ways on every stage — the
 // explorer's view. Stages are independent work items (a stage's
-// pre-state is determined by the plan alone), so they fan out over one
-// worker pool sized by Options.Workers, as do the subset-sampling
-// chunks, and merge deterministically: the report is identical for
-// every worker count. Batch verifies many (instance, plan) pairs in
-// one pool.
+// pre-state is determined by the plan alone, and its sampler's seed by
+// Options.Seed and the stage's index), so they fan out over one worker
+// pool sized by Options.Workers and merge deterministically: the report
+// is identical for every worker count. Batch verifies many (instance,
+// plan) pairs in one pool.
 package verify
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -43,17 +43,17 @@ import (
 // Options configures verification.
 type Options struct {
 	// Budget bounds the exact search of one stage: walk steps of the
-	// branching subset search for an edge-free stage, order ideals
-	// enumerated for any other. Zero selects core.DefaultCheckBudget.
+	// branching subset search for an edge-free stage, then order ideals
+	// enumerated for a stage that search leaves undecided and for any
+	// other. Zero selects core.DefaultCheckBudget.
 	Budget int
 
-	// Samples is the number of random draws checked per stage when the
-	// exact search exhausts its budget — subsets of an edge-free
-	// stage, linear extensions (every prefix checked) of any other.
-	// Zero selects 1024.
+	// Samples is the number of linear extensions (every prefix checked)
+	// replayed for a stage with more than Budget ideals. Zero selects
+	// 1024.
 	Samples int
 
-	// Seed seeds the sampling RNGs. Verification is deterministic in
+	// Seed seeds the extension sampler. Verification is deterministic in
 	// (Seed, Budget, Samples) and independent of Workers.
 	Seed int64
 
@@ -265,7 +265,7 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 	type item struct {
 		task, stage int
 		Stage
-		round bool // decided by the branching search and subset sampling
+		round bool // edge-free: the branching search goes first
 	}
 	var items []item
 	for t, task := range tasks {
@@ -279,11 +279,7 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 		stages, final := Stages(in, p)
 		r.Rounds = make([]RoundResult, len(stages))
 		for k, st := range stages {
-			round := verdict && st.Plan.NumEdges() == 0
-			if round && p.Rollback {
-				st.Pre = in.Without(st.Pre, st.Plan) // see Instance.Without
-			}
-			items = append(items, item{task: t, stage: k, Stage: st, round: round})
+			items = append(items, item{task: t, stage: k, Stage: st, round: verdict && st.Plan.NumEdges() == 0})
 		}
 		want := in.New
 		if p.Rollback {
@@ -299,75 +295,35 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 		scratches[w] = &workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}
 	}
 
-	// Phase 1: one work item per stage. The branching search leaves
-	// the stages it could not exhaust to phase 2.
+	// One work item per stage. A stage the branching search cannot
+	// exhaust goes to CheckStage on the same worker, from its own
+	// pre-state.
 	parallelFor(opts.Workers, len(items), func(w, k int) {
 		it := items[k]
-		in, props := tasks[it.task].Instance, tasks[it.task].Props
+		task := tasks[it.task]
+		in, props := task.Instance, task.Props
 		rr := &reports[it.task].Rounds[it.stage]
 		rr.Round, rr.Size, rr.First = it.stage, len(it.Plan.Nodes), it.First
 		if it.round {
-			rr.Violation, rr.Exact = scratches[w].rc.Check(in, it.Pre, scratches[w].switches(it.Plan), props, opts.Budget)
-		} else {
-			rr.StageVerdict = scratches[w].walker.Bind(in).CheckStage(it.Pre, it.Plan, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, it.stage))
-		}
-	})
-	// Phase 2: subset sampling for the edge-free stages the exact
-	// search could not exhaust, split into fixed-size chunks (chunking
-	// is independent of the worker count, so results are too).
-	type chunk struct {
-		item   int // index into items
-		offset int // first sample of the chunk
-		count  int
-	}
-	const chunkSamples = 128
-	var chunks []chunk
-	chunkCex := make(map[int][]*core.CounterExample) // item -> per-chunk result
-	for k, it := range items {
-		rr := &reports[it.task].Rounds[it.stage]
-		if !it.round || rr.Exact || rr.Violation != nil {
-			continue
-		}
-		n := (opts.Samples + chunkSamples - 1) / chunkSamples
-		chunkCex[k] = make([]*core.CounterExample, n)
-		for c := 0; c < n; c++ {
-			count := chunkSamples
-			if last := opts.Samples - c*chunkSamples; last < count {
-				count = last
+			pre := it.Pre
+			if task.Plan.Rollback {
+				pre = in.Without(pre, it.Plan) // see Instance.Without
 			}
-			chunks = append(chunks, chunk{item: k, offset: c * chunkSamples, count: count})
-		}
-	}
-	parallelFor(opts.Workers, len(chunks), func(w, j int) {
-		ch := chunks[j]
-		it := items[ch.item]
-		task := tasks[it.task]
-		seed := opts.Seed ^ (int64(it.task)+1)<<40 ^ (int64(it.stage)+1)<<20 ^ int64(ch.offset)
-		rng := rand.New(rand.NewSource(seed))
-		chunkCex[ch.item][ch.offset/chunkSamples] = scratches[w].sampleChunk(
-			task.Instance, it.Pre, scratches[w].switches(it.Plan), task.Props, ch.count, rng, ch.offset == 0)
-	})
-	for k, cexs := range chunkCex {
-		it := items[k]
-		rr := &reports[it.task].Rounds[it.stage]
-		for _, cex := range cexs { // lowest chunk wins: deterministic
-			if cex != nil {
-				rr.Violation = cex
-				break
+			if rr.Violation, rr.Exact = scratches[w].rc.Check(in, pre, scratches[w].switches(it.Plan), props, opts.Budget); rr.Exact {
+				return
 			}
 		}
-	}
+		rr.StageVerdict = scratches[w].walker.Bind(in).CheckStage(it.Pre, it.Plan, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, it.stage))
+	})
 	return reports
 }
 
-// workerScratch is one worker's reusable state: the branching search,
-// the incremental walker and subset-sampling bookkeeping.
+// workerScratch is one worker's reusable state: the branching search
+// and the incremental walker.
 type workerScratch struct {
 	rc     *core.RoundChecker
 	walker *core.Walker
-	round  []topo.NodeID // an edge-free stage as the switch set the searches take
-	cur    []bool        // sampling: current subset membership per round element
-	idx    []int         // sampling: dense node index per round element
+	round  []topo.NodeID // an edge-free stage as the switch set the search takes
 }
 
 // switches lists the stage's switches, in node order, in the worker's
@@ -378,56 +334,6 @@ func (ws *workerScratch) switches(st *core.Plan) []topo.NodeID {
 		ws.round = append(ws.round, nd.Switch)
 	}
 	return ws.round
-}
-
-// sampleChunk draws count random subsets of round on top of done and
-// returns the first counterexample, or nil. When endpoints is set the
-// empty and full subsets are checked first (once per round, by chunk 0).
-// Between samples the walker flips only the switches whose membership
-// changed.
-func (ws *workerScratch) sampleChunk(in *core.Instance, done core.State, round []topo.NodeID, props core.Property, count int, rng *rand.Rand, endpoints bool) *core.CounterExample {
-	w := ws.walker.Bind(in)
-	w.Reset(done)
-	if cap(ws.cur) < len(round) {
-		ws.cur = make([]bool, len(round))
-		ws.idx = make([]int, len(round))
-	}
-	cur := ws.cur[:len(round)]
-	idx := ws.idx[:len(round)]
-	for j, v := range round {
-		cur[j] = false
-		idx[j] = in.NodeIndex(v)
-	}
-	check := func() *core.CounterExample {
-		if violated := w.Check(props); violated != 0 {
-			return &core.CounterExample{Updated: in.CloneState(w.State()), Walk: w.Path(), Violated: violated}
-		}
-		return nil
-	}
-	if endpoints {
-		if cex := check(); cex != nil { // the empty subset (state = done)
-			return cex
-		}
-		for j := range round { // the full subset
-			w.Flip(idx[j])
-			cur[j] = true
-		}
-		if cex := check(); cex != nil {
-			return cex
-		}
-	}
-	for i := 0; i < count; i++ {
-		for j := range round {
-			if want := rng.Intn(2) == 0; want != cur[j] {
-				w.Flip(idx[j])
-				cur[j] = want
-			}
-		}
-		if cex := check(); cex != nil {
-			return cex
-		}
-	}
-	return nil
 }
 
 // parallelFor runs f(worker, 0..n-1) over at most workers goroutines.

@@ -88,21 +88,53 @@ func TestScheduleFinalState(t *testing.T) {
 
 func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
 	// Peacock's bulk round on a large reversal instance is safe but far
-	// too large for an exact subset search under a tiny budget: the
-	// verifier must fall back to sampling and still pass.
+	// too large for an exact search under a tiny budget — 36 switches,
+	// 2^36 ideals: the verifier must fall back to sampling and still
+	// pass.
+	in, p := reversal40Peacock(t)
+	r := Plan(in, p, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 2, Samples: 200, Seed: 1})
+	if r.Exact() {
+		t.Fatal("expected sampled verification with budget 2")
+	}
+	if !r.OK() {
+		t.Fatalf("sampling rejected a correct schedule: %v", r)
+	}
+	if bulk := r.Rounds[1]; bulk.Size != 36 || bulk.Exact || bulk.Orders != 200 {
+		t.Fatalf("bulk round = %+v, want 36 switches sampled over 200 orders", bulk)
+	}
+}
+
+// TestExhaustedRoundWithinBudgetIsExact pins the fallback of an
+// edge-free stage the branching search cannot exhaust: when the stage
+// has at most Budget ideals they are enumerated, and the verdict is
+// exact, not sampled.
+func TestExhaustedRoundWithinBudgetIsExact(t *testing.T) {
+	in, p := reversal40Peacock(t)
+	props := core.RelaxedLoopFreedom | core.NoBlackhole
+	first := p.Layers()[0]
+	if _, exact := in.CheckRound(nil, first, props, 8); exact || len(first) != 2 {
+		t.Fatalf("first round %v: want two switches the search cannot exhaust in 8 steps", first)
+	}
+	r := Plan(in, p, props, Options{Budget: 8, Seed: 1})
+	if !r.OK() || !r.Exact() {
+		t.Fatalf("verify = %v, want exact and ok", r)
+	}
+	if rr := r.Rounds[0]; rr.States != 4 || rr.Orders != 0 {
+		t.Fatalf("round 0 = %+v, want its 4 ideals enumerated", rr)
+	}
+}
+
+// reversal40Peacock is Peacock's plan on the 40-switch reversal: three
+// edge-free rounds of 2, 36 and 1 switches.
+func reversal40Peacock(t *testing.T) (*core.Instance, *core.Plan) {
+	t.Helper()
 	ti := topo.Reversal(40)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s, err := core.Peacock(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Plan(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 32, Samples: 200, Seed: 1})
-	if r.Exact() {
-		t.Fatal("expected sampled verification with budget 32")
-	}
-	if !r.OK() {
-		t.Fatalf("sampling rejected a correct schedule: %v", r)
-	}
+	return in, s
 }
 
 func TestInexactButViolatingRoundStillFails(t *testing.T) {
@@ -119,13 +151,18 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 
 func TestSampleRoundFindsFullSubsetViolation(t *testing.T) {
 	// Violation only in the full subset: old 1→2→3, new 1→4→3 with
-	// round {1} on done {}: subset {1} drops at 4. Empty/full subsets
-	// are always included in the sample.
+	// round {1} on done {}: subset {1} drops at 4. A budget of one step
+	// leaves the round to CheckStage's sampler, whose every extension
+	// ends in the full stage.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
-	rng := rand.New(rand.NewSource(2))
-	cex := (&workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}).sampleChunk(in, nil, []topo.NodeID{1}, core.NoBlackhole, 0, rng, true)
-	if cex == nil || !cex.Violated.Has(core.NoBlackhole) {
-		t.Fatalf("cex = %v, want blackhole", cex)
+	p := core.Layered("full", 0, [][]topo.NodeID{{1}, {4}})
+	r := Plan(in, p, core.NoBlackhole, Options{Budget: 1, Samples: 1, Seed: 2})
+	rr := r.Rounds[0]
+	if rr.Exact || rr.Orders != 1 {
+		t.Fatalf("round 0 = %+v, want one sampled extension", rr)
+	}
+	if cex := rr.Violation; cex == nil || !cex.Violated.Has(core.NoBlackhole) || !in.Updated(cex.Updated, 1) {
+		t.Fatalf("cex = %v, want the blackhole of {1}", rr.Violation)
 	}
 }
 
@@ -194,8 +231,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
 		props := core.NoBlackhole | core.WaypointEnforcement | core.RelaxedLoopFreedom
 		for _, s := range []*core.Plan{core.OneShot(in), mustWayUp(t, in)} {
-			// A small budget forces the sampling fallback on larger draws,
-			// covering the chunked path too.
+			// A small budget may send the larger draws' stages to the
+			// fallback; the fixed case below always takes it.
 			opts := Options{Budget: 1 << 10, Samples: 300, Seed: int64(trial)}
 			serial := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
@@ -203,6 +240,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 				reportsEqual(t, serial, par)
 			}
 		}
+	}
+	// A stage past a tiny budget takes the sampler fallback, seeded by
+	// its index alone.
+	in, p := reversal40Peacock(t)
+	props := core.NoBlackhole | core.RelaxedLoopFreedom
+	serial := Plan(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: 1})
+	if serial.Rounds[1].Orders == 0 {
+		t.Fatalf("bulk round %+v took no sampler fallback", serial.Rounds[1])
+	}
+	for _, workers := range []int{2, 4, 8} {
+		reportsEqual(t, serial, Plan(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: workers}))
 	}
 }
 
