@@ -128,17 +128,24 @@ guard-one-trace:
 
 # One fault model: every abort and every restart learns what took effect
 # from the switches themselves, through reconcile in
-# internal/controller/recover.go. A downClosure( call outside recover.go
+# internal/controller/recover.go, and reverses it by the job's rollback
+# spec, which every job has. A downClosure( call outside recover.go
 # is an abort site computing its own undo set again; a querySwitchState
 # call from anywhere but reconcile is a second way of asking; pushErr is
-# the decentralized push failure's wait-it-out path coming back.
+# the decentralized push failure's wait-it-out path coming back. A nil
+# test of a rollback spec (rollback or spec, == nil or != nil), or any
+# read of journal.Admit.Recoverable (only the write a.Recoverable = true
+# is allowed), is a job kind without a reverse coming back.
 guard-one-reconcile:
 	@out="$$( { grep -n 'downClosure(' internal/controller/*.go \
 			| grep -v -e '_test\.go:' -e '^internal/controller/recover\.go:'; \
 		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
 			/querySwitchState\(/ && !/^func / && fn !~ /\) reconcile\(/ { print FILENAME ":" FNR ": " $$0 }' \
 			internal/controller/*.go | grep -v '_test\.go:'; \
-		grep -rn --include='*.go' 'pushErr' . | grep -v '_test\.go:'; } )"; \
+		grep -rn --include='*.go' 'pushErr' . | grep -v '_test\.go:'; \
+		grep -nE '\b(rollback|spec) *[!=]= *nil' internal/controller/*.go | grep -v '_test\.go:'; \
+		grep -n 'Recoverable' internal/controller/*.go \
+			| grep -v -e '_test\.go:' -e ':[[:space:]]*a\.Recoverable = true$$'; } )"; \
 	if [ -n "$$out" ]; then \
 		echo "a second fault model (see guard-one-reconcile in the Makefile):"; \
 		echo "$$out"; exit 1; \
@@ -229,7 +236,8 @@ test-retention:
 # rollback path in both dispatch modes including the chaos soak and the
 # sink lifecycle of timed-out installs, the crash-restart sweeps
 # (journal torn-tail recovery plus the engine killed at every dispatch
-# boundary), the switch's halt-and-barrier answer to a state query and
+# boundary), two-phase jobs (rolled back in both dispatch modes, and
+# swept by their own crash-restart runs), the switch's halt-and-barrier answer to a state query and
 # the decentralized report the switches must be asked about, the
 # engine's admission and conflict-queue lifecycle
 # (launch on release, shutdown of queued jobs, recovery order), and the
@@ -240,7 +248,7 @@ test-retention:
 # own goroutine, redials, read buffers returned to the pool and the
 # controller's one shutdown hook.
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Reconnect|Handshake|Shutdown' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|TwoPhase|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Reconnect|Handshake|Shutdown' \
 		./internal/ofconn ./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal ./internal/simclock

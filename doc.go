@@ -111,12 +111,13 @@
 //   - internal/netem     — control-channel asynchrony models and the seeded
 //     probabilistic fault model (netem.Faults) on a pluggable clock
 //   - internal/controller— the controller: one plan in, one job out — a single
-//     materializer turns a core.Plan plus per-node FlowMods into the
-//     execution DAG (two-phase and joint updates are small plan builders,
-//     recovery rebuilds through the same constructor) and a single job
-//     lifecycle runs it — no worker pool: a job launches when the last
-//     earlier conflicting job finishes (a counter, not a parked
-//     goroutine), at admission if there is none; one southbound walker
+//     materializer turns a core.Plan plus one FlowMod per node into the
+//     execution DAG (a two-phase update is a small plan builder, every
+//     job carries a rollback spec, recovery rebuilds through the same
+//     constructor) and a single job lifecycle runs it — no worker
+//     pool: a job launches when the last earlier conflicting job
+//     finishes (a counter, not a parked goroutine), at admission if
+//     there is none; one southbound walker
 //     (Engine.walk), ack-driven and the only writer of its own installs
 //     (no dispatch pool, goroutine- and allocation-free per install,
 //     one write-ahead journal record per release wave), executes every FlowMod+barrier

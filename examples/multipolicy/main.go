@@ -1,9 +1,11 @@
 // Multipolicy updates several routing policies together — the paper's
 // pointer to "more work on multiple policies" (DSN'16, SIGMETRICS'16).
 // Flows are independent on the wire (distinct destination addresses),
-// so each keeps its scheduler's transient guarantee; what the joint
-// treatment buys is round economy: rounds execute in a common barrier
-// cadence and per-switch FlowMods batch together.
+// so each keeps its scheduler's transient guarantee. The example
+// computes the joint schedule (core.JointUpdate, as experiment E9 does)
+// and what it would buy — round economy: the flows' rounds in one
+// barrier cadence, a switch's FlowMods of a round together — without
+// executing it; the controller runs each flow as its own job.
 //
 //	go run ./examples/multipolicy
 package main

@@ -202,11 +202,11 @@ type StuckNode struct {
 
 // FailureReport is the structured outcome of a job that aborted
 // mid-plan, attached to JobStatus when State is "failed". Phase tells
-// how far recovery got: "aborted" (a job shape the engine cannot
-// reverse), "rolled-back" (the reverse plan verified safe and every
-// installed node was undone), "rollback-failed" (verified but execution
-// failed partway), or "stuck" (the reverse plan did not verify safe;
-// rules were left in place).
+// how far recovery got: "aborted" (a controller restart could not
+// rebuild the job from its journaled admit record), "rolled-back" (the
+// reverse plan verified safe and every installed node was undone),
+// "rollback-failed" (verified but execution failed partway), or "stuck"
+// (the reverse plan did not verify safe; rules were left in place).
 type FailureReport struct {
 	Phase string `json:"phase"`
 	// TriggeringFault describes the failure that aborted the plan.
@@ -217,7 +217,7 @@ type FailureReport struct {
 	Installed  []uint64 `json:"installed,omitempty"`
 	RolledBack []uint64 `json:"rolled_back,omitempty"`
 	// RollbackVerified reports whether the reverse plan passed
-	// verification before anything was undone.
+	// verification (or is two-phase) before anything was undone.
 	RollbackVerified bool `json:"rollback_verified,omitempty"`
 	// Stuck lists installed nodes left in place with their blocking
 	// dependencies (phases "stuck" and "rollback-failed").

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"tsu/internal/core"
@@ -28,8 +26,8 @@ var ErrQueueFull = errors.New("controller: update queue full")
 // value. An execPlan is immutable once built: walks hold it by pointer,
 // and a job lets go of it — never empties it — when it finishes.
 type execPlan struct {
-	dag  *core.Plan            // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
-	mods [][]*openflow.FlowMod // per node: what it sends before its barrier
+	dag  *core.Plan          // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
+	mods []*openflow.FlowMod // per node: what it sends before its barrier (nil: a bare barrier)
 
 	// cleanupFrom is the index of the first stale-rule deletion node
 	// (len(dag.Nodes) when the job has none); cleanup nodes are always
@@ -56,17 +54,26 @@ func (p *execPlan) len() int             { return len(p.dag.Nodes) }
 func (p *execPlan) sw(i int) topo.NodeID { return p.dag.Nodes[i].Switch }
 func (p *execPlan) isCleanup(i int) bool { return i >= p.cleanupFrom }
 
+// flowMods counts the FlowMods node i sends: one, or none for a bare
+// barrier.
+func (p *execPlan) flowMods(i int) int {
+	if p.mods[i] == nil {
+		return 0
+	}
+	return 1
+}
+
 // newExecPlan is the engine's only materializer: every job — submitted
-// plan, schedule, two-phase, joint, or rebuilt from the journal —
-// becomes executable here. p is the update DAG and mods[i] the FlowMods
-// of node i. Nodes from cleanupFrom on delete stale rules: either they
+// plan, schedule, two-phase, or rebuilt from the journal — becomes
+// executable here. p is the update DAG and mods[i] the FlowMod of node
+// i. Nodes from cleanupFrom on delete stale rules: either they
 // are already part of p (a recovered job's journaled plan, replayed
 // with its recorded dependencies) or cleanupAt names their switches and
 // they are appended, each depending on every sink of p — strictly
 // after the whole update, which for a layered plan is exactly one more
 // round. p's nodes are shared, not copied; plans are immutable once
 // built.
-func newExecPlan(p *core.Plan, mods [][]*openflow.FlowMod, cleanupFrom int, cleanupAt []topo.NodeID) execPlan {
+func newExecPlan(p *core.Plan, mods []*openflow.FlowMod, cleanupFrom int, cleanupAt []topo.NodeID) execPlan {
 	nodes := p.Nodes
 	if len(cleanupAt) > 0 {
 		sinks := planSinks(p.Nodes)
@@ -131,9 +138,9 @@ const maxAdmitted = 128
 // restart answers for the jobs the engine did.
 const retainTerminal = journal.RetainFinished
 
-// admitSpec builds a job's journal admission record: identity always,
-// plus — for recoverable jobs — everything Recover needs to rebuild
-// the execution DAG and its rollback spec.
+// admitSpec builds a job's journal admission record: its identity and
+// everything Recover needs to rebuild the execution DAG and its
+// rollback spec.
 func admitSpec(job *Job) *journal.Admit {
 	a := &journal.Admit{
 		Algorithm: job.Algorithm,
@@ -141,9 +148,6 @@ func admitSpec(job *Job) *journal.Admit {
 		Mode:      uint8(job.Mode),
 	}
 	spec := job.rollback
-	if spec == nil {
-		return a
-	}
 	a.Recoverable = true
 	a.Old = make([]uint64, len(spec.in.Old))
 	for i, n := range spec.in.Old {
@@ -229,90 +233,35 @@ func (e *Engine) planJob(in *core.Instance, p *core.Plan, match openflow.Match, 
 	if opts.Cleanup {
 		cleanupAt = staleSwitches(in)
 	}
-	ep, err := e.flowExecPlan(in, p, match, len(p.Nodes), cleanupAt)
+	spec := &rollbackSpec{in: in, match: match, props: p.Guarantees}
+	ep, err := e.flowExecPlan(spec, p, len(p.Nodes), cleanupAt)
 	if err != nil {
 		return nil, err
 	}
-	return newJob(ep, opts, &rollbackSpec{in: in, match: match, props: p.Guarantees}), nil
+	return newJob(ep, opts, spec), nil
 }
 
 // flowExecPlan materializes one flow's plan: every update node points
-// the flow at its switch's new-path successor, every cleanup node (see
-// newExecPlan for cleanupFrom/cleanupAt) deletes the flow's rule.
-func (e *Engine) flowExecPlan(in *core.Instance, p *core.Plan, match openflow.Match, cleanupFrom int, cleanupAt []topo.NodeID) (execPlan, error) {
+// the flow at its switch's new-path successor — with the two-phase
+// commit's tagged rules when spec is per-packet — and every cleanup node
+// (see newExecPlan for cleanupFrom/cleanupAt) deletes the flow's rule.
+func (e *Engine) flowExecPlan(spec *rollbackSpec, p *core.Plan, cleanupFrom int, cleanupAt []topo.NodeID) (execPlan, error) {
 	fms := make([]*openflow.FlowMod, len(p.Nodes)+len(cleanupAt))
 	for i := range fms {
-		if i >= cleanupFrom {
-			fms[i] = deleteFlowMod(match)
-		} else {
-			fm, err := e.updateFlowMod(in, p.Nodes[i].Switch, match)
-			if err != nil {
-				return execPlan{}, err
-			}
-			fms[i] = fm
+		var err error
+		switch {
+		case i >= cleanupFrom:
+			fms[i] = deleteFlowMod(spec.match)
+		case spec.perPacket:
+			fms[i], err = e.twoPhaseFlowMod(spec.in, p.Nodes[i].Switch, spec.match)
+		default:
+			fms[i], err = e.updateFlowMod(spec.in, p.Nodes[i].Switch, spec.match)
+		}
+		if err != nil {
+			return execPlan{}, err
 		}
 	}
-	return newExecPlan(p, oneModNodes(fms), cleanupFrom, cleanupAt), nil
-}
-
-// oneModNodes gives each node its one FlowMod as a one-element window
-// of fms — one backing array for all n nodes.
-func oneModNodes(fms []*openflow.FlowMod) [][]*openflow.FlowMod {
-	mods := make([][]*openflow.FlowMod, len(fms))
-	for i := range fms {
-		mods[i] = fms[i : i+1 : i+1]
-	}
-	return mods
-}
-
-// SubmitJoint enqueues several policies as one job: per joint round,
-// every flow's FlowMods for that round are sent together (switches
-// shared by multiple flows receive their batch in one burst), and the
-// next round is released by the barriers of the union of touched
-// switches. As a plan, a joint round is a layer whose nodes carry
-// several FlowMods.
-func (e *Engine) SubmitJoint(ju *core.JointUpdate, matches []openflow.Match, opts SubmitOptions) (*Job, error) {
-	if len(matches) != len(ju.Instances) {
-		return nil, fmt.Errorf("controller: %d matches for %d policies", len(matches), len(ju.Instances))
-	}
-	for f, in := range ju.Instances {
-		if err := ju.Plans[f].Validate(in); err != nil {
-			return nil, fmt.Errorf("controller: policy %d: %w", f, err)
-		}
-	}
-	rounds := make([][]topo.NodeID, ju.NumRounds())
-	var mods [][]*openflow.FlowMod
-	for i := range rounds {
-		// Deterministic order: by switch, then by flow.
-		byNode := ju.Round(i)
-		rounds[i] = slices.Sorted(maps.Keys(byNode))
-		for _, n := range rounds[i] {
-			var burst []*openflow.FlowMod
-			for _, fu := range byNode[n] {
-				fm, err := e.updateFlowMod(ju.Instances[fu.Flow], n, matches[fu.Flow])
-				if err != nil {
-					return nil, err
-				}
-				burst = append(burst, fm)
-			}
-			mods = append(mods, burst)
-		}
-	}
-	p := core.Layered("joint-"+ju.Plans[0].Algorithm, 0, rounds)
-	var cleanupAt []topo.NodeID
-	if opts.Cleanup {
-		stale := make(map[topo.NodeID][]*openflow.FlowMod)
-		for f, in := range ju.Instances {
-			for _, n := range staleSwitches(in) {
-				stale[n] = append(stale[n], deleteFlowMod(matches[f]))
-			}
-		}
-		cleanupAt = slices.Sorted(maps.Keys(stale))
-		for _, n := range cleanupAt {
-			mods = append(mods, stale[n])
-		}
-	}
-	return e.enqueue(newJob(newExecPlan(p, mods, len(p.Nodes), cleanupAt), opts, nil))
+	return newExecPlan(p, fms, cleanupFrom, cleanupAt), nil
 }
 
 // updateFlowMod builds the update FlowMod for one switch of one flow:
@@ -350,8 +299,8 @@ func deleteFlowMod(match openflow.Match) *openflow.FlowMod {
 }
 
 // newJob wraps an execution DAG as a job that is built but not yet
-// admitted (no id). The job takes its algorithm name from the plan; a
-// nil rollback marks a shape the engine cannot reverse.
+// admitted (no id). The job takes its algorithm name from the plan and
+// carries rollback, what its abort path reverses it by.
 func newJob(plan execPlan, opts SubmitOptions, rollback *rollbackSpec) *Job {
 	job := &Job{
 		Algorithm: plan.dag.Algorithm,

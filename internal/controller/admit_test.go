@@ -27,7 +27,7 @@ func dumpExecPlan(ep *execPlan) string {
 		if ep.isCleanup(i) {
 			b.WriteString(" cleanup")
 		}
-		for _, fm := range ep.mods[i] {
+		if fm := ep.mods[i]; fm != nil {
 			fmt.Fprintf(&b, " | %v %v", fm.Command, net.IP(fm.Match.NWDstIP()))
 			if fm.Match.Wildcards&openflow.WildcardDLVLAN == 0 {
 				fmt.Fprintf(&b, " vlan=%d", fm.Match.DLVLAN)
@@ -63,8 +63,8 @@ func fig1Cleanup(first int, sinks string, layer int) string {
 // TestExecPlanFromEverySource pins what the single materializer builds
 // for every way an update enters the engine, on the Fig. 1 instance:
 // node switches, deps, layers, per-node FlowMods and the cleanup
-// suffix, with and without SubmitOptions.Cleanup — and that a
-// recoverable job rebuilt from its own admit record is the same plan.
+// suffix, with and without SubmitOptions.Cleanup — and that each job
+// rebuilt from its own admit record is the same plan.
 func TestExecPlanFromEverySource(t *testing.T) {
 	c, err := New(Config{Topology: topo.Fig1()})
 	if err != nil {
@@ -72,7 +72,6 @@ func TestExecPlanFromEverySource(t *testing.T) {
 	}
 	e := c.engine
 	wp := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	back := core.MustInstance(topo.Fig1NewPath, topo.Fig1OldPath, topo.Fig1Waypoint)
 	nowp := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
 	match := flowMatch("10.0.0.2")
 
@@ -81,10 +80,6 @@ func TestExecPlanFromEverySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse, err := core.PlanByName(nowp, core.AlgoPeacock, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ju, err := core.NewJointUpdate([]*core.Instance{wp, back}, core.MustScheduler(core.AlgoWayUp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +150,10 @@ func TestExecPlanFromEverySource(t *testing.T) {
 			cleanup: fig1Cleanup(7, "5 6", 2),
 		},
 		{
-			name: "two-phase",
+			name:        "two-phase",
+			recoverable: true,
 			build: func(o SubmitOptions) (*Job, error) {
-				return e.twoPhaseJob(wp, match, TwoPhaseTag, o)
+				return e.twoPhaseJob(wp, match, o)
 			},
 			shape:      "two-phase depth=2 width=6 critical=1 sparse=false\n",
 			shapeClean: "two-phase depth=3 width=6 critical=2 sparse=false\n",
@@ -170,39 +166,6 @@ func TestExecPlanFromEverySource(t *testing.T) {
 6: s1 deps=[0 1 2 3 4 5] layer=1 | MODIFY 10.0.0.2 prio=100 setvlan:2016 out:2
 `,
 			cleanup: fig1Cleanup(7, "6", 2),
-		},
-		{
-			// Flow 10.0.0.2 moves old→new while 10.0.0.9 moves new→old: a
-			// shared switch is one node carrying both flows' FlowMods, and
-			// the cleanup layer has one node per stale switch.
-			name: "joint",
-			build: func(o SubmitOptions) (*Job, error) {
-				return e.SubmitJoint(ju, []openflow.Match{match, flowMatch("10.0.0.9")}, o)
-			},
-			shape:      "joint-wayup depth=3 width=9 critical=2 sparse=false\n",
-			shapeClean: "joint-wayup depth=4 width=9 critical=3 sparse=false\n",
-			nodes: `0: s2 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
-1: s4 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
-2: s5 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
-3: s6 deps=[] layer=0 | MODIFY 10.0.0.9 prio=100 out:2
-4: s7 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
-5: s8 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:1
-6: s9 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
-7: s10 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
-8: s11 deps=[] layer=0 | MODIFY 10.0.0.2 prio=100 out:2
-9: s3 deps=[0 1 2 3 4 5 6 7 8] layer=1 | MODIFY 10.0.0.2 prio=100 out:4 | MODIFY 10.0.0.9 prio=100 out:2
-10: s1 deps=[9] layer=2 | MODIFY 10.0.0.2 prio=100 out:2 | MODIFY 10.0.0.9 prio=100 out:1
-`,
-			cleanup: `11: s2 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
-12: s4 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
-13: s5 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
-14: s6 deps=[10] layer=3 cleanup | DELETE 10.0.0.2
-15: s7 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
-16: s8 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
-17: s9 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
-18: s10 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
-19: s11 deps=[10] layer=3 cleanup | DELETE 10.0.0.9
-`,
 		},
 	}
 	for _, tc := range cases {
@@ -238,7 +201,7 @@ func TestExecPlanFromEverySource(t *testing.T) {
 				if re.ID != job.ID || !re.Recovered || re.Algorithm != job.Algorithm || re.Interval != job.Interval || re.Mode != job.Mode {
 					t.Fatalf("rebuilt job = %+v, want the identity of %+v", re, job)
 				}
-				if r, o := re.rollback, job.rollback; r.props != o.props || r.match != o.match ||
+				if r, o := re.rollback, job.rollback; r.props != o.props || r.match != o.match || r.perPacket != o.perPacket ||
 					!r.in.Old.Equal(o.in.Old) || !r.in.New.Equal(o.in.New) || r.in.Waypoint != o.in.Waypoint {
 					t.Fatalf("rebuilt rollback spec = %+v, want %+v", r, o)
 				}
@@ -308,19 +271,15 @@ func TestConflictsWithMatchesMapReference(t *testing.T) {
 	}
 	randomJob := func() (*Job, map[topo.NodeID]bool, map[openflow.Match]bool) {
 		p := &core.Plan{Algorithm: "footprint"}
-		var mods [][]*openflow.FlowMod
+		var mods []*openflow.FlowMod
 		nodes, ms := map[topo.NodeID]bool{}, map[openflow.Match]bool{}
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 			sw := topo.NodeID(1 + rng.Intn(24))
 			p.Nodes = append(p.Nodes, core.PlanNode{Switch: sw})
 			nodes[sw] = true
-			var fms []*openflow.FlowMod
-			for k, nm := 0, rng.Intn(3); k < nm; k++ {
-				m := matches[rng.Intn(len(matches))]
-				fms = append(fms, &openflow.FlowMod{Match: m})
-				ms[m] = true
-			}
-			mods = append(mods, fms)
+			m := matches[rng.Intn(len(matches))]
+			mods = append(mods, &openflow.FlowMod{Match: m})
+			ms[m] = true
 		}
 		return newJob(newExecPlan(p, mods, len(p.Nodes), nil), SubmitOptions{}, nil), nodes, ms
 	}

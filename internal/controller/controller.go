@@ -428,7 +428,7 @@ func (c *Controller) InstallPath(ctx context.Context, path topo.Path, match open
 	if err := path.Validate(); err != nil {
 		return err
 	}
-	mods := make([][]*openflow.FlowMod, len(path))
+	mods := make([]*openflow.FlowMod, len(path))
 	for i := range path {
 		var fm *openflow.FlowMod
 		var err error
@@ -443,7 +443,7 @@ func (c *Controller) InstallPath(ctx context.Context, path topo.Path, match open
 		if err != nil {
 			return err
 		}
-		mods[i] = []*openflow.FlowMod{fm}
+		mods[i] = fm
 	}
 	return c.engine.walkFlat(ctx, path, mods)
 }

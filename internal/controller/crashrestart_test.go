@@ -15,7 +15,7 @@ package controller
 //   - write-ahead holds: a job with no dispatched record recovers by
 //     plain re-admission.
 //
-// Three sweeps share the runner. The virtual-clock sweep runs the
+// Five sweeps share the runner. The virtual-clock sweep runs the
 // workload fault-free under simclock/AutoAdvance — the controller
 // crash is the injected fault — and exercises adopt-and-resume plus
 // requeue. The power-loss sweep is that run one switch per wave, with
@@ -28,7 +28,10 @@ package controller
 // table, then reconnects), so recovery composes with the verified
 // reverse-plan rollback of PR 8; it runs on the wall clock because a
 // rebooting switch takes real milliseconds the virtual driver would
-// leap past.
+// leap past. The two-phase sweeps run flow A alone, as a two-phase
+// job with cleanup, under process death and under power loss: every
+// run must end on exactly the new path or with exactly the tables the
+// job started from.
 
 import (
 	"context"
@@ -62,6 +65,7 @@ type crashRestartOpts struct {
 	faulted   bool // wall clock + switch crash-wipe fault and reconnect
 	powerLoss bool // the crash also drops the journal's unsynced tail
 	oneByOne  bool // one switch per round: a job journals a wave per switch
+	twoPhase  bool // flow A alone, as a two-phase job with cleanup
 }
 
 // crashRestartRun executes one boundary of a sweep: run the workload,
@@ -192,10 +196,13 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 	if err := ctrl1.InstallPath(installCtx, crashFlowAOld, flowMatch("10.0.0.2"), "h2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl1.InstallPath(installCtx, crashFlowBOld, flowMatch("10.0.0.3"), "h2"); err != nil {
-		t.Fatal(err)
+	if !opts.twoPhase {
+		if err := ctrl1.InstallPath(installCtx, crashFlowBOld, flowMatch("10.0.0.3"), "h2"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	installCancel()
+	before := allTableRules(fabric)
 
 	submit := func(old, new_ topo.Path, ip string) *Job {
 		in := core.MustInstance(old, new_, 0)
@@ -218,14 +225,24 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		}
 		return job
 	}
-	jobA := submit(crashFlowAOld, crashFlowANew, "10.0.0.2")
-	jobB := submit(crashFlowBOld, crashFlowBNew, "10.0.0.3")
+	var jobs []*Job
+	if opts.twoPhase {
+		in := core.MustInstance(crashFlowAOld, crashFlowANew, 0)
+		job, err := submitTwoPhase(ctrl1.Engine(), in, flowMatch("10.0.0.2"), SubmitOptions{Cleanup: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = []*Job{job}
+	} else {
+		jobs = []*Job{submit(crashFlowAOld, crashFlowANew, "10.0.0.2"), submit(crashFlowBOld, crashFlowBNew, "10.0.0.3")}
+	}
 
-	// Both jobs settle in ctrl1's view — done, failed, or killed by the
+	// The jobs settle in ctrl1's view — done, failed, or killed by the
 	// boundary crash. Generous wall bound; virtual time flies.
 	phase1Ctx, phase1Cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	_ = jobA.Wait(phase1Ctx) //nolint:errcheck // failure and cancellation are expected outcomes
-	_ = jobB.Wait(phase1Ctx) //nolint:errcheck
+	for _, job := range jobs {
+		_ = job.Wait(phase1Ctx) //nolint:errcheck // failure and cancellation are expected outcomes
+	}
 	phase1Cancel()
 	crashFired = int(dispatched.Load()) >= boundary
 
@@ -233,8 +250,8 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		// The workload finished under this boundary: in the faulted
 		// sweep flow A must have rolled back verified; the sweep is
 		// complete either way.
-		assertCrashRestartInvariants(t, boundary, []*Job{jobA, jobB})
-		assertCrashRestartDataPlane(t, boundary, fabric)
+		assertCrashRestartInvariants(t, boundary, jobs)
+		assertCrashRestartEnd(t, boundary, fabric, opts, jobs, before)
 		return false, stats
 	}
 	cancel1() // idempotent: the journal hook already fired
@@ -284,7 +301,7 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 	}
 
 	assertCrashRestartInvariants(t, boundary, ctrl2.Engine().Jobs())
-	assertCrashRestartDataPlane(t, boundary, fabric)
+	assertCrashRestartEnd(t, boundary, fabric, opts, ctrl2.Engine().Jobs(), before)
 
 	// The healthz surface agrees with the recovery outcome.
 	if got, ok := ctrl2.Engine().Recovery(); !ok || got.Recovered() != stats.Recovered() {
@@ -341,6 +358,33 @@ func assertCrashRestartDataPlane(t *testing.T, boundary int, fabric *switchsim.F
 		if !res.Visited.Equal(tc.old) && !res.Visited.Equal(tc.new) {
 			t.Fatalf("boundary %d: probe from %d visited %v, want %v or %v in full",
 				boundary, tc.src, res.Visited, tc.old, tc.new)
+		}
+	}
+}
+
+// assertCrashRestartEnd checks the data plane the run ended on: both
+// flows' probes (assertCrashRestartDataPlane), or — for the lone
+// two-phase job — exactly the new path when it finished, and every
+// table exactly as before the job when it did not.
+func assertCrashRestartEnd(t *testing.T, boundary int, fabric *switchsim.Fabric, opts crashRestartOpts, jobs []*Job, before map[topo.NodeID]string) {
+	t.Helper()
+	if !opts.twoPhase {
+		assertCrashRestartDataPlane(t, boundary, fabric)
+		return
+	}
+	if len(jobs) != 1 {
+		t.Fatalf("boundary %d: %d jobs, want the one two-phase job", boundary, len(jobs))
+	}
+	if jobs[0].State() == JobDone {
+		res := fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
+		if res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(crashFlowANew) {
+			t.Fatalf("boundary %d: finished two-phase job, probe %+v, want delivery along %v", boundary, res, crashFlowANew)
+		}
+		return
+	}
+	for n, rules := range allTableRules(fabric) {
+		if rules != before[n] {
+			t.Fatalf("boundary %d: job %v; switch %d holds [%s], held [%s] before the job", boundary, jobs[0].Err(), n, rules, before[n])
 		}
 	}
 }
@@ -422,5 +466,35 @@ func TestCrashRestartFaultedRollback(t *testing.T) {
 	total := crashRestartSweep(t, crashRestartOpts{faulted: true})
 	if total.Requeued+total.Adopted+total.RolledBack == 0 {
 		t.Errorf("faulted sweep recovered nothing: %+v", total)
+	}
+}
+
+// TestCrashRestartTwoPhase sweeps the controller kill across every
+// dispatch boundary of a two-phase job with cleanup: a restart rebuilds
+// it from its admit record like any other job — none is marked
+// unrecoverable — and it ends on exactly the new path or exactly the
+// old tables.
+func TestCrashRestartTwoPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-restart sweep is not short")
+	}
+	total := crashRestartSweep(t, crashRestartOpts{virtual: true, twoPhase: true})
+	// A kill at the prepare wave leaves nothing confirmed (adopted); one
+	// at the commit or cleanup wave, a confirmed or applied prefix no
+	// tagged rule reports (rolled back).
+	if total.Adopted == 0 || total.RolledBack == 0 {
+		t.Errorf("two-phase sweep never adopted or never rolled back: %+v", total)
+	}
+}
+
+// TestCrashRestartTwoPhasePowerLoss is the two-phase sweep with the
+// machine dying: the journal keeps only what an fsync covered.
+func TestCrashRestartTwoPhasePowerLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-restart sweep is not short")
+	}
+	total := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, twoPhase: true})
+	if total.Requeued == 0 || total.RolledBack == 0 {
+		t.Errorf("two-phase power-loss sweep never requeued or never rolled back: %+v", total)
 	}
 }

@@ -125,11 +125,9 @@ func randomExecPlan(rng *rand.Rand, ip string) execPlan {
 			cleanupAt = append(cleanupAt, topo.NodeID(sw[i]+1))
 		}
 	}
-	mods := make([][]*openflow.FlowMod, n+len(cleanupAt))
+	mods := make([]*openflow.FlowMod, n+len(cleanupAt))
 	for i := range mods {
-		for k := 0; k <= rng.Intn(2); k++ {
-			mods[i] = append(mods[i], &openflow.FlowMod{Match: flowMatch(ip), Command: openflow.FlowModify, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone})
-		}
+		mods[i] = &openflow.FlowMod{Match: flowMatch(ip), Command: openflow.FlowModify, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone}
 	}
 	return newExecPlan(p, mods, n, cleanupAt)
 }
@@ -168,7 +166,7 @@ func TestDerivedRoundsEqualReference(t *testing.T) {
 			i := ready[k]
 			ready = slices.Delete(ready, k, k+1)
 			started, finished := span()
-			job.confirmed(i, topo.NodeID(rng.Intn(3)), len(plan.mods[i]), started, finished)
+			job.confirmed(i, topo.NodeID(rng.Intn(3)), plan.flowMods(i), started, finished)
 			if iter%3 != 0 {
 				ready = pr.Complete(i, ready)
 			}
@@ -239,7 +237,7 @@ func TestDerivedRoundsEqualReference(t *testing.T) {
 			for _, i := range rng.Perm(plan.len()) {
 				start := time.Duration(rng.Intn(1e6)) * time.Microsecond
 				reports <- &planwire.Report{Job: dec.ID, Switch: plan.sw(i), AcksSent: rng.Intn(3), Nodes: []planwire.NodeReport{{
-					Index: i, FlowMods: len(plan.mods[i]), Started: start, Finished: start + time.Duration(rng.Intn(1e4))*time.Microsecond,
+					Index: i, FlowMods: plan.flowMods(i), Started: start, Finished: start + time.Duration(rng.Intn(1e4))*time.Microsecond,
 				}}}
 			}
 		})

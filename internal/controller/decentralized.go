@@ -157,7 +157,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 		part := &parts[i]
 		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
 		for _, pn := range part.Nodes {
-			push.Mods = append(push.Mods, plan.mods[pn.Index])
+			push.Mods = append(push.Mods, plan.mods[pn.Index:pn.Index+1:pn.Index+1])
 		}
 		var err error
 		if pushes[i], err = planwire.EncodePush(push); err != nil {

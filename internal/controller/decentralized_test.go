@@ -236,9 +236,9 @@ func TestDecentralizedReorderedAcksConverge(t *testing.T) {
 
 // tableRules renders switch n's flow table, sorted, for before/after
 // comparisons.
-func tableRules(tb *testbed, n topo.NodeID) string {
+func tableRules(fabric *switchsim.Fabric, n topo.NodeID) string {
 	var rs []string
-	for _, e := range tb.fabric.Switch(n).Table().Snapshot() {
+	for _, e := range fabric.Switch(n).Table().Snapshot() {
 		rs = append(rs, fmt.Sprint(e.Match, e.Priority, e.Actions))
 	}
 	slices.Sort(rs)
@@ -246,10 +246,10 @@ func tableRules(tb *testbed, n topo.NodeID) string {
 }
 
 // allTableRules renders every switch's flow table.
-func allTableRules(tb *testbed) map[topo.NodeID]string {
+func allTableRules(fabric *switchsim.Fabric) map[topo.NodeID]string {
 	out := map[topo.NodeID]string{}
-	for _, n := range tb.fabric.Graph().Nodes() {
-		out[n] = tableRules(tb, n)
+	for _, n := range fabric.Graph().Nodes() {
+		out[n] = tableRules(fabric, n)
 	}
 	return out
 }
@@ -284,7 +284,7 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	if err := tb.ctrl.InstallPath(ctx, in.Old, flowMatch("10.0.0.2"), "h2"); err != nil {
 		t.Fatal(err)
 	}
-	before := allTableRules(tb)
+	before := allTableRules(tb.fabric)
 	tb.fabric.Switch(victim).Stop()
 	waitFor(t, "the stopped switch to disconnect", func() bool { return !slices.Contains(tb.ctrl.Datapaths(), uint64(victim)) })
 
@@ -310,7 +310,7 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 		t.Fatalf("job took %v, want < RoundTimeout %v: the abort waited instead of asking", d, roundTimeout)
 	}
 	time.Sleep(10 * peer) // any install still owed would land by now
-	for n, rules := range allTableRules(tb) {
+	for n, rules := range allTableRules(tb.fabric) {
 		if rules != before[n] {
 			t.Fatalf("switch %d holds [%s] after the rollback, held [%s] before the job", n, rules, before[n])
 		}
@@ -330,13 +330,13 @@ func TestDecentralizedLostReportUndone(t *testing.T) {
 		func(n topo.NodeID) switchsim.Config {
 			return switchsim.Config{Node: n, Faults: faults[n]}
 		})
-	reconnectAfterCrash(t, tb, 8)
+	reconnectAfterCrash(t, tb, 8, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := tb.ctrl.InstallPath(ctx, topo.Fig1OldPath, flowMatch("10.0.0.2"), "h2"); err != nil {
 		t.Fatal(err)
 	}
-	before := allTableRules(tb)
+	before := allTableRules(tb.fabric)
 	in := fig1Instance(t)
 	sched, err := core.Peacock(in)
 	if err != nil {
@@ -357,7 +357,7 @@ func TestDecentralizedLostReportUndone(t *testing.T) {
 		t.Fatalf("installed %v / rolled back %v miss switch 8, whose rule took effect unreported", f.Installed, f.RolledBack)
 	}
 	assertRolledBackInstalled(t, f)
-	for n, rules := range allTableRules(tb) {
+	for n, rules := range allTableRules(tb.fabric) {
 		if rules != before[n] {
 			t.Fatalf("switch %d holds [%s] after the rollback, held [%s] before the job", n, rules, before[n])
 		}

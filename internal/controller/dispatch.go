@@ -20,7 +20,7 @@ import (
 // removes all three:
 //
 //   - The walk writes its own installs (Engine.send): a released
-//     node's FlowMods and one re-stamped barrier are encoded into the
+//     node's FlowMod and one re-stamped barrier are encoded into the
 //     walk's pooled batch and go out as ONE buffered write on the
 //     switch's connection, which ofconn locks per connection.
 //   - Barrier replies are routed by the connection's read loop
@@ -44,11 +44,10 @@ import (
 // job id: a job walks twice when it rolls back, and a policy install
 // walks with no job at all.
 type barrierSink struct {
-	acks     chan<- nodeAck
-	seq      uint64
-	idx      int32
-	flowMods int32
-	started  time.Time
+	acks    chan<- nodeAck
+	seq     uint64
+	idx     int32
+	started time.Time
 }
 
 // Node dispatch states, tracked per plan node by the walk's event loop.
@@ -123,7 +122,7 @@ func (d *dispatcher) release(st *jobDispatch) {
 // its deadline) and counted.
 func (d *dispatcher) deliver(s barrierSink, now time.Time) {
 	select {
-	case s.acks <- nodeAck{seq: s.seq, idx: int(s.idx), flowMods: int(s.flowMods), sent: true, started: s.started, finished: now}:
+	case s.acks <- nodeAck{seq: s.seq, idx: int(s.idx), sent: true, started: s.started, finished: now}:
 	default:
 		metrics.DispatchAcksDropped.Inc()
 	}
@@ -136,7 +135,7 @@ type jobDispatch struct {
 	seq  uint64
 	acks chan nodeAck
 
-	dispatched []bool // FlowMods possibly reached the switch
+	dispatched []bool // the FlowMod possibly reached the switch
 	confirmed  []bool // barrier reply received
 	status     []byte // ns* per node
 	releasedBy []topo.NodeID
@@ -163,7 +162,7 @@ func (st *jobDispatch) noteFailure(err error) {
 	}
 }
 
-// send writes released node i on the walk's own goroutine: its FlowMods
+// send writes released node i on the walk's own goroutine: its FlowMod
 // and one re-stamped barrier go out as one write on the switch's
 // connection, the barrier's sink registered first so a fast reply always
 // finds it, and its deadline armed on the controller's injected clock —
@@ -189,9 +188,8 @@ func (e *Engine) write(st *jobDispatch, i int) (sent bool, err error) {
 	if err != nil {
 		return true, installErr(plan, i, "sending flowmod", err)
 	}
-	mods := plan.mods[i]
 	st.batch.Reset()
-	for _, fm := range mods {
+	if fm := plan.mods[i]; fm != nil {
 		fm.SetXid(dp.conn.NextXid())
 		if err := st.batch.Add(fm); err != nil {
 			return false, installErr(plan, i, "sending flowmod", err)
@@ -204,7 +202,7 @@ func (e *Engine) write(st *jobDispatch, i int) (sent bool, err error) {
 	}
 	now := e.c.clock.Now()
 	dp.mu.Lock()
-	dp.sinks[xid] = barrierSink{acks: st.acks, seq: st.seq, idx: int32(i), flowMods: int32(len(mods)), started: now}
+	dp.sinks[xid] = barrierSink{acks: st.acks, seq: st.seq, idx: int32(i), started: now}
 	dp.mu.Unlock()
 	st.deads.push(timed{int32(i), now.Add(e.c.cfg.RoundTimeout)})
 	metrics.DispatchBatchMsgs.Observe(int64(st.batch.Len()))

@@ -353,7 +353,6 @@ func (e *Engine) finish(job *Job, err error, report *FailureReport) {
 type nodeAck struct {
 	seq      uint64
 	idx      int
-	flowMods int
 	started  time.Time
 	finished time.Time
 	sent     bool
@@ -398,11 +397,11 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 		confirm: func(i int, by topo.NodeID, a nodeAck) []int {
 			if i >= len(job.preConfirmed) || !job.preConfirmed[i] {
 				e.noteConfirmed(job, i)
-				// Control messages per confirmed install: the FlowMods
+				// Control messages per confirmed install: the FlowMod
 				// plus the barrier request and its reply.
-				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: a.flowMods + 2})
+				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: job.plan.flowMods(i) + 2})
 			}
-			job.confirmed(i, by, a.flowMods, a.started, a.finished)
+			job.confirmed(i, by, job.plan.flowMods(i), a.started, a.finished)
 			ready = run.Complete(i, ready[:0])
 			return ready
 		},
@@ -743,10 +742,10 @@ func (e *Engine) dropSinks(st *jobDispatch) {
 }
 
 // walkFlat walks a plan without edges — one node per switch, mods[i]
-// sent to nodes[i] ahead of its barrier — outside any job: unjournaled,
-// every switch written and barriered concurrently. It ends with ctx or
-// with the engine, whichever comes first.
-func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, mods [][]*openflow.FlowMod) error {
+// sent to nodes[i] ahead of its barrier (nil: a bare barrier) — outside
+// any job: unjournaled, every switch written and barriered concurrently.
+// It ends with ctx or with the engine, whichever comes first.
+func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, mods []*openflow.FlowMod) error {
 	e.mu.Lock()
 	ectx := e.ctx
 	e.mu.Unlock()

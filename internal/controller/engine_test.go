@@ -89,71 +89,6 @@ func TestCleanupSkippedWhenNothingStale(t *testing.T) {
 	}
 }
 
-func TestSubmitJointTwoFlows(t *testing.T) {
-	// Two flows over Fig.1: h2 traffic migrates old→new; a second flow
-	// (10.0.0.9) moves the opposite way. Rules are keyed by nw_dst so
-	// they never interact.
-	tb := newTestbed(t, topo.Fig1(), nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := tb.ctrl.InstallPath(ctx, topo.Fig1OldPath, flowMatch("10.0.0.2"), "h2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.ctrl.InstallPath(ctx, topo.Fig1NewPath, flowMatch("10.0.0.9"), "h2"); err != nil {
-		t.Fatal(err)
-	}
-
-	inA := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	inB := core.MustInstance(topo.Fig1NewPath, topo.Fig1OldPath, topo.Fig1Waypoint)
-	ju, err := core.NewJointUpdate([]*core.Instance{inA, inB}, core.MustScheduler(core.AlgoWayUp), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := tb.ctrl.Engine().SubmitJoint(ju,
-		[]openflow.Match{flowMatch("10.0.0.2"), flowMatch("10.0.0.9")},
-		SubmitOptions{Cleanup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if want := ju.NumRounds() + 1; job.shape.depth != want {
-		t.Fatalf("joint rounds = %d, want %d (incl cleanup)", job.shape.depth, want)
-	}
-
-	// Each flow forwards along its own new path.
-	resA := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64)
-	if !resA.Visited.Equal(topo.Fig1NewPath) {
-		t.Fatalf("flow A path %v, want %v", resA.Visited, topo.Fig1NewPath)
-	}
-	resB := tb.fabric.Inject(1, nwDstOf("10.0.0.9"), 64)
-	if !resB.Visited.Equal(topo.Fig1OldPath) {
-		t.Fatalf("flow B path %v, want %v", resB.Visited, topo.Fig1OldPath)
-	}
-
-	// Round FlowMod counts cover both flows.
-	total := 0
-	for _, rt := range job.timings() {
-		total += rt.FlowMods
-	}
-	if want := ju.TotalFlowMods(); total < want {
-		t.Fatalf("flowmods executed %d < scheduled %d", total, want)
-	}
-}
-
-func TestSubmitJointValidation(t *testing.T) {
-	tb := newTestbed(t, topo.Fig1(), nil)
-	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
-	ju, err := core.NewJointUpdate([]*core.Instance{in}, core.MustScheduler(core.AlgoPeacock), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.ctrl.Engine().SubmitJoint(ju, nil, SubmitOptions{}); err == nil {
-		t.Fatal("match-count mismatch accepted")
-	}
-}
-
 func TestEngineRoundTimeoutOnSilentSwitch(t *testing.T) {
 	// A switch that answers the handshake but then drops barriers
 	// forces a round timeout; the job must fail, not hang.

@@ -172,7 +172,7 @@ func (h *allocHarness) held(t *testing.T, n int) {
 func fakePlan(ip string, first topo.NodeID, width, layers int) execPlan {
 	n := width * layers
 	p := &core.Plan{Algorithm: "alloc-pin", Nodes: make([]core.PlanNode, 0, n)}
-	mods := make([][]*openflow.FlowMod, 0, n)
+	mods := make([]*openflow.FlowMod, 0, n)
 	for i := 0; i < n; i++ {
 		fm := &openflow.FlowMod{
 			Match:    flowMatch(ip),
@@ -187,7 +187,7 @@ func fakePlan(ip string, first topo.NodeID, width, layers int) execPlan {
 			deps = []int{i - width}
 		}
 		p.Nodes = append(p.Nodes, core.PlanNode{Switch: first + topo.NodeID(i%width), Deps: deps})
-		mods = append(mods, []*openflow.FlowMod{fm})
+		mods = append(mods, fm)
 	}
 	return newExecPlan(p, mods, n, nil)
 }

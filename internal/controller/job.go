@@ -120,12 +120,10 @@ type Job struct {
 	// matches it programs; two jobs conflict when either set intersects,
 	// and the engine runs conflicting jobs in submission order and
 	// disjoint jobs concurrently. rollback carries what the abort path
-	// needs to build and verify a reverse plan; nil for jobs the engine
-	// cannot roll back (joint updates, two-phase), which fail plain on
-	// mid-plan errors. preConfirmed, set only on adopted jobs, marks the
-	// plan nodes the reconciliation proved already applied: execute
-	// confirms them synthetically and resumes dispatch from the frontier
-	// they release.
+	// needs to build and verify a reverse plan. preConfirmed, set only
+	// on adopted jobs, marks the plan nodes the reconciliation proved
+	// already applied: execute confirms them synthetically and resumes
+	// dispatch from the frontier they release.
 	plan         *execPlan
 	nodes        []topo.NodeID    // ascending, distinct
 	matches      []openflow.Match // ascending by compareMatch, distinct
@@ -328,12 +326,10 @@ func (j *Job) footprint() {
 	j.nodes = make([]topo.NodeID, 0, len(j.plan.dag.Nodes))
 	for i, nd := range j.plan.dag.Nodes {
 		j.nodes = append(j.nodes, nd.Switch)
-		for _, fm := range j.plan.mods[i] {
-			// A flow's mods all carry its one match: skip the repeats
-			// here and leave few for the sort.
-			if n := len(j.matches); n == 0 || j.matches[n-1] != fm.Match {
-				j.matches = append(j.matches, fm.Match)
-			}
+		// A flow's mods mostly carry its one match: skip the repeats here
+		// and leave few for the sort.
+		if m := j.plan.mods[i].Match; len(j.matches) == 0 || j.matches[len(j.matches)-1] != m {
+			j.matches = append(j.matches, m)
 		}
 	}
 	slices.Sort(j.nodes)

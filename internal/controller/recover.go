@@ -58,8 +58,9 @@ type RecoveryStats struct {
 	// RolledBack counts mid-flight jobs sent to the verified rollback
 	// path.
 	RolledBack int
-	// Failed counts non-recoverable jobs (joint, two-phase) that were
-	// non-terminal at the crash and could only be marked failed.
+	// Failed counts jobs non-terminal at the crash whose admit record
+	// could not be rebuilt — a record an older engine journaled without
+	// a rollback spec — and which could only be marked failed.
 	Failed int
 }
 
@@ -115,16 +116,6 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	var compacted []journal.Record
 	for i := range st.Live {
 		lj := &st.Live[i]
-		if !lj.Admit.Recoverable {
-			// Joint and two-phase jobs journal no recovery spec; caught
-			// non-terminal they can only be reported failed.
-			stats.Failed++
-			e.addStub(lj.ID, lj.Admit, nil, &FailureReport{
-				Phase:           PhaseAborted,
-				TriggeringFault: "controller restart: job shape is not recoverable",
-			})
-			continue
-		}
 		job, err := e.rebuildJob(lj.ID, lj.Admit)
 		if err != nil {
 			stats.Failed++
@@ -229,10 +220,11 @@ func (e *Engine) addStub(id int, a *journal.Admit, err error, report *FailureRep
 	e.mu.Unlock()
 }
 
-// rebuildJob reconstructs a recoverable job from its admission record:
-// the update instance, the flow match, the journaled execution DAG
-// (update and cleanup nodes alike, with their original dependencies),
-// and the rollback spec.
+// rebuildJob reconstructs a job from its admission record: the update
+// instance, the flow match, the journaled execution DAG (update and
+// cleanup nodes alike, with their original dependencies), and the
+// rollback spec — per-packet for a job journaled as two-phase, whose
+// nodes get the two-phase mod builder's FlowMods.
 func (e *Engine) rebuildJob(id int, a *journal.Admit) (*Job, error) {
 	old := make(topo.Path, len(a.Old))
 	for i, v := range a.Old {
@@ -263,12 +255,12 @@ func (e *Engine) rebuildJob(id int, a *journal.Admit) (*Job, error) {
 	// submission — with its cleanup nodes and their recorded
 	// dependencies as journaled, not re-derived — so the recovered job
 	// executes exactly the plan that was running.
-	ep, err := e.flowExecPlan(in, dag, match, cleanupFrom, nil)
+	spec := &rollbackSpec{in: in, match: match, props: core.Property(a.Props), perPacket: a.Algorithm == twoPhaseAlgorithm}
+	ep, err := e.flowExecPlan(spec, dag, cleanupFrom, nil)
 	if err != nil {
 		return nil, err
 	}
-	job := newJob(ep, SubmitOptions{Interval: a.Interval, Mode: ExecMode(a.Mode)},
-		&rollbackSpec{in: in, match: match, props: core.Property(a.Props)})
+	job := newJob(ep, SubmitOptions{Interval: a.Interval, Mode: ExecMode(a.Mode)}, spec)
 	job.ID = id
 	job.Recovered = true
 	return job, nil
@@ -325,18 +317,15 @@ type reconciled struct {
 //     old rule back;
 //   - every dispatched node whose switch stayed silent.
 //
-// Undos are idempotent, so the closure over-covers safely. A job
-// without a rollback spec (joint, two-phase) names no one flow to ask
-// about: every dispatched node counts, and nothing is asked.
+// Undos are idempotent, so the closure over-covers safely. A node whose
+// FlowMod programs a match other than the flow's own (a two-phase job's
+// tagged prepare rule) is invisible to the flow's query: it counts as a
+// silent switch's does — in when dispatched — and is never applied.
 func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) reconciled {
 	dag := job.plan.dag
 	n := len(dag.Nodes)
 	r := reconciled{applied: make([]bool, n), agentDone: make([]bool, n)}
 	spec := job.rollback
-	if spec == nil {
-		r.undo = dispatched
-		return r
-	}
 	reports := e.querySwitchState(ctx, job)
 	for _, rep := range reports {
 		for _, idx := range rep.AgentDone {
@@ -350,6 +339,8 @@ func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) rec
 		rep := reports[nd.Switch]
 		if rep == nil {
 			r.silent++
+		}
+		if rep == nil || job.plan.mods[i].Match != spec.match {
 			took[i] = dispatched[i]
 			continue
 		}

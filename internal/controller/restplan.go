@@ -71,7 +71,7 @@ func planUpdate(u api.FlowUpdate, forVerify bool) (*plannedUpdate, error) {
 			"mode %q unknown (want controller or decentralized)", u.Mode)
 	}
 	p := &plannedUpdate{In: in, Match: openflow.ExactNWDst(ip), Algo: u.Algorithm, Props: props, Mode: mode}
-	if u.Algorithm == "two-phase" {
+	if u.Algorithm == twoPhaseAlgorithm {
 		// Per-packet consistency: every packet rides exactly one
 		// policy end to end, which subsumes all four per-flow
 		// transient properties — any request is satisfied.

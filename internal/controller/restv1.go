@@ -98,7 +98,7 @@ func (c *Controller) submitPlanned(plans []*plannedUpdate, opts SubmitOptions) (
 		var err error
 		opts.Mode = p.Mode
 		if p.DAG == nil {
-			jobs[i], err = c.engine.twoPhaseJob(p.In, p.Match, TwoPhaseTag, opts)
+			jobs[i], err = c.engine.twoPhaseJob(p.In, p.Match, opts)
 		} else {
 			jobs[i], err = c.engine.planJob(p.In, p.DAG, p.Match, opts)
 		}

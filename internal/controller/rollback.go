@@ -29,8 +29,8 @@ import (
 // Failure-report phases, in escalation order.
 const (
 	// PhaseAborted: the job failed mid-plan and no rollback was
-	// attempted: a job shape — joint, two-phase — the engine cannot
-	// reverse, or one a controller restart cannot recover.
+	// attempted: a controller restart could not rebuild it from its
+	// journaled admit record.
 	PhaseAborted = "aborted"
 	// PhaseRolledBack: the reverse plan verified safe and every
 	// installed node was undone; the network is back on the old
@@ -62,7 +62,8 @@ type FailureReport struct {
 	// subset of Installed.
 	RolledBack []topo.NodeID
 	// RollbackVerified reports whether the reverse plan was decided
-	// safe (true even when its execution later failed).
+	// safe (true even when its execution later failed): by an exact
+	// verify verdict, or — for a two-phase job — by construction.
 	RollbackVerified bool
 	// Stuck, for PhaseStuck/PhaseRollbackFailed, lists installed nodes
 	// left in place with the dependencies blocking their uninstall.
@@ -78,11 +79,16 @@ type StuckNode struct {
 }
 
 // rollbackSpec carries what the abort path needs to build, verify and
-// execute a reverse plan for a single-flow job. Immutable.
+// execute a job's reverse plan; every job has one. Immutable.
 type rollbackSpec struct {
 	in    *core.Instance
 	match openflow.Match
 	props core.Property // the forward plan's guarantees (0 = none promised)
+
+	// perPacket marks a two-phase job: its update nodes are the tagged
+	// commit's (twoPhaseFlowMod), and its reverse is per-packet
+	// consistent by construction (see verifyRollback).
+	perPacket bool
 }
 
 // rollbackProps resolves the property set a rollback must uphold: the
@@ -108,9 +114,6 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) 
 		Installed:       planSetSwitches(job, undo),
 	}
 	spec := job.rollback
-	if spec == nil {
-		return report, cause
-	}
 	if err := e.verifyRollback(job, spec, undo); err != nil {
 		report.Phase = PhaseStuck
 		report.Stuck = stuckNodes(job, undo, nil)
@@ -135,7 +138,15 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) 
 // path, where re-adding a stale old-path rule at an unreachable switch
 // is unobservable — runRollback undoes them first, restoring exactly
 // the state space this verification covers.
+//
+// A per-packet spec's reverse passes without a model check: untagged
+// packets observe only the ingress rule, and the reverse undoes that
+// rule first — the tagged rules' deletes all wait for it — so every
+// packet rides the old policy or the new one in full.
 func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error {
+	if spec.perPacket {
+		return nil
+	}
 	rep, err := reverseReport(job, spec, undo)
 	switch {
 	case err != nil:
@@ -189,18 +200,18 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 	}
 	fms := make([]*openflow.FlowMod, n)
 	for j, fi := range fwd {
-		if fms[j], err = e.undoFlowMod(spec.in, job.plan.sw(fi), spec.match); err != nil {
+		if fms[j], err = e.undoFlowMod(spec, job.plan.sw(fi), job.plan.mods[fi]); err != nil {
 			return nil, undone, err
 		}
 	}
-	plan := newExecPlan(rev, oneModNodes(fms), n, nil)
+	plan := newExecPlan(rev, fms, n, nil)
 	run := core.NewPlanRun(rev)
 	ready := run.Reset(make([]int, 0, n))
 	_, _, err = e.walk(ctx, walkSpec{
 		plan: &plan,
 		confirm: func(j int, _ topo.NodeID, a nodeAck) []int {
 			node := plan.sw(j)
-			job.addMessages(node, MessageStats{Ctrl: a.flowMods + 2})
+			job.addMessages(node, MessageStats{Ctrl: plan.flowMods(j) + 2})
 			rolledBack = append(rolledBack, node)
 			undone[fwd[j]] = true
 			ready = run.Complete(j, ready[:0])
@@ -210,17 +221,21 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 	return rolledBack, undone, err
 }
 
-// undoFlowMod builds the FlowMod that reverses one switch's update:
-// old-path switches MODIFY the flow back toward their old-path
-// successor (OF 1.0 MODIFY also re-inserts a rule a cleanup node
-// deleted); new-path-only switches delete the rule the update
-// inserted. Both are idempotent on a switch the forward plan never
-// reached.
-func (e *Engine) undoFlowMod(in *core.Instance, node topo.NodeID, match openflow.Match) (*openflow.FlowMod, error) {
-	if succ, ok := in.OldSucc(node); ok {
-		return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
+// undoFlowMod builds the FlowMod that reverses one node's forward
+// FlowMod fwd at its switch: an ADD (a two-phase job's tagged prepare
+// rule) is undone by a DELETE of its match; otherwise old-path switches
+// MODIFY the flow back toward their old-path successor (OF 1.0 MODIFY
+// also re-inserts a rule a cleanup node deleted) and new-path-only
+// switches delete the rule the update inserted. Each is idempotent on a
+// switch the forward plan never reached.
+func (e *Engine) undoFlowMod(spec *rollbackSpec, node topo.NodeID, fwd *openflow.FlowMod) (*openflow.FlowMod, error) {
+	if fwd.Command == openflow.FlowAdd {
+		return deleteFlowMod(fwd.Match), nil
 	}
-	return deleteFlowMod(match), nil
+	if succ, ok := spec.in.OldSucc(node); ok {
+		return e.c.PathFlowMod(node, succ, spec.match, openflow.FlowModify)
+	}
+	return deleteFlowMod(spec.match), nil
 }
 
 // stuckNodes lists the installed nodes left in place (installed minus

@@ -52,7 +52,7 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 		func(n topo.NodeID) switchsim.Config {
 			return switchsim.Config{Node: n, Faults: faults[n]}
 		})
-	reconnectAfterCrash(t, tb, 8)
+	reconnectAfterCrash(t, tb, 8, 1)
 
 	job, _ := submitAbortJob(t, tb, ModeController)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -90,15 +90,15 @@ func TestCrashMidPlanRollsBackVerified(t *testing.T) {
 }
 
 // reconnectAfterCrash brings switch n back once its crash fault has
-// fired, well inside any round timeout, so reconcile and the rollback
-// find it.
-func reconnectAfterCrash(t *testing.T, tb *testbed, n topo.NodeID) {
+// fired — after its applied-th FlowMod — well inside any round timeout,
+// so reconcile and the rollback find it.
+func reconnectAfterCrash(t *testing.T, tb *testbed, n topo.NodeID, applied uint64) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	sw := tb.fabric.Switch(n)
 	go func() {
-		for sw.FlowModsApplied() < 1 {
+		for sw.FlowModsApplied() < applied {
 			select {
 			case <-ctx.Done():
 				return

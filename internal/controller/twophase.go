@@ -32,66 +32,69 @@ import (
 // two-phase mechanism.
 //
 // As a plan this is two layers — every prepare install, then the
-// commit — plus the optional cleanup suffix. Two-phase jobs carry no
-// rollback spec: their tagged mods have no reverse plan, so a mid-plan
-// failure fails plain.
-// TwoPhaseTag is the VLAN id the REST layer uses to mark the new
-// policy version in two-phase updates.
+// commit — plus the optional cleanup suffix. Its reverse is per-packet
+// consistent too: restore the ingress's untagged rule, then delete the
+// tagged rules, which no packet reaches once nothing is tagged. The
+// job's rollback spec is marked per-packet (see verifyRollback), and
+// each node's undo follows from its forward FlowMod (undoFlowMod).
+
+// TwoPhaseTag is the VLAN id that marks the new policy version in
+// two-phase updates.
 const TwoPhaseTag uint16 = 2016
+
+// twoPhaseAlgorithm names a two-phase job's plan — and its journaled
+// admit record, by which a restart picks the two-phase mod builder.
+const twoPhaseAlgorithm = "two-phase"
 
 // twoPhaseJob builds the prepare→commit(→cleanup) plan without
 // admitting anything.
-func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, tag uint16, opts SubmitOptions) (*Job, error) {
-	if tag == openflow.VLANNone {
-		return nil, fmt.Errorf("controller: tag 0x%04x is reserved for untagged traffic", openflow.VLANNone)
-	}
+func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, opts SubmitOptions) (*Job, error) {
 	if match.Wildcards&openflow.WildcardDLVLAN == 0 {
 		return nil, fmt.Errorf("controller: the flow match must not already pin a VLAN")
 	}
-	src := in.Src()
-
-	tagged := match
-	tagged.Wildcards &^= openflow.WildcardDLVLAN
-	tagged.DLVLAN = tag
-
 	// Phase 1: tagged copies of the new policy at every new-path
 	// switch except the ingress (the ingress tags-and-forwards in
 	// phase 2; a tagged rule there would never match, since packets
-	// arrive untagged).
+	// arrive untagged). A two-hop new path has nothing to prepare;
+	// Layered skips the empty round and the commit is the plan's only
+	// layer.
 	prepare := in.New[1 : len(in.New)-1]
-	var mods [][]*openflow.FlowMod
-	for _, node := range prepare {
-		succ, _ := in.NewSucc(node)
-		fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
-		if err != nil {
-			return nil, err
-		}
-		fm.Priority = flowPriority + 10
-		mods = append(mods, []*openflow.FlowMod{fm})
-	}
-
-	// Phase 2: flip the ingress — tag, then forward toward the new
-	// path's first hop.
-	succ, ok := in.NewSucc(src)
-	if !ok {
-		return nil, fmt.Errorf("controller: source %d has no new-path successor", src)
-	}
-	commit, err := e.c.PathFlowMod(src, succ, match, openflow.FlowModify)
-	if err != nil {
-		return nil, err
-	}
-	commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: tag}}, commit.Actions...)
-	mods = append(mods, []*openflow.FlowMod{commit})
-
-	// A two-hop new path has nothing to prepare; Layered skips the
-	// empty round and the commit is the plan's only layer.
-	p := core.Layered("two-phase", 0, [][]topo.NodeID{prepare, {src}})
+	p := core.Layered(twoPhaseAlgorithm, 0, [][]topo.NodeID{prepare, {in.Src()}})
 	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
 		cleanupAt = staleSwitches(in)
-		for range cleanupAt {
-			mods = append(mods, []*openflow.FlowMod{deleteFlowMod(match)})
-		}
 	}
-	return newJob(newExecPlan(p, mods, len(p.Nodes), cleanupAt), opts, nil), nil
+	spec := &rollbackSpec{in: in, match: match, perPacket: true}
+	ep, err := e.flowExecPlan(spec, p, len(p.Nodes), cleanupAt)
+	if err != nil {
+		return nil, err
+	}
+	return newJob(ep, opts, spec), nil
+}
+
+// twoPhaseFlowMod builds one update node's FlowMod of a two-phase job:
+// at the ingress the commit (phase 2: tag, then forward toward the new
+// path's first hop), elsewhere the tagged prepare rule (phase 1).
+func (e *Engine) twoPhaseFlowMod(in *core.Instance, node topo.NodeID, match openflow.Match) (*openflow.FlowMod, error) {
+	succ, ok := in.NewSucc(node)
+	if !ok {
+		return nil, fmt.Errorf("switch %d has no new-path successor", node)
+	}
+	if node == in.Src() {
+		commit, err := e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
+		if err != nil {
+			return nil, err
+		}
+		commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: TwoPhaseTag}}, commit.Actions...)
+		return commit, nil
+	}
+	tagged := match
+	tagged.Wildcards &^= openflow.WildcardDLVLAN
+	tagged.DLVLAN = TwoPhaseTag
+	fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
+	if err != nil {
+		return nil, err
+	}
+	fm.Priority = flowPriority + 10
+	return fm, nil
 }

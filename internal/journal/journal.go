@@ -103,11 +103,11 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Admit is the recovery spec journaled at admission. Recoverable jobs
-// (single-flow scheduled or planned updates) carry everything needed
-// to rebuild the execution DAG and its rollback spec; non-recoverable
-// shapes (joint updates, two-phase) journal only their identity and
-// fail on restart when caught non-terminal.
+// Admit is the recovery spec journaled at admission: everything needed
+// to rebuild a job's execution DAG and its rollback spec. The engine
+// writes every record Recoverable; a record an older engine wrote
+// without the spec decodes with empty paths, and its job fails on
+// restart when caught non-terminal.
 type Admit struct {
 	Algorithm string
 	Interval  time.Duration

@@ -53,21 +53,13 @@ func planInputs(t testing.TB) []struct {
 	return out
 }
 
-// maxSynthPending bounds the inputs TestPlansGolden synthesizes on:
-// past it one synthesis takes seconds (reversal64 about 14 s).
-const maxSynthPending = 20
-
 // TestPlansGolden pins every registered scheduler's plan, layered and
 // sparse, on planInputs: the error text, or the plan's wire encoding,
-// layers, guarantees and flags. Synthesis is pinned on the inputs of
-// at most maxSynthPending pending switches. -update rewrites the file.
+// layers, guarantees and flags. -update rewrites the file.
 func TestPlansGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, c := range planInputs(t) {
 		for _, name := range core.Names() {
-			if name == core.AlgoSynth && c.in.NumPending() > maxSynthPending {
-				continue
-			}
 			for _, sparse := range []bool{false, true} {
 				fmt.Fprintf(&b, "%s %s sparse=%t: ", c.name, name, sparse)
 				p, err := core.PlanByName(c.in, name, 0, sparse)
