@@ -84,11 +84,10 @@ guard-one-plan:
 # NodeID with one binary search (Instance.idx). A map[topo.NodeID] in a
 # non-test file there is the second representation coming back — it did
 # once already, beside the index. Allowed: multipolicy.go's cross-flow
-# tables (keyed across instances, which share no index) and
-# partition.go's per-switch wire view.
+# tables (keyed across instances, which share no index).
 guard-dense-core:
 	@out="$$(grep -n 'map\[topo\.NodeID\]' internal/core/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/core/multipolicy\.go:' -e '^internal/core/partition\.go:')"; \
+		| grep -v -e '_test\.go:' -e '^internal/core/multipolicy\.go:')"; \
 	if [ -n "$$out" ]; then \
 		echo "a NodeID-keyed map in internal/core (see guard-dense-core in the Makefile):"; \
 		echo "$$out"; exit 1; \
@@ -238,7 +237,9 @@ test-retention:
 # (journal torn-tail recovery plus the engine killed at every dispatch
 # boundary), two-phase jobs (rolled back in both dispatch modes, and
 # swept by their own crash-restart runs), the switch's halt-and-barrier answer to a state query and
-# the decentralized report the switches must be asked about, the
+# the decentralized report the switches must be asked about and every
+# decentralized controller test (the plan agent's acks, halts and
+# reports under the race detector), the
 # engine's admission and conflict-queue lifecycle
 # (launch on release, shutdown of queued jobs, recovery order), and the
 # clock's AfterFunc timers, a fleet at rest that leaves none pending
@@ -248,7 +249,7 @@ test-retention:
 # own goroutine, redials, read buffers returned to the pool and the
 # controller's one shutdown hook.
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|TwoPhase|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Reconnect|Handshake|Shutdown' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|TwoPhase|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Decentral|Reconnect|Handshake|Shutdown' \
 		./internal/ofconn ./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal ./internal/simclock
@@ -324,15 +325,17 @@ bench-smoke:
 
 # Ten seconds of coverage-guided fuzzing per fuzz target: the OpenFlow
 # wire decoder, the explorer's trace replay/minimization, the plan
-# wire codec's decode→encode identity, the partition codec that
-# ships per-switch plan slices to the decentralized agents, and the
-# CEGIS synthesizer's validate/round-trip invariant on random
-# instances, plus the job journal's replay: arbitrary bytes must
-# replay to the longest valid record prefix and never panic.
+# wire codec's decode→encode identity (the one plan encoding: the
+# journal's and the decentralized push's), the planwire payload
+# decoders (push, report, state query and state report: no panic, and
+# decode→encode→decode is the identity), and the CEGIS synthesizer's
+# validate/round-trip invariant on random instances, plus the job
+# journal's replay: arbitrary bytes must replay to the longest valid
+# record prefix and never panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreTrace$$' -fuzztime=10s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=10s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzPartitionRoundTrip$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime=10s ./internal/planwire
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthRefine$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime=10s ./internal/journal

@@ -23,7 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -189,16 +191,20 @@ func dryRun(w io.Writer, in *core.Instance, algo string, props core.Property, sp
 	// channel to push + report per switch, with the dependency acks
 	// travelling switch-to-switch.
 	if decentralized {
-		for _, part := range plan.Partition() {
-			peer := 0
-			for _, pn := range part.Nodes {
-				for _, e := range pn.OutEdges {
-					if e.Switch != part.Switch {
-						peer++
-					}
+		// A switch sends one ack per out-edge to another switch's node.
+		peer := make(map[topo.NodeID]int)
+		for _, nd := range plan.Nodes {
+			if _, ok := peer[nd.Switch]; !ok {
+				peer[nd.Switch] = 0 // every switch gets a line, acks or not
+			}
+			for _, d := range nd.Deps {
+				if from := plan.Nodes[d].Switch; from != nd.Switch {
+					peer[from]++
 				}
 			}
-			fmt.Fprintf(w, "            messages sw=%d: ctrl=2 peer=%d\n", part.Switch, peer)
+		}
+		for _, sw := range slices.Sorted(maps.Keys(peer)) {
+			fmt.Fprintf(w, "            messages sw=%d: ctrl=2 peer=%d\n", sw, peer[sw])
 		}
 	}
 	checkProps := props

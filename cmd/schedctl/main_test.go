@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,5 +92,33 @@ func TestDryRunVerifiesExecutedPlan(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("sparse=%t: dry run\n%s\ndoes not verify the executed plan (%s)", sparse, out.String(), want)
 		}
+	}
+}
+
+// TestDryRunDecentralizedMessages pins the per-switch message counts a
+// decentralized dry run prints for Fig. 1's sparse Peacock plan: two
+// control messages per switch (push and report) and one peer ack per
+// out-edge to another switch's node.
+func TestDryRunDecentralizedMessages(t *testing.T) {
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
+	var out bytes.Buffer
+	dryRun(&out, in, core.AlgoPeacock, 0, true, true)
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "messages ") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"messages sw=1: ctrl=2 peer=0",
+		"messages sw=3: ctrl=2 peer=0",
+		"messages sw=7: ctrl=2 peer=1",
+		"messages sw=8: ctrl=2 peer=1",
+		"messages sw=9: ctrl=2 peer=1",
+		"messages sw=10: ctrl=2 peer=1",
+		"messages sw=11: ctrl=2 peer=1",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decentralized dry run prints\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

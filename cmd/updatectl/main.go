@@ -49,7 +49,7 @@ func run() error {
 		nwDst     = flag.String("nwdst", "10.0.0.2", "flow destination IPv4 address")
 		batch     = flag.String("batch", "", "batch entries 'old|new[|wp[|nwdst[|algorithm]]]' separated by ';' (overrides -old/-new)")
 		planShape = flag.String("plan", "", "execution plan shape: layered (default) or sparse (ack-driven dependency DAG where the scheduler supports it)")
-		mode      = flag.String("mode", "", "dispatch path: controller (default) or decentralized (switches release each other peer-to-peer from broadcast partitions)")
+		mode      = flag.String("mode", "", "dispatch path: controller (default) or decentralized (switches release each other peer-to-peer from one pushed plan)")
 		installs  = flag.Bool("installs", false, "stream per-switch installs (with releasing edges) instead of per-round summaries")
 		interval  = flag.Duration("interval", 0, "pause between rounds")
 		install   = flag.Bool("install", false, "install each old path as the active policy first (POST /v1/policies)")

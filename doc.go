@@ -18,15 +18,15 @@
 // a slow switch stalls only its own dependents — and the plan that was
 // verified is, node for node, the plan that is journaled and run.
 //
-// Execution is also decentralizable: Plan.Partition slices the DAG
-// into per-switch partitions that the controller broadcasts once
-// (internal/planwire vendor messages); each switch's plan agent then
-// installs nodes as in-edge acks arrive and acks its out-edges
-// peer-to-peer over the fabric, so a dependency edge costs a
-// sub-millisecond hop instead of two control RTTs. The partial order
-// — and therefore the reachable ideal space, the verifier verdicts
-// and the explorer fingerprints — is unchanged by who relays the
-// acks (core.AssemblePlan, TestDecentralizedBitIdentical).
+// Execution is also decentralizable: the controller pushes every
+// switch the plan itself, in the journal's encoding, with that
+// switch's FlowMods (internal/planwire vendor messages); each switch's
+// plan agent derives its own nodes and edges from it, installs nodes
+// as in-edge acks arrive and acks its out-edges peer-to-peer over the
+// fabric, so a dependency edge costs a sub-millisecond hop instead of
+// two control RTTs. The partial order — and therefore the reachable
+// ideal space, the verifier verdicts and the explorer fingerprints —
+// is unchanged by who relays the acks (TestDecentralizedBitIdentical).
 //
 // Execution is also recoverable: netem.Faults injects seeded
 // drop/duplicate/reorder faults per message class and switchsim
@@ -101,7 +101,7 @@
 //   - internal/topo      — topologies, update families, the Figure 1 scenario
 //   - internal/openflow  — OpenFlow 1.0-subset wire protocol
 //   - internal/planwire  — vendor-message payloads for decentralized execution
-//     (partition push, completion report, state query/report)
+//     (plan push, completion report, state query/report)
 //   - internal/ofconn    — framing, handshake, xid management
 //   - internal/switchsim — simulated switches, data-plane fabric and the
 //     decentralized plan agent (clock-parameterized); fault injection:
@@ -124,7 +124,7 @@
 //     the controller sends — forward
 //     plans, verified rollbacks, policy installs and bare barriers — with
 //     per-node barriers (layered plans reproduce the paper's round loop) or
-//     decentralized partition broadcast (ModeDecentralized),
+//     decentralized plan broadcast (ModeDecentralized),
 //     REST API (/v1/verify and /v1/explore are the dry-run surfaces; jobs
 //     report plan shape, per-install release edges, ctrl/peer message counts
 //     and the structured failure report of the abort/rollback path);

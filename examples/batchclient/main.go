@@ -4,7 +4,7 @@
 // one batch, and watched as Server-Sent-Event streams while the
 // conflict-aware engine executes them concurrently. Flow A executes
 // decentralized — the switches release each other peer-to-peer from
-// one broadcast partition each — while flow B stays controller-driven,
+// one pushed copy of the plan each — while flow B stays controller-driven,
 // and the final job statuses show the message-count difference.
 //
 //	go run ./examples/batchclient

@@ -94,7 +94,7 @@ type FlowUpdate struct {
 	Plan string `json:"plan,omitempty"`
 	// Mode selects the dispatch path: "controller" (or empty) keeps
 	// the controller in the loop for every happens-before edge, while
-	// "decentralized" broadcasts per-switch plan partitions once and
+	// "decentralized" pushes every switch the plan once and
 	// lets the switches release each other peer-to-peer, reporting
 	// back only on completion.
 	Mode string `json:"mode,omitempty"`
@@ -184,7 +184,7 @@ func (r RoundStatus) Duration() time.Duration {
 
 // MessageCount is one switch's message tally for a job: Ctrl counts
 // controller↔switch messages (FlowMods, barriers and replies, or
-// partition push + completion report), Peer counts direct
+// plan push + completion report), Peer counts direct
 // switch↔switch dependency acks (decentralized mode only).
 type MessageCount struct {
 	Switch uint64 `json:"switch,omitempty"`

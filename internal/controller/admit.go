@@ -20,7 +20,7 @@ var ErrQueueFull = errors.New("controller: update queue full")
 // happens-before edges and, through core.Plan's own layering, the shape
 // — plus the FlowMods each node sends. dag is the single copy of the
 // structure: the dispatcher's release bookkeeping (core.PlanRun), the
-// journal's admit record, the decentralized partitions and the abort
+// journal's admit record, the decentralized pushes and the abort
 // path's reverse plan are all taken from it, so the plan that was
 // verified, the plan that is journaled and the plan that runs are one
 // value. An execPlan is immutable once built: walks hold it by pointer,
@@ -202,8 +202,8 @@ type SubmitOptions struct {
 
 	// Mode selects the dispatch path: ModeController (default) routes
 	// every happens-before edge through controller-side barriers;
-	// ModeDecentralized broadcasts per-switch plan partitions once and
-	// lets the switches coordinate peer-to-peer.
+	// ModeDecentralized pushes every switch the plan once and lets the
+	// switches coordinate peer-to-peer.
 	Mode ExecMode
 }
 

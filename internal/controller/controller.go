@@ -340,8 +340,8 @@ func (c *Controller) datapath(dpid uint64) (*datapath, error) {
 }
 
 // SendVendor sends a vendor/experimenter message carrying an opaque
-// planwire payload to a switch — the decentralized engine's partition
-// push channel.
+// planwire payload to a switch — the decentralized engine's plan push
+// channel.
 func (c *Controller) SendVendor(dpid uint64, data []byte) error {
 	dp, err := c.datapath(dpid)
 	if err != nil {

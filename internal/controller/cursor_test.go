@@ -237,7 +237,7 @@ func TestDerivedRoundsEqualReference(t *testing.T) {
 			for _, i := range rng.Perm(plan.len()) {
 				start := time.Duration(rng.Intn(1e6)) * time.Microsecond
 				reports <- &planwire.Report{Job: dec.ID, Switch: plan.sw(i), AcksSent: rng.Intn(3), Nodes: []planwire.NodeReport{{
-					Index: i, FlowMods: plan.flowMods(i), Started: start, Finished: start + time.Duration(rng.Intn(1e4))*time.Microsecond,
+					Index: i, Started: start, Finished: start + time.Duration(rng.Intn(1e4))*time.Microsecond,
 				}}}
 			}
 		})

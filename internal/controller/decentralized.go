@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"tsu/internal/core"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
@@ -22,8 +23,8 @@ const (
 	// channel round trips.
 	ModeController ExecMode = iota
 
-	// ModeDecentralized broadcasts each switch's plan partition once
-	// and lets the switches run the DAG themselves: a switch installs a
+	// ModeDecentralized pushes the plan to every switch once and lets
+	// the switches run the DAG themselves: a switch installs a
 	// node when all of its in-edge acks have arrived and notifies its
 	// DAG successors peer-to-peer (ez-Segway style). The controller
 	// hears back exactly once per switch — the terminal completion
@@ -55,7 +56,7 @@ func ParseExecMode(s string) (ExecMode, bool) {
 
 // MessageStats counts the messages attributed to one switch during a
 // job: Ctrl is controller↔switch traffic (FlowMods, barriers and
-// replies, partition pushes, completion reports), Peer is direct
+// replies, plan pushes, completion reports), Peer is direct
 // switch↔switch traffic (dependency acks). The controller-driven mode
 // has Peer == 0 by construction; the decentralized mode trades almost
 // all Ctrl volume for Peer messages on short data-plane hops.
@@ -127,13 +128,14 @@ func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished
 	j.mu.Unlock()
 }
 
-// executeDecentralized runs one job by delegation: partition the
-// execution DAG per switch, push every partition (with its FlowMods)
-// in a single broadcast, then wait for one completion report per
-// switch. The happens-before edges execute at the switches — each
-// in-edge ack travels one data-plane hop instead of two control-
-// channel round trips — so the controller's contribution to the
-// critical path collapses to the initial push plus the final report.
+// executeDecentralized runs one job by delegation: push every switch
+// the whole execution DAG (core.EncodePlan, once per job) and the
+// FlowMods of the nodes it owns, then wait for one completion report
+// per switch, whose plan agent derives its own nodes and edges from the
+// DAG. The happens-before edges execute at the switches — each in-edge
+// ack travels one data-plane hop instead of two control-channel round
+// trips — so the controller's contribution to the critical path
+// collapses to the initial push plus the final report.
 //
 // Reported installs enter the job's log as the controller-driven path's
 // do: install events still carry the releasing predecessor (as observed
@@ -141,31 +143,29 @@ func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished
 func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureReport, error) {
 	plan := job.plan
 	n := plan.len()
-	// Self-describing partitions: the plan carries the job's algorithm
-	// and shape, so a switch (or a debugger on the wire) can tell what
-	// it is executing.
-	parts := plan.dag.Partition()
+	enc := core.EncodePlan(plan.dag) // one encoding, shared by every push of the job
 
-	reports := make(chan *planwire.Report, len(parts))
+	reports := make(chan *planwire.Report, len(job.nodes))
 	e.c.registerPlanReports(job.ID, reports)
 	defer e.c.unregisterPlanReports(job.ID)
 
 	// Every push is encoded before anything is journaled or sent, so an
 	// encoding error leaves nothing on the wire.
-	pushes := make([][]byte, len(parts))
-	for i := range parts {
-		part := &parts[i]
-		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Part: part}
-		for _, pn := range part.Nodes {
-			push.Mods = append(push.Mods, plan.mods[pn.Index:pn.Index+1:pn.Index+1])
+	pushes := make([][]byte, len(job.nodes))
+	for k, sw := range job.nodes { // the DAG's switches, ascending
+		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Switch: sw}
+		for i := range n {
+			if plan.sw(i) == sw {
+				push.Mods = append(push.Mods, plan.mods[i])
+			}
 		}
 		var err error
-		if pushes[i], err = planwire.EncodePush(push); err != nil {
-			return nil, fmt.Errorf("encoding partition for %d: %w", part.Switch, err)
+		if pushes[k], err = planwire.EncodePush(push, enc); err != nil {
+			return nil, fmt.Errorf("encoding push for %d: %w", sw, err)
 		}
 	}
 
-	// A partition push hands the whole DAG to the switches at once:
+	// The pushes hand the whole DAG to the switches at once:
 	// every node is journaled dispatched in one write-ahead record
 	// (before any push leaves), so a recovering controller knows the
 	// entire plan may have taken effect and reconciles all of it against
@@ -178,25 +178,24 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 		return nil, errJournalWriteAhead
 	}
 
-	// Node completion offsets in reports are relative to partition
-	// receipt; anchor them at the broadcast instant. The skew (one
-	// control-channel delivery) is the same for every switch.
+	// Node completion offsets in reports are relative to push receipt;
+	// anchor them at the broadcast instant. The skew (one control-
+	// channel delivery) is the same for every switch.
 	broadcast := e.c.clock.Now()
 	pushed := make([]bool, n)
-	for i, data := range pushes {
-		part := &parts[i]
-		if err := e.c.SendVendor(uint64(part.Switch), data); err != nil {
-			err = fmt.Errorf("pushing partition to %d: %w", part.Switch, err)
-			if i == 0 {
+	for k, sw := range job.nodes {
+		if err := e.c.SendVendor(uint64(sw), pushes[k]); err != nil {
+			err = fmt.Errorf("pushing partition to %d: %w", sw, err)
+			if k == 0 {
 				return nil, err // nothing went out
 			}
 			// A push that failed did not reach its switch whole; the
-			// switches pushed to so far are running their partitions, and
+			// switches pushed to so far are running the plan, and
 			// reconcile halts them before it reads what took effect.
 			return e.abort(ctx, job, err, e.reconcile(ctx, job, pushed).undo)
 		}
-		for _, pn := range part.Nodes {
-			pushed[pn.Index] = true
+		for i := range n {
+			pushed[i] = pushed[i] || plan.sw(i) == sw
 		}
 	}
 
@@ -215,8 +214,8 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		// Two control messages per switch, total: the partition push
-		// and this report. Peer acks are the switch's own.
+		// Two control messages per switch, total: the push and this
+		// report. Peer acks are the switch's own.
 		job.addMessages(r.Switch, MessageStats{Ctrl: 2, Peer: r.AcksSent})
 		for i := range r.Nodes {
 			nr := &r.Nodes[i]
@@ -227,7 +226,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 			confirmed[nr.Index] = true
 			e.noteConfirmed(job, nr.Index)
 			remaining--
-			job.confirmed(nr.Index, nr.ReleasedBy, nr.FlowMods, broadcast.Add(nr.Started), broadcast.Add(nr.Finished))
+			job.confirmed(nr.Index, nr.ReleasedBy, plan.flowMods(nr.Index), broadcast.Add(nr.Started), broadcast.Add(nr.Finished))
 		}
 	}
 	return nil, nil

@@ -254,9 +254,9 @@ func allTableRules(fabric *switchsim.Fabric) map[topo.NodeID]string {
 	return out
 }
 
-// TestDecentralizedPushFailsPartway: a partition push that fails after
-// earlier ones went out leaves those switches executing their
-// partitions, nodes waiting on peer acks. The job aborts at once, with
+// TestDecentralizedPushFailsPartway: a plan push that fails after
+// earlier ones went out leaves those switches executing their share of
+// the plan, nodes waiting on peer acks. The job aborts at once, with
 // a FailureReport: reconcile's query halts every pushed switch's agent
 // before it answers, so no deferred install can land after an undo. It
 // ends rolled-back, not rollback-failed: the switch the push never
@@ -270,8 +270,10 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := p.Partition()
-	victim := parts[len(parts)-1].Switch // pushed last: the others went out
+	var victim topo.NodeID // the highest switch id, pushed last: the others went out
+	for _, nd := range p.Nodes {
+		victim = max(victim, nd.Switch)
+	}
 	const peer = 10 * time.Millisecond
 	const roundTimeout = 300 * time.Millisecond
 	g := topo.Fig1()

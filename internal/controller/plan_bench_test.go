@@ -36,7 +36,7 @@ import (
 //	                       channel — four serialized RTTs end to end.
 //	decentralized-layered  the same nine-layer DAG executed by the
 //	                       switches themselves (depth 9 ≥ 5): one
-//	                       partition broadcast, then every
+//	                       plan broadcast, then every
 //	                       happens-before edge is a sub-millisecond
 //	                       peer ack instead of two control RTTs. The
 //	                       control channel appears exactly once on the

@@ -892,7 +892,7 @@ func e15Replay(in *core.Instance, seed int64, lossRate, wipeRate float64) (outco
 	var o outcome
 	r, err := newReplay(in, seed, func(rng *rand.Rand) draw {
 		return draw{
-			start:   ctrlDist.Sample(rng), // partition-push arrival
+			start:   ctrlDist.Sample(rng), // plan-push arrival
 			latency: installDist.Sample(rng),
 			hop:     peerDist.Sample(rng),
 			lost:    rng.Float64() < lossRate, // agent stall

@@ -139,7 +139,7 @@ func sweep(instances []*core.Instance, seed int64, tier, workers int, run func(i
 // draw is one plan node's seeded inputs; a controller-driven run leaves
 // start and hop zero.
 type draw struct {
-	start   time.Duration // earliest release (decentralized: partition-push arrival)
+	start   time.Duration // earliest release (decentralized: plan-push arrival)
 	latency time.Duration // release → confirm
 	hop     time.Duration // extra delay of the acks this node sends to other switches
 	lost    bool          // installed, but the confirmation and acks never arrive

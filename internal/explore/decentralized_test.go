@@ -1,10 +1,15 @@
 package explore
 
 import (
+	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tsu/internal/core"
+	"tsu/internal/openflow"
+	"tsu/internal/planwire"
+	"tsu/internal/topo"
 	"tsu/internal/verify"
 )
 
@@ -13,14 +18,15 @@ import (
 // (with and without waypoint) and a seeded fat-tree reroute, for both
 // the layered and the sparse plan shape:
 //
-//	(a) Partition/AssemblePlan is lossless: shipping a plan to the
-//	    switches as per-switch partitions and reassembling it yields
-//	    the identical DAG — the happens-before edges, not the ack
-//	    relayer, define the partial order, so the reachable transient
-//	    states (order ideals) are unchanged by decentralization.
-//	(b) The verifier's verdict on the reassembled plan is bit-identical
-//	    to the original's.
-//	(c) The explorer's fingerprint on the reassembled plan is
+//	(a) The push is lossless: every switch of the plan receives it
+//	    whole — DecodePush(EncodePush(push)) yields the identical DAG
+//	    and that switch's FlowMods — and the happens-before edges, not
+//	    the ack relayer, define the partial order, so the reachable
+//	    transient states (order ideals) are unchanged by
+//	    decentralization.
+//	(b) The verifier's verdict on the decoded plan is bit-identical to
+//	    the original's.
+//	(c) The explorer's fingerprint on the decoded plan is
 //	    bit-identical to the original's, exhaustive and sampled.
 func TestDecentralizedBitIdentical(t *testing.T) {
 	for caseName, in := range planTestInstances(t) {
@@ -36,25 +42,19 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 						t.Skipf("%s declined: %v", name, err)
 					}
 
-					// (a) Partition round trip is the identity.
-					rebuilt, err := core.AssemblePlan(p.Partition())
-					if err != nil {
-						t.Fatalf("reassembling partitions: %v", err)
-					}
-					if !reflect.DeepEqual(rebuilt, p) {
-						t.Fatalf("partition round trip diverged:\n got %+v\nwant %+v", rebuilt, p)
-					}
+					// (a) Every switch's push round trip is the identity.
+					rebuilt := pushRoundTrip(t, p)
 
 					// (b) Verifier verdicts: bit-identical reports on the
-					// reassembled plan.
+					// decoded plan.
 					vopts := verify.Options{Seed: 7}
 					va := verify.Plan(in, p, p.Guarantees, vopts)
 					vb := verify.Plan(in, rebuilt, p.Guarantees, vopts)
 					if va.String() != vb.String() || va.OK() != vb.OK() || va.Exact() != vb.Exact() {
-						t.Fatalf("verifier diverged:\n original    %s\n reassembled %s", va, vb)
+						t.Fatalf("verifier diverged:\n original %s\n decoded  %s", va, vb)
 					}
 
-					// (c) Explorer fingerprints, exhaustive: reassembly cannot
+					// (c) Explorer fingerprints, exhaustive: the wire cannot
 					// change the enumerated ideal space.
 					base := Options{Seed: 11, MaxExhaustive: 14}
 					adv := base
@@ -94,4 +94,59 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pushRoundTrip pushes p to every switch of it, through EncodePush and
+// DecodePush, and requires each switch to receive p itself and its own
+// FlowMods, one per node it owns. It returns a decoded plan.
+func pushRoundTrip(t *testing.T, p *core.Plan) *core.Plan {
+	t.Helper()
+	enc := core.EncodePlan(p)
+	var decoded *core.Plan
+	for _, sw := range planSwitches(p) {
+		push := &planwire.Push{Job: 1, Switch: sw}
+		for i, nd := range p.Nodes {
+			if nd.Switch == sw {
+				push.Mods = append(push.Mods, &openflow.FlowMod{
+					Match:    openflow.ExactNWDst(net.IPv4(10, 0, 0, 2)),
+					Command:  openflow.FlowModify,
+					Priority: uint16(i),
+					BufferID: openflow.NoBuffer,
+					OutPort:  openflow.PortNone,
+					Actions:  []openflow.Action{openflow.ActionOutput{Port: uint16(sw)}},
+				})
+			}
+		}
+		data, err := planwire.EncodePush(push, enc)
+		if err != nil {
+			t.Fatalf("encoding the push to %d: %v", sw, err)
+		}
+		got, err := planwire.DecodePush(data)
+		if err != nil {
+			t.Fatalf("decoding the push to %d: %v", sw, err)
+		}
+		if !reflect.DeepEqual(got.Plan, p) {
+			t.Fatalf("push to %d carries another plan:\n got %+v\nwant %+v", sw, got.Plan, p)
+		}
+		if len(got.Mods) != len(push.Mods) {
+			t.Fatalf("push to %d carries %d flowmods, want %d", sw, len(got.Mods), len(push.Mods))
+		}
+		for k, fm := range got.Mods {
+			if want := push.Mods[k]; fm.Priority != want.Priority || fm.Match != want.Match || !reflect.DeepEqual(fm.Actions, want.Actions) {
+				t.Fatalf("push to %d: flowmod %d = %+v, want %+v", sw, k, fm, want)
+			}
+		}
+		decoded = got.Plan
+	}
+	return decoded
+}
+
+// planSwitches lists the switches owning a node of p, ascending.
+func planSwitches(p *core.Plan) []topo.NodeID {
+	var out []topo.NodeID
+	for _, nd := range p.Nodes {
+		out = append(out, nd.Switch)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -67,7 +67,7 @@ func (m *EchoReply) decodeBody(b []byte) error {
 // Vendor is the OpenFlow 1.0 experimenter escape hatch
 // (ofp_vendor_header): a 32-bit vendor id followed by opaque data the peer
 // interprets. The prototype uses it to carry decentralized-execution
-// control messages (plan partitions down, completion reports up); see
+// control messages (plan pushes down, completion reports up); see
 // package planwire for the payload codecs.
 type Vendor struct {
 	xid

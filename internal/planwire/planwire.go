@@ -3,19 +3,22 @@
 // messages (the 1.0 experimenter escape hatch) over the existing
 // controller↔switch connection:
 //
-//   - Push (controller → switch): the switch's plan partition — its
-//     own installs, the in-edge acks to wait for, the out-edges to
-//     notify — plus the FlowMods to apply, one broadcast per switch.
+//   - Push (controller → switch): the job's whole plan, in the
+//     encoding the journal writes (core.EncodePlan), the target switch
+//     and the FlowMod of each node it owns, one message per switch. The
+//     switch derives its share — its own installs, the in-edge acks to
+//     wait for, the out-edges to notify — from the plan.
 //   - Report (switch → controller): the terminal completion report —
-//     per-node install timings as offsets from partition receipt, the
+//     per-node install timings as offsets from push receipt, the
 //     releasing predecessor of each install, and the switch's peer
 //     message counters.
+//   - StateQuery / StateReport: what took effect at a switch.
 //
 // Everything in between — the per-edge acks — travels switch-to-switch
 // on the data-plane fabric and never touches the controller; see
-// switchsim's plan agent. Both payloads reuse the strict canonical
-// decoding style of core's plan codec: a malformed payload yields an
-// error, never a panic or a partial struct.
+// switchsim's plan agent. Every payload reuses the strict decoding
+// style of core's plan codec: a malformed payload yields an error,
+// never a panic or a partial struct.
 package planwire
 
 import (
@@ -43,11 +46,9 @@ const (
 // ErrWire marks malformed planwire payloads; match with errors.Is.
 var ErrWire = errors.New("malformed planwire payload")
 
-// maxNodeMods bounds the FlowMods attached to one plan node.
-const maxNodeMods = 1 << 10
-
-// Push is the controller's one-shot broadcast to a switch: the plan
-// partition it executes and the FlowMods of each owned node.
+// Push is the controller's one-shot message to a switch: the job's
+// whole plan, from which the switch's plan agent derives its own nodes
+// and their in- and out-edges, and the FlowMod of each node it owns.
 type Push struct {
 	// Job is the controller-side job id, echoed in acks and the report.
 	Job int
@@ -56,17 +57,22 @@ type Push struct {
 	// message's "interval", applied switch-locally).
 	Interval time.Duration
 
-	// Part is the switch's plan partition.
-	Part *core.SwitchPartition
+	// Switch is the target, which executes the plan nodes it owns.
+	Switch topo.NodeID
 
-	// Mods holds each owned node's FlowMods, aligned with Part.Nodes.
-	Mods [][]*openflow.FlowMod
+	// Plan is the job's whole DAG. DecodePush sets it; EncodePush
+	// writes the caller's core.EncodePlan bytes instead.
+	Plan *core.Plan
+
+	// Mods holds one FlowMod per plan node Switch owns, in ascending
+	// node order.
+	Mods []*openflow.FlowMod
 }
 
 // NodeReport is one install's outcome inside a Report. Timings are
-// offsets from the moment the partition arrived at the switch — the
-// agent has no global clock; the controller anchors them at its
-// broadcast time.
+// offsets from the moment the push arrived at the switch — the agent
+// has no global clock; the controller anchors them at its broadcast
+// time.
 type NodeReport struct {
 	// Index is the node's global plan index.
 	Index int
@@ -75,11 +81,8 @@ type NodeReport struct {
 	// (zero for installs with no in-edges).
 	ReleasedBy topo.NodeID
 
-	// FlowMods counts the rules applied for this node.
-	FlowMods int
-
-	// Started and Finished bound the install (first FlowMod applied to
-	// last confirmed), as offsets from partition receipt.
+	// Started and Finished bound the install (FlowMod applied to
+	// confirmed), as offsets from push receipt.
 	Started, Finished time.Duration
 }
 
@@ -100,35 +103,34 @@ type Report struct {
 }
 
 // EncodePush serialises a Push payload (excluding the vendor id, which
-// the OpenFlow Vendor envelope carries).
-func EncodePush(p *Push) ([]byte, error) {
-	if len(p.Mods) != len(p.Part.Nodes) {
-		return nil, fmt.Errorf("planwire: %d mod lists for %d nodes", len(p.Mods), len(p.Part.Nodes))
-	}
+// the OpenFlow Vendor envelope carries). plan is core.EncodePlan of the
+// job's plan, written verbatim; p.Plan is not read. The wire carries no
+// FlowMod count — DecodePush reads one per owned node — so p.Mods must
+// hold exactly one non-nil FlowMod per node p.Switch owns.
+func EncodePush(p *Push, plan []byte) ([]byte, error) {
 	buf := []byte{kindPush}
 	buf = binary.AppendUvarint(buf, uint64(p.Job))
 	buf = binary.AppendUvarint(buf, uint64(p.Interval))
-	part := core.EncodePartition(p.Part)
-	buf = binary.AppendUvarint(buf, uint64(len(part)))
-	buf = append(buf, part...)
-	for _, mods := range p.Mods {
-		if len(mods) > maxNodeMods {
-			return nil, fmt.Errorf("planwire: %d mods on one node", len(mods))
+	buf = binary.AppendUvarint(buf, uint64(p.Switch))
+	buf = binary.AppendUvarint(buf, uint64(len(plan)))
+	buf = append(buf, plan...)
+	for _, fm := range p.Mods {
+		if fm == nil {
+			return nil, fmt.Errorf("planwire: nil flowmod in push to %d", p.Switch)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(mods)))
-		for _, fm := range mods {
-			blob, err := openflow.Encode(fm)
-			if err != nil {
-				return nil, fmt.Errorf("planwire: encoding flowmod: %w", err)
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(blob)))
-			buf = append(buf, blob...)
+		blob, err := openflow.Encode(fm)
+		if err != nil {
+			return nil, fmt.Errorf("planwire: encoding flowmod: %w", err)
 		}
+		buf = binary.AppendUvarint(buf, uint64(len(blob)))
+		buf = append(buf, blob...)
 	}
 	return buf, nil
 }
 
-// DecodePush parses a Push payload.
+// DecodePush parses a Push payload: the plan through core.DecodePlan,
+// then exactly one FlowMod per node the target owns. A target that
+// owns no node is rejected.
 func DecodePush(data []byte) (*Push, error) {
 	d := decoder{buf: data}
 	if k := d.byte(); k != kindPush {
@@ -137,48 +139,48 @@ func DecodePush(data []byte) (*Push, error) {
 	p := &Push{
 		Job:      int(d.uvarint()),
 		Interval: time.Duration(d.uvarint()),
+		Switch:   topo.NodeID(d.uvarint()),
 	}
-	partLen := d.uvarint()
-	if partLen > 1<<26 {
-		return nil, fmt.Errorf("planwire: partition of %d bytes: %w", partLen, ErrWire)
+	planLen := d.uvarint()
+	if planLen > 1<<26 {
+		return nil, fmt.Errorf("planwire: plan of %d bytes: %w", planLen, ErrWire)
 	}
-	partBytes := d.take(int(partLen))
+	planBytes := d.take(int(planLen))
 	if d.err != nil {
 		return nil, d.err
 	}
-	part, err := core.DecodePartition(partBytes)
+	plan, err := core.DecodePlan(planBytes)
 	if err != nil {
-		return nil, fmt.Errorf("planwire: partition: %w", err)
+		return nil, fmt.Errorf("planwire: plan: %w", err)
 	}
-	p.Part = part
-	p.Mods = make([][]*openflow.FlowMod, len(part.Nodes))
-	for i := range part.Nodes {
-		n := d.uvarint()
-		if n > maxNodeMods {
-			return nil, fmt.Errorf("planwire: %d mods on one node: %w", n, ErrWire)
+	p.Plan = plan
+	for i, nd := range plan.Nodes {
+		if nd.Switch != p.Switch || d.err != nil {
+			continue
 		}
-		for k := 0; k < int(n) && d.err == nil; k++ {
-			blobLen := d.uvarint()
-			if blobLen > openflow.MaxMessageLen {
-				return nil, fmt.Errorf("planwire: flowmod of %d bytes: %w", blobLen, ErrWire)
-			}
-			blob := d.take(int(blobLen))
-			if d.err != nil {
-				break
-			}
-			m, err := openflow.Decode(blob)
-			if err != nil {
-				return nil, fmt.Errorf("planwire: flowmod: %w", err)
-			}
-			fm, ok := m.(*openflow.FlowMod)
-			if !ok {
-				return nil, fmt.Errorf("planwire: node %d carries a %s, want FLOW_MOD: %w", i, m.MsgType(), ErrWire)
-			}
-			p.Mods[i] = append(p.Mods[i], fm)
+		blobLen := d.uvarint()
+		if blobLen > openflow.MaxMessageLen {
+			return nil, fmt.Errorf("planwire: flowmod of %d bytes: %w", blobLen, ErrWire)
 		}
+		blob := d.take(int(blobLen))
+		if d.err != nil {
+			break
+		}
+		m, err := openflow.Decode(blob)
+		if err != nil {
+			return nil, fmt.Errorf("planwire: flowmod: %w", err)
+		}
+		fm, ok := m.(*openflow.FlowMod)
+		if !ok {
+			return nil, fmt.Errorf("planwire: node %d carries a %s, want FLOW_MOD: %w", i, m.MsgType(), ErrWire)
+		}
+		p.Mods = append(p.Mods, fm)
 	}
 	if d.err != nil {
 		return nil, d.err
+	}
+	if len(p.Mods) == 0 {
+		return nil, fmt.Errorf("planwire: push to %d, which owns no plan node: %w", p.Switch, ErrWire)
 	}
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
@@ -198,7 +200,6 @@ func (r *Report) Encode() []byte {
 	for _, nr := range r.Nodes {
 		buf = binary.AppendUvarint(buf, uint64(nr.Index))
 		buf = binary.AppendUvarint(buf, uint64(nr.ReleasedBy))
-		buf = binary.AppendUvarint(buf, uint64(nr.FlowMods))
 		buf = binary.AppendUvarint(buf, uint64(nr.Started))
 		buf = binary.AppendUvarint(buf, uint64(nr.Finished))
 	}
@@ -226,7 +227,6 @@ func DecodeReport(data []byte) (*Report, error) {
 		r.Nodes = append(r.Nodes, NodeReport{
 			Index:      int(d.uvarint()),
 			ReleasedBy: topo.NodeID(d.uvarint()),
-			FlowMods:   int(d.uvarint()),
 			Started:    time.Duration(d.uvarint()),
 			Finished:   time.Duration(d.uvarint()),
 		})

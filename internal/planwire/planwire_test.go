@@ -3,6 +3,7 @@ package planwire
 import (
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,32 @@ import (
 	"tsu/internal/topo"
 )
 
+// testMod is a FlowMod forwarding Fig. 1's flow out of port.
+func testMod(port uint16) *openflow.FlowMod {
+	return &openflow.FlowMod{
+		Match:    openflow.ExactNWDst(net.IPv4(10, 0, 0, 2)),
+		Command:  openflow.FlowModify,
+		Priority: 100,
+		BufferID: openflow.NoBuffer,
+		OutPort:  openflow.PortNone,
+		Actions:  []openflow.Action{openflow.ActionOutput{Port: port}},
+	}
+}
+
+// pushTo builds the push of plan p to switch sw: one FlowMod per node
+// sw owns.
+func pushTo(p *core.Plan, sw topo.NodeID) *Push {
+	push := &Push{Job: 42, Interval: 3 * time.Millisecond, Switch: sw, Plan: p}
+	for _, nd := range p.Nodes {
+		if nd.Switch == sw {
+			push.Mods = append(push.Mods, testMod(uint16(len(push.Mods)+2)))
+		}
+	}
+	return push
+}
+
+// testPush is the push of Fig. 1's sparse Peacock plan to its first
+// node's switch.
 func testPush(t *testing.T) *Push {
 	t.Helper()
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
@@ -18,45 +45,37 @@ func testPush(t *testing.T) *Push {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := p.Partition()
-	sp := &parts[0]
-	push := &Push{Job: 42, Interval: 3 * time.Millisecond, Part: sp}
-	for range sp.Nodes {
-		fm := &openflow.FlowMod{
-			Match:    openflow.ExactNWDst(net.IPv4(10, 0, 0, 2)),
-			Command:  openflow.FlowModify,
-			Priority: 100,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-			Actions:  []openflow.Action{openflow.ActionOutput{Port: 2}},
-		}
-		push.Mods = append(push.Mods, []*openflow.FlowMod{fm})
+	return pushTo(p, p.Nodes[0].Switch)
+}
+
+func encodePush(t *testing.T, push *Push) []byte {
+	t.Helper()
+	data, err := EncodePush(push, core.EncodePlan(push.Plan))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return push
+	return data
 }
 
 func TestPushRoundTrip(t *testing.T) {
 	push := testPush(t)
-	data, err := EncodePush(push)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodePush(t, push)
 	got, err := DecodePush(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Job != push.Job || got.Interval != push.Interval {
+	if got.Job != push.Job || got.Interval != push.Interval || got.Switch != push.Switch {
 		t.Fatalf("envelope mismatch: %+v", got)
 	}
-	if !reflect.DeepEqual(got.Part, push.Part) {
-		t.Fatalf("partition mismatch:\n got %+v\nwant %+v", got.Part, push.Part)
+	if !reflect.DeepEqual(got.Plan, push.Plan) {
+		t.Fatalf("plan mismatch:\n got %+v\nwant %+v", got.Plan, push.Plan)
 	}
 	if len(got.Mods) != len(push.Mods) {
-		t.Fatalf("%d mod lists, want %d", len(got.Mods), len(push.Mods))
+		t.Fatalf("%d flowmods, want %d", len(got.Mods), len(push.Mods))
 	}
 	for i := range got.Mods {
-		if len(got.Mods[i]) != 1 || got.Mods[i][0].Match != push.Mods[i][0].Match {
-			t.Fatalf("node %d mods mismatch: %+v", i, got.Mods[i])
+		if got.Mods[i].Match != push.Mods[i].Match || !reflect.DeepEqual(got.Mods[i].Actions, push.Mods[i].Actions) {
+			t.Fatalf("flowmod %d mismatch: %+v", i, got.Mods[i])
 		}
 	}
 	if isPush, isReport := kindOf(data); !isPush || isReport {
@@ -72,8 +91,8 @@ func TestReportRoundTrip(t *testing.T) {
 		AcksRecv: 2,
 		DupAcks:  1,
 		Nodes: []NodeReport{
-			{Index: 2, ReleasedBy: 5, FlowMods: 1, Started: time.Millisecond, Finished: 2 * time.Millisecond},
-			{Index: 9, FlowMods: 2, Started: 3 * time.Millisecond, Finished: 5 * time.Millisecond},
+			{Index: 2, ReleasedBy: 5, Started: time.Millisecond, Finished: 2 * time.Millisecond},
+			{Index: 9, Started: 3 * time.Millisecond, Finished: 5 * time.Millisecond},
 		},
 	}
 	got, err := DecodeReport(r.Encode())
@@ -90,10 +109,11 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestDecodeRejects(t *testing.T) {
 	push := testPush(t)
-	data, err := EncodePush(push)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodePush(t, push)
+	extra := *push
+	extra.Mods = append(slices.Clone(push.Mods), testMod(9))
+	fewer := *push
+	fewer.Mods = push.Mods[:len(push.Mods)-1]
 	report := (&Report{Job: 1, Switch: 2}).Encode()
 	cases := []struct {
 		name   string
@@ -107,7 +127,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"trailing push", asPush, append(append([]byte{}, data...), 0xFF)},
 		{"truncated report", asReport, report[:len(report)-1]},
 		{"trailing report", asReport, append(append([]byte{}, report...), 0xFF)},
-		{"corrupted partition", asPush, append([]byte{kindPush, 1, 0, 4}, "XXXX"...)},
+		{"corrupted plan", asPush, append([]byte{kindPush, 1, 0, 7, 4}, "XXXX"...)},
+		{"one flowmod more than owned nodes", asPush, encodePush(t, &extra)},
+		{"one flowmod fewer than owned nodes", asPush, encodePush(t, &fewer)},
+		{"switch owns no node", asPush, encodePush(t, &Push{Job: 1, Switch: 99, Plan: push.Plan})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,6 +139,13 @@ func TestDecodeRejects(t *testing.T) {
 			}
 		})
 	}
+	t.Run("nil flowmod", func(t *testing.T) {
+		nilMod := *push
+		nilMod.Mods = append(slices.Clone(push.Mods), nil)
+		if _, err := EncodePush(&nilMod, core.EncodePlan(push.Plan)); err == nil {
+			t.Fatal("a push with a nil flowmod encoded without error")
+		}
+	})
 }
 
 func asPush(b []byte) error   { _, err := DecodePush(b); return err }

@@ -1,10 +1,13 @@
 package switchsim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"tsu/internal/core"
 	"tsu/internal/metrics"
 	"tsu/internal/netem"
 	"tsu/internal/planwire"
@@ -24,33 +27,33 @@ type PeerAck struct {
 }
 
 // planAgent is the switch-local executor of decentralized plans: it
-// receives the switch's partition once, installs each owned node the
+// receives the job's plan once, installs each node this switch owns the
 // moment all of that node's in-edge acks have arrived (the local
 // verification of arXiv 1908.10086 — the in-edge predicate is all a
 // switch ever checks), notifies DAG successors peer-to-peer, and sends
 // the controller one terminal completion report.
 //
 // The agent is deliberately paranoid about the fabric's asynchrony:
-// acks may arrive duplicated or reordered (idempotent via per-node
-// seen sets), and may even arrive before the partition itself when a
+// acks may arrive duplicated or reordered (idempotent via the job's set
+// of acked edges), and may even arrive before the push itself when a
 // fast peer outruns this switch's slower control channel (buffered in
-// early and replayed on partition receipt).
+// early and replayed on push receipt).
 type planAgent struct {
 	s *Switch
 
 	mu    sync.Mutex
 	jobs  map[int]*agentJob
-	early map[int][]PeerAck // acks that raced ahead of their partition
+	early map[int][]PeerAck // acks that raced ahead of their push
 }
 
-// agentJob is one partition in execution.
+// agentJob is one pushed plan in execution.
 type agentJob struct {
 	push     *planwire.Push
 	send     func(*planwire.Report) error
 	received time.Time
 
-	nodes []agentNode
-	byIdx map[int]int // global plan index -> position in nodes
+	nodes []agentNode     // the nodes this switch owns, ascending by index
+	acked map[[2]int]bool // {from, to} in-edges acked so far
 
 	acksSent, acksRecv, dups int
 	done                     int
@@ -64,13 +67,12 @@ type agentJob struct {
 	running sync.WaitGroup
 }
 
-// agentNode tracks one owned plan node.
+// agentNode tracks one owned plan node; push.Mods[k] is nodes[k]'s.
 type agentNode struct {
-	pos        int          // position in agentJob.nodes / push.Part.Nodes
-	pending    map[int]bool // in-edge producer indices still unacked
-	seen       map[int]bool // producer indices already counted (idempotence)
+	index      int   // global plan index
+	out        []int // plan nodes depending on it, ascending
+	pending    int   // in-edges not yet acked: the node starts at zero
 	releasedBy topo.NodeID
-	started    bool
 }
 
 func newPlanAgent(s *Switch) *planAgent {
@@ -81,11 +83,34 @@ func newPlanAgent(s *Switch) *planAgent {
 	}
 }
 
-// start installs a freshly received partition and begins executing it:
-// root nodes (no in-edges) dispatch immediately, buffered early acks
-// replay, and everything else waits for its peers. Duplicate pushes
-// for a known job are ignored. send delivers the terminal report to
-// the controller.
+// ownNodes derives a switch's share of a plan in one scan: the nodes it
+// owns, ascending, each with its in-edge count (its Deps) and its
+// out-edges. A dep precedes its node, so its entry exists by then.
+func ownNodes(p *core.Plan, sw topo.NodeID) []agentNode {
+	var nodes []agentNode
+	for i, nd := range p.Nodes {
+		for _, d := range nd.Deps {
+			if p.Nodes[d].Switch == sw {
+				k, _ := nodePos(nodes, d)
+				nodes[k].out = append(nodes[k].out, i)
+			}
+		}
+		if nd.Switch == sw {
+			nodes = append(nodes, agentNode{index: i, pending: len(nd.Deps)})
+		}
+	}
+	return nodes
+}
+
+// nodePos finds plan node idx among nodes.
+func nodePos(nodes []agentNode, idx int) (int, bool) {
+	return slices.BinarySearchFunc(nodes, idx, func(n agentNode, idx int) int { return cmp.Compare(n.index, idx) })
+}
+
+// start installs a freshly received push and begins executing it: root
+// nodes (no in-edges) dispatch immediately, buffered early acks replay,
+// and everything else waits for its peers. Duplicate pushes for a known
+// job are ignored. send delivers the terminal report to the controller.
 func (a *planAgent) start(push *planwire.Push, send func(*planwire.Report) error) {
 	a.mu.Lock()
 	if _, dup := a.jobs[push.Job]; dup {
@@ -96,53 +121,32 @@ func (a *planAgent) start(push *planwire.Push, send func(*planwire.Report) error
 		push:     push,
 		send:     send,
 		received: a.s.clock.Now(),
-		nodes:    make([]agentNode, len(push.Part.Nodes)),
-		byIdx:    make(map[int]int, len(push.Part.Nodes)),
-	}
-	for i, pn := range push.Part.Nodes {
-		nd := agentNode{
-			pos:     i,
-			pending: make(map[int]bool, len(pn.InEdges)),
-			seen:    make(map[int]bool, len(pn.InEdges)),
-		}
-		for _, e := range pn.InEdges {
-			nd.pending[e.Index] = true
-		}
-		j.nodes[i] = nd
-		j.byIdx[pn.Index] = i
+		nodes:    ownNodes(push.Plan, push.Switch),
+		acked:    make(map[[2]int]bool),
 	}
 	a.jobs[push.Job] = j
 	var starts []int
-	for i := range j.nodes {
-		if len(j.nodes[i].pending) == 0 {
-			j.nodes[i].started = true
+	for k := range j.nodes {
+		if j.nodes[k].pending == 0 {
 			j.running.Add(1)
-			starts = append(starts, i)
+			starts = append(starts, k)
 		}
 	}
-	// Replay acks that beat the partition here.
+	// Replay acks that beat the push here.
 	for _, ack := range a.early[push.Job] {
-		if nd := a.applyAckLocked(j, ack); nd != nil {
-			starts = append(starts, nd.pos)
+		if k := a.applyAckLocked(j, ack); k >= 0 {
+			starts = append(starts, k)
 		}
 	}
 	delete(a.early, push.Job)
-	// The partition itself counts as an empty job: report immediately.
-	reportNow := len(j.nodes) == 0
-	if reportNow {
-		j.finished = true
-	}
 	a.mu.Unlock()
-	for _, pos := range starts {
-		go a.install(j, pos)
-	}
-	if reportNow {
-		a.report(j)
+	for _, k := range starts {
+		go a.install(j, k)
 	}
 }
 
 // deliver hands one peer ack to the agent. Unknown jobs buffer the ack
-// — the partition may still be in flight on the control channel.
+// — the push may still be in flight on the control channel.
 func (a *planAgent) deliver(ack PeerAck) {
 	a.mu.Lock()
 	j, ok := a.jobs[ack.Job]
@@ -151,38 +155,39 @@ func (a *planAgent) deliver(ack PeerAck) {
 		a.mu.Unlock()
 		return
 	}
-	nd := a.applyAckLocked(j, ack)
+	k := a.applyAckLocked(j, ack)
 	a.mu.Unlock()
-	if nd != nil {
-		go a.install(j, nd.pos)
+	if k >= 0 {
+		go a.install(j, k)
 	}
 }
 
-// applyAckLocked records one ack and returns the node it released (its
-// last in-edge confirmed), or nil. Duplicates, acks for unknown edges
-// and acks for a halted job are absorbed. Caller holds a.mu.
-func (a *planAgent) applyAckLocked(j *agentJob, ack PeerAck) *agentNode {
-	pos, ok := j.byIdx[ack.ToNode]
-	if !ok || j.halted {
-		return nil
+// applyAckLocked records one ack and returns the position of the node
+// it released (its last in-edge acked), or -1. Duplicates, acks of no
+// owned node's in-edge and acks for a halted job are absorbed.
+func (a *planAgent) applyAckLocked(j *agentJob, ack PeerAck) int {
+	k, owned := nodePos(j.nodes, ack.ToNode)
+	if !owned || j.halted {
+		return -1
 	}
-	nd := &j.nodes[pos]
-	if !nd.pending[ack.FromNode] {
-		if nd.seen[ack.FromNode] {
-			j.dups++
-		}
-		return nil
+	if _, in := slices.BinarySearch(j.push.Plan.Nodes[ack.ToNode].Deps, ack.FromNode); !in {
+		return -1
 	}
-	delete(nd.pending, ack.FromNode)
-	nd.seen[ack.FromNode] = true
+	edge := [2]int{ack.FromNode, ack.ToNode}
+	if j.acked[edge] {
+		j.dups++
+		return -1
+	}
+	j.acked[edge] = true
 	j.acksRecv++
-	if len(nd.pending) == 0 && !nd.started {
-		nd.started = true
+	nd := &j.nodes[k]
+	nd.pending--
+	if nd.pending == 0 {
 		nd.releasedBy = ack.From
 		j.running.Add(1)
-		return nd
+		return k
 	}
-	return nil
+	return -1
 }
 
 // reset drops every in-flight job and buffered ack — the agent state
@@ -197,42 +202,38 @@ func (a *planAgent) reset() {
 }
 
 // install executes one released node: optional interval pause, the
-// node's FlowMods against the live table (each paying the configured
-// install latency), then the out-edge acks, and — when it was the
-// switch's last node — the completion report.
-func (a *planAgent) install(j *agentJob, pos int) {
+// node's FlowMod against the live table (paying the configured install
+// latency), then the out-edge acks, and — when it was the switch's
+// last node — the completion report.
+func (a *planAgent) install(j *agentJob, k int) {
 	defer j.running.Done()
-	pn := j.push.Part.Nodes[pos]
-	if j.push.Interval > 0 && len(pn.InEdges) > 0 {
+	plan := j.push.Plan
+	nd := &j.nodes[k] // index and out are fixed once the job starts
+	if j.push.Interval > 0 && len(plan.Nodes[nd.index].Deps) > 0 {
 		a.s.clock.Sleep(j.push.Interval)
 	}
 	started := a.s.clock.Now()
-	flowMods := 0
-	for _, fm := range j.push.Mods[pos] {
-		a.s.src.Sleep(a.s.cfg.InstallLatency)
-		if oferr := a.s.table.Apply(fm); oferr != nil {
-			// A rejected FlowMod stalls the node (and with it every
-			// dependent): the controller's progress timeout surfaces it.
-			a.s.logger.Warn("plan install rejected", "job", j.push.Job, "node", pn.Index, "err", oferr.Error())
-			return
-		}
-		applied := a.s.flowModsApplied.Add(1)
-		flowMods++
-		if a.s.crashIfDue(applied) {
-			// The process died mid-node: no acks, no report. The
-			// controller hears silence and must time the job out.
-			a.s.dropConnection()
-			return
-		}
+	a.s.src.Sleep(a.s.cfg.InstallLatency)
+	if oferr := a.s.table.Apply(j.push.Mods[k]); oferr != nil {
+		// A rejected FlowMod stalls the node (and with it every
+		// dependent): the controller's progress timeout surfaces it.
+		a.s.logger.Warn("plan install rejected", "job", j.push.Job, "node", nd.index, "err", oferr.Error())
+		return
+	}
+	if a.s.crashIfDue(a.s.flowModsApplied.Add(1)) {
+		// The process died mid-node: no acks, no report. The
+		// controller hears silence and must time the job out.
+		a.s.dropConnection()
+		return
 	}
 	finished := a.s.clock.Now()
 
 	// Draw each out-edge ack's fate exactly once, up front: the sends
 	// count (taken under the lock for the report) and the delivery loop
 	// (outside it) must agree on what was injected.
-	fates := make([]netem.FaultDecision, len(pn.OutEdges))
-	for i, e := range pn.OutEdges {
-		if e.Switch == a.s.cfg.Node {
+	fates := make([]netem.FaultDecision, len(nd.out))
+	for i, succ := range nd.out {
+		if plan.Nodes[succ].Switch == a.s.cfg.Node {
 			continue // intra-switch release: not a fabric message
 		}
 		fates[i] = a.s.src.Fault(a.s.cfg.Faults.PeerAckFaults)
@@ -248,19 +249,17 @@ func (a *planAgent) install(j *agentJob, pos int) {
 		a.mu.Unlock()
 		return
 	}
-	nd := &j.nodes[pos]
 	j.done++
 	j.reports = append(j.reports, planwire.NodeReport{
-		Index:      pn.Index,
+		Index:      nd.index,
 		ReleasedBy: nd.releasedBy,
-		FlowMods:   flowMods,
 		Started:    started.Sub(j.received),
 		Finished:   finished.Sub(j.received),
 	})
 	// Count peer sends under the lock so the report is consistent.
 	sends := 0
-	for i, e := range pn.OutEdges {
-		if e.Switch == a.s.cfg.Node {
+	for i, succ := range nd.out {
+		if plan.Nodes[succ].Switch == a.s.cfg.Node {
 			continue // intra-switch release, no message
 		}
 		if a.s.cfg.Faults.DropPeerAcks || fates[i].Drop {
@@ -278,9 +277,10 @@ func (a *planAgent) install(j *agentJob, pos int) {
 	}
 	a.mu.Unlock()
 
-	for i, e := range pn.OutEdges {
-		ack := PeerAck{Job: j.push.Job, From: a.s.cfg.Node, FromNode: pn.Index, ToNode: e.Index}
-		if e.Switch == a.s.cfg.Node {
+	for i, succ := range nd.out {
+		ack := PeerAck{Job: j.push.Job, From: a.s.cfg.Node, FromNode: nd.index, ToNode: succ}
+		to := plan.Nodes[succ].Switch
+		if to == a.s.cfg.Node {
 			// The successor lives on this very switch (e.g. its cleanup
 			// node): release it locally, no fabric message involved.
 			a.deliver(ack)
@@ -293,9 +293,9 @@ func (a *planAgent) install(j *agentJob, pos int) {
 		if fates[i].Reordered {
 			extra = fates[i].Delay
 		}
-		a.s.fabric.deliverPeerAck(a.s, e.Switch, ack, extra)
+		a.s.fabric.deliverPeerAck(a.s, to, ack, extra)
 		if a.s.cfg.Faults.DuplicatePeerAcks || fates[i].Dup {
-			a.s.fabric.deliverPeerAck(a.s, e.Switch, ack, extra+fates[i].Delay)
+			a.s.fabric.deliverPeerAck(a.s, to, ack, extra+fates[i].Delay)
 		}
 	}
 	if last {

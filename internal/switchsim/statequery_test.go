@@ -124,7 +124,7 @@ func (b *queryBed) query(t *testing.T, job int, ip string) *planwire.StateReport
 }
 
 // TestStateQueryHaltsAgent: a query stops the job's plan agent. The
-// partition's root node, still installing when the query arrives,
+// switch's root node, still installing when the query arrives,
 // finishes before the answer goes out; the node whose last in-edge ack
 // arrives after the query never installs, and the agent's completed set
 // stays what the answer said.
@@ -132,16 +132,17 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	const sw, peer = 7, 1
 	b := newQueryBed(t, Config{Node: sw, InstallLatency: netem.Fixed(20 * time.Millisecond)})
 	push, err := planwire.EncodePush(&planwire.Push{
-		Job: 1,
-		Part: &core.SwitchPartition{Switch: sw, NumNodes: 3, Nodes: []core.PartitionNode{
-			{Index: 0},
-			{Index: 2, InEdges: []core.PartitionEdge{{Switch: peer, Index: 1}}},
-		}},
-		Mods: [][]*openflow.FlowMod{
-			{fm(openflow.FlowAdd, "10.0.0.9", 100, 1)},
-			{fm(openflow.FlowAdd, "10.0.0.2", 100, 1)},
+		Job:    1,
+		Switch: sw,
+		Mods: []*openflow.FlowMod{
+			fm(openflow.FlowAdd, "10.0.0.9", 100, 1),
+			fm(openflow.FlowAdd, "10.0.0.2", 100, 1),
 		},
-	})
+	}, core.EncodePlan(&core.Plan{Nodes: []core.PlanNode{
+		{Switch: sw},
+		{Switch: peer},
+		{Switch: sw, Deps: []int{1}},
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,8 +411,8 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		reply.SetXid(msg.Xid())
 		return conn.WriteMessage(reply)
 	case *openflow.Vendor:
-		// Decentralized execution: the controller pushes this switch's
-		// plan partition once; the agent takes over from there.
+		// Decentralized execution: the controller pushes the job's plan
+		// once; the agent takes over from there.
 		if msg.Vendor != planwire.VendorID {
 			s.logger.Warn("unknown vendor message", "vendor", msg.Vendor)
 			return nil
@@ -437,7 +437,7 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 			return err
 		}
 		push, err := planwire.DecodePush(msg.Data)
-		if err != nil || push.Part.Switch != s.cfg.Node {
+		if err != nil || push.Switch != s.cfg.Node {
 			s.logger.Warn("bad plan push", "err", err)
 			e := &openflow.Error{ErrType: openflow.ErrTypeBadRequest, Code: openflow.ErrCodeBadType}
 			e.SetXid(msg.Xid())

@@ -271,10 +271,10 @@ func TestFlowModTimeoutRefused(t *testing.T) {
 		t.Run("agent/"+name, func(t *testing.T) {
 			b := newQueryBed(t, Config{Node: 7})
 			push, err := planwire.EncodePush(&planwire.Push{
-				Job:  1,
-				Part: &core.SwitchPartition{Switch: 7, NumNodes: 1, Nodes: []core.PartitionNode{{Index: 0}}},
-				Mods: [][]*openflow.FlowMod{{mod()}},
-			})
+				Job:    1,
+				Switch: 7,
+				Mods:   []*openflow.FlowMod{mod()},
+			}, core.EncodePlan(&core.Plan{Nodes: []core.PlanNode{{Switch: 7}}}))
 			if err != nil {
 				t.Fatal(err)
 			}

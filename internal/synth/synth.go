@@ -29,7 +29,7 @@
 // synthesized result is never worse than the heuristics, and the
 // heuristics back it up when CEGIS hits a budget or a dead end. The
 // package registers the portfolio as scheduler core.AlgoSynth, so the
-// controller, /v1/updates, verify/explore, decentralized partitioning
+// controller, /v1/updates, verify/explore, decentralized execution
 // and the CLIs can select "synth" like any other algorithm.
 package synth
 
