@@ -328,7 +328,9 @@ bench-smoke:
 # wire codec's decode→encode identity (the one plan encoding: the
 # journal's and the decentralized push's), the planwire payload
 # decoders (push, report, state query and state report: no panic, and
-# decode→encode→decode is the identity), and the CEGIS synthesizer's
+# decode→encode→decode is the identity), the push of any decodable
+# plan to any switch (it round-trips, or is refused when the switch
+# owns no node), and the CEGIS synthesizer's
 # validate/round-trip invariant on random instances, plus the job
 # journal's replay: arbitrary bytes must replay to the longest valid
 # record prefix and never panic.
@@ -337,5 +339,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreTrace$$' -fuzztime=10s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime=10s ./internal/planwire
+	$(GO) test -run '^$$' -fuzz '^FuzzPartitionRoundTrip$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthRefine$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime=10s ./internal/journal
