@@ -1,9 +1,9 @@
 GO ?= go
 BENCHTIME ?= 3x
 
-.PHONY: ci fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-one-decider guard-dead-api test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
+.PHONY: ci fmt vet guard test test-allocs test-retention test-determinism chaos bench bench-json bench-diff bench-pairs bench-smoke fuzz-smoke build loc
 
-ci: fmt vet guard-southbound guard-one-plan guard-dense-core guard-one-heap guard-one-trace guard-one-reconcile guard-one-fsync guard-one-client guard-one-decider guard-dead-api loc test test-allocs test-retention test-determinism
+ci: fmt vet guard loc test test-allocs test-retention test-determinism
 
 build:
 	$(GO) build ./...
@@ -37,179 +37,13 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
-# One southbound path, one writer per walk: every FlowMod+barrier pair
-# the controller sends goes through Engine.walk, which writes its own
-# installs — the walk's re-stamped request in dispatch.go is the one
-# BarrierRequest the package builds, and its one WriteBatch call there
-# the one install write. Anything else naming the type outside tests is
-# a second path coming back; a second WriteBatch call is a second
-# install writer, and a go statement in dispatch.go a writer goroutine.
-guard-southbound:
-	@out="$$(grep -n 'BarrierRequest' internal/controller/*.go | grep -v -e '_test\.go:' -e '/dispatch\.go:')"; \
-	if [ -n "$$out" ] || [ "$$(grep -c 'BarrierRequest' internal/controller/dispatch.go)" != 1 ]; then \
-		echo "BarrierRequest outside the walk's one site (internal/controller/dispatch.go):"; \
-		echo "$$out"; exit 1; \
-	fi; \
-	if [ "$$(grep -c 'WriteBatch(' internal/controller/dispatch.go)" != 1 ] || grep -nE '^[[:space:]]*go[[:space:]]' internal/controller/dispatch.go; then \
-		echo "internal/controller/dispatch.go must hold exactly one WriteBatch( call and no go statement: one writer per walk"; \
-		exit 1; \
-	fi
-
-# One plan IR: every scheduler returns a *core.Plan, and rounds are
-# only a view of a layered plan (core.Layered). Outside bench/, test
-# files included, nothing names a round schedule or the capability
-# that once converted between the two. The one exception is
-# internal/core/deprecated.go, whose code is pinned to the three
-# aliases bench/ still compiles against, with no logic of their own.
-guard-one-plan:
-	@out="$$( { grep -rn --include='*.go' -e 'core\.Schedule\b' -e 'ScheduleByName' -e 'PlanFromSchedule' -e 'PlanScheduler' . \
-			| grep -v '^\./bench/'; \
-		grep -nw 'Schedule' internal/core/*.go | sed 's|^|./|'; } | sort -u \
-		| grep -v '^\./internal/core/deprecated\.go:')"; \
-	if [ -n "$$out" ]; then \
-		echo "a second plan IR (see guard-one-plan in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi; \
-	if [ "$$(grep -v -e '^//' -e '^$$' internal/core/deprecated.go)" != "$$(printf '%s\n' 'package core' \
-			'type Schedule = Plan' \
-			'func ScheduleByName(in *Instance, name string, props Property) (*Plan, error) {' \
-			'	return PlanByName(in, name, props, false)' '}' \
-			'func PlanFromSchedule(p *Plan) *Plan { return p }')" ]; then \
-		echo "internal/core/deprecated.go holds more than the three aliases bench/ names (see guard-one-plan in the Makefile)"; \
-		exit 1; \
-	fi
-
-# One index: internal/core keeps every per-switch fact of an update in
-# arrays and State bitsets over Instance's dense index, and resolves a
-# NodeID with one binary search (Instance.idx). A map[topo.NodeID] in a
-# non-test file there is the second representation coming back — it did
-# once already, beside the index. Allowed: multipolicy.go's cross-flow
-# tables (keyed across instances, which share no index).
-guard-dense-core:
-	@out="$$(grep -n 'map\[topo\.NodeID\]' internal/core/*.go \
-		| grep -v -e '_test\.go:' -e '^internal/core/multipolicy\.go:')"; \
-	if [ -n "$$out" ]; then \
-		echo "a NodeID-keyed map in internal/core (see guard-dense-core in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One timer heap: every delay under internal/ is an event on
-# simclock's (time, seq) queue or a runtime timer behind Clock, and a
-# switch has one layout. A second container/heap (or a hand-rolled
-# pushLocked / popLocked pair) outside internal/simclock is a private
-# scheduler coming back; LoopGroup, or Loops inside switchsim, named
-# outside the inert shim (loops.go), the deprecated Config field's own
-# line and bench/ is the layout knob coming back — a Loops: setting
-# elsewhere needs a LoopGroup to hold, which is caught by name.
-guard-one-heap:
-	@out="$$( { grep -rn --include='*.go' -e '"container/heap"' -e 'func .*\b\(pushLocked\|popLocked\)(' internal \
-			| grep -v '^internal/simclock/'; \
-		grep -rn --include='*.go' 'LoopGroup' cmd examples internal *.go; \
-		grep -nw 'Loops' internal/switchsim/*.go; } \
-		| grep -v -e '_test\.go:' -e '^internal/switchsim/loops\.go:' \
-			-e '^internal/switchsim/switch\.go:[0-9]*:	Loops \*LoopGroup$$' | sort -u)"; \
-	if [ -n "$$out" ]; then \
-		echo "a second timer heap or switch layout (see guard-one-heap in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One trace: a job's install log is the one record of its progress, and
-# rounds, the event stream and the status body are views of it that a
-# Cursor derives. A channel or a slice of JobEvents in a non-test file of
-# internal/controller is a second record — a publish log, or a buffer per
-# watcher — coming back.
-guard-one-trace:
-	@out="$$(grep -n -e 'chan JobEvent' -e '\[\]JobEvent' internal/controller/*.go | grep -v '_test\.go:')"; \
-	if [ -n "$$out" ]; then \
-		echo "a second progress trace in internal/controller (see guard-one-trace in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One fault model: every abort and every restart learns what took effect
-# from the switches themselves, through reconcile in
-# internal/controller/recover.go, and reverses it by the job's rollback
-# spec, which every job has. A downClosure( call outside recover.go
-# is an abort site computing its own undo set again; a querySwitchState
-# call from anywhere but reconcile is a second way of asking; pushErr is
-# the decentralized push failure's wait-it-out path coming back. A nil
-# test of a rollback spec (rollback or spec, == nil or != nil), or any
-# read of journal.Admit.Recoverable (only the write a.Recoverable = true
-# is allowed), is a job kind without a reverse coming back.
-guard-one-reconcile:
-	@out="$$( { grep -n 'downClosure(' internal/controller/*.go \
-			| grep -v -e '_test\.go:' -e '^internal/controller/recover\.go:'; \
-		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
-			/querySwitchState\(/ && !/^func / && fn !~ /\) reconcile\(/ { print FILENAME ":" FNR ": " $$0 }' \
-			internal/controller/*.go | grep -v '_test\.go:'; \
-		grep -rn --include='*.go' 'pushErr' . | grep -v '_test\.go:'; \
-		grep -nE '\b(rollback|spec) *[!=]= *nil' internal/controller/*.go | grep -v '_test\.go:'; \
-		grep -n 'Recoverable' internal/controller/*.go \
-			| grep -v -e '_test\.go:' -e ':[[:space:]]*a\.Recoverable = true$$'; } )"; \
-	if [ -n "$$out" ]; then \
-		echo "a second fault model (see guard-one-reconcile in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One fsync site, one record per wave: every append's fsync runs in the
-# journal's commit, where concurrent appends share it (group commit),
-# and Compact syncs its snapshot and the directory. A .Sync() anywhere
-# else in internal/journal — other than j.Sync(), a call of Journal.Sync,
-# which goes through commit — is a private fsync coming back. The engine
-# writes admit, dispatched-batch and terminal records only: KindDispatched
-# or KindConfirmed in non-test controller code is a record per node
-# coming back, and Replayed( the record slice a restart used to hold
-# instead of Open's fold.
-guard-one-fsync:
-	@out="$$( { awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } \
-			/\.Sync\(\)/ && !/^func / && !/(^|[^.[:alnum:]_])j\.Sync\(\)/ && fn !~ /\) (commit|Compact)\(/ { print FILENAME ":" FNR ": " $$0 }' \
-			internal/journal/*.go | grep -v '_test\.go:'; \
-		grep -n 'journal\.Kind\(Dispatched\|Confirmed\)\b' internal/controller/*.go | grep -v '_test\.go:'; \
-		grep -rn --include='*.go' 'Replayed(' . | grep -v '_test\.go:'; } )"; \
-	if [ -n "$$out" ]; then \
-		echo "a second fsync site or a record per node (see guard-one-fsync in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One HTTP client: the SDK sends every request and opens every watch
-# stream through one *http.Client, and WithTimeout is a context deadline
-# per request attempt. A second http.Client in non-test code of
-# internal/client is a client per call kind coming back; a Timeout set
-# on one puts every call through a wrapping RoundTripper on net/http's
-# legacy cancel path (a goroutine, a timer and a request copy each).
-guard-one-client:
-	@files="$$(ls internal/client/*.go | grep -v '_test\.go$$')"; \
-	out="$$(grep -n -e 'Timeout *=' -e 'Timeout:' $$files)"; \
-	if [ -n "$$out" ] || [ "$$(cat $$files | grep -c 'http\.Client{')" != 1 ]; then \
-		echo "internal/client must build exactly one http.Client and never set its Timeout (see guard-one-client in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# One decider: internal/verify is the only stage engine, and the
-# explorer, the synthesizer and /v1/explore are views over it. One
-# exhaustive enumerator and one sampler (core.Walker.CheckStage); the
-# enumerator is the only caller of Plan.VisitIdeals beside the
-# IdealStates test reference. A second PlanCounterexample, an RNG in
-# non-test code of internal/verify (its old subset sampler), or a
-# goroutine, an RNG, an ideal DFS or a map (the old transposition
-# table) in non-test code of internal/explore, is a second decider
-# coming back.
-guard-one-decider:
-	@out="$$( { defs="$$(grep -rnE --include='*.go' '^func (\([^)]*\) )?PlanCounterexample\(' . | grep -v '_test\.go:')"; \
-		[ "$$(printf '%s' "$$defs" | grep -c .)" -gt 1 ] && echo "$$defs"; \
-		grep -nE -e '^[[:space:]]*go[[:space:]]' -e 'rand\.New' -e 'VisitIdeals\(' -e 'map\[' internal/explore/*.go | grep -v '_test\.go:'; \
-		grep -nE -e '"math/rand' -e 'rand\.New' internal/verify/*.go | grep -v '_test\.go:'; \
-		calls="$$(grep -rn --include='*.go' 'VisitIdeals(' . | grep -v -e '_test\.go:' -e 'func (p \*Plan) VisitIdeals(' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//')"; \
-		[ "$$(printf '%s' "$$calls" | grep -c .)" -gt 2 ] && echo "$$calls"; } )"; \
-	if [ -n "$$out" ]; then \
-		echo "a second decider (see guard-one-decider in the Makefile):"; \
-		echo "$$out"; exit 1; \
-	fi
-
-# No dead API: every exported identifier under internal/ has a reference
-# outside tests somewhere in the tree (bench/, cmd/ and examples/
-# included) or a line with its reason in deadapi-allow.txt, and no line
-# there is stale (cmd/deadapi: go/parser + go/types, stdlib, offline).
-guard-dead-api:
+# The tree's one guard, in one type-checked pass of cmd/deadapi
+# (go/parser + go/types, stdlib, offline): no exported identifier under
+# internal/ without a reference outside tests or a line with its reason
+# in deadapi-allow.txt, and none of the design rules in
+# cmd/deadapi/rules.go broken — each row holds its scope, its predicate
+# and the reason it holds.
+guard:
 	$(GO) run ./cmd/deadapi
 
 test:

@@ -1,22 +1,30 @@
-// Command deadapi fails when an exported identifier under internal/ has
-// no reference outside tests anywhere in the repository. Run it from
-// the repository root (make guard-dead-api); it takes no flags.
+// Command deadapi is the tree's one guard. Run it from the repository
+// root (make guard); it takes no flags. It fails on two kinds of
+// finding, both from one type-checked load of the tree:
+//
+//   - an exported identifier under internal/ with no reference outside
+//     tests anywhere in the repository;
+//   - a place that breaks one of the design rules in rules.go, each a
+//     row with its scope, its predicate and the reason it holds.
 //
 // Every Go package of every module in the tree (the root module and
-// bench/) is parsed and type-checked from source, test files left out.
-// The candidates are the exported package-level funcs, types, consts
-// and vars of the packages under internal/, the exported methods of
-// their named types and the exported fields of their exported structs.
-// A candidate is used when a checked file names it (types.Info.Uses,
-// which covers selectors and composite-literal keys), when an unkeyed
-// composite literal fills its struct, or — for a method — when its
-// type implements an interface the program uses that has the method:
-// error, fmt.Stringer, and every interface type the tree's code touches
-// (heap.Interface through heap.Push, openflow.Message, simclock.Clock).
+// bench/) is parsed and type-checked from source, test files left out;
+// the rules that need test files read them by syntax alone.
+// The dead-API candidates are the exported package-level funcs, types,
+// consts and vars of the packages under internal/, the exported methods
+// of their named types and the exported fields of their exported
+// structs. A candidate is used when a checked file names it
+// (types.Info.Uses, which covers selectors and composite-literal keys),
+// when an unkeyed composite literal fills its struct, or — for a
+// method — when its type implements an interface the program uses that
+// has the method: error, fmt.Stringer, and every interface type the
+// tree's code touches (heap.Interface through heap.Push,
+// openflow.Message, simclock.Clock).
 //
-// Each finding is either deleted or named in deadapi-allow.txt, one
-// "<package dir>.<Name or Type.Member> <reason>" per line. An entry
-// that names nothing, or names something used, is stale and fails too.
+// Each dead-API finding is either deleted or named in
+// deadapi-allow.txt, one "<package dir>.<Name or Type.Member> <reason>"
+// per line. An entry that names nothing, or names something used, is
+// stale and fails too.
 package main
 
 import (
@@ -44,20 +52,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "deadapi:", err)
 		os.Exit(2)
 	}
-	for _, line := range report {
-		fmt.Println(line)
+	dead, broken := false, map[*rule]bool{}
+	for _, f := range report {
+		fmt.Println(f)
+		dead = dead || f.rule == nil
+		if f.rule != nil {
+			broken[f.rule] = true
+		}
+	}
+	for i := range rules {
+		if r := &rules[i]; broken[r] {
+			fmt.Printf("deadapi: %s: %s\n", r.name, r.reason)
+		}
+	}
+	if dead {
+		fmt.Printf("deadapi: delete each unused name, or allowlist it in %s with a reason\n", allowFile)
 	}
 	if len(report) > 0 {
-		fmt.Printf("deadapi: delete each unused name, or allowlist it in %s with a reason\n", allowFile)
 		os.Exit(1)
 	}
 }
 
 // pkg is one package of the tree: its directory relative to the root,
-// its non-test files and, once checked, their syntax, types and uses.
+// its non-test and test files and, once checked, the non-test files'
+// syntax, types and uses.
 type pkg struct {
 	dir   string
 	files []string
+	tests []string
 	syn   []*ast.File
 	types *types.Package
 	info  *types.Info
@@ -81,9 +103,10 @@ type candidate struct {
 	pos token.Position
 }
 
-// check runs the guard on the tree at root and returns its report, one
-// line per finding; empty when the tree is clean.
-func check(root string) ([]string, error) {
+// check runs the guard on the tree at root and returns its report:
+// the dead-API findings, then the rules' in table order; empty when the
+// tree is clean.
+func check(root string) ([]finding, error) {
 	// The pure-Go variant of the standard library type-checks without a
 	// C toolchain.
 	build.Default.CgoEnabled = false
@@ -126,13 +149,14 @@ func check(root string) ([]string, error) {
 		return nil, err
 	}
 	allowed := map[string]bool{}
-	var stale []string
+	var stale []finding
 	for _, a := range allow {
 		allowed[a.key] = true
+		at := token.Position{Filename: allowFile, Line: a.line}
 		if obj, ok := byKey[a.key]; !ok {
-			stale = append(stale, fmt.Sprintf("%s:%d: %s: stale, names no exported identifier under internal/", allowFile, a.line, a.key))
+			stale = append(stale, finding{pos: at, msg: a.key + ": stale, names no exported identifier under internal/"})
 		} else if isUsed(obj) {
-			stale = append(stale, fmt.Sprintf("%s:%d: %s: stale, referenced outside tests", allowFile, a.line, a.key))
+			stale = append(stale, finding{pos: at, msg: a.key + ": stale, referenced outside tests"})
 		}
 	}
 
@@ -149,11 +173,11 @@ func check(root string) ([]string, error) {
 		}
 		return a.Offset < b.Offset
 	})
-	var report []string
+	var report []finding
 	for _, c := range dead {
-		report = append(report, fmt.Sprintf("%s:%d: %s: no reference outside tests", c.pos.Filename, c.pos.Line, c.key))
+		report = append(report, finding{pos: c.pos, msg: c.key + ": no reference outside tests"})
 	}
-	return append(report, stale...), nil
+	return append(append(report, stale...), l.checkRules()...), nil
 }
 
 // discover finds every package of every module under the root, skipping
@@ -198,6 +222,9 @@ func (l *loader) discover() error {
 		p := &pkg{dir: rel}
 		for _, f := range bp.GoFiles {
 			p.files = append(p.files, filepath.Join(path, f))
+		}
+		for _, f := range append(bp.TestGoFiles, bp.XTestGoFiles...) {
+			p.tests = append(p.tests, filepath.Join(path, f))
 		}
 		l.pkgs[imp] = p
 		return nil

@@ -55,7 +55,8 @@ type Config struct {
 	Clock simclock.Clock
 
 	// Journal, when non-nil, makes the engine durable: job admissions,
-	// per-node dispatch/confirm deltas, and terminal phases are
+	// one dispatched-batch record per release wave (carrying the
+	// confirms since the job's last record), and terminal phases are
 	// journaled write-ahead, and Engine.Recover replays them after a
 	// restart. Nil runs the engine in-memory only.
 	Journal *journal.Journal

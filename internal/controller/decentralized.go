@@ -151,9 +151,10 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 
 	// Every push is encoded before anything is journaled or sent, so an
 	// encoding error leaves nothing on the wire.
+	oldest := e.oldestLive()
 	pushes := make([][]byte, len(job.nodes))
 	for k, sw := range job.nodes { // the DAG's switches, ascending
-		push := &planwire.Push{Job: job.ID, Interval: job.Interval, Switch: sw}
+		push := &planwire.Push{Job: job.ID, Oldest: oldest, Interval: job.Interval, Switch: sw}
 		for i := range n {
 			if plan.sw(i) == sw {
 				push.Mods = append(push.Mods, plan.mods[i])
@@ -185,7 +186,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	pushed := make([]bool, n)
 	for k, sw := range job.nodes {
 		if err := e.c.SendVendor(uint64(sw), pushes[k]); err != nil {
-			err = fmt.Errorf("pushing partition to %d: %w", sw, err)
+			err = fmt.Errorf("pushing plan to %d: %w", sw, err)
 			if k == 0 {
 				return nil, err // nothing went out
 			}

@@ -178,6 +178,34 @@ func TestDecentralizedDuplicateAcksIdempotent(t *testing.T) {
 	}
 }
 
+// TestDecentralizedAgentsForgetFinishedJobs: a push names the oldest
+// job the controller still holds, and the plan agents forget the
+// finished jobs below it, so a long-running switch keeps no plan of a
+// job the controller is done with. The newest job stays: nothing has
+// told the switches the controller no longer needs it.
+func TestDecentralizedAgentsForgetFinishedJobs(t *testing.T) {
+	in := fig1Instance(t)
+	p, err := core.PlanByName(in, "peacock", 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := newTestbed(t, topo.Fig1(), func(n topo.NodeID) switchsim.Config { return switchsim.Config{Node: n} })
+	first := runPlanJob(t, tb, in, p, ModeDecentralized)
+	last := runPlanJob(t, tb, in, p, ModeDecentralized)
+	if first.State() != JobDone || last.State() != JobDone {
+		t.Fatalf("job states %v, %v (errs %v, %v)", first.State(), last.State(), first.Err(), last.Err())
+	}
+	for _, nd := range p.Nodes {
+		s := tb.fabric.Switch(nd.Switch)
+		if _, _, _, ok := s.PlanAckStats(first.ID); ok {
+			t.Fatalf("switch %d still holds job %d, finished before job %d was pushed", nd.Switch, first.ID, last.ID)
+		}
+		if _, _, _, ok := s.PlanAckStats(last.ID); !ok {
+			t.Fatalf("switch %d forgot job %d, the newest", nd.Switch, last.ID)
+		}
+	}
+}
+
 // TestDecentralizedLostAckTimesOut drops every peer ack: installs with
 // in-edges can never be released, so the job must fail with the
 // progress timeout and a report naming the stuck installs.
@@ -294,7 +322,7 @@ func TestDecentralizedPushFailsPartway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(ctx); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pushing partition to %d", victim)) {
+	if err := job.Wait(ctx); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pushing plan to %d", victim)) {
 		t.Fatalf("job error = %v, want the failed push to %d", err, victim)
 	}
 	f := job.Failure()

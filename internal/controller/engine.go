@@ -43,8 +43,10 @@ type Engine struct {
 	queued   int          // admitted, not yet executing
 	running  int          // executing
 
-	// recovery holds the stats of the last Recover run (nil before).
-	recovery *RecoveryStats
+	// recovery holds the stats of the last Recover run (nil before);
+	// recovering is set while Recover reconciles jobs not yet active.
+	recovery   *RecoveryStats
+	recovering bool
 }
 
 func newEngine(c *Controller) *Engine {
@@ -148,6 +150,23 @@ func (e *Engine) RunningCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.running
+}
+
+// oldestLive returns the lowest id of a job the engine still holds
+// unfinished, which a decentralized push tells its switches: below it,
+// no job will be asked about again. While Recover reconciles jobs it
+// has not admitted yet, that is every job (0).
+func (e *Engine) oldestLive() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.recovering {
+		return 0
+	}
+	oldest := e.nextID + 1
+	for _, j := range e.active {
+		oldest = min(oldest, j.ID)
+	}
+	return oldest
 }
 
 // Job looks a job up by ID.

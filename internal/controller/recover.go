@@ -103,6 +103,7 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	e.mu.Lock()
 	e.nextID = max(e.nextID, st.LastJob)
 	e.evicted += st.Forgotten
+	e.recovering = true
 	e.mu.Unlock()
 	for _, f := range st.Finished {
 		var err error
@@ -164,7 +165,7 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		e.admitLocked(l.job, run)
 		live[i] = l.job
 	}
-	e.recovery = &stats
+	e.recovery, e.recovering = &stats, false
 	e.mu.Unlock()
 
 	// Snapshot+truncate before anything re-executes: the journal now

@@ -31,7 +31,7 @@
 // of both paths, with successors, positions and the pending set as
 // arrays and a bitset over it. Schedulers, walks, checkers and plan
 // derivations keep their working sets the same way — never a map keyed
-// by switch (make guard-dense-core) — and a switch ID enters through
+// by switch (the guard's dense-core rule) — and a switch ID enters through
 // Instance.idx, a binary search.
 package core
 

@@ -53,6 +53,11 @@ type Push struct {
 	// Job is the controller-side job id, echoed in acks and the report.
 	Job int
 
+	// Oldest is the lowest id of a job the controller still holds
+	// unfinished, at most Job: the switch may forget every job below it
+	// that has nothing left to run, and every ack buffered for one.
+	Oldest int
+
 	// Interval pauses a dependent install after its release (the REST
 	// message's "interval", applied switch-locally).
 	Interval time.Duration
@@ -110,6 +115,7 @@ type Report struct {
 func EncodePush(p *Push, plan []byte) ([]byte, error) {
 	buf := []byte{kindPush}
 	buf = binary.AppendUvarint(buf, uint64(p.Job))
+	buf = binary.AppendUvarint(buf, uint64(p.Oldest))
 	buf = binary.AppendUvarint(buf, uint64(p.Interval))
 	buf = binary.AppendUvarint(buf, uint64(p.Switch))
 	buf = binary.AppendUvarint(buf, uint64(len(plan)))
@@ -130,7 +136,7 @@ func EncodePush(p *Push, plan []byte) ([]byte, error) {
 
 // DecodePush parses a Push payload: the plan through core.DecodePlan,
 // then exactly one FlowMod per node the target owns. A target that
-// owns no node is rejected.
+// owns no node, or an Oldest above Job, is rejected.
 func DecodePush(data []byte) (*Push, error) {
 	d := decoder{buf: data}
 	if k := d.byte(); k != kindPush {
@@ -138,8 +144,12 @@ func DecodePush(data []byte) (*Push, error) {
 	}
 	p := &Push{
 		Job:      int(d.uvarint()),
+		Oldest:   int(d.uvarint()),
 		Interval: time.Duration(d.uvarint()),
 		Switch:   topo.NodeID(d.uvarint()),
+	}
+	if p.Oldest > p.Job {
+		return nil, fmt.Errorf("planwire: push of job %d names %d as oldest: %w", p.Job, p.Oldest, ErrWire)
 	}
 	planLen := d.uvarint()
 	if planLen > 1<<26 {

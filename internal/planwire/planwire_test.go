@@ -27,7 +27,7 @@ func testMod(port uint16) *openflow.FlowMod {
 // pushTo builds the push of plan p to switch sw: one FlowMod per node
 // sw owns.
 func pushTo(p *core.Plan, sw topo.NodeID) *Push {
-	push := &Push{Job: 42, Interval: 3 * time.Millisecond, Switch: sw, Plan: p}
+	push := &Push{Job: 42, Oldest: 40, Interval: 3 * time.Millisecond, Switch: sw, Plan: p}
 	for _, nd := range p.Nodes {
 		if nd.Switch == sw {
 			push.Mods = append(push.Mods, testMod(uint16(len(push.Mods)+2)))
@@ -64,7 +64,7 @@ func TestPushRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Job != push.Job || got.Interval != push.Interval || got.Switch != push.Switch {
+	if got.Job != push.Job || got.Oldest != push.Oldest || got.Interval != push.Interval || got.Switch != push.Switch {
 		t.Fatalf("envelope mismatch: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Plan, push.Plan) {
@@ -114,6 +114,8 @@ func TestDecodeRejects(t *testing.T) {
 	extra.Mods = append(slices.Clone(push.Mods), testMod(9))
 	fewer := *push
 	fewer.Mods = push.Mods[:len(push.Mods)-1]
+	young := *push
+	young.Oldest = push.Job + 1
 	report := (&Report{Job: 1, Switch: 2}).Encode()
 	cases := []struct {
 		name   string
@@ -127,10 +129,11 @@ func TestDecodeRejects(t *testing.T) {
 		{"trailing push", asPush, append(append([]byte{}, data...), 0xFF)},
 		{"truncated report", asReport, report[:len(report)-1]},
 		{"trailing report", asReport, append(append([]byte{}, report...), 0xFF)},
-		{"corrupted plan", asPush, append([]byte{kindPush, 1, 0, 7, 4}, "XXXX"...)},
+		{"corrupted plan", asPush, append([]byte{kindPush, 1, 0, 0, 7, 4}, "XXXX"...)},
 		{"one flowmod more than owned nodes", asPush, encodePush(t, &extra)},
 		{"one flowmod fewer than owned nodes", asPush, encodePush(t, &fewer)},
 		{"switch owns no node", asPush, encodePush(t, &Push{Job: 1, Switch: 99, Plan: push.Plan})},
+		{"oldest above job", asPush, encodePush(t, &young)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

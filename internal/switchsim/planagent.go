@@ -111,11 +111,24 @@ func nodePos(nodes []agentNode, idx int) (int, bool) {
 // nodes (no in-edges) dispatch immediately, buffered early acks replay,
 // and everything else waits for its peers. Duplicate pushes for a known
 // job are ignored. send delivers the terminal report to the controller.
+// Jobs below push.Oldest the controller no longer asks about: a
+// finished or halted one, which has nothing left to run here, and the
+// acks buffered for any of them, whose push never came, are forgotten.
 func (a *planAgent) start(push *planwire.Push, send func(*planwire.Report) error) {
 	a.mu.Lock()
 	if _, dup := a.jobs[push.Job]; dup {
 		a.mu.Unlock()
 		return
+	}
+	for id, old := range a.jobs {
+		if id < push.Oldest && (old.finished || old.halted) {
+			delete(a.jobs, id)
+		}
+	}
+	for id := range a.early {
+		if id < push.Oldest {
+			delete(a.early, id)
+		}
 	}
 	j := &agentJob{
 		push:     push,

@@ -170,6 +170,38 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	}
 }
 
+// TestStateQueryAfterForgetting: a push forgets the acks buffered for
+// jobs below its Oldest, whose push never came, and keeps the rest; a
+// query about the pushed job still gets its AgentDone.
+func TestStateQueryAfterForgetting(t *testing.T) {
+	const sw, peer = 7, 1
+	b := newQueryBed(t, Config{Node: sw})
+	for _, job := range []int{1, 3} {
+		b.sw.agent.deliver(PeerAck{Job: job, From: peer, FromNode: 0, ToNode: 1})
+	}
+	push, err := planwire.EncodePush(&planwire.Push{
+		Job:    2,
+		Oldest: 2,
+		Switch: sw,
+		Mods:   []*openflow.FlowMod{fm(openflow.FlowAdd, "10.0.0.2", 100, 1)},
+	}, core.EncodePlan(&core.Plan{Nodes: []core.PlanNode{{Switch: sw}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: push})
+
+	if r := b.query(t, 2, "10.0.0.2"); !slices.Equal(r.AgentDone, []int{0}) {
+		t.Fatalf("answer = %+v, want the pushed job's node done", r)
+	}
+	b.sw.agent.mu.Lock()
+	_, below := b.sw.agent.early[1]
+	_, above := b.sw.agent.early[3]
+	b.sw.agent.mu.Unlock()
+	if below || !above {
+		t.Fatalf("acks buffered for job 1 kept %v, for job 3 kept %v; want only job 3's", below, above)
+	}
+}
+
 // TestStateQueryIsABarrier: a FlowMod written on the same connection
 // before the query shows in the answer — also when the FlowMod is held
 // back by a reorder delay.
