@@ -55,6 +55,7 @@ func TestFixtureReport(t *testing.T) {
 		"internal/controller/job.go:9: one-trace: declares watchers of type []chan controller.JobEvent",
 		"internal/controller/rollback.go:12: undo-in-reconcile: uses internal/controller.downClosure outside internal/controller/recover.go",
 		"internal/controller/rollback.go:11: one-state-query: uses internal/controller.Engine.querySwitchState outside internal/controller.Engine.reconcile",
+		"internal/controller/rollback.go:22: no-port-inference: declares shows",
 		"internal/controller/rollback.go:16: no-push-wait: declares pushErr",
 		"internal/controller/rollback.go:8: rollback-always: compares a *internal/controller.rollbackSpec with nil",
 		"internal/controller/rollback.go:8: recoverable-always: uses internal/journal.Admit.Recoverable",

@@ -117,6 +117,12 @@ var rules = []rule{
 		reason: "one fault model: the switches are asked what took effect only by reconcile; a querySwitchState from anywhere else is a second way of asking",
 	},
 	{
+		name:   "no-port-inference",
+		scope:  []string{"internal/planwire/", "internal/controller/"},
+		pred:   retired{names: []string{"RulePresent", "shows()"}},
+		reason: "one fault model: reconcile checks each plan node's own FlowMod, and its undo, against the rules the node's switch reports for the flow (holds); a presence bit in the state report, or a shows that infers a node's effect from the flow's out port and the path successors, is a second model of what a node does coming back, blind to a two-phase job's tagged rules",
+	},
+	{
 		name:   "no-push-wait",
 		pred:   retired{names: []string{"pushErr"}},
 		reason: "one fault model: pushErr is the decentralized push failure's wait-it-out path coming back",

@@ -17,3 +17,6 @@ var pushErr error
 
 // kind journals a record per node.
 func kind() journal.Kind { return journal.KindDispatched }
+
+// shows infers a node's effect from the flow's out port.
+func (e *Engine) shows(port uint16) bool { return port != 0 }

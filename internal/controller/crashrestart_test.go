@@ -35,6 +35,7 @@ package controller
 
 import (
 	"context"
+	"maps"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,13 +69,21 @@ type crashRestartOpts struct {
 	twoPhase  bool // flow A alone, as a two-phase job with cleanup
 }
 
+// crashRun is what one boundary of a sweep did: whether the crash
+// fired — once a boundary exceeds the run's dispatch count the workload
+// just completes, and the sweep is done — the recovery stats, whether
+// every job ended done, and every switch's table at the end.
+type crashRun struct {
+	fired bool
+	stats RecoveryStats
+	done  bool
+	end   map[topo.NodeID]string
+}
+
 // crashRestartRun executes one boundary of a sweep: run the workload,
 // kill engine and journal at the k-th dispatched record, restart,
-// recover, and check every invariant. It reports whether the crash
-// fired — once a boundary exceeds the run's dispatch count the
-// workload just completes, and the sweep is done — plus the recovery
-// stats for sweep-level coverage assertions.
-func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFired bool, stats RecoveryStats) {
+// recover, and check every invariant.
+func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) crashRun {
 	t.Helper()
 	cfg := Config{Topology: topo.Fig1(), RoundTimeout: 700 * time.Millisecond}
 	var sim *simclock.Sim
@@ -244,15 +253,13 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		_ = job.Wait(phase1Ctx) //nolint:errcheck // failure and cancellation are expected outcomes
 	}
 	phase1Cancel()
-	crashFired = int(dispatched.Load()) >= boundary
-
-	if !crashFired {
+	if int(dispatched.Load()) < boundary {
 		// The workload finished under this boundary: in the faulted
 		// sweep flow A must have rolled back verified; the sweep is
 		// complete either way.
 		assertCrashRestartInvariants(t, boundary, jobs)
 		assertCrashRestartEnd(t, boundary, fabric, opts, jobs, before)
-		return false, stats
+		return crashRun{done: allDone(jobs), end: allTableRules(fabric)}
 	}
 	cancel1() // idempotent: the journal hook already fired
 
@@ -289,7 +296,7 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 
 	recoverCtx, recoverCancel := context.WithTimeout(ctx, 120*time.Second)
 	defer recoverCancel()
-	stats, err = ctrl2.Engine().Recover(recoverCtx)
+	stats, err := ctrl2.Engine().Recover(recoverCtx)
 	if err != nil {
 		t.Fatalf("boundary %d: recover: %v", boundary, err)
 	}
@@ -300,14 +307,25 @@ func crashRestartRun(t *testing.T, boundary int, opts crashRestartOpts) (crashFi
 		t.Fatalf("boundary %d: crash fired but the journal replayed nothing", boundary)
 	}
 
-	assertCrashRestartInvariants(t, boundary, ctrl2.Engine().Jobs())
-	assertCrashRestartEnd(t, boundary, fabric, opts, ctrl2.Engine().Jobs(), before)
+	jobs = ctrl2.Engine().Jobs()
+	assertCrashRestartInvariants(t, boundary, jobs)
+	assertCrashRestartEnd(t, boundary, fabric, opts, jobs, before)
 
 	// The healthz surface agrees with the recovery outcome.
 	if got, ok := ctrl2.Engine().Recovery(); !ok || got.Recovered() != stats.Recovered() {
 		t.Fatalf("boundary %d: Recovery() = %+v ok=%v, want %+v", boundary, got, ok, stats)
 	}
-	return true, stats
+	return crashRun{fired: true, stats: stats, done: allDone(jobs), end: allTableRules(fabric)}
+}
+
+// allDone reports whether every job ended done.
+func allDone(jobs []*Job) bool {
+	for _, job := range jobs {
+		if job.State() != JobDone {
+			return false
+		}
+	}
+	return true
 }
 
 // assertCrashRestartInvariants waits every job to a terminal phase and
@@ -392,29 +410,32 @@ func assertCrashRestartEnd(t *testing.T, boundary int, fabric *switchsim.Fabric,
 // crashRestartSweep kills the engine at dispatch boundary 1, 2, ...
 // until a run completes uncrashed (the first boundary past the run's
 // dispatch count is the uncrashed baseline), and returns the aggregate
-// recovery stats.
-func crashRestartSweep(t *testing.T, opts crashRestartOpts) RecoveryStats {
+// recovery stats and every boundary's run, boundary b at index b-1.
+func crashRestartSweep(t *testing.T, opts crashRestartOpts) (RecoveryStats, []crashRun) {
 	t.Helper()
 	const maxBoundaries = 64 // backstop far above the run's dispatch count
 	var total RecoveryStats
+	var runs []crashRun
 	for boundary := 1; boundary <= maxBoundaries; boundary++ {
-		fired, stats := crashRestartRun(t, boundary, opts)
-		t.Logf("boundary %d: crash fired=%v recovered=%+v", boundary, fired, stats)
+		r := crashRestartRun(t, boundary, opts)
+		runs = append(runs, r)
+		stats := r.stats
+		t.Logf("boundary %d: crash fired=%v recovered=%+v", boundary, r.fired, stats)
 		total.Replayed += stats.Replayed
 		total.Terminal += stats.Terminal
 		total.Requeued += stats.Requeued
 		total.Adopted += stats.Adopted
 		total.RolledBack += stats.RolledBack
 		total.Failed += stats.Failed
-		if !fired {
+		if !r.fired {
 			if boundary == 1 {
 				t.Fatal("workload dispatched nothing; the sweep never crashed the engine")
 			}
-			return total
+			return total, runs
 		}
 	}
 	t.Fatalf("run still dispatching after %d boundaries", maxBoundaries)
-	return total
+	return total, runs
 }
 
 // TestCrashRestartRecovery sweeps the controller kill across every
@@ -423,7 +444,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-restart sweep is not short")
 	}
-	total := crashRestartSweep(t, crashRestartOpts{virtual: true})
+	total, _ := crashRestartSweep(t, crashRestartOpts{virtual: true})
 	// Coverage, not luck: boundary 1 catches flow B pre-dispatch
 	// (requeue), and every mid-flight boundary must reconcile.
 	if total.Requeued == 0 {
@@ -446,7 +467,7 @@ func TestCrashRestartPowerLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-restart sweep is not short")
 	}
-	total := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, oneByOne: true})
+	total, _ := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, oneByOne: true})
 	if total.Requeued == 0 {
 		t.Errorf("power-loss sweep never requeued a job whose waves were all lost: %+v", total)
 	}
@@ -463,7 +484,7 @@ func TestCrashRestartFaultedRollback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-restart sweep is not short")
 	}
-	total := crashRestartSweep(t, crashRestartOpts{faulted: true})
+	total, _ := crashRestartSweep(t, crashRestartOpts{faulted: true})
 	if total.Requeued+total.Adopted+total.RolledBack == 0 {
 		t.Errorf("faulted sweep recovered nothing: %+v", total)
 	}
@@ -473,17 +494,29 @@ func TestCrashRestartFaultedRollback(t *testing.T) {
 // dispatch boundary of a two-phase job with cleanup: a restart rebuilds
 // it from its admit record like any other job — none is marked
 // unrecoverable — and it ends on exactly the new path or exactly the
-// old tables.
+// old tables. The kill at the commit wave's write-ahead record finds
+// the prepare wave's tagged rules in every table and the commit not
+// sent: an ideal of the plan, which the job resumes from. It is
+// adopted and ends done, on exactly the tables the uncrashed run ends
+// on.
 func TestCrashRestartTwoPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-restart sweep is not short")
 	}
-	total := crashRestartSweep(t, crashRestartOpts{virtual: true, twoPhase: true})
-	// A kill at the prepare wave leaves nothing confirmed (adopted); one
-	// at the commit or cleanup wave, a confirmed or applied prefix no
-	// tagged rule reports (rolled back).
-	if total.Adopted == 0 || total.RolledBack == 0 {
-		t.Errorf("two-phase sweep never adopted or never rolled back: %+v", total)
+	_, runs := crashRestartSweep(t, crashRestartOpts{virtual: true, twoPhase: true})
+	// The prepare wave is the new path's interior; the commit, one node,
+	// is the next wave.
+	commit := len(crashFlowANew) - 2 + 1
+	clean := runs[len(runs)-1]
+	if len(runs) <= commit || !clean.done {
+		t.Fatalf("sweep of %d boundaries, uncrashed run done=%v: the commit wave is boundary %d", len(runs), clean.done, commit)
+	}
+	r := runs[commit-1]
+	if !r.fired || r.stats.Adopted != 1 || !r.done {
+		t.Fatalf("kill at the commit's write-ahead: fired=%v recovered=%+v done=%v, want adopted and done", r.fired, r.stats, r.done)
+	}
+	if !maps.Equal(r.end, clean.end) {
+		t.Fatalf("kill at the commit's write-ahead ends on %v, the uncrashed run on %v", r.end, clean.end)
 	}
 }
 
@@ -493,7 +526,7 @@ func TestCrashRestartTwoPhasePowerLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-restart sweep is not short")
 	}
-	total := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, twoPhase: true})
+	total, _ := crashRestartSweep(t, crashRestartOpts{virtual: true, powerLoss: true, twoPhase: true})
 	if total.Requeued == 0 || total.RolledBack == 0 {
 		t.Errorf("two-phase power-loss sweep never requeued or never rolled back: %+v", total)
 	}

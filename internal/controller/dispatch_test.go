@@ -297,8 +297,8 @@ func rollbackOnSlowSwitches(t *testing.T, k, chain int) (undos int, grew int) {
 	assertRolledBackInstalled(t, report)
 	// The reverse plan's stages are edge-free undo stages, decided by
 	// the branching search: its verdict is exact, not sampled.
-	if rep, err := reverseReport(job, job.rollback, all); err != nil || !rep.Exact() {
-		t.Fatalf("the %d-undo reverse plan was not decided exactly (%v)", undos, err)
+	if err := e.verifyRollback(job, job.rollback, all); err != nil {
+		t.Fatalf("the %d-undo reverse plan was not decided exactly: %v", undos, err)
 	}
 	// Every undo is a FlowMod and a barrier, both in one batched write.
 	if got := metrics.DispatchBatchMsgs.Sum() - batched; got < int64(2*undos) {
@@ -356,8 +356,8 @@ func TestRollbackRefusedWhenSampled(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	if rep, err := reverseReport(job, job.rollback, all); err != nil || !rep.OK() || rep.Exact() {
-		t.Fatalf("reverse plan = %v (%v), want ok but sampled", rep, err)
+	if err := e.verifyRollback(job, job.rollback, all); err == nil || !strings.Contains(err.Error(), "only sampled") {
+		t.Fatalf("reverse plan gate: %v, want ok but sampled", err)
 	}
 
 	batched := metrics.DispatchBatchMsgs.Sum()

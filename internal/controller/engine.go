@@ -50,7 +50,11 @@ type Engine struct {
 }
 
 func newEngine(c *Controller) *Engine {
-	return &Engine{c: c, jobs: make(map[int]*Job)}
+	e := &Engine{c: c, jobs: make(map[int]*Job)}
+	if jl := c.cfg.Journal; jl != nil {
+		e.nextID = jl.LastJob()
+	}
+	return e
 }
 
 // errJournalWriteAhead fails a job whose next dispatch could not be

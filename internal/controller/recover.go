@@ -7,9 +7,10 @@ package controller
 // while its FlowMod landed, and after a restart the journal knows what
 // was sent, not what arrived. Per-switch local state is sufficient to
 // close that gap (the insight of the local-verification line of work):
-// each switch reports whether the flow's rule is installed and where it
-// forwards, plus which plan nodes its plan agent completed, and from
-// those local answers the engine reconstructs the job's order ideal.
+// each switch reports its rules for the flow's destination, tagged or
+// untagged, plus which plan nodes its plan agent completed, and checking
+// each node's own FlowMod and its undo against those local answers, the
+// engine reconstructs the job's order ideal.
 //
 // The recovery decision per mid-flight job:
 //
@@ -20,7 +21,7 @@ package controller
 //     every applied node is covered by a journaled dispatch or a plan-
 //     agent completion (nothing took effect that nothing ordered).
 //     The job resumes ack-driven dispatch with the applied set
-//     pre-confirmed; re-sent FlowMods are idempotent MODIFYs.
+//     pre-confirmed; re-sent FlowMods are idempotent.
 //
 //   - roll back, otherwise: switches unreachable, or the local
 //     evidence contradicts the journal. The job takes the abort path
@@ -101,7 +102,6 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 	stats.Terminal = len(st.Finished) + st.Forgotten
 
 	e.mu.Lock()
-	e.nextID = max(e.nextID, st.LastJob)
 	e.evicted += st.Forgotten
 	e.recovering = true
 	e.mu.Unlock()
@@ -298,8 +298,8 @@ func (e *Engine) adoptOrRollback(ctx context.Context, l *relaunch, jdispatched, 
 }
 
 // reconciled is what one reconcile learned, per plan node: undo, the
-// set an abort reverses; applied, the node's switch shows its new
-// state; agentDone, the switch's plan agent reported the node
+// set an abort reverses; applied, the node's FlowMod holds at its
+// switch; agentDone, the switch's plan agent reported the node
 // completed. silent counts nodes whose switch did not answer.
 type reconciled struct {
 	undo, applied, agentDone []bool
@@ -310,23 +310,19 @@ type reconciled struct {
 // every abort and by Recover alike. It sends one StateQuery to every
 // switch of the job's plan — which halts the job's plan agent there and
 // is answered only after every earlier message on that connection took
-// effect — and returns, as undo, the down-closure of:
-//
-//   - every node whose switch answered and does not show the node's old
-//     state. "Not old" rather than "applied": a switch that crashed and
-//     wiped its table shows neither, and only its undo MODIFY puts the
-//     old rule back;
-//   - every dispatched node whose switch stayed silent.
-//
-// Undos are idempotent, so the closure over-covers safely. A node whose
-// FlowMod programs a match other than the flow's own (a two-phase job's
-// tagged prepare rule) is invisible to the flow's query: it counts as a
-// silent switch's does — in when dispatched — and is never applied.
+// effect — and checks each node's own FlowMod, and the FlowMod that
+// undoes it (undoFlowMod), against the rules its switch reports for the
+// flow, tagged or untagged (holds). A node is applied when its FlowMod
+// holds, and it took effect when its undo does not: "not old" rather
+// than "applied", because a switch that crashed and wiped its table
+// shows neither, and only the undo puts the old rule back. The undo set
+// is the down-closure of every node that took effect and every
+// dispatched node whose switch stayed silent; undos are idempotent, so
+// the closure over-covers safely.
 func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) reconciled {
 	dag := job.plan.dag
 	n := len(dag.Nodes)
 	r := reconciled{applied: make([]bool, n), agentDone: make([]bool, n)}
-	spec := job.rollback
 	reports := e.querySwitchState(ctx, job)
 	for _, rep := range reports {
 		for _, idx := range rep.AgentDone {
@@ -340,29 +336,29 @@ func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) rec
 		rep := reports[nd.Switch]
 		if rep == nil {
 			r.silent++
-		}
-		if rep == nil || job.plan.mods[i].Match != spec.match {
 			took[i] = dispatched[i]
 			continue
 		}
-		oldSucc, onOld := spec.in.OldSucc(nd.Switch)
-		took[i] = !e.shows(rep, oldSucc, onOld)
-		// An update node points the flow at its new-path successor; a
-		// cleanup node deletes the rule.
-		newSucc, onNew := spec.in.NewSucc(nd.Switch)
-		r.applied[i] = e.shows(rep, newSucc, onNew && !job.plan.isCleanup(i))
+		fwd := job.plan.mods[i]
+		undo, err := e.undoFlowMod(job.rollback, nd.Switch, fwd)
+		r.applied[i] = holds(rep.Rules, fwd)
+		took[i] = err != nil || !holds(rep.Rules, undo)
 	}
 	r.undo = downClosure(dag, took)
 	return r
 }
 
-// shows reports whether a switch's answer is the flow's rule forwarding
-// to succ — or, when there is no successor (hasSucc false), no rule.
-func (e *Engine) shows(rep *planwire.StateReport, succ topo.NodeID, hasSucc bool) bool {
-	if !hasSucc {
-		return !rep.RulePresent
+// holds reports whether a switch's rules show fm in effect: for a
+// delete, no rule has its match; otherwise the first rule with its
+// match, the one a packet meets, acts as fm does.
+func holds(rules []planwire.Rule, fm *openflow.FlowMod) bool {
+	del := fm.Command == openflow.FlowDelete || fm.Command == openflow.FlowDeleteStrict
+	for _, r := range rules {
+		if r.Match == fm.Match {
+			return !del && r == planwire.RuleOf(fm.Match, fm.Actions)
+		}
 	}
-	return rep.RulePresent && rep.OutPort == e.c.ports.Port(rep.Switch, succ)
+	return del
 }
 
 // querySwitchState sends one StateQuery to each switch of the job's

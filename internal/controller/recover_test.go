@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"encoding/hex"
+	"net"
 	"os"
 	"reflect"
 	"slices"
@@ -12,6 +13,8 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/journal"
+	"tsu/internal/openflow"
+	"tsu/internal/planwire"
 	"tsu/internal/switchsim"
 	"tsu/internal/topo"
 )
@@ -100,21 +103,8 @@ func TestAdmitSpecMatchesParentEncoding(t *testing.T) {
 // commit: the new code must decode its admit records into runnable
 // plans and take the same adopt / requeue / rollback decisions.
 func TestRecoverParentJournal(t *testing.T) {
-	data, err := hex.DecodeString(pr15Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/journal.wal"
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	jl, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { jl.Close() })
 	g := topo.Fig1()
-	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil)
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: openParentJournal(t)}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -190,6 +180,102 @@ func TestRecoverParentJournal(t *testing.T) {
 	for _, n := range []topo.NodeID{2, 4, 5, 6} {
 		if got := tb.fabric.Switch(n).Table().Len(); got != 2 {
 			t.Fatalf("switch %d holds %d rules, want 2 (flows 10.0.0.3 and 10.0.0.4 only)", n, got)
+		}
+	}
+}
+
+// openParentJournal opens a copy of pr15Journal.
+func openParentJournal(t *testing.T) *journal.Journal {
+	t.Helper()
+	data, err := hex.DecodeString(pr15Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/journal.wal"
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	return jl
+}
+
+// TestSubmitBeforeRecover: an engine built over a journal numbers its
+// jobs after the journal's, so a job submitted before Recover — which
+// cmd/controller runs only once the fleet has reconnected, with the
+// REST API already up — takes an id no journaled job holds, and Recover
+// brings every journaled job back beside it.
+func TestSubmitBeforeRecover(t *testing.T) {
+	g := topo.Fig1()
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: openParentJournal(t)}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	p, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := tb.ctrl.Engine().SubmitPlan(in, p, flowMatch("10.0.0.9"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID != 7 {
+		t.Fatalf("job submitted before Recover got id %d, want 7: the journal's jobs are 1-6", job.ID)
+	}
+	if _, err := tb.ctrl.Engine().Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tb.ctrl.Engine().Job(job.ID); !ok || got != job {
+		t.Fatalf("after Recover, id %d names another job", job.ID)
+	}
+	for id := 1; id <= 6; id++ {
+		if got, ok := tb.ctrl.Engine().Job(id); !ok || !got.Recovered {
+			t.Fatalf("journaled job %d is not a recovered job after Recover", id)
+		}
+	}
+	for _, j := range tb.ctrl.Engine().Jobs() {
+		_ = j.Wait(ctx) //nolint:errcheck // outcomes are TestRecoverParentJournal's
+	}
+}
+
+// TestHolds pins the one predicate reconcile checks a node's FlowMod
+// and its undo with: a delete holds while no rule has its match; any
+// other FlowMod holds when the first rule with its match acts as it
+// does — its port and, for a two-phase commit, its tag, which the old
+// untagged rule out of the same port lacks.
+func TestHolds(t *testing.T) {
+	flow := flowMatch("10.0.0.2")
+	tagged := vlanMatch(net.ParseIP("10.0.0.2"), TwoPhaseTag)
+	mod := func(m openflow.Match, cmd openflow.FlowModCommand, actions ...openflow.Action) *openflow.FlowMod {
+		return &openflow.FlowMod{Match: m, Command: cmd, Actions: actions}
+	}
+	out := func(port uint16) openflow.Action { return openflow.ActionOutput{Port: port} }
+	commit := mod(flow, openflow.FlowModify, openflow.ActionSetVLAN{VLAN: TwoPhaseTag}, out(2))
+	old := []planwire.Rule{{Match: flow, Port: 2, Tag: openflow.VLANNone}}
+	prepared := []planwire.Rule{{Match: tagged, Port: 5, Tag: openflow.VLANNone}, old[0]}
+	for _, tc := range []struct {
+		name  string
+		rules []planwire.Rule
+		fm    *openflow.FlowMod
+		want  bool
+	}{
+		{"modify to the rule's port", old, mod(flow, openflow.FlowModify, out(2)), true},
+		{"modify to another port", old, mod(flow, openflow.FlowModify, out(3)), false},
+		{"modify, no rule", nil, mod(flow, openflow.FlowModify, out(2)), false},
+		{"delete, no rule", nil, deleteFlowMod(flow), true},
+		{"delete, rule present", old, deleteFlowMod(flow), false},
+		{"tagged delete beside the untagged rule", old, deleteFlowMod(tagged), true},
+		{"tagged delete, tagged rule present", prepared, deleteFlowMod(tagged), false},
+		{"tagged add", prepared, mod(tagged, openflow.FlowAdd, out(5)), true},
+		{"tagged add, untagged rule only", old, mod(tagged, openflow.FlowAdd, out(2)), false},
+		{"commit over the old rule's port", prepared, commit, false},
+		{"commit in place", []planwire.Rule{planwire.RuleOf(flow, commit.Actions)}, commit, true},
+	} {
+		if got := holds(tc.rules, tc.fm); got != tc.want {
+			t.Errorf("%s: holds = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

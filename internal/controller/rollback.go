@@ -131,13 +131,13 @@ func (e *Engine) abort(ctx context.Context, job *Job, cause error, undo []bool) 
 	return report, cause
 }
 
-// verifyRollback passes the reverse plan of the undo ideal's update
-// nodes only on a decided, clean verdict. Cleanup nodes are excluded
-// from the verified plan: they sit past every update node, so a
-// cleanup node in the ideal implies the network is fully on the new
-// path, where re-adding a stale old-path rule at an unreachable switch
-// is unobservable — runRollback undoes them first, restoring exactly
-// the state space this verification covers.
+// verifyRollback gates the reverse plan of the undo ideal's update
+// nodes with RollbackGate. Cleanup nodes are excluded from the
+// verified plan: they sit past every update node, so a cleanup node in
+// the ideal implies the network is fully on the new path, where
+// re-adding a stale old-path rule at an unreachable switch is
+// unobservable — runRollback undoes them first, restoring exactly the
+// state space this verification covers.
 //
 // A per-packet spec's reverse passes without a model check: untagged
 // packets observe only the ingress rule, and the reverse undoes that
@@ -147,10 +147,27 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error
 	if spec.perPacket {
 		return nil
 	}
-	rep, err := reverseReport(job, spec, undo)
-	switch {
-	case err != nil:
+	k := job.plan.cleanupFrom
+	fwd := &core.Plan{
+		Algorithm:  job.Algorithm,
+		Guarantees: spec.rollbackProps(),
+		Sparse:     job.plan.dag.Sparse,
+		Nodes:      job.plan.dag.Nodes[:k],
+	}
+	rev, _, err := fwd.Reverse(undo[:k])
+	if err != nil {
 		return err
+	}
+	return RollbackGate(spec.in, rev, fwd.Guarantees)
+}
+
+// RollbackGate passes a reverse plan only on a decided, clean verdict
+// of verify.Plan under props: a sampled stage refuses it, since a wrong
+// rollback is worse than a frozen one. Exported so that the crash model
+// in internal/experiments gates its rollbacks with it.
+func RollbackGate(in *core.Instance, rev *core.Plan, props core.Property) error {
+	rep := verify.Plan(in, rev, props, verify.Options{})
+	switch {
 	case rep.StructureErr != nil:
 		return fmt.Errorf("reverse plan invalid: %w", rep.StructureErr)
 	case rep.FirstViolation() != nil:
@@ -161,24 +178,6 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error
 		return fmt.Errorf("reverse plan only sampled: a stage lies past the verify budget")
 	}
 	return nil
-}
-
-// reverseReport verifies the reverse plan of the undo ideal's update
-// nodes (see verifyRollback) against the rollback's properties.
-func reverseReport(job *Job, spec *rollbackSpec, undo []bool) (*verify.Report, error) {
-	k := job.plan.cleanupFrom
-	props := spec.rollbackProps()
-	fwd := &core.Plan{
-		Algorithm:  job.Algorithm,
-		Guarantees: props,
-		Sparse:     job.plan.dag.Sparse,
-		Nodes:      job.plan.dag.Nodes[:k],
-	}
-	rev, _, err := fwd.Reverse(undo[:k])
-	if err != nil {
-		return nil, err
-	}
-	return verify.Plan(spec.in, rev, props, verify.Options{}), nil
 }
 
 // runRollback undoes an installed ideal: the full reverse DAG (cleanup

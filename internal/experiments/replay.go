@@ -11,7 +11,6 @@ import (
 	"tsu/internal/metrics"
 	"tsu/internal/netem"
 	"tsu/internal/topo"
-	"tsu/internal/verify"
 )
 
 // The analytic model behind E13–E15 (see the package comment); E10
@@ -235,7 +234,7 @@ func newReplay(in *core.Instance, seed int64, node func(rng *rand.Rand) draw) (*
 }
 
 // reverse rolls an installed set back the way the engine's abort path
-// does — Plan.Reverse, then verify.Plan, which must pass exactly — and
+// does — Plan.Reverse, then the engine's controller.RollbackGate — and
 // counts the undo installs delivered, or the refusal and the installs
 // left stuck (the returned plan is then nil). In this
 // model a lost confirmation is a FlowMod that applied, so the dispatched
@@ -246,7 +245,7 @@ func (r *replay) reverse(o *outcome, installed []bool, undone *int) (*core.Plan,
 	if err != nil {
 		return nil, fmt.Errorf("reversing the installed set: %w", err)
 	}
-	if rep := verify.Plan(r.in, rev, r.props, verify.Options{}); !rep.OK() || !rep.Exact() {
+	if controller.RollbackGate(r.in, rev, r.props) != nil {
 		o.violations++
 		for _, in := range installed {
 			if in {

@@ -188,6 +188,7 @@ type Journal struct {
 	err      error  // a failure no later append can outlive (see write, commit, Compact)
 	crashed  bool
 	state    State // what Open folded, until TakeState
+	lastJob  int   // State.LastJob of Open's fold
 	onAppend func(Record)
 }
 
@@ -233,7 +234,7 @@ func Open(path string) (*Journal, error) {
 		}
 	}
 	j.size, j.durable = int64(valid), int64(valid)
-	j.state = st
+	j.state, j.lastJob = st, st.LastJob
 	return j, nil
 }
 
@@ -307,6 +308,10 @@ func (j *Journal) Size() int64 {
 	defer j.mu.Unlock()
 	return j.size
 }
+
+// LastJob returns the highest job id a record of the file Open read
+// names: an engine built over the journal numbers its jobs after it.
+func (j *Journal) LastJob() int { return j.lastJob }
 
 // TakeState returns what Open folded the file's records into, once:
 // the journal lets go of it, and a later call returns the zero State.

@@ -95,6 +95,23 @@ func (ActionStripVLAN) encode(b []byte) {
 	b[4], b[5], b[6], b[7] = 0, 0, 0, 0 // pad
 }
 
+// ApplyActions executes an action list against the packet in order and
+// returns the first OUTPUT port reached (packet-field rewrites before
+// it take effect, as in OpenFlow 1.0 action-list semantics).
+func ApplyActions(actions []Action, pkt *PacketKey) (uint16, bool) {
+	for _, a := range actions {
+		switch act := a.(type) {
+		case ActionSetVLAN:
+			pkt.VLAN = act.VLAN
+		case ActionStripVLAN:
+			pkt.VLAN = VLANNone
+		case ActionOutput:
+			return act.Port, true
+		}
+	}
+	return 0, false
+}
+
 func actionsWireLen(actions []Action) int {
 	total := 0
 	for _, a := range actions {

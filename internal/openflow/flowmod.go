@@ -82,7 +82,7 @@ func (m *FlowMod) decodeBody(b []byte) error {
 	if len(b) < flowModFixed {
 		return fmt.Errorf("flow mod body %d bytes, want >= %d", len(b), flowModFixed)
 	}
-	if err := m.Match.decode(b[0:MatchLen]); err != nil {
+	if err := m.Match.DecodeWire(b[0:MatchLen]); err != nil {
 		return err
 	}
 	off := MatchLen

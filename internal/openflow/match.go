@@ -114,6 +114,14 @@ func (m *Match) CoversKey(k PacketKey) bool {
 	return m.NWDst&mask == k.NWDst&mask
 }
 
+// AppendWire appends the match's ofp_match wire form, MatchLen bytes,
+// to b.
+func (m *Match) AppendWire(b []byte) []byte {
+	b = append(b, make([]byte, MatchLen)...)
+	m.encode(b[len(b)-MatchLen:])
+	return b
+}
+
 func (m *Match) encode(b []byte) {
 	binary.BigEndian.PutUint32(b[0:4], m.Wildcards)
 	binary.BigEndian.PutUint16(b[4:6], m.InPort)
@@ -132,7 +140,9 @@ func (m *Match) encode(b []byte) {
 	binary.BigEndian.PutUint16(b[38:40], m.TPDst)
 }
 
-func (m *Match) decode(b []byte) error {
+// DecodeWire reads the match from its ofp_match wire form, the first
+// MatchLen bytes of b.
+func (m *Match) DecodeWire(b []byte) error {
 	if len(b) < MatchLen {
 		return fmt.Errorf("match truncated: %d bytes", len(b))
 	}

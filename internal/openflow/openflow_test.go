@@ -307,7 +307,7 @@ func TestQuickMatchRoundTrip(t *testing.T) {
 		var b [MatchLen]byte
 		m.encode(b[:])
 		var back Match
-		if err := back.decode(b[:]); err != nil {
+		if err := back.DecodeWire(b[:]); err != nil {
 			return false
 		}
 		return back == m

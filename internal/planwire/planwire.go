@@ -12,7 +12,8 @@
 //     per-node install timings as offsets from push receipt, the
 //     releasing predecessor of each install, and the switch's peer
 //     message counters.
-//   - StateQuery / StateReport: what took effect at a switch.
+//   - StateQuery / StateReport: what took effect at a switch — its
+//     rules for the flow, tagged or untagged, and its agent's nodes.
 //
 // Everything in between — the per-edge acks — travels switch-to-switch
 // on the data-plane fabric and never touches the controller; see
@@ -192,8 +193,8 @@ func DecodePush(data []byte) (*Push, error) {
 	if len(p.Mods) == 0 {
 		return nil, fmt.Errorf("planwire: push to %d, which owns no plan node: %w", p.Switch, ErrWire)
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -241,11 +242,8 @@ func DecodeReport(data []byte) (*Report, error) {
 			Finished:   time.Duration(d.uvarint()),
 		})
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -261,16 +259,16 @@ func IsStateReport(data []byte) bool {
 }
 
 // StateQuery (controller → switch) asks a switch what it knows about a
-// job's flow, after an abort or a controller restart: whether a rule
-// for the flow is installed (and where it forwards), and — in
-// decentralized mode — which plan nodes the switch's plan agent has
-// completed. The answer lets the engine reconstruct the global order
-// ideal from purely local switch state. Before it answers, a switch
-// halts the job's plan agent (no node starts after the answer, installs
-// in flight finish before it, late peer acks are absorbed), and it
-// answers only after every earlier message on that connection took
-// effect: on a controller-driven connection the query is also the
-// barrier for every FlowMod already written.
+// job's flow, after an abort or a controller restart: its rules for
+// the flow's nw_dst, tagged or untagged, and — in decentralized mode —
+// which plan nodes the switch's plan agent has completed. The answer
+// lets the engine reconstruct the global order ideal from purely local
+// switch state. Before it answers, a switch halts the job's plan agent
+// (no node starts after the answer, installs in flight finish before
+// it, late peer acks are absorbed), and it answers only after every
+// earlier message on that connection took effect: on a controller-
+// driven connection the query is also the barrier for every FlowMod
+// already written.
 type StateQuery struct {
 	// Job is the queried job's id, echoed in the StateReport.
 	Job int
@@ -297,11 +295,8 @@ func DecodeStateQuery(data []byte) (*StateQuery, error) {
 	if b := d.take(4); b != nil {
 		q.NWDst = binary.BigEndian.Uint32(b)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
@@ -312,11 +307,10 @@ type StateReport struct {
 	Job    int
 	Switch topo.NodeID
 
-	// RulePresent reports whether an exact-match rule for the queried
-	// flow exists in the flow table; OutPort is its output port when
-	// present.
-	RulePresent bool
-	OutPort     uint16
+	// Rules lists every flow-table rule whose match pins the queried
+	// nw_dst, tagged or untagged, in table order (highest priority
+	// first); empty when the table holds none.
+	Rules []Rule
 
 	// AgentDone lists the global plan-node indices the switch's plan
 	// agent completed for this job (decentralized mode; empty when the
@@ -324,17 +318,32 @@ type StateReport struct {
 	AgentDone []int
 }
 
+// Rule is one flow-table rule as a StateReport carries it: its match
+// and what its actions do to an untagged packet — send it out Port (0
+// for nowhere) with VLAN Tag (openflow.VLANNone: untagged).
+type Rule struct {
+	Match     openflow.Match
+	Port, Tag uint16
+}
+
+// RuleOf is the Rule of a match and its actions.
+func RuleOf(m openflow.Match, actions []openflow.Action) Rule {
+	pkt := openflow.UntaggedPacket(m.NWDst)
+	port, _ := openflow.ApplyActions(actions, &pkt)
+	return Rule{Match: m, Port: port, Tag: pkt.VLAN}
+}
+
 // Encode serialises a StateReport payload.
 func (r *StateReport) Encode() []byte {
 	buf := []byte{kindStateReport}
 	buf = binary.AppendUvarint(buf, uint64(r.Job))
 	buf = binary.AppendUvarint(buf, uint64(r.Switch))
-	present := byte(0)
-	if r.RulePresent {
-		present = 1
+	buf = binary.AppendUvarint(buf, uint64(len(r.Rules)))
+	for i := range r.Rules {
+		buf = r.Rules[i].Match.AppendWire(buf)
+		buf = binary.BigEndian.AppendUint16(buf, r.Rules[i].Port)
+		buf = binary.BigEndian.AppendUint16(buf, r.Rules[i].Tag)
 	}
-	buf = append(buf, present)
-	buf = binary.AppendUvarint(buf, uint64(r.OutPort))
 	buf = binary.AppendUvarint(buf, uint64(len(r.AgentDone)))
 	for _, idx := range r.AgentDone {
 		buf = binary.AppendUvarint(buf, uint64(idx))
@@ -352,20 +361,27 @@ func DecodeStateReport(data []byte) (*StateReport, error) {
 		Job:    int(d.uvarint()),
 		Switch: topo.NodeID(d.uvarint()),
 	}
-	r.RulePresent = d.byte() == 1
-	r.OutPort = uint16(d.uvarint())
+	const ruleLen = openflow.MatchLen + 4
 	n := d.uvarint()
+	if n > uint64(len(d.buf))/ruleLen {
+		return nil, fmt.Errorf("planwire: state report of %d bytes lists %d rules: %w", len(d.buf), n, ErrWire)
+	}
+	for i := 0; i < int(n) && d.err == nil; i++ {
+		if b := d.take(ruleLen); b != nil {
+			rule := Rule{Port: binary.BigEndian.Uint16(b[openflow.MatchLen:]), Tag: binary.BigEndian.Uint16(b[openflow.MatchLen+2:])}
+			rule.Match.DecodeWire(b) //nolint:errcheck // b holds a whole match
+			r.Rules = append(r.Rules, rule)
+		}
+	}
+	n = d.uvarint()
 	if n > 1<<20 {
 		return nil, fmt.Errorf("planwire: state report covers %d nodes: %w", n, ErrWire)
 	}
 	for i := 0; i < int(n) && d.err == nil; i++ {
 		r.AgentDone = append(r.AgentDone, int(d.uvarint()))
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -400,6 +416,14 @@ func (d *decoder) byte() byte {
 		return 0
 	}
 	return b[0]
+}
+
+// end is the decode's error: the first one met, or bytes left over.
+func (d *decoder) end() error {
+	if d.err == nil && d.off != len(d.buf) {
+		d.err = fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
+	}
+	return d.err
 }
 
 func (d *decoder) uvarint() uint64 {

@@ -178,12 +178,24 @@ func TestStateQueryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateReportRoundTrip(t *testing.T) {
-	cases := []*StateReport{
-		{Job: 17, Switch: 4, RulePresent: true, OutPort: 3, AgentDone: []int{0, 2, 5}},
-		{Job: 17, Switch: 9, RulePresent: false},
+// stateReports are a report of a two-phase job's switch, holding the
+// flow's untagged rule and its tagged copy, and one of an empty table.
+func stateReports() []*StateReport {
+	flow := openflow.ExactNWDst(net.IPv4(10, 0, 0, 2))
+	tagged := flow
+	tagged.Wildcards &^= openflow.WildcardDLVLAN
+	tagged.DLVLAN = 2016
+	return []*StateReport{
+		{Job: 17, Switch: 4, Rules: []Rule{
+			{Match: tagged, Port: 2, Tag: openflow.VLANNone},
+			{Match: flow, Port: 3, Tag: 2016},
+		}, AgentDone: []int{0, 2, 5}},
+		{Job: 17, Switch: 9},
 	}
-	for _, r := range cases {
+}
+
+func TestStateReportRoundTrip(t *testing.T) {
+	for _, r := range stateReports() {
 		data := r.Encode()
 		if !IsStateReport(data) || IsStateQuery(data) {
 			t.Fatalf("kind peek wrong for state report")

@@ -144,7 +144,7 @@ func (f *Fabric) Inject(at topo.NodeID, nwDst uint32, ttl int) ProbeResult {
 			res.Outcome = ProbeDropped
 			return res
 		}
-		port, ok := applyActions(actions, &pkt)
+		port, ok := openflow.ApplyActions(actions, &pkt)
 		if !ok {
 			res.Outcome = ProbeDropped
 			return res
@@ -161,21 +161,4 @@ func (f *Fabric) Inject(at topo.NodeID, nwDst uint32, ttl int) ProbeResult {
 		}
 		cur = next
 	}
-}
-
-// applyActions executes an action list against the packet in order and
-// returns the first OUTPUT port reached (packet-field rewrites before
-// it take effect, as in OpenFlow 1.0 action-list semantics).
-func applyActions(actions []openflow.Action, pkt *openflow.PacketKey) (uint16, bool) {
-	for _, a := range actions {
-		switch act := a.(type) {
-		case openflow.ActionSetVLAN:
-			pkt.VLAN = act.VLAN
-		case openflow.ActionStripVLAN:
-			pkt.VLAN = openflow.VLANNone
-		case openflow.ActionOutput:
-			return act.Port, true
-		}
-	}
-	return 0, false
 }

@@ -163,7 +163,7 @@ func TestNwDstHelper(t *testing.T) {
 
 func TestApplyActionsVLANRewrite(t *testing.T) {
 	pkt := openflow.UntaggedPacket(nwDst("10.0.0.2"))
-	port, ok := applyActions([]openflow.Action{
+	port, ok := openflow.ApplyActions([]openflow.Action{
 		openflow.ActionSetVLAN{VLAN: 9},
 		openflow.ActionOutput{Port: 3},
 	}, &pkt)
@@ -173,11 +173,11 @@ func TestApplyActionsVLANRewrite(t *testing.T) {
 	if pkt.VLAN != 9 {
 		t.Fatalf("vlan = %d, want 9", pkt.VLAN)
 	}
-	port, ok = applyActions([]openflow.Action{openflow.ActionStripVLAN{}, openflow.ActionOutput{Port: 1}}, &pkt)
+	port, ok = openflow.ApplyActions([]openflow.Action{openflow.ActionStripVLAN{}, openflow.ActionOutput{Port: 1}}, &pkt)
 	if !ok || port != 1 || pkt.VLAN != openflow.VLANNone {
 		t.Fatalf("strip failed: port=%d vlan=%d", port, pkt.VLAN)
 	}
-	if _, ok := applyActions([]openflow.Action{openflow.ActionSetVLAN{VLAN: 1}}, &pkt); ok {
+	if _, ok := openflow.ApplyActions([]openflow.Action{openflow.ActionSetVLAN{VLAN: 1}}, &pkt); ok {
 		t.Fatal("action list without output must drop")
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"tsu/internal/openflow"
+	"tsu/internal/planwire"
 )
 
 // FlowEntry is one installed rule. It never expires and counts no
@@ -154,8 +155,22 @@ func (t *FlowTable) LookupKey(k openflow.PacketKey) (actions []openflow.Action, 
 	return nil, false
 }
 
-// Snapshot returns copies of the current entries (for assertions in
-// tests and the experiment harness).
+// rules lists, in table order, every entry whose match pins nwDst,
+// tagged or untagged, as a StateReport carries it.
+func (t *FlowTable) rules(nwDst uint32) []planwire.Rule {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []planwire.Rule
+	for _, e := range t.entries {
+		if e.Match.NWDst == nwDst && e.Match.Wildcards&openflow.WildcardNWDstMask == 0 {
+			out = append(out, planwire.RuleOf(e.Match, e.Actions))
+		}
+	}
+	return out
+}
+
+// Snapshot returns copies of the current entries, for assertions in
+// tests.
 func (t *FlowTable) Snapshot() []FlowEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -29,7 +29,7 @@ func lookupPort(t *testing.T, tbl *FlowTable, ip string) uint16 {
 	if !ok {
 		t.Fatalf("lookup %s missed", ip)
 	}
-	port, ok := applyActions(actions, &openflow.PacketKey{})
+	port, ok := openflow.ApplyActions(actions, &openflow.PacketKey{})
 	if !ok {
 		t.Fatalf("entry for %s has no output action", ip)
 	}
@@ -170,6 +170,7 @@ func TestFlowTableConcurrentAccess(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			tbl.Lookup(nwDst("10.0.0.2"))
 			tbl.Snapshot()
+			tbl.rules(nwDst("10.0.0.2"))
 		}
 		done <- true
 	}()

@@ -149,7 +149,7 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: push})
 
 	r := b.query(t, 1, "10.0.0.2")
-	if !slices.Equal(r.AgentDone, []int{0}) || r.RulePresent {
+	if !slices.Equal(r.AgentDone, []int{0}) || len(r.Rules) != 0 {
 		t.Fatalf("answer = %+v, want the in-flight root done and no rule for the flow", r)
 	}
 	if _, ok := b.sw.Table().Lookup(nwDst("10.0.0.9")); !ok {
@@ -159,7 +159,7 @@ func TestStateQueryHaltsAgent(t *testing.T) {
 	// The last in-edge ack of node 2 arrives after the query.
 	b.sw.agent.deliver(PeerAck{Job: 1, From: peer, FromNode: 1, ToNode: 2})
 	// A second answer waits for every install under way, as the first did.
-	if r := b.query(t, 1, "10.0.0.2"); !slices.Equal(r.AgentDone, []int{0}) || r.RulePresent {
+	if r := b.query(t, 1, "10.0.0.2"); !slices.Equal(r.AgentDone, []int{0}) || len(r.Rules) != 0 {
 		t.Fatalf("answer after a late ack = %+v, want nothing more done", r)
 	}
 	if got := b.sw.agent.doneNodes(1); !slices.Equal(got, []int{0}) {
@@ -213,9 +213,36 @@ func TestStateQueryIsABarrier(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := newQueryBed(t, Config{Node: 7, Faults: faults})
 			b.send(t, fm(openflow.FlowModify, "10.0.0.2", 100, 3))
-			if r := b.query(t, 4, "10.0.0.2"); !r.RulePresent || r.OutPort != 3 {
+			if r := b.query(t, 4, "10.0.0.2"); len(r.Rules) != 1 || r.Rules[0].Port != 3 {
 				t.Fatalf("answer = %+v, want the rule written before the query (out port 3)", r)
 			}
 		})
+	}
+}
+
+// TestStateQueryListsTaggedRules: the answer lists every rule that pins
+// the flow's destination, in table order — a two-phase prepare's tagged
+// rule, at its higher priority, before the flow's untagged rule, each
+// with its port — and no rule for another destination; after a wipe it
+// lists nothing.
+func TestStateQueryListsTaggedRules(t *testing.T) {
+	b := newQueryBed(t, Config{Node: 7})
+	untagged := fm(openflow.FlowModify, "10.0.0.2", 100, 3)
+	prepare := fm(openflow.FlowAdd, "10.0.0.2", 110, 2)
+	prepare.Match.Wildcards &^= openflow.WildcardDLVLAN
+	prepare.Match.DLVLAN = 2016
+	for _, m := range []*openflow.FlowMod{untagged, prepare, fm(openflow.FlowModify, "10.0.0.9", 100, 1)} {
+		b.send(t, m)
+	}
+	want := []planwire.Rule{
+		{Match: prepare.Match, Port: 2, Tag: openflow.VLANNone},
+		{Match: untagged.Match, Port: 3, Tag: openflow.VLANNone},
+	}
+	if r := b.query(t, 1, "10.0.0.2"); !slices.Equal(r.Rules, want) {
+		t.Fatalf("rules = %+v, want %+v", r.Rules, want)
+	}
+	b.sw.Table().Wipe()
+	if r := b.query(t, 1, "10.0.0.2"); len(r.Rules) != 0 {
+		t.Fatalf("rules after a wipe = %+v, want none", r.Rules)
 	}
 }

@@ -431,7 +431,7 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 				return conn.WriteMessage(e)
 			}
 			s.agent.halt(q.Job)
-			rep := s.stateReport(q)
+			rep := &planwire.StateReport{Job: q.Job, Switch: s.cfg.Node, Rules: s.table.rules(q.NWDst), AgentDone: s.agent.doneNodes(q.Job)}
 			v := &openflow.Vendor{Vendor: planwire.VendorID, Data: rep.Encode()}
 			_, err = conn.Send(v)
 			return err
@@ -462,33 +462,4 @@ func (s *Switch) handle(conn *ofconn.Conn, m openflow.Message) error {
 		e.SetXid(m.Xid())
 		return conn.WriteMessage(e)
 	}
-}
-
-// stateReport answers a StateQuery from local state only: the flow
-// table (is a rule for the queried flow installed, and out which port
-// does it forward?) and the plan agent's per-job completion memory.
-// This local view is all the controller needs to reconstruct the job's
-// global order ideal.
-func (s *Switch) stateReport(q *planwire.StateQuery) *planwire.StateReport {
-	rep := &planwire.StateReport{
-		Job:       q.Job,
-		Switch:    s.cfg.Node,
-		AgentDone: s.agent.doneNodes(q.Job),
-	}
-	ip := net.IPv4(byte(q.NWDst>>24), byte(q.NWDst>>16), byte(q.NWDst>>8), byte(q.NWDst))
-	want := openflow.ExactNWDst(ip)
-	for _, e := range s.table.Snapshot() {
-		if e.Match != want {
-			continue
-		}
-		rep.RulePresent = true
-		for _, a := range e.Actions {
-			if out, ok := a.(openflow.ActionOutput); ok {
-				rep.OutPort = out.Port
-				break
-			}
-		}
-		break
-	}
-	return rep
 }

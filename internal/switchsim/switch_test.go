@@ -264,7 +264,7 @@ func TestFlowModTimeoutRefused(t *testing.T) {
 			if e, ok := m.(*openflow.Error); !ok || e.ErrType != openflow.ErrTypeFlowModFail || e.Code != openflow.ErrCodeUnsupported || e.Xid() != 9 {
 				t.Fatalf("answer %#v, want FLOW_MOD_FAILED/UNSUPPORTED with xid 9", m)
 			}
-			if r := b.query(t, 1, "10.0.0.2"); r.RulePresent {
+			if r := b.query(t, 1, "10.0.0.2"); len(r.Rules) != 0 {
 				t.Fatal("the refused rule is installed")
 			}
 		})
@@ -279,7 +279,7 @@ func TestFlowModTimeoutRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.send(t, &openflow.Vendor{Vendor: planwire.VendorID, Data: push})
-			if r := b.query(t, 1, "10.0.0.2"); r.RulePresent || len(r.AgentDone) != 0 {
+			if r := b.query(t, 1, "10.0.0.2"); len(r.Rules) != 0 || len(r.AgentDone) != 0 {
 				t.Fatalf("answer = %+v, want the node stalled and no rule", r)
 			}
 		})
