@@ -159,17 +159,21 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
 # Ten seconds of coverage-guided fuzzing per fuzz target: the OpenFlow
-# wire decoder, the explorer's trace replay/minimization, the plan
-# wire codec's decode→encode identity (the one plan encoding: the
-# journal's and the decentralized push's), the planwire payload
-# decoders (push, report, state query and state report: no panic, and
-# decode→encode→decode is the identity), the push of any decodable
-# plan to any switch (it round-trips, or is refused when the switch
-# owns no node), and the CEGIS synthesizer's
-# validate/round-trip invariant on random instances, plus the job
-# journal's replay: arbitrary bytes must replay to the longest valid
-# record prefix and never panic.
+# wire decoder, the explorer's trace replay/minimization, the cursor
+# every varint codec reads through (internal/wirefmt: any accepted
+# read sequence writes back its own bytes), the plan wire codec's
+# decode→encode identity (the one plan encoding: the journal's and the
+# decentralized push's), the planwire payload decoders (push, report,
+# state query and state report: no panic, decode→encode→decode is the
+# identity, and a report or state query re-encodes to its own bytes),
+# the push of any decodable plan to any switch (it re-encodes to its
+# own bytes, or is refused when the switch owns no node), and the CEGIS
+# synthesizer's validate/round-trip invariant on random instances,
+# plus the job journal's replay: arbitrary bytes must replay to the
+# longest valid record prefix, which the decoded records re-encode to,
+# and never panic.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/openflow
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreTrace$$' -fuzztime=10s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRoundTrip$$' -fuzztime=10s ./internal/core

@@ -157,6 +157,18 @@ var rules = []rule{
 		reason: "one record per wave: a Replayed func is the record slice a restart used to hold instead of Open's fold",
 	},
 	{
+		name:   "one-varint-reader",
+		scope:  []string{"!internal/wirefmt/"},
+		pred:   uses{objs: []string{"encoding/binary.Uvarint"}},
+		reason: "one canonical codec: internal/wirefmt's Decoder is the one reader of the tree's varints (the journal's frames and records, the plan codec and every planwire payload) and refuses their non-minimal forms; a binary.Uvarint anywhere else reads a second byte form of the same value as the same meaning",
+	},
+	{
+		name:   "no-private-cursor",
+		scope:  []string{"internal/", "!internal/wirefmt/"},
+		pred:   retired{names: []string{"uvarint()", "take()", "fail()"}},
+		reason: "one canonical codec: a uvarint, take or fail declared outside internal/wirefmt is a codec's private sticky-error cursor coming back, the copy that drifts from the others",
+	},
+	{
 		name:   "one-http-client",
 		scope:  []string{"internal/client/"},
 		pred:   literals{typ: "net/http.Client", n: 1},

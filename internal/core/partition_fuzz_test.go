@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // travels: the push of the whole plan to one switch, with one FlowMod
 // per node that switch owns. For any plan DecodePlan accepts and any
 // switch, the push must round-trip through planwire to the same plan,
-// switch and FlowMod count, and a push to a switch that owns no node
-// must be refused. FuzzDecodePayload fuzzes the push bytes themselves;
+// switch and FlowMod count and re-encode to the very bytes decoded, and
+// a push to a switch that owns no node must be refused. FuzzDecodePayload fuzzes the push bytes themselves;
 // this target reaches every decodable plan, whose pushes the byte
 // fuzzer would have to match FlowMod for node to find.
 func FuzzPartitionRoundTrip(f *testing.F) {
@@ -69,6 +70,10 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.Plan, p) {
 			t.Fatalf("plan changed on the wire to %d:\n got %+v\nwant %+v", sw, got.Plan, p)
+		}
+		again, err := planwire.EncodePush(got, core.EncodePlan(got.Plan))
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("the push to %d re-encodes (err %v) to\n %x\nnot\n %x", sw, err, again, enc)
 		}
 	})
 }

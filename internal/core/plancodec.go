@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"tsu/internal/topo"
+	"tsu/internal/wirefmt"
 )
 
 // Binary wire codec for Plan: the canonical serialization traces and
@@ -13,15 +14,16 @@ import (
 // summary. The format is versioned, length-prefixed, and strictly
 // canonical — decode(encode(p)) == p and encode(decode(b)) == b for
 // every valid b — so it is fuzzable for round-trip identity
-// (FuzzPlanRoundTrip).
+// (FuzzPlanRoundTrip). Its bytes are read and written by
+// internal/wirefmt, the journal's and planwire's codec too.
 //
 //	magic "TSUP", version 1
 //	uvarint len(algorithm), algorithm bytes
 //	byte guarantees, byte flags (bit0 sparse, bit1 lf-compromised)
 //	uvarint numNodes
-//	per node: uvarint switch id, uvarint numDeps,
-//	          deps as uvarint deltas (first absolute, then gaps-1),
-//	          which enforces the sorted-unique-ascending invariant
+//	per node: uvarint switch id, deps as a wirefmt index list
+//	          (uvarint count, first absolute, then gaps-1), which
+//	          enforces the sorted-unique-ascending invariant
 const (
 	planMagic   = "TSUP"
 	planVersion = 1
@@ -39,8 +41,7 @@ var ErrPlanWire = errors.New("malformed plan wire encoding")
 func (p *Plan) AppendTo(buf []byte) []byte {
 	buf = append(buf, planMagic...)
 	buf = append(buf, planVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Algorithm)))
-	buf = append(buf, p.Algorithm...)
+	buf = wirefmt.AppendBytes(buf, p.Algorithm)
 	buf = append(buf, byte(p.Guarantees))
 	var flags byte
 	if p.Sparse {
@@ -53,16 +54,7 @@ func (p *Plan) AppendTo(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Nodes)))
 	for _, n := range p.Nodes {
 		buf = binary.AppendUvarint(buf, uint64(n.Switch))
-		buf = binary.AppendUvarint(buf, uint64(len(n.Deps)))
-		prev := -1
-		for k, d := range n.Deps {
-			if k == 0 {
-				buf = binary.AppendUvarint(buf, uint64(d))
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(d-prev-1))
-			}
-			prev = d
-		}
+		buf = wirefmt.AppendIndices(buf, n.Deps)
 	}
 	return buf
 }
@@ -75,116 +67,31 @@ func EncodePlan(p *Plan) []byte { return p.AppendTo(nil) }
 // indices at or above their node, and non-canonical varints, so every
 // successful decode re-encodes to the identical bytes.
 func DecodePlan(data []byte) (*Plan, error) {
-	d := planDecoder{buf: data}
-	if string(d.take(len(planMagic))) != planMagic {
+	d := wirefmt.NewDecoder(data, ErrPlanWire)
+	if string(d.Take(len(planMagic))) != planMagic {
 		return nil, fmt.Errorf("core: bad magic: %w", ErrPlanWire)
 	}
-	if v := d.byte(); v != planVersion {
+	if v := d.Byte(); v != planVersion {
 		return nil, fmt.Errorf("core: plan version %d: %w", v, ErrPlanWire)
 	}
-	algoLen := d.uvarint()
-	if algoLen > 1<<10 {
-		return nil, fmt.Errorf("core: algorithm name %d bytes: %w", algoLen, ErrPlanWire)
-	}
-	p := &Plan{Algorithm: string(d.take(int(algoLen)))}
-	p.Guarantees = Property(d.byte())
-	flags := d.byte()
+	p := &Plan{Algorithm: string(d.Bytes(1 << 10))}
+	p.Guarantees = Property(d.Byte())
+	flags := d.Byte()
 	if flags&^3 != 0 {
 		return nil, fmt.Errorf("core: unknown plan flags %#x: %w", flags, ErrPlanWire)
 	}
 	p.Sparse = flags&1 != 0
 	p.LoopFreedomCompromised = flags&2 != 0
-	numNodes := d.uvarint()
-	if numNodes > maxPlanWireNodes {
-		return nil, fmt.Errorf("core: %d plan nodes: %w", numNodes, ErrPlanWire)
+	numNodes := d.Len(maxPlanWireNodes)
+	if numNodes > 0 {
+		p.Nodes = make([]PlanNode, 0, min(numNodes, 1<<12))
 	}
-	if d.err == nil && numNodes > 0 {
-		p.Nodes = make([]PlanNode, 0, min(int(numNodes), 1<<12))
+	for i := 0; i < numNodes && d.Err() == nil; i++ {
+		// A node depends only on nodes before it.
+		p.Nodes = append(p.Nodes, PlanNode{Switch: topo.NodeID(d.Uvarint()), Deps: d.Indices(nil, i)})
 	}
-	for i := 0; i < int(numNodes) && d.err == nil; i++ {
-		n := PlanNode{Switch: topo.NodeID(d.uvarint())}
-		numDeps := d.uvarint()
-		if numDeps > uint64(i) {
-			return nil, fmt.Errorf("core: node %d with %d deps: %w", i, numDeps, ErrPlanWire)
-		}
-		prev := -1
-		for k := 0; k < int(numDeps) && d.err == nil; k++ {
-			// Bound the raw varint before the int conversion: values
-			// past the node cap would overflow int64 and wrap negative
-			// (or, on the delta path, wrap back into range), breaking
-			// both the dep >= i check and re-encode identity.
-			v := d.uvarint()
-			if v > maxPlanWireNodes {
-				return nil, fmt.Errorf("core: node %d dep varint %d: %w", i, v, ErrPlanWire)
-			}
-			dep := int(v)
-			if k > 0 {
-				dep += prev + 1
-			}
-			if dep >= i {
-				return nil, fmt.Errorf("core: node %d depends on node %d: %w", i, dep, ErrPlanWire)
-			}
-			n.Deps = append(n.Deps, dep)
-			prev = dep
-		}
-		p.Nodes = append(p.Nodes, n)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("core: %d trailing bytes: %w", len(d.buf)-d.off, ErrPlanWire)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return p, nil
-}
-
-// planDecoder is a cursor over the wire bytes; the first failure
-// sticks and every later read returns zero values.
-type planDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *planDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("core: truncated plan: %w", ErrPlanWire)
-	}
-}
-
-func (d *planDecoder) take(n int) []byte {
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	out := d.buf[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *planDecoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *planDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	// Reject non-minimal varints: canonical encodings re-encode
-	// byte-identically.
-	if n > 1 && d.buf[d.off+n-1] == 0 {
-		d.err = fmt.Errorf("core: non-canonical varint: %w", ErrPlanWire)
-		return 0
-	}
-	d.off += n
-	return v
 }

@@ -25,13 +25,15 @@
 // The per-node dispatched and confirmed records of older journals still
 // decode, and fold like a batch of one.
 //
-// Framing follows the house codec style (canonical uvarints, strict
+// Frames and payloads are read and written by internal/wirefmt, as the
+// plan codec's and planwire's are (canonical uvarints, strict
 // decoding): each record is `uvarint(len(payload)) || payload ||
 // crc32(payload)`, after a fixed "TSUJ"+version header. Replay accepts
-// the longest valid prefix — a torn tail (truncated frame, bad CRC,
-// malformed payload) ends replay without error, exactly the state a
-// kill -9 mid-append leaves behind — and Open truncates the tail so
-// new appends continue from the last intact record. An append that
+// the longest valid prefix — a torn tail (truncated frame, non-minimal
+// length, bad CRC, malformed payload) ends replay without error,
+// exactly the state a kill -9 mid-append leaves behind — and Open
+// truncates the tail so new appends continue from the last intact
+// record. An append that
 // fails partway is cut off the same way before anything follows it.
 //
 // Durability: admit and terminal records are on disk before Append
@@ -56,11 +58,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"time"
+
+	"tsu/internal/wirefmt"
 )
 
 // ErrJournal marks malformed journal data; match with errors.Is.
@@ -254,32 +259,23 @@ func readFile(f *os.File) ([]byte, error) {
 
 // frames walks the records after data's header, handing each intact
 // frame's payload to fn, and returns the byte length of the valid
-// prefix: the walk stops at a torn length, payload or CRC, and at a
-// payload fn refuses. A short or corrupt header is an error.
+// prefix: the walk stops at a torn or non-minimal length, a torn
+// payload or CRC, a corrupt frame, and at a payload fn refuses. A short
+// or corrupt header is an error.
 func frames(data []byte, fn func(payload []byte) bool) (valid int, err error) {
 	if len(data) < len(magic) || [5]byte(data[:len(magic)]) != magic {
 		return 0, fmt.Errorf("journal: bad header: %w", ErrJournal)
 	}
-	off := len(magic)
-	for off < len(data) {
-		n, ln := binary.Uvarint(data[off:])
-		if ln <= 0 || n > uint64(len(data)) {
-			break // torn length
+	d := wirefmt.NewDecoder(data, ErrJournal)
+	d.Take(len(magic))
+	for valid = d.Off(); valid < len(data); valid = d.Off() {
+		payload := d.Bytes(len(data))
+		crc := d.Take(4)
+		if d.Err() != nil || crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(crc) || !fn(payload) {
+			break // a torn tail, well-framed garbage included: not a panic
 		}
-		head := off + ln
-		if head+int(n)+4 > len(data) {
-			break // torn payload or CRC
-		}
-		payload := data[head : head+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[head+int(n):]) {
-			break // corrupt frame
-		}
-		if !fn(payload) {
-			break // well-framed garbage: still a torn tail, not a panic
-		}
-		off = head + int(n) + 4
 	}
-	return off, nil
+	return valid, nil
 }
 
 // Replay decodes records from raw journal bytes, returning the decoded
@@ -602,7 +598,7 @@ func appendPayload(buf []byte, rec *Record) []byte {
 	case KindDispatched, KindConfirmed:
 		buf = binary.AppendUvarint(buf, uint64(rec.Node))
 	case KindDispatchedBatch:
-		buf = appendIndices(buf, rec.Nodes)
+		buf = wirefmt.AppendIndices(buf, rec.Nodes)
 		buf = appendTrailing(buf, rec.Confirmed)
 	case KindTerminal:
 		done := byte(0)
@@ -610,13 +606,11 @@ func appendPayload(buf []byte, rec *Record) []byte {
 			done = 1
 		}
 		buf = append(buf, done)
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Error)))
-		buf = append(buf, rec.Error...)
+		buf = wirefmt.AppendBytes(buf, rec.Error)
 		buf = appendTrailing(buf, rec.Confirmed)
 	case KindAdmit:
 		a := rec.Admit
-		buf = binary.AppendUvarint(buf, uint64(len(a.Algorithm)))
-		buf = append(buf, a.Algorithm...)
+		buf = wirefmt.AppendBytes(buf, a.Algorithm)
 		buf = binary.AppendUvarint(buf, uint64(a.Interval))
 		buf = append(buf, a.Mode)
 		flags := byte(0)
@@ -636,24 +630,9 @@ func appendPayload(buf []byte, rec *Record) []byte {
 			buf = binary.AppendUvarint(buf, a.Waypoint)
 			buf = binary.BigEndian.AppendUint32(buf, a.NWDst)
 			buf = binary.AppendUvarint(buf, a.Props)
-			buf = appendIndices(buf, a.Cleanup)
-			buf = binary.AppendUvarint(buf, uint64(len(a.Plan)))
-			buf = append(buf, a.Plan...)
+			buf = wirefmt.AppendIndices(buf, a.Cleanup)
+			buf = wirefmt.AppendBytes(buf, a.Plan)
 		}
-	}
-	return buf
-}
-
-// appendIndices encodes an ascending index list like the plan codec's
-// deps: its length, then the first index absolute and every later one
-// as its gap to the previous minus one.
-func appendIndices(buf []byte, idx []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(idx)))
-	for k, i := range idx {
-		if k > 0 {
-			i -= idx[k-1] + 1
-		}
-		buf = binary.AppendUvarint(buf, uint64(i))
 	}
 	return buf
 }
@@ -664,11 +643,11 @@ func appendTrailing(buf []byte, idx []int) []byte {
 	if len(idx) == 0 {
 		return buf
 	}
-	return appendIndices(buf, idx)
+	return wirefmt.AppendIndices(buf, idx)
 }
 
-// maxList bounds decoded list lengths (paths, index lists, plan and
-// error byte lengths) against adversarial payloads.
+// maxList bounds decoded list lengths (paths, plan and error byte
+// lengths) against adversarial payloads.
 const maxList = 1 << 26
 
 // decodeRecord parses one record payload into a Record of its own.
@@ -678,36 +657,36 @@ func decodeRecord(payload []byte) (Record, error) {
 	return rec, err
 }
 
-// decodeInto parses one record payload into rec with the house
-// sticky-cursor discipline: canonical uvarints only, every flag byte
-// one of its encodings, trailing bytes rejected — so every record has
-// exactly one byte representation (decode→encode identity). With own
-// set, rec gets lists and strings of its own. Without, decodeInto
-// allocates nothing once rec's lists have grown: they reuse rec's
-// arrays, and rec.Admit, whatever the kind (fields another kind has
-// keep their arrays and mean nothing); Admit.Plan aliases the payload;
-// Error and Admit.Algorithm stay empty — a fold decodes the payloads it
-// keeps again, with own set.
+// decodeInto parses one record payload into rec: canonical uvarints
+// only, ints no larger than math.MaxInt, index lists strictly
+// ascending, every flag byte one of its encodings, trailing bytes
+// rejected — so every record has exactly one byte representation
+// (decode→encode identity). With own set, rec gets lists and strings of
+// its own. Without, decodeInto allocates nothing once rec's lists have
+// grown: they reuse rec's arrays, and rec.Admit, whatever the kind
+// (fields another kind has keep their arrays and mean nothing);
+// Admit.Plan aliases the payload; Error and Admit.Algorithm stay empty
+// — a fold decodes the payloads it keeps again, with own set.
 func decodeInto(rec *Record, payload []byte, own bool) error {
-	d := decoder{buf: payload}
+	d := wirefmt.NewDecoder(payload, ErrJournal)
 	if own {
 		*rec = Record{}
 	}
-	*rec = Record{Kind: Kind(d.byte()), Job: int(d.uvarint()),
+	*rec = Record{Kind: Kind(d.Byte()), Job: d.Int(),
 		Nodes: rec.Nodes[:0], Confirmed: rec.Confirmed[:0], Admit: rec.Admit}
 	switch rec.Kind {
 	case KindDispatched, KindConfirmed:
-		rec.Node = int(d.uvarint())
+		rec.Node = d.Int()
 	case KindDispatchedBatch:
-		rec.Nodes = d.indices(rec.Nodes)
-		rec.Confirmed = d.trailing(rec.Confirmed)
+		rec.Nodes = d.Indices(rec.Nodes, math.MaxInt)
+		rec.Confirmed = trailing(&d, rec.Confirmed, len(payload))
 	case KindTerminal:
-		rec.Done = d.flag()
-		msg := d.take(d.length())
+		rec.Done = d.Flag()
+		msg := d.Bytes(maxList)
 		if own {
 			rec.Error = string(msg)
 		}
-		rec.Confirmed = d.trailing(rec.Confirmed)
+		rec.Confirmed = trailing(&d, rec.Confirmed, len(payload))
 	case KindAdmit:
 		a := rec.Admit
 		if a == nil {
@@ -715,22 +694,22 @@ func decodeInto(rec *Record, payload []byte, own bool) error {
 		} else {
 			*a = Admit{Old: a.Old[:0], New: a.New[:0], Cleanup: a.Cleanup[:0]}
 		}
-		alg := d.take(d.length())
+		alg := d.Bytes(maxList)
 		if own {
 			a.Algorithm = string(alg)
 		}
-		a.Interval = time.Duration(d.uvarint())
-		a.Mode = d.byte()
-		if a.Recoverable = d.flag(); a.Recoverable {
-			a.Old = d.ids(a.Old)
-			a.New = d.ids(a.New)
-			a.Waypoint = d.uvarint()
-			if b := d.take(4); b != nil {
+		a.Interval = time.Duration(d.Uvarint())
+		a.Mode = d.Byte()
+		if a.Recoverable = d.Flag(); a.Recoverable {
+			a.Old = ids(&d, a.Old)
+			a.New = ids(&d, a.New)
+			a.Waypoint = d.Uvarint()
+			if b := d.Take(4); b != nil {
 				a.NWDst = binary.BigEndian.Uint32(b)
 			}
-			a.Props = d.uvarint()
-			a.Cleanup = d.indices(a.Cleanup)
-			a.Plan = d.take(d.length())
+			a.Props = d.Uvarint()
+			a.Cleanup = d.Indices(a.Cleanup, math.MaxInt)
+			a.Plan = d.Bytes(maxList)
 			if own {
 				a.Plan = append([]byte(nil), a.Plan...)
 			}
@@ -739,113 +718,29 @@ func decodeInto(rec *Record, payload []byte, own bool) error {
 	default:
 		return fmt.Errorf("journal: record kind %d: %w", rec.Kind, ErrJournal)
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("journal: %d trailing bytes: %w", len(d.buf)-d.off, ErrJournal)
-	}
-	return nil
-}
-
-// decoder is the sticky-error cursor of the house codec style. Unlike
-// encoding/binary's Uvarint it rejects non-minimal encodings, so every
-// record has exactly one byte representation (decode→encode identity).
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("journal: truncated record: %w", ErrJournal)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	out := d.buf[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// flag reads a boolean byte: 0 or 1, nothing else.
-func (d *decoder) flag() bool {
-	b := d.byte()
-	if b > 1 {
-		d.fail()
-	}
-	return b == 1
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// length reads a list or byte-string length, bounded by maxList.
-func (d *decoder) length() int {
-	n := d.uvarint()
-	if n > maxList {
-		d.fail()
-		return 0
-	}
-	return int(n)
+	return d.End()
 }
 
 // ids decodes a length-prefixed uvarint list onto dst.
-func (d *decoder) ids(dst []uint64) []uint64 {
-	n := d.length()
-	for i := 0; i < n && d.err == nil; i++ {
-		dst = append(dst, d.uvarint())
+func ids(d *wirefmt.Decoder, dst []uint64) []uint64 {
+	n := d.Len(maxList)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		dst = append(dst, d.Uvarint())
 	}
 	return dst
 }
 
-// indices decodes an appendIndices list onto dst. Wrapping int
-// arithmetic on both sides keeps decode→encode identity even for
-// adversarial out-of-range gaps.
-func (d *decoder) indices(dst []int) []int {
-	n := d.length()
-	prev := -1
-	for i := 0; i < n && d.err == nil; i++ {
-		prev += int(d.uvarint()) + 1
-		dst = append(dst, prev)
+// trailing decodes an appendTrailing list onto dst, which is empty:
+// absent when the payload, end bytes long, ends here, and never empty
+// when present.
+func trailing(d *wirefmt.Decoder, dst []int, end int) []int {
+	if d.Off() == end {
+		return dst
+	}
+	if dst = d.Indices(dst, math.MaxInt); len(dst) == 0 {
+		d.Fail("empty trailing list") // an empty list is written as no list
 	}
 	return dst
-}
-
-// trailing decodes an appendTrailing list onto dst: absent when the
-// payload ends here, and never empty when present.
-func (d *decoder) trailing(dst []int) []int {
-	if d.err != nil || d.off == len(d.buf) {
-		return dst
-	}
-	if d.buf[d.off] == 0 {
-		d.fail() // an empty list is written as no list
-		return dst
-	}
-	return d.indices(dst)
 }
 
 // RetainFinished is how many finished jobs a fold keeps: the newest,

@@ -330,6 +330,37 @@ func TestJournalCRCCorruption(t *testing.T) {
 	}
 }
 
+// A frame whose length prefix is a non-minimal varint is a second byte
+// form of the same frame: Replay's valid prefix ends before it, as at a
+// torn length, and Open folds that prefix and cuts the rest off.
+func TestJournalNonMinimalFrameLength(t *testing.T) {
+	data := appendRecord(append([]byte(nil), magic[:]...), sampleAdmit(1))
+	valid := len(data)
+	frame := appendRecord(nil, Record{Kind: KindDispatchedBatch, Job: 1, Nodes: []int{0, 1}})
+	if frame[0] >= 0x80 {
+		t.Fatalf("frame length prefix %#x is not one byte", frame[0])
+	}
+	data = append(data, frame[0]|0x80, 0)
+	data = append(data, frame[1:]...)
+	data = appendRecord(data, Record{Kind: KindTerminal, Job: 1, Done: true})
+
+	recs, n, err := Replay(data)
+	if err != nil || n != valid || len(recs) != 1 || recs[0].Kind != KindAdmit {
+		t.Fatalf("Replay = %d records, valid %d, err %v; want the admit alone, valid %d", len(recs), n, err, valid)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := reopenState(t, path)
+	if st.Frames != 1 || len(st.Live) != 1 || len(st.Live[0].Dispatched) != 0 || len(st.Finished) != 0 {
+		t.Fatalf("Open folded %+v, want the admitted job live with nothing dispatched", st)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(valid) {
+		t.Fatalf("Open left %v bytes (err %v), want the valid prefix's %d", fi.Size(), err, valid)
+	}
+}
+
 func TestJournalBadHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	if err := os.WriteFile(path, []byte("BOGUS"), 0o644); err != nil {
@@ -747,6 +778,8 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(magic[:])
 	f.Add([]byte{})
 	f.Add(append(append([]byte(nil), magic[:]...), 0x03, 0x01, 0x00, 0xff))
+	frame := appendRecord(nil, Record{Kind: KindDispatchedBatch, Job: 1, Nodes: []int{3}})
+	f.Add(append(append(append([]byte(nil), magic[:]...), frame[0]|0x80, 0), frame[1:]...)) // a non-minimal length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := Replay(data)

@@ -17,9 +17,10 @@
 //
 // Everything in between — the per-edge acks — travels switch-to-switch
 // on the data-plane fabric and never touches the controller; see
-// switchsim's plan agent. Every payload reuses the strict decoding
-// style of core's plan codec: a malformed payload yields an error,
-// never a panic or a partial struct.
+// switchsim's plan agent. Every payload is read by internal/wirefmt,
+// the reader of the journal and the plan codec too: a malformed or
+// non-canonical payload yields an error, never a panic or a partial
+// struct, and every payload has one byte form.
 package planwire
 
 import (
@@ -31,6 +32,7 @@ import (
 	"tsu/internal/core"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
+	"tsu/internal/wirefmt"
 )
 
 // VendorID identifies this repository's vendor messages ("\0TSU").
@@ -46,6 +48,9 @@ const (
 
 // ErrWire marks malformed planwire payloads; match with errors.Is.
 var ErrWire = errors.New("malformed planwire payload")
+
+// maxNodes bounds the node lists of a report and a state report.
+const maxNodes = 1 << 20
 
 // Push is the controller's one-shot message to a switch: the job's
 // whole plan, from which the switch's plan agent derives its own nodes
@@ -119,8 +124,7 @@ func EncodePush(p *Push, plan []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(p.Oldest))
 	buf = binary.AppendUvarint(buf, uint64(p.Interval))
 	buf = binary.AppendUvarint(buf, uint64(p.Switch))
-	buf = binary.AppendUvarint(buf, uint64(len(plan)))
-	buf = append(buf, plan...)
+	buf = wirefmt.AppendBytes(buf, plan)
 	for _, fm := range p.Mods {
 		if fm == nil {
 			return nil, fmt.Errorf("planwire: nil flowmod in push to %d", p.Switch)
@@ -129,8 +133,7 @@ func EncodePush(p *Push, plan []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("planwire: encoding flowmod: %w", err)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
+		buf = wirefmt.AppendBytes(buf, blob)
 	}
 	return buf, nil
 }
@@ -139,26 +142,22 @@ func EncodePush(p *Push, plan []byte) ([]byte, error) {
 // then exactly one FlowMod per node the target owns. A target that
 // owns no node, or an Oldest above Job, is rejected.
 func DecodePush(data []byte) (*Push, error) {
-	d := decoder{buf: data}
-	if k := d.byte(); k != kindPush {
+	d := wirefmt.NewDecoder(data, ErrWire)
+	if k := d.Byte(); k != kindPush {
 		return nil, fmt.Errorf("planwire: payload kind %d, want push: %w", k, ErrWire)
 	}
 	p := &Push{
-		Job:      int(d.uvarint()),
-		Oldest:   int(d.uvarint()),
-		Interval: time.Duration(d.uvarint()),
-		Switch:   topo.NodeID(d.uvarint()),
+		Job:      d.Int(),
+		Oldest:   d.Int(),
+		Interval: time.Duration(d.Uvarint()),
+		Switch:   topo.NodeID(d.Uvarint()),
 	}
 	if p.Oldest > p.Job {
 		return nil, fmt.Errorf("planwire: push of job %d names %d as oldest: %w", p.Job, p.Oldest, ErrWire)
 	}
-	planLen := d.uvarint()
-	if planLen > 1<<26 {
-		return nil, fmt.Errorf("planwire: plan of %d bytes: %w", planLen, ErrWire)
-	}
-	planBytes := d.take(int(planLen))
-	if d.err != nil {
-		return nil, d.err
+	planBytes := d.Bytes(1 << 26)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	plan, err := core.DecodePlan(planBytes)
 	if err != nil {
@@ -166,15 +165,11 @@ func DecodePush(data []byte) (*Push, error) {
 	}
 	p.Plan = plan
 	for i, nd := range plan.Nodes {
-		if nd.Switch != p.Switch || d.err != nil {
+		if nd.Switch != p.Switch {
 			continue
 		}
-		blobLen := d.uvarint()
-		if blobLen > openflow.MaxMessageLen {
-			return nil, fmt.Errorf("planwire: flowmod of %d bytes: %w", blobLen, ErrWire)
-		}
-		blob := d.take(int(blobLen))
-		if d.err != nil {
+		blob := d.Bytes(openflow.MaxMessageLen)
+		if d.Err() != nil {
 			break
 		}
 		m, err := openflow.Decode(blob)
@@ -187,13 +182,13 @@ func DecodePush(data []byte) (*Push, error) {
 		}
 		p.Mods = append(p.Mods, fm)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if len(p.Mods) == 0 {
 		return nil, fmt.Errorf("planwire: push to %d, which owns no plan node: %w", p.Switch, ErrWire)
 	}
-	if err := d.end(); err != nil {
+	if err := d.End(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -219,30 +214,27 @@ func (r *Report) Encode() []byte {
 
 // DecodeReport parses a Report payload.
 func DecodeReport(data []byte) (*Report, error) {
-	d := decoder{buf: data}
-	if k := d.byte(); k != kindReport {
+	d := wirefmt.NewDecoder(data, ErrWire)
+	if k := d.Byte(); k != kindReport {
 		return nil, fmt.Errorf("planwire: payload kind %d, want report: %w", k, ErrWire)
 	}
 	r := &Report{
-		Job:      int(d.uvarint()),
-		Switch:   topo.NodeID(d.uvarint()),
-		AcksSent: int(d.uvarint()),
-		AcksRecv: int(d.uvarint()),
-		DupAcks:  int(d.uvarint()),
+		Job:      d.Int(),
+		Switch:   topo.NodeID(d.Uvarint()),
+		AcksSent: d.Int(),
+		AcksRecv: d.Int(),
+		DupAcks:  d.Int(),
 	}
-	n := d.uvarint()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("planwire: report covers %d nodes: %w", n, ErrWire)
-	}
-	for i := 0; i < int(n) && d.err == nil; i++ {
+	n := d.Len(maxNodes)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		r.Nodes = append(r.Nodes, NodeReport{
-			Index:      int(d.uvarint()),
-			ReleasedBy: topo.NodeID(d.uvarint()),
-			Started:    time.Duration(d.uvarint()),
-			Finished:   time.Duration(d.uvarint()),
+			Index:      d.Int(),
+			ReleasedBy: topo.NodeID(d.Uvarint()),
+			Started:    time.Duration(d.Uvarint()),
+			Finished:   time.Duration(d.Uvarint()),
 		})
 	}
-	if err := d.end(); err != nil {
+	if err := d.End(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -287,15 +279,15 @@ func (q *StateQuery) Encode() []byte {
 
 // DecodeStateQuery parses a StateQuery payload.
 func DecodeStateQuery(data []byte) (*StateQuery, error) {
-	d := decoder{buf: data}
-	if k := d.byte(); k != kindStateQuery {
+	d := wirefmt.NewDecoder(data, ErrWire)
+	if k := d.Byte(); k != kindStateQuery {
 		return nil, fmt.Errorf("planwire: payload kind %d, want state query: %w", k, ErrWire)
 	}
-	q := &StateQuery{Job: int(d.uvarint())}
-	if b := d.take(4); b != nil {
+	q := &StateQuery{Job: d.Int()}
+	if b := d.Take(4); b != nil {
 		q.NWDst = binary.BigEndian.Uint32(b)
 	}
-	if err := d.end(); err != nil {
+	if err := d.End(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -353,88 +345,29 @@ func (r *StateReport) Encode() []byte {
 
 // DecodeStateReport parses a StateReport payload.
 func DecodeStateReport(data []byte) (*StateReport, error) {
-	d := decoder{buf: data}
-	if k := d.byte(); k != kindStateReport {
+	d := wirefmt.NewDecoder(data, ErrWire)
+	if k := d.Byte(); k != kindStateReport {
 		return nil, fmt.Errorf("planwire: payload kind %d, want state report: %w", k, ErrWire)
 	}
 	r := &StateReport{
-		Job:    int(d.uvarint()),
-		Switch: topo.NodeID(d.uvarint()),
+		Job:    d.Int(),
+		Switch: topo.NodeID(d.Uvarint()),
 	}
 	const ruleLen = openflow.MatchLen + 4
-	n := d.uvarint()
-	if n > uint64(len(d.buf))/ruleLen {
-		return nil, fmt.Errorf("planwire: state report of %d bytes lists %d rules: %w", len(d.buf), n, ErrWire)
-	}
-	for i := 0; i < int(n) && d.err == nil; i++ {
-		if b := d.take(ruleLen); b != nil {
+	n := d.Len(len(data) / ruleLen)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if b := d.Take(ruleLen); b != nil {
 			rule := Rule{Port: binary.BigEndian.Uint16(b[openflow.MatchLen:]), Tag: binary.BigEndian.Uint16(b[openflow.MatchLen+2:])}
 			rule.Match.DecodeWire(b) //nolint:errcheck // b holds a whole match
 			r.Rules = append(r.Rules, rule)
 		}
 	}
-	n = d.uvarint()
-	if n > 1<<20 {
-		return nil, fmt.Errorf("planwire: state report covers %d nodes: %w", n, ErrWire)
+	n = d.Len(maxNodes)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		r.AgentDone = append(r.AgentDone, d.Int())
 	}
-	for i := 0; i < int(n) && d.err == nil; i++ {
-		r.AgentDone = append(r.AgentDone, int(d.uvarint()))
-	}
-	if err := d.end(); err != nil {
+	if err := d.End(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// decoder is a sticky-error cursor over payload bytes, mirroring the
-// core plan codec's decoding discipline.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("planwire: truncated payload: %w", ErrWire)
-	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	out := d.buf[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// end is the decode's error: the first one met, or bytes left over.
-func (d *decoder) end() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.err = fmt.Errorf("planwire: %d trailing bytes: %w", len(d.buf)-d.off, ErrWire)
-	}
-	return d.err
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
 }

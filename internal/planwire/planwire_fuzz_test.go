@@ -1,6 +1,7 @@
 package planwire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,11 @@ import (
 // plan, layered and sparse), one payload of each other kind but the
 // state report, and the state reports of TestStateReportRoundTrip. No
 // decode may panic, and a successful decode must re-encode to a payload
-// that decodes to an equal value.
+// that decodes to an equal value. A report and a state query re-encode
+// to the very bytes decoded: every value has one byte form. (A push
+// carries FlowMods and a state report matches, whose pad bytes the
+// OpenFlow codec reads as don't-care; FuzzPartitionRoundTrip holds the
+// bytes of pushes the controller writes.)
 func FuzzDecodePayload(f *testing.F) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint)
 	for _, name := range core.Names() {
@@ -52,10 +57,10 @@ func FuzzDecodePayload(f *testing.F) {
 			roundTrip(t, p, enc, DecodePush)
 		}
 		if r, err := DecodeReport(data); err == nil {
-			roundTrip(t, r, r.Encode(), DecodeReport)
+			sameBytes(t, r.Encode(), data)
 		}
 		if q, err := DecodeStateQuery(data); err == nil {
-			roundTrip(t, q, q.Encode(), DecodeStateQuery)
+			sameBytes(t, q.Encode(), data)
 		}
 		if r, err := DecodeStateReport(data); err == nil {
 			roundTrip(t, r, r.Encode(), DecodeStateReport)
@@ -73,5 +78,14 @@ func roundTrip[T any](t *testing.T, want *T, enc []byte, decode func([]byte) (*T
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode→encode→decode diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// sameBytes requires a decoded payload's re-encoding enc to be the
+// payload itself.
+func sameBytes(t *testing.T, enc, data []byte) {
+	t.Helper()
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("decode→encode not identity:\n in  %x\n out %x", data, enc)
 	}
 }

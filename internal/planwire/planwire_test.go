@@ -117,6 +117,10 @@ func TestDecodeRejects(t *testing.T) {
 	young := *push
 	young.Oldest = push.Job + 1
 	report := (&Report{Job: 1, Switch: 2}).Encode()
+	// A job id past math.MaxInt: as an int it would wrap to -1 (the
+	// push's oldest too, so that the push is otherwise valid).
+	lastJob := *push
+	lastJob.Job, lastJob.Oldest = -1, -1
 	cases := []struct {
 		name   string
 		decode func([]byte) error
@@ -134,6 +138,12 @@ func TestDecodeRejects(t *testing.T) {
 		{"one flowmod fewer than owned nodes", asPush, encodePush(t, &fewer)},
 		{"switch owns no node", asPush, encodePush(t, &Push{Job: 1, Switch: 99, Plan: push.Plan})},
 		{"oldest above job", asPush, encodePush(t, &young)},
+		{"non-minimal job in a push", asPush, nonMinimalJob(t, data)},
+		{"non-minimal job in a report", asReport, nonMinimalJob(t, report)},
+		{"non-minimal job in a state query", asStateQuery, nonMinimalJob(t, (&StateQuery{Job: 17, NWDst: 1}).Encode())},
+		{"non-minimal job in a state report", asStateReport, nonMinimalJob(t, stateReports()[0].Encode())},
+		{"push of job 2^64-1", asPush, encodePush(t, &lastJob)},
+		{"report of job 2^64-1", asReport, (&Report{Job: -1, Switch: 2}).Encode()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,8 +161,20 @@ func TestDecodeRejects(t *testing.T) {
 	})
 }
 
-func asPush(b []byte) error   { _, err := DecodePush(b); return err }
-func asReport(b []byte) error { _, err := DecodeReport(b); return err }
+func asPush(b []byte) error        { _, err := DecodePush(b); return err }
+func asReport(b []byte) error      { _, err := DecodeReport(b); return err }
+func asStateQuery(b []byte) error  { _, err := DecodeStateQuery(b); return err }
+func asStateReport(b []byte) error { _, err := DecodeStateReport(b); return err }
+
+// nonMinimalJob rewrites a payload's one-byte job varint, which follows
+// its kind byte, in two bytes: the same value in a second byte form.
+func nonMinimalJob(t *testing.T, data []byte) []byte {
+	t.Helper()
+	if data[1] >= 0x80 {
+		t.Fatalf("job varint %#x is not one byte", data[1])
+	}
+	return append([]byte{data[0], data[1] | 0x80, 0}, data[2:]...)
+}
 
 func TestStateQueryRoundTrip(t *testing.T) {
 	q := &StateQuery{Job: 17, NWDst: 0x0a000002}
