@@ -171,7 +171,9 @@ bench-smoke:
 # synthesizer's validate/round-trip invariant on random instances,
 # plus the job journal's replay: arbitrary bytes must replay to the
 # longest valid record prefix, which the decoded records re-encode to,
-# and never panic.
+# and never panic; and verify's one verdict search against exhaustive
+# ideal enumeration on random DAGs over small instances, forward and
+# reversed (same violated/clean answer, exact, a reachable witness).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/openflow
@@ -181,3 +183,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartitionRoundTrip$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthRefine$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime=10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyDAGStage$$' -fuzztime=10s ./internal/verify

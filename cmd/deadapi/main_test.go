@@ -71,6 +71,7 @@ func TestFixtureReport(t *testing.T) {
 		"internal/verify/verify.go:5: one-sampler: imports math/rand",
 		"internal/explore/explore.go:16: explore-no-goroutine: go statement",
 		"internal/explore/explore.go:14: explore-no-memo: declares seen of type map[int]bool",
+		"internal/verify/verify.go:22: one-verdict-search: uses internal/core.Walker.CheckStage outside internal/verify.traceStage, internal/verify.PlanCounterexample, internal/core.sparseSafe",
 		"internal/explore/explore.go:16: one-ideal-enumerator: uses internal/core.Plan.VisitIdeals outside internal/core.Walker.enumerate, internal/core.Plan.IdealStates",
 	}
 	if !reflect.DeepEqual(got, want) {

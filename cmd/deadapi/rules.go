@@ -204,6 +204,11 @@ var rules = []rule{
 		reason: "one decider: a map in internal/explore is the old transposition table coming back",
 	},
 	{
+		name:   "one-verdict-search",
+		pred:   uses{objs: []string{"internal/core.Walker.CheckStage"}, at: []string{"internal/verify.traceStage", "internal/verify.PlanCounterexample", "internal/core.sparseSafe"}},
+		reason: "one verdict search: verify.Plan and verify.Batch decide every stage by RoundChecker.Decide and report a stage past the budget inexact; CheckStage's enumeration and sampling serve only callers that want coverage — Traces (traceStage), the synthesizer's oracle and SparsePlan's spot check — and a call anywhere else is a sampled verdict coming back",
+	},
+	{
 		name:   "one-ideal-enumerator",
 		pred:   uses{objs: []string{"internal/core.Plan.VisitIdeals"}, at: []string{"internal/core.Walker.enumerate", "internal/core.Plan.IdealStates"}, n: 2},
 		reason: "one decider: CheckStage's enumerator is the one ideal DFS, and IdealStates the test reference beside it; any other caller of Plan.VisitIdeals is a second enumerator",

@@ -32,3 +32,9 @@ func (p *Plan) IdealStates() int {
 
 // PlanScheduler converts round schedules again.
 type PlanScheduler interface{ Plan() *Schedule }
+
+// CheckStage enumerates a stage's ideals and samples past a budget.
+func (w *Walker) CheckStage(p *Plan) bool { return w.enumerate(p) }
+
+// sparseSafe spot-checks a sparse plan.
+func sparseSafe(p *Plan) bool { return new(Walker).CheckStage(p) }

@@ -73,10 +73,10 @@
 //     order-ideal enumeration, PlanRun (allocation-free ack-dispatch
 //     bookkeeping), and the canonical plan wire codec; core.Walker is the
 //     incremental, allocation-free state-check primitive, and carries the
-//     one stage check (Walker.CheckStage: ideal enumeration within budget,
-//     sampled minimized extensions past it) that the verify engine and
-//     SparsePlan's self-check share, beside RoundChecker's branching
-//     subset search
+//     coverage check (Walker.CheckStage: ideal enumeration within budget,
+//     sampled minimized extensions past it) that verify's Traces and
+//     PlanCounterexample and SparsePlan's spot check share, beside
+//     RoundChecker's branching walk search, the one verdict search
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows
 //     a minimal-depth sparse DAG edge by edge from the counterexample
 //     ideals verify.PlanCounterexample returns at three budgets, with
@@ -86,10 +86,11 @@
 //   - internal/verify    — the one decider: a stage engine (verify.Plan /
 //     verify.Batch for verdicts, verify.Traces for minimum traces) that
 //     materializes each stage of a plan once with its pre-state and
-//     decides it in one worker pool — a round asked for a verdict by the
-//     branching subset search, any other stage by CheckStage; the
-//     PlanCounterexample entry returns the violating order ideal for
-//     the synthesizer's refinement loop
+//     decides it in one worker pool — every verdict by the branching
+//     walk search (RoundChecker.Decide), inexact past its budget, and
+//     Traces' coverage by CheckStage; the PlanCounterexample entry
+//     returns the violating order ideal for the synthesizer's
+//     refinement loop
 //   - internal/explore   — adversarial interleaving explorer, a view over
 //     the verify engine: explore.Plan renders each stage's minimum
 //     counterexample as a FlowMod delivery trace tagged with node layers,

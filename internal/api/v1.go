@@ -298,7 +298,11 @@ type WatchEvent struct {
 
 // VerifyRequest is the body of POST /v1/verify: plan the batch and
 // verify every schedule against the requested transient-consistency
-// properties — a pure dry run, nothing reaches the switches.
+// properties — a pure dry run, nothing reaches the switches. Every
+// stage (a round of a layered plan; a block between series cuts of a
+// sparse one) is decided by one exact search, and a stage it cannot
+// decide within its budget is reported inexact, never sampled: the
+// request has no sampling knobs (/v1/explore's samples and seed).
 type VerifyRequest struct {
 	Updates []FlowUpdate `json:"updates"`
 	// Properties to check: "no-blackhole", "waypoint", "relaxed-lf",
@@ -307,13 +311,6 @@ type VerifyRequest struct {
 	// the consistent schedulers' properties so the dry run shows what
 	// would break).
 	Properties []string `json:"properties,omitempty"`
-	// Samples: delivery orders replayed per stage (a round of a layered
-	// plan; a block between series cuts of a sparse one) that the exact
-	// search cannot decide within its budget (0 = verifier default).
-	Samples int `json:"samples,omitempty"`
-	// Seed makes sampled verification reproducible; a stage's index
-	// within its plan is mixed in.
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // Violation is a found counterexample: a reachable transient state

@@ -328,14 +328,12 @@ func TestRollbackRunsOnDispatchPath(t *testing.T) {
 	}
 }
 
-// TestRollbackRefusedWhenSampled aborts a fully dispatched sparse
-// Peacock reroute of a 12-tooth comb, every node handed to the abort
-// path as its undo set, as rollbackOnSlowSwitches does. The reverse
-// plan passes its sampled stages but has one past the verify budget,
-// so it is not decided: the abort must refuse it — stuck, not
-// verified, nothing undone, no FlowMod sent.
-func TestRollbackRefusedWhenSampled(t *testing.T) {
-	ti := topo.Comb(12, 8)
+// sparseCombJob plans a sparse Peacock reroute of ti on a fresh
+// testbed whose switches hold the old path, and returns the job with an
+// undo set naming every node: a fully dispatched job as the abort path
+// sees it, as rollbackOnSlowSwitches builds one.
+func sparseCombJob(t *testing.T, ti topo.TwoPathInstance) (*testbed, *Job, []bool) {
+	t.Helper()
 	tb := newTestbed(t, ti.Graph, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -347,8 +345,7 @@ func TestRollbackRefusedWhenSampled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := tb.ctrl.Engine()
-	job, err := e.planJob(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
+	job, err := tb.ctrl.Engine().planJob(in, sched, flowMatch("10.0.0.2"), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +353,24 @@ func TestRollbackRefusedWhenSampled(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
+	return tb, job, all
+}
+
+// TestRollbackRefusedWhenSampled aborts the sparse Peacock reroute of a
+// 24-tooth comb with one-switch teeth. Its reverse plan is clean but
+// not decided: the walk search branches at each of the 24 teeth, 2^24
+// walks past the default budget, so the stage is inexact. The abort
+// must refuse it — stuck, not verified, nothing undone, no FlowMod
+// sent.
+func TestRollbackRefusedWhenSampled(t *testing.T) {
+	tb, job, all := sparseCombJob(t, topo.Comb(24, 1))
+	e := tb.ctrl.Engine()
 	if err := e.verifyRollback(job, job.rollback, all); err == nil || !strings.Contains(err.Error(), "only sampled") {
 		t.Fatalf("reverse plan gate: %v, want ok but sampled", err)
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	batched := metrics.DispatchBatchMsgs.Sum()
 	report, err := e.abort(ctx, job, errors.New("injected"), all)
 	if err == nil || !strings.Contains(err.Error(), "rollback refused") {
@@ -370,6 +381,31 @@ func TestRollbackRefusedWhenSampled(t *testing.T) {
 	}
 	if got := metrics.DispatchBatchMsgs.Sum() - batched; got != 0 {
 		t.Fatalf("a refused rollback put %d messages on the wire", got)
+	}
+}
+
+// TestRollbackVerifiedOnSparseComb aborts the sparse Peacock reroute of
+// topo.Comb(12, 8) the same way. Its reverse plan is one 108-node stage
+// with 96 edges, which the walk search decides exactly and clean at the
+// default budget, so the abort rolls every node back, verified, and
+// the flow runs along the old path again (to the destination switch:
+// the comb has no host).
+func TestRollbackVerifiedOnSparseComb(t *testing.T) {
+	ti := topo.Comb(12, 8)
+	tb, job, all := sparseCombJob(t, ti)
+	e := tb.ctrl.Engine()
+	if err := e.verifyRollback(job, job.rollback, all); err != nil {
+		t.Fatalf("reverse plan gate: %v, want decided and clean", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	report, err := e.abort(ctx, job, errors.New("injected"), all)
+	if err == nil || report.Phase != PhaseRolledBack || !report.RollbackVerified || len(report.RolledBack) != len(all) {
+		t.Fatalf("abort = %+v, %v; want all %d undos rolled back, verified", report, err, len(all))
+	}
+	assertRolledBackInstalled(t, report)
+	if res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64); !res.Visited.Equal(ti.Old) {
+		t.Fatalf("probe after the rollback: %+v, want the walk %v", res, ti.Old)
 	}
 }
 

@@ -241,6 +241,97 @@ func TestSubmitBeforeRecover(t *testing.T) {
 	}
 }
 
+// TestSubmitBeforeRecoverKeptByCompaction: a job submitted before
+// Recover and finished is in the journal Recover compacts — its admit
+// and terminal records stay behind the recovered jobs' — so a restart
+// after it still knows the job and numbers new jobs after its id.
+func TestSubmitBeforeRecoverKeptByCompaction(t *testing.T) {
+	g := topo.Fig1()
+	jl := openParentJournal(t)
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	p, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := tb.ctrl.Engine().SubmitPlan(in, p, flowMatch("10.0.0.9"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(ctx); err != nil {
+		t.Fatalf("job %d submitted before Recover: %v", job.ID, err)
+	}
+	recoverAndWait(ctx, t, tb)
+
+	jl = reopen(t, jl)
+	if got := jl.LastJob(); got != job.ID {
+		t.Fatalf("after Recover's compaction, LastJob = %d: id %d would be issued again", got, job.ID)
+	}
+	finished := jl.TakeState().Finished
+	if !slices.ContainsFunc(finished, func(f journal.FinishedJob) bool { return f.ID == job.ID && f.Done }) {
+		t.Fatalf("job %d is not among the finished jobs after Recover's compaction: %+v", job.ID, finished)
+	}
+}
+
+// TestJobIDsSurviveTwoRestarts restarts over the fixture, lets every
+// recovered job finish, and restarts twice more with no job between:
+// the second restart's Recover finds nothing live to keep, yet the
+// third controller must number its first job after every id the
+// journal ever issued.
+func TestJobIDsSurviveTwoRestarts(t *testing.T) {
+	g := topo.Fig1()
+	jl := openParentJournal(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	recoverAndWait(ctx, t, newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil))
+	jl = reopen(t, jl)
+	recoverAndWait(ctx, t, newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil))
+	jl = reopen(t, jl)
+
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: jl}, nil)
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	p, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := tb.ctrl.Engine().SubmitPlan(in, p, flowMatch("10.0.0.9"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID <= 6 {
+		t.Fatalf("first job after two restarts got id %d, want one after the fixture's 1-6", job.ID)
+	}
+	_ = job.Wait(ctx) //nolint:errcheck // only its id is asserted
+}
+
+// recoverAndWait runs Recover on tb and waits for every job it knows.
+func recoverAndWait(ctx context.Context, t *testing.T, tb *testbed) {
+	t.Helper()
+	if _, err := tb.ctrl.Engine().Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range tb.ctrl.Engine().Jobs() {
+		_ = j.Wait(ctx) //nolint:errcheck // outcomes are TestRecoverParentJournal's
+	}
+}
+
+// reopen closes jl, as a restart's process death leaves it, and opens
+// its file again.
+func reopen(t *testing.T, jl *journal.Journal) *journal.Journal {
+	t.Helper()
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := journal.Open(jl.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	return jl
+}
+
 // TestHolds pins the one predicate reconcile checks a node's FlowMod
 // and its undo with: a delete holds while no rule has its match; any
 // other FlowMod holds when the first rule with its match acts as it

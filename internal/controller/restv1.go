@@ -389,7 +389,7 @@ func (c *Controller) handleV1Verify(w http.ResponseWriter, r *http.Request) {
 	for i, p := range plans {
 		tasks[i] = verify.Task{Instance: p.In, Plan: p.DAG, Props: p.Props}
 	}
-	reports := verify.Batch(tasks, verify.Options{Samples: req.Samples, Seed: req.Seed})
+	reports := verify.Batch(tasks, verify.Options{})
 	resp := api.VerifyResponse{OK: true, Results: make([]api.VerifyResult, 0, len(reports))}
 	for i, rep := range reports {
 		res := api.VerifyResult{

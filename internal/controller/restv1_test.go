@@ -287,7 +287,7 @@ func TestV1MixedBatchMatchesSolo(t *testing.T) {
 	updates := []api.FlowUpdate{layered, sparse, oneshot}
 
 	var batch, solo api.VerifyResponse
-	resp, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: updates, Seed: 5})
+	resp, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: updates})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("verify batch: %d %s", resp.StatusCode, body)
 	}
@@ -297,7 +297,7 @@ func TestV1MixedBatchMatchesSolo(t *testing.T) {
 		t.Fatalf("verify batch = %s", body)
 	}
 	for i, u := range updates {
-		_, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: []api.FlowUpdate{u}, Seed: 5})
+		_, body := postJSON(t, srv.URL+"/v1/verify", api.VerifyRequest{Updates: []api.FlowUpdate{u}})
 		solo = api.VerifyResponse{}
 		decodeInto(t, body, &solo)
 		if len(solo.Results) != 1 || !solo.Results[0].Exact || !reflect.DeepEqual(solo.Results[0], batch.Results[i]) {

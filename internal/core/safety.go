@@ -21,10 +21,11 @@ func (c *CounterExample) String() string {
 	return fmt.Sprintf("violation{%s, walk %v}", c.Violated, c.Walk)
 }
 
-// DefaultCheckBudget bounds the number of walk steps explored by the
-// exact subset checker before it reports inexactness. Each branch point
-// doubles the work, so the budget effectively caps rounds at roughly
-// 20 walk-reachable in-flight switches.
+// DefaultCheckBudget bounds the branch points (visited in-flight
+// switches split on) the exact subset checker explores before it
+// reports inexactness: roughly 20 walk-reachable in-flight switches.
+// Branch points never outnumber a stage's order ideals, so a stage
+// with at most that many ideals is always decided.
 const DefaultCheckBudget = 1 << 20
 
 // RoundSafeStrongLF reports whether every subset of round, applied on
@@ -144,7 +145,7 @@ func (s *cycleSearch) visit(i int32) int32 {
 // The search walks from the source, branching (updated / not yet) only
 // at in-flight switches the walk actually visits, so the cost is
 // 2^(walk-reachable in-flight switches) rather than 2^|round|. The
-// budget caps explored steps; exact=false means the budget was
+// budget caps explored branch points; exact=false means the budget was
 // exhausted before the search completed (no violation found so far).
 //
 // CheckRound is read-only on the instance and safe to call from
@@ -171,63 +172,118 @@ func NewRoundChecker() *RoundChecker { return &RoundChecker{} }
 
 // Check is CheckRound on this checker's scratch buffers.
 func (rc *RoundChecker) Check(in *Instance, done State, round []topo.NodeID, props Property, budget int) (cex *CounterExample, exact bool) {
+	return rc.search(in, done, round, nil, props, budget)
+}
+
+// Decide is Check for every order ideal of st — a whole plan or one of
+// its Stages — on top of pre; a rollback stage runs from pre∖st.
+//
+// With edges, a visited in-flight switch branches only on choices that
+// extend to an ideal: delivering it delivers its in-stage dependencies,
+// holding it back holds back its dependents. Neither can contradict an
+// earlier choice, so every violation found is reachable and a completed
+// search exact. A double-edge cycle may take choices no ideal makes;
+// the same walk from each in-flight switch then decides strong loop
+// freedom, a rule cycle being a walk that revisits a switch.
+func (rc *RoundChecker) Decide(in *Instance, pre State, st *Plan, props Property, budget int) (cex *CounterExample, exact bool) {
+	if st.Rollback {
+		pre = in.Without(pre, st) // see Instance.Without
+	}
+	return rc.search(in, pre, nil, st, props, budget)
+}
+
+// search is Check and Decide: round's switches, or st's, in flight.
+func (rc *RoundChecker) search(in *Instance, done State, round []topo.NodeID, st *Plan, props Property, budget int) (*CounterExample, bool) {
 	if budget <= 0 {
 		budget = DefaultCheckBudget
-	}
-	if props.Has(StrongLoopFreedom) {
-		var st State
-		if in.ruleCycle(done, in.StateOf(round...), &st) {
-			walk, _ := in.Walk(st)
-			return &CounterExample{Updated: st, Walk: walk, Violated: StrongLoopFreedom}, true
-		}
-	}
-	walkProps := props &^ StrongLoopFreedom
-	if walkProps == 0 {
-		return nil, true
 	}
 	w := in.words
 	if cap(rc.buf) < 4*w {
 		rc.buf = make(State, 4*w)
 	}
 	rc.buf = rc.buf[:4*w]
-	for i := range rc.buf {
-		rc.buf[i] = 0
-	}
+	clear(rc.buf)
 	rc.c = roundChecker{
 		in:           in,
 		done:         done,
 		inRound:      rc.buf[0*w : 1*w],
-		props:        walkProps,
 		budget:       budget,
 		assignedMask: rc.buf[1*w : 2*w],
 		assignedVal:  rc.buf[2*w : 3*w],
 		onWalk:       rc.buf[3*w : 4*w],
-		walk:         rc.c.walk[:0], // reuse the walk stack's capacity
+		walk:         rc.c.walk[:0], // reuse the scratch slices' capacity
+		trail:        rc.c.trail[:0],
+		nodes:        rc.c.nodes[:0],
+		stageOf:      rc.c.stageOf,
 	}
 	c := &rc.c
 	for _, v := range round {
-		if i := in.idx(v); in.pendingBits.Has(int(i)) && !done.Has(int(i)) {
+		c.nodes = append(c.nodes, in.idx(v))
+	}
+	if st != nil {
+		for _, nd := range st.Nodes {
+			c.nodes = append(c.nodes, in.idx(nd.Switch))
+		}
+	}
+	if st != nil && st.NumEdges() > 0 {
+		c.stage, c.succ = st, NewPlanRun(st)
+		c.stageOf = append(c.stageOf[:0], make([]int32, len(in.nodeOf))...)
+		for k, i := range c.nodes {
+			c.stageOf[i] = int32(k)
+		}
+	}
+	for _, i := range c.nodes {
+		if in.pendingBits.Has(int(i)) && !done.Has(int(i)) {
 			c.inRound.Set(int(i))
 		}
 	}
-	c.step(in.srcIdx)
+	if props.Has(StrongLoopFreedom) {
+		var cyc State
+		if in.ruleCycle(done, c.inRound, &cyc) && c.stage != nil {
+			// A cycle through no in-flight switch is in done, the first state.
+			if cyc = nil; !in.ruleCycle(done, nil, &cyc) {
+				c.loop = StrongLoopFreedom
+				for _, i := range c.nodes {
+					if c.step(i) {
+						cyc = c.cex.Updated
+						break
+					}
+				}
+			}
+		}
+		if cyc != nil {
+			walk, _ := in.Walk(cyc)
+			return &CounterExample{Updated: cyc, Walk: walk, Violated: StrongLoopFreedom}, true
+		}
+	}
+	if c.props, c.loop = props&^StrongLoopFreedom, props&RelaxedLoopFreedom; c.props != 0 {
+		c.step(in.srcIdx)
+	}
 	return c.cex, !c.exhausted
 }
 
-// roundChecker performs the branching walk search of CheckRound over
-// dense node indices. The tri-state per-switch assignment (unassigned /
-// updated / not yet) lives in two bitsets: assignedMask marks fixed
-// switches, assignedVal their value.
+// roundChecker performs the branching walk search of CheckRound and
+// Decide over dense node indices. The tri-state per-switch assignment
+// (unassigned / updated / not yet) lives in two bitsets: assignedMask
+// marks fixed switches, assignedVal their value; trail lists them in
+// the order they were fixed.
 type roundChecker struct {
 	in           *Instance
 	done         State
 	inRound      State
 	props        Property
+	loop         Property // what revisiting a switch violates, 0 for nothing
 	budget       int
 	assignedMask State
 	assignedVal  State
 	onWalk       State
 	walk         []int32
+	trail        []int32
+	nodes        []int32 // the in-flight switches; a stage's in node order
+
+	stage   *Plan    // a stage with edges, else nil
+	succ    *PlanRun // its dependents
+	stageOf []int32  // dense index -> stage node
 
 	cex       *CounterExample
 	exhausted bool
@@ -262,11 +318,6 @@ func (c *roundChecker) step(i int32) bool {
 	if c.cex != nil {
 		return true
 	}
-	c.budget--
-	if c.budget < 0 {
-		c.exhausted = true
-		return false
-	}
 	if i == c.in.dstIdx {
 		if c.props.Has(WaypointEnforcement) && c.in.wpIdx >= 0 && !c.onWalk.Has(int(c.in.wpIdx)) {
 			c.report(WaypointEnforcement, i)
@@ -275,8 +326,8 @@ func (c *roundChecker) step(i int32) bool {
 		return false
 	}
 	if c.onWalk.Has(int(i)) {
-		if c.props.Has(RelaxedLoopFreedom) {
-			c.report(RelaxedLoopFreedom, i)
+		if c.loop != 0 {
+			c.report(c.loop, i)
 			return true
 		}
 		// The walk cycles: it will never reach the destination or a
@@ -291,25 +342,54 @@ func (c *roundChecker) step(i int32) bool {
 	}()
 
 	if c.inRound.Has(int(i)) && !c.assignedMask.Has(int(i)) {
-		c.assignedMask.Set(int(i))
-		for _, b := range []bool{true, false} {
-			if b {
-				c.assignedVal.Set(int(i))
-			} else {
-				c.assignedVal.Clear(int(i))
-			}
+		if c.budget--; c.budget < 0 {
+			c.exhausted = true
+			return false
+		}
+		mark := len(c.trail)
+		for _, b := range [2]bool{true, false} {
+			c.assign(i, b)
 			if c.advance(i) {
 				return true
 			}
+			for _, j := range c.trail[mark:] {
+				c.assignedMask.Clear(int(j))
+				c.assignedVal.Clear(int(j))
+			}
+			c.trail = c.trail[:mark]
 			if c.exhausted {
 				break
 			}
 		}
-		c.assignedMask.Clear(int(i))
-		c.assignedVal.Clear(int(i))
 		return false
 	}
 	return c.advance(i)
+}
+
+// assign fixes switch i updated or not and, in a stage with edges,
+// every unassigned switch that choice forces (see Decide).
+func (c *roundChecker) assign(i int32, updated bool) {
+	if c.assignedMask.Has(int(i)) {
+		return // forced already, to the same value
+	}
+	c.assignedMask.Set(int(i))
+	if updated {
+		c.assignedVal.Set(int(i))
+	}
+	c.trail = append(c.trail, i)
+	if c.stage == nil {
+		return
+	}
+	k := c.stageOf[i]
+	if updated != c.stage.Rollback { // delivered: so is every dependency
+		for _, d := range c.stage.Nodes[k].Deps {
+			c.assign(c.nodes[d], updated)
+		}
+	} else { // held back: so is every dependent
+		for _, d := range c.succ.succ[c.succ.succStart[k]:c.succ.succStart[k+1]] {
+			c.assign(c.nodes[d], updated)
+		}
+	}
 }
 
 // advance follows i's rule under the current assignment.

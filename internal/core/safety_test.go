@@ -244,3 +244,46 @@ func TestStrongLFCounterExampleIsReal(t *testing.T) {
 		t.Fatalf("counterexample state %v has no rule cycle", in.StateNodes(cex.Updated))
 	}
 }
+
+// TestDecideKeepsToIdeals pins the choices Decide branches on in a
+// stage with edges. On the 3-switch reversal, the rule cycle 2 ⇄ 3
+// needs 3 updated while 2 is not: a one-shot round reaches it, and a
+// plan that updates 3 only after 2 — or, reversed, undoes 2 only after
+// 3 — never does.
+func TestDecideKeepsToIdeals(t *testing.T) {
+	in := MustInstance(topo.Path{1, 2, 3, 4}, topo.Path{1, 3, 2, 4}, 0)
+	if cex, exact := in.CheckRound(nil, in.Pending(), StrongLoopFreedom, 0); cex == nil || !exact {
+		t.Fatalf("one-shot round: %v (exact %t), want the cycle", cex, exact)
+	}
+	p := &Plan{Nodes: []PlanNode{{Switch: 1}, {Switch: 2}, {Switch: 3, Deps: []int{1}}}}
+	rev, _, err := p.Reverse([]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewRoundChecker()
+	for _, st := range []*Plan{p, rev} {
+		var pre State
+		if st.Rollback {
+			pre = st.BaseState(in)
+		}
+		for _, props := range []Property{StrongLoopFreedom, RelaxedLoopFreedom | NoBlackhole} {
+			if cex, exact := rc.Decide(in, pre, st, props, 0); cex != nil || !exact {
+				t.Fatalf("rollback %t, %v: %v (exact %t), want clean and exact", st.Rollback, props, cex, exact)
+			}
+		}
+	}
+}
+
+// TestDecideFindsCycleOffTheStage: with 4 updated and 3 not, the rule
+// graph cycles 3 ⇄ 4 before the stage {6, 8} moves, and no walk from
+// 6 or 8 enters that cycle. Decide still reports it, in the stage's
+// first state.
+func TestDecideFindsCycleOffTheStage(t *testing.T) {
+	in := MustInstance(topo.Path{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, topo.Path{1, 5, 4, 3, 6, 8, 10}, 0)
+	p := &Plan{Nodes: []PlanNode{{Switch: 6}, {Switch: 8, Deps: []int{0}}}}
+	pre := in.StateOf(4)
+	cex, exact := NewRoundChecker().Decide(in, pre, p, StrongLoopFreedom, 0)
+	if !exact || cex == nil || !slices.Equal(cex.Updated, pre) {
+		t.Fatalf("Decide = %v (exact %t), want the cycle 3 ⇄ 4 in the state {4}", cex, exact)
+	}
+}

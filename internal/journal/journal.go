@@ -185,6 +185,7 @@ type Journal struct {
 	f        *os.File
 	path     string
 	gen      int    // bumped by each Compact: which file size and durable measure
+	folded   int64  // the file's length Open folded, or Compact's snapshot
 	buf      []byte // reused append scratch: frame head + payload + crc
 	size     int64  // the file's length: every byte appended
 	durable  int64  // the file's length when the last completed fsync began
@@ -196,10 +197,6 @@ type Journal struct {
 	lastJob  int   // State.LastJob of Open's fold
 	onAppend func(Record)
 }
-
-// errCompacted is returned for records a Compact replaced before an
-// fsync reached them: they are not in the file a restart reads.
-var errCompacted = errors.New("journal: records replaced by a compaction before they were synced")
 
 // dirSync makes a rename in a directory durable; a variable, so tests
 // can make it fail as some filesystems do.
@@ -226,7 +223,7 @@ func Open(path string) (*Journal, error) {
 		if _, err := f.Write(magic[:]); err != nil {
 			return fail(fmt.Errorf("journal: writing header: %w", err))
 		}
-		j.size, j.durable = int64(len(magic)), int64(len(magic))
+		j.size, j.durable, j.folded = int64(len(magic)), int64(len(magic)), int64(len(magic))
 		return j, nil
 	}
 	st, valid, err := fold(data)
@@ -238,7 +235,7 @@ func Open(path string) (*Journal, error) {
 			return fail(fmt.Errorf("journal: truncating torn tail: %w", err))
 		}
 	}
-	j.size, j.durable = int64(valid), int64(valid)
+	j.size, j.durable, j.folded = int64(valid), int64(valid), int64(valid)
 	j.state, j.lastJob = st, st.LastJob
 	return j, nil
 }
@@ -397,7 +394,7 @@ func (j *Journal) AppendAll(recs []Record) error {
 // them, or syncEvery delta nodes were appended since the last fsync.
 // Caller holds j.mu.
 func (j *Journal) write(recs []Record) (commit bool, err error) {
-	if err := j.usable(j.gen); err != nil {
+	if err := j.usable(); err != nil {
 		return false, err
 	}
 	j.buf = j.buf[:0]
@@ -428,18 +425,13 @@ func (j *Journal) write(recs []Record) (commit bool, err error) {
 	return durable || j.unsynced >= syncEvery, nil
 }
 
-// usable returns why nothing more can be appended to or committed on
-// generation gen of the file, if anything. Caller holds j.mu.
-func (j *Journal) usable(gen int) error {
-	switch {
-	case j.crashed:
+// usable returns why nothing more can be appended or committed, if
+// anything. Caller holds j.mu.
+func (j *Journal) usable() error {
+	if j.crashed {
 		return ErrCrashed
-	case j.err != nil:
-		return j.err
-	case j.gen != gen:
-		return errCompacted
 	}
-	return nil
+	return j.err
 }
 
 // commit returns once the first end bytes of generation gen of the file
@@ -454,7 +446,8 @@ func (j *Journal) commit(gen int, end int64) error {
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
 	j.mu.Lock()
-	if err := j.usable(gen); err != nil || j.durable >= end {
+	// A Compact since gen carried the bytes into the snapshot it synced.
+	if err := j.usable(); err != nil || j.gen != gen || j.durable >= end {
 		j.mu.Unlock()
 		return err
 	}
@@ -488,14 +481,18 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Compact atomically replaces the journal's contents with the given
-// records — the snapshot+truncate step a recovered controller runs
-// once the replayed state has been folded, so the file stays
-// proportional to live state instead of total history. The replacement
-// survives a power loss: records are written to a temp file, synced,
-// renamed over the journal, and the rename is made durable by syncing
-// the directory. Records appended before Compact and not yet synced are
-// replaced with the rest: the commit waiting for them fails.
+// Compact atomically replaces the records Open folded with the given
+// ones — the snapshot+truncate step a recovered controller runs once
+// the replayed state has been folded, so the file stays proportional
+// to live state instead of total history — and keeps every record
+// appended since Open behind them; a later Compact replaces this one's
+// records the same way. It never lowers LastJob: when no record of
+// recs names the highest job id Open read, a terminal record for that
+// id goes with them, which a fold counts and otherwise drops. The
+// replacement survives a power loss: records are written to a temp
+// file, synced, renamed over the journal, and the rename is made
+// durable by syncing the directory. An append's commit still waiting
+// finds its record in the synced snapshot.
 func (j *Journal) Compact(recs []Record) error {
 	j.syncMu.Lock() // no fsync in flight on the file about to be replaced
 	defer j.syncMu.Unlock()
@@ -511,8 +508,21 @@ func (j *Journal) Compact(recs []Record) error {
 	}
 	defer os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup
 	buf := append([]byte(nil), magic[:]...)
+	watermark := j.lastJob
 	for _, rec := range recs {
 		buf = appendRecord(buf, rec)
+		if rec.Job >= watermark {
+			watermark = 0
+		}
+	}
+	if watermark > 0 {
+		buf = appendRecord(buf, Record{Kind: KindTerminal, Job: watermark, Done: true})
+	}
+	head := len(buf)
+	buf = append(buf, make([]byte, j.size-j.folded)...)
+	if _, err := j.f.ReadAt(buf[head:], j.folded); err != nil {
+		tmp.Close() //nolint:errcheck // already failing
+		return fmt.Errorf("journal: compact read: %w", err)
 	}
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close() //nolint:errcheck // already failing
@@ -538,7 +548,7 @@ func (j *Journal) Compact(recs []Record) error {
 	}
 	j.f.Close() //nolint:errcheck // superseded by the compacted file
 	j.f, j.gen = f, j.gen+1
-	j.size, j.durable = int64(len(buf)), int64(len(buf))
+	j.size, j.durable, j.folded = int64(len(buf)), int64(len(buf)), int64(head)
 	j.unsynced = 0
 	// Until the directory is on disk, a power loss can bring the old
 	// file back — without the appends made after this compaction.

@@ -379,6 +379,14 @@ func TestJournalCompact(t *testing.T) {
 		}
 	}
 	big := j.Size()
+	// Compact replaces what Open folded: reopen, so that is the 100.
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	live := []Record{sampleAdmit(7), {Kind: KindDispatchedBatch, Job: 7, Nodes: []int{0, 1}, Confirmed: []int{0}}}
 	if err := j.Compact(live); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -549,16 +557,24 @@ func TestJournalGroupCommit(t *testing.T) {
 }
 
 // A commit that queued behind a Compact waited for bytes the compaction
-// replaced: it fails at once — they are in no file a restart reads —
-// instead of syncing the new file until it grows past their offset.
+// carried into its synced snapshot: it returns at once, successfully,
+// instead of syncing the new file until it grows past their offset, and
+// the record is in the file a restart reads.
 func TestJournalCommitAcrossCompact(t *testing.T) {
 	j, path := openTemp(t)
-	defer j.Close()
 	for i := 0; i < 4; i++ {
 		if err := j.Append(sampleAdmit(i + 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	// A terminal appended with its fsync still to come, as a committer
 	// blocked on syncMu while Compact runs holds it.
 	j.mu.Lock()
@@ -577,8 +593,8 @@ func TestJournalCommitAcrossCompact(t *testing.T) {
 	go func() { done <- j.commit(gen, end) }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, errCompacted) {
-			t.Fatalf("commit across a compaction: err = %v, want errCompacted", err)
+		if err != nil {
+			t.Fatalf("commit across a compaction: err = %v, want its record kept", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("commit across a compaction did not return")
@@ -587,9 +603,51 @@ func TestJournalCommitAcrossCompact(t *testing.T) {
 	if err := j.Append(Record{Kind: KindTerminal, Job: 2, Done: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(replayFile(t, path)); got != 2 {
-		t.Fatalf("%d records after the compaction and one append, want 2", got)
+	got := replayFile(t, path)
+	if len(got) != 4 || got[1].Kind != KindTerminal || got[1].Job != 4 || got[2].Kind != KindTerminal || got[2].Job != 1 {
+		t.Fatalf("records after the compaction and one append: %+v, want admit 2, the id watermark 4, terminal 1, terminal 2", got)
 	}
+}
+
+// TestJournalCompactKeepsAppendsAndWatermark: Compact replaces only
+// what Open folded — a job admitted since stays in the file — and never
+// lowers LastJob, also when the file it replaces names no live job: the
+// restart after the next one must not number jobs from 1 again.
+func TestJournalCompactKeepsAppendsAndWatermark(t *testing.T) {
+	j, path := openTemp(t)
+	for _, rec := range []Record{sampleAdmit(4), {Kind: KindTerminal, Job: 4, Done: true}} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for restart := 0; restart < 3; restart++ {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if j, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := j.LastJob(), 4+min(restart, 1); got != want {
+			t.Fatalf("restart %d: LastJob = %d, want %d", restart, got, want)
+		}
+		if restart == 0 {
+			// Admitted between Open and Compact: kept behind the snapshot.
+			if err := j.Append(sampleAdmit(5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Compact(nil); err != nil {
+			t.Fatal(err)
+		}
+		if restart == 0 {
+			got := replayFile(t, path)
+			if len(got) != 2 || got[0].Kind != KindTerminal || got[0].Job != 4 || got[1].Kind != KindAdmit || got[1].Job != 5 {
+				t.Fatalf("first compaction left %+v, want the watermark 4 and job 5's admit", got)
+			}
+		}
+	}
+	j.Close()
 }
 
 // A Compact whose directory fsync fails leaves the journal on the
@@ -601,10 +659,18 @@ func TestJournalCompactDirSyncFails(t *testing.T) {
 	einval := errors.New("invalid argument")
 	dirSync = func(*os.File) error { return einval }
 	j, path := openTemp(t)
-	defer j.Close()
 	if err := j.Append(sampleAdmit(1)); err != nil {
 		t.Fatal(err)
 	}
+	// Compact replaces what Open folded: reopen, so that is the admit.
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	if err := j.Compact([]Record{sampleAdmit(1)}); !errors.Is(err, einval) {
 		t.Fatalf("Compact: err = %v, want the directory sync's", err)
 	}

@@ -28,9 +28,9 @@ func TestVerifyPlanSparse(t *testing.T) {
 	}
 }
 
-// TestVerifyPlanSampledFallback forces the exhaustive budget to zero
-// states so the verifier takes the sampled linear-extension path, and
-// pins that sampling is deterministic in the seed and still catches a
+// TestVerifyPlanSampledFallback forces the exhaustive budget to one
+// state so Traces takes the sampled linear-extension path, and pins
+// that sampling is deterministic in the seed and still catches a
 // broken plan.
 func TestVerifyPlanSampledFallback(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
@@ -48,14 +48,14 @@ func TestVerifyPlanSampledFallback(t *testing.T) {
 	}
 	broken.Nodes[len(broken.Nodes)-1].Deps = []int{0}
 	opts := Options{Budget: 1, Samples: 64, Seed: 42}
-	rep := Plan(in, broken, s.Guarantees, opts)
+	rep := Traces(in, broken, s.Guarantees, opts)
 	if rep.OK() {
 		t.Fatalf("sampled fallback missed the violation: %s", rep)
 	}
 	if rep.Rounds[0].Exact {
 		t.Fatal("budget 1 must not report an exact verdict without a violation... unless found early")
 	}
-	again := Plan(in, broken, s.Guarantees, opts)
+	again := Traces(in, broken, s.Guarantees, opts)
 	if rep.String() != again.String() {
 		t.Fatalf("sampled verification not deterministic:\n %s\n %s", rep, again)
 	}

@@ -6,27 +6,24 @@
 // holds in every reachable intermediate state — every order ideal of
 // its dependency DAG (see core.Plan). The engine's work item is a
 // *stage* (Stages): the plan split at its series cuts, each block on
-// top of every earlier one applied. A stage is decided in one of three
-// ways:
+// top of every earlier one applied. Plan and Batch decide every stage,
+// with edges or without, by one search: the core package's branching
+// walk search (core.RoundChecker.Decide), which branches only at the
+// in-flight switches a packet visits and only on choices that extend to
+// an order ideal, with the double-edge cycle search for strong loop
+// freedom. A stage the search cannot exhaust within Options.Budget
+// branch points is reported inexact, never sampled.
 //
-//   - an edge-free stage (every round of a layered plan), asked for a
-//     verdict by Plan or Batch: the core package's branching walk search
-//     and double-edge cycle search for strong loop freedom; a stage the
-//     walk search cannot exhaust within Options.Budget steps falls
-//     through to the next two ways;
-//   - any other stage within Options.Budget ideals: exhaustive
-//     enumeration, reporting the minimum violating ideal
-//     (core.Walker.CheckStage);
-//   - past the budget: sampled linear extensions, the first violating
-//     prefix minimized; the stage is marked inexact.
-//
-// Traces takes the second and third ways on every stage — the
-// explorer's view. Stages are independent work items (a stage's
-// pre-state is determined by the plan alone, and its sampler's seed by
-// Options.Seed and the stage's index), so they fan out over one worker
-// pool sized by Options.Workers and merge deterministically: the report
-// is identical for every worker count. Batch verifies many (instance,
-// plan) pairs in one pool.
+// Callers that want coverage rather than a verdict take
+// core.Walker.CheckStage instead — exhaustive enumeration within
+// Options.Budget ideals, reporting the minimum violating ideal, and
+// sampled linear extensions past it: Traces, the explorer's view, and
+// PlanCounterexample, the synthesizer's oracle. Stages are independent
+// work items (a stage's pre-state is determined by the plan alone, and
+// its sampler's seed by Options.Seed and the stage's index), so they
+// fan out over one worker pool sized by Options.Workers and merge
+// deterministically: the report is identical for every worker count.
+// Batch verifies many (instance, plan) pairs in one pool.
 package verify
 
 import (
@@ -37,20 +34,18 @@ import (
 	"sync/atomic"
 
 	"tsu/internal/core"
-	"tsu/internal/topo"
 )
 
 // Options configures verification.
 type Options struct {
-	// Budget bounds the exact search of one stage: walk steps of the
-	// branching subset search for an edge-free stage, then order ideals
-	// enumerated for a stage that search leaves undecided and for any
-	// other. Zero selects core.DefaultCheckBudget.
+	// Budget bounds the exact search of one stage: branch points of the
+	// walk search for a verdict, order ideals enumerated for Traces and
+	// PlanCounterexample. Zero selects core.DefaultCheckBudget.
 	Budget int
 
 	// Samples is the number of linear extensions (every prefix checked)
-	// replayed for a stage with more than Budget ideals. Zero selects
-	// 1024.
+	// Traces and PlanCounterexample replay for a stage with more than
+	// Budget ideals. Zero selects 1024.
 	Samples int
 
 	// Seed seeds the extension sampler. Verification is deterministic in
@@ -76,9 +71,9 @@ func (o Options) withDefaults() Options {
 }
 
 // RoundResult records the verdict for one stage — one round of a
-// layered plan. A stage the branching search decides sets Exact and
-// Violation only; an enumerated or sampled one also its coverage
-// counters and the violating state's Trace.
+// layered plan. Plan and Batch set Exact and Violation only; Traces and
+// PlanCounterexample also the coverage counters and the violating
+// state's Trace.
 type RoundResult struct {
 	Round int // the stage's index in Plan.Stages
 	Size  int // nodes in the stage
@@ -103,9 +98,9 @@ type Report struct {
 }
 
 // OK reports whether the plan passed: valid structure, no violation in
-// any stage, and a correct final state. An inexact (sampled) stage
-// without violations still counts as passing; check Exact per stage
-// when exhaustiveness matters.
+// any stage, and a correct final state. An inexact stage without
+// violations still counts as passing; check Exact per stage when
+// exhaustiveness matters.
 func (r *Report) OK() bool {
 	if r.StructureErr != nil || !r.FinalStateOK {
 		return false
@@ -150,7 +145,7 @@ func (r *Report) String() string {
 	case r.Exact():
 		fmt.Fprintf(&b, "ok (exact, %d rounds)", len(r.Rounds))
 	default:
-		fmt.Fprintf(&b, "ok (sampled, %d rounds)", len(r.Rounds))
+		fmt.Fprintf(&b, "ok (inexact, %d rounds)", len(r.Rounds))
 	}
 	return b.String()
 }
@@ -170,16 +165,18 @@ type Task struct {
 // *uninstalled*, so the network state is base∖I where base marks every
 // switch the plan covers; stages start from base with bits cleared,
 // and the final state (everything undone) must recover the old path.
+// Every stage is decided by core.RoundChecker.Decide; one it cannot
+// exhaust within Options.Budget branch points is inexact.
 func Plan(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
 	return Batch([]Task{{Instance: in, Plan: p, Props: props}}, opts)[0]
 }
 
 // Traces is Plan for a caller that wants every stage's minimum
-// violating delivery trace rather than the fastest verdict: every
-// stage, edge-free or not, is enumerated within Options.Budget ideals
-// and sampled past it, and reports its coverage counters.
+// violating delivery trace and coverage counters rather than the
+// verdict: every stage is enumerated within Options.Budget ideals and
+// sampled past it.
 func Traces(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
-	return run([]Task{{Instance: in, Plan: p, Props: props}}, opts, false)[0]
+	return run([]Task{{Instance: in, Plan: p, Props: props}}, opts, traceStage)[0]
 }
 
 // Batch verifies many plans in one worker pool. Per-stage work items
@@ -187,7 +184,15 @@ func Traces(in *core.Instance, p *core.Plan, props core.Property, opts Options) 
 // back per task, so reports[i] corresponds to tasks[i] and is
 // bit-identical to a serial run.
 func Batch(tasks []Task, opts Options) []*Report {
-	return run(tasks, opts, true)
+	return run(tasks, opts, func(ws *worker, t Task, st Stage, _ int, opts Options) (v core.StageVerdict) {
+		v.Violation, v.Exact = ws.rc.Decide(t.Instance, st.Pre, st.Plan, t.Props, opts.Budget)
+		return v
+	})
+}
+
+// traceStage is Traces' work on stage k of t.
+func traceStage(ws *worker, t Task, st Stage, k int, opts Options) core.StageVerdict {
+	return ws.walker.Bind(t.Instance).CheckStage(st.Pre, st.Plan, t.Props, opts.Budget, opts.Samples, stageSeed(opts.Seed, k))
 }
 
 // PlanCounterexample is the synthesizer's certificate oracle: it
@@ -253,10 +258,9 @@ func stageSeed(seed int64, k int) int64 {
 	return seed ^ 0x5E3779B97F4A7C15 ^ int64(k)*0x5851F42D4C957F2D
 }
 
-// run is the engine behind Batch (verdict set: edge-free stages go to
-// the branching search, an undo stage over its pre-state less the
-// stage) and Traces.
-func run(tasks []Task, opts Options, verdict bool) []*Report {
+// run is the engine behind Batch and Traces: decide is its work on
+// one stage.
+func run(tasks []Task, opts Options, decide func(ws *worker, t Task, st Stage, k int, opts Options) core.StageVerdict) []*Report {
 	opts = opts.withDefaults()
 	reports := make([]*Report, len(tasks))
 
@@ -265,7 +269,6 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 	type item struct {
 		task, stage int
 		Stage
-		round bool // edge-free: the branching search goes first
 	}
 	var items []item
 	for t, task := range tasks {
@@ -279,7 +282,7 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 		stages, final := Stages(in, p)
 		r.Rounds = make([]RoundResult, len(stages))
 		for k, st := range stages {
-			items = append(items, item{task: t, stage: k, Stage: st, round: verdict && st.Plan.NumEdges() == 0})
+			items = append(items, item{task: t, stage: k, Stage: st})
 		}
 		want := in.New
 		if p.Rollback {
@@ -290,50 +293,24 @@ func run(tasks []Task, opts Options, verdict bool) []*Report {
 	}
 
 	// Per-worker scratch, rebound per work item.
-	scratches := make([]*workerScratch, opts.Workers)
-	for w := range scratches {
-		scratches[w] = &workerScratch{rc: core.NewRoundChecker(), walker: core.NewWalker()}
+	workers := make([]worker, opts.Workers)
+	for w := range workers {
+		workers[w] = worker{rc: core.NewRoundChecker(), walker: core.NewWalker()}
 	}
-
-	// One work item per stage. A stage the branching search cannot
-	// exhaust goes to CheckStage on the same worker, from its own
-	// pre-state.
 	parallelFor(opts.Workers, len(items), func(w, k int) {
 		it := items[k]
-		task := tasks[it.task]
-		in, props := task.Instance, task.Props
 		rr := &reports[it.task].Rounds[it.stage]
 		rr.Round, rr.Size, rr.First = it.stage, len(it.Plan.Nodes), it.First
-		if it.round {
-			pre := it.Pre
-			if task.Plan.Rollback {
-				pre = in.Without(pre, it.Plan) // see Instance.Without
-			}
-			if rr.Violation, rr.Exact = scratches[w].rc.Check(in, pre, scratches[w].switches(it.Plan), props, opts.Budget); rr.Exact {
-				return
-			}
-		}
-		rr.StageVerdict = scratches[w].walker.Bind(in).CheckStage(it.Pre, it.Plan, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, it.stage))
+		rr.StageVerdict = decide(&workers[w], tasks[it.task], it.Stage, it.stage, opts)
 	})
 	return reports
 }
 
-// workerScratch is one worker's reusable state: the branching search
-// and the incremental walker.
-type workerScratch struct {
+// worker is one worker's reusable scratch: the branching search and
+// the incremental walker.
+type worker struct {
 	rc     *core.RoundChecker
 	walker *core.Walker
-	round  []topo.NodeID // an edge-free stage as the switch set the search takes
-}
-
-// switches lists the stage's switches, in node order, in the worker's
-// buffer.
-func (ws *workerScratch) switches(st *core.Plan) []topo.NodeID {
-	ws.round = ws.round[:0]
-	for _, nd := range st.Nodes {
-		ws.round = append(ws.round, nd.Switch)
-	}
-	return ws.round
 }
 
 // parallelFor runs f(worker, 0..n-1) over at most workers goroutines.

@@ -89,10 +89,9 @@ func TestScheduleFinalState(t *testing.T) {
 func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
 	// Peacock's bulk round on a large reversal instance is safe but far
 	// too large for an exact search under a tiny budget — 36 switches,
-	// 2^36 ideals: the verifier must fall back to sampling and still
-	// pass.
+	// 2^36 ideals: Traces must fall back to sampling and still pass.
 	in, p := reversal40Peacock(t)
-	r := Plan(in, p, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 2, Samples: 200, Seed: 1})
+	r := Traces(in, p, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 2, Samples: 200, Seed: 1})
 	if r.Exact() {
 		t.Fatal("expected sampled verification with budget 2")
 	}
@@ -104,24 +103,60 @@ func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
 	}
 }
 
-// TestExhaustedRoundWithinBudgetIsExact pins the fallback of an
-// edge-free stage the branching search cannot exhaust: when the stage
-// has at most Budget ideals they are enumerated, and the verdict is
-// exact, not sampled.
+// TestExhaustedRoundWithinBudgetIsExact pins Traces' enumeration of a
+// stage with at most Budget ideals: they are enumerated, and its
+// verdict is exact.
 func TestExhaustedRoundWithinBudgetIsExact(t *testing.T) {
 	in, p := reversal40Peacock(t)
 	props := core.RelaxedLoopFreedom | core.NoBlackhole
-	first := p.Layers()[0]
-	if _, exact := in.CheckRound(nil, first, props, 8); exact || len(first) != 2 {
-		t.Fatalf("first round %v: want two switches the search cannot exhaust in 8 steps", first)
+	if first := p.Layers()[0]; len(first) != 2 {
+		t.Fatalf("first round %v: want two switches", first)
 	}
-	r := Plan(in, p, props, Options{Budget: 8, Seed: 1})
-	if !r.OK() || !r.Exact() {
-		t.Fatalf("verify = %v, want exact and ok", r)
+	r := Traces(in, p, props, Options{Budget: 8, Seed: 1})
+	if !r.OK() {
+		t.Fatalf("verify = %v, want ok", r)
 	}
-	if rr := r.Rounds[0]; rr.States != 4 || rr.Orders != 0 {
+	if rr := r.Rounds[0]; !rr.Exact || rr.States != 4 || rr.Orders != 0 {
 		t.Fatalf("round 0 = %+v, want its 4 ideals enumerated", rr)
 	}
+}
+
+// TestPlanPastBudgetIsInexact pins the verdict past the budget: the
+// branching search gives up on a stage it cannot exhaust in Budget
+// branch points, and Plan reports that stage inexact, with no violation
+// and nothing enumerated or sampled in its place. One branch point more
+// decides the same stage.
+func TestPlanPastBudgetIsInexact(t *testing.T) {
+	in, p := combPeacock(t)
+	props := core.RelaxedLoopFreedom | core.NoBlackhole
+	r := Plan(in, p, props, Options{Budget: 254, Samples: 200, Seed: 1})
+	if r.Exact() || !r.OK() {
+		t.Fatalf("verify = %v, want inexact and ok", r)
+	}
+	if rr := r.Rounds[1]; rr.Exact || rr.Violation != nil || rr.States != 0 || rr.Orders != 0 || rr.Events != 0 {
+		t.Fatalf("teeth round %+v, want inexact, clean and neither enumerated nor sampled", rr)
+	}
+	if got := r.String(); got != "verify peacock NoBlackhole|RelaxedLoopFreedom: ok (inexact, 2 rounds)" {
+		t.Fatalf("report = %q", got)
+	}
+	if r := Plan(in, p, props, Options{Budget: 255}); !r.Exact() || !r.OK() {
+		t.Fatalf("verify at 255 = %v, want exact and ok", r)
+	}
+}
+
+// combPeacock is Peacock's plan on topo.Comb(8, 1): two edge-free
+// rounds of 8 switches, the detours and then the teeth. The walk
+// search splits at every tooth and rejoins the spine behind it, so the
+// teeth round takes 255 branch points, one fewer than its 256 ideals.
+func combPeacock(t *testing.T) (*core.Instance, *core.Plan) {
+	t.Helper()
+	ti := topo.Comb(8, 1)
+	in := core.MustInstance(ti.Old, ti.New, 0)
+	s, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, s
 }
 
 // reversal40Peacock is Peacock's plan on the 40-switch reversal: three
@@ -151,12 +186,12 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 
 func TestSampleRoundFindsFullSubsetViolation(t *testing.T) {
 	// Violation only in the full subset: old 1→2→3, new 1→4→3 with
-	// round {1} on done {}: subset {1} drops at 4. A budget of one step
+	// round {1} on done {}: subset {1} drops at 4. A budget of one ideal
 	// leaves the round to CheckStage's sampler, whose every extension
 	// ends in the full stage.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
 	p := core.Layered("full", 0, [][]topo.NodeID{{1}, {4}})
-	r := Plan(in, p, core.NoBlackhole, Options{Budget: 1, Samples: 1, Seed: 2})
+	r := Traces(in, p, core.NoBlackhole, Options{Budget: 1, Samples: 1, Seed: 2})
 	rr := r.Rounds[0]
 	if rr.Exact || rr.Orders != 1 {
 		t.Fatalf("round 0 = %+v, want one sampled extension", rr)
@@ -223,7 +258,7 @@ func reportsEqual(t *testing.T, a, b *Report) {
 
 // TestParallelMatchesSerial pins the engine's determinism contract: the
 // report is identical for every worker count, on safe and unsafe
-// schedules, exact and sampled.
+// schedules, exact, inexact and sampled.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -231,8 +266,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
 		props := core.NoBlackhole | core.WaypointEnforcement | core.RelaxedLoopFreedom
 		for _, s := range []*core.Plan{core.OneShot(in), mustWayUp(t, in)} {
-			// A small budget may send the larger draws' stages to the
-			// fallback; the fixed case below always takes it.
+			// A small budget may leave the larger draws' stages
+			// inexact; the fixed case below always does.
 			opts := Options{Budget: 1 << 10, Samples: 300, Seed: int64(trial)}
 			serial := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
@@ -241,16 +276,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	// A stage past a tiny budget takes the sampler fallback, seeded by
-	// its index alone.
-	in, p := reversal40Peacock(t)
+	// Past a tiny budget, Plan leaves a stage inexact and Traces
+	// samples it, seeded by its index alone.
+	in, p := combPeacock(t)
 	props := core.NoBlackhole | core.RelaxedLoopFreedom
-	serial := Plan(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: 1})
-	if serial.Rounds[1].Orders == 0 {
-		t.Fatalf("bulk round %+v took no sampler fallback", serial.Rounds[1])
+	for _, check := range []func(*core.Instance, *core.Plan, core.Property, Options) *Report{Plan, Traces} {
+		serial := check(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: 1})
+		if serial.Rounds[1].Exact {
+			t.Fatalf("teeth round %+v decided within a budget of 2", serial.Rounds[1])
+		}
+		for _, workers := range []int{2, 4, 8} {
+			reportsEqual(t, serial, check(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: workers}))
+		}
 	}
-	for _, workers := range []int{2, 4, 8} {
-		reportsEqual(t, serial, Plan(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: workers}))
+	if r := Traces(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5}); r.Rounds[1].Orders == 0 {
+		t.Fatalf("teeth round %+v took no sampler fallback", r.Rounds[1])
 	}
 }
 
