@@ -76,7 +76,10 @@ test-retention:
 # decentralized controller test (the plan agent's acks, halts and
 # reports under the race detector), the
 # engine's admission and conflict-queue lifecycle
-# (launch on release, shutdown of queued jobs, recovery order), and the
+# (launch on release, shutdown of queued jobs, recovery order), the
+# restart window (the journal's jobs admitted as the engine is built, a
+# job submitted before Recover queued behind them, and the parent
+# journal's recovery), and the
 # clock's AfterFunc timers, a fleet at rest that leaves none pending
 # and its one-reader goroutine budgets, the message types a switch or
 # controller answers without hanging up (unsupported types, refused
@@ -84,7 +87,7 @@ test-retention:
 # own goroutine, redials, read buffers returned to the pool and the
 # controller's one shutdown hook.
 chaos:
-	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|TwoPhase|VirtualTime|TimedOut|Queued|Admission|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Decentral|Reconnect|Handshake|Shutdown' \
+	$(GO) test -race -count=1 -run 'Fault|Chaos|Crash|Rollback|Reverse|Abort|TwoPhase|VirtualTime|TimedOut|Queued|Admission|Recover|AfterFunc|AtRest|Unsupported|TimeoutRefused|Goroutine|StateQuery|LostReport|Decentral|Reconnect|Handshake|Shutdown' \
 		./internal/ofconn ./internal/netem ./internal/switchsim ./internal/core \
 		./internal/verify ./internal/explore ./internal/controller \
 		./internal/journal ./internal/simclock

@@ -78,9 +78,10 @@ func run() error {
 	fmt.Printf("controller: OpenFlow on %s, topology %s (%d switches)\n", ofAddr, *topoSpec, g.NumNodes())
 
 	if cfg.Journal != nil {
-		// Recovery runs once the fleet has (re)connected: mid-flight
-		// jobs are reconciled against live switch state, so give the
-		// switches a moment to dial back in before deciding anything.
+		// The journal's jobs are known and hold their flows from the
+		// moment the controller is built. Recover decides and releases
+		// them once the fleet has (re)connected: mid-flight jobs are
+		// reconciled against live switch state, so wait for it first.
 		go func() {
 			wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 			if err := ctrl.WaitForSwitches(wctx, g.NumNodes()); err != nil && ctx.Err() == nil {

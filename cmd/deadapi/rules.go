@@ -117,6 +117,12 @@ var rules = []rule{
 		reason: "one fault model: the switches are asked what took effect only by reconcile; a querySwitchState from anywhere else is a second way of asking",
 	},
 	{
+		name:   "one-admission",
+		scope:  []string{"internal/controller/"},
+		pred:   uses{objs: []string{"internal/controller.Engine.admitLocked"}, at: []string{"internal/controller.Engine.enqueueAll", "internal/controller.Engine.admitJournal"}, n: 2},
+		reason: "one admission: a job enters the engine through enqueueAll (a submission) or admitJournal (the journal's jobs, as the engine is built), once each; an admitLocked anywhere else is a second admission path coming back, like the one Recover held until it ran, which let a job submitted before it write to the switches reconcile was about to read",
+	},
+	{
 		name:   "no-port-inference",
 		scope:  []string{"internal/planwire/", "internal/controller/"},
 		pred:   retired{names: []string{"RulePresent", "shows()"}},

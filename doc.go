@@ -129,8 +129,8 @@
 //     REST API (/v1/verify and /v1/explore are the dry-run surfaces; jobs
 //     report plan shape, per-install release edges, ctrl/peer message counts
 //     and the structured failure report of the abort/rollback path);
-//     with a journal configured, Engine.Recover replays job state after a
-//     crash and adopts or rolls back mid-flight frontiers by reconciling
+//     with a journal configured, the engine admits the journal's jobs as it
+//     is built, and Engine.Recover adopts or rolls back mid-flight frontiers by reconciling
 //     against live switch state — the reconcile every live abort runs. A job's install log is the one record of
 //     its progress: rounds, status and every watcher (a cursor) are views
 //     of it. What the controller remembers is bounded by what is in flight:

@@ -439,8 +439,7 @@ func (c *Client) WaitRounds(ctx context.Context, id int, onRound func(api.RoundS
 // budget is exhausted does it fall back to status polling. A job the
 // server does not know (api.CodeUnknownJob: never issued, or finished
 // long enough ago to have been evicted) ends the wait at once with that
-// *APIError — also while a restarted controller has not yet replayed its
-// journal; a caller riding a restart retries on that code itself.
+// *APIError.
 func (c *Client) WaitProgress(ctx context.Context, id int, onRound func(api.RoundStatus), onInstall func(api.InstallStatus)) (*api.JobStatus, error) {
 	retries := c.retries
 	if retries == 0 {

@@ -359,9 +359,10 @@ func (e *Engine) enqueueAll(jobs []*Job) error {
 // counts what blocks its launch: every earlier unfinished job it
 // conflicts with — earlier members of the same batch included — each of
 // which notes it as a successor to release when it finishes; its
-// admission, until the caller made that durable and releases it; and
-// the engine not having started, which run releases. Conflicting jobs
-// therefore launch in exactly their submission order. Caller holds e.mu.
+// admission, which enqueueAll releases once it is durable and Recover
+// once it decided a journaled job; and the engine not having started,
+// which run releases. Conflicting jobs therefore launch in exactly
+// their admission order. Caller holds e.mu.
 func (e *Engine) admitLocked(job *Job, run func(context.Context, *Job) (*FailureReport, error)) {
 	e.jobs[job.ID] = job
 	job.run = run

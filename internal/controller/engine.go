@@ -43,16 +43,19 @@ type Engine struct {
 	queued   int          // admitted, not yet executing
 	running  int          // executing
 
-	// recovery holds the stats of the last Recover run (nil before);
-	// recovering is set while Recover reconciles jobs not yet active.
-	recovery   *RecoveryStats
-	recovering bool
+	// journaled is what admitJournal took in and Recover has yet to
+	// decide and release; recovery holds the stats of the last Recover
+	// run, once recovered.
+	journaled journaled
+	recovery  RecoveryStats
+	recovered bool
 }
 
 func newEngine(c *Controller) *Engine {
 	e := &Engine{c: c, jobs: make(map[int]*Job)}
 	if jl := c.cfg.Journal; jl != nil {
 		e.nextID = jl.LastJob()
+		e.admitJournal(jl.TakeState())
 	}
 	return e
 }
@@ -158,14 +161,11 @@ func (e *Engine) RunningCount() int {
 
 // oldestLive returns the lowest id of a job the engine still holds
 // unfinished, which a decentralized push tells its switches: below it,
-// no job will be asked about again. While Recover reconciles jobs it
-// has not admitted yet, that is every job (0).
+// no job will be asked about again. The journal's live jobs are among
+// them from the moment the engine is built.
 func (e *Engine) oldestLive() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.recovering {
-		return 0
-	}
 	oldest := e.nextID + 1
 	for _, j := range e.active {
 		oldest = min(oldest, j.ID)
@@ -211,15 +211,11 @@ func (e *Engine) issued(id int) bool {
 }
 
 // retireLocked files a terminal job among the retained ones; at
-// capacity the oldest of them leaves the engine for good — unless its id
-// names another job by now: one submitted between Start and Recover
-// shares its id with a journaled job, which then took its place in
-// e.jobs. Caller holds e.mu.
+// capacity the oldest of them leaves the engine for good. Caller holds
+// e.mu.
 func (e *Engine) retireLocked(job *Job) {
 	if e.terminal.len() == retainTerminal {
-		if old := e.terminal.pop(); e.jobs[old.ID] == old {
-			delete(e.jobs, old.ID)
-		}
+		delete(e.jobs, e.terminal.pop().ID)
 		e.evicted++
 	}
 	e.terminal.push(job)

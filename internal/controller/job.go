@@ -151,8 +151,9 @@ type Job struct {
 	// Recovered marks a job reconstructed from the journal after a
 	// controller restart; Adopted additionally marks a mid-flight job
 	// whose journal and switch state agreed, so execution resumed from
-	// the recovered frontier instead of rolling back. Both are set
-	// before the job launches and immutable after.
+	// the recovered frontier instead of rolling back. Recovered is set
+	// before the job is admitted, Adopted by Recover under mu before the
+	// job launches; neither changes after.
 	Recovered bool
 	Adopted   bool
 

@@ -44,7 +44,8 @@ import (
 	"tsu/internal/topo"
 )
 
-// RecoveryStats summarizes one Engine.Recover run.
+// RecoveryStats summarizes one restart: what the engine read of its
+// journal when it was built, and what Recover decided.
 type RecoveryStats struct {
 	// Replayed counts journal records read.
 	Replayed int
@@ -69,103 +70,94 @@ type RecoveryStats struct {
 // brought back to a live engine (every one reaches a terminal phase).
 func (s RecoveryStats) Recovered() int { return s.Requeued + s.Adopted + s.RolledBack }
 
-// relaunch is one live recovered job ready to run: either via the
-// normal dispatcher (requeued/adopted) or, when undo is set, via the
-// abort path reversing undo with cause.
-type relaunch struct {
-	job   *Job
-	undo  []bool
-	cause error
+// journaled is what admitJournal took in for Recover: the stats counted
+// so far, and each live job rebuilt and admitted, beside the journal's
+// record of it (live[i] is jobs[i]'s).
+type journaled struct {
+	stats RecoveryStats
+	jobs  []*Job
+	live  []journal.LiveJob
 }
 
-// Recover brings back every job of the configured journal, as Open
-// folded it: finished jobs become queryable stubs (the newest
-// retainTerminal of them), untouched jobs are re-admitted, and
-// mid-flight jobs are reconciled against live switch state — adopted
-// and resumed when journal and switches agree, rolled back through the
-// verified reverse-plan path when they don't. Call it after Start (the
-// dispatcher must be running) and after the plan's switches have
-// reconnected (WaitForSwitches): each switch is asked once, and one
-// that is not connected counts as silent, which pushes its job onto the
-// rollback path. ctx bounds the reconciliation only: recovered jobs run
-// on the engine's context and finish asynchronously; Wait on them (or
-// watch /v1/updates) for outcomes. The journal is compacted to the live
-// state before any recovered job re-executes.
-func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
-	var stats RecoveryStats
-	jl := e.c.cfg.Journal
-	if jl == nil {
-		return stats, nil
-	}
-	st := jl.TakeState()
-	stats.Replayed = st.Frames
-	stats.Terminal = len(st.Finished) + st.Forgotten
-
+// admitJournal takes in Open's fold of the journal as the engine is
+// built, before anything can be submitted: the finished jobs become
+// queryable stubs (the newest retainTerminal of them), and every live
+// job is rebuilt and admitted in id order through the admission step of
+// a fresh submission, keeping its admission blocker until Recover
+// releases it. A job submitted meanwhile that conflicts with a journaled
+// one therefore queues behind it, as a second journaled job on its flow
+// does. A live job that cannot be rebuilt becomes a failed stub.
+func (e *Engine) admitJournal(st journal.State) {
 	e.mu.Lock()
-	e.evicted += st.Forgotten
-	e.recovering = true
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	e.journaled.stats = RecoveryStats{Replayed: st.Frames, Terminal: len(st.Finished) + st.Forgotten}
+	e.evicted = st.Forgotten
 	for _, f := range st.Finished {
 		var err error
 		if !f.Done {
 			err = errors.New(f.Error)
 		}
-		e.addStub(f.ID, f.Admit, err, nil)
+		e.addStubLocked(f.ID, f.Admit, err, nil)
 	}
-
-	var launches []*relaunch
-	var compacted []journal.Record
-	for i := range st.Live {
-		lj := &st.Live[i]
+	for _, lj := range st.Live {
 		job, err := e.rebuildJob(lj.ID, lj.Admit)
 		if err != nil {
-			stats.Failed++
+			e.journaled.stats.Failed++
 			e.c.logger.Warn("recovery: rebuilding job failed", "job", lj.ID, "err", err)
-			e.addStub(lj.ID, lj.Admit, nil, &FailureReport{
+			e.addStubLocked(lj.ID, lj.Admit, nil, &FailureReport{
 				Phase:           PhaseAborted,
 				TriggeringFault: fmt.Sprintf("controller restart: rebuild failed: %v", err),
 			})
 			continue
 		}
-		l := &relaunch{job: job}
+		e.admitLocked(job, e.execute)
+		e.journaled.jobs = append(e.journaled.jobs, job)
+		e.journaled.live = append(e.journaled.live, lj)
+	}
+}
+
+// Recover decides and releases the journal's live jobs, which the
+// engine admitted when it was built and which have held their flows
+// since: untouched jobs are requeued as they are, and mid-flight jobs
+// are reconciled against live switch state — adopted and resumed when
+// journal and switches agree, rolled back through the verified
+// reverse-plan path when they don't. Call it after Start (the
+// dispatcher must be running) and after the plan's switches have
+// reconnected (WaitForSwitches): each switch is asked once, and one that
+// is not connected counts as silent, which pushes its job onto the
+// rollback path. ctx bounds the reconciliation only: recovered jobs run
+// on the engine's context and finish asynchronously; Wait on them (or
+// watch /v1/updates) for outcomes. The journal is compacted to the live
+// state before any recovered job re-executes.
+func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
+	jl := e.c.cfg.Journal
+	if jl == nil {
+		return RecoveryStats{}, nil
+	}
+	e.mu.Lock()
+	r := e.journaled
+	e.journaled = journaled{}
+	e.mu.Unlock()
+
+	var compacted []journal.Record
+	for i, job := range r.jobs {
+		lj := &r.live[i]
 		dispatched := make([]bool, job.plan.len())
 		copy(dispatched, lj.Dispatched)
-		switch {
-		case !slices.Contains(dispatched, true):
+		var front []bool
+		if slices.Contains(dispatched, true) {
+			front = e.adoptOrRollback(ctx, job, dispatched, lj.Confirmed, &r.stats)
+		} else {
 			// Write-ahead discipline: no dispatched record means no
 			// FlowMod left for this job — or, after a power loss, that
 			// what left is an ideal of the plan, which a re-run passes
-			// through again. Re-admit it untouched.
-			stats.Requeued++
-		case e.adoptOrRollback(ctx, l, dispatched, lj.Confirmed):
-			stats.Adopted++
-		default:
-			stats.RolledBack++
+			// through again. Release it untouched.
+			r.stats.Requeued++
 		}
-		launches = append(launches, l)
-		compacted = append(compacted, liveRecords(lj, dispatched, l)...)
+		compacted = append(compacted, liveRecords(lj, dispatched, front)...)
 	}
-
-	// Admit the live jobs in id order, through the same admission step
-	// as a fresh submission: the blocker counts are recomputed (recovered
-	// jobs may conflict with each other or with jobs submitted since the
-	// restart), so two recovered jobs on one flow run in journal order.
-	// A rollback job shares the lifecycle — blockers, begin, finish —
-	// and only swaps execution for the abort path: the reverse plan is
-	// verified before it runs, exactly like any mid-plan abort.
-	live := make([]*Job, len(launches))
 	e.mu.Lock()
-	for i, l := range launches {
-		run := e.execute
-		if l.undo != nil {
-			run = func(ctx context.Context, job *Job) (*FailureReport, error) {
-				return e.abort(ctx, job, l.cause, l.undo)
-			}
-		}
-		e.admitLocked(l.job, run)
-		live[i] = l.job
-	}
-	e.recovery, e.recovering = &stats, false
+	e.recovery, e.recovered = r.stats, true
 	e.mu.Unlock()
 
 	// Snapshot+truncate before anything re-executes: the journal now
@@ -174,8 +166,8 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 		e.c.logger.Warn("recovery: journal compaction failed", "err", err)
 	}
 
-	e.release(live)
-	return stats, nil
+	e.release(r.jobs)
+	return r.stats, nil
 }
 
 // Recovery returns the stats of the engine's last Recover run (ok
@@ -183,18 +175,15 @@ func (e *Engine) Recover(ctx context.Context) (RecoveryStats, error) {
 func (e *Engine) Recovery() (RecoveryStats, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.recovery == nil {
-		return RecoveryStats{}, false
-	}
-	return *e.recovery, true
+	return e.recovery, e.recovered
 }
 
-// addStub registers a terminal job reconstructed from the journal — no
-// plan, no trace — so the API keeps answering for it across the restart,
-// among the retained finished jobs: JobDone when err is nil, JobFailed
-// with err otherwise. A non-nil report marks the job failed by the
-// restart instead.
-func (e *Engine) addStub(id int, a *journal.Admit, err error, report *FailureReport) {
+// addStubLocked files a terminal job reconstructed from the journal —
+// no plan, no trace — so the API keeps answering for it across the
+// restart, among the retained finished jobs: JobDone when err is nil,
+// JobFailed with err otherwise. A non-nil report marks the job failed by
+// the restart instead. Caller holds e.mu.
+func (e *Engine) addStubLocked(id int, a *journal.Admit, err error, report *FailureReport) {
 	if report != nil {
 		err = fmt.Errorf("controller restart: %s", report.TriggeringFault)
 	}
@@ -213,12 +202,8 @@ func (e *Engine) addStub(id int, a *journal.Admit, err error, report *FailureRep
 		job.state = JobFailed
 	}
 	close(job.done)
-	e.mu.Lock()
-	if _, exists := e.jobs[job.ID]; !exists {
-		e.jobs[job.ID] = job
-		e.retireLocked(job)
-	}
-	e.mu.Unlock()
+	e.jobs[job.ID] = job
+	e.retireLocked(job)
 }
 
 // rebuildJob reconstructs a job from its admission record: the update
@@ -274,27 +259,40 @@ func nwDstIP(v uint32) net.IP {
 
 // adoptOrRollback decides a mid-flight job's fate from one reconcile
 // against its journaled dispatched set (dense over the plan) and
-// confirmed set: adopt, with the applied ideal pre-confirmed, or roll
-// back exactly the undo set (filled into l).
-func (e *Engine) adoptOrRollback(ctx context.Context, l *relaunch, jdispatched, confirmed []bool) (adopted bool) {
-	job := l.job
+// confirmed set, counts it in stats and returns the job's recovered
+// frontier: adopt, with the applied ideal pre-confirmed, or roll back
+// exactly the undo set. A
+// rollback job shares the lifecycle — blockers, begin, finish — and only
+// swaps execution for the abort path: the reverse plan is verified
+// before it runs, exactly like any mid-plan abort.
+func (e *Engine) adoptOrRollback(ctx context.Context, job *Job, jdispatched, confirmed []bool, stats *RecoveryStats) []bool {
 	n := job.plan.len()
 	jconfirmed := make([]bool, n)
 	copy(jconfirmed, confirmed)
 	r := e.reconcile(ctx, job, jdispatched)
 	if r.silent == 0 && Adoptable(job.plan.dag, r.applied, jconfirmed, jdispatched, r.agentDone) {
-		job.Adopted = true
+		e.mu.Lock()
 		job.preConfirmed = r.applied
+		e.mu.Unlock()
+		job.mu.Lock()
+		job.Adopted = true
+		job.mu.Unlock()
+		stats.Adopted++
 		e.c.logger.Info("recovery: adopting job", "job", job.ID,
 			"applied", countSet(r.applied), "installs", n)
-		return true
+		return r.applied
 	}
-	l.undo = r.undo
-	l.cause = fmt.Errorf("controller restart: mid-flight state not adoptable (%d of %d nodes on silent switches, %d applied)",
+	cause := fmt.Errorf("controller restart: mid-flight state not adoptable (%d of %d nodes on silent switches, %d applied)",
 		r.silent, n, countSet(r.applied))
+	e.mu.Lock()
+	job.run = func(ctx context.Context, job *Job) (*FailureReport, error) {
+		return e.abort(ctx, job, cause, r.undo)
+	}
+	e.mu.Unlock()
+	stats.RolledBack++
 	e.c.logger.Info("recovery: rolling back job", "job", job.ID,
 		"silent", r.silent, "applied", countSet(r.applied), "undo", countSet(r.undo))
-	return false
+	return r.undo
 }
 
 // reconciled is what one reconcile learned, per plan node: undo, the
@@ -431,14 +429,10 @@ func countSet(set []bool) int {
 // liveRecords builds a live job's compacted journal records: its
 // admission plus one dispatched-batch record of its journaled
 // dispatched set and its recovered frontier — the applied ideal of an
-// adopted job, the undo set of one rolling back — with that frontier as
-// its confirmed list.
-func liveRecords(lj *journal.LiveJob, dispatched []bool, l *relaunch) []journal.Record {
+// adopted job, the undo set of one rolling back, none for a requeued
+// one — with that frontier as its confirmed list.
+func liveRecords(lj *journal.LiveJob, dispatched, front []bool) []journal.Record {
 	recs := []journal.Record{{Kind: journal.KindAdmit, Job: lj.ID, Admit: lj.Admit}}
-	front := l.job.preConfirmed
-	if l.undo != nil {
-		front = l.undo
-	}
 	var nodes, confirmed []int
 	for i := range dispatched {
 		c := i < len(front) && front[i]

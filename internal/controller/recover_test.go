@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/hex"
 	"net"
+	"net/http"
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tsu/internal/api"
 	"tsu/internal/core"
 	"tsu/internal/journal"
 	"tsu/internal/openflow"
@@ -242,9 +245,11 @@ func TestSubmitBeforeRecover(t *testing.T) {
 }
 
 // TestSubmitBeforeRecoverKeptByCompaction: a job submitted before
-// Recover and finished is in the journal Recover compacts — its admit
-// and terminal records stay behind the recovered jobs' — so a restart
-// after it still knows the job and numbers new jobs after its id.
+// Recover has its admit record in the journal before Recover compacts
+// it, and the record stays behind the recovered jobs' — so a restart
+// after the job finished still knows it and numbers new jobs after its
+// id. On Fig. 1 the job shares switches with the recovered jobs, so it
+// queues behind them and finishes only after Recover released them.
 func TestSubmitBeforeRecoverKeptByCompaction(t *testing.T) {
 	g := topo.Fig1()
 	jl := openParentJournal(t)
@@ -260,10 +265,10 @@ func TestSubmitBeforeRecoverKeptByCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recoverAndWait(ctx, t, tb)
 	if err := job.Wait(ctx); err != nil {
 		t.Fatalf("job %d submitted before Recover: %v", job.ID, err)
 	}
-	recoverAndWait(ctx, t, tb)
 
 	jl = reopen(t, jl)
 	if got := jl.LastJob(); got != job.ID {
@@ -272,6 +277,126 @@ func TestSubmitBeforeRecoverKeptByCompaction(t *testing.T) {
 	finished := jl.TakeState().Finished
 	if !slices.ContainsFunc(finished, func(f journal.FinishedJob) bool { return f.ID == job.ID && f.Done }) {
 		t.Fatalf("job %d is not among the finished jobs after Recover's compaction: %+v", job.ID, finished)
+	}
+}
+
+// TestSubmitBeforeRecoverQueuesBehindJournal: the journal's live jobs
+// are admitted when the engine is built, so a job submitted before
+// Recover on journaled job 1's flow queues behind it. reconcile then
+// reads only job 1's own writes: job 1 is adopted and finishes, and
+// only after that does the fresh job run and leave the flow on its new
+// path.
+func TestSubmitBeforeRecoverQueuesBehindJournal(t *testing.T) {
+	g := topo.Fig1()
+	tb := newTestbedWithConfig(t, g, Config{Topology: g, Journal: openParentJournal(t)}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	installParentNetwork(ctx, t, tb)
+
+	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
+	p, err := core.Peacock(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := tb.ctrl.Engine()
+	fresh, err := e.SubmitPlan(in, p, flowMatch("10.0.0.2"), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Time enough for the fresh job to run, were nothing holding it.
+	wctx, wcancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	_ = fresh.Wait(wctx) //nolint:errcheck // its state is what is asserted
+	wcancel()
+	if st := fresh.State(); st != JobQueued {
+		t.Errorf("job %d on job 1's flow is %v before Recover, want queued", fresh.ID, st)
+	}
+	// REST reads the journaled jobs while Recover decides them.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				serveGET(t, tb.ctrl, "/v1/updates", nil)
+			}
+		}
+	}()
+	stats, err := e.Recover(ctx)
+	close(stop)
+	readers.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job1, ok := e.Job(1)
+	if !ok {
+		t.Fatal("journaled job 1 is unknown after Recover")
+	}
+	if err := fresh.Wait(ctx); err != nil {
+		t.Fatalf("job %d: %v", fresh.ID, err)
+	}
+	if err := job1.Wait(ctx); err != nil || !job1.Adopted || stats.Adopted != 1 {
+		t.Fatalf("journaled job 1: adopted=%v err=%v, stats %+v; want adopted and done", job1.Adopted, err, stats)
+	}
+	fresh.mu.Lock()
+	started := fresh.started
+	fresh.mu.Unlock()
+	job1.mu.Lock()
+	finished := job1.finished
+	job1.mu.Unlock()
+	if started.Before(finished) {
+		t.Fatalf("job %d began %v before journaled job 1 finished", fresh.ID, finished.Sub(started))
+	}
+	for _, j := range e.Jobs() {
+		_ = j.Wait(ctx) //nolint:errcheck // outcomes are TestRecoverParentJournal's
+	}
+	if res := tb.fabric.Inject(1, nwDstOf("10.0.0.2"), 64); res.Outcome != switchsim.ProbeDelivered || !res.Visited.Equal(topo.Fig1NewPath) {
+		t.Fatalf("flow 10.0.0.2: probe %+v, want delivery along the fresh job's new path %v", res, topo.Fig1NewPath)
+	}
+}
+
+// TestV1JobStatusBeforeRecover: the journal's jobs are known from the
+// moment the controller is built. Before Recover, a journaled live job
+// answers queued and recovered, a journaled finished job its stub, and
+// an id the journal never issued is unknown.
+func TestV1JobStatusBeforeRecover(t *testing.T) {
+	c, err := New(Config{Topology: topo.Fig1(), Journal: openParentJournal(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		"/v1/updates/1": "queued", // mid-flight
+		"/v1/updates/2": "queued", // admitted only
+		"/v1/updates/4": "done",   // finished
+		"/v1/updates/5": "failed", // not rebuildable
+	} {
+		var st api.JobStatus
+		if code, body := serveGET(t, c, path, &st); code != http.StatusOK || st.State != want || !st.Recovered {
+			t.Fatalf("GET %s before Recover: %d %s, want %s and recovered", path, code, body, want)
+		}
+	}
+	var e api.Error
+	if code, _ := serveGET(t, c, "/v1/updates/7", &e); code != http.StatusNotFound || e.Code != api.CodeUnknownJob || !strings.Contains(e.Message, "unknown") {
+		t.Fatalf("GET /v1/updates/7 before Recover: %d %+v, want 404 unknown", code, e)
+	}
+}
+
+// installParentNetwork sets up the network the pr15Journal controller
+// left behind, as TestRecoverParentJournal describes it.
+func installParentNetwork(ctx context.Context, t *testing.T, tb *testbed) {
+	t.Helper()
+	for _, ip := range []string{"10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.7"} {
+		if err := tb.ctrl.InstallPath(ctx, topo.Fig1OldPath, flowMatch(ip), "h2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, seg := range []topo.Path{{7, 8, 3}, {9, 10, 11, 12}} {
+		if err := tb.ctrl.InstallPath(ctx, seg, flowMatch("10.0.0.2"), ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -175,11 +175,11 @@ func v1JobStatus(job *Job) api.JobStatus {
 		Mode:      job.Mode.String(),
 		Plan:      job.shape.wire(),
 		Recovered: job.Recovered,
-		Adopted:   job.Adopted,
 		Rounds:    make([]api.RoundStatus, 0, job.shape.depth), // "rounds" is never null
 	}
 	job.mu.Lock()
 	defer job.mu.Unlock()
+	st.Adopted = job.Adopted
 	st.Installs = make([]api.InstallStatus, 0, len(job.installs))
 	st.State = job.state.String()
 	st.TotalMicros = job.totalLocked().Microseconds()
