@@ -176,7 +176,9 @@ bench-smoke:
 # longest valid record prefix, which the decoded records re-encode to,
 # and never panic; and verify's one verdict search against exhaustive
 # ideal enumeration on random DAGs over small instances, forward and
-# reversed (same violated/clean answer, exact, a reachable witness).
+# reversed (same violated/clean answer, exact, a reachable witness);
+# and a job's encoded trace: any sequence of install and tally records
+# reads back as a plain-struct reference of the same records does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wirefmt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/openflow
@@ -187,3 +189,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthRefine$$' -fuzztime=10s ./internal/synth
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime=10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyDAGStage$$' -fuzztime=10s ./internal/verify
+	$(GO) test -run '^$$' -fuzz '^FuzzJobTrace$$' -fuzztime=10s ./internal/controller

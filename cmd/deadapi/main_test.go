@@ -54,6 +54,7 @@ func TestFixtureReport(t *testing.T) {
 		"internal/switchsim/switch.go:16: no-loops-knob: declares Loops",
 		"internal/controller/job.go:8: one-trace: declares log of type []controller.JobEvent",
 		"internal/controller/job.go:9: one-trace: declares watchers of type []chan controller.JobEvent",
+		"internal/controller/job.go:13: one-encoded-trace: declares switchMessages",
 		"internal/controller/rollback.go:12: undo-in-reconcile: uses internal/controller.downClosure outside internal/controller/recover.go",
 		"internal/controller/rollback.go:11: one-state-query: uses internal/controller.Engine.querySwitchState outside internal/controller.Engine.reconcile",
 		"internal/controller/recover.go:29: one-admission: uses internal/controller.Engine.admitLocked outside internal/controller.Engine.enqueueAll, internal/controller.Engine.admitJournal",

@@ -102,7 +102,13 @@ var rules = []rule{
 		name:   "one-trace",
 		scope:  []string{"internal/controller/"},
 		pred:   noType{shape: sliceOf | chanOf, of: "internal/controller.JobEvent"},
-		reason: "one trace: a job's install log is the one record of its progress, and rounds, the event stream and the status body are views a Cursor derives; a channel or a slice of JobEvents is a second record (a publish log, or a buffer per watcher) coming back",
+		reason: "one trace: a job's encoded trace is the one record of its progress, installs and the message tallies no install implies alike, and rounds, the event stream, the message counts and the status body are views derived from it; a channel or a slice of JobEvents is a second record (a publish log, or a buffer per watcher) coming back",
+	},
+	{
+		name:   "one-encoded-trace",
+		scope:  []string{"internal/controller/"},
+		pred:   retired{names: []string{"switchMessages", "addMessages()", "installs", "msgs"}, except: []string{"internal/controller.dagShape.installs"}},
+		reason: "one trace: a job's progress is one varint-encoded trace; a per-switch switchMessages tally, its addMessages insert, or a Job field holding InstallTimings (installs) or tallies (msgs) is a per-struct record, 64 bytes an install, coming back beside it",
 	},
 	{
 		name:   "undo-in-reconcile",

@@ -8,3 +8,6 @@ type job struct {
 	log      []JobEvent
 	watchers []chan JobEvent
 }
+
+// switchMessages is one switch's message tally beside the trace.
+type switchMessages struct{ sw, ctrl int }

@@ -131,10 +131,10 @@
 //     and the structured failure report of the abort/rollback path);
 //     with a journal configured, the engine admits the journal's jobs as it
 //     is built, and Engine.Recover adopts or rolls back mid-flight frontiers by reconciling
-//     against live switch state — the reconcile every live abort runs. A job's install log is the one record of
-//     its progress: rounds, status and every watcher (a cursor) are views
-//     of it. What the controller remembers is bounded by what is in flight:
-//     a finished job keeps that log, its status and message counts and the
+//     against live switch state — the reconcile every live abort runs. A job's encoded trace (its installs and message tallies) is the one
+//     record of its progress: rounds, status, message counts and every
+//     watcher (a cursor) are views of it. What the controller remembers is bounded by what is in flight:
+//     a finished job keeps that trace, its status and message counts and the
 //     newest 1024 stay known; an older id answers 404, as after a restart.
 //     The journal file still grows until a restart compacts it
 //   - internal/journal   — write-ahead job journal: CRC-framed record log

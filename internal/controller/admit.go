@@ -39,7 +39,7 @@ type execPlan struct {
 }
 
 // dagShape is what a job keeps of its plan for life: the numbers status
-// reports and the layer sizes that place each round in the install log.
+// reports and the layer sizes that place each round in the trace.
 type dagShape struct {
 	installs int
 	edges    int

@@ -1,10 +1,8 @@
 package controller
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -65,51 +63,15 @@ type MessageStats struct {
 	Peer int
 }
 
-// switchMessages is one switch's tally in a job's message counts, kept
-// at 16 bytes: a finished job holds one per switch it touched.
-type switchMessages struct {
-	sw         topo.NodeID
-	ctrl, peer int32
-}
-
-// addMessages accumulates message counts for one switch. Safe for the
-// dispatcher goroutine; readers go through Messages.
-func (j *Job) addMessages(n topo.NodeID, ms MessageStats) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	i, found := slices.BinarySearchFunc(j.msgs, n, func(m switchMessages, n topo.NodeID) int { return cmp.Compare(m.sw, n) })
-	if !found {
-		if j.msgs == nil {
-			j.msgs = make([]switchMessages, 0, len(j.nodes))
-		}
-		j.msgs = slices.Insert(j.msgs, i, switchMessages{sw: n})
-	}
-	j.msgs[i].ctrl += int32(ms.Ctrl)
-	j.msgs[i].peer += int32(ms.Peer)
-}
-
-// Messages returns the job's message-count breakdown: the total over
-// all switches and a per-switch copy.
-func (j *Job) Messages() (total MessageStats, perSwitch map[topo.NodeID]MessageStats) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	perSwitch = make(map[topo.NodeID]MessageStats, len(j.msgs))
-	for _, m := range j.msgs {
-		perSwitch[m.sw] = MessageStats{Ctrl: int(m.ctrl), Peer: int(m.peer)}
-		total.Ctrl += int(m.ctrl)
-		total.Peer += int(m.peer)
-	}
-	return total, perSwitch
-}
-
-// confirmed appends plan node idx's confirmed install to the job's log
-// (sized for the whole plan at once) and wakes the readers waiting for
-// it: the caller supplies what it observed (the releasing predecessor,
-// the FlowMod count, the instants the install started and finished),
-// the plan the node's switch, layer and cleanup flag, and the job's
-// start turns the instants into the log's offsets. Both dispatch paths
-// end here, in whatever order they confirm, so job status, SSE events
-// and round timings are mode-agnostic.
+// confirmed appends plan node idx's confirmed install to the job's
+// trace and wakes the readers waiting for it: the caller supplies what
+// it observed (the releasing predecessor, the FlowMod count, the
+// instants the install started and finished), the plan the node's
+// switch, layer and cleanup flag, and the job's start turns the instants
+// into the trace's offsets. Both dispatch paths end here, in whatever
+// order they confirm, so job status, SSE events and round timings are
+// mode-agnostic. An install the controller confirmed by its own barrier
+// (not reported, not pre-confirmed) is counted (see record).
 func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished time.Time) {
 	install := InstallTiming{
 		Node:       j.plan.sw(idx),
@@ -118,15 +80,18 @@ func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished
 		FlowMods:   int32(flowMods),
 		Cleanup:    j.plan.isCleanup(idx),
 	}
+	counted := !j.reportsInstalls() && (idx >= len(j.preConfirmed) || !j.preConfirmed[idx])
 	j.mu.Lock()
 	install.Started, install.Finished = started.Sub(j.started), finished.Sub(j.started)
-	if j.installs == nil {
-		j.installs = make([]InstallTiming, 0, j.plan.len())
-	}
-	j.installs = append(j.installs, install)
+	j.logInstallLocked(&install, counted)
 	j.wakeLocked()
 	j.mu.Unlock()
 }
+
+// reportsInstalls reports whether the job's switches run its plan and
+// report its installs (executeDecentralized). An adopted decentralized
+// job resumes controller-driven.
+func (j *Job) reportsInstalls() bool { return j.Mode == ModeDecentralized && !j.Adopted }
 
 // executeDecentralized runs one job by delegation: push every switch
 // the whole execution DAG (core.EncodePlan, once per job) and the
@@ -137,7 +102,7 @@ func (j *Job) confirmed(idx int, by topo.NodeID, flowMods int, started, finished
 // trips — so the controller's contribution to the critical path
 // collapses to the initial push plus the final report.
 //
-// Reported installs enter the job's log as the controller-driven path's
+// Reported installs enter the job's trace as the controller-driven path's
 // do: install events still carry the releasing predecessor (as observed
 // by the installing switch) and rounds still complete in order.
 func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureReport, error) {
@@ -217,7 +182,7 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 		}
 		// Two control messages per switch, total: the push and this
 		// report. Peer acks are the switch's own.
-		job.addMessages(r.Switch, MessageStats{Ctrl: 2, Peer: r.AcksSent})
+		job.tally(r.Switch, MessageStats{Ctrl: 2, Peer: r.AcksSent})
 		for i := range r.Nodes {
 			nr := &r.Nodes[i]
 			if nr.Index < 0 || nr.Index >= n || confirmed[nr.Index] || plan.sw(nr.Index) != r.Switch {

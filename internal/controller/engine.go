@@ -390,7 +390,7 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*FailureReport, error) 
 	switch {
 	case job.plan.len() == 0:
 		return nil, nil
-	case job.Mode == ModeDecentralized && !job.Adopted:
+	case job.reportsInstalls():
 		return e.executeDecentralized(ctx, job)
 	default:
 		return e.runDAG(ctx, job)
@@ -416,9 +416,6 @@ func (e *Engine) runDAG(ctx context.Context, job *Job) (*FailureReport, error) {
 		confirm: func(i int, by topo.NodeID, a nodeAck) []int {
 			if i >= len(job.preConfirmed) || !job.preConfirmed[i] {
 				e.noteConfirmed(job, i)
-				// Control messages per confirmed install: the FlowMod
-				// plus the barrier request and its reply.
-				job.addMessages(job.plan.sw(i), MessageStats{Ctrl: job.plan.flowMods(i) + 2})
 			}
 			job.confirmed(i, by, job.plan.flowMods(i), a.started, a.finished)
 			ready = run.Complete(i, ready[:0])

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
+	"errors"
 	"slices"
 	"sync"
 	"time"
 
+	"tsu/internal/api"
 	"tsu/internal/openflow"
 	"tsu/internal/topo"
+	"tsu/internal/wirefmt"
 )
 
 // JobState is the lifecycle of an update job.
@@ -75,8 +79,7 @@ func (rt RoundTiming) Duration() time.Duration { return rt.Finished - rt.Started
 // start (offset 0 is the instant the job began). The sequence of
 // InstallTimings is the job's execution trace at per-node-barrier
 // granularity; RoundTimings aggregate it per layer for the round view.
-// A finished job keeps one per install, so the record is kept at 48
-// bytes.
+// The job keeps none: readers decode them from its trace (Job.trace).
 type InstallTiming struct {
 	Node       topo.NodeID
 	ReleasedBy topo.NodeID // 0 when the install had no dependencies
@@ -93,8 +96,8 @@ func (it InstallTiming) Duration() time.Duration { return it.Finished - it.Start
 // JobEvent is one event of a job's progress stream, as a Cursor
 // delivers it: a confirmed install (Install non-nil), a completed layer
 // (Round non-nil, State JobRunning), or the terminal state (both nil,
-// State JobDone/JobFailed). Install points into the job's log and Round
-// at the cursor's scratch: read-only, Round until the cursor's next event.
+// State JobDone/JobFailed). Install and Round point at the cursor's
+// scratch: read-only, and only until the cursor's next event.
 type JobEvent struct {
 	Round   *RoundTiming
 	Install *InstallTiming
@@ -161,10 +164,9 @@ type Job struct {
 	state    JobState
 	err      error
 	failure  *FailureReport
-	installs []InstallTiming  // confirmation order: the one record of progress (see Cursor)
-	msgs     []switchMessages // ascending by switch
-	wake     chan struct{}    // closed and dropped as installs grows or the job ends; nil while no reader waits
-	started  time.Time        // set by Engine.begin, before any install: what installs' offsets count from
+	trace    []byte        // the one record of progress: encoded installs in confirmation order and tallies (see record)
+	wake     chan struct{} // closed and dropped as trace grows or the job ends; nil while no reader waits
+	started  time.Time     // set by Engine.begin, before any install: what installs' offsets count from
 	finished time.Time
 	done     chan struct{}
 }
@@ -206,7 +208,46 @@ func (j *Job) Failure() *FailureReport {
 func (j *Job) Installs() []InstallTiming {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return slices.Clone(j.installs)
+	out := make([]InstallTiming, 0, j.shape.installs)
+	var rec record
+	for off := 0; off < len(j.trace); {
+		if off = rec.read(j.trace, off); rec.install {
+			out = append(out, rec.InstallTiming)
+		}
+	}
+	return out
+}
+
+// Messages returns the job's message-count breakdown: the total over
+// all switches and a per-switch copy.
+func (j *Job) Messages() (total MessageStats, perSwitch map[topo.NodeID]MessageStats) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	counts, sum := j.messagesLocked()
+	perSwitch = make(map[topo.NodeID]MessageStats, len(counts))
+	for _, m := range counts {
+		perSwitch[topo.NodeID(m.Switch)] = MessageStats{Ctrl: m.Ctrl, Peer: m.Peer}
+	}
+	return MessageStats{Ctrl: sum.Ctrl, Peer: sum.Peer}, perSwitch
+}
+
+// messagesLocked sums the trace's message tallies per switch, ascending
+// by switch, and over all switches. Caller holds j.mu.
+func (j *Job) messagesLocked() (out []api.MessageCount, total api.MessageCount) {
+	out = make([]api.MessageCount, 0, j.shape.installs) // a switch per plan node at most
+	var rec record
+	for off := 0; off < len(j.trace); {
+		if off = rec.read(j.trace, off); !rec.tally {
+			continue
+		}
+		i, found := slices.BinarySearchFunc(out, uint64(rec.Node), func(m api.MessageCount, sw uint64) int { return cmp.Compare(m.Switch, sw) })
+		if !found {
+			out = slices.Insert(out, i, api.MessageCount{Switch: uint64(rec.Node)})
+		}
+		out[i].Ctrl, total.Ctrl = out[i].Ctrl+rec.ms.Ctrl, total.Ctrl+rec.ms.Ctrl
+		out[i].Peer, total.Peer = out[i].Peer+rec.ms.Peer, total.Peer+rec.ms.Peer
+	}
+	return out, total
 }
 
 // TotalDuration returns the job's wall-clock time from first round
@@ -235,15 +276,16 @@ func (j *Job) Wait(ctx context.Context) error {
 }
 
 // Cursor is one reader's place in a job's progress stream: the installs
-// of the log in confirmation order, each round right after the install
+// of the trace in confirmation order, each round right after the install
 // that completed it and every earlier round, then the terminal event. It
 // holds a position, never a copy — the job keeps nothing per reader.
 type Cursor struct {
 	job    *Job
-	seen   int         // installs delivered
+	off    int         // trace bytes read
 	left   []int       // per layer: installs not yet delivered
 	round  int         // rounds delivered
 	ended  bool        // terminal event delivered
+	rec    record      // the record last read
 	timing RoundTiming // the round last delivered
 }
 
@@ -270,18 +312,21 @@ func (c *Cursor) poll() (ev JobEvent, more <-chan struct{}, ok bool) {
 // nextLocked is poll's step. Caller holds the job's mu.
 func (c *Cursor) nextLocked() (JobEvent, bool) {
 	j := c.job
-	switch {
-	case c.ended:
-	case c.round < len(c.left) && c.left[c.round] == 0:
-		c.timing.aggregate(j.installs[:c.seen], c.round, j.shape.perLayer[c.round])
+	if c.ended {
+		return JobEvent{}, false
+	}
+	if c.round < len(c.left) && c.left[c.round] == 0 {
+		c.timing.aggregate(j.trace[:c.off], c.round, j.shape.perLayer[c.round])
 		c.round++
 		return JobEvent{Round: &c.timing, State: JobRunning}, true
-	case c.seen < len(j.installs):
-		it := &j.installs[c.seen]
-		c.seen++
-		c.left[it.Layer]--
-		return JobEvent{Install: it, State: JobRunning}, true
-	case j.state == JobDone || j.state == JobFailed:
+	}
+	for c.off < len(j.trace) {
+		if c.off = c.rec.read(j.trace, c.off); c.rec.install {
+			c.left[c.rec.Layer]--
+			return JobEvent{Install: &c.rec.InstallTiming, State: JobRunning}, true
+		}
+	}
+	if j.state == JobDone || j.state == JobFailed {
 		c.ended = true
 		return JobEvent{State: j.state, Err: j.err}, true
 	}
@@ -289,29 +334,105 @@ func (c *Cursor) nextLocked() (JobEvent, bool) {
 }
 
 // aggregate makes rt round r as its barrier reads: the size installs of
-// layer r, found from log's end back, switches ascending, from the first
-// start to the last finish, cleanup if all are. Switches' array is reused.
-// Offset 0 is a real start (the job's first instant), so the first
-// install found sets both ends.
-func (rt *RoundTiming) aggregate(log []InstallTiming, r, size int) {
+// layer r, read forward from log's start, switches ascending, from the
+// first start to the last finish, cleanup if all are. Switches' array is
+// reused. Offset 0 is a real start (the job's first instant), so the
+// first install found sets both ends.
+func (rt *RoundTiming) aggregate(log []byte, r, size int) {
 	*rt = RoundTiming{Round: r, Cleanup: true, Switches: slices.Grow(rt.Switches[:0], size)}
-	for i := len(log) - 1; len(rt.Switches) < size; i-- {
-		it := &log[i]
-		if int(it.Layer) != r {
+	var rec record
+	for off := 0; len(rt.Switches) < size; {
+		if off = rec.read(log, off); !rec.install || int(rec.Layer) != r {
 			continue
 		}
 		first := len(rt.Switches) == 0
-		rt.Switches = append(rt.Switches, it.Node)
-		rt.FlowMods += int(it.FlowMods)
-		rt.Cleanup = rt.Cleanup && it.Cleanup
-		if first || it.Started < rt.Started {
-			rt.Started = it.Started
+		rt.Switches = append(rt.Switches, rec.Node)
+		rt.FlowMods += int(rec.FlowMods)
+		rt.Cleanup = rt.Cleanup && rec.Cleanup
+		if first || rec.Started < rt.Started {
+			rt.Started = rec.Started
 		}
-		if first || it.Finished > rt.Finished {
-			rt.Finished = it.Finished
+		if first || rec.Finished > rt.Finished {
+			rt.Finished = rec.Finished
 		}
 	}
 	slices.Sort(rt.Switches)
+}
+
+// A trace record is a header byte and uvarints: a tally's switch,
+// control and peer messages; an install's node, releasing node, start
+// offset and duration (zig-zag, nanoseconds) and layer. An install's
+// header packs its cleanup bit, its counted bit (the controller sent its
+// FlowMods and a barrier and read the reply: FlowMods+2 control messages
+// to the switch) and from bit 3 its FlowMods (0 to 31).
+const (
+	recTally byte = 1 << iota
+	recCleanup
+	recCounted
+	recFlowMods
+)
+
+var errTrace = errors.New("malformed job trace") // no writer makes one
+
+// record is one decoded trace record: an install fills InstallTiming, a
+// tally only Node; tally says it adds ms to Node's message counts.
+type record struct {
+	InstallTiming
+	install, tally bool
+	ms             MessageStats
+}
+
+// read decodes the record at log[off:] into r and returns the offset past it.
+func (r *record) read(log []byte, off int) int {
+	d := wirefmt.NewDecoder(log[off:], errTrace)
+	h := d.Byte()
+	r.install, r.tally = h&recTally == 0, h&(recTally|recCounted) != 0
+	if !r.install {
+		r.Node, r.ms = topo.NodeID(d.Uvarint()), MessageStats{Ctrl: d.Int(), Peer: d.Int()}
+		return off + d.Off()
+	}
+	r.Node, r.ReleasedBy = topo.NodeID(d.Uvarint()), topo.NodeID(d.Uvarint())
+	r.Started = unzigzag(d.Uvarint())
+	r.Finished, r.Layer = r.Started+unzigzag(d.Uvarint()), int32(d.Uvarint())
+	r.FlowMods, r.Cleanup = int32(h/recFlowMods), h&recCleanup != 0
+	r.ms = MessageStats{Ctrl: int(r.FlowMods) + 2}
+	return off + d.Off()
+}
+
+func zigzag(d time.Duration) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
+func unzigzag(u uint64) time.Duration { return time.Duration(u>>1) ^ -time.Duration(u&1) }
+
+// logLocked appends the record h, vs, sizing the trace for the whole
+// plan at its first. Caller holds j.mu.
+func (j *Job) logLocked(h byte, vs ...uint64) {
+	if j.trace == nil {
+		j.trace = make([]byte, 0, 16*j.shape.installs) // an install takes about 12
+	}
+	j.trace = append(j.trace, h)
+	for _, v := range vs {
+		j.trace = binary.AppendUvarint(j.trace, v)
+	}
+}
+
+// logInstallLocked appends one confirmed install (FlowMods below 32),
+// counted if the controller confirmed it by its own barrier.
+func (j *Job) logInstallLocked(it *InstallTiming, counted bool) {
+	h := byte(it.FlowMods) * recFlowMods
+	if it.Cleanup {
+		h |= recCleanup
+	}
+	if counted {
+		h |= recCounted
+	}
+	j.logLocked(h, uint64(it.Node), uint64(it.ReleasedBy), zigzag(it.Started), zigzag(it.Finished-it.Started), uint64(it.Layer))
+}
+
+// tally adds messages no install implies to switch n's counts: a
+// rollback's undo, a decentralized completion report.
+func (j *Job) tally(n topo.NodeID, ms MessageStats) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.logLocked(recTally, uint64(n), uint64(ms.Ctrl), uint64(ms.Peer))
 }
 
 // wakeLocked tells waiting readers there is more. Caller holds j.mu.

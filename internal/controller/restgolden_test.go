@@ -31,14 +31,19 @@ func goldenJob(id int, failed bool) *Job {
 		started:   at(0),
 		finished:  at(9876),
 		done:      make(chan struct{}),
-		installs: []InstallTiming{
-			{Node: 7, Layer: 0, FlowMods: 1, Started: off(10), Finished: off(4310)},
-			{Node: 8, Layer: 0, FlowMods: 1, Started: off(12), Finished: off(4350)},
-			{Node: 1, Layer: 1, ReleasedBy: 8, FlowMods: 1, Started: off(4400), Finished: off(8700)},
-			{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: off(4410), Finished: off(8800)},
-			{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: off(8810), Finished: off(9870)},
-		},
-		msgs: []switchMessages{{1, 2, 0}, {2, 2, 0}, {3, 3, 2}, {7, 2, 1}, {8, 2, 1}},
+	}
+	installs := []InstallTiming{
+		{Node: 7, Layer: 0, FlowMods: 1, Started: off(10), Finished: off(4310)},
+		{Node: 8, Layer: 0, FlowMods: 1, Started: off(12), Finished: off(4350)},
+		{Node: 1, Layer: 1, ReleasedBy: 8, FlowMods: 1, Started: off(4400), Finished: off(8700)},
+		{Node: 3, Layer: 1, ReleasedBy: 7, FlowMods: 2, Started: off(4410), Finished: off(8800)},
+		{Node: 2, Layer: 2, ReleasedBy: 3, FlowMods: 1, Cleanup: true, Started: off(8810), Finished: off(9870)},
+	}
+	if failed {
+		installs = installs[:3]
+	}
+	for i := range installs {
+		job.logInstallLocked(&installs[i], false)
 	}
 	if failed {
 		job.Mode = ModeController
@@ -52,7 +57,13 @@ func goldenJob(id int, failed bool) *Job {
 			RollbackVerified: true,
 			Stuck:            []StuckNode{{Switch: 2, WaitingOn: []topo.NodeID{3}}},
 		}
-		job.installs, job.msgs = job.installs[:3], nil
+	} else {
+		for _, m := range []struct {
+			sw         topo.NodeID
+			ctrl, peer int
+		}{{1, 2, 0}, {2, 2, 0}, {3, 3, 2}, {7, 2, 1}, {8, 2, 1}} {
+			job.tally(m.sw, MessageStats{Ctrl: m.ctrl, Peer: m.peer})
+		}
 	}
 	close(job.done)
 	return job

@@ -166,8 +166,8 @@ func (c *Controller) handleV1SubmitBatch(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// v1JobStatus converts a Job to the wire shape: one pass over the
-// install log under the job's lock, straight into the response.
+// v1JobStatus converts a Job to the wire shape: passes over the job's
+// trace under its lock, straight into the response.
 func v1JobStatus(job *Job) api.JobStatus {
 	st := api.JobStatus{
 		ID:        job.ID,
@@ -180,7 +180,7 @@ func v1JobStatus(job *Job) api.JobStatus {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	st.Adopted = job.Adopted
-	st.Installs = make([]api.InstallStatus, 0, len(job.installs))
+	st.Installs = make([]api.InstallStatus, 0, job.shape.installs)
 	st.State = job.state.String()
 	st.TotalMicros = job.totalLocked().Microseconds()
 	if job.err != nil {
@@ -198,14 +198,8 @@ func v1JobStatus(job *Job) api.JobStatus {
 			st.Rounds = append(st.Rounds, v1RoundStatus(ev.Round, nil))
 		}
 	}
-	if len(job.msgs) > 0 {
-		st.Messages = &api.MessageCount{}
-		st.MessagesPerSwitch = make([]api.MessageCount, len(job.msgs))
-		for i, m := range job.msgs {
-			st.MessagesPerSwitch[i] = api.MessageCount{Switch: uint64(m.sw), Ctrl: int(m.ctrl), Peer: int(m.peer)}
-			st.Messages.Ctrl += int(m.ctrl)
-			st.Messages.Peer += int(m.peer)
-		}
+	if counts, total := job.messagesLocked(); len(counts) > 0 {
+		st.Messages, st.MessagesPerSwitch = &total, counts
 	}
 	return st
 }
@@ -295,7 +289,7 @@ func (c *Controller) handleV1Jobs(w http.ResponseWriter, r *http.Request) {
 // handleV1Watch streams a job's progress as Server-Sent Events:
 // already-executed rounds replay first, live rounds follow, and the
 // stream always ends with a terminal done/failed event. It is a cursor on
-// the job's install log — a client that hangs up leaves nothing behind —
+// the job's trace — a client that hangs up leaves nothing behind —
 // and the response is flushed whenever the cursor has caught up: the
 // headers alone when there is nothing to replay, a finished job's whole
 // history at once, a live event the moment it is confirmed. It holds its

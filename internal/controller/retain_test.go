@@ -12,11 +12,11 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"tsu/internal/api"
 	"tsu/internal/core"
 	"tsu/internal/journal"
+	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
 
@@ -124,8 +124,9 @@ func TestRetainRingBounded(t *testing.T) {
 	}
 
 	// Flat: what two more rings of jobs left behind is noise, not growth.
-	// One retained job of this shape is ~2 KB, so an unbounded engine
-	// would hold ~4 MB more.
+	// One retained job of this shape is ~0.7 KB (the Job, its done
+	// channel and a 128-byte trace), so an unbounded engine would hold
+	// ~1.4 MB more.
 	if grew := int64(after3) - int64(after1); grew > int64(after1)/10 {
 		t.Fatalf("live heap %d B after one ring of jobs, %d B after three: grew %d B, want within 10%%", after1, after3, grew)
 	}
@@ -404,32 +405,119 @@ func TestWatchFlushesPerBurst(t *testing.T) {
 	}
 }
 
+// retainedJobBytes bounds what one retained 32-install job holds: its
+// trace, the Job and its done channel. The measured figure is about
+// 1,040 B for a controller-driven job (15 % above it, rounded up).
+const retainedJobBytes = 1200
+
 // TestRetainedBytesPerInstall fills the retained ring with 32-install
-// jobs, each over 32 switches: what a finished job holds — its install
-// log, its per-switch message tally and the Job itself — stays under
-// 3 KB, and the two per-install records under 48 and 16 bytes.
+// jobs, each over 32 switches, on each path that writes a job's trace:
+// controller-driven jobs (a counted install per node), jobs that rolled
+// back half their installs (an undo tally record each) and
+// decentralized jobs (a completion report tally record per switch).
+// What a finished job holds stays under retainedJobBytes, and a
+// controller-driven job's trace under 16 bytes per install. Reads
+// MemStats: run it unloaded.
 func TestRetainedBytesPerInstall(t *testing.T) {
-	if got := unsafe.Sizeof(InstallTiming{}); got > 48 {
-		t.Errorf("InstallTiming is %d bytes, want <= 48", got)
-	}
-	if got := unsafe.Sizeof(switchMessages{}); got > 16 {
-		t.Errorf("switchMessages is %d bytes, want <= 16", got)
+	plans := []execPlan{fakePlan("10.9.7.1", 1, 32, 1), fakePlan("10.9.7.2", 33, 32, 1)}
+	perJob := func(t *testing.T, h *allocHarness, run func(n int)) {
+		t.Helper()
+		const warm = 64 // pools and the job table grown, the ring part full
+		run(warm)
+		before := liveHeap()
+		run(retainTerminal)
+		after := liveHeap()
+		if retained, _ := h.e.Retention(); retained != retainTerminal {
+			t.Fatalf("retained %d jobs, want %d", retained, retainTerminal)
+		}
+		per := (int64(after) - int64(before)) / (retainTerminal - warm)
+		t.Logf("%d B per retained 32-install job", per)
+		if per > retainedJobBytes {
+			t.Fatalf("a retained 32-install job holds %d B, want <= %d", per, retainedJobBytes)
+		}
 	}
 
-	h := newAllocHarness(t)
-	defer h.stop()
-	plans := []execPlan{fakePlan("10.9.7.1", 1, 32, 1), fakePlan("10.9.7.2", 33, 32, 1)}
-	const warm = 64 // pools and the job table grown, the ring part full
-	h.serve(t, warm, plans...)
-	before := liveHeap()
-	h.serve(t, retainTerminal, plans...)
-	after := liveHeap()
-	if retained, _ := h.e.Retention(); retained != retainTerminal {
-		t.Fatalf("retained %d jobs, want %d", retained, retainTerminal)
-	}
-	perJob := (int64(after) - int64(before)) / (retainTerminal - warm)
-	t.Logf("%d B per retained 32-install job", perJob)
-	if perJob > 3<<10 {
-		t.Fatalf("a retained 32-install job holds %d B, want <= %d", perJob, 3<<10)
-	}
+	t.Run("controller", func(t *testing.T) {
+		h := newAllocHarness(t)
+		defer h.stop()
+		perJob(t, h, func(n int) { h.serve(t, n, plans...) })
+		jobs := h.e.Jobs()
+		job := jobs[len(jobs)-1]
+		job.mu.Lock()
+		size, capacity := len(job.trace), cap(job.trace)
+		job.mu.Unlock()
+		t.Logf("trace: %d B of %d for %d installs", size, capacity, job.NumInstalls())
+		if capacity > 16*job.NumInstalls() {
+			t.Fatalf("a %d-install job's trace holds %d B (%d used), want <= 16 per install", job.NumInstalls(), capacity, size)
+		}
+	})
+
+	t.Run("rolled-back", func(t *testing.T) {
+		h := newAllocHarness(t)
+		defer h.stop()
+		spec := &rollbackSpec{
+			in:    core.MustInstance(topo.Path{1, 2}, topo.Path{1, 9, 10, 2}, 0),
+			match: flowMatch("10.9.7.1"),
+		}
+		// One cause and one report for every job: the arm measures what
+		// the trace holds, not the report's lists.
+		cause := errors.New("injected install failure")
+		report := &FailureReport{Phase: PhaseRolledBack, TriggeringFault: cause.Error(), RollbackVerified: true}
+		id := 0
+		perJob(t, h, func(n int) {
+			for range n {
+				id++
+				job := newJob(plans[0], SubmitOptions{}, spec)
+				job.ID = id
+				h.e.mu.Lock()
+				h.e.jobs[id] = job
+				h.e.mu.Unlock()
+				h.e.begin(job)
+				installed := make([]bool, job.plan.len())
+				for i := range len(installed) / 2 {
+					now := h.c.clock.Now()
+					job.confirmed(i, 0, job.plan.flowMods(i), now, now.Add(4*time.Millisecond))
+					installed[i] = true
+				}
+				if undone, _, err := h.e.runRollback(context.Background(), job, spec, installed); err != nil || len(undone) != len(installed)/2 {
+					t.Fatalf("job %d: rolled back %d installs: %v", id, len(undone), err)
+				}
+				h.e.finish(job, cause, report)
+			}
+		})
+	})
+
+	t.Run("decentralized", func(t *testing.T) {
+		h := newAllocHarness(t)
+		defer h.stop()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		plan := fakePlan("10.9.7.3", 1, 16, 2) // each switch acks its second install's release
+		perJob(t, h, func(n int) {
+			for range n {
+				job, err := h.e.enqueue(newJob(plan, SubmitOptions{Mode: ModeDecentralized}, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reports chan<- *planwire.Report
+				waitFor(t, "the job to listen for completion reports", func() bool {
+					h.c.planMu.Lock()
+					defer h.c.planMu.Unlock()
+					reports = h.c.planReports[job.ID]
+					return reports != nil
+				})
+				for sw := range 16 {
+					r := &planwire.Report{Job: job.ID, Switch: plan.sw(sw), AcksSent: 1}
+					for i := sw; i < plan.len(); i += 16 {
+						start := time.Duration(plan.layers[i]) * 4 * time.Millisecond
+						r.Nodes = append(r.Nodes, planwire.NodeReport{Index: i, Started: start, Finished: start + 4*time.Millisecond})
+					}
+					reports <- r
+				}
+				if err := job.Wait(ctx); err != nil {
+					t.Fatalf("job %d: %v", job.ID, err)
+				}
+			}
+		})
+	})
 }

@@ -210,7 +210,7 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 		plan: &plan,
 		confirm: func(j int, _ topo.NodeID, a nodeAck) []int {
 			node := plan.sw(j)
-			job.addMessages(node, MessageStats{Ctrl: plan.flowMods(j) + 2})
+			job.tally(node, MessageStats{Ctrl: plan.flowMods(j) + 2})
 			rolledBack = append(rolledBack, node)
 			undone[fwd[j]] = true
 			ready = run.Complete(j, ready[:0])
