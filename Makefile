@@ -96,8 +96,9 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchtime=10x -run '^$$' .
 
-# Same seed => same explorer verdicts and event logs; -count=2 defeats
-# test caching so the explorer-determinism tests actually run twice.
+# Same inputs => same explorer verdicts, same seed => same timed event
+# logs; -count=2 defeats test caching so the explorer-determinism tests
+# actually run twice.
 # The second pass runs under the race detector: the parallel explorer
 # (Workers > 1) must stay bit-identical and race-free.
 test-determinism:

@@ -134,14 +134,14 @@ func BenchmarkE3WaypointViolations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ti := topo.RandomTwoPath(rng, 16, true)
 		in := core.MustInstance(ti.Old, ti.New, ti.Waypoint)
-		if !verify.Plan(in, core.OneShot(in), props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, core.OneShot(in), props, verify.Options{Budget: 1 << 16}).OK() {
 			unsafe++
 		}
 		w, err := core.WayUp(in)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !verify.Plan(in, w, props, verify.Options{Budget: 1 << 16, Samples: 256}).OK() {
+		if !verify.Plan(in, w, props, verify.Options{Budget: 1 << 16}).OK() {
 			b.Fatal("wayup produced an unsafe schedule")
 		}
 	}

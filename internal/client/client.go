@@ -240,10 +240,9 @@ func (c *Client) Verify(ctx context.Context, req api.VerifyRequest) (*api.Verify
 
 // Explore plans the batch and runs the adversarial interleaving
 // explorer against every schedule without touching the switches
-// (POST /v1/explore): every FlowMod delivery interleaving of small
-// rounds is checked exhaustively, large rounds are sampled with
-// seeded uniform and heavy-tail-biased delivery orders, and
-// violations come back as minimized event traces. Use Verify for a
+// (POST /v1/explore): the exact search of Verify decides every
+// stage, a stage past its budget is reported inexact, and violations
+// come back as minimal event traces. Use Verify for a
 // fast safe/unsafe verdict; use Explore when you need the concrete
 // delivery order that breaks a schedule.
 func (c *Client) Explore(ctx context.Context, req api.ExploreRequest) (*api.ExploreResponse, error) {

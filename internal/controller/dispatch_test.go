@@ -356,17 +356,17 @@ func sparseCombJob(t *testing.T, ti topo.TwoPathInstance) (*testbed, *Job, []boo
 	return tb, job, all
 }
 
-// TestRollbackRefusedWhenSampled aborts the sparse Peacock reroute of a
+// TestRollbackRefusedWhenInexact aborts the sparse Peacock reroute of a
 // 24-tooth comb with one-switch teeth. Its reverse plan is clean but
 // not decided: the walk search branches at each of the 24 teeth, 2^24
 // walks past the default budget, so the stage is inexact. The abort
 // must refuse it — stuck, not verified, nothing undone, no FlowMod
 // sent.
-func TestRollbackRefusedWhenSampled(t *testing.T) {
+func TestRollbackRefusedWhenInexact(t *testing.T) {
 	tb, job, all := sparseCombJob(t, topo.Comb(24, 1))
 	e := tb.ctrl.Engine()
-	if err := e.verifyRollback(job, job.rollback, all); err == nil || !strings.Contains(err.Error(), "only sampled") {
-		t.Fatalf("reverse plan gate: %v, want ok but sampled", err)
+	if err := e.verifyRollback(job, job.rollback, all); err == nil || !strings.Contains(err.Error(), "reverse plan inexact") {
+		t.Fatalf("reverse plan gate: %v, want ok but inexact", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -437,8 +437,6 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 		rep, err := explore.Plan(p.In, p.DAG, explore.Options{
 			Props:         p.Props,
 			MaxExhaustive: req.MaxExhaustive,
-			Samples:       req.Samples,
-			Seed:          req.Seed,
 		})
 		if err != nil {
 			// The schedule came from the server's own planner; a
@@ -453,7 +451,7 @@ func (c *Controller) handleV1Explore(w http.ResponseWriter, r *http.Request) {
 			Properties: rep.Properties.String(),
 			OK:         rep.OK(),
 			Exhaustive: rep.Exhaustive(),
-			Events:     rep.Events(),
+			Events:     rep.BranchPoints(),
 			Plan:       planShape(p.DAG),
 		}
 		if v := rep.FirstViolation(); v != nil {

@@ -306,7 +306,7 @@ func TestV1MixedBatchMatchesSolo(t *testing.T) {
 	}
 
 	var ebatch, esolo api.ExploreResponse
-	resp, body = postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: updates, Seed: 5})
+	resp, body = postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: updates})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explore batch: %d %s", resp.StatusCode, body)
 	}
@@ -316,7 +316,7 @@ func TestV1MixedBatchMatchesSolo(t *testing.T) {
 		t.Fatalf("explore batch = %s", body)
 	}
 	for i, u := range updates {
-		_, body := postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: []api.FlowUpdate{u}, Seed: 5})
+		_, body := postJSON(t, srv.URL+"/v1/explore", api.ExploreRequest{Updates: []api.FlowUpdate{u}})
 		esolo = api.ExploreResponse{}
 		decodeInto(t, body, &esolo)
 		if len(esolo.Results) != 1 || !esolo.Results[0].Exhaustive || !reflect.DeepEqual(esolo.Results[0], ebatch.Results[i]) {

@@ -22,9 +22,10 @@ import (
 // the forward plan could already reach on its way up, so a
 // verified-safe update stays safe through its own abort. When the
 // reverse plan fails (one-shot plans whose installed ideal admits
-// unsafe sub-ideals) or is only sampled, the job reports a stuck state
-// with the precise per-node unmet dependencies and leaves the rules in
-// place — a wrong rollback is worse than a frozen, diagnosable one.
+// unsafe sub-ideals) or is inexact (a stage the search could not
+// decide within its budget), the job reports a stuck state with the
+// precise per-node unmet dependencies and leaves the rules in place —
+// a wrong rollback is worse than a frozen, diagnosable one.
 
 // Failure-report phases, in escalation order.
 const (
@@ -40,8 +41,8 @@ const (
 	// execution failed partway; Installed minus RolledBack is still in
 	// effect.
 	PhaseRollbackFailed = "rollback-failed"
-	// PhaseStuck: the reverse plan did not verify safe, or was only
-	// sampled; nothing was undone and Stuck lists each installed node's
+	// PhaseStuck: the reverse plan did not verify safe, or was
+	// inexact; nothing was undone and Stuck lists each installed node's
 	// unmet rollback dependencies.
 	PhaseStuck = "stuck"
 )
@@ -162,7 +163,7 @@ func (e *Engine) verifyRollback(job *Job, spec *rollbackSpec, undo []bool) error
 }
 
 // RollbackGate passes a reverse plan only on a decided, clean verdict
-// of verify.Plan under props: a sampled stage refuses it, since a wrong
+// of verify.Plan under props: an inexact stage refuses it, since a wrong
 // rollback is worse than a frozen one. Exported so that the crash model
 // in internal/experiments gates its rollbacks with it.
 func RollbackGate(in *core.Instance, rev *core.Plan, props core.Property) error {
@@ -175,7 +176,7 @@ func RollbackGate(in *core.Instance, rev *core.Plan, props core.Property) error 
 	case !rep.FinalStateOK:
 		return fmt.Errorf("reverse plan does not restore the old configuration")
 	case !rep.Exact():
-		return fmt.Errorf("reverse plan only sampled: a stage lies past the verify budget")
+		return fmt.Errorf("reverse plan inexact: a stage lies past the verify budget")
 	}
 	return nil
 }

@@ -141,38 +141,3 @@ func TestVisitIdealsMatchesReference(t *testing.T) {
 		check("layered", Layered(AlgoPeacock, 0, rounds))
 	}
 }
-
-// TestGrayVisitEnumeratesAllSubsets is the enumeration property behind
-// the Gray-code rewrite: for every n ≤ 12, grayVisit must (a) visit
-// exactly the 2^n distinct masks — the same state set the old
-// ascending-size enumerator covered — and (b) change exactly the
-// single reported bit between consecutive masks, the invariant the
-// incremental walker relies on.
-func TestGrayVisitEnumeratesAllSubsets(t *testing.T) {
-	for n := 0; n <= 12; n++ {
-		seen := make(map[uint32]bool)
-		prev := uint32(0)
-		first := true
-		grayVisit(n, func(mask uint32, flipped int) {
-			if first {
-				if mask != 0 || flipped != -1 {
-					t.Fatalf("n=%d: first visit = (%b, %d), want (0, -1)", n, mask, flipped)
-				}
-				first = false
-			} else {
-				diff := prev ^ mask
-				if diff != 1<<uint(flipped) {
-					t.Fatalf("n=%d: consecutive masks %b -> %b differ in %b, reported flip bit %d", n, prev, mask, diff, flipped)
-				}
-			}
-			if seen[mask] {
-				t.Fatalf("n=%d: mask %b visited twice", n, mask)
-			}
-			seen[mask] = true
-			prev = mask
-		})
-		if len(seen) != 1<<uint(n) {
-			t.Fatalf("n=%d: visited %d masks, want %d", n, len(seen), 1<<uint(n))
-		}
-	}
-}

@@ -483,8 +483,7 @@ func (p *Plan) BaseState(in *Instance) State {
 // out newly released nodes as completions arrive. The successor
 // adjacency is flattened at construction; Reset and Complete allocate
 // nothing (callers pass and reuse the ready buffer), so the per-barrier
-// hot path of the controller engine — and of the explorer's sampled
-// linear extensions — is allocation-free in steady state.
+// hot path of the controller engine is allocation-free in steady state.
 //
 // A PlanRun is single-goroutine state; the engine serializes
 // completions through its ack loop before touching it.
@@ -551,16 +550,6 @@ func (r *PlanRun) Complete(i int, ready []int) []int {
 	return ready
 }
 
-// maxSparseCheckStates bounds the exhaustive walk-property proof
-// SparsePlan runs on a derived plan; larger ideal spaces rest on the
-// walk-projection argument plus a seeded sampled spot-check.
-const maxSparseCheckStates = 1 << 20
-
-// sparseSpotSamples is the number of seeded linear extensions the
-// spot-check replays when the ideal space exceeds the exhaustive
-// budget.
-const sparseSpotSamples = 64
-
 // SparsePlan derives a sparse dependency plan from the layered plan of
 // a round schedule, using the dependency reasoning the walk-based
 // schedulers (Peacock, GreedySLF) already encode, then proves it safe
@@ -598,9 +587,9 @@ const sparseSpotSamples = 64
 // decides it with the polynomial double-edge test per walk-relevant
 // round, with every new-only switch modelled as permanently in flight
 // (a superset of the reachable rule graphs). The walk properties are
-// additionally proven exhaustively — every order ideal through
-// Walker.Check — whenever the ideal space fits the budget, and
-// spot-checked over seeded linear extensions past it.
+// then decided over every order ideal by the exact search
+// (RoundChecker.Decide); one that cannot finish within
+// DefaultCheckBudget branch points counts as a failed check.
 //
 // SparsePlan is the one place that decides which rounds justify the
 // derivation: only a layered Peacock or GreedySLF plan is pruned. Any
@@ -704,10 +693,10 @@ func sparseSafe(in *Instance, sparse, layered *Plan) bool {
 	if walkProps == 0 {
 		return true
 	}
-	// Past the exhaustive budget, soundness rests on the
-	// walk-projection argument; the seeded spot-check guards the
-	// implementation.
-	return in.NewWalker().CheckStage(nil, sparse, walkProps, maxSparseCheckStates, sparseSpotSamples, 1).Violation == nil
+	// A search that runs out of budget proves nothing: keep the
+	// layered plan.
+	cex, exact := NewRoundChecker().Decide(in, nil, sparse, walkProps, DefaultCheckBudget)
+	return exact && cex == nil
 }
 
 // sparseStrongLFSafe runs the polynomial double-edge test per

@@ -259,16 +259,10 @@ func TestSparsePlanFig1(t *testing.T) {
 		t.Fatalf("deps of 3 = %v, want [9 10 11]", deps[3])
 	}
 	// The sparse plan must still be provably safe: every ideal clean.
-	w := in.NewWalker()
-	idx := make([]int, len(p.Nodes))
-	for i, nd := range p.Nodes {
-		idx[i] = in.NodeIndex(nd.Switch)
-	}
-	complete := p.VisitIdeals(
-		func(node int, _ bool) { w.Flip(idx[node]) },
-		func() bool { return w.Check(p.Guarantees) == 0 })
-	if !complete {
-		t.Fatal("sparse plan has a violating order ideal")
+	for _, st := range p.IdealStates(in) {
+		if in.CheckState(st, p.Guarantees) != 0 {
+			t.Fatal("sparse plan has a violating order ideal")
+		}
 	}
 }
 
@@ -291,17 +285,11 @@ func TestSparsePlanNeverWeakensGuarantees(t *testing.T) {
 			if err := p.Validate(in); err != nil {
 				t.Fatalf("%s on %v: invalid plan: %v", name, in, err)
 			}
-			w := in.NewWalker()
-			idx := make([]int, len(p.Nodes))
-			for i, nd := range p.Nodes {
-				idx[i] = in.NodeIndex(nd.Switch)
-			}
-			complete := p.VisitIdeals(
-				func(node int, _ bool) { w.Flip(idx[node]) },
-				func() bool { return w.Check(p.Guarantees) == 0 })
-			if !complete {
-				t.Fatalf("%s on %v: sparse=%t plan violates %s in some ideal",
-					name, in, p.Sparse, p.Guarantees)
+			for _, st := range p.IdealStates(in) {
+				if in.CheckState(st, p.Guarantees) != 0 {
+					t.Fatalf("%s on %v: sparse=%t plan violates %s in some ideal",
+						name, in, p.Sparse, p.Guarantees)
+				}
 			}
 		}
 	}

@@ -192,6 +192,10 @@ func (rc *RoundChecker) Decide(in *Instance, pre State, st *Plan, props Property
 	return rc.search(in, pre, nil, st, props, budget)
 }
 
+// BranchPoints reports the branch points the last Check or Decide
+// spent, at most its budget — the one coverage counter a search has.
+func (rc *RoundChecker) BranchPoints() int { return min(rc.c.limit, rc.c.limit-rc.c.budget) }
+
 // search is Check and Decide: round's switches, or st's, in flight.
 func (rc *RoundChecker) search(in *Instance, done State, round []topo.NodeID, st *Plan, props Property, budget int) (*CounterExample, bool) {
 	if budget <= 0 {
@@ -208,6 +212,7 @@ func (rc *RoundChecker) search(in *Instance, done State, round []topo.NodeID, st
 		done:         done,
 		inRound:      rc.buf[0*w : 1*w],
 		budget:       budget,
+		limit:        budget,
 		assignedMask: rc.buf[1*w : 2*w],
 		assignedVal:  rc.buf[2*w : 3*w],
 		onWalk:       rc.buf[3*w : 4*w],
@@ -273,7 +278,8 @@ type roundChecker struct {
 	inRound      State
 	props        Property
 	loop         Property // what revisiting a switch violates, 0 for nothing
-	budget       int
+	budget       int      // branch points left
+	limit        int      // branch points granted
 	assignedMask State
 	assignedVal  State
 	onWalk       State

@@ -287,3 +287,55 @@ func TestDecideFindsCycleOffTheStage(t *testing.T) {
 		t.Fatalf("Decide = %v (exact %t), want the cycle 3 ⇄ 4 in the state {4}", cex, exact)
 	}
 }
+
+// checkerTestInstances is a deterministic mix of instance shapes: the
+// Fig.1 scenario, path reversals (transient loops), and random
+// two-path instances with and without waypoints.
+func checkerTestInstances(t *testing.T) []*Instance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	ins := []*Instance{
+		MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, topo.Fig1Waypoint),
+		MustInstance(topo.Reversal(8).Old, topo.Reversal(8).New, 0),
+		MustInstance(topo.Reversal(70).Old, topo.Reversal(70).New, 0), // multi-word states
+	}
+	for i := 0; i < 12; i++ {
+		ti := topo.RandomTwoPath(rng, 6+rng.Intn(20), i%2 == 0)
+		ins = append(ins, MustInstance(ti.Old, ti.New, ti.Waypoint))
+	}
+	return ins
+}
+
+// TestRoundCheckerReuse runs the same verification twice through one
+// RoundChecker, interleaved across instances, and requires identical
+// verdicts to fresh CheckRound calls — the scratch reuse must not leak
+// state between rounds or instances.
+func TestRoundCheckerReuse(t *testing.T) {
+	props := NoBlackhole | RelaxedLoopFreedom | WaypointEnforcement
+	rc := NewRoundChecker()
+	for _, in := range checkerTestInstances(t) {
+		for _, algo := range []string{AlgoOneShot, AlgoPeacock} {
+			s, err := PlanByName(in, algo, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := in.NewState()
+			for _, round := range s.Layers() {
+				wantCex, wantExact := in.CheckRound(done, round, props, 0)
+				gotCex, gotExact := rc.Check(in, done, round, props, 0)
+				if gotExact != wantExact {
+					t.Fatalf("%v %s: reused checker exact=%t, fresh says %t", in, algo, gotExact, wantExact)
+				}
+				if (gotCex == nil) != (wantCex == nil) {
+					t.Fatalf("%v %s: reused checker cex=%v, fresh says %v", in, algo, gotCex, wantCex)
+				}
+				if gotCex != nil {
+					if gotCex.Violated != wantCex.Violated || !gotCex.Walk.Equal(wantCex.Walk) {
+						t.Fatalf("%v %s: reused checker %v, fresh %v", in, algo, gotCex, wantCex)
+					}
+				}
+				in.Mark(done, round...)
+			}
+		}
+	}
+}

@@ -321,7 +321,7 @@ func E3Violations(instances int, seed int64) (*metrics.Table, error) {
 				tasks = append(tasks, verify.Task{Instance: in, Plan: s, Props: props})
 			}
 		}
-		reports := verify.Batch(tasks, verify.Options{Budget: 1 << 18, Samples: 512, Seed: seed})
+		reports := verify.Batch(tasks, verify.Options{Budget: 1 << 18})
 		unsafe := map[string]int{} // keyed by the schedule's own algorithm
 		for _, r := range reports {
 			if !r.OK() {
@@ -638,7 +638,7 @@ func E12SynthGap(seed int64) (*metrics.Table, error) {
 	tbl := metrics.NewTable("instance", "algorithm", "depth", "synth_depth",
 		"depth_gap", "edge_gap", "crit_gap", "ctrl_gap", "peer_gap", "synth_source")
 	for _, tc := range cases {
-		rep, err := synth.Compare(tc.in, synth.Options{Seed: seed})
+		rep, err := synth.Compare(tc.in, synth.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}

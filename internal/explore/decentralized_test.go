@@ -47,7 +47,7 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 
 					// (b) Verifier verdicts: bit-identical reports on the
 					// decoded plan.
-					vopts := verify.Options{Seed: 7}
+					vopts := verify.Options{}
 					va := verify.Plan(in, p, p.Guarantees, vopts)
 					vb := verify.Plan(in, rebuilt, p.Guarantees, vopts)
 					if va.String() != vb.String() || va.OK() != vb.OK() || va.Exact() != vb.Exact() {
@@ -56,7 +56,7 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 
 					// (c) Explorer fingerprints, exhaustive: the wire cannot
 					// change the enumerated ideal space.
-					base := Options{Seed: 11, MaxExhaustive: 14}
+					base := Options{MaxExhaustive: 14}
 					adv := base
 					ra, err := Plan(in, p, base)
 					if err != nil {
@@ -71,9 +71,10 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 							ra.Fingerprint(), rb.Fingerprint())
 					}
 
-					// (c') Sampled: force the sampling path with a tiny
-					// exhaustive budget; verdict and counters must agree.
-					sbase := Options{Seed: 11, MaxExhaustive: 1, Samples: 64}
+					// (c') Past the budget: a budget of two branch points
+					// leaves larger stages inexact; verdict and counter
+					// must agree.
+					sbase := Options{MaxExhaustive: 1}
 					sadv := sbase
 					sa, err := Plan(in, p, sbase)
 					if err != nil {
@@ -84,10 +85,10 @@ func TestDecentralizedBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					if sa.OK() != sb.OK() {
-						t.Fatalf("sampled verdict diverged under peer delays: off=%t on=%t", sa.OK(), sb.OK())
+						t.Fatalf("budget-2 verdict diverged under peer delays: off=%t on=%t", sa.OK(), sb.OK())
 					}
 					if sa.OK() && sa.Fingerprint() != sb.Fingerprint() {
-						t.Fatalf("sampled fingerprint diverged under peer delays:\n off:\n%s\n on:\n%s",
+						t.Fatalf("budget-2 fingerprint diverged under peer delays:\n off:\n%s\n on:\n%s",
 							sa.Fingerprint(), sb.Fingerprint())
 					}
 				})

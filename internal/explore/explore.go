@@ -2,7 +2,7 @@
 // and instance it plays the paper's adversary — the asynchronous
 // control channel that lets every issued-but-not-yet-confirmed FlowMod
 // take effect in any order, constrained only by the plan's
-// happens-before edges — and reports, per stage, the minimum
+// happens-before edges — and reports, per stage, a minimal
 // counterexample as a delivery event trace.
 //
 // # Order/state duality
@@ -11,25 +11,22 @@
 // produces a violating rule state, and the rule state after a prefix is
 // exactly the set of nodes delivered so far — an order ideal of the
 // plan's DAG (see core.Plan). Checking every ideal therefore covers
-// every delivery order, and the minimum violating ideal, delivered in
-// node order, is a minimum delivery trace.
+// every delivery order, and a violating ideal, delivered in node
+// order, is a violating delivery trace.
 //
 // The explorer decides nothing itself: Plan is one call into
-// internal/verify's stage engine (verify.Traces), which enumerates
-// each stage's ideals within 1<<MaxExhaustive states — Gray code on an
-// edge-free stage, the ideal DFS otherwise, one-flip incremental walks
-// either way — and past it replays sampled delivery orders: seeded
-// uniform linear extensions plus heavy-tail-biased ones, where the
-// ack-driven dispatch is simulated with per-node install latencies
-// drawn from a bounded Pareto distribution (the PAM'15 rule-install
-// stall model). This package renders the engine's verdicts as event
-// traces tagged with each node's layer, and adds the timed mode
-// (Timed), which replays a plan on a simclock.Sim under sampled
-// latency distributions so a 10k-switch scenario runs in virtual time
-// with a reproducible event count. Rollback plans
-// (core.Plan.Reverse) are explored over the shifted state space
-// base∖ideal, so the same adversary that attacks a forward plan
-// attacks its rollback.
+// internal/verify's stage engine (verify.Traces), the exact search
+// that decides /v1/verify (core.RoundChecker.Decide) with each stage
+// granted 1<<MaxExhaustive branch points. A violating stage's witness
+// is shrunk to a minimal violating ideal; a stage the search cannot
+// finish within its budget is reported inexact, as /v1/verify reports
+// it. This package renders the engine's verdicts as event traces
+// tagged with each node's layer, and adds the timed mode (Timed),
+// which replays a plan on a simclock.Sim under sampled latency
+// distributions so a 10k-switch scenario runs in virtual time with a
+// reproducible event count. Rollback plans (core.Plan.Reverse) are
+// explored over the shifted state space base∖ideal, so the same
+// adversary that attacks a forward plan attacks its rollback.
 package explore
 
 import (
@@ -50,21 +47,16 @@ type Options struct {
 	// to show what the baseline breaks.
 	Props core.Property
 
-	// MaxExhaustive bounds the stages explored exhaustively: a stage
-	// is enumerated when its ideal space fits 1<<MaxExhaustive states.
-	// For an edge-free stage (a round) that is its size — n switches
-	// have 2^n subsets, so rounds of up to MaxExhaustive switches are
-	// enumerated; for a DAG stage it is the count of its order ideals,
-	// which its edges keep below 2^n. Larger stages are sampled.
+	// MaxExhaustive bounds the search of one stage to
+	// 1<<MaxExhaustive branch points. Branch points never outnumber a
+	// stage's order ideals, so a stage with at most that many ideals —
+	// a round of up to MaxExhaustive switches — is always decided.
 	// Default 18; capped at 20.
 	MaxExhaustive int
 
-	// Samples is the number of delivery orders drawn per sampled
-	// stage. Default 256.
-	Samples int
-
-	// Seed pins the sampling RNG; exploration is deterministic in
-	// (Seed, Options).
+	// Seed has no effect: exploration draws no random numbers. It
+	// stays while bench/ sets it (ROADMAP item 1 drops that use, item
+	// 12 deletes the field).
 	Seed int64
 
 	// Workers bounds the engine's worker pool (verify.Options.Workers);
@@ -78,15 +70,12 @@ func (o Options) withDefaults() Options {
 		o.MaxExhaustive = 18
 	}
 	o.MaxExhaustive = min(o.MaxExhaustive, 20)
-	if o.Samples <= 0 {
-		o.Samples = 256
-	}
 	return o
 }
 
 // engine is the verify.Options the explorer runs with.
 func (o Options) engine() verify.Options {
-	return verify.Options{Budget: 1 << o.MaxExhaustive, Samples: o.Samples, Seed: o.Seed, Workers: o.Workers}
+	return verify.Options{Budget: 1 << o.MaxExhaustive, Workers: o.Workers}
 }
 
 // resolveProps resolves the checked property set: explicit props, then
@@ -135,7 +124,7 @@ func (t Trace) String() string {
 	return b.String()
 }
 
-// Violation is a found counterexample: a minimized delivery trace
+// Violation is a found counterexample: a minimal delivery trace
 // whose replay (on top of the completed earlier stages) produces a
 // rule state violating Violated.
 type Violation struct {
@@ -144,10 +133,9 @@ type Violation struct {
 	// necessarily 0 for a sparse plan. Event.Round, in Trace, is the
 	// node's layer instead.
 	Round int
-	// Violated is the property set broken by the minimized trace's
-	// final state.
+	// Violated is the property set broken by the trace's final state.
 	Violated core.Property
-	// Trace is the minimized delivery sequence, an order ideal of the
+	// Trace is the minimal delivery sequence, an order ideal of the
 	// stage: replaying exactly these events after stages < Round still
 	// violates, and dropping any single event that no other depends on
 	// does not (1-minimality over reachable states).
@@ -168,17 +156,14 @@ func (v *Violation) String() string {
 type RoundReport struct {
 	Round int // the stage's index in Plan.Stages
 	Size  int // nodes in the stage
-	// Exhaustive: every reachable intra-stage state was checked (the
-	// verdict is a proof); otherwise Orders sampled orders were
-	// replayed event by event.
+	// Exhaustive: the search decided every reachable intra-stage
+	// state (the verdict is a proof); otherwise it ran out of its
+	// 1<<MaxExhaustive branch points.
 	Exhaustive bool
-	// States counts distinct rule states checked (exhaustive mode).
-	States int
-	// Orders counts delivery orders replayed (sampled mode).
-	Orders int
-	// Events counts per-event property checks performed in this stage.
-	Events int
-	// Violation is the minimized counterexample, nil when none found.
+	// BranchPoints counts the in-flight switches the search branched
+	// on in this stage.
+	BranchPoints int
+	// Violation is the minimal counterexample, nil when none found.
 	Violation *Violation
 }
 
@@ -209,11 +194,11 @@ func (r *Report) Exhaustive() bool {
 	return true
 }
 
-// Events returns the total number of per-event property checks.
-func (r *Report) Events() int {
+// BranchPoints returns the branch points spent over every stage.
+func (r *Report) BranchPoints() int {
 	n := 0
 	for _, rr := range r.Rounds {
-		n += rr.Events
+		n += rr.BranchPoints
 	}
 	return n
 }
@@ -229,15 +214,15 @@ func (r *Report) FirstViolation() *Violation {
 }
 
 // Fingerprint renders the full verdict — per-stage mode, coverage
-// counters and minimized traces — as one canonical string. Two
+// counter and minimal traces — as one canonical string. Two
 // explorations with equal fingerprints made identical decisions; the
 // determinism tests compare these across runs.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s props=%s\n", r.Algorithm, r.Properties)
 	for _, rr := range r.Rounds {
-		fmt.Fprintf(&b, "round=%d size=%d exhaustive=%t states=%d orders=%d events=%d",
-			rr.Round, rr.Size, rr.Exhaustive, rr.States, rr.Orders, rr.Events)
+		fmt.Fprintf(&b, "round=%d size=%d exhaustive=%t branch_points=%d",
+			rr.Round, rr.Size, rr.Exhaustive, rr.BranchPoints)
 		if v := rr.Violation; v != nil {
 			fmt.Fprintf(&b, " violation=%s trace=%s walk=%v", v.Violated, v.Trace, v.Walk)
 		}
@@ -248,12 +233,12 @@ func (r *Report) Fingerprint() string {
 
 func (r *Report) String() string {
 	if r.OK() {
-		mode := "sampled"
+		mode := "inexact"
 		if r.Exhaustive() {
 			mode = "exhaustive"
 		}
-		return fmt.Sprintf("explore %s %s: ok (%s, %d rounds, %d events)",
-			r.Algorithm, r.Properties, mode, len(r.Rounds), r.Events())
+		return fmt.Sprintf("explore %s %s: ok (%s, %d rounds, %d branch points)",
+			r.Algorithm, r.Properties, mode, len(r.Rounds), r.BranchPoints())
 	}
 	return fmt.Sprintf("explore %s %s: FAIL (%v)", r.Algorithm, r.Properties, r.FirstViolation())
 }
@@ -280,18 +265,16 @@ func Plan(in *core.Instance, p *core.Plan, opts Options) (*Report, error) {
 // roundReport renders the engine's verdict on one stage of p.
 func roundReport(in *core.Instance, p *core.Plan, layers []int, rr verify.RoundResult) RoundReport {
 	return RoundReport{
-		Round:      rr.Round,
-		Size:       rr.Size,
-		Exhaustive: rr.Exact,
-		States:     rr.States,
-		Orders:     rr.Orders,
-		Events:     rr.Events,
-		Violation:  violation(in, p, layers, rr.Round, rr.First, rr.Trace, rr.Violation),
+		Round:        rr.Round,
+		Size:         rr.Size,
+		Exhaustive:   rr.Exact,
+		BranchPoints: rr.BranchPoints,
+		Violation:    violation(in, p, layers, rr.Round, rr.First, rr.Trace, rr.Violation),
 	}
 }
 
 // violation renders a counterexample of the stage that starts at node
-// first of p — trace lists stage node indices in delivery order — with
+// first of p — trace lists stage node indices in node order — with
 // each event tagged with its node's layer; nil when cex is.
 func violation(in *core.Instance, p *core.Plan, layers []int, round, first int, trace []int, cex *core.CounterExample) *Violation {
 	if cex == nil {

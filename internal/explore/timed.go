@@ -100,7 +100,7 @@ func Timed(in *core.Instance, p *core.Plan, opts TimedOptions) (*TimedReport, er
 					if rep.First == nil {
 						// The in-flight set at this instant is the
 						// violating delivery order; minimize it for the
-						// report, as a sampled order of stage r is.
+						// report, as Plan does with the search's witness.
 						var order []int
 						for k, nd := range stg.Plan.Nodes {
 							if in.Updated(st, nd.Switch) != in.Updated(stg.Pre, nd.Switch) {

@@ -4,24 +4,24 @@
 // The loop proposes the least-constrained candidate first — the
 // empty-edge plan, installing every pending switch concurrently — and
 // asks the adversary for a reason it is wrong: verify.PlanCounterexample
-// returns a violating order ideal (a reachable transient state of the
-// candidate DAG), exhaustively for small ideal spaces and via sampled,
-// minimized linear extensions past the budget. The violating ideal S
+// runs the exact search that decides /v1/verify over the candidate DAG
+// and returns its witness as a minimal violating order ideal (a
+// reachable transient state). The violating ideal S
 // maps back to a small candidate set of blocking happens-before edges
 // u→v with v ∈ S, u ∉ S (core.PlanDraft.BlockingEdges): adding one
 // makes every ideal containing the violation unreachable, permanently.
 // Candidates are scored by whether u's install repairs the violating
 // state and by the depth the draft would grow to; the best edge is
-// added and the loop repeats. The oracle escalates: a candidate that
-// survives a quick sampled pass faces a full one, then a larger
-// exhaustive budget under another seed, before it is accepted.
+// added and the loop repeats. A candidate the search finds clean is
+// accepted; one it cannot decide within core.DefaultCheckBudget branch
+// points is accepted inexact (Transcript.Exact false).
 //
 // Progress is monotone — each accepted counterexample adds a new edge
 // and shrinks the reachable ideal space — so synthesis terminates
 // within k·(k-1)/2 refinements for k pending switches; Options.Budget
 // cuts it off earlier, returning *BudgetError with the best plan so
 // far. Every refinement is recorded in a Transcript whose Fingerprint
-// is deterministic in (instance, properties, Options.Seed).
+// is deterministic in (instance, properties, Options.Budget).
 //
 // Plan is the portfolio entry point: it runs Synthesize and also every
 // registered heuristic whose guarantees cover the requested
@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"strings"
 	"time"
 
@@ -61,8 +60,9 @@ type Options struct {
 	// the best plan so far. Zero selects DefaultBudget.
 	Budget int
 
-	// Seed derives every oracle seed. Synthesis is deterministic in
-	// (instance, props, Options with the same Seed).
+	// Seed has no effect: synthesis draws no random numbers. It stays
+	// while bench/ sets it (ROADMAP item 1 drops that use, item 12
+	// deletes the field).
 	Seed int64
 }
 
@@ -102,10 +102,9 @@ type Step struct {
 	CexSize     int           // violating ideal size
 	CexSwitches []topo.NodeID // violating ideal, ascending switch IDs
 	Violated    core.Property
-	OracleLevel string // "explore-quick", "explore-full" or "verify"
-	OracleExact bool   // counterexample came from exhaustive enumeration
-	Checked     int    // oracle state checks spent this iteration
-	Candidates  int    // blocking edges considered
+	OracleExact bool // the oracle's search finished within its budget
+	Checked     int  // branch points the oracle's search spent this iteration
+	Candidates  int  // blocking edges considered
 	EdgeFrom    topo.NodeID
 	EdgeTo      topo.NodeID // chosen edge: EdgeFrom's barrier before EdgeTo's FlowMod
 	Repaired    bool        // adding EdgeFrom to the ideal repairs its state
@@ -116,10 +115,9 @@ type Step struct {
 type Transcript struct {
 	Algorithm string
 	Props     core.Property
-	Seed      int64
 	Steps     []Step
 	Iters     int // == len(Steps): accepted counterexamples
-	Checked   int // total oracle state checks, all iterations
+	Checked   int // total branch points of the oracle, all iterations
 	Exact     bool
 	// Source names where the returned plan came from: "cegis",
 	// "portfolio:<name>" (a heuristic beat the synthesized plan) or
@@ -135,10 +133,10 @@ type Transcript struct {
 // same (instance, props, Options).
 func (t *Transcript) Fingerprint() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s|%s|%d|%d|%t", t.Props, t.Seed, t.Source, t.Final, t.Iters, t.Checked, t.Exact)
+	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%t", t.Props, t.Source, t.Final, t.Iters, t.Checked, t.Exact)
 	for _, s := range t.Steps {
-		fmt.Fprintf(h, "|%d:%d:%v:%s:%s:%t:%d:%d:%d->%d:%t:%d",
-			s.Iter, s.CexSize, s.CexSwitches, s.Violated, s.OracleLevel, s.OracleExact,
+		fmt.Fprintf(h, "|%d:%d:%v:%s:%t:%d:%d:%d->%d:%t:%d",
+			s.Iter, s.CexSize, s.CexSwitches, s.Violated, s.OracleExact,
 			s.Checked, s.Candidates, s.EdgeFrom, s.EdgeTo, s.Repaired, s.DepthAfter)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -147,7 +145,7 @@ func (t *Transcript) Fingerprint() string {
 // String renders a one-line summary.
 func (t *Transcript) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "synth %s: %d refinements, %d checks, %s", t.Props, t.Iters, t.Checked, t.Source)
+	fmt.Fprintf(&b, "synth %s: %d refinements, %d branch points, %s", t.Props, t.Iters, t.Checked, t.Source)
 	if t.Exact {
 		b.WriteString(", exact")
 	}
@@ -174,7 +172,7 @@ func DefaultProps(in *core.Instance, props core.Property) core.Property {
 func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Plan, *Transcript, error) {
 	opts = opts.withDefaults()
 	props = DefaultProps(in, props)
-	tr := &Transcript{Algorithm: core.AlgoSynth, Props: props, Seed: opts.Seed, Source: "cegis"}
+	tr := &Transcript{Algorithm: core.AlgoSynth, Props: props, Source: "cegis"}
 	start := time.Now()
 	defer func() { tr.Elapsed = time.Since(start) }()
 
@@ -191,19 +189,21 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 	st := in.NewState() // scratch for repair scoring
 	for iter := 0; ; iter++ {
 		plan := draft.Plan(core.AlgoSynth, props)
-		o := oracle(in, plan, props, opts, iter)
-		tr.Checked += o.checked
-		if o.ideal == nil {
-			tr.Exact = o.exact
+		// The oracle: one search at the default budget,
+		// core.DefaultCheckBudget branch points.
+		o := verify.PlanCounterexample(in, plan, props, verify.Options{})
+		tr.Checked += o.BranchPoints
+		if o.Violation == nil {
+			tr.Exact = o.Exact
 			tr.Iters = len(tr.Steps)
 			tr.Final = plan.String()
 			return plan, tr, nil
 		}
-		if len(o.ideal) == 0 || len(o.ideal) == plan.NumNodes() {
+		if len(o.Trace) == 0 || len(o.Trace) == plan.NumNodes() {
 			// Oracle re-derived an endpoint violation (possible only if
-			// the pre-flight and the walker disagree — a bug trap).
+			// the pre-flight and the search disagree — a bug trap).
 			tr.Final = plan.String()
-			return nil, tr, fmt.Errorf("endpoint state violates %s: %w", o.violated, ErrInfeasible)
+			return nil, tr, fmt.Errorf("endpoint state violates %s: %w", o.Violation.Violated, ErrInfeasible)
 		}
 		if len(tr.Steps) >= opts.Budget {
 			tr.Iters = len(tr.Steps)
@@ -212,8 +212,8 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 		}
 
 		// Map the ideal from plan-node indices to draft indices.
-		ideal := make([]int, len(o.ideal))
-		for i, pn := range o.ideal {
+		ideal := make([]int, len(o.Trace))
+		for i, pn := range o.Trace {
 			ideal[i] = draft.IndexOf(plan.Nodes[pn].Switch)
 		}
 		cands := draft.BlockingEdges(ideal, maxCandidates)
@@ -232,10 +232,9 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 			Iter:        iter,
 			CexSize:     len(ideal),
 			CexSwitches: switchesOf(draft, ideal),
-			Violated:    o.violated,
-			OracleLevel: o.level,
-			OracleExact: o.exact,
-			Checked:     o.checked,
+			Violated:    o.Violation.Violated,
+			OracleExact: o.Exact,
+			Checked:     o.BranchPoints,
 			Candidates:  len(cands),
 			EdgeFrom:    draft.Switch(u),
 			EdgeTo:      draft.Switch(v),
@@ -243,58 +242,6 @@ func Synthesize(in *core.Instance, props core.Property, opts Options) (*core.Pla
 			DepthAfter:  draft.Depth(),
 		})
 	}
-}
-
-// oracleResult is one escalating counterexample search over a
-// candidate plan. ideal == nil means clean; exact then marks a proof
-// (exhaustive enumeration at some level). With a counterexample, exact
-// marks a minimum violating ideal.
-type oracleResult struct {
-	ideal    []int // plan-node indices, ascending
-	violated core.Property
-	level    string
-	exact    bool
-	checked  int
-}
-
-// oracleLevels are the oracle's escalating efforts: a quick sampled
-// pass, then the full one, then a larger exhaustive budget under
-// another seed. Their names are part of every transcript's
-// Fingerprint (Step.OracleLevel).
-var oracleLevels = [...]struct {
-	name            string
-	budget, samples int
-}{
-	{"explore-quick", 1 << 18, 32},
-	{"explore-full", 1 << 18, 256},
-	{"verify", core.DefaultCheckBudget, 256},
-}
-
-// oracle asks verify.PlanCounterexample for a counterexample at each
-// of oracleLevels in turn. A counterexample, or an exhaustive clean
-// verdict, at any level short-circuits.
-func oracle(in *core.Instance, p *core.Plan, props core.Property, opts Options, iter int) oracleResult {
-	var r oracleResult
-	base := opts.Seed ^ (int64(iter+1) * 0x5E3779B97F4A7C15)
-	for k, l := range oracleLevels {
-		rr := verify.PlanCounterexample(in, p, props, verify.Options{
-			Budget:  l.budget,
-			Samples: l.samples,
-			Seed:    base + int64(k+1),
-			Workers: 1,
-		})
-		r.level, r.exact = l.name, rr.Exact
-		if rr.Violation != nil {
-			r.ideal = append([]int{}, rr.Trace...)
-			slices.Sort(r.ideal)
-			r.violated, r.checked = rr.Violation.Violated, rr.Events
-			return r
-		}
-		if rr.Exact {
-			return r
-		}
-	}
-	return r
 }
 
 // chooseEdge scores the blocking-edge candidates and returns the

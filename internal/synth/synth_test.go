@@ -36,8 +36,7 @@ func fatTreeInstance(t testing.TB, k int, seed int64) *core.Instance {
 
 // TestSynthesizedPlansVerifyClean is the property test of the CEGIS
 // loop: every synthesized plan's full ideal space must verify clean
-// for its guarantees — exhaustively (via the Walker's single-flip DFS)
-// whenever the ideal space fits the verifier's budget, sampled above.
+// for its guarantees, decided by the verifier's exact search.
 func TestSynthesizedPlansVerifyClean(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,7 +62,7 @@ func TestSynthesizedPlansVerifyClean(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, tr, err := Plan(tc.in, 0, Options{Seed: 1})
+			plan, tr, err := Plan(tc.in, 0, Options{})
 			if err != nil {
 				t.Fatalf("Plan: %v", err)
 			}
@@ -73,12 +72,12 @@ func TestSynthesizedPlansVerifyClean(t *testing.T) {
 			if plan.Algorithm != core.AlgoSynth {
 				t.Fatalf("plan algorithm = %q, want %q", plan.Algorithm, core.AlgoSynth)
 			}
-			rep := verify.Plan(tc.in, plan, plan.Guarantees, verify.Options{Seed: 99})
+			rep := verify.Plan(tc.in, plan, plan.Guarantees, verify.Options{})
 			if !rep.OK() {
 				t.Fatalf("synthesized plan unsafe (%s): %v", tr, rep.FirstViolation())
 			}
 			// Ideal spaces that fit the exhaustive budget must be
-			// proven, not sampled.
+			// decided.
 			if plan.NumNodes() <= 18 && !rep.Exact() {
 				t.Fatalf("plan with %d nodes verified inexactly", plan.NumNodes())
 			}
@@ -101,7 +100,7 @@ func TestSynthDepthDominatesHeuristics(t *testing.T) {
 	}
 	strictly := false
 	for _, tc := range instances {
-		rep, err := Compare(tc.in, Options{Seed: 1})
+		rep, err := Compare(tc.in, Options{})
 		if err != nil {
 			t.Fatalf("%s: Compare: %v", tc.name, err)
 		}
@@ -126,11 +125,12 @@ func TestSynthDepthDominatesHeuristics(t *testing.T) {
 
 // TestSynthDeterministic pins the transcript fingerprint per seed and
 // checks that a second run reproduces it: synthesis is a function of
-// (instance, props, seed) alone.
+// (instance, props) alone, and Options.Seed has no effect — both seeds
+// pin the same hash.
 func TestSynthDeterministic(t *testing.T) {
 	pinned := map[string]map[int64]string{
-		"fig1":    {1: "793cf3adbc2973b6", 7: "df0f51d2eeb6e984"},
-		"comb4x3": {1: "98d73aa230e74315", 7: "5103ade48f23741f"},
+		"fig1":    {1: "521824190fbdb170", 7: "521824190fbdb170"},
+		"comb4x3": {1: "045b5c7f972de7d4", 7: "045b5c7f972de7d4"},
 	}
 	instances := map[string]*core.Instance{
 		"fig1":    fig1(t),
@@ -162,7 +162,7 @@ func TestSynthDeterministic(t *testing.T) {
 // the transcript must record exactly Budget refinements.
 func TestSynthBudgetError(t *testing.T) {
 	in := fig1(t)
-	_, _, err := Synthesize(in, 0, Options{Budget: 1, Seed: 1})
+	_, _, err := Synthesize(in, 0, Options{Budget: 1})
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("Synthesize with budget 1: got %v, want *BudgetError", err)
@@ -213,7 +213,7 @@ func TestSynthRegistered(t *testing.T) {
 
 // TestCompareReport sanity-checks the gap table on Fig.1.
 func TestCompareReport(t *testing.T) {
-	rep, err := Compare(fig1(t), Options{Seed: 1})
+	rep, err := Compare(fig1(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,12 @@ import (
 // small random instance (at most 10 pending switches), a random DAG
 // over its pending switches and a random property set, forward or as
 // the reverse of a random installed ideal, Plan must be exact and find
-// a violation exactly when exhaustive enumeration of the plan's ideals
-// (PlanCounterexample, budget above their count) does. A violation Plan
-// reports must hold in its state, and that state must be reachable: the
-// nodes it has delivered form an order ideal.
+// a violation exactly when some ideal the reference enumeration
+// (core.Plan.IdealStates, each checked by CheckState) lists violates.
+// A violation Plan reports must hold in its state, and that state must
+// be reachable: the nodes it has delivered form an order ideal.
+// PlanCounterexample's trace of the same plan must be a minimal
+// violating ideal.
 func FuzzVerifyDAGStage(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(seed), uint8(40*seed), uint8(seed), seed%3 == 0)
@@ -36,6 +38,7 @@ func FuzzVerifyDAGStage(f *testing.F) {
 			}
 			p.Nodes = append(p.Nodes, core.PlanNode{Switch: v, Deps: deps})
 		}
+		var pre core.State
 		if reverse {
 			installed := make([]bool, len(p.Nodes))
 			for i, nd := range p.Nodes {
@@ -48,22 +51,22 @@ func FuzzVerifyDAGStage(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p = rev
+			p, pre = rev, rev.BaseState(in)
 		}
 		want := core.Property(props) & (core.NoBlackhole | core.WaypointEnforcement | core.RelaxedLoopFreedom | core.StrongLoopFreedom)
 
 		rep := Plan(in, p, want, Options{})
-		ref := PlanCounterexample(in, p, want, Options{Budget: 1 << 12})
-		if rep.StructureErr != nil || !rep.Exact() || !ref.Exact {
-			t.Fatalf("%v on %v: %v, reference exact %t", p, in, rep, ref.Exact)
+		if rep.StructureErr != nil || !rep.Exact() {
+			t.Fatalf("%v on %v: %v", p, in, rep)
 		}
 		cex := rep.FirstViolation()
-		if (cex != nil) != (ref.Violation != nil) {
-			t.Fatalf("%v on %v, props %v: verify %v, enumeration %v", p, in, want, cex, ref.Violation)
+		if ref := idealViolates(in, pre, p, want); (cex != nil) != ref {
+			t.Fatalf("%v on %v, props %v: verify %v, an ideal violates: %t", p, in, want, cex, ref)
 		}
 		if cex == nil {
 			return
 		}
+		assertMinimalTrace(t, in, pre, p, PlanCounterexample(in, p, want, Options{}).Trace, want)
 		if in.CheckState(cex.Updated, want)&cex.Violated == 0 {
 			t.Fatalf("%v on %v: state of %v violates none of %v", p, in, cex, cex.Violated)
 		}

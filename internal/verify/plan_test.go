@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"tsu/internal/core"
@@ -28,10 +29,10 @@ func TestVerifyPlanSparse(t *testing.T) {
 	}
 }
 
-// TestVerifyPlanSampledFallback forces the exhaustive budget to one
-// state so Traces takes the sampled linear-extension path, and pins
-// that sampling is deterministic in the seed and still catches a
-// broken plan.
+// TestVerifyPlanSampledFallback pins Traces on a broken plan: the
+// search catches it with a minimal trace, deterministically, and under
+// a budget of one branch point the stage is inexact and clean — a
+// search that cannot finish reports nothing it did not find.
 func TestVerifyPlanSampledFallback(t *testing.T) {
 	in := core.MustInstance(topo.Fig1OldPath, topo.Fig1NewPath, 0)
 	s, err := core.Peacock(in)
@@ -47,17 +48,18 @@ func TestVerifyPlanSampledFallback(t *testing.T) {
 		}
 	}
 	broken.Nodes[len(broken.Nodes)-1].Deps = []int{0}
-	opts := Options{Budget: 1, Samples: 64, Seed: 42}
-	rep := Traces(in, broken, s.Guarantees, opts)
-	if rep.OK() {
-		t.Fatalf("sampled fallback missed the violation: %s", rep)
+	rep := Traces(in, broken, s.Guarantees, Options{})
+	rr := rep.Rounds[0]
+	if rep.OK() || !rr.Exact || len(rr.Trace) == 0 {
+		t.Fatalf("traces missed the violation: %s", rep)
 	}
-	if rep.Rounds[0].Exact {
-		t.Fatal("budget 1 must not report an exact verdict without a violation... unless found early")
+	assertMinimalTrace(t, in, nil, broken, rr.Trace, s.Guarantees)
+	if again := Traces(in, broken, s.Guarantees, Options{}); rep.String() != again.String() ||
+		!slices.Equal(again.Rounds[0].Trace, rr.Trace) {
+		t.Fatalf("traces not deterministic:\n %s %v\n %s %v", rep, rr.Trace, again, again.Rounds[0].Trace)
 	}
-	again := Traces(in, broken, s.Guarantees, opts)
-	if rep.String() != again.String() {
-		t.Fatalf("sampled verification not deterministic:\n %s\n %s", rep, again)
+	if rep := Traces(in, broken, s.Guarantees, Options{Budget: 1}); !rep.OK() || rep.Exact() {
+		t.Fatalf("traces at budget 1 = %s, want inexact and clean", rep)
 	}
 }
 

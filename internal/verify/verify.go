@@ -14,14 +14,12 @@
 // freedom. A stage the search cannot exhaust within Options.Budget
 // branch points is reported inexact, never sampled.
 //
-// Callers that want coverage rather than a verdict take
-// core.Walker.CheckStage instead — exhaustive enumeration within
-// Options.Budget ideals, reporting the minimum violating ideal, and
-// sampled linear extensions past it: Traces, the explorer's view, and
+// Callers that want a trace rather than a verdict read the same
+// search's witness, shrunk to a minimal violating order ideal
+// (core.Instance.Minimize): Traces, the explorer's view, and
 // PlanCounterexample, the synthesizer's oracle. Stages are independent
-// work items (a stage's pre-state is determined by the plan alone, and
-// its sampler's seed by Options.Seed and the stage's index), so they
-// fan out over one worker pool sized by Options.Workers and merge
+// work items (a stage's pre-state is determined by the plan alone), so
+// they fan out over one worker pool sized by Options.Workers and merge
 // deterministically: the report is identical for every worker count.
 // Batch verifies many (instance, plan) pairs in one pool.
 package verify
@@ -38,18 +36,13 @@ import (
 
 // Options configures verification.
 type Options struct {
-	// Budget bounds the exact search of one stage: branch points of the
-	// walk search for a verdict, order ideals enumerated for Traces and
-	// PlanCounterexample. Zero selects core.DefaultCheckBudget.
+	// Budget bounds the branch points the search spends on one stage.
+	// Zero selects core.DefaultCheckBudget.
 	Budget int
 
-	// Samples is the number of linear extensions (every prefix checked)
-	// Traces and PlanCounterexample replay for a stage with more than
-	// Budget ideals. Zero selects 1024.
-	Samples int
-
-	// Seed seeds the extension sampler. Verification is deterministic in
-	// (Seed, Budget, Samples) and independent of Workers.
+	// Seed has no effect: verification draws no random numbers. It
+	// stays while bench/ sets it (ROADMAP item 1 drops that use, item
+	// 12 deletes the field).
 	Seed int64
 
 	// Workers bounds the verification worker pool. Zero selects
@@ -61,9 +54,6 @@ func (o Options) withDefaults() Options {
 	if o.Budget <= 0 {
 		o.Budget = core.DefaultCheckBudget
 	}
-	if o.Samples <= 0 {
-		o.Samples = 1024
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -71,14 +61,24 @@ func (o Options) withDefaults() Options {
 }
 
 // RoundResult records the verdict for one stage — one round of a
-// layered plan. Plan and Batch set Exact and Violation only; Traces and
-// PlanCounterexample also the coverage counters and the violating
-// state's Trace.
+// layered plan.
 type RoundResult struct {
 	Round int // the stage's index in Plan.Stages
 	Size  int // nodes in the stage
 	First int // index, in the whole plan, of the stage's first node
-	core.StageVerdict
+	// Exact reports that the search decided every order ideal of the
+	// stage: a clean verdict is a proof.
+	Exact bool
+	// BranchPoints counts the in-flight switches the search branched
+	// on (core.RoundChecker.BranchPoints), at most Options.Budget.
+	BranchPoints int
+	// Trace lists the violating ideal's nodes (stage node indices) in
+	// node order, shrunk until dropping any maximal one makes the state
+	// pass; Traces and PlanCounterexample only.
+	Trace []int
+	// Violation is the counterexample at the stage's pre-state plus
+	// Trace (Plan and Batch: the search's own witness), nil when none.
+	Violation *core.CounterExample
 }
 
 // Report is the outcome of verifying a plan.
@@ -171,12 +171,11 @@ func Plan(in *core.Instance, p *core.Plan, props core.Property, opts Options) *R
 	return Batch([]Task{{Instance: in, Plan: p, Props: props}}, opts)[0]
 }
 
-// Traces is Plan for a caller that wants every stage's minimum
-// violating delivery trace and coverage counters rather than the
-// verdict: every stage is enumerated within Options.Budget ideals and
-// sampled past it.
+// Traces is Plan for a caller that wants a delivery trace rather than
+// the bare verdict: each violating stage's witness is shrunk to a
+// minimal violating order ideal, its Trace.
 func Traces(in *core.Instance, p *core.Plan, props core.Property, opts Options) *Report {
-	return run([]Task{{Instance: in, Plan: p, Props: props}}, opts, traceStage)[0]
+	return run([]Task{{Instance: in, Plan: p, Props: props}}, opts, true)[0]
 }
 
 // Batch verifies many plans in one worker pool. Per-stage work items
@@ -184,26 +183,16 @@ func Traces(in *core.Instance, p *core.Plan, props core.Property, opts Options) 
 // back per task, so reports[i] corresponds to tasks[i] and is
 // bit-identical to a serial run.
 func Batch(tasks []Task, opts Options) []*Report {
-	return run(tasks, opts, func(ws *worker, t Task, st Stage, _ int, opts Options) (v core.StageVerdict) {
-		v.Violation, v.Exact = ws.rc.Decide(t.Instance, st.Pre, st.Plan, t.Props, opts.Budget)
-		return v
-	})
-}
-
-// traceStage is Traces' work on stage k of t.
-func traceStage(ws *worker, t Task, st Stage, k int, opts Options) core.StageVerdict {
-	return ws.walker.Bind(t.Instance).CheckStage(st.Pre, st.Plan, t.Props, opts.Budget, opts.Samples, stageSeed(opts.Seed, k))
+	return run(tasks, opts, false)
 }
 
 // PlanCounterexample is the synthesizer's certificate oracle: it
 // decides the plan's ideal space as one stage — never splitting it at
 // its series cuts, so a violating state always comes back as an order
-// ideal over plan-node indices — by exhaustive enumeration within
-// Options.Budget ideals and by sampled linear extensions past it
-// (core.Walker.CheckStage). The result's Trace is the violating ideal,
-// Violation nil when none was found; a structurally invalid plan
-// reports neither and is inexact (callers build plans via PlanDraft,
-// which cannot emit one).
+// ideal over plan-node indices — and shrinks the witness as Traces
+// does. The result's Trace is the violating ideal, Violation nil when
+// none was found; a structurally invalid plan reports neither and is
+// inexact (callers build plans via PlanDraft, which cannot emit one).
 func PlanCounterexample(in *core.Instance, p *core.Plan, props core.Property, opts Options) RoundResult {
 	opts = opts.withDefaults()
 	rr := RoundResult{Size: len(p.Nodes)}
@@ -214,8 +203,27 @@ func PlanCounterexample(in *core.Instance, p *core.Plan, props core.Property, op
 	if p.Rollback {
 		pre = p.BaseState(in)
 	}
-	rr.StageVerdict = in.NewWalker().CheckStage(pre, p, props, opts.Budget, opts.Samples, stageSeed(opts.Seed, 0))
+	decide(core.NewRoundChecker(), in, pre, p, props, opts.Budget, true, &rr)
 	return rr
+}
+
+// decide runs the search on the stage st from pre into rr. With shrink,
+// a violation becomes a trace: the stage nodes the witness delivered —
+// those whose switch's bit differs from pre, which also covers a
+// rollback stage — in node order, shrunk by core.Instance.Minimize.
+func decide(rc *core.RoundChecker, in *core.Instance, pre core.State, st *core.Plan, props core.Property, budget int, shrink bool, rr *RoundResult) {
+	rr.Violation, rr.Exact = rc.Decide(in, pre, st, props, budget)
+	rr.BranchPoints = rc.BranchPoints()
+	if !shrink || rr.Violation == nil {
+		return
+	}
+	var nodes []int
+	for i, nd := range st.Nodes {
+		if j := in.NodeIndex(nd.Switch); rr.Violation.Updated.Has(j) != pre.Has(j) {
+			nodes = append(nodes, i)
+		}
+	}
+	rr.Trace, rr.Violation = in.Minimize(pre, st, nodes, props)
 }
 
 // Stage is the engine's work item: one block of a plan between two
@@ -252,15 +260,9 @@ func Stages(in *core.Instance, p *core.Plan) ([]Stage, core.State) {
 	return stages, state
 }
 
-// stageSeed derives the extension sampler's seed of stage k from
-// Options.Seed — never from the task or the worker it landed on.
-func stageSeed(seed int64, k int) int64 {
-	return seed ^ 0x5E3779B97F4A7C15 ^ int64(k)*0x5851F42D4C957F2D
-}
-
-// run is the engine behind Batch and Traces: decide is its work on
-// one stage.
-func run(tasks []Task, opts Options, decide func(ws *worker, t Task, st Stage, k int, opts Options) core.StageVerdict) []*Report {
+// run is the engine behind Batch and Traces; shrink selects Traces'
+// work on a stage (see decide).
+func run(tasks []Task, opts Options, shrink bool) []*Report {
 	opts = opts.withDefaults()
 	reports := make([]*Report, len(tasks))
 
@@ -292,25 +294,18 @@ func run(tasks []Task, opts Options, decide func(ws *worker, t Task, st Stage, k
 		r.FinalStateOK = outcome == core.Reached && walk.Equal(want)
 	}
 
-	// Per-worker scratch, rebound per work item.
-	workers := make([]worker, opts.Workers)
-	for w := range workers {
-		workers[w] = worker{rc: core.NewRoundChecker(), walker: core.NewWalker()}
+	// Per-worker scratch, reused across work items.
+	checkers := make([]*core.RoundChecker, opts.Workers)
+	for w := range checkers {
+		checkers[w] = core.NewRoundChecker()
 	}
 	parallelFor(opts.Workers, len(items), func(w, k int) {
-		it := items[k]
+		it, t := items[k], tasks[items[k].task]
 		rr := &reports[it.task].Rounds[it.stage]
 		rr.Round, rr.Size, rr.First = it.stage, len(it.Plan.Nodes), it.First
-		rr.StageVerdict = decide(&workers[w], tasks[it.task], it.Stage, it.stage, opts)
+		decide(checkers[w], t.Instance, it.Pre, it.Plan, t.Props, opts.Budget, shrink, rr)
 	})
 	return reports
-}
-
-// worker is one worker's reusable scratch: the branching search and
-// the incremental walker.
-type worker struct {
-	rc     *core.RoundChecker
-	walker *core.Walker
 }
 
 // parallelFor runs f(worker, 0..n-1) over at most workers goroutines.

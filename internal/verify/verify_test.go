@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tsu/internal/core"
@@ -86,25 +87,24 @@ func TestScheduleFinalState(t *testing.T) {
 	}
 }
 
+// TestSampledFallbackOnSafeHugeRound pins Traces on Peacock's bulk
+// round of the 40-switch reversal — safe, 36 switches, 2^36 ideals: the
+// walk reaches no bulk switch while it is in flight, so the search
+// decides the round clean without a branch point, under the default
+// budget and under a budget of 2 alike.
 func TestSampledFallbackOnSafeHugeRound(t *testing.T) {
-	// Peacock's bulk round on a large reversal instance is safe but far
-	// too large for an exact search under a tiny budget — 36 switches,
-	// 2^36 ideals: Traces must fall back to sampling and still pass.
 	in, p := reversal40Peacock(t)
-	r := Traces(in, p, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 2, Samples: 200, Seed: 1})
-	if r.Exact() {
-		t.Fatal("expected sampled verification with budget 2")
-	}
-	if !r.OK() {
-		t.Fatalf("sampling rejected a correct schedule: %v", r)
-	}
-	if bulk := r.Rounds[1]; bulk.Size != 36 || bulk.Exact || bulk.Orders != 200 {
-		t.Fatalf("bulk round = %+v, want 36 switches sampled over 200 orders", bulk)
+	props := core.RelaxedLoopFreedom | core.NoBlackhole
+	for _, budget := range []int{0, 2} {
+		r := Traces(in, p, props, Options{Budget: budget})
+		if bulk := r.Rounds[1]; !r.OK() || !r.Exact() || bulk.Size != 36 || bulk.BranchPoints != 0 || len(bulk.Trace) != 0 {
+			t.Fatalf("budget %d: traces = %v, bulk round %+v: want 36 switches decided clean", budget, r, bulk)
+		}
 	}
 }
 
-// TestExhaustedRoundWithinBudgetIsExact pins Traces' enumeration of a
-// stage with at most Budget ideals: they are enumerated, and its
+// TestExhaustedRoundWithinBudgetIsExact pins Traces on a stage with
+// at most Budget ideals: branch points never outnumber them, so its
 // verdict is exact.
 func TestExhaustedRoundWithinBudgetIsExact(t *testing.T) {
 	in, p := reversal40Peacock(t)
@@ -112,29 +112,29 @@ func TestExhaustedRoundWithinBudgetIsExact(t *testing.T) {
 	if first := p.Layers()[0]; len(first) != 2 {
 		t.Fatalf("first round %v: want two switches", first)
 	}
-	r := Traces(in, p, props, Options{Budget: 8, Seed: 1})
+	r := Traces(in, p, props, Options{Budget: 8})
 	if !r.OK() {
 		t.Fatalf("verify = %v, want ok", r)
 	}
-	if rr := r.Rounds[0]; !rr.Exact || rr.States != 4 || rr.Orders != 0 {
-		t.Fatalf("round 0 = %+v, want its 4 ideals enumerated", rr)
+	if rr := r.Rounds[0]; !rr.Exact || rr.BranchPoints < 1 || rr.BranchPoints > 4 {
+		t.Fatalf("round 0 = %+v, want it decided in at most its 4 ideals' branch points", rr)
 	}
 }
 
 // TestPlanPastBudgetIsInexact pins the verdict past the budget: the
 // branching search gives up on a stage it cannot exhaust in Budget
 // branch points, and Plan reports that stage inexact, with no violation
-// and nothing enumerated or sampled in its place. One branch point more
-// decides the same stage.
+// and the whole budget spent. One branch point more decides the same
+// stage.
 func TestPlanPastBudgetIsInexact(t *testing.T) {
 	in, p := combPeacock(t)
 	props := core.RelaxedLoopFreedom | core.NoBlackhole
-	r := Plan(in, p, props, Options{Budget: 254, Samples: 200, Seed: 1})
+	r := Plan(in, p, props, Options{Budget: 254})
 	if r.Exact() || !r.OK() {
 		t.Fatalf("verify = %v, want inexact and ok", r)
 	}
-	if rr := r.Rounds[1]; rr.Exact || rr.Violation != nil || rr.States != 0 || rr.Orders != 0 || rr.Events != 0 {
-		t.Fatalf("teeth round %+v, want inexact, clean and neither enumerated nor sampled", rr)
+	if rr := r.Rounds[1]; rr.Exact || rr.Violation != nil || rr.BranchPoints != 254 {
+		t.Fatalf("teeth round %+v, want inexact and clean after all 254 branch points", rr)
 	}
 	if got := r.String(); got != "verify peacock NoBlackhole|RelaxedLoopFreedom: ok (inexact, 2 rounds)" {
 		t.Fatalf("report = %q", got)
@@ -178,7 +178,7 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 	ti := topo.Reversal(40)
 	in := core.MustInstance(ti.Old, ti.New, 0)
 	s := core.OneShot(in)
-	r := Plan(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64, Samples: 500, Seed: 1})
+	r := Plan(in, s, core.RelaxedLoopFreedom|core.NoBlackhole, Options{Budget: 64})
 	if r.OK() {
 		t.Fatal("one-shot violation missed on reversal(40)")
 	}
@@ -186,15 +186,15 @@ func TestInexactButViolatingRoundStillFails(t *testing.T) {
 
 func TestSampleRoundFindsFullSubsetViolation(t *testing.T) {
 	// Violation only in the full subset: old 1→2→3, new 1→4→3 with
-	// round {1} on done {}: subset {1} drops at 4. A budget of one ideal
-	// leaves the round to CheckStage's sampler, whose every extension
-	// ends in the full stage.
+	// round {1} on done {}: subset {1} drops at 4. A budget of one
+	// branch point decides the round: the walk branches at 1 and drops
+	// at 4 on its first branch.
 	in := core.MustInstance(topo.Path{1, 2, 3}, topo.Path{1, 4, 3}, 0)
 	p := core.Layered("full", 0, [][]topo.NodeID{{1}, {4}})
-	r := Traces(in, p, core.NoBlackhole, Options{Budget: 1, Samples: 1, Seed: 2})
+	r := Traces(in, p, core.NoBlackhole, Options{Budget: 1})
 	rr := r.Rounds[0]
-	if rr.Exact || rr.Orders != 1 {
-		t.Fatalf("round 0 = %+v, want one sampled extension", rr)
+	if !rr.Exact || rr.BranchPoints != 1 || len(rr.Trace) != 1 || rr.Trace[0] != 0 {
+		t.Fatalf("round 0 = %+v, want the full stage decided in one branch point", rr)
 	}
 	if cex := rr.Violation; cex == nil || !cex.Violated.Has(core.NoBlackhole) || !in.Updated(cex.Updated, 1) {
 		t.Fatalf("cex = %v, want the blackhole of {1}", rr.Violation)
@@ -223,14 +223,14 @@ func TestReportExactAndOK(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Budget != core.DefaultCheckBudget || o.Samples != 1024 {
+	if o.Budget != core.DefaultCheckBudget {
 		t.Fatalf("defaults = %+v", o)
 	}
 	if o.Workers < 1 {
 		t.Fatalf("Workers default = %d", o.Workers)
 	}
-	o = Options{Budget: 5, Samples: 7, Workers: 3}.withDefaults()
-	if o.Budget != 5 || o.Samples != 7 || o.Workers != 3 {
+	o = Options{Budget: 5, Workers: 3}.withDefaults()
+	if o.Budget != 5 || o.Workers != 3 {
 		t.Fatalf("overrides lost: %+v", o)
 	}
 }
@@ -245,7 +245,8 @@ func reportsEqual(t *testing.T, a, b *Report) {
 	}
 	for i := range a.Rounds {
 		ra, rb := a.Rounds[i], b.Rounds[i]
-		if ra.Exact != rb.Exact || ra.Size != rb.Size || (ra.Violation == nil) != (rb.Violation == nil) {
+		if ra.Exact != rb.Exact || ra.Size != rb.Size || ra.BranchPoints != rb.BranchPoints ||
+			!slices.Equal(ra.Trace, rb.Trace) || (ra.Violation == nil) != (rb.Violation == nil) {
 			t.Fatalf("round %d differs: %+v vs %+v", i, ra, rb)
 		}
 		if ra.Violation != nil {
@@ -258,7 +259,7 @@ func reportsEqual(t *testing.T, a, b *Report) {
 
 // TestParallelMatchesSerial pins the engine's determinism contract: the
 // report is identical for every worker count, on safe and unsafe
-// schedules, exact, inexact and sampled.
+// schedules, exact and inexact.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -268,29 +269,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 		for _, s := range []*core.Plan{core.OneShot(in), mustWayUp(t, in)} {
 			// A small budget may leave the larger draws' stages
 			// inexact; the fixed case below always does.
-			opts := Options{Budget: 1 << 10, Samples: 300, Seed: int64(trial)}
-			serial := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: 1})
+			opts := Options{Budget: 1 << 10}
+			serial := Plan(in, s, props, Options{Budget: opts.Budget, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
-				par := Plan(in, s, props, Options{Budget: opts.Budget, Samples: opts.Samples, Seed: opts.Seed, Workers: workers})
+				par := Plan(in, s, props, Options{Budget: opts.Budget, Workers: workers})
 				reportsEqual(t, serial, par)
 			}
 		}
 	}
-	// Past a tiny budget, Plan leaves a stage inexact and Traces
-	// samples it, seeded by its index alone.
+	// Past a tiny budget, Plan and Traces leave a stage inexact.
 	in, p := combPeacock(t)
 	props := core.NoBlackhole | core.RelaxedLoopFreedom
 	for _, check := range []func(*core.Instance, *core.Plan, core.Property, Options) *Report{Plan, Traces} {
-		serial := check(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: 1})
+		serial := check(in, p, props, Options{Budget: 2, Workers: 1})
 		if serial.Rounds[1].Exact {
 			t.Fatalf("teeth round %+v decided within a budget of 2", serial.Rounds[1])
 		}
 		for _, workers := range []int{2, 4, 8} {
-			reportsEqual(t, serial, check(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5, Workers: workers}))
+			reportsEqual(t, serial, check(in, p, props, Options{Budget: 2, Workers: workers}))
 		}
-	}
-	if r := Traces(in, p, props, Options{Budget: 2, Samples: 100, Seed: 5}); r.Rounds[1].Orders == 0 {
-		t.Fatalf("teeth round %+v took no sampler fallback", r.Rounds[1])
 	}
 }
 
@@ -320,7 +317,7 @@ func TestBatchMatchesIndividualSchedules(t *testing.T) {
 			Task{Instance: in, Plan: core.OneShot(in), Props: core.NoBlackhole | core.RelaxedLoopFreedom},
 			Task{Instance: in, Plan: p, Props: core.NoBlackhole | core.RelaxedLoopFreedom})
 	}
-	opts := Options{Seed: 3}
+	opts := Options{}
 	batched := Batch(tasks, opts)
 	if len(batched) != len(tasks) {
 		t.Fatalf("Batch returned %d reports for %d tasks", len(batched), len(tasks))
