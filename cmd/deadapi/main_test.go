@@ -12,7 +12,8 @@ import (
 // that matches only an interface nothing uses (io.Closer), allowlisted,
 // and a stale allowlist entry. Its other packages stand in for the
 // tree's, each breaking the rules that guard it — among them a second
-// install writer in another file of the controller and a NodeID-keyed
+// install writer in another file of the controller, a FlowMod stored
+// per plan node beside the wire edge's one, and a NodeID-keyed
 // map through an alias, and a third admission beside the two — beside
 // what the rules allow: bench/ (and the Options.Seed fields only it
 // sets), tests outside retired names, internal/core/multipolicy.go,
@@ -40,7 +41,8 @@ func TestFixtureReport(t *testing.T) {
 		"internal/controller/controller.go:18: one-barrier-site: uses internal/openflow.BarrierRequest outside internal/controller/dispatch.go",
 		"internal/controller/controller.go:11: one-install-writer: uses internal/ofconn.Conn.WriteBatch outside internal/controller/dispatch.go",
 		"internal/controller/controller.go:15: one-install-writer: uses internal/ofconn.Conn.WriteBatch outside internal/controller/dispatch.go",
-		"internal/controller/dispatch.go:23: no-writer-goroutine: go statement",
+		"internal/controller/dispatch.go:27: no-writer-goroutine: go statement",
+		"internal/controller/admit.go:7: flowmod-at-wire: uses internal/openflow.FlowMod outside internal/controller.wireMod, internal/controller.wireMod.build, internal/controller.Controller.PathFlowMod",
 		"internal/core/plan.go:39: no-round-schedule: uses internal/core.Schedule",
 		"internal/controller/dispatch_test.go:11: retired-plan-names: names Schedule",
 		"internal/controller/dispatch_test.go:12: retired-plan-names: names ScheduleByName",

@@ -46,6 +46,12 @@ var rules = []rule{
 		reason: "one writer per walk: a go statement in dispatch.go is a writer goroutine coming back",
 	},
 	{
+		name:   "flowmod-at-wire",
+		scope:  []string{"internal/controller/"},
+		pred:   uses{objs: []string{"internal/openflow.FlowMod"}, at: []string{"internal/controller.wireMod", "internal/controller.wireMod.build", "internal/controller.Controller.PathFlowMod"}},
+		reason: "a plan node is its rule: an execution DAG holds the flow's match once and a 4-byte rule per node, and a FlowMod exists only at the wire edge — wireMod, which the walk's write and the decentralized push encode from, and PathFlowMod, which callers outside the engine build one with; an openflow.FlowMod anywhere else in the controller is a FlowMod stored per node coming back",
+	},
+	{
 		name:   "no-round-schedule",
 		scope:  []string{"!bench/"},
 		pred:   uses{objs: []string{"internal/core.Schedule", "internal/core.ScheduleByName", "internal/core.PlanFromSchedule"}},
@@ -132,7 +138,7 @@ var rules = []rule{
 		name:   "no-port-inference",
 		scope:  []string{"internal/planwire/", "internal/controller/"},
 		pred:   retired{names: []string{"RulePresent", "shows()"}},
-		reason: "one fault model: reconcile checks each plan node's own FlowMod, and its undo, against the rules the node's switch reports for the flow (holds); a presence bit in the state report, or a shows that infers a node's effect from the flow's out port and the path successors, is a second model of what a node does coming back, blind to a two-phase job's tagged rules",
+		reason: "one fault model: reconcile checks each plan node's own rule, and its undo's, against the rules the node's switch reports for the flow (holds compares planwire.Rule with planwire.Rule); a presence bit in the state report, or a shows that infers a node's effect from the flow's out port and the path successors, is a second model of what a node does coming back, blind to a two-phase job's tagged rules",
 	},
 	{
 		name:   "no-push-wait",

@@ -9,8 +9,12 @@ type datapath struct{ conn *ofconn.Conn }
 
 type jobDispatch struct {
 	batch   ofconn.Batch
+	mod     wireMod
 	barrier openflow.BarrierRequest
 }
+
+// wireMod is where a rule becomes a FlowMod.
+type wireMod struct{ fm openflow.FlowMod }
 
 // write is the walk's one install write.
 func (st *jobDispatch) write(dp *datapath) error {

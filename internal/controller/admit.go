@@ -18,16 +18,21 @@ var ErrQueueFull = errors.New("controller: update queue full")
 
 // execPlan is a job's execution DAG: a core.Plan — the switches, the
 // happens-before edges and, through core.Plan's own layering, the shape
-// — plus the FlowMods each node sends. dag is the single copy of the
-// structure: the dispatcher's release bookkeeping (core.PlanRun), the
-// journal's admit record, the decentralized pushes and the abort
-// path's reverse plan are all taken from it, so the plan that was
-// verified, the plan that is journaled and the plan that runs are one
-// value. An execPlan is immutable once built: walks hold it by pointer,
-// and a job lets go of it — never empties it — when it finishes.
+// — plus the flow's match, once, and each node's rule change. dag is
+// the single copy of the structure: the dispatcher's release
+// bookkeeping (core.PlanRun), the journal's admit record, the
+// decentralized pushes and the abort path's reverse plan are all taken
+// from it, so the plan that was verified, the plan that is journaled and
+// the plan that runs are one value. A node's rule is what its switch
+// will report once the change took effect (nodeRule.reported), so
+// reconcile compares like with like; its FlowMod exists only while it
+// is encoded at the wire edge (wireMod). An execPlan is immutable once
+// built: walks hold it by pointer, and a job lets go of it — never
+// empties it — when it finishes.
 type execPlan struct {
-	dag  *core.Plan          // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
-	mods []*openflow.FlowMod // per node: what it sends before its barrier (nil: a bare barrier)
+	dag   *core.Plan     // Algorithm, Sparse, Nodes (update nodes, then cleanup nodes)
+	match openflow.Match // the flow every node's rule is for
+	rules []nodeRule     // per node: what it changes before its barrier
 
 	// cleanupFrom is the index of the first stale-rule deletion node
 	// (len(dag.Nodes) when the job has none); cleanup nodes are always
@@ -57,7 +62,7 @@ func (p *execPlan) isCleanup(i int) bool { return i >= p.cleanupFrom }
 // flowMods counts the FlowMods node i sends: one, or none for a bare
 // barrier.
 func (p *execPlan) flowMods(i int) int {
-	if p.mods[i] == nil {
+	if p.rules[i].kind == ruleBarrier {
 		return 0
 	}
 	return 1
@@ -65,15 +70,15 @@ func (p *execPlan) flowMods(i int) int {
 
 // newExecPlan is the engine's only materializer: every job — submitted
 // plan, schedule, two-phase, or rebuilt from the journal — becomes
-// executable here. p is the update DAG and mods[i] the FlowMod of node
-// i. Nodes from cleanupFrom on delete stale rules: either they
-// are already part of p (a recovered job's journaled plan, replayed
-// with its recorded dependencies) or cleanupAt names their switches and
-// they are appended, each depending on every sink of p — strictly
-// after the whole update, which for a layered plan is exactly one more
-// round. p's nodes are shared, not copied; plans are immutable once
-// built.
-func newExecPlan(p *core.Plan, mods []*openflow.FlowMod, cleanupFrom int, cleanupAt []topo.NodeID) execPlan {
+// executable here. p is the update DAG, match the flow and rules[i] the
+// rule change of node i. Nodes from cleanupFrom on delete stale rules:
+// either they are already part of p (a recovered job's journaled plan,
+// replayed with its recorded dependencies) or cleanupAt names their
+// switches and they are appended, each depending on every sink of p —
+// strictly after the whole update, which for a layered plan is exactly
+// one more round. p's nodes are shared, not copied; plans are immutable
+// once built.
+func newExecPlan(p *core.Plan, match openflow.Match, rules []nodeRule, cleanupFrom int, cleanupAt []topo.NodeID) execPlan {
 	nodes := p.Nodes
 	if len(cleanupAt) > 0 {
 		sinks := planSinks(p.Nodes)
@@ -85,7 +90,8 @@ func newExecPlan(p *core.Plan, mods []*openflow.FlowMod, cleanupFrom int, cleanu
 	}
 	ep := execPlan{
 		dag:         &core.Plan{Algorithm: p.Algorithm, Sparse: p.Sparse, Nodes: nodes},
-		mods:        mods,
+		match:       match,
+		rules:       rules,
 		cleanupFrom: cleanupFrom,
 	}
 	ep.layers = ep.dag.NodeLayers()
@@ -229,11 +235,16 @@ func (e *Engine) planJob(in *core.Instance, p *core.Plan, match openflow.Match, 
 	if err := p.Validate(in); err != nil {
 		return nil, fmt.Errorf("controller: plan does not fit instance: %w", err)
 	}
+	return e.flowJob(&rollbackSpec{in: in, match: match, props: p.Guarantees}, p, opts)
+}
+
+// flowJob builds the job that runs plan p of spec's flow, with the
+// cleanup suffix opts asks for.
+func (e *Engine) flowJob(spec *rollbackSpec, p *core.Plan, opts SubmitOptions) (*Job, error) {
 	var cleanupAt []topo.NodeID
 	if opts.Cleanup {
-		cleanupAt = staleSwitches(in)
+		cleanupAt = staleSwitches(spec.in)
 	}
-	spec := &rollbackSpec{in: in, match: match, props: p.Guarantees}
 	ep, err := e.flowExecPlan(spec, p, len(p.Nodes), cleanupAt)
 	if err != nil {
 		return nil, err
@@ -245,35 +256,33 @@ func (e *Engine) planJob(in *core.Instance, p *core.Plan, match openflow.Match, 
 // the flow at its switch's new-path successor — with the two-phase
 // commit's tagged rules when spec is per-packet — and every cleanup node
 // (see newExecPlan for cleanupFrom/cleanupAt) deletes the flow's rule.
+// Every port is resolved here, so a plan that admits can be sent.
 func (e *Engine) flowExecPlan(spec *rollbackSpec, p *core.Plan, cleanupFrom int, cleanupAt []topo.NodeID) (execPlan, error) {
-	fms := make([]*openflow.FlowMod, len(p.Nodes)+len(cleanupAt))
-	for i := range fms {
-		var err error
-		switch {
-		case i >= cleanupFrom:
-			fms[i] = deleteFlowMod(spec.match)
-		case spec.perPacket:
-			fms[i], err = e.twoPhaseFlowMod(spec.in, p.Nodes[i].Switch, spec.match)
-		default:
-			fms[i], err = e.updateFlowMod(spec.in, p.Nodes[i].Switch, spec.match)
+	rules := make([]nodeRule, len(p.Nodes)+len(cleanupAt))
+	for i := range rules {
+		if i >= cleanupFrom {
+			rules[i] = nodeRule{kind: ruleDelete}
+			continue
 		}
+		node := p.Nodes[i].Switch
+		succ, ok := spec.in.NewSucc(node)
+		if !ok {
+			return execPlan{}, fmt.Errorf("switch %d has no new-path successor", node)
+		}
+		port, err := e.c.port(node, succ)
 		if err != nil {
 			return execPlan{}, err
 		}
+		kind := ruleModify
+		if spec.perPacket {
+			kind = rulePrepare
+			if node == spec.in.Src() {
+				kind = ruleCommit
+			}
+		}
+		rules[i] = nodeRule{kind: kind, port: port}
 	}
-	return newExecPlan(p, fms, cleanupFrom, cleanupAt), nil
-}
-
-// updateFlowMod builds the update FlowMod for one switch of one flow:
-// point the flow at the switch's new-path successor. MODIFY is used
-// (the rule exists under the old policy); for new-path-only switches
-// the OF 1.0 MODIFY semantics insert the missing rule.
-func (e *Engine) updateFlowMod(in *core.Instance, node topo.NodeID, match openflow.Match) (*openflow.FlowMod, error) {
-	succ, ok := in.NewSucc(node)
-	if !ok {
-		return nil, fmt.Errorf("switch %d has no new-path successor", node)
-	}
-	return e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
+	return newExecPlan(p, spec.match, rules, cleanupFrom, cleanupAt), nil
 }
 
 // staleSwitches lists the garbage-collection targets of an update: the
@@ -286,16 +295,6 @@ func staleSwitches(in *core.Instance) []topo.NodeID {
 		}
 	}
 	return out
-}
-
-// deleteFlowMod builds the FlowMod that removes a flow's rule.
-func deleteFlowMod(match openflow.Match) *openflow.FlowMod {
-	return &openflow.FlowMod{
-		Match:    match,
-		Command:  openflow.FlowDelete,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-	}
 }
 
 // newJob wraps an execution DAG as a job that is built but not yet

@@ -17,8 +17,8 @@ import (
 )
 
 // dumpExecPlan renders an execution DAG one node per line, in node
-// order: index, switch, deps, layer, cleanup flag and every FlowMod's
-// command, match and actions.
+// order: index, switch, deps, layer, cleanup flag and the command, match
+// and actions of the FlowMod the node's rule puts on the wire.
 func dumpExecPlan(ep *execPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s depth=%d width=%d critical=%d sparse=%v\n", ep.dag.Algorithm, ep.depth, ep.width, ep.critical, ep.dag.Sparse)
@@ -27,7 +27,16 @@ func dumpExecPlan(ep *execPlan) string {
 		if ep.isCleanup(i) {
 			b.WriteString(" cleanup")
 		}
-		if fm := ep.mods[i]; fm != nil {
+		if r := ep.rules[i]; r.kind != ruleBarrier {
+			wire, err := openflow.Encode(new(wireMod).build(r, ep.match))
+			if err != nil {
+				panic(err)
+			}
+			m, err := openflow.Decode(wire)
+			if err != nil {
+				panic(err)
+			}
+			fm := m.(*openflow.FlowMod)
 			fmt.Fprintf(&b, " | %v %v", fm.Command, net.IP(fm.Match.NWDstIP()))
 			if fm.Match.Wildcards&openflow.WildcardDLVLAN == 0 {
 				fmt.Fprintf(&b, " vlan=%d", fm.Match.DLVLAN)
@@ -258,10 +267,11 @@ func TestAdmitAppendFailureFailsJob(t *testing.T) {
 }
 
 // TestConflictsWithMatchesMapReference: on random footprints — plans
-// over a few switches programming a few matches, most pairs disjoint,
-// many sharing exactly one switch or one match, repeats inside a job —
-// the merge-intersection of the sorted footprint slices agrees with the
-// set intersection of map-based footprints, in both directions.
+// over a few switches programming a flow's match and maybe its tagged
+// form, most pairs disjoint, many sharing exactly one switch or one
+// match, repeats inside a job — conflictsWith (a merge of the sorted
+// switches, a scan of the at most two matches) agrees with the set
+// intersection of map-based footprints, in both directions.
 func TestConflictsWithMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	matches := []openflow.Match{
@@ -269,19 +279,32 @@ func TestConflictsWithMatchesMapReference(t *testing.T) {
 		vlanMatch(net.ParseIP("10.0.0.1"), 7), vlanMatch(net.ParseIP("10.0.0.1"), 8),
 		{Wildcards: openflow.WildcardAll}, {InPort: 3}, {DLSrc: [6]byte{0, 0, 0, 0, 0, 1}}, {DLDst: [6]byte{1}}, {TPDst: 80}, {TPSrc: 80},
 	}
+	// A plan programs its one flow's match, and a node that prepares or
+	// deletes a tagged rule programs the flow's tagged form besides.
+	tagged := func(m openflow.Match) openflow.Match {
+		m.Wildcards &^= openflow.WildcardDLVLAN
+		m.DLVLAN = TwoPhaseTag
+		return m
+	}
+	kinds := []ruleKind{ruleModify, ruleModify, ruleDelete, ruleCommit, rulePrepare, ruleDeleteTagged}
 	randomJob := func() (*Job, map[topo.NodeID]bool, map[openflow.Match]bool) {
 		p := &core.Plan{Algorithm: "footprint"}
-		var mods []*openflow.FlowMod
+		var rules []nodeRule
 		nodes, ms := map[topo.NodeID]bool{}, map[openflow.Match]bool{}
+		m := matches[rng.Intn(len(matches))]
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 			sw := topo.NodeID(1 + rng.Intn(24))
 			p.Nodes = append(p.Nodes, core.PlanNode{Switch: sw})
 			nodes[sw] = true
-			m := matches[rng.Intn(len(matches))]
-			mods = append(mods, &openflow.FlowMod{Match: m})
-			ms[m] = true
+			k := kinds[rng.Intn(len(kinds))]
+			rules = append(rules, nodeRule{kind: k, port: 1})
+			if k == rulePrepare || k == ruleDeleteTagged {
+				ms[tagged(m)] = true
+			} else {
+				ms[m] = true
+			}
 		}
-		return newJob(newExecPlan(p, mods, len(p.Nodes), nil), SubmitOptions{}, nil), nodes, ms
+		return newJob(newExecPlan(p, m, rules, len(p.Nodes), nil), SubmitOptions{}, nil), nodes, ms
 	}
 	conflicts, total := 0, 2000
 	for trial := 0; trial < total; trial++ {

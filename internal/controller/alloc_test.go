@@ -55,9 +55,10 @@ func TestDispatchPathAllocs(t *testing.T) {
 	t.Logf("%d installs: %d mallocs (%.3f/install)", n, delta, float64(delta)/float64(n))
 
 	// Rollback arm: undoing all 2048 installs is one more walk on the
-	// same path. Building the reverse plan costs two mallocs per undo —
-	// its dependency list and its undo FlowMod — and walking it must add
-	// nothing per undo on top.
+	// same path. Building the reverse plan costs one malloc per undo —
+	// its dependency list; an undo is a rule in one slice, its FlowMod
+	// built only in the walk's pooled state as it is written — and
+	// walking it must add nothing per undo on top.
 	spec := &rollbackSpec{
 		in:    core.MustInstance(topo.Path{1, 2}, topo.Path{1, 9, 10, 2}, 0),
 		match: flowMatch("10.9.0.2"),
@@ -81,14 +82,56 @@ func TestDispatchPathAllocs(t *testing.T) {
 	undo()
 	runtime.ReadMemStats(&ms)
 	delta = ms.Mallocs - before
-	if delta >= 2*n+n/4 {
+	if delta >= n+n/4 {
 		t.Fatalf("rolling back %d installs cost %d mallocs (%.2f/undo), want < %d total",
-			n, delta, float64(delta)/float64(n), 2*n+n/4)
+			n, delta, float64(delta)/float64(n), n+n/4)
 	}
 	if after := runtime.NumGoroutine(); after > goroutines {
 		t.Fatalf("rolling back grew the goroutine count %d -> %d", goroutines, after)
 	}
 	t.Logf("%d undos: %d mallocs (%.3f/undo)", n, delta, float64(delta)/float64(n))
+}
+
+// TestAdmitAllocs pins what building a job for admission costs
+// (planJob: validate, materialize the execution DAG, the footprint) on
+// durable-bigplan's plans: a ladder reroute along one row of
+// topo.Grid(2, cols) to the detour through the next, peacock, sparse —
+// 33 nodes at 32 columns. Every node is a rule in one slice, so the cost
+// does not grow with the plan: the 33-node plan costs what a 5-node one
+// does. With a FlowMod built per node at admission it was 3 more
+// allocations per node.
+func TestAdmitAllocs(t *testing.T) {
+	admit := func(cols int) (nodes int, allocs float64) {
+		g := topo.Grid(2, cols)
+		c, err := New(Config{Topology: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, detour := topo.Path{}, topo.Path{1}
+		for col := 1; col <= cols; col++ {
+			old = append(old, topo.NodeID(col))
+			detour = append(detour, topo.NodeID(cols+col))
+		}
+		detour = append(detour, topo.NodeID(cols))
+		in := core.MustInstance(old, detour, 0)
+		p, err := core.PlanByName(in, core.AlgoPeacock, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		match := flowMatch("10.0.0.2")
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := c.engine.planJob(in, p, match, SubmitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return len(p.Nodes), allocs
+	}
+	smallN, small := admit(4)
+	bigN, big := admit(32)
+	t.Logf("planJob: %d nodes %.0f allocs, %d nodes %.0f allocs", smallN, small, bigN, big)
+	if big != small {
+		t.Fatalf("admitting a %d-node plan costs %.0f allocs and a %d-node one %.0f: admission allocates per node", bigN, big, smallN, small)
+	}
 }
 
 // TestPlanUpdateAllocs pins what planning one REST update entry costs

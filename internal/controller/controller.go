@@ -386,29 +386,24 @@ func (c *Controller) unregisterStateReports(job int) {
 	delete(c.stateReports, job)
 }
 
-// PathFlowMod builds the FlowMod that makes switch `node` forward the
-// flow toward `succ` (a neighboring switch on the path).
-func (c *Controller) PathFlowMod(node, succ topo.NodeID, match openflow.Match, cmd openflow.FlowModCommand) (*openflow.FlowMod, error) {
+// port is the port switch node forwards the flow to succ by, a
+// neighbor in the topology.
+func (c *Controller) port(node, succ topo.NodeID) (uint16, error) {
 	port := c.ports.Port(node, succ)
 	if port == 0 {
-		return nil, fmt.Errorf("controller: no port from %d to %d in topology", node, succ)
+		return 0, fmt.Errorf("controller: no port from %d to %d in topology", node, succ)
 	}
-	return &openflow.FlowMod{
-		Match:    match,
-		Command:  cmd,
-		Priority: flowPriority,
-		BufferID: openflow.NoBuffer,
-		OutPort:  openflow.PortNone,
-		Actions:  []openflow.Action{openflow.ActionOutput{Port: port}},
-	}, nil
+	return port, nil
 }
 
-// HostFlowMod builds the FlowMod that makes the destination switch
-// deliver the flow to its attached host.
-func (c *Controller) HostFlowMod(node topo.NodeID, host string, match openflow.Match, cmd openflow.FlowModCommand) (*openflow.FlowMod, error) {
-	port, ok := c.ports.HostPort(node, host)
-	if !ok {
-		return nil, fmt.Errorf("controller: host %q not attached to switch %d", host, node)
+// PathFlowMod builds the FlowMod that makes switch `node` forward the
+// flow toward `succ` (a neighboring switch on the path). The engine
+// sends none: its plans hold rules, built into FlowMods only at the wire
+// (wireMod), with the same bytes for a MODIFY or an ADD.
+func (c *Controller) PathFlowMod(node, succ topo.NodeID, match openflow.Match, cmd openflow.FlowModCommand) (*openflow.FlowMod, error) {
+	port, err := c.port(node, succ)
+	if err != nil {
+		return nil, err
 	}
 	return &openflow.FlowMod{
 		Match:    match,
@@ -429,24 +424,34 @@ func (c *Controller) InstallPath(ctx context.Context, path topo.Path, match open
 	if err := path.Validate(); err != nil {
 		return err
 	}
-	mods := make([]*openflow.FlowMod, len(path))
-	for i := range path {
-		var fm *openflow.FlowMod
-		var err error
-		switch {
-		case i+1 < len(path):
-			fm, err = c.PathFlowMod(path[i], path[i+1], match, openflow.FlowAdd)
-		case host != "":
-			fm, err = c.HostFlowMod(path[i], host, match, openflow.FlowAdd)
-		default:
-			continue // the destination only barriers
-		}
-		if err != nil {
-			return err
-		}
-		mods[i] = fm
+	rules, err := c.pathRules(path, host)
+	if err != nil {
+		return err
 	}
-	return c.engine.walkFlat(ctx, path, mods)
+	return c.engine.walkFlat(ctx, path, match, rules)
+}
+
+// pathRules is a policy install's rules along path: an ADD toward each
+// switch's successor, and at the destination one delivering to host (a
+// bare barrier when host is empty).
+func (c *Controller) pathRules(path topo.Path, host string) ([]nodeRule, error) {
+	rules := make([]nodeRule, len(path))
+	for i := range path[:len(path)-1] {
+		port, err := c.port(path[i], path[i+1])
+		if err != nil {
+			return nil, err
+		}
+		rules[i] = nodeRule{kind: ruleAdd, port: port}
+	}
+	if host != "" {
+		dst := path.Dst()
+		port, ok := c.ports.HostPort(dst, host)
+		if !ok {
+			return nil, fmt.Errorf("controller: host %q not attached to switch %d", host, dst)
+		}
+		rules[len(path)-1] = nodeRule{kind: ruleAdd, port: port}
+	}
+	return rules, nil
 }
 
 // Engine returns the update engine (job queue).

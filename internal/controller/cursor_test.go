@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tsu/internal/core"
-	"tsu/internal/openflow"
 	"tsu/internal/planwire"
 	"tsu/internal/topo"
 )
@@ -125,11 +124,11 @@ func randomExecPlan(rng *rand.Rand, ip string) execPlan {
 			cleanupAt = append(cleanupAt, topo.NodeID(sw[i]+1))
 		}
 	}
-	mods := make([]*openflow.FlowMod, n+len(cleanupAt))
-	for i := range mods {
-		mods[i] = &openflow.FlowMod{Match: flowMatch(ip), Command: openflow.FlowModify, BufferID: openflow.NoBuffer, OutPort: openflow.PortNone}
+	rules := make([]nodeRule, n+len(cleanupAt))
+	for i := range rules {
+		rules[i] = nodeRule{kind: ruleModify, port: 1}
 	}
-	return newExecPlan(p, mods, n, cleanupAt)
+	return newExecPlan(p, flowMatch(ip), rules, n, cleanupAt)
 }
 
 // TestDerivedRoundsEqualReference: the rounds a job derives from its

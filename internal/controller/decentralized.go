@@ -115,14 +115,16 @@ func (e *Engine) executeDecentralized(ctx context.Context, job *Job) (*FailureRe
 	defer e.c.unregisterPlanReports(job.ID)
 
 	// Every push is encoded before anything is journaled or sent, so an
-	// encoding error leaves nothing on the wire.
+	// encoding error leaves nothing on the wire. The nodes' FlowMods are
+	// built from their rules here, only to be encoded into the pushes.
 	oldest := e.oldestLive()
 	pushes := make([][]byte, len(job.nodes))
+	wire := make([]wireMod, n)
 	for k, sw := range job.nodes { // the DAG's switches, ascending
 		push := &planwire.Push{Job: job.ID, Oldest: oldest, Interval: job.Interval, Switch: sw}
 		for i := range n {
 			if plan.sw(i) == sw {
-				push.Mods = append(push.Mods, plan.mods[i])
+				push.Mods = append(push.Mods, wire[i].build(plan.rules[i], plan.match))
 			}
 		}
 		var err error

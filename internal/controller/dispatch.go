@@ -20,9 +20,10 @@ import (
 // removes all three:
 //
 //   - The walk writes its own installs (Engine.send): a released
-//     node's FlowMod and one re-stamped barrier are encoded into the
-//     walk's pooled batch and go out as ONE buffered write on the
-//     switch's connection, which ofconn locks per connection.
+//     node's FlowMod, built from its rule in the walk's pooled wireMod,
+//     and one re-stamped barrier are encoded into the walk's pooled
+//     batch and go out as ONE buffered write on the switch's
+//     connection, which ofconn locks per connection.
 //   - Barrier replies are routed by the connection's read loop
 //     straight into the owning walk's ack channel as plain values
 //     (datapath.sinks) — no goroutine ever waits per barrier.
@@ -147,6 +148,7 @@ type jobDispatch struct {
 	deads   ring[timed] // in-flight barrier deadlines, FIFO
 
 	batch   ofconn.Batch            // one install's wire bytes, reused
+	mod     wireMod                 // the install's FlowMod, built from its rule; encoded at Add time
 	barrier openflow.BarrierRequest // re-stamped per install; encoded at Add time
 
 	nDone   int   // nodes that reached nsDone
@@ -177,10 +179,11 @@ func (e *Engine) send(st *jobDispatch, i int) {
 	}
 }
 
-// write puts node i on the wire. sent reports, on error, whether any of
+// write puts node i on the wire: its rule's FlowMod, the only one the
+// walk builds, and its barrier. sent reports, on error, whether any of
 // it may have reached the switch: an encoding error leaves nothing; a
 // missing connection or a failed write may have — a write error does not
-// prove the switch never saw the bytes, and the undo FlowMods are
+// prove the switch never saw the bytes, and the undo rules are
 // idempotent, so the node stays dispatched and only its sink goes.
 func (e *Engine) write(st *jobDispatch, i int) (sent bool, err error) {
 	plan := st.plan
@@ -189,7 +192,8 @@ func (e *Engine) write(st *jobDispatch, i int) (sent bool, err error) {
 		return true, installErr(plan, i, "sending flowmod", err)
 	}
 	st.batch.Reset()
-	if fm := plan.mods[i]; fm != nil {
+	if r := plan.rules[i]; r.kind != ruleBarrier {
+		fm := st.mod.build(r, plan.match)
 		fm.SetXid(dp.conn.NextXid())
 		if err := st.batch.Add(fm); err != nil {
 			return false, installErr(plan, i, "sending flowmod", err)

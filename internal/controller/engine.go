@@ -757,11 +757,12 @@ func (e *Engine) dropSinks(st *jobDispatch) {
 	}
 }
 
-// walkFlat walks a plan without edges — one node per switch, mods[i]
-// sent to nodes[i] ahead of its barrier (nil: a bare barrier) — outside
-// any job: unjournaled, every switch written and barriered concurrently.
-// It ends with ctx or with the engine, whichever comes first.
-func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, mods []*openflow.FlowMod) error {
+// walkFlat walks a plan without edges for flow match — one node per
+// switch, rules[i] sent to nodes[i] ahead of its barrier (ruleBarrier: a
+// bare barrier) — outside any job: unjournaled, every switch written and
+// barriered concurrently. It ends with ctx or with the engine, whichever
+// comes first.
+func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, match openflow.Match, rules []nodeRule) error {
 	e.mu.Lock()
 	ectx := e.ctx
 	e.mu.Unlock()
@@ -775,7 +776,7 @@ func (e *Engine) walkFlat(ctx context.Context, nodes []topo.NodeID, mods []*open
 	for i, n := range nodes {
 		p.Nodes[i].Switch = n
 	}
-	plan := newExecPlan(p, mods, len(nodes), nil)
+	plan := newExecPlan(p, match, rules, len(nodes), nil)
 	_, _, err := e.walk(ctx, walkSpec{plan: &plan})
 	return err
 }

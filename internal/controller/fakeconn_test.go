@@ -10,7 +10,6 @@ import (
 
 	"tsu/internal/core"
 	"tsu/internal/ofconn"
-	"tsu/internal/openflow"
 	"tsu/internal/simclock"
 	"tsu/internal/topo"
 )
@@ -172,24 +171,16 @@ func (h *allocHarness) held(t *testing.T, n int) {
 func fakePlan(ip string, first topo.NodeID, width, layers int) execPlan {
 	n := width * layers
 	p := &core.Plan{Algorithm: "alloc-pin", Nodes: make([]core.PlanNode, 0, n)}
-	mods := make([]*openflow.FlowMod, 0, n)
+	rules := make([]nodeRule, 0, n)
 	for i := 0; i < n; i++ {
-		fm := &openflow.FlowMod{
-			Match:    flowMatch(ip),
-			Command:  openflow.FlowModify,
-			Priority: 100,
-			BufferID: openflow.NoBuffer,
-			OutPort:  openflow.PortNone,
-			Actions:  []openflow.Action{openflow.ActionOutput{Port: 1}},
-		}
 		var deps []int
 		if i >= width {
 			deps = []int{i - width}
 		}
 		p.Nodes = append(p.Nodes, core.PlanNode{Switch: first + topo.NodeID(i%width), Deps: deps})
-		mods = append(mods, fm)
+		rules = append(rules, nodeRule{kind: ruleModify, port: 1})
 	}
-	return newExecPlan(p, mods, n, nil)
+	return newExecPlan(p, flowMatch(ip), rules, n, nil)
 }
 
 // runJob executes one full job on the dispatch path and waits for it.

@@ -25,7 +25,7 @@ func sendFlowMod(c *Controller, dpid uint64, fm *openflow.FlowMod) error {
 // barrier walks the one switch without a FlowMod: it returns once the
 // switch answered a barrier request, or ctx or RoundTimeout ran out.
 func barrier(ctx context.Context, c *Controller, dpid uint64) error {
-	return c.engine.walkFlat(ctx, []topo.NodeID{topo.NodeID(dpid)}, []*openflow.FlowMod{nil})
+	return c.engine.walkFlat(ctx, []topo.NodeID{topo.NodeID(dpid)}, openflow.Match{}, []nodeRule{{kind: ruleBarrier}})
 }
 
 // submitTwoPhase builds and admits a two-phase job as POST /v1/updates

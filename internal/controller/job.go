@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
@@ -129,7 +128,7 @@ type Job struct {
 	// dispatch from the frontier they release.
 	plan         *execPlan
 	nodes        []topo.NodeID    // ascending, distinct
-	matches      []openflow.Match // ascending by compareMatch, distinct
+	matches      []openflow.Match // distinct: the flow, and its tagged form for a two-phase job
 	rollback     *rollbackSpec
 	preConfirmed []bool
 
@@ -283,6 +282,7 @@ type Cursor struct {
 	job    *Job
 	off    int         // trace bytes read
 	left   []int       // per layer: installs not yet delivered
+	first  []int       // per layer: offset of its first install read; shares left's array
 	round  int         // rounds delivered
 	ended  bool        // terminal event delivered
 	rec    record      // the record last read
@@ -291,7 +291,10 @@ type Cursor struct {
 
 // Subscribe returns a cursor at the start of the job's progress stream.
 func (j *Job) Subscribe() *Cursor {
-	return &Cursor{job: j, left: slices.Clone(j.shape.perLayer)}
+	d := len(j.shape.perLayer)
+	scratch := make([]int, 2*d)
+	copy(scratch, j.shape.perLayer)
+	return &Cursor{job: j, left: scratch[:d], first: scratch[d:]}
 }
 
 // poll returns the stream's next event if the log already holds it;
@@ -316,13 +319,20 @@ func (c *Cursor) nextLocked() (JobEvent, bool) {
 		return JobEvent{}, false
 	}
 	if c.round < len(c.left) && c.left[c.round] == 0 {
-		c.timing.aggregate(j.trace[:c.off], c.round, j.shape.perLayer[c.round])
+		// The round's installs lie between its first and the cursor, so
+		// every round reads its own stretch of the trace once.
+		c.timing.aggregate(j.trace[c.first[c.round]:c.off], c.round, j.shape.perLayer[c.round])
 		c.round++
 		return JobEvent{Round: &c.timing, State: JobRunning}, true
 	}
 	for c.off < len(j.trace) {
+		at := c.off
 		if c.off = c.rec.read(j.trace, c.off); c.rec.install {
-			c.left[c.rec.Layer]--
+			l := c.rec.Layer
+			if c.left[l] == j.shape.perLayer[l] {
+				c.first[l] = at
+			}
+			c.left[l]--
 			return JobEvent{Install: &c.rec.InstallTiming, State: JobRunning}, true
 		}
 	}
@@ -334,7 +344,8 @@ func (c *Cursor) nextLocked() (JobEvent, bool) {
 }
 
 // aggregate makes rt round r as its barrier reads: the size installs of
-// layer r, read forward from log's start, switches ascending, from the
+// layer r, read forward from log's start (a record boundary at or before
+// the layer's first install), switches ascending, from the
 // first start to the last finish, cleanup if all are. Switches' array is
 // reused. Offset 0 is a real start (the job's first instant), so the
 // first install found sets both ends.
@@ -443,48 +454,33 @@ func (j *Job) wakeLocked() {
 	}
 }
 
-// footprint fills the job's conflict sets from its execution DAG.
+// footprint fills the job's conflict sets from its execution DAG: its
+// switches, and the matches its rules program — the plan's flow, and
+// its tagged form where a node prepares a tagged rule, so at most two.
 func (j *Job) footprint() {
 	j.nodes = make([]topo.NodeID, 0, len(j.plan.dag.Nodes))
 	for i, nd := range j.plan.dag.Nodes {
 		j.nodes = append(j.nodes, nd.Switch)
-		// A flow's mods mostly carry its one match: skip the repeats here
-		// and leave few for the sort.
-		if m := j.plan.mods[i].Match; len(j.matches) == 0 || j.matches[len(j.matches)-1] != m {
+		if m := j.plan.rules[i].matchOf(j.plan.match); !slices.Contains(j.matches, m) {
 			j.matches = append(j.matches, m)
 		}
 	}
 	slices.Sort(j.nodes)
 	j.nodes = slices.Compact(j.nodes)
-	slices.SortFunc(j.matches, compareMatch)
-	j.matches = slices.Compact(j.matches)
-}
-
-// compareMatch is a total order on flow matches (any one, consistent
-// with ==): what keeps a footprint's matches sorted.
-func compareMatch(a, b openflow.Match) int {
-	return cmp.Or(
-		cmp.Compare(a.NWDst, b.NWDst),
-		cmp.Compare(a.NWSrc, b.NWSrc),
-		cmp.Compare(a.Wildcards, b.Wildcards),
-		cmp.Compare(a.DLVLAN, b.DLVLAN),
-		cmp.Compare(a.InPort, b.InPort),
-		bytes.Compare(a.DLSrc[:], b.DLSrc[:]),
-		bytes.Compare(a.DLDst[:], b.DLDst[:]),
-		cmp.Compare(a.DLVLANPCP, b.DLVLANPCP),
-		cmp.Compare(a.DLType, b.DLType),
-		cmp.Compare(a.NWTOS, b.NWTOS),
-		cmp.Compare(a.NWProto, b.NWProto),
-		cmp.Compare(a.TPSrc, b.TPSrc),
-		cmp.Compare(a.TPDst, b.TPDst),
-	)
 }
 
 // conflictsWith reports whether the two jobs may not execute
 // concurrently: they touch a common switch or program a common flow.
 func (j *Job) conflictsWith(other *Job) bool {
-	return intersects(j.nodes, other.nodes, cmp.Compare[topo.NodeID]) ||
-		intersects(j.matches, other.matches, compareMatch)
+	if intersects(j.nodes, other.nodes, cmp.Compare[topo.NodeID]) {
+		return true
+	}
+	for _, m := range j.matches {
+		if slices.Contains(other.matches, m) {
+			return true
+		}
+	}
+	return false
 }
 
 // intersects reports whether two slices sorted by compare share an

@@ -9,7 +9,7 @@ package controller
 // close that gap (the insight of the local-verification line of work):
 // each switch reports its rules for the flow's destination, tagged or
 // untagged, plus which plan nodes its plan agent completed, and checking
-// each node's own FlowMod and its undo against those local answers, the
+// each node's own rule and its undo against those local answers, the
 // engine reconstructs the job's order ideal.
 //
 // The recovery decision per mid-flight job:
@@ -21,7 +21,7 @@ package controller
 //     every applied node is covered by a journaled dispatch or a plan-
 //     agent completion (nothing took effect that nothing ordered).
 //     The job resumes ack-driven dispatch with the applied set
-//     pre-confirmed; re-sent FlowMods are idempotent.
+//     pre-confirmed; re-sent rules are idempotent.
 //
 //   - roll back, otherwise: switches unreachable, or the local
 //     evidence contradicts the journal. The job takes the abort path
@@ -210,7 +210,7 @@ func (e *Engine) addStubLocked(id int, a *journal.Admit, err error, report *Fail
 // instance, the flow match, the journaled execution DAG (update and
 // cleanup nodes alike, with their original dependencies), and the
 // rollback spec — per-packet for a job journaled as two-phase, whose
-// nodes get the two-phase mod builder's FlowMods.
+// update nodes get the two-phase rules.
 func (e *Engine) rebuildJob(id int, a *journal.Admit) (*Job, error) {
 	old := make(topo.Path, len(a.Old))
 	for i, v := range a.Old {
@@ -296,7 +296,7 @@ func (e *Engine) adoptOrRollback(ctx context.Context, job *Job, jdispatched, con
 }
 
 // reconciled is what one reconcile learned, per plan node: undo, the
-// set an abort reverses; applied, the node's FlowMod holds at its
+// set an abort reverses; applied, the node's rule holds at its
 // switch; agentDone, the switch's plan agent reported the node
 // completed. silent counts nodes whose switch did not answer.
 type reconciled struct {
@@ -308,15 +308,15 @@ type reconciled struct {
 // every abort and by Recover alike. It sends one StateQuery to every
 // switch of the job's plan — which halts the job's plan agent there and
 // is answered only after every earlier message on that connection took
-// effect — and checks each node's own FlowMod, and the FlowMod that
-// undoes it (undoFlowMod), against the rules its switch reports for the
-// flow, tagged or untagged (holds). A node is applied when its FlowMod
-// holds, and it took effect when its undo does not: "not old" rather
-// than "applied", because a switch that crashed and wiped its table
-// shows neither, and only the undo puts the old rule back. The undo set
-// is the down-closure of every node that took effect and every
-// dispatched node whose switch stayed silent; undos are idempotent, so
-// the closure over-covers safely.
+// effect — and checks each node's own rule, and the rule that undoes it
+// (undoRule), against the rules its switch reports for the flow, tagged
+// or untagged (holds): planwire.Rule against planwire.Rule. A node is
+// applied when its rule holds, and it took effect when its undo does
+// not: "not old" rather than "applied", because a switch that crashed
+// and wiped its table shows neither, and only the undo puts the old rule
+// back. The undo set is the down-closure of every node that took effect
+// and every dispatched node whose switch stayed silent; undos are
+// idempotent, so the closure over-covers safely.
 func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) reconciled {
 	dag := job.plan.dag
 	n := len(dag.Nodes)
@@ -337,26 +337,26 @@ func (e *Engine) reconcile(ctx context.Context, job *Job, dispatched []bool) rec
 			took[i] = dispatched[i]
 			continue
 		}
-		fwd := job.plan.mods[i]
-		undo, err := e.undoFlowMod(job.rollback, nd.Switch, fwd)
-		r.applied[i] = holds(rep.Rules, fwd)
-		took[i] = err != nil || !holds(rep.Rules, undo)
+		fwd := job.plan.rules[i]
+		undo, err := e.undoRule(job.rollback, nd.Switch, fwd)
+		r.applied[i] = holds(rep.Rules, job.plan.match, fwd)
+		took[i] = err != nil || !holds(rep.Rules, job.plan.match, undo)
 	}
 	r.undo = downClosure(dag, took)
 	return r
 }
 
-// holds reports whether a switch's rules show fm in effect: for a
-// delete, no rule has its match; otherwise the first rule with its
-// match, the one a packet meets, acts as fm does.
-func holds(rules []planwire.Rule, fm *openflow.FlowMod) bool {
-	del := fm.Command == openflow.FlowDelete || fm.Command == openflow.FlowDeleteStrict
-	for _, r := range rules {
-		if r.Match == fm.Match {
-			return !del && r == planwire.RuleOf(fm.Match, fm.Actions)
+// holds reports whether a switch's rules show rule r for flow in effect:
+// for a delete, no rule has its match; otherwise the first rule with its
+// match, the one a packet meets, is the rule r reports as.
+func holds(rules []planwire.Rule, flow openflow.Match, r nodeRule) bool {
+	want := r.reported(flow)
+	for _, have := range rules {
+		if have.Match == want.Match {
+			return !r.deletes() && have == want
 		}
 	}
-	return del
+	return r.deletes()
 }
 
 // querySwitchState sends one StateQuery to each switch of the job's

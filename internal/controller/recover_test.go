@@ -457,40 +457,36 @@ func reopen(t *testing.T, jl *journal.Journal) *journal.Journal {
 	return jl
 }
 
-// TestHolds pins the one predicate reconcile checks a node's FlowMod
-// and its undo with: a delete holds while no rule has its match; any
-// other FlowMod holds when the first rule with its match acts as it
-// does — its port and, for a two-phase commit, its tag, which the old
+// TestHolds pins the one predicate reconcile checks a node's rule and
+// its undo with: a delete holds while no rule has its match; any other
+// rule holds when the first rule with its match is the one it reports
+// as — its port and, for a two-phase commit, its tag, which the old
 // untagged rule out of the same port lacks.
 func TestHolds(t *testing.T) {
 	flow := flowMatch("10.0.0.2")
 	tagged := vlanMatch(net.ParseIP("10.0.0.2"), TwoPhaseTag)
-	mod := func(m openflow.Match, cmd openflow.FlowModCommand, actions ...openflow.Action) *openflow.FlowMod {
-		return &openflow.FlowMod{Match: m, Command: cmd, Actions: actions}
-	}
-	out := func(port uint16) openflow.Action { return openflow.ActionOutput{Port: port} }
-	commit := mod(flow, openflow.FlowModify, openflow.ActionSetVLAN{VLAN: TwoPhaseTag}, out(2))
+	commit := nodeRule{kind: ruleCommit, port: 2}
 	old := []planwire.Rule{{Match: flow, Port: 2, Tag: openflow.VLANNone}}
 	prepared := []planwire.Rule{{Match: tagged, Port: 5, Tag: openflow.VLANNone}, old[0]}
 	for _, tc := range []struct {
 		name  string
 		rules []planwire.Rule
-		fm    *openflow.FlowMod
+		r     nodeRule
 		want  bool
 	}{
-		{"modify to the rule's port", old, mod(flow, openflow.FlowModify, out(2)), true},
-		{"modify to another port", old, mod(flow, openflow.FlowModify, out(3)), false},
-		{"modify, no rule", nil, mod(flow, openflow.FlowModify, out(2)), false},
-		{"delete, no rule", nil, deleteFlowMod(flow), true},
-		{"delete, rule present", old, deleteFlowMod(flow), false},
-		{"tagged delete beside the untagged rule", old, deleteFlowMod(tagged), true},
-		{"tagged delete, tagged rule present", prepared, deleteFlowMod(tagged), false},
-		{"tagged add", prepared, mod(tagged, openflow.FlowAdd, out(5)), true},
-		{"tagged add, untagged rule only", old, mod(tagged, openflow.FlowAdd, out(2)), false},
+		{"modify to the rule's port", old, nodeRule{kind: ruleModify, port: 2}, true},
+		{"modify to another port", old, nodeRule{kind: ruleModify, port: 3}, false},
+		{"modify, no rule", nil, nodeRule{kind: ruleModify, port: 2}, false},
+		{"delete, no rule", nil, nodeRule{kind: ruleDelete}, true},
+		{"delete, rule present", old, nodeRule{kind: ruleDelete}, false},
+		{"tagged delete beside the untagged rule", old, nodeRule{kind: ruleDeleteTagged}, true},
+		{"tagged delete, tagged rule present", prepared, nodeRule{kind: ruleDeleteTagged}, false},
+		{"tagged add", prepared, nodeRule{kind: rulePrepare, port: 5}, true},
+		{"tagged add, untagged rule only", old, nodeRule{kind: rulePrepare, port: 2}, false},
 		{"commit over the old rule's port", prepared, commit, false},
-		{"commit in place", []planwire.Rule{planwire.RuleOf(flow, commit.Actions)}, commit, true},
+		{"commit in place", []planwire.Rule{{Match: flow, Port: 2, Tag: TwoPhaseTag}}, commit, true},
 	} {
-		if got := holds(tc.rules, tc.fm); got != tc.want {
+		if got := holds(tc.rules, flow, tc.r); got != tc.want {
 			t.Errorf("%s: holds = %v, want %v", tc.name, got, tc.want)
 		}
 	}

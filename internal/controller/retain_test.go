@@ -245,7 +245,7 @@ func TestStripLeavesParkedInstallsTheirPlan(t *testing.T) {
 	if err := job.Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("job cut off by shutdown ended %v, want context.Canceled", err)
 	}
-	if job.plan == nil || len(job.plan.mods) != 12 {
+	if job.plan == nil || len(job.plan.rules) != 12 {
 		t.Fatal("a job cut off by shutdown was stripped: the restarted controller runs it again")
 	}
 	if n := registeredSinks(h.c); n != 0 {

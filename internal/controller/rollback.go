@@ -87,7 +87,7 @@ type rollbackSpec struct {
 	props core.Property // the forward plan's guarantees (0 = none promised)
 
 	// perPacket marks a two-phase job: its update nodes are the tagged
-	// commit's (twoPhaseFlowMod), and its reverse is per-packet
+	// commit's (rulePrepare, ruleCommit), and its reverse is per-packet
 	// consistent by construction (see verifyRollback).
 	perPacket bool
 }
@@ -183,8 +183,8 @@ func RollbackGate(in *core.Instance, rev *core.Plan, props core.Property) error 
 
 // runRollback undoes an installed ideal: the full reverse DAG (cleanup
 // undos first — they are the reverse plan's roots) with each node's
-// undo FlowMod is one more execution DAG, walked unjournaled on the
-// same dispatch path as the forward pass. Undo FlowMods are idempotent,
+// undo rule is one more execution DAG, walked unjournaled on the
+// same dispatch path as the forward pass. Undo rules are idempotent,
 // so nodes in the ideal that never took effect are harmless to "undo".
 // Returns the switches undone in confirmation order and the per-node
 // undone set.
@@ -198,13 +198,13 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 	if n == 0 {
 		return nil, undone, nil
 	}
-	fms := make([]*openflow.FlowMod, n)
+	rules := make([]nodeRule, n)
 	for j, fi := range fwd {
-		if fms[j], err = e.undoFlowMod(spec, job.plan.sw(fi), job.plan.mods[fi]); err != nil {
+		if rules[j], err = e.undoRule(spec, job.plan.sw(fi), job.plan.rules[fi]); err != nil {
 			return nil, undone, err
 		}
 	}
-	plan := newExecPlan(rev, fms, n, nil)
+	plan := newExecPlan(rev, job.plan.match, rules, n, nil)
 	run := core.NewPlanRun(rev)
 	ready := run.Reset(make([]int, 0, n))
 	_, _, err = e.walk(ctx, walkSpec{
@@ -221,21 +221,22 @@ func (e *Engine) runRollback(ctx context.Context, job *Job, spec *rollbackSpec, 
 	return rolledBack, undone, err
 }
 
-// undoFlowMod builds the FlowMod that reverses one node's forward
-// FlowMod fwd at its switch: an ADD (a two-phase job's tagged prepare
-// rule) is undone by a DELETE of its match; otherwise old-path switches
-// MODIFY the flow back toward their old-path successor (OF 1.0 MODIFY
-// also re-inserts a rule a cleanup node deleted) and new-path-only
-// switches delete the rule the update inserted. Each is idempotent on a
-// switch the forward plan never reached.
-func (e *Engine) undoFlowMod(spec *rollbackSpec, node topo.NodeID, fwd *openflow.FlowMod) (*openflow.FlowMod, error) {
-	if fwd.Command == openflow.FlowAdd {
-		return deleteFlowMod(fwd.Match), nil
+// undoRule is the rule that reverses forward rule fwd at node's switch,
+// derived from fwd and the old path: a two-phase job's tagged prepare
+// rule is deleted; otherwise old-path switches MODIFY the flow back
+// toward their old-path successor (OF 1.0 MODIFY also re-inserts a rule
+// a cleanup node deleted) and new-path-only switches delete the rule the
+// update inserted. Each is idempotent on a switch the forward plan never
+// reached.
+func (e *Engine) undoRule(spec *rollbackSpec, node topo.NodeID, fwd nodeRule) (nodeRule, error) {
+	if fwd.kind == rulePrepare {
+		return nodeRule{kind: ruleDeleteTagged}, nil
 	}
 	if succ, ok := spec.in.OldSucc(node); ok {
-		return e.c.PathFlowMod(node, succ, spec.match, openflow.FlowModify)
+		port, err := e.c.port(node, succ)
+		return nodeRule{kind: ruleModify, port: port}, err
 	}
-	return deleteFlowMod(spec.match), nil
+	return nodeRule{kind: ruleDelete}, nil
 }
 
 // stuckNodes lists the installed nodes left in place (installed minus

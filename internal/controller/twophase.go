@@ -35,8 +35,11 @@ import (
 // commit — plus the optional cleanup suffix. Its reverse is per-packet
 // consistent too: restore the ingress's untagged rule, then delete the
 // tagged rules, which no packet reaches once nothing is tagged. The
-// job's rollback spec is marked per-packet (see verifyRollback), and
-// each node's undo follows from its forward FlowMod (undoFlowMod).
+// job's rollback spec is marked per-packet (see verifyRollback). A
+// prepare node's rule is rulePrepare (the tagged match, priority +10)
+// and the commit's ruleCommit (set the tag, then output); each node's
+// undo follows from its forward rule (undoRule): a prepare is undone by
+// deleting its tagged rule.
 
 // TwoPhaseTag is the VLAN id that marks the new policy version in
 // two-phase updates.
@@ -60,41 +63,5 @@ func (e *Engine) twoPhaseJob(in *core.Instance, match openflow.Match, opts Submi
 	// layer.
 	prepare := in.New[1 : len(in.New)-1]
 	p := core.Layered(twoPhaseAlgorithm, 0, [][]topo.NodeID{prepare, {in.Src()}})
-	var cleanupAt []topo.NodeID
-	if opts.Cleanup {
-		cleanupAt = staleSwitches(in)
-	}
-	spec := &rollbackSpec{in: in, match: match, perPacket: true}
-	ep, err := e.flowExecPlan(spec, p, len(p.Nodes), cleanupAt)
-	if err != nil {
-		return nil, err
-	}
-	return newJob(ep, opts, spec), nil
-}
-
-// twoPhaseFlowMod builds one update node's FlowMod of a two-phase job:
-// at the ingress the commit (phase 2: tag, then forward toward the new
-// path's first hop), elsewhere the tagged prepare rule (phase 1).
-func (e *Engine) twoPhaseFlowMod(in *core.Instance, node topo.NodeID, match openflow.Match) (*openflow.FlowMod, error) {
-	succ, ok := in.NewSucc(node)
-	if !ok {
-		return nil, fmt.Errorf("switch %d has no new-path successor", node)
-	}
-	if node == in.Src() {
-		commit, err := e.c.PathFlowMod(node, succ, match, openflow.FlowModify)
-		if err != nil {
-			return nil, err
-		}
-		commit.Actions = append([]openflow.Action{openflow.ActionSetVLAN{VLAN: TwoPhaseTag}}, commit.Actions...)
-		return commit, nil
-	}
-	tagged := match
-	tagged.Wildcards &^= openflow.WildcardDLVLAN
-	tagged.DLVLAN = TwoPhaseTag
-	fm, err := e.c.PathFlowMod(node, succ, tagged, openflow.FlowAdd)
-	if err != nil {
-		return nil, err
-	}
-	fm.Priority = flowPriority + 10
-	return fm, nil
+	return e.flowJob(&rollbackSpec{in: in, match: match, perPacket: true}, p, opts)
 }
